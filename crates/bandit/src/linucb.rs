@@ -95,7 +95,7 @@ impl LinUcbConfig {
 /// observations: the design-matrix contribution is `count · x xᵀ` and the
 /// reward-vector contribution is `reward_sum · x`, so a batch of `N` reports
 /// over `K` distinct `(context, action)` pairs folds in `K` matrix
-/// operations via [`LinUcb::update_batch`] instead of `N`.
+/// operations via [`LinUcb::update_batch_with`] instead of `N`.
 ///
 /// # Example
 ///
@@ -195,6 +195,46 @@ pub struct ArmStatistics {
     pub pulls: u64,
 }
 
+impl ArmStatistics {
+    /// Builds positive-definite statistics from a symmetric Gram block
+    /// `Σ x xᵀ` that noise or quantization may have left indefinite: the
+    /// design is `gram + (regularizer + boost)·I`, with `boost` escalating
+    /// 0, 1, 2, 4, … until the design factors. Doubling terminates quickly
+    /// because the shift soon dominates the largest negative eigenvalue.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::Linalg`] when no boost up to `1e12` yields a
+    /// positive-definite design (a non-finite or mis-shaped Gram block).
+    pub fn with_ridge_repair(
+        gram: &Matrix,
+        reward_vector: Vector,
+        pulls: u64,
+        regularizer: f64,
+    ) -> Result<Self, BanditError> {
+        let mut boost = 0.0f64;
+        loop {
+            let mut design = gram.clone();
+            for i in 0..gram.rows().min(gram.cols()) {
+                design.set(i, i, design.get(i, i) + regularizer + boost);
+            }
+            match RankOneInverse::from_matrix(&design) {
+                Ok(_) => {
+                    return Ok(Self {
+                        design,
+                        reward_vector,
+                        pulls,
+                    })
+                }
+                Err(_) if boost < 1e12 => {
+                    boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
 /// Per-arm sufficient statistics: `A_a⁻¹` (incrementally maintained) and `b_a`.
 #[derive(Debug, Clone, PartialEq)]
 struct Arm {
@@ -212,14 +252,6 @@ impl Arm {
         })
     }
 
-    /// Upper confidence bound `θ_aᵀ x + α √(xᵀ A_a⁻¹ x)`.
-    fn upper_confidence_bound(&self, context: &Vector, alpha: f64) -> Result<f64, BanditError> {
-        let theta = self.inverse.solve(&self.reward_vector)?;
-        let estimate = theta.dot(context)?;
-        let bonus = self.inverse.quadratic_form(context)?.max(0.0).sqrt();
-        Ok(estimate + alpha * bonus)
-    }
-
     fn update(&mut self, context: &Vector, reward: Reward) -> Result<(), BanditError> {
         self.inverse.update(context)?;
         self.reward_vector.axpy(reward, context)?;
@@ -229,7 +261,7 @@ impl Arm {
 }
 
 /// Reusable scratch buffers for allocation-free action selection
-/// ([`LinUcb::select_action_with`] and friends).
+/// ([`LinUcb::select_action_with`]).
 ///
 /// One `SelectScratch` serves models of any shape: buffers grow on demand.
 /// The scratch carries no behavioral state — a fresh scratch and a warm one
@@ -250,7 +282,7 @@ impl SelectScratch {
 }
 
 /// Reusable scratch buffers for the allocation-free ingest path
-/// ([`LinUcb::update_coalesced_with`] / [`LinUcb::update_batch_with`]).
+/// ([`LinUcb::update_batch_with`]).
 ///
 /// Wraps a linalg [`UpdateScratch`] (the `A⁻¹x` fold lane and the refresh
 /// factor/column buffers) plus the per-batch touched-arm tracking used to
@@ -353,16 +385,17 @@ fn pick_best(
 /// Ties are broken uniformly at random, which matters in the early cold-start
 /// rounds where all arms share identical statistics.
 ///
-/// # Scoring paths
+/// # Scoring path
 ///
 /// Selection reads a flat, element-major [`ScoreArena`] that mirrors every
 /// arm's inverse and cached `θ_a = A_a⁻¹ b_a`, re-synced after each arm
 /// mutation, so one pass scores all arms without allocating
 /// ([`LinUcb::select_action_with`]). The per-arm [`RankOneInverse`] state is
-/// the f64 source of truth; [`LinUcb::scores_reference`] evaluates the
-/// historical one-arm-at-a-time path against it, and the two are bit-for-bit
-/// equal by construction. An optional single-precision tier ([`F32Scorer`])
-/// can be derived from a trained model for serving workloads.
+/// the f64 source of truth; the crate's test-only oracle evaluates the
+/// scalar one-arm-at-a-time rule against it, and the in-crate
+/// `select_agreement` suite pins the two bit-for-bit equal. An optional
+/// single-precision tier ([`F32Scorer`]) can be derived from a trained model
+/// for serving workloads.
 ///
 /// # Example
 ///
@@ -575,7 +608,7 @@ impl LinUcb {
     ///
     /// Exposed so that callers (e.g. the evaluation harness) can inspect the
     /// full score vector instead of just the argmax. Computed from the
-    /// scoring arena; bit-for-bit equal to [`LinUcb::scores_reference`].
+    /// scoring arena.
     ///
     /// # Errors
     ///
@@ -591,25 +624,6 @@ impl LinUcb {
             &mut out,
         )?;
         Ok(out)
-    }
-
-    /// Upper-confidence-bound scores via the historical scalar path: per arm,
-    /// solve `θ_a = A_a⁻¹ b_a`, take `θ_aᵀx`, and add `α·√(xᵀA_a⁻¹x)`.
-    ///
-    /// This is the pre-arena implementation, preserved verbatim as the f64
-    /// source of truth. The arena path ([`LinUcb::scores`]) performs the
-    /// identical floating-point sequence per arm and must stay bit-for-bit
-    /// equal; tests and the `select` benchmark pin that equivalence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized contexts.
-    pub fn scores_reference(&self, context: &Vector) -> Result<Vec<f64>, BanditError> {
-        check_context(self.config.context_dimension, context)?;
-        self.arms
-            .iter()
-            .map(|arm| arm.upper_confidence_bound(context, self.config.alpha))
-            .collect()
     }
 
     /// The accumulated design matrix `A_a = λI + Σ x xᵀ` of an arm — one half
@@ -636,36 +650,14 @@ impl LinUcb {
 
     /// Folds the sufficient statistics of `count` identical observations into
     /// the chosen arm in one weighted Sherman–Morrison step
-    /// ([`p2b_linalg::RankOneInverse::update_weighted`]): `A_a += count·x xᵀ`,
-    /// `b_a += reward_sum·x`.
+    /// ([`RankOneInverse::update_weighted_with`]): `A_a += count·x xᵀ`,
+    /// `b_a += reward_sum·x` — without the arena sync; the caller re-syncs
+    /// the touched arm before the model is scored.
     ///
     /// Singleton groups remain bit-for-bit identical to the per-report
-    /// [`ContextualPolicy::update`] path: `update_weighted` delegates a
-    /// weight of exactly 1 to the plain rank-1 update, and the reward-vector
-    /// and pull arithmetic below coincide at `count == 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] /
-    /// [`BanditError::InvalidAction`] for mis-shaped inputs.
-    pub fn update_coalesced(&mut self, update: &CoalescedUpdate) -> Result<(), BanditError> {
-        check_context(self.config.context_dimension, update.context())?;
-        check_action(self.config.num_actions, update.action())?;
-        let idx = update.action().index();
-        let arm = Arc::make_mut(&mut self.arms[idx]);
-        arm.inverse
-            .update_weighted(update.context(), update.count() as f64)?;
-        arm.reward_vector
-            .axpy(update.reward_sum(), update.context())?;
-        arm.pulls += update.count();
-        self.observations += update.count();
-        self.sync_arm(idx)?;
-        Ok(())
-    }
-
-    /// The coalesced fold without the arena sync, through a caller-owned
-    /// [`UpdateScratch`]. Shared by the `_with` entry points; the caller is
-    /// responsible for re-syncing the touched arm before the model is scored.
+    /// [`ContextualPolicy::update`] path: a weight of exactly 1 runs the
+    /// plain rank-1 update's arithmetic, and the reward-vector and pull
+    /// arithmetic below coincide at `count == 1`.
     fn fold_coalesced(
         &mut self,
         update: &CoalescedUpdate,
@@ -684,55 +676,20 @@ impl LinUcb {
         Ok(idx)
     }
 
-    /// Allocation-free variant of [`LinUcb::update_coalesced`] using a
-    /// caller-owned [`IngestScratch`]; bit-identical resulting model (the
-    /// fold runs the same weighted Sherman–Morrison kernel, and the arm is
-    /// re-synced immediately).
+    /// The server-side ingestion primitive: folds a batch of coalesced
+    /// sufficient statistics through a caller-owned [`IngestScratch`],
+    /// syncing the scoring arena **once per touched arm per batch**. A
+    /// shuffled batch of `N` anonymous reports grouped by `(code, action)`
+    /// becomes `K ≤ N` coalesced updates, so the fold costs `O(K·d²)` instead
+    /// of `O(N·d²)`. Returns the total number of observations folded.
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`LinUcb::update_coalesced`].
-    pub fn update_coalesced_with(
-        &mut self,
-        update: &CoalescedUpdate,
-        scratch: &mut IngestScratch,
-    ) -> Result<(), BanditError> {
-        let idx = self.fold_coalesced(update, &mut scratch.linalg)?;
-        self.sync_arm(idx)?;
-        Ok(())
-    }
-
-    /// Folds a batch of coalesced sufficient statistics into the model.
-    ///
-    /// This is the server-side ingestion primitive: a shuffled batch of `N`
-    /// anonymous reports grouped by `(code, action)` becomes `K ≤ N`
-    /// coalesced updates, and the model fold costs `O(K·d²)` instead of
-    /// `O(N·d²)`. Returns the total number of observations folded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing update; earlier updates in the batch
-    /// stay applied (each update leaves the model in a valid state).
-    pub fn update_batch(&mut self, updates: &[CoalescedUpdate]) -> Result<u64, BanditError> {
-        let mut folded = 0u64;
-        for update in updates {
-            self.update_coalesced(update)?;
-            folded += update.count();
-        }
-        Ok(folded)
-    }
-
-    /// The fast ingest path: folds a batch of coalesced sufficient statistics
-    /// through a caller-owned [`IngestScratch`], syncing the scoring arena
-    /// **once per touched arm per batch** instead of after every fold.
-    ///
-    /// The resulting model is bit-identical to [`LinUcb::update_batch`]
-    /// (pinned by the `update_agreement` proptests): each fold runs the same
-    /// weighted Sherman–Morrison kernel, and an arm's arena lanes are a pure
-    /// function of its final `(A⁻¹, b)` state, so syncing once after the last
-    /// fold yields the same lanes as syncing after every fold. What changes
-    /// is the cost: the per-mutation `O(d²)` solve + strided arena scatter is
-    /// amortized over all of a batch's folds into the same arm.
+    /// The resulting model is bit-identical to syncing after every fold
+    /// (the test-only oracle the in-crate `update_agreement` suite pins this
+    /// against): an arm's arena lanes are a pure function of its final
+    /// `(A⁻¹, b)` state, so syncing once after the last fold yields the same
+    /// lanes. What the deferral buys is cost: the per-mutation `O(d²)` solve
+    /// plus strided arena scatter is amortized over all of a batch's folds
+    /// into the same arm.
     ///
     /// After the call, [`IngestScratch::touched`] lists the arms this batch
     /// mutated (in order of first touch) — the dirty set ingest shards report
@@ -845,37 +802,15 @@ impl LinUcb {
         self.sync_arm(idx)
     }
 
-    /// Proposes the arm with the highest upper confidence bound without
-    /// requiring mutable access — the selection rule never mutates the
-    /// statistics, only the tie-breaking consumes randomness.
+    /// Proposes the arm with the highest upper confidence bound: scores
+    /// every arm against `context` in one pass over the flat scoring arena,
+    /// using caller-provided scratch buffers, without allocating.
     ///
-    /// This is what lets many agents select actions against one shared,
-    /// immutable model snapshot (e.g. behind an `Arc`) without cloning it;
-    /// [`ContextualPolicy::select_action`] delegates here. Allocates a small
-    /// local scratch per call — per-round callers should hold a
-    /// [`SelectScratch`] and use [`LinUcb::select_action_with`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized
-    /// contexts.
-    pub fn select_action_ref(
-        &self,
-        context: &Vector,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Action, BanditError> {
-        let mut scratch = SelectScratch::new();
-        self.select_action_with(context, rng, &mut scratch)
-    }
-
-    /// Allocation-free action selection: scores every arm against `context`
-    /// in one pass over the flat scoring arena, using caller-provided
-    /// scratch buffers.
-    ///
-    /// Selections are bit-for-bit identical to the historical scalar path
-    /// ([`LinUcb::select_action_reference`]): per arm the floating-point
-    /// sequence matches exactly, and the tie-breaking consumes randomness in
-    /// the same pattern.
+    /// The selection rule never mutates the statistics — only the
+    /// tie-breaking consumes randomness — so many agents can select against
+    /// one shared, immutable model snapshot (e.g. behind an `Arc`) without
+    /// cloning it. [`ContextualPolicy::select_action`] delegates here with a
+    /// throwaway scratch.
     ///
     /// # Errors
     ///
@@ -901,75 +836,6 @@ impl LinUcb {
             self.config.num_actions,
             rng,
         ))
-    }
-
-    /// Batched multi-candidate selection: selects one action per context in
-    /// `contexts`, reusing the same scratch buffers across the whole batch.
-    ///
-    /// Selected actions are appended to `out` (which is cleared first) in
-    /// input order, and randomness is consumed context by context, exactly
-    /// as repeated [`LinUcb::select_action_with`] calls would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] for the first
-    /// mis-sized context; earlier selections stay in `out`.
-    pub fn select_actions_with(
-        &self,
-        contexts: &[Vector],
-        rng: &mut dyn rand::RngCore,
-        scratch: &mut SelectScratch,
-        out: &mut Vec<Action>,
-    ) -> Result<(), BanditError> {
-        out.clear();
-        out.reserve(contexts.len());
-        for context in contexts {
-            out.push(self.select_action_with(context, rng, scratch)?);
-        }
-        Ok(())
-    }
-
-    /// The historical scalar selection path, preserved verbatim: one arm at
-    /// a time (solve, dot, quadratic form — two temporary vectors per arm),
-    /// then the shared tie-breaking rule.
-    ///
-    /// Kept as the bit-exact reference the arena path is pinned against and
-    /// as the baseline the `select` benchmark measures speedups from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized
-    /// contexts.
-    pub fn select_action_reference(
-        &self,
-        context: &Vector,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Action, BanditError> {
-        check_context(self.config.context_dimension, context)?;
-        let mut best_score = f64::NEG_INFINITY;
-        let mut best: Vec<usize> = Vec::new();
-        for (idx, arm) in self.arms.iter().enumerate() {
-            let score = arm.upper_confidence_bound(context, self.config.alpha)?;
-            if score > best_score + 1e-12 {
-                best_score = score;
-                best.clear();
-                best.push(idx);
-            } else if (score - best_score).abs() <= 1e-12 {
-                best.push(idx);
-            }
-        }
-        if best.is_empty() {
-            // All scores were NaN (cannot happen with validated inputs, but we
-            // keep the policy total): fall back to a uniform random action.
-            return Ok(random_action(self.config.num_actions, rng));
-        }
-        let choice = if best.len() == 1 {
-            best[0]
-        } else {
-            use rand::Rng as _;
-            best[(*rng).gen_range(0..best.len())]
-        };
-        Ok(Action::new(choice))
     }
 
     /// Merges the sufficient statistics of another LinUCB model into this one.
@@ -1128,7 +994,7 @@ impl ContextualPolicy for LinUcb {
         context: &Vector,
         rng: &mut dyn rand::RngCore,
     ) -> Result<Action, BanditError> {
-        self.select_action_ref(context, rng)
+        self.select_action_with(context, rng, &mut SelectScratch::new())
     }
 
     fn update(
@@ -1154,6 +1020,13 @@ impl ContextualPolicy for LinUcb {
         "linucb"
     }
 }
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod select_agreement;
+#[cfg(test)]
+mod update_agreement;
 
 #[cfg(test)]
 mod tests {
@@ -1300,10 +1173,15 @@ mod tests {
         assert!((ok.reward_sum() - 3.0).abs() < 1e-12);
 
         let mut policy = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
+        let mut scratch = IngestScratch::new();
         let wrong_dim = CoalescedUpdate::new(Vector::zeros(3), Action::new(0), 1, 0.5).unwrap();
-        assert!(policy.update_coalesced(&wrong_dim).is_err());
+        assert!(policy
+            .update_batch_with(&[wrong_dim], &mut scratch)
+            .is_err());
         let wrong_action = CoalescedUpdate::new(Vector::zeros(2), Action::new(7), 1, 0.5).unwrap();
-        assert!(policy.update_coalesced(&wrong_action).is_err());
+        assert!(policy
+            .update_batch_with(&[wrong_action], &mut scratch)
+            .is_err());
     }
 
     #[test]
@@ -1315,12 +1193,14 @@ mod tests {
         ];
         let mut sequential = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
         let mut coalesced = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
+        let mut scratch = IngestScratch::new();
         for (i, ctx) in contexts.iter().enumerate() {
             let action = Action::new(i % 2);
             let reward = (i % 2) as f64;
             sequential.update(ctx, action, reward).unwrap();
+            let singleton = CoalescedUpdate::new(ctx.clone(), action, 1, reward).unwrap();
             coalesced
-                .update_coalesced(&CoalescedUpdate::new(ctx.clone(), action, 1, reward).unwrap())
+                .update_batch_with(&[singleton], &mut scratch)
                 .unwrap();
         }
         for a in 0..2 {
@@ -1362,7 +1242,9 @@ mod tests {
             })
             .collect();
         let mut coalesced = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
-        let folded = coalesced.update_batch(&updates).unwrap();
+        let folded = coalesced
+            .update_batch_with(&updates, &mut IngestScratch::new())
+            .unwrap();
         assert_eq!(folded, 40);
         assert_eq!(coalesced.observations(), sequential.observations());
         for a in 0..2 {
@@ -1387,6 +1269,8 @@ mod tests {
         }
     }
 
+    /// Selecting by shared reference against a frozen clone agrees with the
+    /// `&mut self` trait path.
     #[test]
     fn select_action_ref_agrees_with_the_trait_path() {
         let mut policy = LinUcb::new(LinUcbConfig::new(2, 3).with_alpha(0.1)).unwrap();
@@ -1398,9 +1282,12 @@ mod tests {
         let frozen = policy.clone();
         let mut rng_a = rng();
         let mut rng_b = rng();
+        let mut scratch = SelectScratch::new();
         for _ in 0..20 {
             let via_trait = policy.select_action(&ctx, &mut rng_a).unwrap();
-            let via_ref = frozen.select_action_ref(&ctx, &mut rng_b).unwrap();
+            let via_ref = frozen
+                .select_action_with(&ctx, &mut rng_b, &mut scratch)
+                .unwrap();
             assert_eq!(via_trait, via_ref);
         }
     }
@@ -1477,6 +1364,38 @@ mod tests {
         };
         assert!(matches!(
             LinUcb::from_sufficient_statistics(cfg, &[good, non_spd]),
+            Err(BanditError::Linalg(_))
+        ));
+    }
+
+    #[test]
+    fn ridge_repair_escalates_to_an_spd_design_or_a_typed_error() {
+        // Indefinite Gram (eigenvalues 3 and −3): λ = 1 alone cannot fix it,
+        // the escalating boost must.
+        let mut indefinite = Matrix::zeros(2, 2);
+        indefinite.set(0, 1, 3.0);
+        indefinite.set(1, 0, 3.0);
+        let repaired =
+            ArmStatistics::with_ridge_repair(&indefinite, Vector::zeros(2), 5, 1.0).unwrap();
+        assert_eq!(repaired.pulls, 5);
+        assert_eq!(repaired.design.get(0, 1), 3.0, "only the diagonal shifts");
+        // Boosts 1 and 2 still fail to factor; 4 succeeds.
+        assert_eq!(repaired.design.get(0, 0), 1.0 + 4.0);
+        let cfg = LinUcbConfig::new(2, 1);
+        assert!(LinUcb::from_sufficient_statistics(cfg, &[repaired]).is_ok());
+
+        // An already-SPD Gram gets exactly λI, no boost.
+        let clean =
+            ArmStatistics::with_ridge_repair(&Matrix::identity(2), Vector::zeros(2), 0, 1.0)
+                .unwrap();
+        assert_eq!(clean.design.get(1, 1), 2.0);
+
+        // A NaN Gram can never factor: the loop stops at the cap with the
+        // typed error instead of spinning or publishing a NaN model.
+        let mut poisoned = Matrix::identity(2);
+        poisoned.set(1, 1, f64::NAN);
+        assert!(matches!(
+            ArmStatistics::with_ridge_repair(&poisoned, Vector::zeros(2), 0, 1.0),
             Err(BanditError::Linalg(_))
         ));
     }

@@ -1,8 +1,8 @@
 //! Micro-benchmarks of central-model batch ingestion: the sequential
 //! per-report path against the coalescing sufficient-statistics path, at
 //! the code-reuse levels produced by crowd-blending thresholds; plus the
-//! model-level update path (per-update arena sync vs batch-deferred
-//! scratch sync) underneath the server.
+//! model-level update path (batch-deferred scratch sync) underneath the
+//! server.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
@@ -119,30 +119,14 @@ fn update_batch(dimension: usize, actions: usize, len: usize) -> Vec<CoalescedUp
 }
 
 /// The model-level update path underneath the server: each iteration folds
-/// one coalesced batch into a fresh model, either through the reference
-/// per-update arena sync or the scratch path that defers the theta solve
-/// and arena scatter to once per touched arm per batch. Shapes span the
-/// native 10-arm stream and the wide 32-arm regime where the deferred sync
-/// pays the most.
+/// one coalesced batch into a fresh model through the scratch path that
+/// defers the theta solve and arena scatter to once per touched arm per
+/// batch. Shapes span the native 10-arm stream and the wide 32-arm regime.
 fn bench_update_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_update");
     for &(dimension, actions) in &[(DIMENSION, ACTIONS), (DIMENSION, 32usize)] {
         let updates = update_batch(dimension, actions, BATCH);
         let shape = format!("d{dimension}a{actions}");
-        group.bench_with_input(
-            BenchmarkId::new("reference", &shape),
-            &updates,
-            |b, updates| {
-                b.iter_batched(
-                    || LinUcb::new(LinUcbConfig::new(dimension, actions)).unwrap(),
-                    |mut model| {
-                        model.update_batch(updates).unwrap();
-                        model.observations()
-                    },
-                    BatchSize::SmallInput,
-                );
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("scratch", &shape),
             &updates,

@@ -1,15 +1,14 @@
-//! Micro-benchmarks of the three LinUCB scoring paths over identical
-//! trained models:
+//! Micro-benchmarks of the two LinUCB scoring tiers over identical trained
+//! models:
 //!
-//! * `reference` — the historical per-arm scalar path (allocates two
-//!   vectors per arm per decision), kept as the f64 source of truth;
 //! * `arena_f64` — the flat element-major score arena with caller-provided
-//!   scratch buffers (allocation-free, bit-identical to the reference);
+//!   scratch buffers (allocation-free; pinned bit-for-bit against the
+//!   scalar oracle by `p2b_bandit`'s in-crate `select_agreement` suite);
 //! * `arena_f32` — the derived single-precision scoring tier.
 //!
-//! The `throughput --select` binary measures the same three paths end to
-//! end and records the speedups in `BENCH_select.json`; this bench gives
-//! per-decision latencies under criterion's measurement loop.
+//! This bench gives per-decision latencies under criterion's measurement
+//! loop; `bash benchmark/run.sh` reports the same path end to end as the
+//! `bandit.select` / `core.agent.select` layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2b_bandit::{
@@ -40,23 +39,6 @@ fn trained(dimension: usize, actions: usize) -> LinUcb {
             .unwrap();
     }
     policy
-}
-
-fn bench_select_reference(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select_reference");
-    for &(dimension, actions) in &SHAPES {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("d{dimension}_a{actions}")),
-            &(dimension, actions),
-            |b, &(dimension, actions)| {
-                let policy = trained(dimension, actions);
-                let mut rng = StdRng::seed_from_u64(1);
-                let ctx = random_context(dimension, &mut rng);
-                b.iter(|| policy.select_action_reference(&ctx, &mut rng).unwrap());
-            },
-        );
-    }
-    group.finish();
 }
 
 fn bench_select_arena_f64(c: &mut Criterion) {
@@ -104,10 +86,5 @@ fn bench_select_arena_f32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_select_reference,
-    bench_select_arena_f64,
-    bench_select_arena_f32
-);
+criterion_group!(benches, bench_select_arena_f64, bench_select_arena_f32);
 criterion_main!(benches);

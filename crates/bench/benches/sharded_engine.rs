@@ -1,6 +1,6 @@
 //! Criterion benchmark of the sharded shuffler engine across shard counts.
 //!
-//! Complements `src/bin/throughput.rs` (which prints a one-shot scaling
+//! Complements `p2b-serve --mode ingest` (which prints a one-shot scaling
 //! table) with statistically sampled end-to-end times: 4 producers submit a
 //! fixed report stream, and one measurement covers spawn → submit → finish.
 

@@ -7,14 +7,14 @@
 //! Exits non-zero when an SLO bar is violated.
 //!
 //! ```text
-//! p2b-serve [--mode select|ingest|pool|full] [--quick]
+//! p2b-serve [--mode ingest|pool|full] [--quick]
 //!           [--workers N] [--seed N]
 //!           [--slo-p99-ms F] [--slo-ingest-lag-epochs N] [--slo-occupancy N]
 //!           [--summary PATH] [--out PATH]
 //! ```
 //!
 //! * `--mode` picks the subsystem slice; `full` (the default) runs the
-//!   closed loop, the other three are the absorbed `throughput` parts.
+//!   closed loop, `ingest` and `pool` benchmark one subsystem each.
 //! * `--quick` forces the CI smoke scale (equivalent to `P2B_SCALE=quick`).
 //! * `--summary PATH` additionally writes the *redacted* report — the
 //!   worker-count-invariant deterministic summary with all wall-clock
@@ -23,9 +23,9 @@
 //! * `--out PATH` overrides the `BENCH_serve.json` destination.
 //! * The three `--slo-*` flags tighten (or loosen) the default bars.
 
+use p2b_bench::failure::write_artifact;
 use p2b_bench::serve::{
-    print_full_report, run_full, run_ingest_mode, run_pool_mode, run_select_mode, ServeConfig,
-    ServeMode, SloConfig,
+    print_full_report, run_full, run_ingest_mode, run_pool_mode, ServeConfig, ServeMode, SloConfig,
 };
 use p2b_bench::{BenchFailure, Scale};
 use std::process::ExitCode;
@@ -65,7 +65,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--mode" => {
                 let raw = value("--mode")?;
                 cli.mode = ServeMode::parse(&raw)
-                    .ok_or_else(|| format!("unknown mode {raw:?} (select|ingest|pool|full)"))?;
+                    .ok_or_else(|| format!("unknown mode {raw:?} (ingest|pool|full)"))?;
             }
             "--quick" => cli.quick = true,
             "--workers" => {
@@ -111,6 +111,13 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+fn exit_code(result: Result<(), BenchFailure>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(failure) => failure.report("p2b-serve"),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
@@ -124,18 +131,8 @@ fn main() -> ExitCode {
         Scale::from_env()
     };
     match cli.mode {
-        ServeMode::Select => {
-            run_select_mode(scale);
-            ExitCode::SUCCESS
-        }
-        ServeMode::Ingest => match run_ingest_mode(scale) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(failure) => failure.report("p2b-serve"),
-        },
-        ServeMode::Pool => {
-            run_pool_mode(scale);
-            ExitCode::SUCCESS
-        }
+        ServeMode::Ingest => exit_code(run_ingest_mode(scale)),
+        ServeMode::Pool => exit_code(run_pool_mode(scale)),
         ServeMode::Full => {
             let mut config = ServeConfig::at_scale(scale);
             if let Some(workers) = cli.workers {
@@ -164,16 +161,16 @@ fn main() -> ExitCode {
             print_full_report(&report);
 
             let json = serde_json::to_string_pretty(&report).expect("reports serialize");
-            if let Err(error) = std::fs::write(&cli.out_path, json) {
-                return BenchFailure::Io(format!("{}: {error}", cli.out_path)).report("p2b-serve");
+            if let Err(failure) = write_artifact(&cli.out_path, &json) {
+                return failure.report("p2b-serve");
             }
             println!("machine-readable results written to {}", cli.out_path);
 
             if let Some(path) = &cli.summary_path {
                 let redacted =
                     serde_json::to_string_pretty(&report.redacted()).expect("reports serialize");
-                if let Err(error) = std::fs::write(path, redacted) {
-                    return BenchFailure::Io(format!("{path}: {error}")).report("p2b-serve");
+                if let Err(failure) = write_artifact(path, &redacted) {
+                    return failure.report("p2b-serve");
                 }
                 println!("deterministic summary written to {path}");
             }

@@ -48,6 +48,21 @@ impl BenchFailure {
         }
     }
 
+    /// `Ok(())` when `holds`, otherwise [`BenchFailure::InvariantViolation`]
+    /// carrying `message()` — how the bench modes report a lost report or a
+    /// breached budget without panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation when `holds` is false.
+    pub fn ensure_invariant(holds: bool, message: impl FnOnce() -> String) -> Result<(), Self> {
+        if holds {
+            Ok(())
+        } else {
+            Err(BenchFailure::InvariantViolation(message()))
+        }
+    }
+
     /// Prints the one-line diagnostic to stderr (prefixed with the binary
     /// name) and returns the mapped [`ExitCode`] — the single exit path of
     /// the bench binaries' failure branches.
@@ -71,6 +86,16 @@ impl fmt::Display for BenchFailure {
 }
 
 impl std::error::Error for BenchFailure {}
+
+/// Writes a result artifact, mapping a filesystem error to
+/// [`BenchFailure::Io`].
+///
+/// # Errors
+///
+/// Returns [`BenchFailure::Io`] naming the path when it cannot be written.
+pub fn write_artifact(path: &str, contents: &str) -> Result<(), BenchFailure> {
+    std::fs::write(path, contents).map_err(|e| BenchFailure::Io(format!("{path}: {e}")))
+}
 
 #[cfg(test)]
 mod tests {
@@ -97,6 +122,19 @@ mod tests {
         assert!(
             codes.iter().all(|&c| c != 1),
             "1 is reserved for generic platform failure"
+        );
+
+        // The bench modes' own failure sites land on those codes instead of
+        // panicking (exit 101): a breached pool budget or a lost report is an
+        // invariant violation, an unwritable artifact an I/O failure.
+        let code = |result: Result<(), BenchFailure>| result.map_err(|f| f.exit_code());
+        let lost = || "engine lost a report: 99 != 100".to_owned();
+        assert_eq!(code(BenchFailure::ensure_invariant(false, lost)), Err(6));
+        assert_eq!(code(BenchFailure::ensure_invariant(true, lost)), Ok(()));
+        let missing_dir = std::env::temp_dir().join("p2b-no-such-dir/BENCH_pool.json");
+        assert_eq!(
+            code(write_artifact(&missing_dir.to_string_lossy(), "{}")),
+            Err(4)
         );
     }
 

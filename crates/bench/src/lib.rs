@@ -20,9 +20,7 @@ pub mod serve;
 
 pub use failure::BenchFailure;
 pub use histogram::{bucket_lower_bound, bucket_of, LatencyHistogram, LatencySummary};
-pub use serve::{
-    legacy_throughput_modes, DeterministicSummary, ServeConfig, ServeMode, ServeReport, SloConfig,
-};
+pub use serve::{DeterministicSummary, ServeConfig, ServeMode, ServeReport, SloConfig};
 
 use p2b_sim::{Regime, SeriesPoint};
 use std::path::PathBuf;

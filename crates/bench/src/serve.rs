@@ -47,19 +47,18 @@
 //! but excluded from the summary; [`ServeReport::redacted`] zeroes them for
 //! golden comparisons.
 //!
-//! The legacy `throughput` binary's three ad-hoc parts live on as
-//! [`ServeMode::Ingest`], [`ServeMode::Pool`] and [`ServeMode::Select`],
-//! re-based onto the same arrival process so every subsystem is benchmarked
-//! on identical skewed traffic.
+//! Two subsystem slices run on the same arrival process, so each is
+//! benchmarked on identical skewed traffic: [`ServeMode::Ingest`] (shuffler
+//! engine, central-model ingest, model update, epoch assembly, secure
+//! aggregation) and [`ServeMode::Pool`] (bounded agent pool). Per-decision
+//! select latency is `benches/select.rs` and the `bandit.select` /
+//! `core.agent.select` layers of `bash benchmark/run.sh`.
 
-use crate::failure::BenchFailure;
+use crate::failure::{write_artifact, BenchFailure};
 use crate::histogram::{LatencyHistogram, LatencySummary};
 use crate::Scale;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use p2b_bandit::{
-    Action, CoalescedUpdate, ContextualPolicy, F32Scorer, IngestScratch, LinUcb, LinUcbConfig,
-    SelectScratch, SelectScratchF32,
-};
+use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
 use p2b_core::{
     AgentPool, AgentPoolConfig, AgentSource, CentralServer, ModelService, P2bConfig, P2bSystem,
     PoolStats, RewardJoinBuffer, SecureIngestService,
@@ -95,12 +94,10 @@ const LANE_LEGACY_REWARD: u64 = LANE_CONSUMER_BASE + 6;
 /// Which subsystem slice of the harness to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Single-decision LinUCB select throughput (legacy `--select`).
-    Select,
-    /// Shuffler-engine shard scaling + central-model ingest scaling (the
-    /// legacy default parts).
+    /// Shuffler-engine shard scaling, central-model ingest scaling, the
+    /// model update path, epoch assembly and secure aggregation.
     Ingest,
-    /// Bounded agent-pool serving throughput (legacy `--pool`).
+    /// Bounded agent-pool serving throughput.
     Pool,
     /// The closed-loop service: everything at once, with SLOs.
     Full,
@@ -111,7 +108,6 @@ impl ServeMode {
     #[must_use]
     pub fn parse(value: &str) -> Option<Self> {
         match value {
-            "select" => Some(ServeMode::Select),
             "ingest" => Some(ServeMode::Ingest),
             "pool" => Some(ServeMode::Pool),
             "full" => Some(ServeMode::Full),
@@ -123,25 +119,10 @@ impl ServeMode {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            ServeMode::Select => "select",
             ServeMode::Ingest => "ingest",
             ServeMode::Pool => "pool",
             ServeMode::Full => "full",
         }
-    }
-}
-
-/// Maps the legacy `throughput` binary's part-selection flags onto harness
-/// modes: `--pool` and `--select` run only their part, no flag runs the
-/// historical default sequence (engine+ingest, then pool, then select).
-#[must_use]
-pub fn legacy_throughput_modes(args: &[String]) -> Vec<ServeMode> {
-    if args.iter().any(|a| a == "--pool") {
-        vec![ServeMode::Pool]
-    } else if args.iter().any(|a| a == "--select") {
-        vec![ServeMode::Select]
-    } else {
-        vec![ServeMode::Ingest, ServeMode::Pool, ServeMode::Select]
     }
 }
 
@@ -1026,9 +1007,8 @@ pub fn print_full_report(report: &ServeReport) {
 }
 
 // ────────────────────────────────────────────────────────────────────────
-// Legacy subsystem modes (the absorbed `throughput` parts), re-based onto
-// the shared arrival process so every subsystem sees the same skewed
-// traffic shape.
+// Subsystem modes, driven by the shared arrival process so every subsystem
+// sees the same skewed traffic shape.
 // ────────────────────────────────────────────────────────────────────────
 
 /// Producer threads submitting concurrently in every legacy configuration.
@@ -1075,8 +1055,7 @@ struct BenchRecord {
     /// `"assemble"` (part 4).
     stage: String,
     /// `"sharded"` for the engine, `"sequential"`/`"coalesced"` for ingest,
-    /// `"reference"`/`"scratch"` for the update path,
-    /// `"from_scratch"`/`"incremental"` for epoch assembly.
+    /// `"scratch"` for the update path, `"incremental"` for epoch assembly.
     mode: String,
     shards: usize,
     /// Context dimension of the model under measurement.
@@ -1088,7 +1067,8 @@ struct BenchRecord {
     batches: usize,
     wall_secs: f64,
     reports_per_sec: f64,
-    /// Speedup over the stage's baseline at the same shape.
+    /// Speedup over the stage's first configuration (1.0 for the
+    /// single-configuration update and assembly stages).
     speedup: f64,
 }
 
@@ -1099,12 +1079,6 @@ struct BenchOutput {
     /// Mean reports per distinct `(code, action)` pair in the ingest stream
     /// — the code-reuse factor the coalescer exploits.
     ingest_code_reuse: f64,
-    /// Best scratch-path speedup over the reference model update path
-    /// across shapes (the bar the CI smoke job enforces).
-    best_update_speedup: f64,
-    /// Best incremental-assembly speedup over the from-scratch rebuild
-    /// under sparse single-arm flushes.
-    best_assemble_speedup: f64,
     records: Vec<BenchRecord>,
 }
 
@@ -1181,7 +1155,11 @@ struct EngineRun {
     released: usize,
 }
 
-fn run_engine(shards: usize, streams: &[Vec<RawReport>], batch_size: usize) -> EngineRun {
+fn run_engine(
+    shards: usize,
+    streams: &[Vec<RawReport>],
+    batch_size: usize,
+) -> Result<EngineRun, BenchFailure> {
     let engine = ShufflerEngine::builder(ShufflerConfig::new(THRESHOLD))
         .shards(shards)
         .batch_size(batch_size)
@@ -1212,8 +1190,10 @@ fn run_engine(shards: usize, streams: &[Vec<RawReport>], batch_size: usize) -> E
         .iter()
         .map(|b| b.batch.stats().received)
         .sum();
-    assert_eq!(received, total, "the engine must conserve every report");
-    EngineRun {
+    BenchFailure::ensure_invariant(received == total, || {
+        format!("the engine must conserve every report: {received} != {total}")
+    })?;
+    Ok(EngineRun {
         shards,
         wall_secs,
         reports_per_sec: total as f64 / wall_secs,
@@ -1223,7 +1203,7 @@ fn run_engine(shards: usize, streams: &[Vec<RawReport>], batch_size: usize) -> E
             .iter()
             .map(|b| b.batch.stats().released)
             .sum(),
-    }
+    })
 }
 
 /// Fits the k-means encoder the ingest benchmark's server validates against.
@@ -1270,7 +1250,7 @@ fn run_ingest(
     mode: &IngestMode,
     encoder: &Arc<dyn Encoder>,
     batches: &[ShuffledBatch],
-) -> (f64, u64) {
+) -> Result<(f64, u64), BenchFailure> {
     let shards = match mode {
         IngestMode::Sequential => 1,
         IngestMode::Coalesced { ingest_shards } => *ingest_shards,
@@ -1291,8 +1271,13 @@ fn run_ingest(
     // every dispatched update to be folded, so the timing covers the work.
     let model = server.model().expect("assembly succeeds");
     let wall = start.elapsed().as_secs_f64();
-    assert_eq!(model.observations(), accepted, "no update may be lost");
-    (wall, model_digest(model))
+    BenchFailure::ensure_invariant(model.observations() == accepted, || {
+        format!(
+            "no update may be lost: {} != {accepted}",
+            model.observations()
+        )
+    })?;
+    Ok((wall, model_digest(model)))
 }
 
 /// Deterministic coalesced-update batches at one model shape for the
@@ -1328,31 +1313,22 @@ fn update_batches(
         .collect()
 }
 
-/// Times one full replay of `batches` through a fresh model on the chosen
-/// update path; returns the wall time and the final model's digest (the
-/// correctness sink — both paths must land on the same digest).
+/// Times one full replay of `batches` through a fresh model; returns the
+/// wall time and the final model's digest (byte-diffed across runs in
+/// `BENCH_ingest_summary.json`).
 fn time_update_path(
     dimension: usize,
     actions: usize,
     batches: &[Vec<CoalescedUpdate>],
-    scratch: Option<&mut IngestScratch>,
+    scratch: &mut IngestScratch,
 ) -> (f64, u64) {
     let mut model =
         LinUcb::new(LinUcbConfig::new(dimension, actions)).expect("static shapes are valid");
     let start = Instant::now();
-    match scratch {
-        None => {
-            for batch in batches {
-                model.update_batch(batch).expect("updates are well-formed");
-            }
-        }
-        Some(scratch) => {
-            for batch in batches {
-                model
-                    .update_batch_with(batch, scratch)
-                    .expect("updates are well-formed");
-            }
-        }
+    for batch in batches {
+        model
+            .update_batch_with(batch, scratch)
+            .expect("updates are well-formed");
     }
     let wall = start.elapsed().as_secs_f64();
     (wall, model_digest(&model))
@@ -1360,15 +1336,13 @@ fn time_update_path(
 
 /// Times `epochs` sparse flush cycles against a [`ModelService`]: each
 /// epoch folds one single-report update into one arm and re-assembles the
-/// served model, either from scratch (the preserved reference) or
-/// incrementally over the dirty-arm union. Returns the wall time and the
+/// served model over the dirty-arm union. Returns the wall time and the
 /// final model's digest.
 fn time_assemble_path(
     dimension: usize,
     actions: usize,
     shards: usize,
     epochs: usize,
-    incremental: bool,
 ) -> (f64, u64) {
     let mut service = ModelService::spawn(LinUcbConfig::new(dimension, actions), shards)
         .expect("static shapes are valid");
@@ -1386,18 +1360,14 @@ fn time_assemble_path(
         .map(|arm| sparse_update(arm, &mut rng))
         .collect();
     service.ingest(warm).expect("service threads are healthy");
-    let mut model = service.assemble_with_dirty().expect("assembly succeeds").0;
+    let mut model = service.assemble().expect("assembly succeeds").0;
     let start = Instant::now();
     for epoch in 0..epochs {
         let update = sparse_update(epoch % actions, &mut rng);
         service
             .ingest(vec![update])
             .expect("service threads are healthy");
-        model = if incremental {
-            service.assemble_with_dirty().expect("assembly succeeds").0
-        } else {
-            service.assemble_reference().expect("assembly succeeds")
-        };
+        model = service.assemble().expect("assembly succeeds").0;
     }
     let wall = start.elapsed().as_secs_f64();
     (wall, model_digest(&model))
@@ -1411,12 +1381,10 @@ fn time_assemble_path(
 /// # Errors
 ///
 /// Returns [`BenchFailure::InvariantViolation`] when a determinism digest
-/// diverges across shard counts or code paths,
-/// [`BenchFailure::SloViolation`] when the update fast path regresses below
-/// its speedup floor, [`BenchFailure::Runtime`] when a pipeline under
-/// measurement fails outright, and [`BenchFailure::Io`] when an artifact
-/// cannot be written — each mapped to a distinct exit code by the
-/// `p2b-serve` binary.
+/// diverges across shard counts or a stage loses a report,
+/// [`BenchFailure::Runtime`] when a pipeline under measurement fails
+/// outright, and [`BenchFailure::Io`] when an artifact cannot be written —
+/// each mapped to a distinct exit code by the `p2b-serve` binary.
 pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -1444,7 +1412,7 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
 
     // Warm-up pass so allocator and page-cache effects do not favor the
     // later (multi-shard) runs.
-    let _ = run_engine(1, &streams, batch_size);
+    let _ = run_engine(1, &streams, batch_size)?;
 
     println!(
         "\n{:>7} {:>10} {:>14} {:>9} {:>10} {:>9}",
@@ -1452,7 +1420,7 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
     );
     let mut baseline = None;
     for shards in [1usize, 2, 4, 8] {
-        let result = run_engine(shards, &streams, batch_size);
+        let result = run_engine(shards, &streams, batch_size)?;
         let baseline_rate = *baseline.get_or_insert(result.reports_per_sec);
         let speedup = result.reports_per_sec / baseline_rate;
         println!(
@@ -1500,7 +1468,7 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
         &IngestMode::Sequential,
         &encoder,
         &batches[..1.min(batches.len())],
-    );
+    )?;
 
     let modes: [(&str, IngestMode); 4] = [
         ("sequential", IngestMode::Sequential),
@@ -1516,7 +1484,7 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
     let mut digest_records = Vec::new();
     let mut coalesced_digest: Option<u64> = None;
     for (name, mode) in &modes {
-        let (wall_secs, digest) = run_ingest(mode, &encoder, &batches);
+        let (wall_secs, digest) = run_ingest(mode, &encoder, &batches)?;
         let rate = ingest_total as f64 / wall_secs;
         let baseline_rate = *ingest_baseline.get_or_insert(rate);
         let speedup = rate / baseline_rate;
@@ -1574,24 +1542,22 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
          {coalesced_best:.2}x"
     );
 
-    // ── Part 3: model-level update path (reference vs arena scratch) ─────
-    // The wide shape is where the deferred per-arm arena sync pays: at 32
-    // arms the scatter stride makes the per-fold sync dominate the rank-1
-    // fold itself. The native 10-arm shape is recorded for honesty — the
-    // win there is real but smaller, because sync is cheaper at stride 10.
+    // ── Part 3: model-level update path ──────────────────────────────────
+    // Rank-k coalesced folds with the arena sync deferred to once per
+    // touched arm per batch, at the wide 32-arm shape (where the strided
+    // arena scatter is dearest) and the native 10-arm shape.
     let update_batch_len = scale.pick(256, 512, 1_024);
     let update_batch_count = scale.pick(64, 96, 128);
     let update_shapes: [(usize, usize); 2] = [(DIMENSION, 32), (DIMENSION, ACTIONS)];
-    println!("\nModel update path: per-update arena sync vs batch-deferred scratch sync");
+    println!("\nModel update path: batch-deferred scratch sync");
     println!(
         "{update_batch_count} coalesced batches of {update_batch_len} rank-k updates \
          per shape, d = {DIMENSION}"
     );
     println!(
-        "\n{:>10} {:>5} {:>8} {:>10} {:>14} {:>9}",
-        "path", "d", "actions", "wall (ms)", "updates/s", "speedup"
+        "\n{:>5} {:>8} {:>10} {:>14}",
+        "d", "actions", "wall (ms)", "updates/s"
     );
-    let mut best_update = 0.0f64;
     for (dimension, actions) in update_shapes {
         let batches = update_batches(
             dimension,
@@ -1602,84 +1568,46 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
         );
         let warmup = &batches[..(update_batch_count / 8).max(1)];
         let mut scratch = IngestScratch::new();
-        // Warm both paths so allocator and branch-predictor effects do not
-        // favor the later configuration.
-        let _ = time_update_path(dimension, actions, warmup, None);
-        let _ = time_update_path(dimension, actions, warmup, Some(&mut scratch));
-        let (ref_wall, ref_digest) = time_update_path(dimension, actions, &batches, None);
-        let (scratch_wall, scratch_digest) =
-            time_update_path(dimension, actions, &batches, Some(&mut scratch));
-        // The scratch path defers the arena sync but must land on the exact
-        // model bits of the reference path.
-        if ref_digest != scratch_digest {
-            return Err(BenchFailure::InvariantViolation(format!(
-                "scratch update path diverged from the reference \
-                 (d={dimension}, a={actions}: {scratch_digest:016x} != {ref_digest:016x})"
-            )));
-        }
+        let _ = time_update_path(dimension, actions, warmup, &mut scratch);
+        let (wall, digest) = time_update_path(dimension, actions, &batches, &mut scratch);
         let updates = update_batch_len * update_batch_count;
-        for (path, wall) in [("reference", ref_wall), ("scratch", scratch_wall)] {
-            let speedup = ref_wall / wall;
-            println!(
-                "{:>10} {:>5} {:>8} {:>10.1} {:>14.0} {:>8.2}x",
-                path,
-                dimension,
-                actions,
-                wall * 1e3,
-                updates as f64 / wall,
-                speedup
-            );
-            if path == "scratch" {
-                best_update = best_update.max(speedup);
-            }
-            records.push(BenchRecord {
-                stage: "update".to_owned(),
-                mode: path.to_owned(),
-                shards: 1,
-                dimension,
-                actions,
-                batch_size: update_batch_len,
-                reports: updates,
-                batches: update_batch_count,
-                wall_secs: wall,
-                reports_per_sec: updates as f64 / wall,
-                speedup,
-            });
-        }
+        println!(
+            "{:>5} {:>8} {:>10.1} {:>14.0}",
+            dimension,
+            actions,
+            wall * 1e3,
+            updates as f64 / wall
+        );
+        records.push(BenchRecord {
+            stage: "update".to_owned(),
+            mode: "scratch".to_owned(),
+            shards: 1,
+            dimension,
+            actions,
+            batch_size: update_batch_len,
+            reports: updates,
+            batches: update_batch_count,
+            wall_secs: wall,
+            reports_per_sec: updates as f64 / wall,
+            speedup: 1.0,
+        });
         digest_records.push(IngestDigestRecord {
             stage: "update".to_owned(),
             mode: format!("d{dimension}a{actions}"),
             shards: 1,
-            digest: format!("{ref_digest:016x}"),
+            digest: format!("{digest:016x}"),
         });
     }
-    println!(
-        "\nbest scratch update speedup over the per-update reference path: \
-         {best_update:.2}x"
-    );
-    // The speedup bar CI's smoke job enforces. Deferring the theta solve
-    // and the strided arena scatter to once per touched arm per batch
-    // clears this with margin at the wide shape on any hardware.
-    if best_update < 2.0 {
-        return Err(BenchFailure::SloViolation(format!(
-            "update fast path regressed below the 2x floor over the reference \
-             path (best {best_update:.2}x)"
-        )));
-    }
 
-    // ── Part 4: epoch assembly (from-scratch rebuild vs dirty-arm merge) ─
+    // ── Part 4: epoch assembly under sparse flushes ──────────────────────
     let assemble_epochs = scale.pick(512, 2_048, 8_192);
     let assemble_actions = 32usize;
-    println!("\nEpoch assembly under sparse flushes: full rebuild vs dirty-arm re-merge");
+    println!("\nEpoch assembly under sparse flushes: dirty-arm re-merge");
     println!(
         "{assemble_epochs} single-arm flush epochs, d = {DIMENSION}, \
          {assemble_actions} actions"
     );
-    println!(
-        "\n{:>12} {:>7} {:>10} {:>14} {:>9}",
-        "path", "shards", "wall (ms)", "epochs/s", "speedup"
-    );
-    let mut best_assemble = 0.0f64;
+    println!("\n{:>7} {:>10} {:>14}", "shards", "wall (ms)", "epochs/s");
     for shards in [1usize, 4] {
         // Warm-up at a fraction of the epoch count.
         let _ = time_assemble_path(
@@ -1687,57 +1615,35 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
             assemble_actions,
             shards,
             (assemble_epochs / 8).max(1),
-            false,
         );
-        let (ref_wall, ref_digest) =
-            time_assemble_path(DIMENSION, assemble_actions, shards, assemble_epochs, false);
-        let (inc_wall, inc_digest) =
-            time_assemble_path(DIMENSION, assemble_actions, shards, assemble_epochs, true);
-        // Incremental assembly must serve the exact bits of the rebuild.
-        if ref_digest != inc_digest {
-            return Err(BenchFailure::InvariantViolation(format!(
-                "incremental assembly diverged from the from-scratch rebuild \
-                 (shards = {shards}: {inc_digest:016x} != {ref_digest:016x})"
-            )));
-        }
-        for (path, wall) in [("from_scratch", ref_wall), ("incremental", inc_wall)] {
-            let speedup = ref_wall / wall;
-            println!(
-                "{:>12} {:>7} {:>10.1} {:>14.0} {:>8.2}x",
-                path,
-                shards,
-                wall * 1e3,
-                assemble_epochs as f64 / wall,
-                speedup
-            );
-            if path == "incremental" {
-                best_assemble = best_assemble.max(speedup);
-            }
-            records.push(BenchRecord {
-                stage: "assemble".to_owned(),
-                mode: path.to_owned(),
-                shards,
-                dimension: DIMENSION,
-                actions: assemble_actions,
-                batch_size: 1,
-                reports: assemble_epochs,
-                batches: assemble_epochs,
-                wall_secs: wall,
-                reports_per_sec: assemble_epochs as f64 / wall,
-                speedup,
-            });
-        }
+        let (wall, digest) =
+            time_assemble_path(DIMENSION, assemble_actions, shards, assemble_epochs);
+        println!(
+            "{:>7} {:>10.1} {:>14.0}",
+            shards,
+            wall * 1e3,
+            assemble_epochs as f64 / wall
+        );
+        records.push(BenchRecord {
+            stage: "assemble".to_owned(),
+            mode: "incremental".to_owned(),
+            shards,
+            dimension: DIMENSION,
+            actions: assemble_actions,
+            batch_size: 1,
+            reports: assemble_epochs,
+            batches: assemble_epochs,
+            wall_secs: wall,
+            reports_per_sec: assemble_epochs as f64 / wall,
+            speedup: 1.0,
+        });
         digest_records.push(IngestDigestRecord {
             stage: "assemble".to_owned(),
             mode: "sparse_flush".to_owned(),
             shards,
-            digest: format!("{ref_digest:016x}"),
+            digest: format!("{digest:016x}"),
         });
     }
-    println!(
-        "\nbest incremental assembly speedup over the from-scratch rebuild: \
-         {best_assemble:.2}x"
-    );
 
     // ── Part 5: secure-aggregation ingest (split → shard-fold → recombine) ─
     // The same coalesced traffic replayed through the fixed-point additive
@@ -1842,13 +1748,10 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
         scale: format!("{scale:?}").to_lowercase(),
         hardware_threads: cores,
         ingest_code_reuse: reuse,
-        best_update_speedup: best_update,
-        best_assemble_speedup: best_assemble,
         records,
     };
     let json = serde_json::to_string_pretty(&output).expect("records serialize");
-    std::fs::write("BENCH_ingest.json", json)
-        .map_err(|e| BenchFailure::Io(format!("BENCH_ingest.json: {e}")))?;
+    write_artifact("BENCH_ingest.json", &json)?;
     println!("machine-readable results written to BENCH_ingest.json");
 
     let summary = IngestSummary {
@@ -1860,8 +1763,7 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
         records: digest_records,
     };
     let json = serde_json::to_string_pretty(&summary).expect("records serialize");
-    std::fs::write("BENCH_ingest_summary.json", json)
-        .map_err(|e| BenchFailure::Io(format!("BENCH_ingest_summary.json: {e}")))?;
+    write_artifact("BENCH_ingest_summary.json", &json)?;
     println!("deterministic model digests written to BENCH_ingest_summary.json");
     Ok(())
 }
@@ -1914,7 +1816,7 @@ struct PoolRun {
 /// checkout + selection + local reward fold + checkin; reports funneled
 /// through the pool are drained (and dropped) every 1024 operations, like a
 /// serving loop handing them to the shuffler engine.
-fn run_pool(budget: Option<usize>, shards: usize, keys: &[u64]) -> PoolRun {
+fn run_pool(budget: Option<usize>, shards: usize, keys: &[u64]) -> Result<PoolRun, BenchFailure> {
     let mut system = pool_system();
     let mut pool = AgentPool::new(AgentPoolConfig {
         max_resident_agents: budget,
@@ -1942,25 +1844,30 @@ fn run_pool(budget: Option<usize>, shards: usize, keys: &[u64]) -> PoolRun {
     peak_bytes = peak_bytes.max(pool.approx_model_bytes().0);
     let wall_secs = start.elapsed().as_secs_f64();
     if let Some(budget) = budget {
-        assert!(
-            max_resident <= budget,
-            "memory ceiling violated: {max_resident} resident > budget {budget}"
-        );
+        BenchFailure::ensure_invariant(max_resident <= budget, || {
+            format!("memory ceiling violated: {max_resident} resident > budget {budget}")
+        })?;
     }
     let stats = pool.stats();
-    PoolRun {
+    Ok(PoolRun {
         wall_secs,
         evictions: stats.evictions,
         rehydrations: stats.rehydrations,
         hit_rate: stats.hits as f64 / (stats.hits + stats.misses()).max(1) as f64,
         max_resident,
         peak_bytes,
-    }
+    })
 }
 
-/// Legacy part 3: bounded agent-pool serving over the shared skewed arrival
-/// stream, written to `BENCH_pool.json`.
-pub fn run_pool_mode(scale: Scale) {
+/// Bounded agent-pool serving over the shared skewed arrival stream, written
+/// to `BENCH_pool.json`.
+///
+/// # Errors
+///
+/// Returns [`BenchFailure::InvariantViolation`] when a bounded pool exceeds
+/// its residency budget and [`BenchFailure::Io`] when `BENCH_pool.json`
+/// cannot be written.
+pub fn run_pool_mode(scale: Scale) -> Result<(), BenchFailure> {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -2001,7 +1908,7 @@ pub fn run_pool_mode(scale: Scale) {
         (Some(4), 1),
     ];
     for (budget, shards) in configurations {
-        let run = run_pool(budget, shards, &keys);
+        let run = run_pool(budget, shards, &keys)?;
         let rate = ops as f64 / run.wall_secs;
         let baseline_rate = *baseline.get_or_insert(rate);
         let speedup = rate / baseline_rate;
@@ -2046,217 +1953,9 @@ pub fn run_pool_mode(scale: Scale) {
         records,
     };
     let json = serde_json::to_string_pretty(&output).expect("records serialize");
-    std::fs::write("BENCH_pool.json", json).expect("benchmark artifact is writable");
+    write_artifact("BENCH_pool.json", &json)?;
     println!("machine-readable results written to BENCH_pool.json");
-}
-
-/// One measured scoring path at one model shape, serialized into
-/// `BENCH_select.json`.
-#[derive(Debug, Serialize)]
-struct SelectBenchRecord {
-    /// `"reference"`, `"arena_f64"` or `"arena_f32"`.
-    path: String,
-    dimension: usize,
-    actions: usize,
-    selects: usize,
-    wall_secs: f64,
-    ns_per_select: f64,
-    /// Speedup over the scalar reference path at the same shape.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct SelectBenchOutput {
-    scale: String,
-    hardware_threads: usize,
-    /// Best arena-f64 speedup over the scalar reference across shapes.
-    best_speedup_f64: f64,
-    /// Best f32-tier speedup over the scalar reference across shapes.
-    best_speedup_f32: f64,
-    records: Vec<SelectBenchRecord>,
-}
-
-fn select_context(dimension: usize, rng: &mut StdRng) -> Vector {
-    let raw: Vec<f64> = (0..dimension).map(|_| rng.gen_range(0.0f64..1.0)).collect();
-    Vector::from(raw).normalized_l1().expect("non-empty")
-}
-
-/// Pre-trains a model so every path scores non-trivial statistics.
-fn select_model(dimension: usize, actions: usize, rounds: usize) -> LinUcb {
-    let mut rng = StdRng::seed_from_u64(dimension as u64 * 31 + actions as u64);
-    let mut policy = LinUcb::new(LinUcbConfig::new(dimension, actions)).expect("shape is valid");
-    for _ in 0..rounds {
-        let ctx = select_context(dimension, &mut rng);
-        let action = policy
-            .select_action(&ctx, &mut rng)
-            .expect("context is well-formed");
-        policy
-            .update(&ctx, action, f64::from(rng.gen_range(0..2u8)))
-            .expect("context is well-formed");
-    }
-    policy
-}
-
-/// Times `selects` single decisions over a cycled context set; returns the
-/// wall time and the sum of chosen action indices (the correctness sink —
-/// paths that must agree bit-for-bit must produce the same sum).
-fn time_selects<F>(contexts: &[Vector], selects: usize, mut select_one: F) -> (f64, u64)
-where
-    F: FnMut(&Vector) -> usize,
-{
-    let mut sink = 0u64;
-    let start = Instant::now();
-    for i in 0..selects {
-        let ctx = std::hint::black_box(&contexts[i % contexts.len()]);
-        sink = sink.wrapping_add(select_one(ctx) as u64);
-    }
-    (start.elapsed().as_secs_f64(), std::hint::black_box(sink))
-}
-
-/// Legacy part 4: single-decision LinUCB select throughput across the three
-/// scoring paths, written to `BENCH_select.json`.
-pub fn run_select_mode(scale: Scale) {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let shapes: [(usize, usize); 3] = [(10, 10), (16, 50), (32, 100)];
-    let rounds = scale.pick(200, 500, 1_000);
-    let selects = scale.pick(5_000, 50_000, 200_000);
-    let distinct_contexts = 64usize;
-
-    println!("\nSingle-decision LinUCB select throughput: scalar reference vs flat arena");
-    println!(
-        "{selects} selects per path over {distinct_contexts} contexts, \
-         models pre-trained for {rounds} rounds"
-    );
-    println!(
-        "\n{:>10} {:>5} {:>8} {:>10} {:>12} {:>12} {:>9}",
-        "path", "d", "actions", "wall (ms)", "ns/select", "selects/s", "speedup"
-    );
-
-    let mut records = Vec::new();
-    let mut best_f64 = 0.0f64;
-    let mut best_f32 = 0.0f64;
-    for (dimension, actions) in shapes {
-        let policy = select_model(dimension, actions, rounds);
-        let scorer = F32Scorer::new(&policy);
-        let mut ctx_rng = StdRng::seed_from_u64(13);
-        let contexts: Vec<Vector> = (0..distinct_contexts)
-            .map(|_| select_context(dimension, &mut ctx_rng))
-            .collect();
-        // Warm-up pass per path so page-cache/branch-predictor effects do
-        // not favor the later configurations.
-        let warmup = (selects / 10).max(1);
-
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = time_selects(&contexts, warmup, |ctx| {
-            policy
-                .select_action_reference(ctx, &mut rng)
-                .expect("context is well-formed")
-                .index()
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        let (ref_wall, ref_sink) = time_selects(&contexts, selects, |ctx| {
-            policy
-                .select_action_reference(ctx, &mut rng)
-                .expect("context is well-formed")
-                .index()
-        });
-
-        let mut scratch = SelectScratch::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = time_selects(&contexts, warmup, |ctx| {
-            policy
-                .select_action_with(ctx, &mut rng, &mut scratch)
-                .expect("context is well-formed")
-                .index()
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        let (f64_wall, f64_sink) = time_selects(&contexts, selects, |ctx| {
-            policy
-                .select_action_with(ctx, &mut rng, &mut scratch)
-                .expect("context is well-formed")
-                .index()
-        });
-        // The arena path is bit-identical to the reference: same seeds must
-        // give the same action stream.
-        assert_eq!(
-            ref_sink, f64_sink,
-            "arena f64 path diverged from the scalar reference (d={dimension}, a={actions})"
-        );
-
-        let mut scratch32 = SelectScratchF32::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let _ = time_selects(&contexts, warmup, |ctx| {
-            scorer
-                .select_action_with(ctx, &mut rng, &mut scratch32)
-                .expect("context is well-formed")
-                .index()
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        let (f32_wall, _) = time_selects(&contexts, selects, |ctx| {
-            scorer
-                .select_action_with(ctx, &mut rng, &mut scratch32)
-                .expect("context is well-formed")
-                .index()
-        });
-
-        for (path, wall) in [
-            ("reference", ref_wall),
-            ("arena_f64", f64_wall),
-            ("arena_f32", f32_wall),
-        ] {
-            let speedup = ref_wall / wall;
-            println!(
-                "{:>10} {:>5} {:>8} {:>10.1} {:>12.1} {:>12.0} {:>8.2}x",
-                path,
-                dimension,
-                actions,
-                wall * 1e3,
-                wall * 1e9 / selects as f64,
-                selects as f64 / wall,
-                speedup
-            );
-            match path {
-                "arena_f64" => best_f64 = best_f64.max(speedup),
-                "arena_f32" => best_f32 = best_f32.max(speedup),
-                _ => {}
-            }
-            records.push(SelectBenchRecord {
-                path: path.to_owned(),
-                dimension,
-                actions,
-                selects,
-                wall_secs: wall,
-                ns_per_select: wall * 1e9 / selects as f64,
-                speedup,
-            });
-        }
-    }
-
-    println!(
-        "\nbest select speedup over the scalar reference: \
-         {best_f64:.2}x (f64 arena), {best_f32:.2}x (f32 tier)"
-    );
-    // The speedup bar CI's smoke job enforces. The arena removes the
-    // per-arm allocations and the redundant θ solve, so even the quick
-    // scale clears this with a wide margin on any hardware; the acceptance
-    // target (≥ 5× at the wide shapes) is recorded in the JSON artifact.
-    assert!(
-        best_f64.max(best_f32) >= 2.0,
-        "select fast path regressed below the 2x floor over the scalar reference"
-    );
-
-    let output = SelectBenchOutput {
-        scale: format!("{scale:?}").to_lowercase(),
-        hardware_threads: cores,
-        best_speedup_f64: best_f64,
-        best_speedup_f32: best_f32,
-        records,
-    };
-    let json = serde_json::to_string_pretty(&output).expect("records serialize");
-    std::fs::write("BENCH_select.json", json).expect("benchmark artifact is writable");
-    println!("machine-readable results written to BENCH_select.json");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -2265,37 +1964,10 @@ mod tests {
 
     #[test]
     fn mode_parsing_round_trips() {
-        for mode in [
-            ServeMode::Select,
-            ServeMode::Ingest,
-            ServeMode::Pool,
-            ServeMode::Full,
-        ] {
+        for mode in [ServeMode::Ingest, ServeMode::Pool, ServeMode::Full] {
             assert_eq!(ServeMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(ServeMode::parse("bogus"), None);
-    }
-
-    #[test]
-    fn legacy_flags_map_to_modes() {
-        let args = |list: &[&str]| list.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
-        assert_eq!(
-            legacy_throughput_modes(&args(&["--pool"])),
-            vec![ServeMode::Pool]
-        );
-        assert_eq!(
-            legacy_throughput_modes(&args(&["--select"])),
-            vec![ServeMode::Select]
-        );
-        assert_eq!(
-            legacy_throughput_modes(&args(&[])),
-            vec![ServeMode::Ingest, ServeMode::Pool, ServeMode::Select]
-        );
-        // `--pool` wins when both are passed, matching the old binary.
-        assert_eq!(
-            legacy_throughput_modes(&args(&["--pool", "--select"])),
-            vec![ServeMode::Pool]
-        );
     }
 
     #[test]

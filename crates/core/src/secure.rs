@@ -262,31 +262,14 @@ impl SecureIngestService {
             let reward_vector = Vector::from(decoded[d * d..d * d + d].to_vec());
             let pulls = decoded[d * d + d].round().max(0.0) as u64;
             // The decoded Gram is PSD up to ~2⁻⁴⁸ quantization, so λI
-            // almost always suffices; the escalating shift mirrors the
-            // central curator's repair and terminates quickly if rounding
+            // almost always suffices; the repair only escalates if rounding
             // ever tips an eigenvalue negative.
-            let mut boost = 0.0f64;
-            let statistics_for_arm = loop {
-                let mut design = gram.clone();
-                for i in 0..d {
-                    design.set(i, i, design.get(i, i) + self.config.regularizer + boost);
-                }
-                match p2b_linalg::RankOneInverse::from_matrix(&design) {
-                    Ok(_) => {
-                        break ArmStatistics {
-                            design,
-                            reward_vector: reward_vector.clone(),
-                            pulls,
-                        }
-                    }
-                    Err(e) if boost < 1e12 => {
-                        let _ = e;
-                        boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
-                    }
-                    Err(e) => return Err(CoreError::Linalg(e)),
-                }
-            };
-            statistics.push(statistics_for_arm);
+            statistics.push(ArmStatistics::with_ridge_repair(
+                &gram,
+                reward_vector,
+                pulls,
+                self.config.regularizer,
+            )?);
         }
         Ok(LinUcb::from_sufficient_statistics(
             self.config,
@@ -363,11 +346,11 @@ mod tests {
             let mut pulls = 0u64;
             for u in updates.iter().filter(|u| u.action().index() == arm) {
                 let n = u.count() as f64;
-                for i in 0..2 {
+                for (i, slot) in reward.iter_mut().enumerate() {
                     for j in 0..2 {
                         design.set(i, j, design.get(i, j) + n * u.context()[i] * u.context()[j]);
                     }
-                    reward[i] += u.reward_sum() * u.context()[i];
+                    *slot += u.reward_sum() * u.context()[i];
                 }
                 pulls += u.count();
             }

@@ -123,13 +123,12 @@ impl CentralServer {
 
     /// Ensures the epoch's snapshot exists and returns a borrow of it.
     ///
-    /// Since the incremental-assembly refactor the backing
-    /// [`ModelService::assemble`] re-merges only the arms dirtied since the
-    /// previous assembly, so the per-epoch refresh cost scales with how many
-    /// arms the epoch's flushes actually touched.
+    /// The backing [`ModelService::assemble`] re-merges only the arms dirtied
+    /// since the previous assembly, so the per-epoch refresh cost scales with
+    /// how many arms the epoch's flushes actually touched.
     fn refresh_snapshot(&mut self) -> Result<&Arc<ModelSnapshot>, CoreError> {
         if self.cached.is_none() {
-            let model = self.service.assemble()?;
+            let (model, _dirty) = self.service.assemble()?;
             self.cached = Some(Arc::new(ModelSnapshot::new(self.epoch, model)));
         }
         self.cached

@@ -22,7 +22,7 @@
 //! * **Coalescing** — every report sharing a code shares the same context
 //!   vector, so a batch of `N` reports over `K` distinct `(code, action)`
 //!   pairs becomes `K` weighted rank-1 updates
-//!   ([`p2b_bandit::LinUcb::update_batch`]) instead of `N` plain ones.
+//!   ([`p2b_bandit::LinUcb::update_batch_with`]) instead of `N` plain ones.
 //! * **Action sharding** — disjoint-arm LinUCB keeps per-arm statistics
 //!   that never interact, so partitioning updates by `action % M` across
 //!   `M` worker threads is an *exact* parallelization: no locks, no
@@ -101,10 +101,10 @@ impl ModelSnapshot {
 }
 
 /// A shard's reply to a snapshot request: its model plus the arms it has
-/// folded updates into since the dirty set was last taken.
+/// folded updates into since the previous successful snapshot.
 struct ShardState {
     model: LinUcb,
-    /// Sorted arm indices this shard mutated since the last taking snapshot.
+    /// Sorted arm indices this shard mutated since the previous snapshot.
     dirty: Vec<usize>,
 }
 
@@ -114,13 +114,10 @@ enum ShardCommand {
     /// shard model, in order.
     Apply(Vec<CoalescedUpdate>),
     /// Reply with a clone of the shard model and its dirty-arm set — or the
-    /// first update error the shard ever hit, if any. When `take_dirty` is
-    /// set the shard clears its dirty tracking after replying (the requester
-    /// is consuming the set to re-merge exactly those arms).
-    Snapshot {
-        reply: Sender<Result<ShardState, BanditError>>,
-        take_dirty: bool,
-    },
+    /// first update error the shard ever hit, if any. A successful reply
+    /// clears the shard's dirty tracking: the requester consumes the set to
+    /// re-merge exactly those arms.
+    Snapshot(Sender<Result<ShardState, BanditError>>),
 }
 
 /// One ingest shard: a worker thread owning the LinUCB arms whose action
@@ -133,7 +130,7 @@ struct IngestShard {
 /// The worker loop: apply update runs in FIFO order through the fast
 /// scratch-threaded batch path (arena synced once per touched arm per
 /// batch), remember the first internal failure, track which arms were
-/// folded since the last taking snapshot, answer snapshot requests.
+/// folded since the previous snapshot, answer snapshot requests.
 fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
     let num_actions = model.config().num_actions;
     let mut scratch = IngestScratch::new();
@@ -155,7 +152,7 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
                     }
                 }
             }
-            ShardCommand::Snapshot { reply, take_dirty } => {
+            ShardCommand::Snapshot(reply) => {
                 let response = match &failure {
                     Some(error) => Err(error.clone()),
                     None => Ok(ShardState {
@@ -167,7 +164,7 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
                             .collect(),
                     }),
                 };
-                if take_dirty && failure.is_none() {
+                if failure.is_none() {
                     dirty.iter_mut().for_each(|flag| *flag = false);
                 }
                 // A dropped reply receiver just means the requester went
@@ -288,16 +285,13 @@ impl ModelService {
 
     /// Requests a state snapshot from every shard and collects the replies
     /// in shard-index order.
-    fn collect_shards(&self, take_dirty: bool) -> Result<Vec<ShardState>, CoreError> {
+    fn collect_shards(&self) -> Result<Vec<ShardState>, CoreError> {
         let mut replies = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let (tx, rx) = unbounded();
             shard
                 .commands
-                .send(ShardCommand::Snapshot {
-                    reply: tx,
-                    take_dirty,
-                })
+                .send(ShardCommand::Snapshot(tx))
                 .map_err(|_| CoreError::InvalidConfig {
                     parameter: "model_service",
                     message: "ingest shard worker has shut down".to_owned(),
@@ -318,22 +312,10 @@ impl ModelService {
         Ok(states)
     }
 
-    /// Synchronizes with every ingest shard and assembles the current
-    /// central model, re-merging only the arms some shard folded since the
-    /// previous assembly (see [`ModelService::assemble_with_dirty`]).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the first internal update error any shard encountered, or a
-    /// shard shutdown. Both indicate a bug rather than bad input: every
-    /// update is validated before dispatch.
-    pub fn assemble(&mut self) -> Result<LinUcb, CoreError> {
-        self.assemble_with_dirty().map(|(model, _)| model)
-    }
-
-    /// Incremental epoch assembly: synchronizes with every ingest shard,
-    /// re-merges only the dirty arms into the persistent assembled model,
-    /// and returns the model together with the sorted dirty-arm union.
+    /// Epoch assembly: synchronizes with every ingest shard (the FIFO
+    /// command queues guarantee all prior ingests are folded), re-merges only
+    /// the dirty arms into the persistent assembled model, and returns the
+    /// model together with the sorted dirty-arm union.
     ///
     /// The first call performs a full from-scratch rebuild (`LinUcb::new` +
     /// per-shard [`LinUcb::merge`] in shard-index order) — exactly the
@@ -342,25 +324,26 @@ impl ModelService {
     /// call resets each dirty arm to cold and re-merges that arm from every
     /// shard in shard order ([`LinUcb::reset_arm`] + [`LinUcb::merge_arm`]),
     /// which runs the identical per-arm arithmetic the full rebuild would —
-    /// so the assembled model is bit-identical to a from-scratch rebuild
-    /// ([`ModelService::assemble_reference`]) at every epoch, while the
-    /// assembly cost scales with the number of *dirty* arms, not the number
-    /// of arms. Publication piggybacks on this: `LinUcb` stores its arms
-    /// behind per-arm `Arc`s, so the returned clone shares every clean arm's
-    /// storage with the previous epoch's snapshot.
+    /// so the assembled model is bit-identical to a from-scratch rebuild at
+    /// every epoch (the `assembly_equivalence` suite rebuilds that oracle
+    /// from public API), while the assembly cost scales with the number of
+    /// *dirty* arms, not the number of arms. Publication piggybacks on this:
+    /// `LinUcb` stores its arms behind per-arm `Arc`s, so the returned clone
+    /// shares every clean arm's storage with the previous epoch's snapshot.
     ///
     /// An arm appears in the dirty union iff some shard folded an update
-    /// into it since the previous taking assembly (the conservation
-    /// property pinned by the `assembly_equivalence` suite).
+    /// into it since the previous assembly (the conservation property pinned
+    /// by the `assembly_equivalence` suite).
     ///
     /// # Errors
     ///
-    /// Same contract as [`ModelService::assemble`]. If an incremental
-    /// re-merge fails partway, the persistent model is discarded so the next
-    /// assembly falls back to a full rebuild instead of serving a
-    /// half-merged state.
-    pub fn assemble_with_dirty(&mut self) -> Result<(LinUcb, Vec<usize>), CoreError> {
-        let states = self.collect_shards(true)?;
+    /// Surfaces the first internal update error any shard encountered, or a
+    /// shard shutdown. Both indicate a bug rather than bad input: every
+    /// update is validated before dispatch. If an incremental re-merge fails
+    /// partway, the persistent model is discarded so the next assembly falls
+    /// back to a full rebuild instead of serving a half-merged state.
+    pub fn assemble(&mut self) -> Result<(LinUcb, Vec<usize>), CoreError> {
+        let states = self.collect_shards()?;
         let mut dirty: Vec<usize> = states
             .iter()
             .flat_map(|state| state.dirty.iter().copied())
@@ -401,26 +384,6 @@ impl ModelService {
             })?
             .clone();
         Ok((model, dirty))
-    }
-
-    /// From-scratch reference assembly: merges every shard model into a cold
-    /// model in shard-index order, without touching the persistent
-    /// incremental state or the shards' dirty tracking.
-    ///
-    /// This is the historical assembly path, preserved as the bit-exact
-    /// reference the incremental path is pinned against (and the baseline
-    /// the ingest benchmark measures assembly speedups from).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ModelService::assemble`].
-    pub fn assemble_reference(&self) -> Result<LinUcb, CoreError> {
-        let states = self.collect_shards(false)?;
-        let mut assembled = LinUcb::new(self.config)?;
-        for state in &states {
-            assembled.merge(&state.model)?;
-        }
-        Ok(assembled)
     }
 }
 
@@ -471,7 +434,7 @@ mod tests {
     fn empty_service_assembles_a_cold_model() {
         let mut service = ModelService::spawn(LinUcbConfig::new(2, 3), 2).unwrap();
         assert_eq!(service.shards(), 2);
-        let model = service.assemble().unwrap();
+        let (model, _) = service.assemble().unwrap();
         assert_eq!(model.observations(), 0);
         assert_eq!(model.context_dimension(), 2);
     }
@@ -489,7 +452,7 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let mut service = ModelService::spawn(LinUcbConfig::new(2, 4), shards).unwrap();
             service.ingest(updates.clone()).unwrap();
-            assembled.push(service.assemble().unwrap());
+            assembled.push(service.assemble().unwrap().0);
         }
         for model in &assembled[1..] {
             for action in 0..4 {
@@ -522,7 +485,7 @@ mod tests {
         service
             .ingest(vec![update(0, 6, 3.0), update(1, 2, 2.0)])
             .unwrap();
-        let model = service.assemble().unwrap();
+        let (model, _) = service.assemble().unwrap();
         assert_eq!(model.pulls(Action::new(0)).unwrap(), 10);
         assert_eq!(model.pulls(Action::new(1)).unwrap(), 2);
         assert_eq!(model.observations(), 12);
@@ -542,7 +505,7 @@ mod tests {
                 update(3, 1, 1.0),
             ])
             .unwrap();
-        let snapshot = ModelSnapshot::new(1, service.assemble().unwrap());
+        let snapshot = ModelSnapshot::new(1, service.assemble().unwrap().0);
 
         // Lazy + memoized: both calls hand back the same derived scorer.
         let first = snapshot.f32_scorer() as *const _;

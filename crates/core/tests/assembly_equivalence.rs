@@ -1,21 +1,20 @@
 //! Equivalence pins for the incremental epoch assembly.
 //!
-//! Since the dirty-arm refactor the [`ModelService`] keeps a persistent
-//! assembled model and re-merges only the arms some shard folded updates
-//! into since the previous assembly. Two properties make that safe, and both
-//! are pinned here over random workloads:
+//! The [`ModelService`] keeps a persistent assembled model and re-merges
+//! only the arms some shard folded updates into since the previous assembly.
+//! Two properties make that safe, and both are pinned here over random
+//! workloads:
 //!
 //! 1. **Bit-identity** — at every epoch, on every shard count, the
-//!    incremental [`ModelService::assemble_with_dirty`] must equal the
-//!    preserved from-scratch [`ModelService::assemble_reference`] bit for
+//!    incremental [`ModelService::assemble`] must equal a from-scratch
+//!    rebuild ([`FromScratchOracle`], built from public API alone) bit for
 //!    bit (designs, reward vectors, pulls, thetas), and must be independent
 //!    of the shard count.
 //! 2. **Dirty-set conservation** — an arm appears in the returned dirty
 //!    union iff some shard folded an update into it since the previous
-//!    taking assembly (the first assembly reports everything dirtied since
-//!    spawn).
+//!    assembly (the first assembly reports everything dirtied since spawn).
 
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcbConfig};
+use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
 use p2b_core::ModelService;
 use p2b_linalg::Vector;
 use proptest::prelude::*;
@@ -44,7 +43,49 @@ fn random_updates(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<Coale
         .collect()
 }
 
-fn check_bit_identical(left: &p2b_bandit::LinUcb, right: &p2b_bandit::LinUcb) {
+/// The from-scratch assembly the incremental path is pinned against: one
+/// mirror model per ingest shard, fed the `action % M` partition of every
+/// ingest through the same batch fold the shard workers run, merged into a
+/// cold model in shard order on every assembly.
+struct FromScratchOracle {
+    config: LinUcbConfig,
+    shards: Vec<LinUcb>,
+    scratch: IngestScratch,
+}
+
+impl FromScratchOracle {
+    fn new(config: LinUcbConfig, shards: usize) -> Self {
+        Self {
+            config,
+            shards: (0..shards).map(|_| LinUcb::new(config).unwrap()).collect(),
+            scratch: IngestScratch::new(),
+        }
+    }
+
+    fn ingest(&mut self, updates: &[CoalescedUpdate]) {
+        let count = self.shards.len();
+        for (index, shard) in self.shards.iter_mut().enumerate() {
+            let partition: Vec<CoalescedUpdate> = updates
+                .iter()
+                .filter(|update| update.action().index() % count == index)
+                .cloned()
+                .collect();
+            shard
+                .update_batch_with(&partition, &mut self.scratch)
+                .unwrap();
+        }
+    }
+
+    fn assemble(&self) -> LinUcb {
+        let mut assembled = LinUcb::new(self.config).unwrap();
+        for shard in &self.shards {
+            assembled.merge(shard).unwrap();
+        }
+        assembled
+    }
+}
+
+fn check_bit_identical(left: &LinUcb, right: &LinUcb) {
     let a = left.config().num_actions;
     assert_eq!(left.observations(), right.observations());
     for arm in 0..a {
@@ -86,8 +127,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Across interleaved ingest/assemble epochs and shard counts {1, 2, 4},
-    /// the incremental assembly equals the from-scratch reference rebuild
-    /// bit for bit, and all shard counts agree with each other.
+    /// the incremental assembly equals the from-scratch oracle rebuild bit
+    /// for bit, and all shard counts agree with each other.
     #[test]
     fn incremental_assembly_matches_the_reference_at_every_epoch(
         seed in any::<u64>(),
@@ -95,22 +136,26 @@ proptest! {
         a in 1usize..7,
         epochs in 1usize..5,
     ) {
-        let mut services: Vec<ModelService> = [1usize, 2, 4]
+        let config = LinUcbConfig::new(d, a);
+        let mut services: Vec<(ModelService, FromScratchOracle)> = [1usize, 2, 4]
             .iter()
-            .map(|&shards| ModelService::spawn(LinUcbConfig::new(d, a), shards).unwrap())
+            .map(|&shards| {
+                (
+                    ModelService::spawn(config, shards).unwrap(),
+                    FromScratchOracle::new(config, shards),
+                )
+            })
             .collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for epoch in 0..epochs {
             let len = rng.gen_range(1usize..12);
             let updates = random_updates(d, a, len, &mut rng);
             let mut assembled_per_shard_count = Vec::new();
-            for service in &mut services {
+            for (service, oracle) in &mut services {
                 service.ingest(updates.clone()).unwrap();
-                // The reference is taken first: it must not consume the
-                // shards' dirty tracking.
-                let reference = service.assemble_reference().unwrap();
-                let (incremental, _) = service.assemble_with_dirty().unwrap();
-                check_bit_identical(&reference, &incremental);
+                oracle.ingest(&updates);
+                let (incremental, _) = service.assemble().unwrap();
+                check_bit_identical(&oracle.assemble(), &incremental);
                 assembled_per_shard_count.push(incremental);
             }
             for other in &assembled_per_shard_count[1..] {
@@ -121,7 +166,7 @@ proptest! {
     }
 
     /// An arm is re-merged iff some shard folded an update into it since the
-    /// previous taking assembly. The first assembly reports every arm
+    /// previous assembly. The first assembly reports every arm
     /// dirtied since spawn; an assembly with no interleaved ingest reports
     /// an empty dirty set (and still serves the identical model).
     #[test]
@@ -140,14 +185,14 @@ proptest! {
             let expected: BTreeSet<usize> =
                 updates.iter().map(|u| u.action().index()).collect();
             service.ingest(updates).unwrap();
-            let (model, dirty) = service.assemble_with_dirty().unwrap();
+            let (model, dirty) = service.assemble().unwrap();
             let dirty_set: BTreeSet<usize> = dirty.iter().copied().collect();
             prop_assert_eq!(dirty.len(), dirty_set.len(), "dirty union must be deduplicated");
             prop_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty union must be sorted");
             prop_assert_eq!(&dirty_set, &expected);
 
             // No ingest in between → nothing dirty, identical model served.
-            let (again, none_dirty) = service.assemble_with_dirty().unwrap();
+            let (again, none_dirty) = service.assemble().unwrap();
             prop_assert!(none_dirty.is_empty());
             check_bit_identical(&model, &again);
         }
@@ -160,7 +205,9 @@ proptest! {
 #[test]
 fn sparse_epochs_leave_clean_arm_statistics_untouched() {
     let (d, a) = (3usize, 6usize);
-    let mut service = ModelService::spawn(LinUcbConfig::new(d, a), 2).unwrap();
+    let config = LinUcbConfig::new(d, a);
+    let mut service = ModelService::spawn(config, 2).unwrap();
+    let mut oracle = FromScratchOracle::new(config, 2);
     let mut rng = StdRng::seed_from_u64(17);
 
     // Epoch 1: touch every arm so the baseline is warm.
@@ -169,15 +216,17 @@ fn sparse_epochs_leave_clean_arm_statistics_untouched() {
             CoalescedUpdate::new(random_context(d, &mut rng), Action::new(arm), 3, 2.0).unwrap()
         })
         .collect();
+    oracle.ingest(&warm);
     service.ingest(warm).unwrap();
-    let (before, dirty) = service.assemble_with_dirty().unwrap();
+    let (before, dirty) = service.assemble().unwrap();
     assert_eq!(dirty.len(), a);
 
     // Epoch 2: one update into arm 2 only.
     let sparse =
         vec![CoalescedUpdate::new(random_context(d, &mut rng), Action::new(2), 1, 1.0).unwrap()];
+    oracle.ingest(&sparse);
     service.ingest(sparse).unwrap();
-    let (after, dirty) = service.assemble_with_dirty().unwrap();
+    let (after, dirty) = service.assemble().unwrap();
     assert_eq!(dirty, vec![2]);
 
     for arm in 0..a {
@@ -200,6 +249,6 @@ fn sparse_epochs_leave_clean_arm_statistics_untouched() {
             assert_eq!(x.to_bits(), y.to_bits(), "clean arm {arm} changed bits");
         }
     }
-    // And the incremental result still equals the from-scratch reference.
-    check_bit_identical(&after, &service.assemble_reference().unwrap());
+    // And the incremental result still equals the from-scratch rebuild.
+    check_bit_identical(&after, &oracle.assemble());
 }

@@ -925,31 +925,12 @@ impl CentralCurator {
             }
             let reward_vector = Vector::from(release[d * d..d * d + d].to_vec());
             let pulls = release[d * d + d].round().max(0.0) as u64;
-            // Escalating ridge shift until the noisy Gram is positive
-            // definite; doubling terminates quickly because the shift soon
-            // dominates the largest negative eigenvalue.
-            let mut boost = 0.0f64;
-            let statistics_for_arm = loop {
-                let mut design = gram.clone();
-                for i in 0..d {
-                    design.set(i, i, design.get(i, i) + self.config.regularizer + boost);
-                }
-                match p2b_linalg::RankOneInverse::from_matrix(&design) {
-                    Ok(_) => {
-                        break ArmStatistics {
-                            design,
-                            reward_vector: reward_vector.clone(),
-                            pulls,
-                        }
-                    }
-                    Err(e) if boost < 1e12 => {
-                        let _ = e;
-                        boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
-                    }
-                    Err(e) => return Err(p2b_bandit::BanditError::from(e).into()),
-                }
-            };
-            statistics.push(statistics_for_arm);
+            statistics.push(ArmStatistics::with_ridge_repair(
+                &gram,
+                reward_vector,
+                pulls,
+                self.config.regularizer,
+            )?);
         }
         Ok(LinUcb::from_sufficient_statistics(
             self.config,

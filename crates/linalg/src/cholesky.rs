@@ -71,7 +71,9 @@ pub(crate) fn factor_lower(a: &Matrix, lower: &mut [f64]) -> Result<(), LinalgEr
                 sum -= lower[i * n + k] * lower[j * n + k];
             }
             if i == j {
-                if sum <= 0.0 {
+                // NaN compares false against everything: reject it here or
+                // it would factor "successfully" into a NaN inverse.
+                if sum.is_nan() || sum <= 0.0 {
                     return Err(LinalgError::NotPositiveDefinite { pivot: i });
                 }
                 lower[i * n + j] = sum.sqrt();

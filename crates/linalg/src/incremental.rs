@@ -7,16 +7,14 @@ use crate::{Cholesky, LinalgError, Matrix, Vector};
 ///
 /// One `UpdateScratch` serves any number of [`RankOneInverse`] trackers of
 /// any dimension (buffers re-size lazily and only grow). Threading it through
-/// [`RankOneInverse::update_with`] / [`RankOneInverse::update_weighted_with`]
-/// / [`RankOneInverse::update_batch_weighted_with`] makes the whole rank-k
-/// ingest fold — the `A⁻¹x` matvec, the outer-product fold, *and* the
-/// periodic exact refresh (Cholesky factor + basis solves) — allocation-free
-/// after the first call.
+/// [`RankOneInverse::update_weighted_with`] makes the whole rank-k ingest
+/// fold — the `A⁻¹x` matvec, the outer-product fold, *and* the periodic
+/// exact refresh (Cholesky factor + basis solves) — allocation-free after
+/// the first call.
 ///
 /// The buffers are pure scratch: their contents between calls are
 /// meaningless and never observed, so sharing one scratch across trackers
-/// cannot couple their results. Every `_with` path is bit-identical to its
-/// internally-buffered counterpart because both run the same kernel.
+/// cannot couple their results.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateScratch {
     /// `A⁻¹x` lane for the Sherman–Morrison fold (`dim` elements).
@@ -92,10 +90,10 @@ pub struct RankOneInverse {
     refresh_interval: u64,
     /// Running design matrix `A`, kept to allow periodic exact refreshes.
     design: Matrix,
-    /// Internal scratch so the borrowing (`update` / `update_weighted`)
-    /// entry points allocate nothing per call. The `_with` variants use a
-    /// caller-owned [`UpdateScratch`] instead and leave this one untouched.
-    /// Pure scratch: excluded from equality.
+    /// Internal scratch so the per-report [`RankOneInverse::update`] path
+    /// allocates nothing per call. [`RankOneInverse::update_weighted_with`]
+    /// uses a caller-owned [`UpdateScratch`] instead and leaves this one
+    /// untouched. Pure scratch: excluded from equality.
     scratch: UpdateScratch,
 }
 
@@ -274,24 +272,8 @@ impl RankOneInverse {
         result
     }
 
-    /// Allocation-free variant of [`RankOneInverse::update`] using a
-    /// caller-owned [`UpdateScratch`]; bit-identical result (both paths run
-    /// the same kernel).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RankOneInverse::update`].
-    pub fn update_with(
-        &mut self,
-        x: &Vector,
-        scratch: &mut UpdateScratch,
-    ) -> Result<(), LinalgError> {
-        self.fold(x, 1.0, scratch)
-    }
-
-    /// The single weighted Sherman–Morrison fold kernel behind every update
-    /// entry point (internal-scratch and `_with` alike), so bit-identity
-    /// between the paths holds by construction.
+    /// The single weighted Sherman–Morrison fold kernel behind both update
+    /// entry points.
     ///
     /// `weight == 1.0` reproduces the plain update exactly: `1.0 · xax`
     /// is `xax` (multiplication by one is exact) and
@@ -329,7 +311,8 @@ impl RankOneInverse {
     ///
     /// This is the coalesced-ingestion primitive: `w` identical contexts
     /// fold into the design matrix in a single `O(d²)` operation instead of
-    /// `w` separate rank-1 updates. A weight of exactly `1.0` delegates to
+    /// `w` separate rank-1 updates, allocation-free through the caller-owned
+    /// [`UpdateScratch`]. A weight of exactly `1.0` runs the arithmetic of
     /// [`RankOneInverse::update`], so the unweighted path stays bit-for-bit
     /// identical. Each call counts as **one** update toward the refresh
     /// interval, because one Sherman–Morrison application contributes one
@@ -340,26 +323,6 @@ impl RankOneInverse {
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`
     /// and [`LinalgError::InvalidScalar`] if `weight` is not a strictly
     /// positive finite number.
-    pub fn update_weighted(&mut self, x: &Vector, weight: f64) -> Result<(), LinalgError> {
-        if !weight.is_finite() || weight <= 0.0 {
-            return Err(LinalgError::InvalidScalar {
-                name: "weight",
-                value: weight,
-            });
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.fold(x, weight, &mut scratch);
-        self.scratch = scratch;
-        result
-    }
-
-    /// Allocation-free variant of [`RankOneInverse::update_weighted`] using a
-    /// caller-owned [`UpdateScratch`]; bit-identical result (both paths run
-    /// the same kernel).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RankOneInverse::update_weighted`].
     pub fn update_weighted_with(
         &mut self,
         x: &Vector,
@@ -373,51 +336,6 @@ impl RankOneInverse {
             });
         }
         self.fold(x, weight, scratch)
-    }
-
-    /// Applies a weighted rank-k update `A ← A + Σᵢ wᵢ·xᵢ xᵢᵀ` as a batch of
-    /// weighted Sherman–Morrison steps ([`RankOneInverse::update_weighted`]).
-    ///
-    /// The batch form exists so callers folding coalesced sufficient
-    /// statistics (one `(vector, weight)` pair per distinct context) express
-    /// the whole fold in one call; the cost is `O(k·d²)` for `k` pairs, with
-    /// `k` bounded by the number of *distinct* contexts rather than the
-    /// number of raw observations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing update; earlier pairs in the batch stay
-    /// applied (the tracked matrix remains valid — the identity holds after
-    /// every individual step).
-    pub fn update_batch_weighted<'a, I>(&mut self, pairs: I) -> Result<(), LinalgError>
-    where
-        I: IntoIterator<Item = (&'a Vector, f64)>,
-    {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.update_batch_weighted_with(pairs, &mut scratch);
-        self.scratch = scratch;
-        result
-    }
-
-    /// Allocation-free variant of [`RankOneInverse::update_batch_weighted`]
-    /// using a caller-owned [`UpdateScratch`]; bit-identical result.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RankOneInverse::update_batch_weighted`]: the first
-    /// failing pair aborts the batch, earlier pairs stay applied.
-    pub fn update_batch_weighted_with<'a, I>(
-        &mut self,
-        pairs: I,
-        scratch: &mut UpdateScratch,
-    ) -> Result<(), LinalgError>
-    where
-        I: IntoIterator<Item = (&'a Vector, f64)>,
-    {
-        for (x, weight) in pairs {
-            self.update_weighted_with(x, weight, scratch)?;
-        }
-        Ok(())
     }
 
     /// Recomputes the inverse exactly from the accumulated design matrix.
@@ -614,20 +532,17 @@ mod tests {
     #[test]
     fn weighted_update_rejects_invalid_weights() {
         let mut inc = RankOneInverse::identity(2, 1.0).unwrap();
+        let mut scratch = UpdateScratch::new();
         let x = Vector::from(vec![1.0, 0.5]);
-        assert!(matches!(
-            inc.update_weighted(&x, 0.0),
-            Err(LinalgError::InvalidScalar { .. })
-        ));
-        assert!(matches!(
-            inc.update_weighted(&x, -2.0),
-            Err(LinalgError::InvalidScalar { .. })
-        ));
-        assert!(matches!(
-            inc.update_weighted(&x, f64::NAN),
-            Err(LinalgError::InvalidScalar { .. })
-        ));
-        assert!(inc.update_weighted(&Vector::zeros(3), 2.0).is_err());
+        for weight in [0.0, -2.0, f64::NAN] {
+            assert!(matches!(
+                inc.update_weighted_with(&x, weight, &mut scratch),
+                Err(LinalgError::InvalidScalar { .. })
+            ));
+        }
+        assert!(inc
+            .update_weighted_with(&Vector::zeros(3), 2.0, &mut scratch)
+            .is_err());
     }
 
     #[test]
@@ -639,11 +554,17 @@ mod tests {
         ];
         let mut plain = RankOneInverse::identity(3, 1.0).unwrap();
         let mut weighted = RankOneInverse::identity(3, 1.0).unwrap();
+        plain.set_refresh_interval(2);
+        weighted.set_refresh_interval(2);
+        let mut scratch = UpdateScratch::new();
         for x in &xs {
             plain.update(x).unwrap();
-            weighted.update_weighted(x, 1.0).unwrap();
+            weighted.update_weighted_with(x, 1.0, &mut scratch).unwrap();
+            assert_eq!(
+                plain, weighted,
+                "w = 1 must run the plain update's arithmetic"
+            );
         }
-        assert_eq!(plain, weighted, "w = 1 must take the exact same code path");
     }
 
     #[test]
@@ -654,7 +575,9 @@ mod tests {
             repeated.update(&x).unwrap();
         }
         let mut coalesced = RankOneInverse::identity(3, 2.0).unwrap();
-        coalesced.update_weighted(&x, 7.0).unwrap();
+        coalesced
+            .update_weighted_with(&x, 7.0, &mut UpdateScratch::new())
+            .unwrap();
 
         assert!(coalesced.design().max_abs_diff(repeated.design()).unwrap() < 1e-9);
         assert!(
@@ -678,45 +601,13 @@ mod tests {
             (Vector::from(vec![0.1, -0.3, 0.7]), 12.0),
             (Vector::from(vec![2.0, 0.0, 1.0]), 0.5),
         ];
-        inc.update_batch_weighted(pairs.iter().map(|(x, w)| (x, *w)))
-            .unwrap();
+        let mut scratch = UpdateScratch::new();
         for (x, w) in &pairs {
+            inc.update_weighted_with(x, *w, &mut scratch).unwrap();
             a.add_outer_product(x, *w).unwrap();
         }
         let direct = Cholesky::new(&a).unwrap().inverse();
         assert!(inc.inverse().max_abs_diff(&direct).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn scratch_paths_are_bit_identical_to_internal_paths() {
-        let pairs = [
-            (Vector::from(vec![1.0, 2.0, -0.5]), 3.0),
-            (Vector::from(vec![0.1, -0.3, 0.7]), 1.0),
-            (Vector::from(vec![2.0, 0.0, 1.0]), 12.5),
-            (Vector::from(vec![-1.0, 1.0, 1.0]), 1.0),
-        ];
-        let mut internal = RankOneInverse::identity(3, 2.0).unwrap();
-        let mut external = RankOneInverse::identity(3, 2.0).unwrap();
-        internal.set_refresh_interval(2);
-        external.set_refresh_interval(2);
-        let mut scratch = UpdateScratch::new();
-        for (x, w) in &pairs {
-            internal.update_weighted(x, *w).unwrap();
-            external.update_weighted_with(x, *w, &mut scratch).unwrap();
-            assert_eq!(internal, external, "states diverged at weight {w}");
-        }
-        // The plain update and the batch form, through the same scratch.
-        let x = Vector::from(vec![0.25, -0.75, 0.5]);
-        internal.update(&x).unwrap();
-        external.update_with(&x, &mut scratch).unwrap();
-        assert_eq!(internal, external);
-        internal
-            .update_batch_weighted(pairs.iter().map(|(x, w)| (x, *w)))
-            .unwrap();
-        external
-            .update_batch_weighted_with(pairs.iter().map(|(x, w)| (x, *w)), &mut scratch)
-            .unwrap();
-        assert_eq!(internal, external);
     }
 
     #[test]
@@ -725,7 +616,7 @@ mod tests {
         let mut scratch = UpdateScratch::new();
         for i in 0..6 {
             let x = Vector::from(vec![i as f64, 1.0, -0.5 * i as f64, 0.25]);
-            inc.update_with(&x, &mut scratch).unwrap();
+            inc.update_weighted_with(&x, 1.0, &mut scratch).unwrap();
         }
         let direct = Cholesky::new(inc.design()).unwrap().inverse();
         inc.refresh_with(&mut scratch).unwrap();
@@ -742,18 +633,26 @@ mod tests {
         let mut large = RankOneInverse::identity(5, 1.0).unwrap();
         let mut scratch = UpdateScratch::new();
         small
-            .update_with(&Vector::from(vec![1.0, -1.0]), &mut scratch)
+            .update_weighted_with(&Vector::from(vec![1.0, -1.0]), 1.0, &mut scratch)
             .unwrap();
         large
-            .update_with(&Vector::from(vec![1.0, 0.0, 2.0, -1.0, 0.5]), &mut scratch)
+            .update_weighted_with(
+                &Vector::from(vec![1.0, 0.0, 2.0, -1.0, 0.5]),
+                1.0,
+                &mut scratch,
+            )
             .unwrap();
         small
             .update_weighted_with(&Vector::from(vec![0.5, 0.25]), 3.0, &mut scratch)
             .unwrap();
+        // The same folds through a scratch that never saw the larger tracker.
+        let mut fresh = UpdateScratch::new();
         let mut reference = RankOneInverse::identity(2, 1.0).unwrap();
-        reference.update(&Vector::from(vec![1.0, -1.0])).unwrap();
         reference
-            .update_weighted(&Vector::from(vec![0.5, 0.25]), 3.0)
+            .update_weighted_with(&Vector::from(vec![1.0, -1.0]), 1.0, &mut fresh)
+            .unwrap();
+        reference
+            .update_weighted_with(&Vector::from(vec![0.5, 0.25]), 3.0, &mut fresh)
             .unwrap();
         assert_eq!(small, reference);
     }
@@ -762,8 +661,9 @@ mod tests {
     fn weighted_updates_trigger_the_periodic_refresh() {
         let mut inc = RankOneInverse::identity(2, 1.0).unwrap();
         inc.set_refresh_interval(2);
+        let mut scratch = UpdateScratch::new();
         for _ in 0..4 {
-            inc.update_weighted(&Vector::from(vec![1.0, 0.25]), 5.0)
+            inc.update_weighted_with(&Vector::from(vec![1.0, 0.25]), 5.0, &mut scratch)
                 .unwrap();
         }
         let mut expected = Matrix::identity(2);

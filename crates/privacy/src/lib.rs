@@ -80,3 +80,16 @@ pub use zcdp::{
     compare_composition, pure_dp_to_rho, rho_to_epsilon, CompositionComparison, ZcdpAccountant,
     ZcdpSpend,
 };
+
+/// SplitMix64: a cheap, well-mixed 64-bit hash. The one mixer behind every
+/// counter-based lane and shard/seed derivation in the workspace — the
+/// [`TreeAggregator`] noise and [`SecretSharer`] mask lanes here, everything
+/// else through the `p2b_shuffler::splitmix64` re-export — so they all share
+/// one load-bearing set of constants.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}

@@ -28,9 +28,9 @@
 //!
 //! The first `k − 1` shares of a value are uniform in ℤ₂¹²⁸, generated by
 //! counter-based lanes: share `j` of contribution `counter` at coordinate
-//! `coord` is a **pure function** of `(seed, counter, coord, j)` (SplitMix64,
-//! the same mixer as [`crate::TreeAggregator`] noise lanes and
-//! `p2b_shuffler::splitmix64`). The last share is the value minus the sum of
+//! `coord` is a **pure function** of `(seed, counter, coord, j)`
+//! ([`crate::splitmix64`], the mixer behind the [`crate::TreeAggregator`]
+//! noise lanes too). The last share is the value minus the sum of
 //! the others (wrapping), so recombination is exact by construction. Pure
 //! lanes mean a run is bit-reproducible at any worker count.
 //!
@@ -58,7 +58,7 @@
 //! # }
 //! ```
 
-use crate::PrivacyError;
+use crate::{splitmix64, PrivacyError};
 
 /// Number of fractional bits in the fixed-point encoding: a real value `x`
 /// is represented as `round(x · 2^48)`. 48 bits keep every f64 with at most
@@ -75,16 +75,6 @@ pub const FIXED_POINT_SCALE: f64 = (1u64 << FIXED_POINT_FRACTIONAL_BITS) as f64;
 /// accumulator can absorb 2⁶⁴ worst-case contributions before wrapping.
 pub const FIXED_POINT_MAX_ABS: f64 = 16384.0;
 
-/// SplitMix64 — the same mixing permutation as `p2b_shuffler::splitmix64`
-/// and the [`crate::TreeAggregator`] noise lanes, reimplemented here so the
-/// leaf privacy crate stays dependency-free.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Quantizes a real value to the shared fixed-point grid:
 /// `round(value · 2^`[`FIXED_POINT_FRACTIONAL_BITS`]`)`.
 ///
@@ -93,7 +83,7 @@ fn splitmix64(seed: u64) -> u64 {
 /// Returns [`PrivacyError::InvalidParameter`] for non-finite values and for
 /// values outside ±[`FIXED_POINT_MAX_ABS`] — out-of-range inputs error
 /// rather than wrap, so the accumulator headroom budget documented in the
-/// [module docs](self) holds everywhere downstream.
+/// module docs holds everywhere downstream.
 pub fn encode_fixed(value: f64) -> Result<i128, PrivacyError> {
     if !value.is_finite() {
         return Err(PrivacyError::InvalidParameter {
@@ -135,7 +125,7 @@ pub fn recombine(shares: &[i128]) -> i128 {
 /// Splits fixed-point values into `k` additive shares with counter-based
 /// mask lanes.
 ///
-/// See the [module docs](self) for the construction and its determinism and
+/// See the module docs for the construction and its determinism and
 /// trust-model properties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecretSharer {
@@ -267,7 +257,7 @@ mod tests {
 
     #[test]
     fn quantization_error_is_bounded_by_half_a_grid_step() {
-        for value in [0.1, -0.3, 3.14159, 12345.6789, -0.000_123] {
+        for value in [0.1, -0.3, std::f64::consts::PI, 12345.6789, -0.000_123] {
             let round_trip = decode_fixed(encode_fixed(value).unwrap());
             assert!((round_trip - value).abs() <= 0.5 / FIXED_POINT_SCALE);
         }

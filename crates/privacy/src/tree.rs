@@ -30,17 +30,8 @@
 //! bit for bit; the tree structure determines only where noise attaches,
 //! which is exactly the part the privacy argument is about.
 
-use crate::PrivacyError;
+use crate::{splitmix64, PrivacyError};
 use serde::{Deserialize, Serialize};
-
-/// SplitMix64 — the same mixing permutation as `p2b_shuffler::splitmix64`,
-/// reimplemented here so the leaf privacy crate stays dependency-free.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Maps a uniform `u64` onto `(0, 1]` with 53 bits of precision (never zero,
 /// so it is safe under `ln`).

@@ -1,9 +1,8 @@
 //! The sharded, batched shuffler engine.
 //!
-//! [`ShufflerPipeline`](crate::ShufflerPipeline) processes one report at a
-//! time on a single worker thread, which caps throughput well below a
-//! serving-scale deployment. The [`ShufflerEngine`] replaces that single
-//! lane with a two-stage design:
+//! One worker thread processing one report at a time caps throughput well
+//! below a serving-scale deployment, so the [`ShufflerEngine`] is a
+//! two-stage design (with `shards = 1` it degenerates to that single lane):
 //!
 //! ```text
 //!  producers ──submit──▶ shard 0 ─┐
@@ -45,25 +44,12 @@ use crate::shard::{ShardWorker, SubBatch};
 use crate::shuffle::shuffle_and_threshold;
 use crate::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use p2b_privacy::{AmplificationLedger, BatchAmplification, Participation};
+use p2b_privacy::{splitmix64, AmplificationLedger, BatchAmplification, Participation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// SplitMix64: a cheap, well-mixed 64-bit hash. The engine uses it for
-/// slot→shard routing and for deriving per-shard RNG seeds from the engine
-/// seed; the agent pool, the pooled population driver and the experiment
-/// matrix reuse the same mixer (re-exported as
-/// [`crate::splitmix64`]) so every shard/seed derivation in the workspace
-/// shares one load-bearing set of constants.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Builder for a [`ShufflerEngine`].
 ///
@@ -157,7 +143,7 @@ impl EngineBuilder {
     /// is zero, any size/capacity knob is zero, the flush interval is zero,
     /// or the privacy-accounting Ω is not a finite positive number.
     pub fn build(self) -> Result<ShufflerEngine, ShufflerError> {
-        // Validate the threshold eagerly, exactly like the pipeline does.
+        // Validate the threshold eagerly.
         let _ = Shuffler::new(self.config)?;
         if self.shards == 0 {
             return Err(ShufflerError::InvalidConfig {
@@ -242,9 +228,9 @@ pub struct EngineOutput {
 /// A sharded, batched, multi-threaded shuffler.
 ///
 /// See the [module documentation](self) for the stage diagram and the
-/// design rationale. The engine value itself is a passive description (like
-/// [`ShufflerPipeline`](crate::ShufflerPipeline)); [`ShufflerEngine::spawn`]
-/// starts the shard workers and the merger and returns a handle.
+/// design rationale. The engine value itself is a passive description;
+/// [`ShufflerEngine::spawn`] starts the shard workers and the merger and
+/// returns a handle.
 ///
 /// # Examples
 ///

@@ -14,23 +14,22 @@
 //!    than `threshold` times in the batch are removed, enforcing the
 //!    crowd-blending parameter `l`.
 //!
-//! Three execution shapes share that contract:
+//! Two execution shapes share that contract:
 //!
 //! * [`Shuffler`] — synchronous, single batch per call; what the
 //!   single-threaded simulation harness and the golden determinism tests
-//!   use.
-//! * [`ShufflerPipeline`] — one background worker fed through a crossbeam
-//!   channel; the original streaming shape, kept for single-lane
-//!   deployments and as the baseline the throughput benchmarks compare
-//!   against.
-//! * [`ShufflerEngine`] — the sharded, batched engine: reports are
+//!   use, and the per-batch kernel the streaming shape is checked against.
+//! * [`ShufflerEngine`] — streaming: reports submitted from any thread are
 //!   partitioned across N shard workers (by hashing the anonymous batch
 //!   slot, never the sender), shuffled within and across shards through a
 //!   fan-in merge stage, thresholded per merged batch, and delivered with
-//!   per-batch (ε, δ) amplification records. See [`engine`] for the stage
-//!   diagram. This is the serving-scale path.
+//!   per-batch (ε, δ) amplification records. One shard is the single-lane
+//!   deployment; more shards are the serving-scale path. See [`engine`] for
+//!   the stage diagram; `tests/pipeline_concurrency.rs` and
+//!   `tests/shuffler_properties.rs` pin conservation and exact
+//!   thresholding at shards ∈ {1, 2, 4}.
 //!
-//! A fourth shape drops the trusted-shuffler assumption altogether for the
+//! A third shape drops the trusted-shuffler assumption altogether for the
 //! sufficient-statistics ingest path: the [`SecureAggEngine`] aggregates
 //! additively secret-shared fixed-point contributions across `k`
 //! independent shard workers, none of which ever sees a plaintext value;
@@ -60,17 +59,14 @@
 
 pub mod engine;
 mod error;
-mod pipeline;
 mod report;
 pub mod secure;
 mod shard;
 mod shuffle;
 
-pub use engine::{
-    splitmix64, EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine,
-};
+pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};
 pub use error::ShufflerError;
+pub use p2b_privacy::splitmix64;
 pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
-pub use pipeline::{PipelineHandle, ShufflerPipeline};
 pub use report::{EncodedReport, RawReport, ReportMetadata};
 pub use shuffle::{ShuffledBatch, Shuffler, ShufflerConfig, ShufflerStats};

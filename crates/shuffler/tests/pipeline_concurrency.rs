@@ -1,10 +1,10 @@
-//! Concurrency exactness suite for the streaming shufflers: many producer
-//! threads feed a pipeline or a sharded engine, and the released set must be
-//! exactly the threshold-surviving multiset — no report lost, none
-//! duplicated, none leaked below threshold. The engine tests repeat every
-//! claim for shards ∈ {1, 2, 4}.
+//! Concurrency exactness suite for the streaming shuffler: many producer
+//! threads feed a single-lane (1-shard) or sharded engine, and the released
+//! set must be exactly the threshold-surviving multiset — no report lost,
+//! none duplicated, none leaked below threshold. The sharded tests repeat
+//! every claim for shards ∈ {1, 2, 4}.
 
-use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine, ShufflerPipeline};
+use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
 use std::collections::HashMap;
 
 fn raw(agent: usize, code: usize) -> RawReport {
@@ -43,9 +43,12 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
         }
     };
 
-    let pipeline =
-        ShufflerPipeline::new(ShufflerConfig::new(THRESHOLD), TOTAL).expect("valid pipeline");
-    let handle = pipeline.spawn(99);
+    let engine = ShufflerEngine::builder(ShufflerConfig::new(THRESHOLD))
+        .shards(1)
+        .batch_size(TOTAL)
+        .build()
+        .expect("valid engine");
+    let handle = engine.spawn(99);
     std::thread::scope(|scope| {
         for producer in 0..PRODUCERS {
             let handle_ref = &handle;
@@ -53,16 +56,17 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
                 for i in 0..REPORTS_PER_PRODUCER {
                     handle_ref
                         .submit(raw(producer, code_of(i)))
-                        .expect("pipeline accepts submissions while open");
+                        .expect("engine accepts submissions while open");
                 }
             });
         }
     });
-    let batches = handle.finish();
+    let batches = handle.finish().batches;
 
     // All submissions land in a single full batch.
     assert_eq!(batches.len(), 1);
-    let stats = batches[0].stats();
+    let batch = &batches[0].batch;
+    let stats = batch.stats();
     assert_eq!(stats.received, TOTAL);
     assert_eq!(stats.released + stats.dropped, TOTAL);
 
@@ -70,7 +74,7 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
         .into_iter()
         .map(|(code, count)| (code, count * PRODUCERS))
         .collect::<HashMap<_, _>>();
-    let released = frequencies(batches[0].reports().iter().map(|r| r.code()));
+    let released = frequencies(batch.reports().iter().map(|r| r.code()));
 
     // Exactly the threshold-surviving codes are released, at exactly their
     // submitted multiplicities: nothing lost, nothing duplicated.
@@ -102,8 +106,12 @@ fn per_batch_thresholding_still_conserves_received_counts() {
     const PRODUCERS: usize = 4;
     const REPORTS_PER_PRODUCER: usize = 100;
 
-    let pipeline = ShufflerPipeline::new(ShufflerConfig::new(5), 32).expect("valid pipeline");
-    let handle = pipeline.spawn(7);
+    let engine = ShufflerEngine::builder(ShufflerConfig::new(5))
+        .shards(1)
+        .batch_size(32)
+        .build()
+        .expect("valid engine");
+    let handle = engine.spawn(7);
     std::thread::scope(|scope| {
         for producer in 0..PRODUCERS {
             let handle_ref = &handle;
@@ -111,23 +119,26 @@ fn per_batch_thresholding_still_conserves_received_counts() {
                 for i in 0..REPORTS_PER_PRODUCER {
                     handle_ref
                         .submit(raw(producer, i % 7))
-                        .expect("pipeline accepts submissions while open");
+                        .expect("engine accepts submissions while open");
                 }
             });
         }
     });
-    let batches = handle.finish();
-    let received: usize = batches.iter().map(|b| b.stats().received).sum();
+    let batches = handle.finish().batches;
+    let received: usize = batches.iter().map(|b| b.batch.stats().received).sum();
     let accounted: usize = batches
         .iter()
-        .map(|b| b.stats().released + b.stats().dropped)
+        .map(|b| b.batch.stats().released + b.batch.stats().dropped)
         .sum();
     assert_eq!(received, PRODUCERS * REPORTS_PER_PRODUCER);
     assert_eq!(accounted, received);
-    let released: usize = batches.iter().map(|b| b.reports().len()).sum();
+    let released: usize = batches.iter().map(|b| b.batch.reports().len()).sum();
     assert_eq!(
         released,
-        batches.iter().map(|b| b.stats().released).sum::<usize>()
+        batches
+            .iter()
+            .map(|b| b.batch.stats().released)
+            .sum::<usize>()
     );
 }
 
@@ -214,7 +225,7 @@ fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
     const TOTAL: usize = PRODUCERS * REPORTS_PER_PRODUCER;
     const THRESHOLD: usize = 100;
 
-    // Same weighted code mix as the pipeline test: per block of 15, codes
+    // Same weighted code mix as the single-lane test: per block of 15, codes
     // 0..=4 with weights 5:4:3:2:1, so global counts are exactly known.
     let code_of = |i: usize| -> usize {
         match i % 15 {

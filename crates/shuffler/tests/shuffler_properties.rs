@@ -1,7 +1,7 @@
 //! Property-based tests for the shuffler: the crowd-blending threshold must
 //! hold for every released batch, no matter the input.
 
-use p2b_shuffler::{EncodedReport, RawReport, Shuffler, ShufflerConfig, ShufflerPipeline};
+use p2b_shuffler::{EncodedReport, RawReport, Shuffler, ShufflerConfig, ShufflerEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,27 +50,31 @@ proptest! {
         prop_assert_eq!(out.stats().released + out.stats().dropped, out.stats().received);
     }
 
-    /// The pipeline releases exactly the same multiset of payloads as a
-    /// sequence of synchronous shufflers applied to the same batches when the
-    /// threshold is 1 (nothing dropped).
+    /// The single-lane (1-shard) streaming engine releases exactly the
+    /// submitted multiset of payloads when the threshold is 1 (nothing
+    /// dropped), at any batch size.
     #[test]
     fn pipeline_conserves_reports_at_threshold_one(
         raw in prop::collection::vec((0usize..6, 0usize..3), 1..60),
         batch_size in 1usize..16,
         seed in any::<u64>(),
     ) {
-        let pipeline = ShufflerPipeline::new(ShufflerConfig::new(1), batch_size).unwrap();
-        let handle = pipeline.spawn(seed);
+        let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
+            .shards(1)
+            .batch_size(batch_size)
+            .build()
+            .unwrap();
+        let handle = engine.spawn(seed);
         for &(code, action) in &raw {
             handle.submit(RawReport::new("a", EncodedReport::new(code, action, 1.0).unwrap())).unwrap();
         }
-        let batches = handle.finish();
-        let total: usize = batches.iter().map(|b| b.reports().len()).sum();
+        let batches = handle.finish().batches;
+        let total: usize = batches.iter().map(|b| b.batch.reports().len()).sum();
         prop_assert_eq!(total, raw.len());
 
         let mut released: Vec<(usize, usize)> = batches
             .iter()
-            .flat_map(|b| b.reports().iter().map(|r| (r.code(), r.action())))
+            .flat_map(|b| b.batch.reports().iter().map(|r| (r.code(), r.action())))
             .collect();
         let mut expected = raw.clone();
         released.sort_unstable();
