@@ -3,8 +3,8 @@
 use crate::policy::{check_action, check_context, check_reward, random_action};
 use crate::{Action, BanditError, ContextualPolicy, Reward};
 use p2b_linalg::{
-    Matrix, RankOneInverse, ScoreArena, ScoreArenaF32, ScoreScratch, ScoreScratchF32,
-    UpdateScratch, Vector,
+    Matrix, RankOneInverse, ScoreArena, ScoreArenaF32, ScoreCounters, ScoreMemo, ScoreScratch,
+    ScoreScratchF32, UpdateScratch, Vector,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -260,16 +260,21 @@ impl Arm {
     }
 }
 
-/// Reusable scratch buffers for allocation-free action selection
-/// ([`LinUcb::select_action_with`]).
+/// Reusable buffers for allocation-free action selection
+/// ([`LinUcb::select_action_with`]), plus a memo of the last sweep.
 ///
 /// One `SelectScratch` serves models of any shape: buffers grow on demand.
-/// The scratch carries no behavioral state — a fresh scratch and a warm one
-/// produce bit-identical selections.
+/// It remembers the context, α, per-arm content stamps and scores of its
+/// last full sweep ([`ScoreMemo`]), so a repeated context re-scores only the
+/// arms written since. An arm's stamp changes whenever its scoring lanes are
+/// rewritten and stamps are unique across the process, so a remembered score
+/// is always the score a sweep would recompute: a fresh scratch and a warm
+/// one produce bit-identical selections and consume the same randomness,
+/// against any sequence of models — the in-crate `memo_agreement` suite pins
+/// this. Only the cost differs, and [`SelectScratch::counters`] reports it.
 #[derive(Debug, Clone, Default)]
 pub struct SelectScratch {
-    inner: ScoreScratch,
-    scores: Vec<f64>,
+    memo: ScoreMemo,
     ties: Vec<usize>,
 }
 
@@ -278,6 +283,13 @@ impl SelectScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Cumulative sweeps and arms scored through this scratch — the
+    /// machine-independent cost of the decisions it served.
+    #[must_use]
+    pub fn counters(&self) -> ScoreCounters {
+        self.memo.counters()
     }
 }
 
@@ -390,10 +402,13 @@ fn pick_best(
 /// Selection reads a flat, element-major [`ScoreArena`] that mirrors every
 /// arm's inverse and cached `θ_a = A_a⁻¹ b_a`, re-synced after each arm
 /// mutation, so one pass scores all arms without allocating
-/// ([`LinUcb::select_action_with`]). The per-arm [`RankOneInverse`] state is
+/// ([`LinUcb::select_action_with`]). Every re-sync also re-stamps the arm,
+/// which lets a caller's [`SelectScratch`] skip the arms it has already
+/// scored against the same context. The per-arm [`RankOneInverse`] state is
 /// the f64 source of truth; the crate's test-only oracle evaluates the
 /// scalar one-arm-at-a-time rule against it, and the in-crate
-/// `select_agreement` suite pins the two bit-for-bit equal. An optional
+/// `select_agreement` and `memo_agreement` suites pin sweep, memo and
+/// oracle bit-for-bit equal. An optional
 /// single-precision tier ([`F32Scorer`]) can be derived from a trained model
 /// for serving workloads.
 ///
@@ -558,8 +573,10 @@ impl LinUcb {
     }
 
     /// Re-derives arm `idx`'s scoring lanes (inverse mirror + cached θ) from
-    /// its `RankOneInverse` source of truth. Must be called after every
-    /// mutation of that arm; every mutating method in this impl does so.
+    /// its `RankOneInverse` source of truth, which also draws the arm a new
+    /// content stamp. Must be called after every mutation of that arm; every
+    /// mutating method in this impl does so — it is the one place a stale
+    /// [`SelectScratch`] memo is invalidated.
     ///
     /// θ is recomputed with the exact `A⁻¹ b` matvec the historical path ran
     /// at selection time, so cached and recomputed values are bit-identical.
@@ -802,15 +819,18 @@ impl LinUcb {
         self.sync_arm(idx)
     }
 
-    /// Proposes the arm with the highest upper confidence bound: scores
-    /// every arm against `context` in one pass over the flat scoring arena,
-    /// using caller-provided scratch buffers, without allocating.
+    /// Proposes the arm with the highest upper confidence bound, using
+    /// caller-provided scratch buffers, without allocating. When `scratch`
+    /// last served this very context, only the arms mutated since are
+    /// re-scored; otherwise every arm is scored in one pass over the flat
+    /// scoring arena. The argmax always runs over the full score vector, so
+    /// the action and the randomness consumed do not depend on which.
     ///
     /// The selection rule never mutates the statistics — only the
     /// tie-breaking consumes randomness — so many agents can select against
     /// one shared, immutable model snapshot (e.g. behind an `Arc`) without
-    /// cloning it. [`ContextualPolicy::select_action`] delegates here with a
-    /// throwaway scratch.
+    /// cloning it. [`ContextualPolicy::select_action`] has no scratch to
+    /// remember anything in and always runs the one-pass sweep.
     ///
     /// # Errors
     ///
@@ -823,15 +843,11 @@ impl LinUcb {
         scratch: &mut SelectScratch,
     ) -> Result<Action, BanditError> {
         check_context(self.config.context_dimension, context)?;
-        scratch.scores.resize(self.config.num_actions, 0.0);
-        self.arena.ucb_scores_into(
-            context.as_slice(),
-            self.config.alpha,
-            &mut scratch.inner,
-            &mut scratch.scores[..self.config.num_actions],
-        )?;
+        let scores =
+            self.arena
+                .ucb_scores_memo(context.as_slice(), self.config.alpha, &mut scratch.memo)?;
         Ok(pick_best(
-            &scratch.scores[..self.config.num_actions],
+            scores,
             &mut scratch.ties,
             self.config.num_actions,
             rng,
@@ -994,7 +1010,13 @@ impl ContextualPolicy for LinUcb {
         context: &Vector,
         rng: &mut dyn rand::RngCore,
     ) -> Result<Action, BanditError> {
-        self.select_action_with(context, rng, &mut SelectScratch::new())
+        let scores = self.scores(context)?;
+        Ok(pick_best(
+            &scores,
+            &mut Vec::new(),
+            self.config.num_actions,
+            rng,
+        ))
     }
 
     fn update(
@@ -1021,6 +1043,8 @@ impl ContextualPolicy for LinUcb {
     }
 }
 
+#[cfg(test)]
+mod memo_agreement;
 #[cfg(test)]
 mod oracle;
 #[cfg(test)]

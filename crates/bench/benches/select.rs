@@ -1,9 +1,14 @@
-//! Micro-benchmarks of the two LinUCB scoring tiers over identical trained
+//! Micro-benchmarks of the LinUCB scoring paths over identical trained
 //! models:
 //!
-//! * `arena_f64` — the flat element-major score arena with caller-provided
-//!   scratch buffers (allocation-free; pinned bit-for-bit against the
-//!   scalar oracle by `p2b_bandit`'s in-crate `select_agreement` suite);
+//! * `arena_f64` — the full sweep over the flat element-major score arena
+//!   with caller-provided scratch buffers (allocation-free; pinned
+//!   bit-for-bit against the scalar oracle by `p2b_bandit`'s in-crate
+//!   `select_agreement` suite). Contexts rotate, so the scratch's memo of
+//!   the last sweep never matches and every decision is a sweep;
+//! * `memo` — the other side of the same call: one context, one reward
+//!   folded into the chosen arm between decisions, so each decision
+//!   re-scores exactly that arm (`memo_agreement` pins it equal to a sweep);
 //! * `arena_f32` — the derived single-precision scoring tier.
 //!
 //! This bench gives per-decision latencies under criterion's measurement
@@ -50,12 +55,44 @@ fn bench_select_arena_f64(c: &mut Criterion) {
             |b, &(dimension, actions)| {
                 let policy = trained(dimension, actions);
                 let mut rng = StdRng::seed_from_u64(1);
+                // Two contexts are enough: the memo holds one.
+                let contexts = [
+                    random_context(dimension, &mut rng),
+                    random_context(dimension, &mut rng),
+                ];
+                let mut scratch = SelectScratch::new();
+                let mut turn = 0usize;
+                b.iter(|| {
+                    turn ^= 1;
+                    policy
+                        .select_action_with(&contexts[turn], &mut rng, &mut scratch)
+                        .unwrap()
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_select_memo(c: &mut Criterion) {
+    let mut group = c.benchmark_group("select_memo");
+    for &(dimension, actions) in &SHAPES {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("d{dimension}_a{actions}")),
+            &(dimension, actions),
+            |b, &(dimension, actions)| {
+                let mut policy = trained(dimension, actions);
+                let mut rng = StdRng::seed_from_u64(1);
                 let ctx = random_context(dimension, &mut rng);
                 let mut scratch = SelectScratch::new();
+                // The fold is timed too: it is what makes the next decision
+                // re-score an arm, and `benches/linucb.rs` times it alone.
                 b.iter(|| {
-                    policy
+                    let action = policy
                         .select_action_with(&ctx, &mut rng, &mut scratch)
-                        .unwrap()
+                        .unwrap();
+                    policy.update(&ctx, action, 1.0).unwrap();
+                    action
                 });
             },
         );
@@ -86,5 +123,10 @@ fn bench_select_arena_f32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_select_arena_f64, bench_select_arena_f32);
+criterion_group!(
+    benches,
+    bench_select_arena_f64,
+    bench_select_memo,
+    bench_select_arena_f32
+);
 criterion_main!(benches);

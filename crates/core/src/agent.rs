@@ -3,7 +3,7 @@
 use crate::{CodeRepresentation, CoreError, ModelSnapshot, P2bConfig, RandomizedReporter};
 use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_encoding::Encoder;
-use p2b_linalg::Vector;
+use p2b_linalg::{ScoreCounters, Vector};
 use p2b_privacy::{amplified_epsilon, PrivacyAccountant, PrivacyGuarantee};
 use p2b_shuffler::{EncodedReport, RawReport};
 use rand::Rng;
@@ -102,6 +102,38 @@ impl DormantAgent {
         matches!(self.policy, DormantPolicy::Owned(_))
     }
 
+    /// Checks that [`LocalAgent::rehydrate`] would accept `snapshot` under
+    /// `encoder`, without consuming the dormant agent — so a holder can
+    /// validate before it gives the agent up. Only a still-shared agent
+    /// constrains the snapshot: it must have the model shape the agent was
+    /// serving. An owned policy comes back as it is.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] for a mis-shaped snapshot.
+    pub fn check_rehydration(
+        &self,
+        encoder: &dyn Encoder,
+        snapshot: &ModelSnapshot,
+    ) -> Result<(), CoreError> {
+        if let DormantPolicy::Owned(_) = self.policy {
+            return Ok(());
+        }
+        let expected_dimension = self.representation.dimension(encoder);
+        let found = snapshot.model().config();
+        if found.context_dimension != expected_dimension || found.num_actions != self.num_actions {
+            return Err(CoreError::InvalidConfig {
+                parameter: "rehydrate",
+                message: format!(
+                    "snapshot model shape ({}, {}) does not match the dormant agent's \
+                     ({expected_dimension}, {})",
+                    found.context_dimension, found.num_actions, self.num_actions
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Approximate heap bytes of the persisted policy state: zero for a
     /// still-shared agent, the LinUCB sufficient statistics otherwise.
     #[must_use]
@@ -116,7 +148,11 @@ impl DormantAgent {
 /// Approximate heap footprint of a LinUCB policy: per action one `d × d`
 /// design matrix, its inverse, the flat score-arena mirror of that inverse,
 /// and three `d`-vectors of `f64`s (reward vector, cached θ lane, update
-/// scratch).
+/// scratch). Not counted: the arena's one-word content stamp per action,
+/// and the resident agent's select memo (`d + 2·A` words: the last context,
+/// and a stamp and a score per action) — bookkeeping that decides how many
+/// arms a decision re-scores, never which action it picks, and that a
+/// dormant agent does not persist.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;
@@ -147,9 +183,13 @@ pub struct LocalAgent {
     per_report_guarantee: PrivacyGuarantee,
     pending: Vec<RawReport>,
     interactions: u64,
-    /// Reused buffers for allocation-free selection. Pure scratch: carries no
-    /// behavioral state, is not persisted by [`LocalAgent::dehydrate`], and a
-    /// rehydrated agent simply starts with cold buffers.
+    /// Reused buffers for allocation-free selection, plus the memo of this
+    /// agent's last sweep (context, per-arm content stamps, scores): while
+    /// the agent keeps deciding on one code, only the arms folded in between
+    /// are re-scored. A remembered score is bit-equal to the recomputed one
+    /// (see [`SelectScratch`]), so the memo is not behavioral state: it is
+    /// not persisted by [`LocalAgent::dehydrate`], and a rehydrated agent
+    /// starts cold and pays one full sweep.
     scratch: SelectScratch,
 }
 
@@ -211,6 +251,16 @@ impl LocalAgent {
     #[must_use]
     pub fn interactions(&self) -> u64 {
         self.interactions
+    }
+
+    /// Full sweeps and arms scored by this agent's decisions since it was
+    /// created or last rehydrated — the machine-independent cost of its
+    /// select path. Steady traffic on one code stays near one arm per
+    /// decision (the arm the last reward folded into); every context switch
+    /// or rehydration costs one sweep of all arms.
+    #[must_use]
+    pub fn select_counters(&self) -> ScoreCounters {
+        self.scratch.counters()
     }
 
     /// Borrows the agent's policy (e.g. to inspect per-arm statistics).
@@ -287,7 +337,8 @@ impl LocalAgent {
         let model_context = self.model_context(raw_context)?;
         // Selection never mutates the statistics, so it reads through the
         // shared snapshot for as long as the agent has one. The agent-owned
-        // scratch buffers make the per-decision path allocation-free.
+        // scratch makes the per-decision path allocation-free, and its memo
+        // survives the shared→owned promotion: a clone carries the stamps.
         let policy = match &self.policy {
             AgentPolicy::Shared(snapshot) => snapshot.model(),
             AgentPolicy::Owned(policy) => policy,
@@ -406,24 +457,9 @@ impl LocalAgent {
         encoder: Arc<dyn Encoder>,
         snapshot: &Arc<ModelSnapshot>,
     ) -> Result<Self, CoreError> {
+        dormant.check_rehydration(encoder.as_ref(), snapshot)?;
         let policy = match dormant.policy {
-            DormantPolicy::Shared => {
-                let expected_dimension = dormant.representation.dimension(encoder.as_ref());
-                let found = snapshot.model().config();
-                if found.context_dimension != expected_dimension
-                    || found.num_actions != dormant.num_actions
-                {
-                    return Err(CoreError::InvalidConfig {
-                        parameter: "rehydrate",
-                        message: format!(
-                            "snapshot model shape ({}, {}) does not match the dormant agent's \
-                             ({expected_dimension}, {})",
-                            found.context_dimension, found.num_actions, dormant.num_actions
-                        ),
-                    });
-                }
-                AgentPolicy::Shared(Arc::clone(snapshot))
-            }
+            DormantPolicy::Shared => AgentPolicy::Shared(Arc::clone(snapshot)),
             DormantPolicy::Owned(policy) => AgentPolicy::Owned(policy),
         };
         Ok(Self {
@@ -581,6 +617,50 @@ mod tests {
             "drain must clear the queue"
         );
         assert_eq!(agent.reporter().opportunities(), 10);
+    }
+
+    #[test]
+    fn select_counters_follow_the_folds_between_decisions() {
+        let counted = |agent: &LocalAgent| {
+            let counters = agent.select_counters();
+            (counters.sweeps, counters.arms_scored)
+        };
+        let mut rng = StdRng::seed_from_u64(6);
+        let enc = encoder(6);
+        // Three arms; the two contexts fall in different codes.
+        let mut agent = LocalAgent::new(3, &config(), Arc::clone(&enc), None).unwrap();
+        let here = Vector::from(vec![1.0, 0.1, 0.1, 0.1]);
+        let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
+        assert_ne!(enc.encode(&here).unwrap(), enc.encode(&there).unwrap());
+        assert_eq!(counted(&agent), (0, 0));
+
+        // Ten decisions on one code, one fold after each: one sweep of all
+        // three arms, then only the arm the last reward went into.
+        for _ in 0..10 {
+            let action = agent.select_action(&here, &mut rng).unwrap();
+            agent.observe_reward(&here, action, 1.0, &mut rng).unwrap();
+        }
+        assert_eq!(counted(&agent), (1, 3 + 9));
+        // A context switch costs one sweep, each way, whatever was folded.
+        agent.select_action(&there, &mut rng).unwrap();
+        assert_eq!(counted(&agent), (2, 3 + 9 + 3));
+        agent.select_action(&here, &mut rng).unwrap();
+        assert_eq!(counted(&agent), (3, 3 + 9 + 3 + 3));
+        // Nothing folded since: nothing scored.
+        agent.select_action(&here, &mut rng).unwrap();
+        assert_eq!(counted(&agent), (3, 18));
+
+        // The memo and its counters are not persisted: a rehydrated agent
+        // starts from zero and sweeps once.
+        let (_, dormant) = agent.dehydrate();
+        let snapshot = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
+        ));
+        let mut revived = LocalAgent::rehydrate(dormant, enc, &snapshot).unwrap();
+        assert_eq!(counted(&revived), (0, 0));
+        revived.select_action(&here, &mut rng).unwrap();
+        assert_eq!(counted(&revived), (1, 3));
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::{CoreError, LocalAgent, ModelSnapshot, P2bConfig, P2bSystem};
 use p2b_encoding::Encoder;
 use p2b_shuffler::{splitmix64, RawReport};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -311,7 +312,9 @@ impl AgentPool {
     /// # Errors
     ///
     /// Propagates snapshot, rehydration and closure errors. The agent is
-    /// checked back in even when `f` fails.
+    /// checked back in even when `f` fails, and a checkout that fails — a
+    /// mis-shaped snapshot, a snapshot service that is down — never ran `f`
+    /// and leaves the agent where it was, resident or dormant.
     pub fn with_agent<T>(
         &mut self,
         system: &mut P2bSystem,
@@ -336,8 +339,9 @@ impl AgentPool {
     ///
     /// # Errors
     ///
-    /// Propagates snapshot, rehydration and closure errors. The agent is
-    /// checked back in even when `f` fails.
+    /// Propagates snapshot, rehydration and closure errors, with the same
+    /// guarantees as [`AgentPool::with_agent`] when `f` or the checkout
+    /// fails.
     pub fn with_agent_at<T>(
         &mut self,
         source: &AgentSource,
@@ -350,22 +354,33 @@ impl AgentPool {
         result
     }
 
+    // Both checkouts ask whatever can refuse them — the snapshot service, a
+    // shape check — while the agent still sits in its map, and take it out
+    // only afterwards: a failed checkout leaves the pool as it found it.
     fn checkout_at(&mut self, source: &AgentSource, key: u64) -> Result<LocalAgent, CoreError> {
         let shard = self.shard_index(key);
-        if let Some(resident) = self.shards[shard].residents.remove(&key) {
-            self.lru.remove(&resident.stamp);
-            self.stats.hits += 1;
-            let mut agent = resident.agent;
+        if let Entry::Occupied(mut held) = self.shards[shard].residents.entry(key) {
+            let agent = &mut held.get_mut().agent;
             if let Some(snapshot) = agent.warm_snapshot() {
                 if snapshot.epoch() != source.epoch() {
                     agent.refresh_from_snapshot(Arc::clone(source.snapshot()))?;
                 }
             }
-            return Ok(agent);
+            let resident = held.remove();
+            self.lru.remove(&resident.stamp);
+            self.stats.hits += 1;
+            return Ok(resident.agent);
         }
-        if let Some(dormant) = self.shards[shard].dormant.remove(&key) {
+        if let Entry::Occupied(parked) = self.shards[shard].dormant.entry(key) {
+            parked
+                .get()
+                .check_rehydration(source.encoder.as_ref(), &source.snapshot)?;
             self.stats.rehydrations += 1;
-            return LocalAgent::rehydrate(dormant, Arc::clone(&source.encoder), &source.snapshot);
+            return LocalAgent::rehydrate(
+                parked.remove(),
+                Arc::clone(&source.encoder),
+                &source.snapshot,
+            );
         }
         self.stats.creations += 1;
         source.make_agent(key)
@@ -373,10 +388,8 @@ impl AgentPool {
 
     fn checkout(&mut self, system: &mut P2bSystem, key: u64) -> Result<LocalAgent, CoreError> {
         let shard = self.shard_index(key);
-        if let Some(resident) = self.shards[shard].residents.remove(&key) {
-            self.lru.remove(&resident.stamp);
-            self.stats.hits += 1;
-            let mut agent = resident.agent;
+        if let Entry::Occupied(mut held) = self.shards[shard].residents.entry(key) {
+            let agent = &mut held.get_mut().agent;
             // A still-shared agent hops to the current epoch's snapshot —
             // a pointer swap, not a copy — so residents and rehydrated
             // agents always serve from the same model.
@@ -386,16 +399,18 @@ impl AgentPool {
                     agent.refresh_from_snapshot(current)?;
                 }
             }
-            return Ok(agent);
+            let resident = held.remove();
+            self.lru.remove(&resident.stamp);
+            self.stats.hits += 1;
+            return Ok(resident.agent);
         }
-        if let Some(dormant) = self.shards[shard].dormant.remove(&key) {
-            self.stats.rehydrations += 1;
+        if let Entry::Occupied(parked) = self.shards[shard].dormant.entry(key) {
             let snapshot = system.central_snapshot()?;
-            return LocalAgent::rehydrate(
-                dormant,
-                std::sync::Arc::clone(system.encoder()),
-                &snapshot,
-            );
+            parked
+                .get()
+                .check_rehydration(system.encoder().as_ref(), &snapshot)?;
+            self.stats.rehydrations += 1;
+            return LocalAgent::rehydrate(parked.remove(), Arc::clone(system.encoder()), &snapshot);
         }
         self.stats.creations += 1;
         system.make_warm_agent()
@@ -669,6 +684,141 @@ mod tests {
         });
         assert!(err.is_err());
         assert_eq!(pool.resident_agents(), 1, "agent must be checked back in");
+    }
+
+    #[test]
+    fn failed_checkout_leaves_the_pool_as_it_found_it() {
+        let mut sys = system();
+        let source = AgentSource::capture(&mut sys).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
+        // Key 0 folds three observations (owned, reports queued); keys 1–3
+        // only select. Budget 2 leaves 2 and 3 resident, 0 and 1 dormant.
+        pool.with_agent_at(&source, 0, |agent| {
+            for _ in 0..3 {
+                let action = agent.select_action(&ctx(0), &mut rng)?;
+                agent.observe_reward(&ctx(0), action, 1.0, &mut rng)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        for key in 1..4u64 {
+            pool.with_agent_at(&source, key, |agent| {
+                agent
+                    .select_action(&ctx(key as usize), &mut rng)
+                    .map(|_| ())
+            })
+            .unwrap();
+        }
+        let books = |pool: &AgentPool| {
+            (
+                pool.resident_agents(),
+                pool.dormant_agents(),
+                *pool.stats(),
+                pool.outbox.len(),
+            )
+        };
+        let before = books(&pool);
+        assert_eq!((before.0, before.1), (2, 2));
+        assert!(before.3 > 0, "key 0 must have queued a report");
+
+        // A later epoch of a five-action model: residents must hop to it and
+        // dormant shared agents rehydrate from it, and neither can.
+        let mis_shaped = |epoch| {
+            let model = p2b_bandit::LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap();
+            Arc::new(ModelSnapshot::new(epoch, model))
+        };
+        let bad = AgentSource {
+            snapshot: mis_shaped(1),
+            ..source.clone()
+        };
+        let never = |_: &mut LocalAgent| -> Result<(), CoreError> {
+            panic!("a failed checkout must not reach the closure")
+        };
+        for key in [2u64, 1] {
+            assert!(matches!(
+                pool.with_agent_at(&bad, key, never),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+            assert_eq!(books(&pool), before, "key {key}");
+        }
+        // The system-threaded path guards its dormant tier the same way.
+        let mut other = P2bSystem::new(P2bConfig::new(4, 5), Arc::clone(sys.encoder())).unwrap();
+        assert!(pool.with_agent(&mut other, 1, never).is_err());
+        assert_eq!(books(&pool), before);
+
+        // Every agent is still there for a well-shaped checkout: a hit and
+        // two rehydrations, no re-creation, nothing forgotten.
+        pool.with_agent_at(&source, 2, |agent| {
+            assert!(agent
+                .warm_snapshot()
+                .is_some_and(|s| Arc::ptr_eq(s, source.snapshot())));
+            Ok(())
+        })
+        .unwrap();
+        pool.with_agent(&mut sys, 1, |agent| {
+            assert_eq!((agent.id(), agent.interactions()), (1, 0));
+            Ok(())
+        })
+        .unwrap();
+        pool.with_agent_at(&source, 0, |agent| {
+            assert_eq!(agent.interactions(), 3);
+            assert_eq!(agent.policy().observations(), 3);
+            Ok(())
+        })
+        .unwrap();
+        let after = *pool.stats();
+        assert_eq!(after.creations, before.2.creations);
+        assert_eq!(after.hits, before.2.hits + 1);
+        assert_eq!(after.rehydrations, before.2.rehydrations + 2);
+        assert_eq!(pool.drain_reports().len(), before.3);
+    }
+
+    #[test]
+    fn steady_serving_scores_under_one_arm_per_decision() {
+        // The `serve_steady` shape in small: twenty arms, every agent
+        // resident, skewed codes, a round of decisions and then three in
+        // four of its rewards folded in a burst. A sweep per decision would
+        // score twenty arms each time.
+        let config = P2bConfig::new(4, 20).with_local_interactions(1);
+        let mut sys = P2bSystem::new(config, Arc::clone(system().encoder())).unwrap();
+        let source = AgentSource::capture(&mut sys).unwrap();
+        let mut pool = AgentPool::new(AgentPoolConfig::unbounded()).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut decisions = 0u64;
+        for _round in 0..8 {
+            let mut taken = Vec::new();
+            for event in 0..48usize {
+                let key = [0u64, 0, 0, 1, 1, 2, 0, 3][event % 8];
+                let action = pool
+                    .with_agent_at(&source, key, |agent| {
+                        agent.select_action(&ctx(key as usize), &mut rng)
+                    })
+                    .unwrap();
+                taken.push((key, action));
+                decisions += 1;
+            }
+            for (event, (key, action)) in taken.into_iter().enumerate() {
+                if event % 4 != 3 {
+                    pool.with_agent_at(&source, key, |agent| {
+                        agent.observe_reward(&ctx(key as usize), action, 1.0, &mut rng)
+                    })
+                    .unwrap();
+                }
+            }
+        }
+        let (mut sweeps, mut arms_scored) = (0, 0);
+        for key in 0..4u64 {
+            let counters = pool
+                .with_agent_at(&source, key, |agent| Ok(agent.select_counters()))
+                .unwrap();
+            sweeps += counters.sweeps;
+            arms_scored += counters.arms_scored;
+        }
+        assert!(
+            arms_scored < decisions,
+            "{arms_scored} arms scored ({sweeps} sweeps) over {decisions} decisions"
+        );
     }
 
     #[test]

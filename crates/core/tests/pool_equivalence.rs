@@ -11,6 +11,13 @@
 //! with local observations persist their policy verbatim. The only
 //! difference between the bounded and unbounded runs is therefore *where*
 //! an agent's bytes live, never what they are.
+//!
+//! One thing an eviction does drop is the agent's select memo (the scores of
+//! its last sweep): a rehydrated agent sweeps every arm again where the
+//! never-evicted one re-scores only what was folded since. The suite
+//! therefore also pins that this difference is one of cost alone — the
+//! unbounded run scores no more arms than any bounded run, and picks the
+//! same actions.
 
 use p2b_core::{AgentPool, AgentPoolConfig, P2bConfig, P2bSystem};
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
@@ -82,23 +89,26 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// What [`run_pool`] digests: the selected action sequence, the funneled
+/// report stream and the final per-key agent state — plus, last and not
+/// part of the behavior, the number of arms the decisions scored.
+type Observed = (Vec<usize>, Vec<String>, Vec<(u64, u64)>, u64);
+
 /// Runs the operation stream through a pool and digests everything
-/// observable: the selected action sequence, the funneled report stream and
-/// the final per-key agent state.
-fn run_pool(
-    pool_config: AgentPoolConfig,
-    ops: &[Op],
-    seed: u64,
-) -> (Vec<usize>, Vec<String>, Vec<(u64, u64)>) {
+/// observable.
+fn run_pool(pool_config: AgentPoolConfig, ops: &[Op], seed: u64) -> Observed {
     let mut system = system();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool = AgentPool::new(pool_config).expect("valid pool configuration");
     let mut actions = Vec::with_capacity(ops.len());
+    let mut arms_scored = 0;
     for op in ops {
         let action = pool
             .with_agent(&mut system, op.key, |agent| {
                 let ctx = context(op.cluster);
+                let before = agent.select_counters().arms_scored;
                 let action = agent.select_action(&ctx, &mut rng)?;
+                arms_scored += agent.select_counters().arms_scored - before;
                 if op.update {
                     agent.observe_reward(&ctx, action, op.reward, &mut rng)?;
                 }
@@ -134,7 +144,7 @@ fn run_pool(
             .expect("probe succeeds")
         })
         .collect();
-    (actions, reports, state)
+    (actions, reports, state, arms_scored)
 }
 
 proptest! {
@@ -167,6 +177,12 @@ proptest! {
             prop_assert_eq!(
                 &unbounded.2, &bounded.2,
                 "final agent state drifted (budget {}, {} shards)", budget, shards
+            );
+            // Warm memos against cold ones: cheaper or equal, never different.
+            prop_assert!(
+                unbounded.3 <= bounded.3,
+                "warm memos scored {} arms, evicted ones {} (budget {}, {} shards)",
+                unbounded.3, bounded.3, budget, shards
             );
         }
     }

@@ -23,8 +23,27 @@
 //! so arena scores are bit-for-bit equal to the scalar scores. The f64
 //! arena is a derived *view* of the `RankOneInverse` state — the f64
 //! reference path remains the source of truth.
+//!
+//! **Stamp invariant:** every arm carries a content stamp drawn from one
+//! process-wide counter whenever its lanes are written
+//! ([`ScoreArena::new`], [`ScoreArena::load_arm`] — the only writers).
+//! Clones copy the stamps with the lanes, so *two arms with equal stamps
+//! have bit-equal lanes*, in any two arenas of the process. That is what
+//! lets [`ScoreArena::ucb_scores_memo`] skip the arms a [`ScoreMemo`] has
+//! already scored against the same context. Stamps are identity, not
+//! content: they take no part in equality.
 
 use crate::{LinalgError, Matrix};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of arm content stamps. Process-wide so that stamps drawn by
+/// diverged clones of one model, or by unrelated models, can never collide
+/// in a memo that meets both. `Relaxed`: the value publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn draw_stamps(count: usize) -> u64 {
+    NEXT_STAMP.fetch_add(count as u64, Ordering::Relaxed)
+}
 
 /// Reusable scratch for [`ScoreArena::ucb_scores_into`]: three `f64` lanes of
 /// length `arms`. Buffers grow on demand and are never shrunk.
@@ -51,13 +70,69 @@ impl ScoreScratch {
     }
 }
 
+/// Work a [`ScoreMemo`] has done since it was created: a machine-independent
+/// cost of the decision path. Plain counters, deterministic for a fixed call
+/// sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ScoreCounters {
+    /// Full sweeps over the arena: calls the memo could not shortcut.
+    pub sweeps: u64,
+    /// Arms scored in total: all of them on a sweep, the re-stamped ones
+    /// otherwise.
+    pub arms_scored: u64,
+}
+
+/// The last sweep of [`ScoreArena::ucb_scores_memo`], kept up to date so the
+/// next call on the same context re-scores only the arms written since.
+///
+/// Remembered: the context's and α's bit patterns (compared by `to_bits`, so
+/// `-0.0` and NaN payloads cannot alias), each arm's content stamp, and the
+/// score vector. By the arena's stamp invariant an arm whose stamp is
+/// unchanged has bit-equal lanes, and a score is a pure function of (lanes,
+/// context, α) — so a remembered score is the score a sweep would compute,
+/// bit for bit, against whichever arena the memo meets next. The memo can
+/// change what a call costs, never what it returns.
+#[derive(Debug, Clone, Default)]
+pub struct ScoreMemo {
+    scratch: ScoreScratch,
+    context_bits: Vec<u64>,
+    alpha_bits: u64,
+    stamps: Vec<u64>,
+    scores: Vec<f64>,
+    counters: ScoreCounters,
+}
+
+impl ScoreMemo {
+    /// Creates an empty memo; the first call through it is a sweep.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sweeps and arms scored through this memo so far.
+    #[must_use]
+    pub fn counters(&self) -> ScoreCounters {
+        self.counters
+    }
+
+    /// Whether the remembered sweep scored `arms` arms against exactly this
+    /// context and α. An empty memo holds no stamps, so it matches nothing.
+    fn remembers(&self, arms: usize, x: &[f64], alpha: f64) -> bool {
+        self.stamps.len() == arms
+            && self.alpha_bits == alpha.to_bits()
+            && (self.context_bits.iter().copied()).eq(x.iter().map(|value| value.to_bits()))
+    }
+}
+
 /// Flat, element-major scoring arena over all arms of one model (`f64`).
 ///
-/// See the module documentation in `arena.rs` for the layout and the
-/// determinism invariant. Arms are loaded with [`ScoreArena::load_arm`] whenever the
-/// backing `RankOneInverse` state changes and scored with
-/// [`ScoreArena::ucb_scores_into`].
-#[derive(Debug, Clone, PartialEq)]
+/// See the module documentation in `arena.rs` for the layout, the
+/// determinism invariant and the stamp invariant. Arms are loaded with
+/// [`ScoreArena::load_arm`] whenever the backing `RankOneInverse` state
+/// changes and scored with [`ScoreArena::ucb_scores_into`] (always a full
+/// sweep) or [`ScoreArena::ucb_scores_memo`] (a sweep only when the memo
+/// cannot vouch for the context).
+#[derive(Debug, Clone)]
 pub struct ScoreArena {
     arms: usize,
     dim: usize,
@@ -67,6 +142,19 @@ pub struct ScoreArena {
     /// Element-major ridge estimates: entry `i` of arm `a` lives at
     /// `i·arms + a`.
     theta: Vec<f64>,
+    /// Per-arm content stamps; see the module's stamp invariant.
+    stamps: Vec<u64>,
+}
+
+/// Equality compares shape and lanes only: stamps say *when* an arm was
+/// written, so a model and its bit-equal rebuild must still compare equal.
+impl PartialEq for ScoreArena {
+    fn eq(&self, other: &Self) -> bool {
+        self.arms == other.arms
+            && self.dim == other.dim
+            && self.inv == other.inv
+            && self.theta == other.theta
+    }
 }
 
 impl ScoreArena {
@@ -79,11 +167,13 @@ impl ScoreArena {
         if arms == 0 || dim == 0 {
             return Err(LinalgError::Empty);
         }
+        let first = draw_stamps(arms);
         Ok(Self {
             arms,
             dim,
             inv: vec![0.0; arms * dim * dim],
             theta: vec![0.0; arms * dim],
+            stamps: (first..first + arms as u64).collect(),
         })
     }
 
@@ -99,7 +189,8 @@ impl ScoreArena {
         self.dim
     }
 
-    /// Scatters one arm's inverse and cached `θ` into the arena lanes.
+    /// Scatters one arm's inverse and cached `θ` into the arena lanes and
+    /// re-stamps the arm.
     ///
     /// # Errors
     ///
@@ -136,6 +227,7 @@ impl ScoreArena {
         for (i, &value) in theta.iter().enumerate() {
             self.theta[i * arms + arm] = value;
         }
+        self.stamps[arm] = draw_stamps(1);
         Ok(())
     }
 
@@ -213,6 +305,84 @@ impl ScoreArena {
             *o = e + alpha * q.max(0.0).sqrt();
         }
         Ok(())
+    }
+
+    /// One arm's score with the per-arm floating-point sequence of
+    /// [`ScoreArena::ucb_scores_into`] — row accumulators from zero in `j`
+    /// order, the quadratic form from zero in `i` order, the estimate from
+    /// zero in `i` order — read off the arm's strided lanes. The caller has
+    /// checked that `arm < self.arms` and `x.len() == self.dim`.
+    fn ucb_score_arm(&self, arm: usize, x: &[f64], alpha: f64) -> f64 {
+        let arms = self.arms;
+        let mut qf = 0.0;
+        for (i, &xi) in x.iter().enumerate() {
+            let mut acc = 0.0;
+            for (j, &xj) in x.iter().enumerate() {
+                acc += self.inv[(i * self.dim + j) * arms + arm] * xj;
+            }
+            qf += xi * acc;
+        }
+        let mut est = 0.0;
+        for (i, &xi) in x.iter().enumerate() {
+            est += self.theta[i * arms + arm] * xi;
+        }
+        est + alpha * qf.max(0.0).sqrt()
+    }
+
+    /// Scores all arms against one context like
+    /// [`ScoreArena::ucb_scores_into`], but through a [`ScoreMemo`]: when the
+    /// memo's last sweep was over this very context and α and at most half
+    /// the arms have been re-stamped since, only those arms are re-scored
+    /// (`O(changed · d²)`); otherwise the call is the full sweep, which
+    /// refills the memo. Either way the returned scores are bit-for-bit
+    /// those of a fresh sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
+    pub fn ucb_scores_memo<'m>(
+        &self,
+        x: &[f64],
+        alpha: f64,
+        memo: &'m mut ScoreMemo,
+    ) -> Result<&'m [f64], LinalgError> {
+        if x.len() != self.dim {
+            return Err(LinalgError::DimensionMismatch {
+                expected: (self.dim, 1),
+                found: (x.len(), 1),
+            });
+        }
+        // A memo of another context is a memo with every arm stale.
+        let stale = if memo.remembers(self.arms, x, alpha) {
+            let fresh = memo.stamps.iter().zip(&self.stamps);
+            fresh.filter(|(seen, stamp)| seen != stamp).count()
+        } else {
+            self.arms
+        };
+        // The one-arm kernel walks strided lanes down a scalar dependency
+        // chain and measures 2–3× the sweep's cost per arm (d = 10…32), so
+        // past half the arms the sweep is the cheaper way to catch up.
+        if 2 * stale <= self.arms {
+            for (arm, (seen, &stamp)) in memo.stamps.iter_mut().zip(&self.stamps).enumerate() {
+                if *seen != stamp {
+                    memo.scores[arm] = self.ucb_score_arm(arm, x, alpha);
+                    *seen = stamp;
+                }
+            }
+            memo.counters.arms_scored += stale as u64;
+        } else {
+            memo.scores.resize(self.arms, 0.0);
+            self.ucb_scores_into(x, alpha, &mut memo.scratch, &mut memo.scores)?;
+            memo.context_bits.clear();
+            memo.context_bits
+                .extend(x.iter().map(|value| value.to_bits()));
+            memo.alpha_bits = alpha.to_bits();
+            memo.stamps.clear();
+            memo.stamps.extend_from_slice(&self.stamps);
+            memo.counters.sweeps += 1;
+            memo.counters.arms_scored += self.arms as u64;
+        }
+        Ok(&memo.scores)
     }
 }
 
@@ -413,6 +583,119 @@ mod tests {
                 "arm {a} diverged from the scalar reference"
             );
         }
+    }
+
+    fn sweep(arena: &ScoreArena, x: &[f64], alpha: f64) -> Vec<u64> {
+        let mut out = vec![0.0; arena.arms()];
+        arena
+            .ucb_scores_into(x, alpha, &mut ScoreScratch::new(), &mut out)
+            .unwrap();
+        out.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn through(arena: &ScoreArena, x: &[f64], alpha: f64, memo: &mut ScoreMemo) -> Vec<u64> {
+        let scores = arena.ucb_scores_memo(x, alpha, memo).unwrap();
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn memo_rescores_only_restamped_arms_and_matches_the_sweep() {
+        let (mut arena, mut inverses, rewards) = trained_arena(7, 6);
+        let x: Vec<f64> = (0..6).map(|k| (k as f64 + 0.5) / 6.0).collect();
+        let mut memo = ScoreMemo::new();
+        let counted = |memo: &ScoreMemo| (memo.counters().sweeps, memo.counters().arms_scored);
+
+        assert_eq!(
+            through(&arena, &x, 0.25, &mut memo),
+            sweep(&arena, &x, 0.25)
+        );
+        assert_eq!(counted(&memo), (1, 7));
+        // Nothing written since: nothing scored.
+        assert_eq!(
+            through(&arena, &x, 0.25, &mut memo),
+            sweep(&arena, &x, 0.25)
+        );
+        assert_eq!(counted(&memo), (1, 7));
+
+        // Three arms written (at most half of seven): three arms scored.
+        for arm in [1usize, 4, 6] {
+            inverses[arm].update(&Vector::from(x.clone())).unwrap();
+            let theta = inverses[arm].solve(&rewards[arm]).unwrap();
+            arena
+                .load_arm(arm, inverses[arm].inverse(), theta.as_slice())
+                .unwrap();
+        }
+        assert_eq!(
+            through(&arena, &x, 0.25, &mut memo),
+            sweep(&arena, &x, 0.25)
+        );
+        assert_eq!(counted(&memo), (1, 10));
+
+        // Another α, a context that differs only in the sign of a zero, and
+        // more than half the arms written each fall back to the sweep.
+        assert_eq!(through(&arena, &x, 0.5, &mut memo), sweep(&arena, &x, 0.5));
+        assert_eq!(counted(&memo), (2, 17));
+        let mut zeroed = x.clone();
+        zeroed[0] = 0.0;
+        assert_eq!(
+            through(&arena, &zeroed, 0.5, &mut memo),
+            sweep(&arena, &zeroed, 0.5)
+        );
+        zeroed[0] = -0.0;
+        assert_eq!(
+            through(&arena, &zeroed, 0.5, &mut memo),
+            sweep(&arena, &zeroed, 0.5)
+        );
+        assert_eq!(counted(&memo), (4, 31));
+        for (arm, inv) in inverses.iter().enumerate().take(4) {
+            let theta = inv.solve(&rewards[arm]).unwrap();
+            arena
+                .load_arm(arm, inv.inverse(), theta.as_slice())
+                .unwrap();
+        }
+        assert_eq!(
+            through(&arena, &zeroed, 0.5, &mut memo),
+            sweep(&arena, &zeroed, 0.5)
+        );
+        assert_eq!(counted(&memo), (5, 38));
+
+        assert!(arena.ucb_scores_memo(&x[..5], 0.5, &mut memo).is_err());
+    }
+
+    #[test]
+    fn one_memo_serves_diverged_clones_and_unrelated_arenas() {
+        let (base, inverses, rewards) = trained_arena(5, 4);
+        let x = [0.4, 0.3, 0.2, 0.1];
+        let reload = |arena: &mut ScoreArena, arm: usize, reward_scale: f64| {
+            let b = rewards[arm].scaled(reward_scale);
+            let theta = inverses[arm].solve(&b).unwrap();
+            arena
+                .load_arm(arm, inverses[arm].inverse(), theta.as_slice())
+                .unwrap();
+        };
+        // Two clones diverge on the same arm; a third arena has the same
+        // shape and no shared history.
+        let (mut left, mut right) = (base.clone(), base.clone());
+        reload(&mut left, 2, 2.0);
+        reload(&mut right, 2, 3.0);
+        let (other, _, _) = trained_arena(5, 4);
+        let mut memo = ScoreMemo::new();
+        for arena in [&base, &left, &right, &left, &other, &base, &right] {
+            assert_eq!(through(arena, &x, 1.0, &mut memo), sweep(arena, &x, 1.0));
+        }
+        // base → left → right → left re-score arm 2 alone; `other` shares no
+        // stamp with anything and is swept, as is `base` after it.
+        assert_eq!(memo.counters().sweeps, 3);
+        assert_eq!(memo.counters().arms_scored, 5 + 3 + 5 + 5 + 1);
+    }
+
+    #[test]
+    fn stamps_take_no_part_in_equality() {
+        let (first, _, _) = trained_arena(3, 4);
+        let (second, _, _) = trained_arena(3, 4);
+        assert_ne!(first.stamps, second.stamps);
+        assert_eq!(first, second);
+        assert_eq!(first.clone().stamps, first.stamps);
     }
 
     #[test]

@@ -36,7 +36,9 @@ mod matrix;
 mod stats;
 mod vector;
 
-pub use arena::{ScoreArena, ScoreArenaF32, ScoreScratch, ScoreScratchF32};
+pub use arena::{
+    ScoreArena, ScoreArenaF32, ScoreCounters, ScoreMemo, ScoreScratch, ScoreScratchF32,
+};
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use incremental::{RankOneInverse, UpdateScratch};
