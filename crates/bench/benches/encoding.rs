@@ -52,6 +52,57 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
+/// `kmeans_encode` above times one probe of a uniform corpus. The scan rules
+/// centroids out by how close the context lies to one of them, so its two
+/// sides each get a number here, at the largest code space the paper uses:
+/// an encoder fitted on jittered copies of 1 024 contexts encodes (i) those
+/// contexts, where nearly every centroid is dropped after a short prefix, and
+/// (ii) uniform points unrelated to the fit, where none is.
+fn bench_encode_clustered(c: &mut Criterion) {
+    const CODES: usize = 1024;
+    const DIMENSION: usize = 16;
+    let mut rng = StdRng::seed_from_u64(4);
+    // A simplex point with a few dominant coordinates, or one within ±5 % per
+    // coordinate of `centre`: the contexts of the repo benchmark's workloads.
+    let mut point = |centre: Option<&Vector>| {
+        let raw: Vec<f64> = match centre {
+            Some(centre) => centre
+                .iter()
+                .map(|x| x * (1.0 + 0.1 * (rng.gen::<f64>() - 0.5)))
+                .collect(),
+            None => (0..DIMENSION)
+                .map(|_| 0.02 + rng.gen::<f64>().powi(4))
+                .collect(),
+        };
+        Vector::from(raw).normalized_l1().expect("non-empty")
+    };
+    let centres: Vec<Vector> = (0..CODES).map(|_| point(None)).collect();
+    let data: Vec<Vector> = centres
+        .iter()
+        .flat_map(|centre| [centre; 8])
+        .map(|centre| point(Some(centre)))
+        .collect();
+    let encoder = KMeansEncoder::fit(
+        &data,
+        KMeansConfig::new(CODES).with_iterations(10),
+        &mut rng,
+    )
+    .unwrap();
+    let uniform = corpus(DIMENSION, CODES, &mut rng);
+
+    let mut group = c.benchmark_group("kmeans_encode_k1024_d16");
+    for (name, queries) in [("centre_queries", &centres), ("uniform_queries", &uniform)] {
+        group.bench_function(name, |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) % queries.len();
+                encoder.encode(&queries[i]).unwrap()
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmeans_fit");
     group.sample_size(10);
@@ -76,5 +127,11 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_quantize, bench_encode, bench_fit);
+criterion_group!(
+    benches,
+    bench_quantize,
+    bench_encode,
+    bench_encode_clustered,
+    bench_fit
+);
 criterion_main!(benches);

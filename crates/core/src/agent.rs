@@ -2,7 +2,7 @@
 
 use crate::{CodeRepresentation, CoreError, ModelSnapshot, P2bConfig, RandomizedReporter};
 use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
-use p2b_encoding::Encoder;
+use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::{ScoreCounters, Vector};
 use p2b_privacy::{amplified_epsilon, PrivacyAccountant, PrivacyGuarantee};
 use p2b_shuffler::{EncodedReport, RawReport};
@@ -48,6 +48,34 @@ fn check_snapshot_shape(
         });
     }
     Ok(())
+}
+
+/// The raw context of an agent's last decision and the code it encoded to.
+///
+/// An interaction hands one context to [`LocalAgent::select_action`] and then
+/// to [`LocalAgent::observe_reward`]; the second call takes the first one's
+/// code from here instead of repeating the encoder's scan. Contexts are
+/// compared by bit pattern, so a code taken from here is the code `encode`
+/// would return. Like the select memo it is not behavioral state: a dormant
+/// agent does not persist it, and a rehydrated agent encodes again.
+#[derive(Debug, Clone, Default)]
+struct DecidedContext {
+    raw: Vec<f64>,
+    code: Option<ContextCode>,
+}
+
+impl DecidedContext {
+    fn remember(&mut self, raw_context: &Vector, code: ContextCode) {
+        self.raw.clear();
+        self.raw.extend_from_slice(raw_context.as_slice());
+        self.code = Some(code);
+    }
+
+    fn code_of(&self, raw_context: &Vector) -> Option<ContextCode> {
+        let decided = self.raw.iter().map(|x| x.to_bits());
+        let observed = raw_context.iter().map(|x| x.to_bits());
+        self.code.filter(|_| decided.eq(observed))
+    }
 }
 
 /// The policy portion of a dormant (evicted) agent.
@@ -149,10 +177,11 @@ impl DormantAgent {
 /// design matrix, its inverse, the flat score-arena mirror of that inverse,
 /// and three `d`-vectors of `f64`s (reward vector, cached θ lane, update
 /// scratch). Not counted: the arena's one-word content stamp per action,
-/// and the resident agent's select memo (`d + 2·A` words: the last context,
-/// and a stamp and a score per action) — bookkeeping that decides how many
-/// arms a decision re-scores, never which action it picks, and that a
-/// dormant agent does not persist.
+/// the resident agent's select memo (`d + 2·A` words: the last context,
+/// and a stamp and a score per action) and its `DecidedContext` (`d`
+/// words) — bookkeeping that decides how many arms a decision re-scores and
+/// whether a reward encodes again, never which action is picked or which
+/// code is reported, and that a dormant agent does not persist.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;
@@ -191,6 +220,9 @@ pub struct LocalAgent {
     /// not persisted by [`LocalAgent::dehydrate`], and a rehydrated agent
     /// starts cold and pays one full sweep.
     scratch: SelectScratch,
+    /// What the last decision encoded, so that its reward does not encode
+    /// the same context a second time.
+    decided: DecidedContext,
 }
 
 impl LocalAgent {
@@ -238,6 +270,7 @@ impl LocalAgent {
             pending: Vec::new(),
             interactions: 0,
             scratch: SelectScratch::new(),
+            decided: DecidedContext::default(),
         })
     }
 
@@ -334,7 +367,9 @@ impl LocalAgent {
         raw_context: &Vector,
         rng: &mut R,
     ) -> Result<Action, CoreError> {
-        let model_context = self.model_context(raw_context)?;
+        let code = self.encoder.encode(raw_context)?;
+        self.decided.remember(raw_context, code);
+        let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
         // Selection never mutates the statistics, so it reads through the
         // shared snapshot for as long as the agent has one. The agent-owned
         // scratch makes the per-decision path allocation-free, and its memo
@@ -360,7 +395,11 @@ impl LocalAgent {
         reward: f64,
         rng: &mut R,
     ) -> Result<(), CoreError> {
-        let code = self.encoder.encode(raw_context)?;
+        // The usual caller is reporting on the context it last decided on.
+        let code = match self.decided.code_of(raw_context) {
+            Some(code) => code,
+            None => self.encoder.encode(raw_context)?,
+        };
         let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
         self.policy_mut().update(&model_context, action, reward)?;
         self.interactions += 1;
@@ -473,6 +512,7 @@ impl LocalAgent {
             pending: Vec::new(),
             interactions: dormant.interactions,
             scratch: SelectScratch::new(),
+            decided: DecidedContext::default(),
         })
     }
 
@@ -501,9 +541,10 @@ impl LocalAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2b_encoding::{KMeansConfig, KMeansEncoder};
+    use p2b_encoding::{EncoderStats, EncodingError, KMeansConfig, KMeansEncoder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn encoder(seed: u64) -> Arc<dyn Encoder> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -661,6 +702,105 @@ mod tests {
         assert_eq!(counted(&revived), (0, 0));
         revived.select_action(&here, &mut rng).unwrap();
         assert_eq!(counted(&revived), (1, 3));
+    }
+
+    /// Counts the `encode` calls that reach the encoder it wraps.
+    #[derive(Debug)]
+    struct CountingEncoder {
+        inner: Arc<dyn Encoder>,
+        encodes: AtomicUsize,
+    }
+
+    impl Encoder for CountingEncoder {
+        fn num_codes(&self) -> usize {
+            self.inner.num_codes()
+        }
+        fn context_dimension(&self) -> usize {
+            self.inner.context_dimension()
+        }
+        fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError> {
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            self.inner.encode(context)
+        }
+        fn representative(&self, code: ContextCode) -> Result<Vector, EncodingError> {
+            self.inner.representative(code)
+        }
+        fn stats(&self) -> &EncoderStats {
+            self.inner.stats()
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    #[test]
+    fn an_interaction_encodes_its_context_once() {
+        let counting = Arc::new(CountingEncoder {
+            inner: encoder(8),
+            encodes: AtomicUsize::new(0),
+        });
+        let encodes = || counting.encodes.load(Ordering::Relaxed);
+        let enc: Arc<dyn Encoder> = counting.clone();
+        let snapshot = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
+        ));
+        let here = Vector::from(vec![1.0, 0.1, 0.1, 0.0]);
+        let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
+
+        // The reward of a decision reuses the decision's code …
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut agent = LocalAgent::new(4, &config(), Arc::clone(&enc), None).unwrap();
+        for _ in 0..10 {
+            let action = agent.select_action(&here, &mut rng).unwrap();
+            agent.observe_reward(&here, action, 1.0, &mut rng).unwrap();
+        }
+        assert_eq!(encodes(), 10);
+
+        // … and leaves the agent where two encodes an interaction leave it:
+        // the twin forgets its decision (a dormant agent keeps no memo)
+        // before every reward.
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut twin = LocalAgent::new(4, &config(), Arc::clone(&enc), None).unwrap();
+        let mut twin_reports = Vec::new();
+        for _ in 0..10 {
+            let action = twin.select_action(&here, &mut rng).unwrap();
+            let (reports, dormant) = twin.dehydrate();
+            twin_reports.extend(reports);
+            twin = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &snapshot).unwrap();
+            twin.observe_reward(&here, action, 1.0, &mut rng).unwrap();
+        }
+        assert_eq!(encodes(), 10 + 20);
+        let bits = |agent: &LocalAgent| -> Vec<u64> {
+            let scores = agent.policy().scores(&agent.model_context(&there).unwrap());
+            scores.unwrap().into_iter().map(f64::to_bits).collect()
+        };
+        assert_eq!(bits(&agent), bits(&twin));
+        twin_reports.extend(twin.take_reports());
+        assert!(!twin_reports.is_empty());
+        assert_eq!(agent.take_reports(), twin_reports);
+        let before = encodes();
+
+        // Only the bits of the last decision's context are reused: not
+        // another context, not its `-0.0` twin, not a non-finite one.
+        let action = agent.select_action(&here, &mut rng).unwrap();
+        agent.observe_reward(&there, action, 0.0, &mut rng).unwrap();
+        let mut negated = here.clone();
+        negated.as_mut_slice()[3] = -0.0;
+        agent
+            .observe_reward(&negated, action, 0.0, &mut rng)
+            .unwrap();
+        assert_eq!(encodes(), before + 3);
+        negated.as_mut_slice()[3] = f64::NAN;
+        assert!(matches!(
+            agent.observe_reward(&negated, action, 0.0, &mut rng),
+            Err(CoreError::Encoding(EncodingError::NonFiniteContext {
+                index: 3
+            }))
+        ));
+        // The decision is still remembered after rewards for other contexts.
+        agent.observe_reward(&here, action, 0.0, &mut rng).unwrap();
+        assert_eq!(encodes(), before + 4);
     }
 
     #[test]

@@ -109,7 +109,8 @@ pub trait Encoder: Send + Sync + std::fmt::Debug {
     /// # Errors
     ///
     /// Returns [`EncodingError::DimensionMismatch`] when the context has the
-    /// wrong dimension.
+    /// wrong dimension and [`EncodingError::NonFiniteContext`] when one of its
+    /// coordinates is NaN or infinite.
     fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError>;
 
     /// A representative context for the given code (e.g. the cluster
@@ -128,15 +129,21 @@ pub trait Encoder: Send + Sync + std::fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
-/// Validates that a context matches the encoder's expected dimension.
-pub(crate) fn check_dimension(expected: usize, context: &Vector) -> Result<(), EncodingError> {
+/// Validates that a context matches the encoder's expected dimension and
+/// that every coordinate is finite. A NaN coordinate makes every distance
+/// and projection NaN, every comparison against those false, and the code
+/// an accident of the scan order rather than a property of the context.
+pub(crate) fn check_context(expected: usize, context: &Vector) -> Result<(), EncodingError> {
     if context.len() != expected {
         return Err(EncodingError::DimensionMismatch {
             expected,
             found: context.len(),
         });
     }
-    Ok(())
+    match context.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(EncodingError::NonFiniteContext { index }),
+        None => Ok(()),
+    }
 }
 
 /// Validates that a code is within range.
@@ -184,8 +191,20 @@ mod tests {
 
     #[test]
     fn validators() {
-        assert!(check_dimension(3, &Vector::zeros(3)).is_ok());
-        assert!(check_dimension(3, &Vector::zeros(4)).is_err());
+        assert!(check_context(3, &Vector::zeros(3)).is_ok());
+        assert!(matches!(
+            check_context(3, &Vector::zeros(4)),
+            Err(EncodingError::DimensionMismatch {
+                expected: 3,
+                found: 4
+            })
+        ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                check_context(3, &Vector::from(vec![0.5, bad, bad])),
+                Err(EncodingError::NonFiniteContext { index: 1 })
+            );
+        }
         assert!(check_code(4, ContextCode::new(3)).is_ok());
         assert!(check_code(4, ContextCode::new(4)).is_err());
     }

@@ -22,6 +22,12 @@ pub enum EncodingError {
         /// Dimension of the offending context.
         found: usize,
     },
+    /// The context has a NaN or infinite coordinate, so it has no nearest
+    /// code: every distance to it is NaN or infinite.
+    NonFiniteContext {
+        /// Index of the first non-finite coordinate.
+        index: usize,
+    },
     /// The training corpus was empty or smaller than the number of clusters.
     InsufficientData {
         /// Number of samples provided.
@@ -50,6 +56,9 @@ impl fmt::Display for EncodingError {
                 f,
                 "context dimension mismatch: encoder expects {expected}, observed {found}"
             ),
+            EncodingError::NonFiniteContext { index } => {
+                write!(f, "context coordinate {index} is NaN or infinite")
+            }
             EncodingError::InsufficientData { samples, required } => write!(
                 f,
                 "insufficient training data: {samples} samples, at least {required} required"
@@ -92,6 +101,8 @@ mod tests {
             found: 4,
         };
         assert!(e.to_string().contains("10"));
+        let e = EncodingError::NonFiniteContext { index: 7 };
+        assert!(e.to_string().contains('7'));
         let e = EncodingError::InsufficientData {
             samples: 3,
             required: 8,

@@ -1,6 +1,6 @@
 //! Uniform grid encoder: quantize, then hash the grid cell to a code.
 
-use crate::encoder::{check_code, check_dimension};
+use crate::encoder::{check_code, check_context};
 use crate::{ContextCode, Encoder, EncoderStats, EncodingError, Quantizer};
 use p2b_linalg::Vector;
 use std::collections::hash_map::DefaultHasher;
@@ -128,7 +128,7 @@ impl Encoder for GridEncoder {
     }
 
     fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError> {
-        check_dimension(self.dimension, context)?;
+        check_context(self.dimension, context)?;
         Ok(ContextCode::new(Self::hash_code(
             &self.quantizer,
             self.num_codes,

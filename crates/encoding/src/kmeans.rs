@@ -1,6 +1,6 @@
 //! Mini-batch k-means encoder (Sculley 2010).
 
-use crate::encoder::{check_code, check_dimension};
+use crate::encoder::{check_code, check_context};
 use crate::{ContextCode, Encoder, EncoderStats, EncodingError};
 use p2b_linalg::Vector;
 use rand::Rng;
@@ -83,17 +83,25 @@ impl KMeansConfig {
 ///
 /// This is the encoder the paper evaluates: contexts are clustered with
 /// web-scale (mini-batch) k-means and each cluster index becomes a context
-/// code. Encoding a fresh context is a nearest-centroid lookup with `O(k·d)`
-/// cost, matching the complexity the paper quotes for on-device inference.
+/// code. Encoding a fresh context is a nearest-centroid lookup whose worst
+/// case is the `O(k·d)` the paper quotes for on-device inference; a context
+/// that lies close to some centroid relative to the spacing between centroids
+/// — what an encoder fitted on the population it serves sees — costs little
+/// more than a quarter of that at `d = 16`, because nearly every centroid is
+/// ruled out after its first four dimensions (`CentroidIndex` in this
+/// module). The code returned is always the one the plain scan returns: the
+/// lowest index among the nearest centroids.
 ///
 /// The encoder is fitted once on a training corpus; [`KMeansEncoder::stats`]
 /// then reports the minimum cluster size, which the privacy analysis uses as
 /// the crowd-blending parameter `l`.
 #[derive(Debug, Clone)]
 pub struct KMeansEncoder {
+    /// What `centroids()` and `representative()` hand out.
     centroids: Vec<Vector>,
+    /// The same centroids, laid out for the scan.
+    index: CentroidIndex,
     stats: EncoderStats,
-    dimension: usize,
 }
 
 impl KMeansEncoder {
@@ -114,6 +122,8 @@ impl KMeansEncoder {
     ///   than clusters.
     /// * [`EncodingError::DimensionMismatch`] if corpus vectors have unequal
     ///   dimensions.
+    /// * [`EncodingError::NonFiniteContext`] if a corpus vector has a NaN or
+    ///   infinite coordinate.
     pub fn fit<R: Rng + ?Sized>(
         corpus: &[Vector],
         config: KMeansConfig,
@@ -128,7 +138,7 @@ impl KMeansEncoder {
         }
         let dimension = corpus[0].len();
         for sample in corpus {
-            check_dimension(dimension, sample)?;
+            check_context(dimension, sample)?;
         }
 
         // k-means++ initialization: spread the seeds out so a generating
@@ -159,25 +169,31 @@ impl KMeansEncoder {
                         break;
                     }
                 }
-                chosen.unwrap_or_else(|| {
-                    // Rounding left a residue: take the heaviest sample.
-                    nearest_sq
+                match chosen {
+                    Some(chosen) => chosen,
+                    // Rounding left a residue: take the heaviest sample
+                    // (there is one: the corpus is not empty).
+                    None => nearest_sq
                         .iter()
                         .enumerate()
                         .max_by(|a, b| a.1.total_cmp(b.1))
                         .map(|(i, _)| i)
-                        .expect("corpus is non-empty")
-                })
+                        .ok_or(EncodingError::InsufficientData {
+                            samples: corpus.len(),
+                            required: config.num_codes,
+                        })?,
+                }
             } else {
                 // All samples coincide with a centroid; any pick works.
                 rng.gen_range(0..corpus.len())
             };
             let centroid = corpus[chosen].clone();
             for (sample, nearest) in corpus.iter().zip(nearest_sq.iter_mut()) {
-                *nearest = nearest.min(centroid.squared_distance(sample)?);
+                *nearest = min_with_distance(*nearest, centroid.as_slice(), sample.as_slice());
             }
             centroids.push(centroid);
         }
+        let mut index = CentroidIndex::new(&centroids, dimension);
         let mut counts = vec![0u64; config.num_codes];
 
         for _ in 0..config.iterations {
@@ -194,7 +210,7 @@ impl KMeansEncoder {
             // Assign then update with per-centroid learning rates.
             let mut movement = 0.0;
             for sample in batch {
-                let (best, _) = nearest_centroid(&centroids, sample)?;
+                let best = index.nearest(sample.as_slice()).index;
                 counts[best] += 1;
                 let rate = 1.0 / counts[best] as f64;
                 let old = centroids[best].clone();
@@ -202,6 +218,7 @@ impl KMeansEncoder {
                 let delta = sample.sub(&centroids[best])?;
                 centroids[best].axpy(rate, &delta)?;
                 movement += centroids[best].squared_distance(&old)?.sqrt();
+                index.set(best, &centroids[best]);
             }
             if movement / config.num_codes as f64 <= config.tolerance {
                 break;
@@ -212,16 +229,16 @@ impl KMeansEncoder {
         let mut assignments = Vec::with_capacity(corpus.len());
         let mut distortions = Vec::with_capacity(corpus.len());
         for sample in corpus {
-            let (best, dist) = nearest_centroid(&centroids, sample)?;
-            assignments.push(best);
-            distortions.push(dist);
+            let nearest = index.nearest(sample.as_slice());
+            assignments.push(nearest.index);
+            distortions.push(nearest.distance);
         }
         let stats = EncoderStats::from_assignments(config.num_codes, &assignments, &distortions);
 
         Ok(Self {
             centroids,
+            index,
             stats,
-            dimension,
         })
     }
 
@@ -232,18 +249,207 @@ impl KMeansEncoder {
     }
 }
 
-/// Finds the nearest centroid and its squared distance.
-fn nearest_centroid(centroids: &[Vector], sample: &Vector) -> Result<(usize, f64), EncodingError> {
-    let mut best = 0usize;
-    let mut best_dist = f64::INFINITY;
-    for (i, c) in centroids.iter().enumerate() {
-        let dist = c.squared_distance(sample)?;
-        if dist < best_dist {
-            best = i;
-            best_dist = dist;
+/// Centroids scanned side by side: the width of a block of the index.
+const LANES: usize = 8;
+
+/// Dimensions summed for every centroid before any is ruled out.
+const PREFIX: usize = 4;
+
+/// Blocks one scan keeps partial sums for (1 024 centroids). A larger code
+/// space is scanned span after span, each bounded by the best of those before.
+const SPAN: usize = 128;
+
+/// The scratch of a scan lives on the stack and is zeroed on entry; zeroing
+/// `SPAN` blocks of it adds a third to the scan of a 16-block index (k = 128:
+/// 240 ns to 330 ns). Spans no longer than this take a scratch this long.
+const SHORT_SPAN: usize = 16;
+
+/// Adds `(c − x_j)²` to the running sum of every lane, dimension after
+/// dimension: per lane this is the floating-point sequence of
+/// `Vector::squared_distance`, for `LANES` centroids at once. Which zero a sum
+/// starts from (`Iterator::sum`'s has changed sign between Rust releases)
+/// cannot show once one term is in: a square is never `-0.0`.
+#[inline(always)]
+fn accumulate(mut sums: [f64; LANES], rows: &[f64], x: &[f64]) -> [f64; LANES] {
+    for (row, &xj) in rows.chunks_exact(LANES).zip(x) {
+        for (sum, &c) in sums.iter_mut().zip(row) {
+            let diff = c - xj;
+            *sum += diff * diff;
         }
     }
-    Ok((best, best_dist))
+    sums
+}
+
+/// The least of the sums that is not NaN, or +∞ when all are: a lower bound
+/// on every distance its block can still finish with a chance of winning.
+/// Two running minima, one per lane of a vector register, keep the reduction
+/// out of a serial chain of eight compares; starting them at +∞ and only ever
+/// replacing them by something smaller is what keeps a NaN out.
+#[inline(always)]
+fn least(sums: &[f64; LANES]) -> f64 {
+    let mut low = [f64::INFINITY; 2];
+    for pair in sums.chunks_exact(2) {
+        for (low, &sum) in low.iter_mut().zip(pair) {
+            if sum < *low {
+                *low = sum;
+            }
+        }
+    }
+    if low[1] < low[0] {
+        low[1]
+    } else {
+        low[0]
+    }
+}
+
+/// `bound.min(‖a − b‖²)`, bit for bit, giving up on the distance once it can
+/// no longer be below `bound`: the terms are non-negative and added in
+/// order, so under round-to-nearest no partial sum exceeds the finished one.
+fn min_with_distance(bound: f64, a: &[f64], b: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for (a, b) in a.chunks(PREFIX).zip(b.chunks(PREFIX)) {
+        for (a, b) in a.iter().zip(b) {
+            sum += (a - b) * (a - b);
+        }
+        if sum >= bound {
+            return bound;
+        }
+    }
+    bound.min(sum)
+}
+
+/// The answer of one scan of a [`CentroidIndex`].
+#[derive(Debug)]
+struct Nearest {
+    /// The lowest index among the centroids at the least distance; 0 when no
+    /// distance is below +∞ (all NaN, or all overflowed).
+    index: usize,
+    /// That centroid's squared distance, or +∞.
+    distance: f64,
+    /// `(c − x_j)²` terms computed, padding lanes included: the
+    /// machine-independent cost of the scan, between `PREFIX / d` of the
+    /// index and all of it, and never more because no term is computed twice.
+    evaluations: usize,
+}
+
+/// The centroids in blocks of [`LANES`], dimension-major inside a block —
+/// coordinate `j` of centroid `i` is at
+/// `((i / LANES) · d + j) · LANES + i % LANES` — so that the innermost loop of
+/// a scan runs over `LANES` centroids at one dimension and vectorises without
+/// reordering any centroid's own sum. Lanes past the last centroid hold +∞
+/// and are therefore never nearest.
+///
+/// [`CentroidIndex::nearest`] returns what the scalar scan over
+/// `Vec<Vector>` returns (the test-only `oracle`), index and distance bits,
+/// while finishing the sum of only the few centroids a [`PREFIX`]-dimension
+/// partial sum cannot rule out.
+#[derive(Debug, Clone)]
+struct CentroidIndex {
+    lanes: Vec<f64>,
+    dimension: usize,
+    blocks: usize,
+}
+
+impl CentroidIndex {
+    fn new(centroids: &[Vector], dimension: usize) -> Self {
+        let blocks = centroids.len().div_ceil(LANES);
+        let mut index = Self {
+            lanes: vec![f64::INFINITY; blocks * dimension * LANES],
+            dimension,
+            blocks,
+        };
+        for (i, centroid) in centroids.iter().enumerate() {
+            index.set(i, centroid);
+        }
+        index
+    }
+
+    /// Replaces centroid `i`.
+    fn set(&mut self, i: usize, centroid: &Vector) {
+        let first = (i / LANES) * self.dimension * LANES + i % LANES;
+        let slots = self.lanes.iter_mut().skip(first).step_by(LANES);
+        for (slot, &c) in slots.zip(centroid.iter()) {
+            *slot = c;
+        }
+    }
+
+    /// The centroid nearest to `x`, which has the index's dimension.
+    fn nearest(&self, x: &[f64]) -> Nearest {
+        debug_assert_eq!(x.len(), self.dimension);
+        // Not from the first centroid scanned: a NaN or +∞ distance must lose
+        // to this start exactly as it loses the oracle's `dist < best`.
+        let mut nearest = Nearest {
+            index: 0,
+            distance: f64::INFINITY,
+            evaluations: 0,
+        };
+        let mut first = 0;
+        while first < self.blocks {
+            let count = (self.blocks - first).min(SPAN);
+            if count <= SHORT_SPAN {
+                self.scan::<SHORT_SPAN>(first, count, x, &mut nearest);
+            } else {
+                self.scan::<SPAN>(first, count, x, &mut nearest);
+            }
+            first += count;
+        }
+        nearest
+    }
+
+    /// Scans blocks `first..first + count` (`count <= N`), improving `best`.
+    fn scan<const N: usize>(&self, first: usize, count: usize, x: &[f64], best: &mut Nearest) {
+        let stride = self.dimension * LANES;
+        let prefix = PREFIX.min(self.dimension);
+        let (x_prefix, x_rest) = x.split_at(prefix);
+        let block = |b: usize| &self.lanes[(first + b) * stride..][..stride];
+
+        // Pass 1: the prefix of every centroid, and the least of each block.
+        let mut partial = [[0.0f64; LANES]; N];
+        let mut lows = [f64::INFINITY; N];
+        let mut seed = 0;
+        for b in 0..count {
+            let sums = accumulate([0.0; LANES], &block(b)[..prefix * LANES], x_prefix);
+            partial[b] = sums;
+            lows[b] = least(&sums);
+            if lows[b] < lows[seed] {
+                seed = b;
+            }
+        }
+        best.evaluations += count * prefix * LANES;
+
+        // Finishing a block carries its stored partial sums on through the
+        // remaining dimensions: the same additions in the same order as a
+        // sum never interrupted. The tie rule makes the result the lowest
+        // index among the minima in whatever order blocks are finished.
+        let finish = |b: usize, best: &mut Nearest| {
+            let sums = accumulate(partial[b], &block(b)[prefix * LANES..], x_rest);
+            if least(&sums) <= best.distance {
+                for (lane, &distance) in sums.iter().enumerate() {
+                    let index = (first + b) * LANES + lane;
+                    if distance < best.distance || (distance == best.distance && index < best.index)
+                    {
+                        best.index = index;
+                        best.distance = distance;
+                    }
+                }
+            }
+            best.evaluations += x_rest.len() * LANES;
+        };
+
+        // The block with the least prefix first: for a context near a
+        // centroid it almost always holds the answer, and the bound it sets
+        // rules out nearly every other block.
+        finish(seed, best);
+        // Pass 2: a block is skipped when even its least partial sum already
+        // exceeds the best finished distance. No finished sum is below its
+        // own partial sum, so nothing in the block could pass `dist < best`;
+        // an equal partial sum may still tie at a lower index and is kept.
+        for (b, &low) in lows.iter().enumerate().take(count) {
+            if b != seed && low <= best.distance {
+                finish(b, best);
+            }
+        }
+    }
 }
 
 impl Encoder for KMeansEncoder {
@@ -252,13 +458,14 @@ impl Encoder for KMeansEncoder {
     }
 
     fn context_dimension(&self) -> usize {
-        self.dimension
+        self.index.dimension
     }
 
     fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError> {
-        check_dimension(self.dimension, context)?;
-        let (best, _) = nearest_centroid(&self.centroids, context)?;
-        Ok(ContextCode::new(best))
+        check_context(self.index.dimension, context)?;
+        Ok(ContextCode::new(
+            self.index.nearest(context.as_slice()).index,
+        ))
     }
 
     fn representative(&self, code: ContextCode) -> Result<Vector, EncodingError> {
@@ -274,6 +481,11 @@ impl Encoder for KMeansEncoder {
         "kmeans"
     }
 }
+
+#[cfg(test)]
+mod encode_agreement;
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

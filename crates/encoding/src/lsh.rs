@@ -1,6 +1,6 @@
 //! Sign-random-projection (SimHash) LSH encoder.
 
-use crate::encoder::{check_code, check_dimension};
+use crate::encoder::{check_code, check_context};
 use crate::{ContextCode, Encoder, EncoderStats, EncodingError};
 use p2b_linalg::{Matrix, Vector};
 use rand_distr_shim::sample_standard_normal;
@@ -65,8 +65,9 @@ impl LshEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`EncodingError::InvalidConfig`] for invalid configurations
-    /// and [`EncodingError::DimensionMismatch`] for ragged corpora.
+    /// Returns [`EncodingError::InvalidConfig`] for invalid configurations,
+    /// [`EncodingError::DimensionMismatch`] for ragged corpora and
+    /// [`EncodingError::NonFiniteContext`] for a NaN or infinite coordinate.
     pub fn fit<R: rand::Rng + ?Sized>(
         corpus: &[Vector],
         config: LshConfig,
@@ -74,7 +75,7 @@ impl LshEncoder {
     ) -> Result<Self, EncodingError> {
         config.validate()?;
         for sample in corpus {
-            check_dimension(config.dimension, sample)?;
+            check_context(config.dimension, sample)?;
         }
 
         // Center of the corpus (or the uniform simplex point when empty):
@@ -163,7 +164,7 @@ impl Encoder for LshEncoder {
     }
 
     fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError> {
-        check_dimension(self.config.dimension, context)?;
+        check_context(self.config.dimension, context)?;
         Ok(ContextCode::new(self.hash(context)?))
     }
 

@@ -4,7 +4,10 @@
 //! historical corpus exists, and serving traffic includes malformed
 //! contexts; both ends must degrade gracefully.
 
-use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder, LshConfig, LshEncoder, Quantizer};
+use p2b_encoding::{
+    Encoder, EncodingError, GridEncoder, KMeansConfig, KMeansEncoder, LshConfig, LshEncoder,
+    Quantizer,
+};
 use p2b_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,6 +129,65 @@ fn lsh_fit_on_duplicate_points_is_stable() {
     let code = encoder.encode(&corpus[0]).unwrap();
     assert_eq!(encoder.encode(&corpus[19]).unwrap(), code);
     assert!(code.value() < encoder.num_codes());
+}
+
+// ── Non-finite contexts ──────────────────────────────────────────────────
+
+/// A NaN distance or projection loses every comparison, so an unchecked
+/// encoder answers with whatever its scan starts from — code 0 for k-means —
+/// and the agent decides and reports on a context it never saw. Every
+/// encoder must name the offending coordinate instead, on `encode` and on the
+/// corpus it is fitted on.
+#[test]
+fn every_encoder_rejects_non_finite_contexts_with_a_typed_error() {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut corpus: Vec<Vector> = (0..24)
+        .map(|i| {
+            Vector::from(vec![1.0 + f64::from(i % 4), 1.0, 2.0, 0.5])
+                .normalized_l1()
+                .expect("non-empty")
+        })
+        .collect();
+    let kmeans = KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng).unwrap();
+    let lsh = LshEncoder::fit(&corpus, LshConfig::new(4, 3), &mut rng).unwrap();
+    let grid = GridEncoder::new(4, 8, 1, &mut rng).unwrap();
+    let encoders: [&dyn Encoder; 3] = [&kmeans, &lsh, &grid];
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for index in 0..4 {
+            let mut context = corpus[0].clone();
+            context.as_mut_slice()[index] = bad;
+            for encoder in encoders {
+                assert_eq!(
+                    encoder.encode(&context),
+                    Err(EncodingError::NonFiniteContext { index }),
+                    "{} encoded a context whose coordinate {index} is {bad}",
+                    encoder.name()
+                );
+            }
+        }
+    }
+    // The first offender is the one named; a wrong length is still reported
+    // as a wrong length.
+    assert_eq!(
+        kmeans.encode(&Vector::from(vec![0.1, f64::NAN, f64::INFINITY, 0.2])),
+        Err(EncodingError::NonFiniteContext { index: 1 })
+    );
+    assert!(matches!(
+        kmeans.encode(&Vector::from(vec![f64::NAN; 3])),
+        Err(EncodingError::DimensionMismatch { .. })
+    ));
+
+    // One poisoned sample anywhere in a corpus fails the fit.
+    corpus[17].as_mut_slice()[2] = f64::NAN;
+    assert_eq!(
+        KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng).err(),
+        Some(EncodingError::NonFiniteContext { index: 2 })
+    );
+    assert_eq!(
+        LshEncoder::fit(&corpus, LshConfig::new(4, 3), &mut rng).err(),
+        Some(EncodingError::NonFiniteContext { index: 2 })
+    );
 }
 
 // ── Quantizer ────────────────────────────────────────────────────────────
