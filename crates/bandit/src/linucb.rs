@@ -182,9 +182,9 @@ impl CoalescedUpdate {
 /// This is the exchange format of the central-DP trust model: a curator
 /// accumulates the exact statistics, perturbs them (e.g. through a
 /// tree-aggregation release), and rebuilds a servable model from the noisy
-/// copies. The design matrix must be symmetric positive definite — noisy
-/// matrices are the caller's responsibility to symmetrize and ridge-shift
-/// until they are.
+/// copies. The design matrix must be symmetric positive definite;
+/// [`ArmStatistics::from_leaf`] symmetrizes and ridge-shifts a summed
+/// [`ArmStatistics::leaf`] until it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmStatistics {
     /// The design matrix `A_a = λI + Σ x xᵀ` (possibly noisy).
@@ -232,6 +232,80 @@ impl ArmStatistics {
                 Err(e) => return Err(e.into()),
             }
         }
+    }
+
+    /// Length of the flat statistics leaf of a `dimension`-dimensional arm:
+    /// `d²` Gram coordinates, `d` reward coordinates and one pull counter.
+    #[must_use]
+    pub const fn leaf_dimension(dimension: usize) -> usize {
+        dimension * dimension + dimension + 1
+    }
+
+    /// The flat leaf `[n·vec(x xᵀ) | s·x | n]` that `count = n` observations
+    /// of `context = x` with reward sum `s` add to an arm's statistics — the
+    /// one layout every aggregating regime (tree curator, secure-aggregation
+    /// shards) sums and [`ArmStatistics::from_leaf`] reads back.
+    ///
+    /// The context is clipped to the unit L2 ball and the reward sum clamped
+    /// to `[0, n]`, so every coordinate is bounded by `n` and a single
+    /// report (`n = 1`) has L2 norm at most `√3`.
+    #[must_use]
+    pub fn leaf(context: &Vector, count: u64, reward_sum: f64) -> Vec<f64> {
+        let d = context.len();
+        let norm = context.norm2();
+        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
+        let count = count as f64;
+        let reward_sum = reward_sum.clamp(0.0, count);
+        let mut leaf = vec![0.0f64; Self::leaf_dimension(d)];
+        for i in 0..d {
+            let xi = context[i] * scale;
+            for j in 0..d {
+                leaf[i * d + j] = count * (xi * (context[j] * scale));
+            }
+            leaf[d * d + i] = reward_sum * xi;
+        }
+        leaf[d * d + d] = count;
+        leaf
+    }
+
+    /// Rebuilds positive-definite statistics from a summed (and possibly
+    /// noised or quantized) leaf in the [`ArmStatistics::leaf`] layout. The
+    /// Gram block is symmetrized as `(g_ij + g_ji) / 2` — per-coordinate
+    /// noise is not symmetric even though `x xᵀ` is, and the average is an
+    /// exact no-op on an already symmetric block — the pull counter is
+    /// rounded and floored at zero, and the design goes through
+    /// [`ArmStatistics::with_ridge_repair`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::InvalidConfig`] when `leaf` is not
+    /// [`ArmStatistics::leaf_dimension`]`(dimension)` long, and propagates
+    /// the ridge repair's error.
+    pub fn from_leaf(
+        leaf: &[f64],
+        dimension: usize,
+        regularizer: f64,
+    ) -> Result<Self, BanditError> {
+        let d = dimension;
+        if leaf.len() != Self::leaf_dimension(d) {
+            return Err(BanditError::InvalidConfig {
+                parameter: "leaf",
+                message: format!(
+                    "a dimension-{d} statistics leaf has {} coordinates, got {}",
+                    Self::leaf_dimension(d),
+                    leaf.len()
+                ),
+            });
+        }
+        let mut gram = Matrix::zeros(d, d);
+        for i in 0..d {
+            for j in 0..d {
+                gram.set(i, j, (leaf[i * d + j] + leaf[j * d + i]) / 2.0);
+            }
+        }
+        let reward_vector = Vector::from(leaf[d * d..d * d + d].to_vec());
+        let pulls = leaf[d * d + d].round().max(0.0) as u64;
+        Self::with_ridge_repair(&gram, reward_vector, pulls, regularizer)
     }
 }
 
@@ -1421,6 +1495,89 @@ mod tests {
         assert!(matches!(
             ArmStatistics::with_ridge_repair(&poisoned, Vector::zeros(2), 0, 1.0),
             Err(BanditError::Linalg(_))
+        ));
+    }
+
+    #[test]
+    fn statistics_leaf_is_the_curator_leaf_and_round_trips() {
+        // (i) The unit leaf is, bit for bit, the expression the central-DP
+        // curator filled its tree leaves with before the layout moved here.
+        fn curator_leaf(context: &Vector, reward: f64) -> Vec<f64> {
+            let d = context.len();
+            let norm = context.norm2();
+            let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
+            let mut leaf = vec![0.0f64; d * d + d + 1];
+            for i in 0..d {
+                let xi = context[i] * scale;
+                for j in 0..d {
+                    leaf[i * d + j] = xi * (context[j] * scale);
+                }
+                leaf[d * d + i] = reward.clamp(0.0, 1.0) * xi;
+            }
+            leaf[d * d + d] = 1.0;
+            leaf
+        }
+        let inside = Vector::from(vec![0.3, -0.4, 0.1]);
+        let outside = Vector::from(vec![2.0, -1.5, 0.25]); // clipped to the unit ball
+        for context in [&inside, &outside, &Vector::zeros(3)] {
+            for reward in [-0.5, 0.0, 0.37, 1.0, 1.7] {
+                let leaf = ArmStatistics::leaf(context, 1, reward);
+                let oracle = curator_leaf(context, reward);
+                assert_eq!(leaf.len(), ArmStatistics::leaf_dimension(3));
+                for (k, (a, b)) in leaf.iter().zip(&oracle).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "coordinate {k}, reward {reward}");
+                }
+            }
+        }
+
+        // (ii) A group (x, n, s) is the sum of its n unit leaves.
+        let rewards = [1.0, 0.0, 1.0, 0.25, 0.0];
+        for context in [&inside, &outside] {
+            let group = ArmStatistics::leaf(context, 5, rewards.iter().sum());
+            let mut summed = vec![0.0f64; group.len()];
+            for &reward in &rewards {
+                for (total, term) in summed
+                    .iter_mut()
+                    .zip(ArmStatistics::leaf(context, 1, reward))
+                {
+                    *total += term;
+                }
+            }
+            for (k, (a, b)) in group.iter().zip(&summed).enumerate() {
+                assert!((a - b).abs() < 1e-12, "coordinate {k}: {a} vs {b}");
+            }
+        }
+
+        // (iii) The symmetrizing decoder returns an already symmetric Gram
+        // bit for bit (plus exactly λ on the diagonal), so the secure path,
+        // whose decoded Gram is symmetric, can share it with the noisy one.
+        let mut leaf = ArmStatistics::leaf(&inside, 3, 2.0);
+        for (total, term) in leaf.iter_mut().zip(ArmStatistics::leaf(&outside, 2, 0.5)) {
+            *total += term;
+        }
+        let statistics = ArmStatistics::from_leaf(&leaf, 3, 1.0).unwrap();
+        for i in 0..3 {
+            for j in 0..3 {
+                let gram = leaf[i * 3 + j];
+                let expected = if i == j { gram + 1.0 } else { gram };
+                assert_eq!(statistics.design.get(i, j).to_bits(), expected.to_bits());
+            }
+            assert_eq!(statistics.reward_vector[i].to_bits(), leaf[9 + i].to_bits());
+        }
+        assert_eq!(statistics.pulls, 5);
+        // An asymmetric (noised) block is averaged, a negative noisy pull
+        // count floors at zero, and a mis-sized leaf is a typed error.
+        let noisy = [1.0, 0.5, 1.5, 1.0, 0.0, 0.0, -0.6];
+        let repaired = ArmStatistics::from_leaf(&noisy, 2, 1.0).unwrap();
+        assert_eq!(repaired.design.get(0, 1), 1.0);
+        assert_eq!(repaired.design.get(1, 0), 1.0);
+        assert_eq!(repaired.pulls, 0);
+        assert!(matches!(
+            ArmStatistics::from_leaf(&noisy, 3, 1.0),
+            Err(BanditError::InvalidConfig {
+                parameter: "leaf",
+                ..
+            })
         ));
     }
 

@@ -3,40 +3,39 @@
 //!
 //! This is the core-side half of the secure-aggregation regime. The
 //! [`p2b_shuffler::SecureAggEngine`] owns the `k` shard workers and the
-//! share arithmetic; this module owns the statistics layout and the model
-//! lifecycle around it:
+//! share arithmetic; the statistics-leaf layout is
+//! [`p2b_bandit::ArmStatistics::leaf`] / [`ArmStatistics::from_leaf`], the
+//! one layout every aggregating regime shares; this module owns the model
+//! lifecycle between the two:
 //!
 //! ```text
-//!   CoalescedUpdate (x, a, n, s) ──▶ leaf [n·vec(xxᵀ) | s·x | n]
+//!   CoalescedUpdate (x, a, n, s) ──▶ ArmStatistics::leaf [n·vec(xxᵀ) | s·x | n]
 //!                                          │ fixed-point encode + split
 //!                                          ▼
 //!                            k aggregator shards (shares only)
 //!                                          │ finish() at epoch boundary
 //!                                          ▼
 //!               recombined i128 sums ──▶ cumulative totals (wrapping Σ)
-//!                                          │ decode + λI ridge
+//!                                          │ decode + ArmStatistics::from_leaf
 //!                                          ▼
 //!                    LinUcb::from_sufficient_statistics (published model)
 //! ```
 //!
-//! The leaf layout matches the central-DP curator's
-//! (`[vec(x xᵀ) | r·x | 1]`, dimension `d² + d + 1`), weighted by the
-//! coalesced group: a group of `n` reports sharing context `x` with reward
-//! sum `s` contributes `n·x xᵀ` to the Gram block, `s·x` to the reward
-//! block and `n` to the pull counter — exactly the sum of its `n`
-//! per-report leaves, in one submission.
+//! A group of `n` reports sharing context `x` with reward sum `s`
+//! contributes `n·x xᵀ` to the Gram block, `s·x` to the reward block and `n`
+//! to the pull counter — exactly the sum of its `n` per-report leaves, in
+//! one submission.
 //!
 //! Determinism: the recombined sums are exact group elements (wrapping
 //! `i128` addition), so the assembled model is bit-identical across shard
 //! counts, submission interleavings and mask seeds. Epoch totals accumulate
 //! with the same wrapping addition, so multi-epoch assembly keeps the
 //! guarantee. `xᵢxⱼ` and `xⱼxᵢ` are the same `f64` product and encode to
-//! the same fixed-point word, so the decoded Gram block is symmetric
-//! without a repair pass.
+//! the same fixed-point word, so the decoded Gram block is symmetric and
+//! the decoder's symmetrization returns it unchanged.
 
 use crate::CoreError;
 use p2b_bandit::{ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
-use p2b_linalg::{Matrix, Vector};
 use p2b_privacy::decode_fixed;
 use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 
@@ -95,8 +94,7 @@ impl SecureIngestService {
     /// Returns [`CoreError::Shuffler`] when `shards` is zero or the engine
     /// configuration is otherwise degenerate.
     pub fn new(config: LinUcbConfig, shards: usize, seed: u64) -> Result<Self, CoreError> {
-        let d = config.context_dimension;
-        let leaf_dimension = d * d + d + 1;
+        let leaf_dimension = ArmStatistics::leaf_dimension(config.context_dimension);
         let engine = SecureAggEngine::builder(config.num_actions, leaf_dimension)
             .shards(shards)
             .build()?;
@@ -139,11 +137,10 @@ impl SecureIngestService {
     /// Splits one coalesced update into shares and routes them to the shard
     /// workers.
     ///
-    /// The context is clipped to the unit L2 ball and the reward sum to
-    /// `[0, n]`, mirroring the central-DP curator's leaf normalization, so
-    /// every leaf coordinate is bounded by the group count `n` and stays
-    /// inside the fixed-point dynamic range for any
-    /// `n ≤` [`p2b_privacy::FIXED_POINT_MAX_ABS`].
+    /// [`ArmStatistics::leaf`] clips the context to the unit L2 ball and the
+    /// reward sum to `[0, n]`, so every leaf coordinate is bounded by the
+    /// group count `n` and stays inside the fixed-point dynamic range for
+    /// any `n ≤` [`p2b_privacy::FIXED_POINT_MAX_ABS`].
     ///
     /// # Errors
     ///
@@ -160,19 +157,7 @@ impl SecureIngestService {
                 found: context.len(),
             });
         }
-        let norm = context.norm2();
-        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
-        let count = update.count() as f64;
-        let reward_sum = update.reward_sum().clamp(0.0, count);
-        let mut leaf = vec![0.0f64; d * d + d + 1];
-        for i in 0..d {
-            let xi = context[i] * scale;
-            for j in 0..d {
-                leaf[i * d + j] = count * (xi * (context[j] * scale));
-            }
-            leaf[d * d + i] = reward_sum * xi;
-        }
-        leaf[d * d + d] = count;
+        let leaf = ArmStatistics::leaf(context, update.count(), update.reward_sum());
         self.handle.submit(update.action().index(), &leaf)?;
         self.ingested += 1;
         Ok(())
@@ -210,17 +195,30 @@ impl SecureIngestService {
         let handle = std::mem::replace(&mut self.handle, next);
         let output = handle.finish()?;
         let leaf_dimension = self.leaf_dimension();
-        for arm in 0..self.config.num_actions {
-            let base = arm * leaf_dimension;
-            let sums = output.arm_sums(arm)?;
-            for (total, &sum) in self.totals[base..base + leaf_dimension]
-                .iter_mut()
-                .zip(sums)
-            {
+        for (arm, totals) in self.totals.chunks_mut(leaf_dimension).enumerate() {
+            for (total, &sum) in totals.iter_mut().zip(output.arm_sums(arm)?) {
                 *total = total.wrapping_add(sum);
             }
         }
-        self.model_from_totals()
+        // The decoded Gram is PSD up to ~2⁻⁴⁸ quantization, so λI almost
+        // always suffices; the repair only escalates if rounding ever tips
+        // an eigenvalue negative.
+        let statistics = self
+            .totals
+            .chunks(leaf_dimension)
+            .map(|arm| {
+                let decoded: Vec<f64> = arm.iter().copied().map(decode_fixed).collect();
+                ArmStatistics::from_leaf(
+                    &decoded,
+                    self.config.context_dimension,
+                    self.config.regularizer,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(LinUcb::from_sufficient_statistics(
+            self.config,
+            &statistics,
+        )?)
     }
 
     /// FNV-1a digest over the cumulative recombined totals (little-endian
@@ -238,44 +236,6 @@ impl SecureIngestService {
         }
         hash
     }
-
-    /// Rebuilds the servable model from the cumulative totals: decode,
-    /// ridge-shift the Gram block and fold through
-    /// [`LinUcb::from_sufficient_statistics`].
-    fn model_from_totals(&self) -> Result<LinUcb, CoreError> {
-        let d = self.config.context_dimension;
-        let leaf_dimension = self.leaf_dimension();
-        let mut statistics = Vec::with_capacity(self.config.num_actions);
-        for arm in 0..self.config.num_actions {
-            let base = arm * leaf_dimension;
-            let decoded: Vec<f64> = self.totals[base..base + leaf_dimension]
-                .iter()
-                .copied()
-                .map(decode_fixed)
-                .collect();
-            let mut gram = Matrix::zeros(d, d);
-            for i in 0..d {
-                for j in 0..d {
-                    gram.set(i, j, decoded[i * d + j]);
-                }
-            }
-            let reward_vector = Vector::from(decoded[d * d..d * d + d].to_vec());
-            let pulls = decoded[d * d + d].round().max(0.0) as u64;
-            // The decoded Gram is PSD up to ~2⁻⁴⁸ quantization, so λI
-            // almost always suffices; the repair only escalates if rounding
-            // ever tips an eigenvalue negative.
-            statistics.push(ArmStatistics::with_ridge_repair(
-                &gram,
-                reward_vector,
-                pulls,
-                self.config.regularizer,
-            )?);
-        }
-        Ok(LinUcb::from_sufficient_statistics(
-            self.config,
-            &statistics,
-        )?)
-    }
 }
 
 /// Derives the mask seed for one epoch's share session. The recombined
@@ -289,10 +249,16 @@ fn epoch_seed(seed: u64, epoch: u64) -> u64 {
 mod tests {
     use super::*;
     use p2b_bandit::{Action, ContextualPolicy};
+    use p2b_linalg::{Matrix, Vector};
 
     fn update(context: Vec<f64>, action: usize, count: u64, reward_sum: f64) -> CoalescedUpdate {
-        CoalescedUpdate::new(Vector::from(context), Action::new(action), count, reward_sum)
-            .unwrap()
+        CoalescedUpdate::new(
+            Vector::from(context),
+            Action::new(action),
+            count,
+            reward_sum,
+        )
+        .unwrap()
     }
 
     fn traffic() -> Vec<CoalescedUpdate> {

@@ -14,6 +14,14 @@
 //! [`p2b_privacy::AmplificationLedger`] — into JSON and CSV emitters
 //! ([`write_matrix_json`], [`write_matrix_csv`]).
 //!
+//! Each regime lives in exactly one place: a report channel in the private
+//! `channel` module (immediate fold, randomized-response fold, shuffled,
+//! tree curator, secure aggregation), built by the only `match` over
+//! [`PrivacyRegime`] that constructs state. [`run_cell`] is a single
+//! regime-blind loop over that channel. The two aggregating regimes share
+//! one statistics-leaf layout, [`p2b_bandit::ArmStatistics::leaf`] and its
+//! inverse [`p2b_bandit::ArmStatistics::from_leaf`].
+//!
 //! The `figures` binary in `p2b-bench` replays the paper's Figure 4–7 setups
 //! through this harness end-to-end; see `docs/REPRODUCING.md` for the exact
 //! commands and the expected output schema.
@@ -49,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod channel;
 mod emit;
 mod error;
 mod matrix;
@@ -57,11 +66,12 @@ mod regime;
 mod scenario;
 mod streaming;
 
+pub use channel::{CENTRAL_LEAF_SENSITIVITY, CENTRAL_SIGMA, CENTRAL_TARGET_DELTA};
 pub use emit::{matrix_to_csv, matrix_to_json, write_matrix_csv, write_matrix_json};
 pub use error::ExperimentError;
 pub use matrix::{
     run_cell, run_matrix, BatchGuarantee, CellResult, CellSpec, MatrixConfig, MatrixResult,
-    RoundPoint, CENTRAL_LEAF_SENSITIVITY, CENTRAL_SIGMA, CENTRAL_TARGET_DELTA,
+    RoundPoint,
 };
 pub use policy::{AnyPolicy, PolicyKind};
 pub use regime::PrivacyRegime;

@@ -7,90 +7,28 @@
 //! policy-agnostic), interacts for `interactions_per_user` rounds with local
 //! learning, and then gets **one** reporting opportunity taken with the
 //! participation probability `p` — the same cadence for every regime, so the
-//! regimes differ only in *how* the shared tuple is protected:
-//!
-//! * **non-private** — the raw `(x, a, r)` tuple updates the central policy
-//!   immediately;
-//! * **LDP randomized response** — the *whole* report is randomized on-device
-//!   ([`p2b_privacy::RandomizedResponse`]), the ε budget split evenly across
-//!   its three components (context code over `k` categories, action over `A`,
-//!   reward as a binary bit); the central policy trains on the randomized
-//!   code's representative context with the randomized action and reward.
-//!   This is the RAPPOR-style regime LDP bandit work operates in, and exactly
-//!   the per-report noise the paper argues is too high for model training;
-//! * **P2B shuffle** — the exact code is queued and periodically flushed
-//!   through the sharded [`p2b_shuffler::ShufflerEngine`] (anonymize,
-//!   shuffle, crowd-blending threshold); released reports update the central
-//!   policy and every batch's (ε, δ) lands in an
-//!   [`p2b_privacy::AmplificationLedger`];
-//! * **central DP (tree aggregation)** — the raw tuple goes to a *trusted
-//!   curator*, which folds it into per-arm [`p2b_privacy::TreeAggregator`]
-//!   streams over the LinUCB sufficient statistics and periodically
-//!   publishes a model rebuilt from the noisy prefix releases
-//!   (Gaussian noise on O(log T) dyadic partial sums — the classic
-//!   PrivateLinUCB baseline). Privacy cost is accounted in ρ-zCDP by a
-//!   [`p2b_privacy::ZcdpAccountant`].
-//! * **secure aggregation (additive shares)** — the device turns its report
-//!   into a LinUCB sufficient-statistic leaf, fixed-point encodes it and
-//!   additively secret-shares it across [`SECURE_AGG_SHARDS`] aggregator
-//!   shards ([`p2b_core::SecureIngestService`]); the published model is
-//!   rebuilt from the *recombined* per-arm sums only. No single aggregator
-//!   sees a contribution in the clear, and no noise is added — utility is
-//!   the non-private ceiling up to fixed-point quantization, with a trust
-//!   split instead of a DP guarantee (the cell reports no (ε, δ)).
+//! regimes differ only in *how* the shared tuple is protected. That "how" is
+//! the cell's report channel (`channel.rs`, one implementation per
+//! [`PrivacyRegime`]): the loop here submits to it, flushes it every
+//! [`MatrixConfig::flush_every_reports`] pending reports and once at the
+//! end, and reads its guarantee claim — it never asks which regime it runs.
 //!
 //! Selection always uses the device's true context — what is privatized is
 //! what reaches the central model, exactly as in the paper's architecture.
 
+use crate::channel::{self, LocalDpRandomizer, Report};
 use crate::{
-    AnyPolicy, ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind,
-    ScenarioShape,
+    ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind, ScenarioShape,
 };
-use p2b_bandit::{Action, ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
-use p2b_core::{DecisionTicket, RewardJoinBuffer, SecureIngestService};
-use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
-use p2b_linalg::{Matrix, Vector};
-use p2b_privacy::{
-    AmplificationLedger, Participation, RandomizedResponse, TreeAggregator, TreeConfig,
-    ZcdpAccountant,
-};
-use p2b_shuffler::{splitmix64, EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
+use p2b_bandit::Action;
+use p2b_core::{DecisionTicket, RewardJoinBuffer};
+use p2b_linalg::Vector;
+use p2b_privacy::{AmplificationLedger, Participation};
+use p2b_shuffler::splitmix64;
 use p2b_sim::parallel_map;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-/// Gaussian noise scale σ of every tree-aggregation node in the central-DP
-/// regime.
-///
-/// Like the drift constants in the scenario module, the central-DP knobs are
-/// documented constants rather than [`MatrixConfig`] fields: the config's
-/// serialized form is schema-frozen by the emitter goldens. σ = 4 with the
-/// smoke-scale horizons gives a per-stream ρ around 0.4 — an honestly noisy
-/// central-DP baseline whose utility gap against P2B is the paper's point.
-pub const CENTRAL_SIGMA: f64 = 4.0;
-
-/// Target δ at which the central-DP cell's composed ρ-zCDP loss is converted
-/// to an ε for reporting ([`p2b_privacy::ZcdpAccountant::epsilon`]).
-pub const CENTRAL_TARGET_DELTA: f64 = 1e-6;
-
-/// L2 sensitivity of one tree leaf in the central-DP regime: the leaf vector
-/// `[vec(x xᵀ), r·x, 1]` with the context clipped to the unit ball and the
-/// reward in `[0, 1]` has norm at most `√(‖x‖⁴ + r²‖x‖² + 1) ≤ √3`.
-pub const CENTRAL_LEAF_SENSITIVITY: f64 = 1.732_050_807_568_877_2;
-
-/// Aggregator shard count `k` of the secure-aggregation regime's in-cell
-/// [`p2b_core::SecureIngestService`].
-///
-/// A documented constant rather than a [`MatrixConfig`] field for the same
-/// schema-freeze reason as [`CENTRAL_SIGMA`]. The value is immaterial to the
-/// results: recombined share sums are exact wrapping-`i128` group elements,
-/// so cell output is bit-identical at any `k` (the secure-agg golden pins
-/// `k = 2` against the checked-in files, and the bench ingest stage asserts
-/// digest equality across `k ∈ {1, 2, 4}` on every run).
-pub const SECURE_AGG_SHARDS: usize = 2;
 
 /// Configuration of one matrix run: the three axes plus the shared workload,
 /// privacy and accounting knobs.
@@ -230,10 +168,8 @@ impl MatrixConfig {
     /// every other regime is policy-agnostic.
     #[must_use]
     pub fn cell_supported(regime: PrivacyRegime, policy: PolicyKind) -> bool {
-        !matches!(
-            regime,
-            PrivacyRegime::CentralDp | PrivacyRegime::SecureAgg
-        ) || policy == PolicyKind::LinUcb
+        !matches!(regime, PrivacyRegime::CentralDp | PrivacyRegime::SecureAgg)
+            || policy == PolicyKind::LinUcb
     }
 
     /// Total number of cells the matrix will run (unsupported
@@ -254,6 +190,8 @@ impl MatrixConfig {
         self.scenarios.len() * regime_policy * self.repeats as usize
     }
 
+    /// Checks the whole matrix: the axes, then everything a single cell
+    /// needs ([`MatrixConfig::validate_cell`]).
     fn validate(&self) -> Result<(), ExperimentError> {
         if self.scenarios.is_empty() || self.regimes.is_empty() || self.policies.is_empty() {
             return Err(ExperimentError::InvalidConfig {
@@ -267,6 +205,31 @@ impl MatrixConfig {
                 message: "must be at least 1".to_owned(),
             });
         }
+        self.validate_cell()?;
+        // The LDP budget only constrains configs that actually run the
+        // LocalDp regime.
+        if self.regimes.contains(&PrivacyRegime::LocalDp) {
+            LocalDpRandomizer::new(self.num_codes, 2, self.ldp_epsilon)?;
+        }
+        // A regime no policy on the axis can run would silently vanish from
+        // the matrix.
+        for &regime in &self.regimes {
+            if !self
+                .policies
+                .iter()
+                .any(|&p| Self::cell_supported(regime, p))
+            {
+                return Err(channel::unsupported_cell(regime));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the parameters every cell reads, whatever its regime, and
+    /// returns the validated participation probability. [`run_cell`] is
+    /// public and starts here, so a configuration [`run_matrix`] rejects
+    /// cannot reach a cell's arithmetic.
+    fn validate_cell(&self) -> Result<Participation, ExperimentError> {
         if self.num_users == 0 || self.interactions_per_user == 0 {
             return Err(ExperimentError::InvalidConfig {
                 parameter: "num_users/interactions_per_user",
@@ -300,35 +263,12 @@ impl MatrixConfig {
                 message: "must be at least 1".to_owned(),
             });
         }
-        // Participation, ε and Ω are validated by the privacy crate's own
-        // constructors at cell start; fail fast here for clearer messages.
-        // The LDP budget only constrains configs that actually run the
-        // LocalDp regime.
-        Participation::new(self.participation)?;
-        if self.regimes.contains(&PrivacyRegime::LocalDp) {
-            LocalDpRandomizer::new(self.num_codes, 2, self.ldp_epsilon)?;
-        }
-        if self.regimes.contains(&PrivacyRegime::CentralDp)
-            && !self.policies.contains(&PolicyKind::LinUcb)
-        {
-            return Err(ExperimentError::InvalidConfig {
-                parameter: "regimes/policies",
-                message: "the central-DP regime releases LinUCB sufficient statistics and needs \
-                          PolicyKind::LinUcb on the policy axis"
-                    .to_owned(),
-            });
-        }
-        if self.regimes.contains(&PrivacyRegime::SecureAgg)
-            && !self.policies.contains(&PolicyKind::LinUcb)
-        {
-            return Err(ExperimentError::InvalidConfig {
-                parameter: "regimes/policies",
-                message: "the secure-aggregation regime aggregates LinUCB sufficient statistics \
-                          and needs PolicyKind::LinUcb on the policy axis"
-                    .to_owned(),
-            });
-        }
-        Ok(())
+        // Participation and Ω are validated by the privacy crate's own
+        // constructors, for every cell: only the shuffled channel keeps the
+        // ledger, but a bad Ω is a bad configuration under any regime.
+        let participation = Participation::new(self.participation)?;
+        AmplificationLedger::new(participation, self.delta_omega)?;
+        Ok(participation)
     }
 }
 
@@ -515,87 +455,29 @@ pub fn run_matrix(config: &MatrixConfig) -> Result<MatrixResult, ExperimentError
 ///
 /// # Errors
 ///
-/// Propagates workload, policy, encoder, privacy and engine errors.
+/// Returns [`ExperimentError::InvalidConfig`] for cell-level parameters
+/// [`run_matrix`] would reject and for a regime × policy pair
+/// [`MatrixConfig::cell_supported`] rules out, and propagates workload,
+/// policy, encoder, privacy and engine errors.
 pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, ExperimentError> {
+    let participation = config.validate_cell()?;
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut scenario = ScenarioData::build(spec.scenario, &config.shape, &mut rng)?;
-    let dimension = scenario.context_dimension();
-    let num_actions = scenario.num_actions();
-
-    let mut central = spec.policy.build(dimension, num_actions, config.alpha)?;
-    let encoder = if spec.regime.uses_encoder() {
-        let corpus = scenario.encoder_corpus(config.encoder_corpus_size, &mut rng);
-        Some(KMeansEncoder::fit(
-            &corpus,
-            KMeansConfig::new(config.num_codes).with_iterations(20),
-            &mut rng,
-        )?)
-    } else {
-        None
-    };
-    let randomizer = match spec.regime {
-        PrivacyRegime::LocalDp => Some(LocalDpRandomizer::new(
-            config.num_codes,
-            num_actions,
-            config.ldp_epsilon,
-        )?),
-        _ => None,
-    };
-    let mut curator = match spec.regime {
-        PrivacyRegime::CentralDp => {
-            if spec.policy != PolicyKind::LinUcb {
-                return Err(ExperimentError::InvalidConfig {
-                    parameter: "policy",
-                    message: format!(
-                        "the central-DP regime only serves LinUCB sufficient statistics, got {}",
-                        spec.policy
-                    ),
-                });
-            }
-            Some(CentralCurator::new(
-                dimension,
-                num_actions,
-                config.alpha,
-                config.num_users as u64,
-                spec.seed,
-            )?)
-        }
-        _ => None,
-    };
-    let mut curator_pending = 0usize;
-    let mut secure = match spec.regime {
-        PrivacyRegime::SecureAgg => {
-            if spec.policy != PolicyKind::LinUcb {
-                return Err(ExperimentError::InvalidConfig {
-                    parameter: "policy",
-                    message: format!(
-                        "the secure-aggregation regime only serves LinUCB sufficient statistics, \
-                         got {}",
-                        spec.policy
-                    ),
-                });
-            }
-            Some(SecureIngestService::new(
-                LinUcbConfig::new(dimension, num_actions).with_alpha(config.alpha),
-                SECURE_AGG_SHARDS,
-                spec.seed,
-            )?)
-        }
-        _ => None,
-    };
-    let mut secure_pending = 0usize;
-    let participation = Participation::new(config.participation)?;
-    let mut ledger = AmplificationLedger::new(participation, config.delta_omega)?;
+    let mut central = spec.policy.build(
+        scenario.context_dimension(),
+        scenario.num_actions(),
+        config.alpha,
+    )?;
+    let mut channel = channel::open(config, spec, participation, &mut scenario, &mut rng)?;
 
     let total_rounds = config.num_users as u64 * config.interactions_per_user;
     let mut series = Vec::with_capacity((total_rounds / config.record_every + 2) as usize);
     let mut cumulative_reward = 0.0f64;
     let mut cumulative_regret = 0.0f64;
     let mut round = 0u64;
-    let mut shared_reports = 0u64;
     let mut submitted_reports = 0u64;
-    let mut pending: Vec<RawReport> = Vec::new();
-    let mut epoch = 0u64;
+    let mut shared_reports = 0u64;
+    let mut unflushed = 0usize;
 
     let max_delay = spec.scenario.max_reward_delay();
     for user in 0..config.num_users {
@@ -610,7 +492,7 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
         let mut joiner: RewardJoinBuffer<(Vector, Action)> = RewardJoinBuffer::new(max_delay);
         let horizon = config.interactions_per_user + max_delay + 1;
         let mut deliveries: Vec<Vec<(DecisionTicket, f64)>> = vec![Vec::new(); horizon as usize];
-        let mut last_joined: Option<(Vector, Action, f64)> = None;
+        let mut last_joined: Option<Report> = None;
         for t in 0..horizon {
             if t < config.interactions_per_user {
                 let round_data = scenario.next_round(&mut rng);
@@ -635,7 +517,12 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
             for joined in joiner.advance_round().joined {
                 let (context, action) = joined.payload;
                 local.update(&context, action, joined.reward)?;
-                last_joined = Some((context, action, joined.reward));
+                last_joined = Some(Report {
+                    user,
+                    context,
+                    action,
+                    reward: joined.reward,
+                });
             }
         }
 
@@ -644,304 +531,40 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
         // reward actually arrived can be shared: the device never learned
         // the outcome of the others.
         let opportunity = rng.gen::<f64>() < participation.value();
-        if let (true, Some((context, action, reward))) = (opportunity, last_joined) {
+        if let (true, Some(report)) = (opportunity, last_joined) {
+            shared_reports += channel.submit(report, &mut central, &mut rng)?;
             submitted_reports += 1;
-            match spec.regime {
-                PrivacyRegime::NonPrivate => {
-                    central.update(&context, action, reward)?;
-                    shared_reports += 1;
-                }
-                PrivacyRegime::LocalDp => {
-                    let encoder = encoder.as_ref().expect("LocalDp builds an encoder");
-                    let randomizer = randomizer.as_ref().expect("LocalDp builds a randomizer");
-                    let code = encoder.encode(&context)?;
-                    let (noisy_code, noisy_action, noisy_reward) = randomizer.randomize_report(
-                        code.value(),
-                        action.index(),
-                        reward,
-                        &mut rng,
-                    )?;
-                    let representative = encoder.representative(ContextCode::new(noisy_code))?;
-                    central.update(
-                        &representative,
-                        p2b_bandit::Action::new(noisy_action),
-                        noisy_reward,
-                    )?;
-                    shared_reports += 1;
-                }
-                PrivacyRegime::P2bShuffle => {
-                    let encoder = encoder.as_ref().expect("P2bShuffle builds an encoder");
-                    let code = encoder.encode(&context)?;
-                    pending.push(RawReport::new(
-                        format!("user-{user}"),
-                        EncodedReport::new(code.value(), action.index(), reward)?,
-                    ));
-                }
-                PrivacyRegime::CentralDp => {
-                    let curator = curator.as_mut().expect("CentralDp builds a curator");
-                    curator.ingest(&context, action, reward)?;
-                    curator_pending += 1;
-                    shared_reports += 1;
-                }
-                PrivacyRegime::SecureAgg => {
-                    let service = secure.as_mut().expect("SecureAgg builds a service");
-                    // One report is a coalesced group of count 1; the
-                    // service clips the context and clamps the reward
-                    // exactly as the central-DP curator does.
-                    let update =
-                        CoalescedUpdate::new(context, action, 1, reward.clamp(0.0, 1.0))?;
-                    service.ingest(&update)?;
-                    secure_pending += 1;
-                    shared_reports += 1;
-                }
-            }
+            unflushed += 1;
         }
-
-        if spec.regime == PrivacyRegime::CentralDp && curator_pending >= config.flush_every_reports
-        {
-            let curator = curator.as_ref().expect("CentralDp builds a curator");
-            central = AnyPolicy::LinUcb(curator.publish()?);
-            curator_pending = 0;
-        }
-
-        if spec.regime == PrivacyRegime::SecureAgg && secure_pending >= config.flush_every_reports {
-            let service = secure.as_mut().expect("SecureAgg builds a service");
-            central = AnyPolicy::LinUcb(service.assemble()?);
-            secure_pending = 0;
-        }
-
-        if spec.regime == PrivacyRegime::P2bShuffle && pending.len() >= config.flush_every_reports {
-            shared_reports += flush_through_engine(
-                config,
-                spec.seed ^ splitmix64(epoch.wrapping_add(1)),
-                &mut pending,
-                &mut central,
-                encoder.as_ref().expect("P2bShuffle builds an encoder"),
-                &mut ledger,
-            )?;
-            epoch += 1;
+        // The release cadence is the loop's, the same for every regime; an
+        // immediate channel has nothing to release and its flush is a no-op.
+        if unflushed >= config.flush_every_reports {
+            shared_reports += channel.flush(&mut central)?;
+            unflushed = 0;
         }
     }
-
-    if spec.regime == PrivacyRegime::P2bShuffle && !pending.is_empty() {
-        shared_reports += flush_through_engine(
-            config,
-            spec.seed ^ splitmix64(epoch.wrapping_add(1)),
-            &mut pending,
-            &mut central,
-            encoder.as_ref().expect("P2bShuffle builds an encoder"),
-            &mut ledger,
-        )?;
+    if unflushed > 0 {
+        shared_reports += channel.flush(&mut central)?;
     }
 
     if series.last().map(|p| p.round) != Some(round) {
         series.push(point(round, cumulative_reward, cumulative_regret));
     }
-
-    let (epsilon, delta) = match spec.regime {
-        PrivacyRegime::NonPrivate => (None, None),
-        PrivacyRegime::LocalDp => (Some(config.ldp_epsilon), Some(0.0)),
-        PrivacyRegime::P2bShuffle => (
-            Some(ledger.per_report_epsilon()),
-            Some(ledger.weakest().map_or(0.0, |w| w.guarantee.delta())),
-        ),
-        PrivacyRegime::CentralDp => {
-            let curator = curator.as_ref().expect("CentralDp builds a curator");
-            (Some(curator.epsilon()?), Some(CENTRAL_TARGET_DELTA))
-        }
-        // A trust split, not a DP mechanism: there is no (ε, δ) to report.
-        PrivacyRegime::SecureAgg => (None, None),
-    };
-    let batch_guarantees = ledger
-        .records()
-        .iter()
-        .map(|r| BatchGuarantee {
-            batch_index: r.batch_index,
-            released: r.released,
-            crowd_size: r.crowd_size,
-            epsilon: r.guarantee.epsilon(),
-            delta: r.guarantee.delta(),
-        })
-        .collect();
+    let claim = channel.claim();
 
     Ok(CellResult {
         spec,
         rounds: round,
         final_cumulative_reward: cumulative_reward,
         final_cumulative_regret: cumulative_regret,
-        average_reward: if round == 0 {
-            0.0
-        } else {
-            cumulative_reward / round as f64
-        },
+        average_reward: cumulative_reward / round as f64,
         shared_reports,
         submitted_reports,
-        epsilon,
-        delta,
-        batch_guarantees,
+        epsilon: claim.map(|(epsilon, _)| epsilon),
+        delta: claim.map(|(_, delta)| delta),
+        batch_guarantees: channel.batch_guarantees(),
         series,
     })
-}
-
-/// On-device randomizer of the LDP baseline: the full `(y, a, r)` report is
-/// ε-LDP by composition, the budget split evenly across the context code
-/// (k-ary randomized response), the action (A-ary) and the reward (the
-/// reward in `[0, 1]` is sampled to a bit, then the bit is flipped by binary
-/// randomized response). This is what a RAPPOR-style collector actually
-/// receives — and why the paper argues per-report LDP noise is too high to
-/// train a shared model from.
-#[derive(Debug, Clone, Copy)]
-struct LocalDpRandomizer {
-    code: RandomizedResponse,
-    action: RandomizedResponse,
-    reward: RandomizedResponse,
-}
-
-impl LocalDpRandomizer {
-    fn new(num_codes: usize, num_actions: usize, epsilon: f64) -> Result<Self, ExperimentError> {
-        if num_actions < 2 {
-            return Err(ExperimentError::InvalidConfig {
-                parameter: "num_actions",
-                message: "the LDP baseline needs at least 2 actions".to_owned(),
-            });
-        }
-        let per_component = epsilon / 3.0;
-        Ok(Self {
-            code: RandomizedResponse::new(num_codes.max(2), per_component)?,
-            action: RandomizedResponse::new(num_actions, per_component)?,
-            reward: RandomizedResponse::new(2, per_component)?,
-        })
-    }
-
-    fn randomize_report(
-        &self,
-        code: usize,
-        action: usize,
-        reward: f64,
-        rng: &mut StdRng,
-    ) -> Result<(usize, usize, f64), ExperimentError> {
-        let noisy_code = self.code.randomize(code, rng)?;
-        let noisy_action = self.action.randomize(action, rng)?;
-        let reward_bit = usize::from(rng.gen::<f64>() < reward.clamp(0.0, 1.0));
-        let noisy_reward = self.reward.randomize(reward_bit, rng)? as f64;
-        Ok((noisy_code, noisy_action, noisy_reward))
-    }
-}
-
-/// The trusted curator of the central-DP regime.
-///
-/// It keeps one [`TreeAggregator`] per arm over leaf vectors
-/// `[vec(x xᵀ), r·x, 1]` (dimension `d² + d + 1`), with contexts clipped to
-/// the unit L2 ball so one leaf has sensitivity at most
-/// [`CENTRAL_LEAF_SENSITIVITY`]. A published model is rebuilt from the noisy
-/// prefix releases: the Gram block is symmetrized and ridge-shifted until
-/// the design matrix is positive definite (Shariff & Sheffet 2018's
-/// shifted-regularizer repair), then folded into a fresh [`LinUcb`] via
-/// [`LinUcb::from_sufficient_statistics`].
-///
-/// Privacy accounting is the binary mechanism's: one user's single report is
-/// a single leaf, covered by at most `nodes_per_leaf` noisy partial sums, so
-/// the *entire* release stream costs
-/// `ρ = nodes_per_leaf · Δ² / (2σ²)` — charged once to the
-/// [`ZcdpAccountant`] at construction, independent of how many snapshots are
-/// published. All noise is counter-based ([`TreeAggregator::node_noise`]),
-/// so cells stay bit-deterministic at any worker count.
-struct CentralCurator {
-    config: LinUcbConfig,
-    trees: Vec<TreeAggregator>,
-    accountant: ZcdpAccountant,
-    ingested: u64,
-}
-
-impl CentralCurator {
-    fn new(
-        dimension: usize,
-        num_actions: usize,
-        alpha: f64,
-        horizon: u64,
-        seed: u64,
-    ) -> Result<Self, ExperimentError> {
-        let leaf_dim = dimension * dimension + dimension + 1;
-        let trees = (0..num_actions)
-            .map(|arm| {
-                TreeAggregator::new(TreeConfig::new(
-                    leaf_dim,
-                    horizon,
-                    CENTRAL_SIGMA,
-                    splitmix64(seed ^ (arm as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
-                ))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut accountant = ZcdpAccountant::new();
-        // The whole stream's cost is fixed upfront by (σ, T): every leaf is
-        // covered by at most nodes_per_leaf noisy nodes, regardless of how
-        // many prefixes are later released.
-        let rho = trees[0].rho_per_leaf(CENTRAL_LEAF_SENSITIVITY)?;
-        accountant.spend_rho(rho, "tree_stream")?;
-        Ok(Self {
-            config: LinUcbConfig::new(dimension, num_actions).with_alpha(alpha),
-            trees,
-            accountant,
-            ingested: 0,
-        })
-    }
-
-    /// Folds one raw report into the chosen arm's statistics stream.
-    fn ingest(
-        &mut self,
-        context: &Vector,
-        action: Action,
-        reward: f64,
-    ) -> Result<(), ExperimentError> {
-        let d = self.config.context_dimension;
-        let norm = context.norm2();
-        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
-        let mut leaf = vec![0.0f64; d * d + d + 1];
-        for i in 0..d {
-            let xi = context[i] * scale;
-            for j in 0..d {
-                leaf[i * d + j] = xi * (context[j] * scale);
-            }
-            leaf[d * d + i] = reward.clamp(0.0, 1.0) * xi;
-        }
-        leaf[d * d + d] = 1.0;
-        self.trees[action.index()].push(&leaf)?;
-        self.ingested += 1;
-        Ok(())
-    }
-
-    /// Rebuilds a servable model from the current noisy prefix releases.
-    fn publish(&self) -> Result<LinUcb, ExperimentError> {
-        let d = self.config.context_dimension;
-        let mut statistics = Vec::with_capacity(self.trees.len());
-        for tree in &self.trees {
-            let release = tree.release();
-            let mut gram = Matrix::zeros(d, d);
-            for i in 0..d {
-                for j in 0..d {
-                    // Symmetrize: noise is not symmetric even though x xᵀ is.
-                    gram.set(i, j, (release[i * d + j] + release[j * d + i]) / 2.0);
-                }
-            }
-            let reward_vector = Vector::from(release[d * d..d * d + d].to_vec());
-            let pulls = release[d * d + d].round().max(0.0) as u64;
-            statistics.push(ArmStatistics::with_ridge_repair(
-                &gram,
-                reward_vector,
-                pulls,
-                self.config.regularizer,
-            )?);
-        }
-        Ok(LinUcb::from_sufficient_statistics(
-            self.config,
-            &statistics,
-        )?)
-    }
-
-    /// The (ε at [`CENTRAL_TARGET_DELTA`]) of the whole release stream.
-    fn epsilon(&self) -> Result<f64, ExperimentError> {
-        Ok(self.accountant.epsilon(CENTRAL_TARGET_DELTA)?)
-    }
 }
 
 fn point(round: u64, cumulative_reward: f64, cumulative_regret: f64) -> RoundPoint {
@@ -953,63 +576,10 @@ fn point(round: u64, cumulative_reward: f64, cumulative_regret: f64) -> RoundPoi
     }
 }
 
-/// Flushes the pending reports through a freshly spawned shuffler engine,
-/// folds every released report into the central policy (as the representative
-/// context of its code) and merges the engine's per-batch (ε, δ) records into
-/// the cell ledger. Returns the number of released reports.
-///
-/// The representative context is memoized per flush, mirroring the central
-/// model service's coalescing ingester (`p2b_core`): codes repeat heavily
-/// within a released batch, so the encoder lookup runs once per distinct
-/// code instead of once per report. (The per-report *update* order is kept —
-/// `AnyPolicy` is policy-agnostic and not every policy folds coalesced
-/// sufficient statistics — so cell results are byte-identical to the
-/// pre-memoization harness.)
-fn flush_through_engine(
-    config: &MatrixConfig,
-    seed: u64,
-    pending: &mut Vec<RawReport>,
-    central: &mut AnyPolicy,
-    encoder: &KMeansEncoder,
-    ledger: &mut AmplificationLedger,
-) -> Result<u64, ExperimentError> {
-    let engine = ShufflerEngine::builder(ShufflerConfig::new(config.shuffler_threshold))
-        .shards(config.shuffler_shards)
-        .batch_size(config.shuffler_batch_size)
-        .privacy_accounting(ledger.participation(), config.delta_omega)
-        .build()?;
-    let handle = engine.spawn(seed);
-    for report in pending.drain(..) {
-        handle.submit(report)?;
-    }
-    let output = handle.finish();
-    let mut released = 0u64;
-    let mut representatives: HashMap<usize, Vector> = HashMap::new();
-    for batch in &output.batches {
-        for report in batch.batch.reports() {
-            let representative = match representatives.entry(report.code()) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => {
-                    entry.insert(encoder.representative(ContextCode::new(report.code()))?)
-                }
-            };
-            central.update(
-                representative,
-                p2b_bandit::Action::new(report.action()),
-                report.reward(),
-            )?;
-            released += 1;
-        }
-        let stats = batch.batch.stats();
-        let crowd = batch.amplification.map_or(0, |a| a.crowd_size);
-        ledger.record_batch(stats.released, crowd)?;
-    }
-    Ok(released)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CENTRAL_LEAF_SENSITIVITY, CENTRAL_SIGMA, CENTRAL_TARGET_DELTA};
 
     fn tiny() -> MatrixConfig {
         MatrixConfig::smoke()
@@ -1041,6 +611,42 @@ mod tests {
         let mut with_ldp = MatrixConfig::smoke().with_seed(1);
         with_ldp.ldp_epsilon = 0.0;
         assert!(run_matrix(&with_ldp).is_err());
+    }
+
+    #[test]
+    fn run_cell_rejects_the_cell_parameters_run_matrix_rejects() {
+        let spec = CellSpec {
+            scenario: ScenarioKind::SyntheticGaussian,
+            regime: PrivacyRegime::NonPrivate,
+            policy: PolicyKind::LinUcb,
+            repeat: 0,
+            seed: 7,
+        };
+        // `run_cell` is public and `record_every` is a divisor in its loop.
+        let mut bad = tiny();
+        bad.record_every = 0;
+        assert!(matches!(
+            run_cell(&bad, spec),
+            Err(ExperimentError::InvalidConfig {
+                parameter: "record_every",
+                ..
+            })
+        ));
+        // Participation and Ω stay checked for every cell, not only the
+        // shuffled ones that keep the ledger.
+        let mut bad = tiny();
+        bad.delta_omega = 0.0;
+        assert!(matches!(
+            run_cell(&bad, spec),
+            Err(ExperimentError::Privacy(_))
+        ));
+        let mut bad = tiny();
+        bad.participation = 1.5;
+        assert!(matches!(
+            run_cell(&bad, spec),
+            Err(ExperimentError::Privacy(_))
+        ));
+        assert!(run_cell(&tiny(), spec).is_ok());
     }
 
     #[test]
@@ -1188,6 +794,23 @@ mod tests {
             .with_regimes(vec![PrivacyRegime::CentralDp])
             .with_policies(vec![PolicyKind::Ucb1]);
         assert!(run_matrix(&bad).is_err());
+        // Calling the public `run_cell` on an unsupported pair directly is
+        // the same rule and the same message, naming the regime.
+        for regime in [PrivacyRegime::CentralDp, PrivacyRegime::SecureAgg] {
+            let spec = CellSpec {
+                scenario: ScenarioKind::SyntheticGaussian,
+                regime,
+                policy: PolicyKind::Ucb1,
+                repeat: 0,
+                seed: 3,
+            };
+            let direct = run_cell(&bad, spec).unwrap_err().to_string();
+            let on_the_axis = run_matrix(&bad.clone().with_regimes(vec![regime]))
+                .unwrap_err()
+                .to_string();
+            assert_eq!(direct, on_the_axis);
+            assert!(direct.contains(&regime.to_string()), "{direct}");
+        }
 
         // With LinUcb present, unsupported combinations are skipped, not run.
         let mixed = MatrixConfig::smoke()
