@@ -59,7 +59,9 @@ fn main() -> ExitCode {
         Some(i) => {
             let raw = match args.get(i + 1) {
                 Some(raw) => raw,
-                None => return BenchFailure::Usage("--seed requires a value".into()).report("figures"),
+                None => {
+                    return BenchFailure::Usage("--seed requires a value".into()).report("figures")
+                }
             };
             match raw.parse::<u64>() {
                 Ok(seed) => seed,

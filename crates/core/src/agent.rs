@@ -53,11 +53,13 @@ fn check_snapshot_shape(
 /// The raw context of an agent's last decision and the code it encoded to.
 ///
 /// An interaction hands one context to [`LocalAgent::select_action`] and then
-/// to [`LocalAgent::observe_reward`]; the second call takes the first one's
-/// code from here instead of repeating the encoder's scan. Contexts are
-/// compared by bit pattern, so a code taken from here is the code `encode`
-/// would return. Like the select memo it is not behavioral state: a dormant
-/// agent does not persist it, and a rehydrated agent encodes again.
+/// to [`LocalAgent::observe_reward`]; the reward, and every later decision
+/// on the same context, take the code from here instead of repeating the
+/// encoder's scan. Only a decision writes it. Contexts are compared by bit
+/// pattern, so a code taken from here is the code `encode` would return —
+/// under the encoder it was computed with. Like the select memo it is not
+/// behavioral state. A dormant agent keeps it together with that encoder,
+/// and rehydration restores it only under the same encoder allocation.
 #[derive(Debug, Clone, Default)]
 struct DecidedContext {
     raw: Vec<f64>,
@@ -96,8 +98,10 @@ enum DormantPolicy {
 
 /// The compact persisted form of an evicted [`LocalAgent`]: everything a
 /// bit-identical rehydration needs (reporter phase, privacy ledger, owned
-/// policy if any) and nothing it does not (shared snapshots are re-acquired
-/// from the current epoch).
+/// policy if any), plus the agent's two memos (its select memo and its
+/// decided code, with the encoder that code came from) so that a
+/// rehydrated agent neither re-sweeps nor re-encodes, and nothing else
+/// (shared snapshots are re-acquired from the current epoch).
 ///
 /// Produced by [`LocalAgent::dehydrate`], consumed by
 /// [`LocalAgent::rehydrate`]; the [`crate::AgentPool`] moves agents through
@@ -114,6 +118,10 @@ pub struct DormantAgent {
     /// the snapshot on shared rehydration, exactly like a fresh warm start.
     num_actions: usize,
     policy: DormantPolicy,
+    scratch: SelectScratch,
+    decided: DecidedContext,
+    /// The encoder `decided` was computed under.
+    encoder: Arc<dyn Encoder>,
 }
 
 impl DormantAgent {
@@ -177,11 +185,11 @@ impl DormantAgent {
 /// design matrix, its inverse, the flat score-arena mirror of that inverse,
 /// and three `d`-vectors of `f64`s (reward vector, cached θ lane, update
 /// scratch). Not counted: the arena's one-word content stamp per action,
-/// the resident agent's select memo (`d + 2·A` words: the last context,
-/// and a stamp and a score per action) and its `DecidedContext` (`d`
-/// words) — bookkeeping that decides how many arms a decision re-scores and
-/// whether a reward encodes again, never which action is picked or which
-/// code is reported, and that a dormant agent does not persist.
+/// the agent's select memo (`d + 2·A` words: the last context, and a stamp
+/// and a score per action) and its `DecidedContext` (`d` words), resident
+/// or dormant — bookkeeping that decides how many arms a decision re-scores
+/// and whether a context is encoded again, never which action is picked or
+/// which code is reported.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;
@@ -216,12 +224,13 @@ pub struct LocalAgent {
     /// agent's last sweep (context, per-arm content stamps, scores): while
     /// the agent keeps deciding on one code, only the arms folded in between
     /// are re-scored. A remembered score is bit-equal to the recomputed one
-    /// (see [`SelectScratch`]), so the memo is not behavioral state: it is
-    /// not persisted by [`LocalAgent::dehydrate`], and a rehydrated agent
-    /// starts cold and pays one full sweep.
+    /// against any model (see [`SelectScratch`]), so the memo is not
+    /// behavioral state, and it travels through [`LocalAgent::dehydrate`]
+    /// and [`LocalAgent::rehydrate`] as it is: a rehydrated agent re-scores
+    /// only the arms written since its last decision.
     scratch: SelectScratch,
-    /// What the last decision encoded, so that its reward does not encode
-    /// the same context a second time.
+    /// What the last decision encoded, so that neither its reward nor a
+    /// later decision on the same context encodes it a second time.
     decided: DecidedContext,
 }
 
@@ -287,10 +296,10 @@ impl LocalAgent {
     }
 
     /// Full sweeps and arms scored by this agent's decisions since it was
-    /// created or last rehydrated — the machine-independent cost of its
-    /// select path. Steady traffic on one code stays near one arm per
-    /// decision (the arm the last reward folded into); every context switch
-    /// or rehydration costs one sweep of all arms.
+    /// created — the machine-independent cost of its select path; eviction
+    /// and rehydration carry the counters over. Steady traffic on one code
+    /// stays near one arm per decision (the arm the last reward folded
+    /// into); every context switch costs one sweep of all arms.
     #[must_use]
     pub fn select_counters(&self) -> ScoreCounters {
         self.scratch.counters()
@@ -325,12 +334,12 @@ impl LocalAgent {
     /// The agent's policy for writing: promotes a shared snapshot to an
     /// owned copy (copy-on-write) on first use.
     fn policy_mut(&mut self) -> &mut LinUcb {
-        if let AgentPolicy::Shared(snapshot) = &self.policy {
-            self.policy = AgentPolicy::Owned(snapshot.model().clone());
-        }
-        match &mut self.policy {
-            AgentPolicy::Owned(policy) => policy,
-            AgentPolicy::Shared(_) => unreachable!("promoted to Owned above"),
+        match self.policy {
+            AgentPolicy::Owned(ref mut policy) => policy,
+            AgentPolicy::Shared(ref snapshot) => {
+                self.policy = AgentPolicy::Owned(snapshot.model().clone());
+                self.policy_mut()
+            }
         }
     }
 
@@ -357,6 +366,17 @@ impl LocalAgent {
         self.representation.vector(self.encoder.as_ref(), code)
     }
 
+    /// The code of `raw_context`: the last decision's when the context is
+    /// bit-equal to the one decided on, as it is for the usual reward and
+    /// for a user who keeps coming back with one context; an encode
+    /// otherwise.
+    fn code_of(&self, raw_context: &Vector) -> Result<ContextCode, CoreError> {
+        match self.decided.code_of(raw_context) {
+            Some(code) => Ok(code),
+            None => Ok(self.encoder.encode(raw_context)?),
+        }
+    }
+
     /// Proposes an action for the observed raw context.
     ///
     /// # Errors
@@ -367,7 +387,7 @@ impl LocalAgent {
         raw_context: &Vector,
         rng: &mut R,
     ) -> Result<Action, CoreError> {
-        let code = self.encoder.encode(raw_context)?;
+        let code = self.code_of(raw_context)?;
         self.decided.remember(raw_context, code);
         let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
         // Selection never mutates the statistics, so it reads through the
@@ -395,11 +415,7 @@ impl LocalAgent {
         reward: f64,
         rng: &mut R,
     ) -> Result<(), CoreError> {
-        // The usual caller is reporting on the context it last decided on.
-        let code = match self.decided.code_of(raw_context) {
-            Some(code) => code,
-            None => self.encoder.encode(raw_context)?,
-        };
+        let code = self.code_of(raw_context)?;
         let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
         self.policy_mut().update(&model_context, action, reward)?;
         self.interactions += 1;
@@ -478,6 +494,9 @@ impl LocalAgent {
                 representation: self.representation,
                 num_actions,
                 policy,
+                scratch: self.scratch,
+                decided: self.decided,
+                encoder: self.encoder,
             },
         )
     }
@@ -485,6 +504,12 @@ impl LocalAgent {
     /// Rebuilds an agent from its dormant form. A still-shared agent is
     /// pointed at `snapshot` (the current epoch); an agent with local state
     /// gets its own policy back untouched.
+    ///
+    /// The select memo comes back as it is: its stamps make a remembered
+    /// score the score a sweep would compute against whatever model the
+    /// agent now serves. The decided code comes back only when `encoder` is
+    /// the very allocation it was computed under; under any other encoder
+    /// the agent encodes its next context afresh.
     ///
     /// # Errors
     ///
@@ -501,6 +526,11 @@ impl LocalAgent {
             DormantPolicy::Shared => AgentPolicy::Shared(Arc::clone(snapshot)),
             DormantPolicy::Owned(policy) => AgentPolicy::Owned(policy),
         };
+        let decided = if Arc::ptr_eq(&dormant.encoder, &encoder) {
+            dormant.decided
+        } else {
+            DecidedContext::default()
+        };
         Ok(Self {
             id: dormant.id,
             policy,
@@ -511,8 +541,8 @@ impl LocalAgent {
             per_report_guarantee: dormant.per_report_guarantee,
             pending: Vec::new(),
             interactions: dormant.interactions,
-            scratch: SelectScratch::new(),
-            decided: DecidedContext::default(),
+            scratch: dormant.scratch,
+            decided,
         })
     }
 
@@ -539,7 +569,7 @@ impl LocalAgent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use p2b_encoding::{EncoderStats, EncodingError, KMeansConfig, KMeansEncoder};
     use rand::rngs::StdRng;
@@ -691,24 +721,37 @@ mod tests {
         agent.select_action(&here, &mut rng).unwrap();
         assert_eq!(counted(&agent), (3, 18));
 
-        // The memo and its counters are not persisted: a rehydrated agent
-        // starts from zero and sweeps once.
+        // The memo and its counters travel through eviction: a rehydrated
+        // agent keeps both and, nothing folded since, scores nothing.
         let (_, dormant) = agent.dehydrate();
         let snapshot = Arc::new(crate::ModelSnapshot::new(
             0,
             LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
         ));
         let mut revived = LocalAgent::rehydrate(dormant, enc, &snapshot).unwrap();
-        assert_eq!(counted(&revived), (0, 0));
+        assert_eq!(counted(&revived), (3, 18));
         revived.select_action(&here, &mut rng).unwrap();
-        assert_eq!(counted(&revived), (1, 3));
+        assert_eq!(counted(&revived), (3, 18));
     }
 
     /// Counts the `encode` calls that reach the encoder it wraps.
     #[derive(Debug)]
-    struct CountingEncoder {
+    pub(crate) struct CountingEncoder {
         inner: Arc<dyn Encoder>,
         encodes: AtomicUsize,
+    }
+
+    impl CountingEncoder {
+        pub(crate) fn wrap(inner: Arc<dyn Encoder>) -> Arc<Self> {
+            Arc::new(Self {
+                inner,
+                encodes: AtomicUsize::new(0),
+            })
+        }
+
+        pub(crate) fn encodes(&self) -> usize {
+            self.encodes.load(Ordering::Relaxed)
+        }
     }
 
     impl Encoder for CountingEncoder {
@@ -735,12 +778,12 @@ mod tests {
 
     #[test]
     fn an_interaction_encodes_its_context_once() {
-        let counting = Arc::new(CountingEncoder {
-            inner: encoder(8),
-            encodes: AtomicUsize::new(0),
-        });
-        let encodes = || counting.encodes.load(Ordering::Relaxed);
+        let counting = CountingEncoder::wrap(encoder(8));
+        let encodes = || counting.encodes();
         let enc: Arc<dyn Encoder> = counting.clone();
+        // The same encoder behind another allocation: an agent rehydrated
+        // under it cannot know its decided code still holds, so forgets it.
+        let elsewhere: Arc<dyn Encoder> = CountingEncoder::wrap(Arc::clone(&enc));
         let snapshot = Arc::new(crate::ModelSnapshot::new(
             0,
             LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
@@ -748,29 +791,39 @@ mod tests {
         let here = Vector::from(vec![1.0, 0.1, 0.1, 0.0]);
         let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
 
-        // The reward of a decision reuses the decision's code …
+        // A decision encodes, its reward reuses the decision's code, and so
+        // does every later decision on the same context …
         let mut rng = StdRng::seed_from_u64(8);
         let mut agent = LocalAgent::new(4, &config(), Arc::clone(&enc), None).unwrap();
         for _ in 0..10 {
             let action = agent.select_action(&here, &mut rng).unwrap();
             agent.observe_reward(&here, action, 1.0, &mut rng).unwrap();
         }
-        assert_eq!(encodes(), 10);
+        assert_eq!(encodes(), 1);
 
         // … and leaves the agent where two encodes an interaction leave it:
-        // the twin forgets its decision (a dormant agent keeps no memo)
-        // before every reward.
+        // the twin forgets its decided code before every decision and every
+        // reward, by being rehydrated under the other encoder allocation.
         let mut rng = StdRng::seed_from_u64(8);
         let mut twin = LocalAgent::new(4, &config(), Arc::clone(&enc), None).unwrap();
         let mut twin_reports = Vec::new();
-        for _ in 0..10 {
-            let action = twin.select_action(&here, &mut rng).unwrap();
-            let (reports, dormant) = twin.dehydrate();
+        let mut hop = |agent: LocalAgent| {
+            let next = if Arc::ptr_eq(&agent.encoder, &enc) {
+                &elsewhere
+            } else {
+                &enc
+            };
+            let (reports, dormant) = agent.dehydrate();
             twin_reports.extend(reports);
-            twin = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &snapshot).unwrap();
+            LocalAgent::rehydrate(dormant, Arc::clone(next), &snapshot).unwrap()
+        };
+        for _ in 0..10 {
+            twin = hop(twin);
+            let action = twin.select_action(&here, &mut rng).unwrap();
+            twin = hop(twin);
             twin.observe_reward(&here, action, 1.0, &mut rng).unwrap();
         }
-        assert_eq!(encodes(), 10 + 20);
+        assert_eq!(encodes(), 1 + 20);
         let bits = |agent: &LocalAgent| -> Vec<u64> {
             let scores = agent.policy().scores(&agent.model_context(&there).unwrap());
             scores.unwrap().into_iter().map(f64::to_bits).collect()
@@ -790,7 +843,7 @@ mod tests {
         agent
             .observe_reward(&negated, action, 0.0, &mut rng)
             .unwrap();
-        assert_eq!(encodes(), before + 3);
+        assert_eq!(encodes(), before + 2);
         negated.as_mut_slice()[3] = f64::NAN;
         assert!(matches!(
             agent.observe_reward(&negated, action, 0.0, &mut rng),
@@ -798,9 +851,78 @@ mod tests {
                 index: 3
             }))
         ));
-        // The decision is still remembered after rewards for other contexts.
+        assert!(matches!(
+            agent.select_action(&negated, &mut rng),
+            Err(CoreError::Encoding(EncodingError::NonFiniteContext {
+                index: 3
+            }))
+        ));
+        // The decision is still remembered after rewards for other contexts
+        // and a decision that failed to encode …
         agent.observe_reward(&here, action, 0.0, &mut rng).unwrap();
         assert_eq!(encodes(), before + 4);
+        // … and only a decision on another context replaces it.
+        agent.select_action(&there, &mut rng).unwrap();
+        agent.observe_reward(&there, action, 0.0, &mut rng).unwrap();
+        agent.select_action(&here, &mut rng).unwrap();
+        assert_eq!(encodes(), before + 6);
+    }
+
+    #[test]
+    fn rehydration_under_another_encoder_forgets_the_decided_code() {
+        let cfg = config()
+            .with_local_interactions(1)
+            .with_code_representation(CodeRepresentation::OneHot);
+        let (first, second) = (encoder(12), encoder(13));
+        let ctx = Vector::from(vec![1.0, 0.1, 0.1, 0.1]);
+        let (was, is) = (first.encode(&ctx).unwrap(), second.encode(&ctx).unwrap());
+        assert_ne!(was, is, "the two encoders must disagree on the context");
+
+        // A model under which the two codes want different arms: arm 0 pays
+        // on the first encoder's code, arm 2 on the second's.
+        let one_hot = |code| {
+            CodeRepresentation::OneHot
+                .vector(first.as_ref(), code)
+                .unwrap()
+        };
+        let mut model = LinUcb::new(cfg.central_linucb(first.as_ref())).unwrap();
+        for _ in 0..30 {
+            for (code, paying) in [(was, 0), (is, 2)] {
+                for arm in 0..3 {
+                    let reward = if arm == paying { 1.0 } else { 0.0 };
+                    model
+                        .update(&one_hot(code), Action::new(arm), reward)
+                        .unwrap();
+                }
+            }
+        }
+        let snapshot = Arc::new(crate::ModelSnapshot::new(0, model));
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut agent =
+            LocalAgent::new(12, &cfg, Arc::clone(&first), Some(Arc::clone(&snapshot))).unwrap();
+        assert_eq!(agent.select_action(&ctx, &mut rng).unwrap(), Action::new(0));
+
+        // Same context, same model, another encoder: the decided code is the
+        // first encoder's and must not survive into the second's agent.
+        let (_, dormant) = agent.dehydrate();
+        let mut revived = LocalAgent::rehydrate(dormant, second, &snapshot).unwrap();
+        let action = revived.select_action(&ctx, &mut rng).unwrap();
+        assert_eq!(action, Action::new(2), "decided on the stale code");
+        revived.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
+        let mut expected = snapshot.model().clone();
+        expected.update(&one_hot(is), action, 1.0).unwrap();
+        assert_eq!(
+            revived.policy().reward_vector(action).unwrap(),
+            expected.reward_vector(action).unwrap(),
+            "folded the stale code"
+        );
+        let reports = revived.take_reports();
+        assert_eq!(reports.len(), 1, "T = 1, p = 0.5: this seed reports");
+        assert_eq!(
+            reports[0].payload().code(),
+            is.value(),
+            "reported the stale code"
+        );
     }
 
     #[test]

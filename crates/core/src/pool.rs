@@ -14,7 +14,9 @@
 //! * **Eviction persists deltas** — an evicted agent is
 //!   [dehydrated](crate::LocalAgent::dehydrate): its queued reports drain
 //!   into the pool outbox (the reporter path to the shuffler never loses
-//!   data) and its local policy state moves to the dormant tier.
+//!   data) and its local policy state moves to the dormant tier, together
+//!   with its select memo and decided code, so a rehydrated agent neither
+//!   re-sweeps its arms nor re-encodes its context.
 //! * **Rehydration from the current snapshot** — a dormant agent that never
 //!   folded a local observation costs *zero* persisted model bytes and is
 //!   rebuilt as a pointer into the current epoch's shared
@@ -484,6 +486,7 @@ impl std::fmt::Debug for AgentPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::tests::CountingEncoder;
     use crate::P2bConfig;
     use p2b_bandit::ContextualPolicy;
     use p2b_encoding::{KMeansConfig, KMeansEncoder};
@@ -819,6 +822,49 @@ mod tests {
             arms_scored < decisions,
             "{arms_scored} arms scored ({sweeps} sweeps) over {decisions} decisions"
         );
+    }
+
+    #[test]
+    fn eviction_keeps_each_keys_code_so_a_pool_encodes_once_per_key() {
+        // The `serve_churn` shape in small: six keys over a budget of two,
+        // one context per key, and each decision's reward folded three
+        // checkouts later, by which time its agent has been evicted.
+        let counting = CountingEncoder::wrap(Arc::clone(system().encoder()));
+        let encoder: Arc<dyn Encoder> = counting.clone();
+        let run = |pool_config: AgentPoolConfig| {
+            let config = P2bConfig::new(4, 3)
+                .with_local_interactions(1)
+                .with_shuffler_threshold(1);
+            let mut sys = P2bSystem::new(config, Arc::clone(&encoder)).unwrap();
+            let source = AgentSource::capture(&mut sys).unwrap();
+            let mut pool = AgentPool::new(pool_config).unwrap();
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut decided = std::collections::VecDeque::new();
+            let before = counting.encodes();
+            for step in 0..48u64 {
+                let key = step % 6;
+                let action = pool
+                    .with_agent_at(&source, key, |agent| {
+                        agent.select_action(&ctx(key as usize % 4), &mut rng)
+                    })
+                    .unwrap();
+                decided.push_back((key, action));
+                if decided.len() > 3 {
+                    let (key, action) = decided.pop_front().unwrap();
+                    pool.with_agent_at(&source, key, |agent| {
+                        agent.observe_reward(&ctx(key as usize % 4), action, 1.0, &mut rng)
+                    })
+                    .unwrap();
+                }
+            }
+            (counting.encodes() - before, *pool.stats())
+        };
+        let (bounded, stats) = run(AgentPoolConfig::bounded(2));
+        assert!(stats.rehydrations > 0, "{stats:?}");
+        assert_eq!(bounded, 6, "bounded pool encodes per key, not per checkout");
+        let (unbounded, stats) = run(AgentPoolConfig::unbounded());
+        assert_eq!(stats.rehydrations, 0);
+        assert_eq!(unbounded, 6, "unbounded pool encodes per key");
     }
 
     #[test]

@@ -94,9 +94,7 @@ pub fn encode_fixed(value: f64) -> Result<i128, PrivacyError> {
     if value.abs() > FIXED_POINT_MAX_ABS {
         return Err(PrivacyError::InvalidParameter {
             name: "value",
-            message: format!(
-                "fixed-point dynamic range is ±{FIXED_POINT_MAX_ABS}, got {value}"
-            ),
+            message: format!("fixed-point dynamic range is ±{FIXED_POINT_MAX_ABS}, got {value}"),
         });
     }
     // |value| ≤ 2^14 ⇒ |value · 2^48| ≤ 2^62, exactly representable in f64
@@ -175,10 +173,16 @@ impl SecretSharer {
         let base = splitmix64(
             self.seed ^ splitmix64(counter.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1)),
         );
-        let base =
-            splitmix64(base ^ (coord as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(2));
-        let base =
-            splitmix64(base ^ (shard as u64).wrapping_mul(0xD605_0000_0B50_0B51).wrapping_add(3));
+        let base = splitmix64(
+            base ^ (coord as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(2),
+        );
+        let base = splitmix64(
+            base ^ (shard as u64)
+                .wrapping_mul(0xD605_0000_0B50_0B51)
+                .wrapping_add(3),
+        );
         let hi = splitmix64(base ^ 0x5EC2_E75A_6017_8A21);
         let lo = splitmix64(base ^ 0x94D0_49BB_1331_11EB);
         ((u128::from(hi) << 64) | u128::from(lo)) as i128
@@ -273,8 +277,7 @@ mod tests {
     fn split_recombine_is_the_identity_at_every_shard_count() {
         for shards in [1usize, 2, 3, 4, 7] {
             let sharer = SecretSharer::new(99, shards).unwrap();
-            for (counter, value) in [(0u64, 0i128), (1, 1 << 48), (2, -(1 << 60)), (3, i128::MAX)]
-            {
+            for (counter, value) in [(0u64, 0i128), (1, 1 << 48), (2, -(1 << 60)), (3, i128::MAX)] {
                 let shares = sharer.split(counter, 5, value);
                 assert_eq!(shares.len(), shards);
                 assert_eq!(recombine(&shares), value, "shards={shards}");

@@ -720,7 +720,11 @@ mod tests {
             handle.submit(raw(i % 2)).unwrap();
         }
         let output = handle.finish();
-        let total: usize = output.batches.iter().map(|b| b.batch.stats().received).sum();
+        let total: usize = output
+            .batches
+            .iter()
+            .map(|b| b.batch.stats().received)
+            .sum();
         assert_eq!(total, 9);
     }
 

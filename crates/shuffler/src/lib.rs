@@ -67,6 +67,6 @@ mod shuffle;
 pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};
 pub use error::ShufflerError;
 pub use p2b_privacy::splitmix64;
-pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
 pub use report::{EncodedReport, RawReport, ReportMetadata};
+pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
 pub use shuffle::{ShuffledBatch, Shuffler, ShufflerConfig, ShufflerStats};

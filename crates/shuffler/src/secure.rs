@@ -112,12 +112,11 @@ impl SecureAggBuilder {
         }
         // Construct the sharer here, where the error path already exists,
         // so `spawn` stays infallible (`shards ≥ 1` was just checked).
-        let sharer = SecretSharer::new(0, self.shards).map_err(|e| {
-            ShufflerError::InvalidConfig {
+        let sharer =
+            SecretSharer::new(0, self.shards).map_err(|e| ShufflerError::InvalidConfig {
                 parameter: "shards",
                 message: e.to_string(),
-            }
-        })?;
+            })?;
         Ok(SecureAggEngine {
             arms: self.arms,
             dimension: self.dimension,
@@ -285,15 +284,16 @@ impl SecureAggHandle {
         // submitted.
         let mut encoded = Vec::with_capacity(self.dimension);
         for &value in leaf {
-            encoded.push(encode_fixed(value).map_err(|e| ShufflerError::InvalidReport {
-                message: e.to_string(),
-            })?);
+            encoded.push(
+                encode_fixed(value).map_err(|e| ShufflerError::InvalidReport {
+                    message: e.to_string(),
+                })?,
+            );
         }
         let counter = self.counter.fetch_add(1, Ordering::Relaxed);
         let shards = txs.len();
-        let mut messages: Vec<Vec<i128>> = (0..shards)
-            .map(|_| vec![0i128; self.dimension])
-            .collect();
+        let mut messages: Vec<Vec<i128>> =
+            (0..shards).map(|_| vec![0i128; self.dimension]).collect();
         let mut shares = vec![0i128; shards];
         for (coord, &value) in encoded.iter().enumerate() {
             self.sharer
@@ -402,7 +402,12 @@ impl SecureAggOutput {
     ///
     /// Returns [`ShufflerError::InvalidReport`] for an out-of-range arm.
     pub fn decoded_arm(&self, arm: usize) -> Result<Vec<f64>, ShufflerError> {
-        Ok(self.arm_sums(arm)?.iter().copied().map(decode_fixed).collect())
+        Ok(self
+            .arm_sums(arm)?
+            .iter()
+            .copied()
+            .map(decode_fixed)
+            .collect())
     }
 
     /// FNV-1a digest over the recombined sums (little-endian bytes, arms in
@@ -449,7 +454,9 @@ mod tests {
         assert!(handle.submit(2, &[0.0; 3]).is_err(), "arm out of range");
         assert!(handle.submit(0, &[0.0; 2]).is_err(), "dimension mismatch");
         assert!(
-            handle.submit(0, &[FIXED_POINT_MAX_ABS * 2.0, 0.0, 0.0]).is_err(),
+            handle
+                .submit(0, &[FIXED_POINT_MAX_ABS * 2.0, 0.0, 0.0])
+                .is_err(),
             "out-of-range coordinate errors rather than wraps"
         );
         assert!(handle.submit(0, &[1.0, 2.0, 3.0]).is_ok());

@@ -10,7 +10,14 @@ use std::path::PathBuf;
 /// Panic-path constructs forbidden outside test code. `.unwrap_or*` /
 /// `.ok_or*` combinators are fine (they are the non-panicking
 /// alternatives); the scan matches the exact panicking spellings.
-const FORBIDDEN: &[&str] = &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
+const FORBIDDEN: &[&str] = &[
+    ".unwrap()",
+    ".expect(",
+    "panic!(",
+    "unreachable!(",
+    "todo!(",
+    "unimplemented!(",
+];
 
 fn non_test_violations(source: &str) -> Vec<(usize, String)> {
     let mut violations = Vec::new();
@@ -38,7 +45,11 @@ fn no_unwrap_or_expect_in_non_test_source() {
         .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
         .collect();
     entries.sort();
-    assert!(!entries.is_empty(), "no sources found under {}", src.display());
+    assert!(
+        !entries.is_empty(),
+        "no sources found under {}",
+        src.display()
+    );
     let mut report = String::new();
     for path in entries {
         let source = fs::read_to_string(&path).expect("read source file");
