@@ -44,8 +44,7 @@ mod ucb1;
 pub use epsilon_greedy::{EpsilonGreedy, EpsilonGreedyConfig};
 pub use error::BanditError;
 pub use linucb::{
-    ArmStatistics, CoalescedUpdate, F32Scorer, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
-    SelectScratchF32,
+    ArmStatistics, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
 };
 pub use policy::{Action, ContextualPolicy, Reward};
 pub use random::RandomPolicy;

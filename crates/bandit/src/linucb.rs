@@ -3,8 +3,8 @@
 use crate::policy::{check_action, check_context, check_reward, random_action};
 use crate::{Action, BanditError, ContextualPolicy, Reward};
 use p2b_linalg::{
-    Matrix, RankOneInverse, ScoreArena, ScoreArenaF32, ScoreCounters, ScoreMemo, ScoreScratch,
-    ScoreScratchF32, UpdateScratch, Vector,
+    Matrix, RankOneInverse, ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch, UpdateScratch,
+    Vector,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -409,25 +409,8 @@ impl IngestScratch {
     }
 }
 
-/// Reusable scratch buffers for the f32 scoring tier
-/// ([`F32Scorer::select_action_with`]).
-#[derive(Debug, Clone, Default)]
-pub struct SelectScratchF32 {
-    inner: ScoreScratchF32,
-    scores: Vec<f64>,
-    ties: Vec<usize>,
-}
-
-impl SelectScratchF32 {
-    /// Creates an empty scratch; buffers are sized on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Shared argmax-with-ties rule: the historical LinUCB tie-breaking
-/// semantics, kept in one place so the f64 and f32 paths can never drift.
+/// semantics, kept in one place so the select paths can never drift.
 ///
 /// Scores within `1e-12` of the running best are collected as ties; a single
 /// winner is returned without consuming randomness, multiple winners draw
@@ -482,9 +465,7 @@ fn pick_best(
 /// the f64 source of truth; the crate's test-only oracle evaluates the
 /// scalar one-arm-at-a-time rule against it, and the in-crate
 /// `select_agreement` and `memo_agreement` suites pin sweep, memo and
-/// oracle bit-for-bit equal. An optional
-/// single-precision tier ([`F32Scorer`]) can be derived from a trained model
-/// for serving workloads.
+/// oracle bit-for-bit equal.
 ///
 /// # Example
 ///
@@ -964,109 +945,6 @@ impl LinUcb {
             self.sync_arm(idx)?;
         }
         Ok(())
-    }
-}
-
-/// Single-precision scoring tier derived from a trained [`LinUcb`] model.
-///
-/// The scorer snapshots the model's scoring arena into `f32` lanes once at
-/// construction; it is read-only and never updated — all learning stays in
-/// `f64` on the [`LinUcb`] source of truth, and a fresh scorer is derived
-/// whenever the model changes (e.g. per served snapshot epoch).
-///
-/// Scores carry ~1e-7 relative error versus the f64 path, so chosen actions
-/// agree whenever the best arm leads by more than f32 noise; the
-/// tie-breaking rule (and its randomness consumption) is shared with the
-/// f64 path via the same internal argmax.
-///
-/// # Example
-///
-/// ```
-/// use p2b_bandit::{F32Scorer, LinUcb, LinUcbConfig, SelectScratchF32};
-/// use p2b_linalg::Vector;
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), p2b_bandit::BanditError> {
-/// let model = LinUcb::new(LinUcbConfig::new(2, 3))?;
-/// let scorer = F32Scorer::new(&model);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mut scratch = SelectScratchF32::new();
-/// let action = scorer.select_action_with(&Vector::from(vec![0.5, 0.5]), &mut rng, &mut scratch)?;
-/// assert!(action.index() < 3);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct F32Scorer {
-    config: LinUcbConfig,
-    arena: ScoreArenaF32,
-}
-
-impl F32Scorer {
-    /// Derives an f32 scoring tier from the model's current state.
-    #[must_use]
-    pub fn new(model: &LinUcb) -> Self {
-        Self {
-            config: model.config,
-            arena: ScoreArenaF32::from_f64(&model.arena),
-        }
-    }
-
-    /// The configuration of the model this scorer was derived from.
-    #[must_use]
-    pub fn config(&self) -> &LinUcbConfig {
-        &self.config
-    }
-
-    /// Upper-confidence-bound scores for every arm, computed in `f32` and
-    /// widened to `f64`, written into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized
-    /// contexts and [`BanditError::Linalg`] if `out` is mis-sized.
-    pub fn scores_into(
-        &self,
-        context: &Vector,
-        scratch: &mut SelectScratchF32,
-        out: &mut [f64],
-    ) -> Result<(), BanditError> {
-        check_context(self.config.context_dimension, context)?;
-        self.arena.ucb_scores_into(
-            context.as_slice(),
-            self.config.alpha,
-            &mut scratch.inner,
-            out,
-        )?;
-        Ok(())
-    }
-
-    /// Allocation-free single-precision action selection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized
-    /// contexts.
-    pub fn select_action_with(
-        &self,
-        context: &Vector,
-        rng: &mut dyn rand::RngCore,
-        scratch: &mut SelectScratchF32,
-    ) -> Result<Action, BanditError> {
-        check_context(self.config.context_dimension, context)?;
-        scratch.scores.resize(self.config.num_actions, 0.0);
-        self.arena.ucb_scores_into(
-            context.as_slice(),
-            self.config.alpha,
-            &mut scratch.inner,
-            &mut scratch.scores[..self.config.num_actions],
-        )?;
-        Ok(pick_best(
-            &scratch.scores[..self.config.num_actions],
-            &mut scratch.ties,
-            self.config.num_actions,
-            rng,
-        ))
     }
 }
 

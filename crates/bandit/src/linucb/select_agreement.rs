@@ -2,9 +2,8 @@
 //!
 //! The flat arena path (`scores` / `select_action_with` and the trait
 //! `select_action`) must be **bit-for-bit** equal to the scalar reference in
-//! [`super::oracle`] — the f64 source of truth. The derived f32 tier is
-//! pinned against the f64 path from public API alone, in
-//! `tests/select_agreement.rs`.
+//! [`super::oracle`] — the f64 source of truth. The typed shape errors are
+//! pinned from public API alone, in `tests/select_agreement.rs`.
 
 use crate::{ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_linalg::Vector;

@@ -8,17 +8,14 @@
 //!   the last sweep never matches and every decision is a sweep;
 //! * `memo` — the other side of the same call: one context, one reward
 //!   folded into the chosen arm between decisions, so each decision
-//!   re-scores exactly that arm (`memo_agreement` pins it equal to a sweep);
-//! * `arena_f32` — the derived single-precision scoring tier.
+//!   re-scores exactly that arm (`memo_agreement` pins it equal to a sweep).
 //!
 //! This bench gives per-decision latencies under criterion's measurement
 //! loop; `bash benchmark/run.sh` reports the same path end to end as the
 //! `bandit.select` / `core.agent.select` layers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2b_bandit::{
-    ContextualPolicy, F32Scorer, LinUcb, LinUcbConfig, SelectScratch, SelectScratchF32,
-};
+use p2b_bandit::{ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,33 +97,5 @@ fn bench_select_memo(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_select_arena_f32(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select_arena_f32");
-    for &(dimension, actions) in &SHAPES {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("d{dimension}_a{actions}")),
-            &(dimension, actions),
-            |b, &(dimension, actions)| {
-                let policy = trained(dimension, actions);
-                let scorer = F32Scorer::new(&policy);
-                let mut rng = StdRng::seed_from_u64(1);
-                let ctx = random_context(dimension, &mut rng);
-                let mut scratch = SelectScratchF32::new();
-                b.iter(|| {
-                    scorer
-                        .select_action_with(&ctx, &mut rng, &mut scratch)
-                        .unwrap()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_select_arena_f64,
-    bench_select_memo,
-    bench_select_arena_f32
-);
+criterion_group!(benches, bench_select_arena_f64, bench_select_memo);
 criterion_main!(benches);

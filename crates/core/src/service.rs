@@ -25,9 +25,10 @@
 //!   ([`p2b_bandit::LinUcb::update_batch_with`]) instead of `N` plain ones.
 //! * **Action sharding** — disjoint-arm LinUCB keeps per-arm statistics
 //!   that never interact, so partitioning updates by `action % M` across
-//!   `M` worker threads is an *exact* parallelization: no locks, no
-//!   merge conflicts, and per-arm update order is preserved by the FIFO
-//!   shard queues.
+//!   the `M` workers of a [`ShardPool`] is an *exact* parallelization: no
+//!   locks, no merge conflicts, and per-arm update order is preserved by the
+//!   FIFO shard queues. The queues are bounded; a full one blocks only the
+//!   dispatcher, and no worker waits on the dispatcher.
 //! * **Epoch snapshots** — the service assembles the shard models into one
 //!   [`ModelSnapshot`] per *epoch* (a counter bumped on every mutating
 //!   ingest) and hands it out behind an `Arc`. All agents created within an
@@ -41,12 +42,9 @@
 
 use crate::CoreError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use p2b_bandit::{
-    Action, BanditError, CoalescedUpdate, F32Scorer, IngestScratch, LinUcb, LinUcbConfig,
-};
+use p2b_bandit::{Action, BanditError, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_shuffler::{ShardPool, ShufflerError, SHARD_QUEUE_CAPACITY};
 use std::fmt;
-use std::sync::OnceLock;
-use std::thread::JoinHandle;
 
 /// An immutable, epoch-versioned snapshot of the central model.
 ///
@@ -58,22 +56,13 @@ use std::thread::JoinHandle;
 pub struct ModelSnapshot {
     epoch: u64,
     model: LinUcb,
-    /// Lazily derived single-precision scoring tier, built at most once per
-    /// snapshot the first time a caller asks for it. Agents' default select
-    /// path stays on the f64 model — the determinism goldens pin that path —
-    /// so the derivation cost is only paid by callers that opt in.
-    f32_scorer: OnceLock<F32Scorer>,
 }
 
 impl ModelSnapshot {
     /// Wraps an assembled model with its epoch. Snapshots are published by
     /// [`crate::CentralServer::snapshot`].
     pub(crate) fn new(epoch: u64, model: LinUcb) -> Self {
-        Self {
-            epoch,
-            model,
-            f32_scorer: OnceLock::new(),
-        }
+        Self { epoch, model }
     }
 
     /// The ingestion epoch this snapshot was assembled at.
@@ -86,17 +75,6 @@ impl ModelSnapshot {
     #[must_use]
     pub fn model(&self) -> &LinUcb {
         &self.model
-    }
-
-    /// The snapshot's single-precision scoring tier, derived from the f64
-    /// model on first use and shared by every subsequent caller.
-    ///
-    /// The snapshot is immutable, so the derived scorer can never go stale;
-    /// the f64 [`ModelSnapshot::model`] remains the source of truth and the
-    /// path the reproduction's determinism goldens exercise.
-    #[must_use]
-    pub fn f32_scorer(&self) -> &F32Scorer {
-        self.f32_scorer.get_or_init(|| F32Scorer::new(&self.model))
     }
 }
 
@@ -120,17 +98,12 @@ enum ShardCommand {
     Snapshot(Sender<Result<ShardState, BanditError>>),
 }
 
-/// One ingest shard: a worker thread owning the LinUCB arms whose action
-/// index is congruent to the shard index modulo the shard count.
-struct IngestShard {
-    commands: Sender<ShardCommand>,
-    worker: Option<JoinHandle<()>>,
-}
-
-/// The worker loop: apply update runs in FIFO order through the fast
-/// scratch-threaded batch path (arena synced once per touched arm per
-/// batch), remember the first internal failure, track which arms were
-/// folded since the previous snapshot, answer snapshot requests.
+/// One ingest shard's worker loop. The shard owns the LinUCB arms whose
+/// action index is congruent to the shard index modulo the shard count. It
+/// applies update runs in FIFO order through the fast scratch-threaded batch
+/// path (arena synced once per touched arm per batch), remembers the first
+/// internal failure, tracks which arms were folded since the previous
+/// snapshot, and answers snapshot requests.
 fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
     let num_actions = model.config().num_actions;
     let mut scratch = IngestScratch::new();
@@ -187,7 +160,7 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
 /// and the code representation happens in [`crate::CentralServer`], which
 /// also owns epoch bookkeeping and snapshot caching.
 pub struct ModelService {
-    shards: Vec<IngestShard>,
+    shards: ShardPool<ShardCommand, ()>,
     config: LinUcbConfig,
     /// The persistent assembled central model, re-merged incrementally:
     /// after the first full rebuild, each assembly resets and re-merges only
@@ -212,18 +185,11 @@ impl ModelService {
                 message: "must be at least 1".to_owned(),
             });
         }
-        let mut workers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let model = LinUcb::new(config)?;
-            let (tx, rx) = unbounded::<ShardCommand>();
-            let worker = std::thread::spawn(move || run_shard(&rx, model));
-            workers.push(IngestShard {
-                commands: tx,
-                worker: Some(worker),
-            });
-        }
+        let model = LinUcb::new(config)?;
         Ok(Self {
-            shards: workers,
+            shards: ShardPool::spawn(shards, SHARD_QUEUE_CAPACITY, move |_, commands| {
+                run_shard(&commands, model);
+            }),
             config,
             assembled: None,
         })
@@ -232,7 +198,7 @@ impl ModelService {
     /// Number of ingest shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shards.shards()
     }
 
     /// The LinUCB configuration of the served model.
@@ -247,14 +213,16 @@ impl ModelService {
     ///
     /// Relative order of updates sharing an action is preserved (each arm
     /// lives on exactly one shard and the shard queue is FIFO), which is
-    /// what keeps the assembled model independent of the shard count.
+    /// what keeps the assembled model independent of the shard count. Each
+    /// call sends at most one command per shard, blocking while that shard's
+    /// bounded queue is full.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if a shard worker has shut down,
-    /// which cannot happen while the service is alive.
+    /// Returns [`CoreError::Shuffler`] wrapping
+    /// [`ShufflerError::PipelineClosed`] if a shard worker has died.
     pub fn ingest(&self, updates: Vec<CoalescedUpdate>) -> Result<(), CoreError> {
-        let shards = self.shards.len();
+        let shards = self.shards.shards();
         if shards == 1 {
             return self.dispatch(0, updates);
         }
@@ -263,9 +231,7 @@ impl ModelService {
             partitions[update.action().index() % shards].push(update);
         }
         for (shard, partition) in partitions.into_iter().enumerate() {
-            if !partition.is_empty() {
-                self.dispatch(shard, partition)?;
-            }
+            self.dispatch(shard, partition)?;
         }
         Ok(())
     }
@@ -274,40 +240,23 @@ impl ModelService {
         if updates.is_empty() {
             return Ok(());
         }
-        self.shards[shard]
-            .commands
-            .send(ShardCommand::Apply(updates))
-            .map_err(|_| CoreError::InvalidConfig {
-                parameter: "model_service",
-                message: "ingest shard worker has shut down".to_owned(),
-            })
+        Ok(self.shards.send(shard, ShardCommand::Apply(updates))?)
     }
 
     /// Requests a state snapshot from every shard and collects the replies
-    /// in shard-index order.
+    /// in shard-index order. A shard that dies before replying reads as
+    /// [`ShufflerError::PipelineClosed`].
     fn collect_shards(&self) -> Result<Vec<ShardState>, CoreError> {
-        let mut replies = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
+        let mut replies = Vec::with_capacity(self.shards.shards());
+        for shard in 0..self.shards.shards() {
             let (tx, rx) = unbounded();
-            shard
-                .commands
-                .send(ShardCommand::Snapshot(tx))
-                .map_err(|_| CoreError::InvalidConfig {
-                    parameter: "model_service",
-                    message: "ingest shard worker has shut down".to_owned(),
-                })?;
+            self.shards.send(shard, ShardCommand::Snapshot(tx))?;
             replies.push(rx);
         }
         let mut states = Vec::with_capacity(replies.len());
         for reply in replies {
-            let state = reply
-                .recv()
-                .map_err(|_| CoreError::InvalidConfig {
-                    parameter: "model_service",
-                    message: "ingest shard worker has shut down".to_owned(),
-                })?
-                .map_err(CoreError::Bandit)?;
-            states.push(state);
+            let state = reply.recv().map_err(|_| ShufflerError::PipelineClosed)?;
+            states.push(state?);
         }
         Ok(states)
     }
@@ -350,39 +299,30 @@ impl ModelService {
             .collect();
         dirty.sort_unstable();
         dirty.dedup();
-        match self.assembled.take() {
+        // `take` leaves `self.assembled` at `None` until the merge succeeds,
+        // so after a failure the next call rebuilds from scratch rather than
+        // reusing partial state.
+        let assembled = match self.assembled.take() {
             None => {
                 let mut assembled = LinUcb::new(self.config)?;
                 for state in &states {
                     assembled.merge(&state.model)?;
                 }
-                self.assembled = Some(assembled);
+                assembled
             }
             Some(mut assembled) => {
-                let mut remerge = || -> Result<(), CoreError> {
-                    for &arm in &dirty {
-                        let action = Action::new(arm);
-                        assembled.reset_arm(action)?;
-                        for state in &states {
-                            assembled.merge_arm(action, &state.model)?;
-                        }
+                for &arm in &dirty {
+                    let action = Action::new(arm);
+                    assembled.reset_arm(action)?;
+                    for state in &states {
+                        assembled.merge_arm(action, &state.model)?;
                     }
-                    Ok(())
-                };
-                // On failure `self.assembled` stays `None`: the next call
-                // rebuilds from scratch rather than reusing partial state.
-                remerge()?;
-                self.assembled = Some(assembled);
+                }
+                assembled
             }
-        }
-        let model = self
-            .assembled
-            .as_ref()
-            .ok_or_else(|| CoreError::InvalidConfig {
-                parameter: "model_service",
-                message: "assembled model missing after assembly".to_owned(),
-            })?
-            .clone();
+        };
+        let model = assembled.clone();
+        self.assembled = Some(assembled);
         Ok((model, dirty))
     }
 }
@@ -390,22 +330,9 @@ impl ModelService {
 impl fmt::Debug for ModelService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelService")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shards.shards())
             .field("config", &self.config)
             .finish_non_exhaustive()
-    }
-}
-
-impl Drop for ModelService {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            // Dropping the sender disconnects the worker's receive loop.
-            let (closed, _) = unbounded();
-            shard.commands = closed;
-            if let Some(worker) = shard.worker.take() {
-                let _ = worker.join();
-            }
-        }
     }
 }
 
@@ -492,71 +419,41 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_f32_scorer_is_built_once_and_agrees_with_the_model() {
-        use p2b_bandit::{SelectScratch, SelectScratchF32};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let mut service = ModelService::spawn(LinUcbConfig::new(2, 4), 2).unwrap();
-        service
-            .ingest(vec![
-                update(0, 5, 4.0),
-                update(2, 7, 7.0),
-                update(3, 1, 1.0),
-            ])
-            .unwrap();
-        let snapshot = ModelSnapshot::new(1, service.assemble().unwrap().0);
-
-        // Lazy + memoized: both calls hand back the same derived scorer.
-        let first = snapshot.f32_scorer() as *const _;
-        let second = snapshot.f32_scorer() as *const _;
-        assert_eq!(first, second, "scorer must be derived at most once");
-
-        // The derived tier serves the same actions as the f64 model here.
-        let mut rng64 = StdRng::seed_from_u64(11);
-        let mut rng32 = rng64.clone();
-        let mut scratch64 = SelectScratch::new();
-        let mut scratch32 = SelectScratchF32::new();
-        for step in 0..64u64 {
-            let ctx = Vector::from(vec![
-                0.25 + (step % 5) as f64 * 0.1,
-                0.75 - (step % 5) as f64 * 0.1,
-            ]);
-            let a64 = snapshot
-                .model()
-                .select_action_with(&ctx, &mut rng64, &mut scratch64)
-                .unwrap();
-            let a32 = snapshot
-                .f32_scorer()
-                .select_action_with(&ctx, &mut rng32, &mut scratch32)
-                .unwrap();
-            assert_eq!(a64, a32, "f32 tier diverged at step {step}");
-        }
-
-        // Cloned snapshots re-derive their own scorer lazily and still agree.
-        let clone = snapshot.clone();
-        assert_eq!(clone.epoch(), snapshot.epoch());
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut rng_clone = rng.clone();
-        let ctx = Vector::from(vec![0.5, 0.5]);
-        assert_eq!(
-            snapshot
-                .f32_scorer()
-                .select_action_with(&ctx, &mut rng, &mut scratch32)
-                .unwrap(),
-            clone
-                .f32_scorer()
-                .select_action_with(&ctx, &mut rng_clone, &mut scratch32)
-                .unwrap()
-        );
-    }
-
-    #[test]
     fn internal_shard_failures_surface_on_assemble() {
         let mut service = ModelService::spawn(LinUcbConfig::new(2, 2), 1).unwrap();
         // A mis-dimensioned context slips past the (bypassed) validation.
         let bad = CoalescedUpdate::new(Vector::zeros(5), Action::new(0), 1, 0.0).unwrap();
         service.ingest(vec![bad]).unwrap();
         assert!(matches!(service.assemble(), Err(CoreError::Bandit(_))));
+    }
+
+    #[test]
+    fn a_dead_shard_surfaces_as_pipeline_closed() {
+        let config = LinUcbConfig::new(2, 2);
+        let model = LinUcb::new(config).unwrap();
+        let (exited, shard_exited) = unbounded();
+        // Shard 1 exits at once, dropping its queue; shard 0 serves normally.
+        let mut service = ModelService {
+            shards: ShardPool::spawn(2, 1, move |shard, commands| {
+                if shard == 0 {
+                    run_shard(&commands, model);
+                } else {
+                    drop(commands);
+                    let _ = exited.send(());
+                }
+            }),
+            config,
+            assembled: None,
+        };
+        shard_exited.recv().unwrap();
+        service.ingest(vec![update(0, 1, 1.0)]).unwrap();
+        assert!(matches!(
+            service.ingest(vec![update(1, 1, 1.0)]),
+            Err(CoreError::Shuffler(ShufflerError::PipelineClosed))
+        ));
+        assert!(matches!(
+            service.assemble(),
+            Err(CoreError::Shuffler(ShufflerError::PipelineClosed))
+        ));
     }
 }

@@ -72,18 +72,6 @@ impl PrivacyRegime {
     pub fn is_private(&self) -> bool {
         !matches!(self, PrivacyRegime::NonPrivate | PrivacyRegime::SecureAgg)
     }
-
-    /// Whether the regime needs a fitted context encoder (the on-device
-    /// private regimes share codes, not raw contexts; the central-DP curator
-    /// and the secure-aggregation shards consume statistics built from raw
-    /// contexts on the submitting side).
-    #[must_use]
-    pub fn uses_encoder(&self) -> bool {
-        !matches!(
-            self,
-            PrivacyRegime::NonPrivate | PrivacyRegime::CentralDp | PrivacyRegime::SecureAgg
-        )
-    }
 }
 
 impl fmt::Display for PrivacyRegime {
@@ -120,14 +108,6 @@ mod tests {
             !PrivacyRegime::SecureAgg.is_private(),
             "secure aggregation is a trust split, not a DP guarantee"
         );
-        assert!(!PrivacyRegime::NonPrivate.uses_encoder());
-        assert!(PrivacyRegime::LocalDp.uses_encoder());
-        assert!(PrivacyRegime::P2bShuffle.uses_encoder());
-        assert!(
-            !PrivacyRegime::CentralDp.uses_encoder(),
-            "the curator receives raw contexts and privatizes server-side"
-        );
-        assert!(!PrivacyRegime::SecureAgg.uses_encoder());
         assert!(PrivacyRegime::LocalDp.to_string().contains("LDP"));
         assert!(PrivacyRegime::CentralDp.to_string().contains("central"));
         assert!(PrivacyRegime::SecureAgg.to_string().contains("secure"));

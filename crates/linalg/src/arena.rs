@@ -386,154 +386,6 @@ impl ScoreArena {
     }
 }
 
-/// Flat, element-major scoring arena in single precision.
-///
-/// A *derived*, read-only tier converted from `f64` state: updates always
-/// happen in `f64` and the f64 path remains the source of truth. The f32
-/// tier halves memory traffic and doubles SIMD width for serving workloads
-/// that tolerate ~1e-7 relative score error; scores are widened back to
-/// `f64` so downstream tie-breaking logic is shared with the f64 path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoreArenaF32 {
-    arms: usize,
-    dim: usize,
-    inv: Vec<f32>,
-    theta: Vec<f32>,
-}
-
-/// Reusable scratch for [`ScoreArenaF32::ucb_scores_into`].
-#[derive(Debug, Clone, Default)]
-pub struct ScoreScratchF32 {
-    x: Vec<f32>,
-    rowacc: Vec<f32>,
-    qf: Vec<f32>,
-    est: Vec<f32>,
-}
-
-impl ScoreScratchF32 {
-    /// Creates an empty scratch; buffers are sized on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, arms: usize, dim: usize) {
-        if self.rowacc.len() < arms {
-            self.rowacc.resize(arms, 0.0);
-            self.qf.resize(arms, 0.0);
-            self.est.resize(arms, 0.0);
-        }
-        if self.x.len() < dim {
-            self.x.resize(dim, 0.0);
-        }
-    }
-}
-
-impl ScoreArenaF32 {
-    /// Creates a zeroed f32 arena for `arms` arms of dimension `dim`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] if `arms == 0` or `dim == 0`.
-    pub fn new(arms: usize, dim: usize) -> Result<Self, LinalgError> {
-        if arms == 0 || dim == 0 {
-            return Err(LinalgError::Empty);
-        }
-        Ok(Self {
-            arms,
-            dim,
-            inv: vec![0.0; arms * dim * dim],
-            theta: vec![0.0; arms * dim],
-        })
-    }
-
-    /// Converts an f64 arena into the f32 tier (one narrowing pass).
-    #[must_use]
-    pub fn from_f64(arena: &ScoreArena) -> Self {
-        Self {
-            arms: arena.arms,
-            dim: arena.dim,
-            inv: arena.inv.iter().map(|&v| v as f32).collect(),
-            theta: arena.theta.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Number of arms the arena holds.
-    #[must_use]
-    pub fn arms(&self) -> usize {
-        self.arms
-    }
-
-    /// Per-arm dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Scores all arms against one context in a single pass, computing in
-    /// `f32` and widening the final scores to `f64` for shared tie-breaking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`
-    /// or `out.len() != self.arms()`.
-    pub fn ucb_scores_into(
-        &self,
-        x: &[f64],
-        alpha: f64,
-        scratch: &mut ScoreScratchF32,
-        out: &mut [f64],
-    ) -> Result<(), LinalgError> {
-        if x.len() != self.dim {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (self.dim, 1),
-                found: (x.len(), 1),
-            });
-        }
-        if out.len() != self.arms {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (self.arms, 1),
-                found: (out.len(), 1),
-            });
-        }
-        let arms = self.arms;
-        scratch.ensure(arms, self.dim);
-        let xs = &mut scratch.x[..self.dim];
-        for (narrow, &wide) in xs.iter_mut().zip(x.iter()) {
-            *narrow = wide as f32;
-        }
-        let rowacc = &mut scratch.rowacc[..arms];
-        let qf = &mut scratch.qf[..arms];
-        let est = &mut scratch.est[..arms];
-        qf.fill(0.0);
-        est.fill(0.0);
-        let alpha = alpha as f32;
-        for i in 0..self.dim {
-            rowacc.fill(0.0);
-            for (j, &xj) in xs.iter().enumerate() {
-                let lane = &self.inv[(i * self.dim + j) * arms..][..arms];
-                for (acc, &m) in rowacc.iter_mut().zip(lane) {
-                    *acc += m * xj;
-                }
-            }
-            let xi = xs[i];
-            for (q, &acc) in qf.iter_mut().zip(rowacc.iter()) {
-                *q += xi * acc;
-            }
-        }
-        for (i, &xi) in xs.iter().enumerate() {
-            let lane = &self.theta[i * arms..][..arms];
-            for (e, &t) in est.iter_mut().zip(lane) {
-                *e += t * xi;
-            }
-        }
-        for ((o, &e), &q) in out.iter_mut().zip(est.iter()).zip(qf.iter()) {
-            *o = f64::from(e + alpha * q.max(0.0).sqrt());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,29 +548,6 @@ mod tests {
         assert_ne!(first.stamps, second.stamps);
         assert_eq!(first, second);
         assert_eq!(first.clone().stamps, first.stamps);
-    }
-
-    #[test]
-    fn f32_tier_tracks_the_f64_scores() {
-        let (arena, _, _) = trained_arena(5, 8);
-        let fast = ScoreArenaF32::from_f64(&arena);
-        let x: Vector = (0..8).map(|k| (k as f64 * 0.13).sin().abs()).collect();
-        let mut s64 = ScoreScratch::new();
-        let mut s32 = ScoreScratchF32::new();
-        let mut out64 = vec![0.0; 5];
-        let mut out32 = vec![0.0; 5];
-        arena
-            .ucb_scores_into(x.as_slice(), 0.5, &mut s64, &mut out64)
-            .unwrap();
-        fast.ucb_scores_into(x.as_slice(), 0.5, &mut s32, &mut out32)
-            .unwrap();
-        for (a, (w, n)) in out64.iter().zip(out32.iter()).enumerate() {
-            let scale = w.abs().max(1.0);
-            assert!(
-                (w - n).abs() <= 1e-5 * scale,
-                "arm {a}: f32 score {n} too far from f64 score {w}"
-            );
-        }
     }
 
     #[test]

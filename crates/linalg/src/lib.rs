@@ -36,9 +36,7 @@ mod matrix;
 mod stats;
 mod vector;
 
-pub use arena::{
-    ScoreArena, ScoreArenaF32, ScoreCounters, ScoreMemo, ScoreScratch, ScoreScratchF32,
-};
+pub use arena::{ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch};
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use incremental::{RankOneInverse, UpdateScratch};

@@ -17,13 +17,14 @@
 //!   carries zero information about the user, unlike a user-id hash which
 //!   would pin every user to one shard and leak membership through shard
 //!   load.
-//! * **Batching** — each shard accumulates a chunk (configurable size),
-//!   anonymizes + shuffles it, and forwards it to the merger; the merger
+//! * **Batching** — each shard accumulates a chunk of
+//!   `batch_size / shards` reports (rounded up), anonymizes + shuffles it,
+//!   and forwards it to the merger; the merger
 //!   re-batches the fan-in stream into merged batches of exactly
 //!   [`EngineBuilder::batch_size`] (the final flush may be smaller).
-//! * **Backpressure** — shard ingress queues are bounded; `submit` blocks
-//!   while the target shard's queue is full, so a slow engine slows its
-//!   producers instead of buffering without limit.
+//! * **Backpressure** — the shards are a [`ShardPool`] of bounded ingress
+//!   queues; `submit` blocks while the target shard's queue is full, so a
+//!   slow engine slows its producers instead of buffering without limit.
 //! * **Flush interval** — optionally, a shard or the merger flushes a
 //!   partial batch once its oldest buffered report has waited the
 //!   configured interval, bounding the delivery latency of a trickling
@@ -42,8 +43,11 @@
 
 use crate::shard::{ShardWorker, SubBatch};
 use crate::shuffle::shuffle_and_threshold;
-use crate::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::{
+    EncodedReport, RawReport, ShardPool, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError,
+    SHARD_QUEUE_CAPACITY,
+};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use p2b_privacy::{splitmix64, AmplificationLedger, BatchAmplification, Participation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,7 +64,6 @@ pub struct EngineBuilder {
     config: ShufflerConfig,
     shards: usize,
     batch_size: usize,
-    shard_batch_size: Option<usize>,
     shard_queue_capacity: usize,
     flush_interval: Option<Duration>,
     accounting: Option<(Participation, f64)>,
@@ -72,8 +75,7 @@ impl EngineBuilder {
             config,
             shards: 1,
             batch_size: 64,
-            shard_batch_size: None,
-            shard_queue_capacity: 1024,
+            shard_queue_capacity: SHARD_QUEUE_CAPACITY,
             flush_interval: None,
             accounting: None,
         }
@@ -89,23 +91,17 @@ impl EngineBuilder {
 
     /// Size of the merged batches delivered downstream (default 64). Every
     /// batch except the final flush contains exactly this many received
-    /// reports.
+    /// reports. Each shard forwards chunks of `batch_size / shards` reports
+    /// (rounded up), so the shards collectively fill one merged batch per
+    /// chunk round.
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
     }
 
-    /// Per-shard accumulation chunk size before a sub-batch is forwarded to
-    /// the merger. Defaults to `batch_size / shards` (rounded up), so the
-    /// shards collectively fill one merged batch per chunk round.
-    #[must_use]
-    pub fn shard_batch_size(mut self, shard_batch_size: usize) -> Self {
-        self.shard_batch_size = Some(shard_batch_size);
-        self
-    }
-
-    /// Capacity of each shard's bounded ingress queue (default 1024).
+    /// Capacity of each shard's bounded ingress queue (default
+    /// [`SHARD_QUEUE_CAPACITY`]).
     /// [`EngineHandle::submit`] blocks while the target shard's queue holds
     /// this many un-consumed reports — the engine's backpressure contract.
     #[must_use]
@@ -157,12 +153,6 @@ impl EngineBuilder {
                 message: "must be at least 1".to_owned(),
             });
         }
-        if self.shard_batch_size == Some(0) {
-            return Err(ShufflerError::InvalidConfig {
-                parameter: "shard_batch_size",
-                message: "must be at least 1".to_owned(),
-            });
-        }
         if self.shard_queue_capacity == 0 {
             return Err(ShufflerError::InvalidConfig {
                 parameter: "shard_queue_capacity",
@@ -186,14 +176,11 @@ impl EngineBuilder {
             }
             None => None,
         };
-        let shard_batch_size = self
-            .shard_batch_size
-            .unwrap_or_else(|| self.batch_size.div_ceil(self.shards));
         Ok(ShufflerEngine {
             config: self.config,
             shards: self.shards,
             batch_size: self.batch_size,
-            shard_batch_size,
+            shard_batch_size: self.batch_size.div_ceil(self.shards),
             shard_queue_capacity: self.shard_queue_capacity,
             flush_interval: self.flush_interval,
             ledger,
@@ -295,28 +282,21 @@ impl ShufflerEngine {
         let (fan_tx, fan_rx) = unbounded::<SubBatch>();
         let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
 
-        let mut shard_txs = Vec::with_capacity(self.shards);
-        let mut shard_workers = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let (tx, rx) = bounded::<RawReport>(self.shard_queue_capacity);
-            shard_txs.push(tx);
-            let worker = ShardWorker::new(
-                shard,
-                rx,
-                fan_tx.clone(),
-                self.shard_batch_size,
-                self.flush_interval,
-                splitmix64(seed ^ splitmix64(shard as u64 + 1)),
-            );
-            shard_workers.push(std::thread::spawn(move || worker.run()));
-        }
-        // Drop the original fan-in sender so the merger disconnects as soon
-        // as the last shard worker exits.
-        drop(fan_tx);
+        // Each shard owns a clone of the fan-in sender and the pool keeps
+        // none, so the merger disconnects as soon as the last shard exits.
+        let (shard_batch_size, flush_interval) = (self.shard_batch_size, self.flush_interval);
+        let shards = ShardPool::spawn(
+            self.shards,
+            self.shard_queue_capacity,
+            move |shard, input| {
+                let seed = splitmix64(seed ^ splitmix64(shard as u64 + 1));
+                ShardWorker::new(shard, input, fan_tx, shard_batch_size, flush_interval, seed)
+                    .run();
+            },
+        );
 
         let threshold = self.config.threshold;
         let batch_size = self.batch_size;
-        let flush_interval = self.flush_interval;
         let ledger = self.ledger.clone();
         // A fixed tag keeps the merger's RNG stream distinct from every
         // shard's (shard seeds mix small integers, not this constant).
@@ -334,10 +314,9 @@ impl ShufflerEngine {
         });
 
         EngineHandle {
-            shard_txs: Some(shard_txs),
+            shards: Some(shards),
             slot: AtomicU64::new(0),
             batch_rx,
-            shard_workers,
             merger: Some(merger),
         }
     }
@@ -471,10 +450,9 @@ fn emit(
 /// closes the ingress, flushes every stage and joins the worker threads.
 #[derive(Debug)]
 pub struct EngineHandle {
-    shard_txs: Option<Vec<Sender<RawReport>>>,
+    shards: Option<ShardPool<RawReport, ()>>,
     slot: AtomicU64,
     batch_rx: Receiver<EngineBatch>,
-    shard_workers: Vec<JoinHandle<()>>,
     merger: Option<JoinHandle<Option<AmplificationLedger>>>,
 }
 
@@ -491,21 +469,15 @@ impl EngineHandle {
     /// Returns [`ShufflerError::PipelineClosed`] after [`Self::finish`] or
     /// if the engine's workers have shut down.
     pub fn submit(&self, report: RawReport) -> Result<(), ShufflerError> {
-        let txs = self
-            .shard_txs
-            .as_ref()
-            .ok_or(ShufflerError::PipelineClosed)?;
+        let shards = self.shards.as_ref().ok_or(ShufflerError::PipelineClosed)?;
         let slot = self.slot.fetch_add(1, Ordering::Relaxed);
         // The builder guarantees at least one shard; `checked_rem` makes the
         // routing arithmetic panic-free even so (an impossible empty shard
         // set reads as a closed pipeline, not a divide-by-zero).
         let shard = splitmix64(slot)
-            .checked_rem(txs.len() as u64)
+            .checked_rem(shards.shards() as u64)
             .ok_or(ShufflerError::PipelineClosed)? as usize;
-        txs.get(shard)
-            .ok_or(ShufflerError::PipelineClosed)?
-            .send(report)
-            .map_err(|_| ShufflerError::PipelineClosed)
+        shards.send(shard, report)
     }
 
     /// Number of reports submitted through this handle so far.
@@ -530,13 +502,11 @@ impl EngineHandle {
     }
 
     fn close(&mut self) -> Option<AmplificationLedger> {
-        // Dropping the shard senders closes every ingress queue; each shard
-        // flushes its partial chunk and drops its fan-in sender; the merger
-        // then flushes its partial merged batch and returns the ledger.
-        self.shard_txs = None;
-        for worker in self.shard_workers.drain(..) {
-            let _ = worker.join();
-        }
+        // Dropping the shard pool closes every ingress queue and joins the
+        // shards; each flushes its partial chunk and drops its fan-in sender;
+        // the merger then flushes its partial merged batch and returns the
+        // ledger.
+        self.shards = None;
         self.merger
             .take()
             .and_then(|merger| merger.join().ok())
@@ -574,10 +544,6 @@ mod tests {
             .is_err());
         assert!(ShufflerEngine::builder(ok).shards(0).build().is_err());
         assert!(ShufflerEngine::builder(ok).batch_size(0).build().is_err());
-        assert!(ShufflerEngine::builder(ok)
-            .shard_batch_size(0)
-            .build()
-            .is_err());
         assert!(ShufflerEngine::builder(ok)
             .shard_queue_capacity(0)
             .build()

@@ -36,6 +36,10 @@
 //! only the recombined sum — exact at any shard count — leaves the engine.
 //! See [`secure`] for the stage diagram and the trust model.
 //!
+//! Both engines, and the central model service's ingest shards, run their
+//! workers on one [`ShardPool`]: bounded per-shard FIFO queues, one rule for
+//! a dead worker, one shutdown.
+//!
 //! # Example
 //!
 //! ```
@@ -59,6 +63,7 @@
 
 pub mod engine;
 mod error;
+mod pool;
 mod report;
 pub mod secure;
 mod shard;
@@ -67,6 +72,7 @@ mod shuffle;
 pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};
 pub use error::ShufflerError;
 pub use p2b_privacy::splitmix64;
+pub use pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 pub use report::{EncodedReport, RawReport, ReportMetadata};
 pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
 pub use shuffle::{ShuffledBatch, Shuffler, ShufflerConfig, ShufflerStats};

@@ -30,11 +30,10 @@
 //! and the trust-model caveat (deterministic statistical masks standing in
 //! for cryptographic pairwise PRGs).
 
-use crate::ShufflerError;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::{ShardPool, ShufflerError, SHARD_QUEUE_CAPACITY};
+use crossbeam::channel::Receiver;
 use p2b_privacy::{decode_fixed, encode_fixed, SecretSharer};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::JoinHandle;
 
 /// Builder for a [`SecureAggEngine`].
 ///
@@ -45,7 +44,6 @@ pub struct SecureAggBuilder {
     arms: usize,
     dimension: usize,
     shards: usize,
-    queue_capacity: usize,
 }
 
 impl SecureAggBuilder {
@@ -54,26 +52,16 @@ impl SecureAggBuilder {
             arms,
             dimension,
             shards: 1,
-            queue_capacity: 1024,
         }
     }
 
     /// Number of aggregator shards `k` (default 1). Each shard owns one
-    /// worker thread, one bounded share queue and one masked accumulator;
-    /// the trust guarantee is that any `k − 1` of them together still see
-    /// only uniform noise.
+    /// worker thread, one bounded share queue of [`SHARD_QUEUE_CAPACITY`]
+    /// and one masked accumulator; the trust guarantee is that any `k − 1`
+    /// of them together still see only uniform noise.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Capacity of each shard's bounded share queue (default 1024).
-    /// [`SecureAggHandle::submit`] blocks while a target queue is full —
-    /// the same backpressure contract as the shuffler engine.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
         self
     }
 
@@ -81,9 +69,8 @@ impl SecureAggBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ShufflerError::InvalidConfig`] when `arms`, `dimension`,
-    /// `shards` or the queue capacity is zero — the degenerate
-    /// configurations that would otherwise truncate or divide by zero at
+    /// Returns [`ShufflerError::InvalidConfig`] when `arms`, `dimension` or
+    /// `shards` is zero — the degenerate configurations that would otherwise truncate or divide by zero at
     /// runtime.
     pub fn build(self) -> Result<SecureAggEngine, ShufflerError> {
         if self.arms == 0 {
@@ -104,12 +91,6 @@ impl SecureAggBuilder {
                 message: "must be at least 1".to_owned(),
             });
         }
-        if self.queue_capacity == 0 {
-            return Err(ShufflerError::InvalidConfig {
-                parameter: "queue_capacity",
-                message: "must be at least 1".to_owned(),
-            });
-        }
         // Construct the sharer here, where the error path already exists,
         // so `spawn` stays infallible (`shards ≥ 1` was just checked).
         let sharer =
@@ -121,7 +102,6 @@ impl SecureAggBuilder {
             arms: self.arms,
             dimension: self.dimension,
             shards: self.shards,
-            queue_capacity: self.queue_capacity,
             sharer,
         })
     }
@@ -161,7 +141,6 @@ pub struct SecureAggEngine {
     arms: usize,
     dimension: usize,
     shards: usize,
-    queue_capacity: usize,
     sharer: SecretSharer,
 }
 
@@ -197,24 +176,15 @@ impl SecureAggEngine {
     /// only the individual shares do.
     #[must_use]
     pub fn spawn(&self, seed: u64) -> SecureAggHandle {
-        let mut txs = Vec::with_capacity(self.shards);
-        let mut workers = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            let (tx, rx) = bounded::<ShareMessage>(self.queue_capacity);
-            txs.push(tx);
-            let arms = self.arms;
-            let dimension = self.dimension;
-            workers.push(std::thread::spawn(move || {
-                run_shard_worker(&rx, arms, dimension)
-            }));
-        }
+        let (arms, dimension) = (self.arms, self.dimension);
         SecureAggHandle {
-            txs: Some(txs),
+            shards: ShardPool::spawn(self.shards, SHARD_QUEUE_CAPACITY, move |_, shares| {
+                run_shard_worker(&shares, arms, dimension)
+            }),
             counter: AtomicU64::new(0),
             sharer: self.sharer.reseeded(seed),
-            arms: self.arms,
-            dimension: self.dimension,
-            workers,
+            arms,
+            dimension,
         }
     }
 }
@@ -243,12 +213,11 @@ fn run_shard_worker(rx: &Receiver<ShareMessage>, arms: usize, dimension: usize) 
 /// workers and discards their accumulators.
 #[derive(Debug)]
 pub struct SecureAggHandle {
-    txs: Option<Vec<Sender<ShareMessage>>>,
+    shards: ShardPool<ShareMessage, Vec<i128>>,
     counter: AtomicU64,
     sharer: SecretSharer,
     arms: usize,
     dimension: usize,
-    workers: Vec<JoinHandle<Vec<i128>>>,
 }
 
 impl SecureAggHandle {
@@ -262,9 +231,8 @@ impl SecureAggHandle {
     /// Returns [`ShufflerError::InvalidReport`] when `arm` is out of range,
     /// `leaf` has the wrong dimension, or any coordinate is outside the
     /// fixed-point dynamic range (±[`p2b_privacy::FIXED_POINT_MAX_ABS`]);
-    /// [`ShufflerError::PipelineClosed`] after [`Self::finish`].
+    /// [`ShufflerError::PipelineClosed`] if a shard worker has died.
     pub fn submit(&self, arm: usize, leaf: &[f64]) -> Result<(), ShufflerError> {
-        let txs = self.txs.as_ref().ok_or(ShufflerError::PipelineClosed)?;
         if arm >= self.arms {
             return Err(ShufflerError::InvalidReport {
                 message: format!("arm {arm} out of range (engine has {} arms)", self.arms),
@@ -291,7 +259,7 @@ impl SecureAggHandle {
             );
         }
         let counter = self.counter.fetch_add(1, Ordering::Relaxed);
-        let shards = txs.len();
+        let shards = self.shards.shards();
         let mut messages: Vec<Vec<i128>> =
             (0..shards).map(|_| vec![0i128; self.dimension]).collect();
         let mut shares = vec![0i128; shards];
@@ -305,9 +273,8 @@ impl SecureAggHandle {
                 message[coord] = share;
             }
         }
-        for (tx, shares) in txs.iter().zip(messages) {
-            tx.send(ShareMessage { arm, shares })
-                .map_err(|_| ShufflerError::PipelineClosed)?;
+        for (shard, shares) in messages.into_iter().enumerate() {
+            self.shards.send(shard, ShareMessage { arm, shares })?;
         }
         Ok(())
     }
@@ -325,13 +292,8 @@ impl SecureAggHandle {
     ///
     /// Returns [`ShufflerError::PipelineClosed`] if a shard worker
     /// terminated abnormally (its accumulator is unrecoverable).
-    pub fn finish(mut self) -> Result<SecureAggOutput, ShufflerError> {
-        self.txs = None;
-        let mut accumulators = Vec::with_capacity(self.workers.len());
-        for worker in self.workers.drain(..) {
-            let accumulator = worker.join().map_err(|_| ShufflerError::PipelineClosed)?;
-            accumulators.push(accumulator);
-        }
+    pub fn finish(self) -> Result<SecureAggOutput, ShufflerError> {
+        let accumulators = self.shards.join()?;
         let mut sums = vec![0i128; self.arms * self.dimension];
         for accumulator in &accumulators {
             for (sum, &value) in sums.iter_mut().zip(accumulator) {
@@ -344,15 +306,6 @@ impl SecureAggHandle {
             contributions: self.counter.load(Ordering::Relaxed),
             sums,
         })
-    }
-}
-
-impl Drop for SecureAggHandle {
-    fn drop(&mut self) {
-        self.txs = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -437,10 +390,6 @@ mod tests {
         assert!(SecureAggEngine::builder(0, 3).build().is_err());
         assert!(SecureAggEngine::builder(2, 0).build().is_err());
         assert!(SecureAggEngine::builder(2, 3).shards(0).build().is_err());
-        assert!(SecureAggEngine::builder(2, 3)
-            .queue_capacity(0)
-            .build()
-            .is_err());
         assert!(SecureAggEngine::builder(2, 3).shards(4).build().is_ok());
     }
 
