@@ -7,14 +7,16 @@
 //! Exits non-zero when an SLO bar is violated.
 //!
 //! ```text
-//! p2b-serve [--mode ingest|pool|full] [--quick]
+//! p2b-serve [--mode ingest|full] [--quick]
 //!           [--workers N] [--seed N]
 //!           [--slo-p99-ms F] [--slo-ingest-lag-epochs N] [--slo-occupancy N]
 //!           [--summary PATH] [--out PATH]
 //! ```
 //!
-//! * `--mode` picks the subsystem slice; `full` (the default) runs the
-//!   closed loop, `ingest` and `pool` benchmark one subsystem each.
+//! * `--mode` picks the slice; `full` (the default) runs the closed loop,
+//!   `ingest` benchmarks the ingest subsystem and writes its model digests.
+//!   Bounded-pool serving is the `serve_churn` workload of
+//!   `bash benchmark/run.sh`.
 //! * `--quick` forces the CI smoke scale (equivalent to `P2B_SCALE=quick`).
 //! * `--summary PATH` additionally writes the *redacted* report — the
 //!   worker-count-invariant deterministic summary with all wall-clock
@@ -25,7 +27,7 @@
 
 use p2b_bench::failure::write_artifact;
 use p2b_bench::serve::{
-    print_full_report, run_full, run_ingest_mode, run_pool_mode, ServeConfig, ServeMode, SloConfig,
+    print_full_report, run_full, run_ingest_mode, ServeConfig, ServeMode, SloConfig,
 };
 use p2b_bench::{BenchFailure, Scale};
 use std::process::ExitCode;
@@ -65,7 +67,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--mode" => {
                 let raw = value("--mode")?;
                 cli.mode = ServeMode::parse(&raw)
-                    .ok_or_else(|| format!("unknown mode {raw:?} (ingest|pool|full)"))?;
+                    .ok_or_else(|| format!("unknown mode {raw:?} (ingest|full)"))?;
             }
             "--quick" => cli.quick = true,
             "--workers" => {
@@ -132,7 +134,6 @@ fn main() -> ExitCode {
     };
     match cli.mode {
         ServeMode::Ingest => exit_code(run_ingest_mode(scale)),
-        ServeMode::Pool => exit_code(run_pool_mode(scale)),
         ServeMode::Full => {
             let mut config = ServeConfig::at_scale(scale);
             if let Some(workers) = cli.workers {

@@ -47,12 +47,13 @@
 //! but excluded from the summary; [`ServeReport::redacted`] zeroes them for
 //! golden comparisons.
 //!
-//! Two subsystem slices run on the same arrival process, so each is
+//! One subsystem slice runs on the same arrival process, so it is
 //! benchmarked on identical skewed traffic: [`ServeMode::Ingest`] (shuffler
 //! engine, central-model ingest, model update, epoch assembly, secure
-//! aggregation) and [`ServeMode::Pool`] (bounded agent pool). Per-decision
-//! select latency is `benches/select.rs` and the `bandit.select` /
-//! `core.agent.select` layers of `bash benchmark/run.sh`.
+//! aggregation). Bounded-pool serving is the `serve_churn` workload of
+//! `bash benchmark/run.sh`; per-decision select latency is
+//! `benches/select.rs` and the `bandit.select` / `core.agent.select` layers
+//! of the same benchmark.
 
 use crate::failure::{write_artifact, BenchFailure};
 use crate::histogram::{LatencyHistogram, LatencySummary};
@@ -97,8 +98,6 @@ pub enum ServeMode {
     /// Shuffler-engine shard scaling, central-model ingest scaling, the
     /// model update path, epoch assembly and secure aggregation.
     Ingest,
-    /// Bounded agent-pool serving throughput.
-    Pool,
     /// The closed-loop service: everything at once, with SLOs.
     Full,
 }
@@ -109,7 +108,6 @@ impl ServeMode {
     pub fn parse(value: &str) -> Option<Self> {
         match value {
             "ingest" => Some(ServeMode::Ingest),
-            "pool" => Some(ServeMode::Pool),
             "full" => Some(ServeMode::Full),
             _ => None,
         }
@@ -120,7 +118,6 @@ impl ServeMode {
     pub fn name(self) -> &'static str {
         match self {
             ServeMode::Ingest => "ingest",
-            ServeMode::Pool => "pool",
             ServeMode::Full => "full",
         }
     }
@@ -1768,205 +1765,16 @@ pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
     Ok(())
 }
 
-/// One measured pool configuration, serialized into `BENCH_pool.json`.
-#[derive(Debug, Serialize)]
-struct PoolBenchRecord {
-    /// `"bounded"` or `"unbounded"`.
-    mode: String,
-    /// Residency budget (0 = unbounded).
-    budget: usize,
-    shards: usize,
-    ops: usize,
-    wall_secs: f64,
-    ops_per_sec: f64,
-    evictions: u64,
-    rehydrations: u64,
-    hit_rate: f64,
-    max_resident: usize,
-    /// Peak approximate bytes of model state owned by resident agents.
-    peak_resident_model_bytes: usize,
-    /// Speedup over the unbounded single-shard baseline.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct PoolBenchOutput {
-    scale: String,
-    hardware_threads: usize,
-    codes: usize,
-    hot_fraction: f64,
-    records: Vec<PoolBenchRecord>,
-}
-
-fn pool_system() -> P2bSystem {
-    let config = P2bConfig::new(DIMENSION, ACTIONS).with_local_interactions(4);
-    P2bSystem::new(config, fit_encoder()).expect("static configuration is valid")
-}
-
-struct PoolRun {
-    wall_secs: f64,
-    evictions: u64,
-    rehydrations: u64,
-    hit_rate: f64,
-    max_resident: usize,
-    peak_bytes: usize,
-}
-
-/// Drives one pool configuration over the key stream: every operation is a
-/// checkout + selection + local reward fold + checkin; reports funneled
-/// through the pool are drained (and dropped) every 1024 operations, like a
-/// serving loop handing them to the shuffler engine.
-fn run_pool(budget: Option<usize>, shards: usize, keys: &[u64]) -> Result<PoolRun, BenchFailure> {
-    let mut system = pool_system();
-    let mut pool = AgentPool::new(AgentPoolConfig {
-        max_resident_agents: budget,
-        shards,
-    })
-    .expect("static configuration is valid");
-    let mut rng = StdRng::seed_from_u64(23);
-    let context = Vector::filled(DIMENSION, 1.0 / DIMENSION as f64);
-    let mut max_resident = 0usize;
-    let mut peak_bytes = 0usize;
-    let start = Instant::now();
-    for (i, &key) in keys.iter().enumerate() {
-        pool.with_agent(&mut system, key, |agent| {
-            let action = agent.select_action(&context, &mut rng)?;
-            agent.observe_reward(&context, action, 1.0, &mut rng)
-        })
-        .expect("pool operations succeed");
-        if i % 1024 == 0 {
-            max_resident = max_resident.max(pool.resident_agents());
-            peak_bytes = peak_bytes.max(pool.approx_model_bytes().0);
-            let _ = pool.drain_reports();
-        }
-    }
-    max_resident = max_resident.max(pool.resident_agents());
-    peak_bytes = peak_bytes.max(pool.approx_model_bytes().0);
-    let wall_secs = start.elapsed().as_secs_f64();
-    if let Some(budget) = budget {
-        BenchFailure::ensure_invariant(max_resident <= budget, || {
-            format!("memory ceiling violated: {max_resident} resident > budget {budget}")
-        })?;
-    }
-    let stats = pool.stats();
-    Ok(PoolRun {
-        wall_secs,
-        evictions: stats.evictions,
-        rehydrations: stats.rehydrations,
-        hit_rate: stats.hits as f64 / (stats.hits + stats.misses()).max(1) as f64,
-        max_resident,
-        peak_bytes,
-    })
-}
-
-/// Bounded agent-pool serving over the shared skewed arrival stream, written
-/// to `BENCH_pool.json`.
-///
-/// # Errors
-///
-/// Returns [`BenchFailure::InvariantViolation`] when a bounded pool exceeds
-/// its residency budget and [`BenchFailure::Io`] when `BENCH_pool.json`
-/// cannot be written.
-pub fn run_pool_mode(scale: Scale) -> Result<(), BenchFailure> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let ops = scale.pick(20_000, 100_000, 400_000);
-    let arrival = legacy_arrival(CODES, 17);
-    let keys: Vec<u64> = arrival
-        .events(0, ops as u64)
-        .iter()
-        .map(|e| e.code)
-        .collect();
-    println!("\nBounded-memory agent pool: checkout/interact/checkin throughput");
-    println!(
-        "{ops} operations over {CODES} context codes (80% of traffic on 20% of codes), \
-         d = {DIMENSION}, {ACTIONS} actions"
-    );
-    println!(
-        "\n{:>10} {:>7} {:>7} {:>10} {:>12} {:>9} {:>8} {:>9} {:>12} {:>8}",
-        "mode",
-        "budget",
-        "shards",
-        "wall (ms)",
-        "ops/s",
-        "evict",
-        "rehydr",
-        "hit rate",
-        "peak bytes",
-        "speedup"
-    );
-    let mut records = Vec::new();
-    let mut baseline = None;
-    let configurations: [(Option<usize>, usize); 7] = [
-        (None, 1),
-        (None, 4),
-        (Some(CODES / 2), 1),
-        (Some(CODES / 8), 1),
-        (Some(CODES / 8), 2),
-        (Some(CODES / 8), 4),
-        (Some(4), 1),
-    ];
-    for (budget, shards) in configurations {
-        let run = run_pool(budget, shards, &keys)?;
-        let rate = ops as f64 / run.wall_secs;
-        let baseline_rate = *baseline.get_or_insert(rate);
-        let speedup = rate / baseline_rate;
-        let mode = if budget.is_some() {
-            "bounded"
-        } else {
-            "unbounded"
-        };
-        println!(
-            "{:>10} {:>7} {:>7} {:>10.1} {:>12.0} {:>9} {:>8} {:>8.1}% {:>12} {:>7.2}x",
-            mode,
-            budget.unwrap_or(0),
-            shards,
-            run.wall_secs * 1e3,
-            rate,
-            run.evictions,
-            run.rehydrations,
-            run.hit_rate * 100.0,
-            run.peak_bytes,
-            speedup
-        );
-        records.push(PoolBenchRecord {
-            mode: mode.to_owned(),
-            budget: budget.unwrap_or(0),
-            shards,
-            ops,
-            wall_secs: run.wall_secs,
-            ops_per_sec: rate,
-            evictions: run.evictions,
-            rehydrations: run.rehydrations,
-            hit_rate: run.hit_rate,
-            max_resident: run.max_resident,
-            peak_resident_model_bytes: run.peak_bytes,
-            speedup,
-        });
-    }
-    let output = PoolBenchOutput {
-        scale: format!("{scale:?}").to_lowercase(),
-        hardware_threads: cores,
-        codes: CODES,
-        hot_fraction: 0.2,
-        records,
-    };
-    let json = serde_json::to_string_pretty(&output).expect("records serialize");
-    write_artifact("BENCH_pool.json", &json)?;
-    println!("machine-readable results written to BENCH_pool.json");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn mode_parsing_round_trips() {
-        for mode in [ServeMode::Ingest, ServeMode::Pool, ServeMode::Full] {
+        for mode in [ServeMode::Ingest, ServeMode::Full] {
             assert_eq!(ServeMode::parse(mode.name()), Some(mode));
         }
+        assert_eq!(ServeMode::parse("pool"), None);
         assert_eq!(ServeMode::parse("bogus"), None);
     }
 

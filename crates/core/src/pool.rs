@@ -22,6 +22,10 @@
 //!   rebuilt as a pointer into the current epoch's shared
 //!   [`crate::ModelSnapshot`]; agents with local observations get their
 //!   policy back untouched.
+//! * **One checkout path** — every checkout goes through
+//!   [`AgentPool::with_agent_at`] against an [`AgentSource`]: one epoch's
+//!   snapshot, the encoder and the configuration, captured once from the
+//!   [`P2bSystem`] and shared by pointer. A pool never holds the system.
 //!
 //! Because dehydration is lossless for behavior, a bounded pool selects
 //! exactly the same actions as an unbounded one — the `pool_equivalence`
@@ -114,18 +118,17 @@ impl PoolStats {
 
 /// A cloneable, thread-safe checkout source: one epoch's shared central
 /// snapshot plus everything needed to mint, refresh or rehydrate agents
-/// *without* holding `&mut P2bSystem`.
+/// *without* holding `&mut P2bSystem` — the device's view of the paper's
+/// deployment (Fig. 2), which warm-starts from the current epoch's central
+/// model.
 ///
-/// [`AgentPool::with_agent`] threads the whole system through every
-/// checkout, which is fine for a single-threaded simulation but pins a
-/// serving deployment to one thread. `AgentSource` is the serving-tier
-/// alternative: the orchestrator captures the current epoch once
-/// ([`AgentSource::capture`]), hands clones to its worker threads (clones
-/// share the snapshot allocation — capturing is a pointer copy, not a model
-/// copy), and each worker drives its own pool shard through
-/// [`AgentPool::with_agent_at`]. After an ingestion epoch bump the
-/// orchestrator captures a fresh source; residents hop snapshots lazily at
-/// their next checkout, exactly like the system-threaded path.
+/// It is the only thing an [`AgentPool`] checks out against. The
+/// orchestrator captures the current epoch once ([`AgentSource::capture`]),
+/// hands clones to its worker threads (clones share the snapshot
+/// allocation — capturing is a pointer copy, not a model copy), and each
+/// worker drives its own pool shard through [`AgentPool::with_agent_at`].
+/// After an ingestion epoch bump the orchestrator captures a fresh source;
+/// still-shared residents hop to it lazily at their next checkout.
 #[derive(Debug, Clone)]
 pub struct AgentSource {
     config: P2bConfig,
@@ -194,7 +197,7 @@ struct PoolShard {
 /// # Example
 ///
 /// ```
-/// use p2b_core::{AgentPool, AgentPoolConfig, P2bConfig, P2bSystem};
+/// use p2b_core::{AgentPool, AgentPoolConfig, AgentSource, P2bConfig, P2bSystem};
 /// use p2b_encoding::{KMeansConfig, KMeansEncoder};
 /// use p2b_linalg::Vector;
 /// use rand::SeedableRng;
@@ -207,12 +210,13 @@ struct PoolShard {
 ///     .collect();
 /// let encoder = Arc::new(KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng)?);
 /// let mut system = P2bSystem::new(P2bConfig::new(3, 5), encoder)?;
+/// let source = AgentSource::capture(&mut system)?;
 ///
 /// // Hold at most 2 agents warm over a 4-code space.
 /// let mut pool = AgentPool::new(AgentPoolConfig::bounded(2))?;
 /// let ctx = Vector::from(vec![1.0, 0.5, 0.25]).normalized_l1()?;
 /// for code in [0u64, 1, 2, 3, 0, 1] {
-///     let action = pool.with_agent(&mut system, code, |agent| {
+///     let action = pool.with_agent_at(&source, code, |agent| {
 ///         agent.select_action(&ctx, &mut rng)
 ///     })?;
 ///     assert!(action.index() < 5);
@@ -301,13 +305,16 @@ impl AgentPool {
         (splitmix64(key) % self.config.shards as u64) as usize
     }
 
-    /// Checks the agent for `key` out of the pool, runs `f` on it, and
-    /// checks it back in — evicting the least-recently-used resident if the
-    /// residency budget is now exceeded.
+    /// Checks the agent for `key` out of the pool against a captured
+    /// [`AgentSource`], runs `f` on it, and checks it back in — evicting the
+    /// least-recently-used resident if the residency budget is now exceeded.
+    /// Worker threads each own a pool and share (clones of) one source per
+    /// epoch.
     ///
-    /// Checkout order of preference: resident (refreshed to the current
-    /// epoch's snapshot if it is still shared), dormant (rehydrated), fresh
-    /// (a new warm agent from the system). Reports the agent queued during
+    /// Checkout order of preference: resident (a still-shared resident hops
+    /// to the source's snapshot if its epoch differs — a pointer swap, not a
+    /// copy), dormant (rehydrated against the source), fresh (a new warm
+    /// agent whose id is the checkout key). Reports the agent queued during
     /// `f` are drained into the pool outbox at checkin, so the reporter path
     /// survives any later eviction.
     ///
@@ -315,35 +322,8 @@ impl AgentPool {
     ///
     /// Propagates snapshot, rehydration and closure errors. The agent is
     /// checked back in even when `f` fails, and a checkout that fails — a
-    /// mis-shaped snapshot, a snapshot service that is down — never ran `f`
-    /// and leaves the agent where it was, resident or dormant.
-    pub fn with_agent<T>(
-        &mut self,
-        system: &mut P2bSystem,
-        key: u64,
-        f: impl FnOnce(&mut LocalAgent) -> Result<T, CoreError>,
-    ) -> Result<T, CoreError> {
-        let mut agent = self.checkout(system, key)?;
-        let result = f(&mut agent);
-        self.checkin(key, agent);
-        result
-    }
-
-    /// Exactly [`AgentPool::with_agent`], but checking out against a
-    /// captured [`AgentSource`] instead of the system — the thread-safe
-    /// serving path: worker threads each own a pool and share (clones of)
-    /// one source per epoch.
-    ///
-    /// Checkout order of preference matches the system path: resident
-    /// (still-shared residents hop to the source's snapshot if its epoch
-    /// differs), dormant (rehydrated against the source), fresh (a new warm
-    /// agent whose id is the checkout key).
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot, rehydration and closure errors, with the same
-    /// guarantees as [`AgentPool::with_agent`] when `f` or the checkout
-    /// fails.
+    /// mis-shaped snapshot — never ran `f` and leaves the agent where it
+    /// was, resident or dormant.
     pub fn with_agent_at<T>(
         &mut self,
         source: &AgentSource,
@@ -356,9 +336,9 @@ impl AgentPool {
         result
     }
 
-    // Both checkouts ask whatever can refuse them — the snapshot service, a
-    // shape check — while the agent still sits in its map, and take it out
-    // only afterwards: a failed checkout leaves the pool as it found it.
+    // Checkout asks whatever can refuse it — a shape check — while the agent
+    // still sits in its map, and takes it out only afterwards: a failed
+    // checkout leaves the pool as it found it.
     fn checkout_at(&mut self, source: &AgentSource, key: u64) -> Result<LocalAgent, CoreError> {
         let shard = self.shard_index(key);
         if let Entry::Occupied(mut held) = self.shards[shard].residents.entry(key) {
@@ -386,36 +366,6 @@ impl AgentPool {
         }
         self.stats.creations += 1;
         source.make_agent(key)
-    }
-
-    fn checkout(&mut self, system: &mut P2bSystem, key: u64) -> Result<LocalAgent, CoreError> {
-        let shard = self.shard_index(key);
-        if let Entry::Occupied(mut held) = self.shards[shard].residents.entry(key) {
-            let agent = &mut held.get_mut().agent;
-            // A still-shared agent hops to the current epoch's snapshot —
-            // a pointer swap, not a copy — so residents and rehydrated
-            // agents always serve from the same model.
-            if let Some(snapshot) = agent.warm_snapshot() {
-                let current = system.central_snapshot()?;
-                if snapshot.epoch() != current.epoch() {
-                    agent.refresh_from_snapshot(current)?;
-                }
-            }
-            let resident = held.remove();
-            self.lru.remove(&resident.stamp);
-            self.stats.hits += 1;
-            return Ok(resident.agent);
-        }
-        if let Entry::Occupied(parked) = self.shards[shard].dormant.entry(key) {
-            let snapshot = system.central_snapshot()?;
-            parked
-                .get()
-                .check_rehydration(system.encoder().as_ref(), &snapshot)?;
-            self.stats.rehydrations += 1;
-            return LocalAgent::rehydrate(parked.remove(), Arc::clone(system.encoder()), &snapshot);
-        }
-        self.stats.creations += 1;
-        system.make_warm_agent()
     }
 
     fn checkin(&mut self, key: u64, mut agent: LocalAgent) {
@@ -512,6 +462,10 @@ mod tests {
         P2bSystem::new(config, encoder).unwrap()
     }
 
+    fn source() -> AgentSource {
+        AgentSource::capture(&mut system()).unwrap()
+    }
+
     fn ctx(cluster: usize) -> Vector {
         let mut raw = vec![0.05; 4];
         raw[cluster] = 1.0;
@@ -527,12 +481,12 @@ mod tests {
 
     #[test]
     fn residency_never_exceeds_the_budget() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(1);
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(3).with_shards(2)).unwrap();
         for step in 0..40u64 {
             let key = step % 7;
-            pool.with_agent(&mut sys, key, |agent| {
+            pool.with_agent_at(&source, key, |agent| {
                 agent.select_action(&ctx((key % 4) as usize), &mut rng)
             })
             .unwrap();
@@ -551,11 +505,11 @@ mod tests {
 
     #[test]
     fn unbounded_pool_never_evicts() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(2);
         let mut pool = AgentPool::new(AgentPoolConfig::unbounded()).unwrap();
         for key in 0..20u64 {
-            pool.with_agent(&mut sys, key, |agent| {
+            pool.with_agent_at(&source, key, |agent| {
                 agent.select_action(&ctx((key % 4) as usize), &mut rng)
             })
             .unwrap();
@@ -567,14 +521,14 @@ mod tests {
 
     #[test]
     fn eviction_funnels_reports_to_the_outbox() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(3);
         // T = 1, p = 0.5: interactions queue reports with high probability.
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(1)).unwrap();
         let mut selected = 0u64;
         for step in 0..30u64 {
             let key = step % 3;
-            pool.with_agent(&mut sys, key, |agent| {
+            pool.with_agent_at(&source, key, |agent| {
                 let c = ctx((key % 4) as usize);
                 let action = agent.select_action(&c, &mut rng)?;
                 agent.observe_reward(&c, action, 1.0, &mut rng)?;
@@ -594,11 +548,11 @@ mod tests {
 
     #[test]
     fn rehydrated_agents_keep_their_local_observations() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(4);
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(1)).unwrap();
         // Key 0's agent folds 5 local observations.
-        pool.with_agent(&mut sys, 0, |agent| {
+        pool.with_agent_at(&source, 0, |agent| {
             for _ in 0..5 {
                 let c = ctx(0);
                 let action = agent.select_action(&c, &mut rng)?;
@@ -608,13 +562,13 @@ mod tests {
         })
         .unwrap();
         // Key 1 evicts key 0.
-        pool.with_agent(&mut sys, 1, |agent| {
+        pool.with_agent_at(&source, 1, |agent| {
             agent.select_action(&ctx(1), &mut rng).map(|_| ())
         })
         .unwrap();
         assert_eq!(pool.dormant_agents(), 1);
         // Key 0 comes back with its observations intact.
-        pool.with_agent(&mut sys, 0, |agent| {
+        pool.with_agent_at(&source, 0, |agent| {
             assert_eq!(agent.interactions(), 5);
             assert_eq!(agent.policy().observations(), 5);
             Ok(())
@@ -624,12 +578,12 @@ mod tests {
 
     #[test]
     fn shared_agents_cost_no_resident_model_bytes() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(5);
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
         // Selection-only traffic: agents stay shared, owning no model bytes.
         for key in 0..4u64 {
-            pool.with_agent(&mut sys, key, |agent| {
+            pool.with_agent_at(&source, key, |agent| {
                 agent
                     .select_action(&ctx((key % 4) as usize), &mut rng)
                     .map(|_| ())
@@ -640,7 +594,7 @@ mod tests {
         assert_eq!(resident, 0);
         assert_eq!(dormant, 0);
         // One local update promotes ownership and shows up in the ceiling.
-        pool.with_agent(&mut sys, 0, |agent| {
+        pool.with_agent_at(&source, 0, |agent| {
             let c = ctx(0);
             let action = agent.select_action(&c, &mut rng)?;
             agent.observe_reward(&c, action, 1.0, &mut rng)
@@ -652,11 +606,11 @@ mod tests {
 
     #[test]
     fn park_all_persists_everything() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(6);
         let mut pool = AgentPool::new(AgentPoolConfig::unbounded().with_shards(4)).unwrap();
         for key in 0..6u64 {
-            pool.with_agent(&mut sys, key, |agent| {
+            pool.with_agent_at(&source, key, |agent| {
                 agent
                     .select_action(&ctx((key % 4) as usize), &mut rng)
                     .map(|_| ())
@@ -667,7 +621,7 @@ mod tests {
         assert_eq!(pool.resident_agents(), 0);
         assert_eq!(pool.dormant_agents(), 6);
         // Parked agents come back.
-        pool.with_agent(&mut sys, 3, |agent| {
+        pool.with_agent_at(&source, 3, |agent| {
             assert_eq!(agent.interactions(), 0);
             Ok(())
         })
@@ -677,9 +631,9 @@ mod tests {
 
     #[test]
     fn checkin_happens_even_when_the_closure_fails() {
-        let mut sys = system();
+        let source = source();
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
-        let err = pool.with_agent(&mut sys, 0, |_agent| -> Result<(), CoreError> {
+        let err = pool.with_agent_at(&source, 0, |_agent| -> Result<(), CoreError> {
             Err(CoreError::InvalidConfig {
                 parameter: "test",
                 message: "boom".to_owned(),
@@ -691,8 +645,7 @@ mod tests {
 
     #[test]
     fn failed_checkout_leaves_the_pool_as_it_found_it() {
-        let mut sys = system();
-        let source = AgentSource::capture(&mut sys).unwrap();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(8);
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
         // Key 0 folds three observations (owned, reports queued); keys 1–3
@@ -745,11 +698,6 @@ mod tests {
             ));
             assert_eq!(books(&pool), before, "key {key}");
         }
-        // The system-threaded path guards its dormant tier the same way.
-        let mut other = P2bSystem::new(P2bConfig::new(4, 5), Arc::clone(sys.encoder())).unwrap();
-        assert!(pool.with_agent(&mut other, 1, never).is_err());
-        assert_eq!(books(&pool), before);
-
         // Every agent is still there for a well-shaped checkout: a hit and
         // two rehydrations, no re-creation, nothing forgotten.
         pool.with_agent_at(&source, 2, |agent| {
@@ -759,7 +707,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        pool.with_agent(&mut sys, 1, |agent| {
+        pool.with_agent_at(&source, 1, |agent| {
             assert_eq!((agent.id(), agent.interactions()), (1, 0));
             Ok(())
         })
@@ -868,52 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn source_checkout_matches_the_system_path() {
-        // Driving the pool through a captured AgentSource must behave like
-        // driving it through the system: same creations, rehydrations and
-        // selected actions (checkout is deterministic, selection shares the
-        // same snapshot and seeds).
-        let run_with_system = |keys: &[u64]| {
-            let mut sys = system();
-            let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
-            let mut actions = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(1000 + i as u64);
-                let action = pool
-                    .with_agent(&mut sys, key, |agent| {
-                        agent.select_action(&ctx((key % 4) as usize), &mut rng)
-                    })
-                    .unwrap();
-                actions.push(action.index());
-            }
-            (actions, *pool.stats())
-        };
-        let run_with_source = |keys: &[u64]| {
-            let mut sys = system();
-            let source = AgentSource::capture(&mut sys).unwrap();
-            let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
-            let mut actions = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(1000 + i as u64);
-                let action = pool
-                    .with_agent_at(&source, key, |agent| {
-                        agent.select_action(&ctx((key % 4) as usize), &mut rng)
-                    })
-                    .unwrap();
-                actions.push(action.index());
-            }
-            (actions, *pool.stats())
-        };
-        let keys: Vec<u64> = (0..24u64).map(|i| i % 5).collect();
-        let (sys_actions, sys_stats) = run_with_system(&keys);
-        let (src_actions, src_stats) = run_with_source(&keys);
-        assert_eq!(sys_actions, src_actions);
-        assert_eq!(sys_stats.creations, src_stats.creations);
-        assert_eq!(sys_stats.rehydrations, src_stats.rehydrations);
-        assert_eq!(sys_stats.evictions, src_stats.evictions);
-    }
-
-    #[test]
     fn source_clones_share_the_snapshot_and_refresh_across_epochs() {
         let mut sys = system();
         let source = AgentSource::capture(&mut sys).unwrap();
@@ -949,11 +851,11 @@ mod tests {
 
     #[test]
     fn sharding_partitions_keys_but_not_the_budget() {
-        let mut sys = system();
+        let source = source();
         let mut rng = StdRng::seed_from_u64(7);
         let mut pool = AgentPool::new(AgentPoolConfig::bounded(2).with_shards(4)).unwrap();
         for key in 0..12u64 {
-            pool.with_agent(&mut sys, key, |agent| {
+            pool.with_agent_at(&source, key, |agent| {
                 agent
                     .select_action(&ctx((key % 4) as usize), &mut rng)
                     .map(|_| ())

@@ -5,7 +5,6 @@ use crate::coalesce::{Coalescer, CodeVectorCache};
 use crate::{CodeRepresentation, CoreError, ModelService, ModelSnapshot, P2bConfig};
 use p2b_bandit::{Action, CoalescedUpdate, LinUcb};
 use p2b_encoding::Encoder;
-use p2b_linalg::Vector;
 use p2b_shuffler::ShuffledBatch;
 use std::fmt;
 use std::sync::Arc;
@@ -18,28 +17,23 @@ use std::sync::Arc;
 /// lives on the [`ModelService`]'s ingest shards (partitioned by action),
 /// and the server's job is validation, code→vector memoization, epoch
 /// bookkeeping and the publication of epoch-versioned [`ModelSnapshot`]s.
-/// Two ingestion paths feed the shards:
+/// Every report reaches the shards as a shuffled batch, through one of two
+/// ingestion paths:
 ///
 /// * [`CentralServer::ingest_batch`] — per-report, in batch order, with the
-///   context vector memoized per code. This is the reference path: its
-///   seeded behavior is bit-for-bit identical to the historical per-report
-///   loop and is pinned by the golden determinism suite.
+///   context vector memoized per code. This is the reference path behind
+///   [`crate::P2bSystem::flush_round`]: its seeded behavior is bit-for-bit
+///   identical to the historical per-report loop and is pinned by the
+///   golden determinism suite.
 /// * [`CentralServer::ingest_batch_coalesced`] — groups the batch by
 ///   `(code, action)` first, so `N` reports over `K` distinct pairs cost
 ///   `K` weighted model updates instead of `N`. Equivalent to the
 ///   sequential path up to floating-point rounding (≤ 1e-9 in the property
 ///   suite); the serving-scale engine paths use it.
-///
-/// For the non-private baseline (agents sharing raw contexts) the server also
-/// accepts raw tuples through [`CentralServer::ingest_raw`]; that path is
-/// only valid when the code representation is
-/// [`CodeRepresentation::Centroid`], because otherwise the central model's
-/// context space is the code space and raw contexts have the wrong dimension.
 pub struct CentralServer {
     service: ModelService,
     encoder: Arc<dyn Encoder>,
     representation: CodeRepresentation,
-    model_dimension: usize,
     num_actions: usize,
     ingested_reports: u64,
     epoch: u64,
@@ -67,7 +61,6 @@ impl CentralServer {
         let service = ModelService::spawn(model_config, config.ingest_shards)?;
         Ok(Self {
             service,
-            model_dimension: model_config.context_dimension,
             num_actions: model_config.num_actions,
             encoder,
             representation: config.code_representation,
@@ -206,47 +199,6 @@ impl CentralServer {
         self.mark_updated(coalesced.accepted);
         Ok(coalesced.accepted)
     }
-
-    /// Folds a raw (non-encoded) interaction into the central model — the
-    /// warm **non-private** baseline where agents share their original
-    /// context vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the representation is not
-    /// [`CodeRepresentation::Centroid`] and policy errors for malformed input.
-    pub fn ingest_raw(
-        &mut self,
-        context: &Vector,
-        action: Action,
-        reward: f64,
-    ) -> Result<(), CoreError> {
-        if self.representation != CodeRepresentation::Centroid {
-            return Err(CoreError::InvalidConfig {
-                parameter: "code_representation",
-                message: "raw ingestion requires the centroid representation".to_owned(),
-            });
-        }
-        if context.len() != self.model_dimension {
-            return Err(CoreError::Bandit(
-                p2b_bandit::BanditError::ContextDimensionMismatch {
-                    expected: self.model_dimension,
-                    found: context.len(),
-                },
-            ));
-        }
-        if action.index() >= self.num_actions {
-            return Err(CoreError::Bandit(p2b_bandit::BanditError::InvalidAction {
-                action: action.index(),
-                num_actions: self.num_actions,
-            }));
-        }
-        let update =
-            CoalescedUpdate::new(context.clone(), action, 1, reward).map_err(CoreError::Bandit)?;
-        self.service.ingest(vec![update])?;
-        self.mark_updated(1);
-        Ok(())
-    }
 }
 
 impl fmt::Debug for CentralServer {
@@ -265,6 +217,7 @@ mod tests {
     use super::*;
     use p2b_bandit::ContextualPolicy;
     use p2b_encoding::{ContextCode, EncoderStats, EncodingError, KMeansConfig, KMeansEncoder};
+    use p2b_linalg::Vector;
     use p2b_shuffler::{EncodedReport, RawReport, Shuffler, ShufflerConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -461,26 +414,6 @@ mod tests {
             2,
             "the context vector must be computed once per distinct code, not per report"
         );
-    }
-
-    #[test]
-    fn raw_ingestion_requires_centroid_representation() {
-        let enc = encoder(4);
-        let centroid_cfg = P2bConfig::new(4, 2);
-        let mut server = CentralServer::new(&centroid_cfg, Arc::clone(&enc)).unwrap();
-        let ctx = Vector::filled(4, 0.25);
-        assert!(server.ingest_raw(&ctx, Action::new(0), 1.0).is_ok());
-        // Validation happens before dispatch: bad dimension, action, reward.
-        assert!(server
-            .ingest_raw(&Vector::zeros(7), Action::new(0), 1.0)
-            .is_err());
-        assert!(server.ingest_raw(&ctx, Action::new(9), 1.0).is_err());
-        assert!(server.ingest_raw(&ctx, Action::new(0), 1.5).is_err());
-        assert_eq!(server.ingested_reports(), 1);
-
-        let onehot_cfg = P2bConfig::new(4, 2).with_code_representation(CodeRepresentation::OneHot);
-        let mut server = CentralServer::new(&onehot_cfg, enc).unwrap();
-        assert!(server.ingest_raw(&ctx, Action::new(0), 1.0).is_err());
     }
 
     #[test]

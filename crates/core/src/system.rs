@@ -134,7 +134,7 @@ impl P2bSystem {
 
     /// Creates a *warm* local agent without threading an RNG through —
     /// warm starts are deterministic pointer hand-offs, so no randomness is
-    /// consumed. This is the constructor the [`crate::AgentPool`] uses.
+    /// consumed.
     ///
     /// # Errors
     ///
@@ -164,12 +164,6 @@ impl P2bSystem {
         self.pending.extend(agent.take_reports());
     }
 
-    /// Submits a single raw report directly (used by streaming deployments
-    /// and by tests).
-    pub fn submit_report(&mut self, report: RawReport) {
-        self.pending.push(report);
-    }
-
     /// Runs one shuffling round over the pending reports and folds the
     /// surviving tuples into the central model.
     ///
@@ -177,14 +171,10 @@ impl P2bSystem {
     ///
     /// Propagates server-side model errors.
     pub fn flush_round<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<RoundStats, CoreError> {
-        let batch = self
-            .shuffler
-            .process(std::mem::take(&mut self.pending), rng);
-        let accepted = self.server.ingest_batch(&batch)?;
-        Ok(RoundStats::from_batch(batch.stats(), accepted))
+        Ok(self.flush_round_with_batch(rng)?.0)
     }
 
-    /// Runs one shuffling round and also returns the released batch, for
+    /// [`P2bSystem::flush_round`], also returning the released batch, for
     /// callers that want to audit the shuffler output (e.g. crowd-blending
     /// verification in tests).
     ///

@@ -5,9 +5,10 @@
 //! delta (policy state, reporter phase, queued reports) and rehydration
 //! restores it.
 //!
-//! The argument: checkout refreshes still-shared residents to the current
-//! epoch's snapshot, and rehydration hands dormant still-shared agents that
-//! same snapshot, so both tiers serve from identical model state; agents
+//! The argument: every checkout runs against one captured [`AgentSource`];
+//! it refreshes still-shared residents to the source's snapshot, and
+//! rehydration hands dormant still-shared agents that same snapshot, so
+//! both tiers serve from identical model state; agents
 //! with local observations persist their policy verbatim. The only
 //! difference between the bounded and unbounded runs is therefore *where*
 //! an agent's bytes live, never what they are.
@@ -19,7 +20,7 @@
 //! costs nothing in the select path — every bounded run scores exactly as
 //! many arms as the unbounded run.
 
-use p2b_core::{AgentPool, AgentPoolConfig, P2bConfig, P2bSystem};
+use p2b_core::{AgentPool, AgentPoolConfig, AgentSource, P2bConfig, P2bSystem};
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use proptest::prelude::*;
@@ -51,11 +52,12 @@ fn encoder() -> Arc<dyn Encoder> {
     })) as Arc<dyn Encoder>
 }
 
-fn system() -> P2bSystem {
+fn source() -> AgentSource {
     let config = P2bConfig::new(DIMENSION, NUM_ACTIONS)
         .with_local_interactions(1)
         .with_shuffler_threshold(1);
-    P2bSystem::new(config, encoder()).expect("static configuration is valid")
+    let mut system = P2bSystem::new(config, encoder()).expect("static configuration is valid");
+    AgentSource::capture(&mut system).expect("a fresh system publishes its snapshot")
 }
 
 fn context(cluster: usize) -> Vector {
@@ -97,14 +99,14 @@ type Observed = (Vec<usize>, Vec<String>, Vec<(u64, u64)>, u64);
 /// Runs the operation stream through a pool and digests everything
 /// observable.
 fn run_pool(pool_config: AgentPoolConfig, ops: &[Op], seed: u64) -> Observed {
-    let mut system = system();
+    let source = source();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool = AgentPool::new(pool_config).expect("valid pool configuration");
     let mut actions = Vec::with_capacity(ops.len());
     let mut arms_scored = 0;
     for op in ops {
         let action = pool
-            .with_agent(&mut system, op.key, |agent| {
+            .with_agent_at(&source, op.key, |agent| {
                 let ctx = context(op.cluster);
                 let before = agent.select_counters().arms_scored;
                 let action = agent.select_action(&ctx, &mut rng)?;
@@ -138,10 +140,8 @@ fn run_pool(pool_config: AgentPoolConfig, ops: &[Op], seed: u64) -> Observed {
     let state: Vec<(u64, u64)> = keys
         .into_iter()
         .map(|key| {
-            pool.with_agent(&mut system, key, |agent| {
-                Ok((agent.id(), agent.interactions()))
-            })
-            .expect("probe succeeds")
+            pool.with_agent_at(&source, key, |agent| Ok((agent.id(), agent.interactions())))
+                .expect("probe succeeds")
         })
         .collect();
     (actions, reports, state, arms_scored)

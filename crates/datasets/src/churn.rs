@@ -1,213 +1,18 @@
-//! User churn: arrival/departure schedules and a cohort-churn environment.
+//! User churn as a cohort-churn environment.
 //!
 //! The paper's deployment population is never static — users install, go
-//! quiet and return, which is exactly what forces a serving tier to evict
-//! and rehydrate agents instead of keeping one per user forever. This
-//! module provides the two non-stationary population primitives:
-//!
-//! * [`ChurnProcess`] — a seeded arrival/departure schedule over user ids.
-//!   Each round a Poisson-like number of fresh users arrives (integer part
-//!   deterministic, fractional part Bernoulli) and every active user departs
-//!   independently with a fixed probability. The simulation harness drives
-//!   the bounded agent pool with it.
-//! * [`CohortChurnEnvironment`] — the population-composition view of churn
-//!   for the experiment matrix: contexts are drawn from a rotating set of
-//!   *cohorts* (tight context clusters standing in for user segments); every
-//!   [`CohortChurnConfig::rotation_period`] rounds the oldest cohort departs
-//!   and a freshly sampled one arrives, so the context distribution the
-//!   encoder and policies face keeps moving while the latent reward weights
-//!   stay fixed.
+//! quiet and return. [`CohortChurnEnvironment`] is the population-composition
+//! view of that churn for the experiment matrix: contexts are drawn from a
+//! rotating set of *cohorts* (tight context clusters standing in for user
+//! segments); every [`CohortChurnConfig::rotation_period`] rounds the oldest
+//! cohort departs and a freshly sampled one arrives, so the context
+//! distribution the encoder and policies face keeps moving while the latent
+//! reward weights stay fixed.
 
 use crate::{ContextualEnvironment, DatasetError, SyntheticConfig, SyntheticPreferenceEnvironment};
 use p2b_linalg::Vector;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-
-/// Configuration of a [`ChurnProcess`].
-///
-/// Rates are expressed in per-mille (thousandths) so the configuration stays
-/// hashable and exactly serializable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ChurnConfig {
-    /// Users active before the first round.
-    pub initial_users: usize,
-    /// Expected fresh arrivals per round, in thousandths of a user
-    /// (e.g. `2500` = 2.5 users per round).
-    pub arrivals_per_mille: u32,
-    /// Per-round departure probability of each active user, in thousandths
-    /// (e.g. `50` = 5% per round).
-    pub departure_per_mille: u32,
-    /// Hard ceiling on concurrently active users (arrivals are dropped at
-    /// the ceiling).
-    pub max_users: usize,
-}
-
-impl ChurnConfig {
-    /// Creates a churn configuration with the given initial population,
-    /// 1 arrival per round, 5% departure per round and a ceiling of
-    /// `4 × initial_users`.
-    #[must_use]
-    pub fn new(initial_users: usize) -> Self {
-        Self {
-            initial_users,
-            arrivals_per_mille: 1000,
-            departure_per_mille: 50,
-            max_users: initial_users.saturating_mul(4).max(1),
-        }
-    }
-
-    /// Sets the expected arrivals per round (in thousandths).
-    #[must_use]
-    pub fn with_arrivals_per_mille(mut self, arrivals_per_mille: u32) -> Self {
-        self.arrivals_per_mille = arrivals_per_mille;
-        self
-    }
-
-    /// Sets the per-round departure probability (in thousandths).
-    #[must_use]
-    pub fn with_departure_per_mille(mut self, departure_per_mille: u32) -> Self {
-        self.departure_per_mille = departure_per_mille;
-        self
-    }
-
-    /// Sets the active-user ceiling.
-    #[must_use]
-    pub fn with_max_users(mut self, max_users: usize) -> Self {
-        self.max_users = max_users;
-        self
-    }
-
-    fn validate(&self) -> Result<(), DatasetError> {
-        if self.initial_users == 0 {
-            return Err(DatasetError::InvalidConfig {
-                parameter: "initial_users",
-                message: "must be at least 1".to_owned(),
-            });
-        }
-        if self.departure_per_mille > 1000 {
-            return Err(DatasetError::InvalidConfig {
-                parameter: "departure_per_mille",
-                message: format!("must be at most 1000, got {}", self.departure_per_mille),
-            });
-        }
-        if self.max_users < self.initial_users {
-            return Err(DatasetError::InvalidConfig {
-                parameter: "max_users",
-                message: format!(
-                    "must be at least initial_users ({}), got {}",
-                    self.initial_users, self.max_users
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// What one round of churn did to the population.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ChurnRound {
-    /// User ids that arrived this round.
-    pub arrivals: Vec<u64>,
-    /// User ids that departed this round.
-    pub departures: Vec<u64>,
-}
-
-/// A seeded arrival/departure schedule over user ids; see the module docs.
-///
-/// The process owns its RNG, so two processes built from the same
-/// configuration and seed produce identical schedules regardless of what
-/// the surrounding simulation does with its own randomness.
-#[derive(Debug, Clone)]
-pub struct ChurnProcess {
-    config: ChurnConfig,
-    active: BTreeSet<u64>,
-    next_user: u64,
-    total_departed: u64,
-    rng: StdRng,
-}
-
-impl ChurnProcess {
-    /// Creates a churn process with users `0..initial_users` active.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::InvalidConfig`] for invalid configurations.
-    pub fn new(config: ChurnConfig, seed: u64) -> Result<Self, DatasetError> {
-        config.validate()?;
-        Ok(Self {
-            config,
-            active: (0..config.initial_users as u64).collect(),
-            next_user: config.initial_users as u64,
-            total_departed: 0,
-            rng: StdRng::seed_from_u64(seed),
-        })
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ChurnConfig {
-        &self.config
-    }
-
-    /// The currently active user ids, in id order.
-    #[must_use]
-    pub fn active_users(&self) -> &BTreeSet<u64> {
-        &self.active
-    }
-
-    /// Number of currently active users.
-    #[must_use]
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Total users that ever arrived (including the initial population).
-    #[must_use]
-    pub fn total_arrived(&self) -> u64 {
-        self.next_user
-    }
-
-    /// Total users that departed so far.
-    #[must_use]
-    pub fn total_departed(&self) -> u64 {
-        self.total_departed
-    }
-
-    /// Advances the population by one round: samples departures (each
-    /// active user independently), then arrivals (up to the ceiling).
-    pub fn next_round(&mut self) -> ChurnRound {
-        let mut round = ChurnRound::default();
-        let departure = f64::from(self.config.departure_per_mille) / 1000.0;
-        // BTreeSet iteration is id-ordered, so the schedule is reproducible.
-        for &user in &self.active.clone() {
-            if self.rng.gen::<f64>() < departure {
-                round.departures.push(user);
-            }
-        }
-        for user in &round.departures {
-            self.active.remove(user);
-            self.total_departed += 1;
-        }
-        let guaranteed = self.config.arrivals_per_mille / 1000;
-        let fractional = f64::from(self.config.arrivals_per_mille % 1000) / 1000.0;
-        let mut arrivals = guaranteed as usize;
-        if self.rng.gen::<f64>() < fractional {
-            arrivals += 1;
-        }
-        for _ in 0..arrivals {
-            if self.active.len() >= self.config.max_users {
-                break;
-            }
-            let user = self.next_user;
-            self.next_user += 1;
-            self.active.insert(user);
-            round.arrivals.push(user);
-        }
-        round
-    }
-}
 
 /// Configuration of a [`CohortChurnEnvironment`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -383,64 +188,8 @@ impl ContextualEnvironment for CohortChurnEnvironment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn churn_config_validation() {
-        assert!(ChurnProcess::new(ChurnConfig::new(0), 0).is_err());
-        assert!(ChurnProcess::new(ChurnConfig::new(5).with_departure_per_mille(1001), 0).is_err());
-        assert!(ChurnProcess::new(ChurnConfig::new(5).with_max_users(3), 0).is_err());
-        assert!(ChurnProcess::new(ChurnConfig::new(5), 0).is_ok());
-    }
-
-    #[test]
-    fn schedules_are_seed_deterministic() {
-        let config = ChurnConfig::new(20)
-            .with_arrivals_per_mille(1500)
-            .with_departure_per_mille(100);
-        let mut a = ChurnProcess::new(config, 7).unwrap();
-        let mut b = ChurnProcess::new(config, 7).unwrap();
-        for _ in 0..50 {
-            assert_eq!(a.next_round(), b.next_round());
-        }
-        assert_eq!(a.active_users(), b.active_users());
-    }
-
-    #[test]
-    fn population_turns_over_but_respects_the_ceiling() {
-        let config = ChurnConfig::new(10)
-            .with_arrivals_per_mille(3000)
-            .with_departure_per_mille(100)
-            .with_max_users(25);
-        let mut process = ChurnProcess::new(config, 3).unwrap();
-        for _ in 0..200 {
-            process.next_round();
-            assert!(process.active_count() <= 25);
-        }
-        assert!(process.total_departed() > 0, "users must depart");
-        assert!(
-            process.total_arrived() > 10,
-            "fresh users must arrive beyond the initial population"
-        );
-        // Conservation: arrived = active + departed.
-        assert_eq!(
-            process.total_arrived(),
-            process.active_count() as u64 + process.total_departed()
-        );
-    }
-
-    #[test]
-    fn zero_departure_keeps_everyone() {
-        let config = ChurnConfig::new(5)
-            .with_arrivals_per_mille(0)
-            .with_departure_per_mille(0);
-        let mut process = ChurnProcess::new(config, 1).unwrap();
-        for _ in 0..20 {
-            let round = process.next_round();
-            assert!(round.arrivals.is_empty());
-            assert!(round.departures.is_empty());
-        }
-        assert_eq!(process.active_count(), 5);
-    }
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn cohort_environment_rotates_on_schedule() {

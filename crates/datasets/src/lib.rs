@@ -25,10 +25,8 @@
 //! * [`DriftingPreferenceEnvironment`] — preference drift: the synthetic
 //!   benchmark's reward means rotate by one action every
 //!   [`DriftConfig::period_rounds`] rounds.
-//! * [`ChurnProcess`] / [`CohortChurnEnvironment`] — user churn: a seeded
-//!   arrival/departure schedule over user ids (driving the bounded agent
-//!   pool), and its population-composition view where the context
-//!   distribution follows a rotating set of cohorts.
+//! * [`CohortChurnEnvironment`] — user churn as population composition: the
+//!   context distribution follows a rotating set of cohorts.
 //!
 //! The [`ContextualEnvironment`] trait unifies the environments so the
 //! simulation engine can drive any of them.
@@ -45,7 +43,7 @@ mod feature_hash;
 mod multilabel;
 mod synthetic;
 
-pub use churn::{ChurnConfig, ChurnProcess, ChurnRound, CohortChurnConfig, CohortChurnEnvironment};
+pub use churn::{CohortChurnConfig, CohortChurnEnvironment};
 pub use criteo::{CriteoConfig, CriteoLikeGenerator, LoggedImpression};
 pub use drift::{DriftConfig, DriftingPreferenceEnvironment};
 pub use environment::ContextualEnvironment;

@@ -26,6 +26,9 @@ pub enum SimError {
     Privacy(p2b_privacy::PrivacyError),
     /// An underlying shuffler (engine) operation failed.
     Shuffler(p2b_shuffler::ShufflerError),
+    /// The shuffler engine finished without the amplification ledger that
+    /// [`p2b_core::P2bSystem::spawn_engine`] configures it to keep.
+    MissingLedger,
     /// Writing an experiment result file failed.
     Io(std::io::Error),
 }
@@ -42,6 +45,7 @@ impl fmt::Display for SimError {
             SimError::Dataset(e) => write!(f, "dataset failure: {e}"),
             SimError::Privacy(e) => write!(f, "privacy failure: {e}"),
             SimError::Shuffler(e) => write!(f, "shuffler failure: {e}"),
+            SimError::MissingLedger => f.write_str("shuffler engine kept no amplification ledger"),
             SimError::Io(e) => write!(f, "i/o failure: {e}"),
         }
     }
@@ -57,7 +61,7 @@ impl Error for SimError {
             SimError::Privacy(e) => Some(e),
             SimError::Shuffler(e) => Some(e),
             SimError::Io(e) => Some(e),
-            SimError::InvalidConfig { .. } => None,
+            SimError::InvalidConfig { .. } | SimError::MissingLedger => None,
         }
     }
 }

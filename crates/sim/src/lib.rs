@@ -30,7 +30,6 @@ mod error;
 mod logged;
 mod outcome;
 mod parallel;
-mod population;
 mod regime;
 mod streaming;
 mod synthetic;
@@ -40,7 +39,6 @@ pub use error::SimError;
 pub use logged::{run_logged_experiment, LoggedExample, LoggedExperimentConfig};
 pub use outcome::{write_series_json, RegimeOutcome, SeriesPoint};
 pub use parallel::parallel_map;
-pub use population::PopulationRoundPoint;
 pub use regime::Regime;
 pub use streaming::{run_streaming_population, StreamingConfig, StreamingOutcome};
 pub use synthetic::{run_synthetic_population, PopulationConfig};

@@ -1,5 +1,7 @@
 //! Minimal scoped-thread parallel map for experiment sweeps.
 
+use std::sync::{Mutex, PoisonError};
+
 /// Applies `f` to every item of `inputs`, running up to `max_threads` items
 /// concurrently, and returns the results in input order.
 ///
@@ -25,31 +27,37 @@ where
         return inputs.into_iter().map(f).collect();
     }
 
-    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    // Work items carry their original index so results keep input order.
-    let work: std::sync::Mutex<Vec<(usize, T)>> =
-        std::sync::Mutex::new(inputs.into_iter().enumerate().rev().collect());
-    let results_mutex = std::sync::Mutex::new(&mut results);
-
-    std::thread::scope(|scope| {
-        for _ in 0..max_threads.min(total) {
-            scope.spawn(|| loop {
-                let item = work.lock().expect("work queue poisoned").pop();
-                match item {
-                    Some((index, input)) => {
-                        let output = f(input);
-                        results_mutex.lock().expect("results poisoned")[index] = Some(output);
+    // Work items and results carry their original index so results keep
+    // input order. `f` runs outside the lock, and the only update under it
+    // is one `pop`, so even a poisoned queue is a valid queue to keep
+    // draining. A worker's panic reaches the caller through its join.
+    let work: Mutex<Vec<(usize, T)>> = Mutex::new(inputs.into_iter().enumerate().rev().collect());
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..max_threads.min(total))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let item = work.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                        let Some((index, input)) = item else {
+                            return done;
+                        };
+                        done.push((index, f(input)));
                     }
-                    None => break,
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every index is filled exactly once"))
-        .collect()
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]

@@ -16,66 +16,38 @@
 //! ([`p2b_core::P2bConfig::ingest_shards`]) as weighted sufficient-statistics
 //! updates, and the agents created for the wave all share the epoch's
 //! central-model snapshot instead of merging their own copy.
+//!
+//! The wave is stationary: one long-lived agent per user, a fixed
+//! population, rewards joined in the interaction that earned them. Drift,
+//! churn and delayed rewards are scenario axes of the experiment matrix
+//! (`p2b_experiments::run_cell`), and bounded-pool serving is measured by
+//! the `serve_churn` benchmark workload.
 
-use crate::{parallel_map, PopulationRoundPoint, SimError};
-use p2b_core::{JoinStats, P2bSystem, PoolStats, RoundStats};
-use p2b_datasets::{
-    ChurnConfig, ContextualEnvironment, DriftConfig, SyntheticConfig,
-    SyntheticPreferenceEnvironment,
-};
+use crate::{parallel_map, SimError};
+use p2b_core::{P2bSystem, RoundStats};
+use p2b_datasets::{ContextualEnvironment, SyntheticConfig, SyntheticPreferenceEnvironment};
 use p2b_privacy::AmplificationLedger;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of one streaming collection wave.
-///
-/// The wave runs in one of two shapes, selected by the non-stationary
-/// knobs ([`StreamingConfig::is_non_stationary`]):
-///
-/// * **Stationary** (all knobs off — the default): one long-lived agent per
-///   user, simulated on parallel producer threads; `interactions_per_user`
-///   sequential interactions each. This is the historical shape and is
-///   bit-for-bit unchanged by the knobs' existence.
-/// * **Non-stationary / pooled** (any knob set): a round-based serving
-///   simulation where `interactions_per_user` becomes the number of
-///   *rounds*, each active user interacts once per round, agents live in a
-///   bounded [`p2b_core::AgentPool`] keyed by context code, rewards join
-///   late through a [`p2b_core::RewardJoinBuffer`], and the population
-///   evolves under churn while preferences drift.
+/// Configuration of one streaming collection wave: one long-lived agent per
+/// user, simulated on parallel producer threads, `interactions_per_user`
+/// sequential interactions each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamingConfig {
-    /// Number of users simulated in this wave (the *initial* population
-    /// when churn is enabled).
+    /// Number of users simulated in this wave.
     pub num_users: usize,
-    /// Local interactions per user (stationary shape) or rounds of the wave
-    /// (non-stationary shape, one interaction per active user per round).
+    /// Local interactions per user.
     pub interactions_per_user: u64,
-    /// Producer threads submitting to the engine concurrently (stationary
-    /// shape only; the pooled shape is a deterministic sequential driver).
+    /// Producer threads submitting to the engine concurrently.
     pub producers: usize,
     /// Seed for the engine and every per-user RNG.
     pub seed: u64,
-    /// Residency budget of the agent pool (`None` = unbounded). Setting it
-    /// selects the pooled shape.
-    pub max_resident_agents: Option<usize>,
-    /// Storage shards of the agent pool.
-    pub pool_shards: usize,
-    /// Join window for delayed rewards, in rounds. `0` joins everything
-    /// in-round; larger windows deliver rewards late (and lose some —
-    /// see [`crate::run_streaming_population`]). Non-zero selects the
-    /// pooled shape.
-    pub max_reward_delay: u64,
-    /// User churn knobs (`initial_users` is overridden by `num_users`).
-    /// Setting them selects the pooled shape.
-    pub churn: Option<ChurnConfig>,
-    /// Preference-drift knobs. Setting them selects the pooled shape.
-    pub drift: Option<DriftConfig>,
 }
 
 impl StreamingConfig {
-    /// Creates a configuration with `T = 10` interactions, 4 producers and
-    /// every non-stationary knob off.
+    /// Creates a configuration with `T = 10` interactions and 4 producers.
     #[must_use]
     pub fn new(num_users: usize) -> Self {
         Self {
@@ -83,11 +55,6 @@ impl StreamingConfig {
             interactions_per_user: 10,
             producers: 4,
             seed: 0,
-            max_resident_agents: None,
-            pool_shards: 1,
-            max_reward_delay: 0,
-            churn: None,
-            drift: None,
         }
     }
 
@@ -112,51 +79,6 @@ impl StreamingConfig {
         self
     }
 
-    /// Bounds the agent pool's residency (selects the pooled shape).
-    #[must_use]
-    pub fn with_max_resident_agents(mut self, budget: usize) -> Self {
-        self.max_resident_agents = Some(budget);
-        self
-    }
-
-    /// Sets the agent pool's storage-shard count.
-    #[must_use]
-    pub fn with_pool_shards(mut self, shards: usize) -> Self {
-        self.pool_shards = shards;
-        self
-    }
-
-    /// Sets the delayed-reward join window (selects the pooled shape when
-    /// non-zero).
-    #[must_use]
-    pub fn with_max_reward_delay(mut self, rounds: u64) -> Self {
-        self.max_reward_delay = rounds;
-        self
-    }
-
-    /// Enables user churn (selects the pooled shape).
-    #[must_use]
-    pub fn with_churn(mut self, churn: ChurnConfig) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Enables preference drift (selects the pooled shape).
-    #[must_use]
-    pub fn with_drift(mut self, drift: DriftConfig) -> Self {
-        self.drift = Some(drift);
-        self
-    }
-
-    /// Whether any non-stationary knob selects the pooled round-based shape.
-    #[must_use]
-    pub fn is_non_stationary(&self) -> bool {
-        self.max_resident_agents.is_some()
-            || self.max_reward_delay > 0
-            || self.churn.is_some()
-            || self.drift.is_some()
-    }
-
     fn validate(&self) -> Result<(), SimError> {
         if self.num_users == 0 {
             return Err(SimError::InvalidConfig {
@@ -167,12 +89,6 @@ impl StreamingConfig {
         if self.interactions_per_user == 0 {
             return Err(SimError::InvalidConfig {
                 parameter: "interactions_per_user",
-                message: "must be at least 1".to_owned(),
-            });
-        }
-        if self.pool_shards == 0 {
-            return Err(SimError::InvalidConfig {
-                parameter: "pool_shards",
                 message: "must be at least 1".to_owned(),
             });
         }
@@ -193,13 +109,6 @@ pub struct StreamingOutcome {
     pub interactions: u64,
     /// Reports submitted to the engine across all producers.
     pub submitted: u64,
-    /// Per-round reward/regret/population series (pooled shape only;
-    /// empty for the stationary shape).
-    pub series: Vec<PopulationRoundPoint>,
-    /// Agent-pool counters (pooled shape only).
-    pub pool: Option<PoolStats>,
-    /// Delayed-reward join counters (pooled shape only).
-    pub joins: Option<JoinStats>,
 }
 
 /// Per-user result accumulated on the producer threads.
@@ -222,17 +131,16 @@ struct UserRun {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidConfig`] for invalid configurations and
-/// propagates environment, engine and server errors.
+/// Returns [`SimError::InvalidConfig`] for invalid configurations,
+/// [`SimError::MissingLedger`] if the engine finishes without its
+/// amplification ledger, and propagates environment, engine and server
+/// errors.
 pub fn run_streaming_population(
     system: &mut P2bSystem,
     env_config: SyntheticConfig,
     config: StreamingConfig,
 ) -> Result<StreamingOutcome, SimError> {
     config.validate()?;
-    if config.is_non_stationary() {
-        return crate::population::run_pooled_population(system, env_config, config);
-    }
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Agents are created up front (they snapshot the current central model);
@@ -299,9 +207,7 @@ pub fn run_streaming_population(
     for batch in &output.batches {
         round_stats.push(system.ingest_engine_batch(batch)?);
     }
-    let ledger = output
-        .ledger
-        .expect("P2bSystem::spawn_engine always enables accounting");
+    let ledger = output.ledger.ok_or(SimError::MissingLedger)?;
 
     Ok(StreamingOutcome {
         round_stats,
@@ -313,9 +219,6 @@ pub fn run_streaming_population(
         },
         interactions: total_interactions,
         submitted,
-        series: Vec::new(),
-        pool: None,
-        joins: None,
     })
 }
 
