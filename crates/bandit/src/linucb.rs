@@ -7,7 +7,13 @@ use p2b_linalg::{
     Vector,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of arm content stamps. Process-wide so that stamps drawn by
+/// diverged clones of one model, or by unrelated models, can never collide
+/// in a memo that meets both. `Relaxed`: the value publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
 
 /// Configuration of a [`LinUcb`] policy.
 ///
@@ -309,11 +315,14 @@ impl ArmStatistics {
     }
 }
 
-/// Per-arm sufficient statistics: `A_a⁻¹` (incrementally maintained) and `b_a`.
+/// Per-arm sufficient statistics: `A_a⁻¹` (incrementally maintained) and
+/// `b_a`, plus the ridge estimate `θ_a = A_a⁻¹ b_a` cached by
+/// [`LinUcb::sync_arm`].
 #[derive(Debug, Clone, PartialEq)]
 struct Arm {
     inverse: RankOneInverse,
     reward_vector: Vector,
+    theta: Vector,
     pulls: u64,
 }
 
@@ -322,6 +331,7 @@ impl Arm {
         Ok(Self {
             inverse: RankOneInverse::identity(dimension, regularizer)?,
             reward_vector: Vector::zeros(dimension),
+            theta: Vector::zeros(dimension),
             pulls: 0,
         })
     }
@@ -340,12 +350,14 @@ impl Arm {
 /// One `SelectScratch` serves models of any shape: buffers grow on demand.
 /// It remembers the context, α, per-arm content stamps and scores of its
 /// last full sweep ([`ScoreMemo`]), so a repeated context re-scores only the
-/// arms written since. An arm's stamp changes whenever its scoring lanes are
-/// rewritten and stamps are unique across the process, so a remembered score
-/// is always the score a sweep would recompute: a fresh scratch and a warm
-/// one produce bit-identical selections and consume the same randomness,
-/// against any sequence of models — the in-crate `memo_agreement` suite pins
-/// this. Only the cost differs, and [`SelectScratch::counters`] reports it.
+/// arms written since, each off the arm's own inverse and θ. An arm's stamp
+/// changes whenever the arm is written and stamps are unique across the
+/// process, so a remembered score is always the score a sweep would
+/// recompute: a fresh scratch and a warm one produce bit-identical
+/// selections and consume the same randomness, against any sequence of
+/// models, stale score mirrors included — the in-crate `memo_agreement`
+/// suite pins this. Only the cost differs, and [`SelectScratch::counters`]
+/// reports it.
 #[derive(Debug, Clone, Default)]
 pub struct SelectScratch {
     memo: ScoreMemo,
@@ -372,7 +384,7 @@ impl SelectScratch {
 ///
 /// Wraps a linalg [`UpdateScratch`] (the `A⁻¹x` fold lane and the refresh
 /// factor/column buffers) plus the per-batch touched-arm tracking used to
-/// defer arena syncs to once per touched arm per batch. One `IngestScratch`
+/// defer arm syncs to once per touched arm per batch. One `IngestScratch`
 /// serves models of any shape; like every scratch in this crate it carries
 /// no behavioral state — a fresh scratch and a warm one produce bit-identical
 /// models.
@@ -456,16 +468,23 @@ fn pick_best(
 ///
 /// # Scoring path
 ///
-/// Selection reads a flat, element-major [`ScoreArena`] that mirrors every
-/// arm's inverse and cached `θ_a = A_a⁻¹ b_a`, re-synced after each arm
-/// mutation, so one pass scores all arms without allocating
-/// ([`LinUcb::select_action_with`]). Every re-sync also re-stamps the arm,
-/// which lets a caller's [`SelectScratch`] skip the arms it has already
-/// scored against the same context. The per-arm [`RankOneInverse`] state is
-/// the f64 source of truth; the crate's test-only oracle evaluates the
-/// scalar one-arm-at-a-time rule against it, and the in-crate
-/// `select_agreement` and `memo_agreement` suites pin sweep, memo and
-/// oracle bit-for-bit equal.
+/// Every arm keeps its own inverse and cached `θ_a = A_a⁻¹ b_a`, re-derived
+/// after each mutation together with a fresh content stamp. Selection reads
+/// a flat, element-major [`ScoreArena`] that mirrors them, so one pass
+/// scores all arms without allocating ([`LinUcb::select_action_with`]). The
+/// mirror is shared by clones: a mutation writes the arm's lanes only while
+/// this model owns the mirror alone, and otherwise leaves them stale, so a
+/// promoted clone never copies the mirror to change one arm. A sweep
+/// re-scores every stale arm off the arm's own state with the one-arm
+/// kernel, which also re-scores the arms a caller's [`SelectScratch`] finds
+/// re-stamped since it last scored the same context. The trait
+/// [`ContextualPolicy::select_action`] and a published epoch snapshot bring
+/// the mirror up to date first ([`LinUcb::sync_mirror`]);
+/// [`LinUcb::stale_lanes`] counts what is left. The per-arm
+/// [`RankOneInverse`] state is the f64 source of truth; the crate's
+/// test-only oracle evaluates the scalar one-arm-at-a-time rule against it,
+/// and the in-crate `select_agreement` and `memo_agreement` suites pin
+/// sweep, memo, stale mirror and oracle bit-for-bit equal.
 ///
 /// # Example
 ///
@@ -496,12 +515,14 @@ pub struct LinUcb {
     /// Mutation goes through `Arc::make_mut` (copy-on-write).
     arms: Vec<Arc<Arm>>,
     observations: u64,
+    /// Per-arm content stamps, drawn by [`LinUcb::sync_arm`] whenever the
+    /// arm changes; see the `p2b_linalg` arena's stamp invariant.
+    stamps: Vec<u64>,
     /// Flat scoring mirror of all arms (inverse + cached θ), element-major.
-    /// Derived state: re-synced from `arms` after every mutation. Shared
-    /// copy-on-write across clones like the arms.
+    /// Derived state, shared across clones: a model writes an arm's lanes
+    /// only while it is the mirror's only owner, and otherwise leaves them
+    /// stale rather than copy the mirror.
     arena: Arc<ScoreArena>,
-    /// Buffer for recomputing θ during arena syncs; always `d` long.
-    theta_scratch: Vec<f64>,
 }
 
 impl LinUcb {
@@ -543,8 +564,8 @@ impl LinUcb {
             config,
             arms,
             observations: 0,
+            stamps: vec![0; config.num_actions],
             arena,
-            theta_scratch: vec![0.0; config.context_dimension],
         };
         for idx in 0..policy.config.num_actions {
             policy.sync_arm(idx)?;
@@ -609,6 +630,7 @@ impl LinUcb {
             arms.push(Arc::new(Arm {
                 inverse: RankOneInverse::from_matrix(&stats.design)?,
                 reward_vector: stats.reward_vector.clone(),
+                theta: Vector::zeros(d),
                 pulls: stats.pulls,
             }));
             observations += stats.pulls;
@@ -618,8 +640,8 @@ impl LinUcb {
             config,
             arms,
             observations,
+            stamps: vec![0; config.num_actions],
             arena,
-            theta_scratch: vec![0.0; d],
         };
         for idx in 0..policy.config.num_actions {
             policy.sync_arm(idx)?;
@@ -627,26 +649,90 @@ impl LinUcb {
         Ok(policy)
     }
 
-    /// Re-derives arm `idx`'s scoring lanes (inverse mirror + cached θ) from
-    /// its `RankOneInverse` source of truth, which also draws the arm a new
-    /// content stamp. Must be called after every mutation of that arm; every
-    /// mutating method in this impl does so — it is the one place a stale
-    /// [`SelectScratch`] memo is invalidated.
+    /// Re-derives arm `idx`'s cached θ from its `RankOneInverse` source of
+    /// truth and draws the arm a new content stamp. Must be called after
+    /// every mutation of that arm; every mutating method in this impl does
+    /// so — it is the one place a stale [`SelectScratch`] memo is
+    /// invalidated.
     ///
-    /// θ is recomputed with the exact `A⁻¹ b` matvec the historical path ran
-    /// at selection time, so cached and recomputed values are bit-identical.
+    /// The arm's arena lanes are written only when this model is the
+    /// mirror's only owner (`Arc::get_mut`); a mirror shared with a clone is
+    /// never copied here, the arm's lanes are left stale, and every read
+    /// scores the arm off its own state instead. θ is recomputed with the
+    /// exact `A⁻¹ b` matvec the historical path ran at selection time, so
+    /// cached and recomputed values are bit-identical.
     fn sync_arm(&mut self, idx: usize) -> Result<(), BanditError> {
-        let Self {
-            arms,
-            arena,
-            theta_scratch,
-            ..
-        } = self;
-        let arm = arms[idx].as_ref();
+        // Every caller has just written the arm through `Arc::make_mut` or
+        // replaced it, so this copies nothing.
+        let arm = Arc::make_mut(&mut self.arms[idx]);
         arm.inverse
-            .solve_into(arm.reward_vector.as_slice(), theta_scratch)?;
-        Arc::make_mut(arena).load_arm(idx, arm.inverse.inverse(), theta_scratch)?;
+            .solve_into(arm.reward_vector.as_slice(), arm.theta.as_mut_slice())?;
+        let stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        self.stamps[idx] = stamp;
+        if let Some(arena) = Arc::get_mut(&mut self.arena) {
+            arena.load_arm(idx, arm.inverse.inverse(), arm.theta.as_slice(), stamp)?;
+        }
         Ok(())
+    }
+
+    /// Brings the score arena up to date: loads every stale arm's lanes,
+    /// copying the mirror first (once) if another model shares it. A model
+    /// about to be swept many times — a published snapshot, the trait
+    /// [`ContextualPolicy::select_action`] — calls this so that its sweeps
+    /// read every arm off the lanes. A no-op when nothing is stale.
+    ///
+    /// # Errors
+    ///
+    /// Propagates arena shape errors (unreachable for a model built by this
+    /// type).
+    pub fn sync_mirror(&mut self) -> Result<(), BanditError> {
+        if self.stale_lanes() == 0 {
+            return Ok(());
+        }
+        let arena = Arc::make_mut(&mut self.arena);
+        for (idx, (arm, &stamp)) in self.arms.iter().zip(&self.stamps).enumerate() {
+            if arena.loaded_stamps()[idx] != stamp {
+                arena.load_arm(idx, arm.inverse.inverse(), arm.theta.as_slice(), stamp)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Arms whose score-arena lanes are stale: written since this model last
+    /// shared its mirror, and scored off their own state until
+    /// [`LinUcb::sync_mirror`]. A machine-independent cost counter, zero for
+    /// a model that owns its mirror alone.
+    #[must_use]
+    pub fn stale_lanes(&self) -> usize {
+        let loaded = self.arena.loaded_stamps().iter();
+        loaded
+            .zip(&self.stamps)
+            .filter(|(loaded, stamp)| loaded != stamp)
+            .count()
+    }
+
+    /// Every arm's own inverse and cached θ: what a stale lane is scored
+    /// from.
+    fn own<'a>(&'a self) -> impl Fn(usize) -> (&'a Matrix, &'a [f64]) {
+        |idx| {
+            let arm = self.arms[idx].as_ref();
+            (arm.inverse.inverse(), arm.theta.as_slice())
+        }
+    }
+
+    /// The scores of every arm under `context`, through `memo`.
+    fn memo_scores<'m>(
+        &self,
+        context: &Vector,
+        memo: &'m mut ScoreMemo,
+    ) -> Result<&'m [f64], BanditError> {
+        Ok(self.arena.ucb_scores_memo(
+            context.as_slice(),
+            self.config.alpha,
+            &self.stamps,
+            self.own(),
+            memo,
+        )?)
     }
 
     /// The configuration the policy was built with.
@@ -665,34 +751,36 @@ impl LinUcb {
         Ok(self.arms[action.index()].pulls)
     }
 
-    /// The ridge-regression point estimate `θ_a = A_a⁻¹ b_a` for an arm.
+    /// The ridge-regression point estimate `θ_a = A_a⁻¹ b_a` for an arm: a
+    /// copy of the θ cached at the arm's last mutation, bit-equal to solving
+    /// again.
     ///
     /// # Errors
     ///
     /// Returns [`BanditError::InvalidAction`] for out-of-range actions.
     pub fn theta(&self, action: Action) -> Result<Vector, BanditError> {
         check_action(self.config.num_actions, action)?;
-        let arm = &self.arms[action.index()];
-        Ok(arm.inverse.solve(&arm.reward_vector)?)
+        Ok(self.arms[action.index()].theta.clone())
     }
 
     /// Upper-confidence-bound scores for every arm under `context`.
     ///
     /// Exposed so that callers (e.g. the evaluation harness) can inspect the
     /// full score vector instead of just the argmax. Computed from the
-    /// scoring arena.
+    /// scoring arena, stale lanes re-scored off their arms' own state.
     ///
     /// # Errors
     ///
     /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized contexts.
     pub fn scores(&self, context: &Vector) -> Result<Vec<f64>, BanditError> {
         check_context(self.config.context_dimension, context)?;
-        let mut scratch = ScoreScratch::new();
         let mut out = vec![0.0; self.config.num_actions];
         self.arena.ucb_scores_into(
             context.as_slice(),
             self.config.alpha,
-            &mut scratch,
+            &self.stamps,
+            self.own(),
+            &mut ScoreScratch::new(),
             &mut out,
         )?;
         Ok(out)
@@ -723,7 +811,7 @@ impl LinUcb {
     /// Folds the sufficient statistics of `count` identical observations into
     /// the chosen arm in one weighted Sherman–Morrison step
     /// ([`RankOneInverse::update_weighted_with`]): `A_a += count·x xᵀ`,
-    /// `b_a += reward_sum·x` — without the arena sync; the caller re-syncs
+    /// `b_a += reward_sum·x` — without the arm sync; the caller re-syncs
     /// the touched arm before the model is scored.
     ///
     /// Singleton groups remain bit-for-bit identical to the per-report
@@ -750,18 +838,18 @@ impl LinUcb {
 
     /// The server-side ingestion primitive: folds a batch of coalesced
     /// sufficient statistics through a caller-owned [`IngestScratch`],
-    /// syncing the scoring arena **once per touched arm per batch**. A
+    /// syncing each touched arm **once per batch**. A
     /// shuffled batch of `N` anonymous reports grouped by `(code, action)`
     /// becomes `K ≤ N` coalesced updates, so the fold costs `O(K·d²)` instead
     /// of `O(N·d²)`. Returns the total number of observations folded.
     ///
     /// The resulting model is bit-identical to syncing after every fold
     /// (the test-only oracle the in-crate `update_agreement` suite pins this
-    /// against): an arm's arena lanes are a pure function of its final
+    /// against): an arm's θ and arena lanes are a pure function of its final
     /// `(A⁻¹, b)` state, so syncing once after the last fold yields the same
-    /// lanes. What the deferral buys is cost: the per-mutation `O(d²)` solve
-    /// plus strided arena scatter is amortized over all of a batch's folds
-    /// into the same arm.
+    /// bits. What the deferral buys is cost: the per-mutation `O(d²)` solve
+    /// (plus the arena scatter, when this model owns its mirror alone) is
+    /// amortized over all of a batch's folds into the same arm.
     ///
     /// After the call, [`IngestScratch::touched`] lists the arms this batch
     /// mutated (in order of first touch) — the dirty set ingest shards report
@@ -877,15 +965,17 @@ impl LinUcb {
     /// Proposes the arm with the highest upper confidence bound, using
     /// caller-provided scratch buffers, without allocating. When `scratch`
     /// last served this very context, only the arms mutated since are
-    /// re-scored; otherwise every arm is scored in one pass over the flat
-    /// scoring arena. The argmax always runs over the full score vector, so
-    /// the action and the randomness consumed do not depend on which.
+    /// re-scored, off their own state; otherwise every arm is scored in one
+    /// pass over the flat scoring arena, stale lanes re-scored after it. The
+    /// argmax always runs over the full score vector, so the action and the
+    /// randomness consumed do not depend on which.
     ///
     /// The selection rule never mutates the statistics — only the
     /// tie-breaking consumes randomness — so many agents can select against
     /// one shared, immutable model snapshot (e.g. behind an `Arc`) without
     /// cloning it. [`ContextualPolicy::select_action`] has no scratch to
-    /// remember anything in and always runs the one-pass sweep.
+    /// remember anything in: it brings the mirror up to date and always runs
+    /// the one-pass sweep.
     ///
     /// # Errors
     ///
@@ -898,9 +988,7 @@ impl LinUcb {
         scratch: &mut SelectScratch,
     ) -> Result<Action, BanditError> {
         check_context(self.config.context_dimension, context)?;
-        let scores =
-            self.arena
-                .ucb_scores_memo(context.as_slice(), self.config.alpha, &mut scratch.memo)?;
+        let scores = self.memo_scores(context, &mut scratch.memo)?;
         Ok(pick_best(
             scores,
             &mut scratch.ties,
@@ -962,6 +1050,8 @@ impl ContextualPolicy for LinUcb {
         context: &Vector,
         rng: &mut dyn rand::RngCore,
     ) -> Result<Action, BanditError> {
+        check_context(self.config.context_dimension, context)?;
+        self.sync_mirror()?;
         let scores = self.scores(context)?;
         Ok(pick_best(
             &scores,
@@ -1457,6 +1547,102 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// The arms that `clone` no longer shares with `source`.
+    fn unshared_arms(clone: &LinUcb, source: &LinUcb) -> Vec<usize> {
+        let pairs = clone.arms.iter().zip(&source.arms).enumerate();
+        pairs
+            .filter(|(_, (mine, theirs))| !Arc::ptr_eq(mine, theirs))
+            .map(|(idx, _)| idx)
+            .collect()
+    }
+
+    /// Copy-on-write cost as counts: the score mirror a write copies shows as
+    /// a change of `Arc` identity, the arms it copies as unshared arms.
+    #[test]
+    fn a_clones_first_update_copies_one_arm_and_no_mirror() {
+        let ctx = Vector::from(vec![0.6, 0.3, 0.1]);
+        let mut source = LinUcb::new(LinUcbConfig::new(3, 4)).unwrap();
+        source.update(&ctx, Action::new(1), 1.0).unwrap();
+        let mut clone = source.clone();
+        clone.update(&ctx, Action::new(2), 0.5).unwrap();
+        assert!(
+            Arc::ptr_eq(&clone.arena, &source.arena),
+            "0 mirror bytes copied"
+        );
+        assert_eq!(unshared_arms(&clone, &source), vec![2]);
+        assert_eq!((clone.stale_lanes(), source.stale_lanes()), (1, 0));
+        // The written arm is current everywhere but in the shared lanes.
+        assert_eq!(
+            clone.theta(Action::new(2)).unwrap(),
+            clone.arms[2]
+                .inverse
+                .solve(&clone.arms[2].reward_vector)
+                .unwrap()
+        );
+        assert_eq!(
+            clone.scores(&ctx).unwrap(),
+            clone.scores_reference(&ctx).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_sole_owner_writes_through() {
+        let ctx = Vector::from(vec![0.2, 0.8]);
+        let mut model = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
+        let mut other = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
+        other.update(&ctx, Action::new(0), 1.0).unwrap();
+        assert_eq!(model.stale_lanes(), 0);
+        model.update(&ctx, Action::new(1), 1.0).unwrap();
+        assert_eq!(model.stale_lanes(), 0);
+        let batch = [CoalescedUpdate::new(ctx.clone(), Action::new(2), 3, 2.0).unwrap()];
+        model
+            .update_batch_with(&batch, &mut IngestScratch::new())
+            .unwrap();
+        assert_eq!(model.stale_lanes(), 0);
+        model.merge(&other).unwrap();
+        assert_eq!(model.stale_lanes(), 0);
+        model.reset_arm(Action::new(0)).unwrap();
+        model.merge_arm(Action::new(0), &other).unwrap();
+        assert_eq!(model.stale_lanes(), 0);
+        // A clone that is gone shares nothing: the next write goes through.
+        let arena = Arc::as_ptr(&model.arena);
+        drop(model.clone());
+        model.update(&ctx, Action::new(1), 0.0).unwrap();
+        assert_eq!(model.stale_lanes(), 0);
+        assert_eq!(Arc::as_ptr(&model.arena), arena);
+    }
+
+    #[test]
+    fn the_trait_select_copies_a_stale_mirror_once_then_writes_through() {
+        let mut rng = rng();
+        let ctx = Vector::from(vec![0.5, 0.5]);
+        let mut source = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
+        source.update(&ctx, Action::new(0), 1.0).unwrap();
+        // A clone with nothing stale sweeps the shared mirror as it is.
+        let mut reader = source.clone();
+        reader.select_action(&ctx, &mut rng).unwrap();
+        assert!(Arc::ptr_eq(&reader.arena, &source.arena));
+
+        let mut clone = source.clone();
+        clone.update(&ctx, Action::new(1), 1.0).unwrap();
+        assert_eq!(clone.stale_lanes(), 1);
+        let mut copies = 0;
+        let mut mirror = Arc::as_ptr(&clone.arena);
+        for round in 0..6 {
+            clone.select_action(&ctx, &mut rng).unwrap();
+            assert_eq!(clone.stale_lanes(), 0);
+            if Arc::as_ptr(&clone.arena) != mirror {
+                copies += 1;
+                mirror = Arc::as_ptr(&clone.arena);
+            }
+            clone.update(&ctx, Action::new(round % 3), 0.5).unwrap();
+            assert_eq!(clone.stale_lanes(), 0, "a private mirror is written");
+        }
+        assert_eq!(copies, 1);
+        assert!(!Arc::ptr_eq(&clone.arena, &source.arena));
+        assert_eq!(source.stale_lanes(), 0);
     }
 
     #[test]

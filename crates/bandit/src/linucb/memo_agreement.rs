@@ -6,11 +6,19 @@
 //! `merge`, `reset_arm` + `merge_arm`, `clone` — and whichever model the
 //! scratch is handed next (a diverged clone, a model of another shape or α),
 //! every decision through it must be **bit-for-bit** the decision of a fresh
-//! scratch (the sweep) and of the scalar reference in [`super::oracle`]:
-//! same score vector, same action, same randomness consumed. A stale
-//! remembered score — a mutation path that forgot to re-stamp its arm, a
-//! stamp shared by two different arms, a context or α the memo confused
-//! with another — fails here.
+//! scratch (the sweep), of the trait `select_action` and of the scalar
+//! reference in [`super::oracle`]: same score vector, same action, same
+//! randomness consumed. A stale remembered score — a mutation path that
+//! forgot to re-stamp its arm, a stamp shared by two different arms, a
+//! context or α the memo confused with another — fails here.
+//!
+//! Half the mutations are made while a clone of the model is alive, so the
+//! mutated model shares its score mirror and leaves the written arms' lanes
+//! stale; the other half are made on a model that owns its mirror alone and
+//! writes them through. The decisions right after — memo hit, memo miss,
+//! `scores`, the trait path — must read a stale arm off its own state and a
+//! written-through arm off its lanes, and a sweep that forgot to re-score a
+//! stale lane fails here too.
 
 use crate::{
     Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
@@ -19,6 +27,7 @@ use p2b_linalg::Vector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn random_context(d: usize, rng: &mut StdRng) -> Vector {
     (0..d).map(|_| rng.gen_range(0.0f64..1.0)).collect()
@@ -43,28 +52,25 @@ fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// One decision three ways, on RNGs that must stay in lockstep.
+/// One decision four ways, on RNGs that must stay in lockstep.
 fn check_decision(
     model: &LinUcb,
     context: &Vector,
     scratch: &mut SelectScratch,
-    rngs: &mut [StdRng; 3],
+    rngs: &mut [StdRng; 4],
 ) {
-    let [rng_memo, rng_fresh, rng_oracle] = rngs;
+    let [rng_memo, rng_fresh, rng_trait, rng_oracle] = rngs;
     let via_memo = model
         .select_action_with(context, rng_memo, scratch)
         .unwrap();
     // Nothing is stale right after a decision, so this reads back the score
     // vector the decision was taken on without scoring anything.
-    let remembered = bits(
-        model
-            .arena
-            .ucb_scores_memo(context.as_slice(), model.config.alpha, &mut scratch.memo)
-            .unwrap(),
-    );
+    let remembered = bits(model.memo_scores(context, &mut scratch.memo).unwrap());
     let via_fresh = model
         .select_action_with(context, rng_fresh, &mut SelectScratch::new())
         .unwrap();
+    // The trait path brings a clone's mirror up to date before it sweeps.
+    let via_trait = model.clone().select_action(context, rng_trait).unwrap();
     let via_oracle = model.select_action_reference(context, rng_oracle).unwrap();
     prop_assert_eq!(
         &remembered,
@@ -77,9 +83,65 @@ fn check_decision(
         "remembered scores diverged from the scalar reference"
     );
     prop_assert_eq!(via_memo, via_fresh);
+    prop_assert_eq!(via_memo, via_trait);
     prop_assert_eq!(via_memo, via_oracle);
     prop_assert_eq!(&*rng_memo, &*rng_fresh);
+    prop_assert_eq!(&*rng_memo, &*rng_trait);
     prop_assert_eq!(&*rng_memo, &*rng_oracle);
+}
+
+/// Mutates `models[m]` and decides on it. With `shared`, a clone of the
+/// model is alive across the mutation: nothing is copied, every arm the
+/// mutation re-stamps is left stale, and the clone (whose lanes are not)
+/// decides too. Otherwise the model owns its mirror alone and writes every
+/// re-stamped arm through. The first decision primes the memo, so the
+/// second finds its context and re-scores the written arms (a hit), while
+/// the fresh scratch sweeps the mirror (a miss).
+fn mutate_and_decide(
+    models: &mut [LinUcb; 3],
+    m: usize,
+    shared: bool,
+    context: &Vector,
+    scratch: &mut SelectScratch,
+    rngs: &mut [StdRng; 4],
+    mutate: impl FnOnce(&mut [LinUcb; 3]),
+) {
+    check_decision(&models[m], context, scratch, rngs);
+    let before = models[m].stamps.clone();
+    let source = if shared {
+        Some(models[m].clone())
+    } else {
+        // Models start as clones of one another and may share a mirror
+        // still: take it for this model alone, stale lanes and all.
+        Arc::make_mut(&mut models[m].arena);
+        None
+    };
+    let mirror = Arc::as_ptr(&models[m].arena);
+    let stale = source.as_ref().map(LinUcb::stale_lanes);
+    mutate(models);
+    let model = &models[m];
+    prop_assert!(
+        std::ptr::eq(mirror, Arc::as_ptr(&model.arena)),
+        "a mutation copied the mirror"
+    );
+    let restamped: Vec<usize> = (0..before.len())
+        .filter(|&arm| before[arm] != model.stamps[arm])
+        .collect();
+    prop_assert!(!restamped.is_empty(), "a mutation re-stamped no arm");
+    for arm in restamped {
+        let fresh = model.arena.loaded_stamps()[arm] == model.stamps[arm];
+        prop_assert_eq!(
+            fresh,
+            !shared,
+            "arm {} written through a shared mirror, or left stale in an owned one",
+            arm
+        );
+    }
+    check_decision(model, context, scratch, rngs);
+    if let Some(source) = source {
+        prop_assert_eq!(Some(source.stale_lanes()), stale);
+        check_decision(&source, context, scratch, rngs);
+    }
 }
 
 proptest! {
@@ -105,7 +167,7 @@ proptest! {
         let mut ingest = IngestScratch::new();
         let mut rngs = {
             let base = StdRng::seed_from_u64(seed.wrapping_mul(3).wrapping_add(7));
-            [base.clone(), base.clone(), base]
+            [base.clone(), base.clone(), base.clone(), base]
         };
         for _ in 0..steps {
             let m = rng.gen_range(0..3usize);
@@ -120,10 +182,18 @@ proptest! {
                 pool[rng.gen_range(0..pool.len())].clone()
             };
             let arm = Action::new(rng.gen_range(0..arms));
-            // Half the steps decide; the rest change the model they drew.
+            // Half the steps decide; the rest change the model they drew,
+            // half of those while a clone shares its mirror.
+            let shared = rng.gen_bool(0.5);
+            let (scratch, rngs) = (&mut scratch, &mut rngs);
             match rng.gen_range(0..10) {
-                0..=4 => check_decision(&models[m], &context, &mut scratch, &mut rngs),
-                5 => models[m].update(&context, arm, rng.gen_range(0.0..=1.0)).unwrap(),
+                0..=4 => check_decision(&models[m], &context, scratch, rngs),
+                5 => {
+                    let reward = rng.gen_range(0.0..=1.0);
+                    mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
+                        models[m].update(&context, arm, reward).unwrap();
+                    });
+                }
                 6 => {
                     let batch: Vec<CoalescedUpdate> = (0..rng.gen_range(1..4usize))
                         .map(|_| {
@@ -137,24 +207,36 @@ proptest! {
                             .unwrap()
                         })
                         .collect();
-                    models[m].update_batch_with(&batch, &mut ingest).unwrap();
+                    mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
+                        models[m].update_batch_with(&batch, &mut ingest).unwrap();
+                    });
                 }
                 7 if m < 2 => {
-                    let from = models[1 - m].clone();
-                    models[m].merge(&from).unwrap();
+                    mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
+                        let from = models[1 - m].clone();
+                        models[m].merge(&from).unwrap();
+                    });
                 }
                 8 if m < 2 => {
-                    let from = models[1 - m].clone();
-                    models[m].reset_arm(arm).unwrap();
-                    models[m].merge_arm(arm, &from).unwrap();
+                    mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
+                        let from = models[1 - m].clone();
+                        models[m].reset_arm(arm).unwrap();
+                        models[m].merge_arm(arm, &from).unwrap();
+                    });
                 }
                 9 if m < 2 => models[m] = models[1 - m].clone(),
                 _ => {}
             }
         }
         // Whatever the interleaving left behind, every pooled context still
-        // decides the same way on every model.
-        for (m, model) in models.iter().enumerate() {
+        // decides the same way on every model, before and after its mirror
+        // is brought up to date.
+        for (m, model) in models.iter_mut().enumerate() {
+            for context in &pools[usize::from(m == 2)] {
+                check_decision(model, context, &mut scratch, &mut rngs);
+            }
+            model.sync_mirror().unwrap();
+            prop_assert_eq!(model.stale_lanes(), 0);
             for context in &pools[usize::from(m == 2)] {
                 check_decision(model, context, &mut scratch, &mut rngs);
             }

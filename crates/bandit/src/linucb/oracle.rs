@@ -9,7 +9,7 @@
 //!   tie-breaking loop. [`LinUcb::scores`] / [`LinUcb::select_action_with`]
 //!   must stay bit-for-bit equal to it, randomness consumption included.
 //! * **Update** — the sync-per-fold coalesced update: every fold re-syncs
-//!   its arm's arena lanes immediately. [`LinUcb::update_batch_with`]
+//!   its arm (θ, stamp, arena lanes) immediately. [`LinUcb::update_batch_with`]
 //!   defers that sync to once per touched arm per batch and must land on
 //!   the same model bits.
 //!
@@ -75,7 +75,7 @@ impl LinUcb {
         Ok(Action::new(choice))
     }
 
-    /// One coalesced fold followed immediately by its arm's arena sync.
+    /// One coalesced fold followed immediately by its arm's sync.
     fn update_coalesced_reference(&mut self, update: &CoalescedUpdate) -> Result<(), BanditError> {
         check_context(self.config.context_dimension, update.context())?;
         check_action(self.config.num_actions, update.action())?;

@@ -79,8 +79,8 @@ fn check_models_bit_identical(left: &LinUcb, right: &LinUcb, seed: u64) {
         }
     }
     // Scores go through the flat arena — this is what pins the deferred
-    // arena sync: a missed or stale lane shows up here even when the arm
-    // statistics above agree.
+    // sync: a missed one leaves the arm's θ, stamp and lanes behind its
+    // statistics and shows up here even when the statistics above agree.
     let mut ctx_rng = StdRng::seed_from_u64(seed.wrapping_add(101));
     for _ in 0..4 {
         let ctx = random_context(d, &mut ctx_rng);

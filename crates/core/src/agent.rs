@@ -181,19 +181,24 @@ impl DormantAgent {
     }
 }
 
-/// Approximate heap footprint of a LinUCB policy: per action one `d × d`
-/// design matrix, its inverse, the flat score-arena mirror of that inverse,
-/// and three `d`-vectors of `f64`s (reward vector, cached θ lane, update
-/// scratch). Not counted: the arena's one-word content stamp per action,
-/// the agent's select memo (`d + 2·A` words: the last context, and a stamp
-/// and a score per action) and its `DecidedContext` (`d` words), resident
-/// or dormant — bookkeeping that decides how many arms a decision re-scores
-/// and whether a context is encoded again, never which action is picked or
-/// which code is reported.
+/// Approximate heap footprint of the LinUCB state a promoted agent owns:
+/// per action one `d × d` design matrix, its inverse, and three `d`-vectors
+/// of `f64`s (reward vector, cached θ, update scratch). Not counted: the
+/// flat score-arena mirror (`d² + d` words per action), which a promoted
+/// agent shares with its epoch snapshot for as long as it only folds — its
+/// written arms' lanes go stale instead of copying it. For an agent that
+/// owns its mirror alone — a cold agent, or a promoted one whose snapshot
+/// and siblings are gone — the figure is therefore a lower bound, short by
+/// that mirror. Not counted either: the model's one-word
+/// content stamp per action; the agent's select memo (`d + 2·A` words: the
+/// last context, and a stamp and a score per action) and its
+/// `DecidedContext` (`d` words), resident or dormant — bookkeeping that
+/// decides how many arms a decision re-scores and whether a context is
+/// encoded again, never which action is picked or which code is reported.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;
-    actions * (3 * d * d + 3 * d) * std::mem::size_of::<f64>()
+    actions * (2 * d * d + 3 * d) * std::mem::size_of::<f64>()
 }
 
 /// A local agent running on a (simulated) user device.
@@ -457,7 +462,10 @@ impl LocalAgent {
 
     /// Approximate heap bytes of model state this agent *owns*: zero while
     /// it still reads through the shared snapshot, its private LinUCB
-    /// statistics once promoted. The pool's memory accounting sums this.
+    /// statistics once promoted. The score-arena mirror is not among them:
+    /// a promoted agent keeps sharing its snapshot's, so for the last owner
+    /// of a mirror this reads low by it. The pool's memory accounting sums
+    /// this.
     #[must_use]
     pub fn approx_owned_model_bytes(&self) -> usize {
         match &self.policy {
@@ -609,21 +617,21 @@ pub(crate) mod tests {
             LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap(),
             LinUcb::new(p2b_bandit::LinUcbConfig::new(6, 3)).unwrap(),
         ] {
-            let snapshot = Arc::new(crate::ModelSnapshot::new(0, bad_model));
+            let snapshot = Arc::new(crate::ModelSnapshot::new(0, bad_model).unwrap());
             let err = LocalAgent::new(7, &cfg, Arc::clone(&enc), Some(snapshot));
             assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
         }
 
         // And a still-shared agent refuses to hop onto a mis-shaped snapshot.
-        let good = Arc::new(crate::ModelSnapshot::new(
-            0,
-            LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap(),
-        ));
+        let good = Arc::new(
+            crate::ModelSnapshot::new(0, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
+                .unwrap(),
+        );
         let mut agent = LocalAgent::new(8, &cfg, Arc::clone(&enc), Some(good)).unwrap();
-        let bad = Arc::new(crate::ModelSnapshot::new(
-            1,
-            LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap(),
-        ));
+        let bad = Arc::new(
+            crate::ModelSnapshot::new(1, LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap())
+                .unwrap(),
+        );
         assert!(agent.refresh_from_snapshot(bad).is_err());
         assert!(
             agent.warm_snapshot().is_some(),
@@ -635,10 +643,10 @@ pub(crate) mod tests {
     fn rehydration_rejects_mis_shaped_snapshots() {
         let cfg = config(); // 4-dimensional contexts, 3 actions
         let enc = encoder(11);
-        let good = Arc::new(crate::ModelSnapshot::new(
-            0,
-            LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap(),
-        ));
+        let good = Arc::new(
+            crate::ModelSnapshot::new(0, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
+                .unwrap(),
+        );
         let agent = LocalAgent::new(9, &cfg, Arc::clone(&enc), Some(good)).unwrap();
         let (_, dormant) = agent.dehydrate();
         assert!(!dormant.has_local_state());
@@ -648,17 +656,17 @@ pub(crate) mod tests {
             LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap(),
             LinUcb::new(p2b_bandit::LinUcbConfig::new(6, 3)).unwrap(),
         ] {
-            let bad = Arc::new(crate::ModelSnapshot::new(1, bad_model));
+            let bad = Arc::new(crate::ModelSnapshot::new(1, bad_model).unwrap());
             assert!(matches!(
                 LocalAgent::rehydrate(dormant.clone(), Arc::clone(&enc), &bad),
                 Err(CoreError::InvalidConfig { .. })
             ));
         }
         // A well-shaped snapshot rehydrates fine.
-        let fresh = Arc::new(crate::ModelSnapshot::new(
-            2,
-            LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap(),
-        ));
+        let fresh = Arc::new(
+            crate::ModelSnapshot::new(2, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
+                .unwrap(),
+        );
         let revived = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &fresh).unwrap();
         assert!(revived
             .warm_snapshot()
@@ -724,10 +732,13 @@ pub(crate) mod tests {
         // The memo and its counters travel through eviction: a rehydrated
         // agent keeps both and, nothing folded since, scores nothing.
         let (_, dormant) = agent.dehydrate();
-        let snapshot = Arc::new(crate::ModelSnapshot::new(
-            0,
-            LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
-        ));
+        let snapshot = Arc::new(
+            crate::ModelSnapshot::new(
+                0,
+                LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
+            )
+            .unwrap(),
+        );
         let mut revived = LocalAgent::rehydrate(dormant, enc, &snapshot).unwrap();
         assert_eq!(counted(&revived), (3, 18));
         revived.select_action(&here, &mut rng).unwrap();
@@ -784,10 +795,13 @@ pub(crate) mod tests {
         // The same encoder behind another allocation: an agent rehydrated
         // under it cannot know its decided code still holds, so forgets it.
         let elsewhere: Arc<dyn Encoder> = CountingEncoder::wrap(Arc::clone(&enc));
-        let snapshot = Arc::new(crate::ModelSnapshot::new(
-            0,
-            LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
-        ));
+        let snapshot = Arc::new(
+            crate::ModelSnapshot::new(
+                0,
+                LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
+            )
+            .unwrap(),
+        );
         let here = Vector::from(vec![1.0, 0.1, 0.1, 0.0]);
         let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
 
@@ -896,7 +910,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        let snapshot = Arc::new(crate::ModelSnapshot::new(0, model));
+        let snapshot = Arc::new(crate::ModelSnapshot::new(0, model).unwrap());
         let mut rng = StdRng::seed_from_u64(13);
         let mut agent =
             LocalAgent::new(12, &cfg, Arc::clone(&first), Some(Arc::clone(&snapshot))).unwrap();
@@ -960,7 +974,7 @@ pub(crate) mod tests {
             central.update(&model_ctx, Action::new(0), 0.0).unwrap();
             central.update(&model_ctx, Action::new(1), 0.0).unwrap();
         }
-        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central));
+        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central).unwrap());
 
         let mut warm =
             LocalAgent::new(4, &cfg, Arc::clone(&enc), Some(Arc::clone(&snapshot))).unwrap();
@@ -988,10 +1002,10 @@ pub(crate) mod tests {
         // A still-shared sibling can hop to a newer snapshot without copying.
         let mut sibling =
             LocalAgent::new(5, &cfg, Arc::clone(&enc), Some(Arc::clone(&snapshot))).unwrap();
-        let newer = Arc::new(crate::ModelSnapshot::new(
-            2,
-            LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap(),
-        ));
+        let newer = Arc::new(
+            crate::ModelSnapshot::new(2, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
+                .unwrap(),
+        );
         sibling.refresh_from_snapshot(Arc::clone(&newer)).unwrap();
         assert!(sibling
             .warm_snapshot()

@@ -682,7 +682,7 @@ mod tests {
         // dormant shared agents rehydrate from it, and neither can.
         let mis_shaped = |epoch| {
             let model = p2b_bandit::LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap();
-            Arc::new(ModelSnapshot::new(epoch, model))
+            Arc::new(ModelSnapshot::new(epoch, model).unwrap())
         };
         let bad = AgentSource {
             snapshot: mis_shaped(1),

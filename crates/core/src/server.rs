@@ -122,7 +122,7 @@ impl CentralServer {
     fn refresh_snapshot(&mut self) -> Result<&Arc<ModelSnapshot>, CoreError> {
         if self.cached.is_none() {
             let (model, _dirty) = self.service.assemble()?;
-            self.cached = Some(Arc::new(ModelSnapshot::new(self.epoch, model)));
+            self.cached = Some(Arc::new(ModelSnapshot::new(self.epoch, model)?));
         }
         self.cached
             .as_ref()
@@ -331,6 +331,36 @@ mod tests {
             .unwrap();
         assert_eq!(server.epoch(), 1);
         assert!(Arc::ptr_eq(&bumped, &server.snapshot().unwrap()));
+    }
+
+    #[test]
+    fn every_snapshot_publishes_a_mirror_with_no_stale_lanes() {
+        let cfg = P2bConfig::new(4, 3).with_ingest_shards(2);
+        let mut server = CentralServer::new(&cfg, encoder(7)).unwrap();
+        // Earlier snapshots stay alive, so every epoch's assembly writes a
+        // model whose mirror an older snapshot still shares.
+        let mut published = vec![server.snapshot().unwrap()];
+        for epoch in 0..6usize {
+            let reports = (0..12)
+                .map(|i| {
+                    (
+                        (i + epoch) % 4,
+                        (i * epoch) % 3,
+                        f64::from(u8::from(i % 2 == 0)),
+                    )
+                })
+                .collect();
+            let b = batch(reports, 1, 20 + epoch as u64);
+            if epoch % 2 == 0 {
+                server.ingest_batch_coalesced(&b).unwrap();
+            } else {
+                server.ingest_batch(&b).unwrap();
+            }
+            published.push(server.snapshot().unwrap());
+        }
+        for snapshot in &published {
+            assert_eq!(snapshot.model().stale_lanes(), 0);
+        }
     }
 
     #[test]

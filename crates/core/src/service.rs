@@ -60,9 +60,16 @@ pub struct ModelSnapshot {
 
 impl ModelSnapshot {
     /// Wraps an assembled model with its epoch. Snapshots are published by
-    /// [`crate::CentralServer::snapshot`].
-    pub(crate) fn new(epoch: u64, model: LinUcb) -> Self {
-        Self { epoch, model }
+    /// [`crate::CentralServer::snapshot`]. Every agent of the epoch sweeps
+    /// the model, so its score mirror is brought up to date first
+    /// ([`LinUcb::sync_mirror`]): a published snapshot has no stale lanes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`LinUcb::sync_mirror`]'s error.
+    pub(crate) fn new(epoch: u64, mut model: LinUcb) -> Result<Self, CoreError> {
+        model.sync_mirror()?;
+        Ok(Self { epoch, model })
     }
 
     /// The ingestion epoch this snapshot was assembled at.
@@ -101,7 +108,7 @@ enum ShardCommand {
 /// One ingest shard's worker loop. The shard owns the LinUCB arms whose
 /// action index is congruent to the shard index modulo the shard count. It
 /// applies update runs in FIFO order through the fast scratch-threaded batch
-/// path (arena synced once per touched arm per batch), remembers the first
+/// path (each touched arm synced once per batch), remembers the first
 /// internal failure, tracks which arms were folded since the previous
 /// snapshot, and answers snapshot requests.
 fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {

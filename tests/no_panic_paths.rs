@@ -1,7 +1,7 @@
 //! Enforces the zero-unwrap policy on the non-test code of the crates that
 //! sit on the request path: they must surface typed errors
 //! (`PrivacyError`, `ShufflerError`, `EncodingError`, `ExperimentError`,
-//! `CoreError`, `SimError`), never panic. Test modules (everything at and below the
+//! `CoreError`, `SimError`, `LinalgError`, `BanditError`), never panic. Test modules (everything at and below the
 //! first `#[cfg(test)]` of a file) and comment/doc lines — doc-comment
 //! examples included — are exempt.
 //!
@@ -15,13 +15,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The gated crates, by directory under `crates/`.
-const GATED_CRATES: [&str; 6] = [
+const GATED_CRATES: [&str; 8] = [
     "privacy",
     "shuffler",
     "encoding",
     "experiments",
     "core",
     "sim",
+    "linalg",
+    "bandit",
 ];
 
 /// Panic-path constructs forbidden outside test code. `.unwrap_or*` /
