@@ -2,11 +2,13 @@
 //! per-report path against the coalescing sufficient-statistics path, at
 //! the code-reuse levels produced by crowd-blending thresholds; plus the
 //! model-level update path (batch-deferred scratch sync) underneath the
-//! server.
+//! server, epoch assembly under sparse flushes, and the secure-aggregation
+//! share pipeline. The models these stages fold are pinned bit for bit by
+//! the `ingest_golden` test.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
-use p2b_core::{CentralServer, P2bConfig};
+use p2b_core::{CentralServer, ModelService, P2bConfig, SecureIngestService};
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_shuffler::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
@@ -146,5 +148,69 @@ fn bench_update_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_update_path);
+/// Epoch assembly under sparse flushes: each iteration folds one
+/// single-report update into one arm of a warm 32-arm model service and
+/// re-assembles the served model over the dirty-arm union.
+fn bench_epoch_assembly(c: &mut Criterion) {
+    const ARMS: usize = 32;
+    let mut rng = StdRng::seed_from_u64(71);
+    let updates: Vec<CoalescedUpdate> = (0..ARMS)
+        .map(|arm| {
+            let raw: Vec<f64> = (0..DIMENSION).map(|_| rng.gen_range(0.0f64..1.0)).collect();
+            let context = Vector::from(raw).normalized_l1().expect("non-empty");
+            CoalescedUpdate::new(context, Action::new(arm), 1, 1.0).unwrap()
+        })
+        .collect();
+    let mut group = c.benchmark_group("epoch_assembly");
+    for &shards in &[1usize, 4] {
+        group.bench_with_input(
+            BenchmarkId::new("sparse_flush", format!("s{shards}")),
+            &shards,
+            |b, &shards| {
+                let config = LinUcbConfig::new(DIMENSION, ARMS);
+                let mut service = ModelService::spawn(config, shards).unwrap();
+                // Warm every arm and take the full first assembly untimed.
+                service.ingest(updates.clone()).unwrap();
+                service.assemble().unwrap();
+                let mut next = updates.iter().cycle();
+                b.iter(|| {
+                    service.ingest(vec![next.next().unwrap().clone()]).unwrap();
+                    service.assemble().unwrap().0.observations()
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+/// Secure-aggregation ingest: each iteration secret-shares one coalesced
+/// batch across `k` aggregator shards, then closes the share epoch and
+/// republishes the model from the recombined sums.
+fn bench_secure_agg_ingest(c: &mut Criterion) {
+    let updates = update_batch(DIMENSION, ACTIONS, 128);
+    let mut group = c.benchmark_group("secure_agg_ingest");
+    for &shards in &[1usize, 2, 4] {
+        group.bench_with_input(
+            BenchmarkId::new("recombined", format!("s{shards}")),
+            &updates,
+            |b, updates| {
+                let config = LinUcbConfig::new(DIMENSION, ACTIONS);
+                let mut service = SecureIngestService::new(config, shards, 5).unwrap();
+                b.iter(|| {
+                    service.ingest_batch(updates).unwrap();
+                    service.assemble().unwrap().observations()
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ingest,
+    bench_update_path,
+    bench_epoch_assembly,
+    bench_secure_agg_ingest
+);
 criterion_main!(benches);

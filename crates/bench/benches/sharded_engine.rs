@@ -1,8 +1,8 @@
 //! Criterion benchmark of the sharded shuffler engine across shard counts.
 //!
-//! Complements `p2b-serve --mode ingest` (which prints a one-shot scaling
-//! table) with statistically sampled end-to-end times: 4 producers submit a
-//! fixed report stream, and one measurement covers spawn → submit → finish.
+//! Sampled end-to-end times: 4 producers submit a fixed report stream, and
+//! one measurement covers spawn → submit → finish. The same engine under the
+//! whole ingest path is the `ingest_bulk` workload of `bash benchmark/run.sh`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};

@@ -7,16 +7,11 @@
 //! Exits non-zero when an SLO bar is violated.
 //!
 //! ```text
-//! p2b-serve [--mode ingest|full] [--quick]
-//!           [--workers N] [--seed N]
+//! p2b-serve [--quick] [--workers N] [--seed N]
 //!           [--slo-p99-ms F] [--slo-ingest-lag-epochs N] [--slo-occupancy N]
 //!           [--summary PATH] [--out PATH]
 //! ```
 //!
-//! * `--mode` picks the slice; `full` (the default) runs the closed loop,
-//!   `ingest` benchmarks the ingest subsystem and writes its model digests.
-//!   Bounded-pool serving is the `serve_churn` workload of
-//!   `bash benchmark/run.sh`.
 //! * `--quick` forces the CI smoke scale (equivalent to `P2B_SCALE=quick`).
 //! * `--summary PATH` additionally writes the *redacted* report — the
 //!   worker-count-invariant deterministic summary with all wall-clock
@@ -24,16 +19,19 @@
 //!   job diffs two of them.
 //! * `--out PATH` overrides the `BENCH_serve.json` destination.
 //! * The three `--slo-*` flags tighten (or loosen) the default bars.
+//!
+//! The stages underneath are measured elsewhere: the ingest path's model
+//! digests by `cargo test -p p2b-bench --test ingest_golden`, its timings by
+//! `cargo bench -p p2b-bench --bench ingest` / `--bench sharded_engine`, and
+//! bounded-pool serving and bulk ingest by the `serve_churn` and
+//! `ingest_bulk` workloads of `bash benchmark/run.sh`.
 
 use p2b_bench::failure::write_artifact;
-use p2b_bench::serve::{
-    print_full_report, run_full, run_ingest_mode, ServeConfig, ServeMode, SloConfig,
-};
+use p2b_bench::serve::{print_full_report, run_full, ServeConfig, SloConfig};
 use p2b_bench::{BenchFailure, Scale};
 use std::process::ExitCode;
 
 struct Cli {
-    mode: ServeMode,
     quick: bool,
     workers: Option<usize>,
     seed: Option<u64>,
@@ -46,7 +44,6 @@ struct Cli {
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
-        mode: ServeMode::Full,
         quick: false,
         workers: None,
         seed: None,
@@ -64,11 +61,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg.as_str() {
-            "--mode" => {
-                let raw = value("--mode")?;
-                cli.mode = ServeMode::parse(&raw)
-                    .ok_or_else(|| format!("unknown mode {raw:?} (ingest|full)"))?;
-            }
             "--quick" => cli.quick = true,
             "--workers" => {
                 cli.workers = Some(
@@ -113,13 +105,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-fn exit_code(result: Result<(), BenchFailure>) -> ExitCode {
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(failure) => failure.report("p2b-serve"),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
@@ -132,59 +117,53 @@ fn main() -> ExitCode {
     } else {
         Scale::from_env()
     };
-    match cli.mode {
-        ServeMode::Ingest => exit_code(run_ingest_mode(scale)),
-        ServeMode::Full => {
-            let mut config = ServeConfig::at_scale(scale);
-            if let Some(workers) = cli.workers {
-                config.workers = workers.max(1);
-            }
-            if let Some(seed) = cli.seed {
-                config.seed = seed;
-            }
-            let mut slo = SloConfig::for_config(&config);
-            if let Some(ms) = cli.slo_p99_ms {
-                slo.max_p99_decision_nanos = (ms * 1e6) as u64;
-            }
-            if let Some(lag) = cli.slo_ingest_lag_epochs {
-                slo.max_ingest_lag_epochs = lag;
-            }
-            if let Some(occupancy) = cli.slo_occupancy {
-                slo.max_join_occupancy = occupancy;
-            }
+    let mut config = ServeConfig::at_scale(scale);
+    if let Some(workers) = cli.workers {
+        config.workers = workers.max(1);
+    }
+    if let Some(seed) = cli.seed {
+        config.seed = seed;
+    }
+    let mut slo = SloConfig::for_config(&config);
+    if let Some(ms) = cli.slo_p99_ms {
+        slo.max_p99_decision_nanos = (ms * 1e6) as u64;
+    }
+    if let Some(lag) = cli.slo_ingest_lag_epochs {
+        slo.max_ingest_lag_epochs = lag;
+    }
+    if let Some(occupancy) = cli.slo_occupancy {
+        slo.max_join_occupancy = occupancy;
+    }
 
-            let scale_label = match scale {
-                Scale::Quick => "quick",
-                Scale::Default => "default",
-                Scale::Full => "full",
-            };
-            let report = run_full(&config, &slo, scale_label);
-            print_full_report(&report);
+    let scale_label = match scale {
+        Scale::Quick => "quick",
+        Scale::Default => "default",
+        Scale::Full => "full",
+    };
+    let report = run_full(&config, &slo, scale_label);
+    print_full_report(&report);
 
-            let json = serde_json::to_string_pretty(&report).expect("reports serialize");
-            if let Err(failure) = write_artifact(&cli.out_path, &json) {
-                return failure.report("p2b-serve");
-            }
-            println!("machine-readable results written to {}", cli.out_path);
+    let json = serde_json::to_string_pretty(&report).expect("reports serialize");
+    if let Err(failure) = write_artifact(&cli.out_path, &json) {
+        return failure.report("p2b-serve");
+    }
+    println!("machine-readable results written to {}", cli.out_path);
 
-            if let Some(path) = &cli.summary_path {
-                let redacted =
-                    serde_json::to_string_pretty(&report.redacted()).expect("reports serialize");
-                if let Err(failure) = write_artifact(path, &redacted) {
-                    return failure.report("p2b-serve");
-                }
-                println!("deterministic summary written to {path}");
-            }
-
-            if report.slo.pass {
-                ExitCode::SUCCESS
-            } else {
-                BenchFailure::SloViolation(format!(
-                    "{} of the serve SLO bars failed (see table above)",
-                    report.slo.violations.len()
-                ))
-                .report("p2b-serve")
-            }
+    if let Some(path) = &cli.summary_path {
+        let redacted = serde_json::to_string_pretty(&report.redacted()).expect("reports serialize");
+        if let Err(failure) = write_artifact(path, &redacted) {
+            return failure.report("p2b-serve");
         }
+        println!("deterministic summary written to {path}");
+    }
+
+    if report.slo.pass {
+        ExitCode::SUCCESS
+    } else {
+        BenchFailure::SloViolation(format!(
+            "{} of the serve SLO bars failed (see table above)",
+            report.slo.violations.len()
+        ))
+        .report("p2b-serve")
     }
 }

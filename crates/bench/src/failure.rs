@@ -28,8 +28,8 @@ pub enum BenchFailure {
     Io(String),
     /// A latency/throughput service-level objective was violated.
     SloViolation(String),
-    /// A determinism or privacy-accounting invariant failed — digests
-    /// diverged across shard counts, a guarantee went missing, or an
+    /// A reproduction or privacy-accounting invariant failed — the headline
+    /// ordering broke, a report was lost, a guarantee went missing, or an
     /// accounting bound did not hold.
     InvariantViolation(String),
 }
@@ -45,21 +45,6 @@ impl BenchFailure {
             BenchFailure::Io(_) => 4,
             BenchFailure::SloViolation(_) => 5,
             BenchFailure::InvariantViolation(_) => 6,
-        }
-    }
-
-    /// `Ok(())` when `holds`, otherwise [`BenchFailure::InvariantViolation`]
-    /// carrying `message()` — how the bench modes report a lost report or a
-    /// breached budget without panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation when `holds` is false.
-    pub fn ensure_invariant(holds: bool, message: impl FnOnce() -> String) -> Result<(), Self> {
-        if holds {
-            Ok(())
-        } else {
-            Err(BenchFailure::InvariantViolation(message()))
         }
     }
 
@@ -124,16 +109,11 @@ mod tests {
             "1 is reserved for generic platform failure"
         );
 
-        // The bench modes' own failure sites land on those codes instead of
-        // panicking (exit 101): a breached pool budget or a lost report is an
-        // invariant violation, an unwritable artifact an I/O failure.
-        let code = |result: Result<(), BenchFailure>| result.map_err(|f| f.exit_code());
-        let lost = || "engine lost a report: 99 != 100".to_owned();
-        assert_eq!(code(BenchFailure::ensure_invariant(false, lost)), Err(6));
-        assert_eq!(code(BenchFailure::ensure_invariant(true, lost)), Ok(()));
-        let missing_dir = std::env::temp_dir().join("p2b-no-such-dir/BENCH_pool.json");
+        // An unwritable artifact lands on the I/O code instead of panicking
+        // (exit 101).
+        let missing_dir = std::env::temp_dir().join("p2b-no-such-dir/BENCH_serve.json");
         assert_eq!(
-            code(write_artifact(&missing_dir.to_string_lossy(), "{}")),
+            write_artifact(&missing_dir.to_string_lossy(), "{}").map_err(|f| f.exit_code()),
             Err(4)
         );
     }

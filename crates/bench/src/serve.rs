@@ -47,31 +47,28 @@
 //! but excluded from the summary; [`ServeReport::redacted`] zeroes them for
 //! golden comparisons.
 //!
-//! One subsystem slice runs on the same arrival process, so it is
-//! benchmarked on identical skewed traffic: [`ServeMode::Ingest`] (shuffler
-//! engine, central-model ingest, model update, epoch assembly, secure
-//! aggregation). Bounded-pool serving is the `serve_churn` workload of
-//! `bash benchmark/run.sh`; per-decision select latency is
-//! `benches/select.rs` and the `bandit.select` / `core.agent.select` layers
-//! of the same benchmark.
+//! The stages beneath the loop are measured elsewhere: the ingest path's
+//! model digests are pinned by the `ingest_golden` test, its timings by the
+//! Criterion groups in `benches/` (`sharded_engine`, `central_ingest`,
+//! `model_update`, `epoch_assembly`, `secure_agg_ingest`) and by the
+//! `ingest_bulk` workload of `bash benchmark/run.sh`. Bounded-pool serving
+//! is that benchmark's `serve_churn` workload; per-decision select latency
+//! is `benches/select.rs` and its `bandit.select` / `core.agent.select`
+//! layers.
 
-use crate::failure::{write_artifact, BenchFailure};
 use crate::histogram::{LatencyHistogram, LatencySummary};
 use crate::Scale;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_bandit::Action;
 use p2b_core::{
-    AgentPool, AgentPoolConfig, AgentSource, CentralServer, ModelService, P2bConfig, P2bSystem,
-    PoolStats, RewardJoinBuffer, SecureIngestService,
+    AgentPool, AgentPoolConfig, AgentSource, P2bConfig, P2bSystem, PoolStats, RewardJoinBuffer,
 };
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
-use p2b_shuffler::{
-    splitmix64, EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerEngine,
-};
+use p2b_shuffler::{splitmix64, RawReport};
 use p2b_sim::{ArrivalConfig, ArrivalProcess, LANE_CONSUMER_BASE};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -87,41 +84,6 @@ const LANE_REWARD_PRESENT: u64 = LANE_CONSUMER_BASE + 2;
 const LANE_REWARD_DELAY: u64 = LANE_CONSUMER_BASE + 3;
 /// Noise lane adding stochastic reward noise off the target action.
 const LANE_REWARD_NOISE: u64 = LANE_CONSUMER_BASE + 4;
-/// Noise lane drawing synthetic actions for the legacy ingest stream.
-const LANE_LEGACY_ACTION: u64 = LANE_CONSUMER_BASE + 5;
-/// Noise lane drawing synthetic 0/1 rewards for the legacy ingest stream.
-const LANE_LEGACY_REWARD: u64 = LANE_CONSUMER_BASE + 6;
-
-/// Which subsystem slice of the harness to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Shuffler-engine shard scaling, central-model ingest scaling, the
-    /// model update path, epoch assembly and secure aggregation.
-    Ingest,
-    /// The closed-loop service: everything at once, with SLOs.
-    Full,
-}
-
-impl ServeMode {
-    /// Parses a `--mode` value.
-    #[must_use]
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "ingest" => Some(ServeMode::Ingest),
-            "full" => Some(ServeMode::Full),
-            _ => None,
-        }
-    }
-
-    /// The canonical `--mode` spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeMode::Ingest => "ingest",
-            ServeMode::Full => "full",
-        }
-    }
-}
 
 /// Configuration of one closed-loop run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -464,8 +426,16 @@ fn code_contexts(codes: u64, dimension: usize) -> Vec<Vector> {
         .collect()
 }
 
-/// Fits the k-means encoder the serving system validates against.
-fn fit_serve_encoder(codes: u64, dimension: usize) -> Arc<dyn Encoder> {
+/// Fits the k-means encoder the serving system validates against: `codes`
+/// centroids over a fixed corpus of `8·codes` L1-normalized contexts of
+/// `dimension` coordinates, seeded, so every caller gets the same encoder.
+///
+/// # Panics
+///
+/// Panics when `codes` is zero or `dimension` is zero (static
+/// configurations never are).
+#[must_use]
+pub fn fit_serve_encoder(codes: u64, dimension: usize) -> Arc<dyn Encoder> {
     let mut rng = StdRng::seed_from_u64(7);
     let corpus: Vec<Vector> = (0..codes as usize * 8)
         .map(|i| {
@@ -837,7 +807,7 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
          joined, expired or in flight at shutdown"
     );
     assert_eq!(
-        admitted + join_stats_shed(&join),
+        admitted + join.shed(),
         config.events,
         "admission conservation violated: offered = admitted + shed"
     );
@@ -911,7 +881,7 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
 
     ServeReport {
         schema_version: 2,
-        mode: ServeMode::Full.name().to_owned(),
+        mode: "full".to_owned(),
         scale: scale_label.to_owned(),
         config: config.clone(),
         deterministic,
@@ -928,12 +898,6 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
             pass,
         },
     }
-}
-
-/// The buffer's shed counter (helper so the conservation assertion reads as
-/// an equation over the buffer's own accounting).
-fn join_stats_shed(join: &RewardJoinBuffer<InFlight>) -> u64 {
-    join.shed()
 }
 
 /// Prints the human-readable summary of a closed-loop run.
@@ -1003,780 +967,9 @@ pub fn print_full_report(report: &ServeReport) {
     }
 }
 
-// ────────────────────────────────────────────────────────────────────────
-// Subsystem modes, driven by the shared arrival process so every subsystem
-// sees the same skewed traffic shape.
-// ────────────────────────────────────────────────────────────────────────
-
-/// Producer threads submitting concurrently in every legacy configuration.
-const PRODUCERS: usize = 8;
-/// Distinct encoded context codes in the legacy synthetic stream.
-const CODES: usize = 64;
-/// Actions in the legacy synthetic stream.
-const ACTIONS: usize = 10;
-/// Crowd-blending threshold (the paper's default `l`).
-const THRESHOLD: usize = 10;
-/// Context dimension of the legacy ingest benchmark's central model.
-const DIMENSION: usize = 16;
-
-/// The arrival process all legacy modes draw traffic from: the same
-/// Zipf-like 80/20 skew as the closed loop.
-fn legacy_arrival(num_codes: usize, seed: u64) -> ArrivalProcess {
-    ArrivalProcess::new(ArrivalConfig::new(1_000_000, num_codes as u64, seed))
-        .expect("legacy arrival configurations are valid")
-}
-
-fn producer_stream(arrival: &ArrivalProcess, producer: usize, reports: usize) -> Vec<RawReport> {
-    let base = (producer * reports) as u64;
-    (0..reports as u64)
-        .map(|i| {
-            let index = base + i;
-            let event = arrival.event(index);
-            let action = bounded_draw(arrival.noise(index, LANE_LEGACY_ACTION), ACTIONS as u64);
-            let reward =
-                f64::from(bounded_draw(arrival.noise(index, LANE_LEGACY_REWARD), 2) as u32);
-            RawReport::with_timestamp(
-                format!("producer-{producer}"),
-                i,
-                EncodedReport::new(event.code as usize, action as usize, reward)
-                    .expect("rewards 0/1 are valid"),
-            )
-        })
-        .collect()
-}
-
-/// One measured configuration, serialized into `BENCH_ingest.json`.
-#[derive(Debug, Serialize)]
-struct BenchRecord {
-    /// `"engine"` (part 1), `"ingest"` (part 2), `"update"` (part 3) or
-    /// `"assemble"` (part 4).
-    stage: String,
-    /// `"sharded"` for the engine, `"sequential"`/`"coalesced"` for ingest,
-    /// `"scratch"` for the update path, `"incremental"` for epoch assembly.
-    mode: String,
-    shards: usize,
-    /// Context dimension of the model under measurement.
-    dimension: usize,
-    /// Arms of the model under measurement.
-    actions: usize,
-    batch_size: usize,
-    reports: usize,
-    batches: usize,
-    wall_secs: f64,
-    reports_per_sec: f64,
-    /// Speedup over the stage's first configuration (1.0 for the
-    /// single-configuration update and assembly stages).
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchOutput {
-    scale: String,
-    hardware_threads: usize,
-    /// Mean reports per distinct `(code, action)` pair in the ingest stream
-    /// — the code-reuse factor the coalescer exploits.
-    ingest_code_reuse: f64,
-    records: Vec<BenchRecord>,
-}
-
-/// One deterministic model digest, serialized into
-/// `BENCH_ingest_summary.json`.
-#[derive(Debug, Serialize)]
-struct IngestDigestRecord {
-    /// The measured configuration the digest came from.
-    stage: String,
-    mode: String,
-    shards: usize,
-    /// FNV-1a digest over the final model's exact statistics bits.
-    digest: String,
-}
-
-/// The wall-clock-free companion of `BENCH_ingest.json`: pure model digests
-/// that must be byte-identical across runs (and, within the coalesced
-/// ingest stage, across shard counts). The CI smoke job diffs two of them.
-#[derive(Debug, Serialize)]
-struct IngestSummary {
-    schema_version: u32,
-    scale: String,
-    reports: usize,
-    batch_size: usize,
-    codes: usize,
-    records: Vec<IngestDigestRecord>,
-}
-
-/// FNV-1a over a little-endian `u64`.
-fn fnv1a(hash: u64, word: u64) -> u64 {
-    let mut hash = hash;
-    for byte in word.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a digest of a model's exact statistics: observation count, then
-/// per arm the pull count and every design / reward-vector / theta
-/// coefficient bit. Bit-identical models — and only those — collide.
-fn model_digest(model: &LinUcb) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    hash = fnv1a(hash, model.observations());
-    for arm in 0..model.config().num_actions {
-        let action = Action::new(arm);
-        hash = fnv1a(hash, model.pulls(action).expect("arm index is in range"));
-        for &x in model
-            .design(action)
-            .expect("arm index is in range")
-            .as_slice()
-        {
-            hash = fnv1a(hash, x.to_bits());
-        }
-        for &x in model
-            .reward_vector(action)
-            .expect("arm index is in range")
-            .iter()
-        {
-            hash = fnv1a(hash, x.to_bits());
-        }
-        for &x in model.theta(action).expect("arm index is in range").iter() {
-            hash = fnv1a(hash, x.to_bits());
-        }
-    }
-    hash
-}
-
-struct EngineRun {
-    shards: usize,
-    wall_secs: f64,
-    reports_per_sec: f64,
-    batches: usize,
-    released: usize,
-}
-
-fn run_engine(
-    shards: usize,
-    streams: &[Vec<RawReport>],
-    batch_size: usize,
-) -> Result<EngineRun, BenchFailure> {
-    let engine = ShufflerEngine::builder(ShufflerConfig::new(THRESHOLD))
-        .shards(shards)
-        .batch_size(batch_size)
-        .shard_queue_capacity(batch_size)
-        .build()
-        .expect("static configuration is valid");
-    let total: usize = streams.iter().map(Vec::len).sum();
-
-    let start = Instant::now();
-    let handle = engine.spawn(42);
-    std::thread::scope(|scope| {
-        for stream in streams {
-            let handle_ref = &handle;
-            scope.spawn(move || {
-                for report in stream.iter().cloned() {
-                    handle_ref
-                        .submit(report)
-                        .expect("engine stays open during the run");
-                }
-            });
-        }
-    });
-    let output = handle.finish();
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let received: usize = output
-        .batches
-        .iter()
-        .map(|b| b.batch.stats().received)
-        .sum();
-    BenchFailure::ensure_invariant(received == total, || {
-        format!("the engine must conserve every report: {received} != {total}")
-    })?;
-    Ok(EngineRun {
-        shards,
-        wall_secs,
-        reports_per_sec: total as f64 / wall_secs,
-        batches: output.batches.len(),
-        released: output
-            .batches
-            .iter()
-            .map(|b| b.batch.stats().released)
-            .sum(),
-    })
-}
-
-/// Fits the k-means encoder the ingest benchmark's server validates against.
-fn fit_encoder() -> Arc<dyn Encoder> {
-    fit_serve_encoder(CODES as u64, DIMENSION)
-}
-
-/// Builds the shuffled batches every ingest configuration replays: heavy
-/// `(code, action)` reuse, exactly like post-threshold production batches.
-fn ingest_batches(num_codes: usize, batch_size: usize, batches: usize) -> Vec<ShuffledBatch> {
-    let shuffler = Shuffler::new(ShufflerConfig::new(1)).expect("threshold 1 is valid");
-    let arrival = legacy_arrival(num_codes, 99);
-    let mut rng = StdRng::seed_from_u64(99);
-    (0..batches)
-        .map(|b| {
-            let base = (b * batch_size) as u64;
-            let raw: Vec<RawReport> = (0..batch_size as u64)
-                .map(|i| {
-                    let index = base + i;
-                    let event = arrival.event(index);
-                    let action =
-                        bounded_draw(arrival.noise(index, LANE_LEGACY_ACTION), ACTIONS as u64);
-                    let reward =
-                        f64::from(bounded_draw(arrival.noise(index, LANE_LEGACY_REWARD), 2) as u32);
-                    RawReport::with_timestamp(
-                        format!("b{b}"),
-                        i,
-                        EncodedReport::new(event.code as usize, action as usize, reward)
-                            .expect("rewards 0/1 are valid"),
-                    )
-                })
-                .collect();
-            shuffler.process(raw, &mut rng)
-        })
-        .collect()
-}
-
-enum IngestMode {
-    Sequential,
-    Coalesced { ingest_shards: usize },
-}
-
-fn run_ingest(
-    mode: &IngestMode,
-    encoder: &Arc<dyn Encoder>,
-    batches: &[ShuffledBatch],
-) -> Result<(f64, u64), BenchFailure> {
-    let shards = match mode {
-        IngestMode::Sequential => 1,
-        IngestMode::Coalesced { ingest_shards } => *ingest_shards,
-    };
-    let config = P2bConfig::new(DIMENSION, ACTIONS).with_ingest_shards(shards);
-    let mut server =
-        CentralServer::new(&config, Arc::clone(encoder)).expect("static configuration is valid");
-    let start = Instant::now();
-    let mut accepted = 0u64;
-    for batch in batches {
-        accepted += match mode {
-            IngestMode::Sequential => server.ingest_batch(batch),
-            IngestMode::Coalesced { .. } => server.ingest_batch_coalesced(batch),
-        }
-        .expect("well-formed batches ingest cleanly");
-    }
-    // Synchronize with the ingest shards: assembling the model waits for
-    // every dispatched update to be folded, so the timing covers the work.
-    let model = server.model().expect("assembly succeeds");
-    let wall = start.elapsed().as_secs_f64();
-    BenchFailure::ensure_invariant(model.observations() == accepted, || {
-        format!(
-            "no update may be lost: {} != {accepted}",
-            model.observations()
-        )
-    })?;
-    Ok((wall, model_digest(model)))
-}
-
-/// Deterministic coalesced-update batches at one model shape for the
-/// model-level update benchmark (part 3): L1-normalized contexts, counts in
-/// 1..10, reward sums within `[0, count]`.
-fn update_batches(
-    dimension: usize,
-    actions: usize,
-    batch_len: usize,
-    batches: usize,
-    seed: u64,
-) -> Vec<Vec<CoalescedUpdate>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..batches)
-        .map(|_| {
-            (0..batch_len)
-                .map(|_| {
-                    let raw: Vec<f64> =
-                        (0..dimension).map(|_| rng.gen_range(0.0f64..1.0)).collect();
-                    let context = Vector::from(raw).normalized_l1().expect("non-empty");
-                    let count = rng.gen_range(1u64..10);
-                    let reward_sum = rng.gen_range(0.0..=count as f64);
-                    CoalescedUpdate::new(
-                        context,
-                        Action::new(rng.gen_range(0..actions)),
-                        count,
-                        reward_sum,
-                    )
-                    .expect("generated updates are well-formed")
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Times one full replay of `batches` through a fresh model; returns the
-/// wall time and the final model's digest (byte-diffed across runs in
-/// `BENCH_ingest_summary.json`).
-fn time_update_path(
-    dimension: usize,
-    actions: usize,
-    batches: &[Vec<CoalescedUpdate>],
-    scratch: &mut IngestScratch,
-) -> (f64, u64) {
-    let mut model =
-        LinUcb::new(LinUcbConfig::new(dimension, actions)).expect("static shapes are valid");
-    let start = Instant::now();
-    for batch in batches {
-        model
-            .update_batch_with(batch, scratch)
-            .expect("updates are well-formed");
-    }
-    let wall = start.elapsed().as_secs_f64();
-    (wall, model_digest(&model))
-}
-
-/// Times `epochs` sparse flush cycles against a [`ModelService`]: each
-/// epoch folds one single-report update into one arm and re-assembles the
-/// served model over the dirty-arm union. Returns the wall time and the
-/// final model's digest.
-fn time_assemble_path(
-    dimension: usize,
-    actions: usize,
-    shards: usize,
-    epochs: usize,
-) -> (f64, u64) {
-    let mut service = ModelService::spawn(LinUcbConfig::new(dimension, actions), shards)
-        .expect("static shapes are valid");
-    let mut rng = StdRng::seed_from_u64(71);
-    let sparse_update = |arm: usize, rng: &mut StdRng| {
-        let raw: Vec<f64> = (0..dimension).map(|_| rng.gen_range(0.0f64..1.0)).collect();
-        let context = Vector::from(raw).normalized_l1().expect("non-empty");
-        CoalescedUpdate::new(context, Action::new(arm), 1, 1.0)
-            .expect("generated updates are well-formed")
-    };
-    // Warm every arm and take the first (full-rebuild) assembly outside the
-    // timed region, so the measurement isolates the steady sparse-flush
-    // regime.
-    let warm: Vec<CoalescedUpdate> = (0..actions)
-        .map(|arm| sparse_update(arm, &mut rng))
-        .collect();
-    service.ingest(warm).expect("service threads are healthy");
-    let mut model = service.assemble().expect("assembly succeeds").0;
-    let start = Instant::now();
-    for epoch in 0..epochs {
-        let update = sparse_update(epoch % actions, &mut rng);
-        service
-            .ingest(vec![update])
-            .expect("service threads are healthy");
-        model = service.assemble().expect("assembly succeeds").0;
-    }
-    let wall = start.elapsed().as_secs_f64();
-    (wall, model_digest(&model))
-}
-
-/// The ingest-side benchmark suite: shuffler-engine shard scaling,
-/// sequential vs coalesced central-model ingest, the model update path,
-/// epoch assembly, and the secure-aggregation share pipeline, written to
-/// `BENCH_ingest.json` / `BENCH_ingest_summary.json`.
-///
-/// # Errors
-///
-/// Returns [`BenchFailure::InvariantViolation`] when a determinism digest
-/// diverges across shard counts or a stage loses a report,
-/// [`BenchFailure::Runtime`] when a pipeline under measurement fails
-/// outright, and [`BenchFailure::Io`] when an artifact cannot be written —
-/// each mapped to a distinct exit code by the `p2b-serve` binary.
-pub fn run_ingest_mode(scale: Scale) -> Result<(), BenchFailure> {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut records = Vec::new();
-
-    // ── Part 1: shuffler-engine shard scaling ────────────────────────────
-    let per_producer = scale.pick(5_000, 50_000, 250_000);
-    let batch_size = scale.pick(1_024, 4_096, 8_192);
-    let total = per_producer * PRODUCERS;
-
-    println!("Sharded shuffler engine throughput");
-    println!(
-        "{total} reports, {PRODUCERS} producers, batch size {batch_size}, \
-         threshold {THRESHOLD}, {cores} hardware threads"
-    );
-    if cores < 4 {
-        println!("warning: fewer than 4 hardware threads; shard scaling will not show here");
-    }
-
-    let arrival = legacy_arrival(CODES, 1);
-    let streams: Vec<Vec<RawReport>> = (0..PRODUCERS)
-        .map(|p| producer_stream(&arrival, p, per_producer))
-        .collect();
-
-    // Warm-up pass so allocator and page-cache effects do not favor the
-    // later (multi-shard) runs.
-    let _ = run_engine(1, &streams, batch_size)?;
-
-    println!(
-        "\n{:>7} {:>10} {:>14} {:>9} {:>10} {:>9}",
-        "shards", "wall (ms)", "reports/s", "batches", "released", "speedup"
-    );
-    let mut baseline = None;
-    for shards in [1usize, 2, 4, 8] {
-        let result = run_engine(shards, &streams, batch_size)?;
-        let baseline_rate = *baseline.get_or_insert(result.reports_per_sec);
-        let speedup = result.reports_per_sec / baseline_rate;
-        println!(
-            "{:>7} {:>10.1} {:>14.0} {:>9} {:>10} {:>8.2}x",
-            result.shards,
-            result.wall_secs * 1e3,
-            result.reports_per_sec,
-            result.batches,
-            result.released,
-            speedup
-        );
-        records.push(BenchRecord {
-            stage: "engine".to_owned(),
-            mode: "sharded".to_owned(),
-            shards: result.shards,
-            dimension: DIMENSION,
-            actions: ACTIONS,
-            batch_size,
-            reports: total,
-            batches: result.batches,
-            wall_secs: result.wall_secs,
-            reports_per_sec: result.reports_per_sec,
-            speedup,
-        });
-    }
-
-    // ── Part 2: central-model ingest scaling ─────────────────────────────
-    // Pair space sized for ≥ 10× reuse per batch — the post-threshold regime
-    // (every released code appears ≥ l = 10 times by construction).
-    let ingest_batch_size = scale.pick(512, 2_048, 8_192);
-    let ingest_batch_count = scale.pick(8, 16, 32);
-    let ingest_codes = scale.pick(4, 16, CODES);
-    let ingest_total = ingest_batch_size * ingest_batch_count;
-    let reuse = ingest_batch_size as f64 / (ingest_codes * ACTIONS) as f64;
-    println!("\nCentral-model ingestion: sequential vs coalesced sufficient statistics");
-    println!(
-        "{ingest_total} reports in {ingest_batch_count} batches of {ingest_batch_size}, \
-         {ingest_codes} codes x {ACTIONS} actions (~{reuse:.0}x reuse per batch), d = {DIMENSION}"
-    );
-
-    let encoder = fit_encoder();
-    let batches = ingest_batches(ingest_codes, ingest_batch_size, ingest_batch_count);
-    // Warm-up.
-    let _ = run_ingest(
-        &IngestMode::Sequential,
-        &encoder,
-        &batches[..1.min(batches.len())],
-    )?;
-
-    let modes: [(&str, IngestMode); 4] = [
-        ("sequential", IngestMode::Sequential),
-        ("coalesced", IngestMode::Coalesced { ingest_shards: 1 }),
-        ("coalesced", IngestMode::Coalesced { ingest_shards: 2 }),
-        ("coalesced", IngestMode::Coalesced { ingest_shards: 4 }),
-    ];
-    println!(
-        "\n{:>12} {:>7} {:>10} {:>14} {:>9}",
-        "mode", "shards", "wall (ms)", "reports/s", "speedup"
-    );
-    let mut ingest_baseline = None;
-    let mut digest_records = Vec::new();
-    let mut coalesced_digest: Option<u64> = None;
-    for (name, mode) in &modes {
-        let (wall_secs, digest) = run_ingest(mode, &encoder, &batches)?;
-        let rate = ingest_total as f64 / wall_secs;
-        let baseline_rate = *ingest_baseline.get_or_insert(rate);
-        let speedup = rate / baseline_rate;
-        let shards = match mode {
-            IngestMode::Sequential => 1,
-            IngestMode::Coalesced { ingest_shards } => *ingest_shards,
-        };
-        if let IngestMode::Coalesced { .. } = mode {
-            // Shard-count invariance: the dirty-arm merge is deterministic,
-            // so every coalesced shard count must land on the same model.
-            let expected = *coalesced_digest.get_or_insert(digest);
-            if digest != expected {
-                return Err(BenchFailure::InvariantViolation(format!(
-                    "coalesced ingest diverged across shard counts \
-                     (shards = {shards}: {digest:016x} != {expected:016x})"
-                )));
-            }
-        }
-        digest_records.push(IngestDigestRecord {
-            stage: "ingest".to_owned(),
-            mode: (*name).to_owned(),
-            shards,
-            digest: format!("{digest:016x}"),
-        });
-        println!(
-            "{:>12} {:>7} {:>10.1} {:>14.0} {:>8.2}x",
-            name,
-            shards,
-            wall_secs * 1e3,
-            rate,
-            speedup
-        );
-        records.push(BenchRecord {
-            stage: "ingest".to_owned(),
-            mode: (*name).to_owned(),
-            shards,
-            dimension: DIMENSION,
-            actions: ACTIONS,
-            batch_size: ingest_batch_size,
-            reports: ingest_total,
-            batches: ingest_batch_count,
-            wall_secs,
-            reports_per_sec: rate,
-            speedup,
-        });
-    }
-
-    let coalesced_best = records
-        .iter()
-        .filter(|r| r.stage == "ingest" && r.mode == "coalesced")
-        .map(|r| r.speedup)
-        .fold(0.0f64, f64::max);
-    println!(
-        "\nbest coalesced ingest speedup over sequential per-report ingestion: \
-         {coalesced_best:.2}x"
-    );
-
-    // ── Part 3: model-level update path ──────────────────────────────────
-    // Rank-k coalesced folds with the arena sync deferred to once per
-    // touched arm per batch, at the wide 32-arm shape (where the strided
-    // arena scatter is dearest) and the native 10-arm shape.
-    let update_batch_len = scale.pick(256, 512, 1_024);
-    let update_batch_count = scale.pick(64, 96, 128);
-    let update_shapes: [(usize, usize); 2] = [(DIMENSION, 32), (DIMENSION, ACTIONS)];
-    println!("\nModel update path: batch-deferred scratch sync");
-    println!(
-        "{update_batch_count} coalesced batches of {update_batch_len} rank-k updates \
-         per shape, d = {DIMENSION}"
-    );
-    println!(
-        "\n{:>5} {:>8} {:>10} {:>14}",
-        "d", "actions", "wall (ms)", "updates/s"
-    );
-    for (dimension, actions) in update_shapes {
-        let batches = update_batches(
-            dimension,
-            actions,
-            update_batch_len,
-            update_batch_count,
-            (dimension * 1_009 + actions) as u64,
-        );
-        let warmup = &batches[..(update_batch_count / 8).max(1)];
-        let mut scratch = IngestScratch::new();
-        let _ = time_update_path(dimension, actions, warmup, &mut scratch);
-        let (wall, digest) = time_update_path(dimension, actions, &batches, &mut scratch);
-        let updates = update_batch_len * update_batch_count;
-        println!(
-            "{:>5} {:>8} {:>10.1} {:>14.0}",
-            dimension,
-            actions,
-            wall * 1e3,
-            updates as f64 / wall
-        );
-        records.push(BenchRecord {
-            stage: "update".to_owned(),
-            mode: "scratch".to_owned(),
-            shards: 1,
-            dimension,
-            actions,
-            batch_size: update_batch_len,
-            reports: updates,
-            batches: update_batch_count,
-            wall_secs: wall,
-            reports_per_sec: updates as f64 / wall,
-            speedup: 1.0,
-        });
-        digest_records.push(IngestDigestRecord {
-            stage: "update".to_owned(),
-            mode: format!("d{dimension}a{actions}"),
-            shards: 1,
-            digest: format!("{digest:016x}"),
-        });
-    }
-
-    // ── Part 4: epoch assembly under sparse flushes ──────────────────────
-    let assemble_epochs = scale.pick(512, 2_048, 8_192);
-    let assemble_actions = 32usize;
-    println!("\nEpoch assembly under sparse flushes: dirty-arm re-merge");
-    println!(
-        "{assemble_epochs} single-arm flush epochs, d = {DIMENSION}, \
-         {assemble_actions} actions"
-    );
-    println!("\n{:>7} {:>10} {:>14}", "shards", "wall (ms)", "epochs/s");
-    for shards in [1usize, 4] {
-        // Warm-up at a fraction of the epoch count.
-        let _ = time_assemble_path(
-            DIMENSION,
-            assemble_actions,
-            shards,
-            (assemble_epochs / 8).max(1),
-        );
-        let (wall, digest) =
-            time_assemble_path(DIMENSION, assemble_actions, shards, assemble_epochs);
-        println!(
-            "{:>7} {:>10.1} {:>14.0}",
-            shards,
-            wall * 1e3,
-            assemble_epochs as f64 / wall
-        );
-        records.push(BenchRecord {
-            stage: "assemble".to_owned(),
-            mode: "incremental".to_owned(),
-            shards,
-            dimension: DIMENSION,
-            actions: assemble_actions,
-            batch_size: 1,
-            reports: assemble_epochs,
-            batches: assemble_epochs,
-            wall_secs: wall,
-            reports_per_sec: assemble_epochs as f64 / wall,
-            speedup: 1.0,
-        });
-        digest_records.push(IngestDigestRecord {
-            stage: "assemble".to_owned(),
-            mode: "sparse_flush".to_owned(),
-            shards,
-            digest: format!("{digest:016x}"),
-        });
-    }
-
-    // ── Part 5: secure-aggregation ingest (split → shard-fold → recombine) ─
-    // The same coalesced traffic replayed through the fixed-point additive
-    // share pipeline at k ∈ {1, 2, 4} aggregator shards. Shares over the
-    // wrapping-i128 group recombine exactly, so the cumulative-sum digest
-    // and the republished model must be bit-identical at every shard count
-    // — even though each run here gets a *different* mask seed.
-    let secure_batch_len = scale.pick(128, 512, 2_048);
-    let secure_batch_count = scale.pick(8, 16, 32);
-    let secure_batches = update_batches(
-        DIMENSION,
-        ACTIONS,
-        secure_batch_len,
-        secure_batch_count,
-        0xB10C_5EED,
-    );
-    let secure_reports = secure_batch_len * secure_batch_count;
-    println!("\nSecure-aggregation ingest: additive share split/recombine per shard count");
-    println!(
-        "{secure_reports} coalesced contributions in {secure_batch_count} flush epochs \
-         of {secure_batch_len}, d = {DIMENSION}, {ACTIONS} actions"
-    );
-    println!(
-        "\n{:>7} {:>10} {:>14} {:>9} {:>18}",
-        "shards", "wall (ms)", "reports/s", "speedup", "digest"
-    );
-    let secure_config = LinUcbConfig::new(DIMENSION, ACTIONS);
-    let mut secure_baseline = None;
-    let mut secure_expected: Option<(u64, u64)> = None;
-    for shards in [1usize, 2, 4] {
-        // The mask seed deliberately varies with the shard count: recombined
-        // sums are group elements, never a function of seed or shard count.
-        let seed = 0x5EC0_A660_0000_0000 ^ shards as u64;
-        let secure_err =
-            |e: p2b_core::CoreError| BenchFailure::Runtime(format!("secure-agg ingest: {e}"));
-        // Warm-up on a throwaway service so spawn/allocator effects do not
-        // favor the later shard counts.
-        {
-            let mut warm =
-                SecureIngestService::new(secure_config, shards, seed ^ 0xFF).map_err(secure_err)?;
-            warm.ingest_batch(&secure_batches[0]).map_err(secure_err)?;
-            let _ = warm.assemble().map_err(secure_err)?;
-        }
-        let mut service =
-            SecureIngestService::new(secure_config, shards, seed).map_err(secure_err)?;
-        let start = Instant::now();
-        let mut model = None;
-        for batch in &secure_batches {
-            service.ingest_batch(batch).map_err(secure_err)?;
-            // Assemble per batch: each flush closes a share epoch and
-            // republishes from the recombined cumulative sums.
-            model = Some(service.assemble().map_err(secure_err)?);
-        }
-        let wall_secs = start.elapsed().as_secs_f64();
-        let digest = service.digest();
-        let model = model.ok_or_else(|| {
-            BenchFailure::Runtime("secure-agg ingest produced no model".to_owned())
-        })?;
-        let published = model_digest(&model);
-        let (expected_totals, expected_model) = *secure_expected.get_or_insert((digest, published));
-        if digest != expected_totals || published != expected_model {
-            return Err(BenchFailure::InvariantViolation(format!(
-                "secure-agg recombination diverged across shard counts (shards = {shards}: \
-                 totals {digest:016x} != {expected_totals:016x}, \
-                 model {published:016x} != {expected_model:016x})"
-            )));
-        }
-        let rate = secure_reports as f64 / wall_secs;
-        let baseline_rate = *secure_baseline.get_or_insert(rate);
-        let speedup = rate / baseline_rate;
-        println!(
-            "{:>7} {:>10.1} {:>14.0} {:>8.2}x {:>18}",
-            shards,
-            wall_secs * 1e3,
-            rate,
-            speedup,
-            format!("{digest:016x}")
-        );
-        records.push(BenchRecord {
-            stage: "secure_agg".to_owned(),
-            mode: "recombined".to_owned(),
-            shards,
-            dimension: DIMENSION,
-            actions: ACTIONS,
-            batch_size: secure_batch_len,
-            reports: secure_reports,
-            batches: secure_batch_count,
-            wall_secs,
-            reports_per_sec: rate,
-            speedup,
-        });
-        digest_records.push(IngestDigestRecord {
-            stage: "secure_agg".to_owned(),
-            mode: "recombined".to_owned(),
-            shards,
-            digest: format!("{digest:016x}"),
-        });
-    }
-    println!("\nsecure-agg recombined digests identical across shard counts {{1, 2, 4}}");
-
-    let output = BenchOutput {
-        scale: format!("{scale:?}").to_lowercase(),
-        hardware_threads: cores,
-        ingest_code_reuse: reuse,
-        records,
-    };
-    let json = serde_json::to_string_pretty(&output).expect("records serialize");
-    write_artifact("BENCH_ingest.json", &json)?;
-    println!("machine-readable results written to BENCH_ingest.json");
-
-    let summary = IngestSummary {
-        schema_version: 1,
-        scale: format!("{scale:?}").to_lowercase(),
-        reports: ingest_total,
-        batch_size: ingest_batch_size,
-        codes: ingest_codes,
-        records: digest_records,
-    };
-    let json = serde_json::to_string_pretty(&summary).expect("records serialize");
-    write_artifact("BENCH_ingest_summary.json", &json)?;
-    println!("deterministic model digests written to BENCH_ingest_summary.json");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        for mode in [ServeMode::Ingest, ServeMode::Full] {
-            assert_eq!(ServeMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(ServeMode::parse("pool"), None);
-        assert_eq!(ServeMode::parse("bogus"), None);
-    }
 
     #[test]
     fn owner_partition_is_stable_and_in_range() {

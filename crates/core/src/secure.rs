@@ -36,7 +36,7 @@
 
 use crate::CoreError;
 use p2b_bandit::{ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
-use p2b_privacy::decode_fixed;
+use p2b_privacy::{decode_fixed, fnv1a};
 use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 
 /// A model service ingesting coalesced updates through `k`-shard secure
@@ -223,18 +223,11 @@ impl SecureIngestService {
 
     /// FNV-1a digest over the cumulative recombined totals (little-endian
     /// bytes, arms in order). Byte-identical across shard counts and
-    /// reruns; the bench stage asserts on it in-process and CI byte-diffs
-    /// the summaries it lands in.
+    /// reruns; the bench crate's `ingest_golden` test pins the committed
+    /// values.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for value in &self.totals {
-            for byte in value.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        hash
+        fnv1a(self.totals.iter().flat_map(|value| value.to_le_bytes()))
     }
 }
 

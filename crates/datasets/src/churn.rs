@@ -162,9 +162,10 @@ impl ContextualEnvironment for CohortChurnEnvironment {
             .zip(fresh.iter())
             .map(|(&m, &f)| c * m + (1.0 - c) * f)
             .collect();
-        Vector::from(mixed)
-            .normalized_l1()
-            .expect("dimension validated at construction")
+        // Normalization fails only on an empty vector, which construction
+        // rules out; an empty one would come back unchanged.
+        let context = Vector::from(mixed);
+        context.normalized_l1().unwrap_or(context)
     }
 
     fn sample_reward(

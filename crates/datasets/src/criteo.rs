@@ -337,9 +337,10 @@ impl CriteoLikeGenerator {
         let raw: Vec<f64> = (0..self.config.context_dimension)
             .map(|_| -(rng.gen::<f64>().max(1e-12)).ln())
             .collect();
-        Vector::from(raw)
-            .normalized_l1()
-            .expect("dimension validated at construction")
+        // Normalization fails only on an empty vector, which construction
+        // rules out; an empty one would come back unchanged.
+        let context = Vector::from(raw);
+        context.normalized_l1().unwrap_or(context)
     }
 }
 

@@ -191,9 +191,10 @@ impl ContextualEnvironment for SyntheticPreferenceEnvironment {
                 -u.ln()
             })
             .collect();
-        Vector::from(raw)
-            .normalized_l1()
-            .expect("dimension validated at construction")
+        // Normalization fails only on an empty vector, which construction
+        // rules out; an empty one would come back unchanged.
+        let context = Vector::from(raw);
+        context.normalized_l1().unwrap_or(context)
     }
 
     fn sample_reward(

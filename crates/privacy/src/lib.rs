@@ -93,3 +93,20 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// 64-bit FNV-1a over a byte stream, from the standard offset basis. The
+/// one copy behind the library's digests — the secure-aggregation sums of
+/// `p2b_shuffler` and `p2b_core` — and the model digests of the bench
+/// crate's ingest golden, which reach it through the `p2b_shuffler::fnv1a`
+/// re-export.
+///
+/// ```
+/// assert_eq!(p2b_privacy::fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(p2b_privacy::fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[must_use]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}

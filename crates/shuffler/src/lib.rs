@@ -71,7 +71,7 @@ mod shuffle;
 
 pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};
 pub use error::ShufflerError;
-pub use p2b_privacy::splitmix64;
+pub use p2b_privacy::{fnv1a, splitmix64};
 pub use pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 pub use report::{EncodedReport, RawReport, ReportMetadata};
 pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};

@@ -24,7 +24,7 @@
 //! equals the plaintext total. Because wrapping `i128` addition is an
 //! abelian group operation, the recombined sums are **bit-identical for
 //! any shard count and any fold order** — the correctness bar the bench
-//! stage and CI byte-diff pin at k ∈ {1, 2, 4}.
+//! crate's `ingest_golden` test pins at k ∈ {1, 2, 4}.
 //!
 //! See the [`p2b_privacy::SecretSharer`] docs for the mask construction
 //! and the trust-model caveat (deterministic statistical masks standing in
@@ -32,7 +32,7 @@
 
 use crate::{ShardPool, ShufflerError, SHARD_QUEUE_CAPACITY};
 use crossbeam::channel::Receiver;
-use p2b_privacy::{decode_fixed, encode_fixed, SecretSharer};
+use p2b_privacy::{decode_fixed, encode_fixed, fnv1a, SecretSharer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Builder for a [`SecureAggEngine`].
@@ -365,18 +365,11 @@ impl SecureAggOutput {
 
     /// FNV-1a digest over the recombined sums (little-endian bytes, arms in
     /// order). Because the sums are exact group elements, the digest is
-    /// byte-identical across shard counts, fold orders and reruns — the
-    /// value the bench stage asserts on in-process and CI byte-diffs.
+    /// byte-identical across shard counts, fold orders and reruns; the bench
+    /// crate's `ingest_golden` test pins the committed values.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for value in &self.sums {
-            for byte in value.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        hash
+        fnv1a(self.sums.iter().flat_map(|value| value.to_le_bytes()))
     }
 }
 

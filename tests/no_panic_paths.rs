@@ -1,9 +1,10 @@
-//! Enforces the zero-unwrap policy on the non-test code of the crates that
-//! sit on the request path: they must surface typed errors
+//! Enforces the zero-unwrap policy on the non-test code of the nine crates
+//! that sit on the request path: they must surface typed errors
 //! (`PrivacyError`, `ShufflerError`, `EncodingError`, `ExperimentError`,
-//! `CoreError`, `SimError`, `LinalgError`, `BanditError`), never panic. Test modules (everything at and below the
-//! first `#[cfg(test)]` of a file) and comment/doc lines — doc-comment
-//! examples included — are exempt.
+//! `CoreError`, `SimError`, `LinalgError`, `BanditError`, `DatasetError`),
+//! never panic. Test modules (everything at and below the first
+//! `#[cfg(test)]` of a file) and comment/doc lines — doc-comment examples
+//! included — are exempt.
 //!
 //! The scan reads each `src/` directory flat, without descending. That
 //! misses nothing: the only library `src/` subdirectories in the workspace,
@@ -15,7 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The gated crates, by directory under `crates/`.
-const GATED_CRATES: [&str; 8] = [
+const GATED_CRATES: [&str; 9] = [
     "privacy",
     "shuffler",
     "encoding",
@@ -24,6 +25,7 @@ const GATED_CRATES: [&str; 8] = [
     "sim",
     "linalg",
     "bandit",
+    "datasets",
 ];
 
 /// Panic-path constructs forbidden outside test code. `.unwrap_or*` /
