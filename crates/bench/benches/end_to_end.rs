@@ -1,5 +1,6 @@
 //! End-to-end benchmark: one full P2B user session (warm-start, T local
-//! interactions, randomized reporting) plus the server-side shuffling round.
+//! interactions, randomized reporting) plus the server-side streaming round
+//! (shuffler engine, then the coalesced fold).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2b_core::{P2bConfig, P2bSystem};
@@ -32,7 +33,7 @@ fn bench_user_session(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(1);
         let mut system = build_system(10, 20, 128, &mut rng);
         b.iter(|| {
-            let mut agent = system.make_agent(&mut rng).unwrap();
+            let mut agent = system.make_warm_agent().unwrap();
             for _ in 0..10 {
                 let ctx = simplex_context(10, &mut rng);
                 let action = agent.select_action(&ctx, &mut rng).unwrap();
@@ -41,22 +42,23 @@ fn bench_user_session(c: &mut Criterion) {
                     .observe_reward(&ctx, action, reward, &mut rng)
                     .unwrap();
             }
-            system.collect_from(&mut agent);
+            agent.take_reports()
         });
     });
 }
 
-fn bench_flush_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("p2b_flush_round");
+fn bench_streaming_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("p2b_streaming_round");
     group.sample_size(20);
-    group.bench_function("500_pending_reports", |b| {
+    group.bench_function("50_agent_sessions", |b| {
         let mut rng = StdRng::seed_from_u64(2);
         b.iter_batched(
             || {
                 let mut system = build_system(10, 20, 32, &mut rng);
                 let mut fill_rng = StdRng::seed_from_u64(3);
+                let mut reports = Vec::new();
                 for _ in 0..50 {
-                    let mut agent = system.make_agent(&mut fill_rng).unwrap();
+                    let mut agent = system.make_warm_agent().unwrap();
                     for _ in 0..10 {
                         let ctx = simplex_context(10, &mut fill_rng);
                         let action = agent.select_action(&ctx, &mut fill_rng).unwrap();
@@ -64,16 +66,16 @@ fn bench_flush_round(c: &mut Criterion) {
                             .observe_reward(&ctx, action, 1.0, &mut fill_rng)
                             .unwrap();
                     }
-                    system.collect_from(&mut agent);
+                    reports.extend(agent.take_reports());
                 }
-                system
+                (system, reports)
             },
-            |mut system| system.flush_round(&mut StdRng::seed_from_u64(4)).unwrap(),
+            |(mut system, reports)| system.streaming_round(reports, 4).unwrap(),
             criterion::BatchSize::SmallInput,
         );
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_user_session, bench_flush_round);
+criterion_group!(benches, bench_user_session, bench_streaming_round);
 criterion_main!(benches);

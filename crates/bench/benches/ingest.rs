@@ -1,10 +1,9 @@
-//! Micro-benchmarks of central-model batch ingestion: the sequential
-//! per-report path against the coalescing sufficient-statistics path, at
-//! the code-reuse levels produced by crowd-blending thresholds; plus the
-//! model-level update path (batch-deferred scratch sync) underneath the
-//! server, epoch assembly under sparse flushes, and the secure-aggregation
-//! share pipeline. The models these stages fold are pinned bit for bit by
-//! the `ingest_golden` test.
+//! Micro-benchmarks of central-model batch ingestion: the coalescing
+//! sufficient-statistics path at the code-reuse levels produced by
+//! crowd-blending thresholds; plus the model-level update path
+//! (batch-deferred scratch sync) underneath the server, epoch assembly under
+//! sparse flushes, and the secure-aggregation share pipeline. The models
+//! these stages fold are pinned bit for bit by the `ingest_golden` test.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
@@ -70,18 +69,6 @@ fn bench_ingest(c: &mut Criterion) {
         // Each iteration folds one batch AND assembles the epoch snapshot:
         // assembly synchronizes with every ingest shard, so the timing
         // covers the actual model work, not just the dispatch.
-        group.bench_with_input(
-            BenchmarkId::new("sequential", format!("codes{codes}")),
-            &shuffled,
-            |b, shuffled| {
-                let config = P2bConfig::new(DIMENSION, ACTIONS);
-                let mut server = CentralServer::new(&config, Arc::clone(&encoder)).unwrap();
-                b.iter(|| {
-                    server.ingest_batch(shuffled).unwrap();
-                    server.model().unwrap().observations()
-                });
-            },
-        );
         for &shards in &[1usize, 4] {
             group.bench_with_input(
                 BenchmarkId::new(format!("coalesced_s{shards}"), format!("codes{codes}")),
@@ -197,7 +184,9 @@ fn bench_secure_agg_ingest(c: &mut Criterion) {
                 let config = LinUcbConfig::new(DIMENSION, ACTIONS);
                 let mut service = SecureIngestService::new(config, shards, 5).unwrap();
                 b.iter(|| {
-                    service.ingest_batch(updates).unwrap();
+                    for update in updates {
+                        service.ingest(update).unwrap();
+                    }
                     service.assemble().unwrap().observations()
                 });
             },

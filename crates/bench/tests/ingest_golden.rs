@@ -5,8 +5,9 @@
 //! bit. This suite replays four seeded ingest stages at quick scale and
 //! digests each final model (FNV-1a over its exact statistics):
 //!
-//! - coalesced ingest: sequential per-report ingest, then coalesced
-//!   sufficient statistics at 1, 2 and 4 ingest shards;
+//! - coalesced ingest: a per-report oracle (one count-1 update per report,
+//!   in batch order), then the server's coalesced sufficient statistics at
+//!   1, 2 and 4 ingest shards;
 //! - the model-level update path (`update_batch_with`) at shapes d16a32 and
 //!   d16a10;
 //! - sparse-flush epoch assembly through a [`ModelService`] at 1 and 4
@@ -29,7 +30,7 @@
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
 use p2b_bench::serve::fit_serve_encoder;
 use p2b_core::{CentralServer, ModelService, P2bConfig, SecureIngestService};
-use p2b_encoding::Encoder;
+use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::Vector;
 use p2b_shuffler::{fnv1a, EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
 use p2b_sim::{ArrivalConfig, ArrivalProcess, LANE_CONSUMER_BASE};
@@ -152,24 +153,43 @@ fn ingest_batches() -> Vec<ShuffledBatch> {
         .collect()
 }
 
-/// Folds every batch into a fresh central server, per report or coalesced,
-/// and digests the assembled model.
-fn ingest_digest(
-    coalesced: bool,
-    shards: usize,
-    encoder: &Arc<dyn Encoder>,
-    batches: &[ShuffledBatch],
-) -> u64 {
+/// The per-report oracle: a fresh model service fed one count-1 update per
+/// in-range report, in batch order, one ingest call per batch.
+fn per_report_digest(encoder: &dyn Encoder, batches: &[ShuffledBatch]) -> u64 {
+    let config = P2bConfig::new(DIMENSION, ACTIONS);
+    let mut service =
+        ModelService::spawn(config.central_linucb(encoder), 1).expect("shape is valid");
+    for batch in batches {
+        let updates = batch
+            .reports()
+            .iter()
+            .filter(|r| r.code() < encoder.num_codes() && r.action() < ACTIONS)
+            .map(|r| {
+                let context = config
+                    .code_representation
+                    .vector(encoder, ContextCode::new(r.code()))
+                    .expect("code is in range");
+                CoalescedUpdate::new(context, Action::new(r.action()), 1, r.reward())
+                    .expect("rewards 0/1 are valid")
+            })
+            .collect();
+        service
+            .ingest(updates)
+            .expect("service threads are healthy");
+    }
+    model_digest(&service.assemble().expect("assembly succeeds").0)
+}
+
+/// Folds every batch into a fresh central server through the coalesced
+/// path and digests the assembled model.
+fn ingest_digest(shards: usize, encoder: &Arc<dyn Encoder>, batches: &[ShuffledBatch]) -> u64 {
     let config = P2bConfig::new(DIMENSION, ACTIONS).with_ingest_shards(shards);
     let mut server = CentralServer::new(&config, Arc::clone(encoder)).expect("config is valid");
     let mut accepted = 0u64;
     for batch in batches {
-        accepted += if coalesced {
-            server.ingest_batch_coalesced(batch)
-        } else {
-            server.ingest_batch(batch)
-        }
-        .expect("well-formed batches ingest cleanly");
+        accepted += server
+            .ingest_batch_coalesced(batch)
+            .expect("well-formed batches ingest cleanly");
     }
     let model = server.model().expect("assembly succeeds");
     assert_eq!(
@@ -267,7 +287,9 @@ fn secure_digests(shards: usize, batches: &[Vec<CoalescedUpdate>]) -> (u64, u64)
         .expect("shard count is valid");
     let mut model = None;
     for batch in batches {
-        service.ingest_batch(batch).expect("leaves are in range");
+        for update in batch {
+            service.ingest(update).expect("leaves are in range");
+        }
         model = Some(service.assemble().expect("assembly succeeds"));
     }
     let model = model.expect("at least one batch");
@@ -287,11 +309,11 @@ fn ingest_digests_match_the_golden_file() {
 
     let encoder = fit_serve_encoder(ENCODER_CODES, DIMENSION);
     let batches = ingest_batches();
-    let sequential = ingest_digest(false, 1, &encoder, &batches);
+    let sequential = per_report_digest(encoder.as_ref(), &batches);
     records.push(record("ingest", "sequential", 1, sequential));
     let coalesced: Vec<u64> = [1usize, 2, 4]
         .iter()
-        .map(|&shards| ingest_digest(true, shards, &encoder, &batches))
+        .map(|&shards| ingest_digest(shards, &encoder, &batches))
         .collect();
     assert!(
         coalesced.iter().all(|&d| d == coalesced[0]),

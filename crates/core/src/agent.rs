@@ -209,7 +209,7 @@ fn approx_linucb_bytes(policy: &LinUcb) -> usize {
 /// for transmission to the shuffler. It also keeps a [`PrivacyAccountant`]
 /// recording the (ε, δ) cost of its reporting opportunities.
 ///
-/// Agents are created through [`crate::P2bSystem::make_agent`] (warm start:
+/// Agents are created through [`crate::P2bSystem::make_warm_agent`] (warm start:
 /// the agent selects against the epoch's shared central snapshot and clones
 /// it copy-on-write at its first local update) or
 /// [`crate::P2bSystem::make_cold_agent`] (no warm start, used by the
@@ -750,6 +750,7 @@ pub(crate) mod tests {
     pub(crate) struct CountingEncoder {
         inner: Arc<dyn Encoder>,
         encodes: AtomicUsize,
+        representatives: AtomicUsize,
     }
 
     impl CountingEncoder {
@@ -757,11 +758,16 @@ pub(crate) mod tests {
             Arc::new(Self {
                 inner,
                 encodes: AtomicUsize::new(0),
+                representatives: AtomicUsize::new(0),
             })
         }
 
         pub(crate) fn encodes(&self) -> usize {
             self.encodes.load(Ordering::Relaxed)
+        }
+
+        pub(crate) fn representatives(&self) -> usize {
+            self.representatives.load(Ordering::Relaxed)
         }
     }
 
@@ -777,6 +783,7 @@ pub(crate) mod tests {
             self.inner.encode(context)
         }
         fn representative(&self, code: ContextCode) -> Result<Vector, EncodingError> {
+            self.representatives.fetch_add(1, Ordering::Relaxed);
             self.inner.representative(code)
         }
         fn stats(&self) -> &EncoderStats {

@@ -11,8 +11,8 @@
 //! `A_a = λI + Σ x xᵀ` and `b_a = Σ r·x`, both *sums* over the batch — so
 //! grouping commutes with folding up to floating-point rounding. The
 //! property suite (`crates/core/tests/coalesce_equivalence.rs`) checks the
-//! coalesced fold against sequential per-report ingestion to 1e-9 across
-//! report orderings and shard counts.
+//! coalesced fold against a per-report oracle to 1e-9 across report
+//! orderings and shard counts.
 //!
 //! The grouping state lives in a persistent [`Coalescer`] owned by the
 //! server: the pair→slot index, the slot table and the code→vector memo all
@@ -26,39 +26,6 @@ use p2b_linalg::Vector;
 use p2b_shuffler::ShuffledBatch;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// A memo of code → model-context vectors.
-///
-/// Both ingestion paths of [`crate::CentralServer`] use it: the sequential
-/// path to stop recomputing `representation.vector(...)` for repeated codes
-/// within a batch, the coalesced path (through the server's persistent
-/// [`Coalescer`]) to materialize each distinct group's shared context exactly
-/// once per server lifetime. Reuse across batches is sound because the
-/// encoder and representation are fixed at server construction, and
-/// `representation.vector(...)` is deterministic per code.
-#[derive(Debug, Default)]
-pub(crate) struct CodeVectorCache {
-    vectors: HashMap<usize, Vector>,
-}
-
-impl CodeVectorCache {
-    /// Returns the model-context vector for `code`, computing it through the
-    /// encoder only on the first request.
-    pub(crate) fn get(
-        &mut self,
-        representation: CodeRepresentation,
-        encoder: &dyn Encoder,
-        code: usize,
-    ) -> Result<&Vector, CoreError> {
-        match self.vectors.entry(code) {
-            Entry::Occupied(entry) => Ok(entry.into_mut()),
-            Entry::Vacant(entry) => {
-                let vector = representation.vector(encoder, ContextCode::new(code))?;
-                Ok(entry.insert(vector))
-            }
-        }
-    }
-}
 
 /// The result of coalescing one shuffled batch.
 #[derive(Debug, Clone)]
@@ -76,14 +43,11 @@ pub(crate) struct CoalescedBatch {
 /// vector memo per flush showed up as steady allocator churn in the ingest
 /// benchmarks.
 ///
-/// Historically each flush built a fresh `BTreeMap<(code, action), sums>`
-/// (node allocations per distinct pair, every batch) and a fresh
-/// [`CodeVectorCache`]. The coalescer instead accumulates into a flat slot
-/// table addressed through a `HashMap` index — both `clear()`ed, not
-/// dropped, between batches — and sorts the slots by pair key before
-/// emission. Per-group sums still accumulate in report order and groups are
-/// still emitted in pair order, so the produced updates are bit-for-bit the
-/// ones the `BTreeMap` formulation produced.
+/// The coalescer accumulates into a flat slot table addressed through a
+/// `HashMap` index — both `clear()`ed, not dropped, between batches — and
+/// sorts the slots by pair key before emission. Per-group sums accumulate in
+/// report order and groups are emitted in pair order, so the updates equal
+/// those of an ordered-map grouping bit for bit.
 #[derive(Debug, Default)]
 pub(crate) struct Coalescer {
     /// `(code, action)` → slot in `groups`; capacity persists across batches.
@@ -92,8 +56,11 @@ pub(crate) struct Coalescer {
     /// pair key before emission to recover the deterministic group order.
     groups: Vec<((usize, usize), (u64, f64))>,
     /// Code → context-vector memo, shared across every batch this coalescer
-    /// sees (the owning server's encoder is fixed at construction).
-    cache: CodeVectorCache,
+    /// sees, so each distinct code's vector is materialized once per server
+    /// lifetime. Sound because the owning server's encoder and
+    /// representation are fixed at construction and `vector` is
+    /// deterministic per code.
+    vectors: HashMap<usize, Vector>,
 }
 
 impl Coalescer {
@@ -136,7 +103,12 @@ impl Coalescer {
         self.groups.sort_unstable_by_key(|&(key, _)| key);
         let mut updates = Vec::with_capacity(self.groups.len());
         for &((code, action), (count, reward_sum)) in &self.groups {
-            let context = self.cache.get(representation, encoder, code)?.clone();
+            let context = match self.vectors.entry(code) {
+                Entry::Occupied(entry) => entry.get().clone(),
+                Entry::Vacant(entry) => entry
+                    .insert(representation.vector(encoder, ContextCode::new(code))?)
+                    .clone(),
+            };
             // Each reward lies in [0, 1], but accumulation rounding could
             // nudge the sum marginally past `count`; clamp instead of
             // rejecting.

@@ -83,9 +83,8 @@ pub struct P2bConfig {
     /// (paper: 10).
     pub shuffler_threshold: usize,
     /// Number of shuffler shards used by the streaming engine
-    /// ([`crate::P2bSystem::spawn_engine`]). The default of 1 preserves the
-    /// canonical single-lane behavior; the synchronous
-    /// [`crate::P2bSystem::flush_round`] path ignores this knob entirely.
+    /// ([`crate::P2bSystem::spawn_engine`]). The default of 1 is the
+    /// canonical single-lane engine, deterministic for a fixed seed.
     pub shuffler_shards: usize,
     /// Merged batch size delivered by the streaming engine: how many reports
     /// the shuffler gathers before shuffling, thresholding and releasing one

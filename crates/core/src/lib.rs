@@ -17,19 +17,15 @@
 //! partitioned by action fold coalesced sufficient statistics (one weighted
 //! update per distinct `(code, action)` pair in a batch) and the
 //! [`CentralServer`] publishes epoch-versioned [`ModelSnapshot`]s behind an
-//! `Arc` that all warm starts of an epoch share. Two ingestion paths feed
-//! the service:
+//! `Arc` that all warm starts of an epoch share. Reports reach it one way:
+//! through the sharded streaming engine ([`P2bSystem::spawn_engine`], a
+//! [`p2b_shuffler::ShufflerEngine`] with per-batch (ε, δ) amplification
+//! accounting, configured by [`P2bConfig::shuffler_shards`] and
+//! [`P2bConfig::shuffler_batch_size`]), whose batches the coalescing
+//! ingester folds ([`P2bSystem::ingest_engine_batch`]).
+//! [`P2bSystem::streaming_round`] is the single-producer flush.
 //!
-//! * [`P2bSystem::flush_round`] — synchronous, per-report in batch order:
-//!   the path the simulation harness and the golden determinism tests use.
-//! * [`P2bSystem::spawn_engine`] — the sharded streaming engine
-//!   ([`p2b_shuffler::ShufflerEngine`]) with per-batch (ε, δ) amplification
-//!   accounting; configured by [`P2bConfig::shuffler_shards`] and
-//!   [`P2bConfig::shuffler_batch_size`]. Engine batches are folded through
-//!   the coalescing ingester ([`P2bSystem::ingest_engine_batch`]). This is
-//!   the serving-scale path.
-//!
-//! A third, trust-minimized path is the secure-aggregation ingest
+//! A trust-minimized alternative is the secure-aggregation ingest
 //! ([`SecureIngestService`]): coalesced sufficient statistics are
 //! fixed-point encoded and additively secret-shared across `k` aggregator
 //! shards, and the central side only ever sees the recombined per-arm sums
@@ -55,15 +51,14 @@
 //! let mut system = P2bSystem::new(config.clone(), encoder)?;
 //!
 //! // A local agent interacts and (maybe) reports.
-//! let mut agent = system.make_agent(&mut rng)?;
+//! let mut agent = system.make_warm_agent()?;
 //! for _ in 0..4 {
 //!     let ctx = Vector::from(vec![1.0, 0.5, 0.25]).normalized_l1()?;
 //!     let action = agent.select_action(&ctx, &mut rng)?;
 //!     agent.observe_reward(&ctx, action, 1.0, &mut rng)?;
 //! }
-//! system.collect_from(&mut agent);
-//! let stats = system.flush_round(&mut rng)?;
-//! assert!(stats.received <= 4);
+//! let (stats, _ledger) = system.streaming_round(agent.take_reports(), 11)?;
+//! assert!(stats.iter().map(|s| s.received).sum::<usize>() <= 4);
 //! # Ok(())
 //! # }
 //! ```

@@ -29,15 +29,11 @@
 //!
 //! Because dehydration is lossless for behavior, a bounded pool selects
 //! exactly the same actions as an unbounded one — the `pool_equivalence`
-//! property suite pins this for shard counts 1, 2 and 4.
-//!
-//! Storage is sharded by a splitmix of the key so that shard-local maps stay
-//! small under large code spaces; the LRU clock and budget are global, so
-//! the residency ceiling is exact at any shard count.
+//! property suite pins this.
 
 use crate::{CoreError, LocalAgent, ModelSnapshot, P2bConfig, P2bSystem};
 use p2b_encoding::Encoder;
-use p2b_shuffler::{splitmix64, RawReport};
+use p2b_shuffler::RawReport;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -48,17 +44,14 @@ use std::sync::Arc;
 pub struct AgentPoolConfig {
     /// Maximum number of resident (warm) agents; `None` means unbounded.
     pub max_resident_agents: Option<usize>,
-    /// Number of storage shards keys are partitioned over.
-    pub shards: usize,
 }
 
 impl AgentPoolConfig {
-    /// An unbounded pool with a single storage shard.
+    /// An unbounded pool.
     #[must_use]
     pub fn unbounded() -> Self {
         Self {
             max_resident_agents: None,
-            shards: 1,
         }
     }
 
@@ -67,24 +60,10 @@ impl AgentPoolConfig {
     pub fn bounded(max_resident_agents: usize) -> Self {
         Self {
             max_resident_agents: Some(max_resident_agents),
-            shards: 1,
         }
-    }
-
-    /// Sets the number of storage shards.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     fn validate(&self) -> Result<(), CoreError> {
-        if self.shards == 0 {
-            return Err(CoreError::InvalidConfig {
-                parameter: "shards",
-                message: "must be at least 1".to_owned(),
-            });
-        }
         if self.max_resident_agents == Some(0) {
             return Err(CoreError::InvalidConfig {
                 parameter: "max_resident_agents",
@@ -126,7 +105,7 @@ impl PoolStats {
 /// orchestrator captures the current epoch once ([`AgentSource::capture`]),
 /// hands clones to its worker threads (clones share the snapshot
 /// allocation — capturing is a pointer copy, not a model copy), and each
-/// worker drives its own pool shard through [`AgentPool::with_agent_at`].
+/// worker drives its own pool through [`AgentPool::with_agent_at`].
 /// After an ingestion epoch bump the orchestrator captures a fresh source;
 /// still-shared residents hop to it lazily at their next checkout.
 #[derive(Debug, Clone)]
@@ -185,13 +164,6 @@ struct Resident {
     stamp: u64,
 }
 
-/// One storage shard: resident and dormant agents for the keys it owns.
-#[derive(Default)]
-struct PoolShard {
-    residents: HashMap<u64, Resident>,
-    dormant: HashMap<u64, crate::DormantAgent>,
-}
-
 /// The bounded-memory agent pool; see the module docs for the design.
 ///
 /// # Example
@@ -228,10 +200,11 @@ struct PoolShard {
 /// ```
 pub struct AgentPool {
     config: AgentPoolConfig,
-    shards: Vec<PoolShard>,
-    /// Global LRU index: stamp → (shard, key). Stamps are unique, so the
-    /// minimum entry is always the single least-recently-used resident.
-    lru: BTreeMap<u64, (usize, u64)>,
+    residents: HashMap<u64, Resident>,
+    dormant: HashMap<u64, crate::DormantAgent>,
+    /// LRU index: stamp → key. Stamps are unique, so the minimum entry is
+    /// always the single least-recently-used resident.
+    lru: BTreeMap<u64, u64>,
     clock: u64,
     outbox: Vec<RawReport>,
     stats: PoolStats,
@@ -242,13 +215,13 @@ impl AgentPool {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for a zero shard count or a zero
-    /// residency budget.
+    /// Returns [`CoreError::InvalidConfig`] for a zero residency budget.
     pub fn new(config: AgentPoolConfig) -> Result<Self, CoreError> {
         config.validate()?;
         Ok(Self {
             config,
-            shards: (0..config.shards).map(|_| PoolShard::default()).collect(),
+            residents: HashMap::new(),
+            dormant: HashMap::new(),
             lru: BTreeMap::new(),
             clock: 0,
             outbox: Vec::new(),
@@ -271,7 +244,7 @@ impl AgentPool {
     /// Number of agents persisted in the dormant tier.
     #[must_use]
     pub fn dormant_agents(&self) -> usize {
-        self.shards.iter().map(|s| s.dormant.len()).sum()
+        self.dormant.len()
     }
 
     /// Lifetime counters.
@@ -287,22 +260,16 @@ impl AgentPool {
     #[must_use]
     pub fn approx_model_bytes(&self) -> (usize, usize) {
         let resident = self
-            .shards
-            .iter()
-            .flat_map(|s| s.residents.values())
+            .residents
+            .values()
             .map(|r| r.agent.approx_owned_model_bytes())
             .sum();
         let dormant = self
-            .shards
-            .iter()
-            .flat_map(|s| s.dormant.values())
+            .dormant
+            .values()
             .map(crate::DormantAgent::approx_model_bytes)
             .sum();
         (resident, dormant)
-    }
-
-    fn shard_index(&self, key: u64) -> usize {
-        (splitmix64(key) % self.config.shards as u64) as usize
     }
 
     /// Checks the agent for `key` out of the pool against a captured
@@ -340,8 +307,7 @@ impl AgentPool {
     // still sits in its map, and takes it out only afterwards: a failed
     // checkout leaves the pool as it found it.
     fn checkout_at(&mut self, source: &AgentSource, key: u64) -> Result<LocalAgent, CoreError> {
-        let shard = self.shard_index(key);
-        if let Entry::Occupied(mut held) = self.shards[shard].residents.entry(key) {
+        if let Entry::Occupied(mut held) = self.residents.entry(key) {
             let agent = &mut held.get_mut().agent;
             if let Some(snapshot) = agent.warm_snapshot() {
                 if snapshot.epoch() != source.epoch() {
@@ -353,7 +319,7 @@ impl AgentPool {
             self.stats.hits += 1;
             return Ok(resident.agent);
         }
-        if let Entry::Occupied(parked) = self.shards[shard].dormant.entry(key) {
+        if let Entry::Occupied(parked) = self.dormant.entry(key) {
             parked
                 .get()
                 .check_rehydration(source.encoder.as_ref(), &source.snapshot)?;
@@ -370,13 +336,10 @@ impl AgentPool {
 
     fn checkin(&mut self, key: u64, mut agent: LocalAgent) {
         self.outbox.extend(agent.take_reports());
-        let shard = self.shard_index(key);
         let stamp = self.clock;
         self.clock += 1;
-        self.shards[shard]
-            .residents
-            .insert(key, Resident { agent, stamp });
-        self.lru.insert(stamp, (shard, key));
+        self.residents.insert(key, Resident { agent, stamp });
+        self.lru.insert(stamp, key);
         if let Some(budget) = self.config.max_resident_agents {
             while self.lru.len() > budget {
                 self.evict_lru();
@@ -390,19 +353,18 @@ impl AgentPool {
     /// counts as an eviction in [`PoolStats`], a [`AgentPool::park_all`]
     /// drain does not.
     fn evict_lru(&mut self) {
-        let Some((&stamp, &(shard, key))) = self.lru.iter().next() else {
+        let Some((_, key)) = self.lru.pop_first() else {
             return;
         };
-        self.lru.remove(&stamp);
-        // The LRU index and the resident maps move in lockstep; if an entry
+        // The LRU index and the resident map move in lockstep; if an entry
         // is somehow stale, dropping it from the index already repaired the
         // books and there is nothing to dehydrate.
-        let Some(resident) = self.shards[shard].residents.remove(&key) else {
+        let Some(resident) = self.residents.remove(&key) else {
             return;
         };
         let (reports, dormant) = resident.agent.dehydrate();
         self.outbox.extend(reports);
-        self.shards[shard].dormant.insert(key, dormant);
+        self.dormant.insert(key, dormant);
     }
 
     /// Evicts every resident agent (in LRU order), persisting all local
@@ -475,15 +437,14 @@ mod tests {
     #[test]
     fn validates_configuration() {
         assert!(AgentPool::new(AgentPoolConfig::bounded(0)).is_err());
-        assert!(AgentPool::new(AgentPoolConfig::unbounded().with_shards(0)).is_err());
-        assert!(AgentPool::new(AgentPoolConfig::bounded(1).with_shards(4)).is_ok());
+        assert!(AgentPool::new(AgentPoolConfig::bounded(1)).is_ok());
     }
 
     #[test]
     fn residency_never_exceeds_the_budget() {
         let source = source();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut pool = AgentPool::new(AgentPoolConfig::bounded(3).with_shards(2)).unwrap();
+        let mut pool = AgentPool::new(AgentPoolConfig::bounded(3)).unwrap();
         for step in 0..40u64 {
             let key = step % 7;
             pool.with_agent_at(&source, key, |agent| {
@@ -608,7 +569,7 @@ mod tests {
     fn park_all_persists_everything() {
         let source = source();
         let mut rng = StdRng::seed_from_u64(6);
-        let mut pool = AgentPool::new(AgentPoolConfig::unbounded().with_shards(4)).unwrap();
+        let mut pool = AgentPool::new(AgentPoolConfig::unbounded()).unwrap();
         for key in 0..6u64 {
             pool.with_agent_at(&source, key, |agent| {
                 agent
@@ -837,8 +798,7 @@ mod tests {
             let action = teacher.select_action(&c, &mut rng).unwrap();
             teacher.observe_reward(&c, action, 1.0, &mut rng).unwrap();
         }
-        sys.collect_from(&mut teacher);
-        sys.flush_round(&mut rng).unwrap();
+        sys.streaming_round(teacher.take_reports(), 1).unwrap();
         let fresh = AgentSource::capture(&mut sys).unwrap();
         assert_eq!(fresh.epoch(), 1);
         pool.with_agent_at(&fresh, 0, |agent| {
@@ -847,21 +807,5 @@ mod tests {
             Ok(())
         })
         .unwrap();
-    }
-
-    #[test]
-    fn sharding_partitions_keys_but_not_the_budget() {
-        let source = source();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut pool = AgentPool::new(AgentPoolConfig::bounded(2).with_shards(4)).unwrap();
-        for key in 0..12u64 {
-            pool.with_agent_at(&source, key, |agent| {
-                agent
-                    .select_action(&ctx((key % 4) as usize), &mut rng)
-                    .map(|_| ())
-            })
-            .unwrap();
-            assert!(pool.resident_agents() <= 2, "global budget is exact");
-        }
     }
 }

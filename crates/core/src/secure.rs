@@ -163,19 +163,6 @@ impl SecureIngestService {
         Ok(())
     }
 
-    /// Ingests a batch of coalesced updates in order and returns how many
-    /// were routed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SecureIngestService::ingest`] failure.
-    pub fn ingest_batch(&mut self, updates: &[CoalescedUpdate]) -> Result<u64, CoreError> {
-        for update in updates {
-            self.ingest(update)?;
-        }
-        Ok(updates.len() as u64)
-    }
-
     /// Closes the current epoch: joins the shard workers, folds their
     /// recombined sums into the cumulative totals, assembles a servable
     /// model and starts the next epoch's workers.
@@ -268,7 +255,9 @@ mod tests {
         let run = |shards: usize, seed: u64| {
             let mut service =
                 SecureIngestService::new(LinUcbConfig::new(3, 2), shards, seed).unwrap();
-            service.ingest_batch(&traffic()).unwrap();
+            for update in &traffic() {
+                service.ingest(update).unwrap();
+            }
             let model = service.assemble().unwrap();
             (service.digest(), model)
         };
@@ -294,7 +283,9 @@ mod tests {
             update(vec![0.6, 0.8], 0, 4, 3.0),
             update(vec![1.0, 0.0], 1, 2, 1.0),
         ];
-        service.ingest_batch(&updates).unwrap();
+        for update in &updates {
+            service.ingest(update).unwrap();
+        }
         let model = service.assemble().unwrap();
         // Plaintext reference: the same weighted leaves folded in f64.
         let config = LinUcbConfig::new(2, 2);

@@ -1,9 +1,9 @@
 //! The central model server: validation, epoch bookkeeping and snapshot
 //! publication in front of the sharded [`ModelService`].
 
-use crate::coalesce::{Coalescer, CodeVectorCache};
+use crate::coalesce::Coalescer;
 use crate::{CodeRepresentation, CoreError, ModelService, ModelSnapshot, P2bConfig};
-use p2b_bandit::{Action, CoalescedUpdate, LinUcb};
+use p2b_bandit::LinUcb;
 use p2b_encoding::Encoder;
 use p2b_shuffler::ShuffledBatch;
 use std::fmt;
@@ -13,23 +13,12 @@ use std::sync::Arc;
 /// shuffled, thresholded tuples `(y, a, r)` and folds them into a central
 /// LinUCB model that local agents use as their warm start.
 ///
-/// Since the model-service refactor the server is a facade: the model state
-/// lives on the [`ModelService`]'s ingest shards (partitioned by action),
-/// and the server's job is validation, code→vector memoization, epoch
-/// bookkeeping and the publication of epoch-versioned [`ModelSnapshot`]s.
-/// Every report reaches the shards as a shuffled batch, through one of two
-/// ingestion paths:
-///
-/// * [`CentralServer::ingest_batch`] — per-report, in batch order, with the
-///   context vector memoized per code. This is the reference path behind
-///   [`crate::P2bSystem::flush_round`]: its seeded behavior is bit-for-bit
-///   identical to the historical per-report loop and is pinned by the
-///   golden determinism suite.
-/// * [`CentralServer::ingest_batch_coalesced`] — groups the batch by
-///   `(code, action)` first, so `N` reports over `K` distinct pairs cost
-///   `K` weighted model updates instead of `N`. Equivalent to the
-///   sequential path up to floating-point rounding (≤ 1e-9 in the property
-///   suite); the serving-scale engine paths use it.
+/// The server is a facade: the model state lives on the [`ModelService`]'s
+/// ingest shards (partitioned by action), and the server's job is
+/// validation, code→vector memoization, epoch bookkeeping and the
+/// publication of epoch-versioned [`ModelSnapshot`]s. Every report reaches
+/// the shards as a shuffled batch through
+/// [`CentralServer::ingest_batch_coalesced`].
 pub struct CentralServer {
     service: ModelService,
     encoder: Arc<dyn Encoder>,
@@ -142,47 +131,18 @@ impl CentralServer {
         }
     }
 
-    /// Folds one shuffled batch into the central model, one report at a time
-    /// in batch order, memoizing the code→vector lookup per batch.
+    /// Folds one shuffled batch into the central model as coalesced
+    /// sufficient statistics: the batch is grouped by `(code, action)` and
+    /// each group becomes a single weighted update, so a batch of `N`
+    /// reports over `K` distinct pairs costs `K` model updates instead of
+    /// `N`. The model equals a per-report fold in batch order up to
+    /// floating-point rounding (≤ 1e-9 in the `coalesce_equivalence`
+    /// suite).
     ///
     /// Reports whose code or action fall outside the configured ranges are
     /// counted as rejected rather than aborting the whole batch: in a
     /// deployment the server cannot assume every client is well behaved.
     /// Returns the number of accepted reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Bandit`]/[`CoreError::Linalg`] only for internal
-    /// model failures, not for malformed reports.
-    pub fn ingest_batch(&mut self, batch: &ShuffledBatch) -> Result<u64, CoreError> {
-        let mut cache = CodeVectorCache::default();
-        let mut updates = Vec::with_capacity(batch.reports().len());
-        for report in batch.reports() {
-            if report.code() >= self.encoder.num_codes() || report.action() >= self.num_actions {
-                continue;
-            }
-            let context = cache
-                .get(self.representation, self.encoder.as_ref(), report.code())?
-                .clone();
-            updates.push(
-                CoalescedUpdate::new(context, Action::new(report.action()), 1, report.reward())
-                    .map_err(CoreError::Bandit)?,
-            );
-        }
-        let accepted = updates.len() as u64;
-        self.service.ingest(updates)?;
-        self.mark_updated(accepted);
-        Ok(accepted)
-    }
-
-    /// Folds one shuffled batch into the central model as coalesced
-    /// sufficient statistics: the batch is grouped by `(code, action)` and
-    /// each group becomes a single weighted update, so a batch with heavy
-    /// code reuse costs a fraction of the per-report path.
-    ///
-    /// Accepts and rejects exactly the same reports as
-    /// [`CentralServer::ingest_batch`] and produces the same model up to
-    /// floating-point rounding. Returns the number of accepted reports.
     ///
     /// # Errors
     ///
@@ -215,13 +175,13 @@ impl fmt::Debug for CentralServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::tests::CountingEncoder;
     use p2b_bandit::ContextualPolicy;
-    use p2b_encoding::{ContextCode, EncoderStats, EncodingError, KMeansConfig, KMeansEncoder};
+    use p2b_encoding::{ContextCode, KMeansConfig, KMeansEncoder};
     use p2b_linalg::Vector;
     use p2b_shuffler::{EncodedReport, RawReport, Shuffler, ShufflerConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn encoder(seed: u64) -> Arc<dyn Encoder> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -265,7 +225,7 @@ mod tests {
         let cfg = P2bConfig::new(4, 3);
         let mut server = CentralServer::new(&cfg, encoder(1)).unwrap();
         let b = batch(vec![(0, 1, 1.0), (0, 1, 1.0), (1, 2, 0.0)], 1, 2);
-        let accepted = server.ingest_batch(&b).unwrap();
+        let accepted = server.ingest_batch_coalesced(&b).unwrap();
         assert_eq!(accepted, 3);
         assert_eq!(server.ingested_reports(), 3);
         assert_eq!(server.model().unwrap().observations(), 3);
@@ -277,14 +237,10 @@ mod tests {
         let mut server = CentralServer::new(&cfg, encoder(2)).unwrap();
         // Code 99 does not exist, action 7 is out of range; both are skipped.
         let b = batch(vec![(99, 0, 1.0), (0, 7, 1.0), (0, 0, 1.0)], 1, 3);
-        let accepted = server.ingest_batch(&b).unwrap();
+        let accepted = server.ingest_batch_coalesced(&b).unwrap();
         assert_eq!(accepted, 1);
+        assert_eq!(server.ingested_reports(), 1);
         assert_eq!(server.model().unwrap().observations(), 1);
-
-        // The coalesced path applies the same acceptance rule.
-        let b = batch(vec![(99, 0, 1.0), (0, 7, 1.0), (0, 0, 1.0)], 1, 3);
-        assert_eq!(server.ingest_batch_coalesced(&b).unwrap(), 1);
-        assert_eq!(server.ingested_reports(), 2);
     }
 
     #[test]
@@ -294,7 +250,9 @@ mod tests {
         let mut server = CentralServer::new(&cfg, Arc::clone(&enc)).unwrap();
         // Every report says action 1 is rewarding for code 0.
         let reports = (0..50).map(|_| (0usize, 1usize, 1.0)).collect::<Vec<_>>();
-        server.ingest_batch(&batch(reports, 1, 4)).unwrap();
+        server
+            .ingest_batch_coalesced(&batch(reports, 1, 4))
+            .unwrap();
 
         let snapshot = server.snapshot().unwrap();
         let ctx = enc.representative(ContextCode::new(0)).unwrap();
@@ -317,7 +275,7 @@ mod tests {
         assert_eq!(first.epoch(), 0);
 
         server
-            .ingest_batch(&batch(vec![(0, 0, 1.0), (1, 1, 0.5)], 1, 7))
+            .ingest_batch_coalesced(&batch(vec![(0, 0, 1.0), (1, 1, 0.5)], 1, 7))
             .unwrap();
         assert_eq!(server.epoch(), 1);
         let bumped = server.snapshot().unwrap();
@@ -327,7 +285,7 @@ mod tests {
 
         // A batch folding nothing keeps both the epoch and the snapshot.
         server
-            .ingest_batch(&batch(vec![(99, 0, 1.0)], 1, 8))
+            .ingest_batch_coalesced(&batch(vec![(99, 0, 1.0)], 1, 8))
             .unwrap();
         assert_eq!(server.epoch(), 1);
         assert!(Arc::ptr_eq(&bumped, &server.snapshot().unwrap()));
@@ -350,12 +308,9 @@ mod tests {
                     )
                 })
                 .collect();
-            let b = batch(reports, 1, 20 + epoch as u64);
-            if epoch % 2 == 0 {
-                server.ingest_batch_coalesced(&b).unwrap();
-            } else {
-                server.ingest_batch(&b).unwrap();
-            }
+            server
+                .ingest_batch_coalesced(&batch(reports, 1, 20 + epoch as u64))
+                .unwrap();
             published.push(server.snapshot().unwrap());
         }
         for snapshot in &published {
@@ -364,85 +319,24 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_and_sequential_ingestion_agree() {
-        let reports: Vec<(usize, usize, f64)> = (0..60)
-            .map(|i| (i % 3, i % 2, f64::from(u8::from(i % 4 == 0))))
-            .collect();
-        let cfg = P2bConfig::new(4, 2);
-        let mut sequential = CentralServer::new(&cfg, encoder(5)).unwrap();
-        let mut coalesced =
-            CentralServer::new(&cfg.clone().with_ingest_shards(2), encoder(5)).unwrap();
-        let b = batch(reports, 1, 9);
-        let a1 = sequential.ingest_batch(&b).unwrap();
-        let a2 = coalesced.ingest_batch_coalesced(&b).unwrap();
-        assert_eq!(a1, a2);
-        let ms = sequential.model().unwrap();
-        let mc = coalesced.model().unwrap();
-        assert_eq!(ms.observations(), mc.observations());
-        for action in 0..2 {
-            let action = Action::new(action);
-            assert!(
-                ms.design(action)
-                    .unwrap()
-                    .max_abs_diff(mc.design(action).unwrap())
-                    .unwrap()
-                    < 1e-9
-            );
-            let ts = ms.theta(action).unwrap();
-            let tc = mc.theta(action).unwrap();
-            for i in 0..4 {
-                assert!((ts[i] - tc[i]).abs() < 1e-9);
-            }
-        }
-    }
-
-    /// Encoder wrapper counting `representative` calls, to pin the per-batch
-    /// memoization of the code→vector lookup.
-    #[derive(Debug)]
-    struct CountingEncoder {
-        inner: Arc<dyn Encoder>,
-        representative_calls: AtomicUsize,
-    }
-
-    impl Encoder for CountingEncoder {
-        fn num_codes(&self) -> usize {
-            self.inner.num_codes()
-        }
-        fn context_dimension(&self) -> usize {
-            self.inner.context_dimension()
-        }
-        fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError> {
-            self.inner.encode(context)
-        }
-        fn representative(&self, code: ContextCode) -> Result<Vector, EncodingError> {
-            self.representative_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.representative(code)
-        }
-        fn stats(&self) -> &EncoderStats {
-            self.inner.stats()
-        }
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-    }
-
-    #[test]
-    fn sequential_ingestion_memoizes_repeated_codes() {
-        let counting = Arc::new(CountingEncoder {
-            inner: encoder(4),
-            representative_calls: AtomicUsize::new(0),
-        });
+    fn coalesced_ingestion_memoizes_codes_across_batches() {
+        let counting = CountingEncoder::wrap(encoder(4));
         let cfg = P2bConfig::new(4, 3);
         let mut server =
             CentralServer::new(&cfg, Arc::clone(&counting) as Arc<dyn Encoder>).unwrap();
-        // 30 reports over exactly 2 distinct codes.
-        let reports: Vec<(usize, usize, f64)> = (0..30).map(|i| (i % 2, i % 3, 1.0)).collect();
-        let accepted = server.ingest_batch(&batch(reports, 1, 10)).unwrap();
-        assert_eq!(accepted, 30);
+        // Two batches of 30 reports over the same 2 distinct codes.
+        for seed in [10, 11] {
+            let reports: Vec<(usize, usize, f64)> = (0..30).map(|i| (i % 2, i % 3, 1.0)).collect();
+            let accepted = server
+                .ingest_batch_coalesced(&batch(reports, 1, seed))
+                .unwrap();
+            assert_eq!(accepted, 30);
+        }
         assert_eq!(
-            counting.representative_calls.load(Ordering::Relaxed),
+            counting.representatives(),
             2,
-            "the context vector must be computed once per distinct code, not per report"
+            "the context vector must be computed once per distinct code in the \
+             server's lifetime, not per report or per batch"
         );
     }
 

@@ -5,11 +5,7 @@ use p2b_encoding::Encoder;
 use p2b_privacy::{
     amplified_delta, amplified_epsilon, AmplificationLedger, CrowdBlending, PrivacyGuarantee,
 };
-use p2b_shuffler::{
-    EngineBatch, EngineHandle, RawReport, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerEngine,
-    ShufflerStats,
-};
-use rand::Rng;
+use p2b_shuffler::{EngineBatch, EngineHandle, RawReport, ShufflerConfig, ShufflerEngine};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -27,9 +23,10 @@ pub struct RoundStats {
 }
 
 impl RoundStats {
-    /// Assembles round statistics from one shuffled batch's stats plus the
+    /// Assembles round statistics from one engine batch's stats plus the
     /// number of reports the server accepted from it.
-    fn from_batch(stats: ShufflerStats, accepted: u64) -> Self {
+    fn from_batch(batch: &EngineBatch, accepted: u64) -> Self {
+        let stats = batch.batch.stats();
         Self {
             received: stats.received,
             released: stats.released,
@@ -39,8 +36,9 @@ impl RoundStats {
     }
 }
 
-/// The complete P2B system: configuration, fitted encoder, trusted shuffler
-/// and central server, plus the factory for local agents.
+/// The complete P2B system: configuration, fitted encoder and central
+/// server, plus the factories for local agents and for the trusted
+/// shuffler engine every report reaches the server through.
 ///
 /// The system object lives on the "infrastructure" side; [`LocalAgent`]s live
 /// on user devices and only communicate through report tuples and model
@@ -49,9 +47,7 @@ impl RoundStats {
 pub struct P2bSystem {
     config: P2bConfig,
     encoder: Arc<dyn Encoder>,
-    shuffler: Shuffler,
     server: CentralServer,
-    pending: Vec<RawReport>,
     next_agent_id: u64,
 }
 
@@ -65,13 +61,10 @@ impl P2bSystem {
     pub fn new(config: P2bConfig, encoder: Arc<dyn Encoder>) -> Result<Self, CoreError> {
         config.validate()?;
         let server = CentralServer::new(&config, Arc::clone(&encoder))?;
-        let shuffler = Shuffler::new(ShufflerConfig::new(config.shuffler_threshold))?;
         Ok(Self {
             config,
             encoder,
-            shuffler,
             server,
-            pending: Vec::new(),
             next_agent_id: 0,
         })
     }
@@ -110,31 +103,13 @@ impl P2bSystem {
         self.server.snapshot()
     }
 
-    /// Number of reports waiting for the next shuffling round.
-    #[must_use]
-    pub fn pending_reports(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Creates a *warm* local agent pointed at the current epoch's shared
     /// central-model snapshot.
     ///
     /// Every agent created within one epoch shares the same
     /// [`ModelSnapshot`] allocation — warm starts no longer copy or merge
     /// the model; the agent clones it copy-on-write only when it folds its
-    /// first local observation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates agent-construction errors and internal model-service
-    /// failures.
-    pub fn make_agent<R: Rng + ?Sized>(&mut self, _rng: &mut R) -> Result<LocalAgent, CoreError> {
-        self.make_warm_agent()
-    }
-
-    /// Creates a *warm* local agent without threading an RNG through —
-    /// warm starts are deterministic pointer hand-offs, so no randomness is
-    /// consumed.
+    /// first local observation. The hand-off consumes no randomness.
     ///
     /// # Errors
     ///
@@ -159,50 +134,16 @@ impl P2bSystem {
         LocalAgent::new(id, &self.config, Arc::clone(&self.encoder), None)
     }
 
-    /// Drains an agent's queued reports into the system's pending batch.
-    pub fn collect_from(&mut self, agent: &mut LocalAgent) {
-        self.pending.extend(agent.take_reports());
-    }
-
-    /// Runs one shuffling round over the pending reports and folds the
-    /// surviving tuples into the central model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates server-side model errors.
-    pub fn flush_round<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<RoundStats, CoreError> {
-        Ok(self.flush_round_with_batch(rng)?.0)
-    }
-
-    /// [`P2bSystem::flush_round`], also returning the released batch, for
-    /// callers that want to audit the shuffler output (e.g. crowd-blending
-    /// verification in tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates server-side model errors.
-    pub fn flush_round_with_batch<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> Result<(RoundStats, ShuffledBatch), CoreError> {
-        let batch = self
-            .shuffler
-            .process(std::mem::take(&mut self.pending), rng);
-        let accepted = self.server.ingest_batch(&batch)?;
-        Ok((RoundStats::from_batch(batch.stats(), accepted), batch))
-    }
-
     /// Spawns the sharded streaming shuffler engine configured by
     /// [`P2bConfig::shuffler_shards`] / [`P2bConfig::shuffler_batch_size`],
     /// with per-batch (ε, δ) amplification accounting wired to this system's
     /// participation probability and δ constant Ω.
     ///
-    /// This is the serving-scale ingestion path: reports submitted to the
-    /// returned handle (from any number of threads) are anonymized, sharded,
-    /// shuffled, thresholded and delivered as [`EngineBatch`]es, which
-    /// [`P2bSystem::ingest_engine_batch`] folds into the central model. The
-    /// synchronous [`P2bSystem::flush_round`] path stays available for
-    /// single-threaded simulation and is untouched by the shard knobs.
+    /// This is the one way a report reaches the central model: reports
+    /// submitted to the returned handle (from any number of threads) are
+    /// anonymized, sharded, shuffled, thresholded and delivered as
+    /// [`EngineBatch`]es, which [`P2bSystem::ingest_engine_batch`] folds
+    /// into the central model.
     ///
     /// # Errors
     ///
@@ -229,7 +170,7 @@ impl P2bSystem {
     /// Propagates server-side model errors.
     pub fn ingest_engine_batch(&mut self, batch: &EngineBatch) -> Result<RoundStats, CoreError> {
         let accepted = self.server.ingest_batch_coalesced(&batch.batch)?;
-        Ok(RoundStats::from_batch(batch.batch.stats(), accepted))
+        Ok(RoundStats::from_batch(batch, accepted))
     }
 
     /// Runs one complete streaming round: spawns the engine, submits every
@@ -237,9 +178,10 @@ impl P2bSystem {
     /// model. Returns per-batch round statistics and the amplification
     /// ledger.
     ///
-    /// This is the single-producer convenience wrapper; serving deployments
-    /// and the throughput benchmarks drive [`P2bSystem::spawn_engine`]
-    /// directly from many producer threads.
+    /// This is the single-producer convenience wrapper, the flush of the
+    /// round-based simulations; serving deployments and the throughput
+    /// benchmarks drive [`P2bSystem::spawn_engine`] directly from many
+    /// producer threads. An empty report stream delivers no batch.
     ///
     /// # Errors
     ///
@@ -341,27 +283,16 @@ mod tests {
         let mut system = system(2);
         // Many agents interact with the same strongly-clustered context and
         // always receive reward 1 for action 0.
-        let ctx = Vector::from(vec![1.0, 0.1, 0.1, 0.1])
-            .normalized_l1()
-            .unwrap();
-        for _ in 0..40 {
-            let mut agent = system.make_agent(&mut rng).unwrap();
-            for _ in 0..4 {
-                let action = agent.select_action(&ctx, &mut rng).unwrap();
-                let reward = if action.index() == 0 { 1.0 } else { 0.0 };
-                agent
-                    .observe_reward(&ctx, action, reward, &mut rng)
-                    .unwrap();
-            }
-            system.collect_from(&mut agent);
+        let reports = gather_reports(&mut system, &mut rng, 40);
+        assert!(!reports.is_empty());
+        let (stats, _) = system.streaming_round(reports, 1).unwrap();
+        let accepted: u64 = stats.iter().map(|s| s.accepted).sum();
+        for s in &stats {
+            assert_eq!(s.received, s.released + s.dropped);
         }
-        assert!(system.pending_reports() > 0);
-        let stats = system.flush_round(&mut rng).unwrap();
-        assert_eq!(stats.received, stats.released + stats.dropped);
-        assert!(stats.accepted > 0);
-        assert_eq!(system.server().ingested_reports(), stats.accepted);
+        assert!(accepted > 0);
+        assert_eq!(system.server().ingested_reports(), accepted);
         assert!(system.server_mut().model().unwrap().observations() > 0);
-        assert_eq!(system.pending_reports(), 0);
     }
 
     #[test]
@@ -375,19 +306,26 @@ mod tests {
                 Vector::from(v).normalized_l1().unwrap()
             })
             .collect();
+        let handle = system.spawn_engine(2).unwrap();
         for a in 0..30 {
-            let mut agent = system.make_agent(&mut rng).unwrap();
+            let mut agent = system.make_warm_agent().unwrap();
             let ctx = &contexts[a % contexts.len()];
             for _ in 0..2 {
                 let action = agent.select_action(ctx, &mut rng).unwrap();
                 agent.observe_reward(ctx, action, 0.5, &mut rng).unwrap();
             }
-            system.collect_from(&mut agent);
+            for report in agent.take_reports() {
+                handle.submit(report).unwrap();
+            }
         }
-        let (_, batch) = system.flush_round_with_batch(&mut rng).unwrap();
-        let codes: Vec<usize> = batch.reports().iter().map(|r| r.code()).collect();
+        let output = handle.finish();
+        assert!(!output.batches.is_empty());
         let crowd = system.crowd_blending().unwrap();
-        assert!(crowd.is_satisfied_by(&codes));
+        for batch in &output.batches {
+            let codes: Vec<usize> = batch.batch.reports().iter().map(|r| r.code()).collect();
+            assert!(crowd.is_satisfied_by(&codes));
+            system.ingest_engine_batch(batch).unwrap();
+        }
     }
 
     #[test]
@@ -399,8 +337,9 @@ mod tests {
             .unwrap();
 
         // Phase 1: a population of agents teaches the server that action 2 pays.
+        let mut reports = Vec::new();
         for _ in 0..60 {
-            let mut agent = system.make_agent(&mut rng).unwrap();
+            let mut agent = system.make_warm_agent().unwrap();
             for _ in 0..3 {
                 let action = agent.select_action(&ctx, &mut rng).unwrap();
                 let reward = if action.index() == 2 { 1.0 } else { 0.0 };
@@ -408,13 +347,13 @@ mod tests {
                     .observe_reward(&ctx, action, reward, &mut rng)
                     .unwrap();
             }
-            system.collect_from(&mut agent);
+            reports.extend(agent.take_reports());
         }
-        system.flush_round(&mut rng).unwrap();
+        system.streaming_round(reports, 3).unwrap();
 
         // Phase 2: a fresh warm agent should prefer action 2 immediately,
         // while a cold agent spreads its choices.
-        let mut warm = system.make_agent(&mut rng).unwrap();
+        let mut warm = system.make_warm_agent().unwrap();
         let mut warm_votes = [0usize; 3];
         for _ in 0..30 {
             warm_votes[warm.select_action(&ctx, &mut rng).unwrap().index()] += 1;
@@ -437,21 +376,21 @@ mod tests {
 
     #[test]
     fn agent_ids_are_unique() {
-        let mut rng = StdRng::seed_from_u64(4);
         let mut system = system(1);
-        let a = system.make_agent(&mut rng).unwrap();
+        let a = system.make_warm_agent().unwrap();
         let b = system.make_cold_agent().unwrap();
-        let c = system.make_agent(&mut rng).unwrap();
+        let c = system.make_warm_agent().unwrap();
         assert_ne!(a.id(), b.id());
         assert_ne!(b.id(), c.id());
     }
 
     #[test]
     fn flush_with_no_pending_reports_is_a_no_op() {
-        let mut rng = StdRng::seed_from_u64(5);
         let mut system = system(3);
-        let stats = system.flush_round(&mut rng).unwrap();
-        assert_eq!(stats, RoundStats::default());
+        let (stats, ledger) = system.streaming_round(Vec::new(), 5).unwrap();
+        assert!(stats.is_empty());
+        assert!(ledger.records().is_empty());
+        assert_eq!(system.server().epoch(), 0);
     }
 
     /// Gathers reports from a population of agents without flushing them,
@@ -462,7 +401,7 @@ mod tests {
             .unwrap();
         let mut reports = Vec::new();
         for _ in 0..agents {
-            let mut agent = system.make_agent(rng).unwrap();
+            let mut agent = system.make_warm_agent().unwrap();
             for _ in 0..4 {
                 let action = agent.select_action(&ctx, rng).unwrap();
                 let reward = if action.index() == 0 { 1.0 } else { 0.0 };
@@ -476,6 +415,7 @@ mod tests {
     #[test]
     fn streaming_round_feeds_the_central_model_like_flush_round() {
         let mut rng = StdRng::seed_from_u64(6);
+        // Batch size 16 splits the round into several engine batches.
         let config = P2bConfig::new(4, 3)
             .with_local_interactions(1)
             .with_shuffler_threshold(2)
@@ -486,12 +426,14 @@ mod tests {
         assert!(submitted > 0);
 
         let (stats, ledger) = system.streaming_round(reports, 99).unwrap();
+        assert_eq!(stats.len(), submitted.div_ceil(16));
         let received: usize = stats.iter().map(|s| s.received).sum();
         let accepted: u64 = stats.iter().map(|s| s.accepted).sum();
         assert_eq!(received, submitted, "no report may be lost in the engine");
         for s in &stats {
             assert_eq!(s.received, s.released + s.dropped);
         }
+        assert!(accepted > 0);
         assert_eq!(system.server().ingested_reports(), accepted);
         assert!(system.server_mut().model().unwrap().observations() > 0);
         // Every batch was recorded in the ledger with the headline ε.
@@ -542,8 +484,8 @@ mod tests {
 
         // Two agents created in the same epoch point at the SAME snapshot —
         // the warm start copies a pointer, not the model.
-        let a = system.make_agent(&mut rng).unwrap();
-        let b = system.make_agent(&mut rng).unwrap();
+        let a = system.make_warm_agent().unwrap();
+        let b = system.make_warm_agent().unwrap();
         let snap_a = a.warm_snapshot().expect("warm agent starts shared");
         let snap_b = b.warm_snapshot().expect("warm agent starts shared");
         assert!(
@@ -555,7 +497,7 @@ mod tests {
 
         // An ingestion round bumps the epoch; later agents get a new
         // snapshot while earlier ones keep reading their epoch's model.
-        let mut teacher = system.make_agent(&mut rng).unwrap();
+        let mut teacher = system.make_warm_agent().unwrap();
         let ctx = Vector::from(vec![1.0, 0.1, 0.1, 0.1])
             .normalized_l1()
             .unwrap();
@@ -563,11 +505,11 @@ mod tests {
             let action = teacher.select_action(&ctx, &mut rng).unwrap();
             teacher.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
         }
-        system.collect_from(&mut teacher);
-        let stats = system.flush_round(&mut rng).unwrap();
-        assert!(stats.accepted > 0);
+        let (stats, _) = system.streaming_round(teacher.take_reports(), 8).unwrap();
+        assert_eq!(stats.len(), 1);
+        assert!(stats[0].accepted > 0);
 
-        let c = system.make_agent(&mut rng).unwrap();
+        let c = system.make_warm_agent().unwrap();
         let snap_c = c.warm_snapshot().expect("warm agent starts shared");
         assert!(!Arc::ptr_eq(snap_a, snap_c));
         assert_eq!(snap_c.epoch(), 1);

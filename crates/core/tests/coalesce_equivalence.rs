@@ -1,8 +1,10 @@
 //! Property suite for the coalesced-ingestion equivalence claim: grouping a
 //! shuffled batch by `(code, action)` and folding it as weighted sufficient
-//! statistics must accept exactly the reports the sequential per-report path
-//! accepts and produce the same central model up to floating-point rounding
-//! (1e-9), for any report ordering and any ingest-shard count.
+//! statistics must accept exactly the reports a per-report fold accepts and
+//! produce the same central model up to floating-point rounding (1e-9), for
+//! any report ordering and any ingest-shard count. The per-report fold is an
+//! oracle built here from public API: one count-1 update per in-range
+//! report, in batch order.
 //!
 //! The argument: LinUCB's per-arm statistics `A_a = λI + Σ x xᵀ` and
 //! `b_a = Σ r·x` are sums over the batch, so grouping commutes with folding
@@ -10,9 +12,9 @@
 //! floating-point additions and the weighted (vs repeated) Sherman–Morrison
 //! form.
 
-use p2b_bandit::{Action, ContextualPolicy};
-use p2b_core::{CentralServer, P2bConfig};
-use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
+use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcb};
+use p2b_core::{CentralServer, ModelService, P2bConfig};
+use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_shuffler::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
 use proptest::prelude::*;
@@ -72,14 +74,34 @@ fn reports() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     )
 }
 
-fn assert_models_close(
-    sequential: &mut CentralServer,
-    coalesced: &mut CentralServer,
-    tolerance: f64,
-    label: &str,
-) {
-    let ms = sequential.model().expect("assembly succeeds").clone();
-    let mc = coalesced.model().expect("assembly succeeds").clone();
+/// The per-report oracle: a fresh model service fed one count-1 update per
+/// in-range report, in batch order. Returns the accepted count and the
+/// assembled model.
+fn per_report(config: &P2bConfig, batch: &ShuffledBatch) -> (u64, LinUcb) {
+    let encoder = encoder();
+    let mut service = ModelService::spawn(config.central_linucb(encoder.as_ref()), 1)
+        .expect("static configuration is valid");
+    let updates: Vec<CoalescedUpdate> = batch
+        .reports()
+        .iter()
+        .filter(|r| r.code() < encoder.num_codes() && r.action() < config.num_actions)
+        .map(|r| {
+            let context = config
+                .code_representation
+                .vector(encoder.as_ref(), ContextCode::new(r.code()))
+                .expect("code is in range");
+            CoalescedUpdate::new(context, Action::new(r.action()), 1, r.reward())
+                .expect("rewards are valid")
+        })
+        .collect();
+    let accepted = updates.len() as u64;
+    service
+        .ingest(updates)
+        .expect("service threads are healthy");
+    (accepted, service.assemble().expect("assembly succeeds").0)
+}
+
+fn assert_models_close(ms: &LinUcb, mc: &LinUcb, tolerance: f64, label: &str) {
     assert_eq!(
         ms.observations(),
         mc.observations(),
@@ -125,7 +147,7 @@ fn assert_models_close(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Coalesced ingestion matches sequential ingestion — same accepted
+    /// Coalesced ingestion matches the per-report oracle — same accepted
     /// count, model parameters within 1e-9 — across batch orderings and
     /// ingest-shard counts 1, 2 and 4.
     #[test]
@@ -135,8 +157,7 @@ proptest! {
     ) {
         let batch = shuffled(&reports, order_seed);
         let config = P2bConfig::new(DIMENSION, NUM_ACTIONS);
-        let mut sequential = CentralServer::new(&config, encoder()).unwrap();
-        let accepted_sequential = sequential.ingest_batch(&batch).unwrap();
+        let (accepted_sequential, sequential) = per_report(&config, &batch);
 
         for shards in [1usize, 2, 4] {
             let shard_config = config.clone().with_ingest_shards(shards);
@@ -147,8 +168,8 @@ proptest! {
                 "acceptance must not depend on the ingestion path ({} shards)", shards
             );
             assert_models_close(
-                &mut sequential,
-                &mut coalesced,
+                &sequential,
+                coalesced.model().unwrap(),
                 1e-9,
                 &format!("{shards} shards"),
             );
@@ -171,6 +192,6 @@ proptest! {
         let accepted_b = b.ingest_batch_coalesced(&shuffled(&reports, seed_b)).unwrap();
         prop_assert_eq!(accepted_a, accepted_b);
         // Only the within-group reward-sum accumulation order differs.
-        assert_models_close(&mut a, &mut b, 1e-12, "orderings");
+        assert_models_close(a.model().unwrap(), b.model().unwrap(), 1e-12, "orderings");
     }
 }

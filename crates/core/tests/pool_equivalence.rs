@@ -1,9 +1,8 @@
 //! Property suite for the bounded-memory agent pool: a bounded
 //! [`AgentPool`] with eviction and rehydration must select exactly the same
-//! actions as an unbounded pool, for any seed, any operation interleaving
-//! and any storage-shard count — because dehydration persists every local
-//! delta (policy state, reporter phase, queued reports) and rehydration
-//! restores it.
+//! actions as an unbounded pool, for any seed and any operation
+//! interleaving — because dehydration persists every local delta (policy
+//! state, reporter phase, queued reports) and rehydration restores it.
 //!
 //! The argument: every checkout runs against one captured [`AgentSource`];
 //! it refreshes still-shared residents to the source's snapshot, and
@@ -151,8 +150,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Bounded pools with eviction+rehydration are observationally identical
-    /// to an unbounded pool, for storage shards 1, 2 and 4 and residency
-    /// budgets that force heavy eviction over the 6-key space.
+    /// to an unbounded pool, at residency budgets that force heavy eviction
+    /// over the 6-key space.
     #[test]
     fn bounded_pool_matches_unbounded_pool(
         ops in ops(),
@@ -160,43 +159,23 @@ proptest! {
         budget in 1usize..4,
     ) {
         let unbounded = run_pool(AgentPoolConfig::unbounded(), &ops, seed);
-        for shards in [1usize, 2, 4] {
-            let bounded = run_pool(
-                AgentPoolConfig::bounded(budget).with_shards(shards),
-                &ops,
-                seed,
-            );
-            prop_assert_eq!(
-                &unbounded.0, &bounded.0,
-                "action sequence drifted (budget {}, {} shards)", budget, shards
-            );
-            prop_assert_eq!(
-                &unbounded.1, &bounded.1,
-                "report stream drifted (budget {}, {} shards)", budget, shards
-            );
-            prop_assert_eq!(
-                &unbounded.2, &bounded.2,
-                "final agent state drifted (budget {}, {} shards)", budget, shards
-            );
-            // Never-evicted memos against rehydrated ones: the same cost.
-            prop_assert_eq!(
-                unbounded.3, bounded.3,
-                "arms scored drifted (budget {}, {} shards)", budget, shards
-            );
-        }
-    }
-
-    /// The shard count alone never changes pool behavior, bounded or not.
-    #[test]
-    fn shard_count_is_behavior_invariant(
-        ops in ops(),
-        seed in any::<u64>(),
-    ) {
-        let one = run_pool(AgentPoolConfig::unbounded(), &ops, seed);
-        for shards in [2usize, 4] {
-            let sharded = run_pool(AgentPoolConfig::unbounded().with_shards(shards), &ops, seed);
-            prop_assert_eq!(&one.0, &sharded.0, "{} shards", shards);
-            prop_assert_eq!(&one.1, &sharded.1, "{} shards", shards);
-        }
+        let bounded = run_pool(AgentPoolConfig::bounded(budget), &ops, seed);
+        prop_assert_eq!(
+            &unbounded.0, &bounded.0,
+            "action sequence drifted (budget {})", budget
+        );
+        prop_assert_eq!(
+            &unbounded.1, &bounded.1,
+            "report stream drifted (budget {})", budget
+        );
+        prop_assert_eq!(
+            &unbounded.2, &bounded.2,
+            "final agent state drifted (budget {})", budget
+        );
+        // Never-evicted memos against rehydrated ones: the same cost.
+        prop_assert_eq!(
+            unbounded.3, bounded.3,
+            "arms scored drifted (budget {})", budget
+        );
     }
 }

@@ -25,21 +25,14 @@
 //! * **Backpressure** — the shards are a [`ShardPool`] of bounded ingress
 //!   queues; `submit` blocks while the target shard's queue is full, so a
 //!   slow engine slows its producers instead of buffering without limit.
-//! * **Flush interval** — optionally, a shard or the merger flushes a
-//!   partial batch once its oldest buffered report has waited the
-//!   configured interval, bounding the delivery latency of a trickling
-//!   report stream (the deadline is anchored to the oldest report, so a
-//!   steady trickle cannot postpone the flush).
 //! * **Privacy bookkeeping** — with [`EngineBuilder::privacy_accounting`]
 //!   enabled, the merger records every delivered batch in an
 //!   [`AmplificationLedger`], attaching the per-batch (ε, δ) amplification
 //!   record to the [`EngineBatch`].
 //!
-//! With `shards = 1`, a single producer and no flush interval configured,
-//! the engine is fully deterministic for a fixed seed: batch boundaries are
-//! count-triggered and every RNG is seeded from the spawn seed. (A flush
-//! interval makes batch boundaries wall-clock-dependent and therefore
-//! non-reproducible.)
+//! With `shards = 1` and a single producer the engine is fully
+//! deterministic for a fixed seed: batch boundaries are count-triggered and
+//! every RNG is seeded from the spawn seed.
 
 use crate::shard::{ShardWorker, SubBatch};
 use crate::shuffle::shuffle_and_threshold;
@@ -47,13 +40,12 @@ use crate::{
     EncodedReport, RawReport, ShardPool, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError,
     SHARD_QUEUE_CAPACITY,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use p2b_privacy::{splitmix64, AmplificationLedger, BatchAmplification, Participation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Builder for a [`ShufflerEngine`].
 ///
@@ -64,8 +56,6 @@ pub struct EngineBuilder {
     config: ShufflerConfig,
     shards: usize,
     batch_size: usize,
-    shard_queue_capacity: usize,
-    flush_interval: Option<Duration>,
     accounting: Option<(Participation, f64)>,
 }
 
@@ -75,14 +65,14 @@ impl EngineBuilder {
             config,
             shards: 1,
             batch_size: 64,
-            shard_queue_capacity: SHARD_QUEUE_CAPACITY,
-            flush_interval: None,
             accounting: None,
         }
     }
 
     /// Number of shard workers (default 1). Each shard owns one thread and
-    /// one bounded ingress queue.
+    /// one ingress queue bounded at [`SHARD_QUEUE_CAPACITY`] reports:
+    /// [`EngineHandle::submit`] blocks while the target shard's queue is
+    /// full — the engine's backpressure contract.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -97,27 +87,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Capacity of each shard's bounded ingress queue (default
-    /// [`SHARD_QUEUE_CAPACITY`]).
-    /// [`EngineHandle::submit`] blocks while the target shard's queue holds
-    /// this many un-consumed reports — the engine's backpressure contract.
-    #[must_use]
-    pub fn shard_queue_capacity(mut self, capacity: usize) -> Self {
-        self.shard_queue_capacity = capacity;
-        self
-    }
-
-    /// Maximum time a buffered report may wait before its shard (or the
-    /// merger) flushes the partial batch holding it (default: no interval —
-    /// batches are only ever count-triggered, which keeps single-shard runs
-    /// deterministic). The deadline anchors to the oldest buffered report,
-    /// so it holds even under a steady trickle of arrivals.
-    #[must_use]
-    pub fn flush_interval(mut self, interval: Duration) -> Self {
-        self.flush_interval = Some(interval);
         self
     }
 
@@ -136,8 +105,8 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns [`ShufflerError::InvalidConfig`] when the shuffler threshold
-    /// is zero, any size/capacity knob is zero, the flush interval is zero,
-    /// or the privacy-accounting Ω is not a finite positive number.
+    /// is zero, the shard count or batch size is zero, or the
+    /// privacy-accounting Ω is not a finite positive number.
     pub fn build(self) -> Result<ShufflerEngine, ShufflerError> {
         // Validate the threshold eagerly.
         let _ = Shuffler::new(self.config)?;
@@ -151,18 +120,6 @@ impl EngineBuilder {
             return Err(ShufflerError::InvalidConfig {
                 parameter: "batch_size",
                 message: "must be at least 1".to_owned(),
-            });
-        }
-        if self.shard_queue_capacity == 0 {
-            return Err(ShufflerError::InvalidConfig {
-                parameter: "shard_queue_capacity",
-                message: "must be at least 1".to_owned(),
-            });
-        }
-        if self.flush_interval == Some(Duration::ZERO) {
-            return Err(ShufflerError::InvalidConfig {
-                parameter: "flush_interval",
-                message: "must be a positive duration".to_owned(),
             });
         }
         let ledger = match self.accounting {
@@ -181,8 +138,6 @@ impl EngineBuilder {
             shards: self.shards,
             batch_size: self.batch_size,
             shard_batch_size: self.batch_size.div_ceil(self.shards),
-            shard_queue_capacity: self.shard_queue_capacity,
-            flush_interval: self.flush_interval,
             ledger,
         })
     }
@@ -203,9 +158,7 @@ pub struct EngineBatch {
 /// Everything a finished engine run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutput {
-    /// The delivered batches not yet consumed via
-    /// [`EngineHandle::drain_ready`], in delivery order. Check
-    /// [`EngineBatch::index`] when interleaving with drained batches.
+    /// Every delivered batch, in delivery order.
     pub batches: Vec<EngineBatch>,
     /// The amplification ledger accumulated by the merger, when accounting
     /// was enabled.
@@ -248,8 +201,6 @@ pub struct ShufflerEngine {
     shards: usize,
     batch_size: usize,
     shard_batch_size: usize,
-    shard_queue_capacity: usize,
-    flush_interval: Option<Duration>,
     ledger: Option<AmplificationLedger>,
 }
 
@@ -274,9 +225,7 @@ impl ShufflerEngine {
 
     /// Starts the shard workers and the fan-in merger. All randomness
     /// (within-shard shuffles, cross-shard shuffle) derives from `seed`, so
-    /// a single-shard, single-producer run with no flush interval is
-    /// reproducible bit for bit (a flush interval makes batch boundaries
-    /// wall-clock-dependent).
+    /// a single-shard, single-producer run is reproducible bit for bit.
     #[must_use]
     pub fn spawn(&self, seed: u64) -> EngineHandle {
         let (fan_tx, fan_rx) = unbounded::<SubBatch>();
@@ -284,16 +233,11 @@ impl ShufflerEngine {
 
         // Each shard owns a clone of the fan-in sender and the pool keeps
         // none, so the merger disconnects as soon as the last shard exits.
-        let (shard_batch_size, flush_interval) = (self.shard_batch_size, self.flush_interval);
-        let shards = ShardPool::spawn(
-            self.shards,
-            self.shard_queue_capacity,
-            move |shard, input| {
-                let seed = splitmix64(seed ^ splitmix64(shard as u64 + 1));
-                ShardWorker::new(shard, input, fan_tx, shard_batch_size, flush_interval, seed)
-                    .run();
-            },
-        );
+        let shard_batch_size = self.shard_batch_size;
+        let shards = ShardPool::spawn(self.shards, SHARD_QUEUE_CAPACITY, move |shard, input| {
+            let seed = splitmix64(seed ^ splitmix64(shard as u64 + 1));
+            ShardWorker::new(shard, input, fan_tx, shard_batch_size, seed).run();
+        });
 
         let threshold = self.config.threshold;
         let batch_size = self.batch_size;
@@ -307,7 +251,6 @@ impl ShufflerEngine {
                 &batch_tx,
                 threshold,
                 batch_size,
-                flush_interval,
                 StdRng::seed_from_u64(merger_seed),
                 ledger,
             )
@@ -330,70 +273,25 @@ fn run_merger(
     batch_tx: &Sender<EngineBatch>,
     threshold: usize,
     batch_size: usize,
-    flush_interval: Option<Duration>,
     mut rng: StdRng,
     mut ledger: Option<AmplificationLedger>,
 ) -> Option<AmplificationLedger> {
     let mut pending: Vec<EncodedReport> = Vec::with_capacity(batch_size);
     let mut next_index = 0u64;
-    // Deadline anchored to the oldest pending report, so a steady trickle of
-    // sub-batches cannot postpone a flush indefinitely.
-    let mut deadline: Option<Instant> = None;
-    loop {
-        let sub = match deadline {
-            Some(d) => {
-                let now = Instant::now();
-                if now >= d {
-                    let chunk = std::mem::take(&mut pending);
-                    deadline = None;
-                    if !emit(
-                        chunk,
-                        batch_tx,
-                        threshold,
-                        &mut rng,
-                        &mut ledger,
-                        &mut next_index,
-                    ) {
-                        return ledger;
-                    }
-                    continue;
-                }
-                match fan_rx.recv_timeout(d - now) {
-                    Ok(sub) => Some(sub),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => None,
-                }
+    while let Ok(sub) = fan_rx.recv() {
+        pending.extend(sub.reports);
+        while pending.len() >= batch_size {
+            let chunk: Vec<EncodedReport> = pending.drain(..batch_size).collect();
+            if !emit(
+                chunk,
+                batch_tx,
+                threshold,
+                &mut rng,
+                &mut ledger,
+                &mut next_index,
+            ) {
+                return ledger;
             }
-            None => fan_rx.recv().ok(),
-        };
-        match sub {
-            Some(sub) => {
-                if pending.is_empty() {
-                    deadline = flush_interval.map(|interval| Instant::now() + interval);
-                }
-                pending.extend(sub.reports);
-                while pending.len() >= batch_size {
-                    let chunk: Vec<EncodedReport> = pending.drain(..batch_size).collect();
-                    // The remainder (if any) arrived just now; restart its
-                    // staleness clock.
-                    deadline = if pending.is_empty() {
-                        None
-                    } else {
-                        flush_interval.map(|interval| Instant::now() + interval)
-                    };
-                    if !emit(
-                        chunk,
-                        batch_tx,
-                        threshold,
-                        &mut rng,
-                        &mut ledger,
-                        &mut next_index,
-                    ) {
-                        return ledger;
-                    }
-                }
-            }
-            None => break,
         }
     }
     if !pending.is_empty() {
@@ -486,14 +384,8 @@ impl EngineHandle {
         self.slot.load(Ordering::Relaxed)
     }
 
-    /// Non-blocking drain of the merged batches delivered so far.
-    #[must_use]
-    pub fn drain_ready(&self) -> Vec<EngineBatch> {
-        self.batch_rx.try_iter().collect()
-    }
-
     /// Closes the ingress, waits for every stage to flush, and returns the
-    /// remaining (undrained) batches together with the amplification ledger.
+    /// delivered batches together with the amplification ledger.
     #[must_use]
     pub fn finish(mut self) -> EngineOutput {
         let ledger = self.close();
@@ -544,14 +436,6 @@ mod tests {
             .is_err());
         assert!(ShufflerEngine::builder(ok).shards(0).build().is_err());
         assert!(ShufflerEngine::builder(ok).batch_size(0).build().is_err());
-        assert!(ShufflerEngine::builder(ok)
-            .shard_queue_capacity(0)
-            .build()
-            .is_err());
-        assert!(ShufflerEngine::builder(ok)
-            .flush_interval(Duration::ZERO)
-            .build()
-            .is_err());
         assert!(ShufflerEngine::builder(ok)
             .privacy_accounting(Participation::new(0.5).unwrap(), 0.0)
             .build()
@@ -712,75 +596,6 @@ mod tests {
         second.submit(raw(1)).unwrap();
         let output = second.finish();
         assert_eq!(output.batches.len(), 1);
-    }
-
-    #[test]
-    fn flush_interval_delivers_partial_batches_while_open() {
-        let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
-            .shards(2)
-            .batch_size(1_000)
-            .flush_interval(Duration::from_millis(2))
-            .build()
-            .unwrap();
-        let handle = engine.spawn(9);
-        for i in 0..5 {
-            handle.submit(raw(i)).unwrap();
-        }
-        // Far below batch_size: only the flush interval can deliver these.
-        let mut drained = Vec::new();
-        for _ in 0..500 {
-            drained.extend(handle.drain_ready());
-            if drained
-                .iter()
-                .map(|b| b.batch.reports().len())
-                .sum::<usize>()
-                == 5
-            {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let total: usize = drained.iter().map(|b| b.batch.reports().len()).sum();
-        assert_eq!(total, 5, "flush interval must deliver partial batches");
-        let rest = handle.finish();
-        assert!(rest.batches.is_empty());
-    }
-
-    #[test]
-    fn flush_deadline_holds_under_a_steady_trickle() {
-        // Reports arrive faster than the flush interval. Because the
-        // deadline anchors to the oldest buffered report (not the last
-        // arrival), batches must still be delivered while the stream is
-        // live — a quiet-period debounce would buffer until batch_size.
-        let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
-            .shards(1)
-            .batch_size(1_000_000)
-            .flush_interval(Duration::from_millis(5))
-            .build()
-            .unwrap();
-        let handle = engine.spawn(13);
-        let mut delivered = 0usize;
-        for i in 0..100 {
-            handle.submit(raw(i % 3)).unwrap();
-            std::thread::sleep(Duration::from_millis(1));
-            delivered += handle
-                .drain_ready()
-                .iter()
-                .map(|b| b.batch.stats().received)
-                .sum::<usize>();
-        }
-        assert!(
-            delivered > 0,
-            "deadline must fire while the trickle is still arriving"
-        );
-        let rest = handle.finish();
-        let total: usize = rest
-            .batches
-            .iter()
-            .map(|b| b.batch.stats().received)
-            .sum::<usize>()
-            + delivered;
-        assert_eq!(total, 100);
     }
 
     #[test]

@@ -16,15 +16,16 @@
 //!
 //! Two execution shapes share that contract:
 //!
-//! * [`Shuffler`] — synchronous, single batch per call; what the
-//!   single-threaded simulation harness and the golden determinism tests
-//!   use, and the per-batch kernel the streaming shape is checked against.
+//! * [`Shuffler`] — synchronous, single batch per call: the per-batch
+//!   kernel the streaming shape is checked against, and how tests and
+//!   microbenchmarks build a shuffled batch without threads.
 //! * [`ShufflerEngine`] — streaming: reports submitted from any thread are
 //!   partitioned across N shard workers (by hashing the anonymous batch
 //!   slot, never the sender), shuffled within and across shards through a
 //!   fan-in merge stage, thresholded per merged batch, and delivered with
-//!   per-batch (ε, δ) amplification records. One shard is the single-lane
-//!   deployment; more shards are the serving-scale path. See [`engine`] for
+//!   per-batch (ε, δ) amplification records. Every report reaches the
+//!   central model this way; one shard is the single-lane deployment. See
+//!   [`engine`] for
 //!   the stage diagram; `tests/pipeline_concurrency.rs` and
 //!   `tests/shuffler_properties.rs` pin conservation and exact
 //!   thresholding at shards ∈ {1, 2, 4}.

@@ -20,11 +20,10 @@
 //! merged batch instead.
 
 use crate::{EncodedReport, RawReport};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 /// A within-shard pre-shuffled chunk of anonymized reports on its way to the
 /// fan-in merge stage.
@@ -38,14 +37,13 @@ pub(crate) struct SubBatch {
 }
 
 /// One shard's worker loop: drain the bounded ingress queue, accumulate
-/// `batch_size` reports (or whatever arrived within `flush_interval`),
-/// anonymize + shuffle the chunk, and forward it to the merger.
+/// `batch_size` reports, anonymize + shuffle the chunk, and forward it to
+/// the merger.
 pub(crate) struct ShardWorker {
     shard: usize,
     input: Receiver<RawReport>,
     output: Sender<SubBatch>,
     batch_size: usize,
-    flush_interval: Option<Duration>,
     rng: StdRng,
 }
 
@@ -55,7 +53,6 @@ impl ShardWorker {
         input: Receiver<RawReport>,
         output: Sender<SubBatch>,
         batch_size: usize,
-        flush_interval: Option<Duration>,
         seed: u64,
     ) -> Self {
         Self {
@@ -63,7 +60,6 @@ impl ShardWorker {
             input,
             output,
             batch_size,
-            flush_interval,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -73,46 +69,10 @@ impl ShardWorker {
     /// the way out.
     pub(crate) fn run(mut self) {
         let mut pending: Vec<RawReport> = Vec::with_capacity(self.batch_size);
-        // Deadline anchored to the *oldest* pending report (set when the
-        // chunk starts, never pushed back by later arrivals), so a steady
-        // trickle cannot postpone a flush indefinitely. `None` while the
-        // chunk is empty or no flush interval is configured.
-        let mut deadline: Option<Instant> = None;
-        loop {
-            let next = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        if !self.flush(&mut pending) {
-                            return;
-                        }
-                        deadline = None;
-                        continue;
-                    }
-                    match self.input.recv_timeout(d - now) {
-                        Ok(report) => Some(report),
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-                None => self.input.recv().ok(),
-            };
-            match next {
-                Some(report) => {
-                    if pending.is_empty() {
-                        deadline = self
-                            .flush_interval
-                            .map(|interval| Instant::now() + interval);
-                    }
-                    pending.push(report);
-                    if pending.len() >= self.batch_size {
-                        if !self.flush(&mut pending) {
-                            return;
-                        }
-                        deadline = None;
-                    }
-                }
-                None => break,
+        while let Ok(report) = self.input.recv() {
+            pending.push(report);
+            if pending.len() >= self.batch_size && !self.flush(&mut pending) {
+                return;
             }
         }
         let _ = self.flush(&mut pending);
@@ -149,7 +109,7 @@ mod tests {
     fn worker_batches_anonymizes_and_flushes_remainder() {
         let (in_tx, in_rx) = bounded::<RawReport>(16);
         let (out_tx, out_rx) = unbounded::<SubBatch>();
-        let worker = ShardWorker::new(3, in_rx, out_tx, 4, None, 7);
+        let worker = ShardWorker::new(3, in_rx, out_tx, 4, 7);
         let handle = std::thread::spawn(move || worker.run());
         for i in 0..10 {
             in_tx.send(raw(i)).unwrap();
@@ -175,27 +135,12 @@ mod tests {
         let (in_tx, in_rx) = bounded::<RawReport>(16);
         let (out_tx, out_rx) = unbounded::<SubBatch>();
         drop(out_rx);
-        let worker = ShardWorker::new(0, in_rx, out_tx, 2, None, 1);
+        let worker = ShardWorker::new(0, in_rx, out_tx, 2, 1);
         let handle = std::thread::spawn(move || worker.run());
         // The worker exits as soon as it fails to forward a full chunk,
         // instead of spinning forever.
         let _ = in_tx.send(raw(0));
         let _ = in_tx.send(raw(1));
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn flush_interval_emits_partial_chunks() {
-        let (in_tx, in_rx) = bounded::<RawReport>(16);
-        let (out_tx, out_rx) = unbounded::<SubBatch>();
-        let worker = ShardWorker::new(0, in_rx, out_tx, 1_000, Some(Duration::from_millis(2)), 5);
-        let handle = std::thread::spawn(move || worker.run());
-        in_tx.send(raw(0)).unwrap();
-        in_tx.send(raw(1)).unwrap();
-        // Well under batch_size, so only the interval can trigger the flush.
-        let sub = out_rx.recv().unwrap();
-        assert_eq!(sub.reports.len(), 2);
-        drop(in_tx);
         handle.join().unwrap();
     }
 }

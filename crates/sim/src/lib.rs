@@ -21,6 +21,11 @@
 //!   producers submitting to the sharded shuffler engine,
 //! * [`outcome::SeriesPoint`] and [`write_series_json`] — serialization of
 //!   result series for plotting and for EXPERIMENTS.md.
+//!
+//! Every driver reaches the central model through the shuffler engine: the
+//! round-based drivers flush each round with
+//! [`p2b_core::P2bSystem::streaming_round`], the streaming one submits from
+//! many producer threads.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

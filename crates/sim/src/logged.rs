@@ -9,7 +9,7 @@ use p2b_encoding::{KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_privacy::{amplified_epsilon, Participation};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -67,7 +67,8 @@ pub struct LoggedExperimentConfig {
     pub local_interactions: u64,
     /// Shuffler threshold / crowd-blending `l` (paper: 10).
     pub shuffler_threshold: usize,
-    /// Run a shuffling round whenever this many reports are pending.
+    /// Run a shuffling round whenever this many reports are pending; each
+    /// round is one thresholded batch.
     pub flush_every_reports: usize,
     /// LinUCB exploration parameter α.
     pub alpha: f64,
@@ -254,26 +255,33 @@ pub fn run_logged_experiment<E: LoggedExample>(
                 .with_alpha(config.alpha)
                 .with_participation(config.participation)
                 .with_local_interactions(config.local_interactions)
-                .with_shuffler_threshold(config.shuffler_threshold);
+                .with_shuffler_threshold(config.shuffler_threshold)
+                // Pending passes `flush_every_reports` by at most one agent's
+                // reports, so every round fits in one engine batch.
+                .with_shuffler_batch_size(
+                    config.flush_every_reports
+                        + train_agents.iter().map(Vec::len).max().unwrap_or(0),
+                );
             let mut system = P2bSystem::new(p2b_config, Arc::new(encoder))?;
 
+            let mut pending = Vec::new();
             for samples in train_agents {
-                let mut agent = system.make_agent(&mut rng)?;
+                let mut agent = system.make_warm_agent()?;
                 for example in samples {
                     let context = example.context();
                     let action = agent.select_action(context, &mut rng)?;
                     let reward = example.reward(action.index());
                     agent.observe_reward(context, action, reward, &mut rng)?;
                 }
-                system.collect_from(&mut agent);
-                if system.pending_reports() >= config.flush_every_reports {
-                    system.flush_round(&mut rng)?;
+                pending.extend(agent.take_reports());
+                if pending.len() >= config.flush_every_reports {
+                    system.streaming_round(std::mem::take(&mut pending), rng.gen())?;
                 }
             }
-            system.flush_round(&mut rng)?;
+            system.streaming_round(pending, rng.gen())?;
 
             for samples in test_agents {
-                let mut agent = system.make_agent(&mut rng)?;
+                let mut agent = system.make_warm_agent()?;
                 for example in samples {
                     let context = example.context();
                     let action = agent.select_action(context, &mut rng)?;

@@ -1,10 +1,10 @@
 //! Streaming collection: many parallel producers feeding the sharded
 //! shuffler engine.
 //!
-//! [`crate::run_synthetic_population`] drives the *synchronous* round-based
-//! pipeline one agent at a time — the right shape for reproducing the
-//! paper's figures deterministically. This module exercises the
-//! serving-scale shape instead: agent populations are simulated on
+//! [`crate::run_synthetic_population`] drives one agent at a time and
+//! flushes each round through a single producer — the right shape for
+//! reproducing the paper's figures deterministically. This module exercises
+//! the serving-scale shape instead: agent populations are simulated on
 //! [`crate::parallel_map`] worker threads, every worker submits its reports
 //! straight into the [`p2b_shuffler::ShufflerEngine`] spawned from the
 //! system configuration, and the engine's merged, threshold-filtered batches
@@ -141,12 +141,11 @@ pub fn run_streaming_population(
     config: StreamingConfig,
 ) -> Result<StreamingOutcome, SimError> {
     config.validate()?;
-    let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Agents are created up front (they snapshot the current central model);
     // their interactions then run embarrassingly parallel.
     let agents = (0..config.num_users)
-        .map(|_| system.make_agent(&mut rng))
+        .map(|_| system.make_warm_agent())
         .collect::<Result<Vec<_>, _>>()?;
 
     let handle = system.spawn_engine(config.seed)?;

@@ -9,7 +9,7 @@ use p2b_encoding::{KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_privacy::{amplified_epsilon, Participation};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -28,7 +28,8 @@ pub struct PopulationConfig {
     pub participation: f64,
     /// Shuffler threshold / crowd-blending `l`.
     pub shuffler_threshold: usize,
-    /// Run a shuffling round whenever this many reports are pending.
+    /// Run a shuffling round whenever this many reports are pending; each
+    /// round is one thresholded batch.
     pub flush_every_reports: usize,
     /// Number of contexts sampled to fit the k-means encoder.
     pub encoder_corpus_size: usize,
@@ -215,10 +216,16 @@ pub fn run_synthetic_population(
                 .with_alpha(config.alpha)
                 .with_participation(config.participation)
                 .with_local_interactions(config.interactions_per_user.min(10))
-                .with_shuffler_threshold(config.shuffler_threshold);
+                .with_shuffler_threshold(config.shuffler_threshold)
+                // Pending passes `flush_every_reports` by at most one user's
+                // reports, so every round fits in one engine batch.
+                .with_shuffler_batch_size(
+                    config.flush_every_reports + config.interactions_per_user as usize,
+                );
             let mut system = P2bSystem::new(p2b_config, Arc::new(encoder))?;
+            let mut pending = Vec::new();
             for _ in 0..config.num_users {
-                let mut agent = system.make_agent(&mut rng)?;
+                let mut agent = system.make_warm_agent()?;
                 for _ in 0..config.interactions_per_user {
                     let context = env.sample_context(&mut rng);
                     let action = agent.select_action(&context, &mut rng)?;
@@ -229,12 +236,12 @@ pub fn run_synthetic_population(
                     tracker.record(reward);
                     regret += optimum - expected;
                 }
-                system.collect_from(&mut agent);
-                if system.pending_reports() >= config.flush_every_reports {
-                    system.flush_round(&mut rng)?;
+                pending.extend(agent.take_reports());
+                if pending.len() >= config.flush_every_reports {
+                    system.streaming_round(std::mem::take(&mut pending), rng.gen())?;
                 }
             }
-            system.flush_round(&mut rng)?;
+            system.streaming_round(pending, rng.gen())?;
             let epsilon = amplified_epsilon(Participation::new(config.participation)?, 0.0)?;
             (system.server().ingested_reports(), Some(epsilon))
         }

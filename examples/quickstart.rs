@@ -50,10 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Simulate a population: the "true" best action is the index of the
     //    largest context entry, modulo the action count.
+    //    Reports queue up and reach the server through the trusted shuffler
+    //    engine in rounds of at least 50.
     let mut total_reward = 0.0;
     let mut interactions = 0u64;
+    let mut pending = Vec::new();
     for _ in 0..200 {
-        let mut agent = system.make_agent(&mut rng)?;
+        let mut agent = system.make_warm_agent()?;
         for _ in 0..5 {
             let raw: Vec<f64> = (0..dimension).map(|_| rng.gen::<f64>()).collect();
             let context = Vector::from(raw).normalized_l1()?;
@@ -64,23 +67,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             total_reward += reward;
             interactions += 1;
         }
-        system.collect_from(&mut agent);
-        if system.pending_reports() >= 50 {
-            let stats = system.flush_round(&mut rng)?;
-            println!(
-                "shuffling round: received {}, released {}, dropped {} (threshold {})",
-                stats.received,
-                stats.released,
-                stats.dropped,
-                system.config().shuffler_threshold
-            );
+        pending.extend(agent.take_reports());
+        if pending.len() >= 50 {
+            for stats in system
+                .streaming_round(std::mem::take(&mut pending), rng.gen())?
+                .0
+            {
+                println!(
+                    "shuffling round: received {}, released {}, dropped {} (threshold {})",
+                    stats.received,
+                    stats.released,
+                    stats.dropped,
+                    system.config().shuffler_threshold
+                );
+            }
         }
     }
-    let stats = system.flush_round(&mut rng)?;
-    println!(
-        "final round: received {}, released {}, dropped {}",
-        stats.received, stats.released, stats.dropped
-    );
+    for stats in system.streaming_round(pending, rng.gen())?.0 {
+        println!(
+            "final round: received {}, released {}, dropped {}",
+            stats.received, stats.released, stats.dropped
+        );
+    }
     println!(
         "population average reward: {:.3} over {} interactions",
         total_reward / interactions as f64,

@@ -9,7 +9,7 @@
 //! | [`bandit`] | LinUCB and the baseline contextual-bandit policies |
 //! | [`encoding`] | fixed-precision contexts, k-means / grid / LSH encoders |
 //! | [`privacy`] | (ε, δ)-DP, crowd-blending, amplification by pre-sampling |
-//! | [`shuffler`] | the ESA-style anonymize / shuffle / threshold stage: synchronous, single-lane and sharded-engine shapes |
+//! | [`shuffler`] | the ESA-style anonymize / shuffle / threshold stage: the sharded engine every report goes through, and its synchronous per-batch kernel |
 //! | [`datasets`] | synthetic preference, multi-label and Criteo-like workloads |
 //! | [`sim`] | the multi-agent experiment harness behind the paper's figures |
 //! | [`experiments`] | the config-driven scenario matrix reproducing the utility-vs-privacy figures |

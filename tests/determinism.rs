@@ -6,15 +6,16 @@
 //! same commit, making behavioral drift visible in review.
 //!
 //! The scenario runs the full pipeline — k-means encoder fit, warm agents
-//! with randomized reporting, shuffler rounds with crowd-blending
-//! thresholds, central LinUCB updates — and digests it into integers and
-//! `f64` bit patterns, so equality below means byte-identical behavior.
+//! with randomized reporting, shuffler-engine rounds with crowd-blending
+//! thresholds, coalesced central LinUCB updates — and digests it into
+//! integers and `f64` bit patterns, so equality below means byte-identical
+//! behavior.
 
 use p2b::core::{P2bConfig, P2bSystem, RoundStats};
 use p2b::encoding::{KMeansConfig, KMeansEncoder};
 use p2b::linalg::Vector;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Seed for the encoder fit and the simulation stream.
@@ -76,8 +77,9 @@ fn run_scenario() -> Digest {
     let mut cumulative_reward = 0.0f64;
     let mut round_stats = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
+        let mut reports = Vec::new();
         for agent_index in 0..AGENTS_PER_ROUND {
-            let mut agent = system.make_agent(&mut rng).expect("agent construction");
+            let mut agent = system.make_warm_agent().expect("agent construction");
             let cluster = agent_index % contexts.len();
             let ctx = &contexts[cluster];
             for _ in 0..INTERACTIONS_PER_AGENT {
@@ -94,9 +96,12 @@ fn run_scenario() -> Digest {
                     .observe_reward(ctx, action, reward, &mut rng)
                     .expect("reward in range");
             }
-            system.collect_from(&mut agent);
+            reports.extend(agent.take_reports());
         }
-        round_stats.push(system.flush_round(&mut rng).expect("flush succeeds"));
+        let (stats, _ledger) = system
+            .streaming_round(reports, rng.gen())
+            .expect("flush succeeds");
+        round_stats.extend(stats);
     }
 
     let guarantee = system.privacy_guarantee().expect("valid configuration");
@@ -111,6 +116,10 @@ fn run_scenario() -> Digest {
 
 /// The committed golden digest of `run_scenario`. Update deliberately, never
 /// incidentally: a mismatch means the seeded pipeline behavior changed.
+///
+/// Each round flushes through the seeded engine (`streaming_round`), which
+/// draws its seed from the scenario RNG. No round here drops a report;
+/// crowd-blending drops are pinned by the engine tests and `end_to_end.rs`.
 fn golden() -> Digest {
     Digest {
         round_stats: vec![
@@ -121,21 +130,21 @@ fn golden() -> Digest {
                 accepted: 23,
             },
             RoundStats {
-                received: 18,
-                released: 16,
-                dropped: 2,
-                accepted: 16,
+                received: 22,
+                released: 22,
+                dropped: 0,
+                accepted: 22,
             },
             RoundStats {
-                received: 24,
-                released: 24,
+                received: 21,
+                released: 21,
                 dropped: 0,
-                accepted: 24,
+                accepted: 21,
             },
         ],
         // 218 successes over 240 interactions.
         cumulative_reward_bits: 218.0f64.to_bits(),
-        ingested_reports: 63,
+        ingested_reports: 66,
         // ε = ln 2 (Equation 3 with p = 0.5, ε̄ = 0).
         epsilon_bits: std::f64::consts::LN_2.to_bits(),
         // δ = e^{-Ω·l·(1-p)²} = e^{-0.075} ≈ 0.927743 at Ω = 0.1, l = 3.

@@ -7,6 +7,7 @@ use p2b::core::{CodeRepresentation, P2bConfig, P2bSystem};
 use p2b::encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b::linalg::Vector;
 use p2b::privacy::CrowdBlending;
+use p2b::shuffler::{RawReport, ShuffledBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -29,6 +30,28 @@ fn fit_encoder(dimension: usize, codes: usize, rng: &mut StdRng) -> Arc<dyn Enco
     Arc::new(KMeansEncoder::fit(&corpus, KMeansConfig::new(codes), rng).expect("encoder fits"))
 }
 
+/// Flushes `reports` through the system's shuffler engine, hands every
+/// released batch to `audit`, then folds it into the central model.
+fn flush_audited(
+    system: &mut P2bSystem,
+    reports: Vec<RawReport>,
+    seed: u64,
+    audit: impl Fn(&ShuffledBatch),
+) {
+    let handle = system
+        .spawn_engine(seed)
+        .expect("engine configuration is valid");
+    for report in reports {
+        handle
+            .submit(report)
+            .expect("engine accepts reports until finish");
+    }
+    for batch in &handle.finish().batches {
+        audit(&batch.batch);
+        system.ingest_engine_batch(batch).expect("batch folds");
+    }
+}
+
 #[test]
 fn full_pipeline_improves_fresh_agents_and_respects_crowd_blending() {
     let dimension = 6;
@@ -45,8 +68,15 @@ fn full_pipeline_improves_fresh_agents_and_respects_crowd_blending() {
     let optimal = |ctx: &Vector| ctx.argmax().unwrap() % num_actions;
 
     // Phase 1: a training population teaches the central model.
+    // Crowd-blending: every released code appears at least l times.
+    let crowd = CrowdBlending::exact(3).unwrap();
+    let audit = |batch: &ShuffledBatch| {
+        let codes: Vec<usize> = batch.reports().iter().map(|r| r.code()).collect();
+        assert!(crowd.is_satisfied_by(&codes));
+    };
+    let mut pending = Vec::new();
     for user in 0..150 {
-        let mut agent = system.make_agent(&mut rng).unwrap();
+        let mut agent = system.make_warm_agent().unwrap();
         for _ in 0..4 {
             let ctx = clustered_context(user % dimension, dimension, &mut rng);
             let action = agent.select_action(&ctx, &mut rng).unwrap();
@@ -59,16 +89,12 @@ fn full_pipeline_improves_fresh_agents_and_respects_crowd_blending() {
                 .observe_reward(&ctx, action, reward, &mut rng)
                 .unwrap();
         }
-        system.collect_from(&mut agent);
-        if system.pending_reports() >= 60 {
-            let (_, batch) = system.flush_round_with_batch(&mut rng).unwrap();
-            // Crowd-blending: every released code appears at least l times.
-            let codes: Vec<usize> = batch.reports().iter().map(|r| r.code()).collect();
-            let crowd = CrowdBlending::exact(3).unwrap();
-            assert!(crowd.is_satisfied_by(&codes));
+        pending.extend(agent.take_reports());
+        if pending.len() >= 60 {
+            flush_audited(&mut system, std::mem::take(&mut pending), rng.gen(), audit);
         }
     }
-    system.flush_round(&mut rng).unwrap();
+    flush_audited(&mut system, pending, rng.gen(), audit);
     assert!(
         system.server().ingested_reports() > 0,
         "server saw no reports"
@@ -96,7 +122,7 @@ fn full_pipeline_improves_fresh_agents_and_respects_crowd_blending() {
         total / count
     };
 
-    let mut warm = system.make_agent(&mut rng).unwrap();
+    let mut warm = system.make_warm_agent().unwrap();
     let mut cold = system.make_cold_agent().unwrap();
     let warm_score = evaluate(&mut warm, &mut rng);
     let cold_score = evaluate(&mut cold, &mut rng);
@@ -132,7 +158,7 @@ fn agent_privacy_spend_composes_linearly_with_reporting_opportunities() {
     let encoder = fit_encoder(4, 4, &mut rng);
     let config = P2bConfig::new(4, 3).with_local_interactions(5);
     let mut system = P2bSystem::new(config, encoder).unwrap();
-    let mut agent = system.make_agent(&mut rng).unwrap();
+    let mut agent = system.make_warm_agent().unwrap();
     for _ in 0..50 {
         let ctx = simplex_context(4, &mut rng);
         let action = agent.select_action(&ctx, &mut rng).unwrap();
@@ -154,17 +180,21 @@ fn onehot_representation_runs_end_to_end() {
     let mut system = P2bSystem::new(config, encoder).unwrap();
     assert_eq!(system.server_mut().model().unwrap().context_dimension(), 8);
 
+    let mut reports = Vec::new();
     for _ in 0..30 {
-        let mut agent = system.make_agent(&mut rng).unwrap();
+        let mut agent = system.make_warm_agent().unwrap();
         for _ in 0..4 {
             let ctx = simplex_context(5, &mut rng);
             let action = agent.select_action(&ctx, &mut rng).unwrap();
             agent.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
         }
-        system.collect_from(&mut agent);
+        reports.extend(agent.take_reports());
     }
-    let stats = system.flush_round(&mut rng).unwrap();
-    assert_eq!(stats.received, stats.released + stats.dropped);
+    let (stats, _) = system.streaming_round(reports, 14).unwrap();
+    assert!(!stats.is_empty());
+    for stats in &stats {
+        assert_eq!(stats.received, stats.released + stats.dropped);
+    }
 }
 
 #[test]
@@ -175,17 +205,23 @@ fn anonymized_batches_never_contain_agent_identifiers() {
         .with_local_interactions(1)
         .with_shuffler_threshold(1);
     let mut system = P2bSystem::new(config, encoder).unwrap();
+    let mut reports = Vec::new();
     for _ in 0..20 {
-        let mut agent = system.make_agent(&mut rng).unwrap();
+        let mut agent = system.make_warm_agent().unwrap();
         let ctx = simplex_context(4, &mut rng);
         let action = agent.select_action(&ctx, &mut rng).unwrap();
         agent.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
-        system.collect_from(&mut agent);
+        reports.extend(agent.take_reports());
     }
-    let (_, batch) = system.flush_round_with_batch(&mut rng).unwrap();
-    let debug_dump = format!("{batch:?}");
     assert!(
-        !debug_dump.contains("agent-"),
-        "released batch leaks agent identifiers"
+        format!("{reports:?}").contains("agent-"),
+        "raw reports carry agent identifiers"
     );
+    flush_audited(&mut system, reports, 15, |batch| {
+        let debug_dump = format!("{batch:?}");
+        assert!(
+            !debug_dump.contains("agent-"),
+            "released batch leaks agent identifiers"
+        );
+    });
 }
