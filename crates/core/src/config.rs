@@ -94,8 +94,11 @@ pub struct P2bConfig {
     /// ([`crate::ModelService`]): worker threads that fold coalesced
     /// sufficient statistics into the central LinUCB model, partitioned by
     /// action (disjoint LinUCB arms are independent, so the partition is
-    /// exact). The default of 1 preserves the canonical single-worker
-    /// deployment; model snapshots are bit-identical at any shard count.
+    /// exact). The default follows the host: one shard per available
+    /// hardware thread, capped at the number of actions, and 1 where the
+    /// host's parallelism cannot be read. Model snapshots are bit-identical
+    /// at any shard count, so the default changes only how many cores a
+    /// flush's fold uses; [`P2bConfig::with_ingest_shards`] pins a count.
     pub ingest_shards: usize,
     /// How encoded codes are represented when training the central model.
     pub code_representation: CodeRepresentation,
@@ -106,7 +109,8 @@ pub struct P2bConfig {
 
 impl P2bConfig {
     /// Creates a configuration with the paper's defaults: α = 1, p = 0.5,
-    /// T = 10, threshold 10, centroid representation.
+    /// T = 10, threshold 10, centroid representation, and one ingest shard
+    /// per available hardware thread, capped at `num_actions`.
     #[must_use]
     pub fn new(context_dimension: usize, num_actions: usize) -> Self {
         Self {
@@ -118,7 +122,7 @@ impl P2bConfig {
             shuffler_threshold: 10,
             shuffler_shards: 1,
             shuffler_batch_size: 128,
-            ingest_shards: 1,
+            ingest_shards: host_ingest_shards(num_actions),
             code_representation: CodeRepresentation::Centroid,
             delta_omega: 0.1,
         }
@@ -274,6 +278,13 @@ impl P2bConfig {
     }
 }
 
+/// The default [`P2bConfig::ingest_shards`]: `min(available_parallelism,
+/// num_actions)`, and 1 when the host's parallelism cannot be read. A shard
+/// beyond the number of actions would own no arm.
+fn host_ingest_shards(num_actions: usize) -> usize {
+    std::thread::available_parallelism().map_or(1, |threads| threads.get().min(num_actions).max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,12 +311,22 @@ mod tests {
         assert_eq!(cfg.participation, 0.5);
         assert_eq!(cfg.local_interactions, 10);
         assert_eq!(cfg.shuffler_threshold, 10);
-        // Scaling knobs default to the canonical single-lane deployment.
+        // The shuffler defaults to one lane; ingest shards follow the host.
         assert_eq!(cfg.shuffler_shards, 1);
         assert_eq!(cfg.shuffler_batch_size, 128);
-        assert_eq!(cfg.ingest_shards, 1);
+        assert_eq!(cfg.ingest_shards, host_ingest_shards(20));
         assert_eq!(cfg.code_representation, CodeRepresentation::Centroid);
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn ingest_shards_follow_the_host_up_to_the_action_count() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(host_ingest_shards(20), threads.min(20));
+        // A shard beyond the number of actions would own no arm.
+        let single = P2bConfig::new(10, 1);
+        assert_eq!(single.ingest_shards, 1);
+        assert!(single.validate().is_ok());
     }
 
     #[test]

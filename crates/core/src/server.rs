@@ -32,7 +32,8 @@ pub struct CentralServer {
 
 impl CentralServer {
     /// Creates an empty central server, spawning its model service with
-    /// [`P2bConfig::ingest_shards`] ingest workers.
+    /// [`P2bConfig::ingest_shards`] ingest workers: by default one per
+    /// available hardware thread, capped at the number of actions.
     ///
     /// # Errors
     ///

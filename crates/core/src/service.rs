@@ -157,7 +157,10 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
 
 /// The concurrent central model service.
 ///
-/// Owns `M ≥ 1` ingest shards. [`ModelService::ingest`] partitions a batch
+/// Owns `M ≥ 1` ingest shards; [`crate::CentralServer`] spawns
+/// [`crate::P2bConfig::ingest_shards`] of them, by default one per available
+/// hardware thread, capped at the number of actions, so a flush's fold runs
+/// on every core. [`ModelService::ingest`] partitions a batch
 /// of coalesced updates by `action % M` and dispatches each partition to
 /// its shard without waiting; [`ModelService::assemble`] synchronizes with
 /// every shard (the FIFO command queues guarantee all prior ingests are

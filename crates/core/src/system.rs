@@ -556,4 +556,52 @@ mod tests {
             assert_eq!(model.observations(), model_one.observations());
         }
     }
+
+    /// Publishes the snapshot after each of three `streaming_round`s over
+    /// the same seeded reports, as the exact bits of every arm's statistics
+    /// and of the scores on a probe context.
+    fn published_bits(config: P2bConfig) -> Vec<(u64, Vec<u64>)> {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut system = P2bSystem::new(config, encoder(0)).unwrap();
+        let probe = Vector::from(vec![0.4, 0.3, 0.2, 0.1]);
+        let mut published = Vec::new();
+        for round in 0..3 {
+            let reports = gather_reports(&mut system, &mut rng, 30);
+            system.streaming_round(reports, 40 + round).unwrap();
+            let snapshot = system.central_snapshot().unwrap();
+            let model = snapshot.model();
+            let mut words = vec![model.observations()];
+            for arm in 0..model.config().num_actions {
+                let action = p2b_bandit::Action::new(arm);
+                words.push(model.pulls(action).unwrap());
+                let design = model.design(action).unwrap().as_slice().iter();
+                let reward = model.reward_vector(action).unwrap().iter();
+                let theta = model.theta(action).unwrap();
+                words.extend(
+                    design
+                        .chain(reward)
+                        .chain(theta.iter())
+                        .map(|x| x.to_bits()),
+                );
+            }
+            let scores = model.scores(&probe).unwrap();
+            words.extend(scores.iter().map(|x| x.to_bits()));
+            published.push((snapshot.epoch(), words));
+        }
+        published
+    }
+
+    /// The host-sized default shard count publishes the same bits as one
+    /// pinned shard. On a one-core runner both sides run one shard.
+    #[test]
+    fn host_sized_ingest_shards_publish_the_single_shard_snapshots() {
+        let config = P2bConfig::new(4, 3)
+            .with_local_interactions(1)
+            .with_shuffler_threshold(2)
+            .with_shuffler_batch_size(16);
+        let host = published_bits(config.clone());
+        let single = published_bits(config.with_ingest_shards(1));
+        assert_eq!(host.len(), 3);
+        assert_eq!(host, single);
+    }
 }

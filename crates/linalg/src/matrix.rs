@@ -210,14 +210,7 @@ impl Matrix {
                 found: (out.len(), 1),
             });
         }
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
+        self.for_each_row_product(x, |r, product| out[r] = product);
         Ok(())
     }
 
@@ -248,15 +241,55 @@ impl Matrix {
             });
         }
         let mut total = 0.0;
-        for (r, &xr) in x.iter().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+        self.for_each_row_product(x, |r, product| total += x[r] * product);
+        Ok(total)
+    }
+
+    /// The row kernel behind [`Matrix::matvec_into`] and
+    /// [`Matrix::quadratic_form`]: hands `sink` each row's dot product with
+    /// `x`, in row order.
+    ///
+    /// Every product is accumulated from zero in column order, exactly as a
+    /// one-row-at-a-time loop would, so each output keeps its bits. Rows are
+    /// taken four at a time so that four independent add chains are in
+    /// flight instead of one dependent chain. `x.len() == self.cols` is the
+    /// caller's precondition.
+    #[inline]
+    fn for_each_row_product(&self, x: &[f64], mut sink: impl FnMut(usize, f64)) {
+        const LANES: usize = 4;
+        let cols = self.cols;
+        if cols == 0 {
+            // `chunks_exact(0)` panics; an empty row's product is the empty sum.
+            (0..self.rows).for_each(|r| sink(r, 0.0));
+            return;
+        }
+        let blocks = self.data.chunks_exact(LANES * cols);
+        let tail = blocks.remainder();
+        let mut r = 0;
+        for block in blocks {
+            let (r0, rest) = block.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            let mut acc = [0.0; LANES];
+            for ((((&a0, &a1), &a2), &a3), &xj) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+                acc[0] += a0 * xj;
+                acc[1] += a1 * xj;
+                acc[2] += a2 * xj;
+                acc[3] += a3 * xj;
+            }
+            for product in acc {
+                sink(r, product);
+                r += 1;
+            }
+        }
+        for row in tail.chunks_exact(cols) {
             let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
+            for (a, b) in row.iter().zip(x) {
                 acc += a * b;
             }
-            total += xr * acc;
+            sink(r, acc);
+            r += 1;
         }
-        Ok(total)
     }
 
     /// Transposed matrix–vector product `Aᵀ x`.
@@ -457,6 +490,8 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn identity_matvec_is_identity() {
@@ -530,6 +565,106 @@ mod tests {
         let two_step = v.dot(&ax).unwrap();
         let fused = m.quadratic_form(v.as_slice()).unwrap();
         assert_eq!(fused.to_bits(), two_step.to_bits());
+    }
+
+    /// The one-row-at-a-time loop the row kernel must reproduce bit for bit.
+    fn scalar_row_products(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..m.rows())
+            .map(|r| {
+                let mut acc = 0.0;
+                for (a, b) in m.row(r).iter().zip(x) {
+                    acc += a * b;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// How [`seeded_entries`] draws.
+    #[derive(Debug, Clone, Copy)]
+    enum Draw {
+        Finite,
+        /// About one entry in eight is a signed zero, an infinity or a NaN.
+        Specials,
+        /// Only ±0 and ±1, so whole rows of `-0.0` products occur: their
+        /// sum is `+0.0` only when accumulated from `+0.0`.
+        SignedZeros,
+    }
+
+    fn seeded_entries(rng: &mut StdRng, len: usize, draw: Draw) -> Vec<f64> {
+        const SPECIAL: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        const ZERO_OR_ONE: [f64; 4] = [0.0, -0.0, 1.0, -1.0];
+        (0..len)
+            .map(|_| match draw {
+                Draw::Specials if rng.gen_range(0..8) == 0 => {
+                    SPECIAL[rng.gen_range(0..SPECIAL.len())]
+                }
+                Draw::SignedZeros => ZERO_OR_ONE[rng.gen_range(0..ZERO_OR_ONE.len())],
+                Draw::Finite | Draw::Specials => rng.gen_range(-4.0..4.0),
+            })
+            .collect()
+    }
+
+    /// Exact bits, except that every NaN reads as one: Rust leaves the sign
+    /// and payload of a NaN result unspecified (the optimizer may commute a
+    /// product's operands), so only NaN-ness is a property of the kernel.
+    fn bits_of(value: f64) -> u64 {
+        if value.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            value.to_bits()
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().copied().map(bits_of).collect()
+    }
+
+    #[test]
+    fn row_kernel_matches_the_scalar_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0F01);
+        let square = (1..=9).chain([16, 31, 32, 33]).map(|n| (n, n));
+        let rectangular = [(3, 7), (7, 3), (5, 32), (33, 2), (1, 9), (9, 1), (12, 5)];
+        for (rows, cols) in square.chain(rectangular) {
+            for draw in [Draw::Finite, Draw::Specials, Draw::SignedZeros] {
+                let data = seeded_entries(&mut rng, rows * cols, draw);
+                let m = Matrix::from_flat(rows, cols, data).unwrap();
+                let x = seeded_entries(&mut rng, cols, draw);
+                let reference = scalar_row_products(&m, &x);
+                let mut out = vec![f64::NAN; rows];
+                m.matvec_into(&x, &mut out).unwrap();
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference),
+                    "matvec_into {rows}x{cols}, {draw:?}"
+                );
+                if rows == cols {
+                    let mut total = 0.0;
+                    for (&xr, &product) in x.iter().zip(&reference) {
+                        total += xr * product;
+                    }
+                    let fused = m.quadratic_form(&x).unwrap();
+                    assert_eq!(
+                        bits_of(fused),
+                        bits_of(total),
+                        "quadratic_form {rows}x{cols}, {draw:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_handles_empty_shapes() {
+        let mut none: [f64; 0] = [];
+        assert!(Matrix::zeros(0, 0).matvec_into(&[], &mut none).is_ok());
+        assert_eq!(Matrix::zeros(0, 0).quadratic_form(&[]).unwrap(), 0.0);
+        assert!(Matrix::zeros(0, 3)
+            .matvec_into(&[1.0, 2.0, 3.0], &mut none)
+            .is_ok());
+        let mut out = [f64::NAN; 5];
+        Matrix::zeros(5, 0).matvec_into(&[], &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&[0.0; 5]));
     }
 
     #[test]
