@@ -17,14 +17,23 @@
 //!   carries zero information about the user, unlike a user-id hash which
 //!   would pin every user to one shard and leak membership through shard
 //!   load.
-//! * **Batching** — each shard accumulates a chunk of
+//! * **Batching** — each shard accumulates a sub-batch of
 //!   `batch_size / shards` reports (rounded up), anonymizes + shuffles it,
 //!   and forwards it to the merger; the merger
 //!   re-batches the fan-in stream into merged batches of exactly
 //!   [`EngineBuilder::batch_size`] (the final flush may be smaller).
+//! * **Staging** — `submit` does not hand each report to its shard on its
+//!   own: it appends it to that shard's stage on the handle, and a stage
+//!   that reaches a fixed chunk of reports (256) goes to the shard as one
+//!   message. A report can therefore wait in its stage until the chunk
+//!   fills or [`EngineHandle::finish`] sends every partial stage; the shard
+//!   re-cuts the chunks at its batch size exactly as it would cut a
+//!   one-report-at-a-time stream, so staging changes no batch.
 //! * **Backpressure** — the shards are a [`ShardPool`] of bounded ingress
-//!   queues; `submit` blocks while the target shard's queue is full, so a
-//!   slow engine slows its producers instead of buffering without limit.
+//!   queues of chunks, about [`SHARD_QUEUE_CAPACITY`] reports deep per
+//!   shard plus at most one staged chunk; `submit` blocks while the target
+//!   shard's queue is full, so a slow engine slows its producers instead of
+//!   buffering without limit.
 //! * **Privacy bookkeeping** — with [`EngineBuilder::privacy_accounting`]
 //!   enabled, the merger records every delivered batch in an
 //!   [`AmplificationLedger`], attaching the per-batch (ε, δ) amplification
@@ -45,7 +54,17 @@ use p2b_privacy::{splitmix64, AmplificationLedger, BatchAmplification, Participa
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
+
+/// Reports a shard's stage collects before [`EngineHandle::submit`] sends
+/// them to the shard as one message.
+const STAGE_CHUNK: usize = 256;
+
+/// Mixed into the spawn seed for the merger's RNG: a fixed tag keeps its
+/// stream distinct from every shard's (shard seeds mix small integers, not
+/// this constant).
+const MERGER_SEED_TAG: u64 = 0x5EED_BA7C_4E61_4E00;
 
 /// Builder for a [`ShufflerEngine`].
 ///
@@ -70,9 +89,10 @@ impl EngineBuilder {
     }
 
     /// Number of shard workers (default 1). Each shard owns one thread and
-    /// one ingress queue bounded at [`SHARD_QUEUE_CAPACITY`] reports:
-    /// [`EngineHandle::submit`] blocks while the target shard's queue is
-    /// full — the engine's backpressure contract.
+    /// one ingress queue bounded at about [`SHARD_QUEUE_CAPACITY`] reports,
+    /// carried in chunks of 256 that [`EngineHandle::submit`] stages on the
+    /// handle: `submit` blocks while the target shard's queue is full — the
+    /// engine's backpressure contract.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -81,9 +101,9 @@ impl EngineBuilder {
 
     /// Size of the merged batches delivered downstream (default 64). Every
     /// batch except the final flush contains exactly this many received
-    /// reports. Each shard forwards chunks of `batch_size / shards` reports
-    /// (rounded up), so the shards collectively fill one merged batch per
-    /// chunk round.
+    /// reports. Each shard forwards sub-batches of `batch_size / shards`
+    /// reports (rounded up), so the shards collectively fill one merged
+    /// batch per round of sub-batches.
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
@@ -234,7 +254,10 @@ impl ShufflerEngine {
         // Each shard owns a clone of the fan-in sender and the pool keeps
         // none, so the merger disconnects as soon as the last shard exits.
         let shard_batch_size = self.shard_batch_size;
-        let shards = ShardPool::spawn(self.shards, SHARD_QUEUE_CAPACITY, move |shard, input| {
+        // A queue of `SHARD_QUEUE_CAPACITY / STAGE_CHUNK` chunks keeps the
+        // per-shard bound at about `SHARD_QUEUE_CAPACITY` reports.
+        let capacity = SHARD_QUEUE_CAPACITY / STAGE_CHUNK;
+        let shards = ShardPool::spawn(self.shards, capacity, move |shard, input| {
             let seed = splitmix64(seed ^ splitmix64(shard as u64 + 1));
             ShardWorker::new(shard, input, fan_tx, shard_batch_size, seed).run();
         });
@@ -242,9 +265,7 @@ impl ShufflerEngine {
         let threshold = self.config.threshold;
         let batch_size = self.batch_size;
         let ledger = self.ledger.clone();
-        // A fixed tag keeps the merger's RNG stream distinct from every
-        // shard's (shard seeds mix small integers, not this constant).
-        let merger_seed = splitmix64(seed ^ 0x5EED_BA7C_4E61_4E00);
+        let merger_seed = splitmix64(seed ^ MERGER_SEED_TAG);
         let merger = std::thread::spawn(move || {
             run_merger(
                 &fan_rx,
@@ -257,10 +278,15 @@ impl ShufflerEngine {
         });
 
         EngineHandle {
+            stages: (0..self.shards)
+                .map(|_| Mutex::new(Vec::with_capacity(STAGE_CHUNK)))
+                .collect(),
             shards: Some(shards),
             slot: AtomicU64::new(0),
             batch_rx,
             merger: Some(merger),
+            #[cfg(test)]
+            chunks_sent: AtomicU64::new(0),
         }
     }
 }
@@ -307,7 +333,7 @@ fn run_merger(
     ledger
 }
 
-/// Processes one merged chunk and sends it downstream. Returns `false` when
+/// Processes one merged batch and sends it downstream. Returns `false` when
 /// the downstream receiver is gone and the merger should stop.
 fn emit(
     chunk: Vec<EncodedReport>,
@@ -348,10 +374,15 @@ fn emit(
 /// closes the ingress, flushes every stage and joins the worker threads.
 #[derive(Debug)]
 pub struct EngineHandle {
-    shards: Option<ShardPool<RawReport, ()>>,
+    shards: Option<ShardPool<Vec<RawReport>, ()>>,
+    /// One stage per shard: the reports routed to it since its last chunk.
+    stages: Vec<Mutex<Vec<RawReport>>>,
     slot: AtomicU64,
     batch_rx: Receiver<EngineBatch>,
     merger: Option<JoinHandle<Option<AmplificationLedger>>>,
+    /// Chunk messages handed to the shard pool.
+    #[cfg(test)]
+    chunks_sent: AtomicU64,
 }
 
 impl EngineHandle {
@@ -359,13 +390,17 @@ impl EngineHandle {
     ///
     /// The report is routed to a shard by hashing its anonymous batch slot
     /// (the engine-wide arrival counter) — never anything derived from the
-    /// sender, so shard assignment reveals nothing about the user. Blocks
-    /// while the target shard's bounded queue is full (backpressure).
+    /// sender, so shard assignment reveals nothing about the user — and
+    /// staged there. It may wait in that shard's stage until 256 reports
+    /// accumulate or [`Self::finish`]; the call that fills the stage sends
+    /// it as one chunk and blocks while the shard's bounded queue is full
+    /// (backpressure).
     ///
     /// # Errors
     ///
-    /// Returns [`ShufflerError::PipelineClosed`] after [`Self::finish`] or
-    /// if the engine's workers have shut down.
+    /// Returns [`ShufflerError::PipelineClosed`] after [`Self::finish`], if
+    /// a producer panicked while holding the shard's stage, or — at the
+    /// next chunk sent to it — if that shard's worker has shut down.
     pub fn submit(&self, report: RawReport) -> Result<(), ShufflerError> {
         let shards = self.shards.as_ref().ok_or(ShufflerError::PipelineClosed)?;
         let slot = self.slot.fetch_add(1, Ordering::Relaxed);
@@ -375,7 +410,32 @@ impl EngineHandle {
         let shard = splitmix64(slot)
             .checked_rem(shards.shards() as u64)
             .ok_or(ShufflerError::PipelineClosed)? as usize;
-        shards.send(shard, report)
+        let chunk = {
+            let mut stage = self
+                .stages
+                .get(shard)
+                .ok_or(ShufflerError::PipelineClosed)?
+                .lock()
+                .map_err(|_| ShufflerError::PipelineClosed)?;
+            stage.push(report);
+            if stage.len() < STAGE_CHUNK {
+                return Ok(());
+            }
+            std::mem::replace(&mut *stage, Vec::with_capacity(STAGE_CHUNK))
+        };
+        self.send_chunk(shards, shard, chunk)
+    }
+
+    /// Hands one chunk of staged reports to shard `shard`.
+    fn send_chunk(
+        &self,
+        shards: &ShardPool<Vec<RawReport>, ()>,
+        shard: usize,
+        chunk: Vec<RawReport>,
+    ) -> Result<(), ShufflerError> {
+        #[cfg(test)]
+        self.chunks_sent.fetch_add(1, Ordering::Relaxed);
+        shards.send(shard, chunk)
     }
 
     /// Number of reports submitted through this handle so far.
@@ -394,11 +454,21 @@ impl EngineHandle {
     }
 
     fn close(&mut self) -> Option<AmplificationLedger> {
-        // Dropping the shard pool closes every ingress queue and joins the
-        // shards; each flushes its partial chunk and drops its fan-in sender;
-        // the merger then flushes its partial merged batch and returns the
-        // ledger.
-        self.shards = None;
+        // Each partial stage goes to its shard first. A poisoned stage reads
+        // as a closed pipeline and a dead shard refuses its chunk; neither
+        // stops the other stages or the shutdown. Dropping the shard pool
+        // then closes every ingress queue and joins the shards; each flushes
+        // its partial batch and drops its fan-in sender; the merger then
+        // flushes its partial merged batch and returns the ledger.
+        if let Some(shards) = self.shards.take() {
+            for (shard, stage) in self.stages.iter().enumerate() {
+                if let Ok(mut stage) = stage.lock() {
+                    if !stage.is_empty() {
+                        let _ = self.send_chunk(&shards, shard, std::mem::take(&mut *stage));
+                    }
+                }
+            }
+        }
         self.merger
             .take()
             .and_then(|merger| merger.join().ok())
@@ -415,6 +485,7 @@ impl Drop for EngineHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
 
     fn raw(code: usize) -> RawReport {
         RawReport::new("agent", EncodedReport::new(code, 0, 1.0).unwrap())
@@ -596,6 +667,141 @@ mod tests {
         second.submit(raw(1)).unwrap();
         let output = second.finish();
         assert_eq!(output.batches.len(), 1);
+    }
+
+    /// Report `i` of a staged-path run: code `i % 3`, action `i`, so every
+    /// report is distinct and any reordering shows.
+    fn numbered(i: usize) -> EncodedReport {
+        EncodedReport::new(i % 3, i, 1.0).unwrap()
+    }
+
+    /// The engine's output at `shards = 1`, computed without threads: cut
+    /// the submissions at the shard batch size, Fisher–Yates each cut with
+    /// the shard's seed, then shuffle and threshold it with the merger's.
+    fn single_shard_oracle(
+        seed: u64,
+        threshold: usize,
+        batch_size: usize,
+        reports: &[EncodedReport],
+    ) -> Vec<EngineBatch> {
+        let mut shard_rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(1)));
+        let mut merger_rng = StdRng::seed_from_u64(splitmix64(seed ^ MERGER_SEED_TAG));
+        reports
+            .chunks(batch_size)
+            .enumerate()
+            .map(|(index, cut)| {
+                let mut cut = cut.to_vec();
+                cut.shuffle(&mut shard_rng);
+                EngineBatch {
+                    index: index as u64,
+                    batch: shuffle_and_threshold(threshold, cut, &mut merger_rng),
+                    amplification: None,
+                }
+            })
+            .collect()
+    }
+
+    /// Report counts around the stage chunk.
+    const COUNTS: [usize; 6] = [
+        0,
+        1,
+        STAGE_CHUNK - 1,
+        STAGE_CHUNK,
+        STAGE_CHUNK + 1,
+        3 * STAGE_CHUNK + 7,
+    ];
+
+    #[test]
+    fn staging_never_reorders_or_recuts_reports() {
+        for n in COUNTS {
+            for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
+                let seed = 31 + n as u64;
+                let reports: Vec<EncodedReport> = (0..n).map(numbered).collect();
+                let handle = engine(2, 1, batch_size).spawn(seed);
+                for (i, report) in reports.iter().enumerate() {
+                    handle
+                        .submit(RawReport::new(format!("agent-{i}"), *report))
+                        .unwrap();
+                }
+                assert_eq!(
+                    handle.finish().batches,
+                    single_shard_oracle(seed, 2, batch_size, &reports),
+                    "n={n} batch_size={batch_size}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_staging_conserves_reports_at_exact_merged_sizes() {
+        for shards in [2, 4] {
+            for n in COUNTS {
+                for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
+                    let handle = engine(1, shards, batch_size).spawn(n as u64);
+                    for i in 0..n {
+                        handle.submit(RawReport::new("agent", numbered(i))).unwrap();
+                    }
+                    let output = handle.finish();
+                    let sizes: Vec<usize> = output
+                        .batches
+                        .iter()
+                        .map(|b| b.batch.stats().received)
+                        .collect();
+                    let mut want = vec![batch_size; n / batch_size];
+                    want.extend(Some(n % batch_size).filter(|&r| r > 0));
+                    let context = format!("shards={shards} n={n} batch_size={batch_size}");
+                    assert_eq!(sizes, want, "{context}");
+                    let mut actions: Vec<usize> = output
+                        .batches
+                        .iter()
+                        .flat_map(|b| b.batch.reports().iter().map(EncodedReport::action))
+                        .collect();
+                    actions.sort_unstable();
+                    assert_eq!(actions, (0..n).collect::<Vec<_>>(), "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shard_receives_one_message_per_chunk_of_reports() {
+        for n in COUNTS {
+            let mut handle = engine(1, 1, 7).spawn(4);
+            for i in 0..n {
+                handle.submit(raw(i % 5)).unwrap();
+            }
+            assert_eq!(
+                handle.chunks_sent.load(Ordering::Relaxed),
+                (n / STAGE_CHUNK) as u64,
+                "full stages, n={n}"
+            );
+            let _ = handle.close();
+            assert_eq!(
+                handle.chunks_sent.load(Ordering::Relaxed),
+                n.div_ceil(STAGE_CHUNK) as u64,
+                "after the partial stage, n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_poisoned_stage_reads_as_pipeline_closed() {
+        let handle = engine(1, 1, 4).spawn(9);
+        handle.submit(raw(0)).unwrap();
+        let poisoned = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _stage = handle.stages[0].lock();
+                    panic!("injected fault");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(poisoned);
+        assert_eq!(handle.submit(raw(1)), Err(ShufflerError::PipelineClosed));
+        // `finish` neither hangs nor panics; the poisoned stage's report is
+        // not delivered.
+        assert!(handle.finish().batches.is_empty());
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //!   microbenchmarks build a shuffled batch without threads.
 //! * [`ShufflerEngine`] — streaming: reports submitted from any thread are
 //!   partitioned across N shard workers (by hashing the anonymous batch
-//!   slot, never the sender), shuffled within and across shards through a
-//!   fan-in merge stage, thresholded per merged batch, and delivered with
-//!   per-batch (ε, δ) amplification records. Every report reaches the
-//!   central model this way; one shard is the single-lane deployment. See
-//!   [`engine`] for
-//!   the stage diagram; `tests/pipeline_concurrency.rs` and
-//!   `tests/shuffler_properties.rs` pin conservation and exact
+//!   slot, never the sender) and handed to each a chunk at a time,
+//!   shuffled within and across shards through a fan-in merge stage,
+//!   thresholded per merged batch, and delivered with per-batch (ε, δ)
+//!   amplification records. Every report reaches the central model this
+//!   way; one shard is the single-lane deployment. See [`engine`] for the
+//!   stage diagram and the staging contract; `tests/pipeline_concurrency.rs`
+//!   and `tests/shuffler_properties.rs` pin conservation and exact
 //!   thresholding at shards ∈ {1, 2, 4}.
 //!
 //! A third shape drops the trusted-shuffler assumption altogether for the

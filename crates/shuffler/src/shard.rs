@@ -1,16 +1,19 @@
 //! Shard workers of the sharded shuffler engine.
 //!
-//! Each shard owns one worker thread and one *bounded* ingress queue. The
-//! bounded queue is the engine's backpressure mechanism: when a shard falls
-//! behind, producers calling [`crate::EngineHandle::submit`] block instead of
-//! letting unprocessed reports pile up without limit.
+//! Each shard owns one worker thread and one *bounded* ingress queue of
+//! report chunks, staged by [`crate::EngineHandle::submit`]. The bounded
+//! queue is the engine's backpressure mechanism: when a shard falls behind,
+//! producers block instead of letting unprocessed reports pile up without
+//! limit. A shard takes a whole chunk per receive but cuts its batches
+//! report by report, so where the chunk boundaries fall never moves a batch
+//! boundary.
 //!
 //! A shard performs the parallelizable half of the shuffler's work:
 //!
-//! 1. **Anonymization** — metadata is stripped from every report the moment
-//!    it is taken off the ingress queue ([`crate::RawReport::into_anonymous`]),
-//!    so identifying information never crosses the fan-in stage.
-//! 2. **Within-shard shuffling** — each accumulated chunk is Fisher–Yates
+//! 1. **Anonymization** — metadata is stripped from every report before it
+//!    leaves the shard ([`crate::RawReport::into_anonymous`]), so
+//!    identifying information never crosses the fan-in stage.
+//! 2. **Within-shard shuffling** — each accumulated batch is Fisher–Yates
 //!    shuffled before it is forwarded, so no downstream stage (including the
 //!    merger) ever observes arrival order.
 //!
@@ -25,23 +28,23 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// A within-shard pre-shuffled chunk of anonymized reports on its way to the
+/// A within-shard pre-shuffled batch of anonymized reports on its way to the
 /// fan-in merge stage.
 #[derive(Debug)]
 pub(crate) struct SubBatch {
-    /// Index of the shard that produced this chunk.
+    /// Index of the shard that produced this batch.
     #[allow(dead_code)] // read by the concurrency tests and debug output
     pub(crate) shard: usize,
     /// Anonymized reports in within-shard shuffled order.
     pub(crate) reports: Vec<EncodedReport>,
 }
 
-/// One shard's worker loop: drain the bounded ingress queue, accumulate
-/// `batch_size` reports, anonymize + shuffle the chunk, and forward it to
-/// the merger.
+/// One shard's worker loop: drain the bounded ingress queue of chunks,
+/// accumulate `batch_size` reports, anonymize + shuffle the batch, and
+/// forward it to the merger.
 pub(crate) struct ShardWorker {
     shard: usize,
-    input: Receiver<RawReport>,
+    input: Receiver<Vec<RawReport>>,
     output: Sender<SubBatch>,
     batch_size: usize,
     rng: StdRng,
@@ -50,7 +53,7 @@ pub(crate) struct ShardWorker {
 impl ShardWorker {
     pub(crate) fn new(
         shard: usize,
-        input: Receiver<RawReport>,
+        input: Receiver<Vec<RawReport>>,
         output: Sender<SubBatch>,
         batch_size: usize,
         seed: u64,
@@ -65,20 +68,23 @@ impl ShardWorker {
     }
 
     /// Runs until the ingress queue disconnects (all producer handles
-    /// dropped) or the merger goes away; flushes the final partial chunk on
-    /// the way out.
+    /// dropped) or the merger goes away; flushes the final partial batch on
+    /// the way out. Each received chunk is cut report by report, so the
+    /// batches equal those of the same reports sent one at a time.
     pub(crate) fn run(mut self) {
         let mut pending: Vec<RawReport> = Vec::with_capacity(self.batch_size);
-        while let Ok(report) = self.input.recv() {
-            pending.push(report);
-            if pending.len() >= self.batch_size && !self.flush(&mut pending) {
-                return;
+        while let Ok(chunk) = self.input.recv() {
+            for report in chunk {
+                pending.push(report);
+                if pending.len() >= self.batch_size && !self.flush(&mut pending) {
+                    return;
+                }
             }
         }
         let _ = self.flush(&mut pending);
     }
 
-    /// Anonymizes, shuffles and forwards the pending chunk. Returns `false`
+    /// Anonymizes, shuffles and forwards the pending batch. Returns `false`
     /// when the merger has shut down and the worker should stop.
     fn flush(&mut self, pending: &mut Vec<RawReport>) -> bool {
         if pending.is_empty() {
@@ -99,48 +105,92 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardPool, ShufflerError};
     use crossbeam::channel::{bounded, unbounded};
 
     fn raw(code: usize) -> RawReport {
         RawReport::new("agent", EncodedReport::new(code, 0, 1.0).unwrap())
     }
 
-    #[test]
-    fn worker_batches_anonymizes_and_flushes_remainder() {
-        let (in_tx, in_rx) = bounded::<RawReport>(16);
+    /// Feeds codes `0..reports` to one worker (shard 3, seed 7) in chunks of
+    /// `chunk` and returns the sub-batches it forwards.
+    fn run_worker(reports: usize, chunk: usize, batch_size: usize) -> Vec<SubBatch> {
+        let (in_tx, in_rx) = bounded::<Vec<RawReport>>(16);
         let (out_tx, out_rx) = unbounded::<SubBatch>();
-        let worker = ShardWorker::new(3, in_rx, out_tx, 4, 7);
+        let worker = ShardWorker::new(3, in_rx, out_tx, batch_size, 7);
         let handle = std::thread::spawn(move || worker.run());
-        for i in 0..10 {
-            in_tx.send(raw(i)).unwrap();
+        let codes: Vec<usize> = (0..reports).collect();
+        for part in codes.chunks(chunk) {
+            in_tx.send(part.iter().copied().map(raw).collect()).unwrap();
         }
         drop(in_tx);
         handle.join().unwrap();
-        let subs: Vec<SubBatch> = out_rx.iter().collect();
+        out_rx.iter().collect()
+    }
+
+    fn codes(sub: &SubBatch) -> Vec<usize> {
+        sub.reports.iter().map(EncodedReport::code).collect()
+    }
+
+    #[test]
+    fn worker_batches_anonymizes_and_flushes_remainder() {
+        let subs = run_worker(10, 1, 4);
         assert_eq!(subs.len(), 3); // 4 + 4 + final flush of 2
         assert_eq!(subs[0].reports.len(), 4);
         assert_eq!(subs[1].reports.len(), 4);
         assert_eq!(subs[2].reports.len(), 2);
         assert!(subs.iter().all(|s| s.shard == 3));
-        let mut codes: Vec<usize> = subs
-            .iter()
-            .flat_map(|s| s.reports.iter().map(EncodedReport::code))
-            .collect();
+        let mut codes: Vec<usize> = subs.iter().flat_map(codes).collect();
         codes.sort_unstable();
         assert_eq!(codes, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
+    fn chunks_straddling_the_cut_batch_like_single_reports() {
+        // Chunks of 3 against batches of 4: the second chunk straddles the
+        // first cut and the third the second, yet each sub-batch holds the
+        // codes — in the same shuffled order — of a one-at-a-time feed.
+        let chunked = run_worker(10, 3, 4);
+        let single = run_worker(10, 1, 4);
+        let sizes: Vec<usize> = chunked.iter().map(|s| s.reports.len()).collect();
+        assert_eq!(sizes, vec![4, 4, 2]);
+        for (sub, want) in chunked.iter().zip([0..4, 4..8, 8..10]) {
+            let mut got = codes(sub);
+            got.sort_unstable();
+            assert_eq!(got, want.collect::<Vec<_>>());
+        }
+        let chunked: Vec<Vec<usize>> = chunked.iter().map(codes).collect();
+        let single: Vec<Vec<usize>> = single.iter().map(codes).collect();
+        assert_eq!(chunked, single);
+    }
+
+    #[test]
     fn worker_stops_when_merger_disconnects() {
-        let (in_tx, in_rx) = bounded::<RawReport>(16);
+        let (in_tx, in_rx) = bounded::<Vec<RawReport>>(16);
         let (out_tx, out_rx) = unbounded::<SubBatch>();
         drop(out_rx);
         let worker = ShardWorker::new(0, in_rx, out_tx, 2, 1);
         let handle = std::thread::spawn(move || worker.run());
-        // The worker exits as soon as it fails to forward a full chunk,
+        // The worker exits as soon as it fails to forward a full batch,
         // instead of spinning forever.
-        let _ = in_tx.send(raw(0));
-        let _ = in_tx.send(raw(1));
+        let _ = in_tx.send(vec![raw(0), raw(1)]);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_full_stage_sent_to_a_shard_without_a_merger_is_pipeline_closed() {
+        let (out_tx, out_rx) = unbounded::<SubBatch>();
+        drop(out_rx);
+        let pool = ShardPool::spawn(1, 1, move |shard, input| {
+            ShardWorker::new(shard, input, out_tx, 4, 1).run();
+        });
+        let stage = || (0..256).map(raw).collect::<Vec<_>>();
+        // The first stage is taken and its first batch fails to forward, so
+        // the worker exits; at most one more stage fits the queue before
+        // that, and every send after it observes the dead shard.
+        let accepted = (0..3).take_while(|_| pool.send(0, stage()).is_ok()).count();
+        assert!((1..=2).contains(&accepted), "accepted {accepted}");
+        assert_eq!(pool.send(0, stage()), Err(ShufflerError::PipelineClosed));
+        assert_eq!(pool.join(), Ok(vec![()]));
     }
 }
