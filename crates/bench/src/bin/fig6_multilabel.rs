@@ -8,6 +8,7 @@ use p2b_datasets::{MultiLabelDataset, MultiLabelInstance};
 use p2b_sim::{parallel_map, run_logged_experiment, LoggedExperimentConfig, Regime, SeriesPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 fn run_dataset(
     name: &str,
@@ -42,8 +43,11 @@ fn run_dataset(
     Ok(series)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(failure) => return Ok(failure.report("fig6_multilabel")),
+    };
     let num_agents = scale.pick(40, 200, 600);
     let interaction_sweep: Vec<usize> = scale.pick(
         vec![10, 25],
@@ -73,5 +77,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         62,
     )?;
     save_series("fig6_textmining", &tm_series)?;
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

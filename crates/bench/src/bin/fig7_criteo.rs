@@ -10,9 +10,13 @@ use p2b_datasets::{CriteoConfig, CriteoLikeGenerator, LoggedImpression};
 use p2b_sim::{parallel_map, run_logged_experiment, LoggedExperimentConfig, Regime, SeriesPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(failure) => return Ok(failure.report("fig7_criteo")),
+    };
     let num_agents = scale.pick(60, 300, 3_000);
     let interaction_sweep: Vec<usize> = scale.pick(
         vec![25, 50],
@@ -62,5 +66,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         save_series(&format!("fig7_criteo_k{num_codes}"), &series)?;
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

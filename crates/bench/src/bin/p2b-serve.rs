@@ -115,7 +115,10 @@ fn main() -> ExitCode {
     let scale = if cli.quick {
         Scale::Quick
     } else {
-        Scale::from_env()
+        match Scale::from_env() {
+            Ok(scale) => scale,
+            Err(failure) => return failure.report("p2b-serve"),
+        }
     };
     let mut config = ServeConfig::at_scale(scale);
     if let Some(workers) = cli.workers {

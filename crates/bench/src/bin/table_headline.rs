@@ -12,6 +12,7 @@ use p2b_privacy::{amplified_epsilon, Participation};
 use p2b_sim::{run_logged_experiment, LoggedExperimentConfig, Regime, RegimeOutcome, SeriesPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 
 fn gap(outcomes: &[RegimeOutcome]) -> (f64, f64, f64) {
     let get = |regime: Regime| {
@@ -26,8 +27,11 @@ fn gap(outcomes: &[RegimeOutcome]) -> (f64, f64, f64) {
     (non_private, private, non_private - private)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = Scale::from_env();
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(failure) => return Ok(failure.report("table_headline")),
+    };
     println!("=== Headline numbers (paper abstract / Section 7) ===\n");
 
     // 1. Privacy budget at p = 0.5.
@@ -105,5 +109,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     all_points.push(SeriesPoint::new("criteo", per_agent as f64, outcomes));
 
     save_series("table_headline", &all_points)?;
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

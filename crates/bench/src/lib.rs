@@ -1,15 +1,16 @@
 //! Shared plumbing for the figure-reproduction binaries and Criterion benches.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the paper:
-//! it runs the relevant experiment through [`p2b_sim`], prints the data series
-//! as an aligned text table, and writes the same series as JSON under
-//! `target/experiments/` so the numbers can be re-plotted and are recorded in
-//! EXPERIMENTS.md.
+//! `figures` draws Figs. 2–5 and the scenario matrix; `fig6_multilabel`,
+//! `fig7_criteo` and `table_headline` run the logged driver
+//! ([`p2b_sim::run_logged_experiment`]). Each prints its data as aligned text
+//! tables and writes the same data as JSON under `target/experiments/`, so
+//! the numbers can be re-plotted.
 //!
 //! The experiment *scale* defaults to a laptop-friendly fraction of the
 //! paper's setup (the paper sweeps up to 10⁶ users and 3 000 agents); set the
 //! environment variable `P2B_SCALE=full` to run the original sizes, or
-//! `P2B_SCALE=quick` for a smoke-test pass.
+//! `P2B_SCALE=quick` for a smoke-test pass. Any other non-empty value is a
+//! usage error ([`Scale::from_env`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -37,13 +38,32 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `P2B_SCALE` environment variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("P2B_SCALE").unwrap_or_default().as_str() {
-            "quick" => Scale::Quick,
-            "full" => Scale::Full,
-            _ => Scale::Default,
+    /// Reads the scale from the `P2B_SCALE` environment variable; unset
+    /// reads as [`Scale::Default`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BenchFailure::Usage`] for a value other than `quick`,
+    /// `full` or empty, or one that is not valid Unicode.
+    pub fn from_env() -> Result<Self, BenchFailure> {
+        match std::env::var("P2B_SCALE") {
+            Ok(value) => Self::parse(&value),
+            Err(std::env::VarError::NotPresent) => Ok(Scale::Default),
+            Err(e) => Err(BenchFailure::Usage(format!("P2B_SCALE: {e}"))),
+        }
+    }
+
+    /// Parses a `P2B_SCALE` value: `quick`, `full`, or empty for the default
+    /// scale. Any other value is a usage error, so a misspelt `full` cannot
+    /// quietly run at the default size.
+    fn parse(value: &str) -> Result<Self, BenchFailure> {
+        match value {
+            "" => Ok(Scale::Default),
+            "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            other => Err(BenchFailure::Usage(format!(
+                "P2B_SCALE must be `quick`, `full` or empty, got {other:?}"
+            ))),
         }
     }
 
@@ -109,6 +129,17 @@ mod tests {
         assert_eq!(Scale::Quick.pick(1, 2, 3), 1);
         assert_eq!(Scale::Default.pick(1, 2, 3), 2);
         assert_eq!(Scale::Full.pick(1, 2, 3), 3);
+    }
+
+    #[test]
+    fn scale_parse_rejects_unknown_values() {
+        assert_eq!(Scale::parse(""), Ok(Scale::Default));
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("full"), Ok(Scale::Full));
+        for bad in ["FULL", "ful", "Quick", "default", " full"] {
+            let failure = Scale::parse(bad).unwrap_err();
+            assert_eq!(failure.exit_code(), 2, "{bad:?} must be a usage error");
+        }
     }
 
     #[test]

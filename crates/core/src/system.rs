@@ -471,6 +471,50 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_producers_into_sharded_ingest_conserve_reports() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let config = P2bConfig::new(4, 3)
+            .with_local_interactions(1)
+            .with_shuffler_threshold(1)
+            .with_shuffler_shards(4)
+            .with_shuffler_batch_size(8)
+            .with_ingest_shards(3);
+        let mut system = P2bSystem::new(config, encoder(0)).unwrap();
+        let reports = gather_reports(&mut system, &mut rng, 40);
+        let submitted = reports.len();
+
+        // Four producer threads submit concurrently into the sharded engine,
+        // and every delivered batch folds on three ingest shards.
+        let handle = system.spawn_engine(5).unwrap();
+        let chunk = submitted.div_ceil(4);
+        std::thread::scope(|scope| {
+            for part in reports.chunks(chunk) {
+                let handle = &handle;
+                scope.spawn(move || {
+                    for report in part {
+                        handle.submit(report.clone()).unwrap();
+                    }
+                });
+            }
+        });
+        let output = handle.finish();
+        let mut received = 0;
+        let mut accepted = 0;
+        for batch in &output.batches {
+            let stats = system.ingest_engine_batch(batch).unwrap();
+            received += stats.received;
+            accepted += stats.accepted;
+        }
+        assert_eq!(received, submitted, "no report may be lost in the engine");
+        // Threshold 1: every submitted report survives and is accepted.
+        assert_eq!(accepted, submitted as u64);
+        assert_eq!(system.server().ingested_reports(), accepted);
+        let ledger = output.ledger.unwrap();
+        assert_eq!(ledger.records().len(), output.batches.len());
+        assert_eq!(ledger.total_released(), submitted);
+    }
+
+    #[test]
     fn spawn_engine_respects_config_validation() {
         let mut config = P2bConfig::new(4, 3).with_local_interactions(1);
         config.shuffler_batch_size = 0;

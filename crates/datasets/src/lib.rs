@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates P2B on three workloads; none of the original datasets
 //! can be redistributed here, so this crate builds synthetic equivalents that
-//! exercise exactly the same code paths (see DESIGN.md for the substitution
-//! rationale):
+//! exercise exactly the same code paths:
 //!
 //! * [`SyntheticPreferenceEnvironment`] — the synthetic benchmark of
 //!   Section 5.1: the mean reward of action `a` under context `x` is

@@ -26,8 +26,6 @@ pub enum ExperimentError {
     Shuffler(p2b_shuffler::ShufflerError),
     /// An underlying P2B system operation failed.
     Core(p2b_core::CoreError),
-    /// An underlying simulation harness operation failed.
-    Sim(p2b_sim::SimError),
     /// Writing a result file failed.
     Io(std::io::Error),
 }
@@ -44,7 +42,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Privacy(e) => write!(f, "privacy failure: {e}"),
             ExperimentError::Shuffler(e) => write!(f, "shuffler failure: {e}"),
             ExperimentError::Core(e) => write!(f, "p2b system failure: {e}"),
-            ExperimentError::Sim(e) => write!(f, "simulation failure: {e}"),
             ExperimentError::Io(e) => write!(f, "i/o failure: {e}"),
         }
     }
@@ -59,7 +56,6 @@ impl Error for ExperimentError {
             ExperimentError::Privacy(e) => Some(e),
             ExperimentError::Shuffler(e) => Some(e),
             ExperimentError::Core(e) => Some(e),
-            ExperimentError::Sim(e) => Some(e),
             ExperimentError::Io(e) => Some(e),
             ExperimentError::InvalidConfig { .. } => None,
         }
@@ -99,12 +95,6 @@ impl From<p2b_shuffler::ShufflerError> for ExperimentError {
 impl From<p2b_core::CoreError> for ExperimentError {
     fn from(e: p2b_core::CoreError) -> Self {
         ExperimentError::Core(e)
-    }
-}
-
-impl From<p2b_sim::SimError> for ExperimentError {
-    fn from(e: p2b_sim::SimError) -> Self {
-        ExperimentError::Sim(e)
     }
 }
 

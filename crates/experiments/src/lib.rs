@@ -23,8 +23,9 @@
 //! inverse [`p2b_bandit::ArmStatistics::from_leaf`].
 //!
 //! The `figures` binary in `p2b-bench` replays the paper's Figure 4–7 setups
-//! through this harness end-to-end; see `docs/REPRODUCING.md` for the exact
-//! commands and the expected output schema.
+//! through this harness end-to-end, and draws Figs. 4–5 (cold baseline
+//! included) from it; see `docs/REPRODUCING.md` for the exact commands and
+//! the expected output schema.
 //!
 //! # Example
 //!
@@ -64,7 +65,8 @@ mod matrix;
 mod policy;
 mod regime;
 mod scenario;
-mod streaming;
+#[cfg(test)]
+mod synthetic;
 
 pub use channel::{CENTRAL_LEAF_SENSITIVITY, CENTRAL_SIGMA, CENTRAL_TARGET_DELTA};
 pub use emit::{matrix_to_csv, matrix_to_json, write_matrix_csv, write_matrix_json};
@@ -80,4 +82,3 @@ pub use scenario::{
     ScenarioKind, ScenarioShape, CHURN_COHORTS, CHURN_ROTATION_PERIOD, DELAYED_MAX_REWARD_DELAY,
     DRIFT_PERIOD_ROUNDS,
 };
-pub use streaming::run_streaming_shuffle;

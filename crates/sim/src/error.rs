@@ -24,11 +24,6 @@ pub enum SimError {
     Dataset(p2b_datasets::DatasetError),
     /// An underlying privacy computation failed.
     Privacy(p2b_privacy::PrivacyError),
-    /// An underlying shuffler (engine) operation failed.
-    Shuffler(p2b_shuffler::ShufflerError),
-    /// The shuffler engine finished without the amplification ledger that
-    /// [`p2b_core::P2bSystem::spawn_engine`] configures it to keep.
-    MissingLedger,
     /// Writing an experiment result file failed.
     Io(std::io::Error),
 }
@@ -44,8 +39,6 @@ impl fmt::Display for SimError {
             SimError::Encoding(e) => write!(f, "encoding failure: {e}"),
             SimError::Dataset(e) => write!(f, "dataset failure: {e}"),
             SimError::Privacy(e) => write!(f, "privacy failure: {e}"),
-            SimError::Shuffler(e) => write!(f, "shuffler failure: {e}"),
-            SimError::MissingLedger => f.write_str("shuffler engine kept no amplification ledger"),
             SimError::Io(e) => write!(f, "i/o failure: {e}"),
         }
     }
@@ -59,9 +52,8 @@ impl Error for SimError {
             SimError::Encoding(e) => Some(e),
             SimError::Dataset(e) => Some(e),
             SimError::Privacy(e) => Some(e),
-            SimError::Shuffler(e) => Some(e),
             SimError::Io(e) => Some(e),
-            SimError::InvalidConfig { .. } | SimError::MissingLedger => None,
+            SimError::InvalidConfig { .. } => None,
         }
     }
 }
@@ -93,12 +85,6 @@ impl From<p2b_datasets::DatasetError> for SimError {
 impl From<p2b_privacy::PrivacyError> for SimError {
     fn from(e: p2b_privacy::PrivacyError) -> Self {
         SimError::Privacy(e)
-    }
-}
-
-impl From<p2b_shuffler::ShufflerError> for SimError {
-    fn from(e: p2b_shuffler::ShufflerError) -> Self {
-        SimError::Shuffler(e)
     }
 }
 

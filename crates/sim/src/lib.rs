@@ -9,23 +9,19 @@
 //! * **Warm & private (P2B)** — agents share encoded tuples `(y, a, r)`
 //!   through randomized reporting and the trusted shuffler.
 //!
-//! This crate drives populations of agents through the three regimes over the
-//! workloads from [`p2b_datasets`] and produces the metric series behind every
-//! figure of the paper:
+//! This crate keeps the pieces that are not the scenario matrix
+//! (`p2b_experiments::run_matrix`, which drives Figs. 4–5):
 //!
-//! * [`run_synthetic_population`] — average reward over a growing user
-//!   population (Figures 4 and 5),
 //! * [`run_logged_experiment`] — accuracy / CTR over per-agent sample streams
 //!   with a train/test agent split (Figures 6 and 7),
-//! * [`run_streaming_population`] — the serving-scale shape: parallel
-//!   producers submitting to the sharded shuffler engine,
+//! * [`ArrivalProcess`] — the seeded open-loop arrival process of the
+//!   serving harness and the benchmark,
+//! * [`parallel_map`] — the scoped worker pool the drivers share,
 //! * [`outcome::SeriesPoint`] and [`write_series_json`] — serialization of
-//!   result series for plotting and for EXPERIMENTS.md.
+//!   result series for plotting.
 //!
-//! Every driver reaches the central model through the shuffler engine: the
-//! round-based drivers flush each round with
-//! [`p2b_core::P2bSystem::streaming_round`], the streaming one submits from
-//! many producer threads.
+//! The logged driver reaches the central model through the shuffler engine,
+//! flushing each round with [`p2b_core::P2bSystem::streaming_round`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,8 +32,8 @@ mod logged;
 mod outcome;
 mod parallel;
 mod regime;
+#[cfg(test)]
 mod streaming;
-mod synthetic;
 
 pub use arrival::{ArrivalConfig, ArrivalEvent, ArrivalProcess, LANE_CONSUMER_BASE};
 pub use error::SimError;
@@ -45,5 +41,3 @@ pub use logged::{run_logged_experiment, LoggedExample, LoggedExperimentConfig};
 pub use outcome::{write_series_json, RegimeOutcome, SeriesPoint};
 pub use parallel::parallel_map;
 pub use regime::Regime;
-pub use streaming::{run_streaming_population, StreamingConfig, StreamingOutcome};
-pub use synthetic::{run_synthetic_population, PopulationConfig};

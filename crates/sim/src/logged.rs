@@ -211,8 +211,8 @@ pub fn run_logged_experiment<E: LoggedExample>(
                     let reward = example.reward(action.index());
                     policy.update(context, action, reward)?;
                     // Same reporting cadence as P2B (every T interactions,
-                    // with probability p), but the raw context is shared;
-                    // see DESIGN.md for the rationale.
+                    // with probability p), but the raw context is shared, so
+                    // the regimes differ in what is shared, not how much.
                     if (step as u64 + 1) % config.local_interactions == 0
                         && rand::Rng::gen::<f64>(&mut rng) < participation.value()
                     {

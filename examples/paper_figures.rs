@@ -4,8 +4,9 @@
 //! final utility and the achieved (ε, δ) per cell.
 //!
 //! Run with `cargo run --release --example paper_figures`. For the full
-//! harness (policy axis, CSV/JSON emission, streaming cross-check) see
-//! `cargo run --release -p p2b-bench --bin figures` and docs/REPRODUCING.md.
+//! harness (policy axis, CSV/JSON emission, Figs. 2–5 with the cold
+//! baseline) see `cargo run --release -p p2b-bench --bin figures` and
+//! docs/REPRODUCING.md.
 
 use p2b::experiments::{run_matrix, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind};
 

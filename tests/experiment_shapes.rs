@@ -4,40 +4,69 @@
 //! populations), but the orderings these tests pin down are the ones the
 //! paper's figures report.
 
-use p2b::datasets::{MultiLabelDataset, SyntheticConfig};
-use p2b::sim::{
-    run_logged_experiment, run_synthetic_population, LoggedExperimentConfig, PopulationConfig,
-    Regime,
+use p2b::datasets::MultiLabelDataset;
+use p2b::experiments::{
+    run_cell, CellResult, CellSpec, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind,
 };
+use p2b::sim::{run_logged_experiment, LoggedExperimentConfig, Regime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One LinUCB cell of `regime` over `scenario` at `seed`.
+fn cell(
+    config: &MatrixConfig,
+    scenario: ScenarioKind,
+    regime: PrivacyRegime,
+    seed: u64,
+) -> CellResult {
+    let spec = CellSpec {
+        scenario,
+        regime,
+        policy: PolicyKind::LinUcb,
+        repeat: 0,
+        seed,
+    };
+    run_cell(config, spec).unwrap()
+}
+
+/// The cold baseline: a regime that releases only at a flush, with a
+/// release cadence longer than the run. The central policy changes only
+/// after the last user, so every device learns from its own feedback alone.
+fn cold(config: &MatrixConfig, scenario: ScenarioKind, seed: u64) -> CellResult {
+    let mut cold = config.clone();
+    cold.flush_every_reports = usize::MAX;
+    cell(&cold, scenario, PrivacyRegime::SecureAgg, seed)
+}
+
+/// The synthetic benchmark at a stronger reward scale than the paper's
+/// β = 0.1 (the matrix default β = 0.8), so the orderings below are
+/// statistically unambiguous at these reduced population sizes.
+fn synthetic(
+    context_dimension: usize,
+    num_actions: usize,
+    num_users: usize,
+    num_codes: usize,
+) -> MatrixConfig {
+    let mut config = MatrixConfig::new();
+    config.shape.context_dimension = context_dimension;
+    config.shape.num_actions = num_actions;
+    config.num_users = num_users;
+    config.num_codes = num_codes;
+    config.encoder_corpus_size = 8 * num_codes;
+    config.shuffler_threshold = 2;
+    config
+}
+
 /// Figure 4 shape: with a growing population, the warm regimes clearly beat
 /// the cold baseline, whose per-user horizon (T = 10) is too short to learn.
-///
-/// The environment uses a stronger reward scale than the paper's β = 0.1 so
-/// that the ordering is statistically unambiguous at this reduced population
-/// size; the full-scale sweep lives in the `fig4_synthetic` bench binary.
+/// The full sweep is the Fig. 4 section of the `figures` bench binary.
 #[test]
 fn synthetic_benchmark_warm_regimes_beat_cold() {
-    let env = SyntheticConfig::new(6, 10)
-        .with_beta(0.8)
-        .with_noise_variance(0.0025);
-    let outcome = |regime| {
-        run_synthetic_population(
-            env,
-            PopulationConfig::new(regime, 1_000)
-                .with_num_codes(64)
-                .with_encoder_corpus_size(512)
-                .with_shuffler_threshold(2)
-                .with_seed(5),
-        )
-        .unwrap()
-        .average_reward
-    };
-    let cold = outcome(Regime::Cold);
-    let warm_np = outcome(Regime::WarmNonPrivate);
-    let warm_p = outcome(Regime::WarmPrivate);
+    let config = synthetic(6, 10, 1_000, 64);
+    let scenario = ScenarioKind::SyntheticGaussian;
+    let cold = cold(&config, scenario, 5).average_reward;
+    let warm_np = cell(&config, scenario, PrivacyRegime::NonPrivate, 5).average_reward;
+    let warm_p = cell(&config, scenario, PrivacyRegime::P2bShuffle, 5).average_reward;
     assert!(
         warm_np > cold,
         "non-private warm ({warm_np:.4}) must beat cold ({cold:.4})"
@@ -49,32 +78,53 @@ fn synthetic_benchmark_warm_regimes_beat_cold() {
 }
 
 /// Figure 4 shape along the population axis: the warm-private regime improves
-/// (or at least does not get worse) as more users contribute reports.
+/// (or at least does not get worse) as more users contribute reports. A
+/// cell's series point at round U·T is exactly a U-user run, so both
+/// populations are read off one series.
 #[test]
 fn private_regime_improves_with_population_size() {
-    // Strong-signal environment so the population effect dominates the
-    // sampling noise of the smaller run.
-    let env = SyntheticConfig::new(5, 8)
-        .with_beta(0.8)
-        .with_noise_variance(0.0025);
-    let run = |users| {
-        run_synthetic_population(
-            env,
-            PopulationConfig::new(Regime::WarmPrivate, users)
-                .with_num_codes(32)
-                .with_encoder_corpus_size(256)
-                .with_shuffler_threshold(2)
-                .with_seed(9),
-        )
-        .unwrap()
-        .average_reward
+    let mut config = synthetic(5, 8, 1_000, 32);
+    config.record_every = 100 * config.interactions_per_user;
+    let p2b = cell(
+        &config,
+        ScenarioKind::SyntheticGaussian,
+        PrivacyRegime::P2bShuffle,
+        9,
+    );
+    let at_users = |users: u64| {
+        let round = users * config.interactions_per_user;
+        p2b.series
+            .iter()
+            .find(|p| p.round == round)
+            .unwrap()
+            .average_reward
     };
-    let small = run(100);
-    let large = run(1_000);
+    let small = at_users(100);
+    let large = at_users(1_000);
     assert!(
         large > small - 0.01,
         "large population ({large:.4}) should not be worse than small ({small:.4})"
     );
+}
+
+/// The cold baseline does not depend on which release-at-flush regime runs
+/// it: under a cadence longer than the run nothing reaches a device, so a
+/// central-DP and a secure-aggregation cell play out bit for bit alike.
+#[test]
+fn cold_cadence_makes_the_release_regime_immaterial() {
+    let mut config = MatrixConfig::smoke();
+    config.flush_every_reports = usize::MAX;
+    for scenario in [
+        ScenarioKind::SyntheticGaussian,
+        ScenarioKind::MultiLabel,
+        ScenarioKind::CriteoLike,
+    ] {
+        for seed in 1..=3 {
+            let central = cell(&config, scenario, PrivacyRegime::CentralDp, seed);
+            let secure = cell(&config, scenario, PrivacyRegime::SecureAgg, seed);
+            assert_eq!(central.series, secure.series, "{scenario} seed {seed}");
+        }
+    }
 }
 
 /// Figure 6 shape: on clustered multi-label data the warm regimes beat cold,
@@ -123,18 +173,17 @@ fn multilabel_accuracy_ordering_and_gap() {
 /// participation probability yields a strictly smaller reported ε.
 #[test]
 fn reported_epsilon_tracks_participation() {
-    let env = SyntheticConfig::new(4, 5);
     let run = |p| {
-        let mut config = PopulationConfig::new(Regime::WarmPrivate, 40)
-            .with_num_codes(16)
-            .with_encoder_corpus_size(128)
-            .with_shuffler_threshold(2)
-            .with_seed(30);
+        let mut config = synthetic(4, 5, 40, 16);
         config.participation = p;
-        run_synthetic_population(env, config)
-            .unwrap()
-            .epsilon
-            .unwrap()
+        cell(
+            &config,
+            ScenarioKind::SyntheticGaussian,
+            PrivacyRegime::P2bShuffle,
+            30,
+        )
+        .epsilon
+        .unwrap()
     };
     let low = run(0.25);
     let high = run(0.75);
