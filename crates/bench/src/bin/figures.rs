@@ -1,12 +1,12 @@
 //! All-in-one reproduction of the paper's utility-vs-privacy results
-//! (Figures 4–7): the scenario matrix of `p2b_experiments` crossed over
-//! every workload, all five privacy regimes (non-private / LDP / P2B
-//! shuffle / central-DP tree aggregation / secure aggregation) and every
+//! (Figures 2–7 and Table 1): the scenario matrix of `p2b_experiments`
+//! crossed over every workload, all five privacy regimes (non-private / LDP /
+//! P2B shuffle / central-DP tree aggregation / secure aggregation) and every
 //! policy, emitted as JSON + CSV under `target/experiments/`, plus an
 //! `accounting.json` artifact comparing the weakest P2B cell's
 //! pure-composition ε against the ρ-zCDP-accounted ε at horizon T = 10⁴.
 //!
-//! Four sections follow, each printing its table and writing one JSON under
+//! Seven sections follow, each printing its table and writing one JSON under
 //! `target/experiments/`:
 //!
 //! * Fig. 2 (`fig2_encoding.json`) — the d = 3, q = 1 simplex grid
@@ -17,26 +17,35 @@
 //!   non-private and warm private (P2B) regimes against the population, for
 //!   A ∈ {10, 20, 50}, d = 10, T = 10, read off one run per A;
 //! * Fig. 5 (`fig5_dimensionality.json`) — the same three regimes against
-//!   the context dimension d, one run per d (A = 20, T = 20).
+//!   the context dimension d, one run per d (A = 20, T = 20);
+//! * Fig. 6 (`fig6_accuracy.json`) — accuracy of held-out users on the
+//!   MediaMill-like and TextMining-like workloads against the interactions
+//!   per user, cold and every regime, k = 2⁵, l = 10;
+//! * Fig. 7 (`fig7_ctr.json`) — click-through rate of held-out users on the
+//!   Criteo-like log, for k ∈ {2⁵, 2⁷}, l = 10;
+//! * Table 1 (`table1_headline.json`) — ε at p = 0.5, the non-private − P2B
+//!   accuracy gaps and the P2B − non-private CTR difference.
 //!
 //! Figs. 4–5 run through the matrix. The cold baseline is a
 //! secure-aggregation cell whose release cadence (`flush_every_reports =
 //! usize::MAX`) is longer than the run, so the central policy changes only
 //! after the last user and every device learns from its own feedback alone.
-//! Their sizes follow `P2B_SCALE` (see [`Scale`]); the paper's 10⁶ users
-//! need `P2B_SCALE=full`.
+//! Figs. 6–7 and Table 1 run `run_held_out`: 70 % of the users train and
+//! share, and the rest are scored from the final central policy and, as
+//! cold, from a fresh one. Sizes follow `P2B_SCALE` (see [`Scale`]); the
+//! paper's 10⁶ users (Fig. 4) and 3 000 Criteo users need `P2B_SCALE=full`.
 //!
-//! Flags:
+//! Flags (any other argument is a usage error, exit 2):
 //!
-//! * `--smoke` — tiny rounds/users for CI (and `Scale::Quick` for Figs.
-//!   4–5); also *enforces* the paper's headline ordering (P2B ≥ randomized
-//!   response on the synthetic benchmark), the presence of per-cell (ε, δ) —
-//!   central-DP included — the absence of a claimed (ε, δ) on
-//!   secure-aggregation cells (a trust split is not a DP guarantee), and the
-//!   strict zCDP tightening at T = 10⁴. Each failure class exits with its
-//!   own nonzero code (see [`BenchFailure::exit_code`]) and a one-line
-//!   diagnostic, so the CI harness can tell a broken invariant from a broken
-//!   environment.
+//! * `--smoke` — tiny rounds/users for CI (and `Scale::Quick` for the
+//!   figure sections); also *enforces* the paper's headline ordering (P2B ≥
+//!   randomized response on the synthetic benchmark), the presence of
+//!   per-cell (ε, δ) — central-DP included — the absence of a claimed
+//!   (ε, δ) on secure-aggregation cells (a trust split is not a DP
+//!   guarantee), and the strict zCDP tightening at T = 10⁴. Each failure
+//!   class exits with its own nonzero code (see [`BenchFailure::exit_code`])
+//!   and a one-line diagnostic, so the CI harness can tell a broken
+//!   invariant from a broken environment.
 //! * `--seed <n>` — base seed (default 2026).
 
 use p2b_bench::failure::write_artifact;
@@ -45,13 +54,15 @@ use p2b_encoding::{
     enumerate_simplex_grid, simplex_cardinality, Encoder, KMeansConfig, KMeansEncoder,
 };
 use p2b_experiments::{
-    run_matrix, write_matrix_csv, write_matrix_json, CellResult, MatrixConfig, MatrixResult,
-    PolicyKind, PrivacyRegime, ScenarioKind, ScenarioShape, CENTRAL_TARGET_DELTA,
+    run_held_out, run_matrix, write_matrix_csv, write_matrix_json, CellResult, CellSpec,
+    HeldOutResult, MatrixConfig, MatrixResult, PolicyKind, PrivacyRegime, ScenarioKind,
+    ScenarioShape, CENTRAL_TARGET_DELTA,
 };
 use p2b_privacy::{
     amplified_delta, compare_composition, epsilon_sweep, CompositionComparison, Participation,
     PrivacyGuarantee,
 };
+use p2b_sim::parallel_map;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Display;
@@ -84,30 +95,46 @@ struct AccountingArtifact {
     central_dp_target_delta: f64,
 }
 
+/// The parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Cli {
+    smoke: bool,
+    seed: u64,
+}
+
+/// Parses the flags the way `p2b-serve` does: an unknown flag or a missing
+/// or malformed value is an error, never a silently ignored argument.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        smoke: false,
+        seed: 2026,
+    };
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--smoke" => cli.smoke = true,
+            "--seed" => {
+                let value = iter.next().ok_or("--seed requires a value")?;
+                cli.seed = value.parse().map_err(|e| format!("--seed: {e}"))?;
+            }
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok(cli)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = match args.iter().position(|a| a == "--seed") {
-        Some(i) => {
-            let raw = match args.get(i + 1) {
-                Some(raw) => raw,
-                None => {
-                    return BenchFailure::Usage("--seed requires a value".into()).report("figures")
-                }
-            };
-            match raw.parse::<u64>() {
-                Ok(seed) => seed,
-                Err(e) => return BenchFailure::Usage(format!("--seed: {e}")).report("figures"),
-            }
-        }
-        None => 2026,
+    let cli = match parse_args(&args) {
+        Ok(cli) => cli,
+        Err(message) => return BenchFailure::Usage(message).report("figures"),
     };
-    let scale = if smoke {
+    let scale = if cli.smoke {
         Ok(Scale::Quick)
     } else {
         Scale::from_env()
     };
-    match scale.and_then(|scale| run(smoke, seed, scale)) {
+    match scale.and_then(|scale| run(cli.smoke, cli.seed, scale)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(failure) => failure.report("figures"),
     }
@@ -216,7 +243,10 @@ fn run(smoke: bool, seed: u64, scale: Scale) -> Result<(), BenchFailure> {
     fig2_encoding()?;
     fig3_epsilon()?;
     fig4_synthetic(scale, seed)?;
-    fig5_dimensionality(scale, seed)
+    fig5_dimensionality(scale, seed)?;
+    fig6_accuracy(scale, seed)?;
+    fig7_ctr(scale, seed)?;
+    table1_headline(scale, seed)
 }
 
 /// Maps a library error to a [`BenchFailure::Runtime`] naming what failed.
@@ -454,6 +484,185 @@ fn fig5_dimensionality(scale: Scale, seed: u64) -> Result<(), BenchFailure> {
     write_section("fig5_dimensionality", &runs)
 }
 
+/// One row of a held-out section: every regime's held-out run of one
+/// configuration, all at the configuration's seed, so they share one cold
+/// score.
+#[derive(serde::Serialize)]
+struct HeldOutRow {
+    /// The logged workload.
+    scenario: ScenarioKind,
+    /// Encoder codes k.
+    num_codes: usize,
+    /// Interactions per user.
+    interactions_per_user: u64,
+    /// One run per regime, in `PrivacyRegime::ALL` order.
+    runs: Vec<HeldOutResult>,
+}
+
+impl HeldOutRow {
+    fn run(config: &MatrixConfig) -> Result<Self, BenchFailure> {
+        let scenario = config.scenarios[0];
+        let specs = PrivacyRegime::ALL.map(|regime| CellSpec {
+            scenario,
+            regime,
+            policy: PolicyKind::LinUcb,
+            repeat: 0,
+            seed: config.seed,
+        });
+        let runs = parallel_map(specs.to_vec(), config.cell_workers, |spec| {
+            run_held_out(config, spec)
+        });
+        Ok(Self {
+            scenario,
+            num_codes: config.num_codes,
+            interactions_per_user: config.interactions_per_user,
+            runs: runs
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .map_err(runtime("held-out run"))?,
+        })
+    }
+
+    /// The warm score of `regime`'s run.
+    fn warm(&self, regime: PrivacyRegime) -> f64 {
+        self.runs
+            .iter()
+            .find(|run| run.training.spec.regime == regime)
+            .map_or(f64::NAN, |run| run.warm.average_reward)
+    }
+
+    /// Prints the row: the shared cold score, then every regime's warm one.
+    fn print(&self, label: impl Display) {
+        let cold = self
+            .runs
+            .first()
+            .map_or(f64::NAN, |r| r.cold.average_reward);
+        print!("{label:>14} {cold:>8.4}");
+        for run in &self.runs {
+            print!(" {:>24.4}", run.warm.average_reward);
+        }
+        println!();
+    }
+}
+
+/// Prints the header of a held-out table: cold, then one warm column per
+/// regime.
+fn print_held_out_header(title: &str, x: &str) {
+    println!("\n=== {title} ===");
+    print!("{x:>14} {:>8}", "cold");
+    for regime in PrivacyRegime::ALL {
+        print!(" {:>24}", regime.key());
+    }
+    println!();
+}
+
+/// Fig. 6: multi-label accuracy of held-out users against the interactions
+/// per user, on the MediaMill-like (d = 20, A = 40) and TextMining-like
+/// (d = 20, A = 22) workloads, k = 2⁵, l = 10.
+fn fig6_accuracy(scale: Scale, seed: u64) -> Result<(), BenchFailure> {
+    let num_users = scale.pick(40, 200, 600);
+    let sweep: Vec<u64> = scale.pick(
+        vec![10, 25],
+        vec![10, 25, 50, 75, 100],
+        vec![10, 25, 50, 75, 100],
+    );
+    let mut rows = Vec::new();
+    for scenario in [ScenarioKind::MediaMill, ScenarioKind::TextMining] {
+        print_held_out_header(
+            &format!("Figure 6: {scenario} accuracy, {num_users} users, k = 32, l = 10"),
+            "interactions",
+        );
+        for &interactions in &sweep {
+            let config = MatrixConfig::held_out(scenario, num_users, interactions);
+            let row = HeldOutRow::run(&config.with_seed(seed))?;
+            row.print(interactions);
+            rows.push(row);
+        }
+    }
+    write_section("fig6_accuracy", &rows)
+}
+
+/// Fig. 7: click-through rate of held-out users on the Criteo-like log
+/// (d = 10, A = 40) against the interactions per user, for k = 2⁵ and
+/// k = 2⁷ codes, l = 10. The paper runs 3 000 users of up to 300
+/// interactions (`P2B_SCALE=full`).
+fn fig7_ctr(scale: Scale, seed: u64) -> Result<(), BenchFailure> {
+    let num_users = scale.pick(60, 300, 3_000);
+    let sweep: Vec<u64> = scale.pick(
+        vec![25, 50],
+        vec![25, 50, 100, 200, 300],
+        vec![50, 100, 200, 300],
+    );
+    let mut rows = Vec::new();
+    for num_codes in [1 << 5, 1 << 7] {
+        print_held_out_header(
+            &format!("Figure 7: criteo CTR, {num_users} users, k = {num_codes}, l = 10"),
+            "interactions",
+        );
+        for &interactions in &sweep {
+            let mut config = MatrixConfig::held_out(ScenarioKind::Criteo, num_users, interactions);
+            config.num_codes = num_codes;
+            let row = HeldOutRow::run(&config.with_seed(seed))?;
+            row.print(interactions);
+            rows.push(row);
+        }
+    }
+    write_section("fig7_ctr", &rows)
+}
+
+/// The Table 1 section's artifact.
+#[derive(serde::Serialize)]
+struct Headline {
+    /// ε claimed by the first P2B held-out run (p = 0.5).
+    epsilon: Option<f64>,
+    /// One row per paper-shaped logged workload.
+    rows: Vec<HeldOutRow>,
+}
+
+/// Table 1: the paper's headline numbers — ε ≈ 0.693 at p = 0.5, the
+/// non-private − P2B accuracy gaps (2.6 pp MediaMill, 3.6 pp TextMining) and
+/// the P2B − non-private CTR difference on Criteo (+0.0025) — from one
+/// held-out row per workload.
+fn table1_headline(scale: Scale, seed: u64) -> Result<(), BenchFailure> {
+    let num_users = scale.pick(40, 200, 600);
+    let interactions = scale.pick(30, 100, 100);
+    println!(
+        "\n=== Table 1: headline numbers ({num_users} users x {interactions} interactions, \
+         k = 32, l = 10) ==="
+    );
+    let mut rows = Vec::with_capacity(ScenarioKind::HELD_OUT.len());
+    for scenario in ScenarioKind::HELD_OUT {
+        let config = MatrixConfig::held_out(scenario, num_users, interactions);
+        let row = HeldOutRow::run(&config.with_seed(seed))?;
+        let non_private = row.warm(PrivacyRegime::NonPrivate);
+        let p2b = row.warm(PrivacyRegime::P2bShuffle);
+        if scenario == ScenarioKind::Criteo {
+            println!(
+                "{scenario}: non-private CTR {non_private:.4}, P2B CTR {p2b:.4}, \
+                 P2B - non-private {:+.4} (paper: +0.0025)",
+                p2b - non_private
+            );
+        } else {
+            println!(
+                "{scenario}: non-private accuracy {non_private:.4}, P2B accuracy {p2b:.4}, \
+                 gap {:+.4} (paper: 0.026 mediamill, 0.036 textmining)",
+                non_private - p2b
+            );
+        }
+        rows.push(row);
+    }
+    let epsilon = rows.first().and_then(|row| {
+        row.runs
+            .iter()
+            .find(|run| run.training.spec.regime == PrivacyRegime::P2bShuffle)
+            .and_then(|run| run.training.epsilon)
+    });
+    if let Some(epsilon) = epsilon {
+        println!("P2B epsilon at p = 0.5: {epsilon:.6} (paper: ~0.693)");
+    }
+    write_section("table1_headline", &Headline { epsilon, rows })
+}
+
 /// The zCDP acceptance invariant: at horizon 10⁴ the zCDP-accounted P2B
 /// guarantee must be *strictly* tighter than pure sequential composition, and
 /// every central-DP cell must quote a finite positive ε.
@@ -565,4 +774,49 @@ fn enforce_headline_invariants(result: &MatrixResult) -> Result<(), BenchFailure
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parses_the_known_flags() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Cli {
+                smoke: false,
+                seed: 2026
+            })
+        );
+        assert_eq!(
+            parse(&["--smoke", "--seed", "7"]),
+            Ok(Cli {
+                smoke: true,
+                seed: 7
+            })
+        );
+        assert_eq!(parse(&["--seed", "9", "--smoke"]).map(|c| c.seed), Ok(9));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_bad_values() {
+        for bad in [
+            &["--smok"][..],
+            &["--smoke", "extra"],
+            &["-s"],
+            &["--seed"],
+            &["--seed", "x"],
+            &["--seed", "-1"],
+        ] {
+            let message = parse(bad).unwrap_err();
+            assert_eq!(BenchFailure::Usage(message).exit_code(), 2, "{bad:?}");
+        }
+        assert!(parse(&["--smok"]).unwrap_err().contains("--smok"));
+    }
 }

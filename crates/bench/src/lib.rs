@@ -1,10 +1,11 @@
-//! Shared plumbing for the figure-reproduction binaries and Criterion benches.
+//! Shared plumbing for the bench binaries and Criterion benches.
 //!
-//! `figures` draws Figs. 2–5 and the scenario matrix; `fig6_multilabel`,
-//! `fig7_criteo` and `table_headline` run the logged driver
-//! ([`p2b_sim::run_logged_experiment`]). Each prints its data as aligned text
-//! tables and writes the same data as JSON under `target/experiments/`, so
-//! the numbers can be re-plotted.
+//! `figures` is the one figure binary: it runs the scenario matrix and draws
+//! Figs. 2–7 and Table 1 from `p2b_experiments` (`run_matrix`, `run_cell`
+//! and, for Figs. 6–7 and Table 1, `run_held_out`). It prints each section
+//! as an aligned text table and writes the same data as JSON under
+//! [`experiments_dir`], so the numbers can be re-plotted. `p2b-serve` runs
+//! the closed serving loop ([`serve`]).
 //!
 //! The experiment *scale* defaults to a laptop-friendly fraction of the
 //! paper's setup (the paper sweeps up to 10⁶ users and 3 000 agents); set the
@@ -23,7 +24,6 @@ pub use failure::BenchFailure;
 pub use histogram::{bucket_lower_bound, bucket_of, LatencyHistogram, LatencySummary};
 pub use serve::{DeterministicSummary, ServeConfig, ServeReport, SloConfig};
 
-use p2b_sim::{Regime, SeriesPoint};
 use std::path::PathBuf;
 
 /// Experiment scale selected via the `P2B_SCALE` environment variable.
@@ -78,46 +78,10 @@ impl Scale {
     }
 }
 
-/// Directory where figure binaries write their JSON result series.
+/// Directory where the `figures` binary writes its JSON and CSV results.
 #[must_use]
 pub fn experiments_dir() -> PathBuf {
     PathBuf::from("target").join("experiments")
-}
-
-/// Prints a result series as an aligned table: one row per swept value, one
-/// column per regime.
-pub fn print_series(title: &str, series: &[SeriesPoint]) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:>14} {:>12} {:>18} {:>18}",
-        "x", "cold", "warm non-private", "warm private (P2B)"
-    );
-    for point in series {
-        let fetch = |regime: Regime| {
-            point
-                .outcome(regime)
-                .map_or_else(|| "-".to_owned(), |o| format!("{:.4}", o.average_reward))
-        };
-        println!(
-            "{:>14.3} {:>12} {:>18} {:>18}",
-            point.value,
-            fetch(Regime::Cold),
-            fetch(Regime::WarmNonPrivate),
-            fetch(Regime::WarmPrivate),
-        );
-    }
-}
-
-/// Writes a series to `target/experiments/<name>.json` and reports the path.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the underlying writer.
-pub fn save_series(name: &str, series: &[SeriesPoint]) -> Result<PathBuf, p2b_sim::SimError> {
-    let path = experiments_dir().join(format!("{name}.json"));
-    p2b_sim::write_series_json(&path, series)?;
-    println!("series written to {}", path.display());
-    Ok(path)
 }
 
 #[cfg(test)]

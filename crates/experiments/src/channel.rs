@@ -153,10 +153,13 @@ pub(crate) fn unsupported_cell(regime: PrivacyRegime) -> ExperimentError {
 
 /// Builds the channel of `spec.regime`, fitting the context encoder from the
 /// cell's `rng` for the regimes that share codes rather than raw contexts.
+/// `max_reports` is the most reports the cell can submit: the curator's
+/// tree horizon.
 pub(crate) fn open(
     config: &MatrixConfig,
     spec: CellSpec,
     participation: Participation,
+    max_reports: u64,
     scenario: &mut ScenarioData,
     rng: &mut StdRng,
 ) -> Result<Box<dyn ReportChannel>, ExperimentError> {
@@ -185,11 +188,9 @@ pub(crate) fn open(
             seed: spec.seed,
             epoch: 0,
         }),
-        PrivacyRegime::CentralDp => Box::new(TreeCuratorChannel::new(
-            model,
-            config.num_users as u64,
-            spec.seed,
-        )?),
+        PrivacyRegime::CentralDp => {
+            Box::new(TreeCuratorChannel::new(model, max_reports, spec.seed)?)
+        }
         PrivacyRegime::SecureAgg => Box::new(SecureAggChannel(SecureIngestService::new(
             model,
             SECURE_AGG_SHARDS,
@@ -382,9 +383,11 @@ impl ReportChannel for ShuffledChannel {
 /// then folded into a fresh [`LinUcb`] via
 /// [`LinUcb::from_sufficient_statistics`].
 ///
-/// Privacy accounting is the binary mechanism's: one user's single report is
-/// a single leaf, covered by at most `nodes_per_leaf` noisy partial sums, so
-/// the *entire* release stream costs
+/// Privacy accounting is the binary mechanism's: one report is a single
+/// leaf (in [`crate::run_cell`] a user's single report; in
+/// [`crate::run_held_out`] one of a training user's several, so the claim is
+/// per report, as P2B's is), covered by at most `nodes_per_leaf` noisy
+/// partial sums, so the *entire* release stream costs
 /// `ρ = nodes_per_leaf · Δ² / (2σ²)` — charged once to a
 /// [`ZcdpAccountant`] at construction and converted to the cell's ε there,
 /// independent of how many snapshots are published. All noise is

@@ -22,10 +22,18 @@
 //! one statistics-leaf layout, [`p2b_bandit::ArmStatistics::leaf`] and its
 //! inverse [`p2b_bandit::ArmStatistics::from_leaf`].
 //!
-//! The `figures` binary in `p2b-bench` replays the paper's Figure 4–7 setups
-//! through this harness end-to-end, and draws Figs. 4–5 (cold baseline
-//! included) from it; see `docs/REPRODUCING.md` for the exact commands and
-//! the expected output schema.
+//! [`run_held_out`] runs the held-out protocol of the paper's Figs. 6–7 and
+//! Table 1 on the same per-user loop: the first
+//! [`HELD_OUT_TRAIN_FRACTION`] of a cell's users train and share, with a
+//! reporting opportunity every [`HELD_OUT_REPORT_EVERY`] interactions, and
+//! the rest are scored from the final central policy (warm) and from a
+//! fresh one (cold). [`ScenarioKind::HELD_OUT`] lists its paper-shaped
+//! logged workloads.
+//!
+//! The `figures` binary in `p2b-bench` runs the matrix and draws Figs. 2–7
+//! and Table 1 from this harness end-to-end (cold baselines included); see
+//! `docs/REPRODUCING.md` for the exact commands and the expected output
+//! schema.
 //!
 //! # Example
 //!
@@ -61,6 +69,9 @@
 mod channel;
 mod emit;
 mod error;
+mod held_out;
+#[cfg(test)]
+mod logged;
 mod matrix;
 mod policy;
 mod regime;
@@ -71,6 +82,7 @@ mod synthetic;
 pub use channel::{CENTRAL_LEAF_SENSITIVITY, CENTRAL_SIGMA, CENTRAL_TARGET_DELTA};
 pub use emit::{matrix_to_csv, matrix_to_json, write_matrix_csv, write_matrix_json};
 pub use error::ExperimentError;
+pub use held_out::{run_held_out, HeldOutResult, HELD_OUT_REPORT_EVERY, HELD_OUT_TRAIN_FRACTION};
 pub use matrix::{
     run_cell, run_matrix, BatchGuarantee, CellResult, CellSpec, MatrixConfig, MatrixResult,
     RoundPoint,

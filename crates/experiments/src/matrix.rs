@@ -12,13 +12,17 @@
 //! [`PrivacyRegime`]): the loop here submits to it, flushes it every
 //! [`MatrixConfig::flush_every_reports`] pending reports and once at the
 //! end, and reads its guarantee claim — it never asks which regime it runs.
+//! The same per-user loop (`Cell::run_users`) drives the training phase of
+//! [`crate::run_held_out`], with an opportunity after every
+//! [`crate::HELD_OUT_REPORT_EVERY`]-th interaction instead.
 //!
 //! Selection always uses the device's true context — what is privatized is
 //! what reaches the central model, exactly as in the paper's architecture.
 
-use crate::channel::{self, LocalDpRandomizer, Report};
+use crate::channel::{self, LocalDpRandomizer, Report, ReportChannel};
 use crate::{
-    ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind, ScenarioShape,
+    AnyPolicy, ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind,
+    ScenarioShape,
 };
 use p2b_bandit::Action;
 use p2b_core::{DecisionTicket, RewardJoinBuffer};
@@ -123,6 +127,35 @@ impl MatrixConfig {
             flush_every_reports: 24,
             shuffler_batch_size: 64,
             record_every: 50,
+            ..Self::new()
+        }
+    }
+
+    /// A held-out configuration for the paper's Figs. 6–7 and Table 1
+    /// ([`crate::run_held_out`]) over one logged `scenario`: `num_users`
+    /// users of `interactions_per_user` rounds, LinUCB, k = 2⁵ codes and the
+    /// paper's threshold l = 10. The log holds
+    /// `num_users × interactions_per_user` instances, so every user meets
+    /// fresh examples, and the encoder is fitted on the training users'
+    /// share of it. Training reports gather into one shuffler batch per
+    /// 4 096, and only a cell's final round is recorded.
+    #[must_use]
+    pub fn held_out(scenario: ScenarioKind, num_users: usize, interactions_per_user: u64) -> Self {
+        let logged_instances = num_users * interactions_per_user as usize;
+        let training_rounds = logged_instances as f64 * crate::HELD_OUT_TRAIN_FRACTION;
+        Self {
+            scenarios: vec![scenario],
+            num_users,
+            interactions_per_user,
+            shape: ScenarioShape {
+                logged_instances,
+                ..ScenarioShape::default()
+            },
+            encoder_corpus_size: training_rounds.round() as usize,
+            shuffler_threshold: 10,
+            shuffler_batch_size: 8192,
+            flush_every_reports: 4096,
+            record_every: u64::MAX,
             ..Self::new()
         }
     }
@@ -460,54 +493,220 @@ pub fn run_matrix(config: &MatrixConfig) -> Result<MatrixResult, ExperimentError
 /// [`MatrixConfig::cell_supported`] rules out, and propagates workload,
 /// policy, encoder, privacy and engine errors.
 pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, ExperimentError> {
-    let participation = config.validate_cell()?;
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut scenario = ScenarioData::build(spec.scenario, &config.shape, &mut rng)?;
-    let mut central = spec.policy.build(
-        scenario.context_dimension(),
-        scenario.num_actions(),
-        config.alpha,
-    )?;
-    let mut channel = channel::open(config, spec, participation, &mut scenario, &mut rng)?;
+    let mut cell = Cell::open(config, spec, config.num_users as u64)?;
+    // One reporting opportunity per user: the cadence is the user's whole
+    // run of rounds.
+    cell.run_users(config, config.num_users, config.interactions_per_user)?;
+    Ok(cell.finish())
+}
 
-    let total_rounds = config.num_users as u64 * config.interactions_per_user;
-    let mut series = Vec::with_capacity((total_rounds / config.record_every + 2) as usize);
-    let mut cumulative_reward = 0.0f64;
-    let mut cumulative_regret = 0.0f64;
-    let mut round = 0u64;
-    let mut submitted_reports = 0u64;
-    let mut shared_reports = 0u64;
-    let mut unflushed = 0usize;
+/// One cell in progress: its rounds, the central policy, and the report
+/// channel between them.
+pub(crate) struct Cell {
+    spec: CellSpec,
+    participation: Participation,
+    /// The rounds the cell's users have played.
+    pub(crate) rounds: Rounds,
+    /// The central policy every user warm-starts from.
+    pub(crate) central: AnyPolicy,
+    channel: Box<dyn ReportChannel>,
+    submitted_reports: u64,
+    shared_reports: u64,
+}
 
-    let max_delay = spec.scenario.max_reward_delay();
-    for user in 0..config.num_users {
-        // Policy-agnostic warm start: the device begins from a clone of the
-        // current central policy (the paper's model-snapshot warm start).
-        let mut local = central.clone();
+impl Cell {
+    /// Validates the cell parameters, builds the workload, the central
+    /// policy and the report channel (in that order, all from the cell's
+    /// RNG). `max_reports` bounds how many reports the channel may take.
+    pub(crate) fn open(
+        config: &MatrixConfig,
+        spec: CellSpec,
+        max_reports: u64,
+    ) -> Result<Self, ExperimentError> {
+        let participation = config.validate_cell()?;
+        let mut rng = StdRng::seed_from_u64(spec.seed);
+        let mut scenario = ScenarioData::build(spec.scenario, &config.shape, &mut rng)?;
+        let central = spec.policy.build(
+            scenario.context_dimension(),
+            scenario.num_actions(),
+            config.alpha,
+        )?;
+        let channel = channel::open(
+            config,
+            spec,
+            participation,
+            max_reports,
+            &mut scenario,
+            &mut rng,
+        )?;
+        Ok(Self {
+            spec,
+            participation,
+            rounds: Rounds::new(spec, scenario, rng, config.record_every),
+            central,
+            channel,
+            submitted_reports: 0,
+            shared_reports: 0,
+        })
+    }
+
+    /// Plays users `0..num_users`, each warm-started from a clone of the
+    /// central policy (the paper's model-snapshot warm start), with a
+    /// reporting opportunity after every `report_every`-th interaction taken
+    /// with probability `p` — the same data budget for every regime. The
+    /// channel flushes whenever `flush_every_reports` reports are pending at
+    /// the end of a user, and once more after the last user.
+    pub(crate) fn run_users(
+        &mut self,
+        config: &MatrixConfig,
+        num_users: usize,
+        report_every: u64,
+    ) -> Result<(), ExperimentError> {
+        let p = self.participation.value();
+        let mut unflushed = 0usize;
+        for user in 0..num_users {
+            let mut local = self.central.clone();
+            let (channel, central) = (&mut self.channel, &mut self.central);
+            let (submitted, shared) = (&mut self.submitted_reports, &mut self.shared_reports);
+            self.rounds.play_user(
+                config.interactions_per_user,
+                user,
+                &mut local,
+                report_every,
+                |report, rng| {
+                    // Only an interaction whose reward actually arrived can
+                    // be shared: the device never learned the outcome of
+                    // the others.
+                    if let (true, Some(report)) = (rng.gen::<f64>() < p, report) {
+                        *shared += channel.submit(report, central, rng)?;
+                        *submitted += 1;
+                        unflushed += 1;
+                    }
+                    Ok(())
+                },
+            )?;
+            // The release cadence is the loop's, the same for every regime;
+            // an immediate channel has nothing to release and its flush is a
+            // no-op.
+            if unflushed >= config.flush_every_reports {
+                self.shared_reports += self.channel.flush(&mut self.central)?;
+                unflushed = 0;
+            }
+        }
+        if unflushed > 0 {
+            self.shared_reports += self.channel.flush(&mut self.central)?;
+        }
+        Ok(())
+    }
+
+    /// The cell's result: its tallies, report counts and the channel's
+    /// guarantee claim.
+    pub(crate) fn finish(&mut self) -> CellResult {
+        let rounds = &mut self.rounds;
+        if rounds.series.last().map(|p| p.round) != Some(rounds.round) {
+            rounds.series.push(rounds.point());
+        }
+        let claim = self.channel.claim();
+        CellResult {
+            spec: self.spec,
+            rounds: rounds.round,
+            final_cumulative_reward: rounds.cumulative_reward,
+            final_cumulative_regret: rounds.cumulative_regret,
+            average_reward: rounds.cumulative_reward / rounds.round as f64,
+            shared_reports: self.shared_reports,
+            submitted_reports: self.submitted_reports,
+            epsilon: claim.map(|(epsilon, _)| epsilon),
+            delta: claim.map(|(_, delta)| delta),
+            batch_guarantees: self.channel.batch_guarantees(),
+            series: std::mem::take(&mut rounds.series),
+        }
+    }
+}
+
+/// The rounds a run of users plays: the workload, the RNG that drives it,
+/// and the running reward and regret of what the users earned.
+pub(crate) struct Rounds {
+    spec: CellSpec,
+    pub(crate) scenario: ScenarioData,
+    rng: StdRng,
+    record_every: u64,
+    round: u64,
+    cumulative_reward: f64,
+    cumulative_regret: f64,
+    series: Vec<RoundPoint>,
+}
+
+impl Rounds {
+    /// Rounds over `scenario` driven by `rng`, recording a series point every
+    /// `record_every` rounds (`u64::MAX` keeps no series).
+    pub(crate) fn new(
+        spec: CellSpec,
+        scenario: ScenarioData,
+        rng: StdRng,
+        record_every: u64,
+    ) -> Self {
+        Self {
+            spec,
+            scenario,
+            rng,
+            record_every,
+            round: 0,
+            cumulative_reward: 0.0,
+            cumulative_regret: 0.0,
+            series: Vec::new(),
+        }
+    }
+
+    /// The running totals as a series point.
+    pub(crate) fn point(&self) -> RoundPoint {
+        RoundPoint {
+            round: self.round,
+            cumulative_reward: self.cumulative_reward,
+            cumulative_regret: self.cumulative_regret,
+            average_reward: self.cumulative_reward / self.round as f64,
+        }
+    }
+
+    /// Plays one user for `interactions` rounds with local learning on
+    /// `local`. After every `report_every`-th interaction the user has a
+    /// reporting opportunity: `opportunity` receives the last interaction
+    /// joined since the previous one, if any, and the cell's RNG. The
+    /// opportunity that ends the user's rounds waits until the join window
+    /// has drained.
+    pub(crate) fn play_user(
+        &mut self,
+        interactions: u64,
+        user: usize,
+        local: &mut AnyPolicy,
+        report_every: u64,
+        mut opportunity: impl FnMut(Option<Report>, &mut StdRng) -> Result<(), ExperimentError>,
+    ) -> Result<(), ExperimentError> {
         // Local learning flows through a delayed-reward join buffer. With a
         // zero window — every stationary scenario — each reward joins in
         // its own round and the fold is exactly the historical immediate
         // update (the emitter goldens pin this); the delayed scenario joins
         // rewards up to `max_delay` rounds late and loses the overflow.
+        let max_delay = self.spec.scenario.max_reward_delay();
         let mut joiner: RewardJoinBuffer<(Vector, Action)> = RewardJoinBuffer::new(max_delay);
-        let horizon = config.interactions_per_user + max_delay + 1;
+        let horizon = interactions + max_delay + 1;
         let mut deliveries: Vec<Vec<(DecisionTicket, f64)>> = vec![Vec::new(); horizon as usize];
         let mut last_joined: Option<Report> = None;
         for t in 0..horizon {
-            if t < config.interactions_per_user {
-                let round_data = scenario.next_round(&mut rng);
-                let action = local.select_action(&round_data.context, &mut rng)?;
-                let reward = scenario.sample_reward(&round_data, action.index(), &mut rng)?;
+            if t < interactions {
+                let (scenario, rng) = (&mut self.scenario, &mut self.rng);
+                let round_data = scenario.next_round(rng);
+                let action = local.select_action(&round_data.context, rng)?;
+                let reward = scenario.sample_reward(&round_data, action.index(), rng)?;
                 let expected = scenario.expected_reward(&round_data, action.index())?;
                 let optimum = scenario.optimal_reward(&round_data)?;
-                cumulative_reward += reward;
-                cumulative_regret += optimum - expected;
-                round += 1;
-                if round % config.record_every == 0 {
-                    series.push(point(round, cumulative_reward, cumulative_regret));
+                self.cumulative_reward += reward;
+                self.cumulative_regret += optimum - expected;
+                self.round += 1;
+                if self.round % self.record_every == 0 {
+                    self.series.push(self.point());
                 }
                 let ticket = joiner.record((round_data.context, action));
-                if let Some(delay) = delivery_delay(spec.seed, user as u64, t, max_delay) {
+                if let Some(delay) = delivery_delay(self.spec.seed, user as u64, t, max_delay) {
                     deliveries[(t + delay) as usize].push((ticket, reward));
                 }
             }
@@ -524,55 +723,14 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
                     reward: joined.reward,
                 });
             }
+            if t + 1 < interactions && (t + 1) % report_every == 0 {
+                opportunity(last_joined.take(), &mut self.rng)?;
+            }
         }
-
-        // One reporting opportunity per user, taken with probability p —
-        // the same data budget for every regime. Only an interaction whose
-        // reward actually arrived can be shared: the device never learned
-        // the outcome of the others.
-        let opportunity = rng.gen::<f64>() < participation.value();
-        if let (true, Some(report)) = (opportunity, last_joined) {
-            shared_reports += channel.submit(report, &mut central, &mut rng)?;
-            submitted_reports += 1;
-            unflushed += 1;
+        if interactions % report_every == 0 {
+            opportunity(last_joined.take(), &mut self.rng)?;
         }
-        // The release cadence is the loop's, the same for every regime; an
-        // immediate channel has nothing to release and its flush is a no-op.
-        if unflushed >= config.flush_every_reports {
-            shared_reports += channel.flush(&mut central)?;
-            unflushed = 0;
-        }
-    }
-    if unflushed > 0 {
-        shared_reports += channel.flush(&mut central)?;
-    }
-
-    if series.last().map(|p| p.round) != Some(round) {
-        series.push(point(round, cumulative_reward, cumulative_regret));
-    }
-    let claim = channel.claim();
-
-    Ok(CellResult {
-        spec,
-        rounds: round,
-        final_cumulative_reward: cumulative_reward,
-        final_cumulative_regret: cumulative_regret,
-        average_reward: cumulative_reward / round as f64,
-        shared_reports,
-        submitted_reports,
-        epsilon: claim.map(|(epsilon, _)| epsilon),
-        delta: claim.map(|(_, delta)| delta),
-        batch_guarantees: channel.batch_guarantees(),
-        series,
-    })
-}
-
-fn point(round: u64, cumulative_reward: f64, cumulative_regret: f64) -> RoundPoint {
-    RoundPoint {
-        round,
-        cumulative_reward,
-        cumulative_regret,
-        average_reward: cumulative_reward / round as f64,
+        Ok(())
     }
 }
 

@@ -9,8 +9,8 @@
 use crate::ExperimentError;
 use p2b_datasets::{
     CohortChurnConfig, CohortChurnEnvironment, ContextualEnvironment, CriteoConfig,
-    CriteoLikeGenerator, DriftConfig, DriftingPreferenceEnvironment, MultiLabelConfig,
-    MultiLabelDataset, SyntheticConfig, SyntheticPreferenceEnvironment,
+    CriteoLikeGenerator, DriftConfig, DriftingPreferenceEnvironment, LoggedImpression,
+    MultiLabelConfig, MultiLabelDataset, SyntheticConfig, SyntheticPreferenceEnvironment,
 };
 use p2b_linalg::Vector;
 use rand::rngs::StdRng;
@@ -62,6 +62,17 @@ pub enum ScenarioKind {
     /// decision within [`DELAYED_MAX_REWARD_DELAY`] rounds
     /// ([`p2b_core::RewardJoinBuffer`]); later rewards are lost.
     SyntheticDelayed,
+    /// MediaMill-like multi-label classification, d = 20, A = 40
+    /// ([`p2b_datasets::MultiLabelDataset::mediamill_like`]; Section 5.2,
+    /// Figure 6).
+    MediaMill,
+    /// TextMining-like multi-label classification, d = 20, A = 22
+    /// ([`p2b_datasets::MultiLabelDataset::textmining_like`]; Section 5.2,
+    /// Figure 6).
+    TextMining,
+    /// The Criteo-like click log at the paper's shape, d = 10, A = 40
+    /// ([`p2b_datasets::CriteoConfig::new`]; Section 5.3, Figure 7).
+    Criteo,
 }
 
 impl ScenarioKind {
@@ -77,6 +88,16 @@ impl ScenarioKind {
         ScenarioKind::SyntheticDelayed,
     ];
 
+    /// The paper-shaped logged workloads of Figs. 6–7 and Table 1, which
+    /// [`crate::run_held_out`] scores on held-out users (configured by
+    /// [`crate::MatrixConfig::held_out`]). They stay out of
+    /// [`ScenarioKind::ALL`], so the default matrix does not move.
+    pub const HELD_OUT: [ScenarioKind; 3] = [
+        ScenarioKind::MediaMill,
+        ScenarioKind::TextMining,
+        ScenarioKind::Criteo,
+    ];
+
     /// Stable identifier used in result files and CSV rows.
     #[must_use]
     pub fn key(&self) -> &'static str {
@@ -88,6 +109,9 @@ impl ScenarioKind {
             ScenarioKind::SyntheticDrift => "synthetic_drift",
             ScenarioKind::SyntheticChurn => "synthetic_churn",
             ScenarioKind::SyntheticDelayed => "synthetic_delayed",
+            ScenarioKind::MediaMill => "mediamill",
+            ScenarioKind::TextMining => "textmining",
+            ScenarioKind::Criteo => "criteo",
         }
     }
 
@@ -103,6 +127,8 @@ impl ScenarioKind {
             ScenarioKind::SyntheticDrift => "beyond paper: preference drift",
             ScenarioKind::SyntheticChurn => "beyond paper: user churn",
             ScenarioKind::SyntheticDelayed => "beyond paper: delayed rewards",
+            ScenarioKind::MediaMill | ScenarioKind::TextMining => "Fig. 6, Table 1",
+            ScenarioKind::Criteo => "Fig. 7, Table 1",
         }
     }
 
@@ -170,6 +196,7 @@ pub(crate) struct Round {
 ///
 /// Synthetic scenarios sample fresh contexts every round; logged scenarios
 /// cycle deterministically through their generated instances.
+#[derive(Clone)]
 pub(crate) enum ScenarioData {
     Synthetic(SyntheticPreferenceEnvironment),
     /// Preference drift: round-aware, advanced at every `next_round`.
@@ -253,23 +280,18 @@ impl ScenarioData {
             }
             ScenarioKind::MultiLabel => {
                 let config = MultiLabelConfig::new(shape.logged_instances, 10, 8).with_clusters(12);
-                let dataset = MultiLabelDataset::generate(config, rng)?;
-                let num_labels = dataset.num_labels();
-                let (contexts, rewards) = dataset
-                    .instances()
-                    .iter()
-                    .map(|inst| {
-                        let per_action: Vec<f64> =
-                            (0..num_labels).map(|a| inst.reward(a)).collect();
-                        (inst.context().clone(), per_action)
-                    })
-                    .unzip();
-                Ok(ScenarioData::Logged {
-                    contexts,
-                    rewards,
-                    cursor: 0,
-                })
+                Ok(Self::multi_label(&MultiLabelDataset::generate(
+                    config, rng,
+                )?))
             }
+            ScenarioKind::MediaMill => Ok(Self::multi_label(&MultiLabelDataset::mediamill_like(
+                shape.logged_instances,
+                rng,
+            )?)),
+            ScenarioKind::TextMining => Ok(Self::multi_label(&MultiLabelDataset::textmining_like(
+                shape.logged_instances,
+                rng,
+            )?)),
             ScenarioKind::CriteoLike => {
                 let config = CriteoConfig::new()
                     .with_context_dimension(10)
@@ -278,22 +300,64 @@ impl ScenarioData {
                 // The generator drops impressions outside the top-A product
                 // codes, so oversample to land near the requested count.
                 let impressions = generator.generate(shape.logged_instances * 2, rng)?;
-                let num_actions = config.num_product_codes;
-                let (contexts, rewards) = impressions
-                    .iter()
-                    .take(shape.logged_instances.max(1))
-                    .map(|imp| {
-                        let per_action: Vec<f64> =
-                            (0..num_actions).map(|a| imp.reward(a)).collect();
-                        (imp.context().clone(), per_action)
-                    })
-                    .unzip();
-                Ok(ScenarioData::Logged {
-                    contexts,
-                    rewards,
-                    cursor: 0,
-                })
+                let count = shape.logged_instances.max(1);
+                Ok(Self::impressions(
+                    &impressions,
+                    count,
+                    config.num_product_codes,
+                ))
             }
+            ScenarioKind::Criteo => {
+                let config = CriteoConfig::new();
+                let generator = CriteoLikeGenerator::new(config, rng)?;
+                // Oversample, then top up until the requested count is met.
+                let wanted = shape.logged_instances.max(1);
+                let mut impressions = generator.generate(wanted * 2, rng)?;
+                while impressions.len() < wanted {
+                    impressions.extend(generator.generate(wanted, rng)?);
+                }
+                Ok(Self::impressions(
+                    &impressions,
+                    wanted,
+                    config.num_product_codes,
+                ))
+            }
+        }
+    }
+
+    /// A logged workload over every instance of a multi-label dataset.
+    fn multi_label(dataset: &MultiLabelDataset) -> Self {
+        let num_labels = dataset.num_labels();
+        let (contexts, rewards) = dataset
+            .instances()
+            .iter()
+            .map(|inst| {
+                let per_action: Vec<f64> = (0..num_labels).map(|a| inst.reward(a)).collect();
+                (inst.context().clone(), per_action)
+            })
+            .unzip();
+        ScenarioData::Logged {
+            contexts,
+            rewards,
+            cursor: 0,
+        }
+    }
+
+    /// A logged workload over the first `count` impressions of a click log
+    /// with `num_actions` product codes.
+    fn impressions(impressions: &[LoggedImpression], count: usize, num_actions: usize) -> Self {
+        let (contexts, rewards) = impressions
+            .iter()
+            .take(count)
+            .map(|imp| {
+                let per_action: Vec<f64> = (0..num_actions).map(|a| imp.reward(a)).collect();
+                (imp.context().clone(), per_action)
+            })
+            .unzip();
+        ScenarioData::Logged {
+            contexts,
+            rewards,
+            cursor: 0,
         }
     }
 
@@ -450,11 +514,18 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// Every scenario, the held-out workloads included.
+    fn every_kind() -> impl Iterator<Item = ScenarioKind> {
+        ScenarioKind::ALL.into_iter().chain(ScenarioKind::HELD_OUT)
+    }
+
     #[test]
     fn keys_and_figures_are_distinct() {
-        let keys: std::collections::HashSet<_> =
-            ScenarioKind::ALL.iter().map(ScenarioKind::key).collect();
-        assert_eq!(keys.len(), ScenarioKind::ALL.len());
+        let keys: std::collections::HashSet<_> = every_kind().map(|k| k.key()).collect();
+        assert_eq!(keys.len(), every_kind().count());
+        assert!(ScenarioKind::HELD_OUT
+            .iter()
+            .all(|k| !ScenarioKind::ALL.contains(k)));
         assert_eq!(ScenarioKind::MultiLabel.to_string(), "multilabel");
         assert!(ScenarioKind::CriteoLike.paper_figure().contains('7'));
     }
@@ -465,7 +536,7 @@ mod tests {
             logged_instances: 64,
             ..ScenarioShape::default()
         };
-        for kind in ScenarioKind::ALL {
+        for kind in every_kind() {
             let mut rng = StdRng::seed_from_u64(3);
             let mut data = ScenarioData::build(kind, &shape, &mut rng).unwrap();
             assert!(data.context_dimension() > 0, "{kind}");
@@ -483,6 +554,32 @@ mod tests {
             }
             let corpus = data.encoder_corpus(16, &mut rng);
             assert_eq!(corpus.len(), 16);
+        }
+    }
+
+    #[test]
+    fn held_out_scenarios_have_the_papers_shapes() {
+        let shape = ScenarioShape {
+            logged_instances: 300,
+            ..ScenarioShape::default()
+        };
+        for (kind, d, a) in [
+            (ScenarioKind::MediaMill, 20, 40),
+            (ScenarioKind::TextMining, 20, 22),
+            (ScenarioKind::Criteo, 10, 40),
+        ] {
+            let data = ScenarioData::build(kind, &shape, &mut StdRng::seed_from_u64(1)).unwrap();
+            assert_eq!(
+                (data.context_dimension(), data.num_actions()),
+                (d, a),
+                "{kind}"
+            );
+            // The log holds exactly the requested instances, so rounds cycle
+            // only after `logged_instances` of them.
+            let ScenarioData::Logged { contexts, .. } = &data else {
+                panic!("{kind} is a logged scenario");
+            };
+            assert_eq!(contexts.len(), 300, "{kind}");
         }
     }
 

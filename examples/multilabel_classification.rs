@@ -1,52 +1,44 @@
 //! Multi-label classification with bandit feedback (Section 5.2 / Figure 6),
-//! on a MediaMill-like synthetic dataset: 70 % of the agents train and share,
-//! the remaining 30 % are test agents whose accuracy is reported.
+//! on a MediaMill-like synthetic dataset: 70 % of the users train and share,
+//! the remaining 30 % are test users whose accuracy is reported — warm-started
+//! from the final central model, and cold (from a fresh model).
 //!
 //! ```bash
 //! cargo run --release --example multilabel_classification
 //! ```
 
-use p2b::datasets::MultiLabelDataset;
-use p2b::sim::{run_logged_experiment, LoggedExperimentConfig, Regime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use p2b::experiments::{
+    run_held_out, CellSpec, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let num_agents = 100;
-    let interactions_sweep = [20usize, 50, 100];
-    let max_samples = *interactions_sweep.iter().max().unwrap();
-
-    let mut rng = StdRng::seed_from_u64(6);
-    let dataset = MultiLabelDataset::mediamill_like(num_agents * max_samples, &mut rng)?;
-    println!(
-        "MediaMill-like dataset: {} instances, d = {}, A = {} labels",
-        dataset.len(),
-        dataset.context_dimension(),
-        dataset.num_labels()
-    );
-
+    let num_users = 100;
+    println!("MediaMill-like dataset: d = 20, A = 40 labels, {num_users} users, k = 32, l = 5");
     println!(
         "\n{:>14} {:>10} {:>20} {:>20}",
         "interactions", "cold", "warm non-private", "warm private (P2B)"
     );
-    for &samples_per_agent in &interactions_sweep {
-        let agents = dataset.split_agents(num_agents, samples_per_agent, &mut rng)?;
-        let mut row = Vec::new();
-        for regime in Regime::ALL {
-            let config = LoggedExperimentConfig::new(
+    for interactions in [20u64, 50, 100] {
+        let mut config = MatrixConfig::held_out(ScenarioKind::MediaMill, num_users, interactions);
+        config.shuffler_threshold = 5;
+        let run = |regime| {
+            let spec = CellSpec {
+                scenario: ScenarioKind::MediaMill,
                 regime,
-                dataset.context_dimension(),
-                dataset.num_labels(),
-            )
-            .with_num_codes(32)
-            .with_shuffler_threshold(5)
-            .with_seed(61);
-            let outcome = run_logged_experiment(&agents, config)?;
-            row.push(outcome.average_reward);
-        }
+                policy: PolicyKind::LinUcb,
+                repeat: 0,
+                seed: 61,
+            };
+            run_held_out(&config, spec)
+        };
+        let non_private = run(PrivacyRegime::NonPrivate)?;
+        let private = run(PrivacyRegime::P2bShuffle)?;
         println!(
             "{:>14} {:>10.4} {:>20.4} {:>20.4}",
-            samples_per_agent, row[0], row[1], row[2]
+            interactions,
+            non_private.cold.average_reward,
+            non_private.warm.average_reward,
+            private.warm.average_reward
         );
     }
     println!(

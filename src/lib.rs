@@ -11,8 +11,8 @@
 //! | [`privacy`] | (ε, δ)-DP, crowd-blending, amplification by pre-sampling |
 //! | [`shuffler`] | the ESA-style anonymize / shuffle / threshold stage: the sharded engine every report goes through, and its synchronous per-batch kernel |
 //! | [`datasets`] | synthetic preference, multi-label and Criteo-like workloads |
-//! | [`sim`] | the multi-agent experiment harness behind the paper's figures |
-//! | [`experiments`] | the config-driven scenario matrix reproducing the utility-vs-privacy figures |
+//! | [`sim`] | the seeded arrival process of the serving harness and the drivers' shared worker pool |
+//! | [`experiments`] | the config-driven scenario matrix and the held-out protocol reproducing the utility-vs-privacy figures and Table 1 |
 //! | [`linalg`] | the small dense linear-algebra substrate |
 //!
 //! # Quickstart

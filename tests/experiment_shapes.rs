@@ -4,13 +4,11 @@
 //! populations), but the orderings these tests pin down are the ones the
 //! paper's figures report.
 
-use p2b::datasets::MultiLabelDataset;
 use p2b::experiments::{
-    run_cell, CellResult, CellSpec, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind,
+    run_cell, run_held_out, CellResult, CellSpec, HeldOutResult, MatrixConfig, PolicyKind,
+    PrivacyRegime, ScenarioKind,
 };
-use p2b::sim::{run_logged_experiment, LoggedExperimentConfig, Regime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use p2b::sim::parallel_map;
 
 /// One LinUCB cell of `regime` over `scenario` at `seed`.
 fn cell(
@@ -127,33 +125,43 @@ fn cold_cadence_makes_the_release_regime_immaterial() {
     }
 }
 
+/// `MatrixConfig::held_out` with k = `num_codes` and threshold `threshold`.
+fn held_out(
+    scenario: ScenarioKind,
+    num_users: usize,
+    per_user: u64,
+    num_codes: usize,
+    threshold: usize,
+) -> MatrixConfig {
+    let mut config = MatrixConfig::held_out(scenario, num_users, per_user);
+    config.num_codes = num_codes;
+    config.shuffler_threshold = threshold;
+    config
+}
+
+/// One LinUCB held-out run of `regime` at `seed`.
+fn held_out_run(config: &MatrixConfig, regime: PrivacyRegime, seed: u64) -> HeldOutResult {
+    let spec = CellSpec {
+        scenario: config.scenarios[0],
+        regime,
+        policy: PolicyKind::LinUcb,
+        repeat: 0,
+        seed,
+    };
+    run_held_out(config, spec).unwrap()
+}
+
 /// Figure 6 shape: on clustered multi-label data the warm regimes beat cold,
 /// and the private/non-private accuracy gap stays small (the paper reports
 /// 2.6 – 3.6 percentage points; we allow a loose bound at this tiny scale).
 #[test]
 fn multilabel_accuracy_ordering_and_gap() {
-    let mut rng = StdRng::seed_from_u64(21);
-    let num_agents = 100;
-    let per_agent = 60;
-    let dataset = MultiLabelDataset::textmining_like(num_agents * per_agent, &mut rng).unwrap();
-    let agents = dataset
-        .split_agents(num_agents, per_agent, &mut rng)
-        .unwrap();
-
-    let outcome = |regime| {
-        run_logged_experiment(
-            &agents,
-            LoggedExperimentConfig::new(regime, dataset.context_dimension(), dataset.num_labels())
-                .with_num_codes(32)
-                .with_shuffler_threshold(2)
-                .with_seed(22),
-        )
-        .unwrap()
-        .average_reward
-    };
-    let cold = outcome(Regime::Cold);
-    let warm_np = outcome(Regime::WarmNonPrivate);
-    let warm_p = outcome(Regime::WarmPrivate);
+    let config = held_out(ScenarioKind::TextMining, 100, 60, 32, 2);
+    let non_private = held_out_run(&config, PrivacyRegime::NonPrivate, 22);
+    let private = held_out_run(&config, PrivacyRegime::P2bShuffle, 22);
+    let cold = non_private.cold.average_reward;
+    let warm_np = non_private.warm.average_reward;
+    let warm_p = private.warm.average_reward;
 
     assert!(
         warm_np > cold && warm_p > cold,
@@ -167,6 +175,55 @@ fn multilabel_accuracy_ordering_and_gap() {
         warm_np - warm_p < 0.35,
         "private/non-private gap should stay bounded, got np {warm_np:.3} vs p {warm_p:.3}"
     );
+}
+
+/// Table 1 on the held-out protocol, at seeds 1–3: 100 users × 60
+/// interactions per paper-shaped workload, k = 2⁵, l = 10, p = 0.5.
+///
+/// Asserted at every seed:
+/// * ε = ln 2 to within 1e-12, read off a P2B cell's claim;
+/// * warm non-private and warm P2B both beat cold on MediaMill-like and
+///   TextMining-like.
+///
+/// Measured and not asserted, because they do not hold at all three seeds
+/// within the tolerance fixed for them — the paper's value ± itself, so the
+/// non-private − P2B accuracy gap in [0, 5.2] pp (MediaMill) and [0, 7.2] pp
+/// (TextMining), and the P2B − non-private CTR difference in [0, 0.005]:
+/// the gaps, and the CTR difference. `docs/REPRODUCING.md` gives the
+/// measured values.
+#[test]
+fn table1_headline_numbers_hold_across_seeds() {
+    let seeds: Vec<u64> = (1..=3).collect();
+    let runs = parallel_map(seeds, 3, |seed| {
+        ScenarioKind::HELD_OUT.map(|scenario| {
+            let config = held_out(scenario, 100, 60, 32, 10);
+            (
+                held_out_run(&config, PrivacyRegime::NonPrivate, seed),
+                held_out_run(&config, PrivacyRegime::P2bShuffle, seed),
+            )
+        })
+    });
+    for (seed, by_scenario) in (1..=3).zip(&runs) {
+        for (scenario, (non_private, private)) in ScenarioKind::HELD_OUT.iter().zip(by_scenario) {
+            let epsilon = private.training.epsilon.unwrap();
+            assert!(
+                (epsilon - std::f64::consts::LN_2).abs() < 1e-12,
+                "{scenario} seed {seed}: epsilon {epsilon}"
+            );
+            if *scenario == ScenarioKind::Criteo {
+                continue;
+            }
+            let cold = non_private.cold.average_reward;
+            for warm in [non_private, private] {
+                assert!(
+                    warm.warm.average_reward > cold,
+                    "{scenario} seed {seed}: {} warm {:.4} must beat cold {cold:.4}",
+                    warm.training.spec.regime,
+                    warm.warm.average_reward
+                );
+            }
+        }
+    }
 }
 
 /// ε is controlled entirely by p: replaying the experiment with a smaller
