@@ -7,9 +7,7 @@
 //! * [`LinUcb`], the disjoint-arm LinUCB implementation used throughout the
 //!   paper's experiments,
 //! * baselines used for comparison and ablation: [`EpsilonGreedy`],
-//!   [`Ucb1`] (context-free), [`LinearThompsonSampling`] and
-//!   [`RandomPolicy`],
-//! * [`RewardTracker`] for cumulative-reward / regret accounting.
+//!   [`Ucb1`] (context-free) and [`LinearThompsonSampling`].
 //!
 //! # Example
 //!
@@ -36,9 +34,7 @@ mod epsilon_greedy;
 mod error;
 mod linucb;
 mod policy;
-mod random;
 mod thompson;
-mod tracker;
 mod ucb1;
 
 pub use epsilon_greedy::{EpsilonGreedy, EpsilonGreedyConfig};
@@ -47,7 +43,5 @@ pub use linucb::{
     ArmStatistics, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
 };
 pub use policy::{Action, ContextualPolicy, Reward};
-pub use random::RandomPolicy;
 pub use thompson::{LinearThompsonSampling, ThompsonConfig};
-pub use tracker::{RewardSummary, RewardTracker};
 pub use ucb1::Ucb1;

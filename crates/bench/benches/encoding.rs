@@ -1,8 +1,8 @@
-//! Micro-benchmarks of the encoding path: quantization, k-means fitting and
-//! per-context encoding at the paper's code-space sizes (k = 2⁵ … 2¹⁰).
+//! Micro-benchmarks of the encoding path: k-means fitting and per-context
+//! encoding at the paper's code-space sizes (k = 2⁵ … 2¹⁰).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder, Quantizer};
+use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,19 +14,6 @@ fn corpus(dimension: usize, size: usize, rng: &mut StdRng) -> Vec<Vector> {
             Vector::from(raw).normalized_l1().expect("non-empty")
         })
         .collect()
-}
-
-fn bench_quantize(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let quantizer = Quantizer::new(1).unwrap();
-    let contexts = corpus(10, 64, &mut rng);
-    c.bench_function("quantize_d10_q1", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % contexts.len();
-            quantizer.quantize(&contexts[i]).unwrap()
-        });
-    });
 }
 
 fn bench_encode(c: &mut Criterion) {
@@ -127,11 +114,5 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_quantize,
-    bench_encode,
-    bench_encode_clustered,
-    bench_fit
-);
+criterion_group!(benches, bench_encode, bench_encode_clustered, bench_fit);
 criterion_main!(benches);

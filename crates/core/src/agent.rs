@@ -4,7 +4,7 @@ use crate::{CodeRepresentation, CoreError, ModelSnapshot, P2bConfig, RandomizedR
 use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::{ScoreCounters, Vector};
-use p2b_privacy::{amplified_epsilon, PrivacyAccountant, PrivacyGuarantee};
+use p2b_privacy::{amplified_epsilon, PrivacyGuarantee};
 use p2b_shuffler::{EncodedReport, RawReport};
 use rand::Rng;
 use std::sync::Arc;
@@ -97,7 +97,7 @@ enum DormantPolicy {
 }
 
 /// The compact persisted form of an evicted [`LocalAgent`]: everything a
-/// bit-identical rehydration needs (reporter phase, privacy ledger, owned
+/// bit-identical rehydration needs (reporter phase, privacy spent, owned
 /// policy if any), plus the agent's two memos (its select memo and its
 /// decided code, with the encoder that code came from) so that a
 /// rehydrated agent neither re-sweeps nor re-encodes, and nothing else
@@ -111,7 +111,7 @@ pub struct DormantAgent {
     id: u64,
     interactions: u64,
     reporter: RandomizedReporter,
-    accountant: PrivacyAccountant,
+    spent: PrivacyGuarantee,
     per_report_guarantee: PrivacyGuarantee,
     representation: CodeRepresentation,
     /// Action count of the policy the agent was serving — checked against
@@ -206,8 +206,8 @@ fn approx_linucb_bytes(policy: &LinUcb) -> usize {
 /// The agent observes raw contexts, encodes them, feeds the encoded
 /// representation to its LinUCB policy, and — after every `T` interactions,
 /// with probability `p` — queues the most recent interaction tuple `(y, a, r)`
-/// for transmission to the shuffler. It also keeps a [`PrivacyAccountant`]
-/// recording the (ε, δ) cost of its reporting opportunities.
+/// for transmission to the shuffler. It also keeps the (ε, δ) its reporting
+/// opportunities have cost so far, composed sequentially.
 ///
 /// Agents are created through [`crate::P2bSystem::make_warm_agent`] (warm start:
 /// the agent selects against the epoch's shared central snapshot and clones
@@ -221,7 +221,7 @@ pub struct LocalAgent {
     encoder: Arc<dyn Encoder>,
     representation: CodeRepresentation,
     reporter: RandomizedReporter,
-    accountant: PrivacyAccountant,
+    spent: PrivacyGuarantee,
     per_report_guarantee: PrivacyGuarantee,
     pending: Vec<RawReport>,
     interactions: u64,
@@ -279,7 +279,7 @@ impl LocalAgent {
             encoder,
             representation: config.code_representation,
             reporter: RandomizedReporter::new(participation, config.local_interactions),
-            accountant: PrivacyAccountant::new(),
+            spent: PrivacyGuarantee::zero(),
             per_report_guarantee,
             pending: Vec::new(),
             interactions: 0,
@@ -358,7 +358,7 @@ impl LocalAgent {
     /// its reporting opportunities).
     #[must_use]
     pub fn privacy_spent(&self) -> PrivacyGuarantee {
-        self.accountant.total()
+        self.spent
     }
 
     /// Maps a raw observed context to the model context the policy consumes.
@@ -438,8 +438,7 @@ impl LocalAgent {
         // not the coin flip elected to share: the sampling itself is part of
         // the differentially private mechanism.
         if self.reporter.opportunities() > opportunities_before {
-            self.accountant
-                .spend(self.per_report_guarantee, "reporting opportunity")?;
+            self.spent = self.spent.compose(&self.per_report_guarantee);
         }
         Ok(())
     }
@@ -497,7 +496,7 @@ impl LocalAgent {
                 id: self.id,
                 interactions: self.interactions,
                 reporter: self.reporter,
-                accountant: self.accountant,
+                spent: self.spent,
                 per_report_guarantee: self.per_report_guarantee,
                 representation: self.representation,
                 num_actions,
@@ -545,7 +544,7 @@ impl LocalAgent {
             encoder,
             representation: dormant.representation,
             reporter: dormant.reporter,
-            accountant: dormant.accountant,
+            spent: dormant.spent,
             per_report_guarantee: dormant.per_report_guarantee,
             pending: Vec::new(),
             interactions: dormant.interactions,
@@ -958,6 +957,52 @@ pub(crate) mod tests {
         // T = 2 → 5 opportunities → ε = 5 · ln 2.
         let spent = agent.privacy_spent();
         assert!((spent.epsilon() - 5.0 * std::f64::consts::LN_2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn privacy_spent_is_n_fold_composition_across_eviction() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let enc = encoder(12);
+        let cfg = config();
+        let per_report =
+            PrivacyGuarantee::pure(amplified_epsilon(cfg.participation().unwrap(), 0.0).unwrap())
+                .unwrap();
+        let n_fold = |n: u64| {
+            (0..n).fold(PrivacyGuarantee::zero(), |total, _| {
+                total.compose(&per_report)
+            })
+        };
+        let assert_bits = |agent: &LocalAgent, n: u64| {
+            let spent = agent.privacy_spent();
+            let expected = n_fold(n);
+            assert_eq!(spent.epsilon().to_bits(), expected.epsilon().to_bits());
+            assert_eq!(spent.delta().to_bits(), expected.delta().to_bits());
+        };
+        let ctx = Vector::filled(4, 0.25);
+        let mut agent = LocalAgent::new(12, &cfg, Arc::clone(&enc), None).unwrap();
+        for _ in 0..14 {
+            let action = agent.select_action(&ctx, &mut rng).unwrap();
+            agent.observe_reward(&ctx, action, 0.5, &mut rng).unwrap();
+        }
+        // T = 2 → 7 opportunities.
+        assert_eq!(agent.reporter().opportunities(), 7);
+        assert_bits(&agent, 7);
+
+        let snapshot = Arc::new(
+            crate::ModelSnapshot::new(0, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
+                .unwrap(),
+        );
+        let (_, dormant) = agent.dehydrate();
+        let mut revived = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &snapshot).unwrap();
+        assert_bits(&revived, 7);
+
+        // The revived agent keeps composing from where it left off.
+        for _ in 0..6 {
+            let action = revived.select_action(&ctx, &mut rng).unwrap();
+            revived.observe_reward(&ctx, action, 0.5, &mut rng).unwrap();
+        }
+        assert_eq!(revived.reporter().opportunities(), 10);
+        assert_bits(&revived, 10);
     }
 
     #[test]

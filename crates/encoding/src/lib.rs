@@ -2,17 +2,17 @@
 //!
 //! Before an interaction tuple leaves the device, the local agent encodes its
 //! `d`-dimensional context vector `x` into a code `y ∈ {0, …, k−1}`
-//! (Section 3.2 of the paper). The encoding pipeline is:
+//! (Section 3.2 of the paper):
 //!
-//! 1. **Normalization & quantization** — contexts are normalized (entries sum
-//!    to one) and represented with `q` decimal digits of precision
-//!    ([`QuantizedContext`]). The set of representable contexts is finite and
-//!    its cardinality follows the stars-and-bars formula of Eq. (1),
-//!    implemented by [`simplex_cardinality`].
-//! 2. **Clustering** — nearby contexts are mapped to the same code. The paper
-//!    uses mini-batch k-means ([`KMeansEncoder`], Sculley 2010); a uniform
-//!    [`GridEncoder`] and a sign-random-projection [`LshEncoder`] are included
-//!    for the "alternative encoders" the paper leaves to future work.
+//! 1. **Normalization** — contexts are normalized so their entries sum to
+//!    one. The paper also fixes them to `q` decimal digits, which makes the
+//!    set of representable contexts finite; its cardinality follows the
+//!    stars-and-bars formula of Eq. (1) ([`simplex_cardinality`]), and
+//!    [`enumerate_simplex_grid`] lists the grid itself as
+//!    [`QuantizedContext`] values. Only Fig. 2 uses the grid: the live
+//!    pipeline encodes the normalized context as it is.
+//! 2. **Clustering** — nearby contexts are mapped to the same code by
+//!    mini-batch k-means ([`KMeansEncoder`], Sculley 2010).
 //!
 //! Every encoder reports the size of its smallest cluster, which is the
 //! crowd-blending parameter `l` used by the privacy analysis.
@@ -20,13 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use p2b_encoding::{Encoder, KMeansEncoder, KMeansConfig, Quantizer};
+//! use p2b_encoding::{Encoder, KMeansEncoder, KMeansConfig};
 //! use p2b_linalg::Vector;
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), p2b_encoding::EncodingError> {
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let quantizer = Quantizer::new(1)?;
 //! // A tiny corpus of 3-dimensional normalized contexts.
 //! let corpus: Vec<Vector> = (0..60)
 //!     .map(|i| {
@@ -46,16 +45,12 @@
 
 mod encoder;
 mod error;
-mod grid;
 mod kmeans;
-mod lsh;
 mod quantize;
 mod simplex;
 
 pub use encoder::{ContextCode, Encoder, EncoderStats};
 pub use error::EncodingError;
-pub use grid::GridEncoder;
 pub use kmeans::{KMeansConfig, KMeansEncoder};
-pub use lsh::{LshConfig, LshEncoder};
-pub use quantize::{QuantizedContext, Quantizer};
+pub use quantize::QuantizedContext;
 pub use simplex::{enumerate_simplex_grid, simplex_cardinality};

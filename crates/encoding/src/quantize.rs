@@ -4,113 +4,9 @@ use crate::EncodingError;
 use p2b_linalg::Vector;
 use serde::{Deserialize, Serialize};
 
-/// Quantizes normalized contexts to a fixed number of decimal digits.
-///
-/// P2B represents contexts as normalized vectors whose entries sum to one and
-/// are stored with `q` decimal digits (Section 3.2). The quantizer produces
-/// [`QuantizedContext`] values: integer vectors summing to `10^q`, which makes
-/// the representable context set finite (see
-/// [`simplex_cardinality`](crate::simplex_cardinality)) and uniformly spaced
-/// on the probability simplex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Quantizer {
-    precision: u32,
-}
-
-impl Quantizer {
-    /// Maximum supported precision; beyond this the integer grid does not fit
-    /// comfortably in `u32` buckets and the cardinality overflows for any
-    /// realistic dimension.
-    pub const MAX_PRECISION: u32 = 9;
-
-    /// Creates a quantizer with `precision` decimal digits (the paper's `q`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodingError::InvalidConfig`] when `precision` is zero or
-    /// exceeds [`Self::MAX_PRECISION`].
-    pub fn new(precision: u32) -> Result<Self, EncodingError> {
-        if precision == 0 || precision > Self::MAX_PRECISION {
-            return Err(EncodingError::InvalidConfig {
-                parameter: "precision",
-                message: format!(
-                    "must be between 1 and {}, got {precision}",
-                    Self::MAX_PRECISION
-                ),
-            });
-        }
-        Ok(Self { precision })
-    }
-
-    /// The number of decimal digits `q`.
-    #[must_use]
-    pub fn precision(&self) -> u32 {
-        self.precision
-    }
-
-    /// Total number of quantization units, `10^q`.
-    #[must_use]
-    pub fn units(&self) -> u64 {
-        10u64.pow(self.precision)
-    }
-
-    /// Quantizes an arbitrary context vector.
-    ///
-    /// The vector is first L1-normalized (shifting negative entries if
-    /// necessary), then each entry is expressed as an integer number of
-    /// `10^-q` units using largest-remainder rounding so the units always sum
-    /// to exactly `10^q`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodingError::Linalg`] for empty contexts.
-    pub fn quantize(&self, context: &Vector) -> Result<QuantizedContext, EncodingError> {
-        let normalized = context.normalized_l1()?;
-        let units = self.units();
-        let scaled: Vec<f64> = normalized.iter().map(|&x| x * units as f64).collect();
-        let mut counts: Vec<u64> = scaled.iter().map(|&x| x.floor() as u64).collect();
-        let assigned: u64 = counts.iter().sum();
-        let mut remainder = units.saturating_sub(assigned) as usize;
-
-        // Largest-remainder apportionment: hand out the missing units to the
-        // entries with the largest fractional parts so rounding error never
-        // breaks the sum-to-one invariant.
-        let mut order: Vec<usize> = (0..counts.len()).collect();
-        order.sort_by(|&a, &b| {
-            let fa = scaled[a] - scaled[a].floor();
-            let fb = scaled[b] - scaled[b].floor();
-            fb.partial_cmp(&fa).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for &idx in order.iter().cycle().take(counts.len().max(remainder)) {
-            if remainder == 0 {
-                break;
-            }
-            counts[idx] += 1;
-            remainder -= 1;
-        }
-
-        Ok(QuantizedContext {
-            units: counts,
-            precision: self.precision,
-        })
-    }
-
-    /// Quantizes and immediately converts back to a normalized float vector.
-    ///
-    /// This is the "rounded" view of the context that the agent is allowed to
-    /// reason about when privacy matters: two raw contexts that quantize to
-    /// the same grid point become indistinguishable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncodingError::Linalg`] for empty contexts.
-    pub fn round(&self, context: &Vector) -> Result<Vector, EncodingError> {
-        Ok(self.quantize(context)?.to_vector())
-    }
-}
-
 /// A context on the fixed-precision grid: integer units per dimension that
-/// sum to `10^q`.
+/// sum to `10^q`. [`enumerate_simplex_grid`](crate::enumerate_simplex_grid)
+/// returns the whole grid as these.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct QuantizedContext {
     units: Vec<u64>,
@@ -172,63 +68,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rejects_invalid_precision() {
-        assert!(Quantizer::new(0).is_err());
-        assert!(Quantizer::new(10).is_err());
-        assert!(Quantizer::new(1).is_ok());
-        assert!(Quantizer::new(9).is_ok());
-    }
-
-    #[test]
-    fn quantized_units_sum_to_ten_power_q() {
-        let quantizer = Quantizer::new(1).unwrap();
-        let ctx = Vector::from(vec![0.31, 0.29, 0.4]);
-        let q = quantizer.quantize(&ctx).unwrap();
-        assert_eq!(q.units().iter().sum::<u64>(), 10);
-        assert_eq!(q.dimension(), 3);
-        assert_eq!(q.precision(), 1);
-    }
-
-    #[test]
-    fn quantization_is_idempotent_on_grid_points() {
-        let quantizer = Quantizer::new(2).unwrap();
-        let grid_point = Vector::from(vec![0.25, 0.5, 0.25]);
-        let rounded = quantizer.round(&grid_point).unwrap();
-        assert_eq!(rounded.as_slice(), grid_point.as_slice());
-        let twice = quantizer.round(&rounded).unwrap();
-        assert_eq!(twice.as_slice(), rounded.as_slice());
-    }
-
-    #[test]
-    fn rounding_error_is_bounded_by_grid_spacing() {
-        let quantizer = Quantizer::new(1).unwrap();
-        let ctx = Vector::from(vec![0.17, 0.23, 0.6]);
-        let rounded = quantizer.round(&ctx).unwrap();
-        for (orig, new) in ctx.iter().zip(rounded.iter()) {
-            assert!((orig - new).abs() <= 0.1 + 1e-12);
-        }
-    }
-
-    #[test]
-    fn handles_unnormalized_and_negative_contexts() {
-        let quantizer = Quantizer::new(1).unwrap();
-        let ctx = Vector::from(vec![-1.0, 0.0, 3.0]);
-        let q = quantizer.quantize(&ctx).unwrap();
-        assert_eq!(q.units().iter().sum::<u64>(), 10);
-    }
-
-    #[test]
-    fn handles_degenerate_uniform_context() {
-        let quantizer = Quantizer::new(1).unwrap();
-        let q = quantizer.quantize(&Vector::zeros(4)).unwrap();
-        assert_eq!(q.units().iter().sum::<u64>(), 10);
-        // Uniform 4-dim context at q=1: units are a permutation of (3,3,2,2).
-        let mut units = q.units().to_vec();
-        units.sort_unstable();
-        assert_eq!(units, vec![2, 2, 3, 3]);
-    }
-
-    #[test]
     fn from_units_validates_sum() {
         assert!(QuantizedContext::from_units(vec![5, 5], 1).is_ok());
         assert!(QuantizedContext::from_units(vec![5, 4], 1).is_err());
@@ -239,11 +78,5 @@ mod tests {
         let q = QuantizedContext::from_units(vec![2, 3, 5], 1).unwrap();
         let v = q.to_vector();
         assert_eq!(v.as_slice(), &[0.2, 0.3, 0.5]);
-    }
-
-    #[test]
-    fn quantize_empty_context_is_error() {
-        let quantizer = Quantizer::new(1).unwrap();
-        assert!(quantizer.quantize(&Vector::zeros(0)).is_err());
     }
 }

@@ -1,13 +1,10 @@
-//! Edge-case coverage for the encoders: empty context vectors, constant
+//! Edge-case coverage for the k-means encoder: empty context vectors, constant
 //! features and duplicated corpus points must produce errors or stable
 //! codes — never panics. A production encoder fit runs on whatever
 //! historical corpus exists, and serving traffic includes malformed
 //! contexts; both ends must degrade gracefully.
 
-use p2b_encoding::{
-    Encoder, EncodingError, GridEncoder, KMeansConfig, KMeansEncoder, LshConfig, LshEncoder,
-    Quantizer,
-};
+use p2b_encoding::{Encoder, EncodingError, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,52 +89,13 @@ fn kmeans_encode_rejects_the_empty_context() {
     );
 }
 
-// ── LSH ──────────────────────────────────────────────────────────────────
-
-#[test]
-fn lsh_handles_empty_corpus_constant_corpus_and_empty_contexts() {
-    let mut rng = StdRng::seed_from_u64(4);
-    // No corpus at all: the encoder centers on the uniform simplex point.
-    let encoder = LshEncoder::fit(&[], LshConfig::new(4, 3), &mut rng)
-        .expect("LSH needs no corpus to draw hyperplanes");
-    let probe = Vector::from(vec![0.7, 0.1, 0.1, 0.1]);
-    let code = encoder.encode(&probe).expect("encoding succeeds");
-    assert_eq!(
-        encoder.encode(&probe).unwrap(),
-        code,
-        "codes must be stable"
-    );
-    assert!(encoder.encode(&Vector::from(Vec::new())).is_err());
-
-    // A constant corpus centers the hyperplanes exactly on the data; every
-    // duplicate must land in the same bucket, deterministically.
-    let corpus = constant_feature_corpus(30);
-    let encoder = LshEncoder::fit(&corpus, LshConfig::new(4, 2), &mut rng)
-        .expect("constant corpora are fittable");
-    let code = encoder.encode(&corpus[0]).expect("encoding succeeds");
-    for sample in &corpus {
-        assert_eq!(encoder.encode(sample).unwrap(), code);
-    }
-}
-
-#[test]
-fn lsh_fit_on_duplicate_points_is_stable() {
-    let mut rng = StdRng::seed_from_u64(5);
-    let corpus = duplicated_corpus(20);
-    let encoder =
-        LshEncoder::fit(&corpus, LshConfig::new(4, 4), &mut rng).expect("duplicates are fittable");
-    let code = encoder.encode(&corpus[0]).unwrap();
-    assert_eq!(encoder.encode(&corpus[19]).unwrap(), code);
-    assert!(code.value() < encoder.num_codes());
-}
-
 // ── Non-finite contexts ──────────────────────────────────────────────────
 
 /// A NaN distance or projection loses every comparison, so an unchecked
 /// encoder answers with whatever its scan starts from — code 0 for k-means —
-/// and the agent decides and reports on a context it never saw. Every
-/// encoder must name the offending coordinate instead, on `encode` and on the
-/// corpus it is fitted on.
+/// and the agent decides and reports on a context it never saw. The encoder
+/// must name the offending coordinate instead, on `encode` and on the corpus
+/// it is fitted on.
 #[test]
 fn every_encoder_rejects_non_finite_contexts_with_a_typed_error() {
     let mut rng = StdRng::seed_from_u64(6);
@@ -149,22 +107,17 @@ fn every_encoder_rejects_non_finite_contexts_with_a_typed_error() {
         })
         .collect();
     let kmeans = KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng).unwrap();
-    let lsh = LshEncoder::fit(&corpus, LshConfig::new(4, 3), &mut rng).unwrap();
-    let grid = GridEncoder::new(4, 8, 1, &mut rng).unwrap();
-    let encoders: [&dyn Encoder; 3] = [&kmeans, &lsh, &grid];
 
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         for index in 0..4 {
             let mut context = corpus[0].clone();
             context.as_mut_slice()[index] = bad;
-            for encoder in encoders {
-                assert_eq!(
-                    encoder.encode(&context),
-                    Err(EncodingError::NonFiniteContext { index }),
-                    "{} encoded a context whose coordinate {index} is {bad}",
-                    encoder.name()
-                );
-            }
+            assert_eq!(
+                kmeans.encode(&context),
+                Err(EncodingError::NonFiniteContext { index }),
+                "{} encoded a context whose coordinate {index} is {bad}",
+                kmeans.name()
+            );
         }
     }
     // The first offender is the one named; a wrong length is still reported
@@ -184,41 +137,4 @@ fn every_encoder_rejects_non_finite_contexts_with_a_typed_error() {
         KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng).err(),
         Some(EncodingError::NonFiniteContext { index: 2 })
     );
-    assert_eq!(
-        LshEncoder::fit(&corpus, LshConfig::new(4, 3), &mut rng).err(),
-        Some(EncodingError::NonFiniteContext { index: 2 })
-    );
-}
-
-// ── Quantizer ────────────────────────────────────────────────────────────
-
-#[test]
-fn quantizer_rejects_the_empty_context() {
-    let quantizer = Quantizer::new(3).unwrap();
-    assert!(
-        quantizer.quantize(&Vector::from(Vec::new())).is_err(),
-        "an empty context cannot be normalized"
-    );
-    assert!(quantizer.round(&Vector::from(Vec::new())).is_err());
-}
-
-#[test]
-fn quantizer_handles_constant_and_degenerate_contexts() {
-    let quantizer = Quantizer::new(3).unwrap();
-    // A constant vector quantizes to the uniform grid point, exactly.
-    let constant = quantizer.quantize(&Vector::from(vec![0.25; 4])).unwrap();
-    assert_eq!(constant.units().iter().sum::<u64>(), quantizer.units());
-    let rounded = constant.to_vector();
-    assert!(rounded.iter().all(|&x| (x - 0.25).abs() < 1e-12));
-
-    // The all-zero vector has no mass to normalize; the quantizer falls
-    // back to a uniform spread rather than dividing by zero.
-    let zeros = quantizer.quantize(&Vector::from(vec![0.0; 4])).unwrap();
-    let spread = zeros.to_vector();
-    assert!((spread.sum() - 1.0).abs() < 1e-12);
-    assert!(spread.iter().all(|&x| (x - 0.25).abs() < 1e-12));
-
-    // Duplicate quantizations are bit-stable.
-    let again = quantizer.quantize(&Vector::from(vec![0.0; 4])).unwrap();
-    assert_eq!(zeros, again);
 }

@@ -1,8 +1,7 @@
 //! Property-based tests for the encoding subsystem.
 
 use p2b_encoding::{
-    enumerate_simplex_grid, simplex_cardinality, Encoder, GridEncoder, KMeansConfig, KMeansEncoder,
-    LshConfig, LshEncoder, Quantizer,
+    enumerate_simplex_grid, simplex_cardinality, Encoder, KMeansConfig, KMeansEncoder,
 };
 use p2b_linalg::Vector;
 use proptest::prelude::*;
@@ -11,32 +10,6 @@ use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Quantized contexts always land exactly on the fixed-precision grid:
-    /// integer units summing to 10^q.
-    #[test]
-    fn quantization_preserves_the_sum_invariant(
-        raw in prop::collection::vec(0.0f64..100.0, 1..12),
-        q in 1u32..4,
-    ) {
-        let quantizer = Quantizer::new(q).unwrap();
-        let quantized = quantizer.quantize(&Vector::from(raw)).unwrap();
-        prop_assert_eq!(quantized.units().iter().sum::<u64>(), 10u64.pow(q));
-    }
-
-    /// Quantization is idempotent: rounding a rounded context is a no-op.
-    #[test]
-    fn quantization_is_idempotent(
-        raw in prop::collection::vec(0.01f64..10.0, 2..8),
-        q in 1u32..3,
-    ) {
-        let quantizer = Quantizer::new(q).unwrap();
-        let once = quantizer.round(&Vector::from(raw)).unwrap();
-        let twice = quantizer.round(&once).unwrap();
-        for (a, b) in once.iter().zip(twice.iter()) {
-            prop_assert!((a - b).abs() < 1e-12);
-        }
-    }
 
     /// The stars-and-bars cardinality matches an explicit enumeration for
     /// small dimensions.
@@ -67,8 +40,8 @@ proptest! {
         prop_assert_eq!(n_d - n_d_minus, expect);
     }
 
-    /// Every encoder maps arbitrary valid contexts to codes within range and
-    /// provides representatives of the right dimension.
+    /// The k-means encoder maps arbitrary valid contexts to codes within
+    /// range and provides representatives of the right dimension.
     #[test]
     fn encoders_produce_in_range_codes(seed in any::<u64>(), raw in prop::collection::vec(0.01f64..1.0, 4)) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -82,16 +55,10 @@ proptest! {
         let context = Vector::from(raw).normalized_l1().unwrap();
 
         let kmeans = KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng).unwrap();
-        let grid = GridEncoder::new(4, 8, 1, &mut rng).unwrap();
-        let lsh = LshEncoder::fit(&corpus, LshConfig::new(4, 3), &mut rng).unwrap();
-
-        let encoders: Vec<&dyn Encoder> = vec![&kmeans, &grid, &lsh];
-        for encoder in encoders {
-            let code = encoder.encode(&context).unwrap();
-            prop_assert!(code.value() < encoder.num_codes());
-            let rep = encoder.representative(code).unwrap();
-            prop_assert_eq!(rep.len(), 4);
-        }
+        let code = kmeans.encode(&context).unwrap();
+        prop_assert!(code.value() < kmeans.num_codes());
+        let rep = kmeans.representative(code).unwrap();
+        prop_assert_eq!(rep.len(), 4);
     }
 
     /// k-means cluster sizes always add up to the corpus size and the minimum

@@ -13,8 +13,8 @@
 //!    `ε = ln(p·(2−p)/(1−p)·e^ε̄ + (1−p))` and `δ = e^(−Ω·l·(1−p)²)`
 //!    ([`amplified_epsilon`], [`amplified_delta`]).
 //!
-//! The crate also provides a [`PrivacyAccountant`] implementing sequential
-//! composition (an agent reporting `r` tuples spends `r·ε`), an
+//! The crate also provides sequential composition on [`PrivacyGuarantee`]
+//! (an agent reporting `r` tuples spends `r·ε`), an
 //! [`AmplificationLedger`] that records the `(ε, δ)` pair achieved by every
 //! batch a batched shuffler releases, and a [`RandomizedResponse`] local-DP
 //! baseline so P2B's trust model can be compared against RAPPOR-style
@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod accountant;
 mod amplification;
 mod batch;
 mod crowd_blending;
@@ -62,7 +61,6 @@ mod secret_share;
 mod tree;
 mod zcdp;
 
-pub use accountant::{PrivacyAccountant, PrivacySpend};
 pub use amplification::{
     amplified_delta, amplified_epsilon, epsilon_sweep, participation_for_epsilon, EpsilonPoint,
 };

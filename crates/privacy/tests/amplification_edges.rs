@@ -4,7 +4,7 @@
 
 use p2b_privacy::{
     amplified_delta, amplified_epsilon, AmplificationLedger, CrowdBlending, Participation,
-    PrivacyAccountant, PrivacyGuarantee,
+    PrivacyGuarantee,
 };
 
 /// A descending ladder of participation rates from near-certain reporting
@@ -101,7 +101,8 @@ fn crowd_blending_boundary_at_exact_threshold() {
 #[test]
 fn legacy_pure_composition_totals_are_byte_identical() {
     // The zCDP accounting backend is additive-only: the legacy
-    // PrivacyAccountant / AmplificationLedger sequential-composition path
+    // PrivacyGuarantee::compose / AmplificationLedger sequential-composition
+    // path
     // must produce bit-for-bit the values it always has. These constants
     // were computed before the zCDP backend existed; any drift here means
     // the legacy path changed behavior.
@@ -109,19 +110,17 @@ fn legacy_pure_composition_totals_are_byte_identical() {
     let per_report = amplified_epsilon(p, 0.0).unwrap();
     assert_eq!(per_report.to_bits(), std::f64::consts::LN_2.to_bits());
 
-    let mut accountant = PrivacyAccountant::new();
+    let mut total = PrivacyGuarantee::zero();
     for _ in 0..7 {
-        accountant
-            .spend(PrivacyGuarantee::pure(per_report).unwrap(), "report")
-            .unwrap();
+        total = total.compose(&PrivacyGuarantee::pure(per_report).unwrap());
     }
     // 7 × ln 2 accumulated by repeated addition, exactly as before.
     let mut expected = 0.0f64;
     for _ in 0..7 {
         expected += std::f64::consts::LN_2;
     }
-    assert_eq!(accountant.total().epsilon().to_bits(), expected.to_bits());
-    assert_eq!(accountant.total().delta().to_bits(), 0.0f64.to_bits());
+    assert_eq!(total.epsilon().to_bits(), expected.to_bits());
+    assert_eq!(total.delta().to_bits(), 0.0f64.to_bits());
 
     let mut ledger = AmplificationLedger::new(p, 0.1).unwrap();
     ledger.record_batch(100, 10).unwrap();

@@ -2,7 +2,7 @@
 
 use p2b_privacy::{
     amplified_delta, amplified_epsilon, participation_for_epsilon, CrowdBlending, Participation,
-    PrivacyAccountant, PrivacyGuarantee, RandomizedResponse,
+    PrivacyGuarantee, RandomizedResponse,
 };
 use proptest::prelude::*;
 
@@ -53,19 +53,6 @@ proptest! {
         let g = PrivacyGuarantee::pure(eps).unwrap();
         let composed = g.compose_n(n);
         prop_assert!((composed.epsilon() - eps * f64::from(n)).abs() < 1e-9);
-    }
-
-    /// An accountant with a budget never reports a total exceeding the budget.
-    #[test]
-    fn accountant_never_exceeds_budget(
-        budget_eps in 0.5f64..3.0,
-        spends in prop::collection::vec(0.05f64..1.0, 1..20),
-    ) {
-        let mut acc = PrivacyAccountant::with_budget(PrivacyGuarantee::pure(budget_eps).unwrap());
-        for s in spends {
-            let _ = acc.spend(PrivacyGuarantee::pure(s).unwrap(), "spend");
-            prop_assert!(acc.total().epsilon() <= budget_eps + 1e-9);
-        }
     }
 
     /// Randomized response outputs are always valid categories and the

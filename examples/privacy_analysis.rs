@@ -8,7 +8,7 @@
 
 use p2b::privacy::{
     amplified_delta, amplified_epsilon, epsilon_sweep, participation_for_epsilon, Participation,
-    PrivacyAccountant, PrivacyGuarantee, RandomizedResponse,
+    PrivacyGuarantee, RandomizedResponse,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,15 +42,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sequential composition: an agent reporting r tuples spends r * epsilon.
     let per_report = PrivacyGuarantee::pure(epsilon)?;
-    let mut accountant = PrivacyAccountant::with_budget(PrivacyGuarantee::pure(3.0)?);
+    let budget = PrivacyGuarantee::pure(3.0)?;
+    let mut spent = PrivacyGuarantee::zero();
     let mut reports = 0;
-    while accountant.spend(per_report, "report").is_ok() {
+    while spent.compose(&per_report).is_at_least_as_strong_as(&budget) {
+        spent = spent.compose(&per_report);
         reports += 1;
     }
     println!(
         "\nwith a total budget of epsilon = 3.0 an agent can afford {reports} reports \
          (spent {:.3})",
-        accountant.total().epsilon()
+        spent.epsilon()
     );
 
     // RAPPOR-style local baseline: same epsilon, but the report itself is noisy.

@@ -7,7 +7,7 @@
 //! |--------|----------|
 //! | [`core`] | the P2B system: local agents, randomized reporting, central server |
 //! | [`bandit`] | LinUCB and the baseline contextual-bandit policies |
-//! | [`encoding`] | fixed-precision contexts, k-means / grid / LSH encoders |
+//! | [`encoding`] | the k-means context encoder and Fig. 2's fixed-precision simplex grid |
 //! | [`privacy`] | (ε, δ)-DP, crowd-blending, amplification by pre-sampling |
 //! | [`shuffler`] | the ESA-style anonymize / shuffle / threshold stage: the sharded engine every report goes through, and its synchronous per-batch kernel |
 //! | [`datasets`] | synthetic preference, multi-label and Criteo-like workloads |
