@@ -4,7 +4,7 @@ use crate::CoreError;
 use p2b_bandit::LinUcbConfig;
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::Vector;
-use p2b_privacy::Participation;
+use p2b_privacy::{validate_omega, Participation};
 use serde::{Deserialize, Serialize};
 
 /// How an encoded context code is turned back into a vector when feeding the
@@ -189,8 +189,8 @@ impl P2bConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] describing the first violated
-    /// constraint, or [`CoreError::Privacy`] if the participation probability
-    /// is outside `(0, 1)`.
+    /// constraint, or [`CoreError::Privacy`] if Ω is not a finite positive
+    /// number or the participation probability is outside `(0, 1)`.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.context_dimension == 0 {
             return Err(CoreError::InvalidConfig {
@@ -240,13 +240,8 @@ impl P2bConfig {
                 message: "must be at least 1".to_owned(),
             });
         }
-        if !self.delta_omega.is_finite() || self.delta_omega <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                parameter: "delta_omega",
-                message: format!("must be a finite positive number, got {}", self.delta_omega),
-            });
-        }
-        // Participation is validated by the privacy crate's constructor.
+        // Ω and participation are validated by the privacy crate's checks.
+        validate_omega(self.delta_omega)?;
         let _ = self.participation()?;
         Ok(())
     }
@@ -362,6 +357,16 @@ mod tests {
             .with_ingest_shards(0)
             .validate()
             .is_err());
+        for omega in [0.0, -1.0, f64::NAN] {
+            let mut bad = P2bConfig::new(5, 5);
+            bad.delta_omega = omega;
+            assert!(matches!(
+                bad.validate(),
+                Err(CoreError::Privacy(
+                    p2b_privacy::PrivacyError::InvalidParameter { name: "omega", .. }
+                ))
+            ));
+        }
         assert!(P2bConfig::new(5, 5)
             .with_shuffler_shards(8)
             .with_shuffler_batch_size(256)

@@ -466,7 +466,10 @@ mod tests {
         assert_eq!(accepted, submitted as u64);
         assert_eq!(system.server().ingested_reports(), accepted);
         let ledger = output.ledger.unwrap();
-        assert_eq!(ledger.total_released(), submitted);
+        assert_eq!(
+            ledger.records().iter().map(|r| r.released).sum::<usize>(),
+            submitted
+        );
         assert!(ledger.weakest().is_some());
     }
 
@@ -511,7 +514,10 @@ mod tests {
         assert_eq!(system.server().ingested_reports(), accepted);
         let ledger = output.ledger.unwrap();
         assert_eq!(ledger.records().len(), output.batches.len());
-        assert_eq!(ledger.total_released(), submitted);
+        assert_eq!(
+            ledger.records().iter().map(|r| r.released).sum::<usize>(),
+            submitted
+        );
     }
 
     #[test]

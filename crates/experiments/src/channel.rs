@@ -23,14 +23,17 @@
 //!   each flush runs the queue through the sharded
 //!   [`p2b_shuffler::ShufflerEngine`] (anonymize, shuffle, crowd-blending
 //!   threshold); released reports update the central policy and every
-//!   batch's (ε, δ) lands in an [`p2b_privacy::AmplificationLedger`];
+//!   batch's (ε, δ) is booked once, in the channel's
+//!   [`p2b_privacy::AmplificationLedger`] (the engine runs without its own
+//!   accounting; the channel reads the crowd off each batch, the statistic
+//!   the engine's merger books in serving);
 //! * **central DP (tree aggregation)** ([`TreeCuratorChannel`]) — the raw
 //!   tuple goes to a *trusted curator*, which folds its statistics leaf
 //!   into per-arm [`p2b_privacy::TreeAggregator`] streams and at each flush
 //!   publishes a model rebuilt from the noisy prefix releases (Gaussian
 //!   noise on O(log T) dyadic partial sums — the classic PrivateLinUCB
-//!   baseline). Privacy cost is accounted in ρ-zCDP by a
-//!   [`p2b_privacy::ZcdpAccountant`];
+//!   baseline). The stream's privacy cost is one ρ-zCDP charge, converted
+//!   to an ε once by [`p2b_privacy::rho_to_epsilon`];
 //! * **secure aggregation (additive shares)** ([`SecureAggChannel`]) — the
 //!   same leaves, summed by [`SECURE_AGG_SHARDS`] aggregator shards over
 //!   fixed-point additive shares ([`p2b_core::SecureIngestService`]) in
@@ -52,8 +55,8 @@ use p2b_core::SecureIngestService;
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_privacy::{
-    AmplificationLedger, BatchAmplification, Participation, RandomizedResponse, TreeAggregator,
-    TreeConfig, ZcdpAccountant,
+    rho_to_epsilon, AmplificationLedger, BatchAmplification, Participation, RandomizedResponse,
+    TreeAggregator, TreeConfig,
 };
 use p2b_shuffler::{splitmix64, EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
 use rand::rngs::StdRng;
@@ -71,8 +74,8 @@ use std::collections::HashMap;
 /// central-DP baseline whose utility gap against P2B is the paper's point.
 pub const CENTRAL_SIGMA: f64 = 4.0;
 
-/// Target δ at which the central-DP cell's composed ρ-zCDP loss is converted
-/// to an ε for reporting ([`p2b_privacy::ZcdpAccountant::epsilon`]).
+/// Target δ at which the central-DP cell's ρ-zCDP loss is converted to an ε
+/// for reporting ([`p2b_privacy::rho_to_epsilon`]).
 pub const CENTRAL_TARGET_DELTA: f64 = 1e-6;
 
 /// L2 sensitivity of one tree leaf in the central-DP regime: the leaf vector
@@ -181,7 +184,6 @@ pub(crate) fn open(
             engine: ShufflerEngine::builder(ShufflerConfig::new(config.shuffler_threshold))
                 .shards(config.shuffler_shards)
                 .batch_size(config.shuffler_batch_size)
-                .privacy_accounting(participation, config.delta_omega)
                 .build()?,
             ledger: AmplificationLedger::new(participation, config.delta_omega)?,
             pending: Vec::new(),
@@ -348,7 +350,7 @@ impl ReportChannel for ShuffledChannel {
                 central.update(representative, action, report.reward())?;
                 released += 1;
             }
-            let crowd = batch.amplification.map_or(0, |a| a.crowd_size);
+            let crowd = batch.batch.min_released_code_frequency() as u64;
             self.ledger
                 .record_batch(batch.batch.stats().released, crowd)?;
         }
@@ -388,9 +390,9 @@ impl ReportChannel for ShuffledChannel {
 /// [`crate::run_held_out`] one of a training user's several, so the claim is
 /// per report, as P2B's is), covered by at most `nodes_per_leaf` noisy
 /// partial sums, so the *entire* release stream costs
-/// `ρ = nodes_per_leaf · Δ² / (2σ²)` — charged once to a
-/// [`ZcdpAccountant`] at construction and converted to the cell's ε there,
-/// independent of how many snapshots are published. All noise is
+/// `ρ = nodes_per_leaf · Δ² / (2σ²)` — computed once at construction and
+/// converted to the cell's ε there by [`rho_to_epsilon`], independent of how
+/// many snapshots are published. All noise is
 /// counter-based ([`TreeAggregator::node_noise`]), so cells stay
 /// bit-deterministic at any worker count.
 struct TreeCuratorChannel {
@@ -412,17 +414,17 @@ impl TreeCuratorChannel {
                 ))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut accountant = ZcdpAccountant::new();
         // The whole stream's cost is fixed upfront by (σ, T): every leaf is
         // covered by at most nodes_per_leaf noisy nodes, regardless of how
         // many prefixes are later released.
-        if let Some(tree) = trees.first() {
-            accountant.spend_rho(tree.rho_per_leaf(CENTRAL_LEAF_SENSITIVITY)?, "tree_stream")?;
-        }
+        let rho = match trees.first() {
+            Some(tree) => tree.rho_per_leaf(CENTRAL_LEAF_SENSITIVITY)?,
+            None => 0.0,
+        };
         Ok(Self {
             model,
             trees,
-            epsilon: accountant.epsilon(CENTRAL_TARGET_DELTA)?,
+            epsilon: rho_to_epsilon(rho, CENTRAL_TARGET_DELTA)?,
         })
     }
 }

@@ -27,7 +27,7 @@ use crate::{
 use p2b_bandit::Action;
 use p2b_core::{DecisionTicket, RewardJoinBuffer};
 use p2b_linalg::Vector;
-use p2b_privacy::{AmplificationLedger, Participation};
+use p2b_privacy::{validate_omega, Participation};
 use p2b_shuffler::splitmix64;
 use p2b_sim::parallel_map;
 use rand::rngs::StdRng;
@@ -297,10 +297,10 @@ impl MatrixConfig {
             });
         }
         // Participation and Ω are validated by the privacy crate's own
-        // constructors, for every cell: only the shuffled channel keeps the
+        // checks, for every cell: only the shuffled channel keeps the
         // ledger, but a bad Ω is a bad configuration under any regime.
         let participation = Participation::new(self.participation)?;
-        AmplificationLedger::new(participation, self.delta_omega)?;
+        validate_omega(self.delta_omega)?;
         Ok(participation)
     }
 }
@@ -738,6 +738,7 @@ impl Rounds {
 mod tests {
     use super::*;
     use crate::{CENTRAL_LEAF_SENSITIVITY, CENTRAL_SIGMA, CENTRAL_TARGET_DELTA};
+    use p2b_privacy::amplified_delta;
 
     fn tiny() -> MatrixConfig {
         MatrixConfig::smoke()
@@ -895,6 +896,23 @@ mod tests {
                 assert!(batch.crowd_size >= config.shuffler_threshold as u64);
             }
         }
+        // One booking per batch: the channel's ledger holds every delivered
+        // batch once, in order, with the closed-form (ε, δ) of its crowd.
+        let participation = Participation::new(config.participation).unwrap();
+        let mut max_delta = 0.0f64;
+        for (index, batch) in p2b.batch_guarantees.iter().enumerate() {
+            assert_eq!(batch.batch_index, index as u64);
+            if batch.released > 0 {
+                let delta =
+                    amplified_delta(participation, batch.crowd_size, config.delta_omega).unwrap();
+                assert_eq!(batch.delta.to_bits(), delta.to_bits());
+                assert_eq!(batch.epsilon.to_bits(), std::f64::consts::LN_2.to_bits());
+                max_delta = max_delta.max(batch.delta);
+            } else {
+                assert_eq!((batch.epsilon, batch.delta), (0.0, 0.0));
+            }
+        }
+        assert_eq!(p2b.delta.unwrap().to_bits(), max_delta.to_bits());
     }
 
     #[test]

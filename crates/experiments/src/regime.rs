@@ -23,14 +23,15 @@ pub enum PrivacyRegime {
     LocalDp,
     /// The P2B pipeline: exact context codes travel through the sharded
     /// [`p2b_shuffler::ShufflerEngine`] (anonymize, shuffle, crowd-blending
-    /// threshold) with per-batch (ε, δ) accounting from the
-    /// [`p2b_privacy::AmplificationLedger`].
+    /// threshold) with per-batch (ε, δ) accounting in one
+    /// [`p2b_privacy::AmplificationLedger`] per cell.
     P2bShuffle,
     /// The classic central-DP baseline the paper positions P2B against: raw
     /// `(x, a, r)` tuples go to a trusted curator, which releases the LinUCB
     /// sufficient statistics through a [`p2b_privacy::TreeAggregator`]
     /// (Gaussian noise on O(log T) dyadic partial sums) and accounts the
-    /// releases in ρ-zCDP via the [`p2b_privacy::ZcdpAccountant`].
+    /// whole release stream as one ρ-zCDP charge, converted to an ε by
+    /// [`p2b_privacy::rho_to_epsilon`].
     CentralDp,
     /// Secure aggregation without a trusted curator: each report's LinUCB
     /// sufficient-statistic leaf is fixed-point encoded and additively

@@ -54,14 +54,27 @@ pub fn amplified_delta(p: Participation, crowd_size: u64, omega: f64) -> Result<
             message: "must be at least 1".to_owned(),
         });
     }
+    validate_omega(omega)?;
+    let q = 1.0 - p.value();
+    Ok((-omega * crowd_size as f64 * q * q).exp())
+}
+
+/// Checks the constant Ω of the δ bound (Equation 2): it must be a finite
+/// positive number. The one statement of the rule, shared by
+/// [`amplified_delta`], [`crate::AmplificationLedger::new`] and
+/// configurations that validate Ω before any batch is released.
+///
+/// # Errors
+///
+/// Returns [`PrivacyError::InvalidParameter`] naming `omega` otherwise.
+pub fn validate_omega(omega: f64) -> Result<(), PrivacyError> {
     if !omega.is_finite() || omega <= 0.0 {
         return Err(PrivacyError::InvalidParameter {
             name: "omega",
             message: format!("must be a finite positive number, got {omega}"),
         });
     }
-    let q = 1.0 - p.value();
-    Ok((-omega * crowd_size as f64 * q * q).exp())
+    Ok(())
 }
 
 /// Inverts Equation 3: the participation probability needed to achieve a

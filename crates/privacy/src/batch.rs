@@ -10,10 +10,17 @@
 //! per batch (in the spirit of the per-round accounting of Azize & Basu,
 //! *Concentrated Differential Privacy for Bandits*) instead of quoting a
 //! single whole-deployment bound.
+//!
+//! The ledger only records batches and answers [`AmplificationLedger::weakest`];
+//! a pipeline keeps exactly one (the shuffler engine's merger when the engine
+//! is built with privacy accounting, or the experiment harness's P2B channel).
+//! Composing over `k` batches is the caller's one line:
+//! `weakest.guarantee.compose_n(k)` sequentially, or
+//! [`crate::compare_composition`] for the ρ-zCDP route beside it.
 
 use crate::{
-    amplified_delta, amplified_epsilon, compare_composition, CompositionComparison, Participation,
-    PrivacyError, PrivacyGuarantee,
+    amplified_delta, amplified_epsilon, validate_omega, Participation, PrivacyError,
+    PrivacyGuarantee,
 };
 use serde::{Deserialize, Serialize};
 
@@ -73,12 +80,7 @@ impl AmplificationLedger {
     /// Returns [`PrivacyError::InvalidParameter`] when `omega` is not a
     /// finite positive number.
     pub fn new(participation: Participation, omega: f64) -> Result<Self, PrivacyError> {
-        if !omega.is_finite() || omega <= 0.0 {
-            return Err(PrivacyError::InvalidParameter {
-                name: "omega",
-                message: format!("must be a finite positive number, got {omega}"),
-            });
-        }
+        validate_omega(omega)?;
         let epsilon = amplified_epsilon(participation, 0.0)?;
         Ok(Self {
             participation,
@@ -92,12 +94,6 @@ impl AmplificationLedger {
     #[must_use]
     pub fn per_report_epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// The participation probability the ledger accounts under.
-    #[must_use]
-    pub fn participation(&self) -> Participation {
-        self.participation
     }
 
     /// Records one released batch and returns its amplification record.
@@ -154,47 +150,16 @@ impl AmplificationLedger {
             .filter(|r| r.released > 0)
             .max_by(|a, b| a.guarantee.delta().total_cmp(&b.guarantee.delta()))
     }
-
-    /// Total reports released across every recorded batch.
-    #[must_use]
-    pub fn total_released(&self) -> usize {
-        self.records.iter().map(|r| r.released).sum()
-    }
-
-    /// The guarantee for an agent whose reports landed in `batches` distinct
-    /// recorded batches, by sequential composition of the weakest batch
-    /// guarantee — a conservative `(kε, kδ_max)` bound.
-    #[must_use]
-    pub fn composed_over(&self, batches: u32) -> Option<PrivacyGuarantee> {
-        self.weakest().map(|w| w.guarantee.compose_n(batches))
-    }
-
-    /// Routes the ledger's weakest batch guarantee through the
-    /// [`crate::ZcdpAccountant`]: composes `batches` copies of it in ρ-zCDP
-    /// and reports the resulting ε at `target_delta` side by side with the
-    /// pure sequential-composition ε from [`AmplificationLedger::composed_over`].
-    /// Over long horizons the zCDP ε grows as `O(√k)` instead of `O(k)` and
-    /// is strictly tighter. `None` if no non-empty batch was recorded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrivacyError::InvalidParameter`] for a zero horizon or a
-    /// `target_delta` outside `(0, 1)`.
-    pub fn zcdp_composed_over(
-        &self,
-        batches: u32,
-        target_delta: f64,
-    ) -> Result<Option<CompositionComparison>, PrivacyError> {
-        match self.weakest() {
-            Some(w) => compare_composition(w.guarantee, batches, target_delta).map(Some),
-            None => Ok(None),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare_composition;
+
+    fn total_released(ledger: &AmplificationLedger) -> usize {
+        ledger.records().iter().map(|r| r.released).sum()
+    }
 
     fn ledger() -> AmplificationLedger {
         AmplificationLedger::new(Participation::new(0.5).unwrap(), 0.1).unwrap()
@@ -253,7 +218,7 @@ mod tests {
         let weakest = ledger.weakest().unwrap();
         assert_eq!(weakest.batch_index, 1);
         assert_eq!(weakest.crowd_size, 3);
-        assert_eq!(ledger.total_released(), 230);
+        assert_eq!(total_released(&ledger), 230);
         assert_eq!(ledger.records().len(), 3);
     }
 
@@ -276,8 +241,8 @@ mod tests {
         let mut ledger = ledger();
         ledger.record_batch(100, 10).unwrap();
         ledger.record_batch(100, 5).unwrap();
-        let composed = ledger.composed_over(3).unwrap();
         let weakest = ledger.weakest().unwrap().guarantee;
+        let composed = weakest.compose_n(3);
         assert!((composed.epsilon() - 3.0 * weakest.epsilon()).abs() < 1e-12);
         assert!((composed.delta() - (3.0 * weakest.delta()).min(1.0)).abs() < 1e-12);
     }
@@ -286,8 +251,9 @@ mod tests {
     fn zcdp_route_tightens_long_horizons_and_matches_pure_route_inputs() {
         let mut ledger = ledger();
         ledger.record_batch(100, 10).unwrap();
-        let cmp = ledger.zcdp_composed_over(10_000, 1e-6).unwrap().unwrap();
-        let pure = ledger.composed_over(10_000).unwrap();
+        let weakest = ledger.weakest().unwrap().guarantee;
+        let cmp = compare_composition(weakest, 10_000, 1e-6).unwrap();
+        let pure = weakest.compose_n(10_000);
         assert_eq!(cmp.pure_epsilon.to_bits(), pure.epsilon().to_bits());
         assert!(
             cmp.zcdp_epsilon < cmp.pure_epsilon,
@@ -295,12 +261,11 @@ mod tests {
             cmp.zcdp_epsilon,
             cmp.pure_epsilon
         );
-        assert!(ledger.zcdp_composed_over(0, 1e-6).is_err());
+        assert!(compare_composition(weakest, 0, 1e-6).is_err());
         assert!(
             AmplificationLedger::new(Participation::new(0.5).unwrap(), 0.1)
                 .unwrap()
-                .zcdp_composed_over(5, 1e-6)
-                .unwrap()
+                .weakest()
                 .is_none()
         );
     }
@@ -309,7 +274,7 @@ mod tests {
     fn empty_ledger_has_no_weakest_or_composition() {
         let ledger = ledger();
         assert!(ledger.weakest().is_none());
-        assert!(ledger.composed_over(2).is_none());
-        assert_eq!(ledger.total_released(), 0);
+        assert!(ledger.weakest().map(|w| w.guarantee.compose_n(2)).is_none());
+        assert_eq!(total_released(&ledger), 0);
     }
 }

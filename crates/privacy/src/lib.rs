@@ -16,16 +16,19 @@
 //! The crate also provides sequential composition on [`PrivacyGuarantee`]
 //! (an agent reporting `r` tuples spends `r·ε`), an
 //! [`AmplificationLedger`] that records the `(ε, δ)` pair achieved by every
-//! batch a batched shuffler releases, and a [`RandomizedResponse`] local-DP
-//! baseline so P2B's trust model can be compared against RAPPOR-style
-//! randomization.
+//! batch a batched shuffler releases (one ledger per pipeline; Ω is checked
+//! by [`validate_omega`], the one statement of that rule), and a
+//! [`RandomizedResponse`] local-DP baseline so P2B's trust model can be
+//! compared against RAPPOR-style randomization.
 //!
 //! Two additions support the central-DP baseline the paper compares against:
 //! a [`TreeAggregator`] releasing running sums through the binary mechanism
 //! (Gaussian noise on O(log T) dyadic partial sums per prefix, Dwork et al.
-//! 2010 / Chan–Shi–Song 2011), and a [`ZcdpAccountant`] composing privacy
-//! loss in ρ-zCDP with conversion to (ε, δ) at query time — the tight
-//! `O(√k)` alternative to sequential composition for long horizons.
+//! 2010 / Chan–Shi–Song 2011), whose stream ρ converts to an ε through
+//! [`rho_to_epsilon`], and a [`ZcdpAccountant`] composing privacy loss in
+//! ρ-zCDP as running sums, with conversion to (ε, δ) at query time — the
+//! tight `O(√k)` alternative to sequential composition for long horizons,
+//! which [`compare_composition`] sets beside the pure route.
 //!
 //! A third trust model rides on the same leaf stream: the secure-aggregation
 //! regime ([`SecretSharer`], [`encode_fixed`]/[`decode_fixed`],
@@ -62,7 +65,8 @@ mod tree;
 mod zcdp;
 
 pub use amplification::{
-    amplified_delta, amplified_epsilon, epsilon_sweep, participation_for_epsilon, EpsilonPoint,
+    amplified_delta, amplified_epsilon, epsilon_sweep, participation_for_epsilon, validate_omega,
+    EpsilonPoint,
 };
 pub use batch::{AmplificationLedger, BatchAmplification};
 pub use crowd_blending::CrowdBlending;
@@ -76,7 +80,6 @@ pub use secret_share::{
 pub use tree::{prefix_nodes, TreeAggregator, TreeConfig, TreeNode};
 pub use zcdp::{
     compare_composition, pure_dp_to_rho, rho_to_epsilon, CompositionComparison, ZcdpAccountant,
-    ZcdpSpend,
 };
 
 /// SplitMix64: a cheap, well-mixed 64-bit hash. The one mixer behind every

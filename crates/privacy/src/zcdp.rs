@@ -12,12 +12,14 @@
 //!
 //! Over `k` repetitions of an ε-DP mechanism, sequential composition quotes
 //! `kε` while the zCDP route quotes `kε²/2 + ε√(2k·ln(1/δ))` — `O(√k)·ε`
-//! instead of `O(k)·ε`, which is why the shuffle regime's per-batch
-//! amplification ledger composes much more tightly over horizons of
-//! thousands of batches. The [`ZcdpAccountant`] tracks both routes and
-//! [`ZcdpAccountant::epsilon`] always reports the smaller of the two valid
-//! bounds, so switching the accounting backend can only tighten the quoted
-//! guarantee.
+//! instead of `O(k)·ε`, which is why the weakest P2B batch guarantee,
+//! composed over thousands of batches by [`compare_composition`], is much
+//! tighter by this route. The [`ZcdpAccountant`] tracks both routes as
+//! running sums (per round, as Azize & Basu account, with no per-spend log)
+//! and [`ZcdpAccountant::epsilon`] always reports the smaller of the two
+//! valid bounds, so switching the accounting backend can only tighten the
+//! quoted guarantee. A single ρ spend needs no accountant: the central-DP
+//! curator converts its stream's ρ with [`rho_to_epsilon`] directly.
 
 use crate::{PrivacyError, PrivacyGuarantee};
 use serde::{Deserialize, Serialize};
@@ -61,28 +63,14 @@ pub fn rho_to_epsilon(rho: f64, delta: f64) -> Result<f64, PrivacyError> {
     Ok(rho + 2.0 * (rho * (1.0 / delta).ln()).sqrt())
 }
 
-/// A single ρ-zCDP expenditure recorded by the accountant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ZcdpSpend {
-    /// The ρ consumed by the event.
-    pub rho: f64,
-    /// The pure-composition ε of the event, when the spend originated from
-    /// an (ε, δ) guarantee — kept so the accountant can also quote the
-    /// classic sequential-composition bound.
-    pub pure_epsilon: Option<f64>,
-    /// The δ the event carried (approximate-DP slack, composes additively).
-    pub delta: f64,
-    /// Free-form label (e.g. `"batch"`), used for reporting.
-    pub label: String,
-}
-
 /// Tracks cumulative privacy loss in ρ-zCDP with conversion to (ε, δ) at
-/// query time.
+/// query time. It keeps running sums (Σρ, Σδ, Σε while every spend carried
+/// a pure ε) and a spend count, not a per-spend log.
 ///
 /// Spends enter either as raw ρ ([`ZcdpAccountant::spend_rho`], e.g. one
 /// Gaussian-mechanism release of a [`crate::TreeAggregator`] stream) or as
 /// an (ε, δ) guarantee ([`ZcdpAccountant::spend_guarantee`], e.g. one
-/// shuffler batch from the [`crate::AmplificationLedger`]), which is charged
+/// reporting opportunity in [`compare_composition`]), which is charged
 /// `ε²/2` of ρ while its δ accrues as slack. [`ZcdpAccountant::epsilon`]
 /// converts the composed ρ back to an ε at a caller-chosen δ and — whenever
 /// every spend carried a pure ε — never reports a looser value than plain
@@ -95,7 +83,7 @@ pub struct ZcdpSpend {
 /// let per_batch = PrivacyGuarantee::pure(0.693)?; // ε = ln 2 per batch
 /// let mut acc = ZcdpAccountant::new();
 /// for _ in 0..10_000 {
-///     acc.spend_guarantee(&per_batch, "batch")?;
+///     acc.spend_guarantee(&per_batch)?;
 /// }
 /// let zcdp = acc.epsilon(1e-6)?;
 /// let pure = 10_000.0 * 0.693;
@@ -105,7 +93,7 @@ pub struct ZcdpSpend {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ZcdpAccountant {
-    spends: Vec<ZcdpSpend>,
+    count: usize,
     rho: f64,
     delta_slack: f64,
     pure_epsilon: Option<f64>,
@@ -123,7 +111,7 @@ impl ZcdpAccountant {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            spends: Vec::new(),
+            count: 0,
             rho: 0.0,
             delta_slack: 0.0,
             pure_epsilon: Some(0.0),
@@ -157,11 +145,11 @@ impl ZcdpAccountant {
     /// # Errors
     ///
     /// Returns [`PrivacyError::InvalidParameter`] for negative / non-finite
-    /// ρ and [`PrivacyError::BudgetExceeded`] when a budget is configured
-    /// and the composed total would exceed it. A refused expenditure is not
-    /// recorded.
-    pub fn spend_rho(&mut self, rho: f64, label: impl Into<String>) -> Result<(), PrivacyError> {
-        self.spend_inner(rho, None, 0.0, label.into())
+    /// ρ and [`PrivacyError::BudgetExceeded`] (carrying the ρ remaining and
+    /// the ρ refused) when a budget is configured and the composed total
+    /// would exceed it. A refused expenditure is not recorded.
+    pub fn spend_rho(&mut self, rho: f64) -> Result<(), PrivacyError> {
+        self.spend_inner(rho, None, 0.0)
     }
 
     /// Records an (ε, δ)-DP expenditure: charged `ε²/2` of ρ, with δ
@@ -172,18 +160,9 @@ impl ZcdpAccountant {
     ///
     /// Returns [`PrivacyError::BudgetExceeded`] when the composed ρ would
     /// exceed a configured budget; the expenditure is not recorded.
-    pub fn spend_guarantee(
-        &mut self,
-        guarantee: &PrivacyGuarantee,
-        label: impl Into<String>,
-    ) -> Result<(), PrivacyError> {
+    pub fn spend_guarantee(&mut self, guarantee: &PrivacyGuarantee) -> Result<(), PrivacyError> {
         let rho = pure_dp_to_rho(guarantee.epsilon())?;
-        self.spend_inner(
-            rho,
-            Some(guarantee.epsilon()),
-            guarantee.delta(),
-            label.into(),
-        )
+        self.spend_inner(rho, Some(guarantee.epsilon()), guarantee.delta())
     }
 
     fn spend_inner(
@@ -191,7 +170,6 @@ impl ZcdpAccountant {
         rho: f64,
         pure_epsilon: Option<f64>,
         delta: f64,
-        label: String,
     ) -> Result<(), PrivacyError> {
         if !rho.is_finite() || rho < 0.0 {
             return Err(PrivacyError::InvalidParameter {
@@ -203,8 +181,8 @@ impl ZcdpAccountant {
         if let Some(budget) = self.budget {
             if proposed > budget {
                 return Err(PrivacyError::BudgetExceeded {
-                    budget,
-                    requested: proposed,
+                    budget: (budget - self.rho).max(0.0),
+                    requested: rho,
                 });
             }
         }
@@ -214,12 +192,7 @@ impl ZcdpAccountant {
             (Some(total), Some(eps)) => Some(total + eps),
             _ => None,
         };
-        self.spends.push(ZcdpSpend {
-            rho,
-            pure_epsilon,
-            delta,
-            label,
-        });
+        self.count += 1;
         Ok(())
     }
 
@@ -245,12 +218,7 @@ impl ZcdpAccountant {
     /// Number of recorded expenditures.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.spends.len()
-    }
-
-    /// Iterates over the recorded expenditures in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, ZcdpSpend> {
-        self.spends.iter()
+        self.count
     }
 
     /// The remaining ρ before the budget is exhausted (`None` when
@@ -333,7 +301,7 @@ pub fn compare_composition(
     }
     let mut accountant = ZcdpAccountant::new();
     for _ in 0..horizon {
-        accountant.spend_guarantee(&per_opportunity, "opportunity")?;
+        accountant.spend_guarantee(&per_opportunity)?;
     }
     let pure = per_opportunity.compose_n(horizon);
     Ok(CompositionComparison {
@@ -366,8 +334,8 @@ mod tests {
     #[test]
     fn rho_composes_additively() {
         let mut acc = ZcdpAccountant::new();
-        acc.spend_rho(0.25, "a").unwrap();
-        acc.spend_rho(0.5, "b").unwrap();
+        acc.spend_rho(0.25).unwrap();
+        acc.spend_rho(0.5).unwrap();
         assert_eq!(acc.rho(), 0.75);
         assert_eq!(acc.count(), 2);
         assert_eq!(
@@ -381,8 +349,8 @@ mod tests {
     fn guarantee_spends_keep_both_routes() {
         let g = PrivacyGuarantee::new(1.0, 1e-8).unwrap();
         let mut acc = ZcdpAccountant::new();
-        acc.spend_guarantee(&g, "batch").unwrap();
-        acc.spend_guarantee(&g, "batch").unwrap();
+        acc.spend_guarantee(&g).unwrap();
+        acc.spend_guarantee(&g).unwrap();
         assert!((acc.rho() - 1.0).abs() < 1e-12);
         assert_eq!(acc.pure_epsilon(), Some(2.0));
         assert!((acc.delta_slack() - 2e-8).abs() < 1e-20);
@@ -394,13 +362,33 @@ mod tests {
     fn budget_boundary_is_exact() {
         let mut acc = ZcdpAccountant::with_budget(1.0).unwrap();
         for _ in 0..4 {
-            acc.spend_rho(0.25, "q").unwrap();
+            acc.spend_rho(0.25).unwrap();
         }
         assert_eq!(acc.rho(), 1.0);
         assert_eq!(acc.remaining_rho(), Some(0.0));
-        let err = acc.spend_rho(0.25, "over");
-        assert!(matches!(err, Err(PrivacyError::BudgetExceeded { .. })));
+        // The error names the ρ left and the ρ refused.
+        let err = acc.spend_rho(0.25).unwrap_err();
+        assert_eq!(
+            err,
+            PrivacyError::BudgetExceeded {
+                budget: 0.0,
+                requested: 0.25,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "privacy budget exceeded: 0.25 requested with only 0 remaining"
+        );
         assert_eq!(acc.count(), 4, "refused spends are not recorded");
+        let mut half = ZcdpAccountant::with_budget(1.0).unwrap();
+        half.spend_rho(0.5).unwrap();
+        assert_eq!(
+            half.spend_rho(0.75),
+            Err(PrivacyError::BudgetExceeded {
+                budget: 0.5,
+                requested: 0.75,
+            })
+        );
         assert!(ZcdpAccountant::with_budget(0.0).is_err());
     }
 
@@ -421,7 +409,7 @@ mod tests {
         let g = PrivacyGuarantee::new(0.5, 1e-7).unwrap();
         let mut acc = ZcdpAccountant::new();
         for _ in 0..3 {
-            acc.spend_guarantee(&g, "b").unwrap();
+            acc.spend_guarantee(&g).unwrap();
         }
         let out = acc.to_guarantee(1e-6).unwrap();
         assert!((out.delta() - (1e-6 + 3e-7)).abs() < 1e-18);

@@ -101,9 +101,9 @@ fn crowd_blending_boundary_at_exact_threshold() {
 #[test]
 fn legacy_pure_composition_totals_are_byte_identical() {
     // The zCDP accounting backend is additive-only: the legacy
-    // PrivacyGuarantee::compose / AmplificationLedger sequential-composition
-    // path
-    // must produce bit-for-bit the values it always has. These constants
+    // PrivacyGuarantee::compose / compose_n sequential-composition path,
+    // fed the ledger's weakest batch, must produce bit-for-bit the values it
+    // always has. These constants
     // were computed before the zCDP backend existed; any drift here means
     // the legacy path changed behavior.
     let p = Participation::new(0.5).unwrap();
@@ -125,8 +125,8 @@ fn legacy_pure_composition_totals_are_byte_identical() {
     let mut ledger = AmplificationLedger::new(p, 0.1).unwrap();
     ledger.record_batch(100, 10).unwrap();
     ledger.record_batch(40, 3).unwrap();
-    let composed = ledger.composed_over(4).unwrap();
     let weakest = ledger.weakest().unwrap().guarantee;
+    let composed = weakest.compose_n(4);
     let expected_delta = amplified_delta(p, 3, 0.1).unwrap();
     assert_eq!(weakest.delta().to_bits(), expected_delta.to_bits());
     assert_eq!(

@@ -18,11 +18,11 @@ proptest! {
     ) {
         let mut forward = ZcdpAccountant::new();
         for &r in &rhos {
-            forward.spend_rho(r, "q").unwrap();
+            forward.spend_rho(r).unwrap();
         }
         let mut backward = ZcdpAccountant::new();
         for &r in rhos.iter().rev() {
-            backward.spend_rho(r, "q").unwrap();
+            backward.spend_rho(r).unwrap();
         }
         prop_assert!((forward.rho() - backward.rho()).abs() < 1e-9);
         prop_assert_eq!(forward.count(), backward.count());
@@ -35,7 +35,7 @@ proptest! {
         let mut acc = ZcdpAccountant::new();
         let mut prev = 0.0f64;
         for &r in &rhos {
-            acc.spend_rho(r, "q").unwrap();
+            acc.spend_rho(r).unwrap();
             prop_assert!(acc.rho() >= prev);
             prop_assert!((acc.rho() - (prev + r)).abs() < 1e-12);
             prev = acc.rho();
@@ -66,7 +66,7 @@ proptest! {
         let mut acc = ZcdpAccountant::new();
         let mut pure_total = 0.0f64;
         for &e in &epsilons {
-            acc.spend_guarantee(&PrivacyGuarantee::pure(e).unwrap(), "q").unwrap();
+            acc.spend_guarantee(&PrivacyGuarantee::pure(e).unwrap()).unwrap();
             pure_total += e;
         }
         let reported = acc.epsilon(delta).unwrap();
@@ -108,10 +108,10 @@ proptest! {
         // Spending exactly to the budget in one step is accepted; the first
         // ρ > 0 beyond it is refused.
         let mut exact = ZcdpAccountant::with_budget(budget).unwrap();
-        exact.spend_rho(budget, "all").unwrap();
+        exact.spend_rho(budget).unwrap();
         prop_assert_eq!(exact.remaining_rho(), Some(0.0));
         prop_assert!(matches!(
-            exact.spend_rho(overshoot, "over"),
+            exact.spend_rho(overshoot),
             Err(PrivacyError::BudgetExceeded { .. })
         ));
 
@@ -121,11 +121,11 @@ proptest! {
         let step = budget / f64::from(steps + 1);
         let mut acc = ZcdpAccountant::with_budget(budget).unwrap();
         for _ in 0..steps {
-            acc.spend_rho(step, "q").unwrap();
+            acc.spend_rho(step).unwrap();
         }
         let count = acc.count();
         let rho = acc.rho();
-        let refused = acc.spend_rho(budget, "over");
+        let refused = acc.spend_rho(budget);
         prop_assert!(matches!(refused, Err(PrivacyError::BudgetExceeded { .. })));
         prop_assert_eq!(acc.count(), count);
         prop_assert!((acc.rho() - rho).abs() == 0.0);
@@ -143,7 +143,7 @@ proptest! {
         let rho = pure_dp_to_rho(epsilon).unwrap();
         prop_assert!((rho - epsilon * epsilon / 2.0).abs() < 1e-12);
         let mut acc = ZcdpAccountant::new();
-        acc.spend_guarantee(&PrivacyGuarantee::pure(epsilon).unwrap(), "q").unwrap();
+        acc.spend_guarantee(&PrivacyGuarantee::pure(epsilon).unwrap()).unwrap();
         prop_assert!((acc.epsilon(delta).unwrap() - epsilon).abs() < 1e-12);
     }
 
@@ -155,7 +155,7 @@ proptest! {
     ) {
         let mut acc = ZcdpAccountant::new();
         for &d in &deltas {
-            acc.spend_guarantee(&PrivacyGuarantee::new(0.1, d).unwrap(), "q").unwrap();
+            acc.spend_guarantee(&PrivacyGuarantee::new(0.1, d).unwrap()).unwrap();
         }
         let sum: f64 = deltas.iter().sum();
         prop_assert!((acc.delta_slack() - sum).abs() < 1e-15);

@@ -37,7 +37,9 @@
 //! * **Privacy bookkeeping** — with [`EngineBuilder::privacy_accounting`]
 //!   enabled, the merger records every delivered batch in an
 //!   [`AmplificationLedger`], attaching the per-batch (ε, δ) amplification
-//!   record to the [`EngineBatch`].
+//!   record to the [`EngineBatch`]. A caller that keeps its own ledger
+//!   leaves it off and books [`ShuffledBatch::min_released_code_frequency`],
+//!   the crowd the merger reads, so each batch is booked once.
 //!
 //! With `shards = 1` and a single producer the engine is fully
 //! deterministic for a fixed seed: batch boundaries are count-triggered and
@@ -599,11 +601,20 @@ mod tests {
         assert_eq!(output.batches.len(), 1);
         let record = output.batches[0].amplification.expect("accounting enabled");
         assert_eq!(record.crowd_size, 6);
+        // The merger books the crowd statistic the experiment channel reads
+        // from the batch itself, so both pipelines derive the same δ.
+        assert_eq!(
+            record.crowd_size,
+            output.batches[0].batch.min_released_code_frequency() as u64
+        );
         assert_eq!(record.released, 12);
         assert!((record.guarantee.epsilon() - std::f64::consts::LN_2).abs() < 1e-12);
         let ledger = output.ledger.expect("accounting enabled");
         assert_eq!(ledger.records(), &[record]);
-        assert_eq!(ledger.total_released(), 12);
+        assert_eq!(
+            ledger.records().iter().map(|r| r.released).sum::<usize>(),
+            12
+        );
     }
 
     #[test]
