@@ -40,7 +40,7 @@ mod ucb1;
 pub use epsilon_greedy::{EpsilonGreedy, EpsilonGreedyConfig};
 pub use error::BanditError;
 pub use linucb::{
-    ArmStatistics, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
+    ArmStatistics, ArmSums, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
 };
 pub use policy::{Action, ContextualPolicy, Reward};
 pub use thompson::{LinearThompsonSampling, ThompsonConfig};

@@ -129,10 +129,11 @@ impl CoalescedUpdate {
     ///
     /// # Errors
     ///
-    /// Returns [`BanditError::InvalidConfig`] when `count` is zero and
-    /// [`BanditError::InvalidReward`] when `reward_sum` is not a finite
-    /// number in `[0, count]` — the only range reachable by summing `count`
-    /// rewards that each lie in `[0, 1]`.
+    /// Returns [`BanditError::InvalidConfig`] when `count` is zero or the
+    /// context holds a NaN or infinite coordinate (one such update would
+    /// poison its arm's design for good), and [`BanditError::InvalidReward`]
+    /// when `reward_sum` is not a finite number in `[0, count]` — the only
+    /// range reachable by summing `count` rewards that each lie in `[0, 1]`.
     pub fn new(
         context: Vector,
         action: Action,
@@ -143,6 +144,12 @@ impl CoalescedUpdate {
             return Err(BanditError::InvalidConfig {
                 parameter: "count",
                 message: "a coalesced update must cover at least one observation".to_owned(),
+            });
+        }
+        if context.iter().any(|x| !x.is_finite()) {
+            return Err(BanditError::InvalidConfig {
+                parameter: "context",
+                message: "every coordinate must be a finite number".to_owned(),
             });
         }
         if !reward_sum.is_finite() || reward_sum < 0.0 || reward_sum > count as f64 {
@@ -315,6 +322,63 @@ impl ArmStatistics {
     }
 }
 
+/// One arm's running sums as an ingest shard folds them: the design
+/// `A = λI + Σ n·x xᵀ`, the reward vector `b = Σ s·x`, the pulls `Σ n`, the
+/// number of folds, and the prior λ the design started from.
+///
+/// No inverse, θ or score lanes: a shard only accumulates, and
+/// [`LinUcb::set_arm`] inverts once per epoch. A fold runs exactly the
+/// design and reward-vector arithmetic of [`LinUcb::update_batch_with`], and
+/// the fold count is the update count that fold would leave on the arm's
+/// inverse, so an installed arm refreshes on the same schedule as a merged
+/// one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArmSums {
+    design: Matrix,
+    reward_vector: Vector,
+    pulls: u64,
+    folds: u64,
+    regularizer: f64,
+}
+
+impl ArmSums {
+    /// Cold sums for one arm of a model of the given configuration: design
+    /// `λI`, zero reward vector, no pulls, no folds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::InvalidConfig`] for invalid configurations.
+    pub fn new(config: &LinUcbConfig) -> Result<Self, BanditError> {
+        config.validate()?;
+        let d = config.context_dimension;
+        Ok(Self {
+            design: Matrix::identity(d).scaled(config.regularizer),
+            reward_vector: Vector::zeros(d),
+            pulls: 0,
+            folds: 0,
+            regularizer: config.regularizer,
+        })
+    }
+
+    /// Folds one coalesced update: `A += n·x xᵀ`, `b += s·x`. The update's
+    /// action is the caller's to route; it is not read here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::ContextDimensionMismatch`] for a mis-sized
+    /// context, leaving the sums untouched.
+    pub fn fold(&mut self, update: &CoalescedUpdate) -> Result<(), BanditError> {
+        check_context(self.reward_vector.len(), update.context())?;
+        self.design
+            .add_outer_product(update.context(), update.count() as f64)?;
+        self.reward_vector
+            .axpy(update.reward_sum(), update.context())?;
+        self.pulls += update.count();
+        self.folds += 1;
+        Ok(())
+    }
+}
+
 /// Per-arm sufficient statistics: `A_a⁻¹` (incrementally maintained) and
 /// `b_a`, plus the ridge estimate `θ_a = A_a⁻¹ b_a` cached by
 /// [`LinUcb::sync_arm`].
@@ -406,8 +470,8 @@ impl IngestScratch {
     }
 
     /// Arm indices touched by the most recent [`LinUcb::update_batch_with`]
-    /// call, in order of first touch. This is how ingest shards report their
-    /// dirty-arm sets for incremental epoch assembly.
+    /// call, in order of first touch: the arms whose θ and stamp the batch
+    /// re-synced.
     #[must_use]
     pub fn touched(&self) -> &[usize] {
         &self.touched
@@ -836,9 +900,9 @@ impl LinUcb {
         Ok(idx)
     }
 
-    /// The server-side ingestion primitive: folds a batch of coalesced
-    /// sufficient statistics through a caller-owned [`IngestScratch`],
-    /// syncing each touched arm **once per batch**. A
+    /// The model-level batched ingestion primitive: folds a batch of
+    /// coalesced sufficient statistics through a caller-owned
+    /// [`IngestScratch`], syncing each touched arm **once per batch**. A
     /// shuffled batch of `N` anonymous reports grouped by `(code, action)`
     /// becomes `K ≤ N` coalesced updates, so the fold costs `O(K·d²)` instead
     /// of `O(N·d²)`. Returns the total number of observations folded.
@@ -852,8 +916,7 @@ impl LinUcb {
     /// amortized over all of a batch's folds into the same arm.
     ///
     /// After the call, [`IngestScratch::touched`] lists the arms this batch
-    /// mutated (in order of first touch) — the dirty set ingest shards report
-    /// for incremental epoch assembly.
+    /// mutated (in order of first touch).
     ///
     /// # Errors
     ///
@@ -892,73 +955,34 @@ impl LinUcb {
         }
     }
 
-    /// Resets one arm to its cold-start state (design `λI`, zero reward
-    /// vector, zero pulls), subtracting the arm's pulls from the model's
-    /// observation count.
+    /// Replaces arm `action` with a cold arm merged with `sums`: the
+    /// arithmetic of [`LinUcb::merge`] for that one arm
+    /// ([`RankOneInverse::merge_design`]: `A += D + (−λI)`, the arm's update
+    /// count grows by the folds, one exact refresh of the inverse), then the
+    /// arm sync. The model's observation count trades the old arm's pulls
+    /// for the sums' pulls.
     ///
-    /// Together with [`LinUcb::merge_arm`] this is the incremental epoch
-    /// assembly primitive: a persistent assembled model re-derives a dirty
-    /// arm by resetting it and re-merging that arm from every shard, leaving
-    /// clean arms (and their shared `Arc` storage) untouched.
-    ///
-    /// The subtraction is exact because every mutation path adds pulls and
-    /// observations in lockstep, so `observations == Σ arm pulls` holds for
-    /// any model built purely from updates and merges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidAction`] for out-of-range actions.
-    pub fn reset_arm(&mut self, action: Action) -> Result<(), BanditError> {
-        check_action(self.config.num_actions, action)?;
-        let idx = action.index();
-        let old_pulls = self.arms[idx].pulls;
-        self.arms[idx] = Arc::new(Arm::new(
-            self.config.context_dimension,
-            self.config.regularizer,
-        )?);
-        self.observations = self.observations.saturating_sub(old_pulls);
-        self.sync_arm(idx)
-    }
-
-    /// Merges one arm's sufficient statistics from `other` into the same arm
-    /// of this model — the per-arm slice of [`LinUcb::merge`], with the exact
-    /// same arithmetic sequence (design sum minus one shared prior, reward
-    /// vector sum, Cholesky refresh of the inverse), so re-deriving an arm
-    /// via `reset_arm` + `merge_arm` per shard in shard order is bit-identical
-    /// to that arm's state under a full from-scratch rebuild.
-    ///
-    /// Observations are accounted by the merged arm's pulls (the single-arm
-    /// share of `other`'s observation count; for shard models built purely
-    /// from coalesced updates, summing pull counts over arms and shards
-    /// equals summing shard observation counts).
+    /// This is the epoch assembly primitive: an ingest shard folds each arm
+    /// it owns into one [`ArmSums`], and the assembled model installs every
+    /// dirty arm from its owner with one refresh. A full merge of `M` shard
+    /// models adds exactly `+0.0` to an arm from every shard that never
+    /// folded it, so installing the owner's sums alone is bit-identical to
+    /// that arm under the full merge.
     ///
     /// # Errors
     ///
-    /// Returns [`BanditError::InvalidConfig`] for incompatible models and
-    /// [`BanditError::InvalidAction`] for out-of-range actions.
-    pub fn merge_arm(&mut self, action: Action, other: &LinUcb) -> Result<(), BanditError> {
-        if other.config.context_dimension != self.config.context_dimension
-            || other.config.num_actions != self.config.num_actions
-        {
-            return Err(BanditError::InvalidConfig {
-                parameter: "merge_arm",
-                message: format!(
-                    "incompatible models: ({}, {}) vs ({}, {})",
-                    self.config.context_dimension,
-                    self.config.num_actions,
-                    other.config.context_dimension,
-                    other.config.num_actions
-                ),
-            });
-        }
+    /// Returns [`BanditError::InvalidAction`] for out-of-range actions and
+    /// [`BanditError::Linalg`] when `sums` has another dimension.
+    pub fn set_arm(&mut self, action: Action, sums: &ArmSums) -> Result<(), BanditError> {
         check_action(self.config.num_actions, action)?;
+        let mut arm = Arm::new(self.config.context_dimension, self.config.regularizer)?;
+        arm.inverse
+            .merge_design(&sums.design, sums.regularizer, sums.folds)?;
+        arm.reward_vector = arm.reward_vector.add(&sums.reward_vector)?;
+        arm.pulls = sums.pulls;
         let idx = action.index();
-        let theirs = other.arms[idx].as_ref();
-        let mine = Arc::make_mut(&mut self.arms[idx]);
-        mine.inverse.merge(&theirs.inverse)?;
-        mine.reward_vector = mine.reward_vector.add(&theirs.reward_vector)?;
-        mine.pulls += theirs.pulls;
-        self.observations += theirs.pulls;
+        self.observations = self.observations.saturating_sub(self.arms[idx].pulls) + sums.pulls;
+        self.arms[idx] = Arc::new(arm);
         self.sync_arm(idx)
     }
 
@@ -1234,6 +1258,15 @@ mod tests {
         assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 3, -0.5).is_err());
         assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 3, 3.5).is_err());
         assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 3, f64::NAN).is_err());
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                CoalescedUpdate::new(Vector::from(vec![0.5, poison]), Action::new(0), 1, 1.0),
+                Err(BanditError::InvalidConfig {
+                    parameter: "context",
+                    ..
+                })
+            ));
+        }
         let ok = CoalescedUpdate::new(ctx, Action::new(1), 3, 3.0).unwrap();
         assert_eq!(ok.action().index(), 1);
         assert!((ok.reward_sum() - 3.0).abs() < 1e-12);
@@ -1603,8 +1636,9 @@ mod tests {
         assert_eq!(model.stale_lanes(), 0);
         model.merge(&other).unwrap();
         assert_eq!(model.stale_lanes(), 0);
-        model.reset_arm(Action::new(0)).unwrap();
-        model.merge_arm(Action::new(0), &other).unwrap();
+        let mut sums = ArmSums::new(model.config()).unwrap();
+        sums.fold(&batch[0]).unwrap();
+        model.set_arm(Action::new(0), &sums).unwrap();
         assert_eq!(model.stale_lanes(), 0);
         // A clone that is gone shares nothing: the next write goes through.
         let arena = Arc::as_ptr(&model.arena);

@@ -3,7 +3,7 @@
 //! A long-lived [`SelectScratch`] remembers its last sweep and re-scores
 //! only the arms whose content stamp has changed since. Whatever happens to
 //! the models between two decisions — `update`, `update_batch_with`,
-//! `merge`, `reset_arm` + `merge_arm`, `clone` — and whichever model the
+//! `merge`, `set_arm`, `clone` — and whichever model the
 //! scratch is handed next (a diverged clone, a model of another shape or α),
 //! every decision through it must be **bit-for-bit** the decision of a fresh
 //! scratch (the sweep), of the trait `select_action` and of the scalar
@@ -21,7 +21,8 @@
 //! stale lane fails here too.
 
 use crate::{
-    Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
+    Action, ArmSums, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig,
+    SelectScratch,
 };
 use p2b_linalg::Vector;
 use proptest::prelude::*;
@@ -217,11 +218,23 @@ proptest! {
                         models[m].merge(&from).unwrap();
                     });
                 }
-                8 if m < 2 => {
+                8 => {
+                    // Sums of a few pooled contexts; none at all installs a
+                    // cold arm.
+                    let mut sums = ArmSums::new(models[m].config()).unwrap();
+                    for _ in 0..rng.gen_range(0..3usize) {
+                        let count = rng.gen_range(1u64..5);
+                        let update = CoalescedUpdate::new(
+                            pool[rng.gen_range(0..pool.len())].clone(),
+                            arm,
+                            count,
+                            rng.gen_range(0.0..=count as f64),
+                        )
+                        .unwrap();
+                        sums.fold(&update).unwrap();
+                    }
                     mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
-                        let from = models[1 - m].clone();
-                        models[m].reset_arm(arm).unwrap();
-                        models[m].merge_arm(arm, &from).unwrap();
+                        models[m].set_arm(arm, &sums).unwrap();
                     });
                 }
                 9 if m < 2 => models[m] = models[1 - m].clone(),

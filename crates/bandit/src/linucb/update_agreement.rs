@@ -7,13 +7,15 @@
 //! re-syncs after every fold. Both must produce **bit-for-bit** identical
 //! models: designs, reward vectors, pulls, thetas, arena-resident scores,
 //! and the downstream action stream an agent would draw from the model. The
-//! incremental-assembly primitives (`reset_arm` / `merge_arm`) are pinned
-//! here too: re-deriving an arm by reset + per-shard merge must reproduce
-//! the full-merge bits. The suites that need only public API
-//! (touched-order, `reset_arm`, `merge_arm` errors) live in
+//! epoch-assembly primitive (`set_arm`) is pinned here too: installing each
+//! arm from its owning shard's [`ArmSums`] must reproduce the bits of a full
+//! merge of every shard model. The suites that need only public API
+//! (touched-order, `set_arm`'s cold-start contract and errors) live in
 //! `tests/update_agreement.rs`.
 
-use crate::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
+use crate::{
+    Action, ArmSums, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig,
+};
 use p2b_linalg::Vector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -137,37 +139,48 @@ proptest! {
         prop_assert_eq!(&rng_reference, &rng_batched);
     }
 
-    /// Re-deriving every arm of a stale model via `reset_arm` + per-shard
-    /// `merge_arm` reproduces a full from-scratch merge bit-for-bit — the
-    /// incremental epoch assembly primitive.
+    /// Re-deriving every arm of a stale model via `set_arm` from its owning
+    /// shard's sums reproduces a full from-scratch merge of both shard
+    /// models bit-for-bit — the epoch assembly primitive. Shards own arms by
+    /// `action % 2`, as the ingest shards do.
     #[test]
-    fn reset_and_merge_arm_rebuild_matches_a_full_merge(
+    fn set_arm_rebuild_matches_a_full_merge(
         seed in any::<u64>(),
         d in 1usize..6,
         a in 1usize..6,
         len in 1usize..10,
     ) {
+        let config = LinUcbConfig::new(d, a);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut shard_one = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        let mut shard_two = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        shard_one.update_batch_reference(&random_batch(d, a, len, &mut rng)).unwrap();
-        shard_two.update_batch_reference(&random_batch(d, a, len, &mut rng)).unwrap();
+        let mut shards = [LinUcb::new(config).unwrap(), LinUcb::new(config).unwrap()];
+        let mut sums: Vec<ArmSums> = (0..a).map(|_| ArmSums::new(&config).unwrap()).collect();
+        for _ in 0..2 {
+            let batch = random_batch(d, a, len, &mut rng);
+            for (owner, shard) in shards.iter_mut().enumerate() {
+                let partition: Vec<CoalescedUpdate> = batch
+                    .iter()
+                    .filter(|update| update.action().index() % 2 == owner)
+                    .cloned()
+                    .collect();
+                shard.update_batch_reference(&partition).unwrap();
+            }
+            for update in &batch {
+                sums[update.action().index()].fold(update).unwrap();
+            }
+        }
 
         // Reference: a from-scratch rebuild over both shards.
-        let mut rebuilt = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        rebuilt.merge(&shard_one).unwrap();
-        rebuilt.merge(&shard_two).unwrap();
+        let mut rebuilt = LinUcb::new(config).unwrap();
+        rebuilt.merge(&shards[0]).unwrap();
+        rebuilt.merge(&shards[1]).unwrap();
 
         // Incremental: start from a *stale* assembly (shard one only, an
         // extra batch folded in) and re-derive every arm.
-        let mut incremental = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        incremental.merge(&shard_one).unwrap();
+        let mut incremental = LinUcb::new(config).unwrap();
+        incremental.merge(&shards[0]).unwrap();
         incremental.update_batch_reference(&random_batch(d, a, len, &mut rng)).unwrap();
-        for arm in 0..a {
-            let action = Action::new(arm);
-            incremental.reset_arm(action).unwrap();
-            incremental.merge_arm(action, &shard_one).unwrap();
-            incremental.merge_arm(action, &shard_two).unwrap();
+        for (arm, arm_sums) in sums.iter().enumerate() {
+            incremental.set_arm(Action::new(arm), arm_sums).unwrap();
         }
         check_models_bit_identical(&rebuilt, &incremental, seed);
     }

@@ -1,13 +1,15 @@
 //! Public-API pins for the LinUCB ingest path.
 //!
 //! The bit-identity of [`LinUcb::update_batch_with`] against the
-//! sync-per-fold oracle — and of `reset_arm` + `merge_arm` against a full
-//! merge — is pinned inside the crate (`src/linucb/update_agreement.rs`; the
-//! oracle is test-only and not exported). What needs only public API lives
-//! here: the touched-arm report, `reset_arm`'s cold-start contract, and the
-//! typed errors of the per-arm rebuild primitives.
+//! sync-per-fold oracle — and of `set_arm` against a full merge — is pinned
+//! inside the crate (`src/linucb/update_agreement.rs`; the oracle is
+//! test-only and not exported). What needs only public API lives here: the
+//! touched-arm report, `set_arm`'s cold-start contract, and the typed errors
+//! of the per-arm install.
 
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_bandit::{
+    Action, ArmSums, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig,
+};
 use p2b_linalg::Vector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,11 +66,11 @@ proptest! {
     }
 }
 
-/// Resetting an arm restores its cold-start statistics (and only its own):
-/// other arms keep their exact bits and the observation count drops by the
-/// reset arm's pulls.
+/// Installing cold sums restores an arm's cold-start statistics (and only
+/// its own): other arms keep their exact bits and the observation count
+/// drops by the reset arm's pulls.
 #[test]
-fn reset_arm_restores_cold_start_statistics() {
+fn set_arm_with_cold_sums_restores_cold_start_statistics() {
     let mut rng = StdRng::seed_from_u64(21);
     let (d, a) = (3, 4);
     let mut model = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
@@ -80,7 +82,9 @@ fn reset_arm_restores_cold_start_statistics() {
     let target = Action::new(1);
     let before = model.clone();
     let target_pulls = model.pulls(target).unwrap();
-    model.reset_arm(target).unwrap();
+    model
+        .set_arm(target, &ArmSums::new(model.config()).unwrap())
+        .unwrap();
 
     assert_eq!(model.pulls(target).unwrap(), 0);
     assert_eq!(
@@ -115,17 +119,52 @@ fn reset_arm_restores_cold_start_statistics() {
     }
 }
 
-/// `merge_arm` rejects shape-incompatible models and out-of-range arms with
+/// `set_arm` rejects sums of another dimension and out-of-range arms with
 /// typed errors, never panics.
 #[test]
-fn merge_arm_rejects_incompatible_inputs() {
+fn set_arm_rejects_incompatible_inputs() {
     let mut model = LinUcb::new(LinUcbConfig::new(3, 4)).unwrap();
-    let other_dim = LinUcb::new(LinUcbConfig::new(5, 4)).unwrap();
-    let other_arms = LinUcb::new(LinUcbConfig::new(3, 2)).unwrap();
-    let compatible = LinUcb::new(LinUcbConfig::new(3, 4)).unwrap();
-    assert!(model.merge_arm(Action::new(0), &other_dim).is_err());
-    assert!(model.merge_arm(Action::new(0), &other_arms).is_err());
-    assert!(model.merge_arm(Action::new(9), &compatible).is_err());
-    assert!(model.reset_arm(Action::new(9)).is_err());
-    assert!(model.merge_arm(Action::new(0), &compatible).is_ok());
+    let mut fewer_arms = LinUcb::new(LinUcbConfig::new(3, 2)).unwrap();
+    let other_dim = ArmSums::new(&LinUcbConfig::new(5, 4)).unwrap();
+    let compatible = ArmSums::new(model.config()).unwrap();
+    assert!(model.set_arm(Action::new(0), &other_dim).is_err());
+    assert!(fewer_arms.set_arm(Action::new(3), &compatible).is_err());
+    assert!(model.set_arm(Action::new(9), &compatible).is_err());
+    assert!(model.set_arm(Action::new(4), &compatible).is_err());
+    assert!(model.set_arm(Action::new(0), &compatible).is_ok());
+}
+
+/// A sums fold rejects a mis-sized context without touching the sums, and
+/// installing the sums equals merging a model that ran the batch fold.
+#[test]
+fn installed_sums_equal_a_merged_batch_fold() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let config = LinUcbConfig::new(3, 1);
+    let mut sums = ArmSums::new(&config).unwrap();
+    let cold = sums.clone();
+    let wrong_dim = CoalescedUpdate::new(Vector::zeros(4), Action::new(0), 1, 0.5).unwrap();
+    assert!(sums.fold(&wrong_dim).is_err());
+    assert_eq!(sums, cold);
+
+    let batch = random_batch(3, 1, 12, &mut rng);
+    let mut folded = LinUcb::new(config).unwrap();
+    folded
+        .update_batch_with(&batch, &mut IngestScratch::new())
+        .unwrap();
+    let mut merged = LinUcb::new(config).unwrap();
+    merged.merge(&folded).unwrap();
+    for update in &batch {
+        sums.fold(update).unwrap();
+    }
+    let mut installed = LinUcb::new(config).unwrap();
+    installed.set_arm(Action::new(0), &sums).unwrap();
+    let action = Action::new(0);
+    assert_eq!(installed.observations(), merged.observations());
+    assert_eq!(installed.pulls(action), merged.pulls(action));
+    assert_eq!(installed.design(action), merged.design(action));
+    assert_eq!(
+        installed.reward_vector(action),
+        merged.reward_vector(action)
+    );
+    assert_eq!(installed.theta(action), merged.theta(action));
 }

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of central-model batch ingestion: the coalescing
 //! sufficient-statistics path at the code-reuse levels produced by
 //! crowd-blending thresholds; plus the model-level update path
-//! (batch-deferred scratch sync) underneath the server, epoch assembly under
+//! (batch-deferred scratch sync), epoch assembly under
 //! sparse flushes, and the secure-aggregation share pipeline. The models
 //! these stages fold are pinned bit for bit by the `ingest_golden` test.
 
@@ -107,10 +107,10 @@ fn update_batch(dimension: usize, actions: usize, len: usize) -> Vec<CoalescedUp
         .collect()
 }
 
-/// The model-level update path underneath the server: each iteration folds
-/// one coalesced batch into a fresh model through the scratch path that
-/// defers the theta solve and arena scatter to once per touched arm per
-/// batch. Shapes span the native 10-arm stream and the wide 32-arm regime.
+/// The model-level update path (the server's shards fold sums instead):
+/// each iteration folds one coalesced batch into a fresh model through the
+/// scratch path that defers the theta solve and arena scatter to once per
+/// touched arm per batch. Shapes span the native 10-arm stream and the wide 32-arm regime.
 fn bench_update_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_update");
     for &(dimension, actions) in &[(DIMENSION, ACTIONS), (DIMENSION, 32usize)] {

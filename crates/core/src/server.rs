@@ -106,7 +106,7 @@ impl CentralServer {
 
     /// Ensures the epoch's snapshot exists and returns a borrow of it.
     ///
-    /// The backing [`ModelService::assemble`] re-merges only the arms dirtied
+    /// The backing [`ModelService::assemble`] re-installs only the arms dirtied
     /// since the previous assembly, so the per-epoch refresh cost scales with
     /// how many arms the epoch's flushes actually touched.
     fn refresh_snapshot(&mut self) -> Result<&Arc<ModelSnapshot>, CoreError> {

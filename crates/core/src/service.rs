@@ -2,49 +2,54 @@
 //! sufficient statistics and epoch-versioned model snapshots.
 //!
 //! The paper's analyzer folds a stream of anonymized `(y, a, r)` tuples into
-//! one central LinUCB model. At serving scale that fold is the bottleneck:
-//! each report costs an `O(d²)` Sherman–Morrison update, and every agent
-//! warm start used to rebuild a full copy of the model. The service fixes
-//! both ends:
+//! one central LinUCB model. All it needs from them is each arm's sums
+//! `A_a = λI + Σ n·x xᵀ` and `b_a = Σ s·x`; the inverse is needed only by
+//! the published model. The service is built around that split:
 //!
 //! ```text
 //!   ShuffledBatch ──▶ coalesce by (code, action) ──▶ K ≤ N updates
 //!                                                        │ partition by
 //!                                                        │ action % M
-//!                       ┌─ ingest shard 0 (arms 0, M, 2M, …) ◀┤
-//!                       ├─ ingest shard 1 (arms 1, M+1, …)   ◀┤
-//!                       └─ ingest shard M−1                  ◀┘
-//!                                │ assemble (merge in shard order)
+//!                       ┌─ ingest shard 0 (arms 0, M, 2M, …) ◀┤  fold sums:
+//!                       ├─ ingest shard 1 (arms 1, M+1, …)   ◀┤  A += n·x xᵀ,
+//!                       └─ ingest shard M−1                  ◀┘  b += s·x
+//!                                │ assemble: per dirty arm a, install
+//!                                │ shard (a % M)'s sums, one refresh
 //!                                ▼
 //!                  Arc<ModelSnapshot { epoch, model }> ──▶ warm starts
 //! ```
 //!
 //! * **Coalescing** — every report sharing a code shares the same context
 //!   vector, so a batch of `N` reports over `K` distinct `(code, action)`
-//!   pairs becomes `K` weighted rank-1 updates
-//!   ([`p2b_bandit::LinUcb::update_batch_with`]) instead of `N` plain ones.
+//!   pairs becomes `K` weighted rank-1 folds instead of `N` plain ones.
 //! * **Action sharding** — disjoint-arm LinUCB keeps per-arm statistics
 //!   that never interact, so partitioning updates by `action % M` across
 //!   the `M` workers of a [`ShardPool`] is an *exact* parallelization: no
 //!   locks, no merge conflicts, and per-arm update order is preserved by the
 //!   FIFO shard queues. The queues are bounded; a full one blocks only the
 //!   dispatcher, and no worker waits on the dispatcher.
-//! * **Epoch snapshots** — the service assembles the shard models into one
+//! * **Sums, not models** — a shard keeps one [`ArmSums`] per arm and a
+//!   fold is an `O(d²)` outer-product add: no Sherman–Morrison inverse
+//!   update, θ solve or score lanes that assembly would throw away.
+//! * **Epoch snapshots** — the service installs each dirty arm into one
+//!   persistent model ([`LinUcb::set_arm`]: a cold arm merged with the
+//!   owner's sums, one Cholesky refresh) and publishes one
 //!   [`ModelSnapshot`] per *epoch* (a counter bumped on every mutating
-//!   ingest) and hands it out behind an `Arc`. All agents created within an
-//!   epoch share one assembly — the per-agent merge of the old design is
-//!   gone.
+//!   ingest) behind an `Arc`. All agents created within an epoch share one
+//!   assembly.
 //!
 //! Determinism: each arm is owned by exactly one shard and receives its
-//! updates in submission order, and [`ModelService::assemble`] merges shard
-//! models in shard-index order — so the assembled model is bit-for-bit
-//! independent of thread scheduling *and* of the shard count.
+//! updates in submission order, and the install is the arithmetic of a
+//! merge of every shard model in shard order (each non-owner adds `+0.0`),
+//! so the assembled model is bit-for-bit independent of thread scheduling
+//! *and* of the shard count.
 
 use crate::CoreError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use p2b_bandit::{Action, BanditError, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, BanditError, CoalescedUpdate, LinUcb, LinUcbConfig};
 use p2b_shuffler::{ShardPool, ShufflerError, SHARD_QUEUE_CAPACITY};
 use std::fmt;
+use std::sync::Arc;
 
 /// An immutable, epoch-versioned snapshot of the central model.
 ///
@@ -85,10 +90,11 @@ impl ModelSnapshot {
     }
 }
 
-/// A shard's reply to a snapshot request: its model plus the arms it has
-/// folded updates into since the previous successful snapshot.
+/// A shard's reply to a snapshot request: every arm's sums (a pointer bump
+/// per arm, no copy) plus the arms it has folded updates into since the
+/// previous successful snapshot.
 struct ShardState {
-    model: LinUcb,
+    sums: Vec<Arc<ArmSums>>,
     /// Sorted arm indices this shard mutated since the previous snapshot.
     dirty: Vec<usize>,
 }
@@ -96,39 +102,47 @@ struct ShardState {
 /// What one ingest shard can be asked to do.
 enum ShardCommand {
     /// Fold a run of coalesced updates (all owned by this shard) into the
-    /// shard model, in order.
+    /// shard's sums, in order.
     Apply(Vec<CoalescedUpdate>),
-    /// Reply with a clone of the shard model and its dirty-arm set — or the
-    /// first update error the shard ever hit, if any. A successful reply
-    /// clears the shard's dirty tracking: the requester consumes the set to
-    /// re-merge exactly those arms.
+    /// Reply with the shard's sums and its dirty-arm set — or the first
+    /// update error the shard ever hit, if any. A successful reply clears
+    /// the shard's dirty tracking: the requester consumes the set to
+    /// re-install exactly those arms.
     Snapshot(Sender<Result<ShardState, BanditError>>),
 }
 
-/// One ingest shard's worker loop. The shard owns the LinUCB arms whose
-/// action index is congruent to the shard index modulo the shard count. It
-/// applies update runs in FIFO order through the fast scratch-threaded batch
-/// path (each touched arm synced once per batch), remembers the first
-/// internal failure, tracks which arms were folded since the previous
-/// snapshot, and answers snapshot requests.
-fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
-    let num_actions = model.config().num_actions;
-    let mut scratch = IngestScratch::new();
+/// One ingest shard's worker loop. The shard owns the arms whose action
+/// index is congruent to the shard index modulo the shard count and keeps
+/// only their running sums ([`ArmSums`]): no inverse, no θ, no score lanes,
+/// since assembly inverts each dirty arm once. It folds update runs in FIFO
+/// order, remembers the first failure (an out-of-range action or a
+/// mis-sized context), tracks which arms were folded since the previous
+/// snapshot, and answers snapshot requests. Every arm starts as a pointer to
+/// the one `cold` sums and is copied on its first fold.
+fn run_shard(commands: &Receiver<ShardCommand>, cold: &Arc<ArmSums>, num_actions: usize) {
+    let mut sums = vec![Arc::clone(cold); num_actions];
     let mut dirty = vec![false; num_actions];
     let mut failure: Option<BanditError> = None;
     while let Ok(command) = commands.recv() {
         match command {
+            // After a failure the shard only answers snapshots, with it.
+            ShardCommand::Apply(_) if failure.is_some() => {}
             ShardCommand::Apply(updates) => {
-                if failure.is_none() {
-                    // Arms folded before a mid-batch failure are still
-                    // mutated (and re-synced), so their touch marks must be
-                    // kept either way.
-                    let result = model.update_batch_with(&updates, &mut scratch);
-                    for &idx in scratch.touched() {
-                        dirty[idx] = true;
-                    }
-                    if let Err(error) = result {
-                        failure = Some(error);
+                for update in &updates {
+                    let idx = update.action().index();
+                    let folded = match sums.get_mut(idx) {
+                        Some(arm) => Arc::make_mut(arm).fold(update),
+                        None => Err(BanditError::InvalidAction {
+                            action: idx,
+                            num_actions,
+                        }),
+                    };
+                    match folded {
+                        Ok(()) => dirty[idx] = true,
+                        Err(error) => {
+                            failure = Some(error);
+                            break;
+                        }
                     }
                 }
             }
@@ -136,7 +150,7 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
                 let response = match &failure {
                     Some(error) => Err(error.clone()),
                     None => Ok(ShardState {
-                        model: model.clone(),
+                        sums: sums.clone(),
                         dirty: dirty
                             .iter()
                             .enumerate()
@@ -164,7 +178,7 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
 /// of coalesced updates by `action % M` and dispatches each partition to
 /// its shard without waiting; [`ModelService::assemble`] synchronizes with
 /// every shard (the FIFO command queues guarantee all prior ingests are
-/// folded) and merges the shard models into one [`LinUcb`].
+/// folded) and installs the shards' per-arm sums into one [`LinUcb`].
 ///
 /// The service is deliberately model-only: validation against the encoder
 /// and the code representation happens in [`crate::CentralServer`], which
@@ -172,11 +186,11 @@ fn run_shard(commands: &Receiver<ShardCommand>, mut model: LinUcb) {
 pub struct ModelService {
     shards: ShardPool<ShardCommand, ()>,
     config: LinUcbConfig,
-    /// The persistent assembled central model, re-merged incrementally:
-    /// after the first full rebuild, each assembly resets and re-merges only
-    /// the arms some shard folded since the previous assembly. `None` until
-    /// the first assembly, and reset to `None` if an incremental re-merge
-    /// fails partway (the next assembly then falls back to a full rebuild).
+    /// The persistent assembled central model, installed incrementally:
+    /// after the first assembly installs every arm, each assembly installs
+    /// only the arms some shard folded since the previous one. `None` until
+    /// the first assembly, and reset to `None` if an install fails partway
+    /// (the next assembly then installs every arm again).
     assembled: Option<LinUcb>,
 }
 
@@ -195,10 +209,10 @@ impl ModelService {
                 message: "must be at least 1".to_owned(),
             });
         }
-        let model = LinUcb::new(config)?;
+        let cold = Arc::new(ArmSums::new(&config)?);
         Ok(Self {
             shards: ShardPool::spawn(shards, SHARD_QUEUE_CAPACITY, move |_, commands| {
-                run_shard(&commands, model);
+                run_shard(&commands, &cold, config.num_actions);
             }),
             config,
             assembled: None,
@@ -272,23 +286,23 @@ impl ModelService {
     }
 
     /// Epoch assembly: synchronizes with every ingest shard (the FIFO
-    /// command queues guarantee all prior ingests are folded), re-merges only
-    /// the dirty arms into the persistent assembled model, and returns the
-    /// model together with the sorted dirty-arm union.
+    /// command queues guarantee all prior ingests are folded), installs each
+    /// dirty arm into the persistent assembled model from its owning
+    /// shard's sums, and returns the model together with the sorted
+    /// dirty-arm union.
     ///
-    /// The first call performs a full from-scratch rebuild (`LinUcb::new` +
-    /// per-shard [`LinUcb::merge`] in shard-index order) — exactly the
-    /// historical assembly arithmetic, which also fixes never-updated arms'
-    /// bit patterns to the post-merge Cholesky refresh. Every subsequent
-    /// call resets each dirty arm to cold and re-merges that arm from every
-    /// shard in shard order ([`LinUcb::reset_arm`] + [`LinUcb::merge_arm`]),
-    /// which runs the identical per-arm arithmetic the full rebuild would —
-    /// so the assembled model is bit-identical to a from-scratch rebuild at
-    /// every epoch (the `assembly_equivalence` suite rebuilds that oracle
-    /// from public API), while the assembly cost scales with the number of
-    /// *dirty* arms, not the number of arms. Publication piggybacks on this:
-    /// `LinUcb` stores its arms behind per-arm `Arc`s, so the returned clone
-    /// shares every clean arm's storage with the previous epoch's snapshot.
+    /// Arm `a` is folded only by shard `a % M`, so [`LinUcb::set_arm`] from
+    /// that shard's [`ArmSums`] — a cold arm merged with the sums, one
+    /// Cholesky refresh — is bit-identical to the arm under a from-scratch
+    /// merge of every shard in shard order: each other shard would add
+    /// exactly `+0.0` (the `assembly_equivalence` suite rebuilds that oracle
+    /// from public API). The first call, and the call after a failed one,
+    /// install every arm, which also fixes never-updated arms' bit patterns
+    /// to the post-merge refresh; later calls install only the dirty union,
+    /// so the assembly cost scales with the number of *dirty* arms, not the
+    /// number of arms. Publication piggybacks on this: `LinUcb` stores its
+    /// arms behind per-arm `Arc`s, so the returned clone shares every clean
+    /// arm's storage with the previous epoch's snapshot.
     ///
     /// An arm appears in the dirty union iff some shard folded an update
     /// into it since the previous assembly (the conservation property pinned
@@ -298,9 +312,9 @@ impl ModelService {
     ///
     /// Surfaces the first internal update error any shard encountered, or a
     /// shard shutdown. Both indicate a bug rather than bad input: every
-    /// update is validated before dispatch. If an incremental re-merge fails
-    /// partway, the persistent model is discarded so the next assembly falls
-    /// back to a full rebuild instead of serving a half-merged state.
+    /// update is validated before dispatch. If an install fails partway, the
+    /// persistent model is discarded so the next assembly installs every arm
+    /// again instead of serving a half-installed state.
     pub fn assemble(&mut self) -> Result<(LinUcb, Vec<usize>), CoreError> {
         let states = self.collect_shards()?;
         let mut dirty: Vec<usize> = states
@@ -309,28 +323,19 @@ impl ModelService {
             .collect();
         dirty.sort_unstable();
         dirty.dedup();
-        // `take` leaves `self.assembled` at `None` until the merge succeeds,
-        // so after a failure the next call rebuilds from scratch rather than
-        // reusing partial state.
-        let assembled = match self.assembled.take() {
-            None => {
-                let mut assembled = LinUcb::new(self.config)?;
-                for state in &states {
-                    assembled.merge(&state.model)?;
-                }
-                assembled
-            }
-            Some(mut assembled) => {
-                for &arm in &dirty {
-                    let action = Action::new(arm);
-                    assembled.reset_arm(action)?;
-                    for state in &states {
-                        assembled.merge_arm(action, &state.model)?;
-                    }
-                }
-                assembled
-            }
+        // `take` leaves `self.assembled` at `None` until every install
+        // succeeds, so after a failure the next call installs every arm.
+        let (mut assembled, install) = match self.assembled.take() {
+            Some(assembled) => (assembled, dirty.clone()),
+            None => (
+                LinUcb::new(self.config)?,
+                (0..self.config.num_actions).collect(),
+            ),
         };
+        for arm in install {
+            let owner = &states[arm % states.len()];
+            assembled.set_arm(Action::new(arm), &owner.sums[arm])?;
+        }
         let model = assembled.clone();
         self.assembled = Some(assembled);
         Ok((model, dirty))
@@ -440,13 +445,13 @@ mod tests {
     #[test]
     fn a_dead_shard_surfaces_as_pipeline_closed() {
         let config = LinUcbConfig::new(2, 2);
-        let model = LinUcb::new(config).unwrap();
+        let cold = Arc::new(ArmSums::new(&config).unwrap());
         let (exited, shard_exited) = unbounded();
         // Shard 1 exits at once, dropping its queue; shard 0 serves normally.
         let mut service = ModelService {
             shards: ShardPool::spawn(2, 1, move |shard, commands| {
                 if shard == 0 {
-                    run_shard(&commands, model);
+                    run_shard(&commands, &cold, config.num_actions);
                 } else {
                     drop(commands);
                     let _ = exited.send(());

@@ -1,6 +1,6 @@
 //! Equivalence pins for the incremental epoch assembly.
 //!
-//! The [`ModelService`] keeps a persistent assembled model and re-merges
+//! The [`ModelService`] keeps a persistent assembled model and re-installs
 //! only the arms some shard folded updates into since the previous assembly.
 //! Two properties make that safe, and both are pinned here over random
 //! workloads:
@@ -13,10 +13,14 @@
 //! 2. **Dirty-set conservation** — an arm appears in the returned dirty
 //!    union iff some shard folded an update into it since the previous
 //!    assembly (the first assembly reports everything dirtied since spawn).
+//! 3. **Inherited refresh schedule** — an assembled arm carries its fold
+//!    count, which decides when an agent's copy of the arm next refreshes
+//!    its inverse: a full refresh interval of plain updates on both models
+//!    must keep them bit-identical.
 
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
 use p2b_core::ModelService;
-use p2b_linalg::Vector;
+use p2b_linalg::{RankOneInverse, Vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,6 +127,24 @@ fn check_bit_identical(left: &LinUcb, right: &LinUcb) {
     }
 }
 
+/// Drives clones of both models through one refresh interval of plain
+/// updates on `arm` and checks them bit-identical after. The interval's
+/// refresh lands on the update that brings the arm's update count to a
+/// multiple of the interval, so a model that lost an assembled arm's fold
+/// count refreshes at another step and diverges.
+fn check_refresh_schedule(left: &LinUcb, right: &LinUcb, arm: usize, rng: &mut StdRng) {
+    let d = left.config().context_dimension;
+    let (mut left, mut right) = (left.clone(), right.clone());
+    let contexts: Vec<Vector> = (0..3).map(|_| random_context(d, rng)).collect();
+    for step in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
+        let context = &contexts[step as usize % contexts.len()];
+        let reward = (step % 2) as f64;
+        left.update(context, Action::new(arm), reward).unwrap();
+        right.update(context, Action::new(arm), reward).unwrap();
+    }
+    check_bit_identical(&left, &right);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -155,7 +177,10 @@ proptest! {
                 service.ingest(updates.clone()).unwrap();
                 oracle.ingest(&updates);
                 let (incremental, _) = service.assemble().unwrap();
-                check_bit_identical(&oracle.assemble(), &incremental);
+                let reference = oracle.assemble();
+                check_bit_identical(&reference, &incremental);
+                let arm = updates[0].action().index();
+                check_refresh_schedule(&reference, &incremental, arm, &mut rng);
                 assembled_per_shard_count.push(incremental);
             }
             for other in &assembled_per_shard_count[1..] {
@@ -165,7 +190,7 @@ proptest! {
         }
     }
 
-    /// An arm is re-merged iff some shard folded an update into it since the
+    /// An arm is re-installed iff some shard folded an update into it since the
     /// previous assembly. The first assembly reports every arm
     /// dirtied since spawn; an assembly with no interleaved ingest reports
     /// an empty dirty set (and still serves the identical model).
@@ -249,6 +274,9 @@ fn sparse_epochs_leave_clean_arm_statistics_untouched() {
             assert_eq!(x.to_bits(), y.to_bits(), "clean arm {arm} changed bits");
         }
     }
-    // And the incremental result still equals the from-scratch rebuild.
-    check_bit_identical(&after, &oracle.assemble());
+    // And the incremental result still equals the from-scratch rebuild, on
+    // the inverse refresh schedule too.
+    let reference = oracle.assemble();
+    check_bit_identical(&after, &reference);
+    check_refresh_schedule(&reference, &after, 2, &mut rng);
 }

@@ -387,19 +387,38 @@ impl RankOneInverse {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if the dimensions differ.
     pub fn merge(&mut self, other: &RankOneInverse) -> Result<(), LinalgError> {
-        if self.dim() != other.dim() {
+        self.merge_design(&other.design, other.regularizer, other.updates)
+    }
+
+    /// Merges raw sufficient statistics into this tracker: a design matrix
+    /// `D = λ_D·I + Σ w·x xᵀ` accumulated from the prior `λ_D·I` over
+    /// `updates` folds. The arithmetic of [`RankOneInverse::merge`], which
+    /// delegates here: `A += D + (−λ_D·I)`, the update count grows by
+    /// `updates`, and the inverse is recomputed exactly, once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `design` is not
+    /// `dim × dim`, and propagates the refresh's factorization error.
+    pub fn merge_design(
+        &mut self,
+        design: &Matrix,
+        regularizer: f64,
+        updates: u64,
+    ) -> Result<(), LinalgError> {
+        if design.rows() != self.dim() || design.cols() != self.dim() {
             return Err(LinalgError::DimensionMismatch {
                 expected: (self.dim(), self.dim()),
-                found: (other.dim(), other.dim()),
+                found: (design.rows(), design.cols()),
             });
         }
-        let prior = Matrix::identity(self.dim()).scaled(other.regularizer);
-        let mut contribution = other.design.clone();
-        // Remove the other tracker's prior so the merged design matrix keeps a
-        // single regularization term.
+        let prior = Matrix::identity(self.dim()).scaled(regularizer);
+        let mut contribution = design.clone();
+        // Remove the merged statistics' prior so the merged design matrix
+        // keeps a single regularization term.
         contribution.add_assign(&prior.scaled(-1.0))?;
         self.design.add_assign(&contribution)?;
-        self.updates += other.updates;
+        self.updates += updates;
         self.refresh()
     }
 }
