@@ -1023,9 +1023,10 @@ impl LinUcb {
 
     /// Merges the sufficient statistics of another LinUCB model into this one.
     ///
-    /// This is the warm-start primitive: the P2B server maintains a central
-    /// LinUCB model built from reported tuples, and local agents merge it
-    /// into their own cold model when they receive an update.
+    /// Merging per-shard models into a cold one rebuilds the model the
+    /// shards' folds describe: the from-scratch reference that
+    /// [`LinUcb::set_arm`] shares its arithmetic with. Warm agents do not
+    /// merge; they read the central snapshot and clone it on first update.
     ///
     /// # Errors
     ///

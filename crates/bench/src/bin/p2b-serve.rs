@@ -13,6 +13,9 @@
 //! ```
 //!
 //! * `--quick` forces the CI smoke scale (equivalent to `P2B_SCALE=quick`).
+//! * `--workers N` must lie in `1..=codes` (the scale's code count): a
+//!   worker owns the pool partition of the codes hashed to it, so one past
+//!   the code count could own nothing.
 //! * `--summary PATH` additionally writes the *redacted* report — the
 //!   worker-count-invariant deterministic summary with all wall-clock
 //!   fields zeroed — which must be byte-identical across runs; the CI smoke
@@ -105,28 +108,44 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// The run's scale and configuration from the parsed flags.
+///
+/// # Errors
+///
+/// Returns [`BenchFailure::Usage`] for a bad `P2B_SCALE` or a `--workers`
+/// outside `1..=codes`.
+fn configure(cli: &Cli) -> Result<(Scale, ServeConfig), BenchFailure> {
+    let scale = if cli.quick {
+        Scale::Quick
+    } else {
+        Scale::from_env()?
+    };
+    let mut config = ServeConfig::at_scale(scale);
+    if let Some(workers) = cli.workers {
+        if workers == 0 || workers as u64 > config.codes {
+            return Err(BenchFailure::Usage(format!(
+                "--workers must lie in 1..={} (the code count), got {workers}",
+                config.codes
+            )));
+        }
+        config.workers = workers;
+    }
+    if let Some(seed) = cli.seed {
+        config.seed = seed;
+    }
+    Ok((scale, config))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
         Ok(cli) => cli,
         Err(message) => return BenchFailure::Usage(message).report("p2b-serve"),
     };
-
-    let scale = if cli.quick {
-        Scale::Quick
-    } else {
-        match Scale::from_env() {
-            Ok(scale) => scale,
-            Err(failure) => return failure.report("p2b-serve"),
-        }
+    let (scale, config) = match configure(&cli) {
+        Ok(configured) => configured,
+        Err(failure) => return failure.report("p2b-serve"),
     };
-    let mut config = ServeConfig::at_scale(scale);
-    if let Some(workers) = cli.workers {
-        config.workers = workers.max(1);
-    }
-    if let Some(seed) = cli.seed {
-        config.seed = seed;
-    }
     let mut slo = SloConfig::for_config(&config);
     if let Some(ms) = cli.slo_p99_ms {
         slo.max_p99_decision_nanos = (ms * 1e6) as u64;
@@ -168,5 +187,34 @@ fn main() -> ExitCode {
             report.slo.violations.len()
         ))
         .report("p2b-serve")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn configured(args: &[&str]) -> Result<(Scale, ServeConfig), BenchFailure> {
+        let args: Vec<String> = args.iter().map(|&arg| arg.to_owned()).collect();
+        configure(&parse_args(&args).expect("flags parse"))
+    }
+
+    #[test]
+    fn workers_outside_one_to_the_code_count_are_a_usage_error() {
+        let codes = ServeConfig::at_scale(Scale::Quick).codes;
+        for workers in [0, codes + 1, 1_000_000] {
+            assert!(
+                matches!(
+                    configured(&["--quick", "--workers", &workers.to_string()]),
+                    Err(BenchFailure::Usage(_))
+                ),
+                "--workers {workers} must be refused"
+            );
+        }
+        for workers in [1, 2, codes] {
+            let (_, config) = configured(&["--quick", "--workers", &workers.to_string()])
+                .expect("an in-range worker count is accepted");
+            assert_eq!(config.workers as u64, workers);
+        }
     }
 }

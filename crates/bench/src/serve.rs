@@ -412,13 +412,15 @@ fn owner_of(code: u64, workers: usize) -> usize {
     (splitmix64(code) % workers as u64) as usize
 }
 
-/// One deterministic raw context per code, shared by every worker.
-fn code_contexts(codes: u64, dimension: usize) -> Vec<Vector> {
-    (0..codes as usize)
-        .map(|c| {
+/// The first `count` deterministic raw contexts of `dimension` coordinates,
+/// L1-normalized: the encoder's corpus, whose first `codes` rows are also
+/// the one context per code that every worker shares.
+fn serve_contexts(count: u64, dimension: usize) -> Vec<Vector> {
+    (0..count as usize)
+        .map(|i| {
             let mut raw = vec![0.05; dimension];
-            raw[c % dimension] = 1.0 + 0.05 * ((c / dimension) % 7) as f64;
-            raw[(c / 3) % dimension] += 0.25;
+            raw[i % dimension] = 1.0 + 0.05 * ((i / dimension) % 7) as f64;
+            raw[(i / 3) % dimension] += 0.25;
             Vector::from(raw)
                 .normalized_l1()
                 .expect("contexts are non-empty")
@@ -437,14 +439,7 @@ fn code_contexts(codes: u64, dimension: usize) -> Vec<Vector> {
 #[must_use]
 pub fn fit_serve_encoder(codes: u64, dimension: usize) -> Arc<dyn Encoder> {
     let mut rng = StdRng::seed_from_u64(7);
-    let corpus: Vec<Vector> = (0..codes as usize * 8)
-        .map(|i| {
-            let mut raw = vec![0.05; dimension];
-            raw[i % dimension] = 1.0 + 0.05 * ((i / dimension) % 7) as f64;
-            raw[(i / 3) % dimension] += 0.25;
-            Vector::from(raw).normalized_l1().expect("non-empty")
-        })
-        .collect();
+    let corpus = serve_contexts(codes * 8, dimension);
     Arc::new(
         KMeansEncoder::fit(
             &corpus,
@@ -562,7 +557,7 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
     let workers = config.workers.max(1);
     let arrival = ArrivalProcess::new(ArrivalConfig::new(config.users, config.codes, config.seed))
         .expect("serve configurations are valid");
-    let contexts = code_contexts(config.codes, config.dimension);
+    let contexts = serve_contexts(config.codes, config.dimension);
     let system_config = P2bConfig::new(config.dimension, config.actions)
         .with_local_interactions(config.local_interactions)
         .with_shuffler_threshold(config.threshold)

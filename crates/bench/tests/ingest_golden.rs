@@ -157,17 +157,15 @@ fn ingest_batches() -> Vec<ShuffledBatch> {
 /// in-range report, in batch order, one ingest call per batch.
 fn per_report_digest(encoder: &dyn Encoder, batches: &[ShuffledBatch]) -> u64 {
     let config = P2bConfig::new(DIMENSION, ACTIONS);
-    let mut service =
-        ModelService::spawn(config.central_linucb(encoder), 1).expect("shape is valid");
+    let mut service = ModelService::spawn(config.linucb(), 1).expect("shape is valid");
     for batch in batches {
         let updates = batch
             .reports()
             .iter()
             .filter(|r| r.code() < encoder.num_codes() && r.action() < ACTIONS)
             .map(|r| {
-                let context = config
-                    .code_representation
-                    .vector(encoder, ContextCode::new(r.code()))
+                let context = encoder
+                    .representative(ContextCode::new(r.code()))
                     .expect("code is in range");
                 CoalescedUpdate::new(context, Action::new(r.action()), 1, r.reward())
                     .expect("rewards 0/1 are valid")

@@ -1,7 +1,7 @@
 //! The local P2B agent: LinUCB + encoder + randomized reporter.
 
-use crate::{CodeRepresentation, CoreError, ModelSnapshot, P2bConfig, RandomizedReporter};
-use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
+use crate::{CoreError, ModelSnapshot, P2bConfig, RandomizedReporter};
+use p2b_bandit::{Action, ContextualPolicy, LinUcb, SelectScratch};
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::{ScoreCounters, Vector};
 use p2b_privacy::{amplified_epsilon, PrivacyGuarantee};
@@ -25,25 +25,22 @@ enum AgentPolicy {
     Owned(LinUcb),
 }
 
-/// Rejects a central snapshot whose model shape does not match the shape
-/// the agent's configuration implies — the same incompatibilities the
-/// merge-based warm start used to reject at construction time.
+/// Rejects a central snapshot whose model shape is not the `(d, A)` an
+/// agent serves: the one check behind a warm start, a still-shared agent's
+/// hop to a newer snapshot, and a shared rehydration.
 fn check_snapshot_shape(
-    expected: &LinUcbConfig,
+    context_dimension: usize,
+    num_actions: usize,
     snapshot: &ModelSnapshot,
 ) -> Result<(), CoreError> {
     let found = snapshot.model().config();
-    if found.context_dimension != expected.context_dimension
-        || found.num_actions != expected.num_actions
-    {
+    if (found.context_dimension, found.num_actions) != (context_dimension, num_actions) {
         return Err(CoreError::InvalidConfig {
-            parameter: "warm_start",
+            parameter: "snapshot",
             message: format!(
-                "snapshot model shape ({}, {}) does not match the configured ({}, {})",
-                found.context_dimension,
-                found.num_actions,
-                expected.context_dimension,
-                expected.num_actions
+                "snapshot model shape ({}, {}) does not match the agent's \
+                 ({context_dimension}, {num_actions})",
+                found.context_dimension, found.num_actions
             ),
         });
     }
@@ -113,7 +110,6 @@ pub struct DormantAgent {
     reporter: RandomizedReporter,
     spent: PrivacyGuarantee,
     per_report_guarantee: PrivacyGuarantee,
-    representation: CodeRepresentation,
     /// Action count of the policy the agent was serving — checked against
     /// the snapshot on shared rehydration, exactly like a fresh warm start.
     num_actions: usize,
@@ -152,22 +148,12 @@ impl DormantAgent {
         encoder: &dyn Encoder,
         snapshot: &ModelSnapshot,
     ) -> Result<(), CoreError> {
-        if let DormantPolicy::Owned(_) = self.policy {
-            return Ok(());
+        match self.policy {
+            DormantPolicy::Owned(_) => Ok(()),
+            DormantPolicy::Shared => {
+                check_snapshot_shape(encoder.context_dimension(), self.num_actions, snapshot)
+            }
         }
-        let expected_dimension = self.representation.dimension(encoder);
-        let found = snapshot.model().config();
-        if found.context_dimension != expected_dimension || found.num_actions != self.num_actions {
-            return Err(CoreError::InvalidConfig {
-                parameter: "rehydrate",
-                message: format!(
-                    "snapshot model shape ({}, {}) does not match the dormant agent's \
-                     ({expected_dimension}, {})",
-                    found.context_dimension, found.num_actions, self.num_actions
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Approximate heap bytes of the persisted policy state: zero for a
@@ -203,8 +189,8 @@ fn approx_linucb_bytes(policy: &LinUcb) -> usize {
 
 /// A local agent running on a (simulated) user device.
 ///
-/// The agent observes raw contexts, encodes them, feeds the encoded
-/// representation to its LinUCB policy, and — after every `T` interactions,
+/// The agent observes raw contexts, encodes them, feeds the code's centroid
+/// to its LinUCB policy, and — after every `T` interactions,
 /// with probability `p` — queues the most recent interaction tuple `(y, a, r)`
 /// for transmission to the shuffler. It also keeps the (ε, δ) its reporting
 /// opportunities have cost so far, composed sequentially.
@@ -219,7 +205,6 @@ pub struct LocalAgent {
     id: u64,
     policy: AgentPolicy,
     encoder: Arc<dyn Encoder>,
-    representation: CodeRepresentation,
     reporter: RandomizedReporter,
     spent: PrivacyGuarantee,
     per_report_guarantee: PrivacyGuarantee,
@@ -260,15 +245,14 @@ impl LocalAgent {
                 found: encoder.context_dimension(),
             });
         }
-        let central_config = config.central_linucb(encoder.as_ref());
         let policy = match warm_start {
             // The warm start is a *pointer* to the epoch's shared snapshot —
             // no model bytes are copied until the agent first updates.
             Some(snapshot) => {
-                check_snapshot_shape(&central_config, &snapshot)?;
+                check_snapshot_shape(config.context_dimension, config.num_actions, &snapshot)?;
                 AgentPolicy::Shared(snapshot)
             }
-            None => AgentPolicy::Owned(LinUcb::new(central_config)?),
+            None => AgentPolicy::Owned(LinUcb::new(config.linucb())?),
         };
         let participation = config.participation()?;
         let epsilon = amplified_epsilon(participation, 0.0)?;
@@ -277,7 +261,6 @@ impl LocalAgent {
             id,
             policy,
             encoder,
-            representation: config.code_representation,
             reporter: RandomizedReporter::new(participation, config.local_interactions),
             spent: PrivacyGuarantee::zero(),
             per_report_guarantee,
@@ -361,14 +344,15 @@ impl LocalAgent {
         self.spent
     }
 
-    /// Maps a raw observed context to the model context the policy consumes.
+    /// Maps a raw observed context to the model context the policy consumes:
+    /// the centroid of its code.
     ///
     /// # Errors
     ///
     /// Propagates encoder errors for mis-sized contexts.
     pub fn model_context(&self, raw_context: &Vector) -> Result<Vector, CoreError> {
         let code = self.encoder.encode(raw_context)?;
-        self.representation.vector(self.encoder.as_ref(), code)
+        Ok(self.encoder.representative(code)?)
     }
 
     /// The code of `raw_context`: the last decision's when the context is
@@ -394,7 +378,7 @@ impl LocalAgent {
     ) -> Result<Action, CoreError> {
         let code = self.code_of(raw_context)?;
         self.decided.remember(raw_context, code);
-        let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
+        let model_context = self.encoder.representative(code)?;
         // Selection never mutates the statistics, so it reads through the
         // shared snapshot for as long as the agent has one. The agent-owned
         // scratch makes the per-decision path allocation-free, and its memo
@@ -421,7 +405,7 @@ impl LocalAgent {
         rng: &mut R,
     ) -> Result<(), CoreError> {
         let code = self.code_of(raw_context)?;
-        let model_context = self.representation.vector(self.encoder.as_ref(), code)?;
+        let model_context = self.encoder.representative(code)?;
         self.policy_mut().update(&model_context, action, reward)?;
         self.interactions += 1;
 
@@ -447,16 +431,6 @@ impl LocalAgent {
     #[must_use]
     pub fn take_reports(&mut self) -> Vec<RawReport> {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Merges a newer central model into the local policy (a model refresh).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Bandit`] if the model shapes are incompatible.
-    pub fn refresh_from(&mut self, central: &LinUcb) -> Result<(), CoreError> {
-        self.policy_mut().merge(central)?;
-        Ok(())
     }
 
     /// Approximate heap bytes of model state this agent *owns*: zero while
@@ -498,7 +472,6 @@ impl LocalAgent {
                 reporter: self.reporter,
                 spent: self.spent,
                 per_report_guarantee: self.per_report_guarantee,
-                representation: self.representation,
                 num_actions,
                 policy,
                 scratch: self.scratch,
@@ -521,8 +494,8 @@ impl LocalAgent {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when a shared rehydration is
-    /// handed a snapshot whose model shape does not match the dormant
-    /// agent's representation under `encoder`.
+    /// handed a snapshot whose model shape is not `encoder`'s context
+    /// dimension by the dormant agent's action count.
     pub fn rehydrate(
         dormant: DormantAgent,
         encoder: Arc<dyn Encoder>,
@@ -542,7 +515,6 @@ impl LocalAgent {
             id: dormant.id,
             policy,
             encoder,
-            representation: dormant.representation,
             reporter: dormant.reporter,
             spent: dormant.spent,
             per_report_guarantee: dormant.per_report_guarantee,
@@ -553,25 +525,23 @@ impl LocalAgent {
         })
     }
 
-    /// Replaces a shared warm start with a newer central snapshot without
-    /// copying: if the agent has no local observations yet, it simply points
-    /// at the new epoch's snapshot.
-    ///
-    /// Agents that already own local state fall back to
-    /// [`LocalAgent::refresh_from`] semantics, merging the snapshot's model.
+    /// Points a still-shared agent at a newer central snapshot, without
+    /// copying. An agent that owns its policy is left untouched: that policy
+    /// is the snapshot it was cloned from plus its own observations, and
+    /// adding a newer snapshot on top would count the central statistics
+    /// twice.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Bandit`] if the model shapes are incompatible.
+    /// Returns [`CoreError::InvalidConfig`] when a still-shared agent is
+    /// handed a snapshot of another model shape; the agent keeps its own.
     pub fn refresh_from_snapshot(&mut self, snapshot: Arc<ModelSnapshot>) -> Result<(), CoreError> {
-        match &self.policy {
-            AgentPolicy::Shared(_) => {
-                check_snapshot_shape(self.policy().config(), &snapshot)?;
-                self.policy = AgentPolicy::Shared(snapshot);
-                Ok(())
-            }
-            AgentPolicy::Owned(_) => self.refresh_from(snapshot.model()),
+        if let AgentPolicy::Shared(current) = &self.policy {
+            let serving = current.model().config();
+            check_snapshot_shape(serving.context_dimension, serving.num_actions, &snapshot)?;
+            self.policy = AgentPolicy::Shared(snapshot);
         }
+        Ok(())
     }
 }
 
@@ -584,11 +554,18 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn encoder(seed: u64) -> Arc<dyn Encoder> {
+        encoder_with_shoulder(seed, 0.1)
+    }
+
+    /// Four clusters of contexts, each peaked at one coordinate and raised
+    /// to `shoulder` at the next: the shoulder moves every centroid.
+    fn encoder_with_shoulder(seed: u64, shoulder: f64) -> Arc<dyn Encoder> {
         let mut rng = StdRng::seed_from_u64(seed);
         let corpus: Vec<Vector> = (0..60)
             .map(|i| {
                 let mut v = vec![0.1; 4];
                 v[i % 4] = 1.0;
+                v[(i + 1) % 4] = shoulder;
                 Vector::from(v).normalized_l1().unwrap()
             })
             .collect();
@@ -622,10 +599,8 @@ pub(crate) mod tests {
         }
 
         // And a still-shared agent refuses to hop onto a mis-shaped snapshot.
-        let good = Arc::new(
-            crate::ModelSnapshot::new(0, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
-                .unwrap(),
-        );
+        let good =
+            Arc::new(crate::ModelSnapshot::new(0, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
         let mut agent = LocalAgent::new(8, &cfg, Arc::clone(&enc), Some(good)).unwrap();
         let bad = Arc::new(
             crate::ModelSnapshot::new(1, LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap())
@@ -642,10 +617,8 @@ pub(crate) mod tests {
     fn rehydration_rejects_mis_shaped_snapshots() {
         let cfg = config(); // 4-dimensional contexts, 3 actions
         let enc = encoder(11);
-        let good = Arc::new(
-            crate::ModelSnapshot::new(0, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
-                .unwrap(),
-        );
+        let good =
+            Arc::new(crate::ModelSnapshot::new(0, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
         let agent = LocalAgent::new(9, &cfg, Arc::clone(&enc), Some(good)).unwrap();
         let (_, dormant) = agent.dehydrate();
         assert!(!dormant.has_local_state());
@@ -662,10 +635,8 @@ pub(crate) mod tests {
             ));
         }
         // A well-shaped snapshot rehydrates fine.
-        let fresh = Arc::new(
-            crate::ModelSnapshot::new(2, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
-                .unwrap(),
-        );
+        let fresh =
+            Arc::new(crate::ModelSnapshot::new(2, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
         let revived = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &fresh).unwrap();
         assert!(revived
             .warm_snapshot()
@@ -732,11 +703,7 @@ pub(crate) mod tests {
         // agent keeps both and, nothing folded since, scores nothing.
         let (_, dormant) = agent.dehydrate();
         let snapshot = Arc::new(
-            crate::ModelSnapshot::new(
-                0,
-                LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
-            )
-            .unwrap(),
+            crate::ModelSnapshot::new(0, LinUcb::new(config().linucb()).unwrap()).unwrap(),
         );
         let mut revived = LocalAgent::rehydrate(dormant, enc, &snapshot).unwrap();
         assert_eq!(counted(&revived), (3, 18));
@@ -802,11 +769,7 @@ pub(crate) mod tests {
         // under it cannot know its decided code still holds, so forgets it.
         let elsewhere: Arc<dyn Encoder> = CountingEncoder::wrap(Arc::clone(&enc));
         let snapshot = Arc::new(
-            crate::ModelSnapshot::new(
-                0,
-                LinUcb::new(config().central_linucb(enc.as_ref())).unwrap(),
-            )
-            .unwrap(),
+            crate::ModelSnapshot::new(0, LinUcb::new(config().linucb()).unwrap()).unwrap(),
         );
         let here = Vector::from(vec![1.0, 0.1, 0.1, 0.0]);
         let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
@@ -890,29 +853,29 @@ pub(crate) mod tests {
 
     #[test]
     fn rehydration_under_another_encoder_forgets_the_decided_code() {
-        let cfg = config()
-            .with_local_interactions(1)
-            .with_code_representation(CodeRepresentation::OneHot);
-        let (first, second) = (encoder(12), encoder(13));
+        let cfg = config().with_local_interactions(1);
+        // The second encoder's clusters have shoulders, so its centroid of
+        // the context's cluster is another point than the first encoder's.
+        let (first, second) = (encoder(12), encoder_with_shoulder(13, 0.5));
         let ctx = Vector::from(vec![1.0, 0.1, 0.1, 0.1]);
         let (was, is) = (first.encode(&ctx).unwrap(), second.encode(&ctx).unwrap());
         assert_ne!(was, is, "the two encoders must disagree on the context");
 
-        // A model under which the two codes want different arms: arm 0 pays
-        // on the first encoder's code, arm 2 on the second's.
-        let one_hot = |code| {
-            CodeRepresentation::OneHot
-                .vector(first.as_ref(), code)
-                .unwrap()
-        };
-        let mut model = LinUcb::new(cfg.central_linucb(first.as_ref())).unwrap();
+        // A model under which the three centroids the agent can reach want
+        // different arms: arm 0 pays on the first encoder's centroid of its
+        // code, arm 1 on the second encoder's centroid of that stale code,
+        // arm 2 on the second encoder's centroid of its own code.
+        let centroid = |encoder: &Arc<dyn Encoder>, code| encoder.representative(code).unwrap();
+        let mut model = LinUcb::new(cfg.linucb()).unwrap();
         for _ in 0..30 {
-            for (code, paying) in [(was, 0), (is, 2)] {
+            for (context, paying) in [
+                (centroid(&first, was), 0),
+                (centroid(&second, was), 1),
+                (centroid(&second, is), 2),
+            ] {
                 for arm in 0..3 {
                     let reward = if arm == paying { 1.0 } else { 0.0 };
-                    model
-                        .update(&one_hot(code), Action::new(arm), reward)
-                        .unwrap();
+                    model.update(&context, Action::new(arm), reward).unwrap();
                 }
             }
         }
@@ -925,12 +888,14 @@ pub(crate) mod tests {
         // Same context, same model, another encoder: the decided code is the
         // first encoder's and must not survive into the second's agent.
         let (_, dormant) = agent.dehydrate();
-        let mut revived = LocalAgent::rehydrate(dormant, second, &snapshot).unwrap();
+        let mut revived = LocalAgent::rehydrate(dormant, Arc::clone(&second), &snapshot).unwrap();
         let action = revived.select_action(&ctx, &mut rng).unwrap();
         assert_eq!(action, Action::new(2), "decided on the stale code");
         revived.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
         let mut expected = snapshot.model().clone();
-        expected.update(&one_hot(is), action, 1.0).unwrap();
+        expected
+            .update(&centroid(&second, is), action, 1.0)
+            .unwrap();
         assert_eq!(
             revived.policy().reward_vector(action).unwrap(),
             expected.reward_vector(action).unwrap(),
@@ -988,10 +953,8 @@ pub(crate) mod tests {
         assert_eq!(agent.reporter().opportunities(), 7);
         assert_bits(&agent, 7);
 
-        let snapshot = Arc::new(
-            crate::ModelSnapshot::new(0, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
-                .unwrap(),
-        );
+        let snapshot =
+            Arc::new(crate::ModelSnapshot::new(0, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
         let (_, dormant) = agent.dehydrate();
         let mut revived = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &snapshot).unwrap();
         assert_bits(&revived, 7);
@@ -1017,10 +980,8 @@ pub(crate) mod tests {
             .normalized_l1()
             .unwrap();
         let code = enc.encode(&ctx).unwrap();
-        let model_ctx = CodeRepresentation::Centroid
-            .vector(enc.as_ref(), code)
-            .unwrap();
-        let mut central = LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap();
+        let model_ctx = enc.representative(code).unwrap();
+        let mut central = LinUcb::new(cfg.linucb()).unwrap();
         for _ in 0..200 {
             central.update(&model_ctx, Action::new(2), 1.0).unwrap();
             central.update(&model_ctx, Action::new(0), 0.0).unwrap();
@@ -1054,10 +1015,8 @@ pub(crate) mod tests {
         // A still-shared sibling can hop to a newer snapshot without copying.
         let mut sibling =
             LocalAgent::new(5, &cfg, Arc::clone(&enc), Some(Arc::clone(&snapshot))).unwrap();
-        let newer = Arc::new(
-            crate::ModelSnapshot::new(2, LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap())
-                .unwrap(),
-        );
+        let newer =
+            Arc::new(crate::ModelSnapshot::new(2, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
         sibling.refresh_from_snapshot(Arc::clone(&newer)).unwrap();
         assert!(sibling
             .warm_snapshot()
@@ -1065,14 +1024,45 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn refresh_from_merges_later_central_updates() {
+    fn refreshing_an_owned_agent_leaves_its_policy_untouched() {
+        let mut rng = StdRng::seed_from_u64(4);
         let enc = encoder(4);
         let cfg = config();
-        let mut agent = LocalAgent::new(5, &cfg, Arc::clone(&enc), None).unwrap();
-        let central = LinUcb::new(cfg.central_linucb(enc.as_ref())).unwrap();
-        let before = agent.policy().observations();
-        agent.refresh_from(&central).unwrap();
-        assert_eq!(agent.policy().observations(), before);
+        let ctx = Vector::from(vec![1.0, 0.1, 0.1, 0.1]);
+        let mut central = LinUcb::new(cfg.linucb()).unwrap();
+        let centroid = enc.representative(enc.encode(&ctx).unwrap()).unwrap();
+        for arm in 0..3 {
+            central.update(&centroid, Action::new(arm), 1.0).unwrap();
+        }
+        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central).unwrap());
+
+        // One local observation promotes the agent to an owned copy of the
+        // snapshot: its policy already holds the central statistics.
+        let mut agent = LocalAgent::new(5, &cfg, Arc::clone(&enc), Some(snapshot)).unwrap();
+        let action = agent.select_action(&ctx, &mut rng).unwrap();
+        agent.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
+        assert!(agent.warm_snapshot().is_none());
+        let bits = |agent: &LocalAgent| -> Vec<u64> {
+            (0..3)
+                .flat_map(|arm| agent.policy().design(Action::new(arm)).unwrap().as_slice())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let (observations, design) = (agent.policy().observations(), bits(&agent));
+        assert_eq!(observations, 3 + 1);
+
+        // A newer epoch's snapshot, which still holds those statistics, must
+        // not be added on top of them.
+        let mut newer = LinUcb::new(cfg.linucb()).unwrap();
+        for arm in 0..3 {
+            newer.update(&centroid, Action::new(arm), 1.0).unwrap();
+        }
+        newer.update(&centroid, Action::new(0), 0.0).unwrap();
+        let newer = Arc::new(crate::ModelSnapshot::new(2, newer).unwrap());
+        agent.refresh_from_snapshot(newer).unwrap();
+        assert!(agent.warm_snapshot().is_none());
+        assert_eq!(agent.policy().observations(), observations);
+        assert_eq!(bits(&agent), design);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! keep their capacity across flushes, so steady-state coalescing allocates
 //! only the output `Vec<CoalescedUpdate>` that the model service consumes.
 
-use crate::{CodeRepresentation, CoreError};
+use crate::CoreError;
 use p2b_bandit::{Action, CoalescedUpdate};
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::Vector;
@@ -57,9 +57,8 @@ pub(crate) struct Coalescer {
     groups: Vec<((usize, usize), (u64, f64))>,
     /// Code → context-vector memo, shared across every batch this coalescer
     /// sees, so each distinct code's vector is materialized once per server
-    /// lifetime. Sound because the owning server's encoder and
-    /// representation are fixed at construction and `vector` is
-    /// deterministic per code.
+    /// lifetime. Sound because the owning server's encoder is fixed at
+    /// construction and its centroid of a code never changes.
     vectors: HashMap<usize, Vector>,
 }
 
@@ -70,7 +69,6 @@ impl Coalescer {
     /// client is well behaved.
     pub(crate) fn coalesce(
         &mut self,
-        representation: CodeRepresentation,
         encoder: &dyn Encoder,
         num_actions: usize,
         batch: &ShuffledBatch,
@@ -106,7 +104,7 @@ impl Coalescer {
             let context = match self.vectors.entry(code) {
                 Entry::Occupied(entry) => entry.get().clone(),
                 Entry::Vacant(entry) => entry
-                    .insert(representation.vector(encoder, ContextCode::new(code))?)
+                    .insert(encoder.representative(ContextCode::new(code))?)
                     .clone(),
             };
             // Each reward lies in [0, 1], but accumulation rounding could
@@ -174,12 +172,8 @@ mod tests {
                 .collect();
             let b = batch(reports, seed);
             let mut fresh = Coalescer::default();
-            let warm = reused
-                .coalesce(CodeRepresentation::Centroid, &enc, 2, &b)
-                .unwrap();
-            let cold = fresh
-                .coalesce(CodeRepresentation::Centroid, &enc, 2, &b)
-                .unwrap();
+            let warm = reused.coalesce(&enc, 2, &b).unwrap();
+            let cold = fresh.coalesce(&enc, 2, &b).unwrap();
             assert_eq!(warm.accepted, cold.accepted);
             assert_eq!(warm.updates.len(), cold.updates.len());
             for (w, c) in warm.updates.iter().zip(cold.updates.iter()) {
@@ -203,9 +197,7 @@ mod tests {
             vec![(1, 0, 1.0), (0, 1, 0.5), (0, 0, 0.25), (1, 0, 0.75)],
             7,
         );
-        let out = coalescer
-            .coalesce(CodeRepresentation::Centroid, &enc, 2, &b)
-            .unwrap();
+        let out = coalescer.coalesce(&enc, 2, &b).unwrap();
         assert_eq!(out.accepted, 4);
         let keys: Vec<(usize, u64)> = out
             .updates
@@ -220,9 +212,7 @@ mod tests {
         let enc = encoder();
         let mut coalescer = Coalescer::default();
         let b = batch(vec![(99, 0, 1.0), (0, 9, 1.0), (0, 0, 1.0)], 3);
-        let out = coalescer
-            .coalesce(CodeRepresentation::Centroid, &enc, 2, &b)
-            .unwrap();
+        let out = coalescer.coalesce(&enc, 2, &b).unwrap();
         assert_eq!(out.accepted, 1);
         assert_eq!(out.updates.len(), 1);
     }

@@ -2,68 +2,8 @@
 
 use crate::CoreError;
 use p2b_bandit::LinUcbConfig;
-use p2b_encoding::{ContextCode, Encoder};
-use p2b_linalg::Vector;
 use p2b_privacy::{validate_omega, Participation};
 use serde::{Deserialize, Serialize};
-
-/// How an encoded context code is turned back into a vector when feeding the
-/// bandit model.
-///
-/// The paper states that private agents "use the encoded value as the
-/// context"; the representation controls what that value looks like:
-///
-/// * [`CodeRepresentation::Centroid`] — the code's cluster centroid, a
-///   `d`-dimensional vector. The context space collapses to `k` distinct
-///   points while keeping LinUCB's design matrices `d × d`. This is the
-///   default and what the experiment harness uses.
-/// * [`CodeRepresentation::OneHot`] — the indicator vector of the code, a
-///   `k`-dimensional vector. LinUCB then degenerates to per-(code, action)
-///   mean estimation, useful as an ablation of how much the centroid
-///   geometry helps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CodeRepresentation {
-    /// Represent a code by its cluster centroid (dimension `d`).
-    #[default]
-    Centroid,
-    /// Represent a code by a one-hot indicator (dimension `k`).
-    OneHot,
-}
-
-impl CodeRepresentation {
-    /// Dimension of the model context under this representation.
-    #[must_use]
-    pub fn dimension(&self, encoder: &dyn Encoder) -> usize {
-        match self {
-            CodeRepresentation::Centroid => encoder.context_dimension(),
-            CodeRepresentation::OneHot => encoder.num_codes(),
-        }
-    }
-
-    /// The model-context vector for a given code.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for out-of-range codes.
-    pub fn vector(&self, encoder: &dyn Encoder, code: ContextCode) -> Result<Vector, CoreError> {
-        match self {
-            CodeRepresentation::Centroid => Ok(encoder.representative(code)?),
-            CodeRepresentation::OneHot => {
-                if code.value() >= encoder.num_codes() {
-                    return Err(CoreError::InvalidConfig {
-                        parameter: "code",
-                        message: format!(
-                            "code {} out of range for {} codes",
-                            code.value(),
-                            encoder.num_codes()
-                        ),
-                    });
-                }
-                Ok(Vector::basis(encoder.num_codes(), code.value()))
-            }
-        }
-    }
-}
 
 /// Configuration of a [`crate::P2bSystem`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,8 +40,6 @@ pub struct P2bConfig {
     /// at any shard count, so the default changes only how many cores a
     /// flush's fold uses; [`P2bConfig::with_ingest_shards`] pins a count.
     pub ingest_shards: usize,
-    /// How encoded codes are represented when training the central model.
-    pub code_representation: CodeRepresentation,
     /// Constant Ω of the δ bound (Gehrke et al. 2012); only affects reporting
     /// of δ, not the mechanism itself.
     pub delta_omega: f64,
@@ -109,7 +47,7 @@ pub struct P2bConfig {
 
 impl P2bConfig {
     /// Creates a configuration with the paper's defaults: α = 1, p = 0.5,
-    /// T = 10, threshold 10, centroid representation, and one ingest shard
+    /// T = 10, threshold 10, and one ingest shard
     /// per available hardware thread, capped at `num_actions`.
     #[must_use]
     pub fn new(context_dimension: usize, num_actions: usize) -> Self {
@@ -123,7 +61,6 @@ impl P2bConfig {
             shuffler_shards: 1,
             shuffler_batch_size: 128,
             ingest_shards: host_ingest_shards(num_actions),
-            code_representation: CodeRepresentation::Centroid,
             delta_omega: 0.1,
         }
     }
@@ -174,13 +111,6 @@ impl P2bConfig {
     #[must_use]
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         self.alpha = alpha;
-        self
-    }
-
-    /// Sets the code representation used for the central model.
-    #[must_use]
-    pub fn with_code_representation(mut self, representation: CodeRepresentation) -> Self {
-        self.code_representation = representation;
         self
     }
 
@@ -255,21 +185,15 @@ impl P2bConfig {
         Ok(Participation::new(self.participation)?)
     }
 
-    /// The LinUCB configuration for a *local* agent operating on raw contexts.
+    /// The LinUCB configuration of every model in the system: local agents
+    /// and the central model alike. The paper's private agents "use the
+    /// encoded value as the context", and a code reaches the model as its
+    /// cluster centroid ([`p2b_encoding::Encoder::representative`]), a
+    /// `d`-dimensional vector: the context space collapses to `k` distinct
+    /// points while the design matrices stay `d × d`.
     #[must_use]
-    pub fn local_linucb(&self) -> LinUcbConfig {
+    pub fn linucb(&self) -> LinUcbConfig {
         LinUcbConfig::new(self.context_dimension, self.num_actions).with_alpha(self.alpha)
-    }
-
-    /// The LinUCB configuration for the *central* model, whose context
-    /// dimension depends on the code representation.
-    #[must_use]
-    pub fn central_linucb(&self, encoder: &dyn Encoder) -> LinUcbConfig {
-        LinUcbConfig::new(
-            self.code_representation.dimension(encoder),
-            self.num_actions,
-        )
-        .with_alpha(self.alpha)
     }
 }
 
@@ -283,21 +207,6 @@ fn host_ingest_shards(num_actions: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2b_encoding::{KMeansConfig, KMeansEncoder};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn encoder() -> KMeansEncoder {
-        let mut rng = StdRng::seed_from_u64(0);
-        let corpus: Vec<Vector> = (0..40)
-            .map(|i| {
-                Vector::from(vec![(i % 4) as f64 + 0.5, 1.0, 2.0])
-                    .normalized_l1()
-                    .unwrap()
-            })
-            .collect();
-        KMeansEncoder::fit(&corpus, KMeansConfig::new(4), &mut rng).unwrap()
-    }
 
     #[test]
     fn defaults_match_the_paper() {
@@ -310,7 +219,6 @@ mod tests {
         assert_eq!(cfg.shuffler_shards, 1);
         assert_eq!(cfg.shuffler_batch_size, 128);
         assert_eq!(cfg.ingest_shards, host_ingest_shards(20));
-        assert_eq!(cfg.code_representation, CodeRepresentation::Centroid);
         assert!(cfg.validate().is_ok());
     }
 
@@ -376,37 +284,13 @@ mod tests {
     }
 
     #[test]
-    fn representation_dimensions() {
-        let enc = encoder();
-        assert_eq!(CodeRepresentation::Centroid.dimension(&enc), 3);
-        assert_eq!(CodeRepresentation::OneHot.dimension(&enc), 4);
-    }
-
-    #[test]
-    fn representation_vectors() {
-        let enc = encoder();
-        let centroid = CodeRepresentation::Centroid
-            .vector(&enc, ContextCode::new(1))
-            .unwrap();
-        assert_eq!(centroid.len(), 3);
-        let onehot = CodeRepresentation::OneHot
-            .vector(&enc, ContextCode::new(1))
-            .unwrap();
-        assert_eq!(onehot.len(), 4);
-        assert_eq!(onehot.as_slice(), &[0.0, 1.0, 0.0, 0.0]);
-        assert!(CodeRepresentation::OneHot
-            .vector(&enc, ContextCode::new(9))
-            .is_err());
-    }
-
-    #[test]
     fn linucb_configurations_follow_the_representation() {
-        let enc = encoder();
-        let cfg = P2bConfig::new(3, 7);
-        assert_eq!(cfg.local_linucb().context_dimension, 3);
-        assert_eq!(cfg.local_linucb().num_actions, 7);
-        assert_eq!(cfg.central_linucb(&enc).context_dimension, 3);
-        let cfg = cfg.with_code_representation(CodeRepresentation::OneHot);
-        assert_eq!(cfg.central_linucb(&enc).context_dimension, 4);
+        // A code reaches the model as its d-dimensional centroid, so the
+        // model's shape is (d, A) whatever the encoder's code count.
+        let cfg = P2bConfig::new(3, 7).with_alpha(0.5);
+        let linucb = cfg.linucb();
+        assert_eq!(linucb.context_dimension, 3);
+        assert_eq!(linucb.num_actions, 7);
+        assert_eq!(linucb.alpha, 0.5);
     }
 }

@@ -79,7 +79,7 @@ mod service;
 mod system;
 
 pub use agent::{DormantAgent, LocalAgent};
-pub use config::{CodeRepresentation, P2bConfig};
+pub use config::P2bConfig;
 pub use error::CoreError;
 pub use join::{
     DecisionTicket, ExpiredDecision, FinalizedRound, JoinStats, JoinedDecision, RewardJoinBuffer,

@@ -2,7 +2,7 @@
 //! publication in front of the sharded [`ModelService`].
 
 use crate::coalesce::Coalescer;
-use crate::{CodeRepresentation, CoreError, ModelService, ModelSnapshot, P2bConfig};
+use crate::{CoreError, ModelService, ModelSnapshot, P2bConfig};
 use p2b_bandit::LinUcb;
 use p2b_encoding::Encoder;
 use p2b_shuffler::ShuffledBatch;
@@ -22,7 +22,6 @@ use std::sync::Arc;
 pub struct CentralServer {
     service: ModelService,
     encoder: Arc<dyn Encoder>,
-    representation: CodeRepresentation,
     num_actions: usize,
     ingested_reports: u64,
     epoch: u64,
@@ -47,13 +46,11 @@ impl CentralServer {
                 found: encoder.context_dimension(),
             });
         }
-        let model_config = config.central_linucb(encoder.as_ref());
-        let service = ModelService::spawn(model_config, config.ingest_shards)?;
+        let service = ModelService::spawn(config.linucb(), config.ingest_shards)?;
         Ok(Self {
             service,
-            num_actions: model_config.num_actions,
+            num_actions: config.num_actions,
             encoder,
-            representation: config.code_representation,
             ingested_reports: 0,
             epoch: 0,
             cached: None,
@@ -150,12 +147,9 @@ impl CentralServer {
     /// Returns [`CoreError::Bandit`]/[`CoreError::Linalg`] only for internal
     /// model failures, not for malformed reports.
     pub fn ingest_batch_coalesced(&mut self, batch: &ShuffledBatch) -> Result<u64, CoreError> {
-        let coalesced = self.coalescer.coalesce(
-            self.representation,
-            self.encoder.as_ref(),
-            self.num_actions,
-            batch,
-        )?;
+        let coalesced = self
+            .coalescer
+            .coalesce(self.encoder.as_ref(), self.num_actions, batch)?;
         self.service.ingest(coalesced.updates)?;
         self.mark_updated(coalesced.accepted);
         Ok(coalesced.accepted)
@@ -166,7 +160,6 @@ impl fmt::Debug for CentralServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CentralServer")
             .field("service", &self.service)
-            .field("representation", &self.representation)
             .field("ingested_reports", &self.ingested_reports)
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
@@ -342,11 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn onehot_representation_sizes_the_model_by_code_count() {
-        let enc = encoder(5);
-        let cfg = P2bConfig::new(4, 2).with_code_representation(CodeRepresentation::OneHot);
-        let mut server = CentralServer::new(&cfg, enc).unwrap();
-        assert_eq!(server.model().unwrap().context_dimension(), 4); // k = 4 codes
+    fn the_model_is_sized_by_the_context_dimension() {
         let cfg = P2bConfig::new(4, 2);
         let mut server = CentralServer::new(&cfg, encoder(5)).unwrap();
         assert_eq!(server.model().unwrap().context_dimension(), 4); // d = 4

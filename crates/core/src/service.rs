@@ -181,7 +181,7 @@ fn run_shard(commands: &Receiver<ShardCommand>, cold: &Arc<ArmSums>, num_actions
 /// folded) and installs the shards' per-arm sums into one [`LinUcb`].
 ///
 /// The service is deliberately model-only: validation against the encoder
-/// and the code representation happens in [`crate::CentralServer`], which
+/// and the code→centroid mapping happen in [`crate::CentralServer`], which
 /// also owns epoch bookkeeping and snapshot caching.
 pub struct ModelService {
     shards: ShardPool<ShardCommand, ()>,

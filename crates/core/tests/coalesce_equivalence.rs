@@ -79,16 +79,15 @@ fn reports() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
 /// assembled model.
 fn per_report(config: &P2bConfig, batch: &ShuffledBatch) -> (u64, LinUcb) {
     let encoder = encoder();
-    let mut service = ModelService::spawn(config.central_linucb(encoder.as_ref()), 1)
-        .expect("static configuration is valid");
+    let mut service =
+        ModelService::spawn(config.linucb(), 1).expect("static configuration is valid");
     let updates: Vec<CoalescedUpdate> = batch
         .reports()
         .iter()
         .filter(|r| r.code() < encoder.num_codes() && r.action() < config.num_actions)
         .map(|r| {
-            let context = config
-                .code_representation
-                .vector(encoder.as_ref(), ContextCode::new(r.code()))
+            let context = encoder
+                .representative(ContextCode::new(r.code()))
                 .expect("code is in range");
             CoalescedUpdate::new(context, Action::new(r.action()), 1, r.reward())
                 .expect("rewards are valid")

@@ -2,8 +2,7 @@
 //! through encoding, randomized reporting, shuffling and central-model
 //! updates, plus the privacy invariants the paper's analysis relies on.
 
-use p2b::bandit::ContextualPolicy;
-use p2b::core::{CodeRepresentation, P2bConfig, P2bSystem};
+use p2b::core::{P2bConfig, P2bSystem};
 use p2b::encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b::linalg::Vector;
 use p2b::privacy::CrowdBlending;
@@ -167,34 +166,6 @@ fn agent_privacy_spend_composes_linearly_with_reporting_opportunities() {
     // 50 interactions / T = 5 → 10 opportunities → ε = 10 · ln 2.
     let spent = agent.privacy_spent();
     assert!((spent.epsilon() - 10.0 * std::f64::consts::LN_2).abs() < 1e-9);
-}
-
-#[test]
-fn onehot_representation_runs_end_to_end() {
-    let mut rng = StdRng::seed_from_u64(14);
-    let encoder = fit_encoder(5, 8, &mut rng);
-    let config = P2bConfig::new(5, 4)
-        .with_code_representation(CodeRepresentation::OneHot)
-        .with_local_interactions(2)
-        .with_shuffler_threshold(2);
-    let mut system = P2bSystem::new(config, encoder).unwrap();
-    assert_eq!(system.server_mut().model().unwrap().context_dimension(), 8);
-
-    let mut reports = Vec::new();
-    for _ in 0..30 {
-        let mut agent = system.make_warm_agent().unwrap();
-        for _ in 0..4 {
-            let ctx = simplex_context(5, &mut rng);
-            let action = agent.select_action(&ctx, &mut rng).unwrap();
-            agent.observe_reward(&ctx, action, 1.0, &mut rng).unwrap();
-        }
-        reports.extend(agent.take_reports());
-    }
-    let (stats, _) = system.streaming_round(reports, 14).unwrap();
-    assert!(!stats.is_empty());
-    for stats in &stats {
-        assert_eq!(stats.received, stats.released + stats.dropped);
-    }
 }
 
 #[test]
