@@ -1,13 +1,15 @@
 //! Contextual-bandit substrate for the P2B reproduction.
 //!
-//! The paper's local agents run LinUCB (Chu et al. 2011; Li et al. 2010) —
-//! a linear upper-confidence-bound contextual bandit. This crate provides:
+//! The paper's local agents and central model run LinUCB (Chu et al. 2011;
+//! Li et al. 2010) — a linear upper-confidence-bound contextual bandit — and
+//! nothing else. This crate provides:
 //!
-//! * the [`ContextualPolicy`] trait shared by every policy,
-//! * [`LinUcb`], the disjoint-arm LinUCB implementation used throughout the
-//!   paper's experiments,
-//! * baselines used for comparison and ablation: [`EpsilonGreedy`],
-//!   [`Ucb1`] (context-free) and [`LinearThompsonSampling`].
+//! * [`LinUcb`], the disjoint-arm LinUCB implementation, with its
+//!   sufficient-statistics currencies ([`CoalescedUpdate`], [`ArmSums`],
+//!   [`ArmStatistics`]) and reusable scratch ([`SelectScratch`],
+//!   [`IngestScratch`]);
+//! * the [`ContextualPolicy`] trait: the per-report select/update loop a
+//!   device or a simulated cell drives.
 //!
 //! # Example
 //!
@@ -30,18 +32,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod epsilon_greedy;
 mod error;
 mod linucb;
 mod policy;
-mod thompson;
-mod ucb1;
 
-pub use epsilon_greedy::{EpsilonGreedy, EpsilonGreedyConfig};
 pub use error::BanditError;
 pub use linucb::{
     ArmStatistics, ArmSums, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
 };
 pub use policy::{Action, ContextualPolicy, Reward};
-pub use thompson::{LinearThompsonSampling, ThompsonConfig};
-pub use ucb1::Ucb1;

@@ -1,6 +1,6 @@
 //! Disjoint-arm LinUCB (Li et al. 2010; Chu et al. 2011).
 
-use crate::policy::{check_action, check_context, check_reward, random_action};
+use crate::policy::{check_action, check_context, check_finite, check_reward, random_action};
 use crate::{Action, BanditError, ContextualPolicy, Reward};
 use p2b_linalg::{
     Matrix, RankOneInverse, ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch, UpdateScratch,
@@ -146,12 +146,7 @@ impl CoalescedUpdate {
                 message: "a coalesced update must cover at least one observation".to_owned(),
             });
         }
-        if context.iter().any(|x| !x.is_finite()) {
-            return Err(BanditError::InvalidConfig {
-                parameter: "context",
-                message: "every coordinate must be a finite number".to_owned(),
-            });
-        }
+        check_finite(&context)?;
         if !reward_sum.is_finite() || reward_sum < 0.0 || reward_sum > count as f64 {
             return Err(BanditError::InvalidReward { reward: reward_sum });
         }
@@ -1062,14 +1057,6 @@ impl LinUcb {
 }
 
 impl ContextualPolicy for LinUcb {
-    fn num_actions(&self) -> usize {
-        self.config.num_actions
-    }
-
-    fn context_dimension(&self) -> usize {
-        self.config.context_dimension
-    }
-
     fn select_action(
         &mut self,
         context: &Vector,
@@ -1093,6 +1080,7 @@ impl ContextualPolicy for LinUcb {
         reward: Reward,
     ) -> Result<(), BanditError> {
         check_context(self.config.context_dimension, context)?;
+        check_finite(context)?;
         check_action(self.config.num_actions, action)?;
         check_reward(reward)?;
         Arc::make_mut(&mut self.arms[action.index()]).update(context, reward)?;
@@ -1103,10 +1091,6 @@ impl ContextualPolicy for LinUcb {
 
     fn observations(&self) -> u64 {
         self.observations
-    }
-
-    fn name(&self) -> &'static str {
-        "linucb"
     }
 }
 
@@ -1185,6 +1169,56 @@ mod tests {
         assert!(policy.update(&ctx, Action::new(0), 1.5).is_err());
         assert!(policy.update(&ctx, Action::new(0), 0.5).is_ok());
         assert_eq!(policy.observations(), 1);
+    }
+
+    #[test]
+    fn a_non_finite_context_is_rejected_before_any_state_moves() {
+        let mut policy = LinUcb::new(LinUcbConfig::new(3, 2)).unwrap();
+        let valid = Vector::from(vec![0.1, 0.4, 0.2]);
+        policy.update(&valid, Action::new(0), 1.0).unwrap();
+        let arm = Action::new(0);
+        let bits = |policy: &LinUcb| {
+            let design: Vec<u64> = policy
+                .design(arm)
+                .unwrap()
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let reward: Vec<u64> = policy
+                .reward_vector(arm)
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            (
+                design,
+                reward,
+                policy.pulls(arm).unwrap(),
+                policy.observations(),
+            )
+        };
+        let before = bits(&policy);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = policy
+                .update(&Vector::from(vec![0.1, bad, 0.2]), arm, 1.0)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BanditError::InvalidConfig {
+                        parameter: "context",
+                        ..
+                    }
+                ),
+                "{bad}: {err:?}"
+            );
+            assert_eq!(bits(&policy), before, "{bad}");
+        }
+        assert!(policy.scores(&valid).unwrap().iter().all(|s| s.is_finite()));
+        policy.update(&valid, arm, 0.5).unwrap();
+        assert_eq!(policy.pulls(arm).unwrap(), 2);
+        assert_eq!(policy.observations(), 2);
     }
 
     #[test]

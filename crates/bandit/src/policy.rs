@@ -1,4 +1,4 @@
-//! The contextual-bandit policy abstraction shared by all algorithms.
+//! The per-report contextual-bandit loop and its input checks.
 
 use crate::BanditError;
 use p2b_linalg::Vector;
@@ -54,22 +54,14 @@ impl fmt::Display for Action {
     }
 }
 
-/// A contextual-bandit policy.
+/// The per-report contextual-bandit loop, implemented by [`crate::LinUcb`].
 ///
 /// At each round the agent observes a `d`-dimensional context, proposes one
 /// of `A` actions and then observes the reward of the *chosen* action only
-/// (bandit feedback). Implementations must be deterministic given the RNG
-/// passed in, so that experiments are reproducible from a seed.
-///
-/// The trait is object-safe: the simulation engine stores heterogeneous
-/// policies as `Box<dyn ContextualPolicy>`.
+/// (bandit feedback). Selection is deterministic given the RNG passed in,
+/// so that experiments are reproducible from a seed. The shape of a model
+/// is read from its configuration ([`crate::LinUcb::config`]).
 pub trait ContextualPolicy: Send {
-    /// Number of arms the policy selects between.
-    fn num_actions(&self) -> usize;
-
-    /// Dimension of the context vectors the policy expects.
-    fn context_dimension(&self) -> usize;
-
     /// Proposes an action for the observed context.
     ///
     /// # Errors
@@ -87,8 +79,11 @@ pub trait ContextualPolicy: Send {
     /// # Errors
     ///
     /// Returns [`BanditError::InvalidAction`] for out-of-range actions,
-    /// [`BanditError::InvalidReward`] for rewards outside `[0, 1]` and
-    /// [`BanditError::ContextDimensionMismatch`] for mis-sized contexts.
+    /// [`BanditError::InvalidReward`] for rewards outside `[0, 1]`,
+    /// [`BanditError::ContextDimensionMismatch`] for mis-sized contexts and
+    /// [`BanditError::InvalidConfig`] (parameter `"context"`) for a context
+    /// holding a NaN or infinite coordinate, which would poison the arm's
+    /// statistics for good. A rejected update leaves the policy untouched.
     fn update(
         &mut self,
         context: &Vector,
@@ -98,9 +93,6 @@ pub trait ContextualPolicy: Send {
 
     /// Total number of `update` calls the policy has absorbed.
     fn observations(&self) -> u64;
-
-    /// Short human-readable policy name used in experiment reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Validates that a context matches the expected dimension.
@@ -109,6 +101,18 @@ pub(crate) fn check_context(expected: usize, context: &Vector) -> Result<(), Ban
         return Err(BanditError::ContextDimensionMismatch {
             expected,
             found: context.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Validates that every context coordinate is a finite number: one NaN or
+/// infinite coordinate folded into an arm poisons its design for good.
+pub(crate) fn check_finite(context: &Vector) -> Result<(), BanditError> {
+    if context.iter().any(|x| !x.is_finite()) {
+        return Err(BanditError::InvalidConfig {
+            parameter: "context",
+            message: "every coordinate must be a finite number".to_owned(),
         });
     }
     Ok(())
@@ -133,7 +137,7 @@ pub(crate) fn check_reward(reward: Reward) -> Result<(), BanditError> {
     Ok(())
 }
 
-/// Draws a uniformly random action, used by several policies for exploration.
+/// Draws a uniformly random action: LinUCB's fallback when no arm scores.
 pub(crate) fn random_action(num_actions: usize, rng: &mut dyn rand::RngCore) -> Action {
     // `gen_range` needs a `Rng`, which `&mut dyn RngCore` provides via the
     // blanket impl for mutable references.
@@ -155,6 +159,7 @@ mod tests {
     #[test]
     fn validators_accept_valid_input() {
         assert!(check_context(3, &Vector::zeros(3)).is_ok());
+        assert!(check_finite(&Vector::from(vec![0.0, -1.0, 1e300])).is_ok());
         assert!(check_action(4, Action::new(3)).is_ok());
         assert!(check_reward(0.0).is_ok());
         assert!(check_reward(1.0).is_ok());
@@ -163,6 +168,9 @@ mod tests {
     #[test]
     fn validators_reject_invalid_input() {
         assert!(check_context(3, &Vector::zeros(2)).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(check_finite(&Vector::from(vec![0.5, bad])).is_err());
+        }
         assert!(check_action(4, Action::new(4)).is_err());
         assert!(check_reward(-0.1).is_err());
         assert!(check_reward(1.1).is_err());

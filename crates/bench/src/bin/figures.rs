@@ -1,8 +1,8 @@
 //! All-in-one reproduction of the paper's utility-vs-privacy results
 //! (Figures 2–7 and Table 1): the scenario matrix of `p2b_experiments`
 //! crossed over every workload, all five privacy regimes (non-private / LDP /
-//! P2B shuffle / central-DP tree aggregation / secure aggregation) and every
-//! policy, emitted as JSON + CSV under `target/experiments/`, plus an
+//! P2B shuffle / central-DP tree aggregation / secure aggregation), every
+//! cell running LinUCB, emitted as JSON + CSV under `target/experiments/`, plus an
 //! `accounting.json` artifact comparing the weakest P2B cell's
 //! pure-composition ε against the ρ-zCDP-accounted ε at horizon T = 10⁴.
 //!
@@ -144,18 +144,15 @@ fn run(smoke: bool, seed: u64, scale: Scale) -> Result<(), BenchFailure> {
     let config = if smoke {
         MatrixConfig::smoke()
     } else {
-        let mut full = MatrixConfig::new();
-        full.policies = PolicyKind::ALL.to_vec();
-        full
+        MatrixConfig::new()
     }
     .with_seed(seed);
 
     println!(
-        "Scenario matrix: {} scenarios x {} regimes x {} policies x {} repeat(s) = {} cells \
+        "Scenario matrix: {} scenarios x {} regimes x {} repeat(s) = {} cells \
          ({} users x {} rounds each, seed {seed})",
         config.scenarios.len(),
         config.regimes.len(),
-        config.policies.len(),
         config.repeats,
         config.num_cells(),
         config.num_users,
@@ -355,11 +352,11 @@ impl RegimeRuns {
 
     /// The cold, non-private and P2B cells, in the paper's column order.
     fn cells(&self) -> [Option<&CellResult>; 3] {
-        let (scenario, policy) = (ScenarioKind::SyntheticGaussian, PolicyKind::LinUcb);
+        let scenario = ScenarioKind::SyntheticGaussian;
         [
-            self.cold.cell(scenario, PrivacyRegime::SecureAgg, policy),
-            self.warm.cell(scenario, PrivacyRegime::NonPrivate, policy),
-            self.warm.cell(scenario, PrivacyRegime::P2bShuffle, policy),
+            self.cold.cell(scenario, PrivacyRegime::SecureAgg),
+            self.warm.cell(scenario, PrivacyRegime::NonPrivate),
+            self.warm.cell(scenario, PrivacyRegime::P2bShuffle),
         ]
     }
 
@@ -402,7 +399,6 @@ fn synthetic_config(
     let (context_dimension, num_actions) = shape;
     let mut config = MatrixConfig::new()
         .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
-        .with_policies(vec![PolicyKind::LinUcb])
         .with_seed(seed);
     config.num_users = num_users;
     config.interactions_per_user = interactions_per_user;
@@ -690,48 +686,38 @@ fn enforce_accounting_invariants(artifact: &AccountingArtifact) -> Result<(), Be
     Ok(())
 }
 
-/// Prints one scenario's utility table: one row per policy × repeat, one
-/// column per regime, plus the achieved per-report guarantee.
+/// Prints one scenario's utility table: one row per repeat, one column per
+/// regime, plus the achieved per-report guarantee.
 fn print_scenario_table(config: &MatrixConfig, result: &MatrixResult, scenario: ScenarioKind) {
     println!(
         "\n=== {} ({}) — final cumulative reward ===",
         scenario,
         scenario.paper_figure()
     );
-    print!("{:>20}", "policy");
+    print!("{:>20}", "repeat");
     for regime in &config.regimes {
         print!(" {:>24}", regime.key());
     }
     println!();
-    for &policy in &config.policies {
-        for repeat in 0..config.repeats {
-            let label = if config.repeats > 1 {
-                format!("{}#{repeat}", policy.key())
-            } else {
-                policy.key().to_owned()
-            };
-            print!("{label:>20}");
-            for &regime in &config.regimes {
-                let found = result.cells.iter().find(|c| {
-                    c.spec.scenario == scenario
-                        && c.spec.regime == regime
-                        && c.spec.policy == policy
-                        && c.spec.repeat == repeat
-                });
-                let text = found.map_or_else(
-                    || "-".to_owned(),
-                    |cell| {
-                        let guarantee = match (cell.epsilon, cell.delta) {
-                            (Some(e), Some(d)) => format!(" (eps {e:.3}, delta {d:.1e})"),
-                            _ => String::new(),
-                        };
-                        format!("{:.1}{guarantee}", cell.final_cumulative_reward)
-                    },
-                );
-                print!(" {text:>24}");
-            }
-            println!();
+    for repeat in 0..config.repeats {
+        print!("{repeat:>20}");
+        for &regime in &config.regimes {
+            let found = result.cells.iter().find(|c| {
+                c.spec.scenario == scenario && c.spec.regime == regime && c.spec.repeat == repeat
+            });
+            let text = found.map_or_else(
+                || "-".to_owned(),
+                |cell| {
+                    let guarantee = match (cell.epsilon, cell.delta) {
+                        (Some(e), Some(d)) => format!(" (eps {e:.3}, delta {d:.1e})"),
+                        _ => String::new(),
+                    };
+                    format!("{:.1}{guarantee}", cell.final_cumulative_reward)
+                },
+            );
+            print!(" {text:>24}");
         }
+        println!();
     }
 }
 
@@ -741,7 +727,7 @@ fn print_scenario_table(config: &MatrixConfig, result: &MatrixResult, scenario: 
 fn enforce_headline_invariants(result: &MatrixResult) -> Result<(), BenchFailure> {
     let cell = |regime| {
         result
-            .cell(ScenarioKind::SyntheticGaussian, regime, PolicyKind::LinUcb)
+            .cell(ScenarioKind::SyntheticGaussian, regime)
             .ok_or_else(|| {
                 BenchFailure::InvariantViolation(
                     "smoke matrix must include the synthetic LinUCB cells".to_owned(),
@@ -759,8 +745,8 @@ fn enforce_headline_invariants(result: &MatrixResult) -> Result<(), BenchFailure
     for cell in &result.cells {
         if cell.spec.regime.is_private() && (cell.epsilon.is_none() || cell.delta.is_none()) {
             return Err(BenchFailure::InvariantViolation(format!(
-                "cell {}/{}/{} is private but missing its (eps, delta) record",
-                cell.spec.scenario, cell.spec.regime, cell.spec.policy
+                "cell {}/{} is private but missing its (eps, delta) record",
+                cell.spec.scenario, cell.spec.regime
             )));
         }
         // The converse overclaim: a regime without a DP guarantee (the
@@ -768,8 +754,8 @@ fn enforce_headline_invariants(result: &MatrixResult) -> Result<(), BenchFailure
         // never publish one.
         if !cell.spec.regime.is_private() && (cell.epsilon.is_some() || cell.delta.is_some()) {
             return Err(BenchFailure::InvariantViolation(format!(
-                "cell {}/{}/{} claims an (eps, delta) but its regime offers no DP guarantee",
-                cell.spec.scenario, cell.spec.regime, cell.spec.policy
+                "cell {}/{} claims an (eps, delta) but its regime offers no DP guarantee",
+                cell.spec.scenario, cell.spec.regime
             )));
         }
     }

@@ -338,7 +338,7 @@ mod tests {
     fn the_model_is_sized_by_the_context_dimension() {
         let cfg = P2bConfig::new(4, 2);
         let mut server = CentralServer::new(&cfg, encoder(5)).unwrap();
-        assert_eq!(server.model().unwrap().context_dimension(), 4); // d = 4
+        assert_eq!(server.model().unwrap().config().context_dimension, 4); // d = 4
     }
 
     #[test]

@@ -378,7 +378,7 @@ mod tests {
         assert_eq!(service.shards(), 2);
         let (model, _) = service.assemble().unwrap();
         assert_eq!(model.observations(), 0);
-        assert_eq!(model.context_dimension(), 2);
+        assert_eq!(model.config().context_dimension, 2);
     }
 
     #[test]

@@ -47,10 +47,8 @@
 //! the leaf layout itself is written once, in
 //! [`p2b_bandit::ArmStatistics::leaf`] / [`ArmStatistics::from_leaf`].
 
-use crate::{
-    AnyPolicy, BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData,
-};
-use p2b_bandit::{Action, ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
+use crate::{BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData};
+use p2b_bandit::{Action, ArmStatistics, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_core::SecureIngestService;
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
@@ -118,13 +116,13 @@ pub(crate) trait ReportChannel {
     fn submit(
         &mut self,
         report: Report,
-        central: &mut AnyPolicy,
+        central: &mut LinUcb,
         rng: &mut StdRng,
     ) -> Result<u64, ExperimentError>;
 
     /// The release point: brings `central` up to date with everything
     /// submitted so far.
-    fn flush(&mut self, _central: &mut AnyPolicy) -> Result<u64, ExperimentError> {
+    fn flush(&mut self, _central: &mut LinUcb) -> Result<u64, ExperimentError> {
         Ok(0)
     }
 
@@ -141,37 +139,20 @@ pub(crate) trait ReportChannel {
     }
 }
 
-/// The one statement of the LinUCB-only rule's error, shared by
-/// [`MatrixConfig`]'s validation and [`open`]; the rule itself is
-/// [`MatrixConfig::cell_supported`].
-pub(crate) fn unsupported_cell(regime: PrivacyRegime) -> ExperimentError {
-    ExperimentError::InvalidConfig {
-        parameter: "regimes/policies",
-        message: format!(
-            "the {regime} regime exchanges LinUCB sufficient statistics and only serves \
-             PolicyKind::LinUcb"
-        ),
-    }
-}
-
-/// Builds the channel of `spec.regime`, fitting the context encoder from the
-/// cell's `rng` for the regimes that share codes rather than raw contexts.
-/// `max_reports` is the most reports the cell can submit: the curator's
-/// tree horizon.
+/// Builds the channel of `spec.regime` toward a central LinUCB of shape
+/// `model`, fitting the context encoder from the cell's `rng` for the
+/// regimes that share codes rather than raw contexts. `max_reports` is the
+/// most reports the cell can submit: the curator's tree horizon.
 pub(crate) fn open(
     config: &MatrixConfig,
     spec: CellSpec,
+    model: LinUcbConfig,
     participation: Participation,
     max_reports: u64,
     scenario: &mut ScenarioData,
     rng: &mut StdRng,
 ) -> Result<Box<dyn ReportChannel>, ExperimentError> {
-    if !MatrixConfig::cell_supported(spec.regime, spec.policy) {
-        return Err(unsupported_cell(spec.regime));
-    }
-    let num_actions = scenario.num_actions();
-    let model =
-        LinUcbConfig::new(scenario.context_dimension(), num_actions).with_alpha(config.alpha);
+    let num_actions = model.num_actions;
     Ok(match spec.regime {
         PrivacyRegime::NonPrivate => Box::new(ImmediateChannel),
         PrivacyRegime::LocalDp => Box::new(RandomizedChannel {
@@ -220,7 +201,7 @@ impl ReportChannel for ImmediateChannel {
     fn submit(
         &mut self,
         report: Report,
-        central: &mut AnyPolicy,
+        central: &mut LinUcb,
         _rng: &mut StdRng,
     ) -> Result<u64, ExperimentError> {
         central.update(&report.context, report.action, report.reward)?;
@@ -238,7 +219,7 @@ impl ReportChannel for RandomizedChannel {
     fn submit(
         &mut self,
         report: Report,
-        central: &mut AnyPolicy,
+        central: &mut LinUcb,
         rng: &mut StdRng,
     ) -> Result<u64, ExperimentError> {
         let code = self.encoder.encode(&report.context)?.value();
@@ -307,7 +288,7 @@ impl ReportChannel for ShuffledChannel {
     fn submit(
         &mut self,
         report: Report,
-        _central: &mut AnyPolicy,
+        _central: &mut LinUcb,
         _rng: &mut StdRng,
     ) -> Result<u64, ExperimentError> {
         let code = self.encoder.encode(&report.context)?;
@@ -326,9 +307,9 @@ impl ReportChannel for ShuffledChannel {
     /// central model service's coalescing ingester (`p2b_core`): codes
     /// repeat heavily within a released batch, so the encoder lookup runs
     /// once per distinct code instead of once per report. (The per-report
-    /// *update* order is kept — `AnyPolicy` is policy-agnostic and not every
-    /// policy folds coalesced sufficient statistics.)
-    fn flush(&mut self, central: &mut AnyPolicy) -> Result<u64, ExperimentError> {
+    /// *update* order is kept: the emitter goldens pin the bits of this
+    /// one-at-a-time fold, and a coalesced fold would move them.)
+    fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
         self.epoch += 1;
         let handle = self.engine.spawn(self.seed ^ splitmix64(self.epoch));
         for report in self.pending.drain(..) {
@@ -433,7 +414,7 @@ impl ReportChannel for TreeCuratorChannel {
     fn submit(
         &mut self,
         report: Report,
-        _central: &mut AnyPolicy,
+        _central: &mut LinUcb,
         _rng: &mut StdRng,
     ) -> Result<u64, ExperimentError> {
         let leaf = ArmStatistics::leaf(&report.context, 1, report.reward);
@@ -441,14 +422,14 @@ impl ReportChannel for TreeCuratorChannel {
         Ok(1)
     }
 
-    fn flush(&mut self, central: &mut AnyPolicy) -> Result<u64, ExperimentError> {
+    fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
         let (d, regularizer) = (self.model.context_dimension, self.model.regularizer);
         let statistics = self
             .trees
             .iter()
             .map(|tree| ArmStatistics::from_leaf(&tree.release(), d, regularizer))
             .collect::<Result<Vec<_>, _>>()?;
-        *central = AnyPolicy::LinUcb(LinUcb::from_sufficient_statistics(self.model, &statistics)?);
+        *central = LinUcb::from_sufficient_statistics(self.model, &statistics)?;
         Ok(0)
     }
 
@@ -464,7 +445,7 @@ impl ReportChannel for SecureAggChannel {
     fn submit(
         &mut self,
         report: Report,
-        _central: &mut AnyPolicy,
+        _central: &mut LinUcb,
         _rng: &mut StdRng,
     ) -> Result<u64, ExperimentError> {
         // One report is a coalesced group of count 1, whose reward sum must
@@ -475,8 +456,8 @@ impl ReportChannel for SecureAggChannel {
         Ok(1)
     }
 
-    fn flush(&mut self, central: &mut AnyPolicy) -> Result<u64, ExperimentError> {
-        *central = AnyPolicy::LinUcb(self.0.assemble()?);
+    fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
+        *central = self.0.assemble()?;
         Ok(0)
     }
 }

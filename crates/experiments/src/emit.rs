@@ -84,13 +84,12 @@ fn write_file(path: &Path, contents: &str) -> Result<(), ExperimentError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_matrix, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind};
+    use crate::{run_matrix, MatrixConfig, PrivacyRegime, ScenarioKind};
 
     fn tiny_result() -> MatrixResult {
         let config = MatrixConfig::smoke()
             .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
             .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::P2bShuffle])
-            .with_policies(vec![PolicyKind::Ucb1])
             .with_seed(3);
         let mut config = config;
         config.num_users = 30;

@@ -12,7 +12,8 @@
 //! serialized form is schema-frozen by the emitter goldens.
 
 use crate::matrix::{Cell, Rounds};
-use crate::{AnyPolicy, CellResult, CellSpec, ExperimentError, MatrixConfig, RoundPoint};
+use crate::{CellResult, CellSpec, ExperimentError, MatrixConfig, RoundPoint};
+use p2b_bandit::LinUcb;
 use p2b_shuffler::splitmix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,15 +95,11 @@ pub fn run_held_out(
     for _ in 0..num_train as u64 * interactions {
         test_start.next_round(&mut test_rng);
     }
-    let fresh = spec.policy.build(
-        test_start.context_dimension(),
-        test_start.num_actions(),
-        config.alpha,
-    )?;
+    let fresh = LinUcb::new(config.linucb(&test_start))?;
 
     cell.run_users(config, num_train, HELD_OUT_REPORT_EVERY)?;
     let training = cell.finish();
-    let score = |policy: &AnyPolicy| {
+    let score = |policy: &LinUcb| {
         let mut rounds = Rounds::new(spec, test_start.clone(), test_rng.clone(), u64::MAX);
         for user in num_train..config.num_users {
             let mut local = policy.clone();

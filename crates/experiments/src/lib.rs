@@ -8,9 +8,9 @@
 //! Han et al.) pays a steep per-report utility price. This crate makes that
 //! claim a single reproducible artifact: a **scenario registry**
 //! ([`ScenarioKind`]) crossed with a **privacy-regime axis**
-//! ([`PrivacyRegime`]) and a **policy axis** ([`PolicyKind`]), executed by
-//! [`run_matrix`] with seeded determinism and per-cell repeats, streaming
-//! per-round regret / CTR plus the achieved (ε, δ) — per batch, from the
+//! ([`PrivacyRegime`]), every cell running the paper's LinUCB
+//! ([`p2b_bandit::LinUcb`]), executed by [`run_matrix`] with seeded
+//! determinism and per-cell repeats, streaming per-round regret / CTR plus the achieved (ε, δ) — per batch, from the
 //! [`p2b_privacy::AmplificationLedger`] — into JSON and CSV emitters
 //! ([`write_matrix_json`], [`write_matrix_csv`]).
 //!
@@ -38,25 +38,18 @@
 //! # Example
 //!
 //! ```
-//! use p2b_experiments::{
-//!     run_matrix, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind,
-//! };
+//! use p2b_experiments::{run_matrix, MatrixConfig, PrivacyRegime, ScenarioKind};
 //!
 //! # fn main() -> Result<(), p2b_experiments::ExperimentError> {
 //! let mut config = MatrixConfig::smoke()
 //!     .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
 //!     .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::P2bShuffle])
-//!     .with_policies(vec![PolicyKind::LinUcb])
 //!     .with_seed(1);
 //! config.num_users = 40;
 //! let result = run_matrix(&config)?;
 //! assert_eq!(result.cells.len(), 2);
 //! let p2b = result
-//!     .cell(
-//!         ScenarioKind::SyntheticGaussian,
-//!         PrivacyRegime::P2bShuffle,
-//!         PolicyKind::LinUcb,
-//!     )
+//!     .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::P2bShuffle)
 //!     .expect("cell ran");
 //! assert!(p2b.epsilon.is_some(), "P2B cells report their achieved ε");
 //! # Ok(())
@@ -87,7 +80,7 @@ pub use matrix::{
     run_cell, run_matrix, BatchGuarantee, CellResult, CellSpec, MatrixConfig, MatrixResult,
     RoundPoint,
 };
-pub use policy::{AnyPolicy, PolicyKind};
+pub use policy::PolicyKind;
 pub use regime::PrivacyRegime;
 pub(crate) use scenario::ScenarioData;
 pub use scenario::{

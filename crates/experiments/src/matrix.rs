@@ -1,10 +1,10 @@
-//! The scenario-matrix driver: the cross product of
-//! scenario × privacy regime × policy, executed with seeded determinism and
-//! per-cell repeats.
+//! The scenario-matrix driver: the cross product of scenario × privacy
+//! regime, executed with seeded determinism and per-cell repeats. Every cell
+//! runs LinUCB.
 //!
 //! Every cell simulates a population of users sequentially. Each user
-//! warm-starts a local policy from the current central policy (by cloning —
-//! policy-agnostic), interacts for `interactions_per_user` rounds with local
+//! warm-starts a local LinUCB from the current central model (by cloning
+//! it), interacts for `interactions_per_user` rounds with local
 //! learning, and then gets **one** reporting opportunity taken with the
 //! participation probability `p` — the same cadence for every regime, so the
 //! regimes differ only in *how* the shared tuple is protected. That "how" is
@@ -21,10 +21,9 @@
 
 use crate::channel::{self, LocalDpRandomizer, Report, ReportChannel};
 use crate::{
-    AnyPolicy, ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind,
-    ScenarioShape,
+    ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind, ScenarioShape,
 };
-use p2b_bandit::Action;
+use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_core::{DecisionTicket, RewardJoinBuffer};
 use p2b_linalg::Vector;
 use p2b_privacy::{validate_omega, Participation};
@@ -34,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of one matrix run: the three axes plus the shared workload,
+/// Configuration of one matrix run: the two axes plus the shared workload,
 /// privacy and accounting knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatrixConfig {
@@ -42,8 +41,6 @@ pub struct MatrixConfig {
     pub scenarios: Vec<ScenarioKind>,
     /// Privacy-regime axis.
     pub regimes: Vec<PrivacyRegime>,
-    /// Policy axis.
-    pub policies: Vec<PolicyKind>,
     /// Independent repeats per cell (each with its own derived seed).
     pub repeats: u32,
     /// Users simulated per cell.
@@ -84,14 +81,12 @@ pub struct MatrixConfig {
 }
 
 impl MatrixConfig {
-    /// The default matrix: every scenario and regime, the paper's LinUCB
-    /// policy, laptop-friendly sizes.
+    /// The default matrix: every scenario and regime, laptop-friendly sizes.
     #[must_use]
     pub fn new() -> Self {
         Self {
             scenarios: ScenarioKind::ALL.to_vec(),
             regimes: PrivacyRegime::ALL.to_vec(),
-            policies: vec![PolicyKind::LinUcb],
             repeats: 1,
             num_users: 400,
             interactions_per_user: 10,
@@ -174,13 +169,6 @@ impl MatrixConfig {
         self
     }
 
-    /// Sets the policy axis.
-    #[must_use]
-    pub fn with_policies(mut self, policies: Vec<PolicyKind>) -> Self {
-        self.policies = policies;
-        self
-    }
-
     /// Sets the per-cell repeat count.
     #[must_use]
     pub fn with_repeats(mut self, repeats: u32) -> Self {
@@ -195,41 +183,26 @@ impl MatrixConfig {
         self
     }
 
-    /// Whether a (regime, policy) combination is runnable: the central-DP
-    /// curator and the secure-aggregation service both traffic in *LinUCB
-    /// sufficient statistics*, so they only serve [`PolicyKind::LinUcb`];
-    /// every other regime is policy-agnostic.
-    #[must_use]
-    pub fn cell_supported(regime: PrivacyRegime, policy: PolicyKind) -> bool {
-        !matches!(regime, PrivacyRegime::CentralDp | PrivacyRegime::SecureAgg)
-            || policy == PolicyKind::LinUcb
-    }
-
-    /// Total number of cells the matrix will run (unsupported
-    /// regime × policy combinations are skipped, see
-    /// [`MatrixConfig::cell_supported`]).
+    /// Total number of cells the matrix will run.
     #[must_use]
     pub fn num_cells(&self) -> usize {
-        let regime_policy: usize = self
-            .regimes
-            .iter()
-            .map(|&r| {
-                self.policies
-                    .iter()
-                    .filter(|&&p| Self::cell_supported(r, p))
-                    .count()
-            })
-            .sum();
-        self.scenarios.len() * regime_policy * self.repeats as usize
+        self.scenarios.len() * self.regimes.len() * self.repeats as usize
+    }
+
+    /// The cold-start LinUCB of a cell over `scenario`: its shape, with
+    /// exploration [`MatrixConfig::alpha`].
+    pub(crate) fn linucb(&self, scenario: &ScenarioData) -> LinUcbConfig {
+        LinUcbConfig::new(scenario.context_dimension(), scenario.num_actions())
+            .with_alpha(self.alpha)
     }
 
     /// Checks the whole matrix: the axes, then everything a single cell
     /// needs ([`MatrixConfig::validate_cell`]).
     fn validate(&self) -> Result<(), ExperimentError> {
-        if self.scenarios.is_empty() || self.regimes.is_empty() || self.policies.is_empty() {
+        if self.scenarios.is_empty() || self.regimes.is_empty() {
             return Err(ExperimentError::InvalidConfig {
                 parameter: "axes",
-                message: "scenarios, regimes and policies must all be non-empty".to_owned(),
+                message: "scenarios and regimes must both be non-empty".to_owned(),
             });
         }
         if self.repeats == 0 {
@@ -243,17 +216,6 @@ impl MatrixConfig {
         // LocalDp regime.
         if self.regimes.contains(&PrivacyRegime::LocalDp) {
             LocalDpRandomizer::new(self.num_codes, 2, self.ldp_epsilon)?;
-        }
-        // A regime no policy on the axis can run would silently vanish from
-        // the matrix.
-        for &regime in &self.regimes {
-            if !self
-                .policies
-                .iter()
-                .any(|&p| Self::cell_supported(regime, p))
-            {
-                return Err(channel::unsupported_cell(regime));
-            }
         }
         Ok(())
     }
@@ -318,7 +280,7 @@ pub struct CellSpec {
     pub scenario: ScenarioKind,
     /// The privacy regime of this cell.
     pub regime: PrivacyRegime,
-    /// The bandit policy of this cell.
+    /// The bandit policy of this cell (always [`PolicyKind::LinUcb`]).
     pub policy: PolicyKind,
     /// Zero-based repeat index.
     pub repeat: u32,
@@ -393,22 +355,17 @@ pub struct MatrixResult {
     /// The configuration the matrix ran with.
     pub config: MatrixConfig,
     /// One result per cell, in axis order
-    /// (scenario-major, then regime, policy, repeat).
+    /// (scenario-major, then regime, repeat).
     pub cells: Vec<CellResult>,
 }
 
 impl MatrixResult {
     /// Looks up the first cell matching the given axes.
     #[must_use]
-    pub fn cell(
-        &self,
-        scenario: ScenarioKind,
-        regime: PrivacyRegime,
-        policy: PolicyKind,
-    ) -> Option<&CellResult> {
-        self.cells.iter().find(|c| {
-            c.spec.scenario == scenario && c.spec.regime == regime && c.spec.policy == policy
-        })
+    pub fn cell(&self, scenario: ScenarioKind, regime: PrivacyRegime) -> Option<&CellResult> {
+        self.cells
+            .iter()
+            .find(|c| c.spec.scenario == scenario && c.spec.regime == regime)
     }
 }
 
@@ -430,14 +387,11 @@ fn delivery_delay(seed: u64, user: u64, t: u64, max_delay: u64) -> Option<u64> {
     (delay <= max_delay).then_some(delay)
 }
 
-fn cell_seed(base: u64, scenario: usize, regime: usize, policy: usize, repeat: u32) -> u64 {
+fn cell_seed(base: u64, scenario: usize, regime: usize, repeat: u32) -> u64 {
     let mut seed = splitmix64(base);
-    for component in [
-        scenario as u64,
-        regime as u64,
-        policy as u64,
-        u64::from(repeat),
-    ] {
+    // The 0 stands where a policy index used to go: every golden config put
+    // LinUCB at index 0, so no golden cell's seed moves.
+    for component in [scenario as u64, regime as u64, 0, u64::from(repeat)] {
         seed = splitmix64(seed ^ component.wrapping_mul(0xA24B_AED4_963E_E407));
     }
     seed
@@ -460,19 +414,14 @@ pub fn run_matrix(config: &MatrixConfig) -> Result<MatrixResult, ExperimentError
     let mut specs = Vec::with_capacity(config.num_cells());
     for (si, &scenario) in config.scenarios.iter().enumerate() {
         for (ri, &regime) in config.regimes.iter().enumerate() {
-            for (pi, &policy) in config.policies.iter().enumerate() {
-                if !MatrixConfig::cell_supported(regime, policy) {
-                    continue;
-                }
-                for repeat in 0..config.repeats {
-                    specs.push(CellSpec {
-                        scenario,
-                        regime,
-                        policy,
-                        repeat,
-                        seed: cell_seed(config.seed, si, ri, pi, repeat),
-                    });
-                }
+            for repeat in 0..config.repeats {
+                specs.push(CellSpec {
+                    scenario,
+                    regime,
+                    policy: PolicyKind::LinUcb,
+                    repeat,
+                    seed: cell_seed(config.seed, si, ri, repeat),
+                });
             }
         }
     }
@@ -489,9 +438,8 @@ pub fn run_matrix(config: &MatrixConfig) -> Result<MatrixResult, ExperimentError
 /// # Errors
 ///
 /// Returns [`ExperimentError::InvalidConfig`] for cell-level parameters
-/// [`run_matrix`] would reject and for a regime × policy pair
-/// [`MatrixConfig::cell_supported`] rules out, and propagates workload,
-/// policy, encoder, privacy and engine errors.
+/// [`run_matrix`] would reject, and propagates workload, policy, encoder,
+/// privacy and engine errors.
 pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, ExperimentError> {
     let mut cell = Cell::open(config, spec, config.num_users as u64)?;
     // One reporting opportunity per user: the cadence is the user's whole
@@ -500,15 +448,15 @@ pub fn run_cell(config: &MatrixConfig, spec: CellSpec) -> Result<CellResult, Exp
     Ok(cell.finish())
 }
 
-/// One cell in progress: its rounds, the central policy, and the report
+/// One cell in progress: its rounds, the central model, and the report
 /// channel between them.
 pub(crate) struct Cell {
     spec: CellSpec,
     participation: Participation,
     /// The rounds the cell's users have played.
     pub(crate) rounds: Rounds,
-    /// The central policy every user warm-starts from.
-    pub(crate) central: AnyPolicy,
+    /// The central model every user warm-starts from.
+    pub(crate) central: LinUcb,
     channel: Box<dyn ReportChannel>,
     submitted_reports: u64,
     shared_reports: u64,
@@ -516,7 +464,7 @@ pub(crate) struct Cell {
 
 impl Cell {
     /// Validates the cell parameters, builds the workload, the central
-    /// policy and the report channel (in that order, all from the cell's
+    /// model and the report channel (in that order, all from the cell's
     /// RNG). `max_reports` bounds how many reports the channel may take.
     pub(crate) fn open(
         config: &MatrixConfig,
@@ -526,14 +474,12 @@ impl Cell {
         let participation = config.validate_cell()?;
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut scenario = ScenarioData::build(spec.scenario, &config.shape, &mut rng)?;
-        let central = spec.policy.build(
-            scenario.context_dimension(),
-            scenario.num_actions(),
-            config.alpha,
-        )?;
+        let model = config.linucb(&scenario);
+        let central = LinUcb::new(model)?;
         let channel = channel::open(
             config,
             spec,
+            model,
             participation,
             max_reports,
             &mut scenario,
@@ -551,7 +497,7 @@ impl Cell {
     }
 
     /// Plays users `0..num_users`, each warm-started from a clone of the
-    /// central policy (the paper's model-snapshot warm start), with a
+    /// central model (the paper's model-snapshot warm start), with a
     /// reporting opportunity after every `report_every`-th interaction taken
     /// with probability `p` — the same data budget for every regime. The
     /// channel flushes whenever `flush_every_reports` reports are pending at
@@ -677,7 +623,7 @@ impl Rounds {
         &mut self,
         interactions: u64,
         user: usize,
-        local: &mut AnyPolicy,
+        local: &mut LinUcb,
         report_every: u64,
         mut opportunity: impl FnMut(Option<Report>, &mut StdRng) -> Result<(), ExperimentError>,
     ) -> Result<(), ExperimentError> {
@@ -744,7 +690,6 @@ mod tests {
         MatrixConfig::smoke()
             .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
             .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::P2bShuffle])
-            .with_policies(vec![PolicyKind::LinUcb])
             .with_seed(7)
     }
 
@@ -857,11 +802,7 @@ mod tests {
             .with_seed(11);
         let result = run_matrix(&config).unwrap();
         let non_private = result
-            .cell(
-                ScenarioKind::SyntheticGaussian,
-                PrivacyRegime::NonPrivate,
-                PolicyKind::LinUcb,
-            )
+            .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::NonPrivate)
             .unwrap();
         assert_eq!(non_private.epsilon, None);
         assert_eq!(non_private.delta, None);
@@ -869,21 +810,13 @@ mod tests {
         assert_eq!(non_private.shared_reports, non_private.submitted_reports);
 
         let ldp = result
-            .cell(
-                ScenarioKind::SyntheticGaussian,
-                PrivacyRegime::LocalDp,
-                PolicyKind::LinUcb,
-            )
+            .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::LocalDp)
             .unwrap();
         assert_eq!(ldp.epsilon, Some(config.ldp_epsilon));
         assert_eq!(ldp.delta, Some(0.0));
 
         let p2b = result
-            .cell(
-                ScenarioKind::SyntheticGaussian,
-                PrivacyRegime::P2bShuffle,
-                PolicyKind::LinUcb,
-            )
+            .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::P2bShuffle)
             .unwrap();
         // p = 0.5 gives the paper's headline ε = ln 2 (Equation 3).
         assert!((p2b.epsilon.unwrap() - std::f64::consts::LN_2).abs() < 1e-12);
@@ -920,16 +853,11 @@ mod tests {
         let config = MatrixConfig::smoke()
             .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
             .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::CentralDp])
-            .with_policies(vec![PolicyKind::LinUcb])
             .with_seed(13);
         let result = run_matrix(&config).unwrap();
         assert_eq!(result.cells.len(), config.num_cells());
         let central = result
-            .cell(
-                ScenarioKind::SyntheticGaussian,
-                PrivacyRegime::CentralDp,
-                PolicyKind::LinUcb,
-            )
+            .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::CentralDp)
             .unwrap();
         // The curator ingests every taken reporting opportunity directly.
         assert_eq!(central.shared_reports, central.submitted_reports);
@@ -952,7 +880,6 @@ mod tests {
         let base = MatrixConfig::smoke()
             .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
             .with_regimes(vec![PrivacyRegime::CentralDp])
-            .with_policies(vec![PolicyKind::LinUcb])
             .with_seed(23);
         let mut serial = base.clone();
         serial.cell_workers = 1;
@@ -964,61 +891,15 @@ mod tests {
     }
 
     #[test]
-    fn central_dp_requires_linucb_on_the_policy_axis() {
-        let bad = MatrixConfig::smoke()
-            .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
-            .with_regimes(vec![PrivacyRegime::CentralDp])
-            .with_policies(vec![PolicyKind::Ucb1]);
-        assert!(run_matrix(&bad).is_err());
-        // Calling the public `run_cell` on an unsupported pair directly is
-        // the same rule and the same message, naming the regime.
-        for regime in [PrivacyRegime::CentralDp, PrivacyRegime::SecureAgg] {
-            let spec = CellSpec {
-                scenario: ScenarioKind::SyntheticGaussian,
-                regime,
-                policy: PolicyKind::Ucb1,
-                repeat: 0,
-                seed: 3,
-            };
-            let direct = run_cell(&bad, spec).unwrap_err().to_string();
-            let on_the_axis = run_matrix(&bad.clone().with_regimes(vec![regime]))
-                .unwrap_err()
-                .to_string();
-            assert_eq!(direct, on_the_axis);
-            assert!(direct.contains(&regime.to_string()), "{direct}");
-        }
-
-        // With LinUcb present, unsupported combinations are skipped, not run.
-        let mixed = MatrixConfig::smoke()
-            .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
-            .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::CentralDp])
-            .with_policies(vec![PolicyKind::LinUcb, PolicyKind::Ucb1])
-            .with_seed(3);
-        // NonPrivate × {LinUcb, Ucb1} + CentralDp × {LinUcb} = 3 cells.
-        assert_eq!(mixed.num_cells(), 3);
-        let result = run_matrix(&mixed).unwrap();
-        assert_eq!(result.cells.len(), 3);
-        assert!(result
-            .cells
-            .iter()
-            .all(|c| MatrixConfig::cell_supported(c.spec.regime, c.spec.policy)));
-    }
-
-    #[test]
     fn secure_agg_cells_run_without_a_guarantee_and_track_the_ceiling() {
         let config = MatrixConfig::smoke()
             .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
             .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::SecureAgg])
-            .with_policies(vec![PolicyKind::LinUcb])
             .with_seed(17);
         let result = run_matrix(&config).unwrap();
         assert_eq!(result.cells.len(), config.num_cells());
         let secure = result
-            .cell(
-                ScenarioKind::SyntheticGaussian,
-                PrivacyRegime::SecureAgg,
-                PolicyKind::LinUcb,
-            )
+            .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::SecureAgg)
             .unwrap();
         // Every taken reporting opportunity is shared (no thresholding).
         assert_eq!(secure.shared_reports, secure.submitted_reports);
@@ -1031,11 +912,7 @@ mod tests {
         // the non-private ceiling (it differs only by epoch-snapshot lag and
         // ~2⁻⁴⁸ quantization).
         let ceiling = result
-            .cell(
-                ScenarioKind::SyntheticGaussian,
-                PrivacyRegime::NonPrivate,
-                PolicyKind::LinUcb,
-            )
+            .cell(ScenarioKind::SyntheticGaussian, PrivacyRegime::NonPrivate)
             .unwrap();
         assert!(
             secure.final_cumulative_reward > 0.5 * ceiling.final_cumulative_reward,
@@ -1050,7 +927,6 @@ mod tests {
         let base = MatrixConfig::smoke()
             .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
             .with_regimes(vec![PrivacyRegime::SecureAgg])
-            .with_policies(vec![PolicyKind::LinUcb])
             .with_seed(29);
         let mut serial = base.clone();
         serial.cell_workers = 1;
@@ -1059,30 +935,6 @@ mod tests {
         let a = run_matrix(&serial).unwrap();
         let b = run_matrix(&threaded).unwrap();
         assert_eq!(a.cells, b.cells);
-    }
-
-    #[test]
-    fn secure_agg_requires_linucb_on_the_policy_axis() {
-        let bad = MatrixConfig::smoke()
-            .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
-            .with_regimes(vec![PrivacyRegime::SecureAgg])
-            .with_policies(vec![PolicyKind::Ucb1]);
-        assert!(run_matrix(&bad).is_err());
-
-        // With LinUcb present, unsupported combinations are skipped, not run.
-        let mixed = MatrixConfig::smoke()
-            .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
-            .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::SecureAgg])
-            .with_policies(vec![PolicyKind::LinUcb, PolicyKind::Ucb1])
-            .with_seed(31);
-        // NonPrivate × {LinUcb, Ucb1} + SecureAgg × {LinUcb} = 3 cells.
-        assert_eq!(mixed.num_cells(), 3);
-        let result = run_matrix(&mixed).unwrap();
-        assert_eq!(result.cells.len(), 3);
-        assert!(result
-            .cells
-            .iter()
-            .all(|c| MatrixConfig::cell_supported(c.spec.regime, c.spec.policy)));
     }
 
     #[test]
@@ -1096,7 +948,7 @@ mod tests {
         let result = run_matrix(&config).unwrap();
         let reward = |regime| {
             result
-                .cell(ScenarioKind::SyntheticGaussian, regime, PolicyKind::LinUcb)
+                .cell(ScenarioKind::SyntheticGaussian, regime)
                 .unwrap()
                 .final_cumulative_reward
         };

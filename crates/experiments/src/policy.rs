@@ -1,72 +1,27 @@
-//! The policy axis of the experiment matrix: which bandit algorithm runs on
-//! every device and on the central server.
+//! The label of a cell's bandit algorithm in result files.
 
-use crate::ExperimentError;
-use p2b_bandit::{
-    Action, ContextualPolicy, EpsilonGreedy, EpsilonGreedyConfig, LinUcb, LinUcbConfig,
-    LinearThompsonSampling, ThompsonConfig, Ucb1,
-};
-use p2b_linalg::Vector;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Which bandit policy a matrix cell runs.
+/// Which bandit policy a matrix cell runs: always LinUCB, the paper's.
+///
+/// Every cell runs [`p2b_bandit::LinUcb`]; this one-variant enum is only the
+/// label the emitters write in the `policy` column and the JSON `spec`. It
+/// goes with the next change to the benchmark package, which still names it
+/// in the [`crate::CellSpec`]s it builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
-    /// ε-greedy with per-arm linear value estimates.
-    EpsilonGreedy,
-    /// Context-free UCB1 (Auer et al. 2002).
-    Ucb1,
-    /// Linear Thompson sampling (posterior-sampling exploration).
-    Thompson,
     /// Disjoint-arm LinUCB — the policy the paper's experiments use.
     LinUcb,
 }
 
 impl PolicyKind {
-    /// Every policy, LinUCB (the paper's choice) last so tables end on it.
-    pub const ALL: [PolicyKind; 4] = [
-        PolicyKind::EpsilonGreedy,
-        PolicyKind::Ucb1,
-        PolicyKind::Thompson,
-        PolicyKind::LinUcb,
-    ];
-
     /// Stable identifier used in result files and CSV rows.
     #[must_use]
     pub fn key(&self) -> &'static str {
         match self {
-            PolicyKind::EpsilonGreedy => "epsilon_greedy",
-            PolicyKind::Ucb1 => "ucb1",
-            PolicyKind::Thompson => "thompson",
             PolicyKind::LinUcb => "linucb",
         }
-    }
-
-    /// Instantiates a cold-start policy of this kind for the given workload
-    /// shape.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy-construction errors for degenerate shapes.
-    pub fn build(
-        &self,
-        context_dimension: usize,
-        num_actions: usize,
-        alpha: f64,
-    ) -> Result<AnyPolicy, ExperimentError> {
-        Ok(match self {
-            PolicyKind::EpsilonGreedy => AnyPolicy::EpsilonGreedy(EpsilonGreedy::new(
-                EpsilonGreedyConfig::new(context_dimension, num_actions),
-            )?),
-            PolicyKind::Ucb1 => AnyPolicy::Ucb1(Ucb1::new(context_dimension, num_actions)?),
-            PolicyKind::Thompson => AnyPolicy::Thompson(LinearThompsonSampling::new(
-                ThompsonConfig::new(context_dimension, num_actions),
-            )?),
-            PolicyKind::LinUcb => AnyPolicy::LinUcb(LinUcb::new(
-                LinUcbConfig::new(context_dimension, num_actions).with_alpha(alpha),
-            )?),
-        })
     }
 }
 
@@ -76,100 +31,18 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// A concrete policy instance of any kind.
-///
-/// The cell runner warm-starts every simulated device by *cloning* the
-/// central policy — a policy-agnostic warm start, where
-/// [`LinUcb::merge`] would tie the harness to LinUCB — so the enum keeps the
-/// concrete types (trait objects cannot be cloned).
-#[derive(Debug, Clone)]
-pub enum AnyPolicy {
-    /// See [`PolicyKind::EpsilonGreedy`].
-    EpsilonGreedy(EpsilonGreedy),
-    /// See [`PolicyKind::Ucb1`].
-    Ucb1(Ucb1),
-    /// See [`PolicyKind::Thompson`].
-    Thompson(LinearThompsonSampling),
-    /// See [`PolicyKind::LinUcb`].
-    LinUcb(LinUcb),
-}
-
-impl AnyPolicy {
-    fn inner(&mut self) -> &mut dyn ContextualPolicy {
-        match self {
-            AnyPolicy::EpsilonGreedy(p) => p,
-            AnyPolicy::Ucb1(p) => p,
-            AnyPolicy::Thompson(p) => p,
-            AnyPolicy::LinUcb(p) => p,
-        }
-    }
-
-    /// Proposes an action for the observed context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying policy's validation errors.
-    pub fn select_action(
-        &mut self,
-        context: &Vector,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Action, ExperimentError> {
-        Ok(self.inner().select_action(context, rng)?)
-    }
-
-    /// Feeds back the reward observed for `action` under `context`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying policy's validation errors.
-    pub fn update(
-        &mut self,
-        context: &Vector,
-        action: Action,
-        reward: f64,
-    ) -> Result<(), ExperimentError> {
-        Ok(self.inner().update(context, action, reward)?)
-    }
-
-    /// Total number of updates the policy has absorbed.
-    #[must_use]
-    pub fn observations(&mut self) -> u64 {
-        self.inner().observations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig};
+    use p2b_linalg::Vector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn keys_are_distinct() {
-        let keys: std::collections::HashSet<_> =
-            PolicyKind::ALL.iter().map(PolicyKind::key).collect();
-        assert_eq!(keys.len(), PolicyKind::ALL.len());
-    }
-
-    #[test]
-    fn every_policy_kind_runs_a_pull_update_loop() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for kind in PolicyKind::ALL {
-            let mut policy = kind.build(4, 3, 1.0).unwrap();
-            let ctx = Vector::from(vec![0.4, 0.3, 0.2, 0.1]);
-            for _ in 0..5 {
-                let action = policy.select_action(&ctx, &mut rng).unwrap();
-                assert!(action.index() < 3, "{kind}");
-                policy.update(&ctx, action, 0.5).unwrap();
-            }
-            assert_eq!(policy.observations(), 5, "{kind}");
-        }
-    }
-
+    /// Every user of a cell warm-starts from a clone of the central LinUCB.
     #[test]
     fn cloning_carries_the_learned_state() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut central = PolicyKind::LinUcb.build(2, 2, 1.0).unwrap();
+        let mut central = LinUcb::new(LinUcbConfig::new(2, 2).with_alpha(1.0)).unwrap();
         let ctx = Vector::from(vec![1.0, 0.0]);
         for _ in 0..30 {
             central.update(&ctx, Action::new(1), 1.0).unwrap();
@@ -183,11 +56,5 @@ mod tests {
             }
         }
         assert!(votes >= 8, "warm clone should exploit learned state");
-    }
-
-    #[test]
-    fn degenerate_shapes_are_rejected() {
-        assert!(PolicyKind::LinUcb.build(0, 3, 1.0).is_err());
-        assert!(PolicyKind::Ucb1.build(3, 0, 1.0).is_err());
     }
 }

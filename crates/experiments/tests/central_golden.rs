@@ -13,8 +13,8 @@
 //! `P2B_REGENERATE_GOLDEN=1 cargo test -p p2b_experiments --test central_golden`
 
 use p2b_experiments::{
-    matrix_to_csv, matrix_to_json, run_matrix, MatrixConfig, MatrixResult, PolicyKind,
-    PrivacyRegime, ScenarioKind,
+    matrix_to_csv, matrix_to_json, run_matrix, MatrixConfig, MatrixResult, PrivacyRegime,
+    ScenarioKind,
 };
 use std::path::PathBuf;
 
@@ -36,7 +36,6 @@ fn golden_config() -> MatrixConfig {
     let mut config = MatrixConfig::smoke()
         .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
         .with_regimes(GOLDEN_REGIMES.to_vec())
-        .with_policies(vec![PolicyKind::LinUcb])
         .with_seed(131);
     config.num_users = 24;
     config.interactions_per_user = 5;

@@ -1,5 +1,5 @@
-//! Golden-file coverage for the JSON/CSV emitters: a tiny 2×2 matrix
-//! (regimes × policies) must serialize byte-for-byte identically to the
+//! Golden-file coverage for the JSON/CSV emitters: a tiny two-cell matrix
+//! (one per private regime) must serialize byte-for-byte identically to the
 //! checked-in goldens, and two runs of the same configuration must emit
 //! byte-identical output.
 //!
@@ -7,18 +7,17 @@
 //! `P2B_REGENERATE_GOLDEN=1 cargo test -p p2b_experiments --test emitter_golden`
 
 use p2b_experiments::{
-    matrix_to_csv, matrix_to_json, run_matrix, MatrixConfig, MatrixResult, PolicyKind,
-    PrivacyRegime, ScenarioKind,
+    matrix_to_csv, matrix_to_json, run_matrix, MatrixConfig, MatrixResult, PrivacyRegime,
+    ScenarioKind,
 };
 use std::path::PathBuf;
 
-/// The 2×2 golden matrix: both private regimes crossed with two policies on
-/// the synthetic benchmark, at a deliberately tiny scale.
+/// The golden matrix: both private regimes on the synthetic benchmark, at a
+/// deliberately tiny scale.
 fn golden_config() -> MatrixConfig {
     let mut config = MatrixConfig::smoke()
         .with_scenarios(vec![ScenarioKind::SyntheticGaussian])
         .with_regimes(vec![PrivacyRegime::LocalDp, PrivacyRegime::P2bShuffle])
-        .with_policies(vec![PolicyKind::LinUcb, PolicyKind::Ucb1])
         .with_seed(97);
     config.num_users = 24;
     config.interactions_per_user = 5;

@@ -7,8 +7,8 @@
 //! `P2B_REGENERATE_GOLDEN=1 cargo test -p p2b_experiments --test nonstationary_golden`
 
 use p2b_experiments::{
-    matrix_to_csv, matrix_to_json, run_matrix, MatrixConfig, MatrixResult, PolicyKind,
-    PrivacyRegime, ScenarioKind,
+    matrix_to_csv, matrix_to_json, run_matrix, MatrixConfig, MatrixResult, PrivacyRegime,
+    ScenarioKind,
 };
 use std::path::PathBuf;
 
@@ -24,7 +24,6 @@ fn golden_config() -> MatrixConfig {
             ScenarioKind::SyntheticDelayed,
         ])
         .with_regimes(vec![PrivacyRegime::NonPrivate, PrivacyRegime::P2bShuffle])
-        .with_policies(vec![PolicyKind::LinUcb])
         .with_seed(131);
     config.num_users = 40;
     config.interactions_per_user = 5;
@@ -107,11 +106,7 @@ fn nonstationary_cells_are_byte_deterministic_at_any_worker_count() {
 fn delayed_rewards_lose_feedback_but_still_learn() {
     let result = run_golden_matrix();
     let delayed = result
-        .cell(
-            ScenarioKind::SyntheticDelayed,
-            PrivacyRegime::NonPrivate,
-            PolicyKind::LinUcb,
-        )
+        .cell(ScenarioKind::SyntheticDelayed, PrivacyRegime::NonPrivate)
         .expect("delayed cell ran");
     // The lost-conversion tail means not every opportunity could share.
     let stationary_budget = delayed.rounds;
@@ -121,7 +116,7 @@ fn delayed_rewards_lose_feedback_but_still_learn() {
     // Drift and churn cells keep full regret series for re-plotting.
     for kind in [ScenarioKind::SyntheticDrift, ScenarioKind::SyntheticChurn] {
         let cell = result
-            .cell(kind, PrivacyRegime::P2bShuffle, PolicyKind::LinUcb)
+            .cell(kind, PrivacyRegime::P2bShuffle)
             .expect("cell ran");
         assert!(!cell.series.is_empty());
         assert!(cell.final_cumulative_regret >= -1e-9);

@@ -4,11 +4,11 @@
 //! final utility and the achieved (ε, δ) per cell.
 //!
 //! Run with `cargo run --release --example paper_figures`. For the full
-//! harness (policy axis, CSV/JSON emission, Figs. 2–5 with the cold
+//! harness (CSV/JSON emission, Figs. 2–5 with the cold
 //! baseline) see `cargo run --release -p p2b-bench --bin figures` and
 //! docs/REPRODUCING.md.
 
-use p2b::experiments::{run_matrix, MatrixConfig, PolicyKind, PrivacyRegime, ScenarioKind};
+use p2b::experiments::{run_matrix, MatrixConfig, PrivacyRegime, ScenarioKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = MatrixConfig::smoke().with_seed(2020);
@@ -31,11 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &scenario in &config.scenarios {
         let reward = |regime| {
             result
-                .cell(scenario, regime, PolicyKind::LinUcb)
+                .cell(scenario, regime)
                 .map_or(0.0, |c| c.final_cumulative_reward)
         };
         let p2b = result
-            .cell(scenario, PrivacyRegime::P2bShuffle, PolicyKind::LinUcb)
+            .cell(scenario, PrivacyRegime::P2bShuffle)
             .expect("matrix covers every regime");
         println!(
             "{:>20} {:>12.1} {:>14.1} {:>12.1} {:>22}",
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let synthetic = |regime| {
         result
-            .cell(ScenarioKind::SyntheticGaussian, regime, PolicyKind::LinUcb)
+            .cell(ScenarioKind::SyntheticGaussian, regime)
             .expect("matrix covers every regime")
             .final_cumulative_reward
     };

@@ -6,7 +6,7 @@
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`core`] | the P2B system: local agents, randomized reporting, central server |
-//! | [`bandit`] | LinUCB and the baseline contextual-bandit policies |
+//! | [`bandit`] | LinUCB, the one contextual bandit |
 //! | [`encoding`] | the k-means context encoder and Fig. 2's fixed-precision simplex grid |
 //! | [`privacy`] | (ε, δ)-DP, crowd-blending, amplification by pre-sampling |
 //! | [`shuffler`] | the ESA-style anonymize / shuffle / threshold stage: the sharded engine every report goes through, and its synchronous per-batch kernel |
