@@ -45,7 +45,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
                     .build()
                     .unwrap();
                 b.iter(|| {
-                    let handle = engine.spawn(3);
+                    let handle = engine.spawn();
                     std::thread::scope(|scope| {
                         for stream in &streams {
                             let handle_ref = &handle;

@@ -5,9 +5,10 @@
 //! bit. This suite replays four seeded ingest stages at quick scale and
 //! digests each final model (FNV-1a over its exact statistics):
 //!
-//! - coalesced ingest: a per-report oracle (one count-1 update per report,
-//!   in batch order), then the server's coalesced sufficient statistics at
-//!   1, 2 and 4 ingest shards;
+//! - coalesced ingest: a per-report oracle (one count-1 update per report
+//!   of the raw stream, in submission order), then the server's released
+//!   cells, summed per pair and folded once at the publish, at 1, 2 and 4
+//!   ingest shards;
 //! - the model-level update path (`update_batch_with`) at shapes d16a32 and
 //!   d16a10;
 //! - sparse-flush epoch assembly through a [`ModelService`] at 1 and 4
@@ -47,8 +48,8 @@ const ACTIONS: usize = 10;
 /// Centroids of the encoder the central server validates against.
 const ENCODER_CODES: u64 = 64;
 
-/// Coalesced-ingest stream: batches of shuffled reports over few codes, so
-/// every `(code, action)` pair repeats about 13 times per batch.
+/// Coalesced-ingest stream: batches of reports over few codes, so every
+/// `(code, action)` pair repeats about 13 times per batch.
 const INGEST_BATCH_SIZE: usize = 512;
 const INGEST_BATCHES: usize = 8;
 const INGEST_CODES: usize = 4;
@@ -123,28 +124,49 @@ fn bounded_draw(noise: u64, n: u64) -> u64 {
     ((u128::from(noise) * u128::from(n)) >> 64) as u64
 }
 
-/// The shuffled batches every ingest configuration replays: codes from the
-/// skewed arrival process, actions and rewards from its noise lanes.
-fn ingest_batches() -> Vec<ShuffledBatch> {
-    let shuffler = Shuffler::new(ShufflerConfig::new(1)).expect("threshold 1 is valid");
+/// One raw report of the ingest stream: code, action, 0/1 reward.
+type Tuple = (usize, usize, f64);
+
+/// The raw report stream every ingest configuration replays, cut into
+/// batches: codes from the skewed arrival process, actions and rewards from
+/// its noise lanes.
+fn ingest_stream() -> Vec<Vec<Tuple>> {
     let arrival = ArrivalProcess::new(ArrivalConfig::new(1_000_000, INGEST_CODES as u64, 99))
         .expect("arrival configuration is valid");
-    let mut rng = StdRng::seed_from_u64(99);
     (0..INGEST_BATCHES)
         .map(|b| {
             let base = (b * INGEST_BATCH_SIZE) as u64;
-            let raw: Vec<RawReport> = (0..INGEST_BATCH_SIZE as u64)
+            (0..INGEST_BATCH_SIZE as u64)
                 .map(|i| {
                     let index = base + i;
                     let code = arrival.event(index).code as usize;
                     let action = bounded_draw(arrival.noise(index, LANE_ACTION), ACTIONS as u64);
                     let reward =
                         f64::from(bounded_draw(arrival.noise(index, LANE_REWARD), 2) as u32);
+                    (code, action as usize, reward)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Each batch of the stream released by the shuffler, as the server
+/// receives it.
+fn ingest_batches(stream: &[Vec<Tuple>]) -> Vec<ShuffledBatch> {
+    let shuffler = Shuffler::new(ShufflerConfig::new(1)).expect("threshold 1 is valid");
+    let mut rng = StdRng::seed_from_u64(99);
+    stream
+        .iter()
+        .enumerate()
+        .map(|(b, tuples)| {
+            let raw: Vec<RawReport> = tuples
+                .iter()
+                .enumerate()
+                .map(|(i, &(code, action, reward))| {
                     RawReport::with_timestamp(
                         format!("b{b}"),
-                        i,
-                        EncodedReport::new(code, action as usize, reward)
-                            .expect("rewards 0/1 are valid"),
+                        i as u64,
+                        EncodedReport::new(code, action, reward).expect("rewards 0/1 are valid"),
                     )
                 })
                 .collect();
@@ -154,20 +176,20 @@ fn ingest_batches() -> Vec<ShuffledBatch> {
 }
 
 /// The per-report oracle: a fresh model service fed one count-1 update per
-/// in-range report, in batch order, one ingest call per batch.
-fn per_report_digest(encoder: &dyn Encoder, batches: &[ShuffledBatch]) -> u64 {
+/// in-range report of the raw stream, in submission order, one ingest call
+/// per batch.
+fn per_report_digest(encoder: &dyn Encoder, stream: &[Vec<Tuple>]) -> u64 {
     let config = P2bConfig::new(DIMENSION, ACTIONS);
     let mut service = ModelService::spawn(config.linucb(), 1).expect("shape is valid");
-    for batch in batches {
+    for batch in stream {
         let updates = batch
-            .reports()
             .iter()
-            .filter(|r| r.code() < encoder.num_codes() && r.action() < ACTIONS)
-            .map(|r| {
+            .filter(|&&(code, action, _)| code < encoder.num_codes() && action < ACTIONS)
+            .map(|&(code, action, reward)| {
                 let context = encoder
-                    .representative(ContextCode::new(r.code()))
+                    .representative(ContextCode::new(code))
                     .expect("code is in range");
-                CoalescedUpdate::new(context, Action::new(r.action()), 1, r.reward())
+                CoalescedUpdate::new(context, Action::new(action), 1, reward)
                     .expect("rewards 0/1 are valid")
             })
             .collect();
@@ -306,8 +328,9 @@ fn ingest_digests_match_the_golden_file() {
     let mut records = Vec::new();
 
     let encoder = fit_serve_encoder(ENCODER_CODES, DIMENSION);
-    let batches = ingest_batches();
-    let sequential = per_report_digest(encoder.as_ref(), &batches);
+    let stream = ingest_stream();
+    let batches = ingest_batches(&stream);
+    let sequential = per_report_digest(encoder.as_ref(), &stream);
     records.push(record("ingest", "sequential", 1, sequential));
     let coalesced: Vec<u64> = [1usize, 2, 4]
         .iter()

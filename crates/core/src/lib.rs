@@ -5,9 +5,10 @@
 //! [`LocalAgent`]: a LinUCB policy plus an encoder and a randomized reporter.
 //! After `T` local interactions the agent, with probability `p`, encodes one
 //! interaction as the anonymous tuple `(y, a, r)` and submits it to the
-//! trusted shuffler. The shuffler anonymizes, shuffles and thresholds batches
-//! of tuples; the [`CentralServer`] folds surviving tuples into a global
-//! LinUCB model which fresh agents merge at start-up (warm start).
+//! trusted shuffler. The shuffler anonymizes and thresholds batches of
+//! tuples and releases each as a histogram of `(code, action)` cells; the
+//! [`CentralServer`] folds the surviving cells into a global LinUCB model
+//! which fresh agents merge at start-up (warm start).
 //!
 //! The differential-privacy guarantee of the whole pipeline is computed by
 //! [`P2bSystem::privacy_guarantee`] from the participation probability and
@@ -15,14 +16,15 @@
 //!
 //! The central model is owned by a sharded [`ModelService`]: ingest workers
 //! partitioned by action fold coalesced sufficient statistics (one weighted
-//! update per distinct `(code, action)` pair in a batch) and the
-//! [`CentralServer`] publishes epoch-versioned [`ModelSnapshot`]s behind an
-//! `Arc` that all warm starts of an epoch share. Reports reach it one way:
-//! through the sharded streaming engine ([`P2bSystem::spawn_engine`], a
-//! [`p2b_shuffler::ShufflerEngine`] with per-batch (ε, δ) amplification
-//! accounting, configured by [`P2bConfig::shuffler_shards`] and
-//! [`P2bConfig::shuffler_batch_size`]), whose batches the coalescing
-//! ingester folds ([`P2bSystem::ingest_engine_batch`]).
+//! update per distinct `(code, action)` pair touched since the previous
+//! publish) and the [`CentralServer`] publishes epoch-versioned
+//! [`ModelSnapshot`]s behind an `Arc` that all warm starts of an epoch
+//! share. Reports reach it one way: through the sharded streaming engine
+//! ([`P2bSystem::spawn_engine`], a [`p2b_shuffler::ShufflerEngine`] with
+//! per-batch (ε, δ) amplification accounting, configured by
+//! [`P2bConfig::shuffler_shards`] and [`P2bConfig::shuffler_batch_size`]),
+//! whose released cells the server sums until the next publish
+//! ([`P2bSystem::ingest_engine_batch`]).
 //! [`P2bSystem::streaming_round`] is the single-producer flush.
 //!
 //! A trust-minimized alternative is the secure-aggregation ingest
@@ -67,7 +69,6 @@
 #![deny(missing_docs)]
 
 mod agent;
-mod coalesce;
 mod config;
 mod error;
 mod join;

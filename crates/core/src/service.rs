@@ -7,7 +7,8 @@
 //! the published model. The service is built around that split:
 //!
 //! ```text
-//!   ShuffledBatch ──▶ coalesce by (code, action) ──▶ K ≤ N updates
+//!   cells of each batch ──▶ Σ per (code, action) ──▶ publish:
+//!   (ShuffledBatch)         until the publish     K ≤ k·A updates
 //!                                                        │ partition by
 //!                                                        │ action % M
 //!                       ┌─ ingest shard 0 (arms 0, M, 2M, …) ◀┤  fold sums:
@@ -20,8 +21,11 @@
 //! ```
 //!
 //! * **Coalescing** — every report sharing a code shares the same context
-//!   vector, so a batch of `N` reports over `K` distinct `(code, action)`
-//!   pairs becomes `K` weighted rank-1 folds instead of `N` plain ones.
+//!   vector, so the shuffler releases a histogram of `(code, action)` cells
+//!   and [`crate::CentralServer`] sums an epoch's cells per pair: `N`
+//!   reports over `K` distinct pairs become `K` weighted rank-1 folds at
+//!   the publish instead of `N` plain ones, however many batches carried
+//!   them.
 //! * **Action sharding** — disjoint-arm LinUCB keeps per-arm statistics
 //!   that never interact, so partitioning updates by `action % M` across
 //!   the `M` workers of a [`ShardPool`] is an *exact* parallelization: no

@@ -141,29 +141,32 @@ impl P2bSystem {
     ///
     /// This is the one way a report reaches the central model: reports
     /// submitted to the returned handle (from any number of threads) are
-    /// anonymized, sharded, shuffled, thresholded and delivered as
-    /// [`EngineBatch`]es, which [`P2bSystem::ingest_engine_batch`] folds
-    /// into the central model.
+    /// anonymized, sharded, tabulated into `(code, action)` cells,
+    /// thresholded and delivered as [`EngineBatch`]es, which
+    /// [`P2bSystem::ingest_engine_batch`] hands to the central model.
+    ///
+    /// The engine draws no randomness, so `seed` is not read; it stays in
+    /// the signature for existing callers.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Shuffler`] when the engine configuration is
     /// invalid and [`CoreError::Privacy`] for an invalid participation
     /// probability.
-    pub fn spawn_engine(&self, seed: u64) -> Result<EngineHandle, CoreError> {
+    pub fn spawn_engine(&self, _seed: u64) -> Result<EngineHandle, CoreError> {
         let engine = ShufflerEngine::builder(ShufflerConfig::new(self.config.shuffler_threshold))
             .shards(self.config.shuffler_shards)
             .batch_size(self.config.shuffler_batch_size)
             .privacy_accounting(self.config.participation()?, self.config.delta_omega)
             .build()?;
-        Ok(engine.spawn(seed))
+        Ok(engine.spawn())
     }
 
-    /// Folds one engine-delivered batch into the central model through the
-    /// coalescing ingester: the batch is grouped by `(code, action)` and
-    /// dispatched to the model service's ingest shards as weighted
-    /// sufficient-statistics updates, so a batch of `N` reports over `K`
-    /// distinct pairs costs `K` matrix updates instead of `N`.
+    /// Adds one engine-delivered batch to the central model: its released
+    /// `(code, action)` cells join the server's epoch table, and the next
+    /// snapshot folds each touched pair once, as one weighted
+    /// sufficient-statistics update
+    /// ([`CentralServer::ingest_batch_coalesced`]).
     ///
     /// # Errors
     ///
@@ -176,7 +179,7 @@ impl P2bSystem {
     /// Runs one complete streaming round: spawns the engine, submits every
     /// report, flushes, and folds each delivered batch into the central
     /// model. Returns per-batch round statistics and the amplification
-    /// ledger.
+    /// ledger. Like [`P2bSystem::spawn_engine`]'s, `seed` is not read.
     ///
     /// This is the single-producer convenience wrapper, the flush of the
     /// round-based simulations; serving deployments and the throughput
@@ -322,7 +325,12 @@ mod tests {
         assert!(!output.batches.is_empty());
         let crowd = system.crowd_blending().unwrap();
         for batch in &output.batches {
-            let codes: Vec<usize> = batch.batch.reports().iter().map(|r| r.code()).collect();
+            let codes: Vec<usize> = batch
+                .batch
+                .reports()
+                .iter()
+                .flat_map(|c| std::iter::repeat_n(c.code(), c.count() as usize))
+                .collect();
             assert!(crowd.is_satisfied_by(&codes));
             system.ingest_engine_batch(batch).unwrap();
         }

@@ -1,16 +1,18 @@
-//! Property suite for the coalesced-ingestion equivalence claim: grouping a
-//! shuffled batch by `(code, action)` and folding it as weighted sufficient
-//! statistics must accept exactly the reports a per-report fold accepts and
-//! produce the same central model up to floating-point rounding (1e-9), for
-//! any report ordering and any ingest-shard count. The per-report fold is an
-//! oracle built here from public API: one count-1 update per in-range
-//! report, in batch order.
+//! Property suite for the coalesced-ingestion equivalence claim: summing a
+//! released batch's `(code, action)` cells and folding each pair as one
+//! weighted sufficient-statistics update must accept exactly the reports a
+//! per-report fold accepts and produce the same central model up to
+//! floating-point rounding (1e-9), for any report arrival order and any
+//! ingest-shard count. The per-report fold is an oracle built here from
+//! public API: one count-1 update per in-range report of the raw stream, in
+//! submission order.
 //!
 //! The argument: LinUCB's per-arm statistics `A_a = λI + Σ x xᵀ` and
 //! `b_a = Σ r·x` are sums over the batch, so grouping commutes with folding
 //! in exact arithmetic; the tolerance absorbs the reordering of
-//! floating-point additions and the weighted (vs repeated) Sherman–Morrison
-//! form.
+//! floating-point additions. The released cells themselves do not depend on
+//! arrival order at all (fixed-point reward sums), so two arrival orders
+//! give bit-identical models.
 
 use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcb};
 use p2b_core::{CentralServer, ModelService, P2bConfig};
@@ -19,6 +21,7 @@ use p2b_linalg::Vector;
 use p2b_shuffler::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
 
@@ -46,11 +49,12 @@ fn encoder() -> Arc<dyn Encoder> {
     })) as Arc<dyn Encoder>
 }
 
-/// Builds a shuffled batch from raw tuples; the seed picks the ordering.
+/// Releases raw tuples through the shuffler after permuting their arrival
+/// order with `order_seed`.
 fn shuffled(reports: &[(usize, usize, f64)], order_seed: u64) -> ShuffledBatch {
     let shuffler = Shuffler::new(ShufflerConfig::new(1)).expect("threshold 1 is valid");
     let mut rng = StdRng::seed_from_u64(order_seed);
-    let raw: Vec<RawReport> = reports
+    let mut raw: Vec<RawReport> = reports
         .iter()
         .enumerate()
         .map(|(i, &(code, action, reward))| {
@@ -60,13 +64,15 @@ fn shuffled(reports: &[(usize, usize, f64)], order_seed: u64) -> ShuffledBatch {
             )
         })
         .collect();
+    raw.shuffle(&mut rng);
     shuffler.process(raw, &mut rng)
 }
 
 /// Strategy: report tuples over a slightly larger space than the encoder
 /// accepts, so some reports are rejected on both paths.
 fn reports() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
-    const REWARDS: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+    // Non-dyadic rewards too, whose f64 sums depend on their order.
+    const REWARDS: [f64; 7] = [0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0];
     prop::collection::vec(
         (0..NUM_CODES + 2, 0..NUM_ACTIONS + 1, 0..REWARDS.len())
             .prop_map(|(code, action, reward)| (code, action, REWARDS[reward])),
@@ -75,21 +81,20 @@ fn reports() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
 }
 
 /// The per-report oracle: a fresh model service fed one count-1 update per
-/// in-range report, in batch order. Returns the accepted count and the
-/// assembled model.
-fn per_report(config: &P2bConfig, batch: &ShuffledBatch) -> (u64, LinUcb) {
+/// in-range report of the raw stream, in submission order. Returns the
+/// accepted count and the assembled model.
+fn per_report(config: &P2bConfig, reports: &[(usize, usize, f64)]) -> (u64, LinUcb) {
     let encoder = encoder();
     let mut service =
         ModelService::spawn(config.linucb(), 1).expect("static configuration is valid");
-    let updates: Vec<CoalescedUpdate> = batch
-        .reports()
+    let updates: Vec<CoalescedUpdate> = reports
         .iter()
-        .filter(|r| r.code() < encoder.num_codes() && r.action() < config.num_actions)
-        .map(|r| {
+        .filter(|&&(code, action, _)| code < encoder.num_codes() && action < config.num_actions)
+        .map(|&(code, action, reward)| {
             let context = encoder
-                .representative(ContextCode::new(r.code()))
+                .representative(ContextCode::new(code))
                 .expect("code is in range");
-            CoalescedUpdate::new(context, Action::new(r.action()), 1, r.reward())
+            CoalescedUpdate::new(context, Action::new(action), 1, reward)
                 .expect("rewards are valid")
         })
         .collect();
@@ -147,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Coalesced ingestion matches the per-report oracle — same accepted
-    /// count, model parameters within 1e-9 — across batch orderings and
+    /// count, model parameters within 1e-9 — across arrival orders and
     /// ingest-shard counts 1, 2 and 4.
     #[test]
     fn coalesced_matches_sequential_across_orderings_and_shards(
@@ -156,7 +161,7 @@ proptest! {
     ) {
         let batch = shuffled(&reports, order_seed);
         let config = P2bConfig::new(DIMENSION, NUM_ACTIONS);
-        let (accepted_sequential, sequential) = per_report(&config, &batch);
+        let (accepted_sequential, sequential) = per_report(&config, &reports);
 
         for shards in [1usize, 2, 4] {
             let shard_config = config.clone().with_ingest_shards(shards);
@@ -175,9 +180,9 @@ proptest! {
         }
     }
 
-    /// A batch ordering is irrelevant to the coalesced fold: two different
-    /// shuffles of the same multiset produce the same grouped updates, so
-    /// the models agree to the much tighter reproducibility tolerance.
+    /// Arrival order is irrelevant to the coalesced fold: two different
+    /// orders of the same multiset release the same cells, so the models
+    /// agree bit for bit.
     #[test]
     fn coalesced_ingestion_is_ordering_invariant(
         reports in reports(),
@@ -190,7 +195,12 @@ proptest! {
         let accepted_a = a.ingest_batch_coalesced(&shuffled(&reports, seed_a)).unwrap();
         let accepted_b = b.ingest_batch_coalesced(&shuffled(&reports, seed_b)).unwrap();
         prop_assert_eq!(accepted_a, accepted_b);
-        // Only the within-group reward-sum accumulation order differs.
-        assert_models_close(a.model().unwrap(), b.model().unwrap(), 1e-12, "orderings");
+        let (ma, mb) = (a.model().unwrap(), b.model().unwrap());
+        prop_assert_eq!(ma.observations(), mb.observations());
+        for action in (0..NUM_ACTIONS).map(Action::new) {
+            prop_assert_eq!(ma.design(action).unwrap(), mb.design(action).unwrap());
+            prop_assert_eq!(ma.reward_vector(action).unwrap(), mb.reward_vector(action).unwrap());
+            prop_assert_eq!(ma.theta(action).unwrap(), mb.theta(action).unwrap());
+        }
     }
 }

@@ -21,9 +21,10 @@
 //!   argues is too high for model training;
 //! * **P2B shuffle** ([`ShuffledChannel`]) — the exact code is queued and
 //!   each flush runs the queue through the sharded
-//!   [`p2b_shuffler::ShufflerEngine`] (anonymize, shuffle, crowd-blending
-//!   threshold); released reports update the central policy and every
-//!   batch's (ε, δ) is booked once, in the channel's
+//!   [`p2b_shuffler::ShufflerEngine`] (anonymize, tabulate `(code, action)`
+//!   cells, crowd-blending threshold); the flush's released cells are summed
+//!   per pair and folded into the central policy with the serving
+//!   arithmetic, and every batch's (ε, δ) is booked once, in the channel's
 //!   [`p2b_privacy::AmplificationLedger`] (the engine runs without its own
 //!   accounting; the channel reads the crowd off each batch, the statistic
 //!   the engine's merger books in serving);
@@ -48,7 +49,10 @@
 //! [`p2b_bandit::ArmStatistics::leaf`] / [`ArmStatistics::from_leaf`].
 
 use crate::{BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData};
-use p2b_bandit::{Action, ArmStatistics, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_bandit::{
+    Action, ArmStatistics, ArmSums, BanditError, CoalescedUpdate, ContextualPolicy, LinUcb,
+    LinUcbConfig,
+};
 use p2b_core::SecureIngestService;
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
@@ -56,11 +60,13 @@ use p2b_privacy::{
     rho_to_epsilon, AmplificationLedger, BatchAmplification, Participation, RandomizedResponse,
     TreeAggregator, TreeConfig,
 };
-use p2b_shuffler::{splitmix64, EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
+use p2b_shuffler::{
+    splitmix64, EncodedReport, RawReport, ReleasedCell, ShufflerConfig, ShufflerEngine,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Gaussian noise scale σ of every tree-aggregation node in the central-DP
 /// regime.
@@ -168,8 +174,8 @@ pub(crate) fn open(
                 .build()?,
             ledger: AmplificationLedger::new(participation, config.delta_omega)?,
             pending: Vec::new(),
-            seed: spec.seed,
-            epoch: 0,
+            arms: vec![ArmSums::new(&model)?; num_actions],
+            representatives: HashMap::new(),
         }),
         PrivacyRegime::CentralDp => {
             Box::new(TreeCuratorChannel::new(model, max_reports, spec.seed)?)
@@ -280,8 +286,10 @@ struct ShuffledChannel {
     engine: ShufflerEngine,
     ledger: AmplificationLedger,
     pending: Vec<RawReport>,
-    seed: u64,
-    epoch: u64,
+    /// Every arm's sums over all released cells so far.
+    arms: Vec<ArmSums>,
+    /// Code → representative context, computed once per distinct code.
+    representatives: HashMap<usize, Vector>,
 }
 
 impl ReportChannel for ShuffledChannel {
@@ -299,41 +307,62 @@ impl ReportChannel for ShuffledChannel {
         Ok(0)
     }
 
-    /// Runs the pending reports through freshly spawned shard workers, folds
-    /// every released report into the central policy (as the representative
-    /// context of its code) and records each batch's (ε, δ) in the ledger.
-    ///
-    /// The representative context is memoized per flush, mirroring the
-    /// central model service's coalescing ingester (`p2b_core`): codes
-    /// repeat heavily within a released batch, so the encoder lookup runs
-    /// once per distinct code instead of once per report. (The per-report
-    /// *update* order is kept: the emitter goldens pin the bits of this
-    /// one-at-a-time fold, and a coalesced fold would move them.)
+    /// Runs the pending reports through freshly spawned shard workers,
+    /// records each batch's (ε, δ) in the ledger, and folds the flush's
+    /// released cells into the central policy the way the central server
+    /// does: the cells are summed per `(code, action)` (exact counts,
+    /// fixed-point reward sums), each pair is folded once, in pair order,
+    /// into its arm's [`ArmSums`] as the representative context of its
+    /// code, and every arm the flush touched is installed with
+    /// [`LinUcb::set_arm`].
     fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
-        self.epoch += 1;
-        let handle = self.engine.spawn(self.seed ^ splitmix64(self.epoch));
+        let handle = self.engine.spawn();
         for report in self.pending.drain(..) {
             handle.submit(report)?;
         }
         let output = handle.finish();
-        let mut representatives: HashMap<usize, Vector> = HashMap::new();
+        let mut cells: BTreeMap<(usize, usize), ReleasedCell> = BTreeMap::new();
         let mut released = 0u64;
         for batch in &output.batches {
-            for report in batch.batch.reports() {
-                let representative = match representatives.entry(report.code()) {
-                    Entry::Occupied(entry) => entry.into_mut(),
-                    Entry::Vacant(entry) => {
-                        let code = ContextCode::new(report.code());
-                        entry.insert(self.encoder.representative(code)?)
-                    }
-                };
-                let action = Action::new(report.action());
-                central.update(representative, action, report.reward())?;
-                released += 1;
+            for cell in batch.batch.reports() {
+                cells
+                    .entry((cell.code(), cell.action()))
+                    .and_modify(|sum| sum.absorb(cell))
+                    .or_insert(*cell);
             }
+            let stats = batch.batch.stats();
+            released += stats.released as u64;
             let crowd = batch.batch.min_released_code_frequency() as u64;
-            self.ledger
-                .record_batch(batch.batch.stats().released, crowd)?;
+            self.ledger.record_batch(stats.released, crowd)?;
+        }
+        let mut touched = vec![false; self.arms.len()];
+        for ((code, action), cell) in cells {
+            let representative = match self.representatives.entry(code) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => {
+                    entry.insert(self.encoder.representative(ContextCode::new(code))?)
+                }
+            };
+            let update = CoalescedUpdate::new(
+                representative.clone(),
+                Action::new(action),
+                cell.count(),
+                cell.reward_sum(),
+            )?;
+            let arm = self
+                .arms
+                .get_mut(action)
+                .ok_or(BanditError::InvalidAction {
+                    action,
+                    num_actions: touched.len(),
+                })?;
+            arm.fold(&update)?;
+            touched[action] = true;
+        }
+        for (action, arm) in self.arms.iter().enumerate() {
+            if touched[action] {
+                central.set_arm(Action::new(action), arm)?;
+            }
         }
         Ok(released)
     }

@@ -98,8 +98,10 @@ pub fn encode_fixed(value: f64) -> Result<i128, PrivacyError> {
         });
     }
     // |value| ≤ 2^14 ⇒ |value · 2^48| ≤ 2^62, exactly representable in f64
-    // (the product has at most 53 significant bits) and far inside i128.
-    Ok((value * FIXED_POINT_SCALE).round() as i128)
+    // (the product has at most 53 significant bits) and inside i64, so the
+    // cast goes through i64: the same value as a direct f64 → i128 cast,
+    // without its software conversion routine (about 4× the cost).
+    Ok(i128::from((value * FIXED_POINT_SCALE).round() as i64))
 }
 
 /// Maps a fixed-point value (or an accumulated sum of them) back to f64.
@@ -246,6 +248,17 @@ mod tests {
         assert!(encode_fixed(-(FIXED_POINT_MAX_ABS + 1.0)).is_err());
         assert!(encode_fixed(FIXED_POINT_MAX_ABS).is_ok());
         assert!(encode_fixed(-FIXED_POINT_MAX_ABS).is_ok());
+    }
+
+    #[test]
+    fn encoding_through_i64_equals_the_direct_i128_cast() {
+        let edge = FIXED_POINT_MAX_ABS;
+        for value in [0.0, 1.0, 0.1, 0.7, -0.3, 1e-15, 12_345.678_9, edge, -edge] {
+            let direct = (value * FIXED_POINT_SCALE).round() as i128;
+            assert_eq!(encode_fixed(value).unwrap(), direct, "{value}");
+        }
+        assert_eq!(encode_fixed(edge).unwrap(), 1i128 << 62);
+        assert_eq!(encode_fixed(-edge).unwrap(), -(1i128 << 62));
     }
 
     #[test]

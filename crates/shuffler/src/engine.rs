@@ -5,9 +5,9 @@
 //! two-stage design (with `shards = 1` it degenerates to that single lane):
 //!
 //! ```text
-//!  producers ──submit──▶ shard 0 ─┐
+//!  producers ──submit──▶ shard 0 ─┐  (anonymize)
 //!  (any thread)          shard 1 ─┼─▶ fan-in merger ──▶ EngineBatch stream
-//!            ⋮               ⋮    │   (cross-shard shuffle,
+//!            ⋮               ⋮    │   (tabulate (code, action) cells,
 //!                        shard N ─┘    threshold, (ε, δ) ledger)
 //! ```
 //!
@@ -18,10 +18,16 @@
 //!   would pin every user to one shard and leak membership through shard
 //!   load.
 //! * **Batching** — each shard accumulates a sub-batch of
-//!   `batch_size / shards` reports (rounded up), anonymizes + shuffles it,
-//!   and forwards it to the merger; the merger
-//!   re-batches the fan-in stream into merged batches of exactly
-//!   [`EngineBuilder::batch_size`] (the final flush may be smaller).
+//!   `batch_size / shards` reports (rounded up), anonymizes it, and
+//!   forwards it to the merger; the merger adds each report to the current
+//!   merged batch's cell table and releases the table every
+//!   [`EngineBuilder::batch_size`] reports exactly (the final flush may be
+//!   smaller).
+//! * **Release** — a merged batch leaves the engine as a histogram: one
+//!   [`ReleasedCell`](crate::ReleasedCell) per `(code, action)` pair, in
+//!   pair order, with the cells of codes below the crowd-blending threshold
+//!   removed ([`ShuffledBatch`]). The histogram is the same for any order
+//!   of the batch's reports, so no stage needs to randomize one.
 //! * **Staging** — `submit` does not hand each report to its shard on its
 //!   own: it appends it to that shard's stage on the handle, and a stage
 //!   that reaches a fixed chunk of reports (256) goes to the shard as one
@@ -41,20 +47,19 @@
 //!   leaves it off and books [`ShuffledBatch::min_released_code_frequency`],
 //!   the crowd the merger reads, so each batch is booked once.
 //!
-//! With `shards = 1` and a single producer the engine is fully
-//! deterministic for a fixed seed: batch boundaries are count-triggered and
-//! every RNG is seeded from the spawn seed.
+//! The engine draws no randomness. With `shards = 1` and a single producer
+//! its batches are fully determined by the submission order; at any shard
+//! or producer count, a run whose reports all fit one merged batch
+//! releases the same cells.
 
 use crate::shard::{ShardWorker, SubBatch};
-use crate::shuffle::shuffle_and_threshold;
+use crate::shuffle::CellTable;
 use crate::{
-    EncodedReport, RawReport, ShardPool, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError,
+    RawReport, ShardPool, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError,
     SHARD_QUEUE_CAPACITY,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use p2b_privacy::{splitmix64, AmplificationLedger, BatchAmplification, Participation};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
@@ -62,11 +67,6 @@ use std::thread::JoinHandle;
 /// Reports a shard's stage collects before [`EngineHandle::submit`] sends
 /// them to the shard as one message.
 const STAGE_CHUNK: usize = 256;
-
-/// Mixed into the spawn seed for the merger's RNG: a fixed tag keeps its
-/// stream distinct from every shard's (shard seeds mix small integers, not
-/// this constant).
-const MERGER_SEED_TAG: u64 = 0x5EED_BA7C_4E61_4E00;
 
 /// Builder for a [`ShufflerEngine`].
 ///
@@ -170,7 +170,7 @@ impl EngineBuilder {
 pub struct EngineBatch {
     /// Zero-based delivery index of the batch.
     pub index: u64,
-    /// The anonymized, cross-shard-shuffled, threshold-filtered batch.
+    /// The anonymized, threshold-filtered batch, as `(code, action)` cells.
     pub batch: ShuffledBatch,
     /// Per-batch (ε, δ) amplification record, present when
     /// [`EngineBuilder::privacy_accounting`] was enabled.
@@ -204,7 +204,7 @@ pub struct EngineOutput {
 ///     .shards(2)
 ///     .batch_size(8)
 ///     .build()?;
-/// let handle = engine.spawn(42);
+/// let handle = engine.spawn();
 /// for i in 0..16 {
 ///     let report = EncodedReport::new(i % 2, 0, 1.0)?;
 ///     handle.submit(RawReport::new(format!("agent-{i}"), report))?;
@@ -212,8 +212,10 @@ pub struct EngineOutput {
 /// let output = handle.finish();
 /// // 16 reports at batch size 8: two full merged batches, nothing lost.
 /// assert_eq!(output.batches.len(), 2);
-/// let delivered: usize = output.batches.iter().map(|b| b.batch.reports().len()).sum();
+/// let delivered: u64 = output.batches.iter().flat_map(|b| b.batch.reports()).map(|c| c.count()).sum();
 /// assert_eq!(delivered, 16);
+/// // A batch releases one cell per (code, action) pair: at most codes 0 and 1.
+/// assert!(output.batches.iter().all(|b| b.batch.reports().len() <= 2));
 /// # Ok(())
 /// # }
 /// ```
@@ -245,11 +247,9 @@ impl ShufflerEngine {
         self.batch_size
     }
 
-    /// Starts the shard workers and the fan-in merger. All randomness
-    /// (within-shard shuffles, cross-shard shuffle) derives from `seed`, so
-    /// a single-shard, single-producer run is reproducible bit for bit.
+    /// Starts the shard workers and the fan-in merger.
     #[must_use]
-    pub fn spawn(&self, seed: u64) -> EngineHandle {
+    pub fn spawn(&self) -> EngineHandle {
         let (fan_tx, fan_rx) = unbounded::<SubBatch>();
         let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
 
@@ -260,23 +260,14 @@ impl ShufflerEngine {
         // per-shard bound at about `SHARD_QUEUE_CAPACITY` reports.
         let capacity = SHARD_QUEUE_CAPACITY / STAGE_CHUNK;
         let shards = ShardPool::spawn(self.shards, capacity, move |shard, input| {
-            let seed = splitmix64(seed ^ splitmix64(shard as u64 + 1));
-            ShardWorker::new(shard, input, fan_tx, shard_batch_size, seed).run();
+            ShardWorker::new(shard, input, fan_tx, shard_batch_size).run();
         });
 
         let threshold = self.config.threshold;
         let batch_size = self.batch_size;
         let ledger = self.ledger.clone();
-        let merger_seed = splitmix64(seed ^ MERGER_SEED_TAG);
         let merger = std::thread::spawn(move || {
-            run_merger(
-                &fan_rx,
-                &batch_tx,
-                threshold,
-                batch_size,
-                StdRng::seed_from_u64(merger_seed),
-                ledger,
-            )
+            run_merger(&fan_rx, &batch_tx, threshold, batch_size, ledger)
         });
 
         EngineHandle {
@@ -293,41 +284,38 @@ impl ShufflerEngine {
     }
 }
 
-/// The fan-in merge stage: accumulates shard sub-batches, re-batches them
-/// into merged batches of exactly `batch_size`, shuffles across shards,
-/// applies the crowd-blending threshold, and records amplification.
+/// The fan-in merge stage: adds each anonymized report to the current
+/// merged batch's cell table, releases the table every `batch_size`
+/// reports (the crowd-blending threshold reads the per-code totals off its
+/// cells), and records amplification.
 fn run_merger(
     fan_rx: &Receiver<SubBatch>,
     batch_tx: &Sender<EngineBatch>,
     threshold: usize,
     batch_size: usize,
-    mut rng: StdRng,
     mut ledger: Option<AmplificationLedger>,
 ) -> Option<AmplificationLedger> {
-    let mut pending: Vec<EncodedReport> = Vec::with_capacity(batch_size);
+    let mut table = CellTable::default();
     let mut next_index = 0u64;
     while let Ok(sub) = fan_rx.recv() {
-        pending.extend(sub.reports);
-        while pending.len() >= batch_size {
-            let chunk: Vec<EncodedReport> = pending.drain(..batch_size).collect();
-            if !emit(
-                chunk,
-                batch_tx,
-                threshold,
-                &mut rng,
-                &mut ledger,
-                &mut next_index,
-            ) {
+        for report in &sub.reports {
+            table.add(report);
+            if table.received() == batch_size
+                && !emit(
+                    table.release(threshold),
+                    batch_tx,
+                    &mut ledger,
+                    &mut next_index,
+                )
+            {
                 return ledger;
             }
         }
     }
-    if !pending.is_empty() {
+    if table.received() > 0 {
         emit(
-            pending,
+            table.release(threshold),
             batch_tx,
-            threshold,
-            &mut rng,
             &mut ledger,
             &mut next_index,
         );
@@ -335,20 +323,14 @@ fn run_merger(
     ledger
 }
 
-/// Processes one merged batch and sends it downstream. Returns `false` when
-/// the downstream receiver is gone and the merger should stop.
+/// Books one released merged batch and sends it downstream. Returns `false`
+/// when the downstream receiver is gone and the merger should stop.
 fn emit(
-    chunk: Vec<EncodedReport>,
+    batch: ShuffledBatch,
     batch_tx: &Sender<EngineBatch>,
-    threshold: usize,
-    rng: &mut StdRng,
     ledger: &mut Option<AmplificationLedger>,
     next_index: &mut u64,
 ) -> bool {
-    // Cross-shard shuffle + crowd-blending threshold over the *merged* batch
-    // (codes split across shards must be counted globally), via the same
-    // core the synchronous shuffler uses. The shards already anonymized.
-    let batch = shuffle_and_threshold(threshold, chunk, rng);
     let stats = batch.stats();
     // `released > 0` implies a crowd ≥ threshold ≥ 1, so recording cannot
     // fail for batches this merger produces — but the accounting hook must
@@ -487,7 +469,7 @@ impl Drop for EngineHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::seq::SliceRandom;
+    use crate::{EncodedReport, ReleasedCell};
 
     fn raw(code: usize) -> RawReport {
         RawReport::new("agent", EncodedReport::new(code, 0, 1.0).unwrap())
@@ -531,7 +513,7 @@ mod tests {
     #[test]
     fn merged_batches_have_exact_sizes_and_conserve_reports() {
         for shards in [1usize, 2, 4] {
-            let handle = engine(1, shards, 10).spawn(3);
+            let handle = engine(1, shards, 10).spawn();
             for i in 0..37 {
                 handle.submit(raw(i % 5)).unwrap();
             }
@@ -543,7 +525,12 @@ mod tests {
                 .map(|b| b.batch.stats().received)
                 .collect();
             assert_eq!(sizes, vec![10, 10, 10, 7], "shards={shards}");
-            let total: usize = output.batches.iter().map(|b| b.batch.reports().len()).sum();
+            let total: u64 = output
+                .batches
+                .iter()
+                .flat_map(|b| b.batch.reports())
+                .map(ReleasedCell::count)
+                .sum();
             assert_eq!(total, 37, "threshold 1 releases everything");
             // Delivery indices are consecutive.
             let indices: Vec<u64> = output.batches.iter().map(|b| b.index).collect();
@@ -556,24 +543,21 @@ mod tests {
         // 4 shards, 8 copies of one code: any per-shard threshold of 8 would
         // suppress everything (each shard sees ~2), but the merged batch
         // clears it.
-        let handle = engine(8, 4, 8).spawn(11);
+        let handle = engine(8, 4, 8).spawn();
         for _ in 0..8 {
             handle.submit(raw(42)).unwrap();
         }
         let output = handle.finish();
         assert_eq!(output.batches.len(), 1);
-        assert_eq!(output.batches[0].batch.reports().len(), 8);
-        assert!(output.batches[0]
-            .batch
-            .reports()
-            .iter()
-            .all(|r| r.code() == 42));
+        let cells = output.batches[0].batch.reports();
+        assert_eq!(cells.len(), 1);
+        assert_eq!((cells[0].code(), cells[0].count()), (42, 8));
     }
 
     #[test]
     fn single_shard_runs_are_deterministic() {
         let run = || {
-            let handle = engine(2, 1, 16).spawn(1234);
+            let handle = engine(2, 1, 16).spawn();
             for i in 0..50 {
                 handle.submit(raw(i % 7)).unwrap();
             }
@@ -592,7 +576,7 @@ mod tests {
             .privacy_accounting(Participation::new(0.5).unwrap(), 0.1)
             .build()
             .unwrap();
-        let handle = engine.spawn(5);
+        let handle = engine.spawn();
         // Codes 0 and 1 six times each: both clear threshold 2, crowd = 6.
         for i in 0..12 {
             handle.submit(raw(i % 2)).unwrap();
@@ -629,7 +613,7 @@ mod tests {
             .privacy_accounting(Participation::new(0.5).unwrap(), 0.1)
             .build()
             .unwrap();
-        let handle = engine.spawn(21);
+        let handle = engine.spawn();
         for i in 0..6 {
             handle.submit(raw(i)).unwrap(); // six distinct codes, crowd 1 < 10
         }
@@ -647,7 +631,7 @@ mod tests {
     fn single_shard_routing_is_panic_free() {
         // `checked_rem` routing: the smallest legal shard set must route
         // every slot without arithmetic panics.
-        let handle = engine(1, 1, 4).spawn(2);
+        let handle = engine(1, 1, 4).spawn();
         for i in 0..9 {
             handle.submit(raw(i % 2)).unwrap();
         }
@@ -662,19 +646,19 @@ mod tests {
 
     #[test]
     fn empty_run_produces_no_batches() {
-        let output = engine(1, 4, 8).spawn(0).finish();
+        let output = engine(1, 4, 8).spawn().finish();
         assert!(output.batches.is_empty());
     }
 
     #[test]
     fn submit_after_finish_is_rejected_via_fresh_handle_semantics() {
         let engine = engine(1, 2, 4);
-        let first = engine.spawn(1);
+        let first = engine.spawn();
         first.submit(raw(0)).unwrap();
         let _ = first.finish();
         // The engine description is reusable; each spawned handle is
         // independent.
-        let second = engine.spawn(2);
+        let second = engine.spawn();
         second.submit(raw(1)).unwrap();
         let output = second.finish();
         assert_eq!(output.batches.len(), 1);
@@ -687,25 +671,22 @@ mod tests {
     }
 
     /// The engine's output at `shards = 1`, computed without threads: cut
-    /// the submissions at the shard batch size, Fisher–Yates each cut with
-    /// the shard's seed, then shuffle and threshold it with the merger's.
+    /// the submissions every `batch_size` reports and release each cut
+    /// through the synchronous shuffler's kernel.
     fn single_shard_oracle(
-        seed: u64,
         threshold: usize,
         batch_size: usize,
         reports: &[EncodedReport],
     ) -> Vec<EngineBatch> {
-        let mut shard_rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(1)));
-        let mut merger_rng = StdRng::seed_from_u64(splitmix64(seed ^ MERGER_SEED_TAG));
         reports
             .chunks(batch_size)
             .enumerate()
             .map(|(index, cut)| {
-                let mut cut = cut.to_vec();
-                cut.shuffle(&mut shard_rng);
+                let mut table = CellTable::default();
+                cut.iter().for_each(|report| table.add(report));
                 EngineBatch {
                     index: index as u64,
-                    batch: shuffle_and_threshold(threshold, cut, &mut merger_rng),
+                    batch: table.release(threshold),
                     amplification: None,
                 }
             })
@@ -726,9 +707,8 @@ mod tests {
     fn staging_never_reorders_or_recuts_reports() {
         for n in COUNTS {
             for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
-                let seed = 31 + n as u64;
                 let reports: Vec<EncodedReport> = (0..n).map(numbered).collect();
-                let handle = engine(2, 1, batch_size).spawn(seed);
+                let handle = engine(2, 1, batch_size).spawn();
                 for (i, report) in reports.iter().enumerate() {
                     handle
                         .submit(RawReport::new(format!("agent-{i}"), *report))
@@ -736,7 +716,7 @@ mod tests {
                 }
                 assert_eq!(
                     handle.finish().batches,
-                    single_shard_oracle(seed, 2, batch_size, &reports),
+                    single_shard_oracle(2, batch_size, &reports),
                     "n={n} batch_size={batch_size}"
                 );
             }
@@ -748,7 +728,7 @@ mod tests {
         for shards in [2, 4] {
             for n in COUNTS {
                 for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
-                    let handle = engine(1, shards, batch_size).spawn(n as u64);
+                    let handle = engine(1, shards, batch_size).spawn();
                     for i in 0..n {
                         handle.submit(RawReport::new("agent", numbered(i))).unwrap();
                     }
@@ -765,7 +745,7 @@ mod tests {
                     let mut actions: Vec<usize> = output
                         .batches
                         .iter()
-                        .flat_map(|b| b.batch.reports().iter().map(EncodedReport::action))
+                        .flat_map(|b| b.batch.reports().iter().map(ReleasedCell::action))
                         .collect();
                     actions.sort_unstable();
                     assert_eq!(actions, (0..n).collect::<Vec<_>>(), "{context}");
@@ -777,7 +757,7 @@ mod tests {
     #[test]
     fn a_shard_receives_one_message_per_chunk_of_reports() {
         for n in COUNTS {
-            let mut handle = engine(1, 1, 7).spawn(4);
+            let mut handle = engine(1, 1, 7).spawn();
             for i in 0..n {
                 handle.submit(raw(i % 5)).unwrap();
             }
@@ -797,7 +777,7 @@ mod tests {
 
     #[test]
     fn a_poisoned_stage_reads_as_pipeline_closed() {
-        let handle = engine(1, 1, 4).spawn(9);
+        let handle = engine(1, 1, 4).spawn();
         handle.submit(raw(0)).unwrap();
         let poisoned = std::thread::scope(|scope| {
             scope
@@ -817,7 +797,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_do_not_lose_reports() {
-        let handle = engine(1, 4, 32).spawn(77);
+        let handle = engine(1, 4, 32).spawn();
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let handle_ref = &handle;

@@ -8,10 +8,15 @@
 //! 1. **Anonymization** — all metadata attached to incoming reports (agent
 //!    identifiers, network addresses, timestamps) is stripped
 //!    ([`RawReport`] → [`EncodedReport`]).
-//! 2. **Shuffling** — reports are gathered into batches and their order is
-//!    randomized (Fisher–Yates), severing any ordering side channel.
-//! 3. **Thresholding** — reports whose encoded context code appears fewer
-//!    than `threshold` times in the batch are removed, enforcing the
+//! 2. **Tabulation** — reports are gathered into batches and each batch is
+//!    released as a histogram: one [`ReleasedCell`] per `(code, action)`
+//!    pair, holding the pair's report count and reward sum, in pair order.
+//!    This is the shuffle's purpose carried to its end: a histogram has no
+//!    order at all, so no ordering side channel survives, and it is all the
+//!    analyzer reads of the released multiset (post-processing of it, so
+//!    the (ε, δ) is unchanged).
+//! 3. **Thresholding** — the cells of every code that appears fewer than
+//!    `threshold` times in the batch are removed, enforcing the
 //!    crowd-blending parameter `l`.
 //!
 //! Two execution shapes share that contract:
@@ -22,9 +27,9 @@
 //! * [`ShufflerEngine`] — streaming: reports submitted from any thread are
 //!   partitioned across N shard workers (by hashing the anonymous batch
 //!   slot, never the sender) and handed to each a chunk at a time,
-//!   shuffled within and across shards through a fan-in merge stage,
-//!   thresholded per merged batch, and delivered with per-batch (ε, δ)
-//!   amplification records. Every report reaches the central model this
+//!   anonymized there, tabulated and thresholded per merged batch by a
+//!   fan-in merge stage, and delivered with per-batch (ε, δ) amplification
+//!   records. Every report reaches the central model this
 //!   way; one shard is the single-lane deployment. See [`engine`] for the
 //!   stage diagram and the staging contract; `tests/pipeline_concurrency.rs`
 //!   and `tests/shuffler_properties.rs` pin conservation and exact
@@ -54,7 +59,9 @@
 //!     .map(|i| RawReport::new(format!("agent-{i}"), EncodedReport::new(i % 2, 0, 1.0).unwrap()))
 //!     .collect();
 //! let batch = shuffler.process(reports, &mut rng);
-//! assert_eq!(batch.reports().len(), 6); // both codes appear ≥ 2 times
+//! // Both codes appear ≥ 2 times: two cells of three reports each.
+//! let cells: Vec<(usize, u64)> = batch.reports().iter().map(|c| (c.code(), c.count())).collect();
+//! assert_eq!(cells, vec![(0, 3), (1, 3)]);
 //! # Ok(())
 //! # }
 //! ```
@@ -74,6 +81,6 @@ pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, Shuffle
 pub use error::ShufflerError;
 pub use p2b_privacy::{fnv1a, splitmix64};
 pub use pool::{ShardPool, SHARD_QUEUE_CAPACITY};
-pub use report::{EncodedReport, RawReport, ReportMetadata};
+pub use report::{EncodedReport, RawReport, ReleasedCell, ReportMetadata};
 pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
 pub use shuffle::{ShuffledBatch, Shuffler, ShufflerConfig, ShufflerStats};

@@ -1,6 +1,7 @@
 //! Report tuples flowing from local agents through the shuffler.
 
 use crate::ShufflerError;
+use p2b_privacy::{decode_fixed, encode_fixed};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -53,6 +54,14 @@ impl EncodedReport {
     pub fn reward(&self) -> f64 {
         self.reward
     }
+
+    /// The reward on the fixed-point grid of [`p2b_privacy::encode_fixed`]:
+    /// `round(r · 2⁴⁸) ∈ [0, 2⁴⁸]`. [`EncodedReport::new`] keeps `r` in
+    /// `[0, 1]`; a report that bypassed it (deserialized) is clamped into
+    /// that range, and a NaN reward counts as 0.
+    fn fixed_reward(&self) -> i128 {
+        encode_fixed(self.reward.clamp(0.0, 1.0)).unwrap_or(0)
+    }
 }
 
 impl fmt::Display for EncodedReport {
@@ -62,6 +71,69 @@ impl fmt::Display for EncodedReport {
             "(y={}, a={}, r={:.3})",
             self.code, self.action, self.reward
         )
+    }
+}
+
+/// One cell of a released batch: every released report that shares a
+/// `(code, action)` pair, as their count and reward sum.
+///
+/// This is all the analyzer reads of the released multiset — LinUCB folds
+/// a pair's reports as one `(x, a, n, Σr)` update — and a histogram of the
+/// multiset is post-processing of it, so releasing cells instead of reports
+/// changes neither the (ε, δ) nor the crowd-blending threshold. The reward
+/// sum is kept on the 2⁻⁴⁸ fixed-point grid the secure-aggregation shares
+/// use, in a wrapping `i128`: a cell does not depend on the order its
+/// reports arrived in, and its decoded sum never exceeds its count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReleasedCell {
+    code: usize,
+    action: usize,
+    count: u64,
+    fixed_reward_sum: i128,
+}
+
+impl ReleasedCell {
+    /// The cell of one report.
+    pub(crate) fn of(report: &EncodedReport) -> Self {
+        Self {
+            code: report.code,
+            action: report.action,
+            count: 1,
+            fixed_reward_sum: report.fixed_reward(),
+        }
+    }
+
+    /// The encoded context code `y` the cell's reports share.
+    #[must_use]
+    pub fn code(&self) -> usize {
+        self.code
+    }
+
+    /// The action `a` the cell's reports share.
+    #[must_use]
+    pub fn action(&self) -> usize {
+        self.action
+    }
+
+    /// How many reports the cell holds.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The reports' reward sum, decoded from the fixed-point grid
+    /// ([`p2b_privacy::decode_fixed`]); it lies in `[0, count]`.
+    #[must_use]
+    pub fn reward_sum(&self) -> f64 {
+        decode_fixed(self.fixed_reward_sum)
+    }
+
+    /// Adds another cell's count and reward sum to this one. Fixed-point
+    /// sums wrap, so a total over any set of cells is exact and the same
+    /// in any order. The pair is the caller's key: `other`'s is not read.
+    pub fn absorb(&mut self, other: &ReleasedCell) {
+        self.count += other.count;
+        self.fixed_reward_sum = self.fixed_reward_sum.wrapping_add(other.fixed_reward_sum);
     }
 }
 
@@ -176,5 +248,33 @@ mod tests {
 
     fn serde_json_like_debug(report: &EncodedReport) -> String {
         format!("{report:?}")
+    }
+
+    #[test]
+    fn cells_sum_rewards_exactly_in_any_order() {
+        let rewards = [0.1, 0.3, 0.7, 1.0, 0.0, 0.7];
+        let cell = |order: &mut dyn Iterator<Item = &f64>| {
+            let mut total: Option<ReleasedCell> = None;
+            for &r in order {
+                let one = ReleasedCell::of(&EncodedReport::new(4, 2, r).unwrap());
+                match &mut total {
+                    Some(total) => total.absorb(&one),
+                    None => total = Some(one),
+                }
+            }
+            total.unwrap()
+        };
+        let forward = cell(&mut rewards.iter());
+        let backward = cell(&mut rewards.iter().rev());
+        assert_eq!(forward, backward);
+        assert_eq!((forward.code(), forward.action()), (4, 2));
+        assert_eq!(forward.count(), 6);
+        assert!((forward.reward_sum() - 2.8).abs() < 1e-12);
+        // All-ones sums decode to exactly their count.
+        let mut ones = ReleasedCell::of(&EncodedReport::new(0, 0, 1.0).unwrap());
+        for _ in 0..9 {
+            ones.absorb(&ReleasedCell::of(&EncodedReport::new(0, 0, 1.0).unwrap()));
+        }
+        assert_eq!(ones.reward_sum(), 10.0);
     }
 }

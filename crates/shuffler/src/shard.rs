@@ -8,14 +8,12 @@
 //! report by report, so where the chunk boundaries fall never moves a batch
 //! boundary.
 //!
-//! A shard performs the parallelizable half of the shuffler's work:
-//!
-//! 1. **Anonymization** — metadata is stripped from every report before it
-//!    leaves the shard ([`crate::RawReport::into_anonymous`]), so
-//!    identifying information never crosses the fan-in stage.
-//! 2. **Within-shard shuffling** — each accumulated batch is Fisher–Yates
-//!    shuffled before it is forwarded, so no downstream stage (including the
-//!    merger) ever observes arrival order.
+//! A shard performs the parallelizable half of the shuffler's work,
+//! **anonymization**: metadata is stripped from every report before it
+//! leaves the shard ([`crate::RawReport::into_anonymous`]), so identifying
+//! information never crosses the fan-in stage. Nothing downstream observes
+//! arrival order either: the merger tabulates each merged batch into
+//! `(code, action)` cells, which no order of the same reports can change.
 //!
 //! Thresholding is deliberately *not* done per shard: a code split across
 //! shards could be suppressed even though it clears the crowd-blending
@@ -24,30 +22,25 @@
 
 use crate::{EncodedReport, RawReport};
 use crossbeam::channel::{Receiver, Sender};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
-/// A within-shard pre-shuffled batch of anonymized reports on its way to the
-/// fan-in merge stage.
+/// A batch of anonymized reports on its way to the fan-in merge stage.
 #[derive(Debug)]
 pub(crate) struct SubBatch {
     /// Index of the shard that produced this batch.
     #[allow(dead_code)] // read by the concurrency tests and debug output
     pub(crate) shard: usize,
-    /// Anonymized reports in within-shard shuffled order.
+    /// Anonymized reports, in the order the shard received them.
     pub(crate) reports: Vec<EncodedReport>,
 }
 
 /// One shard's worker loop: drain the bounded ingress queue of chunks,
-/// accumulate `batch_size` reports, anonymize + shuffle the batch, and
-/// forward it to the merger.
+/// accumulate `batch_size` reports, anonymize the batch, and forward it to
+/// the merger.
 pub(crate) struct ShardWorker {
     shard: usize,
     input: Receiver<Vec<RawReport>>,
     output: Sender<SubBatch>,
     batch_size: usize,
-    rng: StdRng,
 }
 
 impl ShardWorker {
@@ -56,14 +49,12 @@ impl ShardWorker {
         input: Receiver<Vec<RawReport>>,
         output: Sender<SubBatch>,
         batch_size: usize,
-        seed: u64,
     ) -> Self {
         Self {
             shard,
             input,
             output,
             batch_size,
-            rng: StdRng::seed_from_u64(seed),
         }
     }
 
@@ -71,7 +62,7 @@ impl ShardWorker {
     /// dropped) or the merger goes away; flushes the final partial batch on
     /// the way out. Each received chunk is cut report by report, so the
     /// batches equal those of the same reports sent one at a time.
-    pub(crate) fn run(mut self) {
+    pub(crate) fn run(self) {
         let mut pending: Vec<RawReport> = Vec::with_capacity(self.batch_size);
         while let Ok(chunk) = self.input.recv() {
             for report in chunk {
@@ -84,15 +75,14 @@ impl ShardWorker {
         let _ = self.flush(&mut pending);
     }
 
-    /// Anonymizes, shuffles and forwards the pending batch. Returns `false`
-    /// when the merger has shut down and the worker should stop.
-    fn flush(&mut self, pending: &mut Vec<RawReport>) -> bool {
+    /// Anonymizes and forwards the pending batch. Returns `false` when the
+    /// merger has shut down and the worker should stop.
+    fn flush(&self, pending: &mut Vec<RawReport>) -> bool {
         if pending.is_empty() {
             return true;
         }
-        let mut reports: Vec<EncodedReport> =
+        let reports: Vec<EncodedReport> =
             pending.drain(..).map(RawReport::into_anonymous).collect();
-        reports.shuffle(&mut self.rng);
         self.output
             .send(SubBatch {
                 shard: self.shard,
@@ -112,12 +102,12 @@ mod tests {
         RawReport::new("agent", EncodedReport::new(code, 0, 1.0).unwrap())
     }
 
-    /// Feeds codes `0..reports` to one worker (shard 3, seed 7) in chunks of
+    /// Feeds codes `0..reports` to one worker (shard 3) in chunks of
     /// `chunk` and returns the sub-batches it forwards.
     fn run_worker(reports: usize, chunk: usize, batch_size: usize) -> Vec<SubBatch> {
         let (in_tx, in_rx) = bounded::<Vec<RawReport>>(16);
         let (out_tx, out_rx) = unbounded::<SubBatch>();
-        let worker = ShardWorker::new(3, in_rx, out_tx, batch_size, 7);
+        let worker = ShardWorker::new(3, in_rx, out_tx, batch_size);
         let handle = std::thread::spawn(move || worker.run());
         let codes: Vec<usize> = (0..reports).collect();
         for part in codes.chunks(chunk) {
@@ -149,7 +139,7 @@ mod tests {
     fn chunks_straddling_the_cut_batch_like_single_reports() {
         // Chunks of 3 against batches of 4: the second chunk straddles the
         // first cut and the third the second, yet each sub-batch holds the
-        // codes — in the same shuffled order — of a one-at-a-time feed.
+        // codes — in the same order — of a one-at-a-time feed.
         let chunked = run_worker(10, 3, 4);
         let single = run_worker(10, 1, 4);
         let sizes: Vec<usize> = chunked.iter().map(|s| s.reports.len()).collect();
@@ -169,7 +159,7 @@ mod tests {
         let (in_tx, in_rx) = bounded::<Vec<RawReport>>(16);
         let (out_tx, out_rx) = unbounded::<SubBatch>();
         drop(out_rx);
-        let worker = ShardWorker::new(0, in_rx, out_tx, 2, 1);
+        let worker = ShardWorker::new(0, in_rx, out_tx, 2);
         let handle = std::thread::spawn(move || worker.run());
         // The worker exits as soon as it fails to forward a full batch,
         // instead of spinning forever.
@@ -182,7 +172,7 @@ mod tests {
         let (out_tx, out_rx) = unbounded::<SubBatch>();
         drop(out_rx);
         let pool = ShardPool::spawn(1, 1, move |shard, input| {
-            ShardWorker::new(shard, input, out_tx, 4, 1).run();
+            ShardWorker::new(shard, input, out_tx, 4).run();
         });
         let stage = || (0..256).map(raw).collect::<Vec<_>>();
         // The first stage is taken and its first batch fails to forward, so

@@ -1,10 +1,12 @@
-//! The synchronous shuffler: anonymize, shuffle, threshold.
+//! The synchronous shuffler and the release kernel it shares with the
+//! engine's merger: anonymize, tabulate, threshold.
 
-use crate::{EncodedReport, RawReport, ShufflerError};
-use rand::seq::SliceRandom;
+use crate::{EncodedReport, RawReport, ReleasedCell, ShufflerError};
+use p2b_privacy::splitmix64;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of a [`Shuffler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,25 +53,21 @@ pub struct ShufflerStats {
     pub min_released_frequency: usize,
 }
 
-/// The output of one shuffling round: anonymous, order-randomized,
-/// threshold-filtered reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The output of one shuffling round: the released multiset as a histogram
+/// of `(code, action)` cells, threshold-filtered, with no trace of who sent
+/// a report or in which order reports arrived.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuffledBatch {
-    reports: Vec<EncodedReport>,
+    cells: Vec<ReleasedCell>,
     stats: ShufflerStats,
 }
 
 impl ShuffledBatch {
-    /// The released reports, in shuffled order.
+    /// The released cells, one per `(code, action)` pair, in pair order.
+    /// Their counts sum to [`ShufflerStats::released`].
     #[must_use]
-    pub fn reports(&self) -> &[EncodedReport] {
-        &self.reports
-    }
-
-    /// Consumes the batch and returns the released reports.
-    #[must_use]
-    pub fn into_reports(self) -> Vec<EncodedReport> {
-        self.reports
+    pub fn reports(&self) -> &[ReleasedCell] {
+        &self.cells
     }
 
     /// Statistics of the round that produced this batch.
@@ -113,62 +111,111 @@ impl Shuffler {
         self.config.threshold
     }
 
-    /// Processes one batch of raw reports: strips metadata, shuffles the
-    /// order and removes reports whose code appears fewer than
-    /// `threshold` times in the batch.
+    /// Processes one batch of raw reports: strips metadata, tabulates the
+    /// reports into `(code, action)` cells and removes the cells of codes
+    /// that appear fewer than `threshold` times in the batch.
+    ///
+    /// The release is a histogram, so nothing is left to randomize: `rng`
+    /// is not drawn from. It stays in the signature for existing callers.
     #[must_use]
-    pub fn process<R: Rng + ?Sized>(&self, batch: Vec<RawReport>, rng: &mut R) -> ShuffledBatch {
-        // 1. Anonymization: drop every byte of metadata.
-        let anonymous: Vec<EncodedReport> =
-            batch.into_iter().map(RawReport::into_anonymous).collect();
-        shuffle_and_threshold(self.config.threshold, anonymous, rng)
+    pub fn process<R: Rng + ?Sized>(&self, batch: Vec<RawReport>, _rng: &mut R) -> ShuffledBatch {
+        let mut table = CellTable::default();
+        for report in batch {
+            table.add(&report.into_anonymous());
+        }
+        table.release(self.config.threshold)
     }
 }
 
-/// The shared post-anonymization core of the synchronous [`Shuffler`] and
-/// the sharded engine's merge stage: uniform shuffle followed by the
-/// crowd-blending threshold. The batch's empirical crowd size is available
-/// through [`ShuffledBatch::min_released_code_frequency`].
-pub(crate) fn shuffle_and_threshold<R: Rng + ?Sized>(
-    threshold: usize,
-    mut anonymous: Vec<EncodedReport>,
-    rng: &mut R,
-) -> ShuffledBatch {
-    let received = anonymous.len();
+/// Hashes a `(code, action)` key: the two words are packed into one and
+/// finished by [`splitmix64`], a few multiplies where the default hasher
+/// runs SipHash on every report.
+#[derive(Debug, Default)]
+struct PairHasher(u64);
 
-    // 2. Shuffling: uniformly random permutation.
-    anonymous.shuffle(rng);
-
-    // 3. Thresholding: count code frequencies, then retain codes that
-    //    clear the crowd-blending threshold.
-    let mut counts: HashMap<usize, usize> = HashMap::new();
-    for report in &anonymous {
-        *counts.entry(report.code()).or_insert(0) += 1;
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
     }
-    let distinct_codes = counts.len();
-    let released: Vec<EncodedReport> = anonymous
-        .into_iter()
-        .filter(|r| counts[&r.code()] >= threshold)
-        .collect();
-    let released_codes = counts.values().filter(|&&c| c >= threshold).count();
-    let min_released_frequency = counts
-        .values()
-        .filter(|&&c| c >= threshold)
-        .min()
-        .copied()
-        .unwrap_or(0);
 
-    let stats = ShufflerStats {
-        received,
-        released: released.len(),
-        dropped: received - released.len(),
-        distinct_codes,
-        released_codes,
-        min_released_frequency,
-    };
-    ShuffledBatch {
-        reports: released,
-        stats,
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.0 = self.0.rotate_left(32) ^ word as u64;
+    }
+}
+
+/// The release kernel of the synchronous [`Shuffler`] and the engine's
+/// merger: anonymous reports are added one at a time to their
+/// `(code, action)` cell, and [`CellTable::release`] thresholds the batch on
+/// the per-code totals read off the cells. The table keeps its capacity
+/// from batch to batch.
+#[derive(Debug, Default)]
+pub(crate) struct CellTable {
+    /// The batch's cells by `(code, action)`.
+    cells: HashMap<(usize, usize), ReleasedCell, BuildHasherDefault<PairHasher>>,
+    /// Reports added since the last release.
+    received: usize,
+}
+
+impl CellTable {
+    /// Reports added since the last release.
+    pub(crate) fn received(&self) -> usize {
+        self.received
+    }
+
+    /// Adds one anonymous report to its cell.
+    pub(crate) fn add(&mut self, report: &EncodedReport) {
+        let cell = ReleasedCell::of(report);
+        self.cells
+            .entry((report.code(), report.action()))
+            .and_modify(|sum| sum.absorb(&cell))
+            .or_insert(cell);
+        self.received += 1;
+    }
+
+    /// Releases the batch added since the last release and empties the
+    /// table: the cells in `(code, action)` order, without those of codes
+    /// seen fewer than `threshold` times. The batch's empirical crowd size
+    /// is [`ShuffledBatch::min_released_code_frequency`].
+    pub(crate) fn release(&mut self, threshold: usize) -> ShuffledBatch {
+        let mut cells: Vec<ReleasedCell> = self.cells.drain().map(|(_, cell)| cell).collect();
+        cells.sort_unstable_by_key(|cell| (cell.code(), cell.action()));
+        let mut stats = ShufflerStats {
+            received: std::mem::take(&mut self.received),
+            ..ShufflerStats::default()
+        };
+        // Each code's run of cells is kept (moved down over dropped runs,
+        // order unchanged) or dropped whole, by its total.
+        let (mut kept, mut start) = (0, 0);
+        while start < cells.len() {
+            let code = cells[start].code();
+            let end = cells[start..]
+                .iter()
+                .position(|cell| cell.code() != code)
+                .map_or(cells.len(), |len| start + len);
+            let total: u64 = cells[start..end].iter().map(ReleasedCell::count).sum();
+            let total = usize::try_from(total).unwrap_or(usize::MAX);
+            stats.distinct_codes += 1;
+            if total >= threshold {
+                cells.copy_within(start..end, kept);
+                kept += end - start;
+                stats.released += total;
+                stats.released_codes += 1;
+                stats.min_released_frequency = match stats.min_released_frequency {
+                    0 => total,
+                    least => least.min(total),
+                };
+            }
+            start = end;
+        }
+        cells.truncate(kept);
+        stats.dropped = stats.received - stats.released;
+        ShuffledBatch { cells, stats }
     }
 }
 
@@ -180,6 +227,15 @@ mod tests {
 
     fn raw(sender: &str, code: usize, reward: f64) -> RawReport {
         RawReport::new(sender, EncodedReport::new(code, 0, reward).unwrap())
+    }
+
+    /// The released multiset of codes: each cell's code, `count` times.
+    fn released_codes(batch: &ShuffledBatch) -> Vec<usize> {
+        batch
+            .reports()
+            .iter()
+            .flat_map(|cell| std::iter::repeat_n(cell.code(), cell.count() as usize))
+            .collect()
     }
 
     #[test]
@@ -219,7 +275,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let batch: Vec<RawReport> = (0..10).map(|i| raw(&format!("a{i}"), i, 0.5)).collect();
         let out = shuffler.process(batch, &mut rng);
-        assert_eq!(out.reports().len(), 10);
+        assert_eq!(released_codes(&out).len(), 10);
         assert_eq!(out.stats().dropped, 0);
     }
 
@@ -234,21 +290,95 @@ mod tests {
     }
 
     #[test]
-    fn shuffling_changes_order_but_preserves_multiset() {
+    fn release_preserves_the_multiset_in_pair_order() {
         let shuffler = Shuffler::new(ShufflerConfig::new(1)).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let batch: Vec<RawReport> = (0..200)
             .map(|i| raw(&format!("a{i}"), i % 4, (i % 2) as f64))
             .collect();
-        let original_codes: Vec<usize> = batch.iter().map(|r| r.payload().code()).collect();
+        let mut original_codes: Vec<usize> = batch.iter().map(|r| r.payload().code()).collect();
         let out = shuffler.process(batch, &mut rng);
-        let shuffled_codes: Vec<usize> = out.reports().iter().map(|r| r.code()).collect();
-        assert_ne!(original_codes, shuffled_codes, "order should be randomized");
-        let mut a = original_codes.clone();
-        let mut b = shuffled_codes.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "no report may be lost or duplicated at threshold 1");
+        // One cell per code (every report has action 0), 50 reports each,
+        // half of them rewarded, in pair order.
+        let cells: Vec<(usize, usize, u64, f64)> = out
+            .reports()
+            .iter()
+            .map(|c| (c.code(), c.action(), c.count(), c.reward_sum()))
+            .collect();
+        let want: Vec<(usize, usize, u64, f64)> = (0..4)
+            .map(|code| (code, 0, 50, if code % 2 == 1 { 50.0 } else { 0.0 }))
+            .collect();
+        assert_eq!(cells, want);
+        original_codes.sort_unstable();
+        assert_eq!(
+            released_codes(&out),
+            original_codes,
+            "no report may be lost or duplicated at threshold 1"
+        );
+    }
+
+    #[test]
+    fn the_release_does_not_depend_on_arrival_order() {
+        let shuffler = Shuffler::new(ShufflerConfig::new(2)).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        let rewards = [0.1, 0.3, 0.7];
+        let reports: Vec<RawReport> = (0..60)
+            .map(|i| {
+                let payload = EncodedReport::new(i % 7, i % 3, rewards[i % 5 % 3]).unwrap();
+                RawReport::new(format!("a{i}"), payload)
+            })
+            .collect();
+        let forward = shuffler.process(reports.clone(), &mut rng);
+        let backward = shuffler.process(reports.into_iter().rev().collect(), &mut rng);
+        assert_eq!(forward, backward);
+        let pairs: Vec<(usize, usize)> = forward
+            .reports()
+            .iter()
+            .map(|c| (c.code(), c.action()))
+            .collect();
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(pairs, sorted, "one cell per pair, in pair order");
+    }
+
+    #[test]
+    fn a_batch_over_k_codes_and_a_actions_releases_at_most_k_times_a_cells() {
+        // The ingest benchmark's merged batch: 16 384 reports over k codes
+        // and A actions fold as at most k·A cells, however often a pair
+        // repeats.
+        let (codes, actions) = (64usize, 10usize);
+        let table_batch: Vec<RawReport> = (0..16_384usize)
+            .map(|i| {
+                let payload =
+                    EncodedReport::new(i * 7 % codes, i * 13 % actions, (i % 2) as f64).unwrap();
+                RawReport::new("agent", payload)
+            })
+            .collect();
+        let shuffler = Shuffler::new(ShufflerConfig::new(10)).unwrap();
+        let out = shuffler.process(table_batch, &mut StdRng::seed_from_u64(9));
+        assert!(out.reports().len() <= codes * actions);
+        let counted: u64 = out.reports().iter().map(ReleasedCell::count).sum();
+        assert_eq!(counted as usize, out.stats().released);
+        assert_eq!(out.stats().released + out.stats().dropped, 16_384);
+    }
+
+    #[test]
+    fn a_reused_table_releases_like_a_fresh_one() {
+        let mut reused = CellTable::default();
+        for round in 0..4usize {
+            let reports: Vec<EncodedReport> = (0..30)
+                .map(|i| EncodedReport::new((i + round) % 3, i % 2, 0.25).unwrap())
+                .collect();
+            let mut fresh = CellTable::default();
+            for report in &reports {
+                reused.add(report);
+                fresh.add(report);
+            }
+            assert_eq!(reused.received(), 30);
+            assert_eq!(reused.release(2), fresh.release(2), "round {round}");
+            assert_eq!(reused.received(), 0);
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! threads feed a single-lane (1-shard) or sharded engine, and the released
 //! set must be exactly the threshold-surviving multiset — no report lost,
 //! none duplicated, none leaked below threshold. The sharded tests repeat
-//! every claim for shards ∈ {1, 2, 4}.
+//! every claim for shards ∈ {1, 2, 4}. A released batch is a histogram of
+//! `(code, action)` cells, so multisets are read off the cell counts.
 
-use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
+use p2b_shuffler::{EncodedReport, RawReport, ReleasedCell, ShufflerConfig, ShufflerEngine};
 use std::collections::HashMap;
 
 fn raw(agent: usize, code: usize) -> RawReport {
@@ -19,6 +20,15 @@ fn frequencies(codes: impl Iterator<Item = usize>) -> HashMap<usize, usize> {
     let mut map = HashMap::new();
     for code in codes {
         *map.entry(code).or_insert(0) += 1;
+    }
+    map
+}
+
+/// Multiset of code frequencies in a released batch's cells.
+fn released_frequencies(cells: &[ReleasedCell]) -> HashMap<usize, usize> {
+    let mut map = HashMap::new();
+    for cell in cells {
+        *map.entry(cell.code()).or_insert(0) += cell.count() as usize;
     }
     map
 }
@@ -48,7 +58,7 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
         .batch_size(TOTAL)
         .build()
         .expect("valid engine");
-    let handle = engine.spawn(99);
+    let handle = engine.spawn();
     std::thread::scope(|scope| {
         for producer in 0..PRODUCERS {
             let handle_ref = &handle;
@@ -74,7 +84,7 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
         .into_iter()
         .map(|(code, count)| (code, count * PRODUCERS))
         .collect::<HashMap<_, _>>();
-    let released = frequencies(batch.reports().iter().map(|r| r.code()));
+    let released = released_frequencies(batch.reports());
 
     // Exactly the threshold-surviving codes are released, at exactly their
     // submitted multiplicities: nothing lost, nothing duplicated.
@@ -111,7 +121,7 @@ fn per_batch_thresholding_still_conserves_received_counts() {
         .batch_size(32)
         .build()
         .expect("valid engine");
-    let handle = engine.spawn(7);
+    let handle = engine.spawn();
     std::thread::scope(|scope| {
         for producer in 0..PRODUCERS {
             let handle_ref = &handle;
@@ -132,9 +142,13 @@ fn per_batch_thresholding_still_conserves_received_counts() {
         .sum();
     assert_eq!(received, PRODUCERS * REPORTS_PER_PRODUCER);
     assert_eq!(accounted, received);
-    let released: usize = batches.iter().map(|b| b.batch.reports().len()).sum();
+    let released: u64 = batches
+        .iter()
+        .flat_map(|b| b.batch.reports())
+        .map(ReleasedCell::count)
+        .sum();
     assert_eq!(
-        released,
+        released as usize,
         batches
             .iter()
             .map(|b| b.batch.stats().released)
@@ -142,10 +156,9 @@ fn per_batch_thresholding_still_conserves_received_counts() {
     );
 }
 
-/// A report's full identity for multiset comparison: code, action and the
-/// bit pattern of the reward.
-fn identity(report: &EncodedReport) -> (usize, usize, u64) {
-    (report.code(), report.action(), report.reward().to_bits())
+/// A report's pair for multiset comparison.
+fn pair(report: &EncodedReport) -> (usize, usize) {
+    (report.code(), report.action())
 }
 
 #[test]
@@ -163,16 +176,19 @@ fn engine_delivers_the_exact_multiset_for_one_two_and_four_shards() {
             .batch_size(64)
             .build()
             .expect("valid engine");
-        let handle = engine.spawn(2024);
+        let handle = engine.spawn();
 
-        let mut submitted: HashMap<(usize, usize, u64), usize> = HashMap::new();
+        // Pair → (reports, rewarded reports): every reward is 0 or 1.
+        let mut submitted: HashMap<(usize, usize), (u64, u64)> = HashMap::new();
         for producer in 0..PRODUCERS {
             for i in 0..REPORTS_PER_PRODUCER {
                 let global = producer * REPORTS_PER_PRODUCER + i;
                 let report =
                     EncodedReport::new(global % 13, global % 3, f64::from((global % 2) as u8))
                         .expect("valid report");
-                *submitted.entry(identity(&report)).or_insert(0) += 1;
+                let tally = submitted.entry(pair(&report)).or_insert((0, 0));
+                tally.0 += 1;
+                tally.1 += report.reward() as u64;
             }
         }
 
@@ -197,13 +213,18 @@ fn engine_delivers_the_exact_multiset_for_one_two_and_four_shards() {
         });
         let output = handle.finish();
 
-        let mut delivered: HashMap<(usize, usize, u64), usize> = HashMap::new();
+        let mut delivered: HashMap<(usize, usize), (u64, u64)> = HashMap::new();
         let mut received = 0;
         for batch in &output.batches {
             received += batch.batch.stats().received;
             assert_eq!(batch.batch.stats().dropped, 0, "threshold 1 drops nothing");
-            for report in batch.batch.reports() {
-                *delivered.entry(identity(report)).or_insert(0) += 1;
+            for cell in batch.batch.reports() {
+                let tally = delivered
+                    .entry((cell.code(), cell.action()))
+                    .or_insert((0, 0));
+                tally.0 += cell.count();
+                // 0/1 rewards sum exactly on the fixed-point grid.
+                tally.1 += cell.reward_sum() as u64;
             }
         }
         assert_eq!(received, TOTAL, "shards={shards}");
@@ -246,7 +267,7 @@ fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
             .batch_size(TOTAL)
             .build()
             .expect("valid engine");
-        let handle = engine.spawn(7);
+        let handle = engine.spawn();
         std::thread::scope(|scope| {
             for producer in 0..PRODUCERS {
                 let handle_ref = &handle;
@@ -269,7 +290,7 @@ fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
             .into_iter()
             .map(|(code, count)| (code, count * PRODUCERS))
             .collect::<HashMap<_, _>>();
-        let released = frequencies(batch.reports().iter().map(|r| r.code()));
+        let released = released_frequencies(batch.reports());
         for (&code, &count) in &submitted {
             if count >= THRESHOLD {
                 assert_eq!(

@@ -70,7 +70,11 @@ fn full_pipeline_improves_fresh_agents_and_respects_crowd_blending() {
     // Crowd-blending: every released code appears at least l times.
     let crowd = CrowdBlending::exact(3).unwrap();
     let audit = |batch: &ShuffledBatch| {
-        let codes: Vec<usize> = batch.reports().iter().map(|r| r.code()).collect();
+        let codes: Vec<usize> = batch
+            .reports()
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(c.code(), c.count() as usize))
+            .collect();
         assert!(crowd.is_satisfied_by(&codes));
     };
     let mut pending = Vec::new();
