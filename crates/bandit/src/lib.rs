@@ -4,10 +4,11 @@
 //! Li et al. 2010) — a linear upper-confidence-bound contextual bandit — and
 //! nothing else. This crate provides:
 //!
-//! * [`LinUcb`], the disjoint-arm LinUCB implementation, with its
-//!   sufficient-statistics currencies ([`CoalescedUpdate`], [`ArmSums`],
-//!   [`ArmStatistics`]) and reusable scratch ([`SelectScratch`],
-//!   [`IngestScratch`]);
+//! * [`LinUcb`], the disjoint-arm LinUCB implementation, with its one
+//!   sufficient-statistics currency: [`CoalescedUpdate`]s fold into
+//!   per-arm [`ArmSums`] (or their flat leaves are summed and read back),
+//!   and [`LinUcb::set_arm`] installs the sums as a model arm; plus the
+//!   reusable select scratch ([`SelectScratch`]);
 //! * the [`ContextualPolicy`] trait: the per-report select/update loop a
 //!   device or a simulated cell drives.
 //!
@@ -37,7 +38,5 @@ mod linucb;
 mod policy;
 
 pub use error::BanditError;
-pub use linucb::{
-    ArmStatistics, ArmSums, CoalescedUpdate, IngestScratch, LinUcb, LinUcbConfig, SelectScratch,
-};
+pub use linucb::{ArmSums, CoalescedUpdate, LinUcb, LinUcbConfig, SelectScratch};
 pub use policy::{Action, ContextualPolicy, Reward};

@@ -3,8 +3,7 @@
 use crate::policy::{check_action, check_context, check_finite, check_reward, random_action};
 use crate::{Action, BanditError, ContextualPolicy, Reward};
 use p2b_linalg::{
-    Matrix, RankOneInverse, ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch, UpdateScratch,
-    Vector,
+    Cholesky, Matrix, RankOneInverse, ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch, Vector,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,7 +100,7 @@ impl LinUcbConfig {
 /// observations: the design-matrix contribution is `count · x xᵀ` and the
 /// reward-vector contribution is `reward_sum · x`, so a batch of `N` reports
 /// over `K` distinct `(context, action)` pairs folds in `K` matrix
-/// operations via [`LinUcb::update_batch_with`] instead of `N`.
+/// operations via [`ArmSums::fold`] instead of `N`.
 ///
 /// # Example
 ///
@@ -183,150 +182,21 @@ impl CoalescedUpdate {
     }
 }
 
-/// Explicit per-arm sufficient statistics for
-/// [`LinUcb::from_sufficient_statistics`]: a design matrix `A_a`, a reward
-/// vector `b_a`, and a pull count.
+/// One arm's sufficient statistics — the one currency every regime hands
+/// the central model: the design `A = λI + Σ n·x xᵀ`, the reward vector
+/// `b = Σ s·x`, the pulls `Σ n`, the number of folds, and the prior λ the
+/// design started from.
 ///
-/// This is the exchange format of the central-DP trust model: a curator
-/// accumulates the exact statistics, perturbs them (e.g. through a
-/// tree-aggregation release), and rebuilds a servable model from the noisy
-/// copies. The design matrix must be symmetric positive definite;
-/// [`ArmStatistics::from_leaf`] symmetrizes and ridge-shifts a summed
-/// [`ArmStatistics::leaf`] until it is.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArmStatistics {
-    /// The design matrix `A_a = λI + Σ x xᵀ` (possibly noisy).
-    pub design: Matrix,
-    /// The reward vector `b_a = Σ r·x` (possibly noisy).
-    pub reward_vector: Vector,
-    /// Number of pulls the statistics summarize.
-    pub pulls: u64,
-}
-
-impl ArmStatistics {
-    /// Builds positive-definite statistics from a symmetric Gram block
-    /// `Σ x xᵀ` that noise or quantization may have left indefinite: the
-    /// design is `gram + (regularizer + boost)·I`, with `boost` escalating
-    /// 0, 1, 2, 4, … until the design factors. Doubling terminates quickly
-    /// because the shift soon dominates the largest negative eigenvalue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::Linalg`] when no boost up to `1e12` yields a
-    /// positive-definite design (a non-finite or mis-shaped Gram block).
-    pub fn with_ridge_repair(
-        gram: &Matrix,
-        reward_vector: Vector,
-        pulls: u64,
-        regularizer: f64,
-    ) -> Result<Self, BanditError> {
-        let mut boost = 0.0f64;
-        loop {
-            let mut design = gram.clone();
-            for i in 0..gram.rows().min(gram.cols()) {
-                design.set(i, i, design.get(i, i) + regularizer + boost);
-            }
-            match RankOneInverse::from_matrix(&design) {
-                Ok(_) => {
-                    return Ok(Self {
-                        design,
-                        reward_vector,
-                        pulls,
-                    })
-                }
-                Err(_) if boost < 1e12 => {
-                    boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Length of the flat statistics leaf of a `dimension`-dimensional arm:
-    /// `d²` Gram coordinates, `d` reward coordinates and one pull counter.
-    #[must_use]
-    pub const fn leaf_dimension(dimension: usize) -> usize {
-        dimension * dimension + dimension + 1
-    }
-
-    /// The flat leaf `[n·vec(x xᵀ) | s·x | n]` that `count = n` observations
-    /// of `context = x` with reward sum `s` add to an arm's statistics — the
-    /// one layout every aggregating regime (tree curator, secure-aggregation
-    /// shards) sums and [`ArmStatistics::from_leaf`] reads back.
-    ///
-    /// The context is clipped to the unit L2 ball and the reward sum clamped
-    /// to `[0, n]`, so every coordinate is bounded by `n` and a single
-    /// report (`n = 1`) has L2 norm at most `√3`.
-    #[must_use]
-    pub fn leaf(context: &Vector, count: u64, reward_sum: f64) -> Vec<f64> {
-        let d = context.len();
-        let norm = context.norm2();
-        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
-        let count = count as f64;
-        let reward_sum = reward_sum.clamp(0.0, count);
-        let mut leaf = vec![0.0f64; Self::leaf_dimension(d)];
-        for i in 0..d {
-            let xi = context[i] * scale;
-            for j in 0..d {
-                leaf[i * d + j] = count * (xi * (context[j] * scale));
-            }
-            leaf[d * d + i] = reward_sum * xi;
-        }
-        leaf[d * d + d] = count;
-        leaf
-    }
-
-    /// Rebuilds positive-definite statistics from a summed (and possibly
-    /// noised or quantized) leaf in the [`ArmStatistics::leaf`] layout. The
-    /// Gram block is symmetrized as `(g_ij + g_ji) / 2` — per-coordinate
-    /// noise is not symmetric even though `x xᵀ` is, and the average is an
-    /// exact no-op on an already symmetric block — the pull counter is
-    /// rounded and floored at zero, and the design goes through
-    /// [`ArmStatistics::with_ridge_repair`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidConfig`] when `leaf` is not
-    /// [`ArmStatistics::leaf_dimension`]`(dimension)` long, and propagates
-    /// the ridge repair's error.
-    pub fn from_leaf(
-        leaf: &[f64],
-        dimension: usize,
-        regularizer: f64,
-    ) -> Result<Self, BanditError> {
-        let d = dimension;
-        if leaf.len() != Self::leaf_dimension(d) {
-            return Err(BanditError::InvalidConfig {
-                parameter: "leaf",
-                message: format!(
-                    "a dimension-{d} statistics leaf has {} coordinates, got {}",
-                    Self::leaf_dimension(d),
-                    leaf.len()
-                ),
-            });
-        }
-        let mut gram = Matrix::zeros(d, d);
-        for i in 0..d {
-            for j in 0..d {
-                gram.set(i, j, (leaf[i * d + j] + leaf[j * d + i]) / 2.0);
-            }
-        }
-        let reward_vector = Vector::from(leaf[d * d..d * d + d].to_vec());
-        let pulls = leaf[d * d + d].round().max(0.0) as u64;
-        Self::with_ridge_repair(&gram, reward_vector, pulls, regularizer)
-    }
-}
-
-/// One arm's running sums as an ingest shard folds them: the design
-/// `A = λI + Σ n·x xᵀ`, the reward vector `b = Σ s·x`, the pulls `Σ n`, the
-/// number of folds, and the prior λ the design started from.
-///
-/// No inverse, θ or score lanes: a shard only accumulates, and
-/// [`LinUcb::set_arm`] inverts once per epoch. A fold runs exactly the
-/// design and reward-vector arithmetic of [`LinUcb::update_batch_with`], and
-/// the fold count is the update count that fold would leave on the arm's
-/// inverse, so an installed arm refreshes on the same schedule as a merged
-/// one.
+/// Two sources fill it. An ingest shard folds coalesced updates into it
+/// ([`ArmSums::fold`]); the aggregating regimes (the central-DP curator's
+/// tree, the secure-aggregation shards) sum flat statistics leaves
+/// ([`ArmSums::leaf`]) and read the (possibly noised or quantized) total
+/// back ([`ArmSums::from_leaf`]). No inverse, θ or score lanes: the sums
+/// only accumulate, and [`LinUcb::set_arm`] — the one way sums become a
+/// model — inverts once. A fold runs exactly the design and reward-vector
+/// arithmetic of the per-report [`ContextualPolicy::update`] at `n = 1`,
+/// and the fold count is the update count the arm's inverse inherits, so an
+/// installed arm refreshes on the schedule of a per-report one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmSums {
     design: Matrix,
@@ -371,6 +241,106 @@ impl ArmSums {
         self.pulls += update.count();
         self.folds += 1;
         Ok(())
+    }
+
+    /// Length of the flat statistics leaf of a `dimension`-dimensional arm:
+    /// `d²` Gram coordinates, `d` reward coordinates and one pull counter.
+    #[must_use]
+    pub const fn leaf_dimension(dimension: usize) -> usize {
+        dimension * dimension + dimension + 1
+    }
+
+    /// The flat leaf `[n·vec(x xᵀ) | s·x | n]` that `count = n` observations
+    /// of `context = x` with reward sum `s` add to an arm's statistics — the
+    /// one layout every aggregating regime (tree curator, secure-aggregation
+    /// shards) sums and [`ArmSums::from_leaf`] reads back.
+    ///
+    /// The context is clipped to the unit L2 ball and the reward sum clamped
+    /// to `[0, n]`, so every coordinate is bounded by `n` and a single
+    /// report (`n = 1`) has L2 norm at most `√3`.
+    #[must_use]
+    pub fn leaf(context: &Vector, count: u64, reward_sum: f64) -> Vec<f64> {
+        let d = context.len();
+        let norm = context.norm2();
+        let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
+        let count = count as f64;
+        let reward_sum = reward_sum.clamp(0.0, count);
+        let mut leaf = vec![0.0f64; Self::leaf_dimension(d)];
+        for i in 0..d {
+            let xi = context[i] * scale;
+            for j in 0..d {
+                leaf[i * d + j] = count * (xi * (context[j] * scale));
+            }
+            leaf[d * d + i] = reward_sum * xi;
+        }
+        leaf[d * d + d] = count;
+        leaf
+    }
+
+    /// Reads a summed (and possibly noised or quantized) leaf in the
+    /// [`ArmSums::leaf`] layout back into positive-definite sums for a model
+    /// of the given configuration. The Gram block is symmetrized as
+    /// `(g_ij + g_ji) / 2` — per-coordinate noise is not symmetric even
+    /// though `x xᵀ` is, and the average is an exact no-op on an already
+    /// symmetric block — and ridge-repaired: the design is
+    /// `gram + (λ + boost)·I`, with `boost` escalating 0, 1, 2, 4, … until
+    /// the design has a Cholesky factor (doubling terminates quickly because
+    /// the shift soon dominates the largest negative eigenvalue). The pull
+    /// counter is rounded and floored at zero. The sums carry no folds and
+    /// the configuration's prior λ.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::InvalidConfig`] for an invalid configuration
+    /// or a leaf that is not [`ArmSums::leaf_dimension`]`(d)` long, and
+    /// [`BanditError::Linalg`] when no boost up to `1e12` yields a
+    /// positive-definite design (a non-finite Gram block).
+    pub fn from_leaf(leaf: &[f64], config: &LinUcbConfig) -> Result<Self, BanditError> {
+        config.validate()?;
+        let d = config.context_dimension;
+        if leaf.len() != Self::leaf_dimension(d) {
+            return Err(BanditError::InvalidConfig {
+                parameter: "leaf",
+                message: format!(
+                    "a dimension-{d} statistics leaf has {} coordinates, got {}",
+                    Self::leaf_dimension(d),
+                    leaf.len()
+                ),
+            });
+        }
+        let mut gram = Matrix::zeros(d, d);
+        for i in 0..d {
+            for j in 0..d {
+                gram.set(i, j, (leaf[i * d + j] + leaf[j * d + i]) / 2.0);
+            }
+        }
+        Ok(Self {
+            design: ridge_repaired(&gram, config.regularizer)?,
+            reward_vector: Vector::from(leaf[d * d..d * d + d].to_vec()),
+            pulls: leaf[d * d + d].round().max(0.0) as u64,
+            folds: 0,
+            regularizer: config.regularizer,
+        })
+    }
+}
+
+/// The positive-definite design `gram + (regularizer + boost)·I` of a
+/// symmetric Gram block that noise or quantization may have left
+/// indefinite, `boost` escalating 0, 1, 2, 4, … up to `1e12`.
+fn ridge_repaired(gram: &Matrix, regularizer: f64) -> Result<Matrix, BanditError> {
+    let mut boost = 0.0f64;
+    loop {
+        let mut design = gram.clone();
+        for i in 0..gram.rows().min(gram.cols()) {
+            design.set(i, i, design.get(i, i) + regularizer + boost);
+        }
+        match Cholesky::new(&design) {
+            Ok(_) => return Ok(design),
+            Err(_) if boost < 1e12 => {
+                boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
+            }
+            Err(e) => return Err(e.into()),
+        }
     }
 }
 
@@ -435,48 +405,6 @@ impl SelectScratch {
     #[must_use]
     pub fn counters(&self) -> ScoreCounters {
         self.memo.counters()
-    }
-}
-
-/// Reusable scratch buffers for the allocation-free ingest path
-/// ([`LinUcb::update_batch_with`]).
-///
-/// Wraps a linalg [`UpdateScratch`] (the `A⁻¹x` fold lane and the refresh
-/// factor/column buffers) plus the per-batch touched-arm tracking used to
-/// defer arm syncs to once per touched arm per batch. One `IngestScratch`
-/// serves models of any shape; like every scratch in this crate it carries
-/// no behavioral state — a fresh scratch and a warm one produce bit-identical
-/// models.
-#[derive(Debug, Clone, Default)]
-pub struct IngestScratch {
-    linalg: UpdateScratch,
-    /// Per-arm "touched this batch" flags; sized to `num_actions` on use.
-    dirty: Vec<bool>,
-    /// Arm indices touched by the last [`LinUcb::update_batch_with`] call,
-    /// in order of first touch.
-    touched: Vec<usize>,
-}
-
-impl IngestScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arm indices touched by the most recent [`LinUcb::update_batch_with`]
-    /// call, in order of first touch: the arms whose θ and stamp the batch
-    /// re-synced.
-    #[must_use]
-    pub fn touched(&self) -> &[usize] {
-        &self.touched
-    }
-
-    /// Resets the per-batch touch tracking for a model with `num_actions` arms.
-    fn begin_batch(&mut self, num_actions: usize) {
-        self.dirty.clear();
-        self.dirty.resize(num_actions, false);
-        self.touched.clear();
     }
 }
 
@@ -623,82 +551,6 @@ impl LinUcb {
             config,
             arms,
             observations: 0,
-            stamps: vec![0; config.num_actions],
-            arena,
-        };
-        for idx in 0..policy.config.num_actions {
-            policy.sync_arm(idx)?;
-        }
-        Ok(policy)
-    }
-
-    /// Builds a LinUCB policy directly from explicit per-arm sufficient
-    /// statistics instead of replaying observations.
-    ///
-    /// Each arm's inverse is recovered with one Cholesky factorization of
-    /// the provided design matrix ([`RankOneInverse::from_matrix`]); the
-    /// reward vectors and pull counts are adopted as-is, and the model's
-    /// observation count is the sum of the pulls. This is how a central-DP
-    /// curator publishes a servable snapshot assembled from noisy
-    /// tree-aggregation releases.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidConfig`] for an invalid configuration,
-    /// a statistics count differing from `num_actions`, or mis-shaped
-    /// matrices/vectors, and [`BanditError::Linalg`] when a design matrix is
-    /// not symmetric positive definite.
-    pub fn from_sufficient_statistics(
-        config: LinUcbConfig,
-        statistics: &[ArmStatistics],
-    ) -> Result<Self, BanditError> {
-        config.validate()?;
-        if statistics.len() != config.num_actions {
-            return Err(BanditError::InvalidConfig {
-                parameter: "statistics",
-                message: format!(
-                    "expected statistics for {} arms, got {}",
-                    config.num_actions,
-                    statistics.len()
-                ),
-            });
-        }
-        let d = config.context_dimension;
-        let mut arms = Vec::with_capacity(statistics.len());
-        let mut observations = 0u64;
-        for (idx, stats) in statistics.iter().enumerate() {
-            if stats.design.rows() != d || stats.design.cols() != d {
-                return Err(BanditError::InvalidConfig {
-                    parameter: "design",
-                    message: format!(
-                        "arm {idx}: expected a {d}x{d} design matrix, got {}x{}",
-                        stats.design.rows(),
-                        stats.design.cols()
-                    ),
-                });
-            }
-            if stats.reward_vector.len() != d {
-                return Err(BanditError::InvalidConfig {
-                    parameter: "reward_vector",
-                    message: format!(
-                        "arm {idx}: expected a length-{d} reward vector, got {}",
-                        stats.reward_vector.len()
-                    ),
-                });
-            }
-            arms.push(Arc::new(Arm {
-                inverse: RankOneInverse::from_matrix(&stats.design)?,
-                reward_vector: stats.reward_vector.clone(),
-                theta: Vector::zeros(d),
-                pulls: stats.pulls,
-            }));
-            observations += stats.pulls;
-        }
-        let arena = Arc::new(ScoreArena::new(config.num_actions, d)?);
-        let mut policy = Self {
-            config,
-            arms,
-            observations,
             stamps: vec![0; config.num_actions],
             arena,
         };
@@ -867,107 +719,24 @@ impl LinUcb {
         Ok(&self.arms[action.index()].reward_vector)
     }
 
-    /// Folds the sufficient statistics of `count` identical observations into
-    /// the chosen arm in one weighted Sherman–Morrison step
-    /// ([`RankOneInverse::update_weighted_with`]): `A_a += count·x xᵀ`,
-    /// `b_a += reward_sum·x` — without the arm sync; the caller re-syncs
-    /// the touched arm before the model is scored.
+    /// Replaces arm `action` with a cold arm merged with `sums`
+    /// ([`RankOneInverse::merge_design`]: `A = λI + (D + (−λ_D·I))`, the
+    /// arm's update count is the sums' folds, one exact refresh of the
+    /// inverse), then the arm sync. The model's observation count trades the
+    /// old arm's pulls for the sums' pulls.
     ///
-    /// Singleton groups remain bit-for-bit identical to the per-report
-    /// [`ContextualPolicy::update`] path: a weight of exactly 1 runs the
-    /// plain rank-1 update's arithmetic, and the reward-vector and pull
-    /// arithmetic below coincide at `count == 1`.
-    fn fold_coalesced(
-        &mut self,
-        update: &CoalescedUpdate,
-        scratch: &mut UpdateScratch,
-    ) -> Result<usize, BanditError> {
-        check_context(self.config.context_dimension, update.context())?;
-        check_action(self.config.num_actions, update.action())?;
-        let idx = update.action().index();
-        let arm = Arc::make_mut(&mut self.arms[idx]);
-        arm.inverse
-            .update_weighted_with(update.context(), update.count() as f64, scratch)?;
-        arm.reward_vector
-            .axpy(update.reward_sum(), update.context())?;
-        arm.pulls += update.count();
-        self.observations += update.count();
-        Ok(idx)
-    }
-
-    /// The model-level batched ingestion primitive: folds a batch of
-    /// coalesced sufficient statistics through a caller-owned
-    /// [`IngestScratch`], syncing each touched arm **once per batch**. A
-    /// shuffled batch of `N` anonymous reports grouped by `(code, action)`
-    /// becomes `K ≤ N` coalesced updates, so the fold costs `O(K·d²)` instead
-    /// of `O(N·d²)`. Returns the total number of observations folded.
-    ///
-    /// The resulting model is bit-identical to syncing after every fold
-    /// (the test-only oracle the in-crate `update_agreement` suite pins this
-    /// against): an arm's θ and arena lanes are a pure function of its final
-    /// `(A⁻¹, b)` state, so syncing once after the last fold yields the same
-    /// bits. What the deferral buys is cost: the per-mutation `O(d²)` solve
-    /// (plus the arena scatter, when this model owns its mirror alone) is
-    /// amortized over all of a batch's folds into the same arm.
-    ///
-    /// After the call, [`IngestScratch::touched`] lists the arms this batch
-    /// mutated (in order of first touch).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing update; earlier folds in the batch stay
-    /// applied and every arm touched before the failure is re-synced, so the
-    /// model remains internally consistent.
-    pub fn update_batch_with(
-        &mut self,
-        updates: &[CoalescedUpdate],
-        scratch: &mut IngestScratch,
-    ) -> Result<u64, BanditError> {
-        scratch.begin_batch(self.config.num_actions);
-        let mut folded = 0u64;
-        let mut failure = None;
-        for update in updates {
-            match self.fold_coalesced(update, &mut scratch.linalg) {
-                Ok(idx) => {
-                    if !scratch.dirty[idx] {
-                        scratch.dirty[idx] = true;
-                        scratch.touched.push(idx);
-                    }
-                    folded += update.count();
-                }
-                Err(error) => {
-                    failure = Some(error);
-                    break;
-                }
-            }
-        }
-        for i in 0..scratch.touched.len() {
-            self.sync_arm(scratch.touched[i])?;
-        }
-        match failure {
-            Some(error) => Err(error),
-            None => Ok(folded),
-        }
-    }
-
-    /// Replaces arm `action` with a cold arm merged with `sums`: the
-    /// arithmetic of [`LinUcb::merge`] for that one arm
-    /// ([`RankOneInverse::merge_design`]: `A += D + (−λI)`, the arm's update
-    /// count grows by the folds, one exact refresh of the inverse), then the
-    /// arm sync. The model's observation count trades the old arm's pulls
-    /// for the sums' pulls.
-    ///
-    /// This is the epoch assembly primitive: an ingest shard folds each arm
-    /// it owns into one [`ArmSums`], and the assembled model installs every
-    /// dirty arm from its owner with one refresh. A full merge of `M` shard
-    /// models adds exactly `+0.0` to an arm from every shard that never
-    /// folded it, so installing the owner's sums alone is bit-identical to
-    /// that arm under the full merge.
+    /// This is the one way sums become a model. The model service installs
+    /// every dirty arm from the shard that owns it at each epoch assembly;
+    /// the central-DP curator and the secure-aggregation service install
+    /// every arm of a cold model from the sums they read off their leaves
+    /// ([`ArmSums::from_leaf`]). The in-crate `update_agreement` suite pins
+    /// it bit for bit against a test-only merge of per-report models.
     ///
     /// # Errors
     ///
     /// Returns [`BanditError::InvalidAction`] for out-of-range actions and
-    /// [`BanditError::Linalg`] when `sums` has another dimension.
+    /// [`BanditError::Linalg`] when `sums` has another dimension or a design
+    /// that is not positive definite; the model is left untouched.
     pub fn set_arm(&mut self, action: Action, sums: &ArmSums) -> Result<(), BanditError> {
         check_action(self.config.num_actions, action)?;
         let mut arm = Arm::new(self.config.context_dimension, self.config.regularizer)?;
@@ -1014,45 +783,6 @@ impl LinUcb {
             self.config.num_actions,
             rng,
         ))
-    }
-
-    /// Merges the sufficient statistics of another LinUCB model into this one.
-    ///
-    /// Merging per-shard models into a cold one rebuilds the model the
-    /// shards' folds describe: the from-scratch reference that
-    /// [`LinUcb::set_arm`] shares its arithmetic with. Warm agents do not
-    /// merge; they read the central snapshot and clone it on first update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidConfig`] if the dimensions or arm counts
-    /// differ.
-    pub fn merge(&mut self, other: &LinUcb) -> Result<(), BanditError> {
-        if other.config.context_dimension != self.config.context_dimension
-            || other.config.num_actions != self.config.num_actions
-        {
-            return Err(BanditError::InvalidConfig {
-                parameter: "merge",
-                message: format!(
-                    "incompatible models: ({}, {}) vs ({}, {})",
-                    self.config.context_dimension,
-                    self.config.num_actions,
-                    other.config.context_dimension,
-                    other.config.num_actions
-                ),
-            });
-        }
-        for (mine, theirs) in self.arms.iter_mut().zip(other.arms.iter()) {
-            let mine = Arc::make_mut(mine);
-            mine.inverse.merge(&theirs.inverse)?;
-            mine.reward_vector = mine.reward_vector.add(&theirs.reward_vector)?;
-            mine.pulls += theirs.pulls;
-        }
-        self.observations += other.observations;
-        for idx in 0..self.config.num_actions {
-            self.sync_arm(idx)?;
-        }
-        Ok(())
     }
 }
 
@@ -1307,15 +1037,13 @@ mod tests {
         assert!((ok.reward_sum() - 3.0).abs() < 1e-12);
 
         let mut policy = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
-        let mut scratch = IngestScratch::new();
+        let mut sums = ArmSums::new(policy.config()).unwrap();
         let wrong_dim = CoalescedUpdate::new(Vector::zeros(3), Action::new(0), 1, 0.5).unwrap();
-        assert!(policy
-            .update_batch_with(&[wrong_dim], &mut scratch)
-            .is_err());
+        assert!(sums.fold(&wrong_dim).is_err());
         let wrong_action = CoalescedUpdate::new(Vector::zeros(2), Action::new(7), 1, 0.5).unwrap();
-        assert!(policy
-            .update_batch_with(&[wrong_action], &mut scratch)
-            .is_err());
+        sums.fold(&wrong_action).unwrap();
+        assert!(policy.set_arm(wrong_action.action(), &sums).is_err());
+        assert_eq!(policy.observations(), 0);
     }
 
     #[test]
@@ -1325,17 +1053,17 @@ mod tests {
             Vector::from(vec![0.3, 0.7]),
             Vector::from(vec![0.5, 0.5]),
         ];
-        let mut sequential = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
-        let mut coalesced = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
-        let mut scratch = IngestScratch::new();
+        let config = LinUcbConfig::new(2, 2);
+        let mut sequential = LinUcb::new(config).unwrap();
+        let mut coalesced = LinUcb::new(config).unwrap();
+        let mut sums = vec![ArmSums::new(&config).unwrap(); 2];
         for (i, ctx) in contexts.iter().enumerate() {
             let action = Action::new(i % 2);
             let reward = (i % 2) as f64;
             sequential.update(ctx, action, reward).unwrap();
             let singleton = CoalescedUpdate::new(ctx.clone(), action, 1, reward).unwrap();
-            coalesced
-                .update_batch_with(&[singleton], &mut scratch)
-                .unwrap();
+            sums[i % 2].fold(&singleton).unwrap();
+            coalesced.set_arm(action, &sums[i % 2]).unwrap();
         }
         for a in 0..2 {
             assert_eq!(
@@ -1375,11 +1103,15 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        let mut sums = vec![ArmSums::new(sequential.config()).unwrap(); 2];
+        for update in &updates {
+            sums[update.action().index()].fold(update).unwrap();
+        }
         let mut coalesced = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
-        let folded = coalesced
-            .update_batch_with(&updates, &mut IngestScratch::new())
-            .unwrap();
-        assert_eq!(folded, 40);
+        for (arm, arm_sums) in sums.iter().enumerate() {
+            coalesced.set_arm(Action::new(arm), arm_sums).unwrap();
+        }
+        assert_eq!(coalesced.observations(), 40);
         assert_eq!(coalesced.observations(), sequential.observations());
         for a in 0..2 {
             let action = Action::new(a);
@@ -1441,14 +1173,20 @@ mod tests {
             let r = if a.index() == i % 3 { 1.0 } else { 0.0 };
             trained.update(ctx, a, r).unwrap();
         }
-        let stats: Vec<ArmStatistics> = (0..3)
-            .map(|a| ArmStatistics {
-                design: trained.design(Action::new(a)).unwrap().clone(),
-                reward_vector: trained.reward_vector(Action::new(a)).unwrap().clone(),
-                pulls: trained.pulls(Action::new(a)).unwrap(),
-            })
-            .collect();
-        let rebuilt = LinUcb::from_sufficient_statistics(*trained.config(), &stats).unwrap();
+        // The trained arms' statistics as sums: the designs as they stand,
+        // no folds, the configuration's prior.
+        let mut rebuilt = LinUcb::new(*trained.config()).unwrap();
+        for a in 0..3 {
+            let action = Action::new(a);
+            let sums = ArmSums {
+                design: trained.design(action).unwrap().clone(),
+                reward_vector: trained.reward_vector(action).unwrap().clone(),
+                pulls: trained.pulls(action).unwrap(),
+                folds: 0,
+                regularizer: trained.config().regularizer,
+            };
+            rebuilt.set_arm(action, &sums).unwrap();
+        }
         assert_eq!(rebuilt.observations(), trained.observations());
         let ctx = Vector::from(vec![0.5, 0.5]);
         let a = trained.scores(&ctx).unwrap();
@@ -1470,36 +1208,41 @@ mod tests {
     #[test]
     fn from_sufficient_statistics_validates_shapes() {
         let cfg = LinUcbConfig::new(2, 2);
-        let good = ArmStatistics {
-            design: Matrix::identity(2),
-            reward_vector: Vector::zeros(2),
-            pulls: 0,
-        };
-        // Wrong arm count.
-        assert!(LinUcb::from_sufficient_statistics(cfg, std::slice::from_ref(&good)).is_err());
+        let good = ArmSums::new(&cfg).unwrap();
+        let mut model = LinUcb::new(cfg).unwrap();
+        let pristine = model.clone();
+        // An arm the model does not have.
+        assert!(matches!(
+            model.set_arm(Action::new(2), &good),
+            Err(BanditError::InvalidAction { .. })
+        ));
         // Wrong matrix shape.
-        let bad_design = ArmStatistics {
-            design: Matrix::identity(3),
-            ..good.clone()
-        };
-        assert!(LinUcb::from_sufficient_statistics(cfg, &[good.clone(), bad_design]).is_err());
+        let bad_design = ArmSums::new(&LinUcbConfig::new(3, 2)).unwrap();
+        assert!(model.set_arm(Action::new(0), &bad_design).is_err());
         // Wrong vector length.
-        let bad_vector = ArmStatistics {
+        let bad_vector = ArmSums {
             reward_vector: Vector::zeros(3),
             ..good.clone()
         };
-        assert!(LinUcb::from_sufficient_statistics(cfg, &[good.clone(), bad_vector]).is_err());
+        assert!(model.set_arm(Action::new(0), &bad_vector).is_err());
         // Non-SPD design matrix.
         let mut indefinite = Matrix::identity(2);
         indefinite.set(0, 0, -1.0);
-        let non_spd = ArmStatistics {
+        let non_spd = ArmSums {
             design: indefinite,
             ..good.clone()
         };
         assert!(matches!(
-            LinUcb::from_sufficient_statistics(cfg, &[good, non_spd]),
+            model.set_arm(Action::new(1), &non_spd),
             Err(BanditError::Linalg(_))
         ));
+        // A rejected install leaves the model as it was.
+        for arm in 0..2 {
+            let action = Action::new(arm);
+            assert_eq!(model.design(action), pristine.design(action));
+            assert_eq!(model.theta(action), pristine.theta(action));
+        }
+        assert!(model.set_arm(Action::new(1), &good).is_ok());
     }
 
     #[test]
@@ -1509,27 +1252,30 @@ mod tests {
         let mut indefinite = Matrix::zeros(2, 2);
         indefinite.set(0, 1, 3.0);
         indefinite.set(1, 0, 3.0);
-        let repaired =
-            ArmStatistics::with_ridge_repair(&indefinite, Vector::zeros(2), 5, 1.0).unwrap();
-        assert_eq!(repaired.pulls, 5);
-        assert_eq!(repaired.design.get(0, 1), 3.0, "only the diagonal shifts");
+        let repaired = ridge_repaired(&indefinite, 1.0).unwrap();
+        assert_eq!(repaired.get(0, 1), 3.0, "only the diagonal shifts");
         // Boosts 1 and 2 still fail to factor; 4 succeeds.
-        assert_eq!(repaired.design.get(0, 0), 1.0 + 4.0);
+        assert_eq!(repaired.get(0, 0), 1.0 + 4.0);
         let cfg = LinUcbConfig::new(2, 1);
-        assert!(LinUcb::from_sufficient_statistics(cfg, &[repaired]).is_ok());
+        let sums = ArmSums {
+            design: repaired,
+            ..ArmSums::new(&cfg).unwrap()
+        };
+        assert!(LinUcb::new(cfg)
+            .unwrap()
+            .set_arm(Action::new(0), &sums)
+            .is_ok());
 
         // An already-SPD Gram gets exactly λI, no boost.
-        let clean =
-            ArmStatistics::with_ridge_repair(&Matrix::identity(2), Vector::zeros(2), 0, 1.0)
-                .unwrap();
-        assert_eq!(clean.design.get(1, 1), 2.0);
+        let clean = ridge_repaired(&Matrix::identity(2), 1.0).unwrap();
+        assert_eq!(clean.get(1, 1), 2.0);
 
         // A NaN Gram can never factor: the loop stops at the cap with the
         // typed error instead of spinning or publishing a NaN model.
         let mut poisoned = Matrix::identity(2);
         poisoned.set(1, 1, f64::NAN);
         assert!(matches!(
-            ArmStatistics::with_ridge_repair(&poisoned, Vector::zeros(2), 0, 1.0),
+            ridge_repaired(&poisoned, 1.0),
             Err(BanditError::Linalg(_))
         ));
     }
@@ -1557,9 +1303,9 @@ mod tests {
         let outside = Vector::from(vec![2.0, -1.5, 0.25]); // clipped to the unit ball
         for context in [&inside, &outside, &Vector::zeros(3)] {
             for reward in [-0.5, 0.0, 0.37, 1.0, 1.7] {
-                let leaf = ArmStatistics::leaf(context, 1, reward);
+                let leaf = ArmSums::leaf(context, 1, reward);
                 let oracle = curator_leaf(context, reward);
-                assert_eq!(leaf.len(), ArmStatistics::leaf_dimension(3));
+                assert_eq!(leaf.len(), ArmSums::leaf_dimension(3));
                 for (k, (a, b)) in leaf.iter().zip(&oracle).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "coordinate {k}, reward {reward}");
                 }
@@ -1569,13 +1315,10 @@ mod tests {
         // (ii) A group (x, n, s) is the sum of its n unit leaves.
         let rewards = [1.0, 0.0, 1.0, 0.25, 0.0];
         for context in [&inside, &outside] {
-            let group = ArmStatistics::leaf(context, 5, rewards.iter().sum());
+            let group = ArmSums::leaf(context, 5, rewards.iter().sum());
             let mut summed = vec![0.0f64; group.len()];
             for &reward in &rewards {
-                for (total, term) in summed
-                    .iter_mut()
-                    .zip(ArmStatistics::leaf(context, 1, reward))
-                {
+                for (total, term) in summed.iter_mut().zip(ArmSums::leaf(context, 1, reward)) {
                     *total += term;
                 }
             }
@@ -1587,11 +1330,11 @@ mod tests {
         // (iii) The symmetrizing decoder returns an already symmetric Gram
         // bit for bit (plus exactly λ on the diagonal), so the secure path,
         // whose decoded Gram is symmetric, can share it with the noisy one.
-        let mut leaf = ArmStatistics::leaf(&inside, 3, 2.0);
-        for (total, term) in leaf.iter_mut().zip(ArmStatistics::leaf(&outside, 2, 0.5)) {
+        let mut leaf = ArmSums::leaf(&inside, 3, 2.0);
+        for (total, term) in leaf.iter_mut().zip(ArmSums::leaf(&outside, 2, 0.5)) {
             *total += term;
         }
-        let statistics = ArmStatistics::from_leaf(&leaf, 3, 1.0).unwrap();
+        let statistics = ArmSums::from_leaf(&leaf, &LinUcbConfig::new(3, 1)).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 let gram = leaf[i * 3 + j];
@@ -1601,15 +1344,16 @@ mod tests {
             assert_eq!(statistics.reward_vector[i].to_bits(), leaf[9 + i].to_bits());
         }
         assert_eq!(statistics.pulls, 5);
+        assert_eq!((statistics.folds, statistics.regularizer), (0, 1.0));
         // An asymmetric (noised) block is averaged, a negative noisy pull
         // count floors at zero, and a mis-sized leaf is a typed error.
         let noisy = [1.0, 0.5, 1.5, 1.0, 0.0, 0.0, -0.6];
-        let repaired = ArmStatistics::from_leaf(&noisy, 2, 1.0).unwrap();
+        let repaired = ArmSums::from_leaf(&noisy, &LinUcbConfig::new(2, 1)).unwrap();
         assert_eq!(repaired.design.get(0, 1), 1.0);
         assert_eq!(repaired.design.get(1, 0), 1.0);
         assert_eq!(repaired.pulls, 0);
         assert!(matches!(
-            ArmStatistics::from_leaf(&noisy, 3, 1.0),
+            ArmSums::from_leaf(&noisy, &LinUcbConfig::new(3, 1)),
             Err(BanditError::InvalidConfig {
                 parameter: "leaf",
                 ..
@@ -1659,20 +1403,12 @@ mod tests {
     fn a_sole_owner_writes_through() {
         let ctx = Vector::from(vec![0.2, 0.8]);
         let mut model = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
-        let mut other = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
-        other.update(&ctx, Action::new(0), 1.0).unwrap();
         assert_eq!(model.stale_lanes(), 0);
         model.update(&ctx, Action::new(1), 1.0).unwrap();
         assert_eq!(model.stale_lanes(), 0);
-        let batch = [CoalescedUpdate::new(ctx.clone(), Action::new(2), 3, 2.0).unwrap()];
-        model
-            .update_batch_with(&batch, &mut IngestScratch::new())
-            .unwrap();
-        assert_eq!(model.stale_lanes(), 0);
-        model.merge(&other).unwrap();
-        assert_eq!(model.stale_lanes(), 0);
+        let update = CoalescedUpdate::new(ctx.clone(), Action::new(2), 3, 2.0).unwrap();
         let mut sums = ArmSums::new(model.config()).unwrap();
-        sums.fold(&batch[0]).unwrap();
+        sums.fold(&update).unwrap();
         model.set_arm(Action::new(0), &sums).unwrap();
         assert_eq!(model.stale_lanes(), 0);
         // A clone that is gone shares nothing: the next write goes through.

@@ -2,8 +2,8 @@
 //!
 //! A long-lived [`SelectScratch`] remembers its last sweep and re-scores
 //! only the arms whose content stamp has changed since. Whatever happens to
-//! the models between two decisions — `update`, `update_batch_with`,
-//! `merge`, `set_arm`, `clone` — and whichever model the
+//! the models between two decisions — `update`, `set_arm` of one arm or of
+//! several, the test-only `merge`, `clone` — and whichever model the
 //! scratch is handed next (a diverged clone, a model of another shape or α),
 //! every decision through it must be **bit-for-bit** the decision of a fresh
 //! scratch (the sweep), of the trait `select_action` and of the scalar
@@ -21,8 +21,7 @@
 //! stale lane fails here too.
 
 use crate::{
-    Action, ArmSums, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig,
-    SelectScratch,
+    Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch,
 };
 use p2b_linalg::Vector;
 use proptest::prelude::*;
@@ -165,7 +164,6 @@ proptest! {
         let mut models = [twin.clone(), twin, other];
         let pools = [context_pool(d, &mut rng), context_pool(d + 1, &mut rng)];
         let mut scratch = SelectScratch::new();
-        let mut ingest = IngestScratch::new();
         let mut rngs = {
             let base = StdRng::seed_from_u64(seed.wrapping_mul(3).wrapping_add(7));
             [base.clone(), base.clone(), base.clone(), base]
@@ -196,20 +194,28 @@ proptest! {
                     });
                 }
                 6 => {
-                    let batch: Vec<CoalescedUpdate> = (0..rng.gen_range(1..4usize))
-                        .map(|_| {
-                            let count = rng.gen_range(1u64..5);
-                            CoalescedUpdate::new(
-                                pool[rng.gen_range(0..pool.len())].clone(),
-                                Action::new(rng.gen_range(0..arms)),
-                                count,
-                                rng.gen_range(0.0..=count as f64),
-                            )
-                            .unwrap()
-                        })
-                        .collect();
+                    // An assembly: sums of a few pooled contexts installed
+                    // into every arm they were routed to.
+                    let config = *models[m].config();
+                    let mut sums = vec![ArmSums::new(&config).unwrap(); arms];
+                    let mut touched = Vec::new();
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let count = rng.gen_range(1u64..5);
+                        let target = rng.gen_range(0..arms);
+                        let update = CoalescedUpdate::new(
+                            pool[rng.gen_range(0..pool.len())].clone(),
+                            Action::new(target),
+                            count,
+                            rng.gen_range(0.0..=count as f64),
+                        )
+                        .unwrap();
+                        sums[target].fold(&update).unwrap();
+                        touched.push(target);
+                    }
                     mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
-                        models[m].update_batch_with(&batch, &mut ingest).unwrap();
+                        for &target in &touched {
+                            models[m].set_arm(Action::new(target), &sums[target]).unwrap();
+                        }
                     });
                 }
                 7 if m < 2 => {

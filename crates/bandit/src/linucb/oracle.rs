@@ -8,17 +8,24 @@
 //!   `α·√(xᵀA_a⁻¹x)` (two temporary vectors per arm), then the historical
 //!   tie-breaking loop. [`LinUcb::scores`] / [`LinUcb::select_action_with`]
 //!   must stay bit-for-bit equal to it, randomness consumption included.
-//! * **Update** — the sync-per-fold coalesced update: every fold re-syncs
-//!   its arm (θ, stamp, arena lanes) immediately. [`LinUcb::update_batch_with`]
-//!   defers that sync to once per touched arm per batch and must land on
-//!   the same model bits.
+//! * **Install** — the merge of whole models: every arm of `other` merged
+//!   into this model's ([`RankOneInverse::merge_design`] over the other
+//!   arm's design and update count), reward vectors and pulls summed, every
+//!   arm re-synced. Merging per-report shard models into a cold one
+//!   rebuilds the model their updates describe; [`LinUcb::set_arm`] from
+//!   the owning shard's [`ArmSums`] must land on the same bits, because a
+//!   per-report update runs the design arithmetic of [`ArmSums::fold`] at
+//!   `n = 1` and a shard that never saw an arm adds exactly `+0.0` to it.
 //!
 //! [`RankOneInverse`]: p2b_linalg::RankOneInverse
+//! [`RankOneInverse::merge_design`]: p2b_linalg::RankOneInverse::merge_design
+//! [`ArmSums`]: crate::ArmSums
+//! [`ArmSums::fold`]: crate::ArmSums::fold
 
-use super::{Arm, CoalescedUpdate, LinUcb};
-use crate::policy::{check_action, check_context, random_action};
+use super::{Arm, LinUcb};
+use crate::policy::{check_context, random_action};
 use crate::{Action, BanditError};
-use p2b_linalg::{UpdateScratch, Vector};
+use p2b_linalg::Vector;
 use std::sync::Arc;
 
 impl Arm {
@@ -75,36 +82,31 @@ impl LinUcb {
         Ok(Action::new(choice))
     }
 
-    /// One coalesced fold followed immediately by its arm's sync.
-    fn update_coalesced_reference(&mut self, update: &CoalescedUpdate) -> Result<(), BanditError> {
-        check_context(self.config.context_dimension, update.context())?;
-        check_action(self.config.num_actions, update.action())?;
-        let idx = update.action().index();
-        let arm = Arc::make_mut(&mut self.arms[idx]);
-        arm.inverse.update_weighted_with(
-            update.context(),
-            update.count() as f64,
-            &mut UpdateScratch::new(),
-        )?;
-        arm.reward_vector
-            .axpy(update.reward_sum(), update.context())?;
-        arm.pulls += update.count();
-        self.observations += update.count();
-        self.sync_arm(idx)?;
-        Ok(())
-    }
-
-    /// The sync-per-fold batch update: the first failing update aborts the
-    /// batch, earlier updates stay applied (each leaves the model valid).
-    pub(crate) fn update_batch_reference(
-        &mut self,
-        updates: &[CoalescedUpdate],
-    ) -> Result<u64, BanditError> {
-        let mut folded = 0u64;
-        for update in updates {
-            self.update_coalesced_reference(update)?;
-            folded += update.count();
+    /// Merges the sufficient statistics of another model of the same shape
+    /// into this one, arm by arm.
+    pub(crate) fn merge(&mut self, other: &LinUcb) -> Result<(), BanditError> {
+        if other.config.context_dimension != self.config.context_dimension
+            || other.config.num_actions != self.config.num_actions
+        {
+            return Err(BanditError::InvalidConfig {
+                parameter: "merge",
+                message: "incompatible models".to_owned(),
+            });
         }
-        Ok(folded)
+        for (mine, theirs) in self.arms.iter_mut().zip(other.arms.iter()) {
+            let mine = Arc::make_mut(mine);
+            mine.inverse.merge_design(
+                theirs.inverse.design(),
+                other.config.regularizer,
+                theirs.inverse.update_count(),
+            )?;
+            mine.reward_vector = mine.reward_vector.add(&theirs.reward_vector)?;
+            mine.pulls += theirs.pulls;
+        }
+        self.observations += other.observations;
+        for idx in 0..self.config.num_actions {
+            self.sync_arm(idx)?;
+        }
+        Ok(())
     }
 }

@@ -1,22 +1,24 @@
-//! Agreement pins between the batched ingest path and the sync-per-fold
-//! oracle.
+//! Agreement pins for the one way sums become a model, [`LinUcb::set_arm`].
 //!
-//! [`LinUcb::update_batch_with`] threads a caller-owned [`IngestScratch`]
-//! through the weighted Sherman–Morrison kernel and defers the arena sync to
-//! **once per touched arm per batch**; the oracle in [`super::oracle`]
-//! re-syncs after every fold. Both must produce **bit-for-bit** identical
-//! models: designs, reward vectors, pulls, thetas, arena-resident scores,
-//! and the downstream action stream an agent would draw from the model. The
-//! epoch-assembly primitive (`set_arm`) is pinned here too: installing each
-//! arm from its owning shard's [`ArmSums`] must reproduce the bits of a full
-//! merge of every shard model. The suites that need only public API
-//! (touched-order, `set_arm`'s cold-start contract and errors) live in
+//! * **Install ≡ merge.** Installing each arm from its owning shard's
+//!   [`ArmSums`] must reproduce, bit for bit, the test-only merge of every
+//!   shard's per-report model in [`super::oracle`]: designs, reward
+//!   vectors, pulls, thetas, arena-resident scores. A per-report update runs
+//!   the design arithmetic of [`ArmSums::fold`] at `n = 1`, which is why
+//!   the shards here are fed single reports.
+//! * **Leaf ≡ fold.** The aggregating regimes sum flat leaves and read them
+//!   back with [`ArmSums::from_leaf`]; the ingest shards fold. Over the
+//!   same updates, with contexts in the unit ball (where the leaf clips
+//!   nothing), the two sums install models with equal pulls and reward
+//!   vectors, no ridge boost, and designs and thetas within a derived
+//!   bound.
+//!
+//! The suites that need only public API (`set_arm`'s cold-start contract,
+//! its errors, the per-report oracle at a refresh boundary) live in
 //! `tests/update_agreement.rs`.
 
-use crate::{
-    Action, ArmSums, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig,
-};
-use p2b_linalg::Vector;
+use crate::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_linalg::{RankOneInverse, Vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,12 +28,19 @@ fn random_context(d: usize, rng: &mut StdRng) -> Vector {
     raw.normalized_l1().unwrap()
 }
 
-/// A random batch of well-formed coalesced updates: counts in `1..20`,
-/// reward sums in `[0, count]`, actions across the whole arm range.
-fn random_batch(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<CoalescedUpdate> {
+/// A random batch of well-formed coalesced updates: counts in
+/// `1..=max_count`, reward sums in `[0, count]`, actions across the whole
+/// arm range.
+fn random_batch(
+    d: usize,
+    a: usize,
+    len: usize,
+    max_count: u64,
+    rng: &mut StdRng,
+) -> Vec<CoalescedUpdate> {
     (0..len)
         .map(|_| {
-            let count = rng.gen_range(1u64..20);
+            let count = rng.gen_range(1..=max_count);
             let reward_sum = rng.gen_range(0.0..=count as f64);
             CoalescedUpdate::new(
                 random_context(d, rng),
@@ -42,6 +51,16 @@ fn random_batch(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<Coalesc
             .unwrap()
         })
         .collect()
+}
+
+/// Feeds single-report updates through the per-report path.
+fn update_per_report(model: &mut LinUcb, reports: &[CoalescedUpdate]) {
+    for report in reports {
+        assert_eq!(report.count(), 1);
+        model
+            .update(report.context(), report.action(), report.reward_sum())
+            .unwrap();
+    }
 }
 
 /// Asserts two models carry bit-identical state: observation counts, per-arm
@@ -80,9 +99,9 @@ fn check_models_bit_identical(left: &LinUcb, right: &LinUcb, seed: u64) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "theta diverged on arm {}", arm);
         }
     }
-    // Scores go through the flat arena — this is what pins the deferred
-    // sync: a missed one leaves the arm's θ, stamp and lanes behind its
-    // statistics and shows up here even when the statistics above agree.
+    // Scores go through the flat arena: a missed sync leaves the arm's θ,
+    // stamp and lanes behind its statistics and shows up here even when the
+    // statistics above agree.
     let mut ctx_rng = StdRng::seed_from_u64(seed.wrapping_add(101));
     for _ in 0..4 {
         let ctx = random_context(d, &mut ctx_rng);
@@ -98,51 +117,33 @@ fn check_models_bit_identical(left: &LinUcb, right: &LinUcb, seed: u64) {
     }
 }
 
+/// Drives clones of both models through one refresh interval of plain
+/// updates on `arm` and checks them bit-identical after. The interval's
+/// refresh lands on the update that brings the arm's update count to a
+/// multiple of the interval, so an install that lost or miscounted its
+/// folds refreshes at another step and diverges.
+fn check_refresh_schedule(left: &LinUcb, right: &LinUcb, arm: usize, seed: u64) {
+    let d = left.config().context_dimension;
+    let (mut left, mut right) = (left.clone(), right.clone());
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(202));
+    let contexts: Vec<Vector> = (0..3).map(|_| random_context(d, &mut rng)).collect();
+    for step in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
+        let context = &contexts[step as usize % contexts.len()];
+        let reward = (step % 2) as f64;
+        left.update(context, Action::new(arm), reward).unwrap();
+        right.update(context, Action::new(arm), reward).unwrap();
+    }
+    check_models_bit_identical(&left, &right, seed);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Over random dims, arm counts and batch shapes, the batched scratch
-    /// path must produce models bit-identical to the sync-per-fold reference
-    /// — state, scores, and the downstream action stream drawn with
-    /// identical RNGs.
-    #[test]
-    fn scratch_ingest_paths_are_bit_identical_to_the_reference(
-        seed in any::<u64>(),
-        d in 1usize..8,
-        a in 1usize..10,
-        batches in 1usize..4,
-        len in 1usize..12,
-    ) {
-        let mut reference = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        let mut batched = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        let mut scratch = IngestScratch::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..batches {
-            let batch = random_batch(d, a, len, &mut rng);
-            let folded_reference = reference.update_batch_reference(&batch).unwrap();
-            let folded_batched = batched.update_batch_with(&batch, &mut scratch).unwrap();
-            prop_assert_eq!(folded_reference, folded_batched);
-            check_models_bit_identical(&reference, &batched, seed);
-        }
-
-        // The models must be indistinguishable downstream: identical action
-        // streams under identical randomness.
-        let mut ctx_rng = StdRng::seed_from_u64(seed.wrapping_add(7));
-        let mut rng_reference = StdRng::seed_from_u64(seed.wrapping_mul(3).wrapping_add(1));
-        let mut rng_batched = rng_reference.clone();
-        for _ in 0..10 {
-            let ctx = random_context(d, &mut ctx_rng);
-            let via_reference = reference.select_action(&ctx, &mut rng_reference).unwrap();
-            let via_batched = batched.select_action(&ctx, &mut rng_batched).unwrap();
-            prop_assert_eq!(via_reference, via_batched);
-        }
-        prop_assert_eq!(&rng_reference, &rng_batched);
-    }
-
     /// Re-deriving every arm of a stale model via `set_arm` from its owning
     /// shard's sums reproduces a full from-scratch merge of both shard
-    /// models bit-for-bit — the epoch assembly primitive. Shards own arms by
-    /// `action % 2`, as the ingest shards do.
+    /// models bit-for-bit — the epoch assembly primitive — and on the
+    /// inverse refresh schedule too. Shards own arms by `action % 2`, as the
+    /// ingest shards do.
     #[test]
     fn set_arm_rebuild_matches_a_full_merge(
         seed in any::<u64>(),
@@ -155,14 +156,14 @@ proptest! {
         let mut shards = [LinUcb::new(config).unwrap(), LinUcb::new(config).unwrap()];
         let mut sums: Vec<ArmSums> = (0..a).map(|_| ArmSums::new(&config).unwrap()).collect();
         for _ in 0..2 {
-            let batch = random_batch(d, a, len, &mut rng);
+            let batch = random_batch(d, a, len, 1, &mut rng);
             for (owner, shard) in shards.iter_mut().enumerate() {
                 let partition: Vec<CoalescedUpdate> = batch
                     .iter()
                     .filter(|update| update.action().index() % 2 == owner)
                     .cloned()
                     .collect();
-                shard.update_batch_reference(&partition).unwrap();
+                update_per_report(shard, &partition);
             }
             for update in &batch {
                 sums[update.action().index()].fold(update).unwrap();
@@ -178,65 +179,104 @@ proptest! {
         // extra batch folded in) and re-derive every arm.
         let mut incremental = LinUcb::new(config).unwrap();
         incremental.merge(&shards[0]).unwrap();
-        incremental.update_batch_reference(&random_batch(d, a, len, &mut rng)).unwrap();
+        update_per_report(&mut incremental, &random_batch(d, a, len, 1, &mut rng));
         for (arm, arm_sums) in sums.iter().enumerate() {
             incremental.set_arm(Action::new(arm), arm_sums).unwrap();
         }
         check_models_bit_identical(&rebuilt, &incremental, seed);
+        check_refresh_schedule(&rebuilt, &incremental, (seed % a as u64) as usize, seed);
     }
-}
 
-/// A failing update mid-batch must leave the model internally consistent:
-/// the folds before the failure stay applied and their arms are re-synced,
-/// so the model equals a reference that folded the valid prefix.
-#[test]
-fn mid_batch_failure_keeps_touched_arms_synced() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let (d, a) = (4, 3);
-    let mut reference = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-    let mut fast = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-    let mut scratch = IngestScratch::new();
+    /// Summed leaves read back by `from_leaf` and the fold of the same
+    /// updates install the same model, up to a stated floating-point bound.
+    ///
+    /// With `u = 2⁻⁵³`, `L` updates, `N = Σ n` pulls, prior `λ` and
+    /// contexts in the unit ball (so `|n·xᵢxⱼ| ≤ n` and the leaf's clip is
+    /// the identity):
+    ///
+    /// * the reward vectors are bit-equal: both paths add the same products
+    ///   `s·xᵢ` to zero in the same order;
+    /// * each Gram term is one or two roundings (≤ `2u·n`) away from the
+    ///   exact `n·xᵢxⱼ` on either path, each recursive sum of `L + 1` terms
+    ///   bounded by `λ + N` adds at most `L·u·(λ + N)`, and the install's
+    ///   `λ + (A − λ)` two roundings more per path, so the designs agree
+    ///   within `tol_A = (2L + 10)·u·(λ + N)` per coordinate;
+    /// * the designs' eigenvalues lie in `[λ, λ + N]` and `‖θ‖ ≤ N/λ`, so a
+    ///   design gap of spectral norm `≤ d·tol_A` moves θ by at most
+    ///   `d·tol_A·N/λ²`, and each path's Cholesky inverse and solve add at
+    ///   most `8d²·u·κ·‖θ‖` with `κ ≤ (λ + N)/λ`.
+    ///
+    /// No ridge boost fires: the read-back design is exactly the summed
+    /// Gram block plus `λ` on the diagonal.
+    #[test]
+    fn summed_leaves_install_the_model_the_fold_installs(
+        seed in any::<u64>(),
+        d in 1usize..8,
+        len in 1usize..40,
+    ) {
+        let config = LinUcbConfig::new(d, 1);
+        let lambda = config.regularizer;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut folded = ArmSums::new(&config).unwrap();
+        let mut summed = vec![0.0f64; ArmSums::leaf_dimension(d)];
+        let mut pulls = 0u64;
+        for _ in 0..len {
+            // |xᵢ| ≤ 1/d keeps ‖x‖₂ ≤ 1/√d ≤ 1, strictly inside the clip.
+            let context: Vector =
+                (0..d).map(|_| rng.gen_range(-1.0f64..=1.0) / d as f64).collect();
+            let count = rng.gen_range(1u64..=10);
+            let reward_sum = rng.gen_range(0.0..=count as f64);
+            let update = CoalescedUpdate::new(context, Action::new(0), count, reward_sum).unwrap();
+            folded.fold(&update).unwrap();
+            let leaf = ArmSums::leaf(update.context(), count, reward_sum);
+            for (total, term) in summed.iter_mut().zip(leaf) {
+                *total += term;
+            }
+            pulls += count;
+        }
+        let read = ArmSums::from_leaf(&summed, &config).unwrap();
+        for i in 0..d {
+            prop_assert_eq!(
+                read.design.get(i, i).to_bits(),
+                (summed[i * d + i] + lambda).to_bits(),
+                "the ridge repair boosted coordinate {}",
+                i
+            );
+        }
 
-    let prefix = random_batch(d, a, 6, &mut rng);
-    let mut batch = prefix.clone();
-    // A mis-dimensioned context passes construction but fails at fold time.
-    batch.push(CoalescedUpdate::new(Vector::zeros(d + 1), Action::new(0), 1, 1.0).unwrap());
-    batch.extend(random_batch(d, a, 2, &mut rng));
-
-    reference.update_batch_reference(&prefix).unwrap();
-    assert!(fast.update_batch_with(&batch, &mut scratch).is_err());
-
-    assert_eq!(reference.observations(), fast.observations());
-    let probe = random_context(d, &mut rng);
-    let scores_reference = reference.scores(&probe).unwrap();
-    let scores_fast = fast.scores(&probe).unwrap();
-    for (x, y) in scores_reference.iter().zip(scores_fast.iter()) {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "arena lanes must reflect the applied prefix after a failed batch"
+        let install = |sums: &ArmSums| {
+            let mut model = LinUcb::new(config).unwrap();
+            model.set_arm(Action::new(0), sums).unwrap();
+            model
+        };
+        let (from_leaf, from_fold) = (install(&read), install(&folded));
+        let arm = Action::new(0);
+        prop_assert_eq!(from_leaf.pulls(arm).unwrap(), pulls);
+        prop_assert_eq!(from_fold.pulls(arm).unwrap(), pulls);
+        prop_assert_eq!(from_leaf.observations(), from_fold.observations());
+        let (bl, bf) = (
+            from_leaf.reward_vector(arm).unwrap(),
+            from_fold.reward_vector(arm).unwrap(),
         );
-    }
-}
+        for (x, y) in bl.iter().zip(bf.iter()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
 
-/// One scratch serves models of different shapes back to back: every
-/// `ensure_*` resize leaves no stale state behind.
-#[test]
-fn one_ingest_scratch_serves_models_of_different_shapes() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut scratch = IngestScratch::new();
-    for &(d, a) in &[(2usize, 3usize), (6, 2), (3, 7), (2, 3)] {
-        let mut reference = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        let mut fast = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        let batch = random_batch(d, a, 8, &mut rng);
-        reference.update_batch_reference(&batch).unwrap();
-        fast.update_batch_with(&batch, &mut scratch).unwrap();
-        assert_eq!(reference.observations(), fast.observations());
-        let probe = random_context(d, &mut rng);
-        let scores_reference = reference.scores(&probe).unwrap();
-        let scores_fast = fast.scores(&probe).unwrap();
-        for (x, y) in scores_reference.iter().zip(scores_fast.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        let u = f64::EPSILON / 2.0;
+        let (n, l, dim) = (pulls as f64, len as f64, d as f64);
+        let tol_design = (2.0 * l + 10.0) * u * (lambda + n);
+        let kappa = (lambda + n) / lambda;
+        let tol_theta =
+            dim * tol_design * n / (lambda * lambda) + 2.0 * 8.0 * dim * dim * u * kappa * n / lambda;
+        let gap = from_leaf
+            .design(arm)
+            .unwrap()
+            .max_abs_diff(from_fold.design(arm).unwrap())
+            .unwrap();
+        prop_assert!(gap <= tol_design, "design gap {} > {}", gap, tol_design);
+        let (tl, tf) = (from_leaf.theta(arm).unwrap(), from_fold.theta(arm).unwrap());
+        for (x, y) in tl.iter().zip(tf.iter()) {
+            prop_assert!((x - y).abs() <= tol_theta, "theta gap {} > {}", (x - y).abs(), tol_theta);
         }
     }
 }

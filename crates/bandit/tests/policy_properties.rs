@@ -87,9 +87,9 @@ fn learning_policies_beat_random_baseline() {
     );
 }
 
-/// LinUCB with a warm-start merge should reach high reward faster than a cold
-/// model over a short horizon — the micro-scale version of the paper's
-/// cold/warm comparison.
+/// LinUCB warm-started from a server snapshot should reach high reward
+/// faster than a cold model over a short horizon — the micro-scale version
+/// of the paper's cold/warm comparison.
 #[test]
 fn warm_started_linucb_outperforms_cold_start_on_short_horizon() {
     let d = 3;
@@ -129,8 +129,8 @@ fn warm_started_linucb_outperforms_cold_start_on_short_horizon() {
     };
 
     let mut cold = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-    let mut warm = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-    warm.merge(&server).unwrap();
+    // A warm agent starts from the server's snapshot.
+    let mut warm = server.clone();
 
     let cold_reward = evaluate(&mut cold, 20);
     let warm_reward = evaluate(&mut warm, 21);

@@ -1,17 +1,15 @@
-//! Public-API pins for the LinUCB ingest path.
+//! Public-API pins for [`LinUcb::set_arm`], the one way sums become a
+//! model.
 //!
-//! The bit-identity of [`LinUcb::update_batch_with`] against the
-//! sync-per-fold oracle — and of `set_arm` against a full merge — is pinned
-//! inside the crate (`src/linucb/update_agreement.rs`; the oracle is
-//! test-only and not exported). What needs only public API lives here: the
-//! touched-arm report, `set_arm`'s cold-start contract, and the typed errors
-//! of the per-arm install.
+//! Its bit-identity against a merge of per-report shard models, and the
+//! agreement of summed leaves with the fold, are pinned inside the crate
+//! (`src/linucb/update_agreement.rs`; the merge oracle is test-only and not
+//! exported). What needs only public API lives here: `set_arm`'s cold-start
+//! contract, the typed errors of the per-arm install, and the per-report
+//! path as an oracle at a refresh boundary.
 
-use p2b_bandit::{
-    Action, ArmSums, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig,
-};
-use p2b_linalg::Vector;
-use proptest::prelude::*;
+use p2b_bandit::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_linalg::{RankOneInverse, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,34 +36,6 @@ fn random_batch(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<Coalesc
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// After a batched fold, [`IngestScratch::touched`] lists exactly the
-    /// distinct arms the batch mutated, in order of first touch.
-    #[test]
-    fn touched_reports_distinct_arms_in_first_touch_order(
-        seed in any::<u64>(),
-        d in 1usize..6,
-        a in 1usize..8,
-        len in 1usize..20,
-    ) {
-        let mut model = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-        let mut scratch = IngestScratch::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let batch = random_batch(d, a, len, &mut rng);
-        model.update_batch_with(&batch, &mut scratch).unwrap();
-        let mut expected = Vec::new();
-        for update in &batch {
-            let idx = update.action().index();
-            if !expected.contains(&idx) {
-                expected.push(idx);
-            }
-        }
-        prop_assert_eq!(scratch.touched(), expected.as_slice());
-    }
-}
-
 /// Installing cold sums restores an arm's cold-start statistics (and only
 /// its own): other arms keep their exact bits and the observation count
 /// drops by the reset arm's pulls.
@@ -74,9 +44,15 @@ fn set_arm_with_cold_sums_restores_cold_start_statistics() {
     let mut rng = StdRng::seed_from_u64(21);
     let (d, a) = (3, 4);
     let mut model = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-    model
-        .update_batch_with(&random_batch(d, a, 20, &mut rng), &mut IngestScratch::new())
-        .unwrap();
+    for update in random_batch(d, a, 20, &mut rng) {
+        model
+            .update(
+                update.context(),
+                update.action(),
+                update.reward_sum() / update.count() as f64,
+            )
+            .unwrap();
+    }
     let cold = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
 
     let target = Action::new(1);
@@ -135,9 +111,14 @@ fn set_arm_rejects_incompatible_inputs() {
 }
 
 /// A sums fold rejects a mis-sized context without touching the sums, and
-/// installing the sums equals merging a model that ran the batch fold.
+/// installing the sums of single reports equals the per-report path bit for
+/// bit once that path's update count lands on a refresh: the per-report
+/// update runs the fold's design arithmetic at `n = 1`, the install
+/// computes `λI + (A − λI)`, which is `A` exactly at `λ = 1`, and both then
+/// hold the inverse of the one exact refresh of the same design. The
+/// install inherits the fold count, so the two also refresh together later.
 #[test]
-fn installed_sums_equal_a_merged_batch_fold() {
+fn installed_sums_equal_the_per_report_fold_at_a_refresh() {
     let mut rng = StdRng::seed_from_u64(5);
     let config = LinUcbConfig::new(3, 1);
     let mut sums = ArmSums::new(&config).unwrap();
@@ -146,25 +127,40 @@ fn installed_sums_equal_a_merged_batch_fold() {
     assert!(sums.fold(&wrong_dim).is_err());
     assert_eq!(sums, cold);
 
-    let batch = random_batch(3, 1, 12, &mut rng);
-    let mut folded = LinUcb::new(config).unwrap();
-    folded
-        .update_batch_with(&batch, &mut IngestScratch::new())
-        .unwrap();
-    let mut merged = LinUcb::new(config).unwrap();
-    merged.merge(&folded).unwrap();
-    for update in &batch {
-        sums.fold(update).unwrap();
+    let action = Action::new(0);
+    let mut per_report = LinUcb::new(config).unwrap();
+    for _ in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
+        let reward = rng.gen_range(0.0..=1.0);
+        let report = CoalescedUpdate::new(random_context(3, &mut rng), action, 1, reward).unwrap();
+        per_report
+            .update(report.context(), action, report.reward_sum())
+            .unwrap();
+        sums.fold(&report).unwrap();
     }
     let mut installed = LinUcb::new(config).unwrap();
-    installed.set_arm(Action::new(0), &sums).unwrap();
-    let action = Action::new(0);
-    assert_eq!(installed.observations(), merged.observations());
-    assert_eq!(installed.pulls(action), merged.pulls(action));
-    assert_eq!(installed.design(action), merged.design(action));
+    installed.set_arm(action, &sums).unwrap();
+    assert_eq!(installed.observations(), per_report.observations());
+    assert_eq!(installed.pulls(action), per_report.pulls(action));
+    assert_eq!(installed.design(action), per_report.design(action));
     assert_eq!(
         installed.reward_vector(action),
-        merged.reward_vector(action)
+        per_report.reward_vector(action)
     );
-    assert_eq!(installed.theta(action), merged.theta(action));
+    assert_eq!(installed.theta(action), per_report.theta(action));
+    let probe = random_context(3, &mut rng);
+    assert_eq!(
+        installed.scores(&probe).unwrap(),
+        per_report.scores(&probe).unwrap()
+    );
+
+    // The install inherits the fold count, so both models refresh on the
+    // same later update and stay equal through a second interval.
+    for step in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
+        let context = random_context(3, &mut rng);
+        let reward = (step % 2) as f64;
+        installed.update(&context, action, reward).unwrap();
+        per_report.update(&context, action, reward).unwrap();
+    }
+    assert_eq!(installed.design(action), per_report.design(action));
+    assert_eq!(installed.theta(action), per_report.theta(action));
 }

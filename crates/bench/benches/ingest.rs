@@ -1,12 +1,13 @@
 //! Micro-benchmarks of central-model batch ingestion: the coalescing
 //! sufficient-statistics path at the code-reuse levels produced by
-//! crowd-blending thresholds; plus the model-level update path
-//! (batch-deferred scratch sync), epoch assembly under
+//! crowd-blending thresholds; plus the model-level update path (per-arm
+//! sums folded, each touched arm installed once), epoch assembly under
 //! sparse flushes, and the secure-aggregation share pipeline. The models
-//! these stages fold are pinned bit for bit by the `ingest_golden` test.
+//! the server, assembly and secure stages fold are pinned bit for bit by
+//! the `ingest_golden` test.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_core::{CentralServer, ModelService, P2bConfig, SecureIngestService};
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
@@ -107,30 +108,37 @@ fn update_batch(dimension: usize, actions: usize, len: usize) -> Vec<CoalescedUp
         .collect()
 }
 
-/// The model-level update path (the server's shards fold sums instead):
-/// each iteration folds one coalesced batch into a fresh model through the
-/// scratch path that defers the theta solve and arena scatter to once per
-/// touched arm per batch. Shapes span the native 10-arm stream and the wide 32-arm regime.
+/// The model-level update path, as an ingest shard and the assembly run
+/// it: each iteration folds one coalesced batch into cold per-arm sums and
+/// installs every touched arm into a fresh model with one refresh each.
+/// Shapes span the native 10-arm stream and the wide 32-arm regime.
 fn bench_update_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_update");
     for &(dimension, actions) in &[(DIMENSION, ACTIONS), (DIMENSION, 32usize)] {
         let updates = update_batch(dimension, actions, BATCH);
         let shape = format!("d{dimension}a{actions}");
-        group.bench_with_input(
-            BenchmarkId::new("scratch", &shape),
-            &updates,
-            |b, updates| {
-                let mut scratch = IngestScratch::new();
-                b.iter_batched(
-                    || LinUcb::new(LinUcbConfig::new(dimension, actions)).unwrap(),
-                    |mut model| {
-                        model.update_batch_with(updates, &mut scratch).unwrap();
-                        model.observations()
-                    },
-                    BatchSize::SmallInput,
-                );
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("sums", &shape), &updates, |b, updates| {
+            let config = LinUcbConfig::new(dimension, actions);
+            let cold = ArmSums::new(&config).unwrap();
+            b.iter_batched(
+                || (LinUcb::new(config).unwrap(), vec![cold.clone(); actions]),
+                |(mut model, mut sums)| {
+                    let mut touched = vec![false; actions];
+                    for update in updates {
+                        let arm = update.action().index();
+                        sums[arm].fold(update).unwrap();
+                        touched[arm] = true;
+                    }
+                    for (arm, arm_sums) in sums.iter().enumerate() {
+                        if touched[arm] {
+                            model.set_arm(Action::new(arm), arm_sums).unwrap();
+                        }
+                    }
+                    model.observations()
+                },
+                BatchSize::SmallInput,
+            );
+        });
     }
     group.finish();
 }

@@ -2,15 +2,13 @@
 //!
 //! In P2B the server's output is the model it folds from shuffled reports,
 //! so a refactor of the write path is safe only if that model keeps every
-//! bit. This suite replays four seeded ingest stages at quick scale and
+//! bit. This suite replays three seeded ingest stages at quick scale and
 //! digests each final model (FNV-1a over its exact statistics):
 //!
 //! - coalesced ingest: a per-report oracle (one count-1 update per report
 //!   of the raw stream, in submission order), then the server's released
 //!   cells, summed per pair and folded once at the publish, at 1, 2 and 4
 //!   ingest shards;
-//! - the model-level update path (`update_batch_with`) at shapes d16a32 and
-//!   d16a10;
 //! - sparse-flush epoch assembly through a [`ModelService`] at 1 and 4
 //!   shards;
 //! - secure aggregation at 1, 2 and 4 aggregator shards, each with a
@@ -28,7 +26,7 @@
 //! The timings of the same stages are the Criterion groups of
 //! `benches/ingest.rs` and `benches/sharded_engine.rs`.
 
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_bench::serve::fit_serve_encoder;
 use p2b_core::{CentralServer, ModelService, P2bConfig, SecureIngestService};
 use p2b_encoding::{ContextCode, Encoder};
@@ -57,10 +55,6 @@ const INGEST_CODES: usize = 4;
 const LANE_ACTION: u64 = LANE_CONSUMER_BASE + 5;
 /// Noise lane drawing each synthetic report's 0/1 reward.
 const LANE_REWARD: u64 = LANE_CONSUMER_BASE + 6;
-
-/// Update-path stream: coalesced batches of rank-k updates per shape.
-const UPDATE_BATCH_LEN: usize = 256;
-const UPDATE_BATCHES: usize = 64;
 
 /// Sparse-flush assembly: one single-report update per epoch.
 const ASSEMBLE_EPOCHS: usize = 512;
@@ -252,25 +246,6 @@ fn update_batches(
         .collect()
 }
 
-/// Replays the update batches of one shape through a fresh model.
-fn update_digest(dimension: usize, actions: usize) -> u64 {
-    let batches = update_batches(
-        dimension,
-        actions,
-        UPDATE_BATCH_LEN,
-        UPDATE_BATCHES,
-        (dimension * 1_009 + actions) as u64,
-    );
-    let mut model = LinUcb::new(LinUcbConfig::new(dimension, actions)).expect("shape is valid");
-    let mut scratch = IngestScratch::new();
-    for batch in &batches {
-        model
-            .update_batch_with(batch, &mut scratch)
-            .expect("updates are well-formed");
-    }
-    model_digest(&model)
-}
-
 /// Warms every arm, then runs sparse flush epochs against a model service:
 /// each folds one single-report update into one arm and re-assembles.
 fn assemble_digest(shards: usize) -> u64 {
@@ -342,16 +317,6 @@ fn ingest_digests_match_the_golden_file() {
     );
     for (shards, digest) in [1usize, 2, 4].into_iter().zip(coalesced) {
         records.push(record("ingest", "coalesced", shards, digest));
-    }
-
-    for (dimension, actions) in [(DIMENSION, 32usize), (DIMENSION, ACTIONS)] {
-        let mode = format!("d{dimension}a{actions}");
-        records.push(record(
-            "update",
-            &mode,
-            1,
-            update_digest(dimension, actions),
-        ));
     }
 
     let assembled: Vec<u64> = [1usize, 4].iter().map(|&s| assemble_digest(s)).collect();

@@ -4,21 +4,21 @@
 //! This is the core-side half of the secure-aggregation regime. The
 //! [`p2b_shuffler::SecureAggEngine`] owns the `k` shard workers and the
 //! share arithmetic; the statistics-leaf layout is
-//! [`p2b_bandit::ArmStatistics::leaf`] / [`ArmStatistics::from_leaf`], the
-//! one layout every aggregating regime shares; this module owns the model
-//! lifecycle between the two:
+//! [`p2b_bandit::ArmSums::leaf`] / [`ArmSums::from_leaf`], the one layout
+//! every aggregating regime shares; this module owns the model lifecycle
+//! between the two:
 //!
 //! ```text
-//!   CoalescedUpdate (x, a, n, s) ──▶ ArmStatistics::leaf [n·vec(xxᵀ) | s·x | n]
+//!   CoalescedUpdate (x, a, n, s) ──▶ ArmSums::leaf [n·vec(xxᵀ) | s·x | n]
 //!                                          │ fixed-point encode + split
 //!                                          ▼
 //!                            k aggregator shards (shares only)
 //!                                          │ finish() at epoch boundary
 //!                                          ▼
 //!               recombined i128 sums ──▶ cumulative totals (wrapping Σ)
-//!                                          │ decode + ArmStatistics::from_leaf
+//!                                          │ decode + ArmSums::from_leaf
 //!                                          ▼
-//!                    LinUcb::from_sufficient_statistics (published model)
+//!              LinUcb::new + set_arm of every arm (published model)
 //! ```
 //!
 //! A group of `n` reports sharing context `x` with reward sum `s`
@@ -35,7 +35,7 @@
 //! the decoder's symmetrization returns it unchanged.
 
 use crate::CoreError;
-use p2b_bandit::{ArmStatistics, CoalescedUpdate, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, CoalescedUpdate, LinUcb, LinUcbConfig};
 use p2b_privacy::{decode_fixed, fnv1a};
 use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 
@@ -94,7 +94,7 @@ impl SecureIngestService {
     /// Returns [`CoreError::Shuffler`] when `shards` is zero or the engine
     /// configuration is otherwise degenerate.
     pub fn new(config: LinUcbConfig, shards: usize, seed: u64) -> Result<Self, CoreError> {
-        let leaf_dimension = ArmStatistics::leaf_dimension(config.context_dimension);
+        let leaf_dimension = ArmSums::leaf_dimension(config.context_dimension);
         let engine = SecureAggEngine::builder(config.num_actions, leaf_dimension)
             .shards(shards)
             .build()?;
@@ -137,7 +137,7 @@ impl SecureIngestService {
     /// Splits one coalesced update into shares and routes them to the shard
     /// workers.
     ///
-    /// [`ArmStatistics::leaf`] clips the context to the unit L2 ball and the
+    /// [`ArmSums::leaf`] clips the context to the unit L2 ball and the
     /// reward sum to `[0, n]`, so every leaf coordinate is bounded by the
     /// group count `n` and stays inside the fixed-point dynamic range for
     /// any `n ≤` [`p2b_privacy::FIXED_POINT_MAX_ABS`].
@@ -157,7 +157,7 @@ impl SecureIngestService {
                 found: context.len(),
             });
         }
-        let leaf = ArmStatistics::leaf(context, update.count(), update.reward_sum());
+        let leaf = ArmSums::leaf(context, update.count(), update.reward_sum());
         self.handle.submit(update.action().index(), &leaf)?;
         self.ingested += 1;
         Ok(())
@@ -190,22 +190,13 @@ impl SecureIngestService {
         // The decoded Gram is PSD up to ~2⁻⁴⁸ quantization, so λI almost
         // always suffices; the repair only escalates if rounding ever tips
         // an eigenvalue negative.
-        let statistics = self
-            .totals
-            .chunks(leaf_dimension)
-            .map(|arm| {
-                let decoded: Vec<f64> = arm.iter().copied().map(decode_fixed).collect();
-                ArmStatistics::from_leaf(
-                    &decoded,
-                    self.config.context_dimension,
-                    self.config.regularizer,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LinUcb::from_sufficient_statistics(
-            self.config,
-            &statistics,
-        )?)
+        let mut model = LinUcb::new(self.config)?;
+        for (arm, totals) in self.totals.chunks(leaf_dimension).enumerate() {
+            let decoded: Vec<f64> = totals.iter().copied().map(decode_fixed).collect();
+            let sums = ArmSums::from_leaf(&decoded, &self.config)?;
+            model.set_arm(Action::new(arm), &sums)?;
+        }
+        Ok(model)
     }
 
     /// FNV-1a digest over the cumulative recombined totals (little-endian
@@ -228,8 +219,10 @@ fn epoch_seed(seed: u64, epoch: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2b_bandit::{Action, ContextualPolicy};
-    use p2b_linalg::{Matrix, Vector};
+    use p2b_bandit::ContextualPolicy;
+    use p2b_linalg::Vector;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn update(context: Vec<f64>, action: usize, count: u64, reward_sum: f64) -> CoalescedUpdate {
         CoalescedUpdate::new(
@@ -276,55 +269,82 @@ mod tests {
         }
     }
 
+    /// The secure path's fixed-point error against the plaintext fold, at
+    /// d = 16, coordinate by coordinate.
+    ///
+    /// The plaintext reference folds the same updates into [`ArmSums`] and
+    /// installs them with `set_arm`. Contexts lie in the unit ball, so the
+    /// leaf's clip is the identity. Per design or reward coordinate, with
+    /// `L` leaves summed into the arm, `u = 2⁻⁵³` and `M = λ + Σ n` bounding
+    /// every partial sum (`|n·xᵢxⱼ| ≤ n`, `|s·xᵢ| ≤ n`):
+    ///
+    /// * encoding rounds each leaf coordinate to the 2⁻⁴⁸ grid, at most
+    ///   2⁻⁴⁹ off, and the wrapping `i128` sum adds no error, so the
+    ///   quantization error is at most `L·2⁻⁴⁹`;
+    /// * each leaf and fold term is one or two roundings from the exact
+    ///   `n·xᵢxⱼ` or `s·xᵢ` (`≤ 2u·n`, so `≤ 2u·M` summed, per side);
+    /// * the plaintext fold's recursive sum adds at most `(L + 1)·u·M`;
+    /// * decoding the summed word and the read-back's `+ λ` round once
+    ///   each, and each install's `λ + (A − λ)` twice per side.
+    ///
+    /// So the two models agree within `L·2⁻⁴⁹ + (L + 11)·u·M` per
+    /// coordinate.
     #[test]
     fn assembled_model_matches_the_plaintext_fold_up_to_quantization() {
-        let mut service = SecureIngestService::new(LinUcbConfig::new(2, 2), 2, 3).unwrap();
-        let updates = vec![
-            update(vec![0.6, 0.8], 0, 4, 3.0),
-            update(vec![1.0, 0.0], 1, 2, 1.0),
-        ];
+        let (d, arms) = (16usize, 3usize);
+        let config = LinUcbConfig::new(d, arms);
+        let mut rng = StdRng::seed_from_u64(41);
+        let updates: Vec<CoalescedUpdate> = (0..48)
+            .map(|_| {
+                // |xᵢ| ≤ 1/d keeps ‖x‖₂ ≤ 1/√d, inside the unit ball.
+                let context: Vec<f64> = (0..d)
+                    .map(|_| rng.gen_range(-1.0f64..=1.0) / d as f64)
+                    .collect();
+                let count = rng.gen_range(1u64..=20);
+                let reward_sum = rng.gen_range(0.0..=count as f64);
+                update(context, rng.gen_range(0..arms), count, reward_sum)
+            })
+            .collect();
+        let mut service = SecureIngestService::new(config, 2, 3).unwrap();
+        let mut sums = vec![ArmSums::new(&config).unwrap(); arms];
         for update in &updates {
             service.ingest(update).unwrap();
+            sums[update.action().index()].fold(update).unwrap();
         }
         let model = service.assemble().unwrap();
-        // Plaintext reference: the same weighted leaves folded in f64.
-        let config = LinUcbConfig::new(2, 2);
-        let mut statistics = Vec::new();
-        for arm in 0..2 {
-            let mut design = Matrix::zeros(2, 2);
-            let mut reward = vec![0.0f64; 2];
-            let mut pulls = 0u64;
-            for u in updates.iter().filter(|u| u.action().index() == arm) {
-                let n = u.count() as f64;
-                for (i, slot) in reward.iter_mut().enumerate() {
-                    for j in 0..2 {
-                        design.set(i, j, design.get(i, j) + n * u.context()[i] * u.context()[j]);
-                    }
-                    *slot += u.reward_sum() * u.context()[i];
-                }
-                pulls += u.count();
-            }
-            for i in 0..2 {
-                design.set(i, i, design.get(i, i) + config.regularizer);
-            }
-            statistics.push(ArmStatistics {
-                design,
-                reward_vector: Vector::from(reward),
-                pulls,
-            });
+        let mut reference = LinUcb::new(config).unwrap();
+        for (arm, arm_sums) in sums.iter().enumerate() {
+            reference.set_arm(Action::new(arm), arm_sums).unwrap();
         }
-        let reference = LinUcb::from_sufficient_statistics(config, &statistics).unwrap();
         assert_eq!(model.observations(), reference.observations());
-        let probe = Vector::from(vec![0.3, 0.7]);
-        let a = model.scores(&probe).unwrap();
-        let b = reference.scores(&probe).unwrap();
-        for arm in 0..2 {
-            assert!(
-                (a[arm] - b[arm]).abs() < 1e-9,
-                "arm {arm}: secure {} vs plaintext {}",
-                a[arm],
-                b[arm]
-            );
+
+        let u = f64::EPSILON / 2.0;
+        let grid_half_step = 0.5 / p2b_privacy::FIXED_POINT_SCALE;
+        for arm in 0..arms {
+            let action = Action::new(arm);
+            let routed = updates.iter().filter(|u| u.action() == action);
+            let leaves = routed.clone().count() as f64;
+            let mass = config.regularizer + routed.map(|u| u.count() as f64).sum::<f64>();
+            let bound = leaves * grid_half_step + (leaves + 11.0) * u * mass;
+            assert_eq!(model.pulls(action), reference.pulls(action));
+            let secure = model.design(action).unwrap().as_slice();
+            let plain = reference.design(action).unwrap().as_slice();
+            let vectors = [
+                (secure, plain),
+                (
+                    model.reward_vector(action).unwrap().as_slice(),
+                    reference.reward_vector(action).unwrap().as_slice(),
+                ),
+            ];
+            for (block, (secure, plain)) in vectors.iter().enumerate() {
+                for (k, (x, y)) in secure.iter().zip(plain.iter()).enumerate() {
+                    assert!(
+                        (x - y).abs() <= bound,
+                        "arm {arm}, block {block}, coordinate {k}: secure {x} vs plaintext {y}, \
+                         bound {bound}"
+                    );
+                }
+            }
         }
     }
 

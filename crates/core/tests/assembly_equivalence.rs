@@ -18,7 +18,7 @@
 //!    its inverse: a full refresh interval of plain updates on both models
 //!    must keep them bit-identical.
 
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, IngestScratch, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_core::ModelService;
 use p2b_linalg::{RankOneInverse, Vector};
 use proptest::prelude::*;
@@ -48,42 +48,40 @@ fn random_updates(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<Coale
 }
 
 /// The from-scratch assembly the incremental path is pinned against: one
-/// mirror model per ingest shard, fed the `action % M` partition of every
-/// ingest through the same batch fold the shard workers run, merged into a
-/// cold model in shard order on every assembly.
+/// set of per-arm sums per ingest shard, fed the `action % M` partition of
+/// every ingest through the fold the shard workers run, every arm installed
+/// on a cold model from its owning shard's sums on every assembly.
 struct FromScratchOracle {
     config: LinUcbConfig,
-    shards: Vec<LinUcb>,
-    scratch: IngestScratch,
+    shards: Vec<Vec<ArmSums>>,
 }
 
 impl FromScratchOracle {
     fn new(config: LinUcbConfig, shards: usize) -> Self {
+        let cold = ArmSums::new(&config).unwrap();
         Self {
             config,
-            shards: (0..shards).map(|_| LinUcb::new(config).unwrap()).collect(),
-            scratch: IngestScratch::new(),
+            shards: vec![vec![cold; config.num_actions]; shards],
         }
     }
 
     fn ingest(&mut self, updates: &[CoalescedUpdate]) {
         let count = self.shards.len();
         for (index, shard) in self.shards.iter_mut().enumerate() {
-            let partition: Vec<CoalescedUpdate> = updates
+            let partition = updates
                 .iter()
-                .filter(|update| update.action().index() % count == index)
-                .cloned()
-                .collect();
-            shard
-                .update_batch_with(&partition, &mut self.scratch)
-                .unwrap();
+                .filter(|update| update.action().index() % count == index);
+            for update in partition {
+                shard[update.action().index()].fold(update).unwrap();
+            }
         }
     }
 
     fn assemble(&self) -> LinUcb {
         let mut assembled = LinUcb::new(self.config).unwrap();
-        for shard in &self.shards {
-            assembled.merge(shard).unwrap();
+        for arm in 0..self.config.num_actions {
+            let owner = &self.shards[arm % self.shards.len()];
+            assembled.set_arm(Action::new(arm), &owner[arm]).unwrap();
         }
         assembled
     }

@@ -45,13 +45,13 @@
 //!   instead of a DP guarantee (the cell reports no (ε, δ)).
 //!
 //! The two leaf-aggregating channels differ only in who sums the leaves;
-//! the leaf layout itself is written once, in
-//! [`p2b_bandit::ArmStatistics::leaf`] / [`ArmStatistics::from_leaf`].
+//! the leaf layout itself is written once, in [`ArmSums::leaf`] /
+//! [`ArmSums::from_leaf`]. Every channel that publishes from sums installs
+//! them with [`LinUcb::set_arm`].
 
 use crate::{BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData};
 use p2b_bandit::{
-    Action, ArmStatistics, ArmSums, BanditError, CoalescedUpdate, ContextualPolicy, LinUcb,
-    LinUcbConfig,
+    Action, ArmSums, BanditError, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig,
 };
 use p2b_core::SecureIngestService;
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
@@ -386,14 +386,13 @@ impl ReportChannel for ShuffledChannel {
 
 /// The trusted curator of the central-DP regime.
 ///
-/// It keeps one [`TreeAggregator`] per arm over [`ArmStatistics::leaf`]
-/// vectors of single reports, whose unit-ball clip bounds one leaf's
-/// sensitivity by [`CENTRAL_LEAF_SENSITIVITY`]. A published model is rebuilt
-/// from the noisy prefix releases by [`ArmStatistics::from_leaf`]: the Gram
-/// block is symmetrized and ridge-shifted until the design matrix is
-/// positive definite (Shariff & Sheffet 2018's shifted-regularizer repair),
-/// then folded into a fresh [`LinUcb`] via
-/// [`LinUcb::from_sufficient_statistics`].
+/// It keeps one [`TreeAggregator`] per arm over [`ArmSums::leaf`] vectors
+/// of single reports, whose unit-ball clip bounds one leaf's sensitivity by
+/// [`CENTRAL_LEAF_SENSITIVITY`]. A published model is rebuilt from the
+/// noisy prefix releases by [`ArmSums::from_leaf`]: the Gram block is
+/// symmetrized and ridge-shifted until the design matrix is positive
+/// definite (Shariff & Sheffet 2018's shifted-regularizer repair), then
+/// every arm of a fresh [`LinUcb`] is installed with [`LinUcb::set_arm`].
 ///
 /// Privacy accounting is the binary mechanism's: one report is a single
 /// leaf (in [`crate::run_cell`] a user's single report; in
@@ -417,7 +416,7 @@ impl TreeCuratorChannel {
         let trees = (0..model.num_actions)
             .map(|arm| {
                 TreeAggregator::new(TreeConfig::new(
-                    ArmStatistics::leaf_dimension(model.context_dimension),
+                    ArmSums::leaf_dimension(model.context_dimension),
                     horizon,
                     CENTRAL_SIGMA,
                     splitmix64(seed ^ (arm as u64).wrapping_mul(0xA24B_AED4_963E_E407)),
@@ -446,19 +445,18 @@ impl ReportChannel for TreeCuratorChannel {
         _central: &mut LinUcb,
         _rng: &mut StdRng,
     ) -> Result<u64, ExperimentError> {
-        let leaf = ArmStatistics::leaf(&report.context, 1, report.reward);
+        let leaf = ArmSums::leaf(&report.context, 1, report.reward);
         self.trees[report.action.index()].push(&leaf)?;
         Ok(1)
     }
 
     fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
-        let (d, regularizer) = (self.model.context_dimension, self.model.regularizer);
-        let statistics = self
-            .trees
-            .iter()
-            .map(|tree| ArmStatistics::from_leaf(&tree.release(), d, regularizer))
-            .collect::<Result<Vec<_>, _>>()?;
-        *central = LinUcb::from_sufficient_statistics(self.model, &statistics)?;
+        let mut model = LinUcb::new(self.model)?;
+        for (arm, tree) in self.trees.iter().enumerate() {
+            let sums = ArmSums::from_leaf(&tree.release(), &self.model)?;
+            model.set_arm(Action::new(arm), &sums)?;
+        }
+        *central = model;
         Ok(0)
     }
 

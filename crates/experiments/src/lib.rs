@@ -19,8 +19,9 @@
 //! tree curator, secure aggregation), built by the only `match` over
 //! [`PrivacyRegime`] that constructs state. [`run_cell`] is a single
 //! regime-blind loop over that channel. The two aggregating regimes share
-//! one statistics-leaf layout, [`p2b_bandit::ArmStatistics::leaf`] and its
-//! inverse [`p2b_bandit::ArmStatistics::from_leaf`].
+//! one statistics-leaf layout, [`p2b_bandit::ArmSums::leaf`] and its
+//! inverse [`p2b_bandit::ArmSums::from_leaf`], and every channel that
+//! publishes from sums installs them with [`p2b_bandit::LinUcb::set_arm`].
 //!
 //! [`run_held_out`] runs the held-out protocol of the paper's Figs. 6–7 and
 //! Table 1 on the same per-user loop: the first

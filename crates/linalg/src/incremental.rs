@@ -1,22 +1,18 @@
 //! Incrementally maintained matrix inverse via the Sherman–Morrison formula.
 
 use crate::cholesky::{factor_lower, solve_in_place};
-use crate::{Cholesky, LinalgError, Matrix, Vector};
+use crate::{LinalgError, Matrix, Vector};
 
-/// Caller-owned scratch buffers for the allocation-free update path.
-///
-/// One `UpdateScratch` serves any number of [`RankOneInverse`] trackers of
-/// any dimension (buffers re-size lazily and only grow). Threading it through
-/// [`RankOneInverse::update_weighted_with`] makes the whole rank-k ingest
-/// fold — the `A⁻¹x` matvec, the outer-product fold, *and* the periodic
-/// exact refresh (Cholesky factor + basis solves) — allocation-free after
-/// the first call.
+/// Scratch buffers for the allocation-free update path: after the first
+/// call, [`RankOneInverse::update`] — the `A⁻¹x` matvec, the outer-product
+/// fold *and* the periodic exact refresh (Cholesky factor + basis solves) —
+/// allocates nothing.
 ///
 /// The buffers are pure scratch: their contents between calls are
-/// meaningless and never observed, so sharing one scratch across trackers
-/// cannot couple their results.
+/// meaningless and never observed, so reusing one scratch across trackers
+/// of different dimensions cannot couple their results.
 #[derive(Debug, Clone, Default)]
-pub struct UpdateScratch {
+struct UpdateScratch {
     /// `A⁻¹x` lane for the Sherman–Morrison fold (`dim` elements).
     ax: Vec<f64>,
     /// Flat lower-triangular Cholesky factor for the exact refresh
@@ -28,12 +24,6 @@ pub struct UpdateScratch {
 }
 
 impl UpdateScratch {
-    /// Creates an empty scratch; buffers are sized lazily on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Ensures the fold lane holds exactly `dim` elements.
     fn ensure_ax(&mut self, dim: usize) {
         if self.ax.len() != dim {
@@ -90,10 +80,8 @@ pub struct RankOneInverse {
     refresh_interval: u64,
     /// Running design matrix `A`, kept to allow periodic exact refreshes.
     design: Matrix,
-    /// Internal scratch so the per-report [`RankOneInverse::update`] path
-    /// allocates nothing per call. [`RankOneInverse::update_weighted_with`]
-    /// uses a caller-owned [`UpdateScratch`] instead and leaves this one
-    /// untouched. Pure scratch: excluded from equality.
+    /// Scratch so [`RankOneInverse::update`] allocates nothing per call.
+    /// Excluded from equality.
     scratch: UpdateScratch,
 }
 
@@ -109,8 +97,8 @@ impl PartialEq for RankOneInverse {
     }
 }
 
-/// Applies the Sherman–Morrison correction `M ← M − scale·(ax)(ax)ᵀ/denom`
-/// over the flat storage of `inverse`.
+/// Applies the Sherman–Morrison correction `M ← M − (ax)(ax)ᵀ/denom` over
+/// the flat storage of `inverse`.
 ///
 /// The flat row-major storage *is* the element-major fold layout (the
 /// write-side mirror of `ScoreArena`): coordinate `(i, j)` of the inverse
@@ -121,25 +109,12 @@ impl PartialEq for RankOneInverse {
 /// expression (not hoisted into a reciprocal) because the historical FP
 /// sequence divides per element, and bit-identical inverses are part of the
 /// contract.
-///
-/// The `scale == 1.0` case uses the literal unscaled expression so the plain
-/// rank-1 update keeps the exact floating-point sequence it has always had.
-fn sherman_morrison_step(inverse: &mut Matrix, ax: &[f64], scale: f64, denom: f64) {
+fn sherman_morrison_step(inverse: &mut Matrix, ax: &[f64], denom: f64) {
     let n = ax.len();
-    let data = inverse.as_mut_slice();
-    if scale == 1.0 {
-        for (i, row) in data.chunks_exact_mut(n).enumerate() {
-            let axi = ax[i];
-            for (entry, &axj) in row.iter_mut().zip(ax.iter()) {
-                *entry -= axi * axj / denom;
-            }
-        }
-    } else {
-        for (i, row) in data.chunks_exact_mut(n).enumerate() {
-            let axi = ax[i];
-            for (entry, &axj) in row.iter_mut().zip(ax.iter()) {
-                *entry -= scale * axi * axj / denom;
-            }
+    for (i, row) in inverse.as_mut_slice().chunks_exact_mut(n).enumerate() {
+        let axi = ax[i];
+        for (entry, &axj) in row.iter_mut().zip(ax.iter()) {
+            *entry -= axi * axj / denom;
         }
     }
 }
@@ -171,24 +146,7 @@ impl RankOneInverse {
             regularizer,
             refresh_interval: Self::DEFAULT_REFRESH_INTERVAL,
             design: Matrix::identity(dim).scaled(regularizer),
-            scratch: UpdateScratch::new(),
-        })
-    }
-
-    /// Creates the inverse of an arbitrary symmetric positive-definite matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Cholesky::new`] errors for non-SPD inputs.
-    pub fn from_matrix(a: &Matrix) -> Result<Self, LinalgError> {
-        let chol = Cholesky::new(a)?;
-        Ok(Self {
-            inverse: chol.inverse(),
-            updates: 0,
-            regularizer: 1.0,
-            refresh_interval: Self::DEFAULT_REFRESH_INTERVAL,
-            design: a.clone(),
-            scratch: UpdateScratch::new(),
+            scratch: UpdateScratch::default(),
         })
     }
 
@@ -267,23 +225,14 @@ impl RankOneInverse {
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
     pub fn update(&mut self, x: &Vector) -> Result<(), LinalgError> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.fold(x, 1.0, &mut scratch);
+        let result = self.fold(x, &mut scratch);
         self.scratch = scratch;
         result
     }
 
-    /// The single weighted Sherman–Morrison fold kernel behind both update
-    /// entry points.
-    ///
-    /// `weight == 1.0` reproduces the plain update exactly: `1.0 · xax`
-    /// is `xax` (multiplication by one is exact) and
-    /// [`sherman_morrison_step`] special-cases the unscaled expression.
-    fn fold(
-        &mut self,
-        x: &Vector,
-        weight: f64,
-        scratch: &mut UpdateScratch,
-    ) -> Result<(), LinalgError> {
+    /// The Sherman–Morrison fold kernel behind [`RankOneInverse::update`],
+    /// over the given scratch.
+    fn fold(&mut self, x: &Vector, scratch: &mut UpdateScratch) -> Result<(), LinalgError> {
         let dim = self.dim();
         scratch.ensure_ax(dim);
         self.inverse.matvec_into(x.as_slice(), &mut scratch.ax)?;
@@ -291,51 +240,15 @@ impl RankOneInverse {
         for (a, b) in x.iter().zip(scratch.ax.iter()) {
             xax += a * b;
         }
-        let denom = 1.0 + weight * xax;
-        // denom = 1 + w·xᵀA⁻¹x > 0 for SPD A and w > 0: never a division by 0.
-        sherman_morrison_step(&mut self.inverse, &scratch.ax, weight, denom);
-        self.design.add_outer_product(x, weight)?;
+        let denom = 1.0 + xax;
+        // denom = 1 + xᵀA⁻¹x > 0 for SPD A: never a division by 0.
+        sherman_morrison_step(&mut self.inverse, &scratch.ax, denom);
+        self.design.add_outer_product(x, 1.0)?;
         self.updates += 1;
         if self.updates % self.refresh_interval == 0 {
             self.refresh_with(scratch)?;
         }
         Ok(())
-    }
-
-    /// Applies the weighted rank-1 update `A ← A + w·x xᵀ`, maintaining the
-    /// inverse through the weighted Sherman–Morrison identity
-    ///
-    /// ```text
-    /// (A + w x xᵀ)⁻¹ = A⁻¹ − w (A⁻¹ x)(A⁻¹ x)ᵀ / (1 + w xᵀ A⁻¹ x)
-    /// ```
-    ///
-    /// This is the coalesced-ingestion primitive: `w` identical contexts
-    /// fold into the design matrix in a single `O(d²)` operation instead of
-    /// `w` separate rank-1 updates, allocation-free through the caller-owned
-    /// [`UpdateScratch`]. A weight of exactly `1.0` runs the arithmetic of
-    /// [`RankOneInverse::update`], so the unweighted path stays bit-for-bit
-    /// identical. Each call counts as **one** update toward the refresh
-    /// interval, because one Sherman–Morrison application contributes one
-    /// step of floating-point drift regardless of its weight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`
-    /// and [`LinalgError::InvalidScalar`] if `weight` is not a strictly
-    /// positive finite number.
-    pub fn update_weighted_with(
-        &mut self,
-        x: &Vector,
-        weight: f64,
-        scratch: &mut UpdateScratch,
-    ) -> Result<(), LinalgError> {
-        if !weight.is_finite() || weight <= 0.0 {
-            return Err(LinalgError::InvalidScalar {
-                name: "weight",
-                value: weight,
-            });
-        }
-        self.fold(x, weight, scratch)
     }
 
     /// Recomputes the inverse exactly from the accumulated design matrix.
@@ -353,14 +266,10 @@ impl RankOneInverse {
 
     /// Allocation-free exact refresh: factors the design matrix into the
     /// scratch buffer and solves the basis columns directly into the tracked
-    /// inverse, with the exact arithmetic of [`Cholesky::new`] followed by
-    /// [`Cholesky::inverse`] (both delegate to the same slice kernels), so
+    /// inverse, with the exact arithmetic of [`crate::Cholesky::new`]
+    /// followed by [`crate::Cholesky::inverse`] (both delegate to the same slice kernels), so
     /// the recomputed inverse is bit-identical to the allocating path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RankOneInverse::refresh`].
-    pub fn refresh_with(&mut self, scratch: &mut UpdateScratch) -> Result<(), LinalgError> {
+    fn refresh_with(&mut self, scratch: &mut UpdateScratch) -> Result<(), LinalgError> {
         let n = self.dim();
         scratch.ensure_refresh(n);
         factor_lower(&self.design, &mut scratch.chol)?;
@@ -376,25 +285,13 @@ impl RankOneInverse {
         Ok(())
     }
 
-    /// Merges the observations of another tracker into this one.
-    ///
-    /// The design matrices are summed (subtracting one copy of the shared
-    /// `λI` prior so it is not double counted) and the inverse is recomputed
-    /// exactly. This is how the P2B server folds reported interaction data
-    /// into the central model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if the dimensions differ.
-    pub fn merge(&mut self, other: &RankOneInverse) -> Result<(), LinalgError> {
-        self.merge_design(&other.design, other.regularizer, other.updates)
-    }
-
     /// Merges raw sufficient statistics into this tracker: a design matrix
     /// `D = λ_D·I + Σ w·x xᵀ` accumulated from the prior `λ_D·I` over
-    /// `updates` folds. The arithmetic of [`RankOneInverse::merge`], which
-    /// delegates here: `A += D + (−λ_D·I)`, the update count grows by
-    /// `updates`, and the inverse is recomputed exactly, once.
+    /// `updates` folds. The design grows by `D + (−λ_D·I)` (the merged
+    /// statistics' prior is removed, so the result keeps a single
+    /// regularization term), the update count by `updates`, and the inverse
+    /// is recomputed exactly, once. Merged into a cold tracker, this is how
+    /// a model arm is built from its sums.
     ///
     /// # Errors
     ///
@@ -426,7 +323,7 @@ impl RankOneInverse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+    use crate::{approx_eq, Cholesky};
 
     #[test]
     fn rejects_invalid_construction() {
@@ -507,12 +404,21 @@ mod tests {
         assert!(inc.design().max_abs_diff(&expected).unwrap() < 1e-9);
     }
 
+    /// Merging the design `λI + Σ w·x xᵀ` into the prior of a cold tracker
+    /// is how a model arm is built from a matrix of sums.
+    fn merged(design: &Matrix, regularizer: f64, updates: u64) -> RankOneInverse {
+        let mut inc = RankOneInverse::identity(design.rows(), regularizer).unwrap();
+        inc.merge_design(design, regularizer, updates).unwrap();
+        inc
+    }
+
     #[test]
     fn from_matrix_round_trips() {
         let mut a = Matrix::identity(2);
         a.add_outer_product(&Vector::from(vec![1.0, -1.0]), 2.0)
             .unwrap();
-        let inc = RankOneInverse::from_matrix(&a).unwrap();
+        let inc = merged(&a, 1.0, 1);
+        assert_eq!(inc.design(), &a);
         let prod = a.matmul(inc.inverse()).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(2)).unwrap() < 1e-9);
     }
@@ -527,7 +433,7 @@ mod tests {
         let mut b = RankOneInverse::identity(2, 1.0).unwrap();
         b.update(&x2).unwrap();
 
-        a.merge(&b).unwrap();
+        a.merge_design(b.design(), 1.0, b.update_count()).unwrap();
 
         // Combined design matrix should be I + x1 x1' + x2 x2' = diag(2, 2).
         let expected = Matrix::diagonal(&[2.0, 2.0]);
@@ -538,8 +444,10 @@ mod tests {
     #[test]
     fn merge_rejects_dimension_mismatch() {
         let mut a = RankOneInverse::identity(2, 1.0).unwrap();
-        let b = RankOneInverse::identity(3, 1.0).unwrap();
-        assert!(a.merge(&b).is_err());
+        let before = a.clone();
+        assert!(a.merge_design(&Matrix::identity(3), 1.0, 1).is_err());
+        assert!(a.merge_design(&Matrix::zeros(2, 3), 1.0, 1).is_err());
+        assert_eq!(a, before);
     }
 
     #[test]
@@ -548,22 +456,11 @@ mod tests {
         assert!(inc.update(&Vector::zeros(2)).is_err());
     }
 
-    #[test]
-    fn weighted_update_rejects_invalid_weights() {
-        let mut inc = RankOneInverse::identity(2, 1.0).unwrap();
-        let mut scratch = UpdateScratch::new();
-        let x = Vector::from(vec![1.0, 0.5]);
-        for weight in [0.0, -2.0, f64::NAN] {
-            assert!(matches!(
-                inc.update_weighted_with(&x, weight, &mut scratch),
-                Err(LinalgError::InvalidScalar { .. })
-            ));
-        }
-        assert!(inc
-            .update_weighted_with(&Vector::zeros(3), 2.0, &mut scratch)
-            .is_err());
-    }
-
+    /// A unit-weight fold, `A += 1·x xᵀ` from the prior, has the plain
+    /// update's design bits, and its install (a merge into a cold tracker,
+    /// one exact refresh) lands on the plain update's tracker bit for bit
+    /// whenever the plain updates end on a refresh: the identity that lets a
+    /// per-report model serve as the oracle of an installed one.
     #[test]
     fn unit_weight_is_bit_identical_to_the_plain_update() {
         let xs = [
@@ -572,18 +469,19 @@ mod tests {
             Vector::from(vec![2.0, 0.0, 1.0]),
         ];
         let mut plain = RankOneInverse::identity(3, 1.0).unwrap();
-        let mut weighted = RankOneInverse::identity(3, 1.0).unwrap();
-        plain.set_refresh_interval(2);
-        weighted.set_refresh_interval(2);
-        let mut scratch = UpdateScratch::new();
+        plain.set_refresh_interval(xs.len() as u64);
+        let mut design = Matrix::identity(3);
         for x in &xs {
             plain.update(x).unwrap();
-            weighted.update_weighted_with(x, 1.0, &mut scratch).unwrap();
-            assert_eq!(
-                plain, weighted,
-                "w = 1 must run the plain update's arithmetic"
-            );
+            design.add_outer_product(x, 1.0).unwrap();
         }
+        assert_eq!(plain.design(), &design);
+        let mut installed = merged(&design, 1.0, xs.len() as u64);
+        installed.set_refresh_interval(xs.len() as u64);
+        assert_eq!(
+            plain, installed,
+            "a unit-weight install must land on the plain update's bits"
+        );
     }
 
     #[test]
@@ -593,10 +491,9 @@ mod tests {
         for _ in 0..7 {
             repeated.update(&x).unwrap();
         }
-        let mut coalesced = RankOneInverse::identity(3, 2.0).unwrap();
-        coalesced
-            .update_weighted_with(&x, 7.0, &mut UpdateScratch::new())
-            .unwrap();
+        let mut design = Matrix::identity(3).scaled(2.0);
+        design.add_outer_product(&x, 7.0).unwrap();
+        let coalesced = merged(&design, 2.0, 1);
 
         assert!(coalesced.design().max_abs_diff(repeated.design()).unwrap() < 1e-9);
         assert!(
@@ -606,25 +503,23 @@ mod tests {
                 .unwrap()
                 < 1e-9
         );
-        // One Sherman–Morrison application = one drift step.
+        // One weighted fold = one drift step.
         assert_eq!(coalesced.update_count(), 1);
         assert_eq!(repeated.update_count(), 7);
     }
 
     #[test]
     fn weighted_update_matches_direct_inverse() {
-        let mut inc = RankOneInverse::identity(3, 1.0).unwrap();
         let mut a = Matrix::identity(3);
         let pairs = [
             (Vector::from(vec![1.0, 2.0, -0.5]), 3.0),
             (Vector::from(vec![0.1, -0.3, 0.7]), 12.0),
             (Vector::from(vec![2.0, 0.0, 1.0]), 0.5),
         ];
-        let mut scratch = UpdateScratch::new();
         for (x, w) in &pairs {
-            inc.update_weighted_with(x, *w, &mut scratch).unwrap();
             a.add_outer_product(x, *w).unwrap();
         }
+        let inc = merged(&a, 1.0, pairs.len() as u64);
         let direct = Cholesky::new(&a).unwrap().inverse();
         assert!(inc.inverse().max_abs_diff(&direct).unwrap() < 1e-9);
     }
@@ -632,10 +527,10 @@ mod tests {
     #[test]
     fn refresh_with_matches_the_allocating_cholesky_inverse() {
         let mut inc = RankOneInverse::identity(4, 1.5).unwrap();
-        let mut scratch = UpdateScratch::new();
+        let mut scratch = UpdateScratch::default();
         for i in 0..6 {
             let x = Vector::from(vec![i as f64, 1.0, -0.5 * i as f64, 0.25]);
-            inc.update_weighted_with(&x, 1.0, &mut scratch).unwrap();
+            inc.fold(&x, &mut scratch).unwrap();
         }
         let direct = Cholesky::new(inc.design()).unwrap().inverse();
         inc.refresh_with(&mut scratch).unwrap();
@@ -650,48 +545,45 @@ mod tests {
     fn one_scratch_serves_trackers_of_different_dimensions() {
         let mut small = RankOneInverse::identity(2, 1.0).unwrap();
         let mut large = RankOneInverse::identity(5, 1.0).unwrap();
-        let mut scratch = UpdateScratch::new();
+        small.set_refresh_interval(2);
+        large.set_refresh_interval(2);
+        let mut scratch = UpdateScratch::default();
         small
-            .update_weighted_with(&Vector::from(vec![1.0, -1.0]), 1.0, &mut scratch)
+            .fold(&Vector::from(vec![1.0, -1.0]), &mut scratch)
             .unwrap();
-        large
-            .update_weighted_with(
-                &Vector::from(vec![1.0, 0.0, 2.0, -1.0, 0.5]),
-                1.0,
-                &mut scratch,
-            )
-            .unwrap();
+        for _ in 0..2 {
+            large
+                .fold(&Vector::from(vec![1.0, 0.0, 2.0, -1.0, 0.5]), &mut scratch)
+                .unwrap();
+        }
         small
-            .update_weighted_with(&Vector::from(vec![0.5, 0.25]), 3.0, &mut scratch)
+            .fold(&Vector::from(vec![0.5, 0.25]), &mut scratch)
             .unwrap();
         // The same folds through a scratch that never saw the larger tracker.
-        let mut fresh = UpdateScratch::new();
         let mut reference = RankOneInverse::identity(2, 1.0).unwrap();
-        reference
-            .update_weighted_with(&Vector::from(vec![1.0, -1.0]), 1.0, &mut fresh)
-            .unwrap();
-        reference
-            .update_weighted_with(&Vector::from(vec![0.5, 0.25]), 3.0, &mut fresh)
-            .unwrap();
+        reference.set_refresh_interval(2);
+        reference.update(&Vector::from(vec![1.0, -1.0])).unwrap();
+        reference.update(&Vector::from(vec![0.5, 0.25])).unwrap();
         assert_eq!(small, reference);
     }
 
+    /// Merged folds count toward the refresh schedule: an installed tracker
+    /// refreshes on the update that brings its count, folds included, to a
+    /// multiple of the interval.
     #[test]
     fn weighted_updates_trigger_the_periodic_refresh() {
-        let mut inc = RankOneInverse::identity(2, 1.0).unwrap();
-        inc.set_refresh_interval(2);
-        let mut scratch = UpdateScratch::new();
-        for _ in 0..4 {
-            inc.update_weighted_with(&Vector::from(vec![1.0, 0.25]), 5.0, &mut scratch)
-                .unwrap();
-        }
+        let x = Vector::from(vec![1.0, 0.25]);
+        let mut design = Matrix::identity(2);
+        design.add_outer_product(&x, 5.0).unwrap();
+        let mut inc = merged(&design, 1.0, 3);
+        inc.set_refresh_interval(4);
+        inc.update(&x).unwrap();
         let mut expected = Matrix::identity(2);
-        expected
-            .add_outer_product(&Vector::from(vec![1.0, 0.25]), 20.0)
-            .unwrap();
-        assert!(inc.design().max_abs_diff(&expected).unwrap() < 1e-9);
-        // After the refresh the inverse is exact.
+        expected.add_outer_product(&x, 5.0).unwrap();
+        expected.add_outer_product(&x, 1.0).unwrap();
+        assert_eq!(inc.design(), &expected);
+        // The fourth update was a refresh: the inverse is the exact one.
         let direct = Cholesky::new(&expected).unwrap().inverse();
-        assert!(inc.inverse().max_abs_diff(&direct).unwrap() < 1e-9);
+        assert_eq!(inc.inverse().as_slice(), direct.as_slice());
     }
 }

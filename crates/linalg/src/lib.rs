@@ -39,7 +39,7 @@ mod vector;
 pub use arena::{ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch};
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use incremental::{RankOneInverse, UpdateScratch};
+pub use incremental::RankOneInverse;
 pub use matrix::Matrix;
 pub use stats::{argmax, mean, softmax, standard_deviation, variance};
 pub use vector::Vector;
