@@ -5,10 +5,12 @@
 //! nothing else. This crate provides:
 //!
 //! * [`LinUcb`], the disjoint-arm LinUCB implementation, with its one
-//!   sufficient-statistics currency: [`CoalescedUpdate`]s fold into
+//!   sufficient-statistics currency: `(x, n, s)` groups fold into
 //!   per-arm [`ArmSums`] (or their flat leaves are summed and read back),
-//!   and [`LinUcb::set_arm`] installs the sums as a model arm; plus the
-//!   reusable select scratch ([`SelectScratch`]);
+//!   and [`LinUcb::set_arm`] installs the sums as a model arm — in two
+//!   halves when the build runs elsewhere: [`BuiltArm::new`] (merge, one
+//!   refresh, θ solve) and [`LinUcb::install_arm`] (swap and lanes); plus
+//!   the reusable select scratch ([`SelectScratch`]);
 //! * the [`ContextualPolicy`] trait: the per-report select/update loop a
 //!   device or a simulated cell drives.
 //!
@@ -38,5 +40,5 @@ mod linucb;
 mod policy;
 
 pub use error::BanditError;
-pub use linucb::{ArmSums, CoalescedUpdate, LinUcb, LinUcbConfig, SelectScratch};
+pub use linucb::{ArmSums, BuiltArm, LinUcb, LinUcbConfig, SelectScratch};
 pub use policy::{Action, ContextualPolicy, Reward};

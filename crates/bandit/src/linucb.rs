@@ -92,102 +92,12 @@ impl LinUcbConfig {
     }
 }
 
-/// The sufficient statistics of `count` identical observations: the same
-/// context vector was observed with the same action `count` times, with
-/// rewards summing to `reward_sum`.
-///
-/// This is what LinUCB's ridge regression actually needs from repeated
-/// observations: the design-matrix contribution is `count · x xᵀ` and the
-/// reward-vector contribution is `reward_sum · x`, so a batch of `N` reports
-/// over `K` distinct `(context, action)` pairs folds in `K` matrix
-/// operations via [`ArmSums::fold`] instead of `N`.
-///
-/// # Example
-///
-/// ```
-/// use p2b_bandit::{Action, CoalescedUpdate};
-/// use p2b_linalg::Vector;
-///
-/// # fn main() -> Result<(), p2b_bandit::BanditError> {
-/// // 12 identical observations with 9 total reward, folded as one update.
-/// let update = CoalescedUpdate::new(Vector::from(vec![0.5, 0.5]), Action::new(1), 12, 9.0)?;
-/// assert_eq!(update.count(), 12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CoalescedUpdate {
-    context: Vector,
-    action: Action,
-    count: u64,
-    reward_sum: f64,
-}
-
-impl CoalescedUpdate {
-    /// Creates a coalesced update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidConfig`] when `count` is zero or the
-    /// context holds a NaN or infinite coordinate (one such update would
-    /// poison its arm's design for good), and [`BanditError::InvalidReward`]
-    /// when `reward_sum` is not a finite number in `[0, count]` — the only
-    /// range reachable by summing `count` rewards that each lie in `[0, 1]`.
-    pub fn new(
-        context: Vector,
-        action: Action,
-        count: u64,
-        reward_sum: f64,
-    ) -> Result<Self, BanditError> {
-        if count == 0 {
-            return Err(BanditError::InvalidConfig {
-                parameter: "count",
-                message: "a coalesced update must cover at least one observation".to_owned(),
-            });
-        }
-        check_finite(&context)?;
-        if !reward_sum.is_finite() || reward_sum < 0.0 || reward_sum > count as f64 {
-            return Err(BanditError::InvalidReward { reward: reward_sum });
-        }
-        Ok(Self {
-            context,
-            action,
-            count,
-            reward_sum,
-        })
-    }
-
-    /// The shared context vector of the coalesced observations.
-    #[must_use]
-    pub fn context(&self) -> &Vector {
-        &self.context
-    }
-
-    /// The shared action of the coalesced observations.
-    #[must_use]
-    pub fn action(&self) -> Action {
-        self.action
-    }
-
-    /// How many identical observations this update folds.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The sum of the observed rewards.
-    #[must_use]
-    pub fn reward_sum(&self) -> f64 {
-        self.reward_sum
-    }
-}
-
 /// One arm's sufficient statistics — the one currency every regime hands
 /// the central model: the design `A = λI + Σ n·x xᵀ`, the reward vector
 /// `b = Σ s·x`, the pulls `Σ n`, the number of folds, and the prior λ the
 /// design started from.
 ///
-/// Two sources fill it. An ingest shard folds coalesced updates into it
+/// Two sources fill it. An ingest shard folds released cells into it
 /// ([`ArmSums::fold`]); the aggregating regimes (the central-DP curator's
 /// tree, the secure-aggregation shards) sum flat statistics leaves
 /// ([`ArmSums::leaf`]) and read the (possibly noised or quantized) total
@@ -225,20 +135,30 @@ impl ArmSums {
         })
     }
 
-    /// Folds one coalesced update: `A += n·x xᵀ`, `b += s·x`. The update's
-    /// action is the caller's to route; it is not read here.
+    /// Folds `count = n` identical observations of `context = x` whose
+    /// rewards sum to `reward_sum = s`: `A += n·x xᵀ`, `b += s·x` — `N`
+    /// reports over `K` distinct `(x, a)` groups fold in `K` matrix
+    /// operations instead of `N`. The one fold kernel: the model service's
+    /// shards and the matrix's P2B channel fold released cells with it,
+    /// `x` read off a finite-checked centroid table. The caller validates:
+    /// a finite `x` (one NaN poisons the design for good), `n ≥ 1` and `s`
+    /// in `[0, n]`, as a released cell guarantees; the arm is the caller's
+    /// to route.
     ///
     /// # Errors
     ///
     /// Returns [`BanditError::ContextDimensionMismatch`] for a mis-sized
     /// context, leaving the sums untouched.
-    pub fn fold(&mut self, update: &CoalescedUpdate) -> Result<(), BanditError> {
-        check_context(self.reward_vector.len(), update.context())?;
-        self.design
-            .add_outer_product(update.context(), update.count() as f64)?;
-        self.reward_vector
-            .axpy(update.reward_sum(), update.context())?;
-        self.pulls += update.count();
+    pub fn fold(
+        &mut self,
+        context: &Vector,
+        count: u64,
+        reward_sum: f64,
+    ) -> Result<(), BanditError> {
+        check_context(self.reward_vector.len(), context)?;
+        self.design.add_outer_product(context, count as f64)?;
+        self.reward_vector.axpy(reward_sum, context)?;
+        self.pulls += count;
         self.folds += 1;
         Ok(())
     }
@@ -370,6 +290,47 @@ impl Arm {
         self.reward_vector.axpy(reward, context)?;
         self.pulls += 1;
         Ok(())
+    }
+
+    /// Re-derives the cached θ from the inverse, with the exact `A⁻¹ b`
+    /// matvec selection would run.
+    fn solve_theta(&mut self) -> Result<(), BanditError> {
+        self.inverse
+            .solve_into(self.reward_vector.as_slice(), self.theta.as_mut_slice())?;
+        Ok(())
+    }
+}
+
+/// A model arm built from [`ArmSums`], θ solved, not yet part of any model:
+/// the pure half of [`LinUcb::set_arm`] ([`BuiltArm::new`]), which can run
+/// on any thread — the model service's shards build their dirty arms with
+/// it — while [`LinUcb::install_arm`], the cheap half, puts the arm into a
+/// model.
+#[derive(Debug, Clone)]
+pub struct BuiltArm {
+    arm: Arc<Arm>,
+}
+
+impl BuiltArm {
+    /// Builds the arm a model of `config` installs from `sums`: a cold arm
+    /// merged with the sums ([`RankOneInverse::merge_design`]:
+    /// `A = λI + (D + (−λ_D·I))`, the arm's update count is the sums' folds,
+    /// one exact refresh of the inverse), then θ = `A⁻¹ b`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::InvalidConfig`] for an invalid configuration
+    /// and [`BanditError::Linalg`] when `sums` has another dimension or a
+    /// design that is not positive definite.
+    pub fn new(config: &LinUcbConfig, sums: &ArmSums) -> Result<Self, BanditError> {
+        config.validate()?;
+        let mut arm = Arm::new(config.context_dimension, config.regularizer)?;
+        arm.inverse
+            .merge_design(&sums.design, sums.regularizer, sums.folds)?;
+        arm.reward_vector = arm.reward_vector.add(&sums.reward_vector)?;
+        arm.pulls = sums.pulls;
+        arm.solve_theta()?;
+        Ok(Self { arm: Arc::new(arm) })
     }
 }
 
@@ -573,14 +534,20 @@ impl LinUcb {
     /// exact `A⁻¹ b` matvec the historical path ran at selection time, so
     /// cached and recomputed values are bit-identical.
     fn sync_arm(&mut self, idx: usize) -> Result<(), BanditError> {
-        // Every caller has just written the arm through `Arc::make_mut` or
-        // replaced it, so this copies nothing.
-        let arm = Arc::make_mut(&mut self.arms[idx]);
-        arm.inverse
-            .solve_into(arm.reward_vector.as_slice(), arm.theta.as_mut_slice())?;
+        // Every caller has just written the arm through `Arc::make_mut`, so
+        // this copies nothing.
+        Arc::make_mut(&mut self.arms[idx]).solve_theta()?;
+        self.stamp_arm(idx)
+    }
+
+    /// Draws arm `idx` a new content stamp and, when this model is the
+    /// mirror's only owner, loads the arm's lanes: the half of
+    /// [`LinUcb::sync_arm`] that follows the θ solve.
+    fn stamp_arm(&mut self, idx: usize) -> Result<(), BanditError> {
         let stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
         self.stamps[idx] = stamp;
         if let Some(arena) = Arc::get_mut(&mut self.arena) {
+            let arm = self.arms[idx].as_ref();
             arena.load_arm(idx, arm.inverse.inverse(), arm.theta.as_slice(), stamp)?;
         }
         Ok(())
@@ -719,14 +686,15 @@ impl LinUcb {
         Ok(&self.arms[action.index()].reward_vector)
     }
 
-    /// Replaces arm `action` with a cold arm merged with `sums`
-    /// ([`RankOneInverse::merge_design`]: `A = λI + (D + (−λ_D·I))`, the
-    /// arm's update count is the sums' folds, one exact refresh of the
-    /// inverse), then the arm sync. The model's observation count trades the
-    /// old arm's pulls for the sums' pulls.
+    /// Replaces arm `action` with a cold arm merged with `sums`: the
+    /// composition of its two halves, [`BuiltArm::new`] (merge, one exact
+    /// refresh of the inverse, θ solve) and [`LinUcb::install_arm`] (copy,
+    /// stamp, lanes). The model's observation count trades the old arm's
+    /// pulls for the sums' pulls.
     ///
-    /// This is the one way sums become a model. The model service installs
-    /// every dirty arm from the shard that owns it at each epoch assembly;
+    /// This is the one way sums become a model. The model service's shards
+    /// build every dirty arm they own at each epoch assembly and the
+    /// service installs them;
     /// the central-DP curator and the secure-aggregation service install
     /// every arm of a cold model from the sums they read off their leaves
     /// ([`ArmSums::from_leaf`]). The in-crate `update_agreement` suite pins
@@ -739,15 +707,32 @@ impl LinUcb {
     /// that is not positive definite; the model is left untouched.
     pub fn set_arm(&mut self, action: Action, sums: &ArmSums) -> Result<(), BanditError> {
         check_action(self.config.num_actions, action)?;
-        let mut arm = Arm::new(self.config.context_dimension, self.config.regularizer)?;
-        arm.inverse
-            .merge_design(&sums.design, sums.regularizer, sums.folds)?;
-        arm.reward_vector = arm.reward_vector.add(&sums.reward_vector)?;
-        arm.pulls = sums.pulls;
+        self.install_arm(action, BuiltArm::new(&self.config, sums)?)
+    }
+
+    /// Installs a built arm as arm `action` — the cheap half of
+    /// [`LinUcb::set_arm`]: no factorization and no solve, only a copy of
+    /// the arm's buffers, a fresh content stamp and the arm's score lanes.
+    /// The model's observation count trades the old arm's pulls for the
+    /// built arm's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::InvalidAction`] for out-of-range actions and
+    /// [`BanditError::ContextDimensionMismatch`] for an arm built for
+    /// another dimension; the model is left untouched. The arm is installed
+    /// as built, so build it with the model's configuration.
+    pub fn install_arm(&mut self, action: Action, built: BuiltArm) -> Result<(), BanditError> {
+        check_action(self.config.num_actions, action)?;
+        check_context(self.config.context_dimension, &built.arm.reward_vector)?;
         let idx = action.index();
-        self.observations = self.observations.saturating_sub(self.arms[idx].pulls) + sums.pulls;
-        self.arms[idx] = Arc::new(arm);
-        self.sync_arm(idx)
+        self.observations =
+            self.observations.saturating_sub(self.arms[idx].pulls) + built.arm.pulls;
+        // The arm is copied into this thread's allocations: a build on
+        // another thread leaves nothing on that thread's heap that outlives
+        // the install, whatever the model's lifetime.
+        self.arms[idx] = Arc::new(Arm::clone(&built.arm));
+        self.stamp_arm(idx)
     }
 
     /// Proposes the arm with the highest upper confidence bound, using
@@ -1017,32 +1002,16 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_update_validates_its_inputs() {
-        let ctx = Vector::from(vec![0.5, 0.5]);
-        assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 0, 0.0).is_err());
-        assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 3, -0.5).is_err());
-        assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 3, 3.5).is_err());
-        assert!(CoalescedUpdate::new(ctx.clone(), Action::new(0), 3, f64::NAN).is_err());
-        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(matches!(
-                CoalescedUpdate::new(Vector::from(vec![0.5, poison]), Action::new(0), 1, 1.0),
-                Err(BanditError::InvalidConfig {
-                    parameter: "context",
-                    ..
-                })
-            ));
-        }
-        let ok = CoalescedUpdate::new(ctx, Action::new(1), 3, 3.0).unwrap();
-        assert_eq!(ok.action().index(), 1);
-        assert!((ok.reward_sum() - 3.0).abs() < 1e-12);
-
+    fn fold_and_set_arm_reject_mis_shaped_inputs() {
         let mut policy = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
         let mut sums = ArmSums::new(policy.config()).unwrap();
-        let wrong_dim = CoalescedUpdate::new(Vector::zeros(3), Action::new(0), 1, 0.5).unwrap();
-        assert!(sums.fold(&wrong_dim).is_err());
-        let wrong_action = CoalescedUpdate::new(Vector::zeros(2), Action::new(7), 1, 0.5).unwrap();
-        sums.fold(&wrong_action).unwrap();
-        assert!(policy.set_arm(wrong_action.action(), &sums).is_err());
+        assert!(matches!(
+            sums.fold(&Vector::zeros(3), 1, 0.5),
+            Err(BanditError::ContextDimensionMismatch { .. })
+        ));
+        assert_eq!(sums, ArmSums::new(policy.config()).unwrap());
+        sums.fold(&Vector::zeros(2), 1, 0.5).unwrap();
+        assert!(policy.set_arm(Action::new(7), &sums).is_err());
         assert_eq!(policy.observations(), 0);
     }
 
@@ -1061,8 +1030,7 @@ mod tests {
             let action = Action::new(i % 2);
             let reward = (i % 2) as f64;
             sequential.update(ctx, action, reward).unwrap();
-            let singleton = CoalescedUpdate::new(ctx.clone(), action, 1, reward).unwrap();
-            sums[i % 2].fold(&singleton).unwrap();
+            sums[i % 2].fold(ctx, 1, reward).unwrap();
             coalesced.set_arm(action, &sums[i % 2]).unwrap();
         }
         for a in 0..2 {
@@ -1096,16 +1064,9 @@ mod tests {
                     .unwrap();
             }
         }
-        let updates: Vec<CoalescedUpdate> = groups
-            .iter()
-            .map(|(ctx, action, count, reward_sum)| {
-                CoalescedUpdate::new(ctx.clone(), Action::new(*action), *count, *reward_sum)
-                    .unwrap()
-            })
-            .collect();
         let mut sums = vec![ArmSums::new(sequential.config()).unwrap(); 2];
-        for update in &updates {
-            sums[update.action().index()].fold(update).unwrap();
+        for (ctx, action, count, reward_sum) in &groups {
+            sums[*action].fold(ctx, *count, *reward_sum).unwrap();
         }
         let mut coalesced = LinUcb::new(LinUcbConfig::new(2, 2)).unwrap();
         for (arm, arm_sums) in sums.iter().enumerate() {
@@ -1406,9 +1367,8 @@ mod tests {
         assert_eq!(model.stale_lanes(), 0);
         model.update(&ctx, Action::new(1), 1.0).unwrap();
         assert_eq!(model.stale_lanes(), 0);
-        let update = CoalescedUpdate::new(ctx.clone(), Action::new(2), 3, 2.0).unwrap();
         let mut sums = ArmSums::new(model.config()).unwrap();
-        sums.fold(&update).unwrap();
+        sums.fold(&ctx, 3, 2.0).unwrap();
         model.set_arm(Action::new(0), &sums).unwrap();
         assert_eq!(model.stale_lanes(), 0);
         // A clone that is gone shares nothing: the next write goes through.

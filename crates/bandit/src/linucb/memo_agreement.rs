@@ -20,9 +20,7 @@
 //! written-through arm off its lanes, and a sweep that forgot to re-score a
 //! stale lane fails here too.
 
-use crate::{
-    Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch,
-};
+use crate::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_linalg::Vector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -202,14 +200,9 @@ proptest! {
                     for _ in 0..rng.gen_range(1..4usize) {
                         let count = rng.gen_range(1u64..5);
                         let target = rng.gen_range(0..arms);
-                        let update = CoalescedUpdate::new(
-                            pool[rng.gen_range(0..pool.len())].clone(),
-                            Action::new(target),
-                            count,
-                            rng.gen_range(0.0..=count as f64),
-                        )
-                        .unwrap();
-                        sums[target].fold(&update).unwrap();
+                        let context = &pool[rng.gen_range(0..pool.len())];
+                        let reward_sum = rng.gen_range(0.0..=count as f64);
+                        sums[target].fold(context, count, reward_sum).unwrap();
                         touched.push(target);
                     }
                     mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
@@ -230,14 +223,9 @@ proptest! {
                     let mut sums = ArmSums::new(models[m].config()).unwrap();
                     for _ in 0..rng.gen_range(0..3usize) {
                         let count = rng.gen_range(1u64..5);
-                        let update = CoalescedUpdate::new(
-                            pool[rng.gen_range(0..pool.len())].clone(),
-                            arm,
-                            count,
-                            rng.gen_range(0.0..=count as f64),
-                        )
-                        .unwrap();
-                        sums.fold(&update).unwrap();
+                        let context = &pool[rng.gen_range(0..pool.len())];
+                        let reward_sum = rng.gen_range(0.0..=count as f64);
+                        sums.fold(context, count, reward_sum).unwrap();
                     }
                     mutate_and_decide(&mut models, m, shared, &context, scratch, rngs, |models| {
                         models[m].set_arm(arm, &sums).unwrap();

@@ -17,7 +17,10 @@
 //! its errors, the per-report oracle at a refresh boundary) live in
 //! `tests/update_agreement.rs`.
 
-use crate::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
+use crate::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
+
+/// `count` observations of one context on one arm, with their reward sum.
+type Group = (Vector, Action, u64, f64);
 use p2b_linalg::{RankOneInverse, Vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,38 +31,25 @@ fn random_context(d: usize, rng: &mut StdRng) -> Vector {
     raw.normalized_l1().unwrap()
 }
 
-/// A random batch of well-formed coalesced updates: counts in
+/// A random batch of well-formed groups: counts in
 /// `1..=max_count`, reward sums in `[0, count]`, actions across the whole
 /// arm range.
-fn random_batch(
-    d: usize,
-    a: usize,
-    len: usize,
-    max_count: u64,
-    rng: &mut StdRng,
-) -> Vec<CoalescedUpdate> {
+fn random_batch(d: usize, a: usize, len: usize, max_count: u64, rng: &mut StdRng) -> Vec<Group> {
     (0..len)
         .map(|_| {
             let count = rng.gen_range(1..=max_count);
             let reward_sum = rng.gen_range(0.0..=count as f64);
-            CoalescedUpdate::new(
-                random_context(d, rng),
-                Action::new(rng.gen_range(0..a)),
-                count,
-                reward_sum,
-            )
-            .unwrap()
+            let context = random_context(d, rng);
+            (context, Action::new(rng.gen_range(0..a)), count, reward_sum)
         })
         .collect()
 }
 
-/// Feeds single-report updates through the per-report path.
-fn update_per_report(model: &mut LinUcb, reports: &[CoalescedUpdate]) {
-    for report in reports {
-        assert_eq!(report.count(), 1);
-        model
-            .update(report.context(), report.action(), report.reward_sum())
-            .unwrap();
+/// Feeds single-report groups through the per-report path.
+fn update_per_report(model: &mut LinUcb, reports: &[Group]) {
+    for (context, action, count, reward) in reports {
+        assert_eq!(*count, 1);
+        model.update(context, *action, *reward).unwrap();
     }
 }
 
@@ -158,15 +148,15 @@ proptest! {
         for _ in 0..2 {
             let batch = random_batch(d, a, len, 1, &mut rng);
             for (owner, shard) in shards.iter_mut().enumerate() {
-                let partition: Vec<CoalescedUpdate> = batch
+                let partition: Vec<Group> = batch
                     .iter()
-                    .filter(|update| update.action().index() % 2 == owner)
+                    .filter(|group| group.1.index() % 2 == owner)
                     .cloned()
                     .collect();
                 update_per_report(shard, &partition);
             }
-            for update in &batch {
-                sums[update.action().index()].fold(update).unwrap();
+            for (context, action, count, reward_sum) in &batch {
+                sums[action.index()].fold(context, *count, *reward_sum).unwrap();
             }
         }
 
@@ -226,9 +216,8 @@ proptest! {
                 (0..d).map(|_| rng.gen_range(-1.0f64..=1.0) / d as f64).collect();
             let count = rng.gen_range(1u64..=10);
             let reward_sum = rng.gen_range(0.0..=count as f64);
-            let update = CoalescedUpdate::new(context, Action::new(0), count, reward_sum).unwrap();
-            folded.fold(&update).unwrap();
-            let leaf = ArmSums::leaf(update.context(), count, reward_sum);
+            folded.fold(&context, count, reward_sum).unwrap();
+            let leaf = ArmSums::leaf(&context, count, reward_sum);
             for (total, term) in summed.iter_mut().zip(leaf) {
                 *total += term;
             }

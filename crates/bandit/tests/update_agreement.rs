@@ -8,7 +8,7 @@
 //! contract, the typed errors of the per-arm install, and the per-report
 //! path as an oracle at a refresh boundary.
 
-use p2b_bandit::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_linalg::{RankOneInverse, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,20 +18,21 @@ fn random_context(d: usize, rng: &mut StdRng) -> Vector {
     raw.normalized_l1().unwrap()
 }
 
-/// A random batch of well-formed coalesced updates: counts in `1..20`,
-/// reward sums in `[0, count]`, actions across the whole arm range.
-fn random_batch(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<CoalescedUpdate> {
+/// A random batch of well-formed `(context, action, count, reward sum)`
+/// groups: counts in `1..20`, reward sums in `[0, count]`, actions across
+/// the whole arm range.
+fn random_batch(
+    d: usize,
+    a: usize,
+    len: usize,
+    rng: &mut StdRng,
+) -> Vec<(Vector, Action, u64, f64)> {
     (0..len)
         .map(|_| {
             let count = rng.gen_range(1u64..20);
             let reward_sum = rng.gen_range(0.0..=count as f64);
-            CoalescedUpdate::new(
-                random_context(d, rng),
-                Action::new(rng.gen_range(0..a)),
-                count,
-                reward_sum,
-            )
-            .unwrap()
+            let context = random_context(d, rng);
+            (context, Action::new(rng.gen_range(0..a)), count, reward_sum)
         })
         .collect()
 }
@@ -44,13 +45,9 @@ fn set_arm_with_cold_sums_restores_cold_start_statistics() {
     let mut rng = StdRng::seed_from_u64(21);
     let (d, a) = (3, 4);
     let mut model = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
-    for update in random_batch(d, a, 20, &mut rng) {
+    for (context, action, count, reward_sum) in random_batch(d, a, 20, &mut rng) {
         model
-            .update(
-                update.context(),
-                update.action(),
-                update.reward_sum() / update.count() as f64,
-            )
+            .update(&context, action, reward_sum / count as f64)
             .unwrap();
     }
     let cold = LinUcb::new(LinUcbConfig::new(d, a)).unwrap();
@@ -123,19 +120,16 @@ fn installed_sums_equal_the_per_report_fold_at_a_refresh() {
     let config = LinUcbConfig::new(3, 1);
     let mut sums = ArmSums::new(&config).unwrap();
     let cold = sums.clone();
-    let wrong_dim = CoalescedUpdate::new(Vector::zeros(4), Action::new(0), 1, 0.5).unwrap();
-    assert!(sums.fold(&wrong_dim).is_err());
+    assert!(sums.fold(&Vector::zeros(4), 1, 0.5).is_err());
     assert_eq!(sums, cold);
 
     let action = Action::new(0);
     let mut per_report = LinUcb::new(config).unwrap();
     for _ in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
         let reward = rng.gen_range(0.0..=1.0);
-        let report = CoalescedUpdate::new(random_context(3, &mut rng), action, 1, reward).unwrap();
-        per_report
-            .update(report.context(), action, report.reward_sum())
-            .unwrap();
-        sums.fold(&report).unwrap();
+        let context = random_context(3, &mut rng);
+        per_report.update(&context, action, reward).unwrap();
+        sums.fold(&context, 1, reward).unwrap();
     }
     let mut installed = LinUcb::new(config).unwrap();
     installed.set_arm(action, &sums).unwrap();

@@ -7,11 +7,13 @@
 //! the `ingest_golden` test.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use p2b_bandit::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
-use p2b_core::{CentralServer, ModelService, P2bConfig, SecureIngestService};
+use p2b_bandit::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_core::{CentralServer, Centroids, ModelService, P2bConfig, SecureIngestService};
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
-use p2b_shuffler::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
+use p2b_shuffler::{
+    EncodedReport, RawReport, ReleasedCell, ShuffledBatch, Shuffler, ShufflerConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -88,8 +90,11 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// `count` observations of one context on one arm, with their reward sum.
+type Group = (Vector, Action, u64, f64);
+
 /// One coalesced batch at a model shape for the update-path benchmark.
-fn update_batch(dimension: usize, actions: usize, len: usize) -> Vec<CoalescedUpdate> {
+fn update_batch(dimension: usize, actions: usize, len: usize) -> Vec<Group> {
     let mut rng = StdRng::seed_from_u64(29);
     (0..len)
         .map(|_| {
@@ -97,13 +102,12 @@ fn update_batch(dimension: usize, actions: usize, len: usize) -> Vec<CoalescedUp
             let context = Vector::from(raw).normalized_l1().expect("non-empty");
             let count = rng.gen_range(1u64..10);
             let reward_sum = rng.gen_range(0.0..=count as f64);
-            CoalescedUpdate::new(
+            (
                 context,
                 Action::new(rng.gen_range(0..actions)),
                 count,
                 reward_sum,
             )
-            .expect("generated updates are well-formed")
         })
         .collect()
 }
@@ -124,9 +128,9 @@ fn bench_update_path(c: &mut Criterion) {
                 || (LinUcb::new(config).unwrap(), vec![cold.clone(); actions]),
                 |(mut model, mut sums)| {
                     let mut touched = vec![false; actions];
-                    for update in updates {
-                        let arm = update.action().index();
-                        sums[arm].fold(update).unwrap();
+                    for (context, action, count, reward_sum) in updates {
+                        let arm = action.index();
+                        sums[arm].fold(context, *count, *reward_sum).unwrap();
                         touched[arm] = true;
                     }
                     for (arm, arm_sums) in sums.iter().enumerate() {
@@ -144,17 +148,21 @@ fn bench_update_path(c: &mut Criterion) {
 }
 
 /// Epoch assembly under sparse flushes: each iteration folds one
-/// single-report update into one arm of a warm 32-arm model service and
+/// single-report cell into one arm of a warm 32-arm model service and
 /// re-assembles the served model over the dirty-arm union.
 fn bench_epoch_assembly(c: &mut Criterion) {
     const ARMS: usize = 32;
     let mut rng = StdRng::seed_from_u64(71);
-    let updates: Vec<CoalescedUpdate> = (0..ARMS)
-        .map(|arm| {
+    // One random context per arm, as code `arm` of the centroid table.
+    let contexts: Vec<Vector> = (0..ARMS)
+        .map(|_| {
             let raw: Vec<f64> = (0..DIMENSION).map(|_| rng.gen_range(0.0f64..1.0)).collect();
-            let context = Vector::from(raw).normalized_l1().expect("non-empty");
-            CoalescedUpdate::new(context, Action::new(arm), 1, 1.0).unwrap()
+            Vector::from(raw).normalized_l1().expect("non-empty")
         })
+        .collect();
+    let centroids = Arc::new(Centroids::new(contexts).unwrap());
+    let cells: Vec<ReleasedCell> = (0..ARMS)
+        .map(|arm| ReleasedCell::of(&EncodedReport::new(arm, arm, 1.0).unwrap()))
         .collect();
     let mut group = c.benchmark_group("epoch_assembly");
     for &shards in &[1usize, 4] {
@@ -165,11 +173,14 @@ fn bench_epoch_assembly(c: &mut Criterion) {
                 let config = LinUcbConfig::new(DIMENSION, ARMS);
                 let mut service = ModelService::spawn(config, shards).unwrap();
                 // Warm every arm and take the full first assembly untimed.
-                service.ingest(updates.clone()).unwrap();
+                service.ingest(&cells, &centroids).unwrap();
                 service.assemble().unwrap();
-                let mut next = updates.iter().cycle();
+                let mut next = cells.iter().cycle();
                 b.iter(|| {
-                    service.ingest(vec![next.next().unwrap().clone()]).unwrap();
+                    let cell = next.next().unwrap();
+                    service
+                        .ingest(std::slice::from_ref(cell), &centroids)
+                        .unwrap();
                     service.assemble().unwrap().0.observations()
                 });
             },
@@ -192,8 +203,10 @@ fn bench_secure_agg_ingest(c: &mut Criterion) {
                 let config = LinUcbConfig::new(DIMENSION, ACTIONS);
                 let mut service = SecureIngestService::new(config, shards, 5).unwrap();
                 b.iter(|| {
-                    for update in updates {
-                        service.ingest(update).unwrap();
+                    for (context, action, count, reward_sum) in updates {
+                        service
+                            .ingest(context, *action, *count, *reward_sum)
+                            .unwrap();
                     }
                     service.assemble().unwrap().observations()
                 });

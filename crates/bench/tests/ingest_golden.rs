@@ -5,7 +5,7 @@
 //! bit. This suite replays three seeded ingest stages at quick scale and
 //! digests each final model (FNV-1a over its exact statistics):
 //!
-//! - coalesced ingest: a per-report oracle (one count-1 update per report
+//! - coalesced ingest: a per-report oracle (one count-1 cell per report
 //!   of the raw stream, in submission order), then the server's released
 //!   cells, summed per pair and folded once at the publish, at 1, 2 and 4
 //!   ingest shards;
@@ -26,12 +26,14 @@
 //! The timings of the same stages are the Criterion groups of
 //! `benches/ingest.rs` and `benches/sharded_engine.rs`.
 
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_bench::serve::fit_serve_encoder;
-use p2b_core::{CentralServer, ModelService, P2bConfig, SecureIngestService};
-use p2b_encoding::{ContextCode, Encoder};
+use p2b_core::{CentralServer, Centroids, ModelService, P2bConfig, SecureIngestService};
+use p2b_encoding::Encoder;
 use p2b_linalg::Vector;
-use p2b_shuffler::{fnv1a, EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
+use p2b_shuffler::{
+    fnv1a, EncodedReport, RawReport, ReleasedCell, ShuffledBatch, Shuffler, ShufflerConfig,
+};
 use p2b_sim::{ArrivalConfig, ArrivalProcess, LANE_CONSUMER_BASE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,26 +171,25 @@ fn ingest_batches(stream: &[Vec<Tuple>]) -> Vec<ShuffledBatch> {
         .collect()
 }
 
-/// The per-report oracle: a fresh model service fed one count-1 update per
+/// The per-report oracle: a fresh model service fed one count-1 cell per
 /// in-range report of the raw stream, in submission order, one ingest call
-/// per batch.
+/// per batch, each cell's context its code's representative.
 fn per_report_digest(encoder: &dyn Encoder, stream: &[Vec<Tuple>]) -> u64 {
     let config = P2bConfig::new(DIMENSION, ACTIONS);
     let mut service = ModelService::spawn(config.linucb(), 1).expect("shape is valid");
+    let centroids = Arc::new(Centroids::from_encoder(encoder).expect("centroids are finite"));
     for batch in stream {
-        let updates = batch
+        let cells: Vec<ReleasedCell> = batch
             .iter()
             .filter(|&&(code, action, _)| code < encoder.num_codes() && action < ACTIONS)
             .map(|&(code, action, reward)| {
-                let context = encoder
-                    .representative(ContextCode::new(code))
-                    .expect("code is in range");
-                CoalescedUpdate::new(context, Action::new(action), 1, reward)
-                    .expect("rewards 0/1 are valid")
+                ReleasedCell::of(
+                    &EncodedReport::new(code, action, reward).expect("rewards 0/1 are valid"),
+                )
             })
             .collect();
         service
-            .ingest(updates)
+            .ingest(&cells, &centroids)
             .expect("service threads are healthy");
     }
     model_digest(&service.assemble().expect("assembly succeeds").0)
@@ -214,7 +215,10 @@ fn ingest_digest(shards: usize, encoder: &Arc<dyn Encoder>, batches: &[ShuffledB
     model_digest(model)
 }
 
-/// Seeded coalesced updates at one model shape: L1-normalized contexts,
+/// `count` observations of one context on one arm, with their reward sum.
+type Group = (Vector, Action, u64, f64);
+
+/// Seeded coalesced groups at one model shape: L1-normalized contexts,
 /// counts in 1..10, reward sums within `[0, count]`.
 fn update_batches(
     dimension: usize,
@@ -222,7 +226,7 @@ fn update_batches(
     batch_len: usize,
     batches: usize,
     seed: u64,
-) -> Vec<Vec<CoalescedUpdate>> {
+) -> Vec<Vec<Group>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..batches)
         .map(|_| {
@@ -233,13 +237,12 @@ fn update_batches(
                     let context = Vector::from(raw).normalized_l1().expect("non-empty");
                     let count = rng.gen_range(1u64..10);
                     let reward_sum = rng.gen_range(0.0..=count as f64);
-                    CoalescedUpdate::new(
+                    (
                         context,
                         Action::new(rng.gen_range(0..actions)),
                         count,
                         reward_sum,
                     )
-                    .expect("generated updates are well-formed")
                 })
                 .collect()
         })
@@ -247,24 +250,34 @@ fn update_batches(
 }
 
 /// Warms every arm, then runs sparse flush epochs against a model service:
-/// each folds one single-report update into one arm and re-assembles.
+/// each folds one single-report cell into one arm and re-assembles. Every
+/// report has a fresh random context, so each is a code of its own: code
+/// `i` is the `i`-th report's context.
 fn assemble_digest(shards: usize) -> u64 {
     let mut service = ModelService::spawn(LinUcbConfig::new(DIMENSION, ASSEMBLE_ACTIONS), shards)
         .expect("shape is valid");
     let mut rng = StdRng::seed_from_u64(71);
-    let mut sparse_update = |arm: usize| {
-        let raw: Vec<f64> = (0..DIMENSION).map(|_| rng.gen_range(0.0f64..1.0)).collect();
-        let context = Vector::from(raw).normalized_l1().expect("non-empty");
-        CoalescedUpdate::new(context, Action::new(arm), 1, 1.0)
-            .expect("generated updates are well-formed")
+    let contexts: Vec<Vector> = (0..ASSEMBLE_ACTIONS + ASSEMBLE_EPOCHS)
+        .map(|_| {
+            let raw: Vec<f64> = (0..DIMENSION).map(|_| rng.gen_range(0.0f64..1.0)).collect();
+            Vector::from(raw).normalized_l1().expect("non-empty")
+        })
+        .collect();
+    let centroids = Arc::new(Centroids::new(contexts).expect("contexts are finite"));
+    let sparse_cell = |code: usize, arm: usize| {
+        ReleasedCell::of(&EncodedReport::new(code, arm, 1.0).expect("reward 1 is valid"))
     };
-    let warm: Vec<CoalescedUpdate> = (0..ASSEMBLE_ACTIONS).map(&mut sparse_update).collect();
-    service.ingest(warm).expect("service threads are healthy");
+    let warm: Vec<ReleasedCell> = (0..ASSEMBLE_ACTIONS)
+        .map(|arm| sparse_cell(arm, arm))
+        .collect();
+    service
+        .ingest(&warm, &centroids)
+        .expect("service threads are healthy");
     let mut model = service.assemble().expect("assembly succeeds").0;
     for epoch in 0..ASSEMBLE_EPOCHS {
-        let update = sparse_update(epoch % ASSEMBLE_ACTIONS);
+        let cell = sparse_cell(ASSEMBLE_ACTIONS + epoch, epoch % ASSEMBLE_ACTIONS);
         service
-            .ingest(vec![update])
+            .ingest(&[cell], &centroids)
             .expect("service threads are healthy");
         model = service.assemble().expect("assembly succeeds").0;
     }
@@ -274,7 +287,7 @@ fn assemble_digest(shards: usize) -> u64 {
 /// Secret-shares every batch across `shards` aggregators, assembling after
 /// each; returns the digest of the recombined totals and of the published
 /// model.
-fn secure_digests(shards: usize, batches: &[Vec<CoalescedUpdate>]) -> (u64, u64) {
+fn secure_digests(shards: usize, batches: &[Vec<Group>]) -> (u64, u64) {
     // The mask seed varies with the shard count on purpose: recombined sums
     // are group elements, a function of neither.
     let seed = 0x5EC0_A660_0000_0000 ^ shards as u64;
@@ -282,8 +295,10 @@ fn secure_digests(shards: usize, batches: &[Vec<CoalescedUpdate>]) -> (u64, u64)
         .expect("shard count is valid");
     let mut model = None;
     for batch in batches {
-        for update in batch {
-            service.ingest(update).expect("leaves are in range");
+        for (context, action, count, reward_sum) in batch {
+            service
+                .ingest(context, *action, *count, *reward_sum)
+                .expect("leaves are in range");
         }
         model = Some(service.assemble().expect("assembly succeeds"));
     }

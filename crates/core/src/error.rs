@@ -21,6 +21,13 @@ pub enum CoreError {
         /// Dimension the encoder produces/consumes.
         found: usize,
     },
+    /// The encoder's representative of a code has a NaN or infinite
+    /// coordinate: folded, it would poison its arm's design for good, so
+    /// the centroid table is refused whole.
+    NonFiniteCentroid {
+        /// The first code whose representative is not finite.
+        code: usize,
+    },
     /// An underlying bandit-policy operation failed.
     Bandit(p2b_bandit::BanditError),
     /// An underlying encoding operation failed.
@@ -42,6 +49,10 @@ impl fmt::Display for CoreError {
             CoreError::EncoderMismatch { expected, found } => write!(
                 f,
                 "encoder dimension mismatch: configuration expects {expected}, encoder handles {found}"
+            ),
+            CoreError::NonFiniteCentroid { code } => write!(
+                f,
+                "the encoder's representative of code {code} has a NaN or infinite coordinate"
             ),
             CoreError::Bandit(e) => write!(f, "bandit failure: {e}"),
             CoreError::Encoding(e) => write!(f, "encoding failure: {e}"),

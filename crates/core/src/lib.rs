@@ -15,9 +15,10 @@
 //! the shuffler threshold, following Section 4 of the paper.
 //!
 //! The central model is owned by a sharded [`ModelService`]: ingest workers
-//! partitioned by action fold coalesced sufficient statistics (one weighted
-//! update per distinct `(code, action)` pair touched since the previous
-//! publish) and the [`CentralServer`] publishes epoch-versioned
+//! partitioned by action fold released cells (one weighted update per
+//! distinct `(code, action)` pair touched since the previous publish, its
+//! context read off the shared [`Centroids`] table) and build the arms they
+//! touched, and the [`CentralServer`] publishes epoch-versioned
 //! [`ModelSnapshot`]s behind an `Arc` that all warm starts of an epoch
 //! share. Reports reach it one way: through the sharded streaming engine
 //! ([`P2bSystem::spawn_engine`], a [`p2b_shuffler::ShufflerEngine`] with
@@ -89,5 +90,5 @@ pub use pool::{AgentPool, AgentPoolConfig, AgentSource, PoolStats};
 pub use reporter::{PendingReport, RandomizedReporter};
 pub use secure::SecureIngestService;
 pub use server::CentralServer;
-pub use service::{ModelService, ModelSnapshot};
+pub use service::{Centroids, ModelService, ModelSnapshot};
 pub use system::{P2bSystem, RoundStats};

@@ -9,7 +9,7 @@
 //! between the two:
 //!
 //! ```text
-//!   CoalescedUpdate (x, a, n, s) ──▶ ArmSums::leaf [n·vec(xxᵀ) | s·x | n]
+//!   group (x, a, n, s) ──▶ ArmSums::leaf [n·vec(xxᵀ) | s·x | n]
 //!                                          │ fixed-point encode + split
 //!                                          ▼
 //!                            k aggregator shards (shares only)
@@ -35,36 +35,33 @@
 //! the decoder's symmetrization returns it unchanged.
 
 use crate::CoreError;
-use p2b_bandit::{Action, ArmSums, CoalescedUpdate, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, LinUcb, LinUcbConfig};
+use p2b_linalg::Vector;
 use p2b_privacy::{decode_fixed, fnv1a};
 use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 
-/// A model service ingesting coalesced updates through `k`-shard secure
+/// A model service ingesting coalesced groups through `k`-shard secure
 /// aggregation and publishing epoch models from the recombined sums.
 ///
 /// The service never sees an individual contribution in the clear once it
-/// has been split: each [`CoalescedUpdate`] is converted to a weighted
-/// statistics leaf and handed to the share engine, and only the recombined
+/// has been split: each group — `n` observations of context `x` on arm
+/// `a` with reward sum `s` — is converted to a weighted statistics leaf
+/// and handed to the share engine, and only the recombined
 /// per-arm sums — equal to what a single trusted accumulator would have
 /// computed — come back at [`SecureIngestService::assemble`].
 ///
 /// # Examples
 ///
 /// ```
-/// use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcbConfig};
+/// use p2b_bandit::{Action, ContextualPolicy, LinUcbConfig};
 /// use p2b_core::SecureIngestService;
 /// use p2b_linalg::Vector;
 ///
 /// # fn main() -> Result<(), p2b_core::CoreError> {
 /// let config = LinUcbConfig::new(2, 2);
 /// let mut service = SecureIngestService::new(config, 2, 7)?;
-/// let update = CoalescedUpdate::new(
-///     Vector::from(vec![0.6, 0.8]),
-///     Action::new(0),
-///     3,
-///     2.0,
-/// )?;
-/// service.ingest(&update)?;
+/// // Three observations of one context on arm 0, with reward sum 2.
+/// service.ingest(&Vector::from(vec![0.6, 0.8]), Action::new(0), 3, 2.0)?;
 /// let model = service.assemble()?;
 /// assert_eq!(model.observations(), 3);
 /// # Ok(())
@@ -128,14 +125,15 @@ impl SecureIngestService {
         self.epoch
     }
 
-    /// Total coalesced updates ingested since construction.
+    /// Total groups ingested since construction.
     #[must_use]
     pub fn ingested(&self) -> u64 {
         self.ingested
     }
 
-    /// Splits one coalesced update into shares and routes them to the shard
-    /// workers.
+    /// Splits one group — `count` observations of `context` on `action`,
+    /// rewards summing to `reward_sum` — into shares and routes them to the
+    /// shard workers.
     ///
     /// [`ArmSums::leaf`] clips the context to the unit L2 ball and the
     /// reward sum to `[0, n]`, so every leaf coordinate is bounded by the
@@ -144,21 +142,26 @@ impl SecureIngestService {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::EncoderMismatch`] when the update's context
-    /// dimension differs from the configured one, and
-    /// [`CoreError::Shuffler`] when a leaf coordinate falls outside the
-    /// fixed-point range or the engine has shut down.
-    pub fn ingest(&mut self, update: &CoalescedUpdate) -> Result<(), CoreError> {
+    /// Returns [`CoreError::EncoderMismatch`] when the context dimension
+    /// differs from the configured one, and [`CoreError::Shuffler`] when a
+    /// leaf coordinate is not finite or falls outside the fixed-point range,
+    /// the arm is out of range, or the engine has shut down.
+    pub fn ingest(
+        &mut self,
+        context: &Vector,
+        action: Action,
+        count: u64,
+        reward_sum: f64,
+    ) -> Result<(), CoreError> {
         let d = self.config.context_dimension;
-        let context = update.context();
         if context.len() != d {
             return Err(CoreError::EncoderMismatch {
                 expected: d,
                 found: context.len(),
             });
         }
-        let leaf = ArmSums::leaf(context, update.count(), update.reward_sum());
-        self.handle.submit(update.action().index(), &leaf)?;
+        let leaf = ArmSums::leaf(context, count, reward_sum);
+        self.handle.submit(action.index(), &leaf)?;
         self.ingested += 1;
         Ok(())
     }
@@ -220,21 +223,27 @@ fn epoch_seed(seed: u64, epoch: u64) -> u64 {
 mod tests {
     use super::*;
     use p2b_bandit::ContextualPolicy;
-    use p2b_linalg::Vector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn update(context: Vec<f64>, action: usize, count: u64, reward_sum: f64) -> CoalescedUpdate {
-        CoalescedUpdate::new(
+    /// `count` observations of one context on one arm, with their reward sum.
+    type Group = (Vector, Action, u64, f64);
+
+    fn update(context: Vec<f64>, action: usize, count: u64, reward_sum: f64) -> Group {
+        (
             Vector::from(context),
             Action::new(action),
             count,
             reward_sum,
         )
-        .unwrap()
     }
 
-    fn traffic() -> Vec<CoalescedUpdate> {
+    fn feed(service: &mut SecureIngestService, group: &Group) -> Result<(), CoreError> {
+        let (context, action, count, reward_sum) = group;
+        service.ingest(context, *action, *count, *reward_sum)
+    }
+
+    fn traffic() -> Vec<Group> {
         vec![
             update(vec![0.6, 0.8, 0.0], 0, 3, 2.0),
             update(vec![0.0, 1.0, 0.0], 1, 5, 4.5),
@@ -249,7 +258,7 @@ mod tests {
             let mut service =
                 SecureIngestService::new(LinUcbConfig::new(3, 2), shards, seed).unwrap();
             for update in &traffic() {
-                service.ingest(update).unwrap();
+                feed(&mut service, update).unwrap();
             }
             let model = service.assemble().unwrap();
             (service.digest(), model)
@@ -294,7 +303,7 @@ mod tests {
         let (d, arms) = (16usize, 3usize);
         let config = LinUcbConfig::new(d, arms);
         let mut rng = StdRng::seed_from_u64(41);
-        let updates: Vec<CoalescedUpdate> = (0..48)
+        let updates: Vec<Group> = (0..48)
             .map(|_| {
                 // |xᵢ| ≤ 1/d keeps ‖x‖₂ ≤ 1/√d, inside the unit ball.
                 let context: Vec<f64> = (0..d)
@@ -308,8 +317,11 @@ mod tests {
         let mut service = SecureIngestService::new(config, 2, 3).unwrap();
         let mut sums = vec![ArmSums::new(&config).unwrap(); arms];
         for update in &updates {
-            service.ingest(update).unwrap();
-            sums[update.action().index()].fold(update).unwrap();
+            feed(&mut service, update).unwrap();
+            let (context, action, count, reward_sum) = update;
+            sums[action.index()]
+                .fold(context, *count, *reward_sum)
+                .unwrap();
         }
         let model = service.assemble().unwrap();
         let mut reference = LinUcb::new(config).unwrap();
@@ -322,9 +334,9 @@ mod tests {
         let grid_half_step = 0.5 / p2b_privacy::FIXED_POINT_SCALE;
         for arm in 0..arms {
             let action = Action::new(arm);
-            let routed = updates.iter().filter(|u| u.action() == action);
+            let routed = updates.iter().filter(|u| u.1 == action);
             let leaves = routed.clone().count() as f64;
-            let mass = config.regularizer + routed.map(|u| u.count() as f64).sum::<f64>();
+            let mass = config.regularizer + routed.map(|u| u.2 as f64).sum::<f64>();
             let bound = leaves * grid_half_step + (leaves + 11.0) * u * mass;
             assert_eq!(model.pulls(action), reference.pulls(action));
             let secure = model.design(action).unwrap().as_slice();
@@ -351,11 +363,11 @@ mod tests {
     #[test]
     fn totals_accumulate_across_epochs() {
         let mut service = SecureIngestService::new(LinUcbConfig::new(2, 2), 3, 5).unwrap();
-        service.ingest(&update(vec![0.5, 0.5], 0, 2, 1.0)).unwrap();
+        feed(&mut service, &update(vec![0.5, 0.5], 0, 2, 1.0)).unwrap();
         let first = service.assemble().unwrap();
         assert_eq!(first.observations(), 2);
         assert_eq!(service.epoch(), 1);
-        service.ingest(&update(vec![0.5, 0.5], 1, 3, 2.0)).unwrap();
+        feed(&mut service, &update(vec![0.5, 0.5], 1, 3, 2.0)).unwrap();
         let second = service.assemble().unwrap();
         // The second epoch's model reflects both epochs' ingests.
         assert_eq!(second.observations(), 5);
@@ -366,9 +378,7 @@ mod tests {
     #[test]
     fn context_dimension_mismatch_is_a_typed_error() {
         let mut service = SecureIngestService::new(LinUcbConfig::new(3, 2), 1, 1).unwrap();
-        let err = service
-            .ingest(&update(vec![1.0, 0.0], 0, 1, 0.5))
-            .unwrap_err();
+        let err = feed(&mut service, &update(vec![1.0, 0.0], 0, 1, 0.5)).unwrap_err();
         assert!(matches!(
             err,
             CoreError::EncoderMismatch {
@@ -383,7 +393,7 @@ mod tests {
         let mut service = SecureIngestService::new(LinUcbConfig::new(2, 1), 1, 1).unwrap();
         let oversized = update(vec![1.0, 0.0], 0, 1 << 40, 0.0);
         assert!(matches!(
-            service.ingest(&oversized).unwrap_err(),
+            feed(&mut service, &oversized).unwrap_err(),
             CoreError::Shuffler(_)
         ));
         // A rejected update is not counted as ingested.
@@ -401,7 +411,7 @@ mod tests {
     #[test]
     fn empty_epoch_publishes_the_prior_model() {
         let mut service = SecureIngestService::new(LinUcbConfig::new(2, 2), 2, 9).unwrap();
-        service.ingest(&update(vec![0.8, 0.6], 0, 2, 1.5)).unwrap();
+        feed(&mut service, &update(vec![0.8, 0.6], 0, 2, 1.5)).unwrap();
         let first = service.assemble().unwrap();
         let digest_after_first = service.digest();
         let second = service.assemble().unwrap();

@@ -1,13 +1,11 @@
-//! The central model server: validation, epoch bookkeeping and snapshot
+//! The central model server: validation, the epoch's cell run and snapshot
 //! publication in front of the sharded [`ModelService`].
 
-use crate::{CoreError, ModelService, ModelSnapshot, P2bConfig};
-use p2b_bandit::{Action, CoalescedUpdate, LinUcb};
-use p2b_encoding::{ContextCode, Encoder};
-use p2b_linalg::Vector;
+use crate::{Centroids, CoreError, ModelService, ModelSnapshot, P2bConfig};
+use p2b_bandit::LinUcb;
+use p2b_encoding::Encoder;
 use p2b_shuffler::{ReleasedCell, ShuffledBatch};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,10 +16,12 @@ use std::sync::Arc;
 ///
 /// The server is a facade: the model state lives on the [`ModelService`]'s
 /// ingest shards (partitioned by action), and the server's job is
-/// validation, the epoch's cell table, code→vector memoization, epoch
-/// bookkeeping and the publication of epoch-versioned [`ModelSnapshot`]s.
-/// Every report reaches the shards as a released cell through
-/// [`CentralServer::ingest_batch_coalesced`].
+/// validation, the epoch's run of cells, epoch bookkeeping and the
+/// publication of epoch-versioned [`ModelSnapshot`]s. Every report reaches
+/// the shards as a released cell through
+/// [`CentralServer::ingest_batch_coalesced`]; every context reaches them as
+/// a row of one [`Centroids`] table, read off the encoder at the first
+/// publish that folds anything.
 pub struct CentralServer {
     service: ModelService,
     encoder: Arc<dyn Encoder>,
@@ -29,17 +29,20 @@ pub struct CentralServer {
     ingested_reports: u64,
     epoch: u64,
     cached: Option<Arc<ModelSnapshot>>,
-    /// The in-range cells ingested since the last publish, summed per
-    /// `(code, action)`: exact counts and fixed-point reward sums, so the
-    /// table is the same whatever batches and orders the cells came in.
-    /// Emptied (capacity kept) once the publish has dispatched it.
-    unpublished: HashMap<(usize, usize), ReleasedCell>,
-    /// Code → context-vector memo, kept for the server's lifetime, so each
-    /// distinct code's centroid is materialized once. Sound because the
-    /// encoder is fixed at construction and its centroid of a code never
-    /// changes.
-    vectors: HashMap<usize, Vector>,
-    /// Coalesced updates handed to the model service.
+    /// The in-range cells ingested since the last publish, one per
+    /// `(code, action)` pair in pair order: exact counts and fixed-point
+    /// reward sums, so the run is the same whatever batches and orders the
+    /// cells came in. Emptied (capacity kept) once the publish has
+    /// dispatched it.
+    run: Vec<ReleasedCell>,
+    /// The merge's output buffer, swapped with `run` after every batch.
+    spare: Vec<ReleasedCell>,
+    /// The encoder's representatives, checked finite: built at the first
+    /// publish with cells to fold, then shared with the shards for the
+    /// server's lifetime. Sound because the encoder is fixed at
+    /// construction and its centroid of a code never changes.
+    centroids: Option<Arc<Centroids>>,
+    /// Cells handed to the model service.
     #[cfg(test)]
     updates_dispatched: u64,
 }
@@ -69,8 +72,9 @@ impl CentralServer {
             ingested_reports: 0,
             epoch: 0,
             cached: None,
-            unpublished: HashMap::new(),
-            vectors: HashMap::new(),
+            run: Vec::new(),
+            spare: Vec::new(),
+            centroids: None,
             #[cfg(test)]
             updates_dispatched: 0,
         })
@@ -104,8 +108,9 @@ impl CentralServer {
     ///
     /// # Errors
     ///
-    /// Surfaces internal model-service failures (never triggered by
-    /// malformed reports, which are rejected before dispatch).
+    /// Surfaces a centroid table that cannot be built (a non-finite
+    /// representative) and internal model-service failures (never
+    /// triggered by malformed reports, which are rejected before dispatch).
     pub fn model(&mut self) -> Result<&LinUcb, CoreError> {
         Ok(self.refresh_snapshot()?.model())
     }
@@ -116,7 +121,7 @@ impl CentralServer {
     ///
     /// # Errors
     ///
-    /// Surfaces internal model-service failures.
+    /// As [`CentralServer::model`].
     pub fn snapshot(&mut self) -> Result<Arc<ModelSnapshot>, CoreError> {
         Ok(Arc::clone(self.refresh_snapshot()?))
     }
@@ -124,23 +129,26 @@ impl CentralServer {
     /// Ensures the epoch's snapshot exists and returns a borrow of it: the
     /// publish.
     ///
-    /// It folds the cells ingested since the previous publish — one
-    /// [`CoalescedUpdate`] per touched `(code, action)` pair, in pair order,
-    /// however many batches touched it — through [`ModelService::ingest`],
-    /// then assembles. The backing [`ModelService::assemble`] re-installs
-    /// only the arms dirtied since the previous assembly, so the per-epoch
-    /// refresh cost scales with how many arms the epoch actually touched.
-    /// The cell table is emptied only once its updates are dispatched: a
-    /// publish that fails before that keeps them for the next one.
+    /// It hands the cells ingested since the previous publish — one per
+    /// touched `(code, action)` pair, in pair order, however many batches
+    /// touched it — to [`ModelService::ingest`] with the centroid table,
+    /// then assembles. The shards fold their share and build the arms they
+    /// dirtied; [`ModelService::assemble`] only swaps those arms in, so the
+    /// per-epoch cost on this thread scales with how many arms the epoch
+    /// touched, and no factorization runs here. The run is emptied only
+    /// once it is dispatched: a publish that fails before that keeps it for
+    /// the next one.
     fn refresh_snapshot(&mut self) -> Result<&Arc<ModelSnapshot>, CoreError> {
         if self.cached.is_none() {
-            let updates = self.unpublished_updates()?;
-            #[cfg(test)]
-            {
-                self.updates_dispatched += updates.len() as u64;
+            if !self.run.is_empty() {
+                let centroids = self.centroids()?;
+                self.service.ingest(&self.run, &centroids)?;
+                #[cfg(test)]
+                {
+                    self.updates_dispatched += self.run.len() as u64;
+                }
+                self.run.clear();
             }
-            self.service.ingest(updates)?;
-            self.unpublished.clear();
             let (model, _dirty) = self.service.assemble()?;
             self.cached = Some(Arc::new(ModelSnapshot::new(self.epoch, model)?));
         }
@@ -152,31 +160,15 @@ impl CentralServer {
             })
     }
 
-    /// The unpublished cells as coalesced updates, in `(code, action)`
-    /// order: a deterministic order, independent of the batches and the
-    /// hasher, so each arm's folds — and the assembled model — are too.
-    fn unpublished_updates(&mut self) -> Result<Vec<CoalescedUpdate>, CoreError> {
-        let mut cells: Vec<&ReleasedCell> = self.unpublished.values().collect();
-        cells.sort_unstable_by_key(|cell| (cell.code(), cell.action()));
-        let mut updates = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let context = match self.vectors.entry(cell.code()) {
-                Entry::Occupied(entry) => entry.get().clone(),
-                Entry::Vacant(entry) => entry
-                    .insert(self.encoder.representative(ContextCode::new(cell.code()))?)
-                    .clone(),
-            };
-            updates.push(
-                CoalescedUpdate::new(
-                    context,
-                    Action::new(cell.action()),
-                    cell.count(),
-                    cell.reward_sum(),
-                )
-                .map_err(CoreError::Bandit)?,
-            );
+    /// The centroid table, read off the encoder on first use. A failed
+    /// build is not kept, so the next publish tries again.
+    fn centroids(&mut self) -> Result<Arc<Centroids>, CoreError> {
+        if let Some(centroids) = &self.centroids {
+            return Ok(Arc::clone(centroids));
         }
-        Ok(updates)
+        let centroids = Arc::new(Centroids::from_encoder(self.encoder.as_ref())?);
+        self.centroids = Some(Arc::clone(&centroids));
+        Ok(centroids)
     }
 
     /// Marks the model state changed: bump the epoch, invalidate the cached
@@ -189,7 +181,7 @@ impl CentralServer {
         }
     }
 
-    /// Adds one released batch to the epoch's cell table: each cell's count
+    /// Adds one released batch to the epoch's cell run: each cell's count
     /// and fixed-point reward sum join its `(code, action)` pair's, and the
     /// next publish ([`CentralServer::snapshot`] / [`CentralServer::model`])
     /// folds each pair once, as one weighted update — so `B` batches over
@@ -197,6 +189,9 @@ impl CentralServer {
     /// batch. The model equals a per-report fold up to floating-point
     /// rounding (≤ 1e-9 in the `coalesce_equivalence` suite) and does not
     /// depend on how the epoch's reports were split into batches.
+    ///
+    /// A batch's cells arrive in pair order, so they join the run in one
+    /// linear merge of the two sorted sequences: no hashing, no sort.
     ///
     /// Cells whose code or action fall outside the configured ranges are
     /// skipped rather than aborting the whole batch — in a deployment the
@@ -210,18 +205,32 @@ impl CentralServer {
     pub fn ingest_batch_coalesced(&mut self, batch: &ShuffledBatch) -> Result<u64, CoreError> {
         let num_codes = self.encoder.num_codes();
         let mut accepted = 0u64;
+        let mut merged = std::mem::take(&mut self.spare);
+        merged.clear();
+        merged.reserve(self.run.len() + batch.reports().len());
+        let mut run = self.run.iter().peekable();
         for cell in batch.reports() {
             if cell.code() >= num_codes || cell.action() >= self.num_actions {
                 continue;
             }
-            match self.unpublished.entry((cell.code(), cell.action())) {
-                Entry::Occupied(mut entry) => entry.get_mut().absorb(cell),
-                Entry::Vacant(entry) => {
-                    entry.insert(*cell);
-                }
-            }
             accepted += cell.count();
+            let key = (cell.code(), cell.action());
+            let mut joined = *cell;
+            while let Some(&held) = run.peek() {
+                match (held.code(), held.action()).cmp(&key) {
+                    Ordering::Less => merged.push(*held),
+                    Ordering::Equal => {
+                        joined = *held;
+                        joined.absorb(cell);
+                    }
+                    Ordering::Greater => break,
+                }
+                run.next();
+            }
+            merged.push(joined);
         }
+        merged.extend(run);
+        self.spare = std::mem::replace(&mut self.run, merged);
         self.mark_updated(accepted);
         Ok(accepted)
     }
@@ -241,11 +250,15 @@ impl fmt::Debug for CentralServer {
 mod tests {
     use super::*;
     use crate::agent::tests::CountingEncoder;
-    use p2b_bandit::ContextualPolicy;
-    use p2b_encoding::{KMeansConfig, KMeansEncoder};
+    use p2b_bandit::{Action, ContextualPolicy};
+    use p2b_encoding::{ContextCode, EncoderStats, EncodingError, KMeansConfig, KMeansEncoder};
+    use p2b_linalg::Vector;
     use p2b_shuffler::{EncodedReport, RawReport, Shuffler, ShufflerConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
     fn encoder(seed: u64) -> Arc<dyn Encoder> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -388,9 +401,12 @@ mod tests {
         let cfg = P2bConfig::new(4, 3);
         let mut server =
             CentralServer::new(&cfg, Arc::clone(&counting) as Arc<dyn Encoder>).unwrap();
-        // Two batches of 30 reports over the same 2 distinct codes, each
+        // A publish with nothing to fold reads no centroid.
+        server.snapshot().unwrap();
+        assert_eq!(counting.representatives(), 0);
+        // Three batches of 30 reports over the same 2 distinct codes, each
         // published.
-        for seed in [10, 11] {
+        for seed in [10, 11, 12] {
             let reports: Vec<(usize, usize, f64)> = (0..30).map(|i| (i % 2, i % 3, 1.0)).collect();
             let accepted = server
                 .ingest_batch_coalesced(&batch(reports, 1, seed))
@@ -400,10 +416,49 @@ mod tests {
         }
         assert_eq!(
             counting.representatives(),
-            2,
-            "the context vector must be computed once per distinct code in the \
-             server's lifetime, not per report or per batch"
+            counting.num_codes(),
+            "the context vector must be computed once per code of the encoder in \
+             the server's lifetime, not per report, per batch or per publish"
         );
+    }
+
+    /// An encoder whose representative of code 0 is NaN while `poisoned`.
+    #[derive(Debug)]
+    struct PoisonedEncoder {
+        inner: Arc<dyn Encoder>,
+        poisoned: AtomicBool,
+    }
+
+    impl Encoder for PoisonedEncoder {
+        fn num_codes(&self) -> usize {
+            self.inner.num_codes()
+        }
+        fn context_dimension(&self) -> usize {
+            self.inner.context_dimension()
+        }
+        fn encode(&self, context: &Vector) -> Result<ContextCode, EncodingError> {
+            self.inner.encode(context)
+        }
+        fn representative(&self, code: ContextCode) -> Result<Vector, EncodingError> {
+            let mut row = self.inner.representative(code)?;
+            if code.value() == 0 && self.poisoned.load(AtomicOrdering::Relaxed) {
+                row.as_mut_slice()[1] = f64::NAN;
+            }
+            Ok(row)
+        }
+        fn stats(&self) -> &EncoderStats {
+            self.inner.stats()
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    fn poisoned(seed: u64) -> Arc<PoisonedEncoder> {
+        Arc::new(PoisonedEncoder {
+            inner: encoder(seed),
+            poisoned: AtomicBool::new(true),
+        })
     }
 
     /// Every statistic of a model as exact bits: observations, then per
@@ -460,6 +515,15 @@ mod tests {
         assert_eq!(server.updates_dispatched, 1);
     }
 
+    /// The run as `(code, action, count, reward sum)` rows.
+    fn run_rows(server: &CentralServer) -> Vec<(usize, usize, u64, f64)> {
+        server
+            .run
+            .iter()
+            .map(|c| (c.code(), c.action(), c.count(), c.reward_sum()))
+            .collect()
+    }
+
     #[test]
     fn publish_emits_one_update_per_pair_in_pair_order() {
         let cfg = P2bConfig::new(4, 2);
@@ -474,12 +538,12 @@ mod tests {
                 .ingest_batch_coalesced(&batch(reports, 1, 7))
                 .unwrap();
         }
-        let updates = server.unpublished_updates().unwrap();
-        let keys: Vec<(usize, u64, f64)> = updates
-            .iter()
-            .map(|u| (u.action().index(), u.count(), u.reward_sum()))
-            .collect();
-        assert_eq!(keys, vec![(0, 1, 0.25), (1, 1, 0.5), (0, 2, 1.75)]);
+        assert_eq!(
+            run_rows(&server),
+            vec![(0, 0, 1, 0.25), (0, 1, 1, 0.5), (1, 0, 2, 1.75)]
+        );
+        server.snapshot().unwrap();
+        assert_eq!(server.updates_dispatched, 3);
     }
 
     #[test]
@@ -494,20 +558,63 @@ mod tests {
                 reused.ingest_batch_coalesced(&b).unwrap(),
                 fresh.ingest_batch_coalesced(&b).unwrap()
             );
-            let warm = reused.unpublished_updates().unwrap();
-            let cold = fresh.unpublished_updates().unwrap();
-            assert_eq!(warm, cold, "round {round}");
+            assert_eq!(reused.run, fresh.run, "round {round}");
             reused.snapshot().unwrap();
-            assert!(
-                reused.unpublished.is_empty(),
-                "the publish empties the table"
-            );
+            assert!(reused.run.is_empty(), "the publish empties the run");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// B pair-sorted batches, out-of-range cells among them, merged into
+        /// the run, equal a `BTreeMap` of per-pair sums bit for bit — count
+        /// and fixed-point reward sum — and accept exactly its reports.
+        #[test]
+        fn merged_batches_equal_a_per_pair_sum_oracle(
+            seed in any::<u64>(),
+            batches in 1usize..6,
+        ) {
+            let cfg = P2bConfig::new(4, 3);
+            let mut server = CentralServer::new(&cfg, encoder(14)).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle: BTreeMap<(usize, usize), ReleasedCell> = BTreeMap::new();
+            let mut accepted = 0u64;
+            for b in 0..batches {
+                // Codes 0..6 and actions 0..5 against 4 codes and 3 arms.
+                let reports: Vec<(usize, usize, f64)> = (0..rng.gen_range(0usize..40))
+                    .map(|_| {
+                        let reward = [0.0, 0.1, 0.3, 0.7, 1.0][rng.gen_range(0..5)];
+                        (rng.gen_range(0..6), rng.gen_range(0..5), reward)
+                    })
+                    .collect();
+                let released = batch(reports, 1, b as u64);
+                for cell in released.reports() {
+                    if cell.code() < 4 && cell.action() < 3 {
+                        accepted += cell.count();
+                        oracle
+                            .entry((cell.code(), cell.action()))
+                            .and_modify(|sum| sum.absorb(cell))
+                            .or_insert(*cell);
+                    }
+                }
+                server.ingest_batch_coalesced(&released).unwrap();
+            }
+            let want: Vec<ReleasedCell> = oracle.into_values().collect();
+            prop_assert_eq!(&server.run, &want);
+            prop_assert_eq!(server.ingested_reports(), accepted);
         }
     }
 
     #[test]
     fn each_publish_dispatches_one_update_per_distinct_in_range_pair() {
-        let cfg = P2bConfig::new(4, 3).with_ingest_shards(2);
+        for shards in [1usize, 2, 4] {
+            dispatches_one_update_per_distinct_in_range_pair(shards);
+        }
+    }
+
+    fn dispatches_one_update_per_distinct_in_range_pair(shards: usize) {
+        let cfg = P2bConfig::new(4, 3).with_ingest_shards(shards);
         let mut server = CentralServer::new(&cfg, encoder(11)).unwrap();
         let mut dispatched = 0;
         for publish in 0..3usize {
@@ -567,20 +674,88 @@ mod tests {
     #[test]
     fn a_failed_publish_keeps_the_epochs_cells() {
         let cfg = P2bConfig::new(4, 2);
-        let mut server = CentralServer::new(&cfg, encoder(13)).unwrap();
+        let enc = poisoned(13);
+        let mut server = CentralServer::new(&cfg, Arc::clone(&enc) as Arc<dyn Encoder>).unwrap();
         server
             .ingest_batch_coalesced(&batch(vec![(0, 1, 1.0), (2, 0, 0.5)], 1, 1))
             .unwrap();
-        // A poisoned memo entry makes the publish's update for code 0
+        // A non-finite centroid of code 0 makes the publish's table
         // invalid; the publish fails before dispatching anything.
-        server.vectors.insert(0, Vector::from(vec![f64::NAN; 4]));
         assert!(server.snapshot().is_err());
-        assert_eq!(server.unpublished.len(), 2, "the cells survive the failure");
+        assert_eq!(server.run.len(), 2, "the cells survive the failure");
         assert_eq!(server.updates_dispatched, 0);
-        // Once the cause is gone, the next publish folds them.
-        server.vectors.clear();
+        // Once the cause is gone, the next publish folds them, and only
+        // then is the run emptied.
+        enc.poisoned.store(false, AtomicOrdering::Relaxed);
         assert_eq!(server.model().unwrap().observations(), 2);
         assert_eq!(server.updates_dispatched, 2);
+        assert!(server.run.is_empty());
+    }
+
+    #[test]
+    fn a_non_finite_centroid_is_a_typed_error_that_poisons_no_shard() {
+        for shards in [1usize, 2, 4] {
+            let cfg = P2bConfig::new(4, 3).with_ingest_shards(shards);
+            let enc = poisoned(15);
+            let mut server =
+                CentralServer::new(&cfg, Arc::clone(&enc) as Arc<dyn Encoder>).unwrap();
+            let cells = batch(vec![(1, 0, 1.0), (0, 2, 0.5), (3, 1, 0.25)], 1, 2);
+            assert_eq!(server.ingest_batch_coalesced(&cells).unwrap(), 3);
+            for _ in 0..2 {
+                assert!(matches!(
+                    server.snapshot(),
+                    Err(CoreError::NonFiniteCentroid { code: 0 })
+                ));
+                assert_eq!(server.run.len(), 3, "{shards} shards");
+            }
+            // Nothing reached a shard: each still assembles, cold.
+            let (cold, _) = server.service.assemble().unwrap();
+            assert_eq!(cold.observations(), 0);
+            enc.poisoned.store(false, AtomicOrdering::Relaxed);
+            assert_eq!(server.model().unwrap().observations(), 3, "{shards} shards");
+        }
+    }
+
+    /// Installs on this thread and Cholesky factorizations on this thread
+    /// (the publishing one), per publish.
+    fn publish_costs(server: &mut CentralServer) -> (u64, u64) {
+        let installs = server.service.installs;
+        let factorizations = p2b_linalg::factorizations_on_this_thread();
+        server.snapshot().unwrap();
+        (
+            server.service.installs - installs,
+            p2b_linalg::factorizations_on_this_thread() - factorizations,
+        )
+    }
+
+    #[test]
+    fn a_publish_installs_its_dirty_arms_and_factors_nothing_on_this_thread() {
+        let actions = 6;
+        for shards in [1usize, 2, 4] {
+            let cfg = P2bConfig::new(4, actions).with_ingest_shards(shards);
+            let mut server = CentralServer::new(&cfg, encoder(16)).unwrap();
+            // The first publish installs every arm, dirty or not.
+            server
+                .ingest_batch_coalesced(&batch(vec![(0, 1, 1.0), (2, 4, 0.5)], 1, 3))
+                .unwrap();
+            assert_eq!(publish_costs(&mut server), (actions as u64, 0));
+            // Later ones install exactly the arms the epoch folded into.
+            for (epoch, arms) in [vec![3usize], vec![0, 5, 3], vec![]]
+                .into_iter()
+                .enumerate()
+            {
+                let reports = arms.iter().map(|&arm| (arm % 4, arm, 1.0)).collect();
+                server
+                    .ingest_batch_coalesced(&batch(reports, 1, epoch as u64))
+                    .unwrap();
+                let dirty = arms.iter().collect::<std::collections::BTreeSet<_>>().len();
+                assert_eq!(
+                    publish_costs(&mut server),
+                    (dirty as u64, 0),
+                    "{shards} shards, epoch {epoch}"
+                );
+            }
+        }
     }
 
     #[test]

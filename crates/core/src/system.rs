@@ -163,7 +163,7 @@ impl P2bSystem {
     }
 
     /// Adds one engine-delivered batch to the central model: its released
-    /// `(code, action)` cells join the server's epoch table, and the next
+    /// `(code, action)` cells join the server's epoch run, and the next
     /// snapshot folds each touched pair once, as one weighted
     /// sufficient-statistics update
     /// ([`CentralServer::ingest_batch_coalesced`]).

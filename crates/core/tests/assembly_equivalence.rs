@@ -18,33 +18,68 @@
 //!    its inverse: a full refresh interval of plain updates on both models
 //!    must keep them bit-identical.
 
-use p2b_bandit::{Action, ArmSums, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig};
-use p2b_core::ModelService;
+use p2b_bandit::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_core::{Centroids, ModelService};
 use p2b_linalg::{RankOneInverse, Vector};
+use p2b_shuffler::{EncodedReport, ReleasedCell};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn random_context(d: usize, rng: &mut StdRng) -> Vector {
     let raw: Vector = (0..d).map(|_| rng.gen_range(0.0f64..1.0)).collect();
     raw.normalized_l1().unwrap()
 }
 
-fn random_updates(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Vec<CoalescedUpdate> {
-    (0..len)
-        .map(|_| {
-            let count = rng.gen_range(1u64..10);
-            let reward_sum = rng.gen_range(0.0..=count as f64);
-            CoalescedUpdate::new(
-                random_context(d, rng),
-                Action::new(rng.gen_range(0..a)),
-                count,
-                reward_sum,
-            )
-            .unwrap()
-        })
-        .collect()
+/// One ingest: released cells, each on a code of its own whose context is
+/// the table's row.
+#[derive(Clone)]
+struct Traffic {
+    cells: Vec<ReleasedCell>,
+    centroids: Arc<Centroids>,
+}
+
+impl Traffic {
+    /// Cells of `(context, action, count, reward_sum)`, cell `i` on code `i`
+    /// and summed from `count` reports of equal reward.
+    fn new(groups: Vec<(Vector, usize, u64, f64)>) -> Self {
+        let cells = groups
+            .iter()
+            .enumerate()
+            .map(|(code, &(_, action, count, reward_sum))| {
+                let one = EncodedReport::new(code, action, reward_sum / count as f64).unwrap();
+                let mut cell = ReleasedCell::of(&one);
+                for _ in 1..count {
+                    cell.absorb(&ReleasedCell::of(&one));
+                }
+                cell
+            })
+            .collect();
+        let rows = groups.into_iter().map(|(context, ..)| context).collect();
+        Self {
+            cells,
+            centroids: Arc::new(Centroids::new(rows).unwrap()),
+        }
+    }
+
+    fn ingest_into(&self, service: &ModelService) {
+        service.ingest(&self.cells, &self.centroids).unwrap();
+    }
+}
+
+fn random_updates(d: usize, a: usize, len: usize, rng: &mut StdRng) -> Traffic {
+    Traffic::new(
+        (0..len)
+            .map(|_| {
+                let count = rng.gen_range(1u64..10);
+                let reward_sum = rng.gen_range(0.0..=count as f64);
+                let context = random_context(d, rng);
+                (context, rng.gen_range(0..a), count, reward_sum)
+            })
+            .collect(),
+    )
 }
 
 /// The from-scratch assembly the incremental path is pinned against: one
@@ -65,14 +100,18 @@ impl FromScratchOracle {
         }
     }
 
-    fn ingest(&mut self, updates: &[CoalescedUpdate]) {
+    fn ingest(&mut self, traffic: &Traffic) {
         let count = self.shards.len();
         for (index, shard) in self.shards.iter_mut().enumerate() {
-            let partition = updates
+            let partition = traffic
+                .cells
                 .iter()
-                .filter(|update| update.action().index() % count == index);
-            for update in partition {
-                shard[update.action().index()].fold(update).unwrap();
+                .filter(|cell| cell.action() % count == index);
+            for cell in partition {
+                let context = traffic.centroids.row(cell.code()).unwrap();
+                shard[cell.action()]
+                    .fold(context, cell.count(), cell.reward_sum())
+                    .unwrap();
             }
         }
     }
@@ -172,12 +211,12 @@ proptest! {
             let updates = random_updates(d, a, len, &mut rng);
             let mut assembled_per_shard_count = Vec::new();
             for (service, oracle) in &mut services {
-                service.ingest(updates.clone()).unwrap();
+                updates.ingest_into(service);
                 oracle.ingest(&updates);
                 let (incremental, _) = service.assemble().unwrap();
                 let reference = oracle.assemble();
                 check_bit_identical(&reference, &incremental);
-                let arm = updates[0].action().index();
+                let arm = updates.cells[0].action();
                 check_refresh_schedule(&reference, &incremental, arm, &mut rng);
                 assembled_per_shard_count.push(incremental);
             }
@@ -206,8 +245,8 @@ proptest! {
             let len = rng.gen_range(1usize..10);
             let updates = random_updates(d, a, len, &mut rng);
             let expected: BTreeSet<usize> =
-                updates.iter().map(|u| u.action().index()).collect();
-            service.ingest(updates).unwrap();
+                updates.cells.iter().map(ReleasedCell::action).collect();
+            updates.ingest_into(&service);
             let (model, dirty) = service.assemble().unwrap();
             let dirty_set: BTreeSet<usize> = dirty.iter().copied().collect();
             prop_assert_eq!(dirty.len(), dirty_set.len(), "dirty union must be deduplicated");
@@ -234,21 +273,20 @@ fn sparse_epochs_leave_clean_arm_statistics_untouched() {
     let mut rng = StdRng::seed_from_u64(17);
 
     // Epoch 1: touch every arm so the baseline is warm.
-    let warm: Vec<CoalescedUpdate> = (0..a)
-        .map(|arm| {
-            CoalescedUpdate::new(random_context(d, &mut rng), Action::new(arm), 3, 2.0).unwrap()
-        })
-        .collect();
+    let warm = Traffic::new(
+        (0..a)
+            .map(|arm| (random_context(d, &mut rng), arm, 3, 2.0))
+            .collect(),
+    );
     oracle.ingest(&warm);
-    service.ingest(warm).unwrap();
+    warm.ingest_into(&service);
     let (before, dirty) = service.assemble().unwrap();
     assert_eq!(dirty.len(), a);
 
     // Epoch 2: one update into arm 2 only.
-    let sparse =
-        vec![CoalescedUpdate::new(random_context(d, &mut rng), Action::new(2), 1, 1.0).unwrap()];
+    let sparse = Traffic::new(vec![(random_context(d, &mut rng), 2, 1, 1.0)]);
     oracle.ingest(&sparse);
-    service.ingest(sparse).unwrap();
+    sparse.ingest_into(&service);
     let (after, dirty) = service.assemble().unwrap();
     assert_eq!(dirty, vec![2]);
 

@@ -4,7 +4,7 @@
 //! per-report fold accepts and produce the same central model up to
 //! floating-point rounding (1e-9), for any report arrival order and any
 //! ingest-shard count. The per-report fold is an oracle built here from
-//! public API: one count-1 update per in-range report of the raw stream, in
+//! public API: one count-1 cell per in-range report of the raw stream, in
 //! submission order.
 //!
 //! The argument: LinUCB's per-arm statistics `A_a = λI + Σ x xᵀ` and
@@ -14,11 +14,13 @@
 //! arrival order at all (fixed-point reward sums), so two arrival orders
 //! give bit-identical models.
 
-use p2b_bandit::{Action, CoalescedUpdate, ContextualPolicy, LinUcb};
-use p2b_core::{CentralServer, ModelService, P2bConfig};
-use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
+use p2b_bandit::{Action, ContextualPolicy, LinUcb};
+use p2b_core::{CentralServer, Centroids, ModelService, P2bConfig};
+use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
-use p2b_shuffler::{EncodedReport, RawReport, ShuffledBatch, Shuffler, ShufflerConfig};
+use p2b_shuffler::{
+    EncodedReport, RawReport, ReleasedCell, ShuffledBatch, Shuffler, ShufflerConfig,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -80,27 +82,26 @@ fn reports() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     )
 }
 
-/// The per-report oracle: a fresh model service fed one count-1 update per
-/// in-range report of the raw stream, in submission order. Returns the
-/// accepted count and the assembled model.
+/// The per-report oracle: a fresh model service fed one count-1 cell per
+/// in-range report of the raw stream, in submission order, each cell's
+/// context its code's representative. Returns the accepted count and the
+/// assembled model.
 fn per_report(config: &P2bConfig, reports: &[(usize, usize, f64)]) -> (u64, LinUcb) {
     let encoder = encoder();
     let mut service =
         ModelService::spawn(config.linucb(), 1).expect("static configuration is valid");
-    let updates: Vec<CoalescedUpdate> = reports
+    let centroids =
+        Arc::new(Centroids::from_encoder(encoder.as_ref()).expect("centroids are finite"));
+    let cells: Vec<ReleasedCell> = reports
         .iter()
         .filter(|&&(code, action, _)| code < encoder.num_codes() && action < config.num_actions)
         .map(|&(code, action, reward)| {
-            let context = encoder
-                .representative(ContextCode::new(code))
-                .expect("code is in range");
-            CoalescedUpdate::new(context, Action::new(action), 1, reward)
-                .expect("rewards are valid")
+            ReleasedCell::of(&EncodedReport::new(code, action, reward).expect("rewards are valid"))
         })
         .collect();
-    let accepted = updates.len() as u64;
+    let accepted = cells.len() as u64;
     service
-        .ingest(updates)
+        .ingest(&cells, &centroids)
         .expect("service threads are healthy");
     (accepted, service.assemble().expect("assembly succeeds").0)
 }

@@ -50,10 +50,8 @@
 //! them with [`LinUcb::set_arm`].
 
 use crate::{BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData};
-use p2b_bandit::{
-    Action, ArmSums, BanditError, CoalescedUpdate, ContextualPolicy, LinUcb, LinUcbConfig,
-};
-use p2b_core::SecureIngestService;
+use p2b_bandit::{Action, ArmSums, BanditError, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_core::{Centroids, SecureIngestService};
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_privacy::{
@@ -65,8 +63,7 @@ use p2b_shuffler::{
 };
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Gaussian noise scale σ of every tree-aggregation node in the central-DP
 /// regime.
@@ -166,17 +163,20 @@ pub(crate) fn open(
             randomizer: LocalDpRandomizer::new(config.num_codes, num_actions, config.ldp_epsilon)?,
             epsilon: config.ldp_epsilon,
         }),
-        PrivacyRegime::P2bShuffle => Box::new(ShuffledChannel {
-            encoder: fit_encoder(config, scenario, rng)?,
-            engine: ShufflerEngine::builder(ShufflerConfig::new(config.shuffler_threshold))
-                .shards(config.shuffler_shards)
-                .batch_size(config.shuffler_batch_size)
-                .build()?,
-            ledger: AmplificationLedger::new(participation, config.delta_omega)?,
-            pending: Vec::new(),
-            arms: vec![ArmSums::new(&model)?; num_actions],
-            representatives: HashMap::new(),
-        }),
+        PrivacyRegime::P2bShuffle => {
+            let encoder = fit_encoder(config, scenario, rng)?;
+            Box::new(ShuffledChannel {
+                centroids: Centroids::from_encoder(&encoder)?,
+                encoder,
+                engine: ShufflerEngine::builder(ShufflerConfig::new(config.shuffler_threshold))
+                    .shards(config.shuffler_shards)
+                    .batch_size(config.shuffler_batch_size)
+                    .build()?,
+                ledger: AmplificationLedger::new(participation, config.delta_omega)?,
+                pending: Vec::new(),
+                arms: vec![ArmSums::new(&model)?; num_actions],
+            })
+        }
         PrivacyRegime::CentralDp => {
             Box::new(TreeCuratorChannel::new(model, max_reports, spec.seed)?)
         }
@@ -288,8 +288,8 @@ struct ShuffledChannel {
     pending: Vec<RawReport>,
     /// Every arm's sums over all released cells so far.
     arms: Vec<ArmSums>,
-    /// Code → representative context, computed once per distinct code.
-    representatives: HashMap<usize, Vector>,
+    /// The encoder's representative context of every code.
+    centroids: Centroids,
 }
 
 impl ReportChannel for ShuffledChannel {
@@ -337,18 +337,13 @@ impl ReportChannel for ShuffledChannel {
         }
         let mut touched = vec![false; self.arms.len()];
         for ((code, action), cell) in cells {
-            let representative = match self.representatives.entry(code) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => {
-                    entry.insert(self.encoder.representative(ContextCode::new(code))?)
-                }
-            };
-            let update = CoalescedUpdate::new(
-                representative.clone(),
-                Action::new(action),
-                cell.count(),
-                cell.reward_sum(),
-            )?;
+            let context = self
+                .centroids
+                .row(code)
+                .ok_or(ExperimentError::InvalidConfig {
+                    parameter: "code",
+                    message: format!("code {code} past the encoder's {}", self.centroids.codes()),
+                })?;
             let arm = self
                 .arms
                 .get_mut(action)
@@ -356,7 +351,7 @@ impl ReportChannel for ShuffledChannel {
                     action,
                     num_actions: touched.len(),
                 })?;
-            arm.fold(&update)?;
+            arm.fold(context, cell.count(), cell.reward_sum())?;
             touched[action] = true;
         }
         for (action, arm) in self.arms.iter().enumerate() {
@@ -478,8 +473,7 @@ impl ReportChannel for SecureAggChannel {
         // One report is a coalesced group of count 1, whose reward sum must
         // already lie in [0, 1].
         let reward = report.reward.clamp(0.0, 1.0);
-        let update = CoalescedUpdate::new(report.context, report.action, 1, reward)?;
-        self.0.ingest(&update)?;
+        self.0.ingest(&report.context, report.action, 1, reward)?;
         Ok(1)
     }
 

@@ -32,6 +32,21 @@ pub struct Cholesky {
     lower: Matrix,
 }
 
+#[cfg(feature = "counters")]
+thread_local! {
+    static FACTORIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Cholesky factorizations attempted on the calling thread so far — by
+/// [`Cholesky::new`] and by every exact refresh of a
+/// [`crate::RankOneInverse`]. A machine-independent cost counter, compiled
+/// only with the `counters` feature.
+#[cfg(feature = "counters")]
+#[must_use]
+pub fn factorizations_on_this_thread() -> u64 {
+    FACTORIZATIONS.with(std::cell::Cell::get)
+}
+
 /// Writes the lower-triangular Cholesky factor of `a` into the flat
 /// row-major buffer `lower` (`n·n` elements, lower triangle written, strict
 /// upper triangle untouched).
@@ -48,6 +63,8 @@ pub struct Cholesky {
 /// [`LinalgError::Empty`], [`LinalgError::NotPositiveDefinite`], plus
 /// [`LinalgError::DimensionMismatch`] if `lower` is not `n·n` long.
 pub(crate) fn factor_lower(a: &Matrix, lower: &mut [f64]) -> Result<(), LinalgError> {
+    #[cfg(feature = "counters")]
+    FACTORIZATIONS.with(|count| count.set(count.get() + 1));
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             rows: a.rows(),

@@ -37,6 +37,8 @@ mod stats;
 mod vector;
 
 pub use arena::{ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch};
+#[cfg(feature = "counters")]
+pub use cholesky::factorizations_on_this_thread;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use incremental::RankOneInverse;

@@ -93,8 +93,11 @@ pub struct ReleasedCell {
 }
 
 impl ReleasedCell {
-    /// The cell of one report.
-    pub(crate) fn of(report: &EncodedReport) -> Self {
+    /// The cell of one report. Cells of reports on one pair sum with
+    /// [`ReleasedCell::absorb`]; the shuffler builds its releases this way,
+    /// and so can a replay or a test that feeds the model service directly.
+    #[must_use]
+    pub fn of(report: &EncodedReport) -> Self {
         Self {
             code: report.code,
             action: report.action,

@@ -119,7 +119,9 @@ impl Shuffler {
     /// is not drawn from. It stays in the signature for existing callers.
     #[must_use]
     pub fn process<R: Rng + ?Sized>(&self, batch: Vec<RawReport>, _rng: &mut R) -> ShuffledBatch {
-        let mut table = CellTable::default();
+        // A batch has at most one cell per report: sized for that, the
+        // fresh table never grows.
+        let mut table = CellTable::with_capacity(batch.len());
         for report in batch {
             table.add(&report.into_anonymous());
         }
@@ -149,6 +151,63 @@ impl Hasher for PairHasher {
     }
 }
 
+/// Bits per digit of the release's radix sort: 2¹¹ buckets, so a code or
+/// an action below 2048 sorts in one pass and the count table stays in L1.
+const RADIX_BITS: u32 = 11;
+const RADIX_MASK: usize = (1 << RADIX_BITS) - 1;
+
+/// Sorts cells by `(code, action)`, stably: an LSD radix sort of their
+/// positions, action digits first, then code digits, each pass a counting
+/// scatter; then the order is applied to the cells in place, one cycle at
+/// a time. A digit on which every cell agrees is skipped, so a batch over
+/// fewer than 2048 codes and 2048 actions takes at most two passes, and
+/// codes and actions of any width sort, up to `usize::MAX`. Only positions
+/// move during the passes: the extra memory is two words per cell.
+fn sort_by_pair(cells: &mut [ReleasedCell]) {
+    let Some(&first) = cells.first() else {
+        return;
+    };
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    let mut scattered = vec![0; cells.len()];
+    let mut counts = [0usize; RADIX_MASK + 1];
+    for key in [ReleasedCell::action, ReleasedCell::code] {
+        let varies = cells
+            .iter()
+            .fold(0, |bits, cell| bits | (key(cell) ^ key(&first)));
+        for shift in (0..usize::BITS).step_by(RADIX_BITS as usize) {
+            if (varies >> shift) & RADIX_MASK == 0 {
+                continue;
+            }
+            let digit = |at: usize| (key(&cells[at]) >> shift) & RADIX_MASK;
+            counts.fill(0);
+            for &at in &order {
+                counts[digit(at)] += 1;
+            }
+            let mut next = 0;
+            for slot in &mut counts {
+                next += std::mem::replace(slot, next);
+            }
+            for &at in &order {
+                let slot = &mut counts[digit(at)];
+                scattered[*slot] = at;
+                *slot += 1;
+            }
+            std::mem::swap(&mut order, &mut scattered);
+        }
+    }
+    // Position `k` takes the cell at `order[k]`; a visited position is
+    // marked `order[k] = k`.
+    for start in 0..cells.len() {
+        let held = cells[start];
+        let mut at = start;
+        while order[at] != at {
+            let from = std::mem::replace(&mut order[at], at);
+            cells[at] = if from == start { held } else { cells[from] };
+            at = from;
+        }
+    }
+}
+
 /// The release kernel of the synchronous [`Shuffler`] and the engine's
 /// merger: anonymous reports are added one at a time to their
 /// `(code, action)` cell, and [`CellTable::release`] thresholds the batch on
@@ -163,6 +222,14 @@ pub(crate) struct CellTable {
 }
 
 impl CellTable {
+    /// An empty table with room for `cells` cells.
+    pub(crate) fn with_capacity(cells: usize) -> Self {
+        Self {
+            cells: HashMap::with_capacity_and_hasher(cells, BuildHasherDefault::default()),
+            received: 0,
+        }
+    }
+
     /// Reports added since the last release.
     pub(crate) fn received(&self) -> usize {
         self.received
@@ -184,7 +251,7 @@ impl CellTable {
     /// is [`ShuffledBatch::min_released_code_frequency`].
     pub(crate) fn release(&mut self, threshold: usize) -> ShuffledBatch {
         let mut cells: Vec<ReleasedCell> = self.cells.drain().map(|(_, cell)| cell).collect();
-        cells.sort_unstable_by_key(|cell| (cell.code(), cell.action()));
+        sort_by_pair(&mut cells);
         let mut stats = ShufflerStats {
             received: std::mem::take(&mut self.received),
             ..ShufflerStats::default()
@@ -223,7 +290,7 @@ impl CellTable {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn raw(sender: &str, code: usize, reward: f64) -> RawReport {
         RawReport::new(sender, EncodedReport::new(code, 0, reward).unwrap())
@@ -378,6 +445,39 @@ mod tests {
             assert_eq!(reused.received(), 30);
             assert_eq!(reused.release(2), fresh.release(2), "round {round}");
             assert_eq!(reused.received(), 0);
+        }
+    }
+
+    #[test]
+    fn the_radix_order_is_the_pair_order() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for round in 0..40usize {
+            let len = [0, 1, 2, 7, 300, 2500][round % 6];
+            // Narrow keys, keys around one digit, and codes at and beyond
+            // 2³² (up to `usize::MAX`); duplicate pairs too, told apart by
+            // their rewards, so stability shows.
+            let code = |rng: &mut StdRng| match rng.gen_range(0..4) {
+                0 => rng.gen_range(0..40),
+                1 => rng.gen_range(0..5_000),
+                2 => (1usize << 32) + rng.gen_range(0..3),
+                _ => rng.gen::<u64>() as usize,
+            };
+            let cells: Vec<ReleasedCell> = (0..len)
+                .map(|i| {
+                    let action = if round % 2 == 0 {
+                        rng.gen_range(0..3)
+                    } else {
+                        rng.gen_range(0..usize::MAX)
+                    };
+                    let reward = i as f64 / len as f64;
+                    ReleasedCell::of(&EncodedReport::new(code(&mut rng), action, reward).unwrap())
+                })
+                .collect();
+            let mut want = cells.clone();
+            want.sort_by_key(|cell| (cell.code(), cell.action()));
+            let mut got = cells;
+            sort_by_pair(&mut got);
+            assert_eq!(got, want, "round {round}");
         }
     }
 
