@@ -25,7 +25,7 @@
 //!
 //! The stages underneath are measured elsewhere: the ingest path's model
 //! digests by `cargo test -p p2b-bench --test ingest_golden`, its timings by
-//! `cargo bench -p p2b-bench --bench ingest` / `--bench sharded_engine`, and
+//! `cargo bench -p p2b-bench --bench ingest` / `--bench shuffler`, and
 //! bounded-pool serving and bulk ingest by the `serve_churn` and
 //! `ingest_bulk` workloads of `bash benchmark/run.sh`.
 

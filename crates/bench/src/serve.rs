@@ -49,7 +49,7 @@
 //!
 //! The stages beneath the loop are measured elsewhere: the ingest path's
 //! model digests are pinned by the `ingest_golden` test, its timings by the
-//! Criterion groups in `benches/` (`sharded_engine`, `central_ingest`,
+//! Criterion groups in `benches/` (`shuffler_engine`, `central_ingest`,
 //! `model_update`, `epoch_assembly`, `secure_agg_ingest`) and by the
 //! `ingest_bulk` workload of `bash benchmark/run.sh`. Bounded-pool serving
 //! is that benchmark's `serve_churn` workload; per-decision select latency

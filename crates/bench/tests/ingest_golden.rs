@@ -24,7 +24,7 @@
 //! ```
 //!
 //! The timings of the same stages are the Criterion groups of
-//! `benches/ingest.rs` and `benches/sharded_engine.rs`.
+//! `benches/ingest.rs` and `benches/shuffler.rs`.
 
 use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_bench::serve::fit_serve_encoder;

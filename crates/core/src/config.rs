@@ -22,10 +22,6 @@ pub struct P2bConfig {
     /// Shuffler frequency threshold, which doubles as the crowd-blending `l`
     /// (paper: 10).
     pub shuffler_threshold: usize,
-    /// Number of shuffler shards used by the streaming engine
-    /// ([`crate::P2bSystem::spawn_engine`]). The default of 1 is the
-    /// canonical single-lane engine, deterministic for a fixed seed.
-    pub shuffler_shards: usize,
     /// Merged batch size delivered by the streaming engine: how many reports
     /// the shuffler gathers before shuffling, thresholding and releasing one
     /// batch to the central model.
@@ -58,7 +54,6 @@ impl P2bConfig {
             participation: 0.5,
             local_interactions: 10,
             shuffler_threshold: 10,
-            shuffler_shards: 1,
             shuffler_batch_size: 128,
             ingest_shards: host_ingest_shards(num_actions),
             delta_omega: 0.1,
@@ -83,13 +78,6 @@ impl P2bConfig {
     #[must_use]
     pub fn with_shuffler_threshold(mut self, threshold: usize) -> Self {
         self.shuffler_threshold = threshold;
-        self
-    }
-
-    /// Sets the number of shuffler shards used by the streaming engine.
-    #[must_use]
-    pub fn with_shuffler_shards(mut self, shards: usize) -> Self {
-        self.shuffler_shards = shards;
         self
     }
 
@@ -152,12 +140,6 @@ impl P2bConfig {
                 message: "must be at least 1".to_owned(),
             });
         }
-        if self.shuffler_shards == 0 {
-            return Err(CoreError::InvalidConfig {
-                parameter: "shuffler_shards",
-                message: "must be at least 1".to_owned(),
-            });
-        }
         if self.shuffler_batch_size == 0 {
             return Err(CoreError::InvalidConfig {
                 parameter: "shuffler_batch_size",
@@ -215,8 +197,7 @@ mod tests {
         assert_eq!(cfg.participation, 0.5);
         assert_eq!(cfg.local_interactions, 10);
         assert_eq!(cfg.shuffler_threshold, 10);
-        // The shuffler defaults to one lane; ingest shards follow the host.
-        assert_eq!(cfg.shuffler_shards, 1);
+        // Ingest shards follow the host.
         assert_eq!(cfg.shuffler_batch_size, 128);
         assert_eq!(cfg.ingest_shards, host_ingest_shards(20));
         assert!(cfg.validate().is_ok());
@@ -254,10 +235,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(P2bConfig::new(5, 5)
-            .with_shuffler_shards(0)
-            .validate()
-            .is_err());
-        assert!(P2bConfig::new(5, 5)
             .with_shuffler_batch_size(0)
             .validate()
             .is_err());
@@ -276,7 +253,6 @@ mod tests {
             ));
         }
         assert!(P2bConfig::new(5, 5)
-            .with_shuffler_shards(8)
             .with_shuffler_batch_size(256)
             .with_ingest_shards(4)
             .validate()

@@ -20,10 +20,10 @@
 //! context read off the shared [`Centroids`] table) and build the arms they
 //! touched, and the [`CentralServer`] publishes epoch-versioned
 //! [`ModelSnapshot`]s behind an `Arc` that all warm starts of an epoch
-//! share. Reports reach it one way: through the sharded streaming engine
-//! ([`P2bSystem::spawn_engine`], a [`p2b_shuffler::ShufflerEngine`] with
-//! per-batch (ε, δ) amplification accounting, configured by
-//! [`P2bConfig::shuffler_shards`] and [`P2bConfig::shuffler_batch_size`]),
+//! share. Reports reach it one way: through the streaming engine
+//! ([`P2bSystem::spawn_engine`], a one-lane [`p2b_shuffler::ShufflerEngine`]
+//! with per-batch (ε, δ) amplification accounting, batching at
+//! [`P2bConfig::shuffler_batch_size`]),
 //! whose released cells the server sums until the next publish
 //! ([`P2bSystem::ingest_engine_batch`]).
 //! [`P2bSystem::streaming_round`] is the single-producer flush.

@@ -134,14 +134,13 @@ impl P2bSystem {
         LocalAgent::new(id, &self.config, Arc::clone(&self.encoder), None)
     }
 
-    /// Spawns the sharded streaming shuffler engine configured by
-    /// [`P2bConfig::shuffler_shards`] / [`P2bConfig::shuffler_batch_size`],
-    /// with per-batch (ε, δ) amplification accounting wired to this system's
+    /// Spawns the streaming shuffler engine, batching at
+    /// [`P2bConfig::shuffler_batch_size`], with per-batch (ε, δ) amplification accounting wired to this system's
     /// participation probability and δ constant Ω.
     ///
     /// This is the one way a report reaches the central model: reports
     /// submitted to the returned handle (from any number of threads) are
-    /// anonymized, sharded, tabulated into `(code, action)` cells,
+    /// anonymized, tabulated into `(code, action)` cells,
     /// thresholded and delivered as [`EngineBatch`]es, which
     /// [`P2bSystem::ingest_engine_batch`] hands to the central model.
     ///
@@ -155,7 +154,6 @@ impl P2bSystem {
     /// probability.
     pub fn spawn_engine(&self, _seed: u64) -> Result<EngineHandle, CoreError> {
         let engine = ShufflerEngine::builder(ShufflerConfig::new(self.config.shuffler_threshold))
-            .shards(self.config.shuffler_shards)
             .batch_size(self.config.shuffler_batch_size)
             .privacy_accounting(self.config.participation()?, self.config.delta_omega)
             .build()?;
@@ -455,8 +453,9 @@ mod tests {
         let config = P2bConfig::new(4, 3)
             .with_local_interactions(1)
             .with_shuffler_threshold(1)
-            .with_shuffler_shards(4)
-            .with_shuffler_batch_size(8);
+            .with_shuffler_batch_size(8)
+            // The engine's batches fold on three ingest shards.
+            .with_ingest_shards(3);
         let mut system = P2bSystem::new(config, encoder(0)).unwrap();
         let reports = gather_reports(&mut system, &mut rng, 30);
         let submitted = reports.len();
@@ -487,14 +486,13 @@ mod tests {
         let config = P2bConfig::new(4, 3)
             .with_local_interactions(1)
             .with_shuffler_threshold(1)
-            .with_shuffler_shards(4)
             .with_shuffler_batch_size(8)
             .with_ingest_shards(3);
         let mut system = P2bSystem::new(config, encoder(0)).unwrap();
         let reports = gather_reports(&mut system, &mut rng, 40);
         let submitted = reports.len();
 
-        // Four producer threads submit concurrently into the sharded engine,
+        // Four producer threads submit concurrently into the engine,
         // and every delivered batch folds on three ingest shards.
         let handle = system.spawn_engine(5).unwrap();
         let chunk = submitted.div_ceil(4);

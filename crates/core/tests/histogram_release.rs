@@ -1,11 +1,10 @@
-//! The release is order-free: a flush whose reports all fit one merged
-//! batch releases the same `(code, action)` cells, the same shuffler stats
-//! and — folded through the central server — the same model, bit for bit,
-//! at any engine shard count and any number of producer threads.
+//! The release is order-free: a flush whose reports all fit one batch
+//! releases the same `(code, action)` cells, the same shuffler stats and —
+//! folded through the central server — the same model, bit for bit, at any
+//! ingest shard count and any number of producer threads.
 //!
-//! Which shard a report lands on, and the order in which the shards' sub-
-//! batches reach the merger, depend on thread scheduling; the released
-//! histogram must not. The rewards are non-dyadic (0.1, 0.3, 0.7), whose
+//! The order in which producers' reports reach the engine's lane depends on
+//! thread scheduling; the released histogram must not. The rewards are non-dyadic (0.1, 0.3, 0.7), whose
 //! f64 sums would change with the order they were added in: the cells sum
 //! them on a fixed-point grid instead.
 
@@ -70,14 +69,14 @@ fn model_bits(model: &LinUcb) -> Vec<u64> {
     words
 }
 
-/// One flush of `REPORTS` reports from `producers` threads into an engine of
-/// `shards` shards: the released cells and stats, and the published model.
+/// One flush of `REPORTS` reports from `producers` threads, folded on
+/// `shards` ingest shards: the released cells and stats, and the published
+/// model.
 fn flush(shards: usize, producers: usize) -> (Vec<ReleasedCell>, ShufflerStats, Vec<u64>) {
     let config = P2bConfig::new(DIMENSION, ACTIONS)
         .with_shuffler_threshold(THRESHOLD)
-        .with_shuffler_shards(shards)
         .with_shuffler_batch_size(REPORTS)
-        .with_ingest_shards(2);
+        .with_ingest_shards(shards);
     let mut system = P2bSystem::new(config, encoder()).expect("system builds");
     let handle = system.spawn_engine(0).expect("engine spawns");
     let reports: Vec<RawReport> = (0..REPORTS).map(report).collect();
@@ -92,7 +91,7 @@ fn flush(shards: usize, producers: usize) -> (Vec<ReleasedCell>, ShufflerStats, 
         }
     });
     let output = handle.finish();
-    assert_eq!(output.batches.len(), 1, "the flush fits one merged batch");
+    assert_eq!(output.batches.len(), 1, "the flush fits one batch");
     let batch = &output.batches[0];
     system.ingest_engine_batch(batch).expect("batch folds");
     let model = model_bits(system.server_mut().model().expect("publish succeeds"));
@@ -112,7 +111,7 @@ fn one_merged_batch_releases_the_same_cells_stats_and_model_at_any_shard_and_pro
     for shards in [1usize, 2, 4] {
         for producers in [1usize, 4] {
             let (other_cells, other_stats, other_model) = flush(shards, producers);
-            let context = format!("shards={shards} producers={producers}");
+            let context = format!("ingest shards={shards} producers={producers}");
             assert_eq!(other_cells, cells, "cells, {context}");
             assert_eq!(other_stats, stats, "stats, {context}");
             assert_eq!(other_model, model, "model bits, {context}");

@@ -20,14 +20,13 @@
 //!   bandit work operates in, and exactly the per-report noise the paper
 //!   argues is too high for model training;
 //! * **P2B shuffle** ([`ShuffledChannel`]) — the exact code is queued and
-//!   each flush runs the queue through the sharded
-//!   [`p2b_shuffler::ShufflerEngine`] (anonymize, tabulate `(code, action)`
-//!   cells, crowd-blending threshold); the flush's released cells are summed
-//!   per pair and folded into the central policy with the serving
-//!   arithmetic, and every batch's (ε, δ) is booked once, in the channel's
-//!   [`p2b_privacy::AmplificationLedger`] (the engine runs without its own
-//!   accounting; the channel reads the crowd off each batch, the statistic
-//!   the engine's merger books in serving);
+//!   each flush runs the queue through the [`p2b_shuffler::ShufflerEngine`]
+//!   (anonymize, tabulate `(code, action)` cells, crowd-blending threshold);
+//!   every released batch goes to the serving [`p2b_core::CentralServer`],
+//!   whose publish becomes the central policy, and every batch's (ε, δ) is
+//!   booked once, in the channel's [`p2b_privacy::AmplificationLedger`] (the
+//!   engine runs without its own accounting; the channel reads the crowd off
+//!   each batch, the statistic the engine's lane books in serving);
 //! * **central DP (tree aggregation)** ([`TreeCuratorChannel`]) — the raw
 //!   tuple goes to a *trusted curator*, which folds its statistics leaf
 //!   into per-arm [`p2b_privacy::TreeAggregator`] streams and at each flush
@@ -47,23 +46,22 @@
 //! The two leaf-aggregating channels differ only in who sums the leaves;
 //! the leaf layout itself is written once, in [`ArmSums::leaf`] /
 //! [`ArmSums::from_leaf`]. Every channel that publishes from sums installs
-//! them with [`LinUcb::set_arm`].
+//! them with [`LinUcb::set_arm`], the P2B channel through the server's
+//! publish.
 
 use crate::{BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData};
-use p2b_bandit::{Action, ArmSums, BanditError, ContextualPolicy, LinUcb, LinUcbConfig};
-use p2b_core::{Centroids, SecureIngestService};
+use p2b_bandit::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_core::{CentralServer, P2bConfig, SecureIngestService};
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use p2b_privacy::{
     rho_to_epsilon, AmplificationLedger, BatchAmplification, Participation, RandomizedResponse,
     TreeAggregator, TreeConfig,
 };
-use p2b_shuffler::{
-    splitmix64, EncodedReport, RawReport, ReleasedCell, ShufflerConfig, ShufflerEngine,
-};
+use p2b_shuffler::{splitmix64, EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Gaussian noise scale σ of every tree-aggregation node in the central-DP
 /// regime.
@@ -164,17 +162,17 @@ pub(crate) fn open(
             epsilon: config.ldp_epsilon,
         }),
         PrivacyRegime::P2bShuffle => {
-            let encoder = fit_encoder(config, scenario, rng)?;
+            let encoder = Arc::new(fit_encoder(config, scenario, rng)?);
+            let serving =
+                P2bConfig::new(model.context_dimension, num_actions).with_alpha(model.alpha);
             Box::new(ShuffledChannel {
-                centroids: Centroids::from_encoder(&encoder)?,
+                server: CentralServer::new(&serving, encoder.clone())?,
                 encoder,
                 engine: ShufflerEngine::builder(ShufflerConfig::new(config.shuffler_threshold))
-                    .shards(config.shuffler_shards)
                     .batch_size(config.shuffler_batch_size)
                     .build()?,
                 ledger: AmplificationLedger::new(participation, config.delta_omega)?,
                 pending: Vec::new(),
-                arms: vec![ArmSums::new(&model)?; num_actions],
             })
         }
         PrivacyRegime::CentralDp => {
@@ -282,14 +280,13 @@ impl LocalDpRandomizer {
 }
 
 struct ShuffledChannel {
-    encoder: KMeansEncoder,
+    encoder: Arc<KMeansEncoder>,
     engine: ShufflerEngine,
+    /// The serving central server, over the same encoder: every released
+    /// batch is folded by its publish.
+    server: CentralServer,
     ledger: AmplificationLedger,
     pending: Vec<RawReport>,
-    /// Every arm's sums over all released cells so far.
-    arms: Vec<ArmSums>,
-    /// The encoder's representative context of every code.
-    centroids: Centroids,
 }
 
 impl ReportChannel for ShuffledChannel {
@@ -307,58 +304,23 @@ impl ReportChannel for ShuffledChannel {
         Ok(0)
     }
 
-    /// Runs the pending reports through freshly spawned shard workers,
-    /// records each batch's (ε, δ) in the ledger, and folds the flush's
-    /// released cells into the central policy the way the central server
-    /// does: the cells are summed per `(code, action)` (exact counts,
-    /// fixed-point reward sums), each pair is folded once, in pair order,
-    /// into its arm's [`ArmSums`] as the representative context of its
-    /// code, and every arm the flush touched is installed with
-    /// [`LinUcb::set_arm`].
+    /// Runs the pending reports through a freshly spawned engine, records
+    /// each batch's (ε, δ) in the ledger, hands each batch to the central
+    /// server, and makes the server's publish the central policy.
     fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
         let handle = self.engine.spawn();
         for report in self.pending.drain(..) {
             handle.submit(report)?;
         }
-        let output = handle.finish();
-        let mut cells: BTreeMap<(usize, usize), ReleasedCell> = BTreeMap::new();
         let mut released = 0u64;
-        for batch in &output.batches {
-            for cell in batch.batch.reports() {
-                cells
-                    .entry((cell.code(), cell.action()))
-                    .and_modify(|sum| sum.absorb(cell))
-                    .or_insert(*cell);
-            }
+        for batch in &handle.finish().batches {
             let stats = batch.batch.stats();
             released += stats.released as u64;
             let crowd = batch.batch.min_released_code_frequency() as u64;
             self.ledger.record_batch(stats.released, crowd)?;
+            self.server.ingest_batch_coalesced(&batch.batch)?;
         }
-        let mut touched = vec![false; self.arms.len()];
-        for ((code, action), cell) in cells {
-            let context = self
-                .centroids
-                .row(code)
-                .ok_or(ExperimentError::InvalidConfig {
-                    parameter: "code",
-                    message: format!("code {code} past the encoder's {}", self.centroids.codes()),
-                })?;
-            let arm = self
-                .arms
-                .get_mut(action)
-                .ok_or(BanditError::InvalidAction {
-                    action,
-                    num_actions: touched.len(),
-                })?;
-            arm.fold(context, cell.count(), cell.reward_sum())?;
-            touched[action] = true;
-        }
-        for (action, arm) in self.arms.iter().enumerate() {
-            if touched[action] {
-                central.set_arm(Action::new(action), arm)?;
-            }
-        }
+        *central = self.server.model()?.clone();
         Ok(released)
     }
 

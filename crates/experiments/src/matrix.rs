@@ -59,8 +59,6 @@ pub struct MatrixConfig {
     pub ldp_epsilon: f64,
     /// Crowd-blending threshold `l` enforced by the shuffler.
     pub shuffler_threshold: usize,
-    /// Shard workers of the shuffler engine (1 keeps cells bit-deterministic).
-    pub shuffler_shards: usize,
     /// Merged batch size delivered by the engine.
     pub shuffler_batch_size: usize,
     /// Flush queued P2B reports through the engine whenever this many are
@@ -96,7 +94,6 @@ impl MatrixConfig {
             participation: 0.5,
             ldp_epsilon: 0.5,
             shuffler_threshold: 2,
-            shuffler_shards: 1,
             shuffler_batch_size: 256,
             flush_every_reports: 64,
             delta_omega: 0.1,

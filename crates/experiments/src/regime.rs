@@ -21,9 +21,10 @@ pub enum PrivacyRegime {
     /// before being shared; the central model trains on the randomized
     /// code's representative context with the randomized action and reward.
     LocalDp,
-    /// The P2B pipeline: exact context codes travel through the sharded
-    /// [`p2b_shuffler::ShufflerEngine`] (anonymize, shuffle, crowd-blending
-    /// threshold) with per-batch (ε, δ) accounting in one
+    /// The P2B pipeline: exact context codes travel through the
+    /// [`p2b_shuffler::ShufflerEngine`] (anonymize, tabulate, crowd-blending
+    /// threshold) into the serving [`p2b_core::CentralServer`], with
+    /// per-batch (ε, δ) accounting in one
     /// [`p2b_privacy::AmplificationLedger`] per cell.
     P2bShuffle,
     /// The classic central-DP baseline the paper positions P2B against: raw

@@ -1,71 +1,58 @@
-//! The sharded, batched shuffler engine.
+//! The streaming shuffler engine: one lane.
 //!
-//! One worker thread processing one report at a time caps throughput well
-//! below a serving-scale deployment, so the [`ShufflerEngine`] is a
-//! two-stage design (with `shards = 1` it degenerates to that single lane):
+//! The [`ShufflerEngine`] is the paper's one trusted shuffler (§3.3, after
+//! ESA/PROCHLO) as a single worker thread behind a bounded queue:
 //!
 //! ```text
-//!  producers ──submit──▶ shard 0 ─┐  (anonymize)
-//!  (any thread)          shard 1 ─┼─▶ fan-in merger ──▶ EngineBatch stream
-//!            ⋮               ⋮    │   (tabulate (code, action) cells,
-//!                        shard N ─┘    threshold, (ε, δ) ledger)
+//!  producers ──submit──▶ stage ──chunk──▶ lane ──▶ EngineBatch stream
+//!  (any thread)         (256 reports)    (anonymize, tabulate (code, action)
+//!                                         cells, threshold, (ε, δ) ledger)
 //! ```
 //!
-//! * **Sharding** — [`EngineHandle::submit`] routes each report to a shard
-//!   by hashing its *anonymous batch slot* (a per-engine arrival counter).
-//!   The key is never derived from the sender: shard assignment therefore
-//!   carries zero information about the user, unlike a user-id hash which
-//!   would pin every user to one shard and leak membership through shard
-//!   load.
-//! * **Batching** — each shard accumulates a sub-batch of
-//!   `batch_size / shards` reports (rounded up), anonymizes it, and
-//!   forwards it to the merger; the merger adds each report to the current
-//!   merged batch's cell table and releases the table every
-//!   [`EngineBuilder::batch_size`] reports exactly (the final flush may be
-//!   smaller).
-//! * **Release** — a merged batch leaves the engine as a histogram: one
+//! * **Batching** — the lane strips each report's metadata
+//!   ([`RawReport::into_anonymous`]), adds it to the current batch's cell
+//!   table and releases the table every [`EngineBuilder::batch_size`]
+//!   reports exactly (the final flush may be smaller).
+//! * **Release** — a batch leaves the engine as a histogram: one
 //!   [`ReleasedCell`](crate::ReleasedCell) per `(code, action)` pair, in
 //!   pair order, with the cells of codes below the crowd-blending threshold
 //!   removed ([`ShuffledBatch`]). The histogram is the same for any order
-//!   of the batch's reports, so no stage needs to randomize one.
-//! * **Staging** — `submit` does not hand each report to its shard on its
-//!   own: it appends it to that shard's stage on the handle, and a stage
-//!   that reaches a fixed chunk of reports (256) goes to the shard as one
-//!   message. A report can therefore wait in its stage until the chunk
-//!   fills or [`EngineHandle::finish`] sends every partial stage; the shard
-//!   re-cuts the chunks at its batch size exactly as it would cut a
+//!   of the batch's reports, so nothing downstream observes arrival order.
+//! * **Staging** — `submit` does not hand each report to the lane on its
+//!   own: it appends it to the handle's stage, and a stage that reaches a
+//!   fixed chunk of reports (256) goes to the lane as one message. A report
+//!   can therefore wait in the stage until the chunk fills or
+//!   [`EngineHandle::finish`] sends the partial stage; the lane cuts the
+//!   chunks at its batch size report by report, exactly as it would cut a
 //!   one-report-at-a-time stream, so staging changes no batch.
-//! * **Backpressure** — the shards are a [`ShardPool`] of bounded ingress
-//!   queues of chunks, about [`SHARD_QUEUE_CAPACITY`] reports deep per
-//!   shard plus at most one staged chunk; `submit` blocks while the target
-//!   shard's queue is full, so a slow engine slows its producers instead of
-//!   buffering without limit.
+//! * **Backpressure** — the lane is a one-worker [`ShardPool`] whose
+//!   bounded queue holds about [`SHARD_QUEUE_CAPACITY`] reports in chunks,
+//!   plus at most one staged chunk; `submit` blocks while the queue is
+//!   full, so a slow engine slows its producers instead of buffering
+//!   without limit.
 //! * **Privacy bookkeeping** — with [`EngineBuilder::privacy_accounting`]
-//!   enabled, the merger records every delivered batch in an
+//!   enabled, the lane records every delivered batch in an
 //!   [`AmplificationLedger`], attaching the per-batch (ε, δ) amplification
 //!   record to the [`EngineBatch`]. A caller that keeps its own ledger
 //!   leaves it off and books [`ShuffledBatch::min_released_code_frequency`],
-//!   the crowd the merger reads, so each batch is booked once.
+//!   the crowd the lane reads, so each batch is booked once.
 //!
-//! The engine draws no randomness. With `shards = 1` and a single producer
-//! its batches are fully determined by the submission order; at any shard
-//! or producer count, a run whose reports all fit one merged batch
-//! releases the same cells.
+//! The engine draws no randomness. With a single producer its batches are
+//! fully determined by the submission order; at any producer count, a run
+//! whose reports all fit one batch releases the same cells.
 
-use crate::shard::{ShardWorker, SubBatch};
 use crate::shuffle::CellTable;
 use crate::{
     RawReport, ShardPool, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError,
     SHARD_QUEUE_CAPACITY,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use p2b_privacy::{splitmix64, AmplificationLedger, BatchAmplification, Participation};
+use p2b_privacy::{AmplificationLedger, BatchAmplification, Participation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 
-/// Reports a shard's stage collects before [`EngineHandle::submit`] sends
-/// them to the shard as one message.
+/// Reports the stage collects before [`EngineHandle::submit`] sends them to
+/// the lane as one message.
 const STAGE_CHUNK: usize = 256;
 
 /// Builder for a [`ShufflerEngine`].
@@ -75,7 +62,6 @@ const STAGE_CHUNK: usize = 256;
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     config: ShufflerConfig,
-    shards: usize,
     batch_size: usize,
     accounting: Option<(Participation, f64)>,
 }
@@ -84,38 +70,23 @@ impl EngineBuilder {
     fn new(config: ShufflerConfig) -> Self {
         Self {
             config,
-            shards: 1,
             batch_size: 64,
             accounting: None,
         }
     }
 
-    /// Number of shard workers (default 1). Each shard owns one thread and
-    /// one ingress queue bounded at about [`SHARD_QUEUE_CAPACITY`] reports,
-    /// carried in chunks of 256 that [`EngineHandle::submit`] stages on the
-    /// handle: `submit` blocks while the target shard's queue is full — the
-    /// engine's backpressure contract.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Size of the merged batches delivered downstream (default 64). Every
-    /// batch except the final flush contains exactly this many received
-    /// reports. Each shard forwards sub-batches of `batch_size / shards`
-    /// reports (rounded up), so the shards collectively fill one merged
-    /// batch per round of sub-batches.
+    /// Size of the batches delivered downstream (default 64). Every batch
+    /// except the final flush contains exactly this many received reports.
     #[must_use]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
     }
 
-    /// Enables per-batch (ε, δ) amplification bookkeeping: the merger
-    /// records every delivered batch in an [`AmplificationLedger`] under the
-    /// given participation probability and δ-bound constant Ω, and attaches
-    /// the record to each [`EngineBatch`].
+    /// Enables per-batch (ε, δ) amplification bookkeeping: the lane records
+    /// every delivered batch in an [`AmplificationLedger`] under the given
+    /// participation probability and δ-bound constant Ω, and attaches the
+    /// record to each [`EngineBatch`].
     #[must_use]
     pub fn privacy_accounting(mut self, participation: Participation, omega: f64) -> Self {
         self.accounting = Some((participation, omega));
@@ -127,17 +98,11 @@ impl EngineBuilder {
     /// # Errors
     ///
     /// Returns [`ShufflerError::InvalidConfig`] when the shuffler threshold
-    /// is zero, the shard count or batch size is zero, or the
-    /// privacy-accounting Ω is not a finite positive number.
+    /// or the batch size is zero, or the privacy-accounting Ω is not a
+    /// finite positive number.
     pub fn build(self) -> Result<ShufflerEngine, ShufflerError> {
         // Validate the threshold eagerly.
         let _ = Shuffler::new(self.config)?;
-        if self.shards == 0 {
-            return Err(ShufflerError::InvalidConfig {
-                parameter: "shards",
-                message: "must be at least 1".to_owned(),
-            });
-        }
         if self.batch_size == 0 {
             return Err(ShufflerError::InvalidConfig {
                 parameter: "batch_size",
@@ -157,15 +122,13 @@ impl EngineBuilder {
         };
         Ok(ShufflerEngine {
             config: self.config,
-            shards: self.shards,
             batch_size: self.batch_size,
-            shard_batch_size: self.batch_size.div_ceil(self.shards),
             ledger,
         })
     }
 }
 
-/// One merged batch delivered by the engine.
+/// One batch delivered by the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineBatch {
     /// Zero-based delivery index of the batch.
@@ -182,17 +145,16 @@ pub struct EngineBatch {
 pub struct EngineOutput {
     /// Every delivered batch, in delivery order.
     pub batches: Vec<EngineBatch>,
-    /// The amplification ledger accumulated by the merger, when accounting
+    /// The amplification ledger accumulated by the lane, when accounting
     /// was enabled.
     pub ledger: Option<AmplificationLedger>,
 }
 
-/// A sharded, batched, multi-threaded shuffler.
+/// A batched, streaming shuffler on one worker thread.
 ///
-/// See the [module documentation](self) for the stage diagram and the
-/// design rationale. The engine value itself is a passive description;
-/// [`ShufflerEngine::spawn`] starts the shard workers and the merger and
-/// returns a handle.
+/// See the [module documentation](self) for the stage diagram. The engine
+/// value itself is a passive description; [`ShufflerEngine::spawn`] starts
+/// the lane and returns a handle.
 ///
 /// # Examples
 ///
@@ -201,7 +163,6 @@ pub struct EngineOutput {
 ///
 /// # fn main() -> Result<(), p2b_shuffler::ShufflerError> {
 /// let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
-///     .shards(2)
 ///     .batch_size(8)
 ///     .build()?;
 /// let handle = engine.spawn();
@@ -210,7 +171,7 @@ pub struct EngineOutput {
 ///     handle.submit(RawReport::new(format!("agent-{i}"), report))?;
 /// }
 /// let output = handle.finish();
-/// // 16 reports at batch size 8: two full merged batches, nothing lost.
+/// // 16 reports at batch size 8: two full batches, nothing lost.
 /// assert_eq!(output.batches.len(), 2);
 /// let delivered: u64 = output.batches.iter().flat_map(|b| b.batch.reports()).map(|c| c.count()).sum();
 /// assert_eq!(delivered, 16);
@@ -222,9 +183,7 @@ pub struct EngineOutput {
 #[derive(Debug, Clone)]
 pub struct ShufflerEngine {
     config: ShufflerConfig,
-    shards: usize,
     batch_size: usize,
-    shard_batch_size: usize,
     ledger: Option<AmplificationLedger>,
 }
 
@@ -235,61 +194,43 @@ impl ShufflerEngine {
         EngineBuilder::new(config)
     }
 
-    /// The number of shard workers.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The merged batch size delivered downstream.
+    /// The batch size delivered downstream.
     #[must_use]
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
 
-    /// Starts the shard workers and the fan-in merger.
+    /// Starts the lane: one worker thread.
     #[must_use]
     pub fn spawn(&self) -> EngineHandle {
-        let (fan_tx, fan_rx) = unbounded::<SubBatch>();
         let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
-
-        // Each shard owns a clone of the fan-in sender and the pool keeps
-        // none, so the merger disconnects as soon as the last shard exits.
-        let shard_batch_size = self.shard_batch_size;
-        // A queue of `SHARD_QUEUE_CAPACITY / STAGE_CHUNK` chunks keeps the
-        // per-shard bound at about `SHARD_QUEUE_CAPACITY` reports.
-        let capacity = SHARD_QUEUE_CAPACITY / STAGE_CHUNK;
-        let shards = ShardPool::spawn(self.shards, capacity, move |shard, input| {
-            ShardWorker::new(shard, input, fan_tx, shard_batch_size).run();
-        });
-
-        let threshold = self.config.threshold;
-        let batch_size = self.batch_size;
+        let (threshold, batch_size) = (self.config.threshold, self.batch_size);
         let ledger = self.ledger.clone();
-        let merger = std::thread::spawn(move || {
-            run_merger(&fan_rx, &batch_tx, threshold, batch_size, ledger)
+        // A queue of `SHARD_QUEUE_CAPACITY / STAGE_CHUNK` chunks keeps the
+        // bound at about `SHARD_QUEUE_CAPACITY` reports. The lane owns the
+        // only batch sender, so the batch stream ends when the lane exits.
+        let capacity = SHARD_QUEUE_CAPACITY / STAGE_CHUNK;
+        let lane = ShardPool::spawn(1, capacity, move |_, input| {
+            run_lane(&input, &batch_tx, threshold, batch_size, ledger)
         });
-
         EngineHandle {
-            stages: (0..self.shards)
-                .map(|_| Mutex::new(Vec::with_capacity(STAGE_CHUNK)))
-                .collect(),
-            shards: Some(shards),
-            slot: AtomicU64::new(0),
+            lane: Some(lane),
+            stage: Mutex::new(Vec::with_capacity(STAGE_CHUNK)),
+            submitted: AtomicU64::new(0),
             batch_rx,
-            merger: Some(merger),
             #[cfg(test)]
             chunks_sent: AtomicU64::new(0),
         }
     }
 }
 
-/// The fan-in merge stage: adds each anonymized report to the current
-/// merged batch's cell table, releases the table every `batch_size`
-/// reports (the crowd-blending threshold reads the per-code totals off its
-/// cells), and records amplification.
-fn run_merger(
-    fan_rx: &Receiver<SubBatch>,
+/// The lane: anonymizes each report of each chunk, adds it to the current
+/// batch's cell table, releases the table every `batch_size` reports (the
+/// crowd-blending threshold reads the per-code totals off its cells), and
+/// records amplification. Runs until the ingress closes, then flushes the
+/// partial batch, or until the downstream receiver is gone.
+fn run_lane(
+    input: &Receiver<Vec<RawReport>>,
     batch_tx: &Sender<EngineBatch>,
     threshold: usize,
     batch_size: usize,
@@ -297,9 +238,9 @@ fn run_merger(
 ) -> Option<AmplificationLedger> {
     let mut table = CellTable::default();
     let mut next_index = 0u64;
-    while let Ok(sub) = fan_rx.recv() {
-        for report in &sub.reports {
-            table.add(report);
+    while let Ok(chunk) = input.recv() {
+        for report in chunk {
+            table.add(&report.into_anonymous());
             if table.received() == batch_size
                 && !emit(
                     table.release(threshold),
@@ -323,8 +264,8 @@ fn run_merger(
     ledger
 }
 
-/// Books one released merged batch and sends it downstream. Returns `false`
-/// when the downstream receiver is gone and the merger should stop.
+/// Books one released batch and sends it downstream. Returns `false` when
+/// the downstream receiver is gone and the lane should stop.
 fn emit(
     batch: ShuffledBatch,
     batch_tx: &Sender<EngineBatch>,
@@ -333,9 +274,9 @@ fn emit(
 ) -> bool {
     let stats = batch.stats();
     // `released > 0` implies a crowd ≥ threshold ≥ 1, so recording cannot
-    // fail for batches this merger produces — but the accounting hook must
+    // fail for batches this lane produces — but the accounting hook must
     // not be a panic path: a batch whose record is rejected is delivered
-    // with no amplification claim (`None`) instead of crashing the merger.
+    // with no amplification claim (`None`) instead of crashing the lane.
     // The `u64::try_from` keeps the usize → u64 conversion lossless on any
     // platform instead of silently truncating.
     let amplification = ledger.as_mut().and_then(|ledger| {
@@ -355,16 +296,15 @@ fn emit(
 ///
 /// `submit` may be called from any number of threads sharing the handle by
 /// reference. Dropping the handle (or calling [`EngineHandle::finish`])
-/// closes the ingress, flushes every stage and joins the worker threads.
+/// flushes the stage, closes the ingress and joins the lane.
 #[derive(Debug)]
 pub struct EngineHandle {
-    shards: Option<ShardPool<Vec<RawReport>, ()>>,
-    /// One stage per shard: the reports routed to it since its last chunk.
-    stages: Vec<Mutex<Vec<RawReport>>>,
-    slot: AtomicU64,
+    lane: Option<ShardPool<Vec<RawReport>, Option<AmplificationLedger>>>,
+    /// The reports submitted since the last chunk went to the lane.
+    stage: Mutex<Vec<RawReport>>,
+    submitted: AtomicU64,
     batch_rx: Receiver<EngineBatch>,
-    merger: Option<JoinHandle<Option<AmplificationLedger>>>,
-    /// Chunk messages handed to the shard pool.
+    /// Chunk messages handed to the lane.
     #[cfg(test)]
     chunks_sent: AtomicU64,
 }
@@ -372,64 +312,54 @@ pub struct EngineHandle {
 impl EngineHandle {
     /// Submits one raw report.
     ///
-    /// The report is routed to a shard by hashing its anonymous batch slot
-    /// (the engine-wide arrival counter) — never anything derived from the
-    /// sender, so shard assignment reveals nothing about the user — and
-    /// staged there. It may wait in that shard's stage until 256 reports
-    /// accumulate or [`Self::finish`]; the call that fills the stage sends
-    /// it as one chunk and blocks while the shard's bounded queue is full
-    /// (backpressure).
+    /// The report is staged on the handle and may wait there until 256
+    /// reports accumulate or [`Self::finish`]; the call that fills the stage
+    /// sends it as one chunk and blocks while the lane's bounded queue is
+    /// full (backpressure).
     ///
     /// # Errors
     ///
     /// Returns [`ShufflerError::PipelineClosed`] after [`Self::finish`], if
-    /// a producer panicked while holding the shard's stage, or — at the
-    /// next chunk sent to it — if that shard's worker has shut down.
+    /// a producer panicked while holding the stage, or — at the next chunk
+    /// sent to it — if the lane has shut down.
     pub fn submit(&self, report: RawReport) -> Result<(), ShufflerError> {
-        let shards = self.shards.as_ref().ok_or(ShufflerError::PipelineClosed)?;
-        let slot = self.slot.fetch_add(1, Ordering::Relaxed);
-        // The builder guarantees at least one shard; `checked_rem` makes the
-        // routing arithmetic panic-free even so (an impossible empty shard
-        // set reads as a closed pipeline, not a divide-by-zero).
-        let shard = splitmix64(slot)
-            .checked_rem(shards.shards() as u64)
-            .ok_or(ShufflerError::PipelineClosed)? as usize;
+        let lane = self.lane.as_ref().ok_or(ShufflerError::PipelineClosed)?;
         let chunk = {
             let mut stage = self
-                .stages
-                .get(shard)
-                .ok_or(ShufflerError::PipelineClosed)?
+                .stage
                 .lock()
                 .map_err(|_| ShufflerError::PipelineClosed)?;
             stage.push(report);
+            self.submitted.fetch_add(1, Ordering::Relaxed);
             if stage.len() < STAGE_CHUNK {
                 return Ok(());
             }
             std::mem::replace(&mut *stage, Vec::with_capacity(STAGE_CHUNK))
         };
-        self.send_chunk(shards, shard, chunk)
+        self.send_chunk(lane, chunk)
     }
 
-    /// Hands one chunk of staged reports to shard `shard`.
+    /// Hands one chunk of staged reports to the lane.
     fn send_chunk(
         &self,
-        shards: &ShardPool<Vec<RawReport>, ()>,
-        shard: usize,
+        lane: &ShardPool<Vec<RawReport>, Option<AmplificationLedger>>,
         chunk: Vec<RawReport>,
     ) -> Result<(), ShufflerError> {
         #[cfg(test)]
         self.chunks_sent.fetch_add(1, Ordering::Relaxed);
-        shards.send(shard, chunk)
+        lane.send(0, chunk)
     }
 
-    /// Number of reports submitted through this handle so far.
+    /// Number of reports this handle's stage has accepted so far (a submit
+    /// refused with [`ShufflerError::PipelineClosed`] before staging does
+    /// not count).
     #[must_use]
     pub fn submitted(&self) -> u64 {
-        self.slot.load(Ordering::Relaxed)
+        self.submitted.load(Ordering::Relaxed)
     }
 
-    /// Closes the ingress, waits for every stage to flush, and returns the
-    /// delivered batches together with the amplification ledger.
+    /// Flushes the stage, closes the ingress, and returns the delivered
+    /// batches together with the amplification ledger.
     #[must_use]
     pub fn finish(mut self) -> EngineOutput {
         let ledger = self.close();
@@ -438,25 +368,18 @@ impl EngineHandle {
     }
 
     fn close(&mut self) -> Option<AmplificationLedger> {
-        // Each partial stage goes to its shard first. A poisoned stage reads
-        // as a closed pipeline and a dead shard refuses its chunk; neither
-        // stops the other stages or the shutdown. Dropping the shard pool
-        // then closes every ingress queue and joins the shards; each flushes
-        // its partial batch and drops its fan-in sender; the merger then
-        // flushes its partial merged batch and returns the ledger.
-        if let Some(shards) = self.shards.take() {
-            for (shard, stage) in self.stages.iter().enumerate() {
-                if let Ok(mut stage) = stage.lock() {
-                    if !stage.is_empty() {
-                        let _ = self.send_chunk(&shards, shard, std::mem::take(&mut *stage));
-                    }
-                }
+        // The partial stage goes to the lane first; a poisoned stage reads
+        // as a closed pipeline and a dead lane refuses its chunk, and
+        // neither stops the shutdown. Joining the pool then closes the
+        // ingress; the lane flushes its partial batch and returns the
+        // ledger.
+        let lane = self.lane.take()?;
+        if let Ok(mut stage) = self.stage.lock() {
+            if !stage.is_empty() {
+                let _ = self.send_chunk(&lane, std::mem::take(&mut *stage));
             }
         }
-        self.merger
-            .take()
-            .and_then(|merger| merger.join().ok())
-            .flatten()
+        lane.join().ok()?.pop().flatten()
     }
 }
 
@@ -470,17 +393,31 @@ impl Drop for EngineHandle {
 mod tests {
     use super::*;
     use crate::{EncodedReport, ReleasedCell};
+    use crossbeam::channel::bounded;
 
     fn raw(code: usize) -> RawReport {
         RawReport::new("agent", EncodedReport::new(code, 0, 1.0).unwrap())
     }
 
-    fn engine(threshold: usize, shards: usize, batch_size: usize) -> ShufflerEngine {
+    fn engine(threshold: usize, batch_size: usize) -> ShufflerEngine {
         ShufflerEngine::builder(ShufflerConfig::new(threshold))
-            .shards(shards)
             .batch_size(batch_size)
             .build()
             .unwrap()
+    }
+
+    /// Submits `reports` from `producers` threads, each a contiguous share.
+    fn submit_from(handle: &EngineHandle, producers: usize, reports: Vec<RawReport>) {
+        let share = reports.len().div_ceil(producers).max(1);
+        std::thread::scope(|scope| {
+            for part in reports.chunks(share) {
+                scope.spawn(move || {
+                    for report in part {
+                        handle.submit(report.clone()).unwrap();
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -489,34 +426,20 @@ mod tests {
         assert!(ShufflerEngine::builder(ShufflerConfig::new(0))
             .build()
             .is_err());
-        assert!(ShufflerEngine::builder(ok).shards(0).build().is_err());
         assert!(ShufflerEngine::builder(ok).batch_size(0).build().is_err());
         assert!(ShufflerEngine::builder(ok)
             .privacy_accounting(Participation::new(0.5).unwrap(), 0.0)
             .build()
             .is_err());
         assert!(ShufflerEngine::builder(ok).build().is_ok());
-    }
-
-    #[test]
-    fn default_shard_batch_size_splits_the_merged_batch() {
-        let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
-            .shards(4)
-            .batch_size(10)
-            .build()
-            .unwrap();
-        assert_eq!(engine.shard_batch_size, 3); // ceil(10 / 4)
-        assert_eq!(engine.shards(), 4);
-        assert_eq!(engine.batch_size(), 10);
+        assert_eq!(engine(1, 10).batch_size(), 10);
     }
 
     #[test]
     fn merged_batches_have_exact_sizes_and_conserve_reports() {
-        for shards in [1usize, 2, 4] {
-            let handle = engine(1, shards, 10).spawn();
-            for i in 0..37 {
-                handle.submit(raw(i % 5)).unwrap();
-            }
+        for producers in [1usize, 4] {
+            let handle = engine(1, 10).spawn();
+            submit_from(&handle, producers, (0..37).map(|i| raw(i % 5)).collect());
             assert_eq!(handle.submitted(), 37);
             let output = handle.finish();
             let sizes: Vec<usize> = output
@@ -524,7 +447,7 @@ mod tests {
                 .iter()
                 .map(|b| b.batch.stats().received)
                 .collect();
-            assert_eq!(sizes, vec![10, 10, 10, 7], "shards={shards}");
+            assert_eq!(sizes, vec![10, 10, 10, 7], "producers={producers}");
             let total: u64 = output
                 .batches
                 .iter()
@@ -540,13 +463,11 @@ mod tests {
 
     #[test]
     fn thresholding_applies_to_the_merged_batch_not_per_shard() {
-        // 4 shards, 8 copies of one code: any per-shard threshold of 8 would
-        // suppress everything (each shard sees ~2), but the merged batch
-        // clears it.
-        let handle = engine(8, 4, 8).spawn();
-        for _ in 0..8 {
-            handle.submit(raw(42)).unwrap();
-        }
+        // 4 producers, 8 copies of one code: a threshold of 8 applied to any
+        // producer's share would suppress everything (each sends 2), but the
+        // batch clears it.
+        let handle = engine(8, 8).spawn();
+        submit_from(&handle, 4, (0..8).map(|_| raw(42)).collect());
         let output = handle.finish();
         assert_eq!(output.batches.len(), 1);
         let cells = output.batches[0].batch.reports();
@@ -557,7 +478,7 @@ mod tests {
     #[test]
     fn single_shard_runs_are_deterministic() {
         let run = || {
-            let handle = engine(2, 1, 16).spawn();
+            let handle = engine(2, 16).spawn();
             for i in 0..50 {
                 handle.submit(raw(i % 7)).unwrap();
             }
@@ -571,7 +492,6 @@ mod tests {
     #[test]
     fn amplification_records_accompany_batches() {
         let engine = ShufflerEngine::builder(ShufflerConfig::new(2))
-            .shards(2)
             .batch_size(12)
             .privacy_accounting(Participation::new(0.5).unwrap(), 0.1)
             .build()
@@ -585,7 +505,7 @@ mod tests {
         assert_eq!(output.batches.len(), 1);
         let record = output.batches[0].amplification.expect("accounting enabled");
         assert_eq!(record.crowd_size, 6);
-        // The merger books the crowd statistic the experiment channel reads
+        // The lane books the crowd statistic the experiment channel reads
         // from the batch itself, so both pipelines derive the same δ.
         assert_eq!(
             record.crowd_size,
@@ -603,12 +523,11 @@ mod tests {
 
     #[test]
     fn fully_suppressed_batches_record_the_perfect_guarantee_without_panicking() {
-        // Every code below threshold: the merged batch releases nothing, so
-        // the accounting hook records (released = 0, crowd = 0) — the edge
-        // the old `expect` claimed unreachable. It must yield a (0, 0)
-        // record, not a panic.
+        // Every code below threshold: the batch releases nothing, so the
+        // accounting hook records (released = 0, crowd = 0) — the edge the
+        // old `expect` claimed unreachable. It must yield a (0, 0) record,
+        // not a panic.
         let engine = ShufflerEngine::builder(ShufflerConfig::new(10))
-            .shards(2)
             .batch_size(6)
             .privacy_accounting(Participation::new(0.5).unwrap(), 0.1)
             .build()
@@ -629,9 +548,9 @@ mod tests {
 
     #[test]
     fn single_shard_routing_is_panic_free() {
-        // `checked_rem` routing: the smallest legal shard set must route
-        // every slot without arithmetic panics.
-        let handle = engine(1, 1, 4).spawn();
+        // The lane is shard 0 of a one-worker pool: every chunk goes there
+        // through `ShardPool::send`, which has no panic path.
+        let handle = engine(1, 4).spawn();
         for i in 0..9 {
             handle.submit(raw(i % 2)).unwrap();
         }
@@ -646,13 +565,13 @@ mod tests {
 
     #[test]
     fn empty_run_produces_no_batches() {
-        let output = engine(1, 4, 8).spawn().finish();
+        let output = engine(1, 8).spawn().finish();
         assert!(output.batches.is_empty());
     }
 
     #[test]
     fn submit_after_finish_is_rejected_via_fresh_handle_semantics() {
-        let engine = engine(1, 2, 4);
+        let engine = engine(1, 4);
         let first = engine.spawn();
         first.submit(raw(0)).unwrap();
         let _ = first.finish();
@@ -670,10 +589,10 @@ mod tests {
         EncodedReport::new(i % 3, i, 1.0).unwrap()
     }
 
-    /// The engine's output at `shards = 1`, computed without threads: cut
-    /// the submissions every `batch_size` reports and release each cut
+    /// The engine's output for a single producer, computed without threads:
+    /// cut the submissions every `batch_size` reports and release each cut
     /// through the synchronous shuffler's kernel.
-    fn single_shard_oracle(
+    fn single_lane_oracle(
         threshold: usize,
         batch_size: usize,
         reports: &[EncodedReport],
@@ -708,7 +627,7 @@ mod tests {
         for n in COUNTS {
             for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
                 let reports: Vec<EncodedReport> = (0..n).map(numbered).collect();
-                let handle = engine(2, 1, batch_size).spawn();
+                let handle = engine(2, batch_size).spawn();
                 for (i, report) in reports.iter().enumerate() {
                     handle
                         .submit(RawReport::new(format!("agent-{i}"), *report))
@@ -716,7 +635,7 @@ mod tests {
                 }
                 assert_eq!(
                     handle.finish().batches,
-                    single_shard_oracle(2, batch_size, &reports),
+                    single_lane_oracle(2, batch_size, &reports),
                     "n={n} batch_size={batch_size}"
                 );
             }
@@ -724,32 +643,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_staging_conserves_reports_at_exact_merged_sizes() {
-        for shards in [2, 4] {
-            for n in COUNTS {
-                for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
-                    let handle = engine(1, shards, batch_size).spawn();
-                    for i in 0..n {
-                        handle.submit(RawReport::new("agent", numbered(i))).unwrap();
-                    }
-                    let output = handle.finish();
-                    let sizes: Vec<usize> = output
-                        .batches
-                        .iter()
-                        .map(|b| b.batch.stats().received)
-                        .collect();
-                    let mut want = vec![batch_size; n / batch_size];
-                    want.extend(Some(n % batch_size).filter(|&r| r > 0));
-                    let context = format!("shards={shards} n={n} batch_size={batch_size}");
-                    assert_eq!(sizes, want, "{context}");
-                    let mut actions: Vec<usize> = output
-                        .batches
-                        .iter()
-                        .flat_map(|b| b.batch.reports().iter().map(ReleasedCell::action))
-                        .collect();
-                    actions.sort_unstable();
-                    assert_eq!(actions, (0..n).collect::<Vec<_>>(), "{context}");
-                }
+    fn concurrent_staging_conserves_reports_at_exact_merged_sizes() {
+        for n in COUNTS {
+            for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
+                let handle = engine(1, batch_size).spawn();
+                let reports = (0..n).map(|i| RawReport::new("agent", numbered(i)));
+                submit_from(&handle, 4, reports.collect());
+                let output = handle.finish();
+                let sizes: Vec<usize> = output
+                    .batches
+                    .iter()
+                    .map(|b| b.batch.stats().received)
+                    .collect();
+                let mut want = vec![batch_size; n / batch_size];
+                want.extend(Some(n % batch_size).filter(|&r| r > 0));
+                let context = format!("producers=4 n={n} batch_size={batch_size}");
+                assert_eq!(sizes, want, "{context}");
+                let mut actions: Vec<usize> = output
+                    .batches
+                    .iter()
+                    .flat_map(|b| b.batch.reports().iter().map(ReleasedCell::action))
+                    .collect();
+                actions.sort_unstable();
+                assert_eq!(actions, (0..n).collect::<Vec<_>>(), "{context}");
             }
         }
     }
@@ -757,7 +673,7 @@ mod tests {
     #[test]
     fn a_shard_receives_one_message_per_chunk_of_reports() {
         for n in COUNTS {
-            let mut handle = engine(1, 1, 7).spawn();
+            let mut handle = engine(1, 7).spawn();
             for i in 0..n {
                 handle.submit(raw(i % 5)).unwrap();
             }
@@ -777,12 +693,12 @@ mod tests {
 
     #[test]
     fn a_poisoned_stage_reads_as_pipeline_closed() {
-        let handle = engine(1, 1, 4).spawn();
+        let handle = engine(1, 4).spawn();
         handle.submit(raw(0)).unwrap();
         let poisoned = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _stage = handle.stages[0].lock();
+                    let _stage = handle.stage.lock();
                     panic!("injected fault");
                 })
                 .join()
@@ -790,6 +706,7 @@ mod tests {
         });
         assert!(poisoned);
         assert_eq!(handle.submit(raw(1)), Err(ShufflerError::PipelineClosed));
+        assert_eq!(handle.submitted(), 1, "a refused report is not counted");
         // `finish` neither hangs nor panics; the poisoned stage's report is
         // not delivered.
         assert!(handle.finish().batches.is_empty());
@@ -797,7 +714,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_do_not_lose_reports() {
-        let handle = engine(1, 4, 32).spawn();
+        let handle = engine(1, 32).spawn();
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let handle_ref = &handle;
@@ -815,5 +732,34 @@ mod tests {
             .map(|b| b.batch.stats().received)
             .sum();
         assert_eq!(total, 800);
+    }
+
+    #[test]
+    fn the_lane_stops_when_the_downstream_receiver_is_gone() {
+        let (in_tx, in_rx) = bounded::<Vec<RawReport>>(16);
+        let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
+        drop(batch_rx);
+        let lane = std::thread::spawn(move || run_lane(&in_rx, &batch_tx, 1, 2, None));
+        // The lane exits as soon as it fails to deliver a full batch, while
+        // the ingress is still open, instead of spinning forever.
+        let _ = in_tx.send(vec![raw(0), raw(1)]);
+        assert_eq!(lane.join().unwrap(), None);
+    }
+
+    #[test]
+    fn a_chunk_sent_to_a_dead_lane_is_pipeline_closed() {
+        let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
+        drop(batch_rx);
+        let pool = ShardPool::spawn(1, 1, move |_, input| {
+            run_lane(&input, &batch_tx, 1, 4, None)
+        });
+        let chunk = || (0..STAGE_CHUNK).map(raw).collect::<Vec<_>>();
+        // The first chunk is taken and its first batch fails to deliver, so
+        // the lane exits; at most one more chunk fits the queue before
+        // that, and every send after it observes the dead lane.
+        let accepted = (0..3).take_while(|_| pool.send(0, chunk()).is_ok()).count();
+        assert!((1..=2).contains(&accepted), "accepted {accepted}");
+        assert_eq!(pool.send(0, chunk()), Err(ShufflerError::PipelineClosed));
+        assert_eq!(pool.join(), Ok(vec![None]));
     }
 }

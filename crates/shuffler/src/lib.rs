@@ -25,15 +25,13 @@
 //!   kernel the streaming shape is checked against, and how tests and
 //!   microbenchmarks build a shuffled batch without threads.
 //! * [`ShufflerEngine`] — streaming: reports submitted from any thread are
-//!   partitioned across N shard workers (by hashing the anonymous batch
-//!   slot, never the sender) and handed to each a chunk at a time,
-//!   anonymized there, tabulated and thresholded per merged batch by a
-//!   fan-in merge stage, and delivered with per-batch (ε, δ) amplification
-//!   records. Every report reaches the central model this
-//!   way; one shard is the single-lane deployment. See [`engine`] for the
-//!   stage diagram and the staging contract; `tests/pipeline_concurrency.rs`
-//!   and `tests/shuffler_properties.rs` pin conservation and exact
-//!   thresholding at shards ∈ {1, 2, 4}.
+//!   staged on the handle and handed a chunk at a time to one worker
+//!   thread, the lane, which anonymizes, tabulates and thresholds them per
+//!   batch and delivers each batch with its per-batch (ε, δ) amplification
+//!   record. Every report reaches the central model this way. See
+//!   [`engine`] for the stage diagram and the staging contract;
+//!   `tests/pipeline_concurrency.rs` and `tests/shuffler_properties.rs` pin
+//!   conservation and exact thresholding at one and many producers.
 //!
 //! A third shape drops the trusted-shuffler assumption altogether for the
 //! sufficient-statistics ingest path: the [`SecureAggEngine`] aggregates
@@ -43,8 +41,9 @@
 //! See [`secure`] for the stage diagram and the trust model.
 //!
 //! Both engines, and the central model service's ingest shards, run their
-//! workers on one [`ShardPool`]: bounded per-shard FIFO queues, one rule for
-//! a dead worker, one shutdown.
+//! workers on one [`ShardPool`] (the shuffler engine's lane is a pool of
+//! one): bounded per-shard FIFO queues, one rule for a dead worker, one
+//! shutdown.
 //!
 //! # Example
 //!
@@ -74,7 +73,6 @@ mod error;
 mod pool;
 mod report;
 pub mod secure;
-mod shard;
 mod shuffle;
 
 pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};

@@ -1,8 +1,8 @@
 //! The shard-worker pool shared by every sharded stage of the pipeline.
 //!
-//! The [`ShufflerEngine`](crate::ShufflerEngine) shards, the
-//! [`SecureAggEngine`](crate::SecureAggEngine) aggregators and the central
-//! model service's ingest shards all have the same shape: `N` threads, each
+//! The [`ShufflerEngine`](crate::ShufflerEngine)'s lane (a pool of one),
+//! the [`SecureAggEngine`](crate::SecureAggEngine) aggregators and the
+//! central model service's ingest shards all have the same shape: `N` threads, each
 //! draining its own bounded FIFO queue, closed and joined in shard order at
 //! shutdown. A [`ShardPool`] is that shape, written once:
 //!

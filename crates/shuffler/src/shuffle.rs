@@ -1,5 +1,5 @@
 //! The synchronous shuffler and the release kernel it shares with the
-//! engine's merger: anonymize, tabulate, threshold.
+//! engine's lane: anonymize, tabulate, threshold.
 
 use crate::{EncodedReport, RawReport, ReleasedCell, ShufflerError};
 use p2b_privacy::splitmix64;
@@ -209,7 +209,7 @@ fn sort_by_pair(cells: &mut [ReleasedCell]) {
 }
 
 /// The release kernel of the synchronous [`Shuffler`] and the engine's
-/// merger: anonymous reports are added one at a time to their
+/// lane: anonymous reports are added one at a time to their
 /// `(code, action)` cell, and [`CellTable::release`] thresholds the batch on
 /// the per-code totals read off the cells. The table keeps its capacity
 /// from batch to batch.

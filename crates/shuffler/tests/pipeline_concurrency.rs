@@ -1,8 +1,8 @@
-//! Concurrency exactness suite for the streaming shuffler: many producer
-//! threads feed a single-lane (1-shard) or sharded engine, and the released
-//! set must be exactly the threshold-surviving multiset — no report lost,
-//! none duplicated, none leaked below threshold. The sharded tests repeat
-//! every claim for shards ∈ {1, 2, 4}. A released batch is a histogram of
+//! Concurrency exactness suite for the streaming shuffler: producer
+//! threads feed the engine's one lane, and the released set must be exactly
+//! the threshold-surviving multiset — no report lost, none duplicated, none
+//! leaked below threshold. The last two tests repeat every claim for one
+//! producer and for several. A released batch is a histogram of
 //! `(code, action)` cells, so multisets are read off the cell counts.
 
 use p2b_shuffler::{EncodedReport, RawReport, ReleasedCell, ShufflerConfig, ShufflerEngine};
@@ -54,7 +54,6 @@ fn concurrent_producers_release_exactly_the_surviving_set() {
     };
 
     let engine = ShufflerEngine::builder(ShufflerConfig::new(THRESHOLD))
-        .shards(1)
         .batch_size(TOTAL)
         .build()
         .expect("valid engine");
@@ -117,7 +116,6 @@ fn per_batch_thresholding_still_conserves_received_counts() {
     const REPORTS_PER_PRODUCER: usize = 100;
 
     let engine = ShufflerEngine::builder(ShufflerConfig::new(5))
-        .shards(1)
         .batch_size(32)
         .build()
         .expect("valid engine");
@@ -161,18 +159,20 @@ fn pair(report: &EncodedReport) -> (usize, usize) {
     (report.code(), report.action())
 }
 
-#[test]
-fn engine_delivers_the_exact_multiset_for_one_two_and_four_shards() {
-    const PRODUCERS: usize = 8;
-    const REPORTS_PER_PRODUCER: usize = 250;
-    const TOTAL: usize = PRODUCERS * REPORTS_PER_PRODUCER;
+/// Global report `i` of the multiset test: 13 codes, 3 actions, 0/1 reward.
+fn numbered(i: usize) -> EncodedReport {
+    EncodedReport::new(i % 13, i % 3, f64::from((i % 2) as u8)).expect("valid report")
+}
 
-    for shards in [1usize, 2, 4] {
+#[test]
+fn engine_delivers_the_exact_multiset_at_one_four_and_eight_producers() {
+    const TOTAL: usize = 2000;
+
+    for producers in [1usize, 4, 8] {
         // Threshold 1: nothing may be suppressed, so the delivered multiset
-        // must equal the submitted multiset exactly — across shard splits,
-        // within-shard shuffles, the fan-in merge and re-batching.
+        // must equal the submitted multiset exactly — across interleaved
+        // producers, chunked staging and re-batching.
         let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
-            .shards(shards)
             .batch_size(64)
             .build()
             .expect("valid engine");
@@ -180,30 +180,19 @@ fn engine_delivers_the_exact_multiset_for_one_two_and_four_shards() {
 
         // Pair → (reports, rewarded reports): every reward is 0 or 1.
         let mut submitted: HashMap<(usize, usize), (u64, u64)> = HashMap::new();
-        for producer in 0..PRODUCERS {
-            for i in 0..REPORTS_PER_PRODUCER {
-                let global = producer * REPORTS_PER_PRODUCER + i;
-                let report =
-                    EncodedReport::new(global % 13, global % 3, f64::from((global % 2) as u8))
-                        .expect("valid report");
-                let tally = submitted.entry(pair(&report)).or_insert((0, 0));
-                tally.0 += 1;
-                tally.1 += report.reward() as u64;
-            }
+        for report in (0..TOTAL).map(numbered) {
+            let tally = submitted.entry(pair(&report)).or_insert((0, 0));
+            tally.0 += 1;
+            tally.1 += report.reward() as u64;
         }
 
+        let per_producer = TOTAL / producers;
         std::thread::scope(|scope| {
-            for producer in 0..PRODUCERS {
+            for producer in 0..producers {
                 let handle_ref = &handle;
                 scope.spawn(move || {
-                    for i in 0..REPORTS_PER_PRODUCER {
-                        let global = producer * REPORTS_PER_PRODUCER + i;
-                        let report = EncodedReport::new(
-                            global % 13,
-                            global % 3,
-                            f64::from((global % 2) as u8),
-                        )
-                        .expect("valid report");
+                    for i in 0..per_producer {
+                        let report = numbered(producer * per_producer + i);
                         handle_ref
                             .submit(RawReport::new(format!("agent-{producer}"), report))
                             .expect("engine accepts submissions while open");
@@ -227,26 +216,24 @@ fn engine_delivers_the_exact_multiset_for_one_two_and_four_shards() {
                 tally.1 += cell.reward_sum() as u64;
             }
         }
-        assert_eq!(received, TOTAL, "shards={shards}");
+        assert_eq!(received, TOTAL, "producers={producers}");
         assert_eq!(
             delivered, submitted,
-            "delivered multiset must equal submitted multiset at shards={shards}"
+            "delivered multiset must equal submitted multiset at producers={producers}"
         );
-        // Merged batches have the configured exact size, final flush aside.
+        // Batches have the configured exact size, final flush aside.
         for batch in &output.batches[..output.batches.len() - 1] {
-            assert_eq!(batch.batch.stats().received, 64, "shards={shards}");
+            assert_eq!(batch.batch.stats().received, 64, "producers={producers}");
         }
     }
 }
 
 #[test]
-fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
-    const PRODUCERS: usize = 4;
-    const REPORTS_PER_PRODUCER: usize = 150;
-    const TOTAL: usize = PRODUCERS * REPORTS_PER_PRODUCER;
+fn engine_thresholding_over_one_merged_batch_is_exact_per_producer_count() {
+    const TOTAL: usize = 600;
     const THRESHOLD: usize = 100;
 
-    // Same weighted code mix as the single-lane test: per block of 15, codes
+    // Same weighted code mix as the first test: per block of 15, codes
     // 0..=4 with weights 5:4:3:2:1, so global counts are exactly known.
     let code_of = |i: usize| -> usize {
         match i % 15 {
@@ -258,21 +245,21 @@ fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
         }
     };
 
-    for shards in [1usize, 2, 4] {
-        // One merged batch spanning every submission: thresholding must act
-        // on the *global* multiset even when codes are split across shards
-        // (each shard alone sees far fewer than THRESHOLD copies).
+    for producers in [1usize, 4] {
+        // One batch spanning every submission: thresholding must act on the
+        // *global* multiset even when codes are split across producers
+        // (each producer alone sends far fewer than THRESHOLD copies).
+        let per_producer = TOTAL / producers;
         let engine = ShufflerEngine::builder(ShufflerConfig::new(THRESHOLD))
-            .shards(shards)
             .batch_size(TOTAL)
             .build()
             .expect("valid engine");
         let handle = engine.spawn();
         std::thread::scope(|scope| {
-            for producer in 0..PRODUCERS {
+            for producer in 0..producers {
                 let handle_ref = &handle;
                 scope.spawn(move || {
-                    for i in 0..REPORTS_PER_PRODUCER {
+                    for i in 0..per_producer {
                         let report = EncodedReport::new(code_of(i), 0, 1.0).expect("valid");
                         handle_ref
                             .submit(RawReport::new(format!("agent-{producer}"), report))
@@ -282,13 +269,13 @@ fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
             }
         });
         let output = handle.finish();
-        assert_eq!(output.batches.len(), 1, "shards={shards}");
+        assert_eq!(output.batches.len(), 1, "producers={producers}");
         let batch = &output.batches[0].batch;
         assert_eq!(batch.stats().received, TOTAL);
 
-        let submitted = frequencies((0..REPORTS_PER_PRODUCER).map(code_of))
+        let submitted = frequencies((0..per_producer).map(code_of))
             .into_iter()
-            .map(|(code, count)| (code, count * PRODUCERS))
+            .map(|(code, count)| (code, count * producers))
             .collect::<HashMap<_, _>>();
         let released = released_frequencies(batch.reports());
         for (&code, &count) in &submitted {
@@ -296,12 +283,12 @@ fn engine_thresholding_over_one_merged_batch_is_exact_per_shard_count() {
                 assert_eq!(
                     released.get(&code),
                     Some(&count),
-                    "code {code} must survive with exact multiplicity at shards={shards}"
+                    "code {code} must survive with exact multiplicity at producers={producers}"
                 );
             } else {
                 assert!(
                     !released.contains_key(&code),
-                    "code {code} (count {count}) must be suppressed at shards={shards}"
+                    "code {code} (count {count}) must be suppressed at producers={producers}"
                 );
             }
         }

@@ -57,7 +57,7 @@ proptest! {
         prop_assert_eq!(out.stats().released + out.stats().dropped, out.stats().received);
     }
 
-    /// The single-lane (1-shard) streaming engine releases exactly the
+    /// The streaming engine releases exactly the
     /// submitted multiset of payloads when the threshold is 1 (nothing
     /// dropped), at any batch size.
     #[test]
@@ -66,7 +66,6 @@ proptest! {
         batch_size in 1usize..16,
     ) {
         let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
-            .shards(1)
             .batch_size(batch_size)
             .build()
             .unwrap();

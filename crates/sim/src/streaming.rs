@@ -1,7 +1,8 @@
 //! Tests of a streaming collection wave: a synthetic population simulated
 //! on parallel producer threads, each submitting its reports straight into
-//! the system's sharded shuffler engine, with every delivered batch folded
-//! into the central model and accounted in the amplification ledger.
+//! the system's shuffler engine, with every delivered batch folded into the
+//! central model on the model service's ingest shards and accounted in the
+//! amplification ledger.
 
 #[cfg(test)]
 mod tests {
@@ -23,7 +24,7 @@ mod tests {
         submitted: u64,
     }
 
-    fn system(shards: usize, threshold: usize) -> P2bSystem {
+    fn system(ingest_shards: usize, threshold: usize) -> P2bSystem {
         let mut rng = StdRng::seed_from_u64(0);
         let corpus: Vec<Vector> = (0..256)
             .map(|_| {
@@ -37,11 +38,8 @@ mod tests {
         let config = P2bConfig::new(4, 3)
             .with_local_interactions(2)
             .with_shuffler_threshold(threshold)
-            .with_shuffler_shards(shards)
             .with_shuffler_batch_size(32)
-            // Scale the model service together with the shuffler so the
-            // wave exercises the full sharded ingestion path.
-            .with_ingest_shards(shards);
+            .with_ingest_shards(ingest_shards);
         P2bSystem::new(config, encoder).unwrap()
     }
 

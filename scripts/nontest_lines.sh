@@ -2,10 +2,11 @@
 # Counts non-test source lines, per crate and in total.
 #
 # For every `crates/*/src/**/*.rs` it counts the lines above the file's
-# first `#[cfg(test)]`, leaving out blank lines and lines that start with
-# `//` (comments and doc comments). Each file is read on its own, so a file
-# with no `#[cfg(test)]` counts in full, even one only a `#[cfg(test)] mod`
-# elsewhere reaches.
+# first `#[cfg(test)]` in column 0 (a test module; an indented one gates a
+# field or a statement and counts), leaving out blank lines and lines that
+# start with `//` (comments and doc comments). Each file is read on its
+# own, so a file with no such line counts in full, even one only a
+# `#[cfg(test)] mod` elsewhere reaches.
 #
 # Usage: scripts/nontest_lines.sh [REPO_ROOT]
 # REPO_ROOT defaults to the checkout this script lives in.
@@ -17,7 +18,7 @@ total=0
 for src in "$root"/crates/*/src; do
   count=$(find "$src" -type f -name '*.rs' -exec awk '
       FNR == 1 { testing = 0 }
-      /^[[:space:]]*#\[cfg\(test\)\]/ { testing = 1 }
+      /^#\[cfg\(test\)\]/ { testing = 1 }
       testing || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
       { lines++ }
       END { print lines + 0 }' {} + | awk '{ sum += $1 } END { print sum + 0 }')

@@ -9,7 +9,7 @@
 //! | [`bandit`] | LinUCB, the one contextual bandit |
 //! | [`encoding`] | the k-means context encoder and Fig. 2's fixed-precision simplex grid |
 //! | [`privacy`] | (ε, δ)-DP, crowd-blending, amplification by pre-sampling |
-//! | [`shuffler`] | the ESA-style anonymize / shuffle / threshold stage: the sharded engine every report goes through, and its synchronous per-batch kernel |
+//! | [`shuffler`] | the ESA-style anonymize / tabulate / threshold stage: the one-lane engine every report goes through, and its synchronous per-batch kernel |
 //! | [`datasets`] | synthetic preference, multi-label and Criteo-like workloads |
 //! | [`sim`] | the seeded arrival process of the serving harness and the drivers' shared worker pool |
 //! | [`experiments`] | the config-driven scenario matrix and the held-out protocol reproducing the utility-vs-privacy figures and Table 1 |
