@@ -9,8 +9,8 @@
 //!   per-arm [`ArmSums`] (or their flat leaves are summed and read back),
 //!   and [`LinUcb::set_arm`] installs the sums as a model arm — in two
 //!   halves when the build runs elsewhere: [`BuiltArm::new`] (merge, one
-//!   refresh, θ solve) and [`LinUcb::install_arm`] (swap and lanes); plus
-//!   the reusable select scratch ([`SelectScratch`]);
+//!   refresh, θ solve) and [`LinUcb::install_arm`] (swap and stamp); plus
+//!   the reusable select scratch and score memo ([`SelectScratch`]);
 //! * the [`ContextualPolicy`] trait: the per-report select/update loop a
 //!   device or a simulated cell drives.
 //!

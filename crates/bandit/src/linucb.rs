@@ -2,9 +2,7 @@
 
 use crate::policy::{check_action, check_context, check_finite, check_reward, random_action};
 use crate::{Action, BanditError, ContextualPolicy, Reward};
-use p2b_linalg::{
-    Cholesky, Matrix, RankOneInverse, ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch, Vector,
-};
+use p2b_linalg::{Cholesky, Matrix, RankOneInverse, Vector};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -299,6 +297,20 @@ impl Arm {
             .solve_into(self.reward_vector.as_slice(), self.theta.as_mut_slice())?;
         Ok(())
     }
+
+    /// The arm's upper confidence bound `θᵀx + α·√max(0, xᵀA⁻¹x)` off its
+    /// own inverse and cached θ: the quadratic form
+    /// ([`Matrix::quadratic_form`]), then the estimate from zero in `i`
+    /// order. The one score kernel; the crate's test-only oracle pins it bit
+    /// for bit against solving θ afresh.
+    fn ucb_score(&self, x: &[f64], alpha: f64) -> Result<f64, BanditError> {
+        let bonus = self.inverse.inverse().quadratic_form(x)?;
+        let mut estimate = 0.0;
+        for (&t, &xi) in self.theta.as_slice().iter().zip(x) {
+            estimate += t * xi;
+        }
+        Ok(estimate + alpha * bonus.max(0.0).sqrt())
+    }
 }
 
 /// A model arm built from [`ArmSums`], θ solved, not yet part of any model:
@@ -335,23 +347,28 @@ impl BuiltArm {
 }
 
 /// Reusable buffers for allocation-free action selection
-/// ([`LinUcb::select_action_with`]), plus a memo of the last sweep.
+/// ([`LinUcb::select_action_with`]), and a memo of the last score vector.
 ///
 /// One `SelectScratch` serves models of any shape: buffers grow on demand.
-/// It remembers the context, α, per-arm content stamps and scores of its
-/// last full sweep ([`ScoreMemo`]), so a repeated context re-scores only the
-/// arms written since, each off the arm's own inverse and θ. An arm's stamp
-/// changes whenever the arm is written and stamps are unique across the
-/// process, so a remembered score is always the score a sweep would
-/// recompute: a fresh scratch and a warm one produce bit-identical
+/// It remembers the context's and α's bit patterns (compared by `to_bits`,
+/// so `-0.0` and NaN payloads cannot alias), each arm's content stamp and
+/// the scores it last computed, so a repeated context re-scores only the
+/// arms re-stamped since; any other context, α or arm count re-scores every
+/// arm. An arm's stamp changes whenever the arm is written and stamps are
+/// unique across the process, so two arms with equal stamps have bit-equal
+/// inverse and θ, and a remembered score is always the score a fresh scratch
+/// would recompute: a fresh scratch and a warm one produce bit-identical
 /// selections and consume the same randomness, against any sequence of
-/// models, stale score mirrors included — the in-crate `memo_agreement`
-/// suite pins this. Only the cost differs, and [`SelectScratch::counters`]
-/// reports it.
+/// models — the in-crate `memo_agreement` suite pins this. Only the cost
+/// differs, and [`SelectScratch::arms_scored`] reports it.
 #[derive(Debug, Clone, Default)]
 pub struct SelectScratch {
-    memo: ScoreMemo,
+    context_bits: Vec<u64>,
+    alpha_bits: u64,
+    stamps: Vec<u64>,
+    scores: Vec<f64>,
     ties: Vec<usize>,
+    arms_scored: u64,
 }
 
 impl SelectScratch {
@@ -361,11 +378,21 @@ impl SelectScratch {
         Self::default()
     }
 
-    /// Cumulative sweeps and arms scored through this scratch — the
-    /// machine-independent cost of the decisions it served.
+    /// Arms scored through this scratch so far — the machine-independent
+    /// cost of the decisions it served. Deterministic for a fixed call
+    /// sequence.
     #[must_use]
-    pub fn counters(&self) -> ScoreCounters {
-        self.memo.counters()
+    pub fn arms_scored(&self) -> u64 {
+        self.arms_scored
+    }
+
+    /// Whether the remembered scores are of `arms` arms against exactly this
+    /// context and α. An empty scratch holds no stamps, so it matches
+    /// nothing.
+    fn remembers(&self, arms: usize, x: &[f64], alpha: f64) -> bool {
+        self.stamps.len() == arms
+            && self.alpha_bits == alpha.to_bits()
+            && (self.context_bits.iter().copied()).eq(x.iter().map(|value| value.to_bits()))
     }
 }
 
@@ -417,22 +444,16 @@ fn pick_best(
 /// # Scoring path
 ///
 /// Every arm keeps its own inverse and cached `θ_a = A_a⁻¹ b_a`, re-derived
-/// after each mutation together with a fresh content stamp. Selection reads
-/// a flat, element-major [`ScoreArena`] that mirrors them, so one pass
-/// scores all arms without allocating ([`LinUcb::select_action_with`]). The
-/// mirror is shared by clones: a mutation writes the arm's lanes only while
-/// this model owns the mirror alone, and otherwise leaves them stale, so a
-/// promoted clone never copies the mirror to change one arm. A sweep
-/// re-scores every stale arm off the arm's own state with the one-arm
-/// kernel, which also re-scores the arms a caller's [`SelectScratch`] finds
-/// re-stamped since it last scored the same context. The trait
-/// [`ContextualPolicy::select_action`] and a published epoch snapshot bring
-/// the mirror up to date first ([`LinUcb::sync_mirror`]);
-/// [`LinUcb::stale_lanes`] counts what is left. The per-arm
+/// after each mutation together with a fresh content stamp. One kernel
+/// scores an arm off that state; [`LinUcb::scores`] maps it over the arms,
+/// and [`LinUcb::select_action_with`] runs it through a caller's
+/// [`SelectScratch`], which re-scores only the arms re-stamped since it last
+/// scored the same context. A clone shares every arm until it writes one, so
+/// a promoted clone copies only the arms it writes. The per-arm
 /// [`RankOneInverse`] state is the f64 source of truth; the crate's
 /// test-only oracle evaluates the scalar one-arm-at-a-time rule against it,
 /// and the in-crate `select_agreement` and `memo_agreement` suites pin
-/// sweep, memo, stale mirror and oracle bit-for-bit equal.
+/// memo, fresh scratch and oracle bit-for-bit equal.
 ///
 /// # Example
 ///
@@ -463,14 +484,11 @@ pub struct LinUcb {
     /// Mutation goes through `Arc::make_mut` (copy-on-write).
     arms: Vec<Arc<Arm>>,
     observations: u64,
-    /// Per-arm content stamps, drawn by [`LinUcb::sync_arm`] whenever the
-    /// arm changes; see the `p2b_linalg` arena's stamp invariant.
+    /// Per-arm content stamps, drawn from the process-wide [`NEXT_STAMP`]
+    /// whenever the arm changes, so two arms with equal stamps have bit-equal
+    /// inverse and θ in any two models of the process: what a
+    /// [`SelectScratch`] memo trusts.
     stamps: Vec<u64>,
-    /// Flat scoring mirror of all arms (inverse + cached θ), element-major.
-    /// Derived state, shared across clones: a model writes an arm's lanes
-    /// only while it is the mirror's only owner, and otherwise leaves them
-    /// stale rather than copy the mirror.
-    arena: Arc<ScoreArena>,
 }
 
 impl LinUcb {
@@ -504,16 +522,11 @@ impl LinUcb {
         let arms = (0..config.num_actions)
             .map(|_| Arm::new(config.context_dimension, config.regularizer).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        let arena = Arc::new(ScoreArena::new(
-            config.num_actions,
-            config.context_dimension,
-        )?);
         let mut policy = Self {
             config,
             arms,
             observations: 0,
             stamps: vec![0; config.num_actions],
-            arena,
         };
         for idx in 0..policy.config.num_actions {
             policy.sync_arm(idx)?;
@@ -525,92 +538,59 @@ impl LinUcb {
     /// truth and draws the arm a new content stamp. Must be called after
     /// every mutation of that arm; every mutating method in this impl does
     /// so — it is the one place a stale [`SelectScratch`] memo is
-    /// invalidated.
-    ///
-    /// The arm's arena lanes are written only when this model is the
-    /// mirror's only owner (`Arc::get_mut`); a mirror shared with a clone is
-    /// never copied here, the arm's lanes are left stale, and every read
-    /// scores the arm off its own state instead. θ is recomputed with the
-    /// exact `A⁻¹ b` matvec the historical path ran at selection time, so
-    /// cached and recomputed values are bit-identical.
+    /// invalidated. θ is recomputed with the exact `A⁻¹ b` matvec the
+    /// historical path ran at selection time, so cached and recomputed values
+    /// are bit-identical.
     fn sync_arm(&mut self, idx: usize) -> Result<(), BanditError> {
         // Every caller has just written the arm through `Arc::make_mut`, so
         // this copies nothing.
         Arc::make_mut(&mut self.arms[idx]).solve_theta()?;
-        self.stamp_arm(idx)
-    }
-
-    /// Draws arm `idx` a new content stamp and, when this model is the
-    /// mirror's only owner, loads the arm's lanes: the half of
-    /// [`LinUcb::sync_arm`] that follows the θ solve.
-    fn stamp_arm(&mut self, idx: usize) -> Result<(), BanditError> {
-        let stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
-        self.stamps[idx] = stamp;
-        if let Some(arena) = Arc::get_mut(&mut self.arena) {
-            let arm = self.arms[idx].as_ref();
-            arena.load_arm(idx, arm.inverse.inverse(), arm.theta.as_slice(), stamp)?;
-        }
+        self.stamp_arm(idx);
         Ok(())
     }
 
-    /// Brings the score arena up to date: loads every stale arm's lanes,
-    /// copying the mirror first (once) if another model shares it. A model
-    /// about to be swept many times — a published snapshot, the trait
-    /// [`ContextualPolicy::select_action`] — calls this so that its sweeps
-    /// read every arm off the lanes. A no-op when nothing is stale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arena shape errors (unreachable for a model built by this
-    /// type).
-    pub fn sync_mirror(&mut self) -> Result<(), BanditError> {
-        if self.stale_lanes() == 0 {
-            return Ok(());
-        }
-        let arena = Arc::make_mut(&mut self.arena);
-        for (idx, (arm, &stamp)) in self.arms.iter().zip(&self.stamps).enumerate() {
-            if arena.loaded_stamps()[idx] != stamp {
-                arena.load_arm(idx, arm.inverse.inverse(), arm.theta.as_slice(), stamp)?;
-            }
-        }
-        Ok(())
+    /// Draws arm `idx` a new content stamp: the half of [`LinUcb::sync_arm`]
+    /// that follows the θ solve.
+    fn stamp_arm(&mut self, idx: usize) {
+        self.stamps[idx] = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Arms whose score-arena lanes are stale: written since this model last
-    /// shared its mirror, and scored off their own state until
-    /// [`LinUcb::sync_mirror`]. A machine-independent cost counter, zero for
-    /// a model that owns its mirror alone.
-    #[must_use]
-    pub fn stale_lanes(&self) -> usize {
-        let loaded = self.arena.loaded_stamps().iter();
-        loaded
-            .zip(&self.stamps)
-            .filter(|(loaded, stamp)| loaded != stamp)
-            .count()
-    }
-
-    /// Every arm's own inverse and cached θ: what a stale lane is scored
-    /// from.
-    fn own<'a>(&'a self) -> impl Fn(usize) -> (&'a Matrix, &'a [f64]) {
-        |idx| {
-            let arm = self.arms[idx].as_ref();
-            (arm.inverse.inverse(), arm.theta.as_slice())
-        }
-    }
-
-    /// The scores of every arm under `context`, through `memo`.
-    fn memo_scores<'m>(
+    /// Brings `scratch`'s remembered scores up to date for every arm under
+    /// `context`: when it last scored this very context and α over as many
+    /// arms, only the arms re-stamped since are re-scored
+    /// (`O(changed · d²)`); otherwise every arm is. Either way the scores are
+    /// bit-for-bit those of [`LinUcb::scores`]. The caller has checked the
+    /// context's length.
+    fn refresh_memo(
         &self,
         context: &Vector,
-        memo: &'m mut ScoreMemo,
-    ) -> Result<&'m [f64], BanditError> {
-        Ok(self.arena.ucb_scores_memo(
-            context.as_slice(),
-            self.config.alpha,
-            &self.stamps,
-            self.own(),
-            memo,
-        )?)
+        scratch: &mut SelectScratch,
+    ) -> Result<(), BanditError> {
+        let (x, alpha) = (context.as_slice(), self.config.alpha);
+        if scratch.remembers(self.arms.len(), x, alpha) {
+            let fresh = scratch.stamps.iter_mut().zip(&self.stamps);
+            for (idx, (seen, &stamp)) in fresh.enumerate() {
+                if *seen != stamp {
+                    scratch.scores[idx] = self.arms[idx].ucb_score(x, alpha)?;
+                    *seen = stamp;
+                    scratch.arms_scored += 1;
+                }
+            }
+        } else {
+            // Forgotten first, so a scoring that fails leaves no half-written
+            // scores behind a remembered context.
+            scratch.stamps.clear();
+            scratch.scores.clear();
+            for arm in &self.arms {
+                scratch.scores.push(arm.ucb_score(x, alpha)?);
+            }
+            scratch.context_bits.clear();
+            (scratch.context_bits).extend(x.iter().map(|value| value.to_bits()));
+            scratch.alpha_bits = alpha.to_bits();
+            scratch.stamps.extend_from_slice(&self.stamps);
+            scratch.arms_scored += self.arms.len() as u64;
+        }
+        Ok(())
     }
 
     /// The configuration the policy was built with.
@@ -644,24 +624,19 @@ impl LinUcb {
     /// Upper-confidence-bound scores for every arm under `context`.
     ///
     /// Exposed so that callers (e.g. the evaluation harness) can inspect the
-    /// full score vector instead of just the argmax. Computed from the
-    /// scoring arena, stale lanes re-scored off their arms' own state.
+    /// full score vector instead of just the argmax. Every arm is scored off
+    /// its own inverse and cached θ.
     ///
     /// # Errors
     ///
     /// Returns [`BanditError::ContextDimensionMismatch`] for mis-sized contexts.
     pub fn scores(&self, context: &Vector) -> Result<Vec<f64>, BanditError> {
         check_context(self.config.context_dimension, context)?;
-        let mut out = vec![0.0; self.config.num_actions];
-        self.arena.ucb_scores_into(
-            context.as_slice(),
-            self.config.alpha,
-            &self.stamps,
-            self.own(),
-            &mut ScoreScratch::new(),
-            &mut out,
-        )?;
-        Ok(out)
+        let (x, alpha) = (context.as_slice(), self.config.alpha);
+        self.arms
+            .iter()
+            .map(|arm| arm.ucb_score(x, alpha))
+            .collect()
     }
 
     /// The accumulated design matrix `A_a = λI + Σ x xᵀ` of an arm — one half
@@ -689,7 +664,7 @@ impl LinUcb {
     /// Replaces arm `action` with a cold arm merged with `sums`: the
     /// composition of its two halves, [`BuiltArm::new`] (merge, one exact
     /// refresh of the inverse, θ solve) and [`LinUcb::install_arm`] (copy,
-    /// stamp, lanes). The model's observation count trades the old arm's
+    /// stamp). The model's observation count trades the old arm's
     /// pulls for the sums' pulls.
     ///
     /// This is the one way sums become a model. The model service's shards
@@ -712,7 +687,7 @@ impl LinUcb {
 
     /// Installs a built arm as arm `action` — the cheap half of
     /// [`LinUcb::set_arm`]: no factorization and no solve, only a copy of
-    /// the arm's buffers, a fresh content stamp and the arm's score lanes.
+    /// the arm's buffers and a fresh content stamp.
     /// The model's observation count trades the old arm's pulls for the
     /// built arm's.
     ///
@@ -732,23 +707,22 @@ impl LinUcb {
         // another thread leaves nothing on that thread's heap that outlives
         // the install, whatever the model's lifetime.
         self.arms[idx] = Arc::new(Arm::clone(&built.arm));
-        self.stamp_arm(idx)
+        self.stamp_arm(idx);
+        Ok(())
     }
 
     /// Proposes the arm with the highest upper confidence bound, using
-    /// caller-provided scratch buffers, without allocating. When `scratch`
-    /// last served this very context, only the arms mutated since are
-    /// re-scored, off their own state; otherwise every arm is scored in one
-    /// pass over the flat scoring arena, stale lanes re-scored after it. The
-    /// argmax always runs over the full score vector, so the action and the
-    /// randomness consumed do not depend on which.
+    /// caller-provided scratch buffers, without allocating once they are
+    /// warm. When `scratch` last served this very context, only the arms
+    /// mutated since are re-scored; otherwise every arm is. The argmax always
+    /// runs over the full score vector, so the action and the randomness
+    /// consumed do not depend on which.
     ///
     /// The selection rule never mutates the statistics — only the
     /// tie-breaking consumes randomness — so many agents can select against
     /// one shared, immutable model snapshot (e.g. behind an `Arc`) without
-    /// cloning it. [`ContextualPolicy::select_action`] has no scratch to
-    /// remember anything in: it brings the mirror up to date and always runs
-    /// the one-pass sweep.
+    /// cloning it. [`ContextualPolicy::select_action`] is this call with a
+    /// fresh scratch.
     ///
     /// # Errors
     ///
@@ -761,9 +735,9 @@ impl LinUcb {
         scratch: &mut SelectScratch,
     ) -> Result<Action, BanditError> {
         check_context(self.config.context_dimension, context)?;
-        let scores = self.memo_scores(context, &mut scratch.memo)?;
+        self.refresh_memo(context, scratch)?;
         Ok(pick_best(
-            scores,
+            &scratch.scores,
             &mut scratch.ties,
             self.config.num_actions,
             rng,
@@ -777,15 +751,7 @@ impl ContextualPolicy for LinUcb {
         context: &Vector,
         rng: &mut dyn rand::RngCore,
     ) -> Result<Action, BanditError> {
-        check_context(self.config.context_dimension, context)?;
-        self.sync_mirror()?;
-        let scores = self.scores(context)?;
-        Ok(pick_best(
-            &scores,
-            &mut Vec::new(),
-            self.config.num_actions,
-            rng,
-        ))
+        self.select_action_with(context, rng, &mut SelectScratch::new())
     }
 
     fn update(
@@ -1331,22 +1297,23 @@ mod tests {
             .collect()
     }
 
-    /// Copy-on-write cost as counts: the score mirror a write copies shows as
-    /// a change of `Arc` identity, the arms it copies as unshared arms.
+    /// Copy-on-write cost as counts: the arms a write copies show as
+    /// unshared arms. A model keeps no second copy of its arms' state, so
+    /// there is no mirror left to copy.
     #[test]
     fn a_clones_first_update_copies_one_arm_and_no_mirror() {
         let ctx = Vector::from(vec![0.6, 0.3, 0.1]);
         let mut source = LinUcb::new(LinUcbConfig::new(3, 4)).unwrap();
         source.update(&ctx, Action::new(1), 1.0).unwrap();
         let mut clone = source.clone();
+        assert!(unshared_arms(&clone, &source).is_empty());
+        let stamps = source.stamps.clone();
         clone.update(&ctx, Action::new(2), 0.5).unwrap();
-        assert!(
-            Arc::ptr_eq(&clone.arena, &source.arena),
-            "0 mirror bytes copied"
-        );
         assert_eq!(unshared_arms(&clone, &source), vec![2]);
-        assert_eq!((clone.stale_lanes(), source.stale_lanes()), (1, 0));
-        // The written arm is current everywhere but in the shared lanes.
+        // Only the written arm is re-stamped, and only in the clone.
+        assert_eq!(source.stamps, stamps);
+        let restamped: Vec<usize> = (0..4).filter(|&a| clone.stamps[a] != stamps[a]).collect();
+        assert_eq!(restamped, vec![2]);
         assert_eq!(
             clone.theta(Action::new(2)).unwrap(),
             clone.arms[2]
@@ -1360,54 +1327,160 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_sole_owner_writes_through() {
-        let ctx = Vector::from(vec![0.2, 0.8]);
-        let mut model = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
-        assert_eq!(model.stale_lanes(), 0);
-        model.update(&ctx, Action::new(1), 1.0).unwrap();
-        assert_eq!(model.stale_lanes(), 0);
-        let mut sums = ArmSums::new(model.config()).unwrap();
-        sums.fold(&ctx, 3, 2.0).unwrap();
-        model.set_arm(Action::new(0), &sums).unwrap();
-        assert_eq!(model.stale_lanes(), 0);
-        // A clone that is gone shares nothing: the next write goes through.
-        let arena = Arc::as_ptr(&model.arena);
-        drop(model.clone());
-        model.update(&ctx, Action::new(1), 0.0).unwrap();
-        assert_eq!(model.stale_lanes(), 0);
-        assert_eq!(Arc::as_ptr(&model.arena), arena);
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// A model of `arms` arms trained on five deterministic contexts each.
+    fn trained(arms: usize, dim: usize) -> LinUcb {
+        let mut model = LinUcb::new(LinUcbConfig::new(dim, arms)).unwrap();
+        for a in 0..arms {
+            for t in 0..5 {
+                let x: Vector = (0..dim)
+                    .map(|k| ((a * 31 + t * 7 + k * 3) % 11) as f64 / 11.0)
+                    .collect();
+                let reward = ((a + t) % 3) as f64 / 2.0;
+                model.update(&x, Action::new(a), reward).unwrap();
+            }
+        }
+        model
+    }
+
+    /// The scores `scratch` remembers for `context` once brought up to date.
+    fn through(model: &LinUcb, context: &[f64], scratch: &mut SelectScratch) -> Vec<u64> {
+        model
+            .refresh_memo(&Vector::from(context.to_vec()), scratch)
+            .unwrap();
+        bits(&scratch.scores)
+    }
+
+    /// The scores of a fresh scratch, which scores every arm.
+    fn fresh(model: &LinUcb, context: &[f64]) -> Vec<u64> {
+        through(model, context, &mut SelectScratch::new())
+    }
+
+    fn reference(model: &LinUcb, context: &[f64]) -> Vec<u64> {
+        bits(
+            &model
+                .scores_reference(&Vector::from(context.to_vec()))
+                .unwrap(),
+        )
     }
 
     #[test]
-    fn the_trait_select_copies_a_stale_mirror_once_then_writes_through() {
-        let mut rng = rng();
-        let ctx = Vector::from(vec![0.5, 0.5]);
-        let mut source = LinUcb::new(LinUcbConfig::new(2, 3)).unwrap();
-        source.update(&ctx, Action::new(0), 1.0).unwrap();
-        // A clone with nothing stale sweeps the shared mirror as it is.
-        let mut reader = source.clone();
-        reader.select_action(&ctx, &mut rng).unwrap();
-        assert!(Arc::ptr_eq(&reader.arena, &source.arena));
-
-        let mut clone = source.clone();
-        clone.update(&ctx, Action::new(1), 1.0).unwrap();
-        assert_eq!(clone.stale_lanes(), 1);
-        let mut copies = 0;
-        let mut mirror = Arc::as_ptr(&clone.arena);
-        for round in 0..6 {
-            clone.select_action(&ctx, &mut rng).unwrap();
-            assert_eq!(clone.stale_lanes(), 0);
-            if Arc::as_ptr(&clone.arena) != mirror {
-                copies += 1;
-                mirror = Arc::as_ptr(&clone.arena);
-            }
-            clone.update(&ctx, Action::new(round % 3), 0.5).unwrap();
-            assert_eq!(clone.stale_lanes(), 0, "a private mirror is written");
+    fn scores_are_bit_identical_to_the_scalar_reference() {
+        let mut model = trained(7, 6);
+        let x: Vec<f64> = (0..6).map(|k| (k as f64 + 0.5) / 6.0).collect();
+        let context = Vector::from(x.clone());
+        assert_eq!(
+            bits(&model.scores(&context).unwrap()),
+            reference(&model, &x)
+        );
+        assert_eq!(fresh(&model, &x), reference(&model, &x));
+        // Two arms written while a clone shares them: still bit for bit, in
+        // the writer and in the clone.
+        let clone = model.clone();
+        for arm in [1usize, 4] {
+            model.update(&context, Action::new(arm), 1.0).unwrap();
         }
-        assert_eq!(copies, 1);
-        assert!(!Arc::ptr_eq(&clone.arena, &source.arena));
-        assert_eq!(source.stale_lanes(), 0);
+        assert_eq!(unshared_arms(&model, &clone), vec![1, 4]);
+        for model in [&model, &clone] {
+            assert_eq!(bits(&model.scores(&context).unwrap()), reference(model, &x));
+            assert_eq!(fresh(model, &x), reference(model, &x));
+        }
+    }
+
+    #[test]
+    fn memo_rescores_only_restamped_arms_and_matches_a_fresh_scratch() {
+        let mut model = trained(7, 6);
+        let x: Vec<f64> = (0..6).map(|k| (k as f64 + 0.5) / 6.0).collect();
+        let context = Vector::from(x.clone());
+        let mut memo = SelectScratch::new();
+
+        assert_eq!(through(&model, &x, &mut memo), fresh(&model, &x));
+        assert_eq!(memo.arms_scored(), 7);
+        // Nothing written since: nothing scored.
+        assert_eq!(through(&model, &x, &mut memo), fresh(&model, &x));
+        assert_eq!(memo.arms_scored(), 7);
+
+        // Three arms written: three arms scored.
+        for arm in [1usize, 4, 6] {
+            model.update(&context, Action::new(arm), 0.5).unwrap();
+        }
+        assert_eq!(through(&model, &x, &mut memo), fresh(&model, &x));
+        assert_eq!(memo.arms_scored(), 10);
+
+        // Another α, and a context that differs only in the sign of a zero,
+        // each re-score every arm.
+        model.config.alpha = 0.5;
+        assert_eq!(through(&model, &x, &mut memo), fresh(&model, &x));
+        assert_eq!(memo.arms_scored(), 17);
+        let mut zeroed = x.clone();
+        zeroed[0] = 0.0;
+        assert_eq!(through(&model, &zeroed, &mut memo), fresh(&model, &zeroed));
+        zeroed[0] = -0.0;
+        assert_eq!(through(&model, &zeroed, &mut memo), fresh(&model, &zeroed));
+        assert_eq!(memo.arms_scored(), 31);
+        // More than half the arms re-stamped with their content unchanged:
+        // those arms alone are re-scored, to the same bits.
+        for arm in 0..4 {
+            model.sync_arm(arm).unwrap();
+        }
+        assert_eq!(through(&model, &zeroed, &mut memo), fresh(&model, &zeroed));
+        assert_eq!(memo.arms_scored(), 35);
+
+        // Two arms written while a clone shares them: the memo re-scores
+        // them off their own state, and every score matches the oracle.
+        let clone = model.clone();
+        for arm in [2usize, 5] {
+            let written = Vector::from(zeroed.clone());
+            model.update(&written, Action::new(arm), 1.0).unwrap();
+        }
+        assert_eq!(
+            through(&model, &zeroed, &mut memo),
+            reference(&model, &zeroed)
+        );
+        assert_eq!(memo.arms_scored(), 37);
+        model.config.alpha = 0.75;
+        assert_eq!(
+            through(&model, &zeroed, &mut memo),
+            reference(&model, &zeroed)
+        );
+        assert_eq!(memo.arms_scored(), 44);
+        drop(clone);
+
+        let mut rng = rng();
+        assert!(model
+            .select_action_with(&Vector::from(x[..5].to_vec()), &mut rng, &mut memo)
+            .is_err());
+        assert_eq!(memo.arms_scored(), 44);
+    }
+
+    #[test]
+    fn one_scratch_serves_diverged_clones_and_unrelated_models() {
+        let base = trained(5, 4);
+        let x = [0.4, 0.3, 0.2, 0.1];
+        let reload = |model: &mut LinUcb, arm: usize, reward_scale: f64| {
+            let written = Arc::make_mut(&mut model.arms[arm]);
+            written.reward_vector = written.reward_vector.scaled(reward_scale);
+            model.sync_arm(arm).unwrap();
+        };
+        // Two clones diverge on the same arm, a third on another arm; a
+        // fourth model has the same shape and no shared history.
+        let (mut left, mut right, mut third) = (base.clone(), base.clone(), base.clone());
+        reload(&mut left, 2, 2.0);
+        reload(&mut right, 2, 3.0);
+        reload(&mut third, 3, 2.0);
+        let other = trained(5, 4);
+        let mut memo = SelectScratch::new();
+        for model in [&base, &left, &right, &left, &other, &base, &right, &third] {
+            assert_eq!(through(model, &x, &mut memo), fresh(model, &x));
+            assert_eq!(through(model, &x, &mut memo), reference(model, &x));
+        }
+        // base → left → right → left re-score arm 2 alone; `other` shares no
+        // stamp with anything and is re-scored whole, as is `base` after it;
+        // right → third re-scores arms 2 and 3.
+        assert_eq!(memo.arms_scored(), 5 + 3 + 5 + 5 + 1 + 2);
     }
 
     #[test]

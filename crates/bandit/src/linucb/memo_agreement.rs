@@ -1,24 +1,23 @@
-//! Agreement pin between the memoized select path and the full sweep.
+//! Agreement pin between the memoized select path and a fresh scratch.
 //!
-//! A long-lived [`SelectScratch`] remembers its last sweep and re-scores
-//! only the arms whose content stamp has changed since. Whatever happens to
-//! the models between two decisions — `update`, `set_arm` of one arm or of
-//! several, the test-only `merge`, `clone` — and whichever model the
-//! scratch is handed next (a diverged clone, a model of another shape or α),
-//! every decision through it must be **bit-for-bit** the decision of a fresh
-//! scratch (the sweep), of the trait `select_action` and of the scalar
-//! reference in [`super::oracle`]: same score vector, same action, same
-//! randomness consumed. A stale remembered score — a mutation path that
-//! forgot to re-stamp its arm, a stamp shared by two different arms, a
-//! context or α the memo confused with another — fails here.
+//! A long-lived [`SelectScratch`] remembers the scores it last computed and
+//! re-scores only the arms whose content stamp has changed since. Whatever
+//! happens to the models between two decisions — `update`, `set_arm` of one
+//! arm or of several, the test-only `merge`, `clone` — and whichever model
+//! the scratch is handed next (a diverged clone, a model of another shape
+//! or α), every decision through it must be **bit-for-bit** the decision of
+//! a fresh scratch (every arm scored), of the trait `select_action` and of
+//! the scalar reference in [`super::oracle`]: same score vector, same
+//! action, same randomness consumed. A stale remembered score — a mutation
+//! path that forgot to re-stamp its arm, a stamp shared by two different
+//! arms, a context or α the memo confused with another — fails here.
 //!
 //! Half the mutations are made while a clone of the model is alive, so the
-//! mutated model shares its score mirror and leaves the written arms' lanes
-//! stale; the other half are made on a model that owns its mirror alone and
-//! writes them through. The decisions right after — memo hit, memo miss,
-//! `scores`, the trait path — must read a stale arm off its own state and a
-//! written-through arm off its lanes, and a sweep that forgot to re-score a
-//! stale lane fails here too.
+//! mutated model shares its arms with the clone and must copy exactly the
+//! arms it re-stamps, leaving the clone's untouched; the other half are made
+//! on a model that owns its arms alone. The decisions right after — memo
+//! hit, memo miss, `scores`, the trait path — and the clone's own decisions
+//! must each read the arms as their own model holds them.
 
 use crate::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_linalg::Vector;
@@ -61,19 +60,21 @@ fn check_decision(
     let via_memo = model
         .select_action_with(context, rng_memo, scratch)
         .unwrap();
-    // Nothing is stale right after a decision, so this reads back the score
-    // vector the decision was taken on without scoring anything.
-    let remembered = bits(model.memo_scores(context, &mut scratch.memo).unwrap());
+    // Nothing is re-stamped right after a decision, so this reads back the
+    // score vector the decision was taken on without scoring anything.
+    let scored = scratch.arms_scored();
+    model.refresh_memo(context, scratch).unwrap();
+    prop_assert_eq!(scratch.arms_scored(), scored);
+    let remembered = bits(&scratch.scores);
     let via_fresh = model
         .select_action_with(context, rng_fresh, &mut SelectScratch::new())
         .unwrap();
-    // The trait path brings a clone's mirror up to date before it sweeps.
     let via_trait = model.clone().select_action(context, rng_trait).unwrap();
     let via_oracle = model.select_action_reference(context, rng_oracle).unwrap();
     prop_assert_eq!(
         &remembered,
         &bits(&model.scores(context).unwrap()),
-        "remembered scores diverged from a fresh sweep"
+        "remembered scores diverged from a fresh scoring"
     );
     prop_assert_eq!(
         &remembered,
@@ -89,12 +90,11 @@ fn check_decision(
 }
 
 /// Mutates `models[m]` and decides on it. With `shared`, a clone of the
-/// model is alive across the mutation: nothing is copied, every arm the
-/// mutation re-stamps is left stale, and the clone (whose lanes are not)
-/// decides too. Otherwise the model owns its mirror alone and writes every
-/// re-stamped arm through. The first decision primes the memo, so the
-/// second finds its context and re-scores the written arms (a hit), while
-/// the fresh scratch sweeps the mirror (a miss).
+/// model is alive across the mutation: the model copies exactly the arms
+/// the mutation re-stamps, the clone keeps every arm and stamp it had, and
+/// the clone decides too. The first decision primes the memo, so the second
+/// finds its context and re-scores the written arms (a hit), while the
+/// fresh scratch scores every arm (a miss).
 fn mutate_and_decide(
     models: &mut [LinUcb; 3],
     m: usize,
@@ -106,38 +106,24 @@ fn mutate_and_decide(
 ) {
     check_decision(&models[m], context, scratch, rngs);
     let before = models[m].stamps.clone();
-    let source = if shared {
-        Some(models[m].clone())
-    } else {
-        // Models start as clones of one another and may share a mirror
-        // still: take it for this model alone, stale lanes and all.
-        Arc::make_mut(&mut models[m].arena);
-        None
-    };
-    let mirror = Arc::as_ptr(&models[m].arena);
-    let stale = source.as_ref().map(LinUcb::stale_lanes);
+    let source = shared.then(|| models[m].clone());
     mutate(models);
     let model = &models[m];
-    prop_assert!(
-        std::ptr::eq(mirror, Arc::as_ptr(&model.arena)),
-        "a mutation copied the mirror"
-    );
     let restamped: Vec<usize> = (0..before.len())
         .filter(|&arm| before[arm] != model.stamps[arm])
         .collect();
     prop_assert!(!restamped.is_empty(), "a mutation re-stamped no arm");
-    for arm in restamped {
-        let fresh = model.arena.loaded_stamps()[arm] == model.stamps[arm];
-        prop_assert_eq!(
-            fresh,
-            !shared,
-            "arm {} written through a shared mirror, or left stale in an owned one",
-            arm
-        );
-    }
     check_decision(model, context, scratch, rngs);
     if let Some(source) = source {
-        prop_assert_eq!(Some(source.stale_lanes()), stale);
+        prop_assert_eq!(&source.stamps, &before, "a mutation re-stamped the clone");
+        for (arm, (mine, theirs)) in model.arms.iter().zip(&source.arms).enumerate() {
+            prop_assert_eq!(
+                Arc::ptr_eq(mine, theirs),
+                !restamped.contains(&arm),
+                "arm {} copied without a re-stamp, or re-stamped in place under a clone",
+                arm
+            );
+        }
         check_decision(&source, context, scratch, rngs);
     }
 }
@@ -180,7 +166,7 @@ proptest! {
             };
             let arm = Action::new(rng.gen_range(0..arms));
             // Half the steps decide; the rest change the model they drew,
-            // half of those while a clone shares its mirror.
+            // half of those while a clone shares its arms.
             let shared = rng.gen_bool(0.5);
             let (scratch, rngs) = (&mut scratch, &mut rngs);
             match rng.gen_range(0..10) {
@@ -236,16 +222,11 @@ proptest! {
             }
         }
         // Whatever the interleaving left behind, every pooled context still
-        // decides the same way on every model, before and after its mirror
-        // is brought up to date.
-        for (m, model) in models.iter_mut().enumerate() {
+        // decides the same way on every model, and on a clone of it.
+        for (m, model) in models.iter().enumerate() {
             for context in &pools[usize::from(m == 2)] {
                 check_decision(model, context, &mut scratch, &mut rngs);
-            }
-            model.sync_mirror().unwrap();
-            prop_assert_eq!(model.stale_lanes(), 0);
-            for context in &pools[usize::from(m == 2)] {
-                check_decision(model, context, &mut scratch, &mut rngs);
+                check_decision(&model.clone(), context, &mut scratch, &mut rngs);
             }
         }
     }

@@ -3,9 +3,9 @@
 //! source of truth directly — state no public accessor exposes — which is
 //! why they (and the suites importing them) live inside the crate.
 //!
-//! * **Select** — the scalar one-arm-at-a-time rule that predates the score
-//!   arena: per arm, solve `θ_a = A_a⁻¹ b_a`, take `θ_aᵀx`, add
-//!   `α·√(xᵀA_a⁻¹x)` (two temporary vectors per arm), then the historical
+//! * **Select** — the historical scalar one-arm-at-a-time rule: per arm,
+//!   solve `θ_a = A_a⁻¹ b_a`, take `θ_aᵀx`, add `α·√(xᵀA_a⁻¹x)` (two
+//!   temporary vectors per arm), then the historical
 //!   tie-breaking loop. [`LinUcb::scores`] / [`LinUcb::select_action_with`]
 //!   must stay bit-for-bit equal to it, randomness consumption included.
 //! * **Install** — the merge of whole models: every arm of `other` merged

@@ -1,6 +1,6 @@
-//! Agreement pin between the arena scoring path and the scalar oracle.
+//! Agreement pin between the one-arm score kernel and the scalar oracle.
 //!
-//! The flat arena path (`scores` / `select_action_with` and the trait
+//! The kernel's paths (`scores` / `select_action_with` and the trait
 //! `select_action`) must be **bit-for-bit** equal to the scalar reference in
 //! [`super::oracle`] — the f64 source of truth. The typed shape errors are
 //! pinned from public API alone, in `tests/select_agreement.rs`.
@@ -63,7 +63,7 @@ proptest! {
                 prop_assert_eq!(
                     s.to_bits(),
                     r.to_bits(),
-                    "arena score for arm {} diverged from the scalar reference",
+                    "score for arm {} diverged from the scalar reference",
                     arm
                 );
             }

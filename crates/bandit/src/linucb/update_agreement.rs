@@ -89,9 +89,9 @@ fn check_models_bit_identical(left: &LinUcb, right: &LinUcb, seed: u64) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "theta diverged on arm {}", arm);
         }
     }
-    // Scores go through the flat arena: a missed sync leaves the arm's θ,
-    // stamp and lanes behind its statistics and shows up here even when the
-    // statistics above agree.
+    // Scores read the cached θ: a missed sync leaves the arm's θ and stamp
+    // behind its statistics and shows up here even when the statistics above
+    // agree.
     let mut ctx_rng = StdRng::seed_from_u64(seed.wrapping_add(101));
     for _ in 0..4 {
         let ctx = random_context(d, &mut ctx_rng);

@@ -1,8 +1,8 @@
 //! Public-API pins for the select path.
 //!
-//! The f64 arena path (`scores` / `select_action_with` and the trait
-//! `select_action`) is pinned bit-for-bit against the scalar oracle inside
-//! the crate (`src/linucb/select_agreement.rs` — the oracle reads state no
+//! The one-arm score kernel's paths (`scores` / `select_action_with` and
+//! the trait `select_action`) are pinned bit-for-bit against the scalar
+//! oracle inside the crate (`src/linucb/select_agreement.rs` — the oracle reads state no
 //! public accessor exposes). What needs only public API lives here: the
 //! typed shape errors.
 

@@ -1,14 +1,14 @@
-//! Micro-benchmarks of the LinUCB scoring paths over identical trained
-//! models:
+//! Micro-benchmarks of the LinUCB select path over identical trained
+//! models, both through one long-lived `SelectScratch`:
 //!
-//! * `arena_f64` — the full sweep over the flat element-major score arena
-//!   with caller-provided scratch buffers (allocation-free; pinned
-//!   bit-for-bit against the scalar oracle by `p2b_bandit`'s in-crate
-//!   `select_agreement` suite). Contexts rotate, so the scratch's memo of
-//!   the last sweep never matches and every decision is a sweep;
-//! * `memo` — the other side of the same call: one context, one reward
-//!   folded into the chosen arm between decisions, so each decision
-//!   re-scores exactly that arm (`memo_agreement` pins it equal to a sweep).
+//! * `select_miss` — contexts alternate, so the scratch's memo never holds
+//!   the decision's context and every decision re-scores all arms with the
+//!   one-arm kernel (allocation-free once warm; pinned bit-for-bit against
+//!   the scalar oracle by `p2b_bandit`'s in-crate `select_agreement` suite);
+//! * `select_memo` — the other side of the same call: one context, one
+//!   reward folded into the chosen arm between decisions, so each decision
+//!   re-scores exactly that arm (`memo_agreement` pins it equal to a fresh
+//!   scratch).
 //!
 //! This bench gives per-decision latencies under criterion's measurement
 //! loop; `bash benchmark/run.sh` reports the same path end to end as the
@@ -43,8 +43,8 @@ fn trained(dimension: usize, actions: usize) -> LinUcb {
     policy
 }
 
-fn bench_select_arena_f64(c: &mut Criterion) {
-    let mut group = c.benchmark_group("select_arena_f64");
+fn bench_select_miss(c: &mut Criterion) {
+    let mut group = c.benchmark_group("select_miss");
     for &(dimension, actions) in &SHAPES {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("d{dimension}_a{actions}")),
@@ -97,5 +97,5 @@ fn bench_select_memo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_select_arena_f64, bench_select_memo);
+criterion_group!(benches, bench_select_miss, bench_select_memo);
 criterion_main!(benches);

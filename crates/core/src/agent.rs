@@ -3,7 +3,7 @@
 use crate::{CoreError, ModelSnapshot, P2bConfig, RandomizedReporter};
 use p2b_bandit::{Action, ContextualPolicy, LinUcb, SelectScratch};
 use p2b_encoding::{ContextCode, Encoder};
-use p2b_linalg::{ScoreCounters, Vector};
+use p2b_linalg::Vector;
 use p2b_privacy::{amplified_epsilon, PrivacyGuarantee};
 use p2b_shuffler::{EncodedReport, RawReport};
 use rand::Rng;
@@ -97,7 +97,8 @@ enum DormantPolicy {
 /// bit-identical rehydration needs (reporter phase, privacy spent, owned
 /// policy if any), plus the agent's two memos (its select memo and its
 /// decided code, with the encoder that code came from) so that a
-/// rehydrated agent neither re-sweeps nor re-encodes, and nothing else
+/// rehydrated agent neither re-scores unchanged arms nor re-encodes, and
+/// nothing else
 /// (shared snapshots are re-acquired from the current epoch).
 ///
 /// Produced by [`LocalAgent::dehydrate`], consumed by
@@ -167,20 +168,19 @@ impl DormantAgent {
     }
 }
 
-/// Approximate heap footprint of the LinUCB state a promoted agent owns:
-/// per action one `d × d` design matrix, its inverse, and three `d`-vectors
-/// of `f64`s (reward vector, cached θ, update scratch). Not counted: the
-/// flat score-arena mirror (`d² + d` words per action), which a promoted
-/// agent shares with its epoch snapshot for as long as it only folds — its
-/// written arms' lanes go stale instead of copying it. For an agent that
-/// owns its mirror alone — a cold agent, or a promoted one whose snapshot
-/// and siblings are gone — the figure is therefore a lower bound, short by
-/// that mirror. Not counted either: the model's one-word
-/// content stamp per action; the agent's select memo (`d + 2·A` words: the
-/// last context, and a stamp and a score per action) and its
-/// `DecidedContext` (`d` words), resident or dormant — bookkeeping that
-/// decides how many arms a decision re-scores and whether a context is
-/// encoded again, never which action is picked or which code is reported.
+/// Heap footprint of the `f64` state a LinUCB model's arms hold: per action
+/// one `d × d` design matrix, its inverse, and three `d`-vectors (reward
+/// vector, cached θ, the fold's `A⁻¹x` lane). Selection scores every arm
+/// off exactly this state; the model keeps no second copy of it. A promoted
+/// agent shares the arms it has not written with its epoch snapshot, so the
+/// figure is what the agent would own once every arm is written. Not
+/// counted: the `d² + d` words of refresh scratch an arm allocates at its
+/// first exact refresh of the inverse, the model's one-word content stamp
+/// per action, the agent's select memo (`d + 2·A` words: the last context,
+/// and a stamp and a score per action) and its `DecidedContext` (`d`
+/// words), resident or dormant — bookkeeping that decides how many arms a
+/// decision re-scores and whether a context is encoded again, never which
+/// action is picked or which code is reported.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;
@@ -210,8 +210,9 @@ pub struct LocalAgent {
     per_report_guarantee: PrivacyGuarantee,
     pending: Vec<RawReport>,
     interactions: u64,
-    /// Reused buffers for allocation-free selection, plus the memo of this
-    /// agent's last sweep (context, per-arm content stamps, scores): while
+    /// Reused buffers for allocation-free selection, plus the memo of the
+    /// scores this agent last decided on (context, per-arm content stamps,
+    /// scores): while
     /// the agent keeps deciding on one code, only the arms folded in between
     /// are re-scored. A remembered score is bit-equal to the recomputed one
     /// against any model (see [`SelectScratch`]), so the memo is not
@@ -283,14 +284,14 @@ impl LocalAgent {
         self.interactions
     }
 
-    /// Full sweeps and arms scored by this agent's decisions since it was
-    /// created — the machine-independent cost of its select path; eviction
-    /// and rehydration carry the counters over. Steady traffic on one code
-    /// stays near one arm per decision (the arm the last reward folded
-    /// into); every context switch costs one sweep of all arms.
+    /// Arms scored by this agent's decisions since it was created — the
+    /// machine-independent cost of its select path; eviction and
+    /// rehydration carry the count over. Steady traffic on one code stays
+    /// near one arm per decision (the arm the last reward folded into);
+    /// every context switch re-scores all arms.
     #[must_use]
-    pub fn select_counters(&self) -> ScoreCounters {
-        self.scratch.counters()
+    pub fn arms_scored(&self) -> u64 {
+        self.scratch.arms_scored()
     }
 
     /// Borrows the agent's policy (e.g. to inspect per-arm statistics).
@@ -435,10 +436,7 @@ impl LocalAgent {
 
     /// Approximate heap bytes of model state this agent *owns*: zero while
     /// it still reads through the shared snapshot, its private LinUCB
-    /// statistics once promoted. The score-arena mirror is not among them:
-    /// a promoted agent keeps sharing its snapshot's, so for the last owner
-    /// of a mirror this reads low by it. The pool's memory accounting sums
-    /// this.
+    /// statistics once promoted. The pool's memory accounting sums this.
     #[must_use]
     pub fn approx_owned_model_bytes(&self) -> usize {
         match &self.policy {
@@ -486,8 +484,8 @@ impl LocalAgent {
     /// gets its own policy back untouched.
     ///
     /// The select memo comes back as it is: its stamps make a remembered
-    /// score the score a sweep would compute against whatever model the
-    /// agent now serves. The decided code comes back only when `encoder` is
+    /// score the score a fresh scratch would compute against whatever model
+    /// the agent now serves. The decided code comes back only when `encoder` is
     /// the very allocation it was computed under; under any other encoder
     /// the agent encodes its next context afresh.
     ///
@@ -593,19 +591,21 @@ pub(crate) mod tests {
             LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap(),
             LinUcb::new(p2b_bandit::LinUcbConfig::new(6, 3)).unwrap(),
         ] {
-            let snapshot = Arc::new(crate::ModelSnapshot::new(0, bad_model).unwrap());
+            let snapshot = Arc::new(crate::ModelSnapshot::new(0, bad_model));
             let err = LocalAgent::new(7, &cfg, Arc::clone(&enc), Some(snapshot));
             assert!(matches!(err, Err(CoreError::InvalidConfig { .. })));
         }
 
         // And a still-shared agent refuses to hop onto a mis-shaped snapshot.
-        let good =
-            Arc::new(crate::ModelSnapshot::new(0, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
+        let good = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(cfg.linucb()).unwrap(),
+        ));
         let mut agent = LocalAgent::new(8, &cfg, Arc::clone(&enc), Some(good)).unwrap();
-        let bad = Arc::new(
-            crate::ModelSnapshot::new(1, LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap())
-                .unwrap(),
-        );
+        let bad = Arc::new(crate::ModelSnapshot::new(
+            1,
+            LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap(),
+        ));
         assert!(agent.refresh_from_snapshot(bad).is_err());
         assert!(
             agent.warm_snapshot().is_some(),
@@ -617,8 +617,10 @@ pub(crate) mod tests {
     fn rehydration_rejects_mis_shaped_snapshots() {
         let cfg = config(); // 4-dimensional contexts, 3 actions
         let enc = encoder(11);
-        let good =
-            Arc::new(crate::ModelSnapshot::new(0, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
+        let good = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(cfg.linucb()).unwrap(),
+        ));
         let agent = LocalAgent::new(9, &cfg, Arc::clone(&enc), Some(good)).unwrap();
         let (_, dormant) = agent.dehydrate();
         assert!(!dormant.has_local_state());
@@ -628,15 +630,17 @@ pub(crate) mod tests {
             LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap(),
             LinUcb::new(p2b_bandit::LinUcbConfig::new(6, 3)).unwrap(),
         ] {
-            let bad = Arc::new(crate::ModelSnapshot::new(1, bad_model).unwrap());
+            let bad = Arc::new(crate::ModelSnapshot::new(1, bad_model));
             assert!(matches!(
                 LocalAgent::rehydrate(dormant.clone(), Arc::clone(&enc), &bad),
                 Err(CoreError::InvalidConfig { .. })
             ));
         }
         // A well-shaped snapshot rehydrates fine.
-        let fresh =
-            Arc::new(crate::ModelSnapshot::new(2, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
+        let fresh = Arc::new(crate::ModelSnapshot::new(
+            2,
+            LinUcb::new(cfg.linucb()).unwrap(),
+        ));
         let revived = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &fresh).unwrap();
         assert!(revived
             .warm_snapshot()
@@ -670,10 +674,6 @@ pub(crate) mod tests {
 
     #[test]
     fn select_counters_follow_the_folds_between_decisions() {
-        let counted = |agent: &LocalAgent| {
-            let counters = agent.select_counters();
-            (counters.sweeps, counters.arms_scored)
-        };
         let mut rng = StdRng::seed_from_u64(6);
         let enc = encoder(6);
         // Three arms; the two contexts fall in different codes.
@@ -681,34 +681,36 @@ pub(crate) mod tests {
         let here = Vector::from(vec![1.0, 0.1, 0.1, 0.1]);
         let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
         assert_ne!(enc.encode(&here).unwrap(), enc.encode(&there).unwrap());
-        assert_eq!(counted(&agent), (0, 0));
+        assert_eq!(agent.arms_scored(), 0);
 
-        // Ten decisions on one code, one fold after each: one sweep of all
-        // three arms, then only the arm the last reward went into.
+        // Ten decisions on one code, one fold after each: all three arms
+        // once, then only the arm the last reward went into.
         for _ in 0..10 {
             let action = agent.select_action(&here, &mut rng).unwrap();
             agent.observe_reward(&here, action, 1.0, &mut rng).unwrap();
         }
-        assert_eq!(counted(&agent), (1, 3 + 9));
-        // A context switch costs one sweep, each way, whatever was folded.
+        assert_eq!(agent.arms_scored(), 3 + 9);
+        // A context switch re-scores every arm, each way, whatever was
+        // folded.
         agent.select_action(&there, &mut rng).unwrap();
-        assert_eq!(counted(&agent), (2, 3 + 9 + 3));
+        assert_eq!(agent.arms_scored(), 3 + 9 + 3);
         agent.select_action(&here, &mut rng).unwrap();
-        assert_eq!(counted(&agent), (3, 3 + 9 + 3 + 3));
+        assert_eq!(agent.arms_scored(), 3 + 9 + 3 + 3);
         // Nothing folded since: nothing scored.
         agent.select_action(&here, &mut rng).unwrap();
-        assert_eq!(counted(&agent), (3, 18));
+        assert_eq!(agent.arms_scored(), 18);
 
-        // The memo and its counters travel through eviction: a rehydrated
-        // agent keeps both and, nothing folded since, scores nothing.
+        // The memo and its count travel through eviction: a rehydrated agent
+        // keeps both and, nothing folded since, scores nothing.
         let (_, dormant) = agent.dehydrate();
-        let snapshot = Arc::new(
-            crate::ModelSnapshot::new(0, LinUcb::new(config().linucb()).unwrap()).unwrap(),
-        );
+        let snapshot = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(config().linucb()).unwrap(),
+        ));
         let mut revived = LocalAgent::rehydrate(dormant, enc, &snapshot).unwrap();
-        assert_eq!(counted(&revived), (3, 18));
+        assert_eq!(revived.arms_scored(), 18);
         revived.select_action(&here, &mut rng).unwrap();
-        assert_eq!(counted(&revived), (3, 18));
+        assert_eq!(revived.arms_scored(), 18);
     }
 
     /// Counts the `encode` calls that reach the encoder it wraps.
@@ -768,9 +770,10 @@ pub(crate) mod tests {
         // The same encoder behind another allocation: an agent rehydrated
         // under it cannot know its decided code still holds, so forgets it.
         let elsewhere: Arc<dyn Encoder> = CountingEncoder::wrap(Arc::clone(&enc));
-        let snapshot = Arc::new(
-            crate::ModelSnapshot::new(0, LinUcb::new(config().linucb()).unwrap()).unwrap(),
-        );
+        let snapshot = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(config().linucb()).unwrap(),
+        ));
         let here = Vector::from(vec![1.0, 0.1, 0.1, 0.0]);
         let there = Vector::from(vec![0.1, 0.1, 0.1, 1.0]);
 
@@ -879,7 +882,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        let snapshot = Arc::new(crate::ModelSnapshot::new(0, model).unwrap());
+        let snapshot = Arc::new(crate::ModelSnapshot::new(0, model));
         let mut rng = StdRng::seed_from_u64(13);
         let mut agent =
             LocalAgent::new(12, &cfg, Arc::clone(&first), Some(Arc::clone(&snapshot))).unwrap();
@@ -953,8 +956,10 @@ pub(crate) mod tests {
         assert_eq!(agent.reporter().opportunities(), 7);
         assert_bits(&agent, 7);
 
-        let snapshot =
-            Arc::new(crate::ModelSnapshot::new(0, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
+        let snapshot = Arc::new(crate::ModelSnapshot::new(
+            0,
+            LinUcb::new(cfg.linucb()).unwrap(),
+        ));
         let (_, dormant) = agent.dehydrate();
         let mut revived = LocalAgent::rehydrate(dormant, Arc::clone(&enc), &snapshot).unwrap();
         assert_bits(&revived, 7);
@@ -987,7 +992,7 @@ pub(crate) mod tests {
             central.update(&model_ctx, Action::new(0), 0.0).unwrap();
             central.update(&model_ctx, Action::new(1), 0.0).unwrap();
         }
-        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central).unwrap());
+        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central));
 
         let mut warm =
             LocalAgent::new(4, &cfg, Arc::clone(&enc), Some(Arc::clone(&snapshot))).unwrap();
@@ -1015,8 +1020,10 @@ pub(crate) mod tests {
         // A still-shared sibling can hop to a newer snapshot without copying.
         let mut sibling =
             LocalAgent::new(5, &cfg, Arc::clone(&enc), Some(Arc::clone(&snapshot))).unwrap();
-        let newer =
-            Arc::new(crate::ModelSnapshot::new(2, LinUcb::new(cfg.linucb()).unwrap()).unwrap());
+        let newer = Arc::new(crate::ModelSnapshot::new(
+            2,
+            LinUcb::new(cfg.linucb()).unwrap(),
+        ));
         sibling.refresh_from_snapshot(Arc::clone(&newer)).unwrap();
         assert!(sibling
             .warm_snapshot()
@@ -1034,7 +1041,7 @@ pub(crate) mod tests {
         for arm in 0..3 {
             central.update(&centroid, Action::new(arm), 1.0).unwrap();
         }
-        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central).unwrap());
+        let snapshot = Arc::new(crate::ModelSnapshot::new(1, central));
 
         // One local observation promotes the agent to an owned copy of the
         // snapshot: its policy already holds the central statistics.
@@ -1058,7 +1065,7 @@ pub(crate) mod tests {
             newer.update(&centroid, Action::new(arm), 1.0).unwrap();
         }
         newer.update(&centroid, Action::new(0), 0.0).unwrap();
-        let newer = Arc::new(crate::ModelSnapshot::new(2, newer).unwrap());
+        let newer = Arc::new(crate::ModelSnapshot::new(2, newer));
         agent.refresh_from_snapshot(newer).unwrap();
         assert!(agent.warm_snapshot().is_none());
         assert_eq!(agent.policy().observations(), observations);

@@ -16,7 +16,7 @@
 //!   into the pool outbox (the reporter path to the shuffler never loses
 //!   data) and its local policy state moves to the dormant tier, together
 //!   with its select memo and decided code, so a rehydrated agent neither
-//!   re-sweeps its arms nor re-encodes its context.
+//!   re-scores its unchanged arms nor re-encodes its context.
 //! * **Rehydration from the current snapshot** — a dormant agent that never
 //!   folded a local observation costs *zero* persisted model bytes and is
 //!   rebuilt as a pointer into the current epoch's shared
@@ -643,7 +643,7 @@ mod tests {
         // dormant shared agents rehydrate from it, and neither can.
         let mis_shaped = |epoch| {
             let model = p2b_bandit::LinUcb::new(p2b_bandit::LinUcbConfig::new(4, 5)).unwrap();
-            Arc::new(ModelSnapshot::new(epoch, model).unwrap())
+            Arc::new(ModelSnapshot::new(epoch, model))
         };
         let bad = AgentSource {
             snapshot: mis_shaped(1),
@@ -690,8 +690,8 @@ mod tests {
     fn steady_serving_scores_under_one_arm_per_decision() {
         // The `serve_steady` shape in small: twenty arms, every agent
         // resident, skewed codes, a round of decisions and then three in
-        // four of its rewards folded in a burst. A sweep per decision would
-        // score twenty arms each time.
+        // four of its rewards folded in a burst. Scoring every arm per
+        // decision would score twenty arms each time.
         let config = P2bConfig::new(4, 20).with_local_interactions(1);
         let mut sys = P2bSystem::new(config, Arc::clone(system().encoder())).unwrap();
         let source = AgentSource::capture(&mut sys).unwrap();
@@ -719,17 +719,15 @@ mod tests {
                 }
             }
         }
-        let (mut sweeps, mut arms_scored) = (0, 0);
+        let mut arms_scored = 0;
         for key in 0..4u64 {
-            let counters = pool
-                .with_agent_at(&source, key, |agent| Ok(agent.select_counters()))
+            arms_scored += pool
+                .with_agent_at(&source, key, |agent| Ok(agent.arms_scored()))
                 .unwrap();
-            sweeps += counters.sweeps;
-            arms_scored += counters.arms_scored;
         }
         assert!(
             arms_scored < decisions,
-            "{arms_scored} arms scored ({sweeps} sweeps) over {decisions} decisions"
+            "{arms_scored} arms scored over {decisions} decisions"
         );
     }
 

@@ -19,7 +19,7 @@
 //!                                │ its dirty arms (merge, one refresh,
 //!                                │ θ solve) and sends each as it is built
 //!                                ▼
-//!                built arms, streamed ──▶ assemble: install each, load lanes
+//!                built arms, streamed ──▶ assemble: install each, stamp it
 //!                                ▼
 //!                  Arc<ModelSnapshot { epoch, model }> ──▶ warm starts
 //! ```
@@ -42,15 +42,16 @@
 //!   dispatcher, and no worker waits on the dispatcher.
 //! * **Sums, not models** — a shard keeps one [`ArmSums`] per owned arm and
 //!   a fold is an `O(d²)` outer-product add: no Sherman–Morrison inverse
-//!   update, θ solve or score lanes per fold.
+//!   update or θ solve per fold.
 //! * **Install on the shard** — at a snapshot request each shard builds
 //!   the arms it folded into since the previous one ([`BuiltArm::new`]: a
 //!   cold arm merged with the sums, one Cholesky refresh, the θ solve), so
 //!   the `O(d³)` work of an epoch runs on every core; the service only
 //!   installs the built arms, as they arrive, into one persistent model
-//!   ([`LinUcb::install_arm`]: a copy, a stamp, the lanes) and publishes one [`ModelSnapshot`] per
-//!   *epoch* (a counter bumped on every mutating ingest) behind an `Arc`.
-//!   All agents created within an epoch share one assembly.
+//!   ([`LinUcb::install_arm`]: a copy and a stamp) and publishes one
+//!   [`ModelSnapshot`] per *epoch* (a counter bumped on every mutating
+//!   ingest) behind an `Arc`. All agents created within an epoch share one
+//!   assembly.
 //!
 //! Determinism: each arm is owned by exactly one shard and receives its
 //! cells in submission order, and the build is the arithmetic of
@@ -153,16 +154,9 @@ pub struct ModelSnapshot {
 
 impl ModelSnapshot {
     /// Wraps an assembled model with its epoch. Snapshots are published by
-    /// [`crate::CentralServer::snapshot`]. Every agent of the epoch sweeps
-    /// the model, so its score mirror is brought up to date first
-    /// ([`LinUcb::sync_mirror`]): a published snapshot has no stale lanes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LinUcb::sync_mirror`]'s error.
-    pub(crate) fn new(epoch: u64, mut model: LinUcb) -> Result<Self, CoreError> {
-        model.sync_mirror()?;
-        Ok(Self { epoch, model })
+    /// [`crate::CentralServer::snapshot`].
+    pub(crate) fn new(epoch: u64, model: LinUcb) -> Self {
+        Self { epoch, model }
     }
 
     /// The ingestion epoch this snapshot was assembled at.
@@ -417,8 +411,7 @@ impl ModelService {
     /// dirty union. The builds run on the shards, in parallel; this thread
     /// only installs each built arm as it arrives — a copy into this
     /// thread's allocations, so nothing the model keeps lives on a shard's
-    /// heap — and loads its score lanes ([`LinUcb::install_arm`]), no
-    /// factorization. Publication piggybacks
+    /// heap — and stamps it ([`LinUcb::install_arm`]), no factorization. Publication piggybacks
     /// on this: `LinUcb` stores its arms behind per-arm `Arc`s, so the
     /// returned clone shares every clean arm's storage with the previous
     /// epoch's snapshot.

@@ -13,7 +13,7 @@
 //! an agent's bytes live, never what they are.
 //!
 //! Eviction does not drop the agent's memos either: the dormant form keeps
-//! the select memo (the scores of its last sweep) and the decided code, so
+//! the select memo (the scores of its last decision) and the decided code, so
 //! a rehydrated agent re-scores only the arms folded since, exactly as the
 //! never-evicted one does. The suite therefore also pins that eviction
 //! costs nothing in the select path — every bounded run scores exactly as
@@ -107,9 +107,9 @@ fn run_pool(pool_config: AgentPoolConfig, ops: &[Op], seed: u64) -> Observed {
         let action = pool
             .with_agent_at(&source, op.key, |agent| {
                 let ctx = context(op.cluster);
-                let before = agent.select_counters().arms_scored;
+                let before = agent.arms_scored();
                 let action = agent.select_action(&ctx, &mut rng)?;
-                arms_scored += agent.select_counters().arms_scored - before;
+                arms_scored += agent.arms_scored() - before;
                 if op.update {
                     agent.observe_reward(&ctx, action, op.reward, &mut rng)?;
                 }

@@ -100,12 +100,11 @@ impl PartialEq for RankOneInverse {
 /// Applies the Sherman–Morrison correction `M ← M − (ax)(ax)ᵀ/denom` over
 /// the flat storage of `inverse`.
 ///
-/// The flat row-major storage *is* the element-major fold layout (the
-/// write-side mirror of `ScoreArena`): coordinate `(i, j)` of the inverse
-/// lives at lane `i·n + j`, every lane's correction `axᵢ·axⱼ/denom` is
-/// independent of every other lane, and the inner loop walks `n` contiguous
-/// lanes with a single hoisted `axᵢ` — a pure streaming multiply-subtract
-/// chain the compiler can vectorize. The division stays inside the lane
+/// The flat row-major storage is walked as independent lanes: coordinate
+/// `(i, j)` of the inverse lives at lane `i·n + j`, every lane's correction
+/// `axᵢ·axⱼ/denom` is independent of every other lane, and the inner loop
+/// walks `n` contiguous lanes with a single hoisted `axᵢ` — a pure streaming
+/// multiply-subtract chain the compiler can vectorize. The division stays inside the lane
 /// expression (not hoisted into a reciprocal) because the historical FP
 /// sequence divides per element, and bit-identical inverses are part of the
 /// contract.

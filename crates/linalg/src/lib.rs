@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod arena;
 mod cholesky;
 mod error;
 mod incremental;
@@ -36,7 +35,6 @@ mod matrix;
 mod stats;
 mod vector;
 
-pub use arena::{ScoreArena, ScoreCounters, ScoreMemo, ScoreScratch};
 #[cfg(feature = "counters")]
 pub use cholesky::factorizations_on_this_thread;
 pub use cholesky::Cholesky;
