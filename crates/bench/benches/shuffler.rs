@@ -1,6 +1,7 @@
 //! Benchmarks of the shuffler: the synchronous kernel (anonymize,
 //! tabulate, threshold) over batches of the size a deployment would
-//! accumulate between rounds, and the streaming engine end to end.
+//! accumulate between rounds, and the streaming engine end to end, from 4
+//! producers and from one at a serving flush's size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2b_shuffler::{EncodedReport, RawReport, Shuffler, ShufflerConfig, ShufflerEngine};
@@ -41,26 +42,33 @@ fn bench_process(c: &mut Criterion) {
 /// Producer threads of the engine benchmark.
 const PRODUCERS: usize = 4;
 const REPORTS_PER_PRODUCER: usize = 5_000;
+/// Reports in one flush of the serving loop (`serve_steady`, `serve_churn`),
+/// which submits them from one thread into one 2 048-report batch.
+const SERVE_FLUSH_REPORTS: usize = 1_200;
 
-/// Sampled end-to-end times of the streaming engine: 4 producers submit a
-/// fixed report stream, and one measurement covers spawn → submit →
-/// finish. The same engine under the whole ingest path is the
-/// `ingest_bulk` workload of `bash benchmark/run.sh`.
+/// `len` reports from `producer`, over 32 codes and 10 actions.
+fn stream(producer: usize, len: usize) -> Vec<RawReport> {
+    let mut rng = StdRng::seed_from_u64(producer as u64 + 7);
+    (0..len)
+        .map(|i| {
+            RawReport::with_timestamp(
+                format!("producer-{producer}"),
+                i as u64,
+                EncodedReport::new(rng.gen_range(0..32), rng.gen_range(0..10), 1.0).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Sampled end-to-end times of the streaming engine, spawn → submit →
+/// finish: 4 producers submit a fixed report stream into 2 048-report
+/// batches, and one producer submits a serving flush into one batch (its
+/// reports are cloned outside the timed routine). The same engine under the
+/// whole ingest path is the `ingest_bulk` workload of
+/// `bash benchmark/run.sh`.
 fn bench_engine(c: &mut Criterion) {
     let streams: Vec<Vec<RawReport>> = (0..PRODUCERS)
-        .map(|producer| {
-            let mut rng = StdRng::seed_from_u64(producer as u64 + 7);
-            (0..REPORTS_PER_PRODUCER)
-                .map(|i| {
-                    RawReport::with_timestamp(
-                        format!("producer-{producer}"),
-                        i as u64,
-                        EncodedReport::new(rng.gen_range(0..32), rng.gen_range(0..10), 1.0)
-                            .unwrap(),
-                    )
-                })
-                .collect()
-        })
+        .map(|producer| stream(producer, REPORTS_PER_PRODUCER))
         .collect();
     let engine = ShufflerEngine::builder(ShufflerConfig::new(10))
         .batch_size(2_048)
@@ -83,6 +91,20 @@ fn bench_engine(c: &mut Criterion) {
             });
             handle.finish()
         });
+    });
+    let flush = stream(0, SERVE_FLUSH_REPORTS);
+    group.bench_function("1_producer_serve_flush", |b| {
+        b.iter_batched(
+            || flush.clone(),
+            |reports| {
+                let handle = engine.spawn();
+                for report in reports {
+                    handle.submit(report).unwrap();
+                }
+                handle.finish()
+            },
+            criterion::BatchSize::SmallInput,
+        );
     });
     group.finish();
 }

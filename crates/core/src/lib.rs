@@ -21,9 +21,9 @@
 //! touched, and the [`CentralServer`] publishes epoch-versioned
 //! [`ModelSnapshot`]s behind an `Arc` that all warm starts of an epoch
 //! share. Reports reach it one way: through the streaming engine
-//! ([`P2bSystem::spawn_engine`], a one-lane [`p2b_shuffler::ShufflerEngine`]
-//! with per-batch (ε, δ) amplification accounting, batching at
-//! [`P2bConfig::shuffler_batch_size`]),
+//! ([`P2bSystem::spawn_engine`], a [`p2b_shuffler::ShufflerEngine`] that
+//! runs on the submitting thread, with per-batch (ε, δ) amplification
+//! accounting, batching at [`P2bConfig::shuffler_batch_size`]),
 //! whose released cells the server sums until the next publish
 //! ([`P2bSystem::ingest_engine_batch`]).
 //! [`P2bSystem::streaming_round`] is the single-producer flush.

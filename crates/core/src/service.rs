@@ -19,7 +19,8 @@
 //!                                │ its dirty arms (merge, one refresh,
 //!                                │ θ solve) and sends each as it is built
 //!                                ▼
-//!                built arms, streamed ──▶ assemble: install each, stamp it
+//!                built arms, streamed ──▶ assemble: install each, shard by
+//!                                         shard, and stamp it
 //!                                ▼
 //!                  Arc<ModelSnapshot { epoch, model }> ──▶ warm starts
 //! ```
@@ -47,11 +48,16 @@
 //!   the arms it folded into since the previous one ([`BuiltArm::new`]: a
 //!   cold arm merged with the sums, one Cholesky refresh, the θ solve), so
 //!   the `O(d³)` work of an epoch runs on every core; the service only
-//!   installs the built arms, as they arrive, into one persistent model
-//!   ([`LinUcb::install_arm`]: a copy and a stamp) and publishes one
-//!   [`ModelSnapshot`] per *epoch* (a counter bumped on every mutating
-//!   ingest) behind an `Arc`. All agents created within an epoch share one
-//!   assembly.
+//!   installs the built arms, shard by shard as they arrive, into one
+//!   persistent model ([`LinUcb::install_arm`]: a copy and a stamp) and
+//!   publishes one [`ModelSnapshot`] per *epoch* (a counter bumped on every
+//!   mutating ingest) behind an `Arc`. All agents created within an epoch
+//!   share one assembly.
+//! * **Each heap frees its own** — the cell runs, the reply queues and the
+//!   installed arms are allocated and freed by the service's thread, and a
+//!   built arm, allocated by its shard, is freed only once every shard is
+//!   idle. So what the service leaves on its heap and on a shard's does
+//!   not depend on how the threads interleave.
 //!
 //! Determinism: each arm is owned by exactly one shard and receives its
 //! cells in submission order, and the build is the arithmetic of
@@ -60,13 +66,13 @@
 //! bit-for-bit independent of thread scheduling *and* of the shard count.
 
 use crate::CoreError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use p2b_bandit::{Action, ArmSums, BanditError, BuiltArm, LinUcb, LinUcbConfig};
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::Vector;
 use p2b_shuffler::{ReleasedCell, ShardPool, ShufflerError, SHARD_QUEUE_CAPACITY};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The context vector of every code: an encoder's `k` representatives, read
 /// once, checked once, then shared read-only behind an `Arc` by every
@@ -183,9 +189,11 @@ enum Reply {
 /// What one ingest shard can be asked to do.
 enum ShardCommand {
     /// Fold a run of cells (all on arms this shard owns) into the shard's
-    /// sums, in order, each as its code's row of `centroids`.
+    /// sums, in order, each as its code's row of `centroids`. The service
+    /// keeps its own handle on the run until the next assembly, so the run
+    /// is freed by the thread that allocated it.
     Fold {
-        cells: Vec<ReleasedCell>,
+        cells: Arc<Vec<ReleasedCell>>,
         centroids: Arc<Centroids>,
     },
     /// Build the dirty arms — every owned arm when `install_all` — sending
@@ -212,7 +220,7 @@ fn run_shard(
     config: &LinUcbConfig,
     cold: &ArmSums,
 ) {
-    let owned = config.num_actions.saturating_sub(shard).div_ceil(shards);
+    let owned = owned_arms(config.num_actions, shard, shards);
     let mut sums = vec![cold.clone(); owned];
     let mut dirty = vec![false; owned];
     let mut failure: Option<BanditError> = None;
@@ -221,7 +229,7 @@ fn run_shard(
             // After a failure the shard only answers snapshots, with it.
             ShardCommand::Fold { .. } if failure.is_some() => {}
             ShardCommand::Fold { cells, centroids } => {
-                for cell in &cells {
+                for cell in cells.iter() {
                     let local = cell.action() / shards;
                     let folded = match (sums.get_mut(local), centroids.row(cell.code())) {
                         (Some(arm), Some(context)) if cell.action() % shards == shard => {
@@ -268,6 +276,12 @@ fn run_shard(
     }
 }
 
+/// Number of the `num_actions` arms that shard `shard` of `shards` owns:
+/// the arms `shard, shard + shards, …`.
+fn owned_arms(num_actions: usize, shard: usize, shards: usize) -> usize {
+    num_actions.saturating_sub(shard).div_ceil(shards)
+}
+
 /// The concurrent central model service.
 ///
 /// Owns `M ≥ 1` ingest shards; [`crate::CentralServer`] spawns
@@ -292,6 +306,10 @@ pub struct ModelService {
     /// the first assembly, and reset to `None` if an assembly fails (the
     /// next one then installs every arm again).
     assembled: Option<LinUcb>,
+    /// The cell runs dispatched since the last assembly, each shared with
+    /// the shard folding it. The assembly drops them once every shard has
+    /// folded its runs, so this thread frees every run it allocated.
+    dispatched: Mutex<Vec<Arc<Vec<ReleasedCell>>>>,
     /// Arms installed into the assembled model, over the service's lifetime.
     #[cfg(test)]
     pub(crate) installs: u64,
@@ -319,6 +337,7 @@ impl ModelService {
             }),
             config,
             assembled: None,
+            dispatched: Mutex::default(),
             #[cfg(test)]
             installs: 0,
         })
@@ -384,8 +403,14 @@ impl ModelService {
             }
             shares[cell.action() % shards].push(*cell);
         }
+        let mut dispatched = self
+            .dispatched
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for (shard, cells) in shares.into_iter().enumerate() {
             if !cells.is_empty() {
+                let cells = Arc::new(cells);
+                dispatched.push(Arc::clone(&cells));
                 let centroids = Arc::clone(centroids);
                 self.shards
                     .send(shard, ShardCommand::Fold { cells, centroids })?;
@@ -409,12 +434,12 @@ impl ModelService {
     /// build every arm it owns, which also fixes never-updated arms' bit
     /// patterns to the post-merge refresh; later calls install only the
     /// dirty union. The builds run on the shards, in parallel; this thread
-    /// only installs each built arm as it arrives — a copy into this
-    /// thread's allocations, so nothing the model keeps lives on a shard's
-    /// heap — and stamps it ([`LinUcb::install_arm`]), no factorization. Publication piggybacks
-    /// on this: `LinUcb` stores its arms behind per-arm `Arc`s, so the
-    /// returned clone shares every clean arm's storage with the previous
-    /// epoch's snapshot.
+    /// only installs each built arm as it arrives, shard by shard — a copy
+    /// into this thread's allocations, so nothing the model keeps lives on
+    /// a shard's heap — and stamps it ([`LinUcb::install_arm`]), no
+    /// factorization. Publication piggybacks on this: `LinUcb` stores its
+    /// arms behind per-arm `Arc`s, so the returned clone shares every clean
+    /// arm's storage with the previous epoch's snapshot.
     ///
     /// An arm appears in the dirty union iff some shard folded a cell into
     /// it since the previous assembly (the conservation property pinned by
@@ -432,36 +457,55 @@ impl ModelService {
         // succeeds, so after a failure the next call installs every arm.
         let previous = self.assembled.take();
         let install_all = previous.is_none();
-        let (reply, replies) = unbounded();
-        for shard in 0..self.shards.shards() {
-            let reply = reply.clone();
-            self.shards
-                .send(shard, ShardCommand::Snapshot { install_all, reply })?;
-        }
-        drop(reply);
+        // One reply queue per shard, allocated here with room for every arm
+        // the shard owns and its `Done`: no shard ever blocks on a reply or
+        // grows a queue this thread frees.
+        let shards = self.shards.shards();
+        let replies = (0..shards)
+            .map(|shard| {
+                let (reply, replies) =
+                    bounded(owned_arms(self.config.num_actions, shard, shards) + 1);
+                self.shards
+                    .send(shard, ShardCommand::Snapshot { install_all, reply })?;
+                Ok(replies)
+            })
+            .collect::<Result<Vec<Receiver<Reply>>, CoreError>>()?;
         let mut assembled = match previous {
             Some(assembled) => assembled,
             None => LinUcb::new(self.config)?,
         };
-        // Arms are installed as they arrive, from every shard at once, so
-        // no shard holds more than the arms in flight.
-        let (mut dirty, mut pending) = (Vec::new(), self.shards.shards());
-        while pending > 0 {
-            // Every sender gone before its `Done`: a shard died.
-            match replies.recv().map_err(|_| ShufflerError::PipelineClosed)? {
-                Reply::Built(arm, built) => {
-                    assembled.install_arm(Action::new(arm), built)?;
-                    #[cfg(test)]
-                    {
-                        self.installs += 1;
+        // The shards build in parallel; this thread installs each shard's
+        // arms as they arrive, shard by shard, so the installs run in one
+        // order whatever the scheduling. Each built arm stays alive until
+        // every shard is done: it lives on its shard's heap, and freeing it
+        // while that shard still builds would make the shard's heap depend
+        // on the scheduling too.
+        let (mut dirty, mut built_arms) = (Vec::new(), Vec::new());
+        for replies in &replies {
+            loop {
+                // The sender gone before its `Done`: the shard died.
+                match replies.recv().map_err(|_| ShufflerError::PipelineClosed)? {
+                    Reply::Built(arm, built) => {
+                        assembled.install_arm(Action::new(arm), built.clone())?;
+                        built_arms.push(built);
+                        #[cfg(test)]
+                        {
+                            self.installs += 1;
+                        }
                     }
-                }
-                Reply::Done(folded) => {
-                    dirty.extend(folded?);
-                    pending -= 1;
+                    Reply::Done(folded) => {
+                        dirty.extend(folded?);
+                        break;
+                    }
                 }
             }
         }
+        drop(built_arms);
+        // Every shard has folded every run dispatched before this call.
+        self.dispatched
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         dirty.sort_unstable();
         let model = assembled.clone();
         self.assembled = Some(assembled);
@@ -481,6 +525,7 @@ impl fmt::Debug for ModelService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
     use p2b_bandit::ContextualPolicy;
     use p2b_shuffler::EncodedReport;
 
@@ -497,6 +542,31 @@ mod tests {
 
     fn table() -> Arc<Centroids> {
         Arc::new(Centroids::new(vec![Vector::from(vec![0.25, 0.75])]).unwrap())
+    }
+
+    #[test]
+    fn the_service_frees_the_runs_it_dispatched_at_the_assembly() {
+        let mut service = ModelService::spawn(LinUcbConfig::new(2, 4), 2).unwrap();
+        service
+            .ingest(
+                &[cell(0, 1, 1.0), cell(1, 2, 0.5), cell(2, 1, 0.0)],
+                &table(),
+            )
+            .unwrap();
+        service.ingest(&[cell(3, 1, 1.0)], &table()).unwrap();
+        // One run per shard with cells: shard 0 (arms 0, 2), shard 1 (arm
+        // 1), then shard 1 (arm 3).
+        let runs: Vec<_> = service
+            .dispatched
+            .get_mut()
+            .unwrap()
+            .iter()
+            .map(Arc::downgrade)
+            .collect();
+        assert_eq!(runs.len(), 3);
+        assert_eq!(service.assemble().unwrap().0.observations(), 5);
+        assert!(service.dispatched.get_mut().unwrap().is_empty());
+        assert!(runs.iter().all(|run| run.upgrade().is_none()));
     }
 
     #[test]
@@ -621,7 +691,7 @@ mod tests {
         // A cell on arm 1 slips past the (bypassed) validation to shard 0,
         // which does not own it.
         let stray = ShardCommand::Fold {
-            cells: vec![cell(1, 1, 0.0)],
+            cells: Arc::new(vec![cell(1, 1, 0.0)]),
             centroids: table(),
         };
         service.shards.send(0, stray).unwrap();
@@ -645,6 +715,7 @@ mod tests {
             }),
             config,
             assembled: None,
+            dispatched: Mutex::default(),
             installs: 0,
         };
         shard_exited.recv().unwrap();

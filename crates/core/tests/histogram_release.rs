@@ -3,10 +3,10 @@
 //! folded through the central server — the same model, bit for bit, at any
 //! ingest shard count and any number of producer threads.
 //!
-//! The order in which producers' reports reach the engine's lane depends on
-//! thread scheduling; the released histogram must not. The rewards are non-dyadic (0.1, 0.3, 0.7), whose
-//! f64 sums would change with the order they were added in: the cells sum
-//! them on a fixed-point grid instead.
+//! The order in which producers' reports take the engine's lock depends on
+//! thread scheduling; the released histogram must not. The rewards are
+//! non-dyadic (0.1, 0.3, 0.7), whose f64 sums would change with the order
+//! they were added in: the cells sum them on a fixed-point grid instead.
 
 use p2b_bandit::{Action, ContextualPolicy, LinUcb};
 use p2b_core::{P2bConfig, P2bSystem};

@@ -26,7 +26,7 @@
 //!   whose publish becomes the central policy, and every batch's (ε, δ) is
 //!   booked once, in the channel's [`p2b_privacy::AmplificationLedger`] (the
 //!   engine runs without its own accounting; the channel reads the crowd off
-//!   each batch, the statistic the engine's lane books in serving);
+//!   each batch, the statistic the engine books in serving);
 //! * **central DP (tree aggregation)** ([`TreeCuratorChannel`]) — the raw
 //!   tuple goes to a *trusted curator*, which folds its statistics leaf
 //!   into per-arm [`p2b_privacy::TreeAggregator`] streams and at each flush
@@ -304,7 +304,7 @@ impl ReportChannel for ShuffledChannel {
         Ok(0)
     }
 
-    /// Runs the pending reports through a freshly spawned engine, records
+    /// Runs the pending reports through a fresh engine handle, records
     /// each batch's (ε, δ) in the ledger, hands each batch to the central
     /// server, and makes the server's publish the central policy.
     fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {

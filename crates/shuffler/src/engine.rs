@@ -1,59 +1,46 @@
-//! The streaming shuffler engine: one lane.
+//! The streaming shuffler engine, on the submitting threads.
 //!
 //! The [`ShufflerEngine`] is the paper's one trusted shuffler (§3.3, after
-//! ESA/PROCHLO) as a single worker thread behind a bounded queue:
+//! ESA/PROCHLO). In this process it is no trust boundary of its own, so it
+//! runs no thread: each producer does the shuffler's work under the
+//! handle's one lock.
 //!
 //! ```text
-//!  producers ──submit──▶ stage ──chunk──▶ lane ──▶ EngineBatch stream
-//!  (any thread)         (256 reports)    (anonymize, tabulate (code, action)
-//!                                         cells, threshold, (ε, δ) ledger)
+//!  producers ──submit──▶ anonymize ──▶ lock: append (code, action, reward)
+//!  (any thread)          (outside        │  the submit that fills the batch
+//!                         the lock)      ▼  cuts it:
+//!                                       sort by pair, merge (code, action)
+//!                                       cells, threshold, (ε, δ) ledger
+//!                                        │
+//!                                        ▼
+//!                              EngineBatch list ──finish──▶ EngineOutput
 //! ```
 //!
-//! * **Batching** — the lane strips each report's metadata
-//!   ([`RawReport::into_anonymous`]), adds it to the current batch's cell
-//!   table and releases the table every [`EngineBuilder::batch_size`]
-//!   reports exactly (the final flush may be smaller).
+//! * **Batching** — `submit` strips each report's metadata
+//!   ([`RawReport::into_anonymous`]) before it takes the lock, then appends
+//!   the anonymous report to the current batch. The submit that brings the
+//!   batch to [`EngineBuilder::batch_size`] reports cuts and releases it;
+//!   [`EngineHandle::finish`] releases the partial last batch.
 //! * **Release** — a batch leaves the engine as a histogram: one
 //!   [`ReleasedCell`](crate::ReleasedCell) per `(code, action)` pair, in
 //!   pair order, with the cells of codes below the crowd-blending threshold
 //!   removed ([`ShuffledBatch`]). The histogram is the same for any order
 //!   of the batch's reports, so nothing downstream observes arrival order.
-//! * **Staging** — `submit` does not hand each report to the lane on its
-//!   own: it appends it to the handle's stage, and a stage that reaches a
-//!   fixed chunk of reports (256) goes to the lane as one message. A report
-//!   can therefore wait in the stage until the chunk fills or
-//!   [`EngineHandle::finish`] sends the partial stage; the lane cuts the
-//!   chunks at its batch size report by report, exactly as it would cut a
-//!   one-report-at-a-time stream, so staging changes no batch.
-//! * **Backpressure** — the lane is a one-worker [`ShardPool`] whose
-//!   bounded queue holds about [`SHARD_QUEUE_CAPACITY`] reports in chunks,
-//!   plus at most one staged chunk; `submit` blocks while the queue is
-//!   full, so a slow engine slows its producers instead of buffering
-//!   without limit.
 //! * **Privacy bookkeeping** — with [`EngineBuilder::privacy_accounting`]
-//!   enabled, the lane records every delivered batch in an
+//!   enabled, the engine records every released batch in an
 //!   [`AmplificationLedger`], attaching the per-batch (ε, δ) amplification
 //!   record to the [`EngineBatch`]. A caller that keeps its own ledger
 //!   leaves it off and books [`ShuffledBatch::min_released_code_frequency`],
-//!   the crowd the lane reads, so each batch is booked once.
+//!   the crowd the engine reads, so each batch is booked once.
 //!
 //! The engine draws no randomness. With a single producer its batches are
 //! fully determined by the submission order; at any producer count, a run
 //! whose reports all fit one batch releases the same cells.
 
 use crate::shuffle::CellTable;
-use crate::{
-    RawReport, ShardPool, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError,
-    SHARD_QUEUE_CAPACITY,
-};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::{RawReport, ShuffledBatch, Shuffler, ShufflerConfig, ShufflerError};
 use p2b_privacy::{AmplificationLedger, BatchAmplification, Participation};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Reports the stage collects before [`EngineHandle::submit`] sends them to
-/// the lane as one message.
-const STAGE_CHUNK: usize = 256;
+use std::sync::{Mutex, PoisonError};
 
 /// Builder for a [`ShufflerEngine`].
 ///
@@ -83,7 +70,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables per-batch (ε, δ) amplification bookkeeping: the lane records
+    /// Enables per-batch (ε, δ) amplification bookkeeping: the engine records
     /// every delivered batch in an [`AmplificationLedger`] under the given
     /// participation probability and δ-bound constant Ω, and attaches the
     /// record to each [`EngineBatch`].
@@ -145,16 +132,16 @@ pub struct EngineBatch {
 pub struct EngineOutput {
     /// Every delivered batch, in delivery order.
     pub batches: Vec<EngineBatch>,
-    /// The amplification ledger accumulated by the lane, when accounting
+    /// The amplification ledger accumulated by the engine, when accounting
     /// was enabled.
     pub ledger: Option<AmplificationLedger>,
 }
 
-/// A batched, streaming shuffler on one worker thread.
+/// A batched, streaming shuffler that runs on its producers' threads.
 ///
 /// See the [module documentation](self) for the stage diagram. The engine
-/// value itself is a passive description; [`ShufflerEngine::spawn`] starts
-/// the lane and returns a handle.
+/// value itself is a passive description; [`ShufflerEngine::spawn`] returns
+/// a handle to submit to.
 ///
 /// # Examples
 ///
@@ -200,192 +187,123 @@ impl ShufflerEngine {
         self.batch_size
     }
 
-    /// Starts the lane: one worker thread.
+    /// Opens a handle with an empty first batch. It starts no thread: the
+    /// shuffler's work runs inside [`EngineHandle::submit`] and
+    /// [`EngineHandle::finish`], on the caller's thread.
     #[must_use]
     pub fn spawn(&self) -> EngineHandle {
-        let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
-        let (threshold, batch_size) = (self.config.threshold, self.batch_size);
-        let ledger = self.ledger.clone();
-        // A queue of `SHARD_QUEUE_CAPACITY / STAGE_CHUNK` chunks keeps the
-        // bound at about `SHARD_QUEUE_CAPACITY` reports. The lane owns the
-        // only batch sender, so the batch stream ends when the lane exits.
-        let capacity = SHARD_QUEUE_CAPACITY / STAGE_CHUNK;
-        let lane = ShardPool::spawn(1, capacity, move |_, input| {
-            run_lane(&input, &batch_tx, threshold, batch_size, ledger)
-        });
         EngineHandle {
-            lane: Some(lane),
-            stage: Mutex::new(Vec::with_capacity(STAGE_CHUNK)),
-            submitted: AtomicU64::new(0),
-            batch_rx,
-            #[cfg(test)]
-            chunks_sent: AtomicU64::new(0),
+            threshold: self.config.threshold,
+            batch_size: self.batch_size,
+            state: Mutex::new(EngineState {
+                table: CellTable::default(),
+                batches: Vec::new(),
+                ledger: self.ledger.clone(),
+            }),
         }
     }
 }
 
-/// The lane: anonymizes each report of each chunk, adds it to the current
-/// batch's cell table, releases the table every `batch_size` reports (the
-/// crowd-blending threshold reads the per-code totals off its cells), and
-/// records amplification. Runs until the ingress closes, then flushes the
-/// partial batch, or until the downstream receiver is gone.
-fn run_lane(
-    input: &Receiver<Vec<RawReport>>,
-    batch_tx: &Sender<EngineBatch>,
-    threshold: usize,
-    batch_size: usize,
-    mut ledger: Option<AmplificationLedger>,
-) -> Option<AmplificationLedger> {
-    let mut table = CellTable::default();
-    let mut next_index = 0u64;
-    while let Ok(chunk) = input.recv() {
-        for report in chunk {
-            table.add(&report.into_anonymous());
-            if table.received() == batch_size
-                && !emit(
-                    table.release(threshold),
-                    batch_tx,
-                    &mut ledger,
-                    &mut next_index,
-                )
-            {
-                return ledger;
-            }
-        }
-    }
-    if table.received() > 0 {
-        emit(
-            table.release(threshold),
-            batch_tx,
-            &mut ledger,
-            &mut next_index,
-        );
-    }
-    ledger
+/// What a handle's lock guards: the current batch's reports, the batches
+/// released so far and their ledger.
+#[derive(Debug)]
+struct EngineState {
+    table: CellTable,
+    batches: Vec<EngineBatch>,
+    ledger: Option<AmplificationLedger>,
 }
 
-/// Books one released batch and sends it downstream. Returns `false` when
-/// the downstream receiver is gone and the lane should stop.
-fn emit(
-    batch: ShuffledBatch,
-    batch_tx: &Sender<EngineBatch>,
-    ledger: &mut Option<AmplificationLedger>,
-    next_index: &mut u64,
-) -> bool {
-    let stats = batch.stats();
-    // `released > 0` implies a crowd ≥ threshold ≥ 1, so recording cannot
-    // fail for batches this lane produces — but the accounting hook must
-    // not be a panic path: a batch whose record is rejected is delivered
-    // with no amplification claim (`None`) instead of crashing the lane.
-    // The `u64::try_from` keeps the usize → u64 conversion lossless on any
-    // platform instead of silently truncating.
-    let amplification = ledger.as_mut().and_then(|ledger| {
-        let crowd = u64::try_from(stats.min_released_frequency).unwrap_or(u64::MAX);
-        ledger.record_batch(stats.released, crowd).ok()
-    });
-    let batch = EngineBatch {
-        index: *next_index,
-        batch,
-        amplification,
-    };
-    *next_index += 1;
-    batch_tx.send(batch).is_ok()
+impl EngineState {
+    /// Releases the current batch (the crowd-blending threshold reads the
+    /// per-code totals off its cells), books it in the ledger and appends
+    /// it to the released batches.
+    fn cut(&mut self, threshold: usize) {
+        let batch = self.table.release(threshold);
+        let stats = batch.stats();
+        // `released > 0` implies a crowd ≥ threshold ≥ 1, so recording
+        // cannot fail for batches this engine produces — but the accounting
+        // hook must not be a panic path: a batch whose record is rejected is
+        // delivered with no amplification claim (`None`). The `u64::try_from`
+        // keeps the usize → u64 conversion lossless on any platform instead
+        // of silently truncating.
+        let amplification = self.ledger.as_mut().and_then(|ledger| {
+            let crowd = u64::try_from(stats.min_released_frequency).unwrap_or(u64::MAX);
+            ledger.record_batch(stats.released, crowd).ok()
+        });
+        self.batches.push(EngineBatch {
+            index: self.batches.len() as u64,
+            batch,
+            amplification,
+        });
+    }
 }
 
-/// Handle to a running [`ShufflerEngine`].
+/// Handle to an open [`ShufflerEngine`] run.
 ///
 /// `submit` may be called from any number of threads sharing the handle by
-/// reference. Dropping the handle (or calling [`EngineHandle::finish`])
-/// flushes the stage, closes the ingress and joins the lane.
+/// reference; they take turns on one lock. [`EngineHandle::finish`] releases
+/// the partial last batch and returns every batch.
 #[derive(Debug)]
 pub struct EngineHandle {
-    lane: Option<ShardPool<Vec<RawReport>, Option<AmplificationLedger>>>,
-    /// The reports submitted since the last chunk went to the lane.
-    stage: Mutex<Vec<RawReport>>,
-    submitted: AtomicU64,
-    batch_rx: Receiver<EngineBatch>,
-    /// Chunk messages handed to the lane.
-    #[cfg(test)]
-    chunks_sent: AtomicU64,
+    threshold: usize,
+    batch_size: usize,
+    state: Mutex<EngineState>,
 }
 
 impl EngineHandle {
-    /// Submits one raw report.
-    ///
-    /// The report is staged on the handle and may wait there until 256
-    /// reports accumulate or [`Self::finish`]; the call that fills the stage
-    /// sends it as one chunk and blocks while the lane's bounded queue is
-    /// full (backpressure).
+    /// Submits one raw report: strips its metadata, then appends it to the
+    /// current batch. The submit that fills the batch to the batch size
+    /// releases it before it returns.
     ///
     /// # Errors
     ///
-    /// Returns [`ShufflerError::PipelineClosed`] after [`Self::finish`], if
-    /// a producer panicked while holding the stage, or — at the next chunk
-    /// sent to it — if the lane has shut down.
+    /// Returns [`ShufflerError::PipelineClosed`] if a producer panicked
+    /// while holding the handle's lock.
     pub fn submit(&self, report: RawReport) -> Result<(), ShufflerError> {
-        let lane = self.lane.as_ref().ok_or(ShufflerError::PipelineClosed)?;
-        let chunk = {
-            let mut stage = self
-                .stage
-                .lock()
-                .map_err(|_| ShufflerError::PipelineClosed)?;
-            stage.push(report);
-            self.submitted.fetch_add(1, Ordering::Relaxed);
-            if stage.len() < STAGE_CHUNK {
-                return Ok(());
-            }
-            std::mem::replace(&mut *stage, Vec::with_capacity(STAGE_CHUNK))
-        };
-        self.send_chunk(lane, chunk)
+        // The sender's metadata is freed before the lock is taken.
+        let report = report.into_anonymous();
+        let mut state = self
+            .state
+            .lock()
+            .map_err(|_| ShufflerError::PipelineClosed)?;
+        state.table.add(&report);
+        if state.table.received() == self.batch_size {
+            state.cut(self.threshold);
+        }
+        Ok(())
     }
 
-    /// Hands one chunk of staged reports to the lane.
-    fn send_chunk(
-        &self,
-        lane: &ShardPool<Vec<RawReport>, Option<AmplificationLedger>>,
-        chunk: Vec<RawReport>,
-    ) -> Result<(), ShufflerError> {
-        #[cfg(test)]
-        self.chunks_sent.fetch_add(1, Ordering::Relaxed);
-        lane.send(0, chunk)
-    }
-
-    /// Number of reports this handle's stage has accepted so far (a submit
-    /// refused with [`ShufflerError::PipelineClosed`] before staging does
-    /// not count).
+    /// Number of reports this handle has accepted so far (a submit refused
+    /// with [`ShufflerError::PipelineClosed`] does not count).
     #[must_use]
     pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let released: usize = state.batches.iter().map(|b| b.batch.stats().received).sum();
+        (released + state.table.received()) as u64
     }
 
-    /// Flushes the stage, closes the ingress, and returns the delivered
-    /// batches together with the amplification ledger.
+    /// Releases the partial last batch and returns the released batches
+    /// together with the amplification ledger. After a producer panicked
+    /// while holding the handle's lock, the batches released before the
+    /// panic are returned and the unreleased reports are dropped.
     #[must_use]
-    pub fn finish(mut self) -> EngineOutput {
-        let ledger = self.close();
-        let batches = self.batch_rx.try_iter().collect();
-        EngineOutput { batches, ledger }
-    }
-
-    fn close(&mut self) -> Option<AmplificationLedger> {
-        // The partial stage goes to the lane first; a poisoned stage reads
-        // as a closed pipeline and a dead lane refuses its chunk, and
-        // neither stops the shutdown. Joining the pool then closes the
-        // ingress; the lane flushes its partial batch and returns the
-        // ledger.
-        let lane = self.lane.take()?;
-        if let Ok(mut stage) = self.stage.lock() {
-            if !stage.is_empty() {
-                let _ = self.send_chunk(&lane, std::mem::take(&mut *stage));
+    pub fn finish(self) -> EngineOutput {
+        let state = match self.state.into_inner() {
+            Ok(mut state) => {
+                if state.table.received() > 0 {
+                    state.cut(self.threshold);
+                }
+                state
             }
+            // A batch is appended whole, after its ledger record, so the
+            // released batches and the ledger are valid at every step; only
+            // the unreleased batch may be half-updated.
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        EngineOutput {
+            batches: state.batches,
+            ledger: state.ledger,
         }
-        lane.join().ok()?.pop().flatten()
-    }
-}
-
-impl Drop for EngineHandle {
-    fn drop(&mut self) {
-        let _ = self.close();
     }
 }
 
@@ -393,7 +311,6 @@ impl Drop for EngineHandle {
 mod tests {
     use super::*;
     use crate::{EncodedReport, ReleasedCell};
-    use crossbeam::channel::bounded;
 
     fn raw(code: usize) -> RawReport {
         RawReport::new("agent", EncodedReport::new(code, 0, 1.0).unwrap())
@@ -505,7 +422,7 @@ mod tests {
         assert_eq!(output.batches.len(), 1);
         let record = output.batches[0].amplification.expect("accounting enabled");
         assert_eq!(record.crowd_size, 6);
-        // The lane books the crowd statistic the experiment channel reads
+        // The engine books the crowd statistic the experiment channel reads
         // from the batch itself, so both pipelines derive the same δ.
         assert_eq!(
             record.crowd_size,
@@ -548,8 +465,8 @@ mod tests {
 
     #[test]
     fn single_shard_routing_is_panic_free() {
-        // The lane is shard 0 of a one-worker pool: every chunk goes there
-        // through `ShardPool::send`, which has no panic path.
+        // Every report goes to the one batch the handle holds, and a partial
+        // batch is released by `finish`: no routing step that could panic.
         let handle = engine(1, 4).spawn();
         for i in 0..9 {
             handle.submit(raw(i % 2)).unwrap();
@@ -583,16 +500,16 @@ mod tests {
         assert_eq!(output.batches.len(), 1);
     }
 
-    /// Report `i` of a staged-path run: code `i % 3`, action `i`, so every
-    /// report is distinct and any reordering shows.
+    /// Report `i` of a run: code `i % 3`, action `i`, so every report is
+    /// distinct and any reordering shows.
     fn numbered(i: usize) -> EncodedReport {
         EncodedReport::new(i % 3, i, 1.0).unwrap()
     }
 
-    /// The engine's output for a single producer, computed without threads:
-    /// cut the submissions every `batch_size` reports and release each cut
-    /// through the synchronous shuffler's kernel.
-    fn single_lane_oracle(
+    /// The engine's output for a single producer, computed without a
+    /// handle: cut the submissions every `batch_size` reports and release
+    /// each cut through a fresh table.
+    fn single_producer_oracle(
         threshold: usize,
         batch_size: usize,
         reports: &[EncodedReport],
@@ -612,20 +529,16 @@ mod tests {
             .collect()
     }
 
-    /// Report counts around the stage chunk.
-    const COUNTS: [usize; 6] = [
-        0,
-        1,
-        STAGE_CHUNK - 1,
-        STAGE_CHUNK,
-        STAGE_CHUNK + 1,
-        3 * STAGE_CHUNK + 7,
-    ];
+    /// Report counts around the batch sizes below.
+    const COUNTS: [usize; 6] = [0, 1, 6, 7, 8, 3 * 263 + 5];
+    const BATCH_SIZES: [usize; 4] = [1, 7, 263, 2 * 263 + 3];
 
     #[test]
     fn staging_never_reorders_or_recuts_reports() {
+        // The handle's one table is reused from batch to batch; its output
+        // must equal a fresh table per cut.
         for n in COUNTS {
-            for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
+            for batch_size in BATCH_SIZES {
                 let reports: Vec<EncodedReport> = (0..n).map(numbered).collect();
                 let handle = engine(2, batch_size).spawn();
                 for (i, report) in reports.iter().enumerate() {
@@ -635,7 +548,7 @@ mod tests {
                 }
                 assert_eq!(
                     handle.finish().batches,
-                    single_lane_oracle(2, batch_size, &reports),
+                    single_producer_oracle(2, batch_size, &reports),
                     "n={n} batch_size={batch_size}"
                 );
             }
@@ -645,7 +558,7 @@ mod tests {
     #[test]
     fn concurrent_staging_conserves_reports_at_exact_merged_sizes() {
         for n in COUNTS {
-            for batch_size in [1, 7, STAGE_CHUNK, 2 * STAGE_CHUNK + 3] {
+            for batch_size in BATCH_SIZES {
                 let handle = engine(1, batch_size).spawn();
                 let reports = (0..n).map(|i| RawReport::new("agent", numbered(i)));
                 submit_from(&handle, 4, reports.collect());
@@ -671,23 +584,30 @@ mod tests {
     }
 
     #[test]
-    fn a_shard_receives_one_message_per_chunk_of_reports() {
-        for n in COUNTS {
-            let mut handle = engine(1, 7).spawn();
-            for i in 0..n {
-                handle.submit(raw(i % 5)).unwrap();
+    fn a_full_batch_is_released_by_the_submit_that_fills_it() {
+        for batch_size in [1, 7, 64] {
+            let handle = engine(1, batch_size).spawn();
+            for k in 1..=3 {
+                for i in 0..batch_size {
+                    let released = handle.state.lock().unwrap().batches.len();
+                    assert_eq!(
+                        released,
+                        k - 1,
+                        "batch_size={batch_size}, {i} into batch {k}"
+                    );
+                    handle.submit(raw(i % 5)).unwrap();
+                }
+                let state = handle.state.lock().unwrap();
+                assert_eq!(state.batches.len(), k, "batch_size={batch_size}");
+                assert_eq!(state.table.received(), 0, "the cut empties the table");
+                let last = state.batches.last().unwrap();
+                assert_eq!(
+                    (last.index, last.batch.stats().received),
+                    (k as u64 - 1, batch_size)
+                );
             }
-            assert_eq!(
-                handle.chunks_sent.load(Ordering::Relaxed),
-                (n / STAGE_CHUNK) as u64,
-                "full stages, n={n}"
-            );
-            let _ = handle.close();
-            assert_eq!(
-                handle.chunks_sent.load(Ordering::Relaxed),
-                n.div_ceil(STAGE_CHUNK) as u64,
-                "after the partial stage, n={n}"
-            );
+            // `finish` has no partial batch left to release.
+            assert_eq!(handle.finish().batches.len(), 3);
         }
     }
 
@@ -695,10 +615,11 @@ mod tests {
     fn a_poisoned_stage_reads_as_pipeline_closed() {
         let handle = engine(1, 4).spawn();
         handle.submit(raw(0)).unwrap();
+        // A producer panics while it holds the handle's lock.
         let poisoned = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _stage = handle.stage.lock();
+                    let _state = handle.state.lock();
                     panic!("injected fault");
                 })
                 .join()
@@ -707,8 +628,8 @@ mod tests {
         assert!(poisoned);
         assert_eq!(handle.submit(raw(1)), Err(ShufflerError::PipelineClosed));
         assert_eq!(handle.submitted(), 1, "a refused report is not counted");
-        // `finish` neither hangs nor panics; the poisoned stage's report is
-        // not delivered.
+        // `finish` neither hangs nor panics; the unreleased report is not
+        // delivered.
         assert!(handle.finish().batches.is_empty());
     }
 
@@ -732,34 +653,5 @@ mod tests {
             .map(|b| b.batch.stats().received)
             .sum();
         assert_eq!(total, 800);
-    }
-
-    #[test]
-    fn the_lane_stops_when_the_downstream_receiver_is_gone() {
-        let (in_tx, in_rx) = bounded::<Vec<RawReport>>(16);
-        let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
-        drop(batch_rx);
-        let lane = std::thread::spawn(move || run_lane(&in_rx, &batch_tx, 1, 2, None));
-        // The lane exits as soon as it fails to deliver a full batch, while
-        // the ingress is still open, instead of spinning forever.
-        let _ = in_tx.send(vec![raw(0), raw(1)]);
-        assert_eq!(lane.join().unwrap(), None);
-    }
-
-    #[test]
-    fn a_chunk_sent_to_a_dead_lane_is_pipeline_closed() {
-        let (batch_tx, batch_rx) = unbounded::<EngineBatch>();
-        drop(batch_rx);
-        let pool = ShardPool::spawn(1, 1, move |_, input| {
-            run_lane(&input, &batch_tx, 1, 4, None)
-        });
-        let chunk = || (0..STAGE_CHUNK).map(raw).collect::<Vec<_>>();
-        // The first chunk is taken and its first batch fails to deliver, so
-        // the lane exits; at most one more chunk fits the queue before
-        // that, and every send after it observes the dead lane.
-        let accepted = (0..3).take_while(|_| pool.send(0, chunk()).is_ok()).count();
-        assert!((1..=2).contains(&accepted), "accepted {accepted}");
-        assert_eq!(pool.send(0, chunk()), Err(ShufflerError::PipelineClosed));
-        assert_eq!(pool.join(), Ok(vec![None]));
     }
 }

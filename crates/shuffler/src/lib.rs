@@ -25,13 +25,14 @@
 //!   kernel the streaming shape is checked against, and how tests and
 //!   microbenchmarks build a shuffled batch without threads.
 //! * [`ShufflerEngine`] — streaming: reports submitted from any thread are
-//!   staged on the handle and handed a chunk at a time to one worker
-//!   thread, the lane, which anonymizes, tabulates and thresholds them per
-//!   batch and delivers each batch with its per-batch (ε, δ) amplification
-//!   record. Every report reaches the central model this way. See
-//!   [`engine`] for the stage diagram and the staging contract;
-//!   `tests/pipeline_concurrency.rs` and `tests/shuffler_properties.rs` pin
-//!   conservation and exact thresholding at one and many producers.
+//!   anonymized on the submitting thread and appended, under the handle's
+//!   one lock, to the current batch; the submit that fills a batch
+//!   tabulates and thresholds it and delivers it with its per-batch (ε, δ)
+//!   amplification record. The engine starts no thread. Every report
+//!   reaches the central model this way. See [`engine`] for the stage
+//!   diagram; `tests/pipeline_concurrency.rs` and
+//!   `tests/shuffler_properties.rs` pin conservation and exact
+//!   thresholding at one and many producers.
 //!
 //! A third shape drops the trusted-shuffler assumption altogether for the
 //! sufficient-statistics ingest path: the [`SecureAggEngine`] aggregates
@@ -40,10 +41,11 @@
 //! only the recombined sum — exact at any shard count — leaves the engine.
 //! See [`secure`] for the stage diagram and the trust model.
 //!
-//! Both engines, and the central model service's ingest shards, run their
-//! workers on one [`ShardPool`] (the shuffler engine's lane is a pool of
-//! one): bounded per-shard FIFO queues, one rule for a dead worker, one
-//! shutdown.
+//! The secure-aggregation engine and the central model service's ingest
+//! shards run their workers on one [`ShardPool`]: bounded per-shard FIFO
+//! queues, one rule for a dead worker, one shutdown. It is the one place
+//! this crate and `p2b_core` start a thread; with the `counters` feature,
+//! `workers_started_on_this_thread` counts the workers it started.
 //!
 //! # Example
 //!
@@ -78,6 +80,8 @@ mod shuffle;
 pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};
 pub use error::ShufflerError;
 pub use p2b_privacy::{fnv1a, splitmix64};
+#[cfg(feature = "counters")]
+pub use pool::workers_started_on_this_thread;
 pub use pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 pub use report::{EncodedReport, RawReport, ReleasedCell, ReportMetadata};
 pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};

@@ -1,10 +1,9 @@
 //! The shard-worker pool shared by every sharded stage of the pipeline.
 //!
-//! The [`ShufflerEngine`](crate::ShufflerEngine)'s lane (a pool of one),
-//! the [`SecureAggEngine`](crate::SecureAggEngine) aggregators and the
-//! central model service's ingest shards all have the same shape: `N` threads, each
-//! draining its own bounded FIFO queue, closed and joined in shard order at
-//! shutdown. A [`ShardPool`] is that shape, written once:
+//! The [`SecureAggEngine`](crate::SecureAggEngine) aggregators and the
+//! central model service's ingest shards have the same shape: `N` threads,
+//! each draining its own bounded FIFO queue, closed and joined in shard
+//! order at shutdown. A [`ShardPool`] is that shape, written once:
 //!
 //! * **Bounded queues** — [`ShardPool::send`] blocks while the target
 //!   shard's queue is full, so a slow shard slows its producers instead of
@@ -12,9 +11,9 @@
 //! * **One dead-worker rule** — a worker that panicked (or returned early)
 //!   drops its queue; every later `send` to it, including one already
 //!   blocked on its full queue, returns [`ShufflerError::PipelineClosed`].
-//! * **One shutdown** — [`ShardPool::join`] closes every queue, joins the
-//!   workers in shard order and hands back their results; dropping the pool
-//!   does the same and discards them.
+//! * **One shutdown** — [`ShardPool::join`] closes each queue and joins its
+//!   worker, in shard order, and hands back their results; dropping the
+//!   pool does the same and discards them.
 
 use crate::ShufflerError;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -23,6 +22,22 @@ use std::thread::JoinHandle;
 
 /// Default capacity of each shard's bounded queue.
 pub const SHARD_QUEUE_CAPACITY: usize = 1024;
+
+#[cfg(feature = "counters")]
+thread_local! {
+    static WORKERS_STARTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Shard workers [`ShardPool::spawn`] has started from the calling thread
+/// so far. The pool is the one place `p2b_shuffler` and `p2b_core` start a
+/// thread, so this is every thread the pipeline started on the caller's
+/// behalf. A machine-independent cost counter, compiled only with the
+/// `counters` feature.
+#[cfg(feature = "counters")]
+#[must_use]
+pub fn workers_started_on_this_thread() -> u64 {
+    WORKERS_STARTED.with(std::cell::Cell::get)
+}
 
 /// `N` worker threads, each draining its own bounded FIFO queue of `M`
 /// messages and returning an `R` when its queue closes.
@@ -56,6 +71,8 @@ impl<M: Send + 'static, R: Send + 'static> ShardPool<M, R> {
     where
         F: FnOnce(usize, Receiver<M>) -> R + Clone + Send + 'static,
     {
+        #[cfg(feature = "counters")]
+        WORKERS_STARTED.with(|count| count.set(count.get() + shards as u64));
         let (queues, workers) = (0..shards)
             .map(|shard| {
                 let (queue, input) = bounded(capacity.max(1));
@@ -88,7 +105,7 @@ impl<M, R> ShardPool<M, R> {
             .map_err(|_| ShufflerError::PipelineClosed)
     }
 
-    /// Closes every queue, joins the workers in shard order and returns
+    /// Closes each queue and joins its worker, in shard order, and returns
     /// their results in that order.
     ///
     /// # Errors
@@ -100,10 +117,20 @@ impl<M, R> ShardPool<M, R> {
     }
 
     fn close(&mut self) -> Result<Vec<R>, ShufflerError> {
-        self.queues.clear();
-        // Join every worker before looking at any result, so one panic
-        // cannot leave later workers running.
-        let joined: Vec<_> = self.workers.drain(..).map(JoinHandle::join).collect();
+        // One worker at a time: its queue is closed and it is joined before
+        // the next queue closes, so the workers exit in shard order and hand
+        // their heaps back to the allocator in one order, whatever the
+        // scheduling. Every worker is joined before any result is looked
+        // at, so one panic cannot leave later workers running.
+        let joined: Vec<_> = self
+            .queues
+            .drain(..)
+            .zip(self.workers.drain(..))
+            .map(|(queue, worker)| {
+                drop(queue);
+                worker.join()
+            })
+            .collect();
         joined
             .into_iter()
             .map(|result| result.map_err(|_| ShufflerError::PipelineClosed))
@@ -281,6 +308,21 @@ mod tests {
         assert!(accepted <= 1, "accepted {accepted}");
         assert_eq!(pool.send(0, 0), Err(ShufflerError::PipelineClosed));
         assert_eq!(pool.join(), Ok(vec![Some(7)]));
+    }
+
+    #[test]
+    fn workers_exit_in_shard_order() {
+        let exits = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&exits);
+        let pool: ShardPool<(), ()> = ShardPool::spawn(3, 1, move |shard, queue| {
+            queue.iter().for_each(drop);
+            // The lower shards take longest to wind down; the later ones
+            // still exit after them.
+            std::thread::sleep(Duration::from_millis(10 * (3 - shard as u64)));
+            log.lock().unwrap().push(shard);
+        });
+        drop(pool);
+        assert_eq!(*exits.lock().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! The synchronous shuffler and the release kernel it shares with the
-//! engine's lane: anonymize, tabulate, threshold.
+//! engine: anonymize, tabulate, threshold.
 
 use crate::{EncodedReport, RawReport, ReleasedCell, ShufflerError};
-use p2b_privacy::splitmix64;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of a [`Shuffler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,8 +116,7 @@ impl Shuffler {
     /// is not drawn from. It stays in the signature for existing callers.
     #[must_use]
     pub fn process<R: Rng + ?Sized>(&self, batch: Vec<RawReport>, _rng: &mut R) -> ShuffledBatch {
-        // A batch has at most one cell per report: sized for that, the
-        // fresh table never grows.
+        // Sized for the batch, the fresh table never grows.
         let mut table = CellTable::with_capacity(batch.len());
         for report in batch {
             table.add(&report.into_anonymous());
@@ -129,133 +125,117 @@ impl Shuffler {
     }
 }
 
-/// Hashes a `(code, action)` key: the two words are packed into one and
-/// finished by [`splitmix64`], a few multiplies where the default hasher
-/// runs SipHash on every report.
-#[derive(Debug, Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        splitmix64(self.0)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
-        }
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.0 = self.0.rotate_left(32) ^ word as u64;
-    }
-}
-
-/// Bits per digit of the release's radix sort: 2¹¹ buckets, so a code or
-/// an action below 2048 sorts in one pass and the count table stays in L1.
+/// Bits per digit of the release's radix sort: at most 2¹¹ buckets, so a
+/// code or an action below 2048 sorts in one pass and the count table stays
+/// in L1.
 const RADIX_BITS: u32 = 11;
 const RADIX_MASK: usize = (1 << RADIX_BITS) - 1;
 
-/// Sorts cells by `(code, action)`, stably: an LSD radix sort of their
-/// positions, action digits first, then code digits, each pass a counting
-/// scatter; then the order is applied to the cells in place, one cycle at
-/// a time. A digit on which every cell agrees is skipped, so a batch over
-/// fewer than 2048 codes and 2048 actions takes at most two passes, and
-/// codes and actions of any width sort, up to `usize::MAX`. Only positions
-/// move during the passes: the extra memory is two words per cell.
-fn sort_by_pair(cells: &mut [ReleasedCell]) {
-    let Some(&first) = cells.first() else {
-        return;
-    };
-    let mut order: Vec<usize> = (0..cells.len()).collect();
-    let mut scattered = vec![0; cells.len()];
-    let mut counts = [0usize; RADIX_MASK + 1];
-    for key in [ReleasedCell::action, ReleasedCell::code] {
-        let varies = cells
-            .iter()
-            .fold(0, |bits, cell| bits | (key(cell) ^ key(&first)));
-        for shift in (0..usize::BITS).step_by(RADIX_BITS as usize) {
-            if (varies >> shift) & RADIX_MASK == 0 {
-                continue;
-            }
-            let digit = |at: usize| (key(&cells[at]) >> shift) & RADIX_MASK;
-            counts.fill(0);
-            for &at in &order {
-                counts[digit(at)] += 1;
-            }
-            let mut next = 0;
-            for slot in &mut counts {
-                next += std::mem::replace(slot, next);
-            }
-            for &at in &order {
-                let slot = &mut counts[digit(at)];
-                scattered[*slot] = at;
-                *slot += 1;
-            }
-            std::mem::swap(&mut order, &mut scattered);
-        }
-    }
-    // Position `k` takes the cell at `order[k]`; a visited position is
-    // marked `order[k] = k`.
-    for start in 0..cells.len() {
-        let held = cells[start];
-        let mut at = start;
-        while order[at] != at {
-            let from = std::mem::replace(&mut order[at], at);
-            cells[at] = if from == start { held } else { cells[from] };
-            at = from;
-        }
-    }
-}
-
-/// The release kernel of the synchronous [`Shuffler`] and the engine's
-/// lane: anonymous reports are added one at a time to their
-/// `(code, action)` cell, and [`CellTable::release`] thresholds the batch on
-/// the per-code totals read off the cells. The table keeps its capacity
-/// from batch to batch.
+/// The release kernel of the synchronous [`Shuffler`] and the engine: each
+/// anonymous report is appended as a record, and [`CellTable::release`]
+/// sorts the batch's records by `(code, action)`, merges each pair's run
+/// into one [`ReleasedCell`] and thresholds the batch on the per-code
+/// totals read off the cells. The table keeps its buffers from batch to
+/// batch.
 #[derive(Debug, Default)]
 pub(crate) struct CellTable {
-    /// The batch's cells by `(code, action)`.
-    cells: HashMap<(usize, usize), ReleasedCell, BuildHasherDefault<PairHasher>>,
-    /// Reports added since the last release.
-    received: usize,
+    /// The reports added since the last release, in arrival order until
+    /// the release sorts them.
+    records: Vec<EncodedReport>,
+    /// The radix sort's scatter target, kept across batches.
+    spare: Vec<EncodedReport>,
+    /// The radix sort's bucket counts, sized per pass to its widest digit.
+    counts: Vec<usize>,
 }
 
 impl CellTable {
-    /// An empty table with room for `cells` cells.
-    pub(crate) fn with_capacity(cells: usize) -> Self {
+    /// An empty table with room for `reports` reports.
+    pub(crate) fn with_capacity(reports: usize) -> Self {
         Self {
-            cells: HashMap::with_capacity_and_hasher(cells, BuildHasherDefault::default()),
-            received: 0,
+            records: Vec::with_capacity(reports),
+            ..Self::default()
         }
     }
 
     /// Reports added since the last release.
     pub(crate) fn received(&self) -> usize {
-        self.received
+        self.records.len()
     }
 
-    /// Adds one anonymous report to its cell.
+    /// Adds one anonymous report to the batch.
     pub(crate) fn add(&mut self, report: &EncodedReport) {
-        let cell = ReleasedCell::of(report);
-        self.cells
-            .entry((report.code(), report.action()))
-            .and_modify(|sum| sum.absorb(&cell))
-            .or_insert(cell);
-        self.received += 1;
+        self.records.push(*report);
+    }
+
+    /// Sorts the records by `(code, action)`, stably: an LSD radix sort,
+    /// action digits first, then code digits. A digit on which every record
+    /// agrees is skipped and a pass counts only as many buckets as its
+    /// digit's highest varying bit needs, so a batch over few codes and
+    /// actions takes at most two short passes, and codes and actions of any
+    /// width sort, up to `usize::MAX`.
+    fn sort_by_pair(&mut self) {
+        self.sort_by_key(EncodedReport::action);
+        self.sort_by_key(EncodedReport::code);
+    }
+
+    /// Sorts the records by `key`, stably: one counting scatter into the
+    /// spare buffer per varying digit, least significant first.
+    fn sort_by_key(&mut self, key: impl Fn(&EncodedReport) -> usize) {
+        let Some(&first) = self.records.first() else {
+            return;
+        };
+        let varies = self
+            .records
+            .iter()
+            .fold(0, |bits, record| bits | (key(record) ^ key(&first)));
+        for shift in (0..usize::BITS).step_by(RADIX_BITS as usize) {
+            let digit_bits = (varies >> shift) & RADIX_MASK;
+            if digit_bits == 0 {
+                continue;
+            }
+            // Bits above the highest varying one are the same in every
+            // record, so masking them off keeps the order.
+            let mask = usize::MAX >> digit_bits.leading_zeros();
+            let digit = |record: &EncodedReport| (key(record) >> shift) & mask;
+            self.counts.clear();
+            self.counts.resize(mask + 1, 0);
+            for record in &self.records {
+                self.counts[digit(record)] += 1;
+            }
+            let mut next = 0;
+            for slot in &mut self.counts {
+                next += std::mem::replace(slot, next);
+            }
+            self.spare.resize(self.records.len(), first);
+            for record in &self.records {
+                let slot = &mut self.counts[digit(record)];
+                self.spare[*slot] = *record;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.records, &mut self.spare);
+        }
     }
 
     /// Releases the batch added since the last release and empties the
-    /// table: the cells in `(code, action)` order, without those of codes
-    /// seen fewer than `threshold` times. The batch's empirical crowd size
-    /// is [`ShuffledBatch::min_released_code_frequency`].
+    /// table: one cell per `(code, action)` pair, in pair order, without
+    /// those of codes seen fewer than `threshold` times. The batch's
+    /// empirical crowd size is [`ShuffledBatch::min_released_code_frequency`].
     pub(crate) fn release(&mut self, threshold: usize) -> ShuffledBatch {
-        let mut cells: Vec<ReleasedCell> = self.cells.drain().map(|(_, cell)| cell).collect();
-        sort_by_pair(&mut cells);
+        self.sort_by_pair();
         let mut stats = ShufflerStats {
-            received: std::mem::take(&mut self.received),
+            received: self.records.len(),
             ..ShufflerStats::default()
         };
+        let mut cells: Vec<ReleasedCell> = Vec::new();
+        for record in self.records.drain(..) {
+            let cell = ReleasedCell::of(&record);
+            match cells.last_mut() {
+                Some(last) if (last.code(), last.action()) == (record.code(), record.action()) => {
+                    last.absorb(&cell);
+                }
+                _ => cells.push(cell),
+            }
+        }
         // Each code's run of cells is kept (moved down over dropped runs,
         // order unchanged) or dropped whole, by its total.
         let (mut kept, mut start) = (0, 0);
@@ -451,6 +431,9 @@ mod tests {
     #[test]
     fn the_radix_order_is_the_pair_order() {
         let mut rng = StdRng::seed_from_u64(10);
+        // One table for every round, so the kept spare buffer and count
+        // table carry over between batches of different sizes and widths.
+        let mut table = CellTable::default();
         for round in 0..40usize {
             let len = [0, 1, 2, 7, 300, 2500][round % 6];
             // Narrow keys, keys around one digit, and codes at and beyond
@@ -462,7 +445,7 @@ mod tests {
                 2 => (1usize << 32) + rng.gen_range(0..3),
                 _ => rng.gen::<u64>() as usize,
             };
-            let cells: Vec<ReleasedCell> = (0..len)
+            let records: Vec<EncodedReport> = (0..len)
                 .map(|i| {
                     let action = if round % 2 == 0 {
                         rng.gen_range(0..3)
@@ -470,14 +453,15 @@ mod tests {
                         rng.gen_range(0..usize::MAX)
                     };
                     let reward = i as f64 / len as f64;
-                    ReleasedCell::of(&EncodedReport::new(code(&mut rng), action, reward).unwrap())
+                    EncodedReport::new(code(&mut rng), action, reward).unwrap()
                 })
                 .collect();
-            let mut want = cells.clone();
-            want.sort_by_key(|cell| (cell.code(), cell.action()));
-            let mut got = cells;
-            sort_by_pair(&mut got);
-            assert_eq!(got, want, "round {round}");
+            let mut want = records.clone();
+            want.sort_by_key(|record| (record.code(), record.action()));
+            records.iter().for_each(|record| table.add(record));
+            table.sort_by_pair();
+            assert_eq!(table.records, want, "round {round}");
+            table.records.clear();
         }
     }
 

@@ -1,5 +1,5 @@
 //! Concurrency exactness suite for the streaming shuffler: producer
-//! threads feed the engine's one lane, and the released set must be exactly
+//! threads share one engine handle, and the released set must be exactly
 //! the threshold-surviving multiset — no report lost, none duplicated, none
 //! leaked below threshold. The last two tests repeat every claim for one
 //! producer and for several. A released batch is a histogram of
@@ -171,7 +171,7 @@ fn engine_delivers_the_exact_multiset_at_one_four_and_eight_producers() {
     for producers in [1usize, 4, 8] {
         // Threshold 1: nothing may be suppressed, so the delivered multiset
         // must equal the submitted multiset exactly — across interleaved
-        // producers, chunked staging and re-batching.
+        // producers and the cuts at the batch size.
         let engine = ShufflerEngine::builder(ShufflerConfig::new(1))
             .batch_size(64)
             .build()

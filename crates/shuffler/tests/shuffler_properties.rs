@@ -2,13 +2,53 @@
 //! hold for every released batch, no matter the input, and a released batch
 //! is the histogram of exactly the surviving reports.
 
+use p2b_privacy::{decode_fixed, encode_fixed};
 use p2b_shuffler::{
-    EncodedReport, RawReport, ReleasedCell, Shuffler, ShufflerConfig, ShufflerEngine,
+    splitmix64, EncodedReport, RawReport, ReleasedCell, Shuffler, ShufflerConfig, ShufflerEngine,
+    ShufflerStats,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// A released cell as plain values, its reward sum as exact bits.
+type CellValues = (usize, usize, u64, u64);
+
+/// One cut of reports released through a `BTreeMap`: per pair, the count
+/// and the fixed-point reward sum; the cells of codes seen fewer than
+/// `threshold` times removed; the stats counted off the map.
+fn btreemap_release(cut: &[EncodedReport], threshold: usize) -> (Vec<CellValues>, ShufflerStats) {
+    let mut pairs: BTreeMap<(usize, usize), (u64, i128)> = BTreeMap::new();
+    let mut per_code: BTreeMap<usize, usize> = BTreeMap::new();
+    for report in cut {
+        let cell = pairs.entry((report.code(), report.action())).or_default();
+        cell.0 += 1;
+        cell.1 += encode_fixed(report.reward()).unwrap();
+        *per_code.entry(report.code()).or_default() += 1;
+    }
+    let clears = |code: &usize| per_code[code] >= threshold;
+    let cells = pairs
+        .iter()
+        .filter(|((code, _), _)| clears(code))
+        .map(|(&(code, action), &(count, sum))| (code, action, count, decode_fixed(sum).to_bits()))
+        .collect();
+    let kept: Vec<usize> = per_code
+        .values()
+        .copied()
+        .filter(|&n| n >= threshold)
+        .collect();
+    let released = kept.iter().sum();
+    let stats = ShufflerStats {
+        received: cut.len(),
+        released,
+        dropped: cut.len() - released,
+        distinct_codes: per_code.len(),
+        released_codes: kept.len(),
+        min_released_frequency: kept.iter().copied().min().unwrap_or(0),
+    };
+    (cells, stats)
+}
 
 fn batch_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     prop::collection::vec((0usize..10, 0usize..5, 0.0f64..1.0), 0..120)
@@ -86,5 +126,57 @@ proptest! {
         released.sort_unstable();
         expected.sort_unstable();
         prop_assert_eq!(released, expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The engine's batches, cut every `batch_size` reports of one
+    /// producer, release exactly what a `BTreeMap` tabulation of each cut
+    /// releases: the same cells with bit-equal reward sums (non-dyadic
+    /// rewards 0.1/0.3/0.7), in pair order, and the same stats. Codes are
+    /// narrow or sit just below `usize::MAX`.
+    #[test]
+    fn record_release_matches_a_btreemap_oracle(
+        batch_size in prop_oneof![Just(1usize), Just(64usize), Just(16_384usize)],
+        n in 0usize..40_000,
+        seed in any::<u64>(),
+        codes in 1usize..50,
+        actions in 1usize..12,
+        threshold in 1usize..8,
+        wide in any::<bool>(),
+    ) {
+        const REWARDS: [f64; 3] = [0.1, 0.3, 0.7];
+        let base = if wide { usize::MAX - codes } else { 0 };
+        let reports: Vec<EncodedReport> = (0..n as u64)
+            .map(|i| {
+                let h = splitmix64(seed ^ i);
+                let code = base + (h % codes as u64) as usize;
+                let action = ((h >> 20) % actions as u64) as usize;
+                EncodedReport::new(code, action, REWARDS[((h >> 40) % 3) as usize]).unwrap()
+            })
+            .collect();
+        let engine = ShufflerEngine::builder(ShufflerConfig::new(threshold))
+            .batch_size(batch_size)
+            .build()
+            .unwrap();
+        let handle = engine.spawn();
+        for report in &reports {
+            handle.submit(RawReport::new("a", *report)).unwrap();
+        }
+        let batches = handle.finish().batches;
+        prop_assert_eq!(batches.len(), n.div_ceil(batch_size));
+        for (batch, cut) in batches.iter().zip(reports.chunks(batch_size)) {
+            let cells: Vec<CellValues> = batch
+                .batch
+                .reports()
+                .iter()
+                .map(|c| (c.code(), c.action(), c.count(), c.reward_sum().to_bits()))
+                .collect();
+            let (want_cells, want_stats) = btreemap_release(cut, threshold);
+            prop_assert_eq!(cells, want_cells, "batch {}", batch.index);
+            prop_assert_eq!(batch.batch.stats(), want_stats, "batch {}", batch.index);
+        }
     }
 }
