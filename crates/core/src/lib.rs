@@ -30,9 +30,11 @@
 //!
 //! A trust-minimized alternative is the secure-aggregation ingest
 //! ([`SecureIngestService`]): coalesced sufficient statistics are
-//! fixed-point encoded and additively secret-shared across `k` aggregator
-//! shards, and the central side only ever sees the recombined per-arm sums
-//! it assembles epoch models from.
+//! fixed-point encoded and additively secret-shared across `k` parties,
+//! each one accumulator that only its own share of every coordinate
+//! reaches, and the central side only ever sees the recombined per-arm
+//! sums it assembles epoch models from. It starts no thread; the ingest
+//! shards of the [`ModelService`] are the only threads this crate starts.
 //!
 //! # Example
 //!
@@ -78,6 +80,7 @@ mod reporter;
 mod secure;
 mod server;
 mod service;
+mod shard_pool;
 mod system;
 
 pub use agent::{DormantAgent, LocalAgent};

@@ -1,21 +1,21 @@
 //! Routing coalesced sufficient statistics through secure aggregation and
 //! assembling epoch models from the recombined sums.
 //!
-//! This is the core-side half of the secure-aggregation regime. The
-//! [`p2b_shuffler::SecureAggEngine`] owns the `k` shard workers and the
-//! share arithmetic; the statistics-leaf layout is
+//! The secure-aggregation regime (Hannun et al., *Privacy-Preserving
+//! Multi-Party Contextual Bandits*) replaces the trusted shuffler with `k`
+//! aggregating parties, none of which sees a plaintext contribution. Each
+//! party is one masked accumulator ([`Parties`]); the share arithmetic is
+//! [`p2b_privacy::SecretSharer`], and the statistics-leaf layout is
 //! [`p2b_bandit::ArmSums::leaf`] / [`ArmSums::from_leaf`], the one layout
-//! every aggregating regime shares; this module owns the model lifecycle
-//! between the two:
+//! every aggregating regime shares:
 //!
 //! ```text
 //!   group (x, a, n, s) ──▶ ArmSums::leaf [n·vec(xxᵀ) | s·x | n]
 //!                                          │ fixed-point encode + split
-//!                                          ▼
-//!                            k aggregator shards (shares only)
-//!                                          │ finish() at epoch boundary
-//!                                          ▼
-//!               recombined i128 sums ──▶ cumulative totals (wrapping Σ)
+//!                     ┌──── share 0 ───────┼──── share k−1 ────┐
+//!                     ▼                                        ▼
+//!               accumulator 0        …               accumulator k−1
+//!                     └──────────── recombine (wrapping Σ) ────┘
 //!                                          │ decode + ArmSums::from_leaf
 //!                                          ▼
 //!              LinUcb::new + set_arm of every arm (published model)
@@ -26,29 +26,135 @@
 //! to the pull counter — exactly the sum of its `n` per-report leaves, in
 //! one submission.
 //!
+//! The parties live in one process, so their separation is a property of
+//! the type, not of threads: share `j` of a coordinate only ever reaches
+//! accumulator `j`, and only the recombined sum leaves [`Parties`]. As in
+//! [`p2b_privacy::SecretSharer`], the guarantee is architectural, not
+//! cryptographic.
+//!
 //! Determinism: the recombined sums are exact group elements (wrapping
-//! `i128` addition), so the assembled model is bit-identical across shard
-//! counts, submission interleavings and mask seeds. Epoch totals accumulate
-//! with the same wrapping addition, so multi-epoch assembly keeps the
-//! guarantee. `xᵢxⱼ` and `xⱼxᵢ` are the same `f64` product and encode to
-//! the same fixed-point word, so the decoded Gram block is symmetric and
-//! the decoder's symmetrization returns it unchanged.
+//! `i128` addition), so the assembled model is bit-identical across party
+//! counts, submission orders and mask seeds. The accumulators are
+//! cumulative across epochs with the same wrapping addition, so
+//! multi-epoch assembly keeps the guarantee. `xᵢxⱼ` and `xⱼxᵢ` are the same
+//! `f64` product and encode to the same fixed-point word, so the decoded
+//! Gram block is symmetric and the decoder's symmetrization returns it
+//! unchanged.
 
 use crate::CoreError;
-use p2b_bandit::{Action, ArmSums, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, BanditError, LinUcb, LinUcbConfig};
 use p2b_linalg::Vector;
-use p2b_privacy::{decode_fixed, fnv1a};
-use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
+use p2b_privacy::{decode_fixed, encode_fixed, fnv1a, SecretSharer};
 
-/// A model service ingesting coalesced groups through `k`-shard secure
+/// The `k` aggregating parties: one masked accumulator of
+/// `arms × dimension` fixed-point words each.
+///
+/// [`Parties::add`] splits every coordinate of a leaf into `k` additive
+/// shares and adds share `j` to accumulator `j` only; each accumulator
+/// alone is uniform noise, and [`Parties::recombine`], their wrapping sum,
+/// is the exact plaintext sum.
+#[derive(Debug)]
+struct Parties {
+    sharer: SecretSharer,
+    arms: usize,
+    dimension: usize,
+    /// Party `j`'s accumulator, arm-major: the wrapping sum of every share
+    /// `j` it was handed.
+    accumulators: Vec<Vec<i128>>,
+    /// The mask lane of the next accepted leaf.
+    counter: u64,
+    /// One leaf's encoded words, reused across calls.
+    encoded: Vec<i128>,
+    /// One coordinate's `k` shares, reused across calls.
+    shares: Vec<i128>,
+}
+
+impl Parties {
+    /// `parties` empty accumulators whose masks `seed` drives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Privacy`] when `parties` is zero.
+    fn new(seed: u64, parties: usize, arms: usize, dimension: usize) -> Result<Self, CoreError> {
+        Ok(Self {
+            sharer: SecretSharer::new(seed, parties)?,
+            arms,
+            dimension,
+            accumulators: vec![vec![0; arms * dimension]; parties],
+            counter: 0,
+            encoded: vec![0; dimension],
+            shares: vec![0; parties],
+        })
+    }
+
+    /// Splits `leaf` into shares and adds share `j` of each coordinate to
+    /// arm `arm` of accumulator `j`. An accepted leaf allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Bandit`] for an out-of-range arm or a mis-sized
+    /// leaf, and [`CoreError::Privacy`] for a coordinate that is not finite
+    /// or lies outside ±[`p2b_privacy::FIXED_POINT_MAX_ABS`]. A rejected
+    /// leaf reaches no accumulator and takes no mask lane.
+    fn add(&mut self, arm: usize, leaf: &[f64]) -> Result<(), CoreError> {
+        if arm >= self.arms {
+            return Err(BanditError::InvalidAction {
+                action: arm,
+                num_actions: self.arms,
+            }
+            .into());
+        }
+        if leaf.len() != self.dimension {
+            return Err(BanditError::InvalidConfig {
+                parameter: "leaf",
+                message: format!(
+                    "expected {} coordinates, got {}",
+                    self.dimension,
+                    leaf.len()
+                ),
+            }
+            .into());
+        }
+        for (word, &value) in self.encoded.iter_mut().zip(leaf) {
+            *word = encode_fixed(value)?;
+        }
+        let counter = self.counter;
+        self.counter += 1;
+        let base = arm * self.dimension;
+        for (coord, &word) in self.encoded.iter().enumerate() {
+            self.sharer
+                .split_into(counter, coord, word, &mut self.shares)?;
+            for (accumulator, &share) in self.accumulators.iter_mut().zip(&self.shares) {
+                let slot = &mut accumulator[base + coord];
+                *slot = slot.wrapping_add(share);
+            }
+        }
+        Ok(())
+    }
+
+    /// The wrapping sum of the `k` accumulators: the exact plaintext
+    /// fixed-point sums of every leaf added, arm-major.
+    fn recombine(&self) -> Vec<i128> {
+        let mut sums = vec![0i128; self.arms * self.dimension];
+        for accumulator in &self.accumulators {
+            for (sum, &word) in sums.iter_mut().zip(accumulator) {
+                *sum = sum.wrapping_add(word);
+            }
+        }
+        sums
+    }
+}
+
+/// A model service ingesting coalesced groups through `k`-party secure
 /// aggregation and publishing epoch models from the recombined sums.
 ///
 /// The service never sees an individual contribution in the clear once it
 /// has been split: each group — `n` observations of context `x` on arm
 /// `a` with reward sum `s` — is converted to a weighted statistics leaf
-/// and handed to the share engine, and only the recombined
+/// and secret-shared across the parties, and only the recombined
 /// per-arm sums — equal to what a single trusted accumulator would have
-/// computed — come back at [`SecureIngestService::assemble`].
+/// computed — come back at [`SecureIngestService::assemble`]. It starts no
+/// thread.
 ///
 /// # Examples
 ///
@@ -70,53 +176,43 @@ use p2b_shuffler::{SecureAggEngine, SecureAggHandle};
 #[derive(Debug)]
 pub struct SecureIngestService {
     config: LinUcbConfig,
-    engine: SecureAggEngine,
-    handle: SecureAggHandle,
-    /// Cumulative recombined fixed-point sums, `num_actions × (d² + d + 1)`,
-    /// carried across epochs with wrapping addition (exact).
-    totals: Vec<i128>,
-    seed: u64,
+    parties: Parties,
     epoch: u64,
     ingested: u64,
 }
 
 impl SecureIngestService {
-    /// Creates the service and starts the first epoch's shard workers.
+    /// Creates the service with `shards` empty parties.
     ///
-    /// `shards` is the aggregator count `k`; the assembled model does not
+    /// `shards` is the party count `k`; the assembled model does not
     /// depend on it (see the module docs), only the trust split does.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Shuffler`] when `shards` is zero or the engine
-    /// configuration is otherwise degenerate.
+    /// Returns [`CoreError::Privacy`] when `shards` is zero and
+    /// [`CoreError::Bandit`] for an invalid configuration.
     pub fn new(config: LinUcbConfig, shards: usize, seed: u64) -> Result<Self, CoreError> {
+        // Validates the configuration (at least one arm, a valid ridge).
+        ArmSums::new(&config)?;
         let leaf_dimension = ArmSums::leaf_dimension(config.context_dimension);
-        let engine = SecureAggEngine::builder(config.num_actions, leaf_dimension)
-            .shards(shards)
-            .build()?;
-        let handle = engine.spawn(epoch_seed(seed, 0));
         Ok(Self {
             config,
-            totals: vec![0i128; config.num_actions * leaf_dimension],
-            engine,
-            handle,
-            seed,
+            parties: Parties::new(seed, shards, config.num_actions, leaf_dimension)?,
             epoch: 0,
             ingested: 0,
         })
     }
 
-    /// The number of aggregator shards.
+    /// The number of aggregating parties.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.engine.shards()
+        self.parties.accumulators.len()
     }
 
     /// The per-arm statistics-leaf dimension, `d² + d + 1`.
     #[must_use]
     pub fn leaf_dimension(&self) -> usize {
-        self.engine.dimension()
+        self.parties.dimension
     }
 
     /// The number of completed assembly epochs.
@@ -132,8 +228,7 @@ impl SecureIngestService {
     }
 
     /// Splits one group — `count` observations of `context` on `action`,
-    /// rewards summing to `reward_sum` — into shares and routes them to the
-    /// shard workers.
+    /// rewards summing to `reward_sum` — into shares, one per party.
     ///
     /// [`ArmSums::leaf`] clips the context to the unit L2 ball and the
     /// reward sum to `[0, n]`, so every leaf coordinate is bounded by the
@@ -143,9 +238,10 @@ impl SecureIngestService {
     /// # Errors
     ///
     /// Returns [`CoreError::EncoderMismatch`] when the context dimension
-    /// differs from the configured one, and [`CoreError::Shuffler`] when a
-    /// leaf coordinate is not finite or falls outside the fixed-point range,
-    /// the arm is out of range, or the engine has shut down.
+    /// differs from the configured one, [`CoreError::Bandit`] when the
+    /// action is out of range, and [`CoreError::Privacy`] when a leaf
+    /// coordinate falls outside the fixed-point range. A rejected group is
+    /// not counted.
     pub fn ingest(
         &mut self,
         context: &Vector,
@@ -161,40 +257,30 @@ impl SecureIngestService {
             });
         }
         let leaf = ArmSums::leaf(context, count, reward_sum);
-        self.handle.submit(action.index(), &leaf)?;
+        self.parties.add(action.index(), &leaf)?;
         self.ingested += 1;
         Ok(())
     }
 
-    /// Closes the current epoch: joins the shard workers, folds their
-    /// recombined sums into the cumulative totals, assembles a servable
-    /// model and starts the next epoch's workers.
+    /// Closes the current epoch: recombines the parties' accumulators and
+    /// assembles a servable model from them.
     ///
-    /// The published model is rebuilt from the *cumulative* totals, so each
-    /// epoch's model reflects everything ingested since construction — the
-    /// snapshot semantics of the plaintext model service.
+    /// The accumulators are cumulative, so each epoch's model reflects
+    /// everything ingested since construction — the snapshot semantics of
+    /// the plaintext model service.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Shuffler`] if a shard worker terminated
-    /// abnormally and [`CoreError::Bandit`] if the decoded statistics
-    /// cannot form a positive-definite design even after the ridge repair.
+    /// Returns [`CoreError::Bandit`] if the decoded statistics cannot form
+    /// a positive-definite design even after the ridge repair.
     pub fn assemble(&mut self) -> Result<LinUcb, CoreError> {
         self.epoch += 1;
-        let next = self.engine.spawn(epoch_seed(self.seed, self.epoch));
-        let handle = std::mem::replace(&mut self.handle, next);
-        let output = handle.finish()?;
-        let leaf_dimension = self.leaf_dimension();
-        for (arm, totals) in self.totals.chunks_mut(leaf_dimension).enumerate() {
-            for (total, &sum) in totals.iter_mut().zip(output.arm_sums(arm)?) {
-                *total = total.wrapping_add(sum);
-            }
-        }
         // The decoded Gram is PSD up to ~2⁻⁴⁸ quantization, so λI almost
         // always suffices; the repair only escalates if rounding ever tips
         // an eigenvalue negative.
         let mut model = LinUcb::new(self.config)?;
-        for (arm, totals) in self.totals.chunks(leaf_dimension).enumerate() {
+        let totals = self.parties.recombine();
+        for (arm, totals) in totals.chunks(self.leaf_dimension()).enumerate() {
             let decoded: Vec<f64> = totals.iter().copied().map(decode_fixed).collect();
             let sums = ArmSums::from_leaf(&decoded, &self.config)?;
             model.set_arm(Action::new(arm), &sums)?;
@@ -202,21 +288,18 @@ impl SecureIngestService {
         Ok(model)
     }
 
-    /// FNV-1a digest over the cumulative recombined totals (little-endian
-    /// bytes, arms in order). Byte-identical across shard counts and
-    /// reruns; the bench crate's `ingest_golden` test pins the committed
-    /// values.
+    /// FNV-1a digest over the recombined totals (little-endian bytes, arms
+    /// in order). Byte-identical across party counts and reruns; the bench
+    /// crate's `ingest_golden` test pins the committed values.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        fnv1a(self.totals.iter().flat_map(|value| value.to_le_bytes()))
+        fnv1a(
+            self.parties
+                .recombine()
+                .iter()
+                .flat_map(|value| value.to_le_bytes()),
+        )
     }
-}
-
-/// Derives the mask seed for one epoch's share session. The recombined
-/// sums are seed-independent (masks cancel exactly), so the derivation
-/// only has to keep distinct epochs on distinct mask lanes.
-fn epoch_seed(seed: u64, epoch: u64) -> u64 {
-    seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]
@@ -394,17 +477,35 @@ mod tests {
         let oversized = update(vec![1.0, 0.0], 0, 1 << 40, 0.0);
         assert!(matches!(
             feed(&mut service, &oversized).unwrap_err(),
-            CoreError::Shuffler(_)
+            CoreError::Privacy(_)
         ));
         // A rejected update is not counted as ingested.
         assert_eq!(service.ingested(), 0);
     }
 
     #[test]
+    fn an_out_of_range_action_is_a_typed_error_and_not_counted() {
+        let mut service = SecureIngestService::new(LinUcbConfig::new(2, 2), 2, 1).unwrap();
+        assert!(matches!(
+            feed(&mut service, &update(vec![1.0, 0.0], 2, 1, 0.5)).unwrap_err(),
+            CoreError::Bandit(BanditError::InvalidAction {
+                action: 2,
+                num_actions: 2
+            })
+        ));
+        assert_eq!(service.ingested(), 0);
+        assert_eq!(service.assemble().unwrap().observations(), 0);
+    }
+
+    #[test]
     fn zero_shards_is_rejected_at_construction() {
         assert!(matches!(
             SecureIngestService::new(LinUcbConfig::new(2, 2), 0, 1).unwrap_err(),
-            CoreError::Shuffler(_)
+            CoreError::Privacy(_)
+        ));
+        assert!(matches!(
+            SecureIngestService::new(LinUcbConfig::new(2, 0), 2, 1).unwrap_err(),
+            CoreError::Bandit(_)
         ));
     }
 
@@ -417,5 +518,82 @@ mod tests {
         let second = service.assemble().unwrap();
         assert_eq!(service.digest(), digest_after_first);
         assert_eq!(first.observations(), second.observations());
+    }
+
+    #[test]
+    fn add_validates_arm_dimension_and_range() {
+        let mut parties = Parties::new(1, 2, 2, 3).unwrap();
+        assert!(parties.add(2, &[0.0; 3]).is_err(), "arm out of range");
+        assert!(parties.add(0, &[0.0; 2]).is_err(), "dimension mismatch");
+        assert!(
+            parties
+                .add(0, &[p2b_privacy::FIXED_POINT_MAX_ABS * 2.0, 0.0, 0.0])
+                .is_err(),
+            "out-of-range coordinate errors rather than wraps"
+        );
+        // A rejected leaf reaches no party and takes no mask lane.
+        assert_eq!(parties.counter, 0);
+        assert!(parties.accumulators.iter().flatten().all(|&word| word == 0));
+        parties.add(0, &[1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(parties.counter, 1);
+    }
+
+    #[test]
+    fn recombined_sums_are_bit_identical_across_shard_counts() {
+        let run = |shards: usize, seed: u64| {
+            let mut parties = Parties::new(seed, shards, 3, 4).unwrap();
+            for i in 0..50u32 {
+                let x = f64::from(i) * 0.125 - 3.0;
+                parties.add((i % 3) as usize, &[x * x, x, -x, 1.0]).unwrap();
+            }
+            parties
+        };
+        let reference = run(1, 11).recombine();
+        for shards in [2usize, 4] {
+            // Different seeds draw different masks, but masks cancel.
+            let parties = run(shards, 997 * shards as u64);
+            assert_eq!(parties.recombine(), reference, "shards={shards}");
+            // No single party holds the plaintext sums.
+            for accumulator in &parties.accumulators {
+                assert_ne!(accumulator, &reference, "shards={shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_shard_matches_plaintext_fixed_point_sums() {
+        let mut parties = Parties::new(5, 1, 2, 2).unwrap();
+        parties.add(0, &[1.5, 2.0]).unwrap();
+        parties.add(0, &[0.25, -1.0]).unwrap();
+        let plaintext = |a: f64, b: f64| encode_fixed(a).unwrap() + encode_fixed(b).unwrap();
+        let expected = vec![plaintext(1.5, 0.25), plaintext(2.0, -1.0), 0, 0];
+        assert_eq!(parties.accumulators, vec![expected.clone()]);
+        assert_eq!(parties.recombine(), expected);
+        let decoded: Vec<f64> = expected.into_iter().map(decode_fixed).collect();
+        assert_eq!(decoded, vec![1.75, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn empty_run_yields_zero_sums() {
+        let parties = Parties::new(0, 3, 2, 3).unwrap();
+        assert_eq!(parties.recombine(), vec![0i128; 6]);
+        let mut service = SecureIngestService::new(LinUcbConfig::new(2, 2), 3, 0).unwrap();
+        let empty = SecureIngestService::new(LinUcbConfig::new(2, 2), 1, 0).unwrap();
+        assert_eq!(service.digest(), empty.digest());
+        assert_eq!(service.assemble().unwrap().observations(), 0);
+    }
+
+    #[test]
+    fn the_mask_counter_runs_across_epochs() {
+        // A mask lane reused for a second leaf would let a party subtract
+        // two of its shares and read the difference of two contributions,
+        // so the lanes never restart, not even at an epoch boundary.
+        let mut service = SecureIngestService::new(LinUcbConfig::new(2, 2), 2, 3).unwrap();
+        feed(&mut service, &update(vec![0.6, 0.8], 0, 1, 1.0)).unwrap();
+        service.assemble().unwrap();
+        assert_eq!(service.parties.counter, 1);
+        feed(&mut service, &update(vec![0.6, 0.8], 1, 1, 1.0)).unwrap();
+        service.assemble().unwrap();
+        assert_eq!(service.parties.counter, 2);
     }
 }

@@ -65,12 +65,13 @@
 //! shard order (each non-owner adds `+0.0`), so the assembled model is
 //! bit-for-bit independent of thread scheduling *and* of the shard count.
 
+use crate::shard_pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 use crate::CoreError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use p2b_bandit::{Action, ArmSums, BanditError, BuiltArm, LinUcb, LinUcbConfig};
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::Vector;
-use p2b_shuffler::{ReleasedCell, ShardPool, ShufflerError, SHARD_QUEUE_CAPACITY};
+use p2b_shuffler::{ReleasedCell, ShufflerError};
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 

@@ -1,9 +1,8 @@
-//! The shard-worker pool shared by every sharded stage of the pipeline.
+//! The shard-worker pool of the central model service's ingest shards.
 //!
-//! The [`SecureAggEngine`](crate::SecureAggEngine) aggregators and the
-//! central model service's ingest shards have the same shape: `N` threads,
-//! each draining its own bounded FIFO queue, closed and joined in shard
-//! order at shutdown. A [`ShardPool`] is that shape, written once:
+//! [`crate::ModelService`] runs `N` threads, each draining its own bounded
+//! FIFO queue, closed and joined in shard order at shutdown. A
+//! [`ShardPool`] is that shape:
 //!
 //! * **Bounded queues** — [`ShardPool::send`] blocks while the target
 //!   shard's queue is full, so a slow shard slows its producers instead of
@@ -14,49 +13,21 @@
 //! * **One shutdown** — [`ShardPool::join`] closes each queue and joins its
 //!   worker, in shard order, and hands back their results; dropping the
 //!   pool does the same and discards them.
+//!
+//! It is the one place this crate starts a thread; in this crate's tests a
+//! per-thread counter of the workers it started pins how many threads the
+//! write path starts.
 
-use crate::ShufflerError;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use std::fmt;
+use p2b_shuffler::ShufflerError;
 use std::thread::JoinHandle;
 
 /// Default capacity of each shard's bounded queue.
-pub const SHARD_QUEUE_CAPACITY: usize = 1024;
-
-#[cfg(feature = "counters")]
-thread_local! {
-    static WORKERS_STARTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Shard workers [`ShardPool::spawn`] has started from the calling thread
-/// so far. The pool is the one place `p2b_shuffler` and `p2b_core` start a
-/// thread, so this is every thread the pipeline started on the caller's
-/// behalf. A machine-independent cost counter, compiled only with the
-/// `counters` feature.
-#[cfg(feature = "counters")]
-#[must_use]
-pub fn workers_started_on_this_thread() -> u64 {
-    WORKERS_STARTED.with(std::cell::Cell::get)
-}
+pub(crate) const SHARD_QUEUE_CAPACITY: usize = 1024;
 
 /// `N` worker threads, each draining its own bounded FIFO queue of `M`
 /// messages and returning an `R` when its queue closes.
-///
-/// # Examples
-///
-/// ```
-/// use p2b_shuffler::{ShardPool, SHARD_QUEUE_CAPACITY};
-///
-/// # fn main() -> Result<(), p2b_shuffler::ShufflerError> {
-/// let pool = ShardPool::spawn(2, SHARD_QUEUE_CAPACITY, |_, queue| queue.iter().sum::<u64>());
-/// pool.send(0, 3)?;
-/// pool.send(1, 4)?;
-/// pool.send(0, 5)?;
-/// assert_eq!(pool.join()?, vec![8, 4]);
-/// # Ok(())
-/// # }
-/// ```
-pub struct ShardPool<M, R> {
+pub(crate) struct ShardPool<M, R> {
     queues: Vec<Sender<M>>,
     workers: Vec<JoinHandle<R>>,
 }
@@ -67,12 +38,12 @@ impl<M: Send + 'static, R: Send + 'static> ShardPool<M, R> {
     /// in order and ends once the pool closes. A zero `capacity` is read as
     /// one.
     #[must_use]
-    pub fn spawn<F>(shards: usize, capacity: usize, body: F) -> Self
+    pub(crate) fn spawn<F>(shards: usize, capacity: usize, body: F) -> Self
     where
         F: FnOnce(usize, Receiver<M>) -> R + Clone + Send + 'static,
     {
-        #[cfg(feature = "counters")]
-        WORKERS_STARTED.with(|count| count.set(count.get() + shards as u64));
+        #[cfg(test)]
+        tests::WORKERS_STARTED.with(|count| count.set(count.get() + shards as u64));
         let (queues, workers) = (0..shards)
             .map(|shard| {
                 let (queue, input) = bounded(capacity.max(1));
@@ -87,7 +58,7 @@ impl<M: Send + 'static, R: Send + 'static> ShardPool<M, R> {
 impl<M, R> ShardPool<M, R> {
     /// Number of shard workers.
     #[must_use]
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.queues.len()
     }
 
@@ -97,7 +68,7 @@ impl<M, R> ShardPool<M, R> {
     ///
     /// Returns [`ShufflerError::PipelineClosed`] when `shard` is out of
     /// range or its worker has exited (panicked or returned).
-    pub fn send(&self, shard: usize, message: M) -> Result<(), ShufflerError> {
+    pub(crate) fn send(&self, shard: usize, message: M) -> Result<(), ShufflerError> {
         self.queues
             .get(shard)
             .ok_or(ShufflerError::PipelineClosed)?
@@ -111,8 +82,10 @@ impl<M, R> ShardPool<M, R> {
     /// # Errors
     ///
     /// Returns [`ShufflerError::PipelineClosed`] if any worker panicked. Every
-    /// worker is joined either way.
-    pub fn join(mut self) -> Result<Vec<R>, ShufflerError> {
+    /// worker is joined either way. The model service drops its pool
+    /// instead, so only the tests read the workers' results.
+    #[cfg(test)]
+    pub(crate) fn join(mut self) -> Result<Vec<R>, ShufflerError> {
         self.close()
     }
 
@@ -144,20 +117,31 @@ impl<M, R> Drop for ShardPool<M, R> {
     }
 }
 
-impl<M, R> fmt::Debug for ShardPool<M, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("shards", &self.queues.len())
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{P2bConfig, P2bSystem, SecureIngestService};
+    use p2b_bandit::{Action, LinUcbConfig};
+    use p2b_encoding::{KMeansConfig, KMeansEncoder};
+    use p2b_linalg::Vector;
+    use p2b_privacy::Participation;
+    use p2b_shuffler::{EncodedReport, RawReport, ShufflerConfig, ShufflerEngine};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier};
     use std::time::Duration;
+
+    thread_local! {
+        pub(super) static WORKERS_STARTED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Shard workers [`ShardPool::spawn`] has started from the calling
+    /// thread so far: every thread this crate started on its behalf.
+    fn workers_started_on_this_thread() -> u64 {
+        WORKERS_STARTED.with(Cell::get)
+    }
 
     #[test]
     fn join_returns_each_workers_result_in_shard_order() {
@@ -358,5 +342,121 @@ mod tests {
         pool.send(0, 0).unwrap();
         assert_eq!(pool.join(), Err(ShufflerError::PipelineClosed));
         assert_eq!(folded.load(Ordering::SeqCst), 10);
+    }
+
+    // How many threads the write path starts, counted, not timed: a system
+    // starts its ingest shards once, a flush through the shuffler engine
+    // starts none, and secure aggregation starts none.
+
+    const DIMENSION: usize = 4;
+    const CODES: usize = 4;
+    const ACTIONS: usize = 3;
+
+    fn encoder() -> Arc<KMeansEncoder> {
+        let mut rng = StdRng::seed_from_u64(3);
+        let corpus: Vec<Vector> = (0..80)
+            .map(|i| {
+                let mut raw = vec![0.1; DIMENSION];
+                raw[i % DIMENSION] = 1.0;
+                Vector::from(raw).normalized_l1().expect("non-empty")
+            })
+            .collect();
+        Arc::new(
+            KMeansEncoder::fit(&corpus, KMeansConfig::new(CODES), &mut rng).expect("k ≤ corpus"),
+        )
+    }
+
+    /// `n` reports of round `round`, over every code and action.
+    fn reports(round: usize, n: usize) -> Vec<RawReport> {
+        (0..n)
+            .map(|i| {
+                let payload = EncodedReport::new(i % CODES, (i + round) % ACTIONS, 0.5)
+                    .expect("reward in [0, 1]");
+                RawReport::new(format!("agent-{round}-{i}"), payload)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spawn_counts_the_workers_it_starts() {
+        // The counter the tests below read: if it missed a spawn, "starts
+        // no thread" would hold vacuously.
+        let before = workers_started_on_this_thread();
+        let pool: ShardPool<u8, ()> =
+            ShardPool::spawn(3, 1, |_, queue| queue.iter().for_each(drop));
+        assert_eq!(workers_started_on_this_thread() - before, 3);
+        drop(pool);
+        let empty: ShardPool<u8, ()> =
+            ShardPool::spawn(0, 1, |_, queue| queue.iter().for_each(drop));
+        assert_eq!(workers_started_on_this_thread() - before, 3);
+        drop(empty);
+    }
+
+    #[test]
+    fn a_system_starts_its_ingest_shards_once_and_no_thread_per_flush() {
+        let before = workers_started_on_this_thread();
+        let config = P2bConfig::new(DIMENSION, ACTIONS)
+            .with_shuffler_threshold(2)
+            .with_shuffler_batch_size(64)
+            .with_ingest_shards(2);
+        let mut system = P2bSystem::new(config, encoder()).expect("system builds");
+        assert_eq!(
+            workers_started_on_this_thread() - before,
+            2,
+            "the ingest shards"
+        );
+        for round in 0..5 {
+            let (stats, _ledger) = system
+                .streaming_round(reports(round, 150), round as u64)
+                .expect("round folds");
+            assert_eq!(
+                stats.len(),
+                3,
+                "150 reports cut at 64: two full batches and a partial one"
+            );
+            system.server_mut().model().expect("publish succeeds");
+        }
+        assert_eq!(
+            workers_started_on_this_thread() - before,
+            2,
+            "five flushes and publishes start no thread"
+        );
+    }
+
+    #[test]
+    fn an_engine_run_starts_no_thread() {
+        // The experiment channel's shape: build an engine, open a handle,
+        // submit a flush's reports, finish.
+        let before = workers_started_on_this_thread();
+        let engine = ShufflerEngine::builder(ShufflerConfig::new(2))
+            .batch_size(64)
+            .privacy_accounting(Participation::new(0.5).expect("p in (0, 1]"), 1.0)
+            .build()
+            .expect("valid engine");
+        let handle = engine.spawn();
+        for report in reports(0, 200) {
+            handle.submit(report).expect("engine is open");
+        }
+        let output = handle.finish();
+        assert_eq!(output.batches.len(), 4);
+        assert_eq!(workers_started_on_this_thread() - before, 0);
+    }
+
+    #[test]
+    fn a_secure_ingest_run_starts_no_thread() {
+        let before = workers_started_on_this_thread();
+        let mut service = SecureIngestService::new(LinUcbConfig::new(DIMENSION, ACTIONS), 2, 7)
+            .expect("two parties");
+        let context = Vector::from(vec![0.5; DIMENSION]);
+        for epoch in 0..5 {
+            for action in 0..ACTIONS {
+                service
+                    .ingest(&context, Action::new(action), epoch + 1, 0.5)
+                    .expect("leaf in range");
+            }
+            service.assemble().expect("assembly succeeds");
+        }
+        assert_eq!(service.epoch(), 5);
+        assert_eq!(workers_started_on_this_thread() - before, 0);
     }
 }

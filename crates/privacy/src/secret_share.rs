@@ -97,11 +97,22 @@ pub fn encode_fixed(value: f64) -> Result<i128, PrivacyError> {
             message: format!("fixed-point dynamic range is ±{FIXED_POINT_MAX_ABS}, got {value}"),
         });
     }
-    // |value| ≤ 2^14 ⇒ |value · 2^48| ≤ 2^62, exactly representable in f64
-    // (the product has at most 53 significant bits) and inside i64, so the
-    // cast goes through i64: the same value as a direct f64 → i128 cast,
-    // without its software conversion routine (about 4× the cost).
-    Ok(i128::from((value * FIXED_POINT_SCALE).round() as i64))
+    // |value| ≤ 2^14 ⇒ |value · 2^48| ≤ 2^62: the product is exact (a
+    // power-of-two scale) and inside i64, so the cast goes through i64, not
+    // the f64 → i128 software routine. Rounding is half away from zero, as
+    // `f64::round`, without its libm call: `truncated` and `fraction` are
+    // both exact, so the half test is too.
+    let scaled = value * FIXED_POINT_SCALE;
+    let truncated = scaled as i64;
+    let fraction = scaled - truncated as f64;
+    let rounded = if fraction >= 0.5 {
+        truncated + 1
+    } else if fraction <= -0.5 {
+        truncated - 1
+    } else {
+        truncated
+    };
+    Ok(i128::from(rounded))
 }
 
 /// Maps a fixed-point value (or an accumulated sum of them) back to f64.
@@ -154,17 +165,6 @@ impl SecretSharer {
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// A sharer with the same shard count but different mask lanes —
-    /// infallible, so validated-at-construction callers can swap seeds
-    /// without re-threading an error path.
-    #[must_use]
-    pub fn reseeded(&self, seed: u64) -> Self {
-        Self {
-            seed,
-            shards: self.shards,
-        }
     }
 
     /// The uniform ℤ₂¹²⁸ mask of share `shard` for contribution `counter` at

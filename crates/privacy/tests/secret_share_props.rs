@@ -131,6 +131,45 @@ proptest! {
     }
 }
 
+/// Values on which `encode_fixed` must round as `f64::round` does: anywhere
+/// in range; the exact halves `k + 0.5` of the 2⁻⁴⁸ grid (they exist only
+/// below 2⁴ in magnitude) and their float neighbours on either side; the
+/// range ends ±2¹⁴; ±0.0; subnormals of either sign; and the largest float
+/// below a half, which `(y + 0.5).trunc()` rounds up.
+fn rounding_cases() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -FIXED_POINT_MAX_ABS..=FIXED_POINT_MAX_ABS,
+        (-(1i64 << 52)..(1i64 << 52), -1i64..=1).prop_map(|(k, step)| {
+            let half = (2 * k + 1) as f64 / (2.0 * FIXED_POINT_SCALE);
+            f64::from_bits((half.to_bits() as i64 + step) as u64)
+        }),
+        (1u64..(1u64 << 52), any::<bool>())
+            .prop_map(|(bits, negative)| f64::from_bits(bits | u64::from(negative) << 63)),
+        (0usize..6).prop_map(|i| {
+            [
+                FIXED_POINT_MAX_ABS,
+                -FIXED_POINT_MAX_ABS,
+                0.0,
+                -0.0,
+                0.499_999_999_999_999_94 / FIXED_POINT_SCALE,
+                -0.499_999_999_999_999_94 / FIXED_POINT_SCALE,
+            ][i]
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `encode_fixed` rounds half away from zero without libm: bit-equal to
+    /// the `f64::round` oracle on every case of [`rounding_cases`].
+    #[test]
+    fn encode_fixed_rounds_as_f64_round(value in rounding_cases()) {
+        let oracle = (value * FIXED_POINT_SCALE).round() as i128;
+        prop_assert_eq!(encode_fixed(value).unwrap(), oracle, "{:e}", value);
+    }
+}
+
 #[test]
 fn non_finite_values_are_rejected() {
     for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

@@ -34,18 +34,9 @@
 //!   `tests/shuffler_properties.rs` pin conservation and exact
 //!   thresholding at one and many producers.
 //!
-//! A third shape drops the trusted-shuffler assumption altogether for the
-//! sufficient-statistics ingest path: the [`SecureAggEngine`] aggregates
-//! additively secret-shared fixed-point contributions across `k`
-//! independent shard workers, none of which ever sees a plaintext value;
-//! only the recombined sum — exact at any shard count — leaves the engine.
-//! See [`secure`] for the stage diagram and the trust model.
-//!
-//! The secure-aggregation engine and the central model service's ingest
-//! shards run their workers on one [`ShardPool`]: bounded per-shard FIFO
-//! queues, one rule for a dead worker, one shutdown. It is the one place
-//! this crate and `p2b_core` start a thread; with the `counters` feature,
-//! `workers_started_on_this_thread` counts the workers it started.
+//! The shuffler starts no thread and holds nothing else: the
+//! secure-aggregation regime, which needs no trusted shuffler, lives in
+//! `p2b_core` (`SecureIngestService`).
 //!
 //! # Example
 //!
@@ -72,17 +63,11 @@
 
 pub mod engine;
 mod error;
-mod pool;
 mod report;
-pub mod secure;
 mod shuffle;
 
 pub use engine::{EngineBatch, EngineBuilder, EngineHandle, EngineOutput, ShufflerEngine};
 pub use error::ShufflerError;
 pub use p2b_privacy::{fnv1a, splitmix64};
-#[cfg(feature = "counters")]
-pub use pool::workers_started_on_this_thread;
-pub use pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 pub use report::{EncodedReport, RawReport, ReleasedCell, ReportMetadata};
-pub use secure::{SecureAggBuilder, SecureAggEngine, SecureAggHandle, SecureAggOutput};
 pub use shuffle::{ShuffledBatch, Shuffler, ShufflerConfig, ShufflerStats};

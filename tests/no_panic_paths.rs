@@ -2,9 +2,11 @@
 //! that sit on the request path: they must surface typed errors
 //! (`PrivacyError`, `ShufflerError`, `EncodingError`, `ExperimentError`,
 //! `CoreError`, `SimError`, `LinalgError`, `BanditError`, `DatasetError`),
-//! never panic. Test modules (everything at and below the first
-//! `#[cfg(test)]` of a file) and comment/doc lines — doc-comment examples
-//! included — are exempt.
+//! never panic. Test modules (everything at and below a file's first
+//! `#[cfg(test)]` in column 0, the rule `scripts/nontest_lines.sh` counts
+//! by) and comment/doc lines — doc-comment examples included — are exempt.
+//! An indented `#[cfg(test)]` gates one field, statement or method and
+//! does not end the scan: the code below it is scanned.
 //!
 //! The scan reads each `src/` directory flat, without descending. That
 //! misses nothing: the only library `src/` subdirectories in the workspace,
@@ -40,14 +42,19 @@ const FORBIDDEN: &[&str] = &[
     "unimplemented!(",
 ];
 
+/// Whether `line` opens a file's test module: a `#[cfg(test)]` in column
+/// 0.
+fn opens_test_module(line: &str) -> bool {
+    line.starts_with("#[cfg(test)]")
+}
+
 fn non_test_violations(source: &str) -> Vec<(usize, String)> {
     let mut violations = Vec::new();
     for (number, line) in source.lines().enumerate() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
+        if opens_test_module(line) {
             break;
         }
-        if trimmed.starts_with("//") {
+        if line.trim_start().starts_with("//") {
             continue;
         }
         if FORBIDDEN.iter().any(|needle| line.contains(needle)) {
@@ -96,7 +103,7 @@ fn no_unwrap_or_expect_in_non_test_source() {
 
 /// Pins the flat-scan assumption of the file header: every module file in
 /// a `src/<parent>/` subdirectory of a gated crate is declared by
-/// `src/<parent>.rs` below that file's first `#[cfg(test)]` line.
+/// `src/<parent>.rs` below that file's first column-0 `#[cfg(test)]`.
 #[test]
 fn flat_scan_misses_no_compiled_module() {
     let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates");
@@ -110,18 +117,18 @@ fn flat_scan_misses_no_compiled_module() {
             }
             let parent = dir.with_extension("rs");
             let parent_source = fs::read_to_string(&parent).expect("read parent module");
+            let gate = parent_source
+                .lines()
+                .position(opens_test_module)
+                .unwrap_or(usize::MAX);
             let lines: Vec<&str> = parent_source.lines().map(str::trim).collect();
-            let gate = lines
-                .iter()
-                .position(|line| line.starts_with("#[cfg(test)]"))
-                .unwrap_or(lines.len());
             for child in sources(&dir) {
                 let stem = child.file_stem().and_then(|s| s.to_str()).expect("stem");
                 let declaration = format!("mod {stem};");
                 let declared_at = lines.iter().position(|line| line.ends_with(&declaration));
                 if !declared_at.is_some_and(|at| at > gate) {
                     report.push_str(&format!(
-                        "{} is not declared below the first #[cfg(test)] of {}\n",
+                        "{} is not declared below the test module of {}\n",
                         child.display(),
                         parent.display()
                     ));
@@ -148,4 +155,13 @@ fn scanner_catches_the_constructs_it_claims_to() {
         non_test_violations("_ => unreachable!(\"promoted\"),").len(),
         1
     );
+}
+
+#[test]
+fn an_indented_cfg_test_does_not_end_the_scan() {
+    let sample = "struct S {\n    #[cfg(test)]\n    count: u64,\n}\n\
+                  fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn g() { y.unwrap(); } }";
+    let violations = non_test_violations(sample);
+    assert_eq!(violations.len(), 1, "only the test module is exempt");
+    assert_eq!(violations[0].0, 5);
 }
