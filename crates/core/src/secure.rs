@@ -74,8 +74,18 @@ impl Parties {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Privacy`] when `parties` is zero.
+    /// Returns [`CoreError::Privacy`] when `parties` is zero and
+    /// [`CoreError::Bandit`] when `arms` or `dimension` is.
     fn new(seed: u64, parties: usize, arms: usize, dimension: usize) -> Result<Self, CoreError> {
+        for (parameter, value) in [("arms", arms), ("dimension", dimension)] {
+            if value == 0 {
+                return Err(BanditError::InvalidConfig {
+                    parameter,
+                    message: "must be at least 1".to_owned(),
+                }
+                .into());
+            }
+        }
         Ok(Self {
             sharer: SecretSharer::new(seed, parties)?,
             arms,
@@ -518,6 +528,23 @@ mod tests {
         let second = service.assemble().unwrap();
         assert_eq!(service.digest(), digest_after_first);
         assert_eq!(first.observations(), second.observations());
+    }
+
+    #[test]
+    fn builder_validates_every_knob() {
+        assert!(matches!(
+            Parties::new(1, 2, 3, 0).unwrap_err(),
+            CoreError::Bandit(_)
+        ));
+        assert!(matches!(
+            Parties::new(1, 2, 0, 3).unwrap_err(),
+            CoreError::Bandit(_)
+        ));
+        assert!(matches!(
+            Parties::new(1, 0, 2, 3).unwrap_err(),
+            CoreError::Privacy(_)
+        ));
+        assert_eq!(Parties::new(1, 4, 2, 3).unwrap().accumulators.len(), 4);
     }
 
     #[test]
