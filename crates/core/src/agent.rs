@@ -500,6 +500,18 @@ impl LocalAgent {
         snapshot: &Arc<ModelSnapshot>,
     ) -> Result<Self, CoreError> {
         dormant.check_rehydration(encoder.as_ref(), snapshot)?;
+        Ok(Self::revive(dormant, encoder, snapshot))
+    }
+
+    /// [`LocalAgent::rehydrate`] past its check, for a holder that has
+    /// already run [`DormantAgent::check_rehydration`] against the same
+    /// encoder and snapshot: it cannot fail, so the holder never has to give
+    /// the dormant agent up before it knows the agent comes back.
+    pub(crate) fn revive(
+        dormant: DormantAgent,
+        encoder: Arc<dyn Encoder>,
+        snapshot: &Arc<ModelSnapshot>,
+    ) -> Self {
         let policy = match dormant.policy {
             DormantPolicy::Shared => AgentPolicy::Shared(Arc::clone(snapshot)),
             DormantPolicy::Owned(policy) => AgentPolicy::Owned(policy),
@@ -509,7 +521,7 @@ impl LocalAgent {
         } else {
             DecidedContext::default()
         };
-        Ok(Self {
+        Self {
             id: dormant.id,
             policy,
             encoder,
@@ -520,7 +532,7 @@ impl LocalAgent {
             interactions: dormant.interactions,
             scratch: dormant.scratch,
             decided,
-        })
+        }
     }
 
     /// Points a still-shared agent at a newer central snapshot, without

@@ -28,6 +28,13 @@ pub enum CoreError {
         /// The first code whose representative is not finite.
         code: usize,
     },
+    /// The agent pool's books disagree with themselves: its key index or
+    /// LRU list names a slot that does not hold what they say it does. A
+    /// bug, never an input error; the pool reports it instead of guessing.
+    PoolInconsistent {
+        /// What the slot was expected to hold.
+        expected: &'static str,
+    },
     /// An underlying bandit-policy operation failed.
     Bandit(p2b_bandit::BanditError),
     /// An underlying encoding operation failed.
@@ -53,6 +60,10 @@ impl fmt::Display for CoreError {
             CoreError::NonFiniteCentroid { code } => write!(
                 f,
                 "the encoder's representative of code {code} has a NaN or infinite coordinate"
+            ),
+            CoreError::PoolInconsistent { expected } => write!(
+                f,
+                "agent pool books are inconsistent: a slot does not hold {expected}"
             ),
             CoreError::Bandit(e) => write!(f, "bandit failure: {e}"),
             CoreError::Encoding(e) => write!(f, "encoding failure: {e}"),
@@ -135,6 +146,10 @@ mod tests {
             message: "must be at least 1".to_owned(),
         };
         assert!(e.to_string().contains("num_actions"));
+        let e = CoreError::PoolInconsistent {
+            expected: "a resident agent",
+        };
+        assert!(e.to_string().contains("a resident agent"));
     }
 
     #[test]

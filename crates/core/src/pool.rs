@@ -8,18 +8,25 @@
 //!
 //! * **Keyed by context code** — one agent per encoded context bucket, the
 //!   granularity the central model is trained at.
+//! * **One slot per key, checked out in place** — a key maps to one slot
+//!   for the pool's lifetime, and the slot holds the agent resident or
+//!   dormant. A checkout runs its closure on the agent where it is stored:
+//!   no agent moves on a hit.
 //! * **Bounded residency** — at most
-//!   [`AgentPoolConfig::max_resident_agents`] agents are held warm; the
+//!   [`AgentPoolConfig::max_resident_agents`] agents are held warm. The
+//!   residents form an intrusive doubly-linked LRU list through their slots;
+//!   a hit moves its slot to the most-recently-used end in O(1), and the
 //!   least-recently-used resident is evicted when the budget is exceeded.
 //! * **Eviction persists deltas** — an evicted agent is
-//!   [dehydrated](crate::LocalAgent::dehydrate): its queued reports drain
-//!   into the pool outbox (the reporter path to the shuffler never loses
-//!   data) and its local policy state moves to the dormant tier, together
-//!   with its select memo and decided code, so a rehydrated agent neither
-//!   re-scores its unchanged arms nor re-encodes its context.
+//!   [dehydrated](crate::LocalAgent::dehydrate) in its slot: its queued
+//!   reports drain into the pool outbox (the reporter path to the shuffler
+//!   never loses data) and its local policy state stays behind as the
+//!   dormant form, together with its select memo and decided code, so a
+//!   rehydrated agent neither re-scores its unchanged arms nor re-encodes
+//!   its context.
 //! * **Rehydration from the current snapshot** — a dormant agent that never
 //!   folded a local observation costs *zero* persisted model bytes and is
-//!   rebuilt as a pointer into the current epoch's shared
+//!   rebuilt, in the same slot, as a pointer into the current epoch's shared
 //!   [`crate::ModelSnapshot`]; agents with local observations get their
 //!   policy back untouched.
 //! * **One checkout path** — every checkout goes through
@@ -29,14 +36,14 @@
 //!
 //! Because dehydration is lossless for behavior, a bounded pool selects
 //! exactly the same actions as an unbounded one — the `pool_equivalence`
-//! property suite pins this.
+//! property suite pins this, and pins the eviction order against a
+//! reference LRU.
 
-use crate::{CoreError, LocalAgent, ModelSnapshot, P2bConfig, P2bSystem};
+use crate::{CoreError, DormantAgent, LocalAgent, ModelSnapshot, P2bConfig, P2bSystem};
 use p2b_encoding::Encoder;
 use p2b_shuffler::RawReport;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Configuration of an [`AgentPool`].
@@ -158,13 +165,73 @@ impl AgentSource {
     }
 }
 
-/// A resident agent plus its current LRU stamp.
-struct Resident {
-    agent: LocalAgent,
-    stamp: u64,
+/// The form a key's agent is stored in.
+enum Tier {
+    /// Warm, and linked into the LRU list.
+    Resident(LocalAgent),
+    /// Persisted, and outside the LRU list.
+    Dormant(DormantAgent),
+    /// Held only inside [`Tier::park`] and [`Tier::wake`], which cannot
+    /// fail and always store the agent's new form before they return; a
+    /// checkout that met it would report [`CoreError::PoolInconsistent`].
+    Moving,
+}
+
+impl Tier {
+    /// Dehydrates a resident where it lies and hands back the reports it
+    /// had queued; any other tier is left as it is.
+    fn park(&mut self) -> Option<Vec<RawReport>> {
+        match std::mem::replace(self, Tier::Moving) {
+            Tier::Resident(agent) => {
+                let (reports, dormant) = agent.dehydrate();
+                *self = Tier::Dormant(dormant);
+                Some(reports)
+            }
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+
+    /// Rehydrates a dormant agent where it lies against `source`, whose
+    /// snapshot the caller has already checked; any other tier is left as it
+    /// is.
+    fn wake(&mut self, source: &AgentSource) {
+        *self = match std::mem::replace(self, Tier::Moving) {
+            Tier::Dormant(dormant) => Tier::Resident(LocalAgent::revive(
+                dormant,
+                Arc::clone(&source.encoder),
+                &source.snapshot,
+            )),
+            other => other,
+        };
+    }
+}
+
+/// One key's agent plus its links in the LRU list: `prev` towards the
+/// least-recently-used end, `next` towards the most-recently-used end.
+/// Both are `None` while the agent is dormant.
+struct Slot {
+    tier: Tier,
+    prev: Option<usize>,
+    next: Option<usize>,
+}
+
+/// The slot at `at`, or the typed error for a link or index that names no
+/// slot.
+fn slot_mut(slots: &mut [Slot], at: usize) -> Result<&mut Slot, CoreError> {
+    slots.get_mut(at).ok_or(CoreError::PoolInconsistent {
+        expected: "a slot the pool allocated",
+    })
 }
 
 /// The bounded-memory agent pool; see the module docs for the design.
+///
+/// Storage is one key → slot map over a `Vec` of slots that only grows (a
+/// key keeps its slot for good), the two ends of the LRU list, and a
+/// resident count. A hit is one map lookup and an O(1) relink; a miss
+/// changes its slot's tier in place.
 ///
 /// # Example
 ///
@@ -200,12 +267,14 @@ struct Resident {
 /// ```
 pub struct AgentPool {
     config: AgentPoolConfig,
-    residents: HashMap<u64, Resident>,
-    dormant: HashMap<u64, crate::DormantAgent>,
-    /// LRU index: stamp → key. Stamps are unique, so the minimum entry is
-    /// always the single least-recently-used resident.
-    lru: BTreeMap<u64, u64>,
-    clock: u64,
+    /// Key → index into `slots`.
+    index: HashMap<u64, usize>,
+    slots: Vec<Slot>,
+    /// The least-recently-used resident: the next to be evicted.
+    lru: Option<usize>,
+    /// The most-recently-used resident.
+    mru: Option<usize>,
+    residents: usize,
     outbox: Vec<RawReport>,
     stats: PoolStats,
 }
@@ -220,10 +289,11 @@ impl AgentPool {
         config.validate()?;
         Ok(Self {
             config,
-            residents: HashMap::new(),
-            dormant: HashMap::new(),
-            lru: BTreeMap::new(),
-            clock: 0,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            lru: None,
+            mru: None,
+            residents: 0,
             outbox: Vec::new(),
             stats: PoolStats::default(),
         })
@@ -238,13 +308,13 @@ impl AgentPool {
     /// Number of agents currently held warm.
     #[must_use]
     pub fn resident_agents(&self) -> usize {
-        self.lru.len()
+        self.residents
     }
 
     /// Number of agents persisted in the dormant tier.
     #[must_use]
     pub fn dormant_agents(&self) -> usize {
-        self.dormant.len()
+        self.slots.len().saturating_sub(self.residents)
     }
 
     /// Lifetime counters.
@@ -259,24 +329,22 @@ impl AgentPool {
     /// shared snapshot.
     #[must_use]
     pub fn approx_model_bytes(&self) -> (usize, usize) {
-        let resident = self
-            .residents
-            .values()
-            .map(|r| r.agent.approx_owned_model_bytes())
-            .sum();
-        let dormant = self
-            .dormant
-            .values()
-            .map(crate::DormantAgent::approx_model_bytes)
-            .sum();
+        let (mut resident, mut dormant) = (0, 0);
+        for slot in &self.slots {
+            match &slot.tier {
+                Tier::Resident(agent) => resident += agent.approx_owned_model_bytes(),
+                Tier::Dormant(agent) => dormant += agent.approx_model_bytes(),
+                Tier::Moving => {}
+            }
+        }
         (resident, dormant)
     }
 
     /// Checks the agent for `key` out of the pool against a captured
-    /// [`AgentSource`], runs `f` on it, and checks it back in — evicting the
-    /// least-recently-used resident if the residency budget is now exceeded.
-    /// Worker threads each own a pool and share (clones of) one source per
-    /// epoch.
+    /// [`AgentSource`], runs `f` on it where it is stored, and checks it
+    /// back in — evicting the least-recently-used resident if the residency
+    /// budget is now exceeded. Worker threads each own a pool and share
+    /// (clones of) one source per epoch.
     ///
     /// Checkout order of preference: resident (a still-shared resident hops
     /// to the source's snapshot if its epoch differs — a pointer swap, not a
@@ -290,89 +358,147 @@ impl AgentPool {
     /// Propagates snapshot, rehydration and closure errors. The agent is
     /// checked back in even when `f` fails, and a checkout that fails — a
     /// mis-shaped snapshot — never ran `f` and leaves the agent where it
-    /// was, resident or dormant.
+    /// was, resident or dormant. Returns [`CoreError::PoolInconsistent`] if
+    /// the pool's own books disagree.
     pub fn with_agent_at<T>(
         &mut self,
         source: &AgentSource,
         key: u64,
         f: impl FnOnce(&mut LocalAgent) -> Result<T, CoreError>,
     ) -> Result<T, CoreError> {
-        let mut agent = self.checkout_at(source, key)?;
-        let result = f(&mut agent);
-        self.checkin(key, agent);
+        let at = self.checkout_at(source, key)?;
+        let Tier::Resident(agent) = &mut slot_mut(&mut self.slots, at)?.tier else {
+            return Err(CoreError::PoolInconsistent {
+                expected: "the agent just checked out",
+            });
+        };
+        let result = f(agent);
+        self.outbox.extend(agent.take_reports());
+        self.enforce_budget()?;
         result
     }
 
-    // Checkout asks whatever can refuse it — a shape check — while the agent
-    // still sits in its map, and takes it out only afterwards: a failed
-    // checkout leaves the pool as it found it.
-    fn checkout_at(&mut self, source: &AgentSource, key: u64) -> Result<LocalAgent, CoreError> {
-        if let Entry::Occupied(mut held) = self.residents.entry(key) {
-            let agent = &mut held.get_mut().agent;
-            if let Some(snapshot) = agent.warm_snapshot() {
-                if snapshot.epoch() != source.epoch() {
-                    agent.refresh_from_snapshot(Arc::clone(source.snapshot()))?;
+    // Checkout asks whatever can refuse it — a shape check — before it
+    // touches the LRU list, the counters or the agent's tier: a failed
+    // checkout leaves the pool as it found it. On success the agent is
+    // resident at the most-recently-used end, and its slot is returned.
+    fn checkout_at(&mut self, source: &AgentSource, key: u64) -> Result<usize, CoreError> {
+        let Some(&at) = self.index.get(&key) else {
+            let agent = source.make_agent(key)?;
+            let at = self.slots.len();
+            self.slots.push(Slot {
+                tier: Tier::Resident(agent),
+                prev: None,
+                next: None,
+            });
+            self.index.insert(key, at);
+            self.push_mru(at)?;
+            self.stats.creations += 1;
+            return Ok(at);
+        };
+        let slot = slot_mut(&mut self.slots, at)?;
+        match &mut slot.tier {
+            Tier::Resident(agent) => {
+                if let Some(snapshot) = agent.warm_snapshot() {
+                    if snapshot.epoch() != source.epoch() {
+                        agent.refresh_from_snapshot(Arc::clone(source.snapshot()))?;
+                    }
                 }
+                if self.mru != Some(at) {
+                    self.unlink(at)?;
+                    self.push_mru(at)?;
+                }
+                self.stats.hits += 1;
             }
-            let resident = held.remove();
-            self.lru.remove(&resident.stamp);
-            self.stats.hits += 1;
-            return Ok(resident.agent);
-        }
-        if let Entry::Occupied(parked) = self.dormant.entry(key) {
-            parked
-                .get()
-                .check_rehydration(source.encoder.as_ref(), &source.snapshot)?;
-            self.stats.rehydrations += 1;
-            return LocalAgent::rehydrate(
-                parked.remove(),
-                Arc::clone(&source.encoder),
-                &source.snapshot,
-            );
-        }
-        self.stats.creations += 1;
-        source.make_agent(key)
-    }
-
-    fn checkin(&mut self, key: u64, mut agent: LocalAgent) {
-        self.outbox.extend(agent.take_reports());
-        let stamp = self.clock;
-        self.clock += 1;
-        self.residents.insert(key, Resident { agent, stamp });
-        self.lru.insert(stamp, key);
-        if let Some(budget) = self.config.max_resident_agents {
-            while self.lru.len() > budget {
-                self.evict_lru();
-                self.stats.evictions += 1;
+            Tier::Dormant(parked) => {
+                parked.check_rehydration(source.encoder.as_ref(), &source.snapshot)?;
+                slot.tier.wake(source);
+                self.push_mru(at)?;
+                self.stats.rehydrations += 1;
+            }
+            Tier::Moving => {
+                return Err(CoreError::PoolInconsistent {
+                    expected: "a resident or dormant agent",
+                })
             }
         }
+        Ok(at)
     }
 
-    /// Dehydrates the least-recently-used resident into the dormant tier.
-    /// Budget accounting happens at the call sites: only budget pressure
-    /// counts as an eviction in [`PoolStats`], a [`AgentPool::park_all`]
-    /// drain does not.
-    fn evict_lru(&mut self) {
-        let Some((_, key)) = self.lru.pop_first() else {
-            return;
+    /// Takes the resident at `at` out of the LRU list.
+    fn unlink(&mut self, at: usize) -> Result<(), CoreError> {
+        let slot = slot_mut(&mut self.slots, at)?;
+        let (prev, next) = (slot.prev.take(), slot.next.take());
+        match prev {
+            Some(prev) => slot_mut(&mut self.slots, prev)?.next = next,
+            None => self.lru = next,
+        }
+        match next {
+            Some(next) => slot_mut(&mut self.slots, next)?.prev = prev,
+            None => self.mru = prev,
+        }
+        self.residents -= 1;
+        Ok(())
+    }
+
+    /// Links the resident at `at` in at the most-recently-used end.
+    fn push_mru(&mut self, at: usize) -> Result<(), CoreError> {
+        let last = self.mru;
+        let slot = slot_mut(&mut self.slots, at)?;
+        slot.prev = last;
+        slot.next = None;
+        match last {
+            Some(last) => slot_mut(&mut self.slots, last)?.next = Some(at),
+            None => self.lru = Some(at),
+        }
+        self.mru = Some(at);
+        self.residents += 1;
+        Ok(())
+    }
+
+    /// Evicts least-recently-used residents until the budget holds again;
+    /// each counts as an eviction in [`PoolStats`].
+    fn enforce_budget(&mut self) -> Result<(), CoreError> {
+        let Some(budget) = self.config.max_resident_agents else {
+            return Ok(());
         };
-        // The LRU index and the resident map move in lockstep; if an entry
-        // is somehow stale, dropping it from the index already repaired the
-        // books and there is nothing to dehydrate.
-        let Some(resident) = self.residents.remove(&key) else {
-            return;
-        };
-        let (reports, dormant) = resident.agent.dehydrate();
+        while self.residents > budget {
+            self.evict_lru()?;
+            self.stats.evictions += 1;
+        }
+        Ok(())
+    }
+
+    /// Dehydrates the least-recently-used resident in its slot. Budget
+    /// accounting happens at the call sites: only budget pressure counts as
+    /// an eviction in [`PoolStats`], a [`AgentPool::park_all`] drain does
+    /// not.
+    fn evict_lru(&mut self) -> Result<(), CoreError> {
+        let at = self.lru.ok_or(CoreError::PoolInconsistent {
+            expected: "a resident at the least-recently-used end",
+        })?;
+        self.unlink(at)?;
+        let reports =
+            slot_mut(&mut self.slots, at)?
+                .tier
+                .park()
+                .ok_or(CoreError::PoolInconsistent {
+                    expected: "a resident agent to evict",
+                })?;
         self.outbox.extend(reports);
-        self.dormant.insert(key, dormant);
+        Ok(())
     }
 
     /// Evicts every resident agent (in LRU order), persisting all local
     /// state to the dormant tier — the shutdown/drain path of a serving
-    /// deployment, and how simulations flush trailing reports.
+    /// deployment, and how simulations flush trailing reports. A drain
+    /// that meets inconsistent books stops there instead of guessing; the
+    /// agent's next checkout reports [`CoreError::PoolInconsistent`].
     pub fn park_all(&mut self) {
-        while !self.lru.is_empty() {
-            self.evict_lru();
+        while self.lru.is_some() {
+            if self.evict_lru().is_err() {
+                break;
+            }
         }
     }
 
@@ -684,6 +810,41 @@ mod tests {
         assert_eq!(after.hits, before.2.hits + 1);
         assert_eq!(after.rehydrations, before.2.rehydrations + 2);
         assert_eq!(pool.drain_reports().len(), before.3);
+    }
+
+    #[test]
+    fn inconsistent_books_are_a_typed_error_not_a_panic() {
+        let source = source();
+        let empty = |_: &mut LocalAgent| Ok(());
+        let inconsistent = |result: Result<(), CoreError>| {
+            matches!(result, Err(CoreError::PoolInconsistent { .. }))
+        };
+        // Budget 2 over keys 0–2: key 0 is dormant in slot 0.
+        let mut pool = AgentPool::new(AgentPoolConfig::bounded(2)).unwrap();
+        for key in 0..3u64 {
+            pool.with_agent_at(&source, key, empty).unwrap();
+        }
+        assert!(matches!(pool.slots[0].tier, Tier::Dormant(_)));
+
+        // A slot caught mid-move refuses its checkout.
+        let parked = std::mem::replace(&mut pool.slots[0].tier, Tier::Moving);
+        assert!(inconsistent(pool.with_agent_at(&source, 0, empty)));
+        pool.slots[0].tier = parked;
+
+        // An LRU end that names a dormant slot fails the eviction a fresh
+        // key causes, and a drain over the same books stops instead of
+        // looping or panicking.
+        pool.lru = Some(0);
+        assert!(inconsistent(pool.with_agent_at(&source, 3, empty)));
+        pool.lru = Some(0);
+        pool.park_all();
+
+        // A link past the last slot is refused the same way.
+        let mut pool = AgentPool::new(AgentPoolConfig::unbounded()).unwrap();
+        pool.with_agent_at(&source, 0, empty).unwrap();
+        pool.with_agent_at(&source, 1, empty).unwrap();
+        pool.slots[0].next = Some(7);
+        assert!(inconsistent(pool.with_agent_at(&source, 0, empty)));
     }
 
     #[test]

@@ -18,13 +18,18 @@
 //! never-evicted one does. The suite therefore also pins that eviction
 //! costs nothing in the select path — every bounded run scores exactly as
 //! many arms as the unbounded run.
+//!
+//! Which agent is evicted is pinned separately, against [`StampLru`]: the
+//! stamp-ordered LRU the pool kept before it linked its residents through
+//! their slots, kept here as the reference.
 
-use p2b_core::{AgentPool, AgentPoolConfig, AgentSource, P2bConfig, P2bSystem};
+use p2b_core::{AgentPool, AgentPoolConfig, AgentSource, P2bConfig, P2bSystem, PoolStats};
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 const DIMENSION: usize = 4;
@@ -177,5 +182,158 @@ proptest! {
             unbounded.3, bounded.3,
             "arms scored drifted (budget {})", budget
         );
+    }
+}
+
+/// The reference LRU: every checkin takes a fresh stamp from a clock, the
+/// smallest stamp is the least-recently-used resident, and an evicted key
+/// joins the dormant set. It models only residency, which is all the pool's
+/// counters depend on.
+struct StampLru {
+    budget: Option<usize>,
+    clock: u64,
+    /// Resident key → its stamp.
+    residents: HashMap<u64, u64>,
+    /// Stamp → resident key; stamps are unique, so the first entry is the
+    /// single least-recently-used resident.
+    lru: BTreeMap<u64, u64>,
+    dormant: HashSet<u64>,
+}
+
+impl StampLru {
+    fn new(budget: Option<usize>) -> Self {
+        Self {
+            budget,
+            clock: 0,
+            residents: HashMap::new(),
+            lru: BTreeMap::new(),
+            dormant: HashSet::new(),
+        }
+    }
+
+    /// Checks `key` out and back in; returns the counter increments the
+    /// checkout should cause.
+    fn checkout(&mut self, key: u64) -> PoolStats {
+        let mut delta = PoolStats::default();
+        if let Some(stamp) = self.residents.remove(&key) {
+            self.lru.remove(&stamp);
+            delta.hits = 1;
+        } else if self.dormant.remove(&key) {
+            delta.rehydrations = 1;
+        } else {
+            delta.creations = 1;
+        }
+        self.residents.insert(key, self.clock);
+        self.lru.insert(self.clock, key);
+        self.clock += 1;
+        while self.budget.is_some_and(|budget| self.lru.len() > budget) {
+            self.evict_lru();
+            delta.evictions += 1;
+        }
+        delta
+    }
+
+    fn evict_lru(&mut self) {
+        if let Some((_, key)) = self.lru.pop_first() {
+            self.residents.remove(&key);
+            self.dormant.insert(key);
+        }
+    }
+
+    fn park_all(&mut self) {
+        while !self.lru.is_empty() {
+            self.evict_lru();
+        }
+    }
+}
+
+const ORACLE_KEYS: u64 = 12;
+const ORACLE_BUDGETS: [Option<usize>; 5] = [Some(1), Some(2), Some(3), Some(5), None];
+
+/// One step of an oracle stream: a checkout of a key, or a `park_all`.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Checkout(u64),
+    ParkAll,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    // One step in sixteen drains the pool.
+    prop::collection::vec(
+        (0..ORACLE_KEYS, 0..16u8).prop_map(|(key, roll)| {
+            if roll == 0 {
+                Step::ParkAll
+            } else {
+                Step::Checkout(key)
+            }
+        }),
+        1..120,
+    )
+}
+
+fn stats_delta(after: &PoolStats, before: &PoolStats) -> PoolStats {
+    PoolStats {
+        hits: after.hits - before.hits,
+        rehydrations: after.rehydrations - before.rehydrations,
+        creations: after.creations - before.creations,
+        evictions: after.evictions - before.evictions,
+    }
+}
+
+/// Drives `steps` through a pool and the reference at `budget`, checking
+/// the counters and the tier sizes after every step.
+fn check_against_oracle(budget: Option<usize>, steps: &[Step]) {
+    let source = source();
+    let config = AgentPoolConfig {
+        max_resident_agents: budget,
+    };
+    let mut pool = AgentPool::new(config).expect("valid pool configuration");
+    let mut oracle = StampLru::new(budget);
+    let tiers = |pool: &AgentPool, oracle: &StampLru, at: usize| {
+        assert_eq!(
+            (pool.resident_agents(), pool.dormant_agents()),
+            (oracle.residents.len(), oracle.dormant.len()),
+            "tier sizes drifted at step {at} (budget {budget:?})"
+        );
+    };
+    for (at, step) in steps.iter().enumerate() {
+        let before = *pool.stats();
+        match *step {
+            Step::Checkout(key) => {
+                pool.with_agent_at(&source, key, |_| Ok(()))
+                    .expect("checkout succeeds");
+                assert_eq!(
+                    stats_delta(pool.stats(), &before),
+                    oracle.checkout(key),
+                    "checkout of key {key} at step {at} (budget {budget:?})"
+                );
+            }
+            Step::ParkAll => {
+                pool.park_all();
+                oracle.park_all();
+                assert_eq!(*pool.stats(), before, "park_all counts nothing");
+            }
+        }
+        tiers(&pool, &oracle, at);
+    }
+    let before = *pool.stats();
+    pool.park_all();
+    oracle.park_all();
+    assert_eq!(*pool.stats(), before, "park_all counts nothing");
+    tiers(&pool, &oracle, steps.len());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pool evicts exactly the resident the stamp-ordered LRU evicts:
+    /// every checkout is the same hit, rehydration or creation with the same
+    /// number of evictions, and the resident and dormant tiers keep the same
+    /// sizes, through `park_all` drains too.
+    #[test]
+    fn eviction_order_matches_the_stamp_lru_oracle(steps in steps()) {
+        for budget in ORACLE_BUDGETS {
+            check_against_oracle(budget, &steps);
+        }
     }
 }
