@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the LinUCB hot path: action selection and model
-//! updates at the dimensions used by the paper's experiments.
+//! updates at the dimensions used by the paper's experiments, and the exact
+//! inverse an arm's build and periodic refresh compute from its factor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2b_bandit::{ContextualPolicy, LinUcb, LinUcbConfig};
-use p2b_linalg::Vector;
+use p2b_linalg::{Cholesky, Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,5 +57,29 @@ fn bench_update(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_select_action, bench_update);
+/// `Cholesky::inverse` of a design `I + Σ 3·x xᵀ` over `4d` contexts: the
+/// all-columns kernel every arm build (`BuiltArm::new`) and every periodic
+/// refresh runs once.
+fn bench_inverse(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cholesky_inverse");
+    for &dimension in &[16usize, 32] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("d{dimension}")),
+            &dimension,
+            |b, &dimension| {
+                let mut rng = StdRng::seed_from_u64(3);
+                let mut design = Matrix::identity(dimension);
+                for _ in 0..4 * dimension {
+                    let x = random_context(dimension, &mut rng);
+                    design.add_outer_product(&x, 3.0).unwrap();
+                }
+                let factor = Cholesky::new(&design).unwrap();
+                b.iter(|| factor.inverse());
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_select_action, bench_update, bench_inverse);
 criterion_main!(benches);

@@ -173,14 +173,18 @@ impl DormantAgent {
 /// vector, cached θ, the fold's `A⁻¹x` lane). Selection scores every arm
 /// off exactly this state; the model keeps no second copy of it. A promoted
 /// agent shares the arms it has not written with its epoch snapshot, so the
-/// figure is what the agent would own once every arm is written. Not
-/// counted: the `d² + d` words of refresh scratch an arm allocates at its
-/// first exact refresh of the inverse, the model's one-word content stamp
-/// per action, the agent's select memo (`d + 2·A` words: the last context,
-/// and a stamp and a score per action) and its `DecidedContext` (`d`
-/// words), resident or dormant — bookkeeping that decides how many arms a
-/// decision re-scores and whether a context is encoded again, never which
-/// action is picked or which code is reported.
+/// figure is what the agent would own once every arm is written. A written
+/// arm holds exactly this: copying an arm copies its statistics and no
+/// scratch (`crates/core/tests/cow_arm_bytes.rs` pins the bytes a
+/// copy-on-write fold keeps). Not counted: the `d²` words of Cholesky
+/// factor an owned arm allocates when it first refreshes its inverse in
+/// place (once its update count reaches a multiple of the refresh
+/// interval), the model's one-word content stamp per action, the agent's
+/// select memo (`d + 2·A` words: the last context, and a stamp and a score
+/// per action) and its `DecidedContext` (`d` words), resident or dormant —
+/// bookkeeping that decides how many arms a decision re-scores and whether
+/// a context is encoded again, never which action is picked or which code
+/// is reported.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;

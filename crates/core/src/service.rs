@@ -55,9 +55,14 @@
 //!   share one assembly.
 //! * **Each heap frees its own** — the cell runs, the reply queues and the
 //!   installed arms are allocated and freed by the service's thread, and a
-//!   built arm, allocated by its shard, is freed only once every shard is
-//!   idle. So what the service leaves on its heap and on a shard's does
-//!   not depend on how the threads interleave.
+//!   built arm, allocated by its shard, is freed by that shard at its next
+//!   command, after the service has installed a copy and dropped its
+//!   reference. So what the service leaves on its heap and on a shard's
+//!   does not depend on how the threads interleave, and no block of a
+//!   shard's heap passes to the service's thread: glibc would keep a small
+//!   one the service frees in that thread's cache, hand it to the thread's
+//!   next allocation of its size, and a vector grown from it by `realloc`
+//!   would grow inside the shard's heap, which keeps the pages.
 //!
 //! Determinism: each arm is owned by exactly one shard and receives its
 //! cells in submission order, and the build is the arithmetic of
@@ -180,11 +185,18 @@ impl ModelSnapshot {
 }
 
 /// One message of a shard's reply to a snapshot request: each arm as soon
-/// as it is built, then the arms the shard folded cells into since the
-/// previous successful snapshot (or its failure), which ends the reply.
+/// as it is built, flagged when the shard folded cells into it since the
+/// previous successful snapshot, then the end of the reply (or the shard's
+/// failure). The shard builds every arm it folded, so the flags are its
+/// dirty set, and the reply holds nothing the shard allocated but the
+/// built arms, which the shard frees itself.
 enum Reply {
-    Built(usize, BuiltArm),
-    Done(Result<Vec<usize>, BanditError>),
+    Built {
+        arm: usize,
+        built: BuiltArm,
+        folded: bool,
+    },
+    Done(Result<(), BanditError>),
 }
 
 /// What one ingest shard can be asked to do.
@@ -198,9 +210,9 @@ enum ShardCommand {
         centroids: Arc<Centroids>,
     },
     /// Build the dirty arms — every owned arm when `install_all` — sending
-    /// each as it is built, then the dirty set; or the first fold error the
-    /// shard ever hit, or the build's error. A successful reply clears the
-    /// shard's dirty tracking.
+    /// each as it is built, flagged if dirty, then the end of the reply; or
+    /// the first fold error the shard ever hit, or the build's error. A
+    /// successful reply clears the shard's dirty tracking.
     Snapshot {
         install_all: bool,
         reply: Sender<Reply>,
@@ -225,7 +237,12 @@ fn run_shard(
     let mut sums = vec![cold.clone(); owned];
     let mut dirty = vec![false; owned];
     let mut failure: Option<BanditError> = None;
+    // The arms of the last snapshot. The service installs copies and drops
+    // its references before it sends another command, so clearing this at
+    // the next command frees them here, on the heap that allocated them.
+    let mut sent: Vec<BuiltArm> = Vec::with_capacity(owned);
     while let Ok(command) = commands.recv() {
+        sent.clear();
         match command {
             // After a failure the shard only answers snapshots, with it.
             ShardCommand::Fold { .. } if failure.is_some() => {}
@@ -253,25 +270,27 @@ fn run_shard(
                 }
             }
             ShardCommand::Snapshot { install_all, reply } => {
-                let arm = |local: usize| shard + local * shards;
                 let built = match &failure {
                     Some(error) => Err(error.clone()),
                     None => (0..owned)
                         .filter(|&local| install_all || dirty[local])
                         .try_for_each(|local| {
                             let built = BuiltArm::new(config, &sums[local])?;
+                            sent.push(built.clone());
                             // A dropped reply receiver just means the
                             // requester went away; the shard keeps serving.
-                            let _ = reply.send(Reply::Built(arm(local), built));
+                            let _ = reply.send(Reply::Built {
+                                arm: shard + local * shards,
+                                built,
+                                folded: dirty[local],
+                            });
                             Ok(())
                         }),
                 };
-                let done = built.map(|()| {
-                    let folded = (0..owned).filter(|&local| dirty[local]).map(arm).collect();
+                if built.is_ok() {
                     dirty.fill(false);
-                    folded
-                });
-                let _ = reply.send(Reply::Done(done));
+                }
+                let _ = reply.send(Reply::Done(built));
             }
         }
     }
@@ -477,31 +496,30 @@ impl ModelService {
         };
         // The shards build in parallel; this thread installs each shard's
         // arms as they arrive, shard by shard, so the installs run in one
-        // order whatever the scheduling. Each built arm stays alive until
-        // every shard is done: it lives on its shard's heap, and freeing it
-        // while that shard still builds would make the shard's heap depend
-        // on the scheduling too.
-        let (mut dirty, mut built_arms) = (Vec::new(), Vec::new());
+        // order whatever the scheduling. An install drops this thread's
+        // reference to the built arm; the shard holds the last one.
+        let mut dirty = Vec::new();
         for replies in &replies {
             loop {
                 // The sender gone before its `Done`: the shard died.
                 match replies.recv().map_err(|_| ShufflerError::PipelineClosed)? {
-                    Reply::Built(arm, built) => {
-                        assembled.install_arm(Action::new(arm), built.clone())?;
-                        built_arms.push(built);
+                    Reply::Built { arm, built, folded } => {
+                        assembled.install_arm(Action::new(arm), built)?;
+                        if folded {
+                            dirty.push(arm);
+                        }
                         #[cfg(test)]
                         {
                             self.installs += 1;
                         }
                     }
-                    Reply::Done(folded) => {
-                        dirty.extend(folded?);
+                    Reply::Done(done) => {
+                        done?;
                         break;
                     }
                 }
             }
         }
-        drop(built_arms);
         // Every shard has folded every run dispatched before this call.
         self.dispatched
             .get_mut()

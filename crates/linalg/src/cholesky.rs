@@ -55,7 +55,8 @@ pub fn factorizations_on_this_thread() -> u64 {
 /// run the exact same arithmetic sequence, so a factor computed into a
 /// reused scratch buffer is bit-identical to a freshly allocated one. Stale
 /// upper-triangle contents in a reused buffer are harmless — every consumer
-/// ([`solve_in_place`]) reads only the diagonal and lower triangle.
+/// ([`solve_in_place`], [`inverse_from_lower`]) reads only the diagonal and
+/// lower triangle.
 ///
 /// # Errors
 ///
@@ -128,6 +129,56 @@ pub(crate) fn solve_in_place(l: &[f64], n: usize, out: &mut [f64]) {
             sum -= l[k * n + i] * out[k];
         }
         out[i] = sum / l[i * n + i];
+    }
+}
+
+/// Writes `A⁻¹ = (L Lᵀ)⁻¹` into the flat row-major buffer `inverse`
+/// (`n·n` elements, every one overwritten) from the lower factor `l` of
+/// [`factor_lower`], all columns at once.
+///
+/// Column `j` of the result gets exactly the arithmetic of
+/// [`solve_in_place`] on the basis vector `e_j`, zeros included, so the
+/// inverse is bit-identical to `n` such solves. Only the loop order differs:
+/// the forward pass writes row `i` of `L⁻¹` as `e_iᵀ`, minus `l[i][k]` times
+/// row `k` for `k = 0..i` in order, then divides by `l[i][i]`; the backward
+/// pass runs bottom-up, in place, subtracting `l[k][i]` times the finished
+/// row `k` for `k = i+1..n` in order. Each step is one scalar times a
+/// contiguous row, independent across columns, which the compiler can
+/// vectorise.
+pub(crate) fn inverse_from_lower(l: &[f64], n: usize, inverse: &mut [f64]) {
+    debug_assert_eq!(l.len(), n * n);
+    debug_assert_eq!(inverse.len(), n * n);
+    // Forward substitution: L Y = I, row by row into `inverse`.
+    for i in 0..n {
+        let (done, rest) = inverse.split_at_mut(i * n);
+        let row = &mut rest[..n];
+        row.fill(0.0);
+        row[i] = 1.0;
+        for (k, &lk) in l[i * n..i * n + i].iter().enumerate() {
+            for (entry, &y) in row.iter_mut().zip(&done[k * n..(k + 1) * n]) {
+                *entry -= lk * y;
+            }
+        }
+        let pivot = l[i * n + i];
+        for entry in row.iter_mut() {
+            *entry /= pivot;
+        }
+    }
+    // Backward substitution: Lᵀ X = Y, bottom-up, in place.
+    for i in (0..n).rev() {
+        let (head, done) = inverse.split_at_mut((i + 1) * n);
+        let row = &mut head[i * n..];
+        for k in i + 1..n {
+            let lki = l[k * n + i];
+            let finished = &done[(k - i - 1) * n..(k - i) * n];
+            for (entry, &x) in row.iter_mut().zip(finished) {
+                *entry -= lki * x;
+            }
+        }
+        let pivot = l[i * n + i];
+        for entry in row.iter_mut() {
+            *entry /= pivot;
+        }
     }
 }
 
@@ -211,27 +262,18 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Computes the full inverse `A⁻¹` by solving against each basis vector.
+    /// Computes the full inverse `A⁻¹` from the factor, all columns at once.
+    /// Column `j` is bit-identical to [`Cholesky::solve`] on the basis
+    /// vector `e_j`.
     ///
     /// This is `O(d³)` and intended for initialization; incremental updates
-    /// should use [`crate::RankOneInverse`].
+    /// should use [`crate::RankOneInverse`], whose exact refresh runs the
+    /// same kernel.
     #[must_use]
     pub fn inverse(&self) -> Matrix {
         let n = self.dim();
         let mut inv = Matrix::zeros(n, n);
-        let mut basis = vec![0.0; n];
-        let mut col = vec![0.0; n];
-        for j in 0..n {
-            basis[j] = 1.0;
-            // Both buffers are sized to `n` by construction, so this cannot
-            // fail; the binding keeps the invariant checked in debug builds.
-            let solved = self.solve_into(&basis, &mut col);
-            debug_assert!(solved.is_ok(), "basis vector has matching dimension");
-            basis[j] = 0.0;
-            for (i, &value) in col.iter().enumerate() {
-                inv.set(i, j, value);
-            }
-        }
+        inverse_from_lower(self.lower.as_slice(), n, inv.as_mut_slice());
         inv
     }
 
@@ -272,6 +314,79 @@ impl Cholesky {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The oracle of [`inverse_from_lower`]: one [`solve_in_place`] per
+    /// basis vector `e_j`, written into column `j`.
+    fn inverse_by_columns(l: &[f64], n: usize) -> Vec<f64> {
+        let mut inverse = vec![0.0; n * n];
+        let mut col = vec![0.0; n];
+        for j in 0..n {
+            col.fill(0.0);
+            col[j] = 1.0;
+            solve_in_place(l, n, &mut col);
+            for (i, &value) in col.iter().enumerate() {
+                inverse[i * n + j] = value;
+            }
+        }
+        inverse
+    }
+
+    /// `λI + Σ w·x xᵀ` over up to `2n` weighted folds with counts `w` in
+    /// `2..=64`: `w·xᵢ·xⱼ` and `w·xⱼ·xᵢ` round apart, so the upper triangle
+    /// is not the bit mirror of the lower one, as in a model arm's design.
+    fn weighted_design(n: usize, regularizer: f64, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut design = Matrix::identity(n).scaled(regularizer);
+        for _ in 0..rng.gen_range(1..=2 * n) {
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let weight = f64::from(rng.gen_range(2u32..=64));
+            design
+                .add_outer_product(&Vector::from(x), weight)
+                .expect("square design of matching dimension");
+        }
+        design
+    }
+
+    #[test]
+    fn weighted_designs_are_not_bit_symmetric() {
+        let design = weighted_design(8, 1.0, 3);
+        let asymmetric = (0..8)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .filter(|&(i, j)| design.get(i, j).to_bits() != design.get(j, i).to_bits())
+            .count();
+        assert!(
+            asymmetric > 0,
+            "the oracle's designs must exercise asymmetry"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The all-columns kernel is the per-column solves, bit for bit. The
+        /// factor's strict upper triangle and the destination start as NaN:
+        /// the kernel reads no upper-triangle entry and writes every output.
+        #[test]
+        fn all_columns_inverse_matches_the_per_column_oracle(
+            n in 1usize..41,
+            regularizer in prop_oneof![Just(0.05), Just(1.0), Just(2.5), Just(40.0)],
+            seed in any::<u64>(),
+        ) {
+            let design = weighted_design(n, regularizer, seed);
+            let mut lower = vec![f64::NAN; n * n];
+            factor_lower(&design, &mut lower).expect("λ > 0 keeps the design SPD");
+            let mut inverse = vec![f64::NAN; n * n];
+            inverse_from_lower(&lower, n, &mut inverse);
+            let oracle = inverse_by_columns(&lower, n);
+            let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&inverse), bits(&oracle));
+            let allocating = Cholesky::new(&design).expect("SPD").inverse();
+            prop_assert_eq!(bits(allocating.as_slice()), bits(&oracle));
+        }
+    }
 
     fn spd_matrix() -> Matrix {
         // A = I + x x' + z z' is symmetric positive definite.

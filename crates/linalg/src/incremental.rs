@@ -1,26 +1,26 @@
 //! Incrementally maintained matrix inverse via the Sherman–Morrison formula.
 
-use crate::cholesky::{factor_lower, solve_in_place};
+use crate::cholesky::{factor_lower, inverse_from_lower};
 use crate::{LinalgError, Matrix, Vector};
 
 /// Scratch buffers for the allocation-free update path: after the first
 /// call, [`RankOneInverse::update`] — the `A⁻¹x` matvec, the outer-product
-/// fold *and* the periodic exact refresh (Cholesky factor + basis solves) —
-/// allocates nothing.
+/// fold *and* the periodic exact refresh (Cholesky factor, then the inverse
+/// written from it) — allocates nothing.
 ///
 /// The buffers are pure scratch: their contents between calls are
 /// meaningless and never observed, so reusing one scratch across trackers
-/// of different dimensions cannot couple their results.
-#[derive(Debug, Clone, Default)]
+/// of different dimensions cannot couple their results. For the same
+/// reason a clone of a tracker starts without them (see
+/// [`RankOneInverse`]'s `Clone`).
+#[derive(Debug, Default)]
 struct UpdateScratch {
     /// `A⁻¹x` lane for the Sherman–Morrison fold (`dim` elements).
     ax: Vec<f64>,
     /// Flat lower-triangular Cholesky factor for the exact refresh
     /// (`dim²` elements; strict upper triangle may hold stale values,
-    /// which the solves never read).
+    /// which the inverse kernel never reads).
     chol: Vec<f64>,
-    /// Basis-solve column for the refresh inverse rebuild (`dim` elements).
-    col: Vec<f64>,
 }
 
 impl UpdateScratch {
@@ -31,13 +31,10 @@ impl UpdateScratch {
         }
     }
 
-    /// Ensures the refresh buffers match `dim` (factor `dim²`, column `dim`).
+    /// Ensures the refresh factor holds exactly `dim²` elements.
     fn ensure_refresh(&mut self, dim: usize) {
         if self.chol.len() != dim * dim {
             self.chol.resize(dim * dim, 0.0);
-        }
-        if self.col.len() != dim {
-            self.col.resize(dim, 0.0);
         }
     }
 }
@@ -70,7 +67,15 @@ impl UpdateScratch {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+///
+/// # Memory
+///
+/// The tracked state is two `d × d` matrices (the inverse and the design).
+/// The scratch adds `d` words (the fold's lane) at a tracker's first fold
+/// and `d²` (the refresh's factor) at its first exact refresh. A clone
+/// starts without either: a model arm copied copy-on-write holds its
+/// statistics, plus the lane once it folds.
+#[derive(Debug)]
 pub struct RankOneInverse {
     inverse: Matrix,
     updates: u64,
@@ -81,8 +86,26 @@ pub struct RankOneInverse {
     /// Running design matrix `A`, kept to allow periodic exact refreshes.
     design: Matrix,
     /// Scratch so [`RankOneInverse::update`] allocates nothing per call.
-    /// Excluded from equality.
+    /// Excluded from equality and from clones.
     scratch: UpdateScratch,
+}
+
+/// A clone copies the tracked state (inverse, design, counters), the state
+/// equality compares, and starts with empty scratch: the buffers hold
+/// nothing a later call reads, so a copy would be `d² + d` dead words. The
+/// clone allocates its own scratch at its first fold and refresh, and an
+/// owner that keeps refreshing in place keeps its buffers.
+impl Clone for RankOneInverse {
+    fn clone(&self) -> Self {
+        Self {
+            inverse: self.inverse.clone(),
+            updates: self.updates,
+            regularizer: self.regularizer,
+            refresh_interval: self.refresh_interval,
+            design: self.design.clone(),
+            scratch: UpdateScratch::default(),
+        }
+    }
 }
 
 /// Equality compares the tracked state only (inverse, design, counters);
@@ -264,23 +287,16 @@ impl RankOneInverse {
     }
 
     /// Allocation-free exact refresh: factors the design matrix into the
-    /// scratch buffer and solves the basis columns directly into the tracked
-    /// inverse, with the exact arithmetic of [`crate::Cholesky::new`]
-    /// followed by [`crate::Cholesky::inverse`] (both delegate to the same slice kernels), so
-    /// the recomputed inverse is bit-identical to the allocating path.
+    /// scratch buffer and writes the inverse from that factor, all columns
+    /// at once, straight into the tracked inverse. [`crate::Cholesky::new`]
+    /// followed by [`crate::Cholesky::inverse`] runs the same two slice
+    /// kernels, so the recomputed inverse is bit-identical to the allocating
+    /// path.
     fn refresh_with(&mut self, scratch: &mut UpdateScratch) -> Result<(), LinalgError> {
         let n = self.dim();
         scratch.ensure_refresh(n);
         factor_lower(&self.design, &mut scratch.chol)?;
-        let data = self.inverse.as_mut_slice();
-        for j in 0..n {
-            scratch.col.fill(0.0);
-            scratch.col[j] = 1.0;
-            solve_in_place(&scratch.chol, n, &mut scratch.col);
-            for (i, &value) in scratch.col.iter().enumerate() {
-                data[i * n + j] = value;
-            }
-        }
+        inverse_from_lower(&scratch.chol, n, self.inverse.as_mut_slice());
         Ok(())
     }
 
@@ -294,26 +310,40 @@ impl RankOneInverse {
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `design` is not
-    /// `dim × dim`, and propagates the refresh's factorization error.
+    /// Returns [`LinalgError::InvalidScalar`] if `regularizer` is not a
+    /// strictly positive finite number and [`LinalgError::DimensionMismatch`]
+    /// if `design` is not `dim × dim`, both leaving the tracker untouched;
+    /// propagates the refresh's factorization error.
     pub fn merge_design(
         &mut self,
         design: &Matrix,
         regularizer: f64,
         updates: u64,
     ) -> Result<(), LinalgError> {
-        if design.rows() != self.dim() || design.cols() != self.dim() {
+        if !regularizer.is_finite() || regularizer <= 0.0 {
+            return Err(LinalgError::InvalidScalar {
+                name: "regularizer",
+                value: regularizer,
+            });
+        }
+        let n = self.dim();
+        if design.rows() != n || design.cols() != n {
             return Err(LinalgError::DimensionMismatch {
-                expected: (self.dim(), self.dim()),
+                expected: (n, n),
                 found: (design.rows(), design.cols()),
             });
         }
-        let prior = Matrix::identity(self.dim()).scaled(regularizer);
-        let mut contribution = design.clone();
-        // Remove the merged statistics' prior so the merged design matrix
-        // keeps a single regularization term.
-        contribution.add_assign(&prior.scaled(-1.0))?;
-        self.design.add_assign(&contribution)?;
+        // Adds `D + (−λ_D·I)` in one pass: `D[k] + (−λ_D)` on the diagonal,
+        // `D[k]` off it. This is bit-identical to adding `D` plus the
+        // materialised `(λ_D·I)·(−1)`, whose off-diagonal entries are
+        // `(0·λ_D)·(−1) = −0.0` for a finite `λ_D > 0`, because
+        // `x + (−0.0) == x` bit for bit for every non-NaN `x`, ±0 included.
+        let rows = self.design.as_mut_slice().chunks_exact_mut(n);
+        for (i, (row, merged)) in rows.zip(design.as_slice().chunks_exact(n)).enumerate() {
+            for (j, (entry, &value)) in row.iter_mut().zip(merged).enumerate() {
+                *entry += if i == j { value + -regularizer } else { value };
+            }
+        }
         self.updates += updates;
         self.refresh()
     }
@@ -447,6 +477,98 @@ mod tests {
         assert!(a.merge_design(&Matrix::identity(3), 1.0, 1).is_err());
         assert!(a.merge_design(&Matrix::zeros(2, 3), 1.0, 1).is_err());
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn merge_rejects_an_invalid_regularizer() {
+        let mut a = RankOneInverse::identity(2, 1.0).unwrap();
+        let before = a.clone();
+        for regularizer in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                a.merge_design(&Matrix::identity(2), regularizer, 1),
+                Err(LinalgError::InvalidScalar { .. })
+            ));
+        }
+        assert_eq!(a, before);
+    }
+
+    /// The one-pass merge lands on the bits of the historical one, which
+    /// materialised `−(λ_D·I)` and added `D` plus it, for signed-zero
+    /// entries and for a design whose upper triangle is not bit-symmetric.
+    #[test]
+    fn merge_matches_the_materialised_prior_bit_for_bit() {
+        let regularizer = 0.7;
+        let mut design = Matrix::identity(3).scaled(regularizer);
+        design
+            .add_outer_product(&Vector::from(vec![0.3, -1.1, 0.45]), 7.0)
+            .unwrap();
+        design.set(0, 2, -0.0);
+        design.set(2, 0, 0.0);
+        let mut merged = RankOneInverse::identity(3, 1.3).unwrap();
+        merged.update(&Vector::from(vec![0.0, -0.0, 2.0])).unwrap();
+        let mut reference = merged.clone();
+        merged.merge_design(&design, regularizer, 5).unwrap();
+
+        let prior = Matrix::identity(3).scaled(regularizer);
+        let mut contribution = design.clone();
+        contribution.add_assign(&prior.scaled(-1.0)).unwrap();
+        reference.design.add_assign(&contribution).unwrap();
+        reference.updates += 5;
+        reference.refresh().unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(merged.design()), bits(reference.design()));
+        assert_eq!(bits(merged.inverse()), bits(reference.inverse()));
+        assert_eq!(merged, reference);
+    }
+
+    /// A clone is the tracked state without the refresh scratch: equal to
+    /// the original, bit-identical to it after the same folds and
+    /// refreshes, and holding no buffer until it folds or refreshes itself.
+    /// The original keeps its buffers, so refreshing in place stays
+    /// allocation-free.
+    #[test]
+    fn a_clone_is_the_state_without_the_scratch() {
+        let mut original = RankOneInverse::identity(4, 1.5).unwrap();
+        original.set_refresh_interval(3);
+        for i in 0..5 {
+            let x = Vector::from(vec![0.5 * i as f64, 1.0, -0.25, 0.1 * i as f64]);
+            original.update(&x).unwrap();
+        }
+        original.refresh().unwrap();
+        assert_eq!(
+            (original.scratch.ax.len(), original.scratch.chol.len()),
+            (4, 16)
+        );
+
+        let mut copy = original.clone();
+        assert_eq!(copy, original);
+        assert_eq!(
+            (copy.scratch.ax.capacity(), copy.scratch.chol.capacity()),
+            (0, 0),
+            "a clone carries no scratch"
+        );
+        assert_eq!(
+            (original.scratch.ax.len(), original.scratch.chol.len()),
+            (4, 16),
+            "the original keeps its scratch"
+        );
+
+        let bits = |inc: &RankOneInverse| {
+            (inc.inverse().as_slice().iter())
+                .chain(inc.design().as_slice())
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for step in 0..7 {
+            let x = Vector::from(vec![1.0, -0.5 * step as f64, 0.75, 0.2]);
+            original.update(&x).unwrap();
+            copy.update(&x).unwrap();
+            assert_eq!(bits(&copy), bits(&original), "after fold {step}");
+        }
+        original.refresh().unwrap();
+        copy.refresh().unwrap();
+        assert_eq!(bits(&copy), bits(&original));
+        assert_eq!(copy, original);
     }
 
     #[test]
