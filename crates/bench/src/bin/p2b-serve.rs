@@ -162,7 +162,10 @@ fn main() -> ExitCode {
         Scale::Default => "default",
         Scale::Full => "full",
     };
-    let report = run_full(&config, &slo, scale_label);
+    let report = match run_full(&config, &slo, scale_label) {
+        Ok(report) => report,
+        Err(failure) => return failure.report("p2b-serve"),
+    };
     print_full_report(&report);
 
     let json = serde_json::to_string_pretty(&report).expect("reports serialize");

@@ -11,19 +11,26 @@
 //!
 //! # Execution model
 //!
-//! A thread-per-core event loop on the vendored crossbeam channels: `W`
-//! persistent workers each own the [`AgentPool`] partition for the codes
-//! hashed to them (`splitmix64(code) % W`) plus a local
-//! [`LatencyHistogram`]; the main thread owns the [`P2bSystem`], the
-//! [`RewardJoinBuffer`] and the arrival clock. Per round it admits up to
-//! `events_per_round` arrivals through the join buffer's ceiling
-//! ([`RewardJoinBuffer::try_record`] sheds the rest — open-loop load does
-//! not wait), fans `Decide` jobs to the owning workers, joins the rewards
-//! that came due, finalizes the round, and fans `Fold` jobs for the joined
-//! decisions. Every `rounds_per_epoch` rounds the workers' report outboxes
-//! are drained, canonically sorted, and flushed through
-//! [`P2bSystem::streaming_round`]; the refreshed epoch snapshot is then
-//! broadcast to the workers as a new [`AgentSource`].
+//! A thread-per-core event loop on a [`ShardPool`] and [`std::sync::mpsc`]
+//! channels: `W` persistent workers each own the [`AgentPool`] partition
+//! for the codes hashed to them (`splitmix64(code) % W`) plus a local
+//! [`LatencyHistogram`], and answer on one shared reply channel; the main
+//! thread owns the [`P2bSystem`], the [`RewardJoinBuffer`] and the arrival
+//! clock. Per round it admits up to `events_per_round` arrivals through the
+//! join buffer's ceiling ([`RewardJoinBuffer::try_record`] sheds the rest —
+//! open-loop load does not wait), sends `Decide` jobs to the owning
+//! workers' queues, joins the rewards that came due, finalizes the round,
+//! and sends `Fold` jobs for the joined decisions. Every
+//! `rounds_per_epoch` rounds the workers' report outboxes are drained,
+//! canonically sorted, and flushed through [`P2bSystem::streaming_round`];
+//! the refreshed epoch snapshot is then broadcast to the workers as a new
+//! [`AgentSource`]. At shutdown [`ShardPool::join`] closes the queues; each
+//! worker parks its agents and returns their last reports, its histogram
+//! and its pool counters.
+//!
+//! A worker that hits an error replies with it and stops, so a barrier
+//! waiting on it ends with [`BenchFailure::Runtime`]; a broken
+//! conservation law ends the run with [`BenchFailure::InvariantViolation`].
 //!
 //! # Determinism contract
 //!
@@ -57,20 +64,22 @@
 //! layers.
 
 use crate::histogram::{LatencyHistogram, LatencySummary};
-use crate::Scale;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::{BenchFailure, Scale};
 use p2b_bandit::Action;
 use p2b_core::{
-    AgentPool, AgentPoolConfig, AgentSource, P2bConfig, P2bSystem, PoolStats, RewardJoinBuffer,
+    AgentPool, AgentPoolConfig, AgentSource, CoreError, DecisionTicket, P2bConfig, P2bSystem,
+    PoolStats, RewardJoinBuffer, ShardPool,
 };
 use p2b_encoding::{Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
-use p2b_shuffler::{splitmix64, RawReport};
+use p2b_shuffler::{splitmix64, RawReport, ShufflerError};
 use p2b_sim::{ArrivalConfig, ArrivalProcess, LANE_CONSUMER_BASE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -358,7 +367,8 @@ struct InFlight {
     decided_epoch: u64,
 }
 
-/// Work items on a worker's FIFO channel.
+/// Work items on a worker's FIFO queue. The queue closing is the shutdown:
+/// the worker then parks its agents and returns its [`WorkerOutput`].
 #[derive(Debug)]
 enum Job {
     /// Make the decision for arrival `index`.
@@ -374,8 +384,6 @@ enum Job {
     Refresh(AgentSource),
     /// Hand the drained report outbox back (epoch boundary).
     Drain,
-    /// Shut down: park agents, return reports, histogram and stats.
-    Finish,
 }
 
 /// Worker responses on the shared reply channel.
@@ -388,11 +396,18 @@ enum Reply {
     Drained {
         reports: Vec<RawReport>,
     },
-    Finished {
-        reports: Vec<RawReport>,
-        histogram: Box<LatencyHistogram>,
-        stats: PoolStats,
-    },
+    /// The worker hit this error and stopped; its queue is closed.
+    Failed(CoreError),
+}
+
+/// What a worker returns when its queue closes.
+struct WorkerOutput {
+    /// The reports its agents held once parked.
+    reports: Vec<RawReport>,
+    /// Its decision latencies.
+    histogram: LatencyHistogram,
+    /// Its pool partition's counters.
+    stats: PoolStats,
 }
 
 /// Maps a uniform `u64` onto `0..n` without modulo bias.
@@ -412,18 +427,28 @@ fn owner_of(code: u64, workers: usize) -> usize {
     (splitmix64(code) % workers as u64) as usize
 }
 
+/// A library error that stops the run.
+fn runtime(error: impl fmt::Display) -> BenchFailure {
+    BenchFailure::Runtime(error.to_string())
+}
+
 /// The first `count` deterministic raw contexts of `dimension` coordinates,
 /// L1-normalized: the encoder's corpus, whose first `codes` rows are also
 /// the one context per code that every worker shares.
-fn serve_contexts(count: u64, dimension: usize) -> Vec<Vector> {
+///
+/// # Errors
+///
+/// Returns [`BenchFailure::Runtime`] when `dimension` is zero.
+fn serve_contexts(count: u64, dimension: usize) -> Result<Vec<Vector>, BenchFailure> {
+    if dimension == 0 {
+        return Err(runtime("serve contexts need at least one coordinate"));
+    }
     (0..count as usize)
         .map(|i| {
             let mut raw = vec![0.05; dimension];
             raw[i % dimension] = 1.0 + 0.05 * ((i / dimension) % 7) as f64;
             raw[(i / 3) % dimension] += 0.25;
-            Vector::from(raw)
-                .normalized_l1()
-                .expect("contexts are non-empty")
+            Vector::from(raw).normalized_l1().map_err(runtime)
         })
         .collect()
 }
@@ -432,22 +457,19 @@ fn serve_contexts(count: u64, dimension: usize) -> Vec<Vector> {
 /// centroids over a fixed corpus of `8·codes` L1-normalized contexts of
 /// `dimension` coordinates, seeded, so every caller gets the same encoder.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `codes` is zero or `dimension` is zero (static
-/// configurations never are).
-#[must_use]
-pub fn fit_serve_encoder(codes: u64, dimension: usize) -> Arc<dyn Encoder> {
+/// Returns [`BenchFailure::Runtime`] when `codes` or `dimension` is zero.
+pub fn fit_serve_encoder(codes: u64, dimension: usize) -> Result<Arc<dyn Encoder>, BenchFailure> {
     let mut rng = StdRng::seed_from_u64(7);
-    let corpus = serve_contexts(codes * 8, dimension);
-    Arc::new(
-        KMeansEncoder::fit(
-            &corpus,
-            KMeansConfig::new(codes as usize).with_iterations(10),
-            &mut rng,
-        )
-        .expect("corpus is larger than k"),
+    let corpus = serve_contexts(codes * 8, dimension)?;
+    let encoder = KMeansEncoder::fit(
+        &corpus,
+        KMeansConfig::new(codes as usize).with_iterations(10),
+        &mut rng,
     )
+    .map_err(runtime)?;
+    Ok(Arc::new(encoder))
 }
 
 /// Canonical report order: (sender, timestamp, code, action, reward bits).
@@ -474,38 +496,39 @@ fn canonical_sort(reports: &mut [RawReport]) {
     });
 }
 
-/// The persistent worker loop: owns one pool partition and a latency
-/// histogram; processes its FIFO job stream until `Finish`.
-#[allow(clippy::needless_pass_by_value)]
-fn worker_loop(
-    jobs: Receiver<Job>,
-    replies: Sender<Reply>,
+/// One worker's loop: owns one pool partition and a latency histogram and
+/// processes its FIFO job stream until the queue closes, then parks its
+/// agents and returns what they left.
+///
+/// # Errors
+///
+/// Returns the first pool or agent error; the worker stops there.
+fn serve_jobs(
+    jobs: &Receiver<Job>,
+    replies: &Sender<Reply>,
     mut source: AgentSource,
     arrival: &ArrivalProcess,
     contexts: &[Vector],
     pool_budget: usize,
-) {
-    let mut pool =
-        AgentPool::new(AgentPoolConfig::bounded(pool_budget)).expect("a positive budget is valid");
+) -> Result<WorkerOutput, CoreError> {
+    let mut pool = AgentPool::new(AgentPoolConfig::bounded(pool_budget))?;
     let mut histogram = LatencyHistogram::new();
-    while let Ok(job) = jobs.recv() {
+    // A send fails only once the main thread has stopped listening, after
+    // a failure of its own; the worker then runs out its queue unheard.
+    for job in jobs {
         match job {
             Job::Decide { index, code } => {
                 let mut rng = StdRng::seed_from_u64(arrival.noise(index, LANE_SELECT_SEED));
                 let context = &contexts[code as usize];
                 let started = Instant::now();
-                let action = pool
-                    .with_agent_at(&source, code, |agent| {
-                        agent.select_action(context, &mut rng)
-                    })
-                    .expect("decisions on well-formed contexts succeed");
+                let action = pool.with_agent_at(&source, code, |agent| {
+                    agent.select_action(context, &mut rng)
+                })?;
                 histogram.record(started.elapsed().as_nanos() as u64);
-                replies
-                    .send(Reply::Decided {
-                        index,
-                        action: action.index(),
-                    })
-                    .expect("main thread outlives workers");
+                let _ = replies.send(Reply::Decided {
+                    index,
+                    action: action.index(),
+                });
             }
             Job::Fold {
                 index,
@@ -517,67 +540,120 @@ fn worker_loop(
                 let context = &contexts[code as usize];
                 pool.with_agent_at(&source, code, |agent| {
                     agent.observe_reward(context, Action::new(action), reward, &mut rng)
-                })
-                .expect("folds of joined rewards succeed");
+                })?;
             }
             Job::Refresh(next) => source = next,
             Job::Drain => {
-                replies
-                    .send(Reply::Drained {
-                        reports: pool.drain_reports(),
-                    })
-                    .expect("main thread outlives workers");
-            }
-            Job::Finish => {
-                pool.park_all();
-                let reports = pool.drain_reports();
-                let stats = *pool.stats();
-                replies
-                    .send(Reply::Finished {
-                        reports,
-                        histogram: Box::new(histogram),
-                        stats,
-                    })
-                    .expect("main thread outlives workers");
-                return;
+                let _ = replies.send(Reply::Drained {
+                    reports: pool.drain_reports(),
+                });
             }
         }
     }
+    pool.park_all();
+    Ok(WorkerOutput {
+        reports: pool.drain_reports(),
+        histogram,
+        stats: *pool.stats(),
+    })
+}
+
+/// The next worker reply. A worker's failure, or every worker gone, ends
+/// the waiting barrier with [`BenchFailure::Runtime`] instead of blocking
+/// it forever.
+fn receive(replies: &Receiver<Reply>) -> Result<Reply, BenchFailure> {
+    match replies.recv() {
+        Ok(Reply::Failed(error)) => Err(runtime(format!("a serve worker failed: {error}"))),
+        Ok(reply) => Ok(reply),
+        Err(_) => Err(runtime("every serve worker has exited")),
+    }
+}
+
+/// A send to a worker whose queue is closed, or the join of one that
+/// panicked.
+fn worker_stopped(_: ShufflerError) -> BenchFailure {
+    runtime("a serve worker has stopped")
+}
+
+/// A reply of the wrong kind at a barrier: a worker answered a job it was
+/// not sent.
+fn out_of_turn(barrier: &str) -> BenchFailure {
+    BenchFailure::InvariantViolation(format!(
+        "a worker's reply arrived out of turn at the {barrier} barrier"
+    ))
+}
+
+/// Checks a run's conservation laws: every admitted decision was joined,
+/// expired or still in flight at shutdown; every offered arrival was
+/// admitted or shed; and the join buffer never held more decisions than
+/// the admission ceiling.
+///
+/// # Errors
+///
+/// Returns [`BenchFailure::InvariantViolation`] naming the first law that
+/// broke: a decision was lost or invented.
+fn check_conservation(
+    summary: &DeterministicSummary,
+    in_flight_ceiling: usize,
+) -> Result<(), BenchFailure> {
+    let finalized = summary.joined + summary.expired + summary.in_flight_at_shutdown;
+    if summary.admitted != finalized {
+        return Err(BenchFailure::InvariantViolation(format!(
+            "decision conservation: {} admitted, but {} joined + {} expired + {} in flight at shutdown",
+            summary.admitted, summary.joined, summary.expired, summary.in_flight_at_shutdown
+        )));
+    }
+    if summary.admitted + summary.shed != summary.events {
+        return Err(BenchFailure::InvariantViolation(format!(
+            "admission conservation: {} offered, but {} admitted + {} shed",
+            summary.events, summary.admitted, summary.shed
+        )));
+    }
+    if summary.peak_join_occupancy > in_flight_ceiling as u64 {
+        return Err(BenchFailure::InvariantViolation(format!(
+            "the join buffer held {} decisions, past the admission ceiling of {in_flight_ceiling}",
+            summary.peak_join_occupancy
+        )));
+    }
+    Ok(())
 }
 
 /// Runs the closed-loop service and assembles its report.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when an internal invariant breaks (decision conservation, report
-/// conservation through the engine) — benchmark binaries treat broken
-/// invariants as fatal.
-#[must_use]
-pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> ServeReport {
+/// Returns [`BenchFailure::Runtime`] when the system cannot be built, a
+/// flush or a worker fails, or a worker exits early, and
+/// [`BenchFailure::InvariantViolation`] when a conservation law breaks.
+pub fn run_full(
+    config: &ServeConfig,
+    slo: &SloConfig,
+    scale_label: &str,
+) -> Result<ServeReport, BenchFailure> {
     let workers = config.workers.max(1);
     let arrival = ArrivalProcess::new(ArrivalConfig::new(config.users, config.codes, config.seed))
-        .expect("serve configurations are valid");
-    let contexts = serve_contexts(config.codes, config.dimension);
+        .map_err(runtime)?;
+    let contexts: Arc<[Vector]> = serve_contexts(config.codes, config.dimension)?.into();
     let system_config = P2bConfig::new(config.dimension, config.actions)
         .with_local_interactions(config.local_interactions)
         .with_shuffler_threshold(config.threshold)
         .with_shuffler_batch_size(config.shuffler_batch_size);
     let mut system = P2bSystem::new(
         system_config,
-        fit_serve_encoder(config.codes, config.dimension),
+        fit_serve_encoder(config.codes, config.dimension)?,
     )
-    .expect("serve configurations are valid");
-    let mut source = AgentSource::capture(&mut system).expect("snapshot capture succeeds");
+    .map_err(runtime)?;
+    let mut source = AgentSource::capture(&mut system).map_err(runtime)?;
 
     let mut join: RewardJoinBuffer<InFlight> =
         RewardJoinBuffer::new(config.max_delay).with_in_flight_ceiling(config.in_flight_ceiling);
     let rounds = config.rounds();
     // Rewards scheduled past the last round are simply never delivered —
     // the service shuts down with those decisions in flight.
-    let mut due_rewards: Vec<Vec<(p2b_core::DecisionTicket, f64)>> =
+    let mut due_rewards: Vec<Vec<(DecisionTicket, f64)>> =
         (0..rounds).map(|_| Vec::new()).collect();
     let mut actions_by_index: HashMap<u64, usize> = HashMap::new();
-    let mut tickets_by_index: HashMap<u64, p2b_core::DecisionTicket> = HashMap::new();
+    let mut tickets_by_index: HashMap<u64, DecisionTicket> = HashMap::new();
 
     let mut lag_counts: BTreeMap<u64, u64> = BTreeMap::new();
     let mut occupancy_sum = 0u64;
@@ -589,228 +665,201 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
     let mut histogram = LatencyHistogram::new();
     let mut flush_histogram = LatencyHistogram::new();
     let mut pool_stats_sum = PoolStats::default();
-    let mut in_flight_at_shutdown = 0u64;
-    let mut wall_secs = 0.0f64;
 
-    let reply_channels: (Sender<Reply>, Receiver<Reply>) = unbounded();
-    let (reply_tx, reply_rx) = reply_channels;
-    let mut job_txs: Vec<Sender<Job>> = Vec::with_capacity(workers);
-    let mut job_rxs: Vec<Receiver<Job>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        // Capacity covers one round's decides plus one window's folds, so
-        // the main thread never blocks on a send; the reply channel is
-        // unbounded, so workers never block either — no deadlock is
-        // possible.
-        let (tx, rx) =
-            bounded((config.events_per_round as usize + config.in_flight_ceiling + 16).max(64));
-        job_txs.push(tx);
-        job_rxs.push(rx);
-    }
-
-    std::thread::scope(|scope| {
-        for rx in job_rxs.drain(..) {
-            let replies = reply_tx.clone();
-            let initial = source.clone();
-            let arrival_ref = &arrival;
-            let contexts_ref = &contexts;
+    // Each worker holds the only senders of the reply channel, which is
+    // unbounded, so a worker never blocks on a reply. A job queue's
+    // capacity covers one round's decides plus one window's folds, so the
+    // main thread never blocks on a send: no deadlock is possible.
+    let (reply_tx, reply_rx) = channel();
+    let worker_pool = ShardPool::spawn(
+        workers,
+        (config.events_per_round as usize + config.in_flight_ceiling + 16).max(64),
+        {
+            let (initial, arrival, contexts) =
+                (source.clone(), arrival.clone(), Arc::clone(&contexts));
             let budget = config.pool_budget;
-            scope.spawn(move || {
-                worker_loop(rx, replies, initial, arrival_ref, contexts_ref, budget);
-            });
-        }
-        drop(reply_tx);
+            move |_, jobs| {
+                let output = serve_jobs(&jobs, &reply_tx, initial, &arrival, &contexts, budget);
+                if let Err(error) = &output {
+                    let _ = reply_tx.send(Reply::Failed(error.clone()));
+                }
+                output
+            }
+        },
+    );
 
-        let started = Instant::now();
-        let mut next_event = 0u64;
-        let mut flush_reports: Vec<RawReport> = Vec::new();
-        for round in 0..rounds {
-            // ── Admission + decide fan-out ──────────────────────────────
-            let offered = (config.events - next_event).min(config.events_per_round);
-            let mut sent = 0usize;
-            for index in next_event..next_event + offered {
-                let event = arrival.event(index);
-                let payload = InFlight {
-                    index,
-                    code: event.code,
-                    decided_epoch: source.epoch(),
-                };
-                let Some(ticket) = join.try_record(payload) else {
-                    continue; // shed: open-loop arrivals do not wait.
-                };
-                tickets_by_index.insert(index, ticket);
-                admitted += 1;
-                job_txs[owner_of(event.code, workers)]
-                    .send(Job::Decide {
+    let started = Instant::now();
+    let mut next_event = 0u64;
+    let mut flush_reports: Vec<RawReport> = Vec::new();
+    for round in 0..rounds {
+        // ── Admission + decide fan-out ──────────────────────────────────
+        let offered = (config.events - next_event).min(config.events_per_round);
+        let mut sent = 0usize;
+        for index in next_event..next_event + offered {
+            let event = arrival.event(index);
+            let payload = InFlight {
+                index,
+                code: event.code,
+                decided_epoch: source.epoch(),
+            };
+            let Some(ticket) = join.try_record(payload) else {
+                continue; // shed: open-loop arrivals do not wait.
+            };
+            tickets_by_index.insert(index, ticket);
+            admitted += 1;
+            worker_pool
+                .send(
+                    owner_of(event.code, workers),
+                    Job::Decide {
                         index,
                         code: event.code,
-                    })
-                    .expect("workers outlive the run");
-                sent += 1;
-            }
-            next_event += offered;
+                    },
+                )
+                .map_err(worker_stopped)?;
+            sent += 1;
+        }
+        next_event += offered;
 
-            // ── Decision barrier (replies arrive in any order) ──────────
-            let mut decided: Vec<(u64, usize)> = Vec::with_capacity(sent);
-            for _ in 0..sent {
-                match reply_rx.recv().expect("workers outlive the run") {
-                    Reply::Decided { index, action } => decided.push((index, action)),
-                    _ => unreachable!("only Decided replies are in flight here"),
-                }
-            }
-            decided.sort_unstable_by_key(|&(index, _)| index);
+        // ── Decision barrier (replies arrive in any order) ──────────────
+        let mut decided: Vec<(u64, usize)> = Vec::with_capacity(sent);
+        for _ in 0..sent {
+            let Reply::Decided { index, action } = receive(&reply_rx)? else {
+                return Err(out_of_turn("decision"));
+            };
+            decided.push((index, action));
+        }
+        decided.sort_unstable_by_key(|&(index, _)| index);
 
-            // ── Reward scheduling (pure per-event noise) ────────────────
-            for &(index, action) in &decided {
-                actions_by_index.insert(index, action);
-                if unit_draw(arrival.noise(index, LANE_REWARD_PRESENT)) >= config.reward_probability
-                {
-                    continue; // no reward ever: the decision will expire.
-                }
-                // Delay in 0..=max_delay+1: the last value lands after the
-                // window closes, exercising the late-reward path.
-                let delay = bounded_draw(
-                    arrival.noise(index, LANE_REWARD_DELAY),
-                    config.max_delay + 2,
-                );
-                let event = arrival.event(index);
-                let target = (event.code % config.actions as u64) as usize;
-                // Correct action pays 1; anything else pays 1 with 10%
-                // probability (noise), so expired/late paths see both values.
-                let noisy_hit = unit_draw(arrival.noise(index, LANE_REWARD_NOISE)) < 0.1;
-                let reward = if action == target || noisy_hit {
-                    1.0
-                } else {
-                    0.0
-                };
-                let due = round + delay;
-                if due < rounds {
-                    due_rewards[due as usize].push((tickets_by_index[&index], reward));
-                }
+        // ── Reward scheduling (pure per-event noise) ────────────────────
+        for &(index, action) in &decided {
+            actions_by_index.insert(index, action);
+            if unit_draw(arrival.noise(index, LANE_REWARD_PRESENT)) >= config.reward_probability {
+                continue; // no reward ever: the decision will expire.
             }
-
-            // ── Deliver due rewards (late ones are counted and dropped) ─
-            for (ticket, reward) in due_rewards[round as usize].drain(..) {
-                let _ = join
-                    .join(ticket, reward)
-                    .expect("scheduled rewards are well-formed");
+            // Delay in 0..=max_delay+1: the last value lands after the
+            // window closes, exercising the late-reward path.
+            let delay = bounded_draw(
+                arrival.noise(index, LANE_REWARD_DELAY),
+                config.max_delay + 2,
+            );
+            let event = arrival.event(index);
+            let target = (event.code % config.actions as u64) as usize;
+            // Correct action pays 1; anything else pays 1 with 10%
+            // probability (noise), so expired/late paths see both values.
+            let noisy_hit = unit_draw(arrival.noise(index, LANE_REWARD_NOISE)) < 0.1;
+            let reward = if action == target || noisy_hit {
+                1.0
+            } else {
+                0.0
+            };
+            let due = round + delay;
+            if due < rounds {
+                let ticket = tickets_by_index.get(&index).copied().ok_or_else(|| {
+                    BenchFailure::InvariantViolation(format!("decision {index} has no ticket"))
+                })?;
+                due_rewards[due as usize].push((ticket, reward));
             }
+        }
 
-            // ── Finalize the round; fold joined rewards ─────────────────
-            let finalized = join.advance_round();
-            for joined in &finalized.joined {
-                let lag = source.epoch() - joined.payload.decided_epoch;
-                *lag_counts.entry(lag).or_insert(0) += 1;
-                let action = actions_by_index
-                    .remove(&joined.payload.index)
-                    .expect("every admitted decision recorded its action");
-                tickets_by_index.remove(&joined.payload.index);
-                job_txs[owner_of(joined.payload.code, workers)]
-                    .send(Job::Fold {
-                        index: joined.payload.index,
+        // ── Deliver due rewards (late ones are counted and dropped) ─────
+        for (ticket, reward) in due_rewards[round as usize].drain(..) {
+            join.join(ticket, reward).map_err(runtime)?;
+        }
+
+        // ── Finalize the round; fold joined rewards ─────────────────────
+        let finalized = join.advance_round();
+        for joined in &finalized.joined {
+            let lag = source.epoch() - joined.payload.decided_epoch;
+            *lag_counts.entry(lag).or_insert(0) += 1;
+            let index = joined.payload.index;
+            let action = actions_by_index.remove(&index).ok_or_else(|| {
+                BenchFailure::InvariantViolation(format!("joined decision {index} has no action"))
+            })?;
+            tickets_by_index.remove(&index);
+            worker_pool
+                .send(
+                    owner_of(joined.payload.code, workers),
+                    Job::Fold {
+                        index,
                         code: joined.payload.code,
                         action,
                         reward: joined.reward,
-                    })
-                    .expect("workers outlive the run");
-            }
-            for expired in &finalized.expired {
-                actions_by_index.remove(&expired.payload.index);
-                tickets_by_index.remove(&expired.payload.index);
-            }
-            occupancy_sum += join.pending() as u64;
+                    },
+                )
+                .map_err(worker_stopped)?;
+        }
+        for expired in &finalized.expired {
+            actions_by_index.remove(&expired.payload.index);
+            tickets_by_index.remove(&expired.payload.index);
+        }
+        occupancy_sum += join.pending() as u64;
 
-            // ── Epoch boundary: drain, flush, refresh ───────────────────
-            if (round + 1) % config.rounds_per_epoch == 0 || round + 1 == rounds {
-                let flush_started = Instant::now();
-                for tx in &job_txs {
-                    tx.send(Job::Drain).expect("workers outlive the run");
-                }
-                for _ in 0..workers {
-                    match reply_rx.recv().expect("workers outlive the run") {
-                        Reply::Drained { reports } => flush_reports.extend(reports),
-                        _ => unreachable!("only Drained replies are in flight here"),
-                    }
-                }
-                canonical_sort(&mut flush_reports);
-                reports_submitted += flush_reports.len() as u64;
-                let flush_seed = splitmix64(config.seed ^ (0xF1A5 << 16) ^ flushes);
-                let (round_stats, _ledger) = system
-                    .streaming_round(std::mem::take(&mut flush_reports), flush_seed)
-                    .expect("engine flushes succeed");
-                for stats in &round_stats {
-                    reports_released += stats.released as u64;
-                    reports_accepted += stats.accepted;
-                }
-                flushes += 1;
-                source = AgentSource::capture(&mut system).expect("snapshot capture succeeds");
-                flush_histogram.record(flush_started.elapsed().as_nanos() as u64);
-                for tx in &job_txs {
-                    tx.send(Job::Refresh(source.clone()))
-                        .expect("workers outlive the run");
-                }
-            }
-        }
-
-        // ── Shutdown: whatever is still pending stays in flight ─────────
-        in_flight_at_shutdown = join.pending() as u64;
-        for tx in &job_txs {
-            tx.send(Job::Finish).expect("workers outlive the run");
-        }
-        let mut final_reports: Vec<RawReport> = Vec::new();
-        for _ in 0..workers {
-            match reply_rx.recv().expect("workers outlive the run") {
-                Reply::Finished {
-                    reports,
-                    histogram: worker_hist,
-                    stats,
-                } => {
-                    final_reports.extend(reports);
-                    histogram.merge(&worker_hist);
-                    pool_stats_sum.hits += stats.hits;
-                    pool_stats_sum.creations += stats.creations;
-                    pool_stats_sum.rehydrations += stats.rehydrations;
-                    pool_stats_sum.evictions += stats.evictions;
-                }
-                _ => unreachable!("only Finished replies are in flight here"),
-            }
-        }
-        if !final_reports.is_empty() {
+        // ── Epoch boundary: drain, flush, refresh ───────────────────────
+        if (round + 1) % config.rounds_per_epoch == 0 || round + 1 == rounds {
             let flush_started = Instant::now();
-            canonical_sort(&mut final_reports);
-            reports_submitted += final_reports.len() as u64;
+            for worker in 0..workers {
+                worker_pool
+                    .send(worker, Job::Drain)
+                    .map_err(worker_stopped)?;
+            }
+            for _ in 0..workers {
+                let Reply::Drained { reports } = receive(&reply_rx)? else {
+                    return Err(out_of_turn("drain"));
+                };
+                flush_reports.extend(reports);
+            }
+            canonical_sort(&mut flush_reports);
+            reports_submitted += flush_reports.len() as u64;
             let flush_seed = splitmix64(config.seed ^ (0xF1A5 << 16) ^ flushes);
             let (round_stats, _ledger) = system
-                .streaming_round(final_reports, flush_seed)
-                .expect("engine flushes succeed");
+                .streaming_round(std::mem::take(&mut flush_reports), flush_seed)
+                .map_err(runtime)?;
             for stats in &round_stats {
                 reports_released += stats.released as u64;
                 reports_accepted += stats.accepted;
             }
             flushes += 1;
-            source = AgentSource::capture(&mut system).expect("snapshot capture succeeds");
+            source = AgentSource::capture(&mut system).map_err(runtime)?;
             flush_histogram.record(flush_started.elapsed().as_nanos() as u64);
+            for worker in 0..workers {
+                worker_pool
+                    .send(worker, Job::Refresh(source.clone()))
+                    .map_err(worker_stopped)?;
+            }
         }
-        wall_secs = started.elapsed().as_secs_f64();
-    });
+    }
 
-    // ── Conservation invariants ─────────────────────────────────────────
+    // ── Shutdown: whatever is still pending stays in flight ─────────────
+    let in_flight_at_shutdown = join.pending() as u64;
+    let mut final_reports: Vec<RawReport> = Vec::new();
+    for output in worker_pool.join().map_err(worker_stopped)? {
+        let output = output.map_err(runtime)?;
+        final_reports.extend(output.reports);
+        histogram.merge(&output.histogram);
+        pool_stats_sum.hits += output.stats.hits;
+        pool_stats_sum.creations += output.stats.creations;
+        pool_stats_sum.rehydrations += output.stats.rehydrations;
+        pool_stats_sum.evictions += output.stats.evictions;
+    }
+    if !final_reports.is_empty() {
+        let flush_started = Instant::now();
+        canonical_sort(&mut final_reports);
+        reports_submitted += final_reports.len() as u64;
+        let flush_seed = splitmix64(config.seed ^ (0xF1A5 << 16) ^ flushes);
+        let (round_stats, _ledger) = system
+            .streaming_round(final_reports, flush_seed)
+            .map_err(runtime)?;
+        for stats in &round_stats {
+            reports_released += stats.released as u64;
+            reports_accepted += stats.accepted;
+        }
+        flushes += 1;
+        source = AgentSource::capture(&mut system).map_err(runtime)?;
+        flush_histogram.record(flush_started.elapsed().as_nanos() as u64);
+    }
+    let wall_secs = started.elapsed().as_secs_f64();
+
     let join_stats = *join.stats();
-    assert_eq!(
-        admitted,
-        join_stats.joined + join_stats.expired + in_flight_at_shutdown,
-        "decision conservation violated: every admitted decision must be \
-         joined, expired or in flight at shutdown"
-    );
-    assert_eq!(
-        admitted + join.shed(),
-        config.events,
-        "admission conservation violated: offered = admitted + shed"
-    );
-    assert!(
-        join.peak_pending() <= config.in_flight_ceiling,
-        "the admission ceiling was breached"
-    );
-
     let deterministic = DeterministicSummary {
         events: config.events,
         admitted,
@@ -835,6 +884,7 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
             })
             .collect(),
     };
+    check_conservation(&deterministic, config.in_flight_ceiling)?;
 
     let decision_latency = histogram.summary();
     let checkouts = pool_stats_sum.hits + pool_stats_sum.misses();
@@ -874,7 +924,7 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
     }
     let pass = violations.is_empty();
 
-    ServeReport {
+    Ok(ServeReport {
         schema_version: 2,
         mode: "full".to_owned(),
         scale: scale_label.to_owned(),
@@ -892,7 +942,7 @@ pub fn run_full(config: &ServeConfig, slo: &SloConfig, scale_label: &str) -> Ser
             violations,
             pass,
         },
-    }
+    })
 }
 
 /// Prints the human-readable summary of a closed-loop run.
@@ -974,6 +1024,46 @@ mod tests {
             assert_eq!(w, owner_of(code, 4));
         }
         assert_eq!(owner_of(123, 1), 0);
+    }
+
+    #[test]
+    fn unbalanced_counts_are_an_invariant_violation() {
+        let config = ServeConfig::tiny();
+        let report = run_full(&config, &SloConfig::for_config(&config), "tiny").unwrap();
+        let ceiling = config.in_flight_ceiling;
+        let balanced = report.deterministic;
+        assert_eq!(check_conservation(&balanced, ceiling), Ok(()));
+        let unbalanced: [fn(&mut DeterministicSummary); 4] = [
+            |s| s.admitted += 1,
+            |s| s.joined -= 1,
+            |s| s.shed += 1,
+            |s| s.peak_join_occupancy += 1,
+        ];
+        for unbalance in unbalanced {
+            let mut summary = balanced.clone();
+            unbalance(&mut summary);
+            let verdict = check_conservation(&summary, ceiling);
+            assert!(
+                matches!(verdict, Err(BenchFailure::InvariantViolation(_))),
+                "{verdict:?}"
+            );
+            assert_eq!(verdict.map_err(|f| f.exit_code()), Err(6));
+        }
+    }
+
+    #[test]
+    fn a_failing_worker_ends_the_run_with_a_runtime_failure() {
+        // A zero residency budget fails every worker's pool at start; the
+        // first barrier must stop instead of waiting for a decision.
+        let config = ServeConfig {
+            pool_budget: 0,
+            ..ServeConfig::tiny()
+        };
+        let verdict = run_full(&config, &SloConfig::for_config(&config), "tiny");
+        assert!(
+            matches!(verdict, Err(BenchFailure::Runtime(_))),
+            "{verdict:?}"
+        );
     }
 
     #[test]

@@ -317,7 +317,7 @@ fn golden_path() -> PathBuf {
 fn ingest_digests_match_the_golden_file() {
     let mut records = Vec::new();
 
-    let encoder = fit_serve_encoder(ENCODER_CODES, DIMENSION);
+    let encoder = fit_serve_encoder(ENCODER_CODES, DIMENSION).unwrap();
     let stream = ingest_stream();
     let batches = ingest_batches(&stream);
     let sequential = per_report_digest(encoder.as_ref(), &stream);

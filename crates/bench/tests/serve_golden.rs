@@ -29,7 +29,7 @@ fn tiny_redacted_json(workers: usize) -> String {
     let mut config = ServeConfig::tiny();
     config.workers = workers;
     let slo = SloConfig::for_config(&config);
-    let report = run_full(&config, &slo, "tiny");
+    let report = run_full(&config, &slo, "tiny").unwrap();
     assert!(
         report.slo.pass,
         "the tiny configuration must satisfy its own default SLOs: {:?}",

@@ -34,7 +34,8 @@
 //! each one accumulator that only its own share of every coordinate
 //! reaches, and the central side only ever sees the recombined per-arm
 //! sums it assembles epoch models from. It starts no thread; the ingest
-//! shards of the [`ModelService`] are the only threads this crate starts.
+//! shards of the [`ModelService`] are the only threads this crate starts,
+//! on a [`ShardPool`], which the `p2b-serve` harness's workers share.
 //!
 //! # Example
 //!
@@ -94,4 +95,5 @@ pub use reporter::{PendingReport, RandomizedReporter};
 pub use secure::SecureIngestService;
 pub use server::CentralServer;
 pub use service::{Centroids, ModelService, ModelSnapshot};
+pub use shard_pool::ShardPool;
 pub use system::{P2bSystem, RoundStats};

@@ -72,12 +72,12 @@
 
 use crate::shard_pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 use crate::CoreError;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use p2b_bandit::{Action, ArmSums, BanditError, BuiltArm, LinUcb, LinUcbConfig};
 use p2b_encoding::{ContextCode, Encoder};
 use p2b_linalg::Vector;
 use p2b_shuffler::{ReleasedCell, ShufflerError};
 use std::fmt;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The context vector of every code: an encoder's `k` representatives, read
@@ -215,7 +215,7 @@ enum ShardCommand {
     /// successful reply clears the shard's dirty tracking.
     Snapshot {
         install_all: bool,
-        reply: Sender<Reply>,
+        reply: SyncSender<Reply>,
     },
 }
 
@@ -369,12 +369,6 @@ impl ModelService {
         self.shards.shards()
     }
 
-    /// The LinUCB configuration of the served model.
-    #[must_use]
-    pub fn model_config(&self) -> &LinUcbConfig {
-        &self.config
-    }
-
     /// Dispatches a run of released cells to the ingest shards: each shard
     /// receives its `action % shards` share, in run order, with a pointer
     /// to `centroids`, from which it reads each cell's context as the row
@@ -484,7 +478,7 @@ impl ModelService {
         let replies = (0..shards)
             .map(|shard| {
                 let (reply, replies) =
-                    bounded(owned_arms(self.config.num_actions, shard, shards) + 1);
+                    sync_channel(owned_arms(self.config.num_actions, shard, shards) + 1);
                 self.shards
                     .send(shard, ShardCommand::Snapshot { install_all, reply })?;
                 Ok(replies)
@@ -544,9 +538,9 @@ impl fmt::Debug for ModelService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use p2b_bandit::ContextualPolicy;
     use p2b_shuffler::EncodedReport;
+    use std::sync::mpsc::channel;
 
     /// A cell of `count` reports on code 0, whose context is [`table`]'s
     /// one row, with rewards summing to `reward_sum`.
@@ -721,7 +715,7 @@ mod tests {
     fn a_dead_shard_surfaces_as_pipeline_closed() {
         let config = LinUcbConfig::new(2, 2);
         let cold = ArmSums::new(&config).unwrap();
-        let (exited, shard_exited) = unbounded();
+        let (exited, shard_exited) = channel();
         // Shard 1 exits at once, dropping its queue; shard 0 serves normally.
         let mut service = ModelService {
             shards: ShardPool::spawn(2, 1, move |shard, commands| {

@@ -1,12 +1,15 @@
-//! The shard-worker pool of the central model service's ingest shards.
+//! A pool of shard workers, each draining its own bounded FIFO queue.
 //!
-//! [`crate::ModelService`] runs `N` threads, each draining its own bounded
+//! Two services run on it: [`crate::ModelService`]'s ingest shards, and
+//! the workers of the `p2b-serve` closed loop, each owning one partition of
+//! the agent pool. Both want `N` threads, each draining its own bounded
 //! FIFO queue, closed and joined in shard order at shutdown. A
-//! [`ShardPool`] is that shape:
+//! [`ShardPool`] is that shape, on [`std::sync::mpsc`] channels:
 //!
 //! * **Bounded queues** — [`ShardPool::send`] blocks while the target
 //!   shard's queue is full, so a slow shard slows its producers instead of
-//!   buffering without limit.
+//!   buffering without limit. A queue's buffer is allocated whole when the
+//!   pool starts, so a send that finds room allocates nothing.
 //! * **One dead-worker rule** — a worker that panicked (or returned early)
 //!   drops its queue; every later `send` to it, including one already
 //!   blocked on its full queue, returns [`ShufflerError::PipelineClosed`].
@@ -18,8 +21,8 @@
 //! per-thread counter of the workers it started pins how many threads the
 //! write path starts.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use p2b_shuffler::ShufflerError;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
 /// Default capacity of each shard's bounded queue.
@@ -27,8 +30,8 @@ pub(crate) const SHARD_QUEUE_CAPACITY: usize = 1024;
 
 /// `N` worker threads, each draining its own bounded FIFO queue of `M`
 /// messages and returning an `R` when its queue closes.
-pub(crate) struct ShardPool<M, R> {
-    queues: Vec<Sender<M>>,
+pub struct ShardPool<M, R> {
+    queues: Vec<SyncSender<M>>,
     workers: Vec<JoinHandle<R>>,
 }
 
@@ -38,7 +41,7 @@ impl<M: Send + 'static, R: Send + 'static> ShardPool<M, R> {
     /// in order and ends once the pool closes. A zero `capacity` is read as
     /// one.
     #[must_use]
-    pub(crate) fn spawn<F>(shards: usize, capacity: usize, body: F) -> Self
+    pub fn spawn<F>(shards: usize, capacity: usize, body: F) -> Self
     where
         F: FnOnce(usize, Receiver<M>) -> R + Clone + Send + 'static,
     {
@@ -46,7 +49,7 @@ impl<M: Send + 'static, R: Send + 'static> ShardPool<M, R> {
         tests::WORKERS_STARTED.with(|count| count.set(count.get() + shards as u64));
         let (queues, workers) = (0..shards)
             .map(|shard| {
-                let (queue, input) = bounded(capacity.max(1));
+                let (queue, input) = sync_channel(capacity.max(1));
                 let body = body.clone();
                 (queue, std::thread::spawn(move || body(shard, input)))
             })
@@ -58,7 +61,7 @@ impl<M: Send + 'static, R: Send + 'static> ShardPool<M, R> {
 impl<M, R> ShardPool<M, R> {
     /// Number of shard workers.
     #[must_use]
-    pub(crate) fn shards(&self) -> usize {
+    pub fn shards(&self) -> usize {
         self.queues.len()
     }
 
@@ -68,7 +71,7 @@ impl<M, R> ShardPool<M, R> {
     ///
     /// Returns [`ShufflerError::PipelineClosed`] when `shard` is out of
     /// range or its worker has exited (panicked or returned).
-    pub(crate) fn send(&self, shard: usize, message: M) -> Result<(), ShufflerError> {
+    pub fn send(&self, shard: usize, message: M) -> Result<(), ShufflerError> {
         self.queues
             .get(shard)
             .ok_or(ShufflerError::PipelineClosed)?
@@ -82,10 +85,8 @@ impl<M, R> ShardPool<M, R> {
     /// # Errors
     ///
     /// Returns [`ShufflerError::PipelineClosed`] if any worker panicked. Every
-    /// worker is joined either way. The model service drops its pool
-    /// instead, so only the tests read the workers' results.
-    #[cfg(test)]
-    pub(crate) fn join(mut self) -> Result<Vec<R>, ShufflerError> {
+    /// worker is joined either way.
+    pub fn join(mut self) -> Result<Vec<R>, ShufflerError> {
         self.close()
     }
 
@@ -236,7 +237,7 @@ mod tests {
             queue.iter().count()
         });
         let attempts = capacity.max(1) + 2;
-        let (progress, sent) = crossbeam::channel::unbounded();
+        let (progress, sent) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let pool = &pool;
             scope.spawn(move || {

@@ -78,24 +78,6 @@ impl DriftingPreferenceEnvironment {
         })
     }
 
-    /// Wraps an existing base environment (useful for comparing the drifted
-    /// and stationary views of the same latent preferences).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::InvalidConfig`] for invalid drift parameters.
-    pub fn from_base(
-        base: SyntheticPreferenceEnvironment,
-        drift: DriftConfig,
-    ) -> Result<Self, DatasetError> {
-        drift.validate()?;
-        Ok(Self {
-            base,
-            drift,
-            round: 0,
-        })
-    }
-
     /// The drift configuration.
     #[must_use]
     pub fn drift(&self) -> &DriftConfig {

@@ -277,13 +277,6 @@ impl Cholesky {
         inv
     }
 
-    /// Log-determinant of the factored matrix, `ln det A = 2 Σ ln Lᵢᵢ`.
-    #[must_use]
-    pub fn log_determinant(&self) -> f64 {
-        let n = self.dim();
-        (0..n).map(|i| self.lower.get(i, i).ln()).sum::<f64>() * 2.0
-    }
-
     /// Evaluates the quadratic form `xᵀ A⁻¹ x` without forming the inverse.
     ///
     /// # Errors
@@ -462,12 +455,6 @@ mod tests {
         let explicit = x.dot(&inv.matvec(&x).unwrap()).unwrap();
         let implicit = chol.quadratic_form_inverse(&x).unwrap();
         assert!(approx_eq(explicit, implicit));
-    }
-
-    #[test]
-    fn log_determinant_of_identity_is_zero() {
-        let chol = Cholesky::new(&Matrix::identity(5)).unwrap();
-        assert!(approx_eq(chol.log_determinant(), 0.0));
     }
 
     #[test]

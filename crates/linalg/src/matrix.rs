@@ -152,12 +152,6 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Copies row `row` into a new [`Vector`].
-    #[must_use]
-    pub fn row_vector(&self, row: usize) -> Vector {
-        Vector::from(self.row(row))
-    }
-
     /// Borrows the flat row-major storage.
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
@@ -290,29 +284,6 @@ impl Matrix {
             sink(r, acc);
             r += 1;
         }
-    }
-
-    /// Transposed matrix–vector product `Aᵀ x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.rows()`.
-    pub fn matvec_transposed(&self, x: &Vector) -> Result<Vector, LinalgError> {
-        if x.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (self.rows, 1),
-                found: (x.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let row = self.row(r);
-            let xr = x[r];
-            for (o, a) in out.iter_mut().zip(row.iter()) {
-                *o += a * xr;
-            }
-        }
-        Ok(Vector::from(out))
     }
 
     /// Matrix–matrix product.
@@ -677,15 +648,6 @@ mod tests {
             Matrix::zeros(3, 3).quadratic_form(&[1.0, 2.0]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn matvec_transposed_matches_explicit_transpose() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let v = Vector::from(vec![1.0, 2.0, 3.0]);
-        let a = m.matvec_transposed(&v).unwrap();
-        let b = m.transposed().matvec(&v).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -217,13 +217,6 @@ impl Vector {
         Vector::from(self.data.iter().map(|x| x * factor).collect::<Vec<_>>())
     }
 
-    /// Scales the vector in place.
-    pub fn scale_in_place(&mut self, factor: f64) {
-        for x in &mut self.data {
-            *x *= factor;
-        }
-    }
-
     /// Returns an L1-normalized copy of the vector (entries sum to one).
     ///
     /// This is the normalization P2B applies to contexts before quantizing

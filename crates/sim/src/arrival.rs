@@ -7,8 +7,8 @@
 //! 1. **Pure indexing.** Event `i` is a pure function of `(seed, i)` — no
 //!    shared RNG stream, no state carried between events. This is what makes
 //!    the harness's deterministic summary byte-identical at *any* worker
-//!    count: workers can materialize disjoint index ranges in parallel and
-//!    the concatenation equals the sequential stream.
+//!    count: an event and every draw derived from it depend on its index
+//!    alone, never on which thread computes it or in what order.
 //! 2. **Skew.** Real code popularity is heavy-tailed. We model the
 //!    paper-relevant shape with a two-tier Zipf-like split: a *hot head*
 //!    (`hot_code_fraction` of codes) receives `hot_traffic_share` of the
@@ -28,7 +28,6 @@
 //! `>= 8`.
 
 use crate::error::SimError;
-use crate::parallel::parallel_map;
 use p2b_shuffler::splitmix64;
 use serde::{Deserialize, Serialize};
 
@@ -215,31 +214,6 @@ impl ArrivalProcess {
     /// Materializes events `start..end` sequentially.
     pub fn events(&self, start: u64, end: u64) -> Vec<ArrivalEvent> {
         (start..end).map(|i| self.event(i)).collect()
-    }
-
-    /// Materializes events `start..end` on up to `workers` threads.
-    ///
-    /// The result is guaranteed identical to [`ArrivalProcess::events`] for
-    /// every worker count — the stream is a pure function of the index, so
-    /// parallelism only changes who computes each event, never its value.
-    pub fn events_parallel(&self, start: u64, end: u64, workers: usize) -> Vec<ArrivalEvent> {
-        let total = end.saturating_sub(start);
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = workers.max(1).min(total as usize);
-        let chunk = total.div_ceil(workers as u64);
-        let ranges: Vec<(u64, u64)> = (0..workers as u64)
-            .map(|w| {
-                let lo = start + w * chunk;
-                (lo, (lo + chunk).min(end))
-            })
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        parallel_map(ranges, workers, |(lo, hi)| self.events(lo, hi))
-            .into_iter()
-            .flatten()
-            .collect()
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! The serve harness's worker-count-invariant deterministic summary rests on
 //! two claims checked here: (1) the stream is a pure function of the index,
-//! so materializing it on any number of threads yields *byte-identical*
-//! JSON; (2) the two-tier skew knob actually delivers its nominal head/tail
-//! traffic split.
+//! so materializing it again yields the same events; (2) the two-tier skew
+//! knob actually delivers its nominal head/tail traffic split.
 
-use p2b_sim::{ArrivalConfig, ArrivalEvent, ArrivalProcess};
+use p2b_sim::{ArrivalConfig, ArrivalProcess};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = ArrivalConfig> {
@@ -26,34 +25,8 @@ fn arb_config() -> impl Strategy<Value = ArrivalConfig> {
         })
 }
 
-fn stream_bytes(events: &[ArrivalEvent]) -> Vec<u8> {
-    serde_json::to_string(events)
-        .expect("events serialize")
-        .into_bytes()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The parallel stream is byte-identical to the sequential one at every
-    /// worker count, including worker counts that do not divide the stream
-    /// and ranges that do not start at zero.
-    #[test]
-    fn stream_is_byte_identical_at_any_worker_count(
-        config in arb_config(),
-        start in 0u64..500,
-        len in 0u64..700,
-        workers in 1usize..9,
-    ) {
-        let process = ArrivalProcess::new(config).expect("valid config");
-        let sequential = process.events(start, start + len);
-        let parallel = process.events_parallel(start, start + len, workers);
-        prop_assert_eq!(
-            stream_bytes(&sequential),
-            stream_bytes(&parallel),
-            "workers = {}", workers
-        );
-    }
 
     /// Two materializations of the same range agree event-by-event — the
     /// stream carries no hidden state between calls.

@@ -1,24 +1,26 @@
-//! Enforces the zero-unwrap policy on the non-test code of the nine crates
+//! Enforces the zero-unwrap policy on the non-test code of the ten crates
 //! that sit on the request path: they must surface typed errors
 //! (`PrivacyError`, `ShufflerError`, `EncodingError`, `ExperimentError`,
-//! `CoreError`, `SimError`, `LinalgError`, `BanditError`, `DatasetError`),
-//! never panic. Test modules (everything at and below a file's first
+//! `CoreError`, `SimError`, `LinalgError`, `BanditError`, `DatasetError`,
+//! `BenchFailure`), never panic. Test modules (everything at and below a file's first
 //! `#[cfg(test)]` in column 0, the rule `scripts/nontest_lines.sh` counts
 //! by) and comment/doc lines — doc-comment examples included — are exempt.
 //! An indented `#[cfg(test)]` gates one field, statement or method and
 //! does not end the scan: the code below it is scanned.
 //!
 //! The scan reads each `src/` directory flat, without descending. That
-//! misses nothing: the only library `src/` subdirectories in the workspace,
-//! `encoding/src/kmeans/` and `bandit/src/linucb/`, hold modules their
-//! parent declares below its `#[cfg(test)]` line, compiled only in tests
-//! (`bench/src/bin/` holds binaries of an ungated crate).
+//! misses no library code: the only library `src/` subdirectories in the
+//! workspace, `encoding/src/kmeans/` and `bandit/src/linucb/`, hold modules
+//! their parent declares below its `#[cfg(test)]` line, compiled only in
+//! tests. `bench/src/bin/` holds the bench crate's binaries, which Cargo
+//! builds as targets of their own, not as modules of the library; they
+//! stay outside the gate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The gated crates, by directory under `crates/`.
-const GATED_CRATES: [&str; 9] = [
+const GATED_CRATES: [&str; 10] = [
     "privacy",
     "shuffler",
     "encoding",
@@ -28,6 +30,7 @@ const GATED_CRATES: [&str; 9] = [
     "linalg",
     "bandit",
     "datasets",
+    "bench",
 ];
 
 /// Panic-path constructs forbidden outside test code. `.unwrap_or*` /
@@ -104,6 +107,7 @@ fn no_unwrap_or_expect_in_non_test_source() {
 /// Pins the flat-scan assumption of the file header: every module file in
 /// a `src/<parent>/` subdirectory of a gated crate is declared by
 /// `src/<parent>.rs` below that file's first column-0 `#[cfg(test)]`.
+/// `src/bin/` is Cargo's directory of binary targets, not a module.
 #[test]
 fn flat_scan_misses_no_compiled_module() {
     let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates");
@@ -112,7 +116,7 @@ fn flat_scan_misses_no_compiled_module() {
         let src = crates.join(name).join("src");
         for entry in fs::read_dir(&src).expect("read src dir") {
             let dir = entry.expect("read src entry").path();
-            if !dir.is_dir() {
+            if !dir.is_dir() || dir.ends_with("bin") {
                 continue;
             }
             let parent = dir.with_extension("rs");
