@@ -1,7 +1,89 @@
-//! Incrementally maintained matrix inverse via the Sherman–Morrison formula.
+//! Test-only oracle: the Sherman–Morrison tracker LinUCB arms held before
+//! an arm became its Cholesky factor. It keeps `A⁻¹` and the design `A`
+//! (`d²` words each), folds `A ← A + x xᵀ` into the inverse in `O(d²)` and
+//! recomputes the inverse exactly from the design every
+//! [`RankOneInverse::DEFAULT_REFRESH_INTERVAL`] folds to bound drift. The
+//! factor arm's agreement suite (`linucb::factor_agreement`) holds scores,
+//! θ and selections within stated tolerances of it.
 
-use crate::cholesky::{factor_lower, inverse_from_lower};
-use crate::{LinalgError, Matrix, Vector};
+use p2b_linalg::{LinalgError, Matrix, Vector};
+
+/// Writes the lower-triangular Cholesky factor of `a` into the flat
+/// row-major buffer `lower` (`n·n` elements, lower triangle written, strict
+/// upper triangle untouched).
+fn factor_lower(a: &Matrix, lower: &mut [f64]) -> Result<(), LinalgError> {
+    let n = a.rows();
+    if !a.is_square() || lower.len() != n * n {
+        return Err(LinalgError::DimensionMismatch {
+            expected: (n, n),
+            found: (lower.len(), 1),
+        });
+    }
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a.get(i, j);
+            for k in 0..j {
+                sum -= lower[i * n + k] * lower[j * n + k];
+            }
+            if i == j {
+                if sum.is_nan() || sum <= 0.0 {
+                    return Err(LinalgError::NotPositiveDefinite { pivot: i });
+                }
+                lower[i * n + j] = sum.sqrt();
+            } else {
+                lower[i * n + j] = sum / lower[j * n + j];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Writes `A⁻¹ = (L Lᵀ)⁻¹` into the flat row-major buffer `inverse` from
+/// the lower factor `l` of [`factor_lower`], all columns at once: the
+/// forward pass writes `L⁻¹` row by row, the backward pass runs bottom-up
+/// in place.
+fn inverse_from_lower(l: &[f64], n: usize, inverse: &mut [f64]) {
+    for i in 0..n {
+        let (done, rest) = inverse.split_at_mut(i * n);
+        let row = &mut rest[..n];
+        row.fill(0.0);
+        row[i] = 1.0;
+        for (k, &lk) in l[i * n..i * n + i].iter().enumerate() {
+            for (entry, &y) in row.iter_mut().zip(&done[k * n..(k + 1) * n]) {
+                *entry -= lk * y;
+            }
+        }
+        let pivot = l[i * n + i];
+        for entry in row.iter_mut() {
+            *entry /= pivot;
+        }
+    }
+    for i in (0..n).rev() {
+        let (head, done) = inverse.split_at_mut((i + 1) * n);
+        let row = &mut head[i * n..];
+        for k in i + 1..n {
+            let lki = l[k * n + i];
+            let finished = &done[(k - i - 1) * n..(k - i) * n];
+            for (entry, &x) in row.iter_mut().zip(finished) {
+                *entry -= lki * x;
+            }
+        }
+        let pivot = l[i * n + i];
+        for entry in row.iter_mut() {
+            *entry /= pivot;
+        }
+    }
+}
+
+/// The exact inverse of an SPD matrix by the refresh's two kernels.
+pub(crate) fn exact_inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
+    let n = a.rows();
+    let mut lower = vec![0.0; n * n];
+    factor_lower(a, &mut lower)?;
+    let mut inverse = Matrix::zeros(n, n);
+    inverse_from_lower(&lower, n, inverse.as_mut_slice());
+    Ok(inverse)
+}
 
 /// Scratch buffers for the allocation-free update path: after the first
 /// call, [`RankOneInverse::update`] — the `A⁻¹x` matvec, the outer-product
@@ -54,20 +136,6 @@ impl UpdateScratch {
 /// brings it down to `O(d²)`, which dominates the simulation budget of the
 /// large-population experiments (Figure 4 sweeps millions of steps).
 ///
-/// # Example
-///
-/// ```
-/// use p2b_linalg::{RankOneInverse, Vector};
-///
-/// # fn main() -> Result<(), p2b_linalg::LinalgError> {
-/// let mut inv = RankOneInverse::identity(3, 1.0)?;
-/// inv.update(&Vector::from(vec![1.0, 0.0, 1.0]))?;
-/// let bonus = inv.quadratic_form(&Vector::from(vec![0.0, 1.0, 0.0]))?;
-/// assert!((bonus - 1.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-///
 /// # Memory
 ///
 /// The tracked state is two `d × d` matrices (the inverse and the design).
@@ -76,7 +144,7 @@ impl UpdateScratch {
 /// starts without either: a model arm copied copy-on-write holds its
 /// statistics, plus the lane once it folds.
 #[derive(Debug)]
-pub struct RankOneInverse {
+pub(crate) struct RankOneInverse {
     inverse: Matrix,
     updates: u64,
     regularizer: f64,
@@ -143,7 +211,7 @@ fn sherman_morrison_step(inverse: &mut Matrix, ax: &[f64], denom: f64) {
 
 impl RankOneInverse {
     /// Default number of rank-1 updates between exact refreshes.
-    pub const DEFAULT_REFRESH_INTERVAL: u64 = 4096;
+    pub(crate) const DEFAULT_REFRESH_INTERVAL: u64 = 4096;
 
     /// Creates the inverse of `λ·I` of dimension `dim`.
     ///
@@ -152,7 +220,7 @@ impl RankOneInverse {
     /// Returns [`LinalgError::InvalidScalar`] if `regularizer` is not a
     /// strictly positive finite number and [`LinalgError::Empty`] if
     /// `dim == 0`.
-    pub fn identity(dim: usize, regularizer: f64) -> Result<Self, LinalgError> {
+    pub(crate) fn identity(dim: usize, regularizer: f64) -> Result<Self, LinalgError> {
         if dim == 0 {
             return Err(LinalgError::Empty);
         }
@@ -175,31 +243,31 @@ impl RankOneInverse {
     /// Overrides the refresh interval (number of updates between exact
     /// re-factorizations). Mostly useful in tests; the default is
     /// [`Self::DEFAULT_REFRESH_INTERVAL`].
-    pub fn set_refresh_interval(&mut self, interval: u64) {
+    pub(crate) fn set_refresh_interval(&mut self, interval: u64) {
         self.refresh_interval = interval.max(1);
     }
 
     /// Dimension of the tracked matrix.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.inverse.rows()
     }
 
     /// Number of rank-1 updates applied so far.
     #[must_use]
-    pub fn update_count(&self) -> u64 {
+    pub(crate) fn update_count(&self) -> u64 {
         self.updates
     }
 
     /// Borrows the current inverse matrix.
     #[must_use]
-    pub fn inverse(&self) -> &Matrix {
+    pub(crate) fn inverse(&self) -> &Matrix {
         &self.inverse
     }
 
     /// Borrows the current design matrix `A`.
     #[must_use]
-    pub fn design(&self) -> &Matrix {
+    pub(crate) fn design(&self) -> &Matrix {
         &self.design
     }
 
@@ -208,19 +276,8 @@ impl RankOneInverse {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &Vector) -> Result<Vector, LinalgError> {
+    pub(crate) fn solve(&self, b: &Vector) -> Result<Vector, LinalgError> {
         self.inverse.matvec(b)
-    }
-
-    /// Computes `A⁻¹ b` into a caller-provided buffer (allocation-free
-    /// variant of [`RankOneInverse::solve`], bit-identical result).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`
-    /// or `out.len() != self.dim()`.
-    pub fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        self.inverse.matvec_into(b, out)
     }
 
     /// Evaluates the quadratic form `xᵀ A⁻¹ x`.
@@ -232,7 +289,7 @@ impl RankOneInverse {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
-    pub fn quadratic_form(&self, x: &Vector) -> Result<f64, LinalgError> {
+    pub(crate) fn quadratic_form(&self, x: &Vector) -> Result<f64, LinalgError> {
         self.inverse.quadratic_form(x.as_slice())
     }
 
@@ -245,7 +302,7 @@ impl RankOneInverse {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
-    pub fn update(&mut self, x: &Vector) -> Result<(), LinalgError> {
+    pub(crate) fn update(&mut self, x: &Vector) -> Result<(), LinalgError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.fold(x, &mut scratch);
         self.scratch = scratch;
@@ -279,7 +336,7 @@ impl RankOneInverse {
     ///
     /// Propagates factorization errors; the design matrix is SPD by
     /// construction so this only fails after severe numerical corruption.
-    pub fn refresh(&mut self) -> Result<(), LinalgError> {
+    pub(crate) fn refresh(&mut self) -> Result<(), LinalgError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.refresh_with(&mut scratch);
         self.scratch = scratch;
@@ -288,10 +345,9 @@ impl RankOneInverse {
 
     /// Allocation-free exact refresh: factors the design matrix into the
     /// scratch buffer and writes the inverse from that factor, all columns
-    /// at once, straight into the tracked inverse. [`crate::Cholesky::new`]
-    /// followed by [`crate::Cholesky::inverse`] runs the same two slice
-    /// kernels, so the recomputed inverse is bit-identical to the allocating
-    /// path.
+    /// at once, straight into the tracked inverse. [`exact_inverse`] runs the
+    /// same two slice kernels, so the recomputed inverse is bit-identical to
+    /// the allocating path.
     fn refresh_with(&mut self, scratch: &mut UpdateScratch) -> Result<(), LinalgError> {
         let n = self.dim();
         scratch.ensure_refresh(n);
@@ -314,7 +370,7 @@ impl RankOneInverse {
     /// strictly positive finite number and [`LinalgError::DimensionMismatch`]
     /// if `design` is not `dim × dim`, both leaving the tracker untouched;
     /// propagates the refresh's factorization error.
-    pub fn merge_design(
+    pub(crate) fn merge_design(
         &mut self,
         design: &Matrix,
         regularizer: f64,
@@ -352,7 +408,7 @@ impl RankOneInverse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, Cholesky};
+    use p2b_linalg::approx_eq;
 
     #[test]
     fn rejects_invalid_construction() {
@@ -384,7 +440,7 @@ mod tests {
             inc.update(x).unwrap();
             a.add_outer_product(x, 1.0).unwrap();
         }
-        let direct = Cholesky::new(&a).unwrap().inverse();
+        let direct = exact_inverse(&a).unwrap();
         assert!(inc.inverse().max_abs_diff(&direct).unwrap() < 1e-9);
         assert_eq!(inc.update_count(), 4);
     }
@@ -641,7 +697,7 @@ mod tests {
             a.add_outer_product(x, *w).unwrap();
         }
         let inc = merged(&a, 1.0, pairs.len() as u64);
-        let direct = Cholesky::new(&a).unwrap().inverse();
+        let direct = exact_inverse(&a).unwrap();
         assert!(inc.inverse().max_abs_diff(&direct).unwrap() < 1e-9);
     }
 
@@ -653,7 +709,7 @@ mod tests {
             let x = Vector::from(vec![i as f64, 1.0, -0.5 * i as f64, 0.25]);
             inc.fold(&x, &mut scratch).unwrap();
         }
-        let direct = Cholesky::new(inc.design()).unwrap().inverse();
+        let direct = exact_inverse(inc.design()).unwrap();
         inc.refresh_with(&mut scratch).unwrap();
         assert_eq!(
             inc.inverse().as_slice(),
@@ -704,7 +760,7 @@ mod tests {
         expected.add_outer_product(&x, 1.0).unwrap();
         assert_eq!(inc.design(), &expected);
         // The fourth update was a refresh: the inverse is the exact one.
-        let direct = Cholesky::new(&expected).unwrap().inverse();
+        let direct = exact_inverse(&expected).unwrap();
         assert_eq!(inc.inverse().as_slice(), direct.as_slice());
     }
 }

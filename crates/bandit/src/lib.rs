@@ -8,8 +8,10 @@
 //!   sufficient-statistics currency: `(x, n, s)` groups fold into
 //!   per-arm [`ArmSums`] (or their flat leaves are summed and read back),
 //!   and [`LinUcb::set_arm`] installs the sums as a model arm — in two
-//!   halves when the build runs elsewhere: [`BuiltArm::new`] (merge, one
-//!   refresh, θ solve) and [`LinUcb::install_arm`] (swap and stamp); plus
+//!   halves when the build runs elsewhere: [`BuiltArm::new`] (one
+//!   factorization, θ solve) and [`LinUcb::install_arm`] (swap and stamp);
+//!   every arm is its packed Cholesky factor, which a per-report update
+//!   folds in place; plus
 //!   the reusable select scratch and score memo ([`SelectScratch`]);
 //! * the [`ContextualPolicy`] trait: the per-report select/update loop a
 //!   device or a simulated cell drives.
@@ -42,3 +44,6 @@ mod policy;
 pub use error::BanditError;
 pub use linucb::{ArmSums, BuiltArm, LinUcb, LinUcbConfig, SelectScratch};
 pub use policy::{Action, ContextualPolicy, Reward};
+
+#[cfg(test)]
+mod incremental;

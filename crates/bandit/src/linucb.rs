@@ -2,7 +2,7 @@
 
 use crate::policy::{check_action, check_context, check_finite, check_reward, random_action};
 use crate::{Action, BanditError, ContextualPolicy, Reward};
-use p2b_linalg::{Cholesky, Matrix, RankOneInverse, Vector};
+use p2b_linalg::{Cholesky, LinalgError, Matrix, Vector};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,32 +91,28 @@ impl LinUcbConfig {
 }
 
 /// One arm's sufficient statistics — the one currency every regime hands
-/// the central model: the design `A = λI + Σ n·x xᵀ`, the reward vector
-/// `b = Σ s·x`, the pulls `Σ n`, the number of folds, and the prior λ the
-/// design started from.
+/// the central model: the design `A = λI + Σ n·x xᵀ` (the prior `λI` it
+/// started from included), the reward vector `b = Σ s·x` and the pulls
+/// `Σ n`.
 ///
 /// Two sources fill it. An ingest shard folds released cells into it
 /// ([`ArmSums::fold`]); the aggregating regimes (the central-DP curator's
 /// tree, the secure-aggregation shards) sum flat statistics leaves
 /// ([`ArmSums::leaf`]) and read the (possibly noised or quantized) total
-/// back ([`ArmSums::from_leaf`]). No inverse, θ or score lanes: the sums
-/// only accumulate, and [`LinUcb::set_arm`] — the one way sums become a
-/// model — inverts once. A fold runs exactly the design and reward-vector
-/// arithmetic of the per-report [`ContextualPolicy::update`] at `n = 1`,
-/// and the fold count is the update count the arm's inverse inherits, so an
-/// installed arm refreshes on the schedule of a per-report one.
+/// back as a built arm ([`BuiltArm::from_leaf`]). No factor, θ or score
+/// lanes: the sums only accumulate, and [`LinUcb::set_arm`] — the one way
+/// sums become a model — factors the design once, so any two paths that
+/// build from the same sums build the same arm, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArmSums {
     design: Matrix,
     reward_vector: Vector,
     pulls: u64,
-    folds: u64,
-    regularizer: f64,
 }
 
 impl ArmSums {
     /// Cold sums for one arm of a model of the given configuration: design
-    /// `λI`, zero reward vector, no pulls, no folds.
+    /// `λI`, zero reward vector, no pulls.
     ///
     /// # Errors
     ///
@@ -128,8 +124,6 @@ impl ArmSums {
             design: Matrix::identity(d).scaled(config.regularizer),
             reward_vector: Vector::zeros(d),
             pulls: 0,
-            folds: 0,
-            regularizer: config.regularizer,
         })
     }
 
@@ -157,7 +151,6 @@ impl ArmSums {
         self.design.add_outer_product(context, count as f64)?;
         self.reward_vector.axpy(reward_sum, context)?;
         self.pulls += count;
-        self.folds += 1;
         Ok(())
     }
 
@@ -171,7 +164,7 @@ impl ArmSums {
     /// The flat leaf `[n·vec(x xᵀ) | s·x | n]` that `count = n` observations
     /// of `context = x` with reward sum `s` add to an arm's statistics — the
     /// one layout every aggregating regime (tree curator, secure-aggregation
-    /// shards) sums and [`ArmSums::from_leaf`] reads back.
+    /// shards) sums and [`BuiltArm::from_leaf`] reads back.
     ///
     /// The context is clipped to the unit L2 ball and the reward sum clamped
     /// to `[0, n]`, so every coordinate is bounded by `n` and a single
@@ -194,58 +187,48 @@ impl ArmSums {
         leaf[d * d + d] = count;
         leaf
     }
+}
 
-    /// Reads a summed (and possibly noised or quantized) leaf in the
-    /// [`ArmSums::leaf`] layout back into positive-definite sums for a model
-    /// of the given configuration. The Gram block is symmetrized as
-    /// `(g_ij + g_ji) / 2` — per-coordinate noise is not symmetric even
-    /// though `x xᵀ` is, and the average is an exact no-op on an already
-    /// symmetric block — and ridge-repaired: the design is
-    /// `gram + (λ + boost)·I`, with `boost` escalating 0, 1, 2, 4, … until
-    /// the design has a Cholesky factor (doubling terminates quickly because
-    /// the shift soon dominates the largest negative eigenvalue). The pull
-    /// counter is rounded and floored at zero. The sums carry no folds and
-    /// the configuration's prior λ.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BanditError::InvalidConfig`] for an invalid configuration
-    /// or a leaf that is not [`ArmSums::leaf_dimension`]`(d)` long, and
-    /// [`BanditError::Linalg`] when no boost up to `1e12` yields a
-    /// positive-definite design (a non-finite Gram block).
-    pub fn from_leaf(leaf: &[f64], config: &LinUcbConfig) -> Result<Self, BanditError> {
-        config.validate()?;
-        let d = config.context_dimension;
-        if leaf.len() != Self::leaf_dimension(d) {
-            return Err(BanditError::InvalidConfig {
-                parameter: "leaf",
-                message: format!(
-                    "a dimension-{d} statistics leaf has {} coordinates, got {}",
-                    Self::leaf_dimension(d),
-                    leaf.len()
-                ),
-            });
-        }
-        let mut gram = Matrix::zeros(d, d);
-        for i in 0..d {
-            for j in 0..d {
-                gram.set(i, j, (leaf[i * d + j] + leaf[j * d + i]) / 2.0);
-            }
-        }
-        Ok(Self {
-            design: ridge_repaired(&gram, config.regularizer)?,
-            reward_vector: Vector::from(leaf[d * d..d * d + d].to_vec()),
-            pulls: leaf[d * d + d].round().max(0.0) as u64,
-            folds: 0,
-            regularizer: config.regularizer,
-        })
+/// Decodes a summed leaf in the [`ArmSums::leaf`] layout: the Gram block is
+/// symmetrized as `(g_ij + g_ji) / 2` — per-coordinate noise is not
+/// symmetric even though `x xᵀ` is, and the average is an exact no-op on an
+/// already symmetric block — and ridge-repaired ([`ridge_repaired`]); the
+/// pull counter is rounded and floored at zero. Returns the repaired
+/// design, its factor, the reward vector and the pulls.
+fn decode_leaf(
+    leaf: &[f64],
+    config: &LinUcbConfig,
+) -> Result<(Matrix, Cholesky, Vector, u64), BanditError> {
+    config.validate()?;
+    let d = config.context_dimension;
+    if leaf.len() != ArmSums::leaf_dimension(d) {
+        return Err(BanditError::InvalidConfig {
+            parameter: "leaf",
+            message: format!(
+                "a dimension-{d} statistics leaf has {} coordinates, got {}",
+                ArmSums::leaf_dimension(d),
+                leaf.len()
+            ),
+        });
     }
+    let mut gram = Matrix::zeros(d, d);
+    for i in 0..d {
+        for j in 0..d {
+            gram.set(i, j, (leaf[i * d + j] + leaf[j * d + i]) / 2.0);
+        }
+    }
+    let (design, factor) = ridge_repaired(&gram, config.regularizer)?;
+    let reward_vector = Vector::from(leaf[d * d..d * d + d].to_vec());
+    let pulls = leaf[d * d + d].round().max(0.0) as u64;
+    Ok((design, factor, reward_vector, pulls))
 }
 
 /// The positive-definite design `gram + (regularizer + boost)·I` of a
 /// symmetric Gram block that noise or quantization may have left
-/// indefinite, `boost` escalating 0, 1, 2, 4, … up to `1e12`.
-fn ridge_repaired(gram: &Matrix, regularizer: f64) -> Result<Matrix, BanditError> {
+/// indefinite, with its factor: `boost` escalates 0, 1, 2, 4, … until the
+/// design factors (doubling terminates quickly because the shift soon
+/// dominates the largest negative eigenvalue), up to `1e12`.
+fn ridge_repaired(gram: &Matrix, regularizer: f64) -> Result<(Matrix, Cholesky), BanditError> {
     let mut boost = 0.0f64;
     loop {
         let mut design = gram.clone();
@@ -253,7 +236,7 @@ fn ridge_repaired(gram: &Matrix, regularizer: f64) -> Result<Matrix, BanditError
             design.set(i, i, design.get(i, i) + regularizer + boost);
         }
         match Cholesky::new(&design) {
-            Ok(_) => return Ok(design),
+            Ok(factor) => return Ok((design, factor)),
             Err(_) if boost < 1e12 => {
                 boost = if boost == 0.0 { 1.0 } else { boost * 2.0 };
             }
@@ -262,59 +245,73 @@ fn ridge_repaired(gram: &Matrix, regularizer: f64) -> Result<Matrix, BanditError
     }
 }
 
-/// Per-arm sufficient statistics: `A_a⁻¹` (incrementally maintained) and
-/// `b_a`, plus the ridge estimate `θ_a = A_a⁻¹ b_a` cached by
-/// [`LinUcb::sync_arm`].
+/// One arm: the Cholesky factor of its design `A_a = LDLᵀ`, which a fold
+/// updates in place, the reward vector `b_a`, the ridge estimate
+/// `θ_a = A_a⁻¹ b_a` cached by [`LinUcb::sync_arm`], and the pulls.
 #[derive(Debug, Clone, PartialEq)]
 struct Arm {
-    inverse: RankOneInverse,
+    factor: Cholesky,
     reward_vector: Vector,
     theta: Vector,
     pulls: u64,
 }
 
 impl Arm {
-    fn new(dimension: usize, regularizer: f64) -> Result<Self, BanditError> {
-        Ok(Self {
-            inverse: RankOneInverse::identity(dimension, regularizer)?,
-            reward_vector: Vector::zeros(dimension),
-            theta: Vector::zeros(dimension),
-            pulls: 0,
-        })
+    /// The arm of a factor, a reward vector and pulls, θ solved.
+    fn new(factor: Cholesky, reward_vector: Vector, pulls: u64) -> Result<Self, BanditError> {
+        let mut arm = Self {
+            theta: Vector::zeros(reward_vector.len()),
+            factor,
+            reward_vector,
+            pulls,
+        };
+        arm.solve_theta()?;
+        Ok(arm)
     }
 
+    /// A cold arm: the factor of the prior `λI`, bit for bit the factor of
+    /// cold [`ArmSums`].
+    fn cold(config: &LinUcbConfig) -> Result<Self, BanditError> {
+        let d = config.context_dimension;
+        let factor = Cholesky::scaled_identity(d, config.regularizer)?;
+        Self::new(factor, Vector::zeros(d), 0)
+    }
+
+    /// Folds one observation: `A += x xᵀ` into the factor, `b += r·x`.
+    /// θ is the fold's scratch lane, so it is stale until the caller
+    /// re-solves it ([`LinUcb::sync_arm`]).
     fn update(&mut self, context: &Vector, reward: Reward) -> Result<(), BanditError> {
-        self.inverse.update(context)?;
+        let lane = self.theta.as_mut_slice();
+        self.factor.rank_one_update(context.as_slice(), lane)?;
         self.reward_vector.axpy(reward, context)?;
         self.pulls += 1;
         Ok(())
     }
 
-    /// Re-derives the cached θ from the inverse, with the exact `A⁻¹ b`
-    /// matvec selection would run.
+    /// Re-derives the cached θ from the factor: two triangular solves.
     fn solve_theta(&mut self) -> Result<(), BanditError> {
-        self.inverse
+        self.factor
             .solve_into(self.reward_vector.as_slice(), self.theta.as_mut_slice())?;
         Ok(())
     }
 
-    /// The arm's upper confidence bound `θᵀx + α·√max(0, xᵀA⁻¹x)` off its
-    /// own inverse and cached θ: the quadratic form
-    /// ([`Matrix::quadratic_form`]), then the estimate from zero in `i`
-    /// order. The one score kernel; the crate's test-only oracle pins it bit
-    /// for bit against solving θ afresh.
-    fn ucb_score(&self, x: &[f64], alpha: f64) -> Result<f64, BanditError> {
-        let bonus = self.inverse.inverse().quadratic_form(x)?;
+    /// The arm's upper confidence bound `θᵀx + α·√(xᵀA⁻¹x)` off its own
+    /// factor and cached θ: the bonus by one forward solve into `lane`, then
+    /// the estimate from zero in `i` order. The one score kernel; the
+    /// crate's test-only oracle pins it bit for bit against solving θ
+    /// afresh.
+    fn ucb_score(&self, x: &[f64], alpha: f64, lane: &mut [f64]) -> Result<f64, BanditError> {
+        let bonus = self.factor.quadratic_form_inverse(x, lane)?;
         let mut estimate = 0.0;
         for (&t, &xi) in self.theta.as_slice().iter().zip(x) {
             estimate += t * xi;
         }
-        Ok(estimate + alpha * bonus.max(0.0).sqrt())
+        Ok(estimate + alpha * bonus.sqrt())
     }
 }
 
-/// A model arm built from [`ArmSums`], θ solved, not yet part of any model:
-/// the pure half of [`LinUcb::set_arm`] ([`BuiltArm::new`]), which can run
+/// A model arm built from [`ArmSums`] or a summed leaf, θ solved, not yet
+/// part of any model: the pure half of [`LinUcb::set_arm`], which can run
 /// on any thread — the model service's shards build their dirty arms with
 /// it — while [`LinUcb::install_arm`], the cheap half, puts the arm into a
 /// model.
@@ -324,10 +321,8 @@ pub struct BuiltArm {
 }
 
 impl BuiltArm {
-    /// Builds the arm a model of `config` installs from `sums`: a cold arm
-    /// merged with the sums ([`RankOneInverse::merge_design`]:
-    /// `A = λI + (D + (−λ_D·I))`, the arm's update count is the sums' folds,
-    /// one exact refresh of the inverse), then θ = `A⁻¹ b`.
+    /// Builds the arm a model of `config` installs from `sums`: the factor
+    /// of the sums' design, factored once, then θ = `A⁻¹ b`.
     ///
     /// # Errors
     ///
@@ -336,12 +331,36 @@ impl BuiltArm {
     /// design that is not positive definite.
     pub fn new(config: &LinUcbConfig, sums: &ArmSums) -> Result<Self, BanditError> {
         config.validate()?;
-        let mut arm = Arm::new(config.context_dimension, config.regularizer)?;
-        arm.inverse
-            .merge_design(&sums.design, sums.regularizer, sums.folds)?;
-        arm.reward_vector = arm.reward_vector.add(&sums.reward_vector)?;
-        arm.pulls = sums.pulls;
-        arm.solve_theta()?;
+        let d = config.context_dimension;
+        if sums.design.rows() != d || sums.reward_vector.len() != d {
+            return Err(LinalgError::DimensionMismatch {
+                expected: (d, d),
+                found: (sums.design.rows(), sums.reward_vector.len()),
+            }
+            .into());
+        }
+        let factor = Cholesky::new(&sums.design)?;
+        let arm = Arm::new(factor, sums.reward_vector.clone(), sums.pulls)?;
+        Ok(Self { arm: Arc::new(arm) })
+    }
+
+    /// Builds the arm a model of `config` installs from a summed (and
+    /// possibly noised or quantized) leaf in the [`ArmSums::leaf`] layout.
+    /// The Gram block is symmetrized as `(g_ij + g_ji) / 2` and
+    /// ridge-repaired: the design is `gram + (λ + boost)·I`, with `boost`
+    /// escalating 0, 1, 2, 4, … until the design has a Cholesky factor, and
+    /// that factor is the arm's. The pull counter is rounded and floored at
+    /// zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BanditError::InvalidConfig`] for an invalid configuration
+    /// or a leaf that is not [`ArmSums::leaf_dimension`]`(d)` long, and
+    /// [`BanditError::Linalg`] when no boost up to `1e12` yields a
+    /// positive-definite design (a non-finite Gram block).
+    pub fn from_leaf(leaf: &[f64], config: &LinUcbConfig) -> Result<Self, BanditError> {
+        let (_, factor, reward_vector, pulls) = decode_leaf(leaf, config)?;
+        let arm = Arm::new(factor, reward_vector, pulls)?;
         Ok(Self { arm: Arc::new(arm) })
     }
 }
@@ -356,7 +375,7 @@ impl BuiltArm {
 /// arms re-stamped since; any other context, α or arm count re-scores every
 /// arm. An arm's stamp changes whenever the arm is written and stamps are
 /// unique across the process, so two arms with equal stamps have bit-equal
-/// inverse and θ, and a remembered score is always the score a fresh scratch
+/// factor and θ, and a remembered score is always the score a fresh scratch
 /// would recompute: a fresh scratch and a warm one produce bit-identical
 /// selections and consume the same randomness, against any sequence of
 /// models — the in-crate `memo_agreement` suite pins this. Only the cost
@@ -368,6 +387,8 @@ pub struct SelectScratch {
     stamps: Vec<u64>,
     scores: Vec<f64>,
     ties: Vec<usize>,
+    /// The score kernel's forward-solve lane.
+    lane: Vec<f64>,
     arms_scored: u64,
 }
 
@@ -443,14 +464,14 @@ fn pick_best(
 ///
 /// # Scoring path
 ///
-/// Every arm keeps its own inverse and cached `θ_a = A_a⁻¹ b_a`, re-derived
+/// Every arm keeps its own factor and cached `θ_a = A_a⁻¹ b_a`, re-derived
 /// after each mutation together with a fresh content stamp. One kernel
 /// scores an arm off that state; [`LinUcb::scores`] maps it over the arms,
 /// and [`LinUcb::select_action_with`] runs it through a caller's
 /// [`SelectScratch`], which re-scores only the arms re-stamped since it last
 /// scored the same context. A clone shares every arm until it writes one, so
 /// a promoted clone copies only the arms it writes. The per-arm
-/// [`RankOneInverse`] state is the f64 source of truth; the crate's
+/// [`Cholesky`] factor is the f64 source of truth; the crate's
 /// test-only oracle evaluates the scalar one-arm-at-a-time rule against it,
 /// and the in-crate `select_agreement` and `memo_agreement` suites pin
 /// memo, fresh scratch and oracle bit-for-bit equal.
@@ -486,7 +507,7 @@ pub struct LinUcb {
     observations: u64,
     /// Per-arm content stamps, drawn from the process-wide [`NEXT_STAMP`]
     /// whenever the arm changes, so two arms with equal stamps have bit-equal
-    /// inverse and θ in any two models of the process: what a
+    /// factor and θ in any two models of the process: what a
     /// [`SelectScratch`] memo trusts.
     stamps: Vec<u64>,
 }
@@ -520,7 +541,7 @@ impl LinUcb {
     pub fn new(config: LinUcbConfig) -> Result<Self, BanditError> {
         config.validate()?;
         let arms = (0..config.num_actions)
-            .map(|_| Arm::new(config.context_dimension, config.regularizer).map(Arc::new))
+            .map(|_| Arm::cold(&config).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         let mut policy = Self {
             config,
@@ -529,18 +550,17 @@ impl LinUcb {
             stamps: vec![0; config.num_actions],
         };
         for idx in 0..policy.config.num_actions {
-            policy.sync_arm(idx)?;
+            policy.stamp_arm(idx);
         }
         Ok(policy)
     }
 
-    /// Re-derives arm `idx`'s cached θ from its `RankOneInverse` source of
-    /// truth and draws the arm a new content stamp. Must be called after
-    /// every mutation of that arm; every mutating method in this impl does
-    /// so — it is the one place a stale [`SelectScratch`] memo is
-    /// invalidated. θ is recomputed with the exact `A⁻¹ b` matvec the
-    /// historical path ran at selection time, so cached and recomputed values
-    /// are bit-identical.
+    /// Re-derives arm `idx`'s cached θ from its factor and draws the arm a
+    /// new content stamp. Must be called after every mutation of that arm's
+    /// statistics; every mutating method in this impl does so — it is the
+    /// one place a stale [`SelectScratch`] memo is invalidated. θ is solved
+    /// with the one solve kernel, so cached and recomputed values are
+    /// bit-identical.
     fn sync_arm(&mut self, idx: usize) -> Result<(), BanditError> {
         // Every caller has just written the arm through `Arc::make_mut`, so
         // this copies nothing.
@@ -567,11 +587,12 @@ impl LinUcb {
         scratch: &mut SelectScratch,
     ) -> Result<(), BanditError> {
         let (x, alpha) = (context.as_slice(), self.config.alpha);
+        scratch.lane.resize(x.len(), 0.0);
         if scratch.remembers(self.arms.len(), x, alpha) {
             let fresh = scratch.stamps.iter_mut().zip(&self.stamps);
             for (idx, (seen, &stamp)) in fresh.enumerate() {
                 if *seen != stamp {
-                    scratch.scores[idx] = self.arms[idx].ucb_score(x, alpha)?;
+                    scratch.scores[idx] = self.arms[idx].ucb_score(x, alpha, &mut scratch.lane)?;
                     *seen = stamp;
                     scratch.arms_scored += 1;
                 }
@@ -582,7 +603,9 @@ impl LinUcb {
             scratch.stamps.clear();
             scratch.scores.clear();
             for arm in &self.arms {
-                scratch.scores.push(arm.ucb_score(x, alpha)?);
+                scratch
+                    .scores
+                    .push(arm.ucb_score(x, alpha, &mut scratch.lane)?);
             }
             scratch.context_bits.clear();
             (scratch.context_bits).extend(x.iter().map(|value| value.to_bits()));
@@ -625,7 +648,7 @@ impl LinUcb {
     ///
     /// Exposed so that callers (e.g. the evaluation harness) can inspect the
     /// full score vector instead of just the argmax. Every arm is scored off
-    /// its own inverse and cached θ.
+    /// its own factor and cached θ.
     ///
     /// # Errors
     ///
@@ -633,25 +656,25 @@ impl LinUcb {
     pub fn scores(&self, context: &Vector) -> Result<Vec<f64>, BanditError> {
         check_context(self.config.context_dimension, context)?;
         let (x, alpha) = (context.as_slice(), self.config.alpha);
+        let mut lane = vec![0.0; x.len()];
         self.arms
             .iter()
-            .map(|arm| arm.ucb_score(x, alpha))
+            .map(|arm| arm.ucb_score(x, alpha, &mut lane))
             .collect()
     }
 
-    /// The accumulated design matrix `A_a = λI + Σ x xᵀ` of an arm — one half
-    /// of its sufficient statistics.
+    /// The Cholesky factor of an arm's design `A_a = λI + Σ x xᵀ = LDLᵀ`
+    /// — what the arm keeps of its design.
     ///
     /// # Errors
     ///
     /// Returns [`BanditError::InvalidAction`] for out-of-range actions.
-    pub fn design(&self, action: Action) -> Result<&Matrix, BanditError> {
+    pub fn factor(&self, action: Action) -> Result<&Cholesky, BanditError> {
         check_action(self.config.num_actions, action)?;
-        Ok(self.arms[action.index()].inverse.design())
+        Ok(&self.arms[action.index()].factor)
     }
 
-    /// The accumulated reward vector `b_a = Σ r·x` of an arm — the other half
-    /// of its sufficient statistics.
+    /// The accumulated reward vector `b_a = Σ r·x` of an arm.
     ///
     /// # Errors
     ///
@@ -661,19 +684,20 @@ impl LinUcb {
         Ok(&self.arms[action.index()].reward_vector)
     }
 
-    /// Replaces arm `action` with a cold arm merged with `sums`: the
-    /// composition of its two halves, [`BuiltArm::new`] (merge, one exact
-    /// refresh of the inverse, θ solve) and [`LinUcb::install_arm`] (copy,
-    /// stamp). The model's observation count trades the old arm's
-    /// pulls for the sums' pulls.
+    /// Replaces arm `action` with the arm of `sums`: the composition of its
+    /// two halves, [`BuiltArm::new`] (one factorization of the sums' design,
+    /// θ solve) and [`LinUcb::install_arm`] (copy, stamp). The model's
+    /// observation count trades the old arm's pulls for the sums' pulls.
     ///
     /// This is the one way sums become a model. The model service's shards
     /// build every dirty arm they own at each epoch assembly and the
     /// service installs them;
     /// the central-DP curator and the secure-aggregation service install
-    /// every arm of a cold model from the sums they read off their leaves
-    /// ([`ArmSums::from_leaf`]). The in-crate `update_agreement` suite pins
-    /// it bit for bit against a test-only merge of per-report models.
+    /// every arm of a cold model from the leaves they release
+    /// ([`BuiltArm::from_leaf`]). Two paths that install the same sums
+    /// install the same bits; the in-crate `update_agreement` suite holds
+    /// an install within a stated bound of a test-only merge of per-report
+    /// models.
     ///
     /// # Errors
     ///
@@ -776,6 +800,8 @@ impl ContextualPolicy for LinUcb {
 }
 
 #[cfg(test)]
+mod factor_agreement;
+#[cfg(test)]
 mod memo_agreement;
 #[cfg(test)]
 mod oracle;
@@ -859,10 +885,10 @@ mod tests {
         policy.update(&valid, Action::new(0), 1.0).unwrap();
         let arm = Action::new(0);
         let bits = |policy: &LinUcb| {
-            let design: Vec<u64> = policy
-                .design(arm)
+            let factor: Vec<u64> = policy
+                .factor(arm)
                 .unwrap()
-                .as_slice()
+                .packed()
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();
@@ -873,7 +899,7 @@ mod tests {
                 .map(|x| x.to_bits())
                 .collect();
             (
-                design,
+                factor,
                 reward,
                 policy.pulls(arm).unwrap(),
                 policy.observations(),
@@ -981,6 +1007,9 @@ mod tests {
         assert_eq!(policy.observations(), 0);
     }
 
+    /// Single-report sums are the per-report statistics bit for bit (reward
+    /// vectors, pulls, observations); the factor installed from their design
+    /// and the factor folded report by report agree to rounding.
     #[test]
     fn singleton_coalesced_updates_are_bit_identical_to_sequential() {
         let contexts = [
@@ -1000,10 +1029,13 @@ mod tests {
             coalesced.set_arm(action, &sums[i % 2]).unwrap();
         }
         for a in 0..2 {
-            assert_eq!(
-                sequential.design(Action::new(a)).unwrap(),
-                coalesced.design(Action::new(a)).unwrap()
+            let (folded, installed) = (
+                sequential.factor(Action::new(a)).unwrap(),
+                coalesced.factor(Action::new(a)).unwrap(),
             );
+            for (x, y) in folded.packed().iter().zip(installed.packed()) {
+                assert!((x - y).abs() < 1e-12, "factor drifted: {x} vs {y}");
+            }
             assert_eq!(
                 sequential.reward_vector(Action::new(a)).unwrap(),
                 coalesced.reward_vector(Action::new(a)).unwrap()
@@ -1043,10 +1075,8 @@ mod tests {
         for a in 0..2 {
             let action = Action::new(a);
             assert!(
-                coalesced
-                    .design(action)
-                    .unwrap()
-                    .max_abs_diff(sequential.design(action).unwrap())
+                (coalesced.factor(action).unwrap().reconstruct())
+                    .max_abs_diff(&sequential.factor(action).unwrap().reconstruct())
                     .unwrap()
                     < 1e-9
             );
@@ -1100,17 +1130,15 @@ mod tests {
             let r = if a.index() == i % 3 { 1.0 } else { 0.0 };
             trained.update(ctx, a, r).unwrap();
         }
-        // The trained arms' statistics as sums: the designs as they stand,
-        // no folds, the configuration's prior.
+        // The trained arms' statistics as sums: the designs their factors
+        // stand for.
         let mut rebuilt = LinUcb::new(*trained.config()).unwrap();
         for a in 0..3 {
             let action = Action::new(a);
             let sums = ArmSums {
-                design: trained.design(action).unwrap().clone(),
+                design: trained.factor(action).unwrap().reconstruct(),
                 reward_vector: trained.reward_vector(action).unwrap().clone(),
                 pulls: trained.pulls(action).unwrap(),
-                folds: 0,
-                regularizer: trained.config().regularizer,
             };
             rebuilt.set_arm(action, &sums).unwrap();
         }
@@ -1118,8 +1146,8 @@ mod tests {
         let ctx = Vector::from(vec![0.5, 0.5]);
         let a = trained.scores(&ctx).unwrap();
         let b = rebuilt.scores(&ctx).unwrap();
-        // The rebuilt inverse comes from one Cholesky solve rather than the
-        // incremental Sherman–Morrison chain, so scores agree to solver
+        // The rebuilt factor comes from one factorization of LDLᵀ rather than
+        // the chain of rank-one updates, so scores agree to solver
         // precision, not bit-for-bit.
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-8, "scores drifted: {a:?} vs {b:?}");
@@ -1166,7 +1194,7 @@ mod tests {
         // A rejected install leaves the model as it was.
         for arm in 0..2 {
             let action = Action::new(arm);
-            assert_eq!(model.design(action), pristine.design(action));
+            assert_eq!(model.factor(action), pristine.factor(action));
             assert_eq!(model.theta(action), pristine.theta(action));
         }
         assert!(model.set_arm(Action::new(1), &good).is_ok());
@@ -1179,7 +1207,12 @@ mod tests {
         let mut indefinite = Matrix::zeros(2, 2);
         indefinite.set(0, 1, 3.0);
         indefinite.set(1, 0, 3.0);
-        let repaired = ridge_repaired(&indefinite, 1.0).unwrap();
+        let (repaired, factor) = ridge_repaired(&indefinite, 1.0).unwrap();
+        assert_eq!(
+            factor,
+            Cholesky::new(&repaired).unwrap(),
+            "the repair's factor"
+        );
         assert_eq!(repaired.get(0, 1), 3.0, "only the diagonal shifts");
         // Boosts 1 and 2 still fail to factor; 4 succeeds.
         assert_eq!(repaired.get(0, 0), 1.0 + 4.0);
@@ -1194,7 +1227,7 @@ mod tests {
             .is_ok());
 
         // An already-SPD Gram gets exactly λI, no boost.
-        let clean = ridge_repaired(&Matrix::identity(2), 1.0).unwrap();
+        let (clean, _) = ridge_repaired(&Matrix::identity(2), 1.0).unwrap();
         assert_eq!(clean.get(1, 1), 2.0);
 
         // A NaN Gram can never factor: the loop stops at the cap with the
@@ -1271,7 +1304,11 @@ mod tests {
             assert_eq!(statistics.reward_vector[i].to_bits(), leaf[9 + i].to_bits());
         }
         assert_eq!(statistics.pulls, 5);
-        assert_eq!((statistics.folds, statistics.regularizer), (0, 1.0));
+        // The built arm's factor is the factor of the decoded design.
+        let built = BuiltArm::from_leaf(&leaf, &LinUcbConfig::new(3, 1)).unwrap();
+        assert_eq!(built.arm.factor, Cholesky::new(&statistics.design).unwrap());
+        assert_eq!(built.arm.reward_vector, statistics.reward_vector);
+        assert_eq!(built.arm.pulls, statistics.pulls);
         // An asymmetric (noised) block is averaged, a negative noisy pull
         // count floors at zero, and a mis-sized leaf is a typed error.
         let noisy = [1.0, 0.5, 1.5, 1.0, 0.0, 0.0, -0.6];
@@ -1317,7 +1354,7 @@ mod tests {
         assert_eq!(
             clone.theta(Action::new(2)).unwrap(),
             clone.arms[2]
-                .inverse
+                .factor
                 .solve(&clone.arms[2].reward_vector)
                 .unwrap()
         );

@@ -1,39 +1,52 @@
 //! Test-only reference implementations the agreement suites pin the
-//! maintained paths against. They read the per-arm [`RankOneInverse`]
-//! source of truth directly — state no public accessor exposes — which is
-//! why they (and the suites importing them) live inside the crate.
+//! maintained paths against. They read the per-arm Cholesky factor and
+//! reward vector directly — state the public accessors expose only in
+//! part — which is why they (and the suites importing them) live inside
+//! the crate.
 //!
 //! * **Select** — the historical scalar one-arm-at-a-time rule: per arm,
-//!   solve `θ_a = A_a⁻¹ b_a`, take `θ_aᵀx`, add `α·√(xᵀA_a⁻¹x)` (two
-//!   temporary vectors per arm), then the historical
-//!   tie-breaking loop. [`LinUcb::scores`] / [`LinUcb::select_action_with`]
-//!   must stay bit-for-bit equal to it, randomness consumption included.
-//! * **Install** — the merge of whole models: every arm of `other` merged
-//!   into this model's ([`RankOneInverse::merge_design`] over the other
-//!   arm's design and update count), reward vectors and pulls summed, every
-//!   arm re-synced. Merging per-report shard models into a cold one
-//!   rebuilds the model their updates describe; [`LinUcb::set_arm`] from
-//!   the owning shard's [`ArmSums`] must land on the same bits, because a
-//!   per-report update runs the design arithmetic of [`ArmSums::fold`] at
-//!   `n = 1` and a shard that never saw an arm adds exactly `+0.0` to it.
+//!   solve `θ_a = A_a⁻¹ b_a` afresh, take `θ_aᵀx`, add `α·√(xᵀA_a⁻¹x)`
+//!   (temporary vectors per arm), then the historical tie-breaking loop.
+//!   [`LinUcb::scores`] / [`LinUcb::select_action_with`] must stay
+//!   bit-for-bit equal to it, randomness consumption included.
+//! * **Merge** — the merge of whole models: every arm's design rebuilt
+//!   from its factor (`LDLᵀ`), the two designs summed minus one prior
+//!   `λI`, factored afresh, reward vectors and pulls summed, every arm
+//!   re-synced. Merging per-report shard models into a cold one rebuilds,
+//!   up to rounding, the model their updates describe; [`LinUcb::set_arm`]
+//!   from the owning shard's [`ArmSums`] must land within a stated bound
+//!   of it.
 //!
-//! [`RankOneInverse`]: p2b_linalg::RankOneInverse
-//! [`RankOneInverse::merge_design`]: p2b_linalg::RankOneInverse::merge_design
 //! [`ArmSums`]: crate::ArmSums
-//! [`ArmSums::fold`]: crate::ArmSums::fold
 
-use super::{Arm, LinUcb};
+use super::{decode_leaf, Arm, LinUcb};
 use crate::policy::{check_context, random_action};
-use crate::{Action, BanditError};
-use p2b_linalg::Vector;
+use crate::{Action, ArmSums, BanditError, LinUcbConfig};
+use p2b_linalg::{Cholesky, Vector};
 use std::sync::Arc;
+
+impl ArmSums {
+    /// The sums [`crate::BuiltArm::from_leaf`] factors: a summed leaf's
+    /// ridge-repaired design, reward vector and pulls, without the factor.
+    pub(crate) fn from_leaf(leaf: &[f64], config: &LinUcbConfig) -> Result<Self, BanditError> {
+        let (design, _, reward_vector, pulls) = decode_leaf(leaf, config)?;
+        Ok(Self {
+            design,
+            reward_vector,
+            pulls,
+        })
+    }
+}
 
 impl Arm {
     /// Upper confidence bound `θ_aᵀ x + α √(xᵀ A_a⁻¹ x)`.
     fn upper_confidence_bound(&self, context: &Vector, alpha: f64) -> Result<f64, BanditError> {
-        let theta = self.inverse.solve(&self.reward_vector)?;
+        let theta = self.factor.solve(&self.reward_vector)?;
         let estimate = theta.dot(context)?;
-        let bonus = self.inverse.quadratic_form(context)?.max(0.0).sqrt();
+        let mut lane = vec![0.0; context.len()];
+        let bonus = (self.factor)
+            .quadratic_form_inverse(context.as_slice(), &mut lane)?
+            .sqrt();
         Ok(estimate + alpha * bonus)
     }
 }
@@ -93,13 +106,15 @@ impl LinUcb {
                 message: "incompatible models".to_owned(),
             });
         }
+        let prior = other.config.regularizer;
         for (mine, theirs) in self.arms.iter_mut().zip(other.arms.iter()) {
             let mine = Arc::make_mut(mine);
-            mine.inverse.merge_design(
-                theirs.inverse.design(),
-                other.config.regularizer,
-                theirs.inverse.update_count(),
-            )?;
+            let mut design = mine.factor.reconstruct();
+            design.add_assign(&theirs.factor.reconstruct())?;
+            for i in 0..design.rows() {
+                design.set(i, i, design.get(i, i) - prior);
+            }
+            mine.factor = Cholesky::new(&design)?;
             mine.reward_vector = mine.reward_vector.add(&theirs.reward_vector)?;
             mine.pulls += theirs.pulls;
         }

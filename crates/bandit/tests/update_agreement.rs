@@ -1,15 +1,15 @@
 //! Public-API pins for [`LinUcb::set_arm`], the one way sums become a
 //! model.
 //!
-//! Its bit-identity against a merge of per-report shard models, and the
-//! agreement of summed leaves with the fold, are pinned inside the crate
+//! Its agreement with a merge of per-report shard models, and of summed
+//! leaves with the fold, are pinned inside the crate
 //! (`src/linucb/update_agreement.rs`; the merge oracle is test-only and not
 //! exported). What needs only public API lives here: `set_arm`'s cold-start
 //! contract, the typed errors of the per-arm install, and the per-report
-//! path as an oracle at a refresh boundary.
+//! path as an oracle of an install.
 
 use p2b_bandit::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
-use p2b_linalg::{RankOneInverse, Vector};
+use p2b_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,11 +66,11 @@ fn set_arm_with_cold_sums_restores_cold_start_statistics() {
         "observations must drop by exactly the reset arm's pulls"
     );
     for (x, y) in model
-        .design(target)
+        .factor(target)
         .unwrap()
-        .as_slice()
+        .packed()
         .iter()
-        .zip(cold.design(target).unwrap().as_slice().iter())
+        .zip(cold.factor(target).unwrap().packed())
     {
         assert_eq!(x.to_bits(), y.to_bits());
     }
@@ -81,11 +81,11 @@ fn set_arm_with_cold_sums_restores_cold_start_statistics() {
         let action = Action::new(arm);
         assert_eq!(model.pulls(action).unwrap(), before.pulls(action).unwrap());
         for (x, y) in model
-            .design(action)
+            .factor(action)
             .unwrap()
-            .as_slice()
+            .packed()
             .iter()
-            .zip(before.design(action).unwrap().as_slice().iter())
+            .zip(before.factor(action).unwrap().packed())
         {
             assert_eq!(x.to_bits(), y.to_bits(), "untouched arm {arm} changed");
         }
@@ -107,15 +107,22 @@ fn set_arm_rejects_incompatible_inputs() {
     assert!(model.set_arm(Action::new(0), &compatible).is_ok());
 }
 
+/// `|x − y| ≤ 1e-9·(1 + max(|x|, |y|))`.
+fn close(x: f64, y: f64) -> bool {
+    (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()))
+}
+
 /// A sums fold rejects a mis-sized context without touching the sums, and
-/// installing the sums of single reports equals the per-report path bit for
-/// bit once that path's update count lands on a refresh: the per-report
-/// update runs the fold's design arithmetic at `n = 1`, the install
-/// computes `λI + (A − λI)`, which is `A` exactly at `λ = 1`, and both then
-/// hold the inverse of the one exact refresh of the same design. The
-/// install inherits the fold count, so the two also refresh together later.
+/// installing the sums of single reports matches the per-report path: the
+/// per-report update runs the fold's reward-vector arithmetic at `n = 1`,
+/// so reward vectors, pulls and observations are equal bit for bit; its
+/// design lives only in the factor its rank-one updates keep, while the
+/// install factors the summed design once, so θ and scores agree within
+/// `1e-9·(1 + |value|)` — after 4 096 reports (designs of condition number
+/// at most 4 097 over unit-ball contexts) and again after 4 096 more
+/// reports folded into both.
 #[test]
-fn installed_sums_equal_the_per_report_fold_at_a_refresh() {
+fn installed_sums_match_the_per_report_fold() {
     let mut rng = StdRng::seed_from_u64(5);
     let config = LinUcbConfig::new(3, 1);
     let mut sums = ArmSums::new(&config).unwrap();
@@ -125,7 +132,7 @@ fn installed_sums_equal_the_per_report_fold_at_a_refresh() {
 
     let action = Action::new(0);
     let mut per_report = LinUcb::new(config).unwrap();
-    for _ in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
+    for _ in 0..4096 {
         let reward = rng.gen_range(0.0..=1.0);
         let context = random_context(3, &mut rng);
         per_report.update(&context, action, reward).unwrap();
@@ -135,26 +142,31 @@ fn installed_sums_equal_the_per_report_fold_at_a_refresh() {
     installed.set_arm(action, &sums).unwrap();
     assert_eq!(installed.observations(), per_report.observations());
     assert_eq!(installed.pulls(action), per_report.pulls(action));
-    assert_eq!(installed.design(action), per_report.design(action));
     assert_eq!(
         installed.reward_vector(action),
         per_report.reward_vector(action)
     );
-    assert_eq!(installed.theta(action), per_report.theta(action));
-    let probe = random_context(3, &mut rng);
-    assert_eq!(
-        installed.scores(&probe).unwrap(),
-        per_report.scores(&probe).unwrap()
-    );
+    let agree = |installed: &LinUcb, per_report: &LinUcb, probe: &Vector| {
+        let (ti, tp) = (
+            installed.theta(action).unwrap(),
+            per_report.theta(action).unwrap(),
+        );
+        for (x, y) in ti.iter().zip(tp.iter()) {
+            assert!(close(*x, *y), "theta {x} vs {y}");
+        }
+        let (si, sp) = (
+            installed.scores(probe).unwrap(),
+            per_report.scores(probe).unwrap(),
+        );
+        assert!(close(si[0], sp[0]), "score {} vs {}", si[0], sp[0]);
+    };
+    agree(&installed, &per_report, &random_context(3, &mut rng));
 
-    // The install inherits the fold count, so both models refresh on the
-    // same later update and stay equal through a second interval.
-    for step in 0..RankOneInverse::DEFAULT_REFRESH_INTERVAL {
+    for step in 0..4096 {
         let context = random_context(3, &mut rng);
         let reward = (step % 2) as f64;
         installed.update(&context, action, reward).unwrap();
         per_report.update(&context, action, reward).unwrap();
     }
-    assert_eq!(installed.design(action), per_report.design(action));
-    assert_eq!(installed.theta(action), per_report.theta(action));
+    agree(&installed, &per_report, &random_context(3, &mut rng));
 }

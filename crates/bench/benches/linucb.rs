@@ -1,10 +1,10 @@
 //! Micro-benchmarks of the LinUCB hot path: action selection and model
-//! updates at the dimensions used by the paper's experiments, and the exact
-//! inverse an arm's build and periodic refresh compute from its factor.
+//! updates at the dimensions used by the paper's experiments, and one
+//! arm's fold and score at the matrix, serve and ingest dimensions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2b_bandit::{ContextualPolicy, LinUcb, LinUcbConfig};
-use p2b_linalg::{Cholesky, Matrix, Vector};
+use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
+use p2b_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,29 +57,73 @@ fn bench_update(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Cholesky::inverse` of a design `I + Σ 3·x xᵀ` over `4d` contexts: the
-/// all-columns kernel every arm build (`BuiltArm::new`) and every periodic
-/// refresh runs once.
-fn bench_inverse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cholesky_inverse");
-    for &dimension in &[16usize, 32] {
+/// Dimensions of the matrix (6), serve (16) and ingest (32) workloads.
+const ARM_DIMENSIONS: [usize; 3] = [6, 16, 32];
+
+/// A one-arm model trained on 200 folds, and 64 contexts to cycle through.
+fn trained_arm(dimension: usize, seed: u64) -> (LinUcb, Vec<Vector>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let contexts: Vec<Vector> = (0..64)
+        .map(|_| random_context(dimension, &mut rng))
+        .collect();
+    let mut policy = LinUcb::new(LinUcbConfig::new(dimension, 1)).unwrap();
+    for ctx in contexts.iter().cycle().take(200) {
+        policy.update(ctx, Action::new(0), 0.5).unwrap();
+    }
+    (policy, contexts)
+}
+
+/// One per-report fold into an arm the model owns: the statistics update
+/// and the θ re-solve that follows it.
+fn bench_arm_fold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("arm_fold");
+    for dimension in ARM_DIMENSIONS {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("d{dimension}")),
             &dimension,
             |b, &dimension| {
-                let mut rng = StdRng::seed_from_u64(3);
-                let mut design = Matrix::identity(dimension);
-                for _ in 0..4 * dimension {
-                    let x = random_context(dimension, &mut rng);
-                    design.add_outer_product(&x, 3.0).unwrap();
-                }
-                let factor = Cholesky::new(&design).unwrap();
-                b.iter(|| factor.inverse());
+                let (mut policy, contexts) = trained_arm(dimension, 3);
+                let mut next = contexts.iter().cycle();
+                b.iter(|| {
+                    let ctx = next.next().unwrap();
+                    policy.update(ctx, Action::new(0), 1.0).unwrap();
+                });
             },
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_select_action, bench_update, bench_inverse);
+/// One arm scored against a context the select memo has not seen: the
+/// exploration bonus and the estimate, then the argmax over one score.
+fn bench_arm_score(c: &mut Criterion) {
+    let mut group = c.benchmark_group("arm_score");
+    for dimension in ARM_DIMENSIONS {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("d{dimension}")),
+            &dimension,
+            |b, &dimension| {
+                let (policy, contexts) = trained_arm(dimension, 4);
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut scratch = SelectScratch::new();
+                let mut next = contexts.iter().cycle();
+                b.iter(|| {
+                    let ctx = next.next().unwrap();
+                    policy
+                        .select_action_with(ctx, &mut rng, &mut scratch)
+                        .unwrap()
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_select_action,
+    bench_update,
+    bench_arm_fold,
+    bench_arm_score
+);
 criterion_main!(benches);

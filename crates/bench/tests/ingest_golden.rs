@@ -97,16 +97,18 @@ struct IngestSummary {
 }
 
 /// Digest of a model's exact statistics: observation count, then per arm
-/// the pull count and every design / reward-vector / theta coefficient bit,
-/// each word little-endian. Bit-identical models — and only those — collide.
+/// the pull count and every packed Cholesky factor / reward-vector / theta
+/// coefficient bit, each word little-endian. An arm keeps its design only
+/// as its factor, so the factor's bits stand where the design's stood.
+/// Bit-identical models — and only those — collide.
 fn model_digest(model: &LinUcb) -> u64 {
     let mut words = vec![model.observations()];
     for arm in 0..model.config().num_actions {
         let action = Action::new(arm);
         let in_range = "arm index is in range";
         words.push(model.pulls(action).expect(in_range));
-        let design = model.design(action).expect(in_range);
-        words.extend(design.as_slice().iter().map(|x| x.to_bits()));
+        let factor = model.factor(action).expect(in_range);
+        words.extend(factor.packed().iter().map(|x| x.to_bits()));
         let reward = model.reward_vector(action).expect(in_range);
         words.extend(reward.iter().map(|x| x.to_bits()));
         let theta = model.theta(action).expect(in_range);

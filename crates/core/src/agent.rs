@@ -169,26 +169,24 @@ impl DormantAgent {
 }
 
 /// Heap footprint of the `f64` state a LinUCB model's arms hold: per action
-/// one `d × d` design matrix, its inverse, and three `d`-vectors (reward
-/// vector, cached θ, the fold's `A⁻¹x` lane). Selection scores every arm
-/// off exactly this state; the model keeps no second copy of it. A promoted
-/// agent shares the arms it has not written with its epoch snapshot, so the
-/// figure is what the agent would own once every arm is written. A written
-/// arm holds exactly this: copying an arm copies its statistics and no
-/// scratch (`crates/core/tests/cow_arm_bytes.rs` pins the bytes a
-/// copy-on-write fold keeps). Not counted: the `d²` words of Cholesky
-/// factor an owned arm allocates when it first refreshes its inverse in
-/// place (once its update count reaches a multiple of the refresh
-/// interval), the model's one-word content stamp per action, the agent's
-/// select memo (`d + 2·A` words: the last context, and a stamp and a score
-/// per action) and its `DecidedContext` (`d` words), resident or dormant —
+/// the packed Cholesky factor of its design (`d(d+1)/2` words) and two
+/// `d`-vectors (reward vector, cached θ, which a fold also uses as its
+/// lane). Selection scores every arm off exactly this state; the model
+/// keeps no second copy of it and no scratch. A promoted agent shares the
+/// arms it has not written with its epoch snapshot, so the figure is what
+/// the agent would own once every arm is written. A written arm holds
+/// exactly this (`crates/core/tests/cow_arm_bytes.rs` pins the bytes a
+/// copy-on-write fold keeps). Not counted: the model's one-word content
+/// stamp per action, the agent's select memo (`2·d + 2·A` words: the last
+/// context, the score kernel's lane, and a stamp and a score per action)
+/// and its `DecidedContext` (`d` words), resident or dormant —
 /// bookkeeping that decides how many arms a decision re-scores and whether
 /// a context is encoded again, never which action is picked or which code
 /// is reported.
 fn approx_linucb_bytes(policy: &LinUcb) -> usize {
     let d = policy.config().context_dimension;
     let actions = policy.config().num_actions;
-    actions * (2 * d * d + 3 * d) * std::mem::size_of::<f64>()
+    actions * (d * (d + 1) / 2 + 2 * d) * std::mem::size_of::<f64>()
 }
 
 /// A local agent running on a (simulated) user device.
@@ -1067,7 +1065,7 @@ pub(crate) mod tests {
         assert!(agent.warm_snapshot().is_none());
         let bits = |agent: &LocalAgent| -> Vec<u64> {
             (0..3)
-                .flat_map(|arm| agent.policy().design(Action::new(arm)).unwrap().as_slice())
+                .flat_map(|arm| agent.policy().factor(Action::new(arm)).unwrap().packed())
                 .map(|x| x.to_bits())
                 .collect()
         };

@@ -6,7 +6,7 @@
 //! aggregating parties, none of which sees a plaintext contribution. Each
 //! party is one masked accumulator ([`Parties`]); the share arithmetic is
 //! [`p2b_privacy::SecretSharer`], and the statistics-leaf layout is
-//! [`p2b_bandit::ArmSums::leaf`] / [`ArmSums::from_leaf`], the one layout
+//! [`p2b_bandit::ArmSums::leaf`] / [`BuiltArm::from_leaf`], the one layout
 //! every aggregating regime shares:
 //!
 //! ```text
@@ -16,9 +16,9 @@
 //!                     ▼                                        ▼
 //!               accumulator 0        …               accumulator k−1
 //!                     └──────────── recombine (wrapping Σ) ────┘
-//!                                          │ decode + ArmSums::from_leaf
+//!                                          │ decode + BuiltArm::from_leaf
 //!                                          ▼
-//!              LinUcb::new + set_arm of every arm (published model)
+//!            LinUcb::new + install_arm of every arm (published model)
 //! ```
 //!
 //! A group of `n` reports sharing context `x` with reward sum `s`
@@ -42,7 +42,7 @@
 //! unchanged.
 
 use crate::CoreError;
-use p2b_bandit::{Action, ArmSums, BanditError, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, BanditError, BuiltArm, LinUcb, LinUcbConfig};
 use p2b_linalg::Vector;
 use p2b_privacy::{decode_fixed, encode_fixed, fnv1a, SecretSharer};
 
@@ -292,8 +292,8 @@ impl SecureIngestService {
         let totals = self.parties.recombine();
         for (arm, totals) in totals.chunks(self.leaf_dimension()).enumerate() {
             let decoded: Vec<f64> = totals.iter().copied().map(decode_fixed).collect();
-            let sums = ArmSums::from_leaf(&decoded, &self.config)?;
-            model.set_arm(Action::new(arm), &sums)?;
+            let built = BuiltArm::from_leaf(&decoded, &self.config)?;
+            model.install_arm(Action::new(arm), built)?;
         }
         Ok(model)
     }
@@ -375,7 +375,8 @@ mod tests {
     /// d = 16, coordinate by coordinate.
     ///
     /// The plaintext reference folds the same updates into [`ArmSums`] and
-    /// installs them with `set_arm`. Contexts lie in the unit ball, so the
+    /// installs them with `set_arm`; each side's design is read back from
+    /// its arm's factor as `LDLᵀ`. Contexts lie in the unit ball, so the
     /// leaf's clip is the identity. Per design or reward coordinate, with
     /// `L` leaves summed into the arm, `u = 2⁻⁵³` and `M = λ + Σ n` bounding
     /// every partial sum (`|n·xᵢxⱼ| ≤ n`, `|s·xᵢ| ≤ n`):
@@ -387,9 +388,13 @@ mod tests {
     ///   `n·xᵢxⱼ` or `s·xᵢ` (`≤ 2u·n`, so `≤ 2u·M` summed, per side);
     /// * the plaintext fold's recursive sum adds at most `(L + 1)·u·M`;
     /// * decoding the summed word and the read-back's `+ λ` round once
-    ///   each, and each install's `λ + (A − λ)` twice per side.
+    ///   each;
+    /// * on each side, `LDLᵀ` is within `γ_{d+1}·M` of the design it
+    ///   factors (Cholesky's backward error, `|L||Lᵀ| ≤ M` entrywise) and
+    ///   the reconstruction's dot products add `γ_d·M`, about
+    ///   `(2d + 2)·u·M` in all.
     ///
-    /// So the two models agree within `L·2⁻⁴⁹ + (L + 11)·u·M` per
+    /// So the two models agree within `L·2⁻⁴⁹ + (L + 4d + 11)·u·M` per
     /// coordinate.
     #[test]
     fn assembled_model_matches_the_plaintext_fold_up_to_quantization() {
@@ -430,12 +435,12 @@ mod tests {
             let routed = updates.iter().filter(|u| u.1 == action);
             let leaves = routed.clone().count() as f64;
             let mass = config.regularizer + routed.map(|u| u.2 as f64).sum::<f64>();
-            let bound = leaves * grid_half_step + (leaves + 11.0) * u * mass;
+            let bound = leaves * grid_half_step + (leaves + 4.0 * d as f64 + 11.0) * u * mass;
             assert_eq!(model.pulls(action), reference.pulls(action));
-            let secure = model.design(action).unwrap().as_slice();
-            let plain = reference.design(action).unwrap().as_slice();
+            let secure = model.factor(action).unwrap().reconstruct();
+            let plain = reference.factor(action).unwrap().reconstruct();
             let vectors = [
-                (secure, plain),
+                (secure.as_slice(), plain.as_slice()),
                 (
                     model.reward_vector(action).unwrap().as_slice(),
                     reference.reward_vector(action).unwrap().as_slice(),

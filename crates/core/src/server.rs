@@ -435,17 +435,17 @@ mod tests {
     }
 
     /// Every statistic of a model as exact bits: observations, then per
-    /// arm its pulls, design, reward vector and θ.
+    /// arm its pulls, factor, reward vector and θ.
     fn model_bits(model: &LinUcb) -> Vec<u64> {
         let mut words = vec![model.observations()];
         for arm in 0..model.config().num_actions {
             let action = Action::new(arm);
             words.push(model.pulls(action).unwrap());
-            let design = model.design(action).unwrap().as_slice().to_vec();
+            let factor = model.factor(action).unwrap().packed().to_vec();
             let reward = model.reward_vector(action).unwrap().as_slice().to_vec();
             let theta = model.theta(action).unwrap().as_slice().to_vec();
             words.extend(
-                design
+                factor
                     .iter()
                     .chain(&reward)
                     .chain(&theta)

@@ -42,11 +42,11 @@
 //!   FIFO shard queues. The queues are bounded; a full one blocks only the
 //!   dispatcher, and no worker waits on the dispatcher.
 //! * **Sums, not models** — a shard keeps one [`ArmSums`] per owned arm and
-//!   a fold is an `O(d²)` outer-product add: no Sherman–Morrison inverse
-//!   update or θ solve per fold.
+//!   a fold is an `O(d²)` outer-product add: no factor update or θ solve
+//!   per fold.
 //! * **Install on the shard** — at a snapshot request each shard builds
-//!   the arms it folded into since the previous one ([`BuiltArm::new`]: a
-//!   cold arm merged with the sums, one Cholesky refresh, the θ solve), so
+//!   the arms it folded into since the previous one ([`BuiltArm::new`]: one
+//!   Cholesky factorization of the sums' design, the θ solve), so
 //!   the `O(d³)` work of an epoch runs on every core; the service only
 //!   installs the built arms, shard by shard as they arrive, into one
 //!   persistent model ([`LinUcb::install_arm`]: a copy and a stamp) and
@@ -66,9 +66,9 @@
 //!
 //! Determinism: each arm is owned by exactly one shard and receives its
 //! cells in submission order, and the build is the arithmetic of
-//! [`LinUcb::set_arm`], itself that of a merge of every shard model in
-//! shard order (each non-owner adds `+0.0`), so the assembled model is
-//! bit-for-bit independent of thread scheduling *and* of the shard count.
+//! [`LinUcb::set_arm`] on the owner's sums, which are all of the arm's
+//! statistics, so the assembled model is bit-for-bit independent of thread
+//! scheduling *and* of the shard count.
 
 use crate::shard_pool::{ShardPool, SHARD_QUEUE_CAPACITY};
 use crate::CoreError;
@@ -440,14 +440,12 @@ impl ModelService {
     ///
     /// Arm `a` is folded only by shard `a % M`, which builds it with
     /// [`BuiltArm::new`] — the arithmetic of [`LinUcb::set_arm`] from its
-    /// sums: a cold arm merged with the sums, one Cholesky refresh — so the
-    /// arm is bit-identical to the arm under a from-scratch merge of every
-    /// shard in shard order: each other shard would add exactly `+0.0` (the
-    /// `assembly_equivalence` suite rebuilds that oracle from public API).
-    /// The first call, and the call after a failed one, ask every shard to
-    /// build every arm it owns, which also fixes never-updated arms' bit
-    /// patterns to the post-merge refresh; later calls install only the
-    /// dirty union. The builds run on the shards, in parallel; this thread
+    /// sums: one Cholesky factorization of their design, the θ solve — so
+    /// the arm is bit-identical to a from-scratch install of the owner's
+    /// sums on a cold model (the `assembly_equivalence` suite rebuilds that
+    /// oracle from public API). The first call, and the call after a failed
+    /// one, ask every shard to build every arm it owns; later calls install
+    /// only the dirty union. The builds run on the shards, in parallel; this thread
     /// only installs each built arm as it arrives, shard by shard — a copy
     /// into this thread's allocations, so nothing the model keeps lives on
     /// a shard's heap — and stamps it ([`LinUcb::install_arm`]), no
@@ -634,9 +632,9 @@ mod tests {
             for action in 0..4 {
                 let action = Action::new(action);
                 assert_eq!(
-                    model.design(action).unwrap(),
-                    assembled[0].design(action).unwrap(),
-                    "assembled design must not depend on the shard count"
+                    model.factor(action).unwrap(),
+                    assembled[0].factor(action).unwrap(),
+                    "assembled factor must not depend on the shard count"
                 );
                 assert_eq!(
                     model.reward_vector(action).unwrap(),

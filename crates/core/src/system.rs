@@ -600,9 +600,9 @@ mod tests {
             for action in 0..3 {
                 let action = p2b_bandit::Action::new(action);
                 assert_eq!(
-                    model.design(action).unwrap(),
-                    model_one.design(action).unwrap(),
-                    "design drifted at {shards} ingest shards"
+                    model.factor(action).unwrap(),
+                    model_one.factor(action).unwrap(),
+                    "factor drifted at {shards} ingest shards"
                 );
                 assert_eq!(
                     model.reward_vector(action).unwrap(),
@@ -630,11 +630,11 @@ mod tests {
             for arm in 0..model.config().num_actions {
                 let action = p2b_bandit::Action::new(arm);
                 words.push(model.pulls(action).unwrap());
-                let design = model.design(action).unwrap().as_slice().iter();
+                let factor = model.factor(action).unwrap().packed().iter();
                 let reward = model.reward_vector(action).unwrap().iter();
                 let theta = model.theta(action).unwrap();
                 words.extend(
-                    design
+                    factor
                         .chain(reward)
                         .chain(theta.iter())
                         .map(|x| x.to_bits()),

@@ -119,10 +119,9 @@ fn assert_models_close(ms: &LinUcb, mc: &LinUcb, tolerance: f64, label: &str) {
             mc.pulls(action).unwrap(),
             "{label}: pulls({action:?})"
         );
-        let design_diff = ms
-            .design(action)
-            .unwrap()
-            .max_abs_diff(mc.design(action).unwrap())
+        // The designs the two factors stand for.
+        let design_diff = (ms.factor(action).unwrap().reconstruct())
+            .max_abs_diff(&mc.factor(action).unwrap().reconstruct())
             .unwrap();
         assert!(
             design_diff < tolerance,
@@ -199,7 +198,7 @@ proptest! {
         let (ma, mb) = (a.model().unwrap(), b.model().unwrap());
         prop_assert_eq!(ma.observations(), mb.observations());
         for action in (0..NUM_ACTIONS).map(Action::new) {
-            prop_assert_eq!(ma.design(action).unwrap(), mb.design(action).unwrap());
+            prop_assert_eq!(ma.factor(action).unwrap(), mb.factor(action).unwrap());
             prop_assert_eq!(ma.reward_vector(action).unwrap(), mb.reward_vector(action).unwrap());
             prop_assert_eq!(ma.theta(action).unwrap(), mb.theta(action).unwrap());
         }

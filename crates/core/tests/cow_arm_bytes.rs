@@ -1,10 +1,10 @@
 //! Pins the heap a copy-on-write fold keeps per arm it writes: an agent
 //! that folds into an arm it still shares with the epoch's snapshot copies
-//! that arm, and the copy is the arm's statistics — the inverse, the design
-//! (`d²` words each), the reward vector, θ and the fold's `A⁻¹x` lane
-//! (`d` words each) — plus the arm's own allocation. The snapshot's arms
-//! were built by an exact refresh, which leaves a Cholesky factor
-//! (`d² + d` words of scratch) behind; a copy must not carry it.
+//! that arm, and the copy is the arm's statistics — the packed Cholesky
+//! factor of its design (`d(d+1)/2` words), the reward vector and θ (`d`
+//! words each; θ doubles as the fold's lane) — plus the arm's own
+//! allocation. The bound allows `d` words more than that and the headers:
+//! `d(d+1)/2 + 3·d` words plus 512 bytes, 1 984 bytes at d = 16.
 //!
 //! A counting global allocator tallies the bytes allocated minus the bytes
 //! freed on the test's own thread; it only counts and delegates to
@@ -72,7 +72,8 @@ const CODES: usize = 4;
 const ACTIONS: usize = 6;
 const WORD: usize = std::mem::size_of::<f64>();
 /// Room for the arm's own allocation: the `Arc` counts and the arm's
-/// inline fields (matrix and vector headers, counters), about 30 words.
+/// inline fields (factor and vector headers, counters), and the allocator's
+/// rounding of three buffers.
 const HEADER_ALLOWANCE_BYTES: usize = 512;
 
 fn encoder() -> Arc<KMeansEncoder> {
@@ -90,7 +91,7 @@ fn encoder() -> Arc<KMeansEncoder> {
 
 /// Three reports for every `(code, action)` pair, so one flush releases a
 /// cell for every pair and the published snapshot's every arm is built from
-/// its sums by an exact refresh.
+/// its sums by one factorization.
 fn reports() -> Vec<RawReport> {
     let mut reports = Vec::new();
     for code in 0..CODES {
@@ -153,8 +154,8 @@ fn a_cow_fold_keeps_only_the_arms_statistics() {
 
     let per_arm = kept / written;
     let d = DIMENSION;
-    let statistics = (2 * d * d + 3 * d) * WORD;
-    let bound = (2 * d * d + 5 * d) * WORD + HEADER_ALLOWANCE_BYTES;
+    let statistics = (d * (d + 1) / 2 + 2 * d) * WORD;
+    let bound = (d * (d + 1) / 2 + 3 * d) * WORD + HEADER_ALLOWANCE_BYTES;
     assert!(
         per_arm >= statistics,
         "{per_arm} bytes per written arm cannot hold the {statistics} bytes of statistics"

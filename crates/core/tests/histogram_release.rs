@@ -54,12 +54,12 @@ fn model_bits(model: &LinUcb) -> Vec<u64> {
     let mut words = vec![model.observations()];
     for action in (0..ACTIONS).map(Action::new) {
         words.push(model.pulls(action).expect("arm in range"));
-        let design = model.design(action).expect("arm in range");
+        let factor = model.factor(action).expect("arm in range");
         let reward = model.reward_vector(action).expect("arm in range");
         let theta = model.theta(action).expect("arm in range");
         words.extend(
-            design
-                .as_slice()
+            factor
+                .packed()
                 .iter()
                 .chain(reward.iter())
                 .chain(theta.iter())

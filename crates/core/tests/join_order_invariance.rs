@@ -139,10 +139,9 @@ fn assert_models_match(a: &LinUcb, b: &LinUcb, label: &str) {
     assert_eq!(a.observations(), b.observations(), "{label}: observations");
     for action in 0..NUM_ACTIONS {
         let action = Action::new(action);
-        let design_diff = a
-            .design(action)
-            .unwrap()
-            .max_abs_diff(b.design(action).unwrap())
+        // The designs the two factors stand for.
+        let design_diff = (a.factor(action).unwrap().reconstruct())
+            .max_abs_diff(&b.factor(action).unwrap().reconstruct())
             .unwrap();
         assert!(
             design_diff <= 1e-12,

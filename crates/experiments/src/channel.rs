@@ -45,12 +45,12 @@
 //!
 //! The two leaf-aggregating channels differ only in who sums the leaves;
 //! the leaf layout itself is written once, in [`ArmSums::leaf`] /
-//! [`ArmSums::from_leaf`]. Every channel that publishes from sums installs
-//! them with [`LinUcb::set_arm`], the P2B channel through the server's
-//! publish.
+//! [`BuiltArm::from_leaf`]. Every channel that publishes from sums installs
+//! one factor per arm: the leaf channels with [`LinUcb::install_arm`], the
+//! P2B channel through the server's publish.
 
 use crate::{BatchGuarantee, CellSpec, ExperimentError, MatrixConfig, PrivacyRegime, ScenarioData};
-use p2b_bandit::{Action, ArmSums, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ArmSums, BuiltArm, ContextualPolicy, LinUcb, LinUcbConfig};
 use p2b_core::{CentralServer, P2bConfig, SecureIngestService};
 use p2b_encoding::{ContextCode, Encoder, KMeansConfig, KMeansEncoder};
 use p2b_linalg::Vector;
@@ -346,10 +346,11 @@ impl ReportChannel for ShuffledChannel {
 /// It keeps one [`TreeAggregator`] per arm over [`ArmSums::leaf`] vectors
 /// of single reports, whose unit-ball clip bounds one leaf's sensitivity by
 /// [`CENTRAL_LEAF_SENSITIVITY`]. A published model is rebuilt from the
-/// noisy prefix releases by [`ArmSums::from_leaf`]: the Gram block is
+/// noisy prefix releases by [`BuiltArm::from_leaf`]: the Gram block is
 /// symmetrized and ridge-shifted until the design matrix is positive
-/// definite (Shariff & Sheffet 2018's shifted-regularizer repair), then
-/// every arm of a fresh [`LinUcb`] is installed with [`LinUcb::set_arm`].
+/// definite (Shariff & Sheffet 2018's shifted-regularizer repair), the
+/// factor that succeeds is the arm's, and every arm of a fresh [`LinUcb`]
+/// is installed with [`LinUcb::install_arm`].
 ///
 /// Privacy accounting is the binary mechanism's: one report is a single
 /// leaf (in [`crate::run_cell`] a user's single report; in
@@ -410,8 +411,8 @@ impl ReportChannel for TreeCuratorChannel {
     fn flush(&mut self, central: &mut LinUcb) -> Result<u64, ExperimentError> {
         let mut model = LinUcb::new(self.model)?;
         for (arm, tree) in self.trees.iter().enumerate() {
-            let sums = ArmSums::from_leaf(&tree.release(), &self.model)?;
-            model.set_arm(Action::new(arm), &sums)?;
+            let built = BuiltArm::from_leaf(&tree.release(), &self.model)?;
+            model.install_arm(Action::new(arm), built)?;
         }
         *central = model;
         Ok(0)

@@ -1,14 +1,31 @@
-//! Cholesky factorization for symmetric positive-definite matrices.
+//! Packed Cholesky factor of a symmetric positive-definite matrix.
 
 use crate::{LinalgError, Matrix, Vector};
 
-/// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite matrix.
+/// Cholesky factorization of a symmetric positive-definite matrix in its
+/// square-root-free form `A = L D Lᵀ` (`L` unit lower triangular, `D`
+/// diagonal and positive), kept packed: only `d(d+1)/2` words, column by
+/// column. Column `k` holds `1/D[k], L[k+1][k], …, L[d−1][k]` — the
+/// pivot's reciprocal in place of the unit diagonal — so each of the four
+/// operations below walks contiguous memory. `L·√D` is the classical
+/// Cholesky factor; without the square roots and with the pivots inverted
+/// once, the score needs no division at all and a fold one per column.
 ///
-/// LinUCB's design matrices `A_a = I + Σ x xᵀ` are symmetric positive
-/// definite by construction, so Cholesky is the appropriate (and numerically
-/// stable) way to solve `A_a θ = b_a` and to evaluate the exploration bonus
-/// `xᵀ A_a⁻¹ x`. The factorization is `O(d³)`; for the per-step hot path the
-/// [`crate::RankOneInverse`] incremental inverse is preferred.
+/// LinUCB's designs `A_a = λI + Σ x xᵀ` are symmetric positive definite by
+/// construction, and the factor is all an arm needs of them:
+///
+/// * [`Cholesky::new`] factors a design once (`O(d³)`);
+/// * [`Cholesky::rank_one_update`] folds one observation, `A ← A + x xᵀ`,
+///   into the factor in `O(d²)`; every pivot only grows, so the factor
+///   stays the factor of an SPD matrix without any periodic refresh;
+/// * [`Cholesky::quadratic_form_inverse`] evaluates the exploration bonus
+///   `xᵀA⁻¹x = Σₖ yₖ²/D[k]` with `L y = x`, by one forward solve;
+/// * [`Cholesky::solve_into`] solves `A θ = b` by two triangular solves.
+///
+/// The triangular solves take the columns four at a time and a fold two at
+/// a time: one pass over the rows below a block does the work of four (or
+/// two) column passes, whose loop overhead and serial dependencies cost
+/// more than the arithmetic at these dimensions.
 ///
 /// # Example
 ///
@@ -18,18 +35,28 @@ use crate::{LinalgError, Matrix, Vector};
 /// # fn main() -> Result<(), p2b_linalg::LinalgError> {
 /// let mut a = Matrix::identity(2);
 /// a.add_outer_product(&Vector::from(vec![1.0, 2.0]), 1.0)?;
-/// let chol = Cholesky::new(&a)?;
+/// let mut chol = Cholesky::new(&a)?;
 /// let x = chol.solve(&Vector::from(vec![1.0, 0.0]))?;
 /// let back = a.matvec(&x)?;
 /// assert!((back[0] - 1.0).abs() < 1e-9);
 /// assert!(back[1].abs() < 1e-9);
+///
+/// // Fold one more observation and compare with factoring afresh.
+/// let z = Vector::from(vec![0.5, -1.0]);
+/// chol.rank_one_update(z.as_slice(), &mut [0.0; 2])?;
+/// a.add_outer_product(&z, 1.0)?;
+/// let mut work = [0.0; 2];
+/// let folded = chol.quadratic_form_inverse(&[1.0, 1.0], &mut work)?;
+/// let fresh = Cholesky::new(&a)?.quadratic_form_inverse(&[1.0, 1.0], &mut work)?;
+/// assert!((folded - fresh).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cholesky {
-    /// Lower-triangular factor stored as a full square matrix.
-    lower: Matrix,
+    dim: usize,
+    /// `1/D` and the strict lower triangle of `L`, column by column.
+    packed: Box<[f64]>,
 }
 
 #[cfg(feature = "counters")]
@@ -37,153 +64,46 @@ thread_local! {
     static FACTORIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Cholesky factorizations attempted on the calling thread so far — by
-/// [`Cholesky::new`] and by every exact refresh of a
-/// [`crate::RankOneInverse`]. A machine-independent cost counter, compiled
-/// only with the `counters` feature.
+/// Cholesky factorizations attempted on the calling thread so far, by
+/// [`Cholesky::new`]. A machine-independent cost counter, compiled only
+/// with the `counters` feature.
 #[cfg(feature = "counters")]
 #[must_use]
 pub fn factorizations_on_this_thread() -> u64 {
     FACTORIZATIONS.with(std::cell::Cell::get)
 }
 
-/// Writes the lower-triangular Cholesky factor of `a` into the flat
-/// row-major buffer `lower` (`n·n` elements, lower triangle written, strict
-/// upper triangle untouched).
-///
-/// This is the allocation-free kernel behind [`Cholesky::new`]: both paths
-/// run the exact same arithmetic sequence, so a factor computed into a
-/// reused scratch buffer is bit-identical to a freshly allocated one. Stale
-/// upper-triangle contents in a reused buffer are harmless — every consumer
-/// ([`solve_in_place`], [`inverse_from_lower`]) reads only the diagonal and
-/// lower triangle.
-///
-/// # Errors
-///
-/// Same contract as [`Cholesky::new`]: [`LinalgError::NotSquare`],
-/// [`LinalgError::Empty`], [`LinalgError::NotPositiveDefinite`], plus
-/// [`LinalgError::DimensionMismatch`] if `lower` is not `n·n` long.
-pub(crate) fn factor_lower(a: &Matrix, lower: &mut [f64]) -> Result<(), LinalgError> {
-    #[cfg(feature = "counters")]
-    FACTORIZATIONS.with(|count| count.set(count.get() + 1));
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Err(LinalgError::Empty);
-    }
-    if lower.len() != n * n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: (n, n),
-            found: (lower.len(), 1),
-        });
-    }
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a.get(i, j);
-            for k in 0..j {
-                sum -= lower[i * n + k] * lower[j * n + k];
-            }
-            if i == j {
-                // NaN compares false against everything: reject it here or
-                // it would factor "successfully" into a NaN inverse.
-                if sum.is_nan() || sum <= 0.0 {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: i });
-                }
-                lower[i * n + j] = sum.sqrt();
-            } else {
-                lower[i * n + j] = sum / lower[j * n + j];
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Solves `L Lᵀ x = b` in place: `out` holds `b` on entry and `x` on exit.
-///
-/// `l` is a flat row-major `n·n` lower-triangular factor as produced by
-/// [`factor_lower`]. The forward-substitution intermediate overwrites `out`
-/// progressively (position `i` of `b` is last read at step `i`), then the
-/// backward substitution runs in place — the exact arithmetic sequence of
-/// [`Cholesky::solve_into`], which delegates here.
-pub(crate) fn solve_in_place(l: &[f64], n: usize, out: &mut [f64]) {
-    debug_assert_eq!(l.len(), n * n);
-    debug_assert_eq!(out.len(), n);
-    // Forward substitution: L y = b, y written into `out`.
-    for i in 0..n {
-        let mut sum = out[i];
-        let row = &l[i * n..i * n + i];
-        for (lk, y_k) in row.iter().zip(out.iter()) {
-            sum -= lk * y_k;
-        }
-        out[i] = sum / l[i * n + i];
-    }
-    // Backward substitution: Lᵀ x = y, in place over `out`.
-    for i in (0..n).rev() {
-        let mut sum = out[i];
-        for k in i + 1..n {
-            sum -= l[k * n + i] * out[k];
-        }
-        out[i] = sum / l[i * n + i];
+/// Checks that a lane handed to a factor of dimension `n` has `n` entries.
+fn check_lane(n: usize, len: usize) -> Result<(), LinalgError> {
+    if len == n {
+        Ok(())
+    } else {
+        Err(LinalgError::DimensionMismatch {
+            expected: (n, 1),
+            found: (len, 1),
+        })
     }
 }
 
-/// Writes `A⁻¹ = (L Lᵀ)⁻¹` into the flat row-major buffer `inverse`
-/// (`n·n` elements, every one overwritten) from the lower factor `l` of
-/// [`factor_lower`], all columns at once.
-///
-/// Column `j` of the result gets exactly the arithmetic of
-/// [`solve_in_place`] on the basis vector `e_j`, zeros included, so the
-/// inverse is bit-identical to `n` such solves. Only the loop order differs:
-/// the forward pass writes row `i` of `L⁻¹` as `e_iᵀ`, minus `l[i][k]` times
-/// row `k` for `k = 0..i` in order, then divides by `l[i][i]`; the backward
-/// pass runs bottom-up, in place, subtracting `l[k][i]` times the finished
-/// row `k` for `k = i+1..n` in order. Each step is one scalar times a
-/// contiguous row, independent across columns, which the compiler can
-/// vectorise.
-pub(crate) fn inverse_from_lower(l: &[f64], n: usize, inverse: &mut [f64]) {
-    debug_assert_eq!(l.len(), n * n);
-    debug_assert_eq!(inverse.len(), n * n);
-    // Forward substitution: L Y = I, row by row into `inverse`.
-    for i in 0..n {
-        let (done, rest) = inverse.split_at_mut(i * n);
-        let row = &mut rest[..n];
-        row.fill(0.0);
-        row[i] = 1.0;
-        for (k, &lk) in l[i * n..i * n + i].iter().enumerate() {
-            for (entry, &y) in row.iter_mut().zip(&done[k * n..(k + 1) * n]) {
-                *entry -= lk * y;
-            }
-        }
-        let pivot = l[i * n + i];
-        for entry in row.iter_mut() {
-            *entry /= pivot;
+/// `Σ aᵢ·bᵢ` over four interleaved partial sums, so the additions do not
+/// wait on one another.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut partial = [0.0; 4];
+    let (a_chunks, b_chunks) = (a.chunks_exact(4), b.chunks_exact(4));
+    let tail: f64 = (a_chunks.remainder().iter())
+        .zip(b_chunks.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    for (x, y) in a_chunks.zip(b_chunks) {
+        for lane in 0..4 {
+            partial[lane] += x[lane] * y[lane];
         }
     }
-    // Backward substitution: Lᵀ X = Y, bottom-up, in place.
-    for i in (0..n).rev() {
-        let (head, done) = inverse.split_at_mut((i + 1) * n);
-        let row = &mut head[i * n..];
-        for k in i + 1..n {
-            let lki = l[k * n + i];
-            let finished = &done[(k - i - 1) * n..(k - i) * n];
-            for (entry, &x) in row.iter_mut().zip(finished) {
-                *entry -= lki * x;
-            }
-        }
-        let pivot = l[i * n + i];
-        for entry in row.iter_mut() {
-            *entry /= pivot;
-        }
-    }
+    (partial[0] + partial[1]) + (partial[2] + partial[3]) + tail
 }
 
 impl Cholesky {
-    /// Computes the factorization of a symmetric positive-definite matrix.
+    /// Factors a symmetric positive-definite matrix.
     ///
     /// Only the lower triangle of `a` is read; the strict upper triangle is
     /// assumed to mirror it.
@@ -192,8 +112,11 @@ impl Cholesky {
     ///
     /// * [`LinalgError::NotSquare`] if `a` is not square.
     /// * [`LinalgError::Empty`] if `a` is 0×0.
-    /// * [`LinalgError::NotPositiveDefinite`] if a pivot is not strictly positive.
+    /// * [`LinalgError::NotPositiveDefinite`] if a pivot is not strictly
+    ///   positive (NaN included).
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
+        #[cfg(feature = "counters")]
+        FACTORIZATIONS.with(|count| count.set(count.get() + 1));
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -204,102 +127,297 @@ impl Cholesky {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        let mut lower = Matrix::zeros(n, n);
-        factor_lower(a, lower.as_mut_slice())?;
-        Ok(Self { lower })
+        let mut packed: Box<[f64]> = (0..n)
+            .flat_map(|k| (k..n).map(move |i| a.get(i, k)))
+            .collect();
+        // Right-looking: with column k's pivot, subtract its outer product
+        // `v vᵀ / D[k]` from the columns to its right, then scale it to `L`.
+        let mut rest: &mut [f64] = &mut packed;
+        for k in 0..n {
+            let (column, next) = std::mem::take(&mut rest).split_at_mut(n - k);
+            rest = next;
+            let pivot = column[0];
+            // NaN compares false against everything: reject it here or it
+            // would factor "successfully" into a NaN factor.
+            if pivot.is_nan() || pivot <= 0.0 {
+                return Err(LinalgError::NotPositiveDefinite { pivot: k });
+            }
+            let mut trailing: &mut [f64] = rest;
+            for j in 1..column.len() {
+                let (target, after) = std::mem::take(&mut trailing).split_at_mut(column.len() - j);
+                trailing = after;
+                let ljk = column[j] / pivot;
+                for (entry, &vik) in target.iter_mut().zip(&column[j..]) {
+                    *entry -= vik * ljk;
+                }
+            }
+            for entry in &mut column[1..] {
+                *entry /= pivot;
+            }
+            column[0] = 1.0 / pivot;
+        }
+        Ok(Self { dim: n, packed })
+    }
+
+    /// The factor of `λI` (`L = I`, `D = λI`), bit for bit what
+    /// [`Cholesky::new`] computes from `λI`, without the `O(d³)` pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Empty`] if `dim == 0` and
+    /// [`LinalgError::InvalidScalar`] unless `scale` is finite and strictly
+    /// positive.
+    pub fn scaled_identity(dim: usize, scale: f64) -> Result<Self, LinalgError> {
+        if dim == 0 {
+            return Err(LinalgError::Empty);
+        }
+        if !scale.is_finite() || scale <= 0.0 {
+            return Err(LinalgError::InvalidScalar {
+                name: "scale",
+                value: scale,
+            });
+        }
+        let mut packed = vec![0.0; dim * (dim + 1) / 2].into_boxed_slice();
+        let mut start = 0;
+        for k in 0..dim {
+            packed[start] = 1.0 / scale;
+            start += dim - k;
+        }
+        Ok(Self { dim, packed })
     }
 
     /// Dimension of the factored matrix.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.lower.rows()
+        self.dim
     }
 
-    /// Borrows the lower-triangular factor `L`.
+    /// The factor's `d(d+1)/2` entries, column by column: column `k` is
+    /// `1/D[k]` followed by `L[k+1..d][k]`, starting at `k·d − k(k−1)/2`.
     #[must_use]
-    pub fn lower(&self) -> &Matrix {
-        &self.lower
+    pub fn packed(&self) -> &[f64] {
+        &self.packed
     }
 
-    /// Solves `A x = b` using the precomputed factorization.
+    /// The factored matrix `L D Lᵀ`, rebuilt in `O(d³)`: what the factor
+    /// stands for, for checks of how far it has drifted from a design.
+    #[must_use]
+    pub fn reconstruct(&self) -> Matrix {
+        let n = self.dim;
+        let columns: Vec<&[f64]> = self.columns().collect();
+        // Row r of column k is entry r − k; the unit diagonal is implicit.
+        let l = |r: usize, k: usize| if r == k { 1.0 } else { columns[k][r - k] };
+        let mut product = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let value: f64 = (0..=j).map(|k| l(i, k) * l(j, k) / columns[k][0]).sum();
+                product.set(i, j, value);
+                product.set(j, i, value);
+            }
+        }
+        product
+    }
+
+    /// The packed columns, left to right.
+    fn columns(&self) -> impl Iterator<Item = &[f64]> {
+        let mut rest: &[f64] = &self.packed;
+        (0..self.dim).map(move |k| {
+            let (column, next) = rest.split_at(self.dim - k);
+            rest = next;
+            column
+        })
+    }
+
+    /// Forward substitution `L y = v` in place over `v`, handing `visit`
+    /// each `yₖ` with `1/D[k]` as it is finished. The unit diagonal makes
+    /// `yₖ` the entry `vₖ` once the columns to its left are subtracted.
+    /// Columns go four at a time (then two, then one): the block's own rows
+    /// first, then one pass over the rows below it.
+    fn forward_in_place(&self, v: &mut [f64], mut visit: impl FnMut(f64, f64)) {
+        let n = self.dim;
+        let mut rest: &[f64] = &self.packed;
+        let mut k = 0;
+        while k + 4 <= n {
+            let len = n - k;
+            let (c0, next) = rest.split_at(len);
+            let (c1, next) = next.split_at(len - 1);
+            let (c2, next) = next.split_at(len - 2);
+            let (c3, next) = next.split_at(len - 3);
+            rest = next;
+            let (block, below) = v[k..].split_at_mut(4);
+            let y0 = block[0];
+            let y1 = block[1] - c0[1] * y0;
+            let y2 = block[2] - (c0[2] * y0 + c1[1] * y1);
+            let y3 = block[3] - (c0[3] * y0 + c1[2] * y1 + c2[1] * y2);
+            block.copy_from_slice(&[y0, y1, y2, y3]);
+            for (y, column) in [(y0, c0), (y1, c1), (y2, c2), (y3, c3)] {
+                visit(y, column[0]);
+            }
+            let rows = below.iter_mut().zip(&c0[4..]).zip(&c1[3..]);
+            for (((entry, &l0), &l1), (&l2, &l3)) in rows.zip(c2[2..].iter().zip(&c3[1..])) {
+                *entry -= l0 * y0 + l1 * y1 + l2 * y2 + l3 * y3;
+            }
+            k += 4;
+        }
+        if k + 2 <= n {
+            let len = n - k;
+            let (c0, next) = rest.split_at(len);
+            let (c1, next) = next.split_at(len - 1);
+            rest = next;
+            let (block, below) = v[k..].split_at_mut(2);
+            let y0 = block[0];
+            let y1 = block[1] - c0[1] * y0;
+            block[1] = y1;
+            visit(y0, c0[0]);
+            visit(y1, c1[0]);
+            for ((entry, &l0), &l1) in below.iter_mut().zip(&c0[2..]).zip(&c1[1..]) {
+                *entry -= l0 * y0 + l1 * y1;
+            }
+            k += 2;
+        }
+        if k < n {
+            visit(v[k], rest[0]);
+        }
+    }
+
+    /// Scaling and backward substitution `Lᵀ x = D⁻¹y` in place over `v`
+    /// (which holds `y`): `xₖ = yₖ/D[k] − Σ_{j>k} L[j][k]·xⱼ`, right to
+    /// left. Row `k` of `Lᵀ` is column `k` of `L`; columns go four at a
+    /// time, their dot products with the finished `x` in one pass, then the
+    /// block's own triangle, and the last `d mod 4` one by one.
+    fn backward_in_place(&self, v: &mut [f64]) {
+        let n = self.dim;
+        let mut rest: &[f64] = &self.packed;
+        let mut k = n;
+        while k >= 4 {
+            let len = n - k + 4;
+            let (next, c3) = rest.split_at(rest.len() - (len - 3));
+            let (next, c2) = next.split_at(next.len() - (len - 2));
+            let (next, c1) = next.split_at(next.len() - (len - 1));
+            let (next, c0) = next.split_at(next.len() - len);
+            rest = next;
+            let mut partial = [0.0; 4];
+            let rows = v[k..].iter().zip(&c0[4..]).zip(&c1[3..]);
+            for (((&x, &l0), &l1), (&l2, &l3)) in rows.zip(c2[2..].iter().zip(&c3[1..])) {
+                partial[0] += l0 * x;
+                partial[1] += l1 * x;
+                partial[2] += l2 * x;
+                partial[3] += l3 * x;
+            }
+            let x3 = v[k - 1] * c3[0] - partial[3];
+            let x2 = v[k - 2] * c2[0] - (partial[2] + c2[1] * x3);
+            let x1 = v[k - 3] * c1[0] - (partial[1] + c1[1] * x2 + c1[2] * x3);
+            let x0 = v[k - 4] * c0[0] - (partial[0] + c0[1] * x1 + c0[2] * x2 + c0[3] * x3);
+            v[k - 4..k].copy_from_slice(&[x0, x1, x2, x3]);
+            k -= 4;
+        }
+        while k > 0 {
+            k -= 1;
+            let (next, column) = rest.split_at(rest.len() - (n - k));
+            rest = next;
+            v[k] = v[k] * column[0] - dot(&column[1..], &v[k + 1..]);
+        }
+    }
+
+    /// Solves `A x = b` with the factor.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &Vector) -> Result<Vector, LinalgError> {
-        let mut out = vec![0.0; self.dim()];
+        let mut out = vec![0.0; self.dim];
         self.solve_into(b.as_slice(), &mut out)?;
         Ok(Vector::from(out))
     }
 
-    /// Solves `A x = b` into a caller-provided buffer without allocating.
-    ///
-    /// The forward-substitution intermediate is written into `out` and then
-    /// overwritten in place by the backward substitution (position `i` of the
-    /// intermediate is last read at step `i`, so a single buffer suffices).
-    /// The arithmetic sequence matches [`Cholesky::solve`] exactly.
+    /// Solves `A x = b` into a caller-provided buffer without allocating:
+    /// the forward solve `L y = b`, then the scaling and backward solve
+    /// `Lᵀ x = D⁻¹y`, in place over `out`. [`Cholesky::solve`] runs the
+    /// same arithmetic.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len()` or `out.len()`
     /// differs from `self.dim()`.
     pub fn solve_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (n, 1),
-                found: (b.len(), 1),
-            });
-        }
-        if out.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (n, 1),
-                found: (out.len(), 1),
-            });
-        }
+        check_lane(self.dim, b.len())?;
+        check_lane(self.dim, out.len())?;
         out.copy_from_slice(b);
-        solve_in_place(self.lower.as_slice(), n, out);
+        self.forward_in_place(out, |_, _| {});
+        self.backward_in_place(out);
         Ok(())
     }
 
-    /// Computes the full inverse `A⁻¹` from the factor, all columns at once.
-    /// Column `j` is bit-identical to [`Cholesky::solve`] on the basis
-    /// vector `e_j`.
-    ///
-    /// This is `O(d³)` and intended for initialization; incremental updates
-    /// should use [`crate::RankOneInverse`], whose exact refresh runs the
-    /// same kernel.
-    #[must_use]
-    pub fn inverse(&self) -> Matrix {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        inverse_from_lower(self.lower.as_slice(), n, inv.as_mut_slice());
-        inv
-    }
-
-    /// Evaluates the quadratic form `xᵀ A⁻¹ x` without forming the inverse.
+    /// Evaluates `xᵀ A⁻¹ x = Σₖ yₖ²/D[k]` with `L y = x`, by one forward
+    /// solve, without forming the inverse. `work` is a `d`-long scratch
+    /// lane; its contents on entry are ignored and on exit are `y`.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != self.dim()`.
-    pub fn quadratic_form_inverse(&self, x: &Vector) -> Result<f64, LinalgError> {
-        // x' A^{-1} x = || L^{-1} x ||^2, obtained by forward substitution.
-        let n = self.dim();
-        if x.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (n, 1),
-                found: (x.len(), 1),
-            });
-        }
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = x[i];
-            for (k, &y_k) in y.iter().enumerate().take(i) {
-                sum -= self.lower.get(i, k) * y_k;
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len()` or
+    /// `work.len()` differs from `self.dim()`.
+    pub fn quadratic_form_inverse(&self, x: &[f64], work: &mut [f64]) -> Result<f64, LinalgError> {
+        check_lane(self.dim, x.len())?;
+        check_lane(self.dim, work.len())?;
+        work.copy_from_slice(x);
+        let mut sum = 0.0;
+        self.forward_in_place(work, |y, reciprocal| sum += y * y * reciprocal);
+        Ok(sum)
+    }
+
+    /// Folds `A ← A + x xᵀ` into the factor in `O(d²)` by Gill, Golub,
+    /// Murray and Saunders' method C1, kept in reciprocals: with `t = 1`
+    /// and the lane `w = x`, column by column `p = wₖ`, `s = t + p²/D[k]`,
+    /// `1/D̄ = (1/D[k])·t/s`, `β = p/(D[k]·s)`, `t ← s`, then below the
+    /// pivot `wᵣ −= p·L[r][k]` and `L[r][k] += β·wᵣ`. `s > t > 0`, so every
+    /// pivot grows (`D̄ = D[k]·s/t`) and the result is the factor of an SPD
+    /// matrix by construction. Columns go two at a time, through one pass
+    /// over the rows below them. `work` is a `d`-long scratch lane; its
+    /// contents on entry are ignored and on exit are meaningless.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len()` or
+    /// `work.len()` differs from `self.dim()`, leaving the factor untouched.
+    pub fn rank_one_update(&mut self, x: &[f64], work: &mut [f64]) -> Result<(), LinalgError> {
+        check_lane(self.dim, x.len())?;
+        check_lane(self.dim, work.len())?;
+        work.copy_from_slice(x);
+        let n = self.dim;
+        let mut t = 1.0;
+        // Grows column `k`'s pivot by `p = wₖ` and returns `β`.
+        let mut pivot = |reciprocal: &mut f64, p: f64| {
+            let s = t + p * p * *reciprocal;
+            let scale = 1.0 / s;
+            let beta = p * *reciprocal * scale;
+            *reciprocal *= t * scale;
+            t = s;
+            beta
+        };
+        let mut rest: &mut [f64] = &mut self.packed;
+        let mut k = 0;
+        while k + 2 <= n {
+            let (c0, next) = std::mem::take(&mut rest).split_at_mut(n - k);
+            let (c1, next) = next.split_at_mut(n - k - 1);
+            rest = next;
+            let p0 = work[k];
+            let beta0 = pivot(&mut c0[0], p0);
+            let p1 = work[k + 1] - p0 * c0[1];
+            c0[1] += beta0 * p1;
+            let beta1 = pivot(&mut c1[0], p1);
+            let rows = work[k + 2..].iter_mut().zip(&mut c0[2..]);
+            for ((w, l0), l1) in rows.zip(&mut c1[1..]) {
+                let after0 = *w - p0 * *l0;
+                *l0 += beta0 * after0;
+                *w = after0 - p1 * *l1;
+                *l1 += beta1 * *w;
             }
-            y[i] = sum / self.lower.get(i, i);
+            k += 2;
         }
-        Ok(y.iter().map(|v| v * v).sum())
+        if k < n {
+            pivot(&mut rest[0], work[k]);
+        }
+        Ok(())
     }
 }
 
@@ -310,22 +428,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// The oracle of [`inverse_from_lower`]: one [`solve_in_place`] per
-    /// basis vector `e_j`, written into column `j`.
-    fn inverse_by_columns(l: &[f64], n: usize) -> Vec<f64> {
-        let mut inverse = vec![0.0; n * n];
-        let mut col = vec![0.0; n];
-        for j in 0..n {
-            col.fill(0.0);
-            col[j] = 1.0;
-            solve_in_place(l, n, &mut col);
-            for (i, &value) in col.iter().enumerate() {
-                inverse[i * n + j] = value;
-            }
-        }
-        inverse
-    }
 
     /// `λI + Σ w·x xᵀ` over up to `2n` weighted folds with counts `w` in
     /// `2..=64`: `w·xᵢ·xⱼ` and `w·xⱼ·xᵢ` round apart, so the upper triangle
@@ -352,32 +454,82 @@ mod tests {
             .count();
         assert!(
             asymmetric > 0,
-            "the oracle's designs must exercise asymmetry"
+            "the factor's designs must exercise asymmetry"
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+    /// The relative Frobenius distance `‖M − A‖_F / ‖A‖_F`.
+    fn relative_gap(m: &Matrix, a: &Matrix) -> f64 {
+        let mut difference = m.clone();
+        difference.add_assign(&a.scaled(-1.0)).unwrap();
+        difference.frobenius_norm() / a.frobenius_norm()
+    }
 
-        /// The all-columns kernel is the per-column solves, bit for bit. The
-        /// factor's strict upper triangle and the destination start as NaN:
-        /// the kernel reads no upper-triangle entry and writes every output.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Folding unit-ball observations into the factor of a weighted
+        /// design tracks the factor of the grown design: `LDLᵀ` stays within
+        /// `8·(k + d)·u` of `A` in relative Frobenius norm after `k` folds
+        /// (each fold and the first factorization are backward stable, each
+        /// at a few `d·u` of the matrix they touch, and `‖A‖` only grows),
+        /// and the bonus agrees with a fresh factor to the same order times
+        /// the condition number, which `λ ≥ 0.05` and `k + 2d` folds of
+        /// weight ≤ 64 keep below `10⁵`.
         #[test]
-        fn all_columns_inverse_matches_the_per_column_oracle(
+        fn rank_one_updates_track_a_fresh_factorization(
+            n in 1usize..33,
+            folds in 1usize..64,
+            regularizer in prop_oneof![Just(0.05), Just(1.0), Just(40.0)],
+            seed in any::<u64>(),
+        ) {
+            let mut design = weighted_design(n, regularizer, seed);
+            let mut factor = Cholesky::new(&design).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut work = vec![f64::NAN; n];
+            for _ in 0..folds {
+                let raw: Vector = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let x = raw.scaled(1.0 / raw.norm2().max(1.0));
+                factor.rank_one_update(x.as_slice(), &mut work).unwrap();
+                design.add_outer_product(&x, 1.0).unwrap();
+            }
+            let u = f64::EPSILON / 2.0;
+            let bound = 8.0 * (folds + n) as f64 * u;
+            let gap = relative_gap(&factor.reconstruct(), &design);
+            prop_assert!(gap <= bound, "‖LDLᵀ − A‖/‖A‖ = {} > {}", gap, bound);
+            let fresh = Cholesky::new(&design).unwrap();
+            let probe: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let folded = factor.quadratic_form_inverse(&probe, &mut work).unwrap();
+            let exact = fresh.quadratic_form_inverse(&probe, &mut work).unwrap();
+            prop_assert!(
+                (folded - exact).abs() <= 1e5 * bound * exact.max(1.0),
+                "bonus {} vs {}", folded, exact
+            );
+        }
+
+        /// The packed solve, bonus and factor agree with the dense
+        /// definitions: `A x = b` to solver precision, `xᵀA⁻¹x = xᵀ(A⁻¹x)`.
+        #[test]
+        fn packed_kernels_match_the_dense_definitions(
             n in 1usize..41,
             regularizer in prop_oneof![Just(0.05), Just(1.0), Just(2.5), Just(40.0)],
             seed in any::<u64>(),
         ) {
             let design = weighted_design(n, regularizer, seed);
-            let mut lower = vec![f64::NAN; n * n];
-            factor_lower(&design, &mut lower).expect("λ > 0 keeps the design SPD");
-            let mut inverse = vec![f64::NAN; n * n];
-            inverse_from_lower(&lower, n, &mut inverse);
-            let oracle = inverse_by_columns(&lower, n);
-            let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&inverse), bits(&oracle));
-            let allocating = Cholesky::new(&design).expect("SPD").inverse();
-            prop_assert_eq!(bits(allocating.as_slice()), bits(&oracle));
+            let factor = Cholesky::new(&design).unwrap();
+            prop_assert_eq!(factor.packed().len(), n * (n + 1) / 2);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let b: Vector = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let x = factor.solve(&b).unwrap();
+            let back = design.matvec(&x).unwrap();
+            let scale = design.frobenius_norm() * x.norm2() + b.norm2();
+            for i in 0..n {
+                prop_assert!((back[i] - b[i]).abs() <= 1e-11 * scale);
+            }
+            let mut work = vec![f64::NAN; n];
+            let bonus = factor.quadratic_form_inverse(b.as_slice(), &mut work).unwrap();
+            let dense = b.dot(&x).unwrap();
+            prop_assert!((bonus - dense).abs() <= 1e-10 * dense.abs().max(1.0));
         }
     }
 
@@ -395,9 +547,11 @@ mod tests {
     fn factorization_reconstructs_matrix() {
         let a = spd_matrix();
         let chol = Cholesky::new(&a).unwrap();
-        let l = chol.lower();
-        let reconstructed = l.matmul(&l.transposed()).unwrap();
-        assert!(a.max_abs_diff(&reconstructed).unwrap() < 1e-9);
+        assert!(a.max_abs_diff(&chol.reconstruct()).unwrap() < 1e-9);
+        // Column 0 is the pivot's reciprocal 1/A₀₀, then A's first column
+        // over A₀₀.
+        assert_eq!(chol.packed()[0], 1.0 / a.get(0, 0));
+        assert_eq!(chol.packed()[1], a.get(1, 0) / a.get(0, 0));
     }
 
     #[test]
@@ -438,12 +592,19 @@ mod tests {
         ));
     }
 
+    /// Solving for each basis vector inverts the matrix.
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd_matrix();
-        let inv = Cholesky::new(&a).unwrap().inverse();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(3)).unwrap() < 1e-9);
+        let chol = Cholesky::new(&a).unwrap();
+        for j in 0..3 {
+            let column = chol.solve(&Vector::basis(3, j)).unwrap();
+            let back = a.matvec(&column).unwrap();
+            for i in 0..3 {
+                let expected = if i == j { 1.0 } else { 0.0 };
+                assert!((back[i] - expected).abs() < 1e-9);
+            }
+        }
     }
 
     #[test]
@@ -451,10 +612,50 @@ mod tests {
         let a = spd_matrix();
         let chol = Cholesky::new(&a).unwrap();
         let x = Vector::from(vec![0.3, -1.2, 2.0]);
-        let inv = chol.inverse();
-        let explicit = x.dot(&inv.matvec(&x).unwrap()).unwrap();
-        let implicit = chol.quadratic_form_inverse(&x).unwrap();
+        let explicit = x.dot(&chol.solve(&x).unwrap()).unwrap();
+        let implicit = chol
+            .quadratic_form_inverse(x.as_slice(), &mut [0.0; 3])
+            .unwrap();
         assert!(approx_eq(explicit, implicit));
+    }
+
+    #[test]
+    fn rank_one_update_folds_into_the_factor_of_the_grown_matrix() {
+        let mut a = spd_matrix();
+        let mut chol = Cholesky::new(&a).unwrap();
+        let x = Vector::from(vec![0.0, -0.5, 2.0]);
+        chol.rank_one_update(x.as_slice(), &mut [f64::NAN; 3])
+            .unwrap();
+        a.add_outer_product(&x, 1.0).unwrap();
+        assert!(a.max_abs_diff(&chol.reconstruct()).unwrap() < 1e-12);
+        // A zero leading coordinate leaves the first column as it was.
+        assert_eq!(chol.packed()[0], Cholesky::new(&a).unwrap().packed()[0]);
+        let before = chol.clone();
+        assert!(chol.rank_one_update(&[1.0, 2.0], &mut [0.0; 3]).is_err());
+        assert!(chol
+            .rank_one_update(&[1.0, 2.0, 3.0], &mut [0.0; 2])
+            .is_err());
+        assert_eq!(chol, before, "a rejected fold leaves the factor untouched");
+    }
+
+    #[test]
+    fn scaled_identity_is_the_factor_of_the_scaled_identity() {
+        for (dim, scale) in [(1, 1.0), (4, 0.7), (9, 40.0)] {
+            let factored = Cholesky::new(&Matrix::identity(dim).scaled(scale)).unwrap();
+            let direct = Cholesky::scaled_identity(dim, scale).unwrap();
+            let bits = |c: &Cholesky| c.packed().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct), bits(&factored));
+        }
+        assert!(matches!(
+            Cholesky::scaled_identity(0, 1.0),
+            Err(LinalgError::Empty)
+        ));
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                Cholesky::scaled_identity(2, scale),
+                Err(LinalgError::InvalidScalar { .. })
+            ));
+        }
     }
 
     #[test]
@@ -468,7 +669,13 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
         assert!(matches!(
             Cholesky::new(&a),
-            Err(LinalgError::NotPositiveDefinite { .. })
+            Err(LinalgError::NotPositiveDefinite { pivot: 1 })
+        ));
+        let mut poisoned = Matrix::identity(2);
+        poisoned.set(1, 0, f64::NAN);
+        assert!(matches!(
+            Cholesky::new(&poisoned),
+            Err(LinalgError::NotPositiveDefinite { pivot: 1 })
         ));
     }
 
@@ -484,6 +691,11 @@ mod tests {
     fn solve_rejects_wrong_length() {
         let chol = Cholesky::new(&Matrix::identity(3)).unwrap();
         assert!(chol.solve(&Vector::zeros(2)).is_err());
-        assert!(chol.quadratic_form_inverse(&Vector::zeros(4)).is_err());
+        assert!(chol
+            .quadratic_form_inverse(&[0.0; 4], &mut [0.0; 3])
+            .is_err());
+        assert!(chol
+            .quadratic_form_inverse(&[0.0; 3], &mut [0.0; 4])
+            .is_err());
     }
 }

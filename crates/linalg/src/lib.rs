@@ -1,10 +1,10 @@
 //! Small dense linear-algebra substrate for the P2B reproduction.
 //!
 //! The Privacy-Preserving Bandits system needs only a handful of numerical
-//! primitives: dense vectors and matrices, positive-definite solves for the
-//! LinUCB ridge-regression updates, an incrementally maintained inverse
-//! (Sherman–Morrison) so that each bandit step is `O(d²)` instead of `O(d³)`,
-//! and a few statistical helpers (softmax, mean, argmax).
+//! primitives: dense vectors and matrices, a packed Cholesky factor of the
+//! LinUCB ridge-regression designs that folds each observation in `O(d²)`
+//! (a rank-one update) instead of factoring again in `O(d³)`, and a few
+//! statistical helpers (softmax, mean, argmax).
 //!
 //! None of the crates in the approved offline dependency set provide linear
 //! algebra, so this crate implements the required subset from scratch with an
@@ -30,7 +30,6 @@
 
 mod cholesky;
 mod error;
-mod incremental;
 mod matrix;
 mod stats;
 mod vector;
@@ -39,7 +38,6 @@ mod vector;
 pub use cholesky::factorizations_on_this_thread;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use incremental::RankOneInverse;
 pub use matrix::Matrix;
 pub use stats::{argmax, mean, softmax, standard_deviation, variance};
 pub use vector::Vector;

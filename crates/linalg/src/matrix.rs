@@ -183,7 +183,7 @@ impl Matrix {
     /// Matrix–vector product written into a caller-provided buffer.
     ///
     /// Allocation-free variant of [`Matrix::matvec`] for per-round callers
-    /// (scoring, the Sherman–Morrison fold, snapshot assembly). The
+    /// (matrix-vector products in a loop). The
     /// accumulation order is identical to `matvec`, so results are
     /// bit-for-bit equal.
     ///

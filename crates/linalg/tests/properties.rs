@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use p2b_linalg::{softmax, Cholesky, Matrix, RankOneInverse, Vector};
+use p2b_linalg::{softmax, Cholesky, Matrix, Vector};
 use proptest::prelude::*;
 
 /// Strategy producing small finite vectors of the given length.
@@ -75,24 +75,30 @@ proptest! {
     }
 
     #[test]
-    fn sherman_morrison_matches_direct_inverse(xs in prop::collection::vec(vector(3), 1..15)) {
-        let mut inc = RankOneInverse::identity(3, 1.0).unwrap();
+    fn rank_one_update_matches_direct_factorization(xs in prop::collection::vec(vector(3), 1..15)) {
+        let mut folded = Cholesky::new(&Matrix::identity(3)).unwrap();
         let mut a = Matrix::identity(3);
+        let mut work = [0.0; 3];
         for x in &xs {
-            inc.update(x).unwrap();
+            folded.rank_one_update(x.as_slice(), &mut work).unwrap();
             a.add_outer_product(x, 1.0).unwrap();
         }
-        let direct = Cholesky::new(&a).unwrap().inverse();
-        prop_assert!(inc.inverse().max_abs_diff(&direct).unwrap() < 1e-6);
+        let direct = Cholesky::new(&a).unwrap();
+        let scale = a.frobenius_norm();
+        prop_assert!(folded.reconstruct().max_abs_diff(&a).unwrap() < 1e-12 * scale);
+        for (f, d) in folded.packed().iter().zip(direct.packed()) {
+            prop_assert!((f - d).abs() < 1e-9 * scale);
+        }
     }
 
     #[test]
     fn quadratic_form_is_nonnegative(xs in prop::collection::vec(vector(3), 0..10), probe in vector(3)) {
-        let mut inc = RankOneInverse::identity(3, 1.0).unwrap();
+        let mut factor = Cholesky::new(&Matrix::identity(3)).unwrap();
+        let mut work = [0.0; 3];
         for x in &xs {
-            inc.update(x).unwrap();
+            factor.rank_one_update(x.as_slice(), &mut work).unwrap();
         }
-        let q = inc.quadratic_form(&probe).unwrap();
-        prop_assert!(q >= -1e-9);
+        let q = factor.quadratic_form_inverse(probe.as_slice(), &mut work).unwrap();
+        prop_assert!(q >= 0.0);
     }
 }
