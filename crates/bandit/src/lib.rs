@@ -9,7 +9,8 @@
 //!   per-arm [`ArmSums`] (or their flat leaves are summed and read back),
 //!   and [`LinUcb::set_arm`] installs the sums as a model arm — in two
 //!   halves when the build runs elsewhere: [`BuiltArm::new`] (one
-//!   factorization, θ solve) and [`LinUcb::install_arm`] (swap and stamp);
+//!   factorization, θ solve) and [`LinUcb::install_arm`] (a move, or a
+//!   copy when another thread built the arm, and a stamp);
 //!   every arm is its packed Cholesky factor, which a per-report update
 //!   folds in place; plus
 //!   the reusable select scratch and score memo ([`SelectScratch`]);

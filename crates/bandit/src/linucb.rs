@@ -6,6 +6,7 @@ use p2b_linalg::{Cholesky, LinalgError, Matrix, Vector};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::{self, ThreadId};
 
 /// Source of arm content stamps. Process-wide so that stamps drawn by
 /// diverged clones of one model, or by unrelated models, can never collide
@@ -314,10 +315,12 @@ impl Arm {
 /// part of any model: the pure half of [`LinUcb::set_arm`], which can run
 /// on any thread — the model service's shards build their dirty arms with
 /// it — while [`LinUcb::install_arm`], the cheap half, puts the arm into a
-/// model.
+/// model. It remembers the thread that built it, so an install on that
+/// thread moves the arm in and an install on any other copies it.
 #[derive(Debug, Clone)]
 pub struct BuiltArm {
     arm: Arc<Arm>,
+    built_on: ThreadId,
 }
 
 impl BuiltArm {
@@ -341,7 +344,15 @@ impl BuiltArm {
         }
         let factor = Cholesky::new(&sums.design)?;
         let arm = Arm::new(factor, sums.reward_vector.clone(), sums.pulls)?;
-        Ok(Self { arm: Arc::new(arm) })
+        Ok(Self::on_this_thread(arm))
+    }
+
+    /// `arm`, recorded as built on the calling thread.
+    fn on_this_thread(arm: Arm) -> Self {
+        Self {
+            arm: Arc::new(arm),
+            built_on: thread::current().id(),
+        }
     }
 
     /// Builds the arm a model of `config` installs from a summed (and
@@ -361,7 +372,7 @@ impl BuiltArm {
     pub fn from_leaf(leaf: &[f64], config: &LinUcbConfig) -> Result<Self, BanditError> {
         let (_, factor, reward_vector, pulls) = decode_leaf(leaf, config)?;
         let arm = Arm::new(factor, reward_vector, pulls)?;
-        Ok(Self { arm: Arc::new(arm) })
+        Ok(Self::on_this_thread(arm))
     }
 }
 
@@ -686,7 +697,7 @@ impl LinUcb {
 
     /// Replaces arm `action` with the arm of `sums`: the composition of its
     /// two halves, [`BuiltArm::new`] (one factorization of the sums' design,
-    /// θ solve) and [`LinUcb::install_arm`] (copy, stamp). The model's
+    /// θ solve) and [`LinUcb::install_arm`] (move, stamp). The model's
     /// observation count trades the old arm's pulls for the sums' pulls.
     ///
     /// This is the one way sums become a model. The model service's shards
@@ -710,8 +721,11 @@ impl LinUcb {
     }
 
     /// Installs a built arm as arm `action` — the cheap half of
-    /// [`LinUcb::set_arm`]: no factorization and no solve, only a copy of
-    /// the arm's buffers and a fresh content stamp.
+    /// [`LinUcb::set_arm`]: no factorization and no solve, only a fresh
+    /// content stamp. An arm built on this thread is moved in; one built on
+    /// another thread is copied into this thread's allocations, so the
+    /// building thread's heap keeps nothing that outlives the install,
+    /// whatever the model's lifetime.
     /// The model's observation count trades the old arm's pulls for the
     /// built arm's.
     ///
@@ -727,10 +741,11 @@ impl LinUcb {
         let idx = action.index();
         self.observations =
             self.observations.saturating_sub(self.arms[idx].pulls) + built.arm.pulls;
-        // The arm is copied into this thread's allocations: a build on
-        // another thread leaves nothing on that thread's heap that outlives
-        // the install, whatever the model's lifetime.
-        self.arms[idx] = Arc::new(Arm::clone(&built.arm));
+        self.arms[idx] = if built.built_on == thread::current().id() {
+            built.arm
+        } else {
+            Arc::new(Arm::clone(&built.arm))
+        };
         self.stamp_arm(idx);
         Ok(())
     }

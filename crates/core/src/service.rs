@@ -49,7 +49,8 @@
 //!   Cholesky factorization of the sums' design, the θ solve), so
 //!   the `O(d³)` work of an epoch runs on every core; the service only
 //!   installs the built arms, shard by shard as they arrive, into one
-//!   persistent model ([`LinUcb::install_arm`]: a copy and a stamp) and
+//!   persistent model ([`LinUcb::install_arm`]: a copy, since a shard
+//!   built the arm, and a stamp) and
 //!   publishes one [`ModelSnapshot`] per *epoch* (a counter bumped on every
 //!   mutating ingest) behind an `Arc`. All agents created within an epoch
 //!   share one assembly.

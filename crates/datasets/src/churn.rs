@@ -168,17 +168,18 @@ impl ContextualEnvironment for CohortChurnEnvironment {
         context.normalized_l1().unwrap_or(context)
     }
 
-    fn sample_reward(
-        &mut self,
+    /// The base environment's means: churn moves the contexts, not the
+    /// reward model.
+    fn mean_rewards_into(
+        &self,
         context: &Vector,
-        action: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<f64, DatasetError> {
-        self.base.sample_reward(context, action, rng)
+        means: &mut Vec<f64>,
+    ) -> Result<(), DatasetError> {
+        self.base.mean_rewards_into(context, means)
     }
 
-    fn expected_reward(&self, context: &Vector, action: usize) -> Result<f64, DatasetError> {
-        self.base.expected_reward(context, action)
+    fn realize_reward(&self, mean: f64, rng: &mut dyn rand::RngCore) -> Result<f64, DatasetError> {
+        self.base.realize_reward(mean, rng)
     }
 
     fn name(&self) -> &'static str {

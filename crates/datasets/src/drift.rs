@@ -101,11 +101,6 @@ impl DriftingPreferenceEnvironment {
     pub fn advance_round(&mut self) {
         self.round += 1;
     }
-
-    /// The base action whose reward the drifted `action` currently pays.
-    fn rotated(&self, action: usize) -> usize {
-        (action + self.shift()) % self.base.config().num_actions
-    }
 }
 
 impl ContextualEnvironment for DriftingPreferenceEnvironment {
@@ -121,25 +116,20 @@ impl ContextualEnvironment for DriftingPreferenceEnvironment {
         self.base.sample_context(rng)
     }
 
-    fn sample_reward(
-        &mut self,
+    /// The base environment's means, rotated: entry `a` is the base mean
+    /// of action `(a + shift) mod A`.
+    fn mean_rewards_into(
+        &self,
         context: &Vector,
-        action: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<f64, DatasetError> {
-        if action >= self.num_actions() {
-            // Validate against the *drifted* action space before rotating.
-            return self.base.sample_reward(context, action, rng);
-        }
-        let rotated = self.rotated(action);
-        self.base.sample_reward(context, rotated, rng)
+        means: &mut Vec<f64>,
+    ) -> Result<(), DatasetError> {
+        self.base.mean_rewards_into(context, means)?;
+        means.rotate_left(self.shift());
+        Ok(())
     }
 
-    fn expected_reward(&self, context: &Vector, action: usize) -> Result<f64, DatasetError> {
-        if action >= self.num_actions() {
-            return self.base.expected_reward(context, action);
-        }
-        self.base.expected_reward(context, self.rotated(action))
+    fn realize_reward(&self, mean: f64, rng: &mut dyn rand::RngCore) -> Result<f64, DatasetError> {
+        self.base.realize_reward(mean, rng)
     }
 
     fn name(&self) -> &'static str {

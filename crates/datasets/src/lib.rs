@@ -28,7 +28,11 @@
 //!   context distribution follows a rotating set of cohorts.
 //!
 //! The [`ContextualEnvironment`] trait unifies the environments so the
-//! simulation engine can drive any of them.
+//! simulation engine can drive any of them. Its reward side is one vector
+//! per round: an environment writes every action's mean reward into a
+//! caller's buffer ([`ContextualEnvironment::mean_rewards_into`]) and adds
+//! its noise to one mean ([`ContextualEnvironment::realize_reward`]); the
+//! per-action queries are provided reads of that vector.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,7 +49,7 @@ mod synthetic;
 pub use churn::{CohortChurnConfig, CohortChurnEnvironment};
 pub use criteo::{CriteoConfig, CriteoLikeGenerator, LoggedImpression};
 pub use drift::{DriftConfig, DriftingPreferenceEnvironment};
-pub use environment::ContextualEnvironment;
+pub use environment::{best_mean, ContextualEnvironment};
 pub use error::DatasetError;
 pub use feature_hash::FeatureHasher;
 pub use multilabel::{MultiLabelConfig, MultiLabelDataset, MultiLabelInstance};

@@ -1,8 +1,7 @@
 //! The synthetic preference benchmark of Section 5.1.
 
-use crate::environment::check_action;
 use crate::{ContextualEnvironment, DatasetError};
-use p2b_linalg::{softmax, Matrix, Vector};
+use p2b_linalg::{softmax_in_place, Matrix, Vector};
 use rand::Rng;
 use rand_distr::{Distribution, Normal, StandardNormal};
 use serde::{Deserialize, Serialize};
@@ -150,17 +149,17 @@ impl SyntheticPreferenceEnvironment {
         &self.weights
     }
 
-    /// Mean rewards `β·softmax(Wx)` of every action under `context`.
+    /// Mean rewards `β·softmax(Wx)` of every action under `context`, in a
+    /// fresh vector ([`ContextualEnvironment::mean_rewards_into`] writes
+    /// them into a caller's buffer).
     ///
     /// # Errors
     ///
     /// Returns [`DatasetError::Linalg`] when the context dimension is wrong.
     pub fn mean_rewards(&self, context: &Vector) -> Result<Vec<f64>, DatasetError> {
-        let logits = self.weights.matvec(context)?;
-        Ok(softmax(logits.as_slice())
-            .into_iter()
-            .map(|p| self.config.beta * p)
-            .collect())
+        let mut means = Vec::with_capacity(self.config.num_actions);
+        self.mean_rewards_into(context, &mut means)?;
+        Ok(means)
     }
 
     /// The index of the best action under `context`.
@@ -197,13 +196,26 @@ impl ContextualEnvironment for SyntheticPreferenceEnvironment {
         context.normalized_l1().unwrap_or(context)
     }
 
-    fn sample_reward(
-        &mut self,
+    /// `β·softmax(Wx)`: the logits `Wx` land in `means`, and the softmax
+    /// and the scaling run over them in place.
+    fn mean_rewards_into(
+        &self,
         context: &Vector,
-        action: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<f64, DatasetError> {
-        let mean = self.expected_reward(context, action)?;
+        means: &mut Vec<f64>,
+    ) -> Result<(), DatasetError> {
+        means.clear();
+        means.resize(self.config.num_actions, 0.0);
+        self.weights.matvec_into(context.as_slice(), means)?;
+        softmax_in_place(means);
+        for mean in means.iter_mut() {
+            *mean *= self.config.beta;
+        }
+        Ok(())
+    }
+
+    /// A Bernoulli draw with success probability `mean`, or `mean` plus
+    /// `𝒩(0, σ²)` noise clipped to `[0, 1]`.
+    fn realize_reward(&self, mean: f64, rng: &mut dyn rand::RngCore) -> Result<f64, DatasetError> {
         if self.config.bernoulli_rewards {
             let draw: f64 = (*rng).gen();
             return Ok(if draw < mean { 1.0 } else { 0.0 });
@@ -220,12 +232,6 @@ impl ContextualEnvironment for SyntheticPreferenceEnvironment {
             0.0
         };
         Ok((mean + noise).clamp(0.0, 1.0))
-    }
-
-    fn expected_reward(&self, context: &Vector, action: usize) -> Result<f64, DatasetError> {
-        check_action(self.config.num_actions, action)?;
-        let means = self.mean_rewards(context)?;
-        Ok(means[action])
     }
 
     fn name(&self) -> &'static str {

@@ -1,12 +1,46 @@
 //! Property-based tests for the workload substrate.
 
 use p2b_datasets::{
-    ContextualEnvironment, CriteoConfig, CriteoLikeGenerator, MultiLabelConfig, MultiLabelDataset,
-    SyntheticConfig, SyntheticPreferenceEnvironment,
+    CohortChurnConfig, CohortChurnEnvironment, ContextualEnvironment, CriteoConfig,
+    CriteoLikeGenerator, DriftConfig, DriftingPreferenceEnvironment, MultiLabelConfig,
+    MultiLabelDataset, SyntheticConfig, SyntheticPreferenceEnvironment,
 };
+use p2b_linalg::{softmax, Vector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `β·softmax(Wx)` through the allocating kernels, one step at a time: the
+/// synthetic benchmark's mean vector as it was first computed.
+fn reference_means(env: &SyntheticPreferenceEnvironment, context: &Vector) -> Vec<f64> {
+    let logits = env.weights().matvec(context).unwrap();
+    softmax(logits.as_slice())
+        .into_iter()
+        .map(|p| env.config().beta * p)
+        .collect()
+}
+
+/// Holds `env`'s mean vector under `context` bit-equal to `expected`, each
+/// entry bit-equal to the action's `expected_reward`, and `optimal_reward`
+/// equal to the vector's largest entry.
+fn check_mean_vector(env: &dyn ContextualEnvironment, context: &Vector, expected: &[f64]) {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    // A stale, longer buffer is replaced, not appended to.
+    let mut means = vec![f64::NAN; expected.len() + 3];
+    env.mean_rewards_into(context, &mut means).unwrap();
+    prop_assert_eq!(bits(&means), bits(expected));
+    for (action, mean) in means.iter().enumerate() {
+        prop_assert_eq!(
+            env.expected_reward(context, action).unwrap().to_bits(),
+            mean.to_bits()
+        );
+    }
+    let max = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    prop_assert_eq!(
+        env.optimal_reward(context).unwrap().to_bits(),
+        max.to_bits()
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -36,6 +70,45 @@ proptest! {
             for action in 0..a {
                 prop_assert!(env.expected_reward(&ctx, action).unwrap() <= opt + 1e-12);
             }
+        }
+    }
+
+    /// Each environment's one mean-vector evaluation is what every
+    /// per-action query reads: the synthetic benchmark's vector is the
+    /// reference `β·softmax(Wx)` bit for bit, the drifting one is it rotated
+    /// by the current shift — over every rotation and a wrap — and the
+    /// churning one is it unrotated.
+    #[test]
+    fn mean_vectors_match_the_per_action_queries(
+        d in 2usize..10,
+        a in 2usize..12,
+        period in 1u64..4,
+        seed in any::<u64>(),
+    ) {
+        let config = SyntheticConfig::new(d, a).with_beta(0.8);
+        // One seed per environment: each draws the same weights first.
+        let mut base =
+            SyntheticPreferenceEnvironment::new(config, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let mut drifting = DriftingPreferenceEnvironment::new(
+            config,
+            DriftConfig::new(period),
+            &mut StdRng::seed_from_u64(seed),
+        ).unwrap();
+        let mut churning = CohortChurnEnvironment::new(
+            CohortChurnConfig::new(config).with_rotation_period(period),
+            &mut StdRng::seed_from_u64(seed),
+        ).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 1);
+        for _ in 0..(a as u64 + 2) * period {
+            let context = base.sample_context(&mut rng);
+            let reference = reference_means(&base, &context);
+            check_mean_vector(&base, &context, &reference);
+            let shift = drifting.shift();
+            let rotated: Vec<f64> = (0..a).map(|action| reference[(action + shift) % a]).collect();
+            check_mean_vector(&drifting, &context, &rotated);
+            check_mean_vector(&churning, &context, &reference);
+            drifting.advance_round();
+            churning.advance_round(&mut rng);
         }
     }
 

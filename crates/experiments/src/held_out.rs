@@ -92,8 +92,9 @@ pub fn run_held_out(
     // an RNG of their own, so no regime's draws can move them.
     let mut test_rng = StdRng::seed_from_u64(splitmix64(spec.seed));
     let mut test_start = cell.rounds.scenario.clone();
+    let mut means = Vec::new();
     for _ in 0..num_train as u64 * interactions {
-        test_start.next_round(&mut test_rng);
+        test_start.next_round(&mut test_rng, &mut means)?;
     }
     let fresh = LinUcb::new(config.linucb(&test_start))?;
 

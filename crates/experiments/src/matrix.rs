@@ -23,7 +23,7 @@ use crate::channel::{self, LocalDpRandomizer, Report, ReportChannel};
 use crate::{
     ExperimentError, PolicyKind, PrivacyRegime, ScenarioData, ScenarioKind, ScenarioShape,
 };
-use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig};
+use p2b_bandit::{Action, ContextualPolicy, LinUcb, LinUcbConfig, SelectScratch};
 use p2b_core::{DecisionTicket, RewardJoinBuffer};
 use p2b_linalg::Vector;
 use p2b_privacy::{validate_omega, Participation};
@@ -567,11 +567,20 @@ impl Cell {
 }
 
 /// The rounds a run of users plays: the workload, the RNG that drives it,
-/// and the running reward and regret of what the users earned.
+/// and the running reward and regret of what the users earned. It keeps the
+/// round's mean-reward buffer and one select scratch across every round it
+/// plays.
 pub(crate) struct Rounds {
     spec: CellSpec,
     pub(crate) scenario: ScenarioData,
     rng: StdRng,
+    /// The current round's mean reward of every action, refilled by
+    /// [`ScenarioData::next_round`].
+    means: Vec<f64>,
+    /// The users' select scratch. A warm scratch selects bit for bit what a
+    /// fresh one would ([`SelectScratch`]'s memo contract), whichever user's
+    /// model it last served.
+    select: SelectScratch,
     record_every: u64,
     round: u64,
     cumulative_reward: f64,
@@ -592,6 +601,8 @@ impl Rounds {
             spec,
             scenario,
             rng,
+            means: Vec::new(),
+            select: SelectScratch::new(),
             record_every,
             round: 0,
             cumulative_reward: 0.0,
@@ -636,19 +647,20 @@ impl Rounds {
         let mut last_joined: Option<Report> = None;
         for t in 0..horizon {
             if t < interactions {
-                let (scenario, rng) = (&mut self.scenario, &mut self.rng);
-                let round_data = scenario.next_round(rng);
-                let action = local.select_action(&round_data.context, rng)?;
-                let reward = scenario.sample_reward(&round_data, action.index(), rng)?;
-                let expected = scenario.expected_reward(&round_data, action.index())?;
-                let optimum = scenario.optimal_reward(&round_data)?;
+                let rng = &mut self.rng;
+                let round = self.scenario.next_round(rng, &mut self.means)?;
+                let action = local.select_action_with(&round.context, rng, &mut self.select)?;
+                let reward = round.sample_reward(action.index(), rng)?;
+                let expected = round.expected_reward(action.index())?;
+                let optimum = round.optimal_reward();
+                let context = round.context;
                 self.cumulative_reward += reward;
                 self.cumulative_regret += optimum - expected;
                 self.round += 1;
                 if self.round % self.record_every == 0 {
                     self.series.push(self.point());
                 }
-                let ticket = joiner.record((round_data.context, action));
+                let ticket = joiner.record((context, action));
                 if let Some(delay) = delivery_delay(self.spec.seed, user as u64, t, max_delay) {
                     deliveries[(t + delay) as usize].push((ticket, reward));
                 }

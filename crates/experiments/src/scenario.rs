@@ -8,9 +8,10 @@
 
 use crate::ExperimentError;
 use p2b_datasets::{
-    CohortChurnConfig, CohortChurnEnvironment, ContextualEnvironment, CriteoConfig,
-    CriteoLikeGenerator, DriftConfig, DriftingPreferenceEnvironment, LoggedImpression,
-    MultiLabelConfig, MultiLabelDataset, SyntheticConfig, SyntheticPreferenceEnvironment,
+    best_mean, CohortChurnConfig, CohortChurnEnvironment, ContextualEnvironment, CriteoConfig,
+    CriteoLikeGenerator, DatasetError, DriftConfig, DriftingPreferenceEnvironment,
+    LoggedImpression, MultiLabelConfig, MultiLabelDataset, SyntheticConfig,
+    SyntheticPreferenceEnvironment,
 };
 use p2b_linalg::Vector;
 use rand::rngs::StdRng;
@@ -184,12 +185,53 @@ impl Default for ScenarioShape {
 }
 
 /// One round's worth of data handed to the cell runner: the observed context
-/// plus a reward oracle over every action.
-pub(crate) struct Round {
+/// and the mean reward of every action, evaluated once when the round is
+/// drawn. Every reward query of the round reads that vector.
+pub(crate) struct Round<'a> {
     /// The observed context.
     pub context: Vector,
-    /// Index of the backing logged instance (`None` for synthetic rounds).
-    logged_index: Option<usize>,
+    /// `means[a]` is the expected reward of action `a` this round: the
+    /// environment's mean vector, or a logged instance's reward row.
+    means: &'a [f64],
+    /// The environment whose noise step realizes a mean; `None` for a
+    /// logged round, whose realized rewards are the log's.
+    environment: Option<&'a dyn ContextualEnvironment>,
+}
+
+impl Round<'_> {
+    /// Expected reward of `action` this round (used for regret accounting).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentError::Dataset`] for an out-of-range action.
+    pub fn expected_reward(&self, action: usize) -> Result<f64, ExperimentError> {
+        self.means.get(action).copied().ok_or_else(|| {
+            DatasetError::InvalidAction {
+                action,
+                num_actions: self.means.len(),
+            }
+            .into()
+        })
+    }
+
+    /// Expected reward of the best action this round.
+    pub fn optimal_reward(&self) -> f64 {
+        best_mean(self.means)
+    }
+
+    /// Samples the realized reward of proposing `action` this round: its
+    /// mean through the environment's noise step, or the logged reward.
+    ///
+    /// # Errors
+    ///
+    /// As [`Round::expected_reward`], and the environment's noise errors.
+    pub fn sample_reward(&self, action: usize, rng: &mut StdRng) -> Result<f64, ExperimentError> {
+        let mean = self.expected_reward(action)?;
+        match self.environment {
+            Some(environment) => Ok(environment.realize_reward(mean, rng)?),
+            None => Ok(mean),
+        }
+    }
 }
 
 /// A materialized scenario: the source of contexts and rewards for one cell.
@@ -198,15 +240,15 @@ pub(crate) struct Round {
 /// cycle deterministically through their generated instances.
 #[derive(Clone)]
 pub(crate) enum ScenarioData {
-    Synthetic(SyntheticPreferenceEnvironment),
+    Synthetic(Env<SyntheticPreferenceEnvironment>),
     /// Preference drift: round-aware, advanced at every `next_round`.
     Drifting {
-        env: DriftingPreferenceEnvironment,
+        env: Env<DriftingPreferenceEnvironment>,
         started: bool,
     },
     /// Cohort churn: round-aware, advanced at every `next_round`.
     Churning {
-        env: CohortChurnEnvironment,
+        env: Env<CohortChurnEnvironment>,
         started: bool,
     },
     Logged {
@@ -229,28 +271,28 @@ impl ScenarioData {
                 let config = SyntheticConfig::new(shape.context_dimension, shape.num_actions)
                     .with_beta(shape.beta)
                     .with_noise_variance(shape.noise_variance);
-                Ok(ScenarioData::Synthetic(
+                Ok(ScenarioData::Synthetic(Env::from(
                     SyntheticPreferenceEnvironment::new(config, rng)?,
-                ))
+                )))
             }
             ScenarioKind::SyntheticBernoulli => {
                 let config = SyntheticConfig::new(shape.context_dimension, shape.num_actions)
                     .with_beta(shape.beta)
                     .with_bernoulli_rewards();
-                Ok(ScenarioData::Synthetic(
+                Ok(ScenarioData::Synthetic(Env::from(
                     SyntheticPreferenceEnvironment::new(config, rng)?,
-                ))
+                )))
             }
             ScenarioKind::SyntheticDrift => {
                 let config = SyntheticConfig::new(shape.context_dimension, shape.num_actions)
                     .with_beta(shape.beta)
                     .with_noise_variance(shape.noise_variance);
                 Ok(ScenarioData::Drifting {
-                    env: DriftingPreferenceEnvironment::new(
+                    env: Env::from(DriftingPreferenceEnvironment::new(
                         config,
                         DriftConfig::new(crate::DRIFT_PERIOD_ROUNDS),
                         rng,
-                    )?,
+                    )?),
                     started: false,
                 })
             }
@@ -259,12 +301,12 @@ impl ScenarioData {
                     .with_beta(shape.beta)
                     .with_noise_variance(shape.noise_variance);
                 Ok(ScenarioData::Churning {
-                    env: CohortChurnEnvironment::new(
+                    env: Env::from(CohortChurnEnvironment::new(
                         CohortChurnConfig::new(config)
                             .with_num_cohorts(crate::CHURN_COHORTS)
                             .with_rotation_period(crate::CHURN_ROTATION_PERIOD),
                         rng,
-                    )?,
+                    )?),
                     started: false,
                 })
             }
@@ -274,9 +316,9 @@ impl ScenarioData {
                 let config = SyntheticConfig::new(shape.context_dimension, shape.num_actions)
                     .with_beta(shape.beta)
                     .with_noise_variance(shape.noise_variance);
-                Ok(ScenarioData::Synthetic(
+                Ok(ScenarioData::Synthetic(Env::from(
                     SyntheticPreferenceEnvironment::new(config, rng)?,
-                ))
+                )))
             }
             ScenarioKind::MultiLabel => {
                 let config = MultiLabelConfig::new(shape.logged_instances, 10, 8).with_clusters(12);
@@ -383,105 +425,49 @@ impl ScenarioData {
         }
     }
 
-    /// Produces the next round's context. Round-aware (drifting/churning)
-    /// scenarios advance their clock here, so every reward query between
-    /// two `next_round` calls sees one consistent environment state.
-    pub fn next_round(&mut self, rng: &mut StdRng) -> Round {
+    /// Produces the next round. Round-aware (drifting/churning) scenarios
+    /// advance their clock here, so every reward query of the round sees
+    /// one consistent environment state. An environment's mean vector is
+    /// written into `means`, a buffer the caller keeps across rounds; a
+    /// logged round reads its instance's reward row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the environment's mean-vector errors.
+    pub fn next_round<'a>(
+        &'a mut self,
+        rng: &mut StdRng,
+        means: &'a mut Vec<f64>,
+    ) -> Result<Round<'a>, ExperimentError> {
         match self {
-            ScenarioData::Synthetic(env) => Round {
-                context: env.sample_context(rng),
-                logged_index: None,
-            },
+            ScenarioData::Synthetic(env) => environment_round(env, rng, means),
             ScenarioData::Drifting { env, started } => {
                 if *started {
                     env.advance_round();
                 }
                 *started = true;
-                Round {
-                    context: env.sample_context(rng),
-                    logged_index: None,
-                }
+                environment_round(env, rng, means)
             }
             ScenarioData::Churning { env, started } => {
                 if *started {
                     env.advance_round(rng);
                 }
                 *started = true;
-                Round {
-                    context: env.sample_context(rng),
-                    logged_index: None,
-                }
+                environment_round(env, rng, means)
             }
             ScenarioData::Logged {
-                contexts, cursor, ..
+                contexts,
+                rewards,
+                cursor,
             } => {
                 let index = *cursor;
                 *cursor = (*cursor + 1) % contexts.len();
-                Round {
+                Ok(Round {
                     context: contexts[index].clone(),
-                    logged_index: Some(index),
-                }
+                    means: &rewards[index],
+                    environment: None,
+                })
             }
-        }
-    }
-
-    /// Samples the realized reward of proposing `action` this round.
-    pub fn sample_reward(
-        &mut self,
-        round: &Round,
-        action: usize,
-        rng: &mut StdRng,
-    ) -> Result<f64, ExperimentError> {
-        match (self, round.logged_index) {
-            (ScenarioData::Synthetic(env), _) => {
-                Ok(env.sample_reward(&round.context, action, rng)?)
-            }
-            (ScenarioData::Drifting { env, .. }, _) => {
-                Ok(env.sample_reward(&round.context, action, rng)?)
-            }
-            (ScenarioData::Churning { env, .. }, _) => {
-                Ok(env.sample_reward(&round.context, action, rng)?)
-            }
-            (ScenarioData::Logged { rewards, .. }, Some(index)) => Ok(rewards[index][action]),
-            (ScenarioData::Logged { .. }, None) => Err(ExperimentError::InvalidConfig {
-                parameter: "round",
-                message: "logged scenario received a synthetic round".to_owned(),
-            }),
-        }
-    }
-
-    /// Expected reward of `action` this round (used for regret accounting).
-    pub fn expected_reward(&self, round: &Round, action: usize) -> Result<f64, ExperimentError> {
-        match (self, round.logged_index) {
-            (ScenarioData::Synthetic(env), _) => Ok(env.expected_reward(&round.context, action)?),
-            (ScenarioData::Drifting { env, .. }, _) => {
-                Ok(env.expected_reward(&round.context, action)?)
-            }
-            (ScenarioData::Churning { env, .. }, _) => {
-                Ok(env.expected_reward(&round.context, action)?)
-            }
-            (ScenarioData::Logged { rewards, .. }, Some(index)) => Ok(rewards[index][action]),
-            (ScenarioData::Logged { .. }, None) => Err(ExperimentError::InvalidConfig {
-                parameter: "round",
-                message: "logged scenario received a synthetic round".to_owned(),
-            }),
-        }
-    }
-
-    /// Expected reward of the best action this round.
-    pub fn optimal_reward(&self, round: &Round) -> Result<f64, ExperimentError> {
-        match (self, round.logged_index) {
-            (ScenarioData::Synthetic(env), _) => Ok(env.optimal_reward(&round.context)?),
-            (ScenarioData::Drifting { env, .. }, _) => Ok(env.optimal_reward(&round.context)?),
-            (ScenarioData::Churning { env, .. }, _) => Ok(env.optimal_reward(&round.context)?),
-            (ScenarioData::Logged { rewards, .. }, Some(index)) => Ok(rewards[index]
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)),
-            (ScenarioData::Logged { .. }, None) => Err(ExperimentError::InvalidConfig {
-                parameter: "round",
-                message: "logged scenario received a synthetic round".to_owned(),
-            }),
         }
     }
 
@@ -509,10 +495,136 @@ impl ScenarioData {
     }
 }
 
+/// An environment's round: a fresh context, then its mean vector into
+/// `means`.
+fn environment_round<'a>(
+    env: &'a mut dyn ContextualEnvironment,
+    rng: &mut StdRng,
+    means: &'a mut Vec<f64>,
+) -> Result<Round<'a>, ExperimentError> {
+    let context = env.sample_context(rng);
+    env.mean_rewards_into(&context, means)?;
+    Ok(Round {
+        context,
+        means,
+        environment: Some(env),
+    })
+}
+
+/// The environment a scenario holds: the environment itself, or, in this
+/// crate's unit tests, a wrapper that counts its mean-vector evaluations so
+/// a test can pin one per round.
+#[cfg(not(test))]
+type Env<E> = E;
+#[cfg(test)]
+type Env<E> = tests::Counted<E>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use crate::{run_cell, CellSpec, MatrixConfig, PolicyKind, PrivacyRegime};
+    use rand::{RngCore, SeedableRng};
+    use std::cell::Cell;
+    use std::ops::{Deref, DerefMut};
+
+    thread_local! {
+        static EVALUATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Mean-vector evaluations made on this thread so far.
+    fn evaluations() -> u64 {
+        EVALUATIONS.with(Cell::get)
+    }
+
+    /// An environment that counts, on the calling thread, how often its
+    /// mean vector is evaluated. It leaves the trait's provided reward
+    /// queries to the trait, so each of them shows as one evaluation.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Counted<E>(E);
+
+    impl<E> From<E> for Counted<E> {
+        fn from(env: E) -> Self {
+            Self(env)
+        }
+    }
+
+    impl<E> Deref for Counted<E> {
+        type Target = E;
+        fn deref(&self) -> &E {
+            &self.0
+        }
+    }
+
+    impl<E> DerefMut for Counted<E> {
+        fn deref_mut(&mut self) -> &mut E {
+            &mut self.0
+        }
+    }
+
+    impl<E: ContextualEnvironment> ContextualEnvironment for Counted<E> {
+        fn context_dimension(&self) -> usize {
+            self.0.context_dimension()
+        }
+        fn num_actions(&self) -> usize {
+            self.0.num_actions()
+        }
+        fn sample_context(&mut self, rng: &mut dyn RngCore) -> Vector {
+            self.0.sample_context(rng)
+        }
+        fn mean_rewards_into(
+            &self,
+            context: &Vector,
+            means: &mut Vec<f64>,
+        ) -> Result<(), DatasetError> {
+            EVALUATIONS.with(|count| count.set(count.get() + 1));
+            self.0.mean_rewards_into(context, means)
+        }
+        fn realize_reward(&self, mean: f64, rng: &mut dyn RngCore) -> Result<f64, DatasetError> {
+            self.0.realize_reward(mean, rng)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    /// A whole cell evaluates its environment's mean vector once per round:
+    /// the realized reward, the chosen action's expected reward and the
+    /// round's optimum are all read off it. The smoke cell's 600 rounds
+    /// cross four drift steps and six cohort rotations.
+    #[test]
+    fn a_round_evaluates_its_mean_vector_once() {
+        let config = MatrixConfig::smoke();
+        for scenario in [
+            ScenarioKind::SyntheticGaussian,
+            ScenarioKind::SyntheticDrift,
+            ScenarioKind::SyntheticChurn,
+        ] {
+            let spec = CellSpec {
+                scenario,
+                regime: PrivacyRegime::NonPrivate,
+                policy: PolicyKind::LinUcb,
+                repeat: 0,
+                seed: 7,
+            };
+            let before = evaluations();
+            let result = run_cell(&config, spec).unwrap();
+            assert_eq!(result.rounds, 600, "{scenario}");
+            assert_eq!(evaluations() - before, result.rounds, "{scenario}");
+        }
+        // The trait's single queries evaluate the vector once each.
+        let mut rng = StdRng::seed_from_u64(1);
+        let shape = ScenarioShape::default();
+        let ScenarioData::Synthetic(env) =
+            ScenarioData::build(ScenarioKind::SyntheticGaussian, &shape, &mut rng).unwrap()
+        else {
+            panic!("a synthetic scenario holds its environment");
+        };
+        let context = Vector::filled(shape.context_dimension, 1.0 / 6.0);
+        let before = evaluations();
+        env.optimal_reward(&context).unwrap();
+        env.expected_reward(&context, 3).unwrap();
+        assert_eq!(evaluations() - before, 2);
+    }
 
     /// Every scenario, the held-out workloads included.
     fn every_kind() -> impl Iterator<Item = ScenarioKind> {
@@ -541,16 +653,19 @@ mod tests {
             let mut data = ScenarioData::build(kind, &shape, &mut rng).unwrap();
             assert!(data.context_dimension() > 0, "{kind}");
             assert!(data.num_actions() > 1, "{kind}");
+            let (dimension, actions) = (data.context_dimension(), data.num_actions());
+            let mut means = Vec::new();
             for _ in 0..10 {
-                let round = data.next_round(&mut rng);
-                assert_eq!(round.context.len(), data.context_dimension());
-                let optimal = data.optimal_reward(&round).unwrap();
-                for a in 0..data.num_actions() {
-                    let expected = data.expected_reward(&round, a).unwrap();
-                    let realized = data.sample_reward(&round, a, &mut rng).unwrap();
+                let round = data.next_round(&mut rng, &mut means).unwrap();
+                assert_eq!(round.context.len(), dimension);
+                let optimal = round.optimal_reward();
+                for a in 0..actions {
+                    let expected = round.expected_reward(a).unwrap();
+                    let realized = round.sample_reward(a, &mut rng).unwrap();
                     assert!((0.0..=1.0).contains(&realized), "{kind} reward {realized}");
                     assert!(expected <= optimal + 1e-12);
                 }
+                assert!(round.expected_reward(actions).is_err(), "{kind}");
             }
             let corpus = data.encoder_corpus(16, &mut rng);
             assert_eq!(corpus.len(), 16);
@@ -591,11 +706,12 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(5);
         let mut data = ScenarioData::build(ScenarioKind::MultiLabel, &shape, &mut rng).unwrap();
-        let first = data.next_round(&mut rng).context;
+        let mut means = Vec::new();
+        let first = data.next_round(&mut rng, &mut means).unwrap().context;
         for _ in 0..7 {
-            data.next_round(&mut rng);
+            data.next_round(&mut rng, &mut means).unwrap();
         }
-        let wrapped = data.next_round(&mut rng).context;
+        let wrapped = data.next_round(&mut rng, &mut means).unwrap().context;
         assert_eq!(first.as_slice(), wrapped.as_slice());
     }
 }

@@ -39,7 +39,7 @@ pub use cholesky::factorizations_on_this_thread;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use stats::{argmax, mean, softmax, standard_deviation, variance};
+pub use stats::{argmax, mean, softmax, softmax_in_place, standard_deviation, variance};
 pub use vector::Vector;
 
 /// Numerical tolerance used throughout the crate when comparing floating

@@ -14,13 +14,29 @@
 /// ```
 #[must_use]
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
-    if logits.is_empty() {
-        return Vec::new();
+    let mut probabilities = logits.to_vec();
+    softmax_in_place(&mut probabilities);
+    probabilities
+}
+
+/// [`softmax`] written over its own input: the same operations in the same
+/// order, so the two agree bit for bit, without allocating. An empty slice
+/// is left as it is.
+///
+/// ```
+/// let mut p = [1.0, 1.0];
+/// p2b_linalg::softmax_in_place(&mut p);
+/// assert_eq!(p.to_vec(), p2b_linalg::softmax(&[1.0, 1.0]));
+/// ```
+pub fn softmax_in_place(values: &mut [f64]) {
+    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for value in values.iter_mut() {
+        *value = (*value - max).exp();
     }
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let sum: f64 = values.iter().sum();
+    for value in values.iter_mut() {
+        *value /= sum;
+    }
 }
 
 /// Index of the maximum element, breaking ties towards the lowest index.
